@@ -64,7 +64,7 @@ func main() {
 	faultRates := flag.String("serve-fault-rates", "", "comma-separated serve-cell fault rates in connection kills per KiB (default 0,0.5; rate 0 is every fault-free cell)")
 	quick := flag.Bool("quick", false, "small matrix for smoke runs")
 	check := flag.String("check", "", "validate an existing report file and exit")
-	compare := flag.String("compare", "", "baseline report to gate the fresh run against (fails when a cell falls >15% behind the pair's median throughput ratio or grows persists/op)")
+	compare := flag.String("compare", "", "baseline report to gate the fresh run against (fails when a cell falls >15% behind the pair's median throughput ratio or grows persists/op, or when the fresh run's largest serve batch does not undercut its batch=1 anchor's syncs/op)")
 	verbose := flag.Bool("v", false, "print each scenario cell's metric line")
 	flag.Parse()
 
@@ -159,6 +159,11 @@ func main() {
 	fmt.Printf("wrote %s: %d scenario cells, %d sweep scenarios, sweep %.2fs\n",
 		path, len(rep.Scenarios), len(rep.Sweeps), rep.SweepSeconds)
 	if *compare != "" {
+		// The performance gates ride here, not in Validate: they assert
+		// scheduler outcomes, which a tier-1 test on two cores cannot.
+		if err := bench.ServeBatchGate(data); err != nil {
+			fail(err)
+		}
 		if err := bench.Compare(baseline, data); err != nil {
 			fail(err)
 		}

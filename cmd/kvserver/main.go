@@ -185,8 +185,9 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 	}
 	st := s.Snapshot()
 	body, _ := json.MarshalIndent(st, "", "  ")
-	fmt.Printf("%d conns × %d ops in %v: %d crashes survived, %d replies from recovery reports, %d retried, batch fill %.2f\n",
-		conns, ops, time.Since(start).Round(time.Millisecond), st.Crashes, st.FromReport, st.Retried, st.BatchFillMean())
+	fmt.Printf("%d conns × %d ops in %v: %d crashes survived, %d replies from recovery reports, %d retried, batch fill %.2f, %.2f reply frames per socket write (%d/%d)\n",
+		conns, ops, time.Since(start).Round(time.Millisecond), st.Crashes, st.FromReport, st.Retried, st.BatchFillMean(),
+		st.FramesPerFlush(), st.FramesOut, st.Flushes)
 	if sched != nil {
 		var agg client.SessionStats
 		for _, c := range sessions {

@@ -113,8 +113,8 @@ func TestReportSchema(t *testing.T) {
 	}
 
 	// The serve section must span the conns axis with a batch=1 anchor and
-	// a batched cell per group (the undercut itself is Validate's gate,
-	// already enforced above).
+	// a batched cell per group (the undercut itself depends on scheduling;
+	// it is ServeBatchGate's, under cmd/bench -compare).
 	serveGroups := map[int]map[int]bool{}
 	for _, pt := range rep.Serve {
 		if serveGroups[pt.Conns] == nil {
@@ -184,11 +184,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"serve-missing-anchor": validPrefix + `, "serve": [
 			{"name":"sv","conns":1,"procs":2,"batch":8,"ops":10,"seconds":1,"ops_per_sec":10,
 			 "syncs_per_op":2,"persists_per_op":4,"batch_fill_mean":2,"p50_micros":1,"p99_micros":2}]}`,
-		"serve-batch-gate": validPrefix + `, "serve": [
-			{"name":"sv1","conns":1,"procs":2,"batch":1,"ops":10,"seconds":1,"ops_per_sec":10,
-			 "syncs_per_op":3,"persists_per_op":5,"batch_fill_mean":1,"p50_micros":1,"p99_micros":2},
-			{"name":"sv8","conns":1,"procs":2,"batch":8,"ops":10,"seconds":1,"ops_per_sec":20,
-			 "syncs_per_op":2.9,"persists_per_op":5,"batch_fill_mean":4,"p50_micros":1,"p99_micros":2}]}`,
 		// A hostile-wire cell that never reconnected measured nothing.
 		"fault-cell-no-reconnects": validPrefix + `, "serve": [
 			{"name":"sv1","conns":1,"procs":2,"batch":1,"ops":10,"seconds":1,"ops_per_sec":10,
@@ -210,6 +205,32 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		if err := Validate([]byte(data)); err == nil {
 			t.Errorf("%s: Validate accepted malformed report", name)
 		}
+	}
+}
+
+// TestServeBatchGate pins the performance gate cmd/bench -compare runs on
+// the fresh report: a largest-batch cell that does not undercut 80% of its
+// group's batch=1 anchor fails, one that does passes, and faulted cells are
+// ignored. Validate accepts both reports: the undercut is not a schema
+// property.
+func TestServeBatchGate(t *testing.T) {
+	mk := func(batch8Syncs float64) []byte {
+		data, err := json.Marshal(Report{Serve: []ServePoint{
+			{Name: "sv1", Conns: 1, Procs: 2, Batch: 1, SyncsPerOp: 3},
+			{Name: "sv8", Conns: 1, Procs: 2, Batch: 8, SyncsPerOp: batch8Syncs},
+			{Name: "sv8f", Conns: 1, Procs: 2, Batch: 16, SyncsPerOp: 3, FaultRate: 0.5, Reconnects: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if err := ServeBatchGate(mk(2.0)); err != nil {
+		t.Fatalf("batch=8 at 2.0 syncs/op against an anchor of 3 flagged: %v", err)
+	}
+	err := ServeBatchGate(mk(2.9))
+	if err == nil || !strings.Contains(err.Error(), "conns=1") {
+		t.Fatalf("batch=8 at 2.9 syncs/op against an anchor of 3 not flagged by group: %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // batch axis is what the cell argues about: concurrent connections are
 // what fills admission windows, so syncs/op at Batch=N must undercut the
 // Batch=1 anchor — the serve-layer restatement of the paper's batched
-// placement claim, which Validate gates.
+// placement claim, which ServeBatchGate checks under cmd/bench -compare.
 type ServePoint struct {
 	Name          string  `json:"name"`
 	Conns         int     `json:"conns"`

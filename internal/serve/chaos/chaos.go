@@ -49,7 +49,8 @@ type Plan struct {
 }
 
 // Conn is a net.Conn wrapped with a fault Plan. It also counts bytes in
-// both directions, which is how the wire sweep fixes its offset space.
+// both directions, which is how the wire sweep fixes its offset space, and
+// Write/Read calls, which is how the coalescing pins count socket writes.
 // Calls in the same direction are serialized (rio/wio below): the kill
 // offsets promise EXACTLY k-1 bytes delivered, and two concurrent
 // readers each granted the remaining budget would together overshoot it.
@@ -63,6 +64,8 @@ type Conn struct {
 	mu     sync.Mutex
 	rOff   uint64
 	wOff   uint64
+	reads  uint64
+	writes uint64
 	killed bool
 }
 
@@ -83,6 +86,21 @@ func (c *Conn) BytesRead() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rOff
+}
+
+// Writes reports how many Write calls the connection has taken (each
+// would be one socket write on an unwrapped connection).
+func (c *Conn) Writes() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes
+}
+
+// Reads reports how many Read calls the connection has taken.
+func (c *Conn) Reads() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads
 }
 
 // Killed reports whether the fault plan has fired.
@@ -106,10 +124,12 @@ func (c *Conn) kill() {
 func (c *Conn) Write(b []byte) (int, error) {
 	c.wio.Lock()
 	defer c.wio.Unlock()
+	c.mu.Lock()
+	c.writes++
+	killed := c.killed
+	c.mu.Unlock()
 	if len(b) == 0 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.killed {
+		if killed {
 			return 0, ErrKilled
 		}
 		return 0, nil
@@ -165,6 +185,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		time.Sleep(c.plan.ReadDelay)
 	}
 	c.mu.Lock()
+	c.reads++
 	if c.killed {
 		c.mu.Unlock()
 		return 0, ErrKilled

@@ -23,8 +23,8 @@ const IDBits = serve.SeqBits
 
 // Client is one connection's client. Safe for concurrent use.
 type Client struct {
-	nc  net.Conn
-	wmu sync.Mutex // serializes request frames
+	nc net.Conn
+	fw *frameWriter // combines concurrent callers' request frames
 
 	mu      sync.Mutex
 	pending map[uint64]chan serve.Reply
@@ -58,6 +58,7 @@ func New(nc net.Conn, clientID uint64) *Client {
 	}
 	c := &Client{
 		nc:         nc,
+		fw:         newFrameWriter(nc),
 		pending:    map[uint64]chan serve.Reply{},
 		settled:    map[uint64]struct{}{},
 		base:       clientID << IDBits,
@@ -73,8 +74,9 @@ func (c *Client) Close() { c.nc.Close() }
 
 // readLoop dispatches reply frames to their waiting calls.
 func (c *Client) readLoop() {
+	fr := serve.NewFrameReader(c.nc)
 	for {
-		payload, err := serve.ReadFrame(c.nc)
+		payload, err := fr.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
@@ -150,7 +152,9 @@ func (c *Client) settle(reqID uint64) {
 
 // sendReq writes one request frame, piggybacking the current
 // acknowledgement watermark, and returns the channel its reply will
-// arrive on.
+// arrive on. The frame shares its Write with any others queued at the same
+// moment; if that Write fails, each of those calls fails and unregisters
+// its own ID, so none lingers in pending.
 func (c *Client) sendReq(req serve.Request) (<-chan serve.Reply, error) {
 	ch := make(chan serve.Reply, 1)
 	c.mu.Lock()
@@ -164,10 +168,7 @@ func (c *Client) sendReq(req serve.Request) (<-chan serve.Reply, error) {
 	}
 	c.pending[req.ReqID] = ch
 	c.mu.Unlock()
-	c.wmu.Lock()
-	err := serve.WriteFrame(c.nc, serve.EncodeRequest(req))
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.fw.send(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ReqID)
 		c.mu.Unlock()

@@ -107,11 +107,10 @@ type Session struct {
 	base uint64
 	done chan struct{}
 
-	wmu sync.Mutex // serializes frame writes on whatever conn is current
-
 	mu         sync.Mutex
-	nc         net.Conn // current conn; nil while disconnected
-	gen        uint64   // bumps per established conn
+	nc         net.Conn     // current conn; nil while disconnected
+	fw         *frameWriter // nc's combining writer, replaced with it
+	gen        uint64       // bumps per established conn
 	connecting bool
 	err        error
 	pending    map[uint64]*sessionCall
@@ -241,7 +240,7 @@ func (s *Session) connect() error {
 			nc.Close()
 			return s.terminalErr()
 		}
-		s.nc = nc
+		s.nc, s.fw = nc, newFrameWriter(nc)
 		s.gen++
 		gen := s.gen
 		s.connecting = false
@@ -290,8 +289,9 @@ func (s *Session) dropConn(gen uint64) {
 // readLoop dispatches reply frames for one connection generation; any
 // read error tears that generation down and triggers the redial.
 func (s *Session) readLoop(nc net.Conn, gen uint64) {
+	fr := serve.NewFrameReader(nc)
 	for {
-		payload, err := serve.ReadFrame(nc)
+		payload, err := fr.Next()
 		if err != nil {
 			s.dropConn(gen)
 			return
@@ -349,11 +349,14 @@ func (s *Session) writeCall(nc net.Conn, gen uint64, c *sessionCall) bool {
 	if s.ackSeq > 0 {
 		req.Ack = s.base | s.ackSeq
 	}
+	fw := s.fw
 	s.mu.Unlock()
-	s.wmu.Lock()
-	err := serve.WriteFrame(nc, serve.EncodeRequest(req))
-	s.wmu.Unlock()
-	if err != nil {
+	if fw == nil || fw.w != nc {
+		// nc is not the current connection (a generation already replaced):
+		// its frames must not ride the current one's batches.
+		fw = newFrameWriter(nc)
+	}
+	if err := fw.send(req); err != nil {
 		s.dropConn(gen)
 		return false
 	}

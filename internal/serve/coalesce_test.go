@@ -1,0 +1,181 @@
+package serve_test
+
+import (
+	"net"
+	"runtime"
+	"testing"
+
+	"repro"
+	"repro/internal/serve"
+	"repro/internal/serve/chaos"
+	"repro/internal/serve/client"
+)
+
+// countingListener wraps every accepted (server-side) connection in a
+// transparent chaos.Conn, whose Writes counter is then the number of
+// socket writes the server made on it.
+type countingListener struct {
+	*serve.MemListener
+	accepted chan *chaos.Conn
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.MemListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := chaos.NewConn(nc, chaos.Plan{})
+	l.accepted <- cc
+	return cc, nil
+}
+
+// coalesceWindow is the pinned window: 16 pipelined requests on one
+// connection, a full Batch, with updates so the window costs psyncs.
+const coalesceWindow = 16
+
+func coalesceReq(i int) (op byte, reqID, key uint64) {
+	return []byte{serve.OpPut, serve.OpGet, serve.OpDel, serve.OpPut}[i%4], uint64(500 + i), uint64(i%6 + 1)
+}
+
+func coalesceConfig(crashSim bool) serve.Config {
+	return serve.Config{
+		Procs: 1, Shards: 4, Batch: coalesceWindow, QueueDepth: 2 * coalesceWindow,
+		Engine: repro.EngineIsbOpt, HeapWords: 1 << 18, CrashSim: crashSim, Gated: true,
+	}
+}
+
+// coalesceInstance queues the window on a gated server, opens the gate —
+// with a crash scheduled off accesses in, if off > 0 — and collects the
+// replies. It returns the server, the client, the server side of the
+// connection, the reply values, and the psyncs and heap accesses between
+// opening the gate and the last reply.
+func coalesceInstance(t *testing.T, crashSim bool, off uint64) (*serve.Server, *client.Client, *chaos.Conn, []uint64, uint64, uint64) {
+	t.Helper()
+	s := serve.New(coalesceConfig(crashSim))
+	ln := countingListener{serve.NewMemListener(), make(chan *chaos.Conn, 1)}
+	go s.Serve(ln)
+	t.Cleanup(s.Close)
+	c := dial(t, ln.MemListener, 1)
+	srvSide := <-ln.accepted
+
+	chs := make([]<-chan serve.Reply, coalesceWindow)
+	for i := range chs {
+		op, id, key := coalesceReq(i)
+		ch, err := c.Send(op, id, key)
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		chs[i] = ch
+	}
+	for s.Snapshot().Queued < coalesceWindow {
+		runtime.Gosched()
+	}
+	heap := s.Runtime().Heap()
+	syncs0, acc0 := heap.TotalStats().Syncs, heap.AccessCount()
+	if off > 0 {
+		s.Runtime().ScheduleCrash(off)
+	}
+	s.Release()
+	vals := make([]uint64, coalesceWindow)
+	for i, ch := range chs {
+		rep := recvReply(t, ch, "window reply")
+		if _, id, _ := coalesceReq(i); rep.Status != serve.StOK || rep.ReqID != id {
+			t.Fatalf("request %d: status %d reqID %d, want OK/%d", i, rep.Status, rep.ReqID, id)
+		}
+		vals[i] = rep.Val
+	}
+	return s, c, srvSide, vals, heap.TotalStats().Syncs - syncs0, heap.AccessCount() - acc0
+}
+
+// directWindowSyncs is the psync cost of the same 16 operations admitted
+// by Runtime.ApplyWindow with no serve layer above it.
+func directWindowSyncs() uint64 {
+	cfg := coalesceConfig(false)
+	rt := repro.New(repro.Config{Procs: 1, HeapWords: cfg.HeapWords, Engine: cfg.Engine})
+	m := rt.NewHashMap(cfg.Shards)
+	m.SetArgMask(serve.MaxKey)
+	ops := make([]repro.Op, coalesceWindow)
+	for i := range ops {
+		op, id, key := coalesceReq(i)
+		kind := map[byte]uint64{serve.OpPut: repro.OpInsert, serve.OpDel: repro.OpDelete, serve.OpGet: repro.OpFind}[op]
+		ops[i] = repro.Op{Kind: kind, Arg: serve.PackArg(id, key)}
+	}
+	before := rt.Heap().TotalStats().Syncs
+	rt.ApplyWindow(rt.Proc(0), m, ops)
+	return rt.Heap().TotalStats().Syncs - before
+}
+
+// TestWindowCoalescing is the deterministic pin of the window-granular
+// serve path, with no wall-clock assertion: a gated server fixes the queue
+// contents, so 16 pipelined requests are admitted as exactly one window,
+// cost exactly the psyncs of a direct ApplyWindow of the same operations,
+// and all 16 replies leave in exactly ONE server-side Write. A MOVE, which
+// is a singleton window, is answered in one Write too.
+func TestWindowCoalescing(t *testing.T) {
+	s, c, srvSide, _, syncs, _ := coalesceInstance(t, false, 0)
+	st := s.Snapshot()
+	if p := st.Procs[0]; p.Windows != 1 || p.BatchFill[coalesceWindow] != 1 {
+		t.Fatalf("windows=%d fill[%d]=%d, want one full window", p.Windows, coalesceWindow, p.BatchFill[coalesceWindow])
+	}
+	if want := directWindowSyncs(); syncs != want || want != 2 {
+		t.Fatalf("window cost %d psyncs, direct ApplyWindow %d, want both 2", syncs, want)
+	}
+	if got := srvSide.Writes(); got != 1 {
+		t.Fatalf("server made %d Writes for one window's %d replies, want 1", got, coalesceWindow)
+	}
+
+	if _, _, err := c.Move(1, 9); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if got := srvSide.Writes(); got != 2 {
+		t.Fatalf("server made %d Writes after the MOVE, want 2 (one per window)", got)
+	}
+	// The writer publishes its counters after the Write returns, which can
+	// trail the client's receipt of the reply.
+	for st = s.Snapshot(); st.Flushes < 2; st = s.Snapshot() {
+		runtime.Gosched()
+	}
+	if st.Flushes != 2 || st.FramesOut != coalesceWindow+1 || st.Conns[0].Flushes != 2 || st.Conns[0].FramesOut != coalesceWindow+1 {
+		t.Fatalf("stats flushes=%d frames_out=%d (conn %d/%d), want 2/%d",
+			st.Flushes, st.FramesOut, st.Conns[0].Flushes, st.Conns[0].FramesOut, coalesceWindow+1)
+	}
+}
+
+// TestWindowCoalescingAcrossCrash pins the crash path: the replies of the
+// prefix MatchReport proves durable leave as one batch, and the re-admitted
+// suffix as another, so a window crashed once costs at most two Writes —
+// exactly one when the report answers the whole window.
+func TestWindowCoalescingAcrossCrash(t *testing.T) {
+	ref, _, _, want, _, span := coalesceInstance(t, true, 0)
+	ref.Close()
+	if span == 0 {
+		t.Fatal("reference window performed no tracked accesses")
+	}
+	answeredFromReport := false
+	for _, off := range []uint64{span / 4, span / 2, 3 * span / 4, span - 1, span} {
+		s, _, srvSide, vals, _, _ := coalesceInstance(t, true, off)
+		for i := range want {
+			if vals[i] != want[i] {
+				t.Fatalf("offset %d: request %d answered %d, want %d", off, i, vals[i], want[i])
+			}
+		}
+		st := s.Snapshot()
+		if st.Crashes != 1 {
+			t.Fatalf("offset %d: %d crashes, want 1", off, st.Crashes)
+		}
+		writes := srvSide.Writes()
+		if writes < 1 || writes > 2 {
+			t.Fatalf("offset %d: %d Writes for a window crashed once (%d replies from the report), want 1 or 2",
+				off, writes, st.FromReport)
+		}
+		if (st.FromReport == 0 || st.FromReport == coalesceWindow) && writes != 1 {
+			t.Fatalf("offset %d: %d Writes for %d replies answered together, want 1", off, writes, coalesceWindow)
+		}
+		t.Logf("offset %d/%d: from_report=%d writes=%d", off, span, st.FromReport, writes)
+		answeredFromReport = answeredFromReport || st.FromReport > 0
+		s.Close()
+	}
+	if !answeredFromReport {
+		t.Fatal("no offset answered any reply from a report; the crash path was not exercised")
+	}
+}

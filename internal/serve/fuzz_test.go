@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/serve"
 )
@@ -32,8 +33,14 @@ func FuzzProto(f *testing.F) {
 				t.Fatalf("reply round-trip: decode(%x) -> %+v -> encode %x", data, rep, enc)
 			}
 		}
-		// ReadFrame on arbitrary bytes: any outcome but a panic.
-		if payload, err := serve.ReadFrame(bytes.NewReader(data)); err == nil {
+		// ReadFrame on arbitrary bytes: any outcome but a panic, and the
+		// buffered FrameReader must reach the same one.
+		payload, err := serve.ReadFrame(bytes.NewReader(data))
+		buffered, berr := serve.NewFrameReader(bytes.NewReader(data)).Next()
+		if (err == nil) != (berr == nil) || (err == nil && !bytes.Equal(payload, buffered)) {
+			t.Fatalf("ReadFrame(%x) = %x, %v but FrameReader = %x, %v", data, payload, err, buffered, berr)
+		}
+		if err == nil {
 			// A frame it accepts must re-frame to the same bytes consumed.
 			var buf bytes.Buffer
 			if werr := serve.WriteFrame(&buf, payload); werr != nil {
@@ -46,13 +53,15 @@ func FuzzProto(f *testing.F) {
 	})
 }
 
-// FuzzFrameStream fuzzes ReadFrame over torn and interleaved frame
-// boundaries: a stream of valid frames truncated at an arbitrary byte
-// offset (the wire sweep's fault model, byte for byte). ReadFrame must
-// never panic, must deliver every complete frame intact, and must
-// distinguish a torn frame (io.ErrUnexpectedEOF: the stream died
-// mid-frame) from the clean between-frames io.EOF a closing peer
+// FuzzFrameStream fuzzes ReadFrame and the buffered FrameReader over torn
+// and interleaved frame boundaries: a stream of valid frames truncated at
+// an arbitrary byte offset (the wire sweep's fault model, byte for byte).
+// Neither reader may panic, each must deliver every complete frame intact,
+// and each must distinguish a torn frame (io.ErrUnexpectedEOF: the stream
+// died mid-frame) from the clean between-frames io.EOF a closing peer
 // produces — the distinction the session layer's resubmit logic keys on.
+// The FrameReader must agree with ReadFrame on the raw bytes frame for
+// frame, whether the stream arrives in one Read or a byte at a time.
 func FuzzFrameStream(f *testing.F) {
 	f.Add(uint8(1), uint16(0), []byte{})
 	f.Add(uint8(3), uint16(10), []byte("abcdef"))
@@ -79,31 +88,51 @@ func FuzzFrameStream(f *testing.F) {
 		off := int(cut) % (len(whole) + 1)
 		torn := whole[:off]
 
+		// drain reads frames until the first error and returns both.
+		drain := func(next func() ([]byte, error)) (frames [][]byte, err error) {
+			for {
+				got, err := next()
+				if err != nil {
+					return frames, err
+				}
+				frames = append(frames, append([]byte(nil), got...))
+				if len(frames) > n {
+					t.Fatalf("read %d frames from a stream of %d", len(frames), n)
+				}
+			}
+		}
+
 		r := bytes.NewReader(torn)
-		read := 0
-		for {
-			got, err := serve.ReadFrame(r)
-			if err == nil {
-				read++
-				if read > n {
-					t.Fatalf("read %d frames from a stream of %d", read, n)
-				}
-				_ = got
-				continue
+		want, err := drain(func() ([]byte, error) { return serve.ReadFrame(r) })
+		// The error must classify the cut exactly: a cut on a frame
+		// boundary is a clean EOF; a cut inside a frame is
+		// io.ErrUnexpectedEOF. (A cut inside the 4-byte header of a
+		// zero-total-read is still "unexpected" only if bytes remain.)
+		wantErr := io.ErrUnexpectedEOF
+		if boundaryOffsets(whole, n)[off] {
+			wantErr = io.EOF
+		}
+		if err != wantErr {
+			t.Fatalf("cut at %d: ReadFrame err = %v, want %v", off, err, wantErr)
+		}
+
+		for name, src := range map[string]io.Reader{
+			"whole":        bytes.NewReader(torn),
+			"byte-by-byte": iotest.OneByteReader(bytes.NewReader(torn)),
+		} {
+			fr := serve.NewFrameReader(src)
+			got, err := drain(fr.Next)
+			if err != wantErr {
+				t.Fatalf("cut at %d: FrameReader (%s) err = %v, want %v", off, name, err, wantErr)
 			}
-			// The error must classify the cut exactly: a cut on a frame
-			// boundary is a clean EOF; a cut inside a frame is
-			// io.ErrUnexpectedEOF. (A cut inside the 4-byte header of a
-			// zero-total-read is still "unexpected" only if bytes remain.)
-			atBoundary := r.Len() == 0 && boundaryOffsets(whole, n)[off]
-			if atBoundary {
-				if err != io.EOF {
-					t.Fatalf("cut at frame boundary %d: err = %v, want io.EOF", off, err)
-				}
-			} else if err != io.ErrUnexpectedEOF {
-				t.Fatalf("cut mid-frame at %d: err = %v, want io.ErrUnexpectedEOF", off, err)
+			if len(got) != len(want) {
+				t.Fatalf("cut at %d: FrameReader (%s) read %d frames, ReadFrame %d", off, name, len(got), len(want))
 			}
-			return
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("cut at %d: FrameReader (%s) frame %d = %x, ReadFrame %x", off, name, i, got[i], want[i])
+				}
+			}
 		}
 	})
 }

@@ -59,7 +59,12 @@ type ConnStats struct {
 	FromReport uint64 `json:"from_report"`
 	// Shed counts OVERLOAD replies: requests bounced because the server's
 	// aggregate queues crossed Config.ShedWatermark.
-	Shed      uint64  `json:"shed"`
+	Shed uint64 `json:"shed"`
+	// Flushes counts the socket Writes that carried this connection's
+	// replies, FramesOut the reply frames in them: FramesOut/Flushes is the
+	// frames one Write amortises.
+	Flushes   uint64  `json:"flushes"`
+	FramesOut uint64  `json:"frames_out"`
 	P50Micros float64 `json:"p50_micros"`
 	P99Micros float64 `json:"p99_micros"`
 }
@@ -107,6 +112,19 @@ type Stats struct {
 	Disconnects   uint64 `json:"disconnects"`
 	IdleClosed    uint64 `json:"idle_closed"`
 	WriteTimeouts uint64 `json:"write_timeouts"`
+	// Flushes and FramesOut total ConnStats' counters over every
+	// connection, open and closed.
+	Flushes   uint64 `json:"flushes"`
+	FramesOut uint64 `json:"frames_out"`
+}
+
+// FramesPerFlush reports the mean reply frames one socket Write carried
+// (0 before the first flush).
+func (s Stats) FramesPerFlush() float64 {
+	if s.Flushes == 0 {
+		return 0
+	}
+	return float64(s.FramesOut) / float64(s.Flushes)
 }
 
 // BatchFillMean reports the mean admission-window fill across all Procs

@@ -13,6 +13,16 @@
 // RecoverAll, pending requests are answered from the report's batch
 // entries, and a resubmitted request ID is answered from the server's
 // response table instead of re-executed — client-visible exactly-once.
+//
+// The admission window is the unit of work above the Runtime too. Frames
+// are append-encoded into caller-owned buffers (AppendRequest, AppendReply)
+// and read through a buffered FrameReader, so one read delivers a pipelined
+// burst and a frame is never split across Writes. A finished window is
+// recorded under one hold of the server lock and each connection's replies
+// leave in one Write; the client's combining writer does the same for the
+// requests of concurrent callers. WriteFrame, ReadFrame and the
+// Encode/Decode pairs remain for callers that move one frame at a time; the
+// bytes on the wire are the same either way.
 package serve
 
 import (
@@ -123,15 +133,26 @@ type Reply struct {
 	Body   []byte
 }
 
+// appendRequestPayload appends r's fixed-size payload to b.
+func appendRequestPayload(b []byte, r Request) []byte {
+	b = append(b, r.Op)
+	b = binary.BigEndian.AppendUint64(b, r.ReqID)
+	b = binary.BigEndian.AppendUint64(b, r.Key)
+	b = binary.BigEndian.AppendUint64(b, r.Key2)
+	return binary.BigEndian.AppendUint64(b, r.Ack)
+}
+
 // EncodeRequest renders a request payload.
 func EncodeRequest(r Request) []byte {
-	b := make([]byte, reqWire)
-	b[0] = r.Op
-	binary.BigEndian.PutUint64(b[1:], r.ReqID)
-	binary.BigEndian.PutUint64(b[9:], r.Key)
-	binary.BigEndian.PutUint64(b[17:], r.Key2)
-	binary.BigEndian.PutUint64(b[25:], r.Ack)
-	return b
+	return appendRequestPayload(make([]byte, 0, reqWire), r)
+}
+
+// AppendRequest appends r as one whole frame — length prefix, then payload
+// — to dst, which the caller owns: the allocation-free encoder behind the
+// client's combining writer.
+func AppendRequest(dst []byte, r Request) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, reqWire)
+	return appendRequestPayload(dst, r)
 }
 
 // DecodeRequest parses a request payload.
@@ -148,17 +169,28 @@ func DecodeRequest(b []byte) (Request, error) {
 	}, nil
 }
 
-// EncodeReply renders a reply payload.
-func EncodeReply(r Reply) []byte {
-	b := make([]byte, replyWire+len(r.Body))
-	b[0] = r.Status
-	binary.BigEndian.PutUint64(b[1:], r.ReqID)
-	binary.BigEndian.PutUint64(b[9:], r.Val)
-	copy(b[replyWire:], r.Body)
-	return b
+// appendReplyPayload appends r's payload (fixed part, then any body) to b.
+func appendReplyPayload(b []byte, r Reply) []byte {
+	b = append(b, r.Status)
+	b = binary.BigEndian.AppendUint64(b, r.ReqID)
+	b = binary.BigEndian.AppendUint64(b, r.Val)
+	return append(b, r.Body...)
 }
 
-// DecodeReply parses a reply payload.
+// EncodeReply renders a reply payload.
+func EncodeReply(r Reply) []byte {
+	return appendReplyPayload(make([]byte, 0, replyWire+len(r.Body)), r)
+}
+
+// AppendReply appends r as one whole frame to dst (see AppendRequest). The
+// caller keeps replyWire+len(r.Body) within MaxFrame.
+func AppendReply(dst []byte, r Reply) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(replyWire+len(r.Body)))
+	return appendReplyPayload(dst, r)
+}
+
+// DecodeReply parses a reply payload. A Body is copied out, so the reply
+// outlives the buffer b came from.
 func DecodeReply(b []byte) (Reply, error) {
 	if len(b) < replyWire {
 		return Reply{}, fmt.Errorf("serve: reply frame is %d bytes, want >= %d", len(b), replyWire)
@@ -171,17 +203,14 @@ func DecodeReply(b []byte) (Reply, error) {
 }
 
 // WriteFrame writes one length-prefixed frame (4-byte big-endian length,
-// then the payload).
+// then the payload) with a single Write, so a write deadline or a dying
+// connection can never separate a header from its payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("serve: frame of %d bytes exceeds MaxFrame", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
@@ -206,5 +235,94 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		}
 		return nil, err
 	}
+	return payload, nil
+}
+
+// frameBufSize is the initial size of a FrameReader's buffer and of the
+// serve path's write buffers: room for a full pipelined burst of fixed-size
+// frames (a QueueDepth of 32 requests is 1184 bytes). Only a stats body
+// outgrows it.
+const frameBufSize = 4096
+
+// FrameReader reads length-prefixed frames through its own buffer: one
+// Read on the underlying stream delivers every frame of a pipelined burst,
+// and Next hands them out without allocating. It classifies a stream's end
+// exactly as ReadFrame does.
+type FrameReader struct {
+	r    io.Reader
+	buf  []byte
+	rd   int   // start of the unread bytes in buf
+	wr   int   // end of the unread bytes in buf
+	rerr error // a read error held back until the bytes before it are consumed
+}
+
+// NewFrameReader wraps r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, buf: make([]byte, frameBufSize)}
+}
+
+// frameLen reports the payload length of the frame at the head of the
+// buffer, or false while its 4-byte prefix is incomplete.
+func (fr *FrameReader) frameLen() (uint32, bool) {
+	if fr.wr-fr.rd < 4 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(fr.buf[fr.rd:]), true
+}
+
+// Buffered reports whether Next can return a frame without reading from
+// the underlying stream.
+func (fr *FrameReader) Buffered() bool {
+	n, ok := fr.frameLen()
+	return ok && n <= MaxFrame && fr.wr-fr.rd >= 4+int(n)
+}
+
+// fill reads until at least need unread bytes are buffered. A stream that
+// ends first is io.EOF only on a frame boundary (nothing unread at all);
+// anywhere inside a frame it is io.ErrUnexpectedEOF.
+func (fr *FrameReader) fill(need int) error {
+	if fr.rd == fr.wr {
+		fr.rd, fr.wr = 0, 0
+	}
+	if fr.rd+need > len(fr.buf) {
+		// Slide the partial frame to the front, growing the buffer if the
+		// frame is larger than it.
+		buf := fr.buf
+		if need > len(buf) {
+			buf = make([]byte, need)
+		}
+		fr.wr = copy(buf, fr.buf[fr.rd:fr.wr])
+		fr.rd, fr.buf = 0, buf
+	}
+	for fr.wr-fr.rd < need {
+		if fr.rerr != nil {
+			err := fr.rerr
+			if err == io.EOF && fr.wr > fr.rd {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n, err := fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += n
+		fr.rerr = err
+	}
+	return nil
+}
+
+// Next returns the next frame's payload. The slice aliases the reader's
+// buffer and is valid only until the following call.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if err := fr.fill(4); err != nil {
+		return nil, err
+	}
+	n, _ := fr.frameLen()
+	if n > MaxFrame {
+		return nil, fmt.Errorf("serve: frame length %d exceeds MaxFrame", n)
+	}
+	if err := fr.fill(4 + int(n)); err != nil {
+		return nil, err
+	}
+	payload := fr.buf[fr.rd+4 : fr.rd+4+int(n)]
+	fr.rd += 4 + int(n)
 	return payload, nil
 }

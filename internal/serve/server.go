@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -51,9 +52,12 @@ type Config struct {
 	// connection — so a client redialing after an idle-close still gets
 	// its recorded answers.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply-frame write (0 disables): a peer that
-	// stops draining its socket is disconnected rather than left pinning
-	// an outbox.
+	// WriteTimeout bounds each reply flush — one Write carrying every reply
+	// queued for the connection, a whole window's worth under load — not
+	// each frame (0 disables): a peer that stops draining its socket is
+	// disconnected rather than left pinning an outbox. Frames are never
+	// split across Writes, so a timeout cannot land between a header and
+	// its payload.
 	WriteTimeout time.Duration
 }
 
@@ -95,11 +99,24 @@ type conn struct {
 	id   uint64
 	nc   net.Conn
 	proc int
-	out  chan Reply    // bounded outbox drained by writeLoop
-	done chan struct{} // closed by removeConn; retires an idle writeLoop
 	q    []pendingReq
 	m    connMetrics
 	gone bool
+	// lim and taken are takeLocked's scratch for the window being composed:
+	// the admissible prefix of q (the requests ahead of its first MOVE) and
+	// how many of them the window took.
+	lim, taken int
+
+	// The outbox: replies awaiting writeLoop, which swaps the whole slice
+	// out and writes it with one Write. omu is a leaf lock, taken after
+	// Server.mu or alone.
+	omu    sync.Mutex
+	ocond  sync.Cond // L is &omu; signalled when out fills or closed is set
+	out    []Reply   // bounded by Server.outCap
+	closed bool      // set by removeConn; retires writeLoop
+	// flushes counts writeLoop's successful Writes, framesOut the reply
+	// frames they carried.
+	flushes, framesOut atomic.Uint64
 }
 
 // Server multiplexes client connections onto the store's Proc pool. See
@@ -110,11 +127,27 @@ type Server struct {
 	store *repro.HashMap
 	group *repro.CrashGroup
 
+	// outCap bounds each connection's outbox, sized so every reply a
+	// well-behaved connection can have outstanding (its full queue, a
+	// drained window, plus backpressure bounces) fits without ever parking
+	// a worker.
+	outCap int
+	// flushes and framesOut total every connection's writeLoop counters,
+	// open and closed.
+	flushes, framesOut atomic.Uint64
+
 	mu        sync.Mutex
-	cond      *sync.Cond
 	procConns [][]*conn // conns pinned to each proc
 	rr        []int     // per-proc round-robin drain cursor
 	procM     []ProcStats
+	// wake[w] (on mu) wakes proc w's worker; idle[w] is set while it waits
+	// with nothing admissible, so a reader signals only a sleeping owner,
+	// and once per burst of enqueues.
+	wake []sync.Cond
+	idle []bool
+	// win[w] is the window buffer takeLocked composes into; worker w owns
+	// its contents from takeLocked until its next drain.
+	win [][]pendingReq
 	// done is the response table: request ID -> result of every answered
 	// request (boolean for PUT/DEL/GET, both packed leg booleans for
 	// MOVE), including entries (re)filled from RecoverAll reports — what
@@ -162,14 +195,20 @@ func New(cfg Config) *Server {
 			Engine: cfg.Engine, Reclaim: cfg.Reclaim,
 			PWBLatency: cfg.PWBLatency, PSyncLatency: cfg.PSyncLatency,
 		}),
+		outCap:    2*cfg.QueueDepth + cfg.Batch + 8,
 		procConns: make([][]*conn, cfg.Procs),
 		rr:        make([]int, cfg.Procs),
 		procM:     make([]ProcStats, cfg.Procs),
+		wake:      make([]sync.Cond, cfg.Procs),
+		idle:      make([]bool, cfg.Procs),
+		win:       make([][]pendingReq, cfg.Procs),
 		done:      map[uint64]uint64{},
 		acked:     map[uint64]uint64{},
 		inflight:  map[uint64]struct{}{},
 	}
-	s.cond = sync.NewCond(&s.mu)
+	for w := range s.wake {
+		s.wake[w].L = &s.mu
+	}
 	s.store = s.rt.NewHashMap(cfg.Shards)
 	// The store keys on the low KeyBits of the announced Arg; the high
 	// bits are the request ID riding the announcement across crashes.
@@ -199,12 +238,24 @@ func (s *Server) Store() *repro.HashMap { return s.store }
 // Crashes reports how many store crashes the server has recovered from.
 func (s *Server) Crashes() int { return s.group.Crashes() }
 
+// wakeAll wakes every Proc's worker: the crash rendezvous, Release and
+// Close each need all of them to look up. It takes mu so that a worker
+// which checked for the condition just before it changed has reached its
+// Wait, and cannot miss the signal.
+func (s *Server) wakeAll() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for w := range s.wake {
+		s.wake[w].Signal()
+	}
+}
+
 // Release opens the admission gate of a Config.Gated server.
 func (s *Server) Release() {
 	s.mu.Lock()
 	s.released = true
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	s.wakeAll()
 }
 
 // Serve accepts connections on ln until the listener or server closes.
@@ -255,22 +306,16 @@ func (s *Server) Close() {
 			c.nc.Close()
 		}
 	}
-	s.cond.Broadcast()
+	s.wakeAll()
 	s.wg.Wait()
 }
 
-// addConn pins nc to a Proc and starts its reader and writer. The outbox
-// is sized so every reply a well-behaved connection can have outstanding
-// (its full queue, a drained window, plus backpressure bounces) fits
-// without ever parking a worker.
+// addConn pins nc to a Proc and starts its reader and writer.
 func (s *Server) addConn(nc net.Conn) *conn {
 	s.mu.Lock()
 	s.connSeq++
-	c := &conn{
-		s: s, id: s.connSeq, nc: nc, proc: int(s.connSeq-1) % s.cfg.Procs,
-		out:  make(chan Reply, 2*s.cfg.QueueDepth+s.cfg.Batch+8),
-		done: make(chan struct{}),
-	}
+	c := &conn{s: s, id: s.connSeq, nc: nc, proc: int(s.connSeq-1) % s.cfg.Procs}
+	c.ocond.L = &c.omu
 	s.procConns[c.proc] = append(s.procConns[c.proc], c)
 	s.nconns++
 	s.mu.Unlock()
@@ -304,9 +349,10 @@ func (s *Server) removeConn(c *conn) {
 	s.nconns--
 	s.disconnects++
 	c.q = nil
-	if c.done != nil {
-		close(c.done)
-	}
+	c.omu.Lock()
+	c.closed = true
+	c.omu.Unlock()
+	c.ocond.Signal()
 	s.closedAgg.queued += c.m.queued
 	s.closedAgg.admitted += c.m.admitted
 	s.closedAgg.retried += c.m.retried
@@ -315,18 +361,20 @@ func (s *Server) removeConn(c *conn) {
 	s.closedAgg.shed += c.m.shed
 }
 
-// readLoop decodes frames off one connection and routes them. With
-// Config.IdleTimeout set, each frame must arrive within it or the
-// connection is closed as idle.
+// readLoop decodes frames off one connection and routes them; one read
+// delivers every frame of a pipelined burst. With Config.IdleTimeout set,
+// each frame must arrive within it or the connection is closed as idle.
 func (c *conn) readLoop() {
 	defer c.s.removeConn(c)
 	defer c.nc.Close()
 	idle := c.s.cfg.IdleTimeout
+	fr := NewFrameReader(c.nc)
+	queued := false // requests enqueued since the worker was last woken
 	for {
-		if idle > 0 {
+		if idle > 0 && !fr.Buffered() {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		payload, err := ReadFrame(c.nc)
+		payload, err := fr.Next()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				c.s.mu.Lock()
@@ -340,48 +388,89 @@ func (c *conn) readLoop() {
 			c.sendReply(Reply{Status: StErr})
 			continue
 		}
-		c.s.handle(c, req)
+		queued = c.s.handle(c, req) || queued
+		if queued && !fr.Buffered() {
+			// The burst is in the queue: wake the worker once, for all of
+			// it, so a window is not closed over the burst's first frame.
+			c.s.wakeWorker(c.proc)
+			queued = false
+		}
+	}
+}
+
+// pushLocked appends one reply to the outbox; false means the outbox is
+// full and the reply was dropped. Requires c.omu.
+func (c *conn) pushLocked(r Reply) bool {
+	if len(c.out) >= c.s.outCap {
+		return false
+	}
+	c.out = append(c.out, r)
+	return true
+}
+
+// wakeWriter wakes writeLoop after pushes; ok is the conjunction of their
+// results. A client that stops reading fills the outbox and is
+// disconnected here instead of stalling the caller: crash recovery needs
+// every active worker to park, so one blocking write on a Proc worker
+// would halt the whole server behind one stalled socket.
+func (c *conn) wakeWriter(ok bool) {
+	c.ocond.Signal()
+	if !ok && c.nc != nil {
+		c.nc.Close() // slow consumer: tear down, reader runs removeConn
 	}
 }
 
 // sendReply enqueues one reply on the connection's outbox — never blocks.
-// A client that stops reading fills the outbox and is disconnected here
-// instead of stalling the caller: crash recovery needs every active worker
-// to park, so one blocking write on a Proc worker would halt the whole
-// server behind one stalled socket.
 func (c *conn) sendReply(r Reply) {
-	select {
-	case c.out <- r:
-	default:
-		if c.nc != nil {
-			c.nc.Close() // slow consumer: tear down, reader runs removeConn
-		}
-	}
+	c.omu.Lock()
+	ok := c.pushLocked(r)
+	c.omu.Unlock()
+	c.wakeWriter(ok)
 }
 
-// writeLoop is the connection's single writer: it serializes reply frames
-// off the outbox so neither the reader nor the Proc workers ever block on
-// the socket. It retires when removeConn closes done; write errors close
-// the socket and surface as the reader's teardown.
+// writeLoop is the connection's single writer, so neither the reader nor
+// the Proc workers ever block on the socket. Each pass swaps the whole
+// outbox out, encodes it into one buffer and hands it to the socket in ONE
+// Write: a window's replies cost one syscall, not two per frame. It retires
+// when removeConn sets closed; write errors close the socket and surface
+// as the reader's teardown.
 func (c *conn) writeLoop() {
 	wt := c.s.cfg.WriteTimeout
+	var batch []Reply
+	buf := make([]byte, 0, frameBufSize)
 	for {
-		select {
-		case r := <-c.out:
-			if wt > 0 {
-				c.nc.SetWriteDeadline(time.Now().Add(wt))
-			}
-			if err := WriteFrame(c.nc, EncodeReply(r)); err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					c.s.mu.Lock()
-					c.s.writeTimeouts++
-					c.s.mu.Unlock()
-				}
-				c.nc.Close()
-			}
-		case <-c.done:
+		c.omu.Lock()
+		for len(c.out) == 0 && !c.closed {
+			c.ocond.Wait()
+		}
+		if c.closed {
+			c.omu.Unlock()
 			return
 		}
+		batch, c.out = c.out, batch[:0]
+		c.omu.Unlock()
+		buf = buf[:0]
+		for i := range batch {
+			buf = AppendReply(buf, batch[i])
+			batch[i].Body = nil // a stats body is garbage once encoded
+		}
+		if wt > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(wt))
+		}
+		if _, err := c.nc.Write(buf); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				c.s.mu.Lock()
+				c.s.writeTimeouts++
+				c.s.mu.Unlock()
+			}
+			c.nc.Close()
+			continue
+		}
+		n := uint64(len(batch))
+		c.flushes.Add(1)
+		c.framesOut.Add(n)
+		c.s.flushes.Add(1)
+		c.s.framesOut.Add(n)
 	}
 }
 
@@ -434,16 +523,28 @@ func validOp(req Request) bool {
 	return req.Key >= 1 && req.Key <= MaxKey && req.ReqID <= MaxReqID
 }
 
+// wakeWorker signals proc w's worker if it is asleep.
+func (s *Server) wakeWorker(w int) {
+	s.mu.Lock()
+	wake := s.idle[w]
+	s.idle[w] = false
+	s.mu.Unlock()
+	if wake {
+		s.wake[w].Signal()
+	}
+}
+
 // handle admits one decoded request: stats snapshot, response-table hit,
-// backpressure, or enqueue. Every accepted frame's Ack is applied first,
-// so the response table shrinks even on requests that bounce.
-func (s *Server) handle(c *conn, req Request) {
+// backpressure, or enqueue (reported as true; the caller then owes the
+// worker a wakeWorker once its burst is in). Every accepted frame's Ack is
+// applied first, so the response table shrinks even on requests that bounce.
+func (s *Server) handle(c *conn, req Request) (queued bool) {
 	if req.Op == OpStats {
 		s.mu.Lock()
 		s.applyAckLocked(req.Ack)
 		s.mu.Unlock()
 		body, err := json.Marshal(s.Snapshot())
-		if err != nil {
+		if err != nil || replyWire+len(body) > MaxFrame {
 			c.sendReply(Reply{Status: StErr, ReqID: req.ReqID})
 			return
 		}
@@ -491,7 +592,7 @@ func (s *Server) handle(c *conn, req Request) {
 	s.totalQueued++
 	c.m.queued++
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	return true
 }
 
 // worker is one Proc's admission loop: drain a window, serve it, repeat.
@@ -499,12 +600,16 @@ func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	defer s.group.Leave()
 	p := s.rt.Proc(w)
+	sc := &winScratch{
+		ops:  make([]repro.Op, 0, s.cfg.Batch),
+		vals: make([]uint64, 0, s.cfg.Batch),
+	}
 	for {
 		batch := s.drain(w)
 		if batch == nil {
 			return
 		}
-		s.serveWindow(p, w, batch)
+		s.serveWindow(p, w, batch, sc)
 	}
 }
 
@@ -528,14 +633,23 @@ func (s *Server) drain(w int) []pendingReq {
 				return batch
 			}
 		}
-		s.cond.Wait()
+		s.idle[w] = true
+		s.wake[w].Wait()
+		s.idle[w] = false
 	}
+}
+
+// popLocked removes the first k requests of c's queue in place.
+func (s *Server) popLocked(c *conn, k int) {
+	c.q = c.q[:copy(c.q, c.q[k:])]
+	c.m.admitted += uint64(k)
+	s.totalQueued -= k
 }
 
 // takeLocked drains up to cfg.Batch requests for proc w, one request per
 // connection per pass (round-robin fairness: a connection with a deep
 // queue cannot starve its neighbours), starting each window at a rotating
-// cursor.
+// cursor. The returned window aliases s.win[w].
 //
 // MOVE requests never share a window: a batch announcement and a
 // transaction announcement are mutually exclusive shapes, so each
@@ -548,32 +662,32 @@ func (s *Server) takeLocked(w int) []pendingReq {
 	if n == 0 {
 		return nil
 	}
-	limit := func(c *conn) int {
-		for i, pr := range c.q {
-			if pr.req.Op == OpMove {
-				return i
+	for _, c := range conns {
+		c.lim, c.taken = len(c.q), 0
+		for i := range c.q {
+			if c.q[i].req.Op == OpMove {
+				c.lim = i
+				break
 			}
 		}
-		return len(c.q)
 	}
-	var out []pendingReq
+	out := s.win[w][:0]
 	start := s.rr[w]
-	depth := 0
-	for len(out) < s.cfg.Batch {
+	for depth := 0; len(out) < s.cfg.Batch; depth++ {
 		took := false
 		for i := 0; i < n && len(out) < s.cfg.Batch; i++ {
 			c := conns[(start+i)%n]
-			if depth < limit(c) {
+			if depth < c.lim {
 				out = append(out, c.q[depth])
-				c.m.admitted++
+				c.taken = depth + 1
 				took = true
 			}
 		}
 		if !took {
 			break
 		}
-		depth++
 	}
+	pm := &s.procM[w]
 	if len(out) == 0 {
 		// Every nonempty queue leads with a MOVE; admit one alone.
 		for i := 0; i < n; i++ {
@@ -582,33 +696,26 @@ func (s *Server) takeLocked(w int) []pendingReq {
 				continue
 			}
 			out = append(out, c.q[0])
-			c.q = append(c.q[:0:0], c.q[1:]...)
-			c.m.admitted++
-			s.totalQueued--
-			s.rr[w] = (start + 1) % n
-			pm := &s.procM[w]
+			s.popLocked(c, 1)
 			pm.Moves++
-			pm.Admitted++
-			return out
+			break
 		}
-		return nil
-	}
-	// Pop the admitted prefixes and advance the fairness cursor.
-	taken := map[*conn]int{}
-	for _, pr := range out {
-		taken[pr.c]++
-	}
-	for c, k := range taken {
-		c.q = append(c.q[:0:0], c.q[k:]...)
-		s.totalQueued -= k
-	}
-	s.rr[w] = (start + 1) % n
-	if len(out) > 0 {
-		pm := &s.procM[w]
+		if len(out) == 0 {
+			return nil
+		}
+	} else {
+		// Pop the admitted prefixes.
+		for _, c := range conns {
+			if c.taken > 0 {
+				s.popLocked(c, c.taken)
+			}
+		}
 		pm.Windows++
-		pm.Admitted += uint64(len(out))
 		pm.BatchFill[len(out)]++
 	}
+	pm.Admitted += uint64(len(out))
+	s.rr[w] = (start + 1) % n // advance the fairness cursor
+	s.win[w] = out
 	return out
 }
 
@@ -626,37 +733,53 @@ func reqOp(r Request) repro.Op {
 	return repro.Op{Kind: kind, Arg: PackArg(r.ReqID, r.Key)}
 }
 
+// winScratch is a worker's reusable per-window buffers: the window's
+// operations and its reply values.
+type winScratch struct {
+	ops  []repro.Op
+	vals []uint64
+}
+
+// boolVal is the reply value of a boolean response.
+func boolVal(r repro.Resp) uint64 {
+	if r.Bool() {
+		return 1
+	}
+	return 0
+}
+
 // serveWindow runs one admission window to completion across any number of
 // crashes: admit via ApplyWindow; on a crash, park through the group
 // rendezvous (reboot = Restart + one RecoverAll, run by the last parker),
 // answer the prefix the report proves durable via repro.MatchReport, and
 // re-admit the no-effect suffix.
-func (s *Server) serveWindow(p *repro.Proc, w int, batch []pendingReq) {
-	if batch[0].req.Op == OpMove {
-		s.serveMove(p, w, batch[0])
+func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *winScratch) {
+	if pending[0].req.Op == OpMove {
+		s.serveMove(p, w, pending)
 		return
 	}
-	pending := batch
+	ops, vals := sc.ops[:0], sc.vals[:len(pending)]
+	for i := range pending {
+		ops = append(ops, reqOp(pending[i].req))
+	}
 	for len(pending) > 0 {
-		ops := make([]repro.Op, len(pending))
-		for i, pr := range pending {
-			ops[i] = reqOp(pr.req)
-		}
 		var out []repro.Resp
 		if s.rt.Run(func() { out = s.rt.ApplyWindow(p, s.store, ops) }) {
-			for i, pr := range pending {
-				s.finish(w, pr, out[i], false)
+			for i, resp := range out {
+				vals[i] = boolVal(resp)
 			}
+			s.finishWindow(w, pending, vals, false)
 			return
 		}
 		// Wake idle workers so they join the rendezvous, then park.
-		s.cond.Broadcast()
+		s.wakeAll()
 		s.group.Park()
 		if rep, ok := s.group.Report(w); ok {
 			n := repro.MatchReport(rep, ops, func(i int, _ repro.Op, resp repro.Resp) {
-				s.finish(w, pending[i], resp, true)
+				vals[i] = boolVal(resp)
 			})
-			pending = pending[n:]
+			s.finishWindow(w, pending[:n], vals, true)
+			pending, ops, vals = pending[n:], ops[n:], vals[n:]
 		}
 		// No report (or nothing matched): the window provably performed no
 		// tracked writes and is re-admitted wholesale.
@@ -666,92 +789,87 @@ func (s *Server) serveWindow(p *repro.Proc, w int, batch []pendingReq) {
 // moveVal packs a MOVE's two leg results into one reply value: bit 0 is
 // the delete's (source present), bit 1 the insert's (destination fresh).
 func moveVal(del, ins repro.Resp) uint64 {
-	v := uint64(0)
-	if del.Bool() {
-		v |= 1
-	}
-	if ins.Bool() {
-		v |= 2
-	}
-	return v
+	return boolVal(del) | boolVal(ins)<<1
 }
 
-// serveMove runs one MOVE to completion across any number of crashes: the
-// delete and insert legs run as a single ApplyTxn (one durable commit
-// point between them). On a crash, the transaction report either proves
-// both legs durable — recovery rolls a committed transaction's second leg
-// forward before reporting — and answers from it, or proves the whole
-// transaction had no effect, in which case it is re-applied. The request
-// ID riding both legs' announced Args makes a stale report unmatchable,
-// exactly as in the batch path.
-func (s *Server) serveMove(p *repro.Proc, w int, pr pendingReq) {
-	leg1 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpDelete, Arg: PackArg(pr.req.ReqID, pr.req.Key)}}
-	leg2 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpInsert, Arg: PackArg(pr.req.ReqID, pr.req.Key2)}}
+// serveMove runs one MOVE (a singleton window) to completion across any
+// number of crashes: the delete and insert legs run as a single ApplyTxn
+// (one durable commit point between them). On a crash, the transaction
+// report either proves both legs durable — recovery rolls a committed
+// transaction's second leg forward before reporting — and answers from it,
+// or proves the whole transaction had no effect, in which case it is
+// re-applied. The request ID riding both legs' announced Args makes a
+// stale report unmatchable, exactly as in the batch path.
+func (s *Server) serveMove(p *repro.Proc, w int, window []pendingReq) {
+	req := window[0].req
+	leg1 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpDelete, Arg: PackArg(req.ReqID, req.Key)}}
+	leg2 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpInsert, Arg: PackArg(req.ReqID, req.Key2)}}
 	ops := []repro.Op{leg1.Op, leg2.Op}
 	for {
-		var del, ins repro.Resp
-		if s.rt.Run(func() { del, ins = s.rt.ApplyTxn(p, leg1, leg2) }) {
-			s.finishMove(w, pr, del, ins, false)
-			return
-		}
-		s.cond.Broadcast()
-		s.group.Park()
-		if rep, ok := s.group.Report(w); ok {
-			var legs [2]repro.Resp
-			if n := repro.MatchReport(rep, ops, func(i int, _ repro.Op, resp repro.Resp) {
+		var legs [2]repro.Resp
+		fromReport := false
+		if !s.rt.Run(func() { legs[0], legs[1] = s.rt.ApplyTxn(p, leg1, leg2) }) {
+			s.wakeAll()
+			s.group.Park()
+			rep, ok := s.group.Report(w)
+			if !ok || repro.MatchReport(rep, ops, func(i int, _ repro.Op, resp repro.Resp) {
 				legs[i] = resp
-			}); n == 2 {
-				s.finishMove(w, pr, legs[0], legs[1], true)
-				return
+			}) != 2 {
+				// No report or no effect: the transaction provably did not
+				// apply and is re-submitted wholesale.
+				continue
+			}
+			fromReport = true
+		}
+		s.finishWindow(w, window, []uint64{moveVal(legs[0], legs[1])}, fromReport)
+		return
+	}
+}
+
+// finishWindow answers reqs — a whole window, or the durable prefix a
+// report proves after a crash — with vals: it records them in the response
+// table under ONE s.mu hold, then hands each connection its replies as one
+// batch, so a window costs one outbox lock hold, one writer wake-up and one
+// socket Write per connection. It clears reqs' conn pointers as it goes.
+func (s *Server) finishWindow(w int, reqs []pendingReq, vals []uint64, fromReport bool) {
+	now := time.Now()
+	s.mu.Lock()
+	for i := range reqs {
+		pr := &reqs[i]
+		s.done[pr.req.ReqID] = vals[i]
+		delete(s.inflight, pr.req.ReqID)
+		m := &pr.c.m
+		if pr.c.gone {
+			// removeConn already folded this connection's counters into the
+			// closed aggregate; route the late completion there too, or the
+			// update would vanish from Snapshot totals.
+			m = &s.closedAgg
+		}
+		m.lat.observe(now.Sub(pr.enq))
+		if fromReport {
+			m.fromReport++
+		}
+	}
+	if fromReport {
+		s.procM[w].FromReport += uint64(len(reqs))
+	}
+	s.mu.Unlock()
+	for i := range reqs {
+		c := reqs[i].c
+		if c == nil {
+			continue // went out with an earlier request of its connection
+		}
+		ok := true
+		c.omu.Lock()
+		for j := i; j < len(reqs); j++ {
+			if reqs[j].c == c {
+				ok = c.pushLocked(Reply{Status: StOK, ReqID: reqs[j].req.ReqID, Val: vals[j]}) && ok
+				reqs[j].c = nil
 			}
 		}
-		// No report or no effect: the transaction provably did not apply
-		// and is re-submitted wholesale.
+		c.omu.Unlock()
+		c.wakeWriter(ok)
 	}
-}
-
-// finishMove records one answered MOVE in the response table and replies.
-func (s *Server) finishMove(w int, pr pendingReq, del, ins repro.Resp, fromReport bool) {
-	val := moveVal(del, ins)
-	s.mu.Lock()
-	s.done[pr.req.ReqID] = val
-	delete(s.inflight, pr.req.ReqID)
-	m := &pr.c.m
-	if pr.c.gone {
-		m = &s.closedAgg
-	}
-	m.lat.observe(time.Since(pr.enq))
-	if fromReport {
-		m.fromReport++
-		s.procM[w].FromReport++
-	}
-	s.mu.Unlock()
-	pr.c.sendReply(Reply{Status: StOK, ReqID: pr.req.ReqID, Val: val})
-}
-
-// finish records one answered request in the response table and replies.
-func (s *Server) finish(w int, pr pendingReq, resp repro.Resp, fromReport bool) {
-	val := uint64(0)
-	if resp.Bool() {
-		val = 1
-	}
-	s.mu.Lock()
-	s.done[pr.req.ReqID] = val
-	delete(s.inflight, pr.req.ReqID)
-	m := &pr.c.m
-	if pr.c.gone {
-		// removeConn already folded this connection's counters into the
-		// closed aggregate; route the late completion there too, or the
-		// update would vanish from Snapshot totals.
-		m = &s.closedAgg
-	}
-	m.lat.observe(time.Since(pr.enq))
-	if fromReport {
-		m.fromReport++
-		s.procM[w].FromReport++
-	}
-	s.mu.Unlock()
-	pr.c.sendReply(Reply{Status: StOK, ReqID: pr.req.ReqID, Val: val})
 }
 
 // onRecover rebuilds the response table from the RecoverAll report: every
@@ -812,10 +930,13 @@ func (s *Server) Snapshot() Stats {
 		Disconnects:      s.disconnects,
 		IdleClosed:       s.idleClosed,
 		WriteTimeouts:    s.writeTimeouts,
+		Flushes:          s.flushes.Load(),
+		FramesOut:        s.framesOut.Load(),
 	}
 	for _, pc := range s.procConns {
 		for _, c := range pc {
 			cs := c.m.snapshot(c.id, c.proc)
+			cs.Flushes, cs.FramesOut = c.flushes.Load(), c.framesOut.Load()
 			st.Conns = append(st.Conns, cs)
 			st.Queued += cs.Queued
 			st.Admitted += cs.Admitted

@@ -79,7 +79,7 @@ func TestSnapshotDuringRecoveryLockOrder(t *testing.T) {
 	defer s.Close()
 
 	// A synthetic connection: replies pile into the outbox, no sockets.
-	c := &conn{s: s, id: 1, proc: 0, out: make(chan Reply, 64)}
+	c := &conn{s: s, id: 1, proc: 0}
 	s.mu.Lock()
 	s.procConns[0] = []*conn{c}
 	s.mu.Unlock()
@@ -120,18 +120,32 @@ func TestSnapshotDuringRecoveryLockOrder(t *testing.T) {
 	}
 	// With the lock order intact, the window still completes: all three
 	// requests are answered through recovery.
-	for i := 0; i < 3; i++ {
-		select {
-		case rep := <-c.out:
-			if rep.Status != StOK {
-				t.Fatalf("reply %d: status %d, want StOK", i, rep.Status)
-			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("reply %d never arrived after recovery", i)
+	for i, rep := range awaitOutbox(t, c, 3) {
+		if rep.Status != StOK {
+			t.Fatalf("reply %d: status %d, want StOK", i, rep.Status)
 		}
 	}
 	if got := s.Snapshot().Crashes; got != 1 {
 		t.Fatalf("snapshot crashes = %d, want 1", got)
+	}
+}
+
+// awaitOutbox polls a synthetic connection's outbox — no writeLoop drains
+// it — until it holds n replies, and returns them.
+func awaitOutbox(t *testing.T, c *conn, n int) []Reply {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		c.omu.Lock()
+		out := append([]Reply(nil), c.out...)
+		c.omu.Unlock()
+		if len(out) >= n {
+			return out
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("outbox holds %d replies, want %d", len(out), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
