@@ -1,0 +1,237 @@
+package repro
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/isb"
+	"repro/internal/pmem"
+)
+
+// Tier-1 performance pins. Each one compares persistence-instruction
+// counts, which a seeded single-proc workload determines exactly, so none
+// can flake on a loaded machine; wall clock is `go run ./benchmark`'s job.
+
+// runMixedMapWorkload runs ops seeded operations (half finds, the rest
+// split insert/delete) on m from Proc 0 and returns the persistence
+// counters they accumulated (construction excluded).
+func runMixedMapWorkload(rt *Runtime, m *HashMap, ops, keyRange int) pmem.Stats {
+	rt.Heap().ResetAllStats()
+	p := rt.Proc(0)
+	rng := rand.New(rand.NewSource(1))
+	for j := 0; j < ops; j++ {
+		k := uint64(rng.Intn(keyRange)) + 1
+		switch rng.Intn(4) {
+		case 0:
+			m.Insert(p, k)
+		case 1:
+			m.Delete(p, k)
+		default:
+			m.Find(p, k)
+		}
+	}
+	return rt.Heap().TotalStats()
+}
+
+// TestEngineBatchingReducesPersistence: on the identical workload the
+// batched engine (Isb-Opt) must issue fewer persistence-barrier events
+// (pbarriers + stand-alone flushes) per op than the plain engine, and
+// fewer stand-alone flushes and psyncs outright. The maps are built
+// through the Runtime, so the per-process announcement record is active:
+// its write must ride the begin barrier (one pwb, zero extra psyncs per
+// op) in both placements, or the opt < plain pins below would break.
+func TestEngineBatchingReducesPersistence(t *testing.T) {
+	run := func(kind EngineKind, shards int) pmem.Stats {
+		// Single proc: no helping noise, so the counters are deterministic.
+		rt := New(Config{Procs: 1, HeapWords: 1 << 21, Engine: kind})
+		return runMixedMapWorkload(rt, rt.NewHashMap(shards), 800, 64)
+	}
+	for _, shards := range []int{1, 16} {
+		plain := run(EngineIsb, shards)
+		opt := run(EngineIsbOpt, shards)
+		if got, want := opt.Barriers+opt.Flushes, plain.Barriers+plain.Flushes; got >= want {
+			t.Fatalf("shards=%d: Isb-Opt issued %d persistence barriers, plain %d — batching must reduce them", shards, got, want)
+		}
+		if opt.Flushes >= plain.Flushes {
+			t.Fatalf("shards=%d: Isb-Opt stand-alone flushes %d >= plain %d", shards, opt.Flushes, plain.Flushes)
+		}
+		if opt.Syncs >= plain.Syncs {
+			t.Fatalf("shards=%d: Isb-Opt syncs %d >= plain %d (shard-register folding missing?)", shards, opt.Syncs, plain.Syncs)
+		}
+	}
+}
+
+// runBatchAdmission runs opsTotal single-proc operations (findPct% finds,
+// remainder split insert/delete) on a fresh prefilled 16-shard map, one at
+// a time through the typed Apply surface (batch <= 1) or in ApplyBatch
+// windows, and returns the workload's canonical metrics.
+func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64) isb.Stats {
+	rt := New(Config{Procs: 1, HeapWords: 1 << 24, Engine: kind})
+	m := rt.NewHashMap(16)
+	p := rt.Proc(0)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 128; i++ {
+		m.Insert(p, uint64(rng.Intn(256))+1)
+	}
+	rt.Heap().ResetAllStats()
+	bs0, rf0, _ := rt.EngineCounters(m)
+
+	ud := 0
+	next := func() Op {
+		k := uint64(rng.Intn(256)) + 1
+		if rng.Intn(100) < findPct {
+			return Op{Kind: OpFind, Arg: k}
+		}
+		if ud++; ud%2 == 0 {
+			return Op{Kind: OpInsert, Arg: k}
+		}
+		return Op{Kind: OpDelete, Arg: k}
+	}
+	if batch <= 1 {
+		for i := 0; i < opsTotal; i++ {
+			op := next()
+			switch op.Kind {
+			case OpFind:
+				m.Find(p, op.Arg)
+			case OpInsert:
+				m.Insert(p, op.Arg)
+			default:
+				m.Delete(p, op.Arg)
+			}
+		}
+	} else {
+		win := make([]Op, 0, batch)
+		for i := 0; i < opsTotal; i++ {
+			win = append(win, next())
+			if len(win) == batch {
+				rt.ApplyBatch(p, m, win)
+				win = win[:0]
+			}
+		}
+		if len(win) > 0 {
+			rt.ApplyBatch(p, m, win)
+		}
+	}
+
+	st := isb.Stats{Ops: uint64(opsTotal), Mem: rt.Heap().TotalStats()}
+	bs, rf, _ := rt.EngineCounters(m)
+	st.BatchSyncs, st.ReadFastPath = bs-bs0, rf-rf0
+	return st
+}
+
+// TestBatchAdmissionSpeedup pins what batched admission saves, in the
+// counters the speedup is made of: batching merges each operation's sync
+// points into the window's boundaries (one psync per op under Isb, one per
+// window under Isb-Opt). Under Isb-Opt the write-heavy workload admitted in
+// batch=64 windows must at least halve syncs/op versus one-at-a-time
+// admission; with the simulated latencies on, the throughput gain follows
+// mechanically (benchmark workload admit_window_txn measures it).
+func TestBatchAdmissionSpeedup(t *testing.T) {
+	const opsTotal = 20000
+	st1 := runBatchAdmission(EngineIsbOpt, 1, opsTotal, 10, 7)
+	st64 := runBatchAdmission(EngineIsbOpt, 64, opsTotal, 10, 7)
+	if 2*st64.SyncsPerOp() > st1.SyncsPerOp() {
+		t.Fatalf("batch=64 syncs/op %.3f is not half of batch=1's %.3f (batch1: %v) (batch64: %v)",
+			st64.SyncsPerOp(), st1.SyncsPerOp(), st1, st64)
+	}
+	if st64.PersistsPerOp() >= st1.PersistsPerOp() {
+		t.Fatalf("batch=64 persists/op %.2f did not drop below batch=1 %.2f",
+			st64.PersistsPerOp(), st1.PersistsPerOp())
+	}
+	if st64.BatchSyncs == 0 {
+		t.Fatal("batch=64 run deferred no syncs; the batch protocol is not engaged")
+	}
+	t.Logf("write-heavy batch=1: %v", st1)
+	t.Logf("write-heavy batch=64: %v (syncs/op %.2fx lower)",
+		st64, st1.SyncsPerOp()/st64.SyncsPerOp())
+}
+
+// runTxnAdmission moves `pairs` keys from a prefilled source map into a
+// destination map, either as two-leg transactions or as independent
+// delete/insert single operations, and returns the canonical metrics with
+// Ops = pairs (so per-op figures read as per-pair).
+func runTxnAdmission(kind EngineKind, asTxn bool, pairs int, seed int64) isb.Stats {
+	rt := New(Config{Procs: 1, HeapWords: 1 << 24, Engine: kind})
+	src := rt.NewHashMap(4)
+	dst := rt.NewHashMap(4)
+	p := rt.Proc(0)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 256; i++ {
+		src.Insert(p, uint64(rng.Intn(1024))+1)
+	}
+	rt.Heap().ResetAllStats()
+
+	for i := 0; i < pairs; i++ {
+		k := uint64(rng.Intn(1024)) + 1
+		if asTxn {
+			rt.ApplyTxn(p,
+				TxnLeg{S: src, Op: Op{Kind: OpDelete, Arg: k}},
+				TxnLeg{S: dst, Op: Op{Kind: OpInsert, Arg: k}})
+		} else {
+			src.Delete(p, k)
+			dst.Insert(p, k)
+		}
+	}
+	return isb.Stats{Ops: uint64(pairs), Mem: rt.Heap().TotalStats()}
+}
+
+// TestTxnAdmissionSyncCost pins the transaction's admission price: the
+// atomicity of a two-leg transaction must not cost more psyncs than
+// running its legs as two unrelated single operations — the single begin
+// psync covering both legs pays for the commit-point flip.
+func TestTxnAdmissionSyncCost(t *testing.T) {
+	const pairs = 4000
+	for _, e := range engines() {
+		single := runTxnAdmission(e.kind, false, pairs, 7)
+		txn := runTxnAdmission(e.kind, true, pairs, 7)
+		if txn.SyncsPerOp() > single.SyncsPerOp() {
+			t.Fatalf("%s: txn pair costs %.3f syncs, two singles cost %.3f — atomicity must not cost extra psyncs",
+				e.name, txn.SyncsPerOp(), single.SyncsPerOp())
+		}
+		t.Logf("%s: two-singles %.3f syncs/pair, txn %.3f syncs/pair", e.name, single.SyncsPerOp(), txn.SyncsPerOp())
+	}
+}
+
+// TestReclaimBoundedHeap is the headline reclamation pin: a churn workload
+// whose cumulative allocation demand exceeds 100x the heap's capacity must
+// complete with the epoch reclaimer on — every allocation past the first
+// few windows is served from recycled blocks — and leave heap usage far
+// below capacity. The same demand under the leak-forever arena is
+// unsatisfiable by construction (the arena never frees, so it would
+// exhaust the heap after ~1% of the workload and panic); the arithmetic
+// below documents that baseline instead of running it to the panic.
+func TestReclaimBoundedHeap(t *testing.T) {
+	const heapCap = 1 << 15
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			rt := New(Config{Procs: 1, HeapWords: heapCap, Engine: e.kind, Reclaim: true})
+			q := rt.NewQueue()
+			p := rt.Proc(0)
+			// Demand per enqueue/dequeue pair: two 32-word tracking records
+			// plus one 4-word node = 68 words minimum (copies and failed
+			// attempts only add to it).
+			const wordsPerPair = 68
+			pairs := 100*heapCap/wordsPerPair + 1
+			if demand := pairs * wordsPerPair; demand < 100*heapCap {
+				t.Fatalf("demand %d words < 100x capacity %d", demand, 100*heapCap)
+			}
+			for i := 0; i < pairs; i++ {
+				q.Enqueue(p, uint64(i))
+				if v, ok := q.Dequeue(p); !ok || v != uint64(i) {
+					t.Fatalf("pair %d: dequeue got (%d, %v)", i, v, ok)
+				}
+			}
+			used := rt.Heap().Used()
+			if used > heapCap/2 {
+				t.Fatalf("heap usage %d words after %d pairs; want bounded well below capacity %d",
+					used, pairs, heapCap)
+			}
+			st, _ := rt.ReclaimStats()
+			if st.Reused == 0 || st.Freed == 0 {
+				t.Fatalf("no recycling happened: stats %+v", st)
+			}
+			t.Logf("%d pairs (demand %dx capacity): used %d/%d words, stats %+v",
+				pairs, pairs*wordsPerPair/heapCap, used, heapCap, st)
+		})
+	}
+}

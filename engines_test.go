@@ -1,27 +1,13 @@
 package repro
 
-import (
-	"repro/internal/isb"
-	"repro/internal/list"
-	"repro/internal/pmem"
-)
-
-// engineCase is one persistence placement for table-driven tests and
-// benchmarks: the public Config.Engine kind plus internal constructors for
-// benchmarks that bypass the Runtime.
+// engineCase is one persistence placement for table-driven tests.
 type engineCase struct {
-	name   string
-	kind   EngineKind
-	engine func(*pmem.Heap) *isb.Engine
-	list   func(*pmem.Heap) *list.List
+	name string
+	kind EngineKind
 }
 
 // engines enumerates both engine variants (the paper's Isb and Isb-Opt
-// curves) so tests and benchmarks iterate instead of hardcoding one.
+// curves) so tests iterate instead of hardcoding one.
 func engines() []engineCase {
-	return []engineCase{
-		{"isb", EngineIsb, isb.NewEngine, list.New},
-		{"isb-opt", EngineIsbOpt, isb.NewEngineOpt,
-			func(h *pmem.Heap) *list.List { return list.NewWithEngine(h, isb.NewEngineOpt(h)) }},
-	}
+	return []engineCase{{"isb", EngineIsb}, {"isb-opt", EngineIsbOpt}}
 }

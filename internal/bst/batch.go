@@ -11,14 +11,20 @@ import (
 // installs and persists its Info record to stay detectably recoverable.
 // Linearizes at the load of the last child pointer (the external-BST
 // argument: the leaf reached routes the key at that instant). Nothing
-// durable records the read; a crashed FindRO is simply re-submitted.
+// durable records the read; a crashed FindRO is simply re-submitted. The
+// descent holds the allocator's epoch pin so that no node on the path is
+// freed under it (see list.FindFast).
 func (t *BST) FindRO(p *pmem.Proc, key uint64) bool {
+	a := t.e.Allocator()
+	a.Enter(p)
 	node := t.root
 	for {
 		left := pmem.Addr(p.Load(node + nLeft))
 		if left == pmem.Null {
+			found := p.Load(node+nKey) == key
+			a.Exit(p)
 			t.e.NoteReadFast(p)
-			return p.Load(node+nKey) == key
+			return found
 		}
 		if key < p.Load(node+nKey) {
 			node = left

@@ -13,11 +13,10 @@ import (
 	"repro/internal/stack"
 )
 
-// This file is the non-test home of the crash-point conformance matrix:
-// which structures are swept, under which engine placements and heap
+// This file is the home of the crash-point conformance matrix: which
+// structures are swept, under which engine placements and heap
 // configurations, with which operation cases and post-state oracles. The
-// conformance tests iterate it under `go test`; cmd/bench iterates the same
-// matrix to measure (and pin, via BENCH_*.json) the sweep's wall clock.
+// conformance tests iterate it under `go test`.
 
 // sweepHeapWords sizes a sweep heap. Sweeps rebuild the heap once per crash
 // offset, so the tracked images must stay small: at 1<<16 words a rebuild

@@ -36,12 +36,11 @@ type SweepInstance struct {
 	RecoverAll func(p *pmem.Proc, op Op) uint64
 }
 
-// RunCase is the sweep core, usable outside `go test` (cmd/bench times it):
-// it measures the case's tracked access count on an uninterrupted run, then
-// replays the operation once per access offset with a system-wide crash
-// armed exactly there, checking response and post-state each time. It
-// returns how many offsets actually interrupted the operation, or the first
-// conformance violation.
+// RunCase is the sweep core: it measures the case's tracked access count on
+// an uninterrupted run, then replays the operation once per access offset
+// with a system-wide crash armed exactly there, checking response and
+// post-state each time. It returns how many offsets actually interrupted
+// the operation, or the first conformance violation.
 func RunCase(build func() SweepInstance, c SweepCase) (crashPoints int, err error) {
 	// Measure the operation's access count on an identical run (tracked
 	// heaps count accesses unconditionally). Count Invoke's accesses only:

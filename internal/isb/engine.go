@@ -197,14 +197,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather)
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
 		// stored into the record by install and persisted above.
-		if spec.ReadOnly && !e.noROpt {
-			e.alloc.Exit(p)
-			return spec.Response
-		}
-		if spec.ReadOnly && spec.NAffect == 0 {
-			// Help has nothing to tag or write for an empty AffectSet;
-			// the fast return is the only sensible execution even with
-			// the fast path disabled.
+		if spec.ReadOnly {
 			e.alloc.Exit(p)
 			return spec.Response
 		}

@@ -207,10 +207,6 @@ type Engine struct {
 	// reuses its slot (a Proc is single-goroutine, and runAttempts never
 	// nests on one process).
 	specs []Spec
-	// noROpt disables the Algorithm 2 read-only fast path, forcing every
-	// operation through Help — i.e. plain Algorithm 1. Used by the ROpt
-	// ablation benchmarks.
-	noROpt bool
 	// annID, when nonzero, is the runtime-registry structure ID this engine
 	// announces: BeginOpFor durably records (annID, opType, argKey) in the
 	// calling process's announcement line before the operation's tag phase,
@@ -348,15 +344,6 @@ func (e *Engine) ForgetRetired() {
 	for i := range e.lastInfo {
 		e.lastInfo[i] = 0
 	}
-}
-
-// NewEngineNoROpt disables the read-only fast path (plain Algorithm 1):
-// read-only operations also install their Info and run Help. The ablation
-// benchmarks quantify what ROpt buys.
-func NewEngineNoROpt(h *pmem.Heap) *Engine {
-	e := NewEngine(h)
-	e.noROpt = true
-	return e
 }
 
 // Batched reports whether the engine defers write-backs to phase
@@ -559,14 +546,7 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	succ := s.SuccessResponse
 	if s.ReadOnly {
 		succ = s.Response
-		if !e.noROpt || s.NAffect == 0 {
-			p.Store(info+offResult, s.Response) // ROpt line 74
-		} else {
-			// Ablation mode: the read-only op runs through Help like any
-			// Algorithm 1 operation, so a failed tagging attempt must
-			// leave result = ⊥ and retry with a fresh gather.
-			p.Store(info+offResult, RespNone)
-		}
+		p.Store(info+offResult, s.Response) // ROpt line 74
 	} else {
 		p.Store(info+offResult, RespNone)
 	}

@@ -8,8 +8,7 @@ import (
 
 // Stats couples a window's raw persistence-instruction counters with its
 // operation count and the engine's batching/fast-path counters, and owns the
-// one canonical per-op formatting — cmd/bench and the root benchmarks both
-// render through it instead of formatting the same metrics twice.
+// one canonical per-op formatting, so every counter pin renders through it.
 type Stats struct {
 	// Ops is the number of operations the window covered.
 	Ops uint64

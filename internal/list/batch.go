@@ -14,13 +14,21 @@ import (
 // is correct at the moment the deciding next pointer was loaded. Nothing
 // durable records the read, so a crash simply loses it — the caller
 // re-submits, which is safe because the read had no effect.
+//
+// The walk holds the allocator's epoch pin (volatile, and a no-op on the
+// arena): without it the reclaimer could free and zero the node the walk
+// stands on, whose zero key and Null next would trap it at address 0.
 func (l *List) FindFast(p *pmem.Proc, key uint64) bool {
+	a := l.e.Allocator()
+	a.Enter(p)
 	curr := l.head
 	for p.Load(curr+nKey) < key {
 		curr = pmem.Addr(p.Load(curr + nNext))
 	}
+	found := p.Load(curr+nKey) == key
+	a.Exit(p)
 	l.e.NoteReadFast(p)
-	return p.Load(curr+nKey) == key
+	return found
 }
 
 // ReadOp serves a read-only operation kind on the zero-persist path; it is

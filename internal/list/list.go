@@ -51,7 +51,7 @@ type List struct {
 
 // New builds an empty list on the heap, persisting the sentinels.
 func New(h *pmem.Heap) *List {
-	return build(h, isb.NewEngine(h))
+	return NewWithEngine(h, isb.NewEngine(h))
 }
 
 // NewWithEngine builds the list on a caller-supplied engine. Several lists
@@ -59,17 +59,6 @@ func New(h *pmem.Heap) *List {
 // recovery registers — which is how the sharded hash map keeps a single
 // recovery obligation per process across all of its buckets.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine) *List {
-	return build(h, e)
-}
-
-// NewNoROpt builds the list with the Algorithm 2 read-only fast path
-// disabled (plain Algorithm 1): even Finds install their Info and run
-// Help. Exists for the ablation benchmarks quantifying ROpt.
-func NewNoROpt(h *pmem.Heap) *List {
-	return build(h, isb.NewEngineNoROpt(h))
-}
-
-func build(h *pmem.Heap, e *isb.Engine) *List {
 	l := &List{h: h, e: e}
 	p := h.Proc(0)
 	l.tail = newNode(e, p, MaxKey, pmem.Null, 0)

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,27 +33,46 @@ func spinIters(d time.Duration) int64 {
 	return it
 }
 
-// calibrate measures how many spin iterations fit in a microsecond.
+// calibrate measures how many spin iterations fit in a microsecond of a
+// persistence instruction. It times PSync itself, spinning about as long as
+// DefaultPSyncLatency asks, so the instruction's fixed cost is in the rate.
+// Every latency of the process inherits this one reading, so it is taken
+// after a warm-up (a core that was just woken runs slow) and as the median
+// of many batches each far shorter than a time slice (a preempted batch
+// does not count).
 func calibrate() {
-	const probe = 2_000_000
-	var sink uint64
-	start := time.Now()
-	for i := 0; i < probe; i++ {
-		sink += uint64(i) ^ (sink << 1)
+	const (
+		warmUp     = 5 * time.Millisecond
+		batches    = 101
+		calls      = 2000 // per batch: about 0.2 ms
+		probeIters = 100
+	)
+	p := &Proc{h: &Heap{psyncSpin: probeIters}}
+	batch := func() float64 {
+		t0 := time.Now()
+		for range calls {
+			p.PSync()
+		}
+		return float64(time.Since(t0).Nanoseconds())
 	}
-	elapsed := time.Since(start)
-	spinGuard = sink
-	if elapsed <= 0 {
-		itersPerMicro = defaultPerMico
-		return
+	for t0 := time.Now(); time.Since(t0) < warmUp; {
+		batch()
 	}
-	itersPerMicro = probe / (float64(elapsed.Nanoseconds()) / 1000.0)
+	var ns [batches]float64
+	for b := range ns {
+		ns[b] = batch()
+	}
+	spinGuard = p.spinSink
+	slices.Sort(ns[:])
+	if med := ns[batches/2]; med > 0 {
+		itersPerMicro = calls * probeIters * 1000 / med
+	}
 	if itersPerMicro < 1 {
 		itersPerMicro = defaultPerMico
 	}
 }
 
-// spinGuard keeps the calibration loop (and per-proc spins via spinSink)
+// spinGuard keeps the calibration's spins (and per-proc spins via spinSink)
 // observable so the compiler cannot delete them.
 var spinGuard uint64
 

@@ -473,8 +473,7 @@ func (r *Reclaimer) Stats() ReclaimStats {
 }
 
 // LiveBlocks counts blocks currently live or awaiting grace (excluding
-// free-listed and virgin blocks): the "live_nodes" quantity the bench
-// report tracks.
+// free-listed and virgin blocks).
 func (r *Reclaimer) LiveBlocks() uint64 {
 	var n uint64
 	for _, s := range *r.slabs.Load() {

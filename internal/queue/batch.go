@@ -13,15 +13,20 @@ const OpPeek uint64 = 12
 // of the dummy's successor with no Info record, no announcement, and no
 // persistence instruction. Linearizes at the load of head.next — the MS
 // queue's front is exactly the dummy's successor at that instant. Nothing
-// durable records the read; a crashed peek is simply re-submitted.
+// durable records the read; a crashed peek is simply re-submitted. The
+// epoch pin keeps the dummy and its successor allocated while they are
+// read (see list.FindFast).
 func (q *Queue) PeekFast(p *pmem.Proc) (v uint64, ok bool) {
+	a := q.e.Allocator()
+	a.Enter(p)
 	dummy := pmem.Addr(p.Load(q.head))
 	first := pmem.Addr(p.Load(dummy + nNext))
-	q.e.NoteReadFast(p)
-	if first == pmem.Null {
-		return 0, false
+	if first != pmem.Null {
+		v, ok = p.Load(first+nVal), true
 	}
-	return p.Load(first + nVal), true
+	a.Exit(p)
+	q.e.NoteReadFast(p)
+	return v, ok
 }
 
 // Peek is the typed convenience wrapper over the OpPeek fast path.

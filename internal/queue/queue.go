@@ -142,6 +142,16 @@ func (q *Queue) findLast(p *pmem.Proc) pmem.Addr {
 func (q *Queue) gatherEnq(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	last := q.findLast(p)
 	lastInfo := p.Load(last + nInfo)
+	// findLast saw last.next == Null before lastInfo was read. A whole
+	// enqueue by another process (tag last, link, untag) may have landed in
+	// between: lastInfo is then a fresh untagged value the tag CAS accepts,
+	// the WriteSet CAS on last.next fails, and the engine takes a failed
+	// update CAS for a helper's work — the node would never be linked.
+	// With next still Null after the info read, any later link must change
+	// last.info first and so fails our tag CAS.
+	if pmem.Addr(p.Load(last+nNext)) != pmem.Null {
+		return isb.Restart
+	}
 	newnd := newNode(q.e, p, spec.ArgKey, isb.Tagged(info))
 	spec.AddAffect(last+nInfo, lastInfo)
 	spec.AddWrite(last+nNext, uint64(pmem.Null), uint64(newnd))

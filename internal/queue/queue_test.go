@@ -260,3 +260,58 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		t.Fatalf("length mismatch: %d vs %d", q.Len(), len(model))
 	}
 }
+
+// TestSharedQueueLosesNothing: two Procs each loop enqueue-then-dequeue on
+// one queue, with no crashes. A Proc's own enqueue precedes its dequeue,
+// so the queue is never empty at a dequeue and none may answer EMPTY; with
+// as many dequeues as enqueues, nothing is left at the end. An enqueue that
+// answers true without linking its node breaks both. The 100k pairs per
+// Proc are split over ten fresh queues so that a heap of 2^22 words holds a
+// round even if nothing is freed: the arena never frees, and the reclaimer
+// drops retirements while the other Proc is descheduled inside an attempt.
+func TestSharedQueueLosesNothing(t *testing.T) {
+	const procs, rounds, pairs = 2, 10, 10_000
+	for _, tc := range []struct {
+		name    string
+		engine  func(*pmem.Heap) *isb.Engine
+		reclaim bool
+	}{
+		{"isb/arena", isb.NewEngine, false},
+		{"isb-opt/arena", isb.NewEngineOpt, false},
+		{"isb/reclaim", isb.NewEngine, true},
+		{"isb-opt/reclaim", isb.NewEngineOpt, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < rounds && !t.Failed(); round++ {
+				h := pmem.NewHeap(pmem.Config{Words: 1 << 22, Procs: procs})
+				e := tc.engine(h)
+				if tc.reclaim {
+					e.SetAllocator(pmem.NewReclaimer(h))
+				}
+				q := NewWithEngine(h, e)
+				var wg sync.WaitGroup
+				for id := 0; id < procs; id++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						p := h.Proc(id)
+						for i := 0; i < pairs; i++ {
+							q.Enqueue(p, uint64(id)<<32|uint64(i))
+							if _, ok := q.Dequeue(p); !ok {
+								t.Errorf("round %d proc %d pair %d: dequeue answered EMPTY right after its own enqueue", round, id, i)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				if n := q.Len(); n != 0 {
+					t.Errorf("round %d: %d values left after as many dequeues as enqueues", round, n)
+				}
+				if msg := q.CheckInvariants(); msg != "" {
+					t.Errorf("round %d: %s", round, msg)
+				}
+			}
+		})
+	}
+}

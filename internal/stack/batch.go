@@ -13,11 +13,16 @@ const OpTop uint64 = 22
 // TopFast returns the top value without popping it: a volatile read of
 // sentinel.next with no Info record, no announcement, and no persistence
 // instruction. Linearizes at the load of sentinel.next. Nothing durable
-// records the read; a crashed top is simply re-submitted.
+// records the read; a crashed top is simply re-submitted. The epoch pin
+// keeps the top node allocated while its value is read (see
+// list.FindFast).
 func (s *Stack) TopFast(p *pmem.Proc) (v uint64, ok bool) {
+	a := s.e.Allocator()
+	a.Enter(p)
 	top := pmem.Addr(p.Load(s.sentinel + nNext))
-	s.e.NoteReadFast(p)
 	val := p.Load(top + nVal)
+	a.Exit(p)
+	s.e.NoteReadFast(p)
 	if val == bottomMark {
 		return 0, false
 	}

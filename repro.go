@@ -368,16 +368,6 @@ func (r *Runtime) ReclaimStats() (pmem.ReclaimStats, bool) {
 // false if no scan has run (reclamation disabled, or no recovery yet).
 func (r *Runtime) LastScan() (pmem.ScanReport, bool) { return r.lastScan, r.scanned }
 
-// LiveNodes counts reclaimer blocks currently live or awaiting grace
-// (0 when reclamation is disabled): the steady-state heap metric the
-// bench pins track.
-func (r *Runtime) LiveNodes() uint64 {
-	if r.reclaimer == nil {
-		return 0
-	}
-	return r.reclaimer.LiveBlocks()
-}
-
 // Proc returns process descriptor id (0-based).
 func (r *Runtime) Proc(id int) *Proc { return r.h.Proc(id) }
 

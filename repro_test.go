@@ -1,6 +1,12 @@
 package repro
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 func TestPublicListLifecycle(t *testing.T) {
 	for _, e := range engines() {
@@ -384,5 +390,56 @@ func TestPrivateCacheModelThroughAPI(t *testing.T) {
 	p := rt.Proc(0)
 	if !l.Insert(p, 1) || !l.Delete(p, 1) {
 		t.Fatal("private-cache list ops failed")
+	}
+}
+
+// TestFastReadsTerminateUnderReclaimChurn: a pure reader on Proc 0 walks
+// the bucket lists on the zero-persist path while Proc 1 inserts and
+// deletes with the reclaimer on. A walk that is not pinned in the
+// reclaimer's epoch steps into a freed, zeroed block and spins at address 0
+// for good, so the test is that it returns: the churn is a fixed number of
+// operations and the reader reads for as long as the churn runs. The two
+// share one core, whatever the machine has: the block under a walk is only
+// freed while the walk is off its core for a few hundred churn operations,
+// and a time slice is that long. A round is sized so that 2^23 words hold
+// it even if nothing is reused (a reader descheduled while pinned stalls
+// the epoch, and the churning Proc then drops its retirements).
+func TestFastReadsTerminateUnderReclaimChurn(t *testing.T) {
+	const keys, churnOps, rounds = 4096, 100_000, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				rt := New(Config{Procs: 2, Reclaim: true, Engine: e.kind, HeapWords: 1 << 23})
+				m := rt.NewHashMap(16)
+				for k := uint64(1); k <= keys; k += 2 {
+					m.Insert(rt.Proc(0), k)
+				}
+				var churned atomic.Bool
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					p, rng := rt.Proc(1), rand.New(rand.NewSource(int64(round)))
+					for i := 0; i < churnOps; i++ {
+						if k := uint64(rng.Intn(keys)) + 1; !m.Insert(p, k) {
+							m.Delete(p, k)
+						}
+					}
+					churned.Store(true)
+				}()
+				go func() {
+					defer wg.Done()
+					p, rng := rt.Proc(0), rand.New(rand.NewSource(int64(rounds+round)))
+					for !churned.Load() {
+						m.Find(p, uint64(rng.Intn(keys))+1)
+					}
+				}()
+				wg.Wait()
+				if msg := m.CheckInvariants(); msg != "" {
+					t.Fatalf("round %d: %s", round, msg)
+				}
+			}
+		})
 	}
 }
