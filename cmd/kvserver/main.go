@@ -60,6 +60,7 @@ func main() {
 	}
 
 	if *selftest {
+		cfg.Reclaim = true
 		if cfg.CrashEvery == 0 {
 			cfg.CrashSim = true
 			cfg.CrashEvery = 1500
@@ -188,6 +189,10 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 	fmt.Printf("%d conns × %d ops in %v: %d crashes survived, %d replies from recovery reports, %d retried, batch fill %.2f, %.2f reply frames per socket write (%d/%d)\n",
 		conns, ops, time.Since(start).Round(time.Millisecond), st.Crashes, st.FromReport, st.Retried, st.BatchFillMean(),
 		st.FramesPerFlush(), st.FramesOut, st.Flushes)
+	if cfg.Reclaim {
+		fmt.Printf("reclaimer recovery: %d fast resets, %d full scans; the last one abandoned %d words, %d accounted as garbage since the last scan\n",
+			st.FastRecoveries, st.FullScans, st.LastDropped, st.LastGarbage)
+	}
 	if sched != nil {
 		var agg client.SessionStats
 		for _, c := range sessions {

@@ -235,3 +235,68 @@ func TestReclaimBoundedHeap(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryCostFollowsInFlight is the recovery claim as a count. Two
+// crash_recover-shaped instances — 1 Proc, the reclaimer on, a window of 8
+// crashed mid-flight — differ 16× in live keys (same load per bucket). The
+// heap accesses a fast RecoverAll makes are the same on both, to within
+// the recovered operation's own list walk, and below a fixed constant
+// (about four per retired-ring slot plus the announced window); the
+// accesses of a full conservative scan differ by more than 10×.
+func TestRecoveryCostFollowsInFlight(t *testing.T) {
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			recoverCost := func(keys int, mode pmem.RecoveryMode) (uint64, pmem.ScanReport) {
+				rt := New(Config{Procs: 1, CrashSim: true, Reclaim: true, Engine: e.kind, HeapWords: 1 << 20, Seed: 42})
+				rt.Reclaimer().ForceRecovery(mode)
+				m := rt.NewHashMap(keys / 2)
+				p := rt.Proc(0)
+				for k := 1; k <= keys; k++ {
+					m.Insert(p, uint64(k))
+				}
+				window := make([]Op, 8)
+				for i := range window {
+					window[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(3 * (i + 1))}
+				}
+				rt.ScheduleCrash(300)
+				if rt.Run(func() { rt.ApplyWindow(p, m, window) }) {
+					t.Fatal("the window outran the armed crash")
+				}
+				rt.Restart()
+				before := rt.Heap().AccessCount()
+				if reps := rt.RecoverAll(); len(reps) != 1 || len(reps[0].Batch) != len(window) {
+					t.Fatalf("RecoverAll reported %+v, want the crashed window", reps)
+				}
+				cost := rt.Heap().AccessCount() - before
+				scan, _ := rt.LastScan()
+				return cost, scan
+			}
+			fastSmall, _ := recoverCost(1024, pmem.RecoverFast)
+			fastLarge, scan := recoverCost(16384, pmem.RecoverFast)
+			if scan.Full || scan.Marked != 0 || scan.Swept != 0 {
+				t.Fatalf("forced-fast recovery scanned: %+v", scan)
+			}
+			if diff := int64(fastLarge) - int64(fastSmall); diff < -16 || diff > 16 {
+				t.Fatalf("fast RecoverAll: %d accesses with 1024 keys, %d with 16384 — must not follow live size", fastSmall, fastLarge)
+			}
+			if fastLarge > 1024 {
+				t.Fatalf("fast RecoverAll made %d accesses, want a small constant", fastLarge)
+			}
+			// The scan's counts on these two instances are what they were
+			// when RecoverAll always scanned and markAll kept its own
+			// visited map: the oracle did not move.
+			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
+			if !scan.Full || scan.Marked != 2059 || scan.Swept != 54 {
+				t.Fatalf("full scan at 1024 keys: %+v, want 2059 marked and 54 swept", scan)
+			}
+			fullLarge, scan := recoverCost(16384, pmem.RecoverFull)
+			if !scan.Full || scan.Marked != 32833 || scan.Swept != 0 {
+				t.Fatalf("full scan at 16384 keys: %+v, want 32833 marked and 0 swept", scan)
+			}
+			if fullLarge < 10*fullSmall {
+				t.Fatalf("full scan: %d accesses with 1024 keys, %d with 16384 — expected it to follow live size", fullSmall, fullLarge)
+			}
+			t.Logf("RecoverAll accesses at 1024 / 16384 keys: fast %d / %d, full scan %d / %d", fastSmall, fastLarge, fullSmall, fullLarge)
+		})
+	}
+}

@@ -84,8 +84,10 @@ func main() {
 	// workload, and doubling the ops means doubling the heap. With the
 	// epoch reclaimer the heap only needs the *working set*: live keys +
 	// two epochs of not-yet-recycled blocks + the per-process retired
-	// rings — a few hundred blocks here — so 1<<18 words (2 MiB) runs the
-	// same crash-riddled workload at any op count.
+	// rings — a few hundred blocks here — and up to as much again in
+	// blocks that crashes abandoned since the last recovery scan, so
+	// 1<<18 words (2 MiB) runs the same crash-riddled workload at any op
+	// count.
 	rt := repro.New(repro.Config{
 		Procs: workers, CrashSim: true, HeapWords: 1 << 18, Reclaim: true,
 	})
@@ -176,6 +178,15 @@ func main() {
 	}
 	fmt.Printf("%d workers × %d ops (batch=%d) over %d shards, %d crashes survived (one RecoverAll each), %d keys stored, %d mismatches\n",
 		workers, opsPerW, batchSize, store.NumShards(), group.Crashes(), len(store.Keys()), bad)
+	if rs, ok := rt.ReclaimStats(); ok {
+		path := "the fast reset"
+		last, _ := rt.LastScan()
+		if last.Full {
+			path = "a full scan"
+		}
+		fmt.Printf("recovery: %d fast reclaimer resets, %d full scans; the last crash took %s (%d words abandoned, %d accounted as garbage)\n",
+			rs.FastRecoveries, rs.FullScans, path, last.Dropped, last.Garbage)
+	}
 	if bs, rf, ok := rt.EngineCounters(store); ok {
 		fmt.Printf("batching: %d psyncs deferred into window boundaries, %d reads on the zero-persist fast path\n", bs, rf)
 	}

@@ -316,7 +316,8 @@ func (t *BST) gatherFindFast(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.G
 }
 
 // MarkReachable reports every tree node reachable from the root to the
-// post-crash reclamation scan.
+// post-crash reclamation scan. It marks and nothing else: the tree keeps no
+// volatile hint word.
 func (t *BST) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	var walk func(nd pmem.Addr)
 	walk = func(nd pmem.Addr) {

@@ -2,22 +2,34 @@ package crash
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/isb"
 	"repro/internal/linearize"
 	"repro/internal/pmem"
 )
+
+// eachRecoveryMode runs f as subtests name/fast and name/full: the two
+// forced recovery paths every reclaimer sweep below runs.
+func eachRecoveryMode(t *testing.T, name string, f func(t *testing.T, mode pmem.RecoveryMode)) {
+	t.Run(name, func(t *testing.T) {
+		t.Run("fast", func(t *testing.T) { f(t, pmem.RecoverFast) })
+		t.Run("full", func(t *testing.T) { f(t, pmem.RecoverFull) })
+	})
+}
 
 // Crash-point conformance for crash-consistent node reclamation: the
 // reclaim-churn matrix (scenarios.go) drives every structure through a
 // crash at every shared-memory access of an operation that runs against
 // recycled memory — so the crash offsets also land inside Retire calls,
 // ring writes, epoch advances and free-list pushes — and recovery is
-// routed through Runtime.RecoverAll, whose conservative scan must re-home
-// every block whose retirement did not persist before the announced
-// operation resolves. The reclaimer-off cells hold the leak-forever arena
-// to the identical bar on identical schedules.
+// routed through Runtime.RecoverAll, which must leave the reclaimer sound
+// before the announced operation resolves: once with every recovery the
+// fast reset (the scan's mark phase then audits each one read-only), once
+// with every recovery the full scan. The reclaimer-off cells hold the
+// leak-forever arena to the identical bar on identical schedules.
 func TestReclaimCrashConformance(t *testing.T) {
 	for _, sc := range ReclaimScenarios() {
 		sc := sc
@@ -28,21 +40,23 @@ func TestReclaimCrashConformance(t *testing.T) {
 }
 
 // TestReclaimScanCrashSweep crashes inside RecoverAll itself — during the
-// conservative scan (mark walks, ring audits, free-list rebuilds, the
-// epoch reset) and during the frozen recovery sweep that follows — at
-// every access offset, then restarts and re-runs RecoverAll. The scan is
-// restartable: a second pass must still resolve the announced operation
-// and leave the structure in the sequential model's state.
+// reclaimer's recovery (the fast leg: hint repair, ring audits, the epoch
+// reset; the full leg adds the mark walks and free-list rebuilds) and
+// during the frozen recovery sweep that follows — at every access offset,
+// then restarts and re-runs RecoverAll. Both paths are restartable: a
+// second pass must still resolve the announced operation and leave the
+// structure in the sequential model's state, and a re-run fast reset may
+// over-count garbage but never under-count it (the audit inside verify).
 func TestReclaimScanCrashSweep(t *testing.T) {
 	for _, eng := range reproEngines() {
 		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
+		eachRecoveryMode(t, eng.name, func(t *testing.T, mode pmem.RecoveryMode) {
 			// Deterministic instance: churned list, one insert crashed
 			// mid-flight at a fixed offset deep enough to have tagged nodes
 			// and allocated records.
 			const crashOff = 60
 			build := func() (*repro.Runtime, *repro.List) {
-				rt := reclaimRT(eng.kind, true)
+				rt := reclaimRT(eng.kind, true, mode)
 				l := rt.NewList()
 				p := rt.Proc(0)
 				for _, k := range reclaimChurnKeys {
@@ -67,6 +81,9 @@ func TestReclaimScanCrashSweep(t *testing.T) {
 				}
 				if msg := setVerify(repro.OpInsert, repro.OpDelete, l.Keys, l.CheckInvariants)(
 					SweepCase{Op: Op{Kind: repro.OpInsert, Arg: 8}}); msg != "" {
+					t.Fatal(msg)
+				}
+				if msg := auditForcedFast(rt); msg != "" {
 					t.Fatal(msg)
 				}
 			}
@@ -127,11 +144,11 @@ func TestReclaimScanCrashSweep(t *testing.T) {
 func TestReclaimDifferential(t *testing.T) {
 	for _, eng := range reproEngines() {
 		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
+		eachRecoveryMode(t, eng.name, func(t *testing.T, mode pmem.RecoveryMode) {
 			const ops = 600
 			run := func(reclaim bool) ([]uint64, []uint64, []linearize.Operation) {
 				recovered := 0
-				rt := reclaimRT(eng.kind, reclaim)
+				rt := reclaimRT(eng.kind, reclaim, mode)
 				m := rt.NewHashMap(4)
 				p := rt.Proc(0)
 				rng := rand.New(rand.NewSource(99))
@@ -158,6 +175,9 @@ func TestReclaimDifferential(t *testing.T) {
 						recovered++
 						rt.Restart()
 						reps := rt.RecoverAll()
+						if msg := auditForcedFast(rt); msg != "" {
+							t.Fatalf("op %d: %s", i, msg)
+						}
 						if len(reps) == 1 {
 							resp = reps[0].Resp
 							ok = true
@@ -199,6 +219,197 @@ func TestReclaimDifferential(t *testing.T) {
 			}
 			if k, ok := linearize.CheckSetHistory(rHist); !ok {
 				t.Fatalf("reclaimer history not linearizable at key %d", k)
+			}
+		})
+	}
+}
+
+// stormRuns numbers the invocations of TestReclaimRecoveryStorm within one
+// test binary, so that `go test -count=N` runs N different seeded storms
+// (CI runs ten: 10 000 crashes) while a plain run is always seed 0.
+var stormRuns int64
+
+// TestReclaimRecoveryStorm is the amortised-recovery claim under a long
+// seeded schedule: two Procs (driven in turn from one goroutine, so a seed
+// fixes the schedule) churn a HashMap and a Queue through 1 000 crashes —
+// some inside RecoverAll itself, most a few operations apart, some far
+// enough apart for the rings to cycle — with the reclaimer choosing its own
+// recovery path. Every response and the final contents must match the
+// sequential model; every fast recovery is audited by the scan's mark
+// phase; the garbage rule must have fired; the heap must stay within twice
+// what the same schedule holds when it scans at every crash (plus one slab
+// per Proc and class of slack); and a final forced scan must sweep no more
+// than the books say is there.
+func TestReclaimRecoveryStorm(t *testing.T) {
+	crashes := 1000
+	if testing.Short() {
+		crashes = 100 // the race job's share; the rule fires near crash 50
+	}
+	const (
+		procs   = 2
+		keys    = 4096
+		classes = 2 // 4-word nodes and 32-word Info records
+		// pad parks every slab above any integer the schedule stores
+		// (keys, values, the engines' untag cookies), so the conservative
+		// closure retains nothing by coincidence and the audit's bound is
+		// exact; both sides of the heap comparison leave it out.
+		pad = 1 << 20
+	)
+	seed := stormRuns
+	stormRuns++
+	for _, eng := range reproEngines() {
+		eng := eng
+		t.Run(eng.name, func(t *testing.T) {
+			run := func(mode pmem.RecoveryMode) (rt *repro.Runtime, sinceFull uint64) {
+				rt = repro.New(repro.Config{
+					Procs: procs, CrashSim: true, HeapWords: 1 << 21,
+					Seed: 42, Engine: eng.kind, Reclaim: true,
+				})
+				rt.Reclaimer().ForceRecovery(mode)
+				rt.Proc(0).Alloc(pad)
+				m, q := rt.NewHashMap(256), rt.NewQueue()
+				rng := rand.New(rand.NewSource(seed))
+				present := map[uint64]bool{}
+				var fifo []uint64
+				for k := uint64(1); k <= keys; k += 2 {
+					m.Insert(rt.Proc(0), k)
+					present[k] = true
+				}
+
+				arm := func() {
+					gap := 30 + rng.Intn(370)
+					if rng.Intn(16) == 0 {
+						gap = 8000 + rng.Intn(12000)
+					}
+					rt.ScheduleCrash(uint64(gap))
+				}
+				// recoverAll is one Restart + RecoverAll, itself crashed now
+				// and then, followed by the audit of whichever path ran.
+				// sinceFull counts the crashes whose in-flight residue no
+				// scan has swept yet (a scan keeps what its own crash's
+				// announced records name, so that crash counts too).
+				fired := 0
+				recoverAll := func() []repro.ProcReport {
+					for {
+						fired++
+						sinceFull++
+						rt.Restart()
+						if rng.Intn(8) == 0 {
+							rt.ScheduleCrash(uint64(rng.Intn(300)) + 1)
+						}
+						var reps []repro.ProcReport
+						ok := rt.Run(func() { reps = rt.RecoverAll() })
+						rt.CancelCrash()
+						if !ok {
+							continue
+						}
+						if scan, _ := rt.LastScan(); scan.Full {
+							sinceFull = 1
+						}
+						if msg := auditFastRecovery(rt, sinceFull); msg != "" {
+							t.Fatalf("seed %d, crash %d: %s", seed, fired, msg)
+						}
+						arm()
+						return reps
+					}
+				}
+
+				arm()
+				for i := 0; fired < crashes; i++ {
+					p := rt.Proc(i % procs)
+					var s repro.Structure = m
+					var op repro.Op
+					var want uint64
+					// The map breathes — 3000 operations mostly inserting, 3000
+					// mostly deleting — so free lists a scan rebuilt are drawn
+					// down again and the garbage rule goes quiet between bursts.
+					ins := 2 + 4*(i/3000%2)
+					switch c := rng.Intn(10); {
+					case c < ins:
+						op = repro.Op{Kind: repro.OpInsert, Arg: uint64(rng.Intn(keys)) + 1}
+						want = respBool(!present[op.Arg])
+						present[op.Arg] = true
+					case c < 8:
+						op = repro.Op{Kind: repro.OpDelete, Arg: uint64(rng.Intn(keys)) + 1}
+						want = respBool(present[op.Arg])
+						delete(present, op.Arg)
+					case c < 9 || len(fifo) == 0:
+						s, op = q, repro.Op{Kind: repro.OpEnq, Arg: uint64(i)}
+						want = linearize.RespTrue
+						fifo = append(fifo, op.Arg)
+					default:
+						s, op = q, repro.Op{Kind: repro.OpDeq}
+						want = isb.EncodeValue(fifo[0])
+						fifo = fifo[1:]
+					}
+					// A crash inside Begin leaves no recovery obligation.
+					for !rt.Run(func() { s.Begin(p) }) {
+						recoverAll()
+					}
+					var resp repro.Resp
+					ok := rt.Run(func() { resp = s.Apply(p, op) })
+					for !ok {
+						// Begin cleared p's announcement, so a report entry
+						// for p is this operation's; none means the crash
+						// preceded the announcement and the op is resubmitted.
+						for _, rep := range recoverAll() {
+							if rep.Proc == p.ID() {
+								resp, ok = rep.Resp, true
+							}
+						}
+						if !ok {
+							ok = rt.Run(func() { resp = s.Apply(p, op) })
+						}
+					}
+					if resp.Raw() != want {
+						t.Fatalf("seed %d, op %d (%+v on proc %d): response %d, want %d", seed, i, op, p.ID(), resp.Raw(), want)
+					}
+				}
+				rt.CancelCrash()
+
+				var wantKeys []uint64
+				for k := range present {
+					wantKeys = append(wantKeys, k)
+				}
+				slices.Sort(wantKeys)
+				if got := m.Keys(); !slices.Equal(got, wantKeys) {
+					t.Fatalf("seed %d: keys %v, want %v", seed, got, wantKeys)
+				}
+				if got := q.Values(); !slices.Equal(got, fifo) {
+					t.Fatalf("seed %d: queue %v, want %v", seed, got, fifo)
+				}
+				if msg := m.CheckInvariants() + q.CheckInvariants(); msg != "" {
+					t.Fatalf("seed %d: %s", seed, msg)
+				}
+				return rt, sinceFull
+			}
+			full, _ := run(pmem.RecoverFull)
+			auto, sinceFull := run(pmem.RecoverAuto)
+			st, _ := auto.ReclaimStats()
+			if st.FullScans == 0 {
+				t.Fatalf("seed %d: the garbage rule never fired in %d crashes: %+v", seed, crashes, st)
+			}
+			if st.FastRecoveries == 0 {
+				t.Fatalf("seed %d: no recovery was fast: %+v", seed, st)
+			}
+			usedFull, usedAuto := full.Heap().Used()-pad, auto.Heap().Used()-pad
+			if bound := 2*usedFull + procs*classes*2048; usedAuto > bound {
+				t.Fatalf("seed %d: heap %d words, scan-every-crash holds %d (bound %d)", seed, usedAuto, usedFull, bound)
+			}
+			t.Logf("seed %d: %d fast recoveries, %d full scans, %+v; heap %d words against %d scanning at every crash",
+				seed, st.FastRecoveries, st.FullScans, st, usedAuto, usedFull)
+
+			// The scan as final checker: one more crash, recovered in full,
+			// may not find more to sweep than the garbage account (which
+			// then includes what that crash drops) and the in-flight bound
+			// explain.
+			auto.Reclaimer().ForceRecovery(pmem.RecoverFull)
+			auto.Crash()
+			auto.Restart()
+			auto.RecoverAll()
+			scan, _ := auto.LastScan()
+			if budget := scan.Garbage + inFlightBound(auto, sinceFull); !scan.Full || scan.Swept > budget {
+				t.Fatalf("seed %d: final scan swept %d blocks, books explain %d (%+v)", seed, scan.Swept, budget, scan)
 			}
 		})
 	}

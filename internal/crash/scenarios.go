@@ -287,20 +287,27 @@ func resolveViaRecoverAll(rt *repro.Runtime, tgt Target) func(p *pmem.Proc, op O
 // cycles that the swept operation runs against recycled memory — retired
 // rings populated, the epoch advanced, free-list reuse active — so every
 // crash offset of the operation also lands inside Retire calls, epoch
-// advances and frees. The same cells run with reclamation off as the
+// advances and frees. The reclaimer cells run twice — every recovery the
+// fast reset (each followed by the read-only audit), then every recovery the
+// full scan — and the same cells run with reclamation off as the
 // leak-forever control.
 type ReclaimScenario struct {
 	Structure string
 	Engine    string
 	Reclaim   bool
+	Mode      pmem.RecoveryMode // with Reclaim: RecoverFast or RecoverFull
 	Build     func() SweepInstance
 	Cases     []SweepCase
 }
 
-// Name identifies the cell in test and benchmark output.
+// Name identifies the cell in test output: "reclaim" is the fast leg (the
+// path a crash normally takes), "reclaim-full" the forced scan.
 func (s ReclaimScenario) Name() string {
 	mode := "arena"
-	if s.Reclaim {
+	switch {
+	case s.Reclaim && s.Mode == pmem.RecoverFull:
+		mode = "reclaim-full"
+	case s.Reclaim:
 		mode = "reclaim"
 	}
 	return s.Structure + "/" + s.Engine + "/" + mode
@@ -311,32 +318,83 @@ func (s ReclaimScenario) Name() string {
 // sequential model is unchanged — only the allocator's state is hot.
 var reclaimChurnKeys = []uint64{40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55}
 
-// reclaimRT builds the sweep runtime for one reclaim cell.
-func reclaimRT(kind repro.EngineKind, reclaim bool) *repro.Runtime {
-	return repro.New(repro.Config{
+// reclaimRT builds the sweep runtime for one reclaim cell; with the
+// reclaimer on, mode forces which recovery path every crash takes.
+func reclaimRT(kind repro.EngineKind, reclaim bool, mode pmem.RecoveryMode) *repro.Runtime {
+	rt := repro.New(repro.Config{
 		Procs: 1, CrashSim: true, HeapWords: sweepHeapWords,
 		Seed: 42, Engine: kind, Reclaim: reclaim,
 	})
+	if reclaim {
+		rt.Reclaimer().ForceRecovery(mode)
+	}
+	return rt
+}
+
+// inFlightBound bounds, in words, what crashes crashes leak outside the
+// reclaimer's garbage account. Per crash and process: on the structure it
+// was operating on, what the interrupted attempt allocated or unlinked (at
+// most MaxAffect 4-word nodes) plus its Info record; on every structure,
+// the last Info record, whose pending retirement RecoverAll forgets — and a
+// full scan keeps alive, until the next operation there, whatever that
+// record names. Structures × (MaxAffect nodes + a record) covers both.
+func inFlightBound(rt *repro.Runtime, crashes uint64) uint64 {
+	return crashes * uint64(rt.NumProcs()*len(rt.Structures())) * (isb.MaxAffect*4 + isb.InfoWords)
+}
+
+// auditFastRecovery is the checker behind every fast recovery in the
+// sweeps: if the runtime's last recovery skipped the scan, run the scan's
+// mark phase read-only and hold the reclaimer's books to it — no reachable
+// block on a free list or in a ring, and no more unreachable words than
+// the garbage account, the words now held and the in-flight bound of the
+// crashes since the last full scan explain. It returns the first
+// violation, or "".
+func auditFastRecovery(rt *repro.Runtime, crashesSinceFull uint64) string {
+	if scan, ok := rt.LastScan(); !ok || scan.Full {
+		return ""
+	}
+	return rt.AuditReclaim().Check(inFlightBound(rt, crashesSinceFull))
+}
+
+// auditForcedFast is auditFastRecovery for a runtime under RecoverFast: it
+// never scans, so every crash the heap has seen counts towards the bound.
+func auditForcedFast(rt *repro.Runtime) string {
+	return auditFastRecovery(rt, rt.Heap().Epoch())
+}
+
+// auditedVerify chains the fast-recovery audit onto a sweep instance's
+// post-state check.
+func auditedVerify(rt *repro.Runtime, verify func(SweepCase) string) func(SweepCase) string {
+	return func(c SweepCase) string {
+		if msg := verify(c); msg != "" {
+			return msg
+		}
+		return auditForcedFast(rt)
+	}
 }
 
 // ReclaimScenarios returns the reclaim-churn conformance matrix: list,
 // hashmap (insert/delete churn) and queue (enqueue/dequeue ring) × both
-// public engine kinds × reclaimer on/off, recovery routed through
-// Runtime.RecoverAll so a crashed replay exercises the post-crash
-// conservative scan before the announced operation resolves.
+// public engine kinds × {arena, reclaimer with every recovery fast,
+// reclaimer with every recovery a full scan}, recovery routed through
+// Runtime.RecoverAll so a crashed replay exercises the reclaimer's
+// recovery before the announced operation resolves.
 func ReclaimScenarios() []ReclaimScenario {
 	var out []ReclaimScenario
 	for _, eng := range []struct {
 		name string
 		kind repro.EngineKind
 	}{{"isb", repro.EngineIsb}, {"isb-opt", repro.EngineIsbOpt}} {
-		for _, rec := range []bool{false, true} {
-			eng, rec := eng, rec
+		for _, cell := range []struct {
+			rec  bool
+			mode pmem.RecoveryMode
+		}{{false, pmem.RecoverAuto}, {true, pmem.RecoverFast}, {true, pmem.RecoverFull}} {
+			eng, rec, mode := eng, cell.rec, cell.mode
 			out = append(out,
 				ReclaimScenario{
-					Structure: "list-churn", Engine: eng.name, Reclaim: rec,
+					Structure: "list-churn", Engine: eng.name, Reclaim: rec, Mode: mode,
 					Build: func() SweepInstance {
-						rt := reclaimRT(eng.kind, rec)
+						rt := reclaimRT(eng.kind, rec, mode)
 						l := rt.NewList()
 						p := rt.Proc(0)
 						for _, k := range reclaimChurnKeys {
@@ -350,16 +408,16 @@ func ReclaimScenarios() []ReclaimScenario {
 						return SweepInstance{
 							Heap:       rt.Heap(),
 							Target:     tgt,
-							Verify:     setVerify(list.OpInsert, list.OpDelete, l.Keys, l.CheckInvariants),
+							Verify:     auditedVerify(rt, setVerify(list.OpInsert, list.OpDelete, l.Keys, l.CheckInvariants)),
 							RecoverAll: resolveViaRecoverAll(rt, tgt),
 						}
 					},
 					Cases: setSweepCases(list.OpInsert, list.OpDelete, list.OpFind),
 				},
 				ReclaimScenario{
-					Structure: "hashmap-churn", Engine: eng.name, Reclaim: rec,
+					Structure: "hashmap-churn", Engine: eng.name, Reclaim: rec, Mode: mode,
 					Build: func() SweepInstance {
-						rt := reclaimRT(eng.kind, rec)
+						rt := reclaimRT(eng.kind, rec, mode)
 						m := rt.NewHashMap(4)
 						p := rt.Proc(0)
 						for _, k := range reclaimChurnKeys {
@@ -373,16 +431,16 @@ func ReclaimScenarios() []ReclaimScenario {
 						return SweepInstance{
 							Heap:       rt.Heap(),
 							Target:     tgt,
-							Verify:     setVerify(hashmap.OpInsert, hashmap.OpDelete, m.Keys, m.CheckInvariants),
+							Verify:     auditedVerify(rt, setVerify(hashmap.OpInsert, hashmap.OpDelete, m.Keys, m.CheckInvariants)),
 							RecoverAll: resolveViaRecoverAll(rt, tgt),
 						}
 					},
 					Cases: setSweepCases(hashmap.OpInsert, hashmap.OpDelete, hashmap.OpFind),
 				},
 				ReclaimScenario{
-					Structure: "queue-ring", Engine: eng.name, Reclaim: rec,
+					Structure: "queue-ring", Engine: eng.name, Reclaim: rec, Mode: mode,
 					Build: func() SweepInstance {
-						rt := reclaimRT(eng.kind, rec)
+						rt := reclaimRT(eng.kind, rec, mode)
 						q := rt.NewQueue()
 						p := rt.Proc(0)
 						// Enqueue/dequeue ring: every dequeue retires the old
@@ -398,12 +456,12 @@ func ReclaimScenarios() []ReclaimScenario {
 						return SweepInstance{
 							Heap:   rt.Heap(),
 							Target: tgt,
-							Verify: queueVerify2(q.Values, q.CheckInvariants, func(c SweepCase) []uint64 {
+							Verify: auditedVerify(rt, queueVerify2(q.Values, q.CheckInvariants, func(c SweepCase) []uint64 {
 								if c.Op.Kind == queue.OpEnq {
 									return []uint64{5, 6, c.Op.Arg}
 								}
 								return []uint64{6}
-							}),
+							})),
 							RecoverAll: resolveViaRecoverAll(rt, tgt),
 						}
 					},

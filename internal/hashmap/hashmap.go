@@ -206,7 +206,7 @@ func (m *Map) Contains(key uint64) bool {
 }
 
 // MarkReachable reports every node of every shard to the post-crash
-// reclamation scan.
+// reclamation scan. Like the bucket lists', it marks and nothing else.
 func (m *Map) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for _, s := range m.shards {
 		s.MarkReachable(p, mark)

@@ -146,8 +146,8 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather)
 		// address this attempt gathers stays allocated until the pin moves.
 		// No reference survives an attempt, so refreshing per attempt is
 		// safe and keeps the epoch advancing. The pin is released on every
-		// return below; a crash leaves it stuck, and the post-crash scan
-		// clears stuck pins. (No deferred release: a crashed process's
+		// return below; a crash leaves it stuck, and the reclaimer's
+		// post-crash recovery clears stuck pins. (No deferred release: a crashed process's
 		// stores are silently dropped, which would corrupt nothing here,
 		// but an explicit protocol keeps the crash surface inspectable.)
 		e.alloc.Enter(p)
@@ -303,13 +303,14 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 		p.Load(info+offSeq) != seq {
 		return e.runAttempts(p, opType, argKey, gather)
 	}
-	// Pin before dereferencing the record: the post-crash scan kept it and
-	// everything it names alive, and the pin keeps that true while Help
+	// Pin before dereferencing the record: post-crash recovery kept it and
+	// everything it names alive (the fast reset frees nothing; a scan keeps
+	// what announced records name), and the pin keeps that true while Help
 	// re-runs. The completed operation's retired-class nodes are NOT
 	// retired here — pre-crash they may already have been retired, freed
-	// and reused as live nodes, which the scan then (correctly) marked; a
-	// recovery-path retire could therefore hit a live block. They leak
-	// instead, inside the scan's announced-operand budget.
+	// and reused as live nodes; a recovery-path retire could therefore hit
+	// a live block. They leak instead, inside the per-crash in-flight
+	// budget, until the next scan.
 	e.alloc.Enter(p)
 	e.Help(p, info, true)
 	if r := p.Load(info + offResult); r != RespNone {
@@ -363,8 +364,8 @@ func (e *Engine) ResolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, b
 		p.Load(info+offSeq) != seq {
 		return 0, false
 	}
-	// Pin before dereferencing the record (see RecoverSeq: the post-crash
-	// scan kept it alive, and completed operands are NOT retired here).
+	// Pin before dereferencing the record (see RecoverSeq: post-crash
+	// recovery kept it alive, and completed operands are NOT retired here).
 	e.alloc.Enter(p)
 	e.Help(p, info, true)
 	r := p.Load(info + offResult)

@@ -225,8 +225,11 @@ type Engine struct {
 	// that process's RD_q: it is retired at the next operation's begin (once
 	// CP_q := 0 is durable the record can never be consulted again) or
 	// superseded by the next attempt's record. Go-side on purpose — after a
-	// crash it either matches the durable RD_q (which the post-crash scan
-	// keeps live) or was already retired and cleared.
+	// crash it either matches the durable RD_q (which post-crash recovery
+	// keeps live) or names a record no durable word mentions (its install
+	// did not persist, so neither did any tag), and retiring it on
+	// schedule is right in both cases — unless a scan ran: see
+	// ForgetRetired.
 	lastInfo []pmem.Addr
 	// cookieCtr feeds cookie (see there), one counter per process.
 	cookieCtr []uint64
@@ -334,12 +337,14 @@ func (e *Engine) retireLast(p *pmem.Proc) {
 }
 
 // ForgetRetired drops every process's pending last-record retirement.
-// Runtime.RecoverAll calls it after a crash: a crash can land exactly
-// between CP_q := 0 becoming durable and the retirement being recorded, in
-// which case the tracked record may already have been swept (and reused)
-// by the post-crash scan — retiring it later would hit a live block. The
-// records the scan kept alive leak instead (at most one per process per
-// crash), which is the same conservative budget the scan itself accepts.
+// Runtime.RecoverAll calls it after a crash whose recovery ran the full
+// scan: a crash can land exactly between CP_q := 0 becoming durable and the
+// retirement being recorded, in which case the tracked record may already
+// have been swept (and reused) by the scan — retiring it later would hit a
+// live block. The records the scan kept alive leak instead (at most one per
+// process per scan), which is the same conservative budget the scan itself
+// accepts. After a fast recovery nothing was swept and the pending
+// retirements stay.
 func (e *Engine) ForgetRetired() {
 	for i := range e.lastInfo {
 		e.lastInfo[i] = 0

@@ -265,7 +265,8 @@ func (l *List) CheckInvariants() string {
 // MarkReachable reports every node reachable from the list head to the
 // post-crash reclamation scan. The walk uses p.Load so a crash can be
 // injected mid-scan; the scan's transitive closure follows info-field
-// records and their copies from the marked nodes.
+// records and their copies from the marked nodes. It marks and nothing
+// else: the list keeps no volatile hint word for a crash to leave stale.
 func (l *List) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	curr := l.head
 	for {

@@ -34,30 +34,67 @@ import (
 // Free-list heads, ring counts, pins and the epoch are maintained with
 // volatile stores only: after a crash they are untrustworthy (a head may
 // revert to a persisted value pointing at a block that was since
-// reallocated and is live). The post-crash scan — driven by
-// Runtime.RecoverAll before any operation recovery runs — therefore
-// rebuilds everything from scratch:
+// reallocated and is live). What does survive a simulated crash is the
+// Go-side allocator state — the slab index, the per-block state bytes, the
+// slab cursors and the counters below — exactly as the heap's bump pointer
+// does: it describes which memory has been handed out, not what the
+// structures contain.
 //
-//  1. mark every block reachable from the structures' roots or referenced
+// Recover, driven by Runtime.RecoverAll before any operation recovery
+// runs, therefore does on every crash only what costs O(Procs × ringCap):
+// it audits the retired rings' checksums (counting torn entries, exactly
+// like torn announcements) and clears them, releases stuck pins, zeroes
+// the free-list heads, restarts the epoch and persists the control lines
+// under one psync. It frees nothing. Every block that sat on a pre-crash
+// free list or in a pre-crash ring is abandoned where it is — never
+// reused, never freed — and booked as accounted garbage; allocation
+// continues from the slab cursors and only post-crash retirements flow
+// through the rings to the free lists. The invariant that makes this safe
+// without looking at the structures:
+//
+//	recovery never adds a block to a free list without a full mark.
+//
+// A retirement whose ring entry was lost therefore never frees anything,
+// and a retirement whose unlink did not persist leaves a reachable block
+// that is merely never retired again (Retire ignores non-live blocks).
+//
+// The full conservative scan (Scan) is what gives abandoned blocks back,
+// and Recover runs it inside the same call only when accounted garbage has
+// caught up with the rest of the carved heap:
+//
+//	garbage × 2 ≥ words carved
+//
+// — a GOGC-style rule on two counts the reclaimer keeps anyway (in words:
+// the size classes differ 8×, and it is the heap the rule bounds), so the
+// heap stays within about twice what scanning at every crash would hold,
+// one crash that drops a huge free list degenerates to a scan right away,
+// and the amortised cost of a recovery is O(in flight + blocks dropped)
+// instead of O(live). Scan:
+//
+//  1. marks every block reachable from the structures' roots or referenced
 //     by an announced in-flight operation's Info record (conservative:
 //     anything recovery might still touch survives);
-//  2. validate the retired rings' checksums, counting torn entries
-//     (partially persisted retirements are rejected, exactly like torn
-//     announcements), then clear the rings;
-//  3. sweep: every unmarked block returns to a free list (zeroed), every
-//     marked block becomes live again; stuck pins are released and the
-//     epoch restarts.
+//  2. audits and clears the rings as above;
+//  3. sweeps: every unmarked block returns to a free list (zeroed), every
+//     marked block becomes live again; the garbage account restarts at 0.
 //
-// A retirement whose ring entry was lost therefore never loses the block
-// (the block is unmarked and swept to a free list) and a retirement whose
-// unlink did not persist never frees a reachable block (the block is
-// reachable again, hence marked). The conservative cost: a block that was
-// validly retired but is still referenced by an announced operation's Info
-// record stays live forever — a bounded, per-crash leak.
+// The conservative cost of Scan: a block that was validly retired but is
+// still referenced by an announced operation's Info record stays live
+// until a later scan finds it unreferenced.
 //
-// Until the scan has run after a crash, the reclaimer runs in a safe
-// degraded mode: Alloc bypasses the (untrustworthy) free lists and carves
-// fresh memory, and Retire drops retirements (counted in Stats.Dropped).
+// What neither path accounts is what was in flight: the nodes a crashed
+// attempt had allocated but not linked, or unlinked but not yet retired
+// (operation recovery does not retire them, see isb.Engine.RecoverSeq) —
+// at most an attempt's nodes plus its Info record per process per crash —
+// and, after a Scan, the records whose pending retirement RecoverAll then
+// forgets (isb.Engine.ForgetRetired). They are live-but-unreachable until
+// the next Scan sweeps them, and small next to what a crash abandons, so
+// the rule still fires.
+//
+// Until Recover (or Scan) has run after a crash, the reclaimer runs in a
+// safe degraded mode: Alloc bypasses the (untrustworthy) free lists and
+// carves fresh memory, and Retire drops retirements (counted in
+// Stats.Dropped and as garbage).
 type Reclaimer struct {
 	h *Heap
 
@@ -81,9 +118,20 @@ type Reclaimer struct {
 	procs []reclaimProc
 
 	// scanEpoch is the heap crash-epoch the reclaimer state is valid for;
-	// when it trails h.Epoch() a crash happened and the scan has not run
-	// yet (degraded mode).
+	// when it trails h.Epoch() a crash happened and Recover has not run yet
+	// (degraded mode).
 	scanEpoch atomic.Uint64
+
+	// garbage counts the words abandoned since the last full scan: what
+	// sat on a free list or in a ring when a crash hit, plus every dropped
+	// retirement. Recover weighs it against the words carved to decide
+	// whether this crash pays for a Scan. Words, not blocks: the size
+	// classes differ 8×, and it is the heap the rule bounds. It may
+	// over-count (a crash between a counter and the state change it
+	// announces), never under-count.
+	garbage atomic.Uint64
+	// mode is the test hook behind ForceRecovery.
+	mode RecoveryMode
 
 	// frozen suspends epoch advance and freeing (Retire still records).
 	// Runtime.RecoverAll freezes around operation recovery: recovery runs
@@ -100,8 +148,12 @@ type Reclaimer struct {
 // memory is, not what the structures contain).
 type reclaimProc struct {
 	ringStart uint64 // oldest live ring entry index
-	cur       [maxClasses]Addr
-	curLeft   [maxClasses]uint64
+	// held counts the words this process's ring and free lists hold: a
+	// block enters at Retire or Free and leaves when Alloc pops it.
+	// Owner-written, like the cursors; Recover turns it into garbage.
+	held    uint64
+	cur     [maxClasses]Addr
+	curLeft [maxClasses]uint64
 }
 
 // slab is one carved region serving blocks of a single size class. state
@@ -151,16 +203,33 @@ type ReclaimStats struct {
 	Freed    uint64 // blocks moved ring → free list after grace
 	Dropped  uint64 // retirements dropped (ring overflow or degraded mode)
 	Advances uint64 // successful global epoch advances
+
+	FastRecoveries uint64 // crashes recovered by the O(Procs × ring) reset alone
+	FullScans      uint64 // conservative scans run (by Recover's rule or directly)
 }
 
-// ScanReport summarises one post-crash scan.
+// ScanReport summarises one post-crash recovery of the reclaimer: Recover's
+// fast reset (Full false; Marked and Swept 0) or a full Scan.
 type ScanReport struct {
+	Full         bool   // the conservative scan ran
 	Marked       uint64 // blocks kept live (reachable or announced-operand)
 	Swept        uint64 // blocks returned to free lists
 	ValidRetires uint64 // ring entries whose checksum validated
 	TornRetires  uint64 // ring entries rejected by their checksum
 	StuckPins    int    // processes found pinned at crash time
+	Dropped      uint64 // words this recovery abandoned (pre-crash rings and free lists)
+	Garbage      uint64 // words abandoned since the last full scan, this crash's included
 }
+
+// RecoveryMode overrides Recover's garbage rule. Test hook: the crash
+// sweeps run every recovery fast, then every recovery full.
+type RecoveryMode int
+
+const (
+	RecoverAuto RecoveryMode = iota // full scan when garbage × 2 ≥ words carved
+	RecoverFast                     // never scan
+	RecoverFull                     // scan at every crash
+)
 
 // NewReclaimer reserves the reclaimer's pmem layout on h: the global epoch
 // line, one line + one retired ring per process, and the slab directory.
@@ -195,7 +264,7 @@ func (r *Reclaimer) ringSlot(id int, i uint64) Addr {
 }
 
 // synced reports whether the reclaimer's volatile state is trustworthy: no
-// crash has happened since construction or the last completed scan.
+// crash has happened since construction or the last completed Recover/Scan.
 func (r *Reclaimer) synced() bool { return r.scanEpoch.Load() == r.h.Epoch() }
 
 // classFor returns the size-class index for a block of words words,
@@ -298,6 +367,7 @@ func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 			p.Store(a, 0)            // restore the zeroed-block contract
 			s, _, bi, _ := r.lookup(a)
 			s.state[bi] = bsLive
+			r.procs[p.ID()].held -= size
 			atomic.AddUint64(&r.stats.Reused, 1)
 			return a
 		}
@@ -327,12 +397,14 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 	if !ok || s.state[bi] != bsLive {
 		return
 	}
+	r.procs[p.ID()].held += r.classes[s.class].Load()
 	r.pushFree(p, p.ID(), s, start, bi)
 }
 
 // pushFree zeroes the block and links it onto proc id's free list for its
 // class. The link lives in block word 0; heads and links are volatile-only
-// (the post-crash scan rebuilds them).
+// (a crash abandons the list; only a full scan rebuilds it). Callers
+// account the block in the owner's held count.
 func (r *Reclaimer) pushFree(p *Proc, id int, s *slab, start Addr, bi uint64) {
 	size := r.classes[s.class].Load()
 	for w := Addr(1); w < Addr(size); w++ {
@@ -351,12 +423,14 @@ func (r *Reclaimer) pushFree(p *Proc, id int, s *slab, start Addr, bi uint64) {
 // retired, freed or unknown blocks are ignored, which makes the
 // recovery-path retire calls idempotent.
 func (r *Reclaimer) Retire(p *Proc, a Addr) {
-	if !r.synced() {
-		atomic.AddUint64(&r.stats.Dropped, 1)
-		return
-	}
 	s, start, bi, ok := r.lookup(a)
 	if !ok || s.state[bi] != bsLive {
+		return
+	}
+	size := r.classes[s.class].Load()
+	if !r.synced() {
+		s.state[bi] = bsRetired
+		r.drop(size)
 		return
 	}
 	id := p.ID()
@@ -368,12 +442,13 @@ func (r *Reclaimer) Retire(p *Proc, a Addr) {
 		if count >= ringCap {
 			// Ring overflow (e.g. a process crashed while pinned, blocking
 			// the epoch): drop the retirement. The block stays unreachable
-			// and is re-homed by the next post-crash scan.
+			// and is re-homed by the next full scan.
 			s.state[bi] = bsRetired
-			atomic.AddUint64(&r.stats.Dropped, 1)
+			r.drop(size)
 			return
 		}
 	}
+	r.procs[id].held += size
 	s.state[bi] = bsRetired
 	epoch := p.Load(r.epochA)
 	slot := r.ringSlot(id, (r.procs[id].ringStart+count)%ringCap)
@@ -389,9 +464,16 @@ func (r *Reclaimer) Retire(p *Proc, a Addr) {
 	}
 }
 
+// drop counts a retirement that reaches no ring: the block's words are
+// garbage from this moment.
+func (r *Reclaimer) drop(words uint64) {
+	atomic.AddUint64(&r.stats.Dropped, 1)
+	r.garbage.Add(words)
+}
+
 // Enter pins the calling process in the current epoch (refreshing any
 // existing pin). The store is volatile: the pin only gates the epoch
-// within a run, and the post-crash scan releases stuck pins.
+// within a run, and post-crash recovery releases stuck pins.
 func (r *Reclaimer) Enter(p *Proc) {
 	p.Store(r.procLine(p.ID())+rpPin, p.Load(r.epochA))
 }
@@ -469,6 +551,9 @@ func (r *Reclaimer) Stats() ReclaimStats {
 		Freed:    atomic.LoadUint64(&r.stats.Freed),
 		Dropped:  atomic.LoadUint64(&r.stats.Dropped),
 		Advances: atomic.LoadUint64(&r.stats.Advances),
+
+		FastRecoveries: atomic.LoadUint64(&r.stats.FastRecoveries),
+		FullScans:      atomic.LoadUint64(&r.stats.FullScans),
 	}
 }
 
@@ -486,35 +571,52 @@ func (r *Reclaimer) LiveBlocks() uint64 {
 	return n
 }
 
-// Scan is the post-crash conservative scan. mark must invoke its callback
-// for (at least) every address reachable from a structure root and every
-// address an announced in-flight operation's Info record mentions; the
-// callback tolerates arbitrary values (non-block addresses are ignored).
-// Scan rebuilds all reclaimer state from the marks — rings, free lists,
-// pins and the epoch — and persists the rebuilt lines, so it may itself
-// crash at any point and simply be re-run. Call with no process running.
-func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
-	var rep ScanReport
-	idx := *r.slabs.Load()
+// ForceRecovery overrides Recover's garbage rule (test hook; call with no
+// process running).
+func (r *Reclaimer) ForceRecovery(m RecoveryMode) { r.mode = m }
 
-	// Phase 0: clear stale mark bits (a previous scan may have crashed).
-	for _, s := range idx {
-		for i := range s.state {
-			s.state[i] &^= bsMark
+// Recover is the reclaimer's post-crash entry point, called by
+// Runtime.RecoverAll with no process running. It abandons what the crash
+// left on the free lists and in the rings (booking it as garbage), then
+// either resets the control state — O(Procs × ringCap), nothing freed — or,
+// when garbage × 2 ≥ words carved, runs the full Scan with mark. Like
+// Scan it may itself crash at any point and simply be re-run; a re-run may
+// count a block as garbage twice, never miss one.
+func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
+	// Carved: every slab, less what is still under a cursor.
+	carved := uint64(len(*r.slabs.Load())) * slabWords
+	var dropped uint64
+	for id := range r.procs {
+		ps := &r.procs[id]
+		dropped += ps.held
+		ps.held = 0
+		for _, left := range ps.curLeft {
+			carved -= left
 		}
 	}
+	garbage := r.garbage.Add(dropped)
 
-	// Phase 1: conservative mark.
-	mark(func(a Addr) {
-		s, _, bi, ok := r.lookup(a)
-		if ok && s.state[bi] != bsVirgin {
-			s.state[bi] |= bsMark
-		}
-	})
+	full := garbage*2 >= carved
+	if r.mode != RecoverAuto {
+		full = r.mode == RecoverFull
+	}
+	var rep ScanReport
+	if full {
+		rep = r.Scan(p, mark)
+	} else {
+		r.resetRings(p, &rep)
+		r.persistControl(p)
+		atomic.AddUint64(&r.stats.FastRecoveries, 1)
+	}
+	rep.Dropped, rep.Garbage = dropped, garbage
+	return rep
+}
 
-	// Phase 2: audit and clear the retired rings. The entries themselves
-	// are not trusted for freeing decisions — reachability decides — but
-	// their checksums distinguish recorded retirements from torn ones.
+// resetRings audits and clears the retired rings, releases stuck pins and
+// empties the free-list heads (volatile stores; persistControl follows).
+// The ring entries are not trusted for freeing decisions — their checksums
+// only distinguish recorded retirements from torn ones.
+func (r *Reclaimer) resetRings(p *Proc, rep *ScanReport) {
 	for id := range r.procs {
 		for i := uint64(0); i < ringCap; i++ {
 			slot := r.ringSlot(id, i)
@@ -540,14 +642,74 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 			p.Store(line+rpFreeBase+Addr(c), 0)
 		}
 	}
+}
+
+// persistControl restarts the epoch, persists the control lines under one
+// psync and leaves degraded mode.
+func (r *Reclaimer) persistControl(p *Proc) {
+	p.Store(r.epochA, firstEpoch)
+	p.PWB(r.epochA)
+	for id := range r.procs {
+		p.PWB(r.procLine(id))
+	}
+	p.PSync()
+	r.scanEpoch.Store(r.h.Epoch())
+}
+
+// MarkBlock sets the scan mark on the handed-out block containing a and
+// returns the block with fresh true the first time; any other address, a
+// never-allocated block or an already marked one returns fresh false. It is
+// what Scan's mark callback does, exposed so a caller computing a
+// transitive closure can push exactly the newly marked blocks.
+func (r *Reclaimer) MarkBlock(a Addr) (start Addr, words uint64, fresh bool) {
+	s, start, bi, ok := r.lookup(a)
+	if !ok || s.state[bi] == bsVirgin || s.state[bi]&bsMark != 0 {
+		return 0, 0, false
+	}
+	s.state[bi] |= bsMark
+	return start, r.classes[s.class].Load(), true
+}
+
+// clearMarks drops every scan mark bit.
+func (r *Reclaimer) clearMarks() {
+	for _, s := range *r.slabs.Load() {
+		for i := range s.state {
+			s.state[i] &^= bsMark
+		}
+	}
+}
+
+// Scan is the full conservative scan: the slow path of Recover, and the
+// oracle the tests check the fast path against. mark must invoke its
+// callback for (at least) every address reachable from a structure root
+// and every address an announced in-flight operation's Info record
+// mentions; the callback tolerates arbitrary values (non-block addresses
+// are ignored). Scan rebuilds all reclaimer state from the marks — rings,
+// free lists, pins, the epoch and the garbage account — and persists the
+// rebuilt lines, so it may itself crash at any point and simply be re-run.
+// Call with no process running.
+func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
+	rep := ScanReport{Full: true}
+
+	// Phase 0: clear stale mark bits (a previous scan may have crashed).
+	r.clearMarks()
+
+	// Phase 1: conservative mark.
+	mark(func(a Addr) { r.MarkBlock(a) })
+
+	// Phase 2: audit and clear the rings, pins and free-list heads.
+	r.resetRings(p, &rep)
 
 	// Phase 3: sweep. Marked blocks are live again; everything else the
 	// reclaimer ever handed out returns to a free list, zeroed. Freed
 	// blocks are spread round-robin over the processes' lists.
+	for id := range r.procs {
+		r.procs[id].held = 0
+	}
 	home := 0
-	for _, s := range idx {
-		for bi := range s.state {
-			st := s.state[bi]
+	for _, s := range *r.slabs.Load() {
+		size := r.classes[s.class].Load()
+		for bi, st := range s.state {
 			if st == bsVirgin {
 				continue
 			}
@@ -556,8 +718,7 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 				rep.Marked++
 				continue
 			}
-			size := r.classes[s.class].Load()
-			s.state[bi] = bsLive // pushFree requires a consistent pre-state
+			r.procs[home].held += size
 			r.pushFree(p, home, s, s.base+Addr(uint64(bi)*size), uint64(bi))
 			home = (home + 1) % len(r.procs)
 			rep.Swept++
@@ -565,12 +726,77 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	}
 
 	// Phase 4: restart the epoch and persist the rebuilt control lines.
-	p.Store(r.epochA, firstEpoch)
-	p.PWB(r.epochA)
-	for id := range r.procs {
-		p.PWB(r.procLine(id))
+	r.persistControl(p)
+	r.garbage.Store(0)
+	atomic.AddUint64(&r.stats.FullScans, 1)
+	return rep
+}
+
+// AuditReport is Audit's census of the handed-out blocks, in words.
+type AuditReport struct {
+	Marked     uint64 // in blocks the mark phase reached
+	Unmarked   uint64 // in blocks it did not: garbage, in flight, or held
+	Held       uint64 // in the rings and on the free lists now
+	Garbage    uint64 // abandoned since the last full scan
+	MarkedHeld uint64 // marked blocks (a count) found on a free list or in a ring
+}
+
+// Check holds the census against the accounting: nothing marked may be
+// held, and what is unmarked must be covered by the garbage account, the
+// words currently held, and inFlight — the caller's bound on what crashed
+// attempts leaked unaccounted since the last full scan. It returns the
+// first violation, or "".
+func (a AuditReport) Check(inFlight uint64) string {
+	if a.MarkedHeld != 0 {
+		return fmt.Sprintf("%d marked blocks are on a free list or in a ring", a.MarkedHeld)
 	}
-	p.PSync()
-	r.scanEpoch.Store(r.h.Epoch())
+	if a.Unmarked > a.Garbage+a.Held+inFlight {
+		return fmt.Sprintf("%d unmarked words > garbage %d + held %d + in flight %d",
+			a.Unmarked, a.Garbage, a.Held, inFlight)
+	}
+	return ""
+}
+
+// Audit is Scan's mark phase run as a read-only checker: it marks, counts
+// and clears the marks again, sweeping and storing nothing (the rings and
+// free lists are read from the volatile image, uncounted). The crash tests
+// run it after every fast recovery. Call with no process running.
+func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
+	r.clearMarks()
+	mark(func(a Addr) { r.MarkBlock(a) })
+	rep := AuditReport{Garbage: r.garbage.Load()}
+	for _, s := range *r.slabs.Load() {
+		size := r.classes[s.class].Load()
+		for _, st := range s.state {
+			switch {
+			case st == bsVirgin:
+			case st&bsMark != 0:
+				rep.Marked += size
+			default:
+				rep.Unmarked += size
+			}
+		}
+	}
+	held := func(a Addr) {
+		if s, _, bi, ok := r.lookup(a); ok && s.state[bi]&bsMark != 0 {
+			rep.MarkedHeld++
+		}
+	}
+	read := r.h.ReadVolatile
+	for id := range r.procs {
+		rep.Held += r.procs[id].held
+		for c := Addr(0); c < maxClasses; c++ {
+			for a := Addr(read(r.procLine(id) + rpFreeBase + c)); a != Null; a = Addr(read(a)) {
+				held(a)
+			}
+		}
+		for i := uint64(0); i < ringCap; i++ {
+			slot := r.ringSlot(id, i)
+			if sum := read(slot + 3); sum != 0 && sum == annCheck(read(slot), read(slot+1), read(slot+2)) {
+				held(Addr(read(slot)))
+			}
+		}
+	}
+	r.clearMarks()
 	return rep
 }

@@ -240,3 +240,223 @@ func TestReclaimerScanIdempotent(t *testing.T) {
 		t.Fatalf("LiveBlocks = %d, want 1", got)
 	}
 }
+
+// TestReclaimerRecoverFast pins the fast post-crash path: Recover frees
+// nothing and never calls mark; what the crash caught on a free list or in
+// a ring is abandoned — never handed out again — and booked as garbage, in
+// words; and retirement and reuse work again for post-crash blocks.
+func TestReclaimerRecoverFast(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	p := h.Proc(0)
+
+	for i := 0; i < 16; i++ {
+		r.Alloc(p, 4) // live: keeps the garbage rule quiet
+	}
+	freed := r.Alloc(p, 4)
+	r.Free(p, freed)
+	r.Enter(p)
+	ringed := r.Alloc(p, 4) // pops freed
+	ringed2 := r.Alloc(p, 32)
+	r.Retire(p, ringed)
+	r.Retire(p, ringed2)
+	r.Exit(p)
+	if ringed != freed {
+		t.Fatalf("setup: Alloc did not pop the freed block")
+	}
+	abandoned := map[Addr]bool{ringed: true, ringed2: true}
+	onList := r.Alloc(p, 4)
+	r.Free(p, onList)
+	abandoned[onList] = true
+
+	h.Crash()
+	h.ResetAfterCrash()
+	rep := r.Recover(p, func(func(Addr)) { t.Fatal("fast recovery ran the mark phase") })
+	if rep.Full || rep.Marked != 0 || rep.Swept != 0 {
+		t.Fatalf("fast recovery reported a scan: %+v", rep)
+	}
+	if rep.ValidRetires != 2 || rep.Dropped != 4+32+4 || rep.Garbage != rep.Dropped {
+		t.Fatalf("fast recovery books: %+v, want 2 valid retires and 40 words dropped", rep)
+	}
+	if !r.synced() {
+		t.Fatal("reclaimer still degraded after Recover")
+	}
+	if st := r.Stats(); st.FastRecoveries != 1 || st.FullScans != 0 || st.Freed != 0 {
+		t.Fatalf("stats after one fast recovery: %+v", st)
+	}
+
+	// Post-crash blocks cycle; abandoned ones never come back.
+	r.Enter(p)
+	for i := 0; i < 8*ringFreeThreshold; i++ {
+		r.Enter(p)
+		for _, words := range []uint64{4, 32} {
+			a := r.Alloc(p, words)
+			if abandoned[a] {
+				t.Fatalf("Alloc handed out abandoned block %#x", a)
+			}
+			r.Retire(p, a)
+		}
+	}
+	r.Exit(p)
+	if st := r.Stats(); st.Freed == 0 || st.Reused < 2 {
+		t.Fatalf("post-crash retirements were not recycled: %+v", st)
+	}
+}
+
+// TestReclaimerRecoverGarbageRule pins when Recover pays for a scan:
+// exactly when the words abandoned since the last scan, doubled, reach the
+// words carved — and that the scan restarts the account.
+func TestReclaimerRecoverGarbageRule(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	p := h.Proc(0)
+	crash := func() ScanReport {
+		h.Crash()
+		h.ResetAfterCrash()
+		return r.Recover(p, func(func(Addr)) {})
+	}
+
+	// 8 live + 7 freed of 15 carved: 28 words × 2 < 60.
+	var blocks []Addr
+	for i := 0; i < 15; i++ {
+		blocks = append(blocks, r.Alloc(p, 4))
+	}
+	for _, a := range blocks[8:] {
+		r.Free(p, a)
+	}
+	if rep := crash(); rep.Full || rep.Dropped != 7*4 {
+		t.Fatalf("below the rule: %+v, want a fast recovery dropping 28 words", rep)
+	}
+	// One more abandoned block tips it: (28+4) × 2 ≥ 64 carved.
+	r.Free(p, r.Alloc(p, 4))
+	rep := crash()
+	if !rep.Full || rep.Garbage != 32 || rep.Marked != 0 || rep.Swept != 16 {
+		t.Fatalf("at the rule: %+v, want a full scan of 32 garbage words sweeping all 16 blocks", rep)
+	}
+	// The sweep put every block on the free list and the account is back
+	// at 0, so the next crash drops exactly that list — and, with nothing
+	// marked, that is the whole carved heap again.
+	if rep := crash(); !rep.Full || rep.Dropped != 16*4 || rep.Garbage != rep.Dropped {
+		t.Fatalf("after the scan: %+v, want 64 words dropped and nothing older", rep)
+	}
+	if st := r.Stats(); st.FastRecoveries != 1 || st.FullScans != 2 {
+		t.Fatalf("stats: %+v, want 1 fast recovery and 2 scans", st)
+	}
+}
+
+// TestReclaimerScanClosureCounts pins the full scan's counts on a fixed
+// graph, computed two ways: a caller-side closure that pushes exactly the
+// blocks MarkBlock reports as newly marked, and the old shape — a visited
+// map in front of the plain mark callback. Same Marked, same Swept.
+func TestReclaimerScanClosureCounts(t *testing.T) {
+	build := func() (*Reclaimer, *Proc, Addr) {
+		h := reclaimHeap(t, 1)
+		r := NewReclaimer(h)
+		p := h.Proc(0)
+		// A chain of 40 nodes, every fourth hanging a 32-word record that
+		// points back into the chain; 25 unreachable blocks beside it.
+		var head, prev Addr
+		for i := 0; i < 40; i++ {
+			n := r.Alloc(p, 4)
+			if i%4 == 0 {
+				rec := r.Alloc(p, 32)
+				p.Store(rec+5, uint64(n)|1) // tagged back-pointer
+				p.Store(n+2, uint64(rec))
+			}
+			if prev == Null {
+				head = n
+			} else {
+				p.Store(prev+1, uint64(n))
+			}
+			prev = n
+		}
+		for i := 0; i < 20; i++ {
+			r.Alloc(p, 4)
+		}
+		for i := 0; i < 5; i++ {
+			r.Alloc(p, 32)
+		}
+		return r, p, head
+	}
+
+	r, p, head := build()
+	viaMarkBlock := r.Scan(p, func(func(Addr)) {
+		work := []Addr{head}
+		for len(work) > 0 {
+			a := work[len(work)-1]
+			work = work[:len(work)-1]
+			if start, words, fresh := r.MarkBlock(a); fresh {
+				for w := Addr(0); w < Addr(words); w++ {
+					work = append(work, Addr(p.Load(start+w)&^1))
+				}
+			}
+		}
+	})
+
+	r, p, head = build()
+	viaVisited := r.Scan(p, func(mark func(Addr)) {
+		visited := map[Addr]bool{}
+		work := []Addr{head}
+		for len(work) > 0 {
+			a := work[len(work)-1]
+			work = work[:len(work)-1]
+			start, words, ok := r.BlockOf(a)
+			if !ok || visited[start] {
+				continue
+			}
+			visited[start] = true
+			mark(start)
+			for w := Addr(0); w < Addr(words); w++ {
+				work = append(work, Addr(p.Load(start+w)&^1))
+			}
+		}
+	})
+
+	if viaMarkBlock.Marked != 50 || viaMarkBlock.Swept != 25 {
+		t.Fatalf("MarkBlock closure: %+v, want 50 marked and 25 swept", viaMarkBlock)
+	}
+	if viaVisited.Marked != viaMarkBlock.Marked || viaVisited.Swept != viaMarkBlock.Swept {
+		t.Fatalf("visited-map closure %+v differs from MarkBlock closure %+v", viaVisited, viaMarkBlock)
+	}
+}
+
+// TestReclaimerAudit pins the read-only checker: it counts in words, finds
+// a marked block on a free list or in a ring, and changes nothing.
+func TestReclaimerAudit(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	p := h.Proc(0)
+
+	keep := r.Alloc(p, 4)
+	r.Alloc(p, 32) // handed out, unreachable, unaccounted: a leak
+	listed := r.Alloc(p, 4)
+	r.Free(p, listed)
+	r.Enter(p)
+	ringed := r.Alloc(p, 32)
+	r.Retire(p, ringed)
+	r.Exit(p)
+	before := h.AccessCount()
+
+	rep := r.Audit(func(mark func(Addr)) { mark(keep) })
+	if rep.Marked != 4 || rep.Unmarked != 32+4+32 || rep.Held != 4+32 || rep.Garbage != 0 || rep.MarkedHeld != 0 {
+		t.Fatalf("audit: %+v", rep)
+	}
+	if msg := rep.Check(0); msg == "" {
+		t.Fatal("Check accepted 32 unexplained words")
+	}
+	if msg := rep.Check(32); msg != "" {
+		t.Fatalf("Check with the leak allowed for: %s", msg)
+	}
+	for _, held := range []Addr{listed, ringed} {
+		rep := r.Audit(func(mark func(Addr)) { mark(held) })
+		if rep.MarkedHeld != 1 || rep.Check(1<<20) == "" {
+			t.Fatalf("marked block %#x on a list or ring not reported: %+v", held, rep)
+		}
+	}
+	if h.AccessCount() != before {
+		t.Fatal("Audit made counted heap accesses")
+	}
+	if got := r.LiveBlocks(); got != 3 {
+		t.Fatalf("LiveBlocks = %d after audits, want 3 (marks must be cleared)", got)
+	}
+}

@@ -2,13 +2,13 @@
 // ISB-tracking (Algorithm 2) applied to the Michael-Scott lock-free queue.
 //
 // Enqueue tags the current last node and CASes its next field from Null to
-// the new node; the Tail word is only a volatile hint, swung lazily, so it
-// needs no recovery treatment. Dequeue tags the current dummy (the node the
-// Head word points at) and swings Head to its successor, which becomes the
-// new dummy; the old dummy retires and stays tagged forever. Head values
-// never repeat (each dummy is a fresh node), and a node's next field goes
-// Null → successor exactly once, so the update CASes are ABA-free without
-// copying.
+// the new node; the Tail word is only a volatile hint, swung lazily, so on
+// the leak-forever arena it needs no recovery treatment (on the reclaimer
+// it does: RepairTail). Dequeue tags the current dummy (the node the Head
+// word points at) and swings Head to its successor, which becomes the new
+// dummy; the old dummy retires and stays tagged forever. Head values never
+// repeat (each dummy is a fresh node), and a node's next field goes Null →
+// successor exactly once, so the update CASes are ABA-free without copying.
 package queue
 
 import (
@@ -195,21 +195,24 @@ func (q *Queue) gatherDeq(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gath
 	return isb.Proceed
 }
 
-// MarkReachable reports every node on the Head chain to the post-crash
-// reclamation scan, and repairs the Tail hint: Tail is volatile-only, so
-// after a crash it can revert to an arbitrarily old persisted value whose
-// node may since have been recycled. Re-homing it to the last node from
-// Head (and persisting it, riding the scan's final psync) restores the
-// "Tail points into the chain" invariant before any operation runs.
+// MarkReachable reports every node on the Head chain to the full
+// post-crash reclamation scan. It only marks; the Tail hint is RepairTail's.
 func (q *Queue) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
-	curr := pmem.Addr(p.Load(q.head))
-	last := curr
-	for curr != pmem.Null {
+	for curr := pmem.Addr(p.Load(q.head)); curr != pmem.Null; curr = pmem.Addr(p.Load(curr + nNext)) {
 		mark(curr)
-		last = curr
-		curr = pmem.Addr(p.Load(curr + nNext))
 	}
-	p.Store(q.tail, uint64(last))
+}
+
+// RepairTail re-homes the Tail hint at Head's dummy after a crash. Tail is
+// volatile-only, so a crash can revert it to an arbitrarily old persisted
+// value whose node has since been recycled into some other place — an
+// enqueue chasing next from there would link behind the wrong node and be
+// lost. The dummy Head names is always on the chain, and the first
+// enqueue's findLast chases and swings Tail from it like any lagging hint,
+// so the repair is O(1). Runtime.RecoverAll runs it on every crash, before
+// any operation; its pwb rides the reclaimer's recovery psync.
+func (q *Queue) RepairTail(p *pmem.Proc) {
+	p.Store(q.tail, p.Load(q.head))
 	p.PWB(q.tail)
 }
 

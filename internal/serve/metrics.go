@@ -92,7 +92,17 @@ type Stats struct {
 	// Crashes counts store crashes recovered (Restart + one RecoverAll
 	// each); TableEntries is the current response-table size, of which
 	// RecoveredEntries were (re)filled from RecoverAll reports.
-	Crashes          int    `json:"crashes"`
+	Crashes int `json:"crashes"`
+	// With Config.Reclaim, FastRecoveries and FullScans split Crashes by
+	// what RecoverAll did to the reclaimer — the O(Procs × ring) reset, or
+	// the conservative scan its garbage rule called for — and LastDropped /
+	// LastGarbage are the latest recovery's figures: words it abandoned on
+	// pre-crash free lists and rings, and words abandoned since the last
+	// scan.
+	FastRecoveries   uint64 `json:"fast_recoveries"`
+	FullScans        uint64 `json:"full_scans"`
+	LastDropped      uint64 `json:"last_dropped_words"`
+	LastGarbage      uint64 `json:"last_garbage_words"`
 	TableEntries     int    `json:"table_entries"`
 	RecoveredEntries uint64 `json:"recovered_entries"`
 	// EvictedEntries counts response-table entries dropped because the

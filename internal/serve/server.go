@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/pmem"
 )
 
 // Config parameterises a Server.
@@ -166,8 +167,9 @@ type Server struct {
 	// CrashGroup.recoverLocked -> onRecover (g.mu then s.mu) and deadlock a
 	// stats request racing a crash recovery.
 	crashes   int
-	recovered uint64      // table entries filled by OnRecover
-	closedAgg connMetrics // folded-in metrics of closed conns
+	lastScan  pmem.ScanReport // the latest recovery's reclaimer report
+	recovered uint64          // table entries filled by OnRecover
+	closedAgg connMetrics     // folded-in metrics of closed conns
 	// totalQueued / nconns feed the shed watermark: aggregate queued
 	// requests and open connections across all procs.
 	totalQueued int
@@ -881,6 +883,7 @@ func (s *Server) onRecover(reps []repro.ProcReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashes++ // mirror of group.Crashes(); see the field comment
+	s.lastScan, _ = s.rt.LastScan()
 	for _, rep := range reps {
 		if rep.Txn != nil {
 			// A MOVE transaction. Unless it provably had no effect (the
@@ -916,8 +919,13 @@ func (s *Server) onRecover(reps []repro.ProcReport) {
 func (s *Server) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	rs, _ := s.rt.ReclaimStats()
 	st := Stats{
 		Crashes:          s.crashes,
+		FastRecoveries:   rs.FastRecoveries,
+		FullScans:        rs.FullScans,
+		LastDropped:      s.lastScan.Dropped,
+		LastGarbage:      s.lastScan.Garbage,
 		TableEntries:     len(s.done),
 		RecoveredEntries: s.recovered,
 		EvictedEntries:   s.evicted,

@@ -225,7 +225,8 @@ func (s *Stack) gatherPop(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gath
 
 // MarkReachable reports every node on the chain from the sentinel to the
 // post-crash reclamation scan (the scan's transitive closure follows
-// tagged info fields and record-referenced copies from there).
+// tagged info fields and record-referenced copies from there). It marks
+// and nothing else: the stack keeps no volatile hint word.
 func (s *Stack) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	mark(s.sentinel)
 	curr := pmem.Addr(p.Load(s.sentinel + nNext))

@@ -55,10 +55,13 @@
 // allocation. Config{Reclaim: true} swaps in a crash-consistent epoch
 // reclaimer whose retired lists, epoch counters and free lists live in the
 // persistent heap, so churn-heavy workloads run in a heap sized for their
-// working set. RecoverAll then prefixes recovery with a conservative
-// reachability scan that re-homes any block whose retirement was lost in
-// the crash — a lost retirement degrades to a (bounded) leak, never to a
-// dangling pointer. See the package README for the full discipline.
+// working set. RecoverAll then prefixes recovery with a reset of the
+// reclaimer that costs what was in flight, not what is alive: blocks the
+// crash caught on a free list or in a retired ring are abandoned and
+// counted, and a conservative reachability scan gives them back only once
+// they have caught up with the rest of the heap — a lost retirement
+// degrades to a (bounded) leak, never to a dangling pointer. See the
+// package README for the full discipline.
 package repro
 
 import (
@@ -254,9 +257,8 @@ type Config struct {
 	// this runtime builds draws nodes from a shared epoch-based reclaimer
 	// (whose epoch counter, per-process retired rings and free lists live
 	// in the persistent heap) instead of the leak-forever arena, and
-	// RecoverAll prefixes recovery with a conservative reachability scan
-	// that re-homes nodes whose retirement did not persist. See
-	// ReclaimStats/LastScan for observability.
+	// RecoverAll prefixes recovery with the reclaimer's own (see
+	// RecoverAll). See ReclaimStats/LastScan for observability.
 	Reclaim bool
 }
 
@@ -364,8 +366,9 @@ func (r *Runtime) ReclaimStats() (pmem.ReclaimStats, bool) {
 	return r.reclaimer.Stats(), true
 }
 
-// LastScan reports the most recent RecoverAll conservative scan; ok is
-// false if no scan has run (reclamation disabled, or no recovery yet).
+// LastScan reports what the most recent RecoverAll did to the reclaimer —
+// the fast reset (Full false, Marked and Swept 0) or the conservative scan;
+// ok is false if none has run (reclamation disabled, or no recovery yet).
 func (r *Runtime) LastScan() (pmem.ScanReport, bool) { return r.lastScan, r.scanned }
 
 // Proc returns process descriptor id (0-based).
@@ -445,26 +448,52 @@ type ProcReport struct {
 //     announcements are only cleared by each process's next Begin (or the
 //     next operation's entry step).
 //
-// With Config.Reclaim, RecoverAll first runs the reclaimer's conservative
-// scan: every block reachable from a structure root or referenced by an
-// announced operation's tracking record survives (transitively), every
-// retired-ring entry whose checksum persisted intact is honoured, and all
-// other blocks — including those whose retirement was lost in the crash —
+// With Config.Reclaim, RecoverAll first recovers the reclaimer
+// (pmem.Reclaimer.Recover), at a cost that follows what was in flight, not
+// what is alive: structures repair their volatile hint words (the queue's
+// Tail, O(1)), then the retired rings are audited and cleared, stuck pins
+// released, the free lists emptied and the epoch restarted, under one
+// psync — O(Procs × ring size) and nothing is freed, so recovery never adds
+// a block to a free list without a full mark. Blocks the crash caught on a
+// free list or in a ring are abandoned and counted, in words, as garbage;
+// on top of them a crash leaks, unaccounted, at most one attempt's fresh
+// or unlinked nodes plus its tracking record per process. Only when the
+// accounted garbage has caught up with the rest of the carved heap
+// (garbage × 2 ≥ words carved) does the same call run the conservative
+// scan instead: every block
+// reachable from a structure root or referenced by an announced
+// operation's tracking record survives (transitively) and all other blocks
 // return to the free lists. The scan is conservative in one direction
-// only: a node may survive that would eventually have been freed (it is
-// simply retired again later), but a reachable node is never freed. The
-// reclaimer is frozen during the per-process recovery sweep so that an
-// early process's re-invoked operation cannot free a block a later
-// process's tracking record still names.
+// only: a node may survive that would eventually have been freed, but a
+// reachable node is never freed. What this relies on besides the heap is
+// the reclaimer's Go-side block states and counters, which survive a
+// simulated crash exactly as the heap's bump pointer does. The reclaimer
+// is frozen during the per-process recovery sweep so that an early
+// process's re-invoked operation cannot free a block a later process's
+// tracking record still names. LastScan reports which path ran.
 func (r *Runtime) RecoverAll() []ProcReport {
 	if r.reclaimer != nil {
 		p0 := r.h.Proc(0)
-		r.lastScan = r.reclaimer.Scan(p0, func(mark func(pmem.Addr)) { r.markAll(p0, mark) })
+		// Hint repair is its own step, run at every crash before the
+		// reclaimer's psync, because most recoveries never mark. Only the
+		// Queue keeps a volatile-only word (Tail) a crash can leave
+		// pointing into recycled memory; List, HashMap, BST and Stack
+		// have none.
+		for _, s := range r.structs {
+			if q, ok := s.(*Queue); ok {
+				q.q.RepairTail(p0)
+			}
+		}
+		r.lastScan = r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
 		r.scanned = true
-		for _, e := range r.engines {
-			// Pending last-op retirements name pre-crash blocks the scan
-			// just re-homed; retiring them now would free live memory.
-			e.ForgetRetired()
+		if r.lastScan.Full {
+			for _, e := range r.engines {
+				// Pending last-op retirements name pre-crash blocks the scan
+				// may just have swept and re-homed; retiring them now would
+				// free live memory. (A fast recovery freed nothing, so there
+				// they stay pending and retire on schedule.)
+				e.ForgetRetired()
+			}
 		}
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
@@ -551,33 +580,26 @@ type reachMarker interface {
 	MarkReachable(p *Proc, mark func(pmem.Addr))
 }
 
-// markAll feeds the reclaimer's scan the transitive closure of every block
-// that must survive the crash. Seeds: each structure's root walk (sentinels
-// and linked nodes) and each engine's announced tracking records. Closure:
-// every word of a surviving block is treated as a possible pointer (with
-// the ISB tag bit stripped) — if it lands in a reclaimer block, that block
-// survives too. This keeps record-referenced fresh copies (an enqueue's
-// new node, a push's top copy) live even though no root reaches them yet,
-// at the cost of over-retaining blocks whose payload words merely look
-// like addresses — safe, merely conservative.
-func (r *Runtime) markAll(p *Proc, mark func(pmem.Addr)) {
-	rec := r.reclaimer
-	visited := make(map[pmem.Addr]uint64) // block start -> words
-	var work []pmem.Addr
+// markAll marks, for the reclaimer's scan, the transitive closure of every
+// block that must survive the crash. Seeds: each structure's root walk
+// (sentinels and linked nodes) and each engine's announced tracking
+// records. Closure: every word of a newly marked block is treated as a
+// possible pointer (with the ISB tag bit stripped) — if it lands in a
+// reclaimer block, that block survives too. This keeps record-referenced
+// fresh copies (an enqueue's new node, a push's top copy) live even though
+// no root reaches them yet, at the cost of over-retaining blocks whose
+// payload words merely look like addresses — safe, merely conservative.
+// The scan's own mark bit is the visited set (pmem.Reclaimer.MarkBlock).
+func (r *Runtime) markAll(p *Proc) {
+	type block struct {
+		start pmem.Addr
+		words uint64
+	}
+	var work []block
 	seed := func(a pmem.Addr) {
-		if a == pmem.Null {
-			return
+		if start, words, fresh := r.reclaimer.MarkBlock(a); fresh {
+			work = append(work, block{start, words})
 		}
-		start, words, ok := rec.BlockOf(a)
-		if !ok {
-			return // arena/registry memory: not reclaimer-owned
-		}
-		if _, seen := visited[start]; seen {
-			return
-		}
-		visited[start] = words
-		mark(start)
-		work = append(work, start)
 	}
 	for _, s := range r.structs {
 		if m, ok := s.(reachMarker); ok {
@@ -588,13 +610,31 @@ func (r *Runtime) markAll(p *Proc, mark func(pmem.Addr)) {
 		e.MarkReachable(p, seed)
 	}
 	for len(work) > 0 {
-		start := work[len(work)-1]
+		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		words := visited[start]
-		for i := uint64(0); i < words; i++ {
-			seed(pmem.Addr(p.Load(start+pmem.Addr(i)) &^ 1))
+		for i := uint64(0); i < b.words; i++ {
+			seed(pmem.Addr(p.Load(b.start+pmem.Addr(i)) &^ 1))
 		}
 	}
+}
+
+// AuditReclaim checks the reclaimer's books against reachability without
+// changing anything (test plumbing; call at quiescence with Config.Reclaim
+// on). MarkedHeld comes from the structures' own root walks alone — exact
+// reachability, where the closure's conservative guesses would raise false
+// alarms — and the census from the full closure markAll computes.
+func (r *Runtime) AuditReclaim() pmem.AuditReport {
+	p0 := r.h.Proc(0)
+	roots := r.reclaimer.Audit(func(mark func(pmem.Addr)) {
+		for _, s := range r.structs {
+			if m, ok := s.(reachMarker); ok {
+				m.MarkReachable(p0, mark)
+			}
+		}
+	})
+	rep := r.reclaimer.Audit(func(func(pmem.Addr)) { r.markAll(p0) })
+	rep.MarkedHeld = roots.MarkedHeld
+	return rep
 }
 
 // List is a detectably recoverable sorted set of uint64 keys (paper
@@ -710,7 +750,7 @@ func (q *Queue) RecoverDequeue(p *Proc) (uint64, bool) {
 func (q *Queue) Begin(p *Proc) { q.q.Begin(p) }
 
 // MarkReachable reports the queue's reachable nodes to the post-crash
-// reclamation scan and repairs the volatile Tail hint.
+// reclamation scan.
 func (q *Queue) MarkReachable(p *Proc, mark func(pmem.Addr)) { q.q.MarkReachable(p, mark) }
 
 // Values snapshots the queue front-to-back (requires quiescence).
