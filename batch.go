@@ -97,9 +97,9 @@ func readOnlyKind(k StructKind, kind uint64) bool {
 	}
 }
 
-// EngineCounters reports the cumulative batching/fast-path counters of the
+// EngineCounters reports the cumulative deferral/fast-path counters of the
 // engine backing s, summed across processes (see isb.Stats): psyncs elided
-// by batch deferral and operations served by the zero-persist read path.
+// inside sync scopes and operations served by the zero-persist read path.
 // ok is false for structures without a batch surface (the exchanger).
 func (r *Runtime) EngineCounters(s Structure) (batchSyncs, readFast uint64, ok bool) {
 	ba, isBatch := s.(batchApplier)
@@ -209,6 +209,11 @@ func (s *Stack) Top(p *Proc) (uint64, bool) { return s.s.Top(p) }
 //
 // A single-element batch is admitted as a plain operation, and structures
 // without a batch surface (the exchanger) fall back to sequential Apply.
+// The fallback is Begin + Apply, so it charges Begin's psync on top of each
+// operation's own price, finds included: Begin is what durably retires the
+// previous announcement ahead of an operation that may announce nothing (a
+// zero-persist find), which keeps a later RecoverAll report from being the
+// previous operation's. Callers that do not need that call Apply directly.
 func (r *Runtime) ApplyBatch(p *Proc, s Structure, ops []Op) []Resp {
 	if len(ops) == 0 {
 		return nil

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isb"
@@ -189,6 +190,136 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 				e.name, txn.SyncsPerOp(), single.SyncsPerOp())
 		}
 		t.Logf("%s: two-singles %.3f syncs/pair, txn %.3f syncs/pair", e.name, single.SyncsPerOp(), txn.SyncsPerOp())
+	}
+}
+
+// TestAdmissionSyncPrice pins what each admission shape charges, in exact
+// psyncs on one Proc. Under Isb-Opt every shape is one sync scope — a begin
+// psync and a closing one — whatever it admits: a successful update, a
+// failed one, a window of 1 or of 16, a two-leg transaction; a find is free.
+// The Isb rows are Algorithms 1–2's written placement (begin, CP_q := 1,
+// install, one per Help phase, and the hash map's shard register), counted
+// at the commit before single ops and transactions got a scope: they are the
+// reproduction's reference curve and must not move.
+func TestAdmissionSyncPrice(t *testing.T) {
+	type price struct {
+		find, update, failed, window1, window16, txn, enq, deq, push, pop uint64
+	}
+	want := map[EngineKind]price{
+		EngineIsb:    {find: 0, update: 7, failed: 4, window1: 2, window16: 17, txn: 12, enq: 6, deq: 6, push: 6, pop: 6},
+		EngineIsbOpt: {find: 0, update: 2, failed: 2, window1: 2, window16: 2, txn: 2, enq: 2, deq: 2, push: 2, pop: 2},
+	}
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: e.kind})
+			m, q, s := rt.NewHashMap(4), rt.NewQueue(), rt.NewStack(0) // no elimination: the central-stack path
+			p := rt.Proc(0)
+			for k := uint64(1); k <= 64; k += 2 {
+				m.Insert(p, k)
+			}
+			q.Enqueue(p, 1)
+			s.Push(p, 1)
+			window16 := make([]Op, 16)
+			for i := range window16 {
+				window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
+			}
+			w := want[e.kind]
+			for _, c := range []struct {
+				name  string
+				want  uint64
+				admit func()
+			}{
+				{"find", w.find, func() { m.Apply(p, Op{Kind: OpFind, Arg: 1}) }},
+				{"successful update", w.update, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 2}) }},
+				{"failed update", w.failed, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 1}) }},
+				{"ApplyWindow of 1", w.window1, func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 4}}) }},
+				{"ApplyWindow of 16", w.window16, func() { rt.ApplyWindow(p, m, window16) }},
+				{"ApplyTxn(delete, insert)", w.txn, func() {
+					rt.ApplyTxn(p,
+						TxnLeg{S: m, Op: Op{Kind: OpDelete, Arg: 1}},
+						TxnLeg{S: m, Op: Op{Kind: OpInsert, Arg: 6}})
+				}},
+				{"enqueue", w.enq, func() { q.Apply(p, Op{Kind: OpEnq, Arg: 7}) }},
+				{"dequeue", w.deq, func() { q.Apply(p, Op{Kind: OpDeq}) }},
+				{"push", w.push, func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+				{"pop", w.pop, func() { s.Apply(p, Op{Kind: OpPop}) }},
+			} {
+				before := rt.Heap().TotalStats().Syncs
+				c.admit()
+				if got := rt.Heap().TotalStats().Syncs - before; got != c.want {
+					t.Errorf("%s: %d psyncs, want %d", c.name, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestIndividualCrashClosesScope is the RecoverAll half of the scope
+// teardown (internal/isb's TestScopeCrashTeardown is the RecoverOp half): a
+// process that fails individually — no Restart, so Heap.finishReset never
+// runs — at every access of a window and of a transaction leaves its sync
+// scope open. RecoverAll must close it, or every later sync point of that
+// process would defer with nothing to close over them: afterwards the
+// store equals the model and the next update pays exactly 2 psyncs.
+func TestIndividualCrashClosesScope(t *testing.T) {
+	window := []Op{{Kind: OpInsert, Arg: 20}, {Kind: OpDelete, Arg: 30}, {Kind: OpInsert, Arg: 25}}
+	move := []Op{{Kind: OpDelete, Arg: 30}, {Kind: OpInsert, Arg: 30}}
+	for _, shape := range []struct {
+		name             string
+		pending          []Op
+		wantSrc, wantDst []uint64
+	}{
+		{"window", window, []uint64{10, 20, 25}, nil},
+		{"txn", move, []uint64{10}, []uint64{30}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			crashes := 0
+			for off := uint64(1); ; off++ {
+				rt := New(Config{Procs: 1, HeapWords: 1 << 18, CrashSim: true, Engine: EngineIsbOpt})
+				src, dst := rt.NewHashMap(2), rt.NewHashMap(2)
+				p := rt.Proc(0)
+				src.Insert(p, 10)
+				src.Insert(p, 30)
+				admit := func(ops []Op) {
+					if shape.name == "txn" {
+						rt.ApplyTxn(p, TxnLeg{S: src, Op: ops[0]}, TxnLeg{S: dst, Op: ops[1]})
+					} else {
+						rt.ApplyWindow(p, src, ops)
+					}
+				}
+				p.ScheduleSelfCrash(off)
+				crashed := !rt.Run(func() { admit(shape.pending) })
+				p.CancelSelfCrash()
+				if !crashed {
+					break // the admission outran the offset: every access was covered
+				}
+				crashes++
+				resolved := 0
+				for _, rep := range rt.RecoverAll() {
+					resolved = MatchReport(rep, shape.pending, func(int, Op, Resp) {})
+				}
+				if p.InSyncScope() {
+					t.Fatalf("offset %d: a sync scope is still open after RecoverAll", off)
+				}
+				if resolved < len(shape.pending) {
+					admit(shape.pending[resolved:])
+				}
+				if ks := src.Keys(); !slices.Equal(ks, shape.wantSrc) {
+					t.Fatalf("offset %d: source keys %v, want %v", off, ks, shape.wantSrc)
+				}
+				if ks := dst.Keys(); !slices.Equal(ks, shape.wantDst) {
+					t.Fatalf("offset %d: destination keys %v, want %v", off, ks, shape.wantDst)
+				}
+				before := rt.Heap().TotalStats().Syncs
+				src.Apply(p, Op{Kind: OpInsert, Arg: 40})
+				if got := rt.Heap().TotalStats().Syncs - before; got != 2 {
+					t.Fatalf("offset %d: the next update cost %d psyncs, want 2", off, got)
+				}
+			}
+			if crashes < 50 {
+				t.Fatalf("only %d crash points exercised; the sweep is not reaching inside the admission", crashes)
+			}
+		})
 	}
 }
 

@@ -51,9 +51,10 @@ func randomOp(rng *rand.Rand) repro.Op {
 }
 
 // measureSyncDrop replays the same seeded crash-free workload through
-// one-at-a-time admission and through batch=16 windows on fresh stores
-// (batched Isb-Opt engine) and returns the measured psyncs per operation
-// for each.
+// one-at-a-time admission (HashMap.Apply, not ApplyBatch's single-element
+// fallback, which charges a Begin psync on top of every operation, finds
+// included) and through batch=16 windows on fresh stores (batched Isb-Opt
+// engine) and returns the measured psyncs per operation for each.
 func measureSyncDrop() (single, batched float64) {
 	run := func(batch int) float64 {
 		const ops = 2048
@@ -64,6 +65,10 @@ func measureSyncDrop() (single, batched float64) {
 		rt.Heap().ResetAllStats()
 		win := make([]repro.Op, 0, batch)
 		for i := 0; i < ops; i++ {
+			if batch == 1 {
+				m.Apply(p, randomOp(rng))
+				continue
+			}
 			win = append(win, randomOp(rng))
 			if len(win) == batch {
 				rt.ApplyBatch(p, m, win)
@@ -126,6 +131,19 @@ func main() {
 					pending = append(pending, randomOp(rng))
 				}
 				for len(pending) > 0 {
+					// The system-side invocation step, before every
+					// submission: durably retire this worker's previous
+					// announcement, so that a report after a crash can only
+					// be about THIS submission. Without it a crash ahead of
+					// the new announcement re-reports the old one — for a
+					// re-submitted remainder, the crashed window's own — and
+					// its entries can equal the pending operations (worker
+					// 3's sixth window holds "delete 19" first and last). A
+					// crash inside Begin submitted nothing: drop its report.
+					for !rt.Run(func() { store.Begin(p) }) {
+						group.Park()
+						group.Report(w)
+					}
 					batch := pending
 					var out []repro.Resp
 					if rt.Run(func() { out = rt.ApplyBatch(p, store, batch) }) {

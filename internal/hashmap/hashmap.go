@@ -102,13 +102,13 @@ func (m *Map) reg(p *pmem.Proc) pmem.Addr {
 // operation touches its bucket, let alone persists any effect — covers the
 // register's pwb. A crash inside that window leaves the register possibly
 // unpersisted, but then the operation made no changes and Recover's
-// empty/stale-register path re-hashes the key. Inside a batch window the
-// psync defers likewise, to the op boundary or batch-end sync.
+// empty/stale-register path re-hashes the key. Inside a sync scope (an Isb
+// batch window) the psync defers likewise, to the op boundary.
 func (m *Map) recordShard(p *pmem.Proc, s int) {
 	r := m.reg(p)
 	p.Store(r, uint64(s)+1)
 	p.PWB(r)
-	if m.e.Batched() || m.e.InBatch(p) {
+	if m.e.Batched() || p.InSyncScope() {
 		return
 	}
 	p.PSync()

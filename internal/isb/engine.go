@@ -116,9 +116,20 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64) {
 // psync, then attempts of gather → helping phase → install Info → pbarrier
 // over the record and the NewSet → RD_q := info + pwb + psync → read-only
 // fast return or Help → return result if set.
+//
+// Under the Isb placement every one of those psyncs issues where it is
+// written. Under Isb-Opt the operation is a sync scope of one: the begin
+// psync opens it, every sync point after it defers, and one psync closes it
+// before the response is returned — what a batch window of one pays.
 func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	e.BeginOpFor(p, opType, argKey)
-	return e.runAttempts(p, opType, argKey, gather)
+	if !e.Batched() {
+		return e.runAttempts(p, opType, argKey, gather)
+	}
+	p.OpenSyncScope()
+	r := e.runAttempts(p, opType, argKey, gather)
+	p.CloseSyncScope()
+	return r
 }
 
 // runAttempts is RunOp after the system-side CP_q := 0 step; Recover's
@@ -285,13 +296,12 @@ func (e *Engine) Recover(p *pmem.Proc, opType, argKey uint64, gather Gather) uin
 // operation if its stamped sequence matches, so a crashed batch whose cursor
 // says "op seq is in flight" can never resolve op seq from a neighbouring
 // op's record, even when consecutive batch ops share (kind, arg). Recovery
-// always runs outside any batch window: the calling process's sync deferral
-// is torn down first, and a re-invoked attempt stamps seq so that a further
-// crash re-attributes it correctly.
+// always runs eager: the sync scope the crash interrupted, if any, is torn
+// down first, and a re-invoked attempt stamps seq so that a further crash
+// re-attributes it correctly.
 func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
-	id := p.ID()
-	e.batchMode[id] = syncEager
-	e.curSeq[id] = seq
+	p.ResetSyncScope()
+	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
 	if p.Load(cp) == 0 || info == pmem.Null {
@@ -333,9 +343,7 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 // stamps). Announcing is the caller's job too: the transaction announcement
 // (pmem.Proc.AnnounceTxn) replaces the per-op announcement.
 func (e *Engine) BeginTxnLeg(p *pmem.Proc) {
-	id := p.ID()
-	e.batchMode[id] = syncEager
-	e.curSeq[id] = 0
+	e.curSeq[p.ID()] = 0
 	cp := e.cp(p)
 	p.Store(cp, 0)
 	p.PWB(cp)
@@ -352,9 +360,8 @@ func (e *Engine) BeginTxnLeg(p *pmem.Proc) {
 // tagging attempt's expected info values cannot recur) — instead of
 // running attempts. Idempotent and re-invocable across further crashes.
 func (e *Engine) ResolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, bool) {
-	id := p.ID()
-	e.batchMode[id] = syncEager
-	e.curSeq[id] = seq
+	p.ResetSyncScope()
+	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
 	if p.Load(cp) == 0 || info == pmem.Null {
@@ -405,12 +412,12 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // opAt) on the calling process: the cross-operation generalization of
 // BeginOpFor. One durable batch announcement — header, op slots, checksum —
 // replaces n per-op announcements, and the whole begin sequence rides ONE
-// psync. Inside the window the engine's sync points defer (to each op
-// boundary under the eager Isb placement, to the batch-end psync under
-// Isb-Opt) and write-backs overlap clwb-style (pmem.Proc.SetPWBOverlap);
-// both are pure cost/accounting changes — every pwb still applies its line
-// write-back synchronously, so the reachable crash states are exactly those
-// of the unbatched execution.
+// psync. The window is a sync scope (pmem.Proc.OpenSyncScope): inside it
+// the engine's sync points defer — to each op boundary under the eager Isb
+// placement, to the batch-end psync under Isb-Opt — and write-backs overlap
+// clwb-style; both are pure cost/accounting changes — every pwb still
+// applies its line write-back synchronously, so the reachable crash states
+// are exactly those of the unbatched execution.
 //
 // The write order generalizes BeginOpFor's and is equally load-bearing:
 // clear the old announcement, persist CP_q := 0, then publish the batch
@@ -422,8 +429,9 @@ func (e *Engine) BeginBatch(p *pmem.Proc, n int, opAt func(i int) (kind, arg uin
 	if e.annID == 0 {
 		panic("isb: BeginBatch on a non-announcing engine")
 	}
-	id := p.ID()
-	p.SetPWBOverlap(true)
+	// Opened ahead of the begin sequence so that its write-backs overlap
+	// too; the begin psync below is explicit, not an engine sync point.
+	p.OpenSyncScope()
 	cp := e.cp(p)
 	p.ClearAnnounce()
 	p.Store(cp, 0)
@@ -431,12 +439,7 @@ func (e *Engine) BeginBatch(p *pmem.Proc, n int, opAt func(i int) (kind, arg uin
 	p.AnnounceBatch(e.annID, n, opAt)
 	e.retireLast(p) // see BeginOp: before the psync, after CP_q's pwb
 	p.PSync()
-	if e.Batched() {
-		e.batchMode[id] = syncPerBatch
-	} else {
-		e.batchMode[id] = syncPerOp
-	}
-	e.curSeq[id] = 0
+	e.curSeq[p.ID()] = 0
 }
 
 // BatchBoundary closes batch operation seq-1 and opens operation seq: the
@@ -452,10 +455,10 @@ func (e *Engine) BatchBoundary(p *pmem.Proc, seq int, prevResp uint64) {
 	id := p.ID()
 	p.SetBatchResult(seq-1, prevResp)
 	p.AdvanceBatchCursor(seq)
-	if e.batchMode[id] == syncPerOp {
-		p.PSync()
-	} else {
+	if e.Batched() {
 		e.batchSyncs[id]++
+	} else {
+		p.PSync()
 	}
 	e.retireLast(p)
 	e.curSeq[id] = uint64(seq)
@@ -486,9 +489,6 @@ func (e *Engine) RunBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather
 // is only cleared by the process's next Begin — so a crash after EndBatch
 // still resolves every op of the batch from the record.
 func (e *Engine) EndBatch(p *pmem.Proc) {
-	id := p.ID()
-	p.SetPWBOverlap(false)
-	e.batchMode[id] = syncEager
-	e.curSeq[id] = 0
-	p.PSync()
+	e.curSeq[p.ID()] = 0
+	p.CloseSyncScope()
 }

@@ -201,6 +201,9 @@ type Engine struct {
 	h    *pmem.Heap
 	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP
 	pers []Persister
+	// batched caches pers[0].Batched(): the admission paths branch on the
+	// placement once or twice per operation.
+	batched bool
 	// specs are per-process attempt-spec scratch records. A Spec passed to
 	// a Gather callback by address escapes analysis, so a stack-local one
 	// would cost one heap allocation per operation; each process instead
@@ -233,26 +236,14 @@ type Engine struct {
 	lastInfo []pmem.Addr
 	// cookieCtr feeds cookie (see there), one counter per process.
 	cookieCtr []uint64
-	// batchMode selects, per process, where engine sync points go: syncEager
-	// outside a batch window, syncPerOp (Isb: one psync per op boundary) or
-	// syncPerBatch (Isb-Opt: one psync per batch) inside one. Go-side on
-	// purpose: a crash tears the window down (RecoverAll resets the modes and
-	// every recovery entry point forces syncEager for the calling process).
-	batchMode []uint8
 	// curSeq is the batch sequence number install stamps into Info records
-	// (offSeq); 0 outside a batch window.
+	// (offSeq); 0 outside a batch window. Every path to install sets it
+	// first (BeginOpFor, RunBatchOp, RecoverSeq), so a crash needs no reset.
 	curSeq []uint64
 	// batchSyncs/readFast back Counters (see isb.Stats).
 	batchSyncs []uint64
 	readFast   []uint64
 }
-
-// batchMode values.
-const (
-	syncEager    uint8 = iota // no batch window: every sync point issues a psync
-	syncPerOp                 // Isb batch window: sync points defer to the op boundary
-	syncPerBatch              // Isb-Opt batch window: sync points defer to batch end
-)
 
 // NewEngine allocates RD/CP lines for every process of the heap, with the
 // paper's Algorithm 1/2 persistence placement (the "Isb" curve).
@@ -285,7 +276,6 @@ func NewEngineWith(h *pmem.Heap, mk func(p *pmem.Proc) Persister) *Engine {
 		alloc:      pmem.Arena{},
 		lastInfo:   make([]pmem.Addr, h.NumProcs()),
 		cookieCtr:  make([]uint64, h.NumProcs()),
-		batchMode:  make([]uint8, h.NumProcs()),
 		curSeq:     make([]uint64, h.NumProcs()),
 		batchSyncs: make([]uint64, h.NumProcs()),
 		readFast:   make([]uint64, h.NumProcs()),
@@ -293,6 +283,7 @@ func NewEngineWith(h *pmem.Heap, mk func(p *pmem.Proc) Persister) *Engine {
 	for i := range e.pers {
 		e.pers[i] = mk(h.Proc(i))
 	}
+	e.batched = e.pers[0].Batched()
 	return e
 }
 
@@ -355,7 +346,7 @@ func (e *Engine) ForgetRetired() {
 // boundaries (the Isb-Opt placement). Structures use it to fold their own
 // auxiliary persistence (e.g. the hash map's shard register) into the
 // engine's barriers.
-func (e *Engine) Batched() bool { return e.pers[0].Batched() }
+func (e *Engine) Batched() bool { return e.batched }
 
 // Variant names the persistence placement: "isb" or "isb-opt".
 func (e *Engine) Variant() string {
@@ -373,41 +364,36 @@ func (e *Engine) rd(p *pmem.Proc) pmem.Addr {
 }
 func (e *Engine) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
 
-// opSync is the engine-side psync point: outside a batch window it issues a
-// psync; inside one it is deferred — counted, and paid at the op boundary
-// (Isb) or the batch-end psync (Isb-Opt). Deferral never changes
-// crash-visible state: every pwb writes its line back synchronously, so a
-// psync's only simulated effects are ordering cost and accounting.
+// opSync is the engine-side psync point: outside a sync scope it issues a
+// psync; inside one (pmem.Proc.OpenSyncScope) it is deferred — counted, and
+// paid by the scope's closing psync (or, in an Isb batch window, by the op
+// boundary's). Deferral never changes crash-visible state: every pwb writes
+// its line back synchronously, so a psync's only simulated effects are
+// ordering cost and accounting.
 func (e *Engine) opSync(p *pmem.Proc) {
-	id := p.ID()
-	if e.batchMode[id] == syncEager {
-		p.PSync()
+	if p.InSyncScope() {
+		e.batchSyncs[p.ID()]++
 		return
 	}
-	e.batchSyncs[id]++
+	p.PSync()
 }
 
 // endPhase closes a persistence phase: flush the persister's accumulated
 // write-backs (a no-op for the eager placement, which wrote back per store)
-// and hit the engine's sync point.
+// and hit the engine's sync point. Inside a sync scope only the write-backs
+// happen now.
 func (e *Engine) endPhase(p *pmem.Proc, per Persister) {
-	if e.batchMode[p.ID()] == syncEager {
-		per.EndPhase()
+	if p.InSyncScope() {
+		per.Flush()
+		e.batchSyncs[p.ID()]++
 		return
 	}
-	// Inside a batch window the phase's psync defers to the op boundary
-	// (Isb) or batch end (Isb-Opt); only the write-backs happen now.
-	per.Flush()
-	e.batchSyncs[p.ID()]++
+	per.EndPhase()
 }
 
 // NoteReadFast counts one operation served by the zero-persist read-only
 // fast path (structures call it from their volatile-traversal reads).
 func (e *Engine) NoteReadFast(p *pmem.Proc) { e.readFast[p.ID()]++ }
-
-// InBatch reports whether p is inside an open batch window (structures use
-// it to defer their own auxiliary psyncs to the window's boundaries).
-func (e *Engine) InBatch(p *pmem.Proc) bool { return e.batchMode[p.ID()] != syncEager }
 
 // Counters sums the engine's batching/fast-path counters across processes
 // (see isb.Stats for the per-op view).
@@ -417,16 +403,6 @@ func (e *Engine) Counters() (batchSyncs, readFast uint64) {
 		readFast += e.readFast[i]
 	}
 	return
-}
-
-// ResetBatchState tears down any batch window a crash interrupted: sync
-// deferral modes and sequence counters revert to the single-op defaults.
-// Runtime.RecoverAll calls it before the per-process recovery sweep.
-func (e *Engine) ResetBatchState() {
-	for i := range e.batchMode {
-		e.batchMode[i] = syncEager
-		e.curSeq[i] = 0
-	}
 }
 
 // SetAnnounceID registers the runtime structure ID this engine announces
@@ -446,7 +422,6 @@ func (e *Engine) AnnounceID() uint64 { return e.annID }
 // could re-invoke (duplicate) the previous, completed operation — with the
 // single existing psync covering both lines.
 func (e *Engine) BeginOp(p *pmem.Proc) {
-	e.batchMode[p.ID()] = syncEager
 	e.curSeq[p.ID()] = 0
 	if e.annID != 0 {
 		p.ClearAnnounce()
@@ -496,7 +471,6 @@ func (e *Engine) AnnounceFor(p *pmem.Proc, opType, argKey uint64) {
 //     response instead of running this operation;
 //  3. announce — durable before the operation can take any effect.
 func (e *Engine) BeginOpFor(p *pmem.Proc, opType, argKey uint64) {
-	e.batchMode[p.ID()] = syncEager
 	e.curSeq[p.ID()] = 0
 	cp := e.cp(p)
 	if e.annID != 0 {

@@ -15,9 +15,10 @@ type Stats struct {
 	// Mem is the heap's persistence-instruction counters for the window
 	// (typically Heap.TotalStats() deltas).
 	Mem pmem.Stats
-	// BatchSyncs counts psyncs elided by cross-operation batch deferral:
-	// engine sync points that, inside a batch window, were merged into an
-	// op-boundary (Isb) or batch-end (Isb-Opt) psync instead of issuing.
+	// BatchSyncs counts psyncs elided by deferral: engine sync points that,
+	// inside a sync scope (a batch window under either engine; under
+	// Isb-Opt also a single operation or a transaction), were merged into
+	// an op-boundary (Isb window) or scope-closing psync instead of issuing.
 	BatchSyncs uint64
 	// ReadFastPath counts operations served by the zero-persist read-only
 	// fast path (no Info record, no pwb, no psync).

@@ -477,7 +477,7 @@ func (h *Heap) resetAfterCrashFull() {
 func (h *Heap) finishReset() {
 	for _, p := range h.procs {
 		p.crashed = false
-		p.overlapPWB = false // batch windows do not survive a crash
+		p.ResetSyncScope() // no admission survives a crash
 	}
 	h.epoch.Add(1)
 	h.crashing.Store(false)

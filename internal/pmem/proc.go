@@ -33,12 +33,17 @@ type Proc struct {
 	// flushLines); its capacity is retained across barriers.
 	lineScratch []Addr
 
-	// overlapPWB, when set, models clwb-style overlapped write-backs inside
-	// a batched-admission window: PWB still applies its line write-back
-	// synchronously (crash semantics and counters are unchanged) but skips
-	// the simulated clflush latency — the wait is paid once, at the window's
-	// closing psync. Cleared on crash reset (see Heap.finishReset).
-	overlapPWB bool
+	// syncScope is set while an admission — one operation, a batch window or
+	// a transaction — has a sync scope open on this process: the ISB engines'
+	// sync points defer to the scope's one closing psync instead of issuing,
+	// and PWB, which still applies its line write-back synchronously (crash
+	// semantics and counters are unchanged), skips the simulated clflush
+	// latency — the wait is paid once, at the close. Per process, not per
+	// engine: a transaction spans two engines and a process is in one
+	// admission at a time. Volatile on purpose: a crash abandons the scope,
+	// and ResetSyncScope — from Heap.finishReset for a system crash, from
+	// every recovery entry point for an individual one — is the one teardown.
+	syncScope bool
 
 	spinSink uint64 // defeats dead-code elimination of latency spins
 }
@@ -162,6 +167,14 @@ func (p *Proc) afterWrite(a Addr) {
 // ISB protocol's cross-crash ABA argument (info-field values never recur,
 // even through a crash) relies on tag CASes being durable right after their
 // pwb. PSync retains its ordering/accounting role (the authors' mfence).
+//
+// What hardware this models: deferring a psync (see OpenSyncScope) is sound
+// exactly where a write-back completes before the issuing process's next
+// store can reach NVM — clflush, which the paper's evaluation used and this
+// method implements. On clwb-class hardware, where a write-back may still be
+// in flight when later stores drain, the psync between phases is what orders
+// them, and the written placement (isb.NewEngine, the Isb curve) is the one
+// to run.
 func (p *Proc) PWB(a Addr) {
 	p.checkCrash()
 	if p.h.model == PrivateCache {
@@ -173,7 +186,7 @@ func (p *Proc) PWB(a Addr) {
 
 // pwb is the uncounted core of PWB, shared with PBarrier.
 func (p *Proc) pwb(a Addr) {
-	if p.h.pwbSpin > 0 && !p.overlapPWB {
+	if p.h.pwbSpin > 0 && !p.syncScope {
 		p.spin(p.h.pwbSpin)
 	}
 	if p.h.tracked {
@@ -321,12 +334,25 @@ func (p *Proc) ClearAnnounce() {
 	p.PWB(a)
 }
 
-// SetPWBOverlap switches clwb-style overlapped write-backs on or off for
-// this process (see the overlapPWB field). The engines enable it for the
-// duration of a batched-admission window and disable it at the window's
-// closing psync; it never changes crash-visible state or instruction counts,
-// only the simulated latency attribution.
-func (p *Proc) SetPWBOverlap(on bool) { p.overlapPWB = on }
+// OpenSyncScope opens a sync scope on this process (see the syncScope
+// field). The caller has just issued the psync that publishes the
+// admission's announcement; CloseSyncScope issues the one that ends it.
+func (p *Proc) OpenSyncScope() { p.syncScope = true }
+
+// CloseSyncScope closes the open sync scope with the single psync every
+// deferred sync point and overlapped write-back was waiting for.
+func (p *Proc) CloseSyncScope() {
+	p.syncScope = false
+	p.PSync()
+}
+
+// ResetSyncScope abandons a sync scope a crash interrupted, without the
+// closing psync: recovery runs with every sync point eager and every pwb at
+// full latency.
+func (p *Proc) ResetSyncScope() { p.syncScope = false }
+
+// InSyncScope reports whether a sync scope is open on this process.
+func (p *Proc) InSyncScope() bool { return p.syncScope }
 
 // AnnounceBatch durably records that this process is about to execute a
 // batch of n operations (1 ≤ n ≤ MaxBatch) on the structure with registry ID

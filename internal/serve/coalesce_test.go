@@ -141,6 +141,37 @@ func TestWindowCoalescing(t *testing.T) {
 	}
 }
 
+// TestServeMoveSyncPrice pins the other admission shape the server uses: a
+// MOVE is one ApplyTxn, and under Isb-Opt a transaction is one sync scope —
+// the begin psync that publishes its announcement and the one that closes
+// it — so a MOVE whose two legs both take effect costs the server's heap
+// exactly the 2 psyncs a window costs (serve_pingpong's syncs/op rests on
+// this count).
+func TestServeMoveSyncPrice(t *testing.T) {
+	cfg := coalesceConfig(false)
+	cfg.Gated = false
+	s := serve.New(cfg)
+	ln := serve.NewMemListener()
+	go s.Serve(ln)
+	t.Cleanup(s.Close)
+	c := dial(t, ln, 1)
+	if fresh, err := c.Put(1); err != nil || !fresh {
+		t.Fatalf("put: fresh=%v err=%v", fresh, err)
+	}
+	heap := s.Runtime().Heap()
+	before := heap.TotalStats().Syncs
+	deleted, inserted, err := c.Move(1, 9)
+	if err != nil || !deleted || !inserted {
+		t.Fatalf("move: deleted=%v inserted=%v err=%v, want both legs to take effect", deleted, inserted, err)
+	}
+	if got := heap.TotalStats().Syncs - before; got != 2 {
+		t.Fatalf("one MOVE cost %d psyncs, want 2", got)
+	}
+	if st := s.Snapshot(); st.Procs[0].Moves != 1 {
+		t.Fatalf("admitted %d MOVE windows, want 1", st.Procs[0].Moves)
+	}
+}
+
 // TestWindowCoalescingAcrossCrash pins the crash path: the replies of the
 // prefix MatchReport proves durable leave as one batch, and the re-admitted
 // suffix as another, so a window crashed once costs at most two Writes —

@@ -498,15 +498,13 @@ func (r *Runtime) RecoverAll() []ProcReport {
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
 	}
-	// A crash can land inside a batch window; the engines' volatile batch
-	// state (sync deferral mode, sequence stamps) must not leak into the
-	// recovery sweep or the operations after it.
-	for _, e := range r.engines {
-		e.ResetBatchState()
-	}
 	var out []ProcReport
 	for id := 0; id < r.h.NumProcs(); id++ {
 		p := r.h.Proc(id)
+		// A crash can land inside any admission's sync scope, and an
+		// individual failure does not pass through Heap.finishReset: the
+		// recovery sweep and the operations after it run eager.
+		p.ResetSyncScope()
 		if rep, ok := r.recoverTxn(id); ok {
 			out = append(out, rep)
 			continue

@@ -74,7 +74,12 @@ func (r *Runtime) BeginTxn(p *Proc) {
 // a durable commit point, then leg 2; both responses are returned in leg
 // order. The whole admission — CP resets on every involved engine plus ONE
 // durable transaction announcement naming both legs — rides a single
-// psync, exactly like a batch window's begin.
+// psync, exactly like a batch window's begin. Under EngineIsbOpt the rest of
+// the transaction is one sync scope, as a batch window is: both legs' sync
+// points defer to a single psync after leg 2's result slot, so a
+// transaction costs the two psyncs a window costs; the commit point between
+// the legs is a synchronous pwb under both engines. EngineIsb keeps the
+// written placement, every leg psync where Algorithms 1–2 put it.
 //
 // The crash contract (see RecoverAll and TxnReport): a crashed transaction
 // resolves into exactly one of three classes — no-effect (leg 1 provably
@@ -121,6 +126,10 @@ func (r *Runtime) ApplyTxn(p *Proc, leg1, leg2 TxnLeg) (Resp, Resp) {
 		flags,
 	)
 	p.PSync()
+	scoped := e1.Batched()
+	if scoped {
+		p.OpenSyncScope()
+	}
 
 	raw1 := ba1.applyBatchOp(p, txn.Leg1Seq, leg1.Op.Kind, leg1.Op.Arg)
 	p.SetTxnResult(0, raw1)
@@ -132,6 +141,9 @@ func (r *Runtime) ApplyTxn(p *Proc, leg1, leg2 TxnLeg) (Resp, Resp) {
 		raw2 = ba2.applyBatchOp(p, txn.Leg2Seq, leg2.Op.Kind, arg2)
 	}
 	p.SetTxnResult(1, raw2)
+	if scoped {
+		p.CloseSyncScope()
+	}
 	return respOf(raw1), respOf(raw2)
 }
 
