@@ -186,9 +186,9 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 	}
 	st := s.Snapshot()
 	body, _ := json.MarshalIndent(st, "", "  ")
-	fmt.Printf("%d conns × %d ops in %v: %d crashes survived, %d replies from recovery reports, %d retried, batch fill %.2f, %.2f reply frames per socket write (%d/%d)\n",
+	fmt.Printf("%d conns × %d ops in %v: %d crashes survived, %d replies from recovery reports, %d retried, batch fill %.2f, %.2f reply frames per socket write (%d/%d), %.2f request frames per socket read (%d/%d)\n",
 		conns, ops, time.Since(start).Round(time.Millisecond), st.Crashes, st.FromReport, st.Retried, st.BatchFillMean(),
-		st.FramesPerFlush(), st.FramesOut, st.Flushes)
+		st.FramesPerFlush(), st.FramesOut, st.Flushes, st.FramesPerRead(), st.FramesIn, st.Reads)
 	if cfg.Reclaim {
 		fmt.Printf("reclaimer recovery: %d fast resets, %d full scans; the last one abandoned %d words, %d accounted as garbage since the last scan\n",
 			st.FastRecoveries, st.FullScans, st.LastDropped, st.LastGarbage)

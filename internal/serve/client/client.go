@@ -25,6 +25,7 @@ const IDBits = serve.SeqBits
 type Client struct {
 	nc net.Conn
 	fw *frameWriter // combines concurrent callers' request frames
+	wc writeCounts  // fw's Writes and the frames they carried
 
 	mu      sync.Mutex
 	pending map[uint64]chan serve.Reply
@@ -58,19 +59,26 @@ func New(nc net.Conn, clientID uint64) *Client {
 	}
 	c := &Client{
 		nc:         nc,
-		fw:         newFrameWriter(nc),
 		pending:    map[uint64]chan serve.Reply{},
 		settled:    map[uint64]struct{}{},
 		base:       clientID << IDBits,
 		RetryDelay: 200 * time.Microsecond,
 		ShedDelay:  3 * time.Millisecond,
 	}
+	c.fw = newFrameWriter(nc, &c.wc)
 	go c.readLoop()
 	return c
 }
 
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() { c.nc.Close() }
+
+// WriteStats reports how many socket Writes the client has completed and
+// how many request frames they carried: frames/writes is how well its
+// concurrent callers coalesce (exactly 1 at depth 1).
+func (c *Client) WriteStats() (writes, frames uint64) {
+	return c.wc.writes.Load(), c.wc.frames.Load()
+}
 
 // readLoop dispatches reply frames to their waiting calls.
 func (c *Client) readLoop() {
@@ -153,8 +161,11 @@ func (c *Client) settle(reqID uint64) {
 // sendReq writes one request frame, piggybacking the current
 // acknowledgement watermark, and returns the channel its reply will
 // arrive on. The frame shares its Write with any others queued at the same
-// moment; if that Write fails, each of those calls fails and unregisters
-// its own ID, so none lingers in pending.
+// moment. A failed Write is terminal for the connection, not only for the
+// calls whose frames it carried: the stream is torn, so calls whose frames
+// left in an earlier Write can no longer be answered either, and a
+// half-open peer may never surface an error on the read side. sendReq
+// therefore fails the whole client, which closes every pending channel.
 func (c *Client) sendReq(req serve.Request) (<-chan serve.Reply, error) {
 	ch := make(chan serve.Reply, 1)
 	c.mu.Lock()
@@ -167,11 +178,10 @@ func (c *Client) sendReq(req serve.Request) (<-chan serve.Reply, error) {
 		req.Ack = c.base | c.ackSeq
 	}
 	c.pending[req.ReqID] = ch
+	gather := len(c.pending) > 1 // other calls in flight: a burst may follow
 	c.mu.Unlock()
-	if err := c.fw.send(req); err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ReqID)
-		c.mu.Unlock()
+	if err := c.fw.send(req, gather); err != nil {
+		c.fail(err)
 		return nil, err
 	}
 	return ch, nil

@@ -85,6 +85,11 @@ type SessionStats struct {
 	Retries   uint64 `json:"retries"`
 	Sheds     uint64 `json:"sheds"`
 	Timeouts  uint64 `json:"timeouts"`
+	// Writes counts completed socket Writes, FramesOut the request frames
+	// they carried, summed over every connection the session has had:
+	// FramesOut/Writes is how well its concurrent callers coalesce.
+	Writes    uint64 `json:"writes"`
+	FramesOut uint64 `json:"frames_out"`
 }
 
 // sessionCall is one in-flight request: its frame (rewritten verbatim on
@@ -110,6 +115,7 @@ type Session struct {
 	mu         sync.Mutex
 	nc         net.Conn     // current conn; nil while disconnected
 	fw         *frameWriter // nc's combining writer, replaced with it
+	wc         writeCounts  // every connection's writer counts into it
 	gen        uint64       // bumps per established conn
 	connecting bool
 	err        error
@@ -155,7 +161,9 @@ func (s *Session) Close() {
 func (s *Session) SessionStats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Writes, st.FramesOut = s.wc.writes.Load(), s.wc.frames.Load()
+	return st
 }
 
 // fail terminates the session (err == nil means a clean Close).
@@ -240,7 +248,7 @@ func (s *Session) connect() error {
 			nc.Close()
 			return s.terminalErr()
 		}
-		s.nc, s.fw = nc, newFrameWriter(nc)
+		s.nc, s.fw = nc, newFrameWriter(nc, &s.wc)
 		s.gen++
 		gen := s.gen
 		s.connecting = false
@@ -350,13 +358,14 @@ func (s *Session) writeCall(nc net.Conn, gen uint64, c *sessionCall) bool {
 		req.Ack = s.base | s.ackSeq
 	}
 	fw := s.fw
+	gather := len(s.pending) > 1 // other calls in flight: a burst may follow
 	s.mu.Unlock()
 	if fw == nil || fw.w != nc {
 		// nc is not the current connection (a generation already replaced):
 		// its frames must not ride the current one's batches.
-		fw = newFrameWriter(nc)
+		fw = newFrameWriter(nc, &s.wc)
 	}
-	if err := fw.send(req); err != nil {
+	if err := fw.send(req, gather); err != nil {
 		s.dropConn(gen)
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/serve/chaos"
 )
 
 // frameBytes is one request frame on the wire: length prefix + payload.
@@ -16,12 +17,14 @@ const frameBytes = 4 + 33
 
 // gateConn is a net.Conn whose first Write parks until the gate opens, so
 // a test can queue callers behind a flush in progress. It records every
-// Write's bytes; once the gate opens each Write returns failWith.
+// Write's bytes; once the gate opens each Write returns failWith, except
+// that the first okWrites of them succeed.
 type gateConn struct {
 	net.Conn // the read side, deadlines and Close
 	entered  chan struct{}
 	gate     chan struct{}
 	failWith error
+	okWrites int
 
 	mu     sync.Mutex
 	writes [][]byte
@@ -37,13 +40,13 @@ func newGateConn(t *testing.T, failWith error) *gateConn {
 func (g *gateConn) Write(b []byte) (int, error) {
 	g.mu.Lock()
 	g.writes = append(g.writes, append([]byte(nil), b...))
-	first := len(g.writes) == 1
+	nth := len(g.writes)
 	g.mu.Unlock()
-	if first {
+	if nth == 1 {
 		close(g.entered)
 	}
 	<-g.gate
-	if g.failWith != nil {
+	if g.failWith != nil && nth > g.okWrites {
 		return 0, g.failWith
 	}
 	return len(b), nil
@@ -68,21 +71,27 @@ func queueBehindFlush(t *testing.T, c *Client, g *gateConn, n int) <-chan error 
 	}
 	for i := 1; i < n; i++ {
 		go send(i)
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			c.fw.mu.Lock()
-			queued := len(c.fw.buf)
-			c.fw.mu.Unlock()
-			if queued == i*frameBytes {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("Send %d never queued its frame (%d bytes queued)", i, queued)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+		waitQueued(t, c.fw, i)
 	}
 	return errs
+}
+
+// waitQueued returns once fw's open batch holds exactly frames frames.
+func waitQueued(t *testing.T, fw *frameWriter, frames int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		fw.mu.Lock()
+		queued := len(fw.buf)
+		fw.mu.Unlock()
+		if queued == frames*frameBytes {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the open batch never reached %d frames (%d bytes queued)", frames, queued)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestCombiningWriterCoalesces pins the combining writer: with the first
@@ -154,4 +163,136 @@ func TestCombiningWriterFailedFlush(t *testing.T) {
 	if len(g.writes) != 1 {
 		t.Fatalf("%d Writes, want 1: nothing may follow a torn stream", len(g.writes))
 	}
+}
+
+// TestCombiningWriterGatherJoins pins the gather: frames appended while a
+// flusher has yielded for its burst join ITS batch, not the next one. The
+// yield is played by the test — it queues 15 more callers, one at a time,
+// before the flusher resumes — so the single Write that follows must carry
+// all 16 frames, in submission order.
+func TestCombiningWriterGatherJoins(t *testing.T) {
+	const n = 16
+	g := newGateConn(t, nil)
+	close(g.gate)
+	var wc writeCounts
+	fw := newFrameWriter(g, &wc)
+	errs := make(chan error, n)
+	send := func(i int) {
+		errs <- fw.send(serve.Request{Op: serve.OpPut, ReqID: uint64(100 + i), Key: uint64(i + 1)}, true)
+	}
+	fw.yield = func() { // on the test's goroutine: send(0) below is the flusher
+		for i := 1; i < n; i++ {
+			go send(i)
+			waitQueued(t, fw, i+1)
+		}
+	}
+	send(0)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.writes) != 1 || len(g.writes[0]) != n*frameBytes {
+		t.Fatalf("%d Writes, the first of %d bytes; want 1 Write of %d frames", len(g.writes), len(g.writes[0]), n)
+	}
+	fr := serve.NewFrameReader(bytes.NewReader(g.writes[0]))
+	for i := 0; i < n; i++ {
+		payload, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if req, err := serve.DecodeRequest(payload); err != nil || req.ReqID != uint64(100+i) {
+			t.Fatalf("frame %d = %+v (err %v), want id %d", i, req, err, 100+i)
+		}
+	}
+	if w, f := wc.writes.Load(), wc.frames.Load(); w != 1 || f != n {
+		t.Fatalf("counted %d Writes carrying %d frames, want 1 and %d", w, f, n)
+	}
+}
+
+// TestCombiningWriterTornStreamFailsEarlierCalls pins that a failed Write
+// is terminal for the whole connection: a call whose frame left in an
+// earlier, successful Write must not be left waiting on a peer that will
+// never answer (the read side here stays silent, as a half-open peer's
+// does, and Client has no request deadline).
+func TestCombiningWriterTornStreamFailsEarlierCalls(t *testing.T) {
+	boom := errors.New("wire torn")
+	g := newGateConn(t, boom)
+	g.okWrites = 1
+	close(g.gate)
+	c := New(g, 1)
+	first, err := c.Send(serve.OpPut, 100, 1)
+	if err != nil {
+		t.Fatalf("first send: %v", err)
+	}
+	if _, err := c.Send(serve.OpPut, 101, 2); !errors.Is(err, boom) {
+		t.Fatalf("second send: err = %v, want the Write's error", err)
+	}
+	select {
+	case rep, ok := <-first:
+		if ok {
+			t.Fatalf("first call got reply %+v from a silent peer", rep)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("first call still waiting after a later Write tore the stream")
+	}
+	if _, err := c.Send(serve.OpPut, 102, 3); !errors.Is(err, boom) {
+		t.Fatalf("send after the torn stream: err = %v, want the sticky error", err)
+	}
+}
+
+// TestLoneCallerWritesAtOnce pins the depth-1 path: with nothing else in
+// flight a caller never gathers, so 1000 sequential calls are exactly 1000
+// socket Writes of one frame each, on a Client and on a Session.
+func TestLoneCallerWritesAtOnce(t *testing.T) {
+	const n = 1000
+	_, ln := startSessionServer(t, serve.Config{Procs: 1, HeapWords: 1 << 18})
+	dialCounted := func() (*chaos.Conn, error) {
+		nc, err := ln.Dial()
+		if err != nil {
+			return nil, err
+		}
+		return chaos.NewConn(nc, chaos.Plan{}), nil
+	}
+	ops := []byte{serve.OpPut, serve.OpGet, serve.OpDel}
+
+	lone := func(t *testing.T, do func(op byte, key uint64) (serve.Reply, error)) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := do(ops[i%3], uint64(i%7+1)); err != nil {
+				t.Fatalf("do %d: %v", i, err)
+			}
+		}
+	}
+
+	t.Run("client", func(t *testing.T) {
+		cc, err := dialCounted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(cc, 1)
+		defer c.Close()
+		lone(t, c.Do)
+		if w, f := c.WriteStats(); w != n || f != n || cc.Writes() != n {
+			t.Fatalf("%d sequential calls: %d Writes (%d on the socket) carrying %d frames, want %d of one frame each", n, w, cc.Writes(), f, n)
+		}
+	})
+	t.Run("session", func(t *testing.T) {
+		var cc *chaos.Conn
+		s, err := DialSession(SessionConfig{ClientID: 2, Dial: func() (nc net.Conn, err error) {
+			cc, err = dialCounted()
+			return cc, err
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		lone(t, s.Do)
+		if st := s.SessionStats(); st.Writes != n || st.FramesOut != n || cc.Writes() != n || st.Dials != 1 {
+			t.Fatalf("%d sequential calls: %d Writes (%d on the socket) carrying %d frames over %d dials, want %d of one frame each on one connection",
+				n, st.Writes, cc.Writes(), st.FramesOut, st.Dials, n)
+		}
+	})
 }

@@ -1,8 +1,11 @@
 package serve_test
 
 import (
+	"fmt"
 	"net"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro"
@@ -208,5 +211,92 @@ func TestWindowCoalescingAcrossCrash(t *testing.T) {
 	}
 	if !answeredFromReport {
 		t.Fatal("no offset answered any reply from a report; the crash path was not exercised")
+	}
+}
+
+// replyBurst runs one reply burst on loopback TCP — a socket Write is a
+// system call that keeps its processor, which is what makes a flusher that
+// writes at once miss the callers woken with it; net.Pipe's Write parks the
+// writer and would hide that. 16 callers in a closed loop on one connection
+// send a first request each; a gated server holds them until all are queued,
+// so the 16 replies come back as one burst (one window, one server Write),
+// and each woken caller sends its follow-up at once. It returns the socket
+// Writes the client made for the 16 follow-ups and the socket reads the
+// server took them in.
+func replyBurst(t *testing.T) (writes, reads uint64) {
+	t.Helper()
+	s := serve.New(coalesceConfig(false))
+	defer s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen on loopback: %v", err)
+	}
+	go s.Serve(ln)
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial loopback: %v", err)
+	}
+	cc := chaos.NewConn(nc, chaos.Plan{})
+	c := client.New(cc, 1)
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < coalesceWindow; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op, _, key := coalesceReq(i)
+			for round := 0; round < 2; round++ {
+				if _, err := c.Do(op, key); err != nil {
+					t.Errorf("caller %d round %d: %v", i, round, err)
+					return
+				}
+			}
+		}()
+	}
+	// Every first request is queued on the server, and so every Write that
+	// carried one has been counted.
+	for s.Snapshot().Queued < coalesceWindow {
+		runtime.Gosched()
+	}
+	before, in0 := cc.Writes(), s.Snapshot()
+	s.Release()
+	wg.Wait()
+	in1 := s.Snapshot()
+	if w, f := c.WriteStats(); w != cc.Writes() || f != 2*coalesceWindow || in1.FramesIn != f {
+		t.Fatalf("client counted %d Writes carrying %d frames and the server %d frames in; the socket took %d Writes for %d requests",
+			w, f, in1.FramesIn, cc.Writes(), 2*coalesceWindow)
+	}
+	return cc.Writes() - before, in1.Reads - in0.Reads
+}
+
+// TestReplyBurstCoalesces pins the burst-granular send path with counts
+// only: the client's flusher yields once for the burst that woke it, so the
+// 16 follow-ups of a 16-reply burst leave in at most 4 socket Writes (0.25
+// per request) where a flusher that writes at once issues about one each.
+// The gather depends on the scheduler by construction, so the pin runs on one
+// processor and on two, and holds the median of nine bursts to the bound: a
+// burst the scheduler happens to split cannot fail it, a writer that does
+// not gather cannot pass it.
+func TestReplyBurstCoalesces(t *testing.T) {
+	const bursts = 9
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var writes []uint64
+			var sumWrites, sumReads uint64
+			for range bursts {
+				w, r := replyBurst(t)
+				writes = append(writes, w)
+				sumWrites, sumReads = sumWrites+w, sumReads+r
+			}
+			t.Logf("Writes for the %d follow-ups of each burst: %v (%.3f per request); the server read them %.2f frames per read",
+				coalesceWindow, writes, float64(sumWrites)/(bursts*coalesceWindow), bursts*coalesceWindow/float64(sumReads))
+			sort.Slice(writes, func(i, j int) bool { return writes[i] < writes[j] })
+			if median := writes[bursts/2]; median > coalesceWindow/4 {
+				t.Fatalf("the %d follow-ups of a reply burst left in %d Writes (median of %d bursts), want at most %d",
+					coalesceWindow, median, bursts, coalesceWindow/4)
+			}
+		})
 	}
 }

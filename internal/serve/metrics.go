@@ -63,8 +63,13 @@ type ConnStats struct {
 	// Flushes counts the socket Writes that carried this connection's
 	// replies, FramesOut the reply frames in them: FramesOut/Flushes is the
 	// frames one Write amortises.
-	Flushes   uint64  `json:"flushes"`
-	FramesOut uint64  `json:"frames_out"`
+	Flushes   uint64 `json:"flushes"`
+	FramesOut uint64 `json:"frames_out"`
+	// Reads counts the socket reads this connection's request frames
+	// arrived in, FramesIn those frames: FramesIn/Reads is how many requests
+	// the client coalesced into what one read delivers.
+	Reads     uint64  `json:"reads"`
+	FramesIn  uint64  `json:"frames_in"`
 	P50Micros float64 `json:"p50_micros"`
 	P99Micros float64 `json:"p99_micros"`
 }
@@ -126,6 +131,9 @@ type Stats struct {
 	// connection, open and closed.
 	Flushes   uint64 `json:"flushes"`
 	FramesOut uint64 `json:"frames_out"`
+	// Reads and FramesIn total their inbound counterparts the same way.
+	Reads    uint64 `json:"reads"`
+	FramesIn uint64 `json:"frames_in"`
 }
 
 // FramesPerFlush reports the mean reply frames one socket Write carried
@@ -135,6 +143,15 @@ func (s Stats) FramesPerFlush() float64 {
 		return 0
 	}
 	return float64(s.FramesOut) / float64(s.Flushes)
+}
+
+// FramesPerRead reports the mean request frames one socket read delivered
+// (0 before the first read): how well the server's clients coalesce.
+func (s Stats) FramesPerRead() float64 {
+	if s.Reads == 0 {
+		return 0
+	}
+	return float64(s.FramesIn) / float64(s.Reads)
 }
 
 // BatchFillMean reports the mean admission-window fill across all Procs

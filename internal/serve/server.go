@@ -118,6 +118,10 @@ type conn struct {
 	// flushes counts writeLoop's successful Writes, framesOut the reply
 	// frames they carried.
 	flushes, framesOut atomic.Uint64
+	// reads counts the socket reads readLoop's frames arrived in, framesIn
+	// those frames: the inbound mirror of flushes/framesOut, written only by
+	// the reader goroutine.
+	reads, framesIn atomic.Uint64
 }
 
 // Server multiplexes client connections onto the store's Proc pool. See
@@ -170,6 +174,8 @@ type Server struct {
 	lastScan  pmem.ScanReport // the latest recovery's reclaimer report
 	recovered uint64          // table entries filled by OnRecover
 	closedAgg connMetrics     // folded-in metrics of closed conns
+	// closedReads / closedFramesIn fold in closed conns' reads and framesIn.
+	closedReads, closedFramesIn uint64
 	// totalQueued / nconns feed the shed watermark: aggregate queued
 	// requests and open connections across all procs.
 	totalQueued int
@@ -361,6 +367,8 @@ func (s *Server) removeConn(c *conn) {
 	s.closedAgg.deduped += c.m.deduped
 	s.closedAgg.fromReport += c.m.fromReport
 	s.closedAgg.shed += c.m.shed
+	s.closedReads += c.reads.Load()
+	s.closedFramesIn += c.framesIn.Load()
 }
 
 // readLoop decodes frames off one connection and routes them; one read
@@ -373,7 +381,8 @@ func (c *conn) readLoop() {
 	fr := NewFrameReader(c.nc)
 	queued := false // requests enqueued since the worker was last woken
 	for {
-		if idle > 0 && !fr.Buffered() {
+		fill := !fr.Buffered() // Next has to read from the socket
+		if idle > 0 && fill {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
 		payload, err := fr.Next()
@@ -385,6 +394,10 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
+		if fill {
+			c.reads.Add(1)
+		}
+		c.framesIn.Add(1)
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			c.sendReply(Reply{Status: StErr})
@@ -940,11 +953,16 @@ func (s *Server) Snapshot() Stats {
 		WriteTimeouts:    s.writeTimeouts,
 		Flushes:          s.flushes.Load(),
 		FramesOut:        s.framesOut.Load(),
+		Reads:            s.closedReads,
+		FramesIn:         s.closedFramesIn,
 	}
 	for _, pc := range s.procConns {
 		for _, c := range pc {
 			cs := c.m.snapshot(c.id, c.proc)
 			cs.Flushes, cs.FramesOut = c.flushes.Load(), c.framesOut.Load()
+			cs.Reads, cs.FramesIn = c.reads.Load(), c.framesIn.Load()
+			st.Reads += cs.Reads
+			st.FramesIn += cs.FramesIn
 			st.Conns = append(st.Conns, cs)
 			st.Queued += cs.Queued
 			st.Admitted += cs.Admitted
