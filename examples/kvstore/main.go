@@ -4,12 +4,12 @@
 // the workers mostly run contention-free.
 //
 // Workers admit their operations in ApplyBatch windows of 16: one durable
-// batch announcement per window instead of one per operation, deferred
+// announcement per window instead of one per operation, deferred
 // psyncs, and finds served by the zero-persist read path. Recovery stays
 // zero-bookkeeping: after each crash the coordinator (playing "the
 // system") makes exactly one call — Runtime.RecoverAll — which resolves
-// every process's in-flight work. A worker whose report entry carries a
-// batch consumes the completed prefix's durable responses plus the
+// every process's in-flight work. A worker present in the report
+// consumes the completed prefix's durable responses plus the
 // recovered in-flight operation, then re-submits the no-effect suffix; a
 // worker absent from the report re-submits its whole remainder (it
 // provably had no effect). The store's final contents are audited against
@@ -51,10 +51,9 @@ func randomOp(rng *rand.Rand) repro.Op {
 }
 
 // measureSyncDrop replays the same seeded crash-free workload through
-// one-at-a-time admission (HashMap.Apply, not ApplyBatch's single-element
-// fallback, which charges a Begin psync on top of every operation, finds
-// included) and through batch=16 windows on fresh stores (batched Isb-Opt
-// engine) and returns the measured psyncs per operation for each.
+// one-at-a-time admission (HashMap.Apply) and through batch=16 windows on
+// fresh stores (batched Isb-Opt engine) and returns the measured psyncs per
+// operation for each.
 func measureSyncDrop() (single, batched float64) {
 	run := func(batch int) float64 {
 		const ops = 2048

@@ -48,9 +48,10 @@ func main() {
 			fmt.Println("crash preceded the announcement; re-submitted")
 		}
 		for _, rep := range reps {
+			leg := rep.Legs[0] // a single operation is a vector of one leg
 			fmt.Printf("recovered: proc %d, %s #%d, op (kind=%d, arg=%d) → %s\n",
-				rep.Proc, rt.Structure(rep.StructID).Kind(), rep.StructID,
-				rep.Op.Kind, rep.Op.Arg, rep.Resp)
+				rep.Proc, rt.Structure(leg.StructID).Kind(), leg.StructID,
+				leg.Op.Kind, leg.Op.Arg, leg.Resp)
 		}
 	}
 

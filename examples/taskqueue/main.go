@@ -9,9 +9,9 @@
 //
 // Recovery is the transaction report: after each crash the group runs one
 // RecoverAll; a consumer whose handoff was interrupted reads its
-// TxnReport — no-effect (re-submit the same attempt), leg-2-recovered
-// (the insert was re-driven from the durable dequeue response), or
-// completed — through repro.MatchReport, exactly as a batch caller would.
+// atomic report — every leg no-effect (re-submit the same attempt), or both
+// answered (the insert re-driven from the durable dequeue response if need
+// be) — through repro.MatchReport, exactly as a batch caller would.
 // Unique identities riding the announced Args (task IDs on enqueues,
 // attempt counters on dequeues) reject stale reports, so no Begin psync
 // is spent per operation.

@@ -62,6 +62,3 @@ func (t *BST) RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	}
 	return t.e.RecoverSeq(p, kind, arg, uint64(seq), t.gather(kind))
 }
-
-// Engine exposes the tree's tracking engine (counter access, batching).
-func (t *BST) Engine() *isb.Engine { return t.e }

@@ -151,7 +151,7 @@ func (t *BST) Recover(p *pmem.Proc, op, key uint64) bool {
 }
 
 // Begin is the system-side invocation step (persist CP_q := 0).
-func (t *BST) Begin(p *pmem.Proc) { t.e.BeginOp(p) }
+func (t *BST) Begin(p *pmem.Proc) { t.e.Begin(p, false, nil) }
 
 // searchResult carries the gp/p/l chain of one descent plus the info
 // fields gathered on first access to each node.

@@ -6,18 +6,13 @@ import (
 
 	"repro"
 	"repro/internal/isb"
-	"repro/internal/pmem"
 )
 
-// This file is the batched-admission twin of sweep.go/scenarios.go: an
-// exhaustive crash-point sweep over Runtime.ApplyBatch windows. Where the
-// single-op sweep re-supplies the crashed operation to Recover, the batch
-// sweep resolves the crash the way a real application would — through
-// Runtime.RecoverAll's batch report — and re-submits exactly the
-// operations the report proves had no effect. Every access offset of the
-// window is swept, so the mid-batch-announcement, mid-cursor-advance and
-// mid-operation crash states are all covered, on both engine placements,
-// with reclamation on and off.
+// This file holds the batched-admission conformance matrix: windows swept at
+// every access offset — so the mid-announcement, mid-cursor-advance and
+// mid-operation crash states are all covered — on both engine placements,
+// with reclamation on and off. See sweep.go for how a crashed window is
+// resolved.
 
 // BatchSweepCase is one deterministic single-process batch: the operations
 // submitted as one ApplyBatch window, and the encoded response the
@@ -38,142 +33,16 @@ type BatchSweepInstance struct {
 	Verify func(c BatchSweepCase) string
 }
 
-// resolveBatch turns a crashed ApplyBatch replay into the full response
-// vector, the way an application consumes the batch report: completed and
-// in-flight operations take their reported responses; the no-effect suffix
-// is re-submitted as a fresh batch. An empty report (or a report without a
-// batch entry — the previous single operation's idempotent
-// re-confirmation) proves the batch never announced, so every operation is
-// re-submitted. It also checks the report's shape: the statuses must form
-// a completed prefix, at most one in-flight operation, and a no-effect
-// suffix, in that order.
-func resolveBatch(in BatchSweepInstance, p *pmem.Proc, c BatchSweepCase) ([]uint64, error) {
-	reps := in.RT.RecoverAll()
-	got := make([]uint64, len(c.Ops))
-	resubmitFrom := 0
-	if len(reps) > 0 {
-		if len(reps) != 1 {
-			return nil, fmt.Errorf("single-proc sweep produced %d report entries", len(reps))
-		}
-		rep := reps[0]
-		if rep.Batch != nil {
-			if len(rep.Batch) != len(c.Ops) {
-				return nil, fmt.Errorf("batch report has %d entries, want %d", len(rep.Batch), len(c.Ops))
-			}
-			inFlight := -1
-			for i, ent := range rep.Batch {
-				if ent.Op != c.Ops[i] {
-					return nil, fmt.Errorf("batch entry %d reports op %+v, want %+v", i, ent.Op, c.Ops[i])
-				}
-				switch ent.Status {
-				case repro.OpCompleted:
-					if inFlight >= 0 {
-						return nil, fmt.Errorf("completed entry %d after in-flight entry %d", i, inFlight)
-					}
-					got[i] = ent.Resp.Raw()
-				case repro.OpInFlight:
-					if inFlight >= 0 {
-						return nil, fmt.Errorf("two in-flight entries (%d and %d)", inFlight, i)
-					}
-					inFlight = i
-					got[i] = ent.Resp.Raw()
-				case repro.OpNoEffect:
-					if inFlight < 0 {
-						return nil, fmt.Errorf("no-effect entry %d with no in-flight entry before it", i)
-					}
-					if i != inFlight+1 && rep.Batch[i-1].Status != repro.OpNoEffect {
-						return nil, fmt.Errorf("no-effect entry %d does not follow the in-flight entry", i)
-					}
-				}
-			}
-			if inFlight < 0 {
-				return nil, fmt.Errorf("batch report has no in-flight entry")
-			}
-			resubmitFrom = inFlight + 1
-		}
-		// rep.Batch == nil: the announcement that survived is the prefill's
-		// last single operation (the crash landed before the batch record
-		// became durable); its recovery re-confirmed it idempotently, and
-		// the whole batch provably had no effect — re-submit everything.
-	}
-	if resubmitFrom < len(c.Ops) {
-		resps := in.RT.ApplyBatch(p, in.S, c.Ops[resubmitFrom:])
-		for i, r := range resps {
-			got[resubmitFrom+i] = r.Raw()
-		}
-	}
-	return got, nil
-}
-
-// RunBatchCase is the batch sweep core: it measures the window's tracked
-// access span on an uninterrupted run, then replays the batch once per
-// access offset with a system-wide crash armed exactly there, resolving
-// each crash through RecoverAll's batch report plus suffix re-submission,
-// and checking every response and the post-state each time. It returns how
-// many offsets actually interrupted the window.
+// RunBatchCase sweeps one window at every crash point.
 func RunBatchCase(build func() BatchSweepInstance, c BatchSweepCase) (crashPoints int, err error) {
-	if len(c.Ops) != len(c.Want) {
-		return 0, fmt.Errorf("%s: %d ops but %d wanted responses", c.Name, len(c.Ops), len(c.Want))
-	}
-	check := func(got []uint64, off uint64) error {
-		for i := range c.Want {
-			if got[i] != c.Want[i] {
-				return fmt.Errorf("%s off=%d: op %d response %d, want %d", c.Name, off, i, got[i], c.Want[i])
-			}
-		}
-		return nil
-	}
-
-	in := build()
-	p := in.RT.Proc(0)
-	before := in.RT.Heap().AccessCount()
-	resps := in.RT.ApplyBatch(p, in.S, c.Ops)
-	total := in.RT.Heap().AccessCount() - before
-	got := make([]uint64, len(resps))
-	for i, r := range resps {
-		got[i] = r.Raw()
-	}
-	if err := check(got, 0); err != nil {
-		return 0, fmt.Errorf("uninterrupted %v", err)
-	}
-	if msg := in.Verify(c); msg != "" {
-		return 0, fmt.Errorf("uninterrupted %s: %s", c.Name, msg)
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("%s: batch made no tracked accesses", c.Name)
-	}
-
-	for off := uint64(1); off <= total; off++ {
+	return Sweep(c.Name, func() Instance {
 		in := build()
-		p := in.RT.Proc(0)
-		in.RT.ScheduleCrash(off)
-		var resps []repro.Resp
-		if in.RT.Run(func() { resps = in.RT.ApplyBatch(p, in.S, c.Ops) }) {
-			in.RT.CancelCrash()
-			got = got[:0]
-			for _, r := range resps {
-				got = append(got, r.Raw())
-			}
-		} else {
-			crashPoints++
-			in.RT.Restart()
-			var rerr error
-			got, rerr = resolveBatch(in, p, c)
-			if rerr != nil {
-				return crashPoints, fmt.Errorf("%s off=%d: %v", c.Name, off, rerr)
-			}
+		v := vector{rt: in.RT}
+		for _, op := range c.Ops {
+			v.legs = append(v.legs, repro.TxnLeg{S: in.S, Op: op})
 		}
-		if err := check(got, off); err != nil {
-			return crashPoints, err
-		}
-		if msg := in.Verify(c); msg != "" {
-			return crashPoints, fmt.Errorf("%s off=%d: %s", c.Name, off, msg)
-		}
-	}
-	if crashPoints == 0 {
-		return 0, fmt.Errorf("%s: no crash point actually interrupted the batch", c.Name)
-	}
-	return crashPoints, nil
+		return v.instance(func() string { return in.Verify(c) }, c.Want)
+	}, c.Want)
 }
 
 // BatchScenario is one (structure, engine kind, reclaim mode) cell of the
@@ -390,16 +259,10 @@ func BatchScenarios() []BatchScenario {
 	return out
 }
 
-// SweepAllBatchPoints is the batch twin of SweepAllPoints: RunBatchCase per
+// SweepAllBatchPoints is the window twin of SweepAllPoints: RunBatchCase per
 // case, as subtests.
 func SweepAllBatchPoints(t *testing.T, build func() BatchSweepInstance, cases []BatchSweepCase) {
 	t.Helper()
-	for _, c := range cases {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			if _, err := RunBatchCase(build, c); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	sweepCases(t, cases, func(c BatchSweepCase) string { return c.Name },
+		func(c BatchSweepCase) (int, error) { return RunBatchCase(build, c) })
 }

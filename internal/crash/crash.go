@@ -42,8 +42,8 @@ type Target interface {
 // Applier is the uniform operation surface the structure packages share:
 // Begin (system-side invocation step), ApplyOp (run one operation, encoded
 // response) and RecoverOp (resolve an interrupted operation). Adapt turns
-// any of them into a Target, which is what lets the storms, the sweep and
-// cmd/crashtest drive every structure without per-structure glue.
+// any of them into a Target, which is what lets the storms and the sweep
+// drive every structure without per-structure glue.
 type Applier interface {
 	Begin(p *pmem.Proc)
 	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64

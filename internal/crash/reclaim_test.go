@@ -55,7 +55,8 @@ func TestReclaimScanCrashSweep(t *testing.T) {
 			// mid-flight at a fixed offset deep enough to have tagged nodes
 			// and allocated records.
 			const crashOff = 60
-			build := func() (*repro.Runtime, *repro.List) {
+			want := []uint64{linearize.RespTrue}
+			build := func() Instance {
 				rt := reclaimRT(eng.kind, true, mode)
 				l := rt.NewList()
 				p := rt.Proc(0)
@@ -72,62 +73,37 @@ func TestReclaimScanCrashSweep(t *testing.T) {
 					t.Fatal("expected the armed crash to interrupt the insert")
 				}
 				rt.Restart()
-				return rt, l
-			}
-			verify := func(rt *repro.Runtime, l *repro.List, resolved uint64) {
-				t.Helper()
-				if resolved != linearize.RespTrue {
-					t.Fatalf("recovered insert resolved to %d, want true", resolved)
-				}
-				if msg := setVerify(repro.OpInsert, repro.OpDelete, l.Keys, l.CheckInvariants)(
-					SweepCase{Op: Op{Kind: repro.OpInsert, Arg: 8}}); msg != "" {
-					t.Fatal(msg)
-				}
-				if msg := auditForcedFast(rt); msg != "" {
-					t.Fatal(msg)
-				}
-			}
-			resolve := func(rt *repro.Runtime, l *repro.List, p *pmem.Proc) uint64 {
-				reps := rt.RecoverAll()
-				if len(reps) == 0 {
-					return l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: 8}).Raw()
-				}
-				return reps[len(reps)-1].Resp.Raw()
-			}
-
-			// Measure RecoverAll's access span on an uninterrupted run.
-			rt, l := build()
-			before := rt.Heap().AccessCount()
-			resolved := resolve(rt, l, rt.Proc(0))
-			total := rt.Heap().AccessCount() - before
-			verify(rt, l, resolved)
-			if total == 0 {
-				t.Fatal("RecoverAll made no tracked accesses")
-			}
-
-			// Sweep every crash offset within RecoverAll's span.
-			swept, crashed := 0, 0
-			for off := uint64(1); off <= total; off++ {
-				swept++
-				rt, l := build()
-				p := rt.Proc(0)
-				rt.Heap().ScheduleCrashAt(rt.Heap().AccessCount() + off)
-				var resolved uint64
-				if pmem.RunOp(func() { resolved = resolve(rt, l, p) }) {
-					rt.Heap().DisarmCrash()
-				} else {
-					crashed++
-					rt.Restart()
-					if !pmem.RunOp(func() { resolved = resolve(rt, l, p) }) {
-						t.Fatalf("off=%d: second RecoverAll crashed with no crash armed", off)
+				// What is swept is RecoverAll itself; a crash inside it is
+				// resolved by running it again.
+				resolve := func() ([]uint64, error) {
+					reps := rt.RecoverAll()
+					if len(reps) == 0 {
+						return []uint64{l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: 8}).Raw()}, nil
 					}
+					return []uint64{reps[len(reps)-1].Legs[0].Resp.Raw()}, nil
 				}
-				verify(rt, l, resolved)
+				return Instance{
+					Heap: rt.Heap(),
+					Run: func() []uint64 {
+						got, _ := resolve()
+						return got
+					},
+					Resolve: resolve,
+					Verify: func() string {
+						if msg := setVerify(repro.OpInsert, repro.OpDelete, l.Keys, l.CheckInvariants)(
+							SweepCase{Op: Op{Kind: repro.OpInsert, Arg: 8}}); msg != "" {
+							return msg
+						}
+						return auditForcedFast(rt)
+					},
+					After: func() string { return sameResponses(resolve, want) },
+				}
 			}
-			if crashed == 0 {
-				t.Fatalf("no offset of %d swept (%d) interrupted RecoverAll", total, swept)
+			n, err := Sweep("RecoverAll", build, want)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("RecoverAll span %d accesses; %d offsets swept, %d interrupted", total, swept, crashed)
+			t.Logf("%d crash points swept", n)
 		})
 	}
 }
@@ -179,7 +155,7 @@ func TestReclaimDifferential(t *testing.T) {
 							t.Fatalf("op %d: %s", i, msg)
 						}
 						if len(reps) == 1 {
-							resp = reps[0].Resp
+							resp = reps[0].Legs[0].Resp
 							ok = true
 						} else {
 							// Crash preceded the announcement: re-submit.
@@ -354,7 +330,7 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 						// preceded the announcement and the op is resubmitted.
 						for _, rep := range recoverAll() {
 							if rep.Proc == p.ID() {
-								resp, ok = rep.Resp, true
+								resp, ok = rep.Legs[0].Resp, true
 							}
 						}
 						if !ok {

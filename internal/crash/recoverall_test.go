@@ -31,17 +31,6 @@ func reproEngines() []struct {
 	}
 }
 
-// rtTarget drives a registered structure through its uniform Apply surface.
-type rtTarget struct{ s repro.Structure }
-
-func (t rtTarget) Begin(p *pmem.Proc) { t.s.Begin(p) }
-func (t rtTarget) Invoke(p *pmem.Proc, op Op) uint64 {
-	return t.s.Apply(p, repro.Op{Kind: op.Kind, Arg: op.Arg}).Raw()
-}
-func (t rtTarget) Recover(p *pmem.Proc, op Op) uint64 {
-	return t.s.RecoverOp(p, repro.Op{Kind: op.Kind, Arg: op.Arg}).Raw()
-}
-
 // recoverAllVia resolves a crashed replay through Runtime.RecoverAll,
 // asserting the registry routed exactly the announced operation to the
 // right structure. An empty report means the crash preceded the durable
@@ -57,11 +46,15 @@ func recoverAllVia(t *testing.T, rt *repro.Runtime, tgt Target, s repro.Structur
 			t.Fatalf("RecoverAll returned %d reports, want 1", len(reps))
 		}
 		rep := reps[0]
-		if rep.Proc != 0 || rep.StructID != s.ID() || rep.Op != (repro.Op{Kind: op.Kind, Arg: op.Arg}) {
-			t.Fatalf("RecoverAll routed proc=%d struct=%d op=%+v; want proc=0 struct=%d op=%+v",
-				rep.Proc, rep.StructID, rep.Op, s.ID(), op)
+		if len(rep.Legs) != 1 || rep.Atomic || rep.Legs[0].Status != repro.OpInFlight {
+			t.Fatalf("RecoverAll reported %+v for a single operation; want one in-flight leg", rep)
 		}
-		return rep.Resp.Raw()
+		leg := rep.Legs[0]
+		if rep.Proc != 0 || leg.StructID != s.ID() || leg.Op != (repro.Op{Kind: op.Kind, Arg: op.Arg}) {
+			t.Fatalf("RecoverAll routed proc=%d struct=%d op=%+v; want proc=0 struct=%d op=%+v",
+				rep.Proc, leg.StructID, leg.Op, s.ID(), op)
+		}
+		return leg.Resp.Raw()
 	}
 }
 
@@ -106,7 +99,7 @@ func TestRecoverAllCrashConformance(t *testing.T) {
 					for _, k := range setPrefill {
 						l.Insert(p, k)
 					}
-					tgt := rtTarget{l}
+					tgt := runtimeTarget{l}
 					return SweepInstance{
 						Heap:       rt.Heap(),
 						Target:     tgt,
@@ -125,7 +118,7 @@ func TestRecoverAllCrashConformance(t *testing.T) {
 					for _, k := range setPrefill {
 						b.Insert(p, k)
 					}
-					tgt := rtTarget{b}
+					tgt := runtimeTarget{b}
 					return SweepInstance{
 						Heap:       rt.Heap(),
 						Target:     tgt,
@@ -144,7 +137,7 @@ func TestRecoverAllCrashConformance(t *testing.T) {
 					for _, k := range setPrefill {
 						m.Insert(p, k)
 					}
-					tgt := rtTarget{m}
+					tgt := runtimeTarget{m}
 					return SweepInstance{
 						Heap:       rt.Heap(),
 						Target:     tgt,
@@ -162,7 +155,7 @@ func TestRecoverAllCrashConformance(t *testing.T) {
 					p := rt.Proc(0)
 					q.Enqueue(p, 5)
 					q.Enqueue(p, 6)
-					tgt := rtTarget{q}
+					tgt := runtimeTarget{q}
 					return SweepInstance{
 						Heap:   rt.Heap(),
 						Target: tgt,
@@ -201,7 +194,7 @@ func TestRecoverAllCrashConformance(t *testing.T) {
 						p := rt.Proc(0)
 						s.Push(p, 5)
 						s.Push(p, 6)
-						tgt := rtTarget{s}
+						tgt := runtimeTarget{s}
 						return SweepInstance{
 							Heap:   rt.Heap(),
 							Target: tgt,

@@ -278,7 +278,7 @@ func resolveViaRecoverAll(rt *repro.Runtime, tgt Target) func(p *pmem.Proc, op O
 		if len(reps) == 0 {
 			return tgt.Invoke(p, op)
 		}
-		return reps[len(reps)-1].Resp.Raw()
+		return reps[len(reps)-1].Legs[0].Resp.Raw()
 	}
 }
 

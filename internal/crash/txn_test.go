@@ -24,7 +24,7 @@ func TestTxnCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: %d crash points swept", sc.Case.Name, n)
+			t.Logf("%d crash points swept", n)
 		})
 	}
 }

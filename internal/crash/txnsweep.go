@@ -7,18 +7,13 @@ import (
 	"repro/internal/isb"
 )
 
-// This file is the transaction twin of batchsweep.go: an exhaustive
-// crash-point sweep over Runtime.ApplyTxn. Every access offset of a
-// two-leg transaction is swept — mid-announcement, mid-leg-1,
-// mid-commit-point, mid-leg-2, mid-result-slot — and each crash is
-// resolved the way a real application would: through RecoverAll's
-// transaction report, re-submitting the whole transaction exactly when the
-// report proves it had no effect. Each offset additionally checks
-// cross-structure atomicity (a no-effect report means NEITHER structure
-// changed; any other class means leg 1's effect never exists without
-// leg 2's once recovery returns) and exactly-once under a duplicate
-// recovery pass (a second RecoverAll re-reports the completed transaction
-// instead of re-applying anything).
+// This file holds the transaction conformance matrix: every access offset of
+// a two-leg transaction is swept — mid-announcement, mid-leg-1,
+// mid-commit-point, mid-leg-2. On top of what every sweep checks, each
+// offset checks cross-structure atomicity: a no-effect report means NEITHER
+// structure changed; anything else means leg 1's effect never exists without
+// leg 2's once recovery returns. See sweep.go for how a crashed transaction
+// is resolved.
 
 // TxnSweepInstance is one freshly built runtime + prefilled structures +
 // the transaction under sweep. VerifyPre must report "" exactly when both
@@ -39,148 +34,14 @@ type TxnSweepCase struct {
 	Want1, Want2 uint64
 }
 
-// checkTxnReport validates one transaction report's shape against the
-// announced legs.
-func checkTxnReport(in TxnSweepInstance, rep repro.ProcReport) error {
-	t := rep.Txn
-	if t.Legs[0].Op != in.Leg1.Op || t.Legs[0].StructID != in.Leg1.S.ID() {
-		return fmt.Errorf("leg 1 reported as %+v on struct %d, announced %+v on %d",
-			t.Legs[0].Op, t.Legs[0].StructID, in.Leg1.Op, in.Leg1.S.ID())
-	}
-	if t.Legs[1].Op != in.Leg2.Op || t.Legs[1].StructID != in.Leg2.S.ID() {
-		return fmt.Errorf("leg 2 reported as %+v on struct %d, announced %+v on %d",
-			t.Legs[1].Op, t.Legs[1].StructID, in.Leg2.Op, in.Leg2.S.ID())
-	}
-	switch t.Class {
-	case repro.TxnNoEffect:
-		if t.Legs[0].Status != repro.OpNoEffect || t.Legs[1].Status != repro.OpNoEffect {
-			return fmt.Errorf("no-effect txn with leg statuses %v/%v", t.Legs[0].Status, t.Legs[1].Status)
-		}
-	case repro.TxnLeg2Recovered:
-		if t.Legs[0].Status != repro.OpCompleted || t.Legs[1].Status != repro.OpInFlight {
-			return fmt.Errorf("leg2-recovered txn with leg statuses %v/%v", t.Legs[0].Status, t.Legs[1].Status)
-		}
-	case repro.TxnCompleted:
-		if t.Legs[0].Status != repro.OpCompleted || t.Legs[1].Status != repro.OpCompleted {
-			return fmt.Errorf("completed txn with leg statuses %v/%v", t.Legs[0].Status, t.Legs[1].Status)
-		}
-	default:
-		return fmt.Errorf("unknown txn class %v", t.Class)
-	}
-	return nil
-}
-
-// resolveTxn turns a crashed ApplyTxn replay into both responses, the way
-// an application consumes the transaction report: a no-effect report (or
-// no transaction report at all — the announcement never became durable)
-// first proves NEITHER structure changed, then re-submits the whole
-// transaction; any other class answers from the report.
-func resolveTxn(in TxnSweepInstance, p *repro.Proc) (r1, r2 uint64, err error) {
-	reps := in.RT.RecoverAll()
-	if len(reps) > 1 {
-		return 0, 0, fmt.Errorf("single-proc sweep produced %d report entries", len(reps))
-	}
-	if len(reps) == 1 && reps[0].Txn != nil {
-		if err := checkTxnReport(in, reps[0]); err != nil {
-			return 0, 0, err
-		}
-		t := reps[0].Txn
-		if t.Class != repro.TxnNoEffect {
-			return t.Legs[0].Resp.Raw(), t.Legs[1].Resp.Raw(), nil
-		}
-	}
-	// No effect (or a pre-announcement crash, where any report entry is the
-	// prefill's last single operation re-confirming itself): atomicity
-	// demands both structures are exactly as before the transaction.
-	if msg := in.VerifyPre(); msg != "" {
-		return 0, 0, fmt.Errorf("no-effect txn but pre-state check failed: %s", msg)
-	}
-	resp1, resp2 := in.RT.ApplyTxn(p, in.Leg1, in.Leg2)
-	return resp1.Raw(), resp2.Raw(), nil
-}
-
-// RunTxnCase is the transaction sweep core: measure the uninterrupted
-// transaction's tracked access span, then replay it once per access offset
-// with a crash armed exactly there, resolving each crash through the
-// transaction report (plus whole-transaction re-submission for no-effect),
-// and checking both responses, the post-state, and duplicate-recovery
-// idempotence every time. Returns how many offsets actually interrupted
-// the transaction.
+// RunTxnCase sweeps one transaction at every crash point.
 func RunTxnCase(build func() TxnSweepInstance, c TxnSweepCase) (crashPoints int, err error) {
-	check := func(r1, r2 uint64, off uint64) error {
-		if r1 != c.Want1 || r2 != c.Want2 {
-			return fmt.Errorf("%s off=%d: responses (%d, %d), want (%d, %d)", c.Name, off, r1, r2, c.Want1, c.Want2)
-		}
-		return nil
-	}
-
-	in := build()
-	p := in.RT.Proc(0)
-	if msg := in.VerifyPre(); msg != "" {
-		return 0, fmt.Errorf("%s: pre-state check failed before the txn ran: %s", c.Name, msg)
-	}
-	before := in.RT.Heap().AccessCount()
-	resp1, resp2 := in.RT.ApplyTxn(p, in.Leg1, in.Leg2)
-	total := in.RT.Heap().AccessCount() - before
-	if err := check(resp1.Raw(), resp2.Raw(), 0); err != nil {
-		return 0, fmt.Errorf("uninterrupted %v", err)
-	}
-	if msg := in.VerifyPost(); msg != "" {
-		return 0, fmt.Errorf("uninterrupted %s: %s", c.Name, msg)
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("%s: transaction made no tracked accesses", c.Name)
-	}
-
-	for off := uint64(1); off <= total; off++ {
+	want := []uint64{c.Want1, c.Want2}
+	return Sweep(c.Name, func() Instance {
 		in := build()
-		p := in.RT.Proc(0)
-		in.RT.ScheduleCrash(off)
-		var r1, r2 uint64
-		if in.RT.Run(func() {
-			a, b := in.RT.ApplyTxn(p, in.Leg1, in.Leg2)
-			r1, r2 = a.Raw(), b.Raw()
-		}) {
-			in.RT.CancelCrash()
-		} else {
-			crashPoints++
-			in.RT.Restart()
-			var rerr error
-			r1, r2, rerr = resolveTxn(in, p)
-			if rerr != nil {
-				return crashPoints, fmt.Errorf("%s off=%d: %v", c.Name, off, rerr)
-			}
-		}
-		if err := check(r1, r2, off); err != nil {
-			return crashPoints, err
-		}
-		if msg := in.VerifyPost(); msg != "" {
-			return crashPoints, fmt.Errorf("%s off=%d: %s", c.Name, off, msg)
-		}
-		// Exactly-once under duplicate recovery: a second RecoverAll — the
-		// duplicate-resubmit path a rebooted application drives — must
-		// re-report the transaction as completed with the same responses
-		// and change nothing.
-		reps := in.RT.RecoverAll()
-		if len(reps) != 1 || reps[0].Txn == nil {
-			return crashPoints, fmt.Errorf("%s off=%d: duplicate recovery produced %d entries (txn: %v)",
-				c.Name, off, len(reps), len(reps) == 1 && reps[0].Txn != nil)
-		}
-		dup := reps[0].Txn
-		if dup.Class != repro.TxnCompleted {
-			return crashPoints, fmt.Errorf("%s off=%d: duplicate recovery class %v, want completed", c.Name, off, dup.Class)
-		}
-		if err := check(dup.Legs[0].Resp.Raw(), dup.Legs[1].Resp.Raw(), off); err != nil {
-			return crashPoints, fmt.Errorf("duplicate recovery %v", err)
-		}
-		if msg := in.VerifyPost(); msg != "" {
-			return crashPoints, fmt.Errorf("%s off=%d: after duplicate recovery: %s", c.Name, off, msg)
-		}
-	}
-	if crashPoints == 0 {
-		return 0, fmt.Errorf("%s: no crash point actually interrupted the transaction", c.Name)
-	}
-	return crashPoints, nil
+		v := vector{rt: in.RT, legs: []repro.TxnLeg{in.Leg1, in.Leg2}, atomic: true, pre: in.VerifyPre}
+		return v.instance(in.VerifyPost, want)
+	}, want)
 }
 
 // TxnScenario is one (shape, engine kind, reclaim mode) cell of the

@@ -77,11 +77,18 @@ func (e *Exchanger) rd(p *pmem.Proc) pmem.Addr {
 }
 func (e *Exchanger) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
 
-// Begin is the system-side invocation step (persist CP_q := 0).
-func (e *Exchanger) Begin(p *pmem.Proc) {
+// Reset persists CP_q := 0 without a psync of its own: the hook for a begin
+// sequence that resets several recovery registers under one psync (see
+// isb.Engine.OnReset).
+func (e *Exchanger) Reset(p *pmem.Proc) {
 	cp := e.cp(p)
 	p.Store(cp, 0)
 	p.PWB(cp)
+}
+
+// Begin is the system-side invocation step (persist CP_q := 0).
+func (e *Exchanger) Begin(p *pmem.Proc) {
+	e.Reset(p)
 	p.PSync()
 }
 

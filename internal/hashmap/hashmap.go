@@ -98,7 +98,7 @@ func (m *Map) reg(p *pmem.Proc) pmem.Addr {
 // that recovery can route without trusting volatile state.
 //
 // On a batched (Isb-Opt) engine the psync is elided: the operation enters
-// the engine immediately after, and BeginOp's psync — issued before the
+// the engine immediately after, and Begin's psync — issued before the
 // operation touches its bucket, let alone persists any effect — covers the
 // register's pwb. A crash inside that window leaves the register possibly
 // unpersisted, but then the operation made no changes and Recover's
@@ -186,7 +186,7 @@ func (m *Map) Begin(p *pmem.Proc) {
 	r := m.reg(p)
 	p.Store(r, 0)
 	p.PWB(r)
-	m.e.BeginOp(p) // issues the psync covering both lines
+	m.e.Begin(p, false, nil) // issues the psync covering both lines
 }
 
 // Keys snapshots the current key set in ascending order (requires
@@ -212,10 +212,6 @@ func (m *Map) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 		s.MarkReachable(p, mark)
 	}
 }
-
-// Engine exposes the shared ISB engine (for tests asserting RD/CP
-// behaviour).
-func (m *Map) Engine() *isb.Engine { return m.e }
 
 // CheckInvariants verifies every shard's structural invariants plus the
 // sharding invariant (every key lives in the shard it hashes to). It

@@ -1,6 +1,10 @@
 package isb
 
-import "repro/internal/pmem"
+import (
+	"fmt"
+
+	"repro/internal/pmem"
+)
 
 // Help tries to complete the operation described by the Info record at
 // info. It is the paper's Algorithm 1 Help procedure, including the red
@@ -111,48 +115,63 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64) {
 // driver and returns its encoded response. gather is called once per
 // attempt with a fresh Info record.
 //
-// The sequence is exactly the paper's: announce the operation and persist
-// CP_q := 0 (BeginOpFor), RD_q := Null + pbarrier, CP_q := 1 + pwb +
-// psync, then attempts of gather → helping phase → install Info → pbarrier
-// over the record and the NewSet → RD_q := info + pwb + psync → read-only
-// fast return or Help → return result if set.
+// The sequence is exactly the paper's: announce the operation — a vector of
+// one leg — and persist CP_q := 0 (Begin), RD_q := Null + pbarrier, CP_q := 1
+// + pwb + psync, then attempts of gather → helping phase → install Info →
+// pbarrier over the record and the NewSet → RD_q := info + pwb + psync →
+// read-only fast return or Help → return result if set.
 //
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one: the begin
 // psync opens it, every sync point after it defers, and one psync closes it
 // before the response is returned — what a batch window of one pays.
 func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
-	e.BeginOpFor(p, opType, argKey)
+	e.Begin(p, false, []pmem.Leg{{StructID: e.annID, Kind: opType, Arg: argKey}})
 	if !e.Batched() {
-		return e.runAttempts(p, opType, argKey, gather)
+		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
 	p.OpenSyncScope()
-	r := e.runAttempts(p, opType, argKey, gather)
+	r := e.runAttempts(p, opType, argKey, gather, 0)
 	p.CloseSyncScope()
 	return r
 }
 
 // runAttempts is RunOp after the system-side CP_q := 0 step; Recover's
-// re-invoke path enters here directly (CP_q is already meaningful).
-func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
+// re-invoke path enters here directly (CP_q is already meaningful), with its
+// attempt bound.
+func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
 	p.Store(cp, 1)
 	p.PWB(cp)
 	e.opSync(p)
-	return e.attemptLoop(p, opType, argKey, gather)
+	return e.attemptLoop(p, opType, argKey, gather, bound)
 }
 
+// maxRecoveryAttempts bounds the attempts of one RecoverSeq call. Every
+// retry of a lock-free attempt is paid for by some other operation's
+// progress, and recovery only ever competes with the handful of operations
+// in flight at the crash (the storms run ≤ 4 processes × 40 operations), so
+// reaching the bound means the structure cannot be resolved — and each
+// further attempt would only allocate another Info record on an allocator
+// that frees nothing during recovery, until the arena is gone.
+const maxRecoveryAttempts = 1 << 10
+
 // attemptLoop is the gather → install → Help attempt cycle, entered with
-// RD_q/CP_q already initialized. Batch operations after the first enter here
-// directly: CP_q is already 1 and RD_q still names the previous op's record,
-// which recovery tells apart from this op's by the stamped sequence number.
-func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
+// RD_q/CP_q already initialized. Legs after an engine's first enter here
+// directly: CP_q is already 1 and RD_q still names the previous leg's record,
+// which recovery tells apart from this leg's by the stamped index. bound, when
+// nonzero, is the recovery path's attempt limit (see maxRecoveryAttempts).
+func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	rd := e.rd(p)
 	per := e.per(p)
 	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
-	for {
+	for attempt := 1; ; attempt++ {
+		if bound != 0 && attempt > bound {
+			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d, CP_q = %d, last attempt's affect set %v",
+				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), p.Load(e.cp(p)), spec.Affect[:spec.NAffect]))
+		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
 		// No reference survives an attempt, so refreshing per attempt is
@@ -291,27 +310,28 @@ func (e *Engine) Recover(p *pmem.Proc, opType, argKey uint64, gather Gather) uin
 	return e.RecoverSeq(p, opType, argKey, 0, gather)
 }
 
-// RecoverSeq is Recover for an operation at batch sequence number seq (0 for
-// single operations): the installed record is only attributed to this
-// operation if its stamped sequence matches, so a crashed batch whose cursor
-// says "op seq is in flight" can never resolve op seq from a neighbouring
-// op's record, even when consecutive batch ops share (kind, arg). Recovery
-// always runs eager: the sync scope the crash interrupted, if any, is torn
-// down first, and a re-invoked attempt stamps seq so that a further crash
-// re-attributes it correctly.
+// RecoverSeq is Recover for the leg at index seq of its announced vector (0
+// for single operations): the installed record is only attributed to this
+// leg if its stamped index matches, so a crashed vector whose cursor says
+// "leg seq is in flight" can never resolve leg seq from a neighbouring leg's
+// record, even when consecutive legs share (kind, arg). Recovery always runs
+// eager: the sync scope the crash interrupted, if any, is torn down first,
+// and a re-invoked attempt stamps seq so that a further crash re-attributes
+// it correctly. It also terminates or fails loudly: re-invoked attempts are
+// bounded by maxRecoveryAttempts.
 func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	p.ResetSyncScope()
 	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
 	if p.Load(cp) == 0 || info == pmem.Null {
-		return e.runAttempts(p, opType, argKey, gather)
+		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 	}
 	// Defense for the pre-CP_q=0 crash window (see DESIGN.md): if RD_q
 	// still describes a different operation, this one made no changes.
 	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
 		p.Load(info+offSeq) != seq {
-		return e.runAttempts(p, opType, argKey, gather)
+		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 	}
 	// Pin before dereferencing the record: post-crash recovery kept it and
 	// everything it names alive (the fast reset frees nothing; a scan keeps
@@ -328,31 +348,12 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 		return r
 	}
 	// The last attempt did not take effect: re-invoke.
-	return e.runAttempts(p, opType, argKey, gather)
+	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 }
 
-// BeginTxnLeg is the engine-side begin step of one leg of a two-structure
-// transaction: persist CP_q := 0 (so a previous operation's recovery data
-// cannot be attributed to this leg) and retire the previous record, WITHOUT
-// the psync — a transaction resets every involved engine and then publishes
-// one announcement, all under the caller's single begin psync (the pwbs are
-// synchronous, so the ordering constraints hold without it). The caller
-// must have durably cleared the old announcement first, exactly as in
-// BeginOpFor, and calls it once per distinct engine (legs on the same
-// structure share the reset; their records are told apart by sequence
-// stamps). Announcing is the caller's job too: the transaction announcement
-// (pmem.Proc.AnnounceTxn) replaces the per-op announcement.
-func (e *Engine) BeginTxnLeg(p *pmem.Proc) {
-	e.curSeq[p.ID()] = 0
-	cp := e.cp(p)
-	p.Store(cp, 0)
-	p.PWB(cp)
-	e.retireLast(p)
-}
-
-// ResolveSeq probes whether the operation (opType, argKey) at batch
-// sequence number seq took effect, WITHOUT re-invoking it: the
-// roll-forward-or-resubmit decision point of transaction recovery. Like
+// ResolveSeq probes whether the leg (opType, argKey) at index seq took
+// effect, WITHOUT re-invoking it: the roll-forward-or-resubmit decision
+// point of an atomic vector's recovery. Like
 // RecoverSeq it helps an installed matching record to completion (the
 // effect may land now, during recovery — that still counts as applied);
 // unlike RecoverSeq a missing or mismatching record returns (0, false)
@@ -408,87 +409,48 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	}
 }
 
-// BeginBatch opens a batched-admission window for n operations (reported by
-// opAt) on the calling process: the cross-operation generalization of
-// BeginOpFor. One durable batch announcement — header, op slots, checksum —
-// replaces n per-op announcements, and the whole begin sequence rides ONE
-// psync. The window is a sync scope (pmem.Proc.OpenSyncScope): inside it
-// the engine's sync points defer — to each op boundary under the eager Isb
-// placement, to the batch-end psync under Isb-Opt — and write-backs overlap
-// clwb-style; both are pure cost/accounting changes — every pwb still
-// applies its line write-back synchronously, so the reachable crash states
-// are exactly those of the unbatched execution.
-//
-// The write order generalizes BeginOpFor's and is equally load-bearing:
-// clear the old announcement, persist CP_q := 0, then publish the batch
-// record — durable before any op of the batch can take effect. A crash
-// anywhere inside BeginBatch leaves either the old announcement, nothing,
-// or a checksum-invalid torn record: in every case the batch provably
-// performed no tracked writes and is simply re-submitted.
-func (e *Engine) BeginBatch(p *pmem.Proc, n int, opAt func(i int) (kind, arg uint64)) {
-	if e.annID == 0 {
-		panic("isb: BeginBatch on a non-announcing engine")
-	}
-	// Opened ahead of the begin sequence so that its write-backs overlap
-	// too; the begin psync below is explicit, not an engine sync point.
-	p.OpenSyncScope()
-	cp := e.cp(p)
-	p.ClearAnnounce()
-	p.Store(cp, 0)
-	p.PWB(cp)
-	p.AnnounceBatch(e.annID, n, opAt)
-	e.retireLast(p) // see BeginOp: before the psync, after CP_q's pwb
-	p.PSync()
-	e.curSeq[p.ID()] = 0
-}
-
-// BatchBoundary closes batch operation seq-1 and opens operation seq: the
-// previous op's response becomes durable in its result slot, then the
-// completed-prefix cursor advances to cover it. Both write-backs are
-// synchronous and ordered — once the cursor names seq, result seq-1 is
-// already durable — so recovery's completed-prefix reads never see ⊥ below
-// the cursor. Only after the cursor advance can the previous op's tracking
-// record no longer be consulted; its retirement happens here, not before.
-// Under the Isb placement the boundary issues the per-op psync the deferred
-// intra-op sync points merged into; under Isb-Opt it defers too.
-func (e *Engine) BatchBoundary(p *pmem.Proc, seq int, prevResp uint64) {
-	id := p.ID()
-	p.SetBatchResult(seq-1, prevResp)
-	p.AdvanceBatchCursor(seq)
-	if e.Batched() {
-		e.batchSyncs[id]++
-	} else {
-		p.PSync()
+// Boundary closes leg seq-1 of the announced vector, which ran on this
+// engine, and opens leg seq: the previous leg's response becomes durable in
+// its result slot, then the completed-prefix cursor advances to cover it
+// (pmem.Proc.AdvanceCursor) — for an atomic vector, the commit point. Only
+// after the cursor advance can the previous leg's tracking record no longer
+// be consulted; its retirement happens here, not before. Inside a sync scope
+// under the Isb placement the boundary issues the per-leg psync the deferred
+// intra-leg sync points merged into; under Isb-Opt it defers too.
+func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
+	p.AdvanceCursor(seq, prevResp)
+	if p.InSyncScope() {
+		if e.Batched() {
+			e.batchSyncs[p.ID()]++
+		} else {
+			p.PSync()
+		}
 	}
 	e.retireLast(p)
-	e.curSeq[id] = uint64(seq)
 }
 
-// RunBatchOp runs one operation inside an open batch window. The batch's
-// first engine-visible op initializes RD_q/CP_q exactly like a single
-// operation (minus the deferred psync); later ops skip the
-// re-initialization — CP_q is already 1, and the stale RD_q record is
-// fenced off by the sequence stamp, not by an RD_q := Null round-trip —
-// which is where the per-op begin cost goes. CP_q itself is the dispatch:
-// BeginBatch persisted CP_q := 0, and only runAttempts raises it, so
-// CP_q = 0 means no mutating op of this batch has initialized the
-// registers yet (read-only ops never enter the engine). Recovery relies on
-// the same invariant: a crash with CP_q = 0 proves the in-flight op
-// installed nothing, so re-invoking it is safe.
+// RunBatchOp runs the leg at index seq of an announced vector (Begin). An
+// engine's first leg initializes RD_q/CP_q exactly like a single operation;
+// later legs on the same engine skip the re-initialization — CP_q is already
+// 1, and the stale RD_q record is fenced off by the index stamp, not by an
+// RD_q := Null round-trip — which is where the per-op begin cost goes. CP_q
+// itself is the dispatch: Begin persisted CP_q := 0, and only runAttempts
+// raises it, so CP_q = 0 means no mutating leg of this vector has initialized
+// this engine's registers yet (read-only legs never enter the engine).
+// Recovery relies on the same invariant: a crash with CP_q = 0 proves the
+// in-flight leg installed nothing, so re-invoking it is safe.
+//
+// Inside a sync scope (pmem.Proc.OpenSyncScope, which the admitting runtime
+// opens around a window under either placement and around a transaction
+// under Isb-Opt) the engine's sync points defer — to each Boundary under Isb,
+// to the scope's closing psync under Isb-Opt — and write-backs overlap
+// clwb-style; both are pure cost/accounting changes — every pwb still
+// applies its line write-back synchronously, so the reachable crash states
+// are exactly those of the unscoped execution.
 func (e *Engine) RunBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
 	if p.Load(e.cp(p)) == 0 {
-		return e.runAttempts(p, opType, argKey, gather)
+		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
-	return e.attemptLoop(p, opType, argKey, gather)
-}
-
-// EndBatch closes the batch window: one psync drains every deferred sync
-// point and overlapped write-back, and the engine reverts to single-op
-// admission. The batch announcement stays in place — like a single op's, it
-// is only cleared by the process's next Begin — so a crash after EndBatch
-// still resolves every op of the batch from the record.
-func (e *Engine) EndBatch(p *pmem.Proc) {
-	e.curSeq[p.ID()] = 0
-	p.CloseSyncScope()
+	return e.attemptLoop(p, opType, argKey, gather, 0)
 }

@@ -88,7 +88,7 @@ const (
 	offAffect     = 8  // MaxAffect pairs ⟨infoFieldAddr, expectedValue⟩
 	offWrites     = 16 // MaxWrites triples ⟨addr, old, new⟩
 	offCleanup    = 25 // MaxCleanup info-field addresses
-	offSeq        = 31 // batch sequence number of the op this record belongs to
+	offSeq        = 31 // index, in its announced vector, of the leg this record belongs to
 
 	// MaxAffect etc. bound the per-operation sets.
 	MaxAffect  = 4
@@ -211,18 +211,21 @@ type Engine struct {
 	// nests on one process).
 	specs []Spec
 	// annID, when nonzero, is the runtime-registry structure ID this engine
-	// announces: BeginOpFor durably records (annID, opType, argKey) in the
-	// calling process's announcement line before the operation's tag phase,
-	// and BeginOp durably clears it. Both writes ride the begin barrier's
-	// existing psync, so announcing adds no stand-alone sync in either
-	// placement. Engines built outside a Runtime leave annID 0 and behave
-	// exactly as before.
+	// announces under: Begin then durably clears the calling process's
+	// announcement record and publishes the new one around persisting
+	// CP_q := 0, all under its one psync, so announcing adds no stand-alone
+	// sync in either placement. Engines built outside a Runtime leave annID 0
+	// and never touch the record.
 	annID uint64
+	// onReset, when set, runs at the end of reset: the hook through which a
+	// structure with a second set of recovery registers (the elimination
+	// stack's exchanger) has them reset wherever CP_q is.
+	onReset func(p *pmem.Proc)
 	// alloc serves Info records and (through Alloc) structure nodes. The
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
 	// pmem.Reclaimer recycles retired blocks after an epoch grace period.
 	// Epoch pins and retirements are threaded through the operation entry
-	// points so reclamation adds no stand-alone psync (see BeginOp).
+	// points so reclamation adds no stand-alone psync (see Begin).
 	alloc pmem.Allocator
 	// lastInfo tracks, per process, the Info record currently installed in
 	// that process's RD_q: it is retired at the next operation's begin (once
@@ -236,9 +239,10 @@ type Engine struct {
 	lastInfo []pmem.Addr
 	// cookieCtr feeds cookie (see there), one counter per process.
 	cookieCtr []uint64
-	// curSeq is the batch sequence number install stamps into Info records
-	// (offSeq); 0 outside a batch window. Every path to install sets it
-	// first (BeginOpFor, RunBatchOp, RecoverSeq), so a crash needs no reset.
+	// curSeq is the leg index install stamps into Info records (offSeq): the
+	// operation's position in its announced vector, 0 for a single operation.
+	// Every path to install sets it first (Begin, RunBatchOp, RecoverSeq), so
+	// a crash needs no reset.
 	curSeq []uint64
 	// batchSyncs/readFast back Counters (see isb.Stats).
 	batchSyncs []uint64
@@ -413,76 +417,61 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 // AnnounceID reports the registered announcement ID (0 = announcing off).
 func (e *Engine) AnnounceID() uint64 { return e.annID }
 
-// BeginOp is the system-side action of the paper's model: persistently set
-// CP_q := 0 just before a fresh operation starts, so that recovery can tell
-// a brand-new operation (whose RD_q still points at a previous operation's
-// Info) from one that already initialized its recovery data. On an
-// announcing engine it first durably clears the announcement record — the
-// clear's pwb must retire before CP_q resets, or registry-routed recovery
-// could re-invoke (duplicate) the previous, completed operation — with the
-// single existing psync covering both lines.
-func (e *Engine) BeginOp(p *pmem.Proc) {
-	e.curSeq[p.ID()] = 0
-	if e.annID != 0 {
-		p.ClearAnnounce()
-	}
-	cp := e.cp(p)
-	p.Store(cp, 0)
-	p.PWB(cp)
-	// Retire the previous operation's Info record before the psync: its
-	// ring entry's write-back rides this sync, and ordering it before the
-	// durable CP_q := 0 means a crash between the two leaves the record
-	// RD_q-reachable (the scan keeps it live) rather than retired-but-
-	// still-needed.
-	e.retireLast(p)
-	p.PSync()
-}
+// OnReset registers the structure's hook for resetting recovery registers it
+// keeps outside the engine (see the onReset field). Call before any operation
+// runs.
+func (e *Engine) OnReset(f func(p *pmem.Proc)) { e.onReset = f }
 
-// AnnounceFor durably publishes the announcement (annID, opType, argKey)
-// for the calling process without touching CP_q: the composition hook for
-// structures whose operations can take effect outside the engine (the
-// elimination stack). The caller must already have durably cleared the old
-// announcement and reset every recovery register the announced operation
-// could be routed to (BeginOp, then e.g. the exchanger's Begin) — a
-// register still describing a previous operation would be read as this
-// one's outcome. No-op on a non-announcing engine.
-func (e *Engine) AnnounceFor(p *pmem.Proc, opType, argKey uint64) {
-	if e.annID != 0 {
-		p.Announce(e.annID, opType, argKey)
-	}
-}
-
-// BeginOpFor is the operation-entry variant of BeginOp: on an announcing
-// engine it durably records (annID, opType, argKey) in the calling process's
-// announcement line — before the operation's tag phase, and before any
-// pre-engine effect such as the stack's elimination attempt — around
-// persisting CP_q := 0. Everything rides the single begin psync, so neither
-// placement pays an extra sync per operation. RunOp calls it; structures
-// with effects outside the engine (the elimination stack) call it directly.
+// Begin is the begin sequence of every admission shape — the system-side
+// action of the paper's model (persistently set CP_q := 0 just before a fresh
+// operation starts), generalized to an announced vector of legs: a single
+// operation (RunOp), a batch window, a two-structure transaction (others is
+// then the second leg's engine, if distinct), or no legs at all — the bare
+// step a crash harness runs before each invocation. e is leg 0's engine.
+// Everything rides the one psync at the end, so no shape pays an extra sync.
 //
 // The write order is load-bearing (each pwb is synchronous):
 //  1. clear the old announcement — once CP_q resets, a stale announcement
 //     would read as "in flight, made no changes" and registry-routed
 //     recovery would re-invoke (duplicate) the previous, completed op;
-//  2. persist CP_q := 0 — the new announcement must only become valid once
-//     the engine can no longer attribute the previous operation's RD_q
-//     record to it; otherwise recovering an announced operation whose
-//     (kind, arg) equal the previous one's would return the previous
-//     response instead of running this operation;
-//  3. announce — durable before the operation can take any effect.
-func (e *Engine) BeginOpFor(p *pmem.Proc, opType, argKey uint64) {
-	e.curSeq[p.ID()] = 0
-	cp := e.cp(p)
+//  2. persist CP_q := 0 on every involved engine — the new announcement must
+//     only become valid once no engine can attribute a previous operation's
+//     RD_q record to one of its legs; otherwise recovering a leg whose
+//     (kind, arg, index) equal the previous one's would return the previous
+//     response instead of running it;
+//  3. announce — durable before any leg, or any pre-engine effect such as
+//     the stack's elimination attempt, can take effect.
+//
+// A crash anywhere inside Begin leaves either the old announcement, nothing,
+// or a checksum-invalid torn record: in every case the admission provably
+// performed no tracked writes and is simply re-submitted.
+func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*Engine) {
 	if e.annID != 0 {
 		p.ClearAnnounce()
 	}
+	e.reset(p)
+	for _, o := range others {
+		o.reset(p)
+	}
+	if e.annID != 0 && len(legs) > 0 {
+		p.Announce(atomic, legs...)
+	}
+	p.PSync()
+}
+
+// reset persists CP_q := 0 (no psync: Begin's covers it) and retires the
+// previous operation's Info record: once CP_q := 0 is written back the record
+// can never be consulted again, and its ring entry's write-back rides Begin's
+// psync.
+func (e *Engine) reset(p *pmem.Proc) {
+	e.curSeq[p.ID()] = 0
+	cp := e.cp(p)
 	p.Store(cp, 0)
 	p.PWB(cp)
-	if e.annID != 0 {
-		p.Announce(e.annID, opType, argKey)
+	e.retireLast(p)
+	if e.onReset != nil {
+		e.onReset(p)
 	}
-	e.retireLast(p) // see BeginOp: before the psync, after CP_q's pwb
-	p.PSync()
 }
 
 // allocInfo allocates a zeroed Info record for one attempt.
@@ -516,11 +505,11 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	}
 	p.Store(info+offOpType, s.OpType)
 	p.Store(info+offArgKey, s.ArgKey)
-	// The record's batch sequence number (0 outside a batch window): recovery
-	// only attributes a record to the announced batch's in-flight op when the
-	// stamped sequence matches the durable cursor, so a crash between the
-	// cursor advance and the next op's first install cannot misattribute the
-	// previous op's record to an identical (kind, arg) successor.
+	// The record's leg index: recovery only attributes a record to the
+	// announced vector's in-flight leg when the stamped index matches the
+	// durable cursor, so a crash between the cursor advance and the next
+	// leg's first install cannot misattribute the previous leg's record to an
+	// identical (kind, arg) successor.
 	p.Store(info+offSeq, e.curSeq[p.ID()])
 	succ := s.SuccessResponse
 	if s.ReadOnly {

@@ -1,6 +1,8 @@
 package isb
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,8 +140,8 @@ func TestEngineRecoverAfterEveryCrashOffset(t *testing.T) {
 			h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
 			c := newCounter(h, opt)
 			p := h.Proc(0)
-			c.inc(p)       // value 1
-			c.e.BeginOp(p) // system-side invocation step (see crash.Target)
+			c.inc(p)                 // value 1
+			c.e.Begin(p, false, nil) // system-side invocation step (see crash.Target)
 			h.ScheduleCrashAt(h.AccessCount() + offset)
 			var resp uint64
 			crashed := !pmem.RunOp(func() { resp = c.inc(p) })
@@ -176,9 +178,9 @@ func TestEngineBeginOpClearsCheckpoint(t *testing.T) {
 	c := newCounter(h, false)
 	p := h.Proc(0)
 	c.inc(p)
-	// After BeginOp (system-side CP_q := 0), Recover must re-invoke even
-	// though RD_q still points at the completed op's Info.
-	c.e.BeginOp(p)
+	// After the bare Begin (system-side CP_q := 0), Recover must re-invoke
+	// even though RD_q still points at the completed op's Info.
+	c.e.Begin(p, false, nil)
 	if got := DecodeValue(c.e.Recover(p, opInc, 0, c.g)); got != 2 {
 		t.Fatalf("post-Begin recovery returned %d, want fresh execution (2)", got)
 	}
@@ -337,5 +339,34 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 	}
 	if c.e.Result(inv, info) != EncodeValue(1) {
 		t.Fatalf("result %d", c.e.Result(inv, info))
+	}
+}
+
+// TestRecoveryTerminatesOrFailsLoudly: a structure recovery cannot resolve —
+// here a gather that restarts forever — must end in the attempt bound's
+// panic, naming the operation and the recovery registers, and never in the
+// allocator's "arena exhausted" (each retry allocates a 32-word Info record,
+// and this heap holds about twice the bound's worth).
+func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
+	for _, opt := range []bool{false, true} {
+		h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
+		e := NewEngine(h)
+		if opt {
+			e = NewEngineOpt(h)
+		}
+		stuck := func(*pmem.Proc, pmem.Addr, *Spec) GatherResult { return Restart }
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			e.RecoverSeq(h.Proc(0), 7, 42, 3, stuck)
+		}()
+		for _, want := range []string{"isb: recovery of proc 0", "kind 7, key 42, seq 3", "RD_q = 0", "CP_q = 1", "affect set []"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("opt=%v: recovery ended with %q, want a message containing %q", opt, msg, want)
+			}
+		}
+		if used := h.Used(); used > 1<<16 {
+			t.Fatalf("opt=%v: %d words used on a %d-word heap", opt, used, 1<<16)
+		}
 	}
 }

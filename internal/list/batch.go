@@ -42,7 +42,7 @@ func (l *List) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 }
 
 // ApplyBatchOp runs one operation at position seq inside an open batch
-// window (isb.Engine.BeginBatch). Read-only kinds take the zero-persist
+// window (isb.Engine.Begin). Read-only kinds take the zero-persist
 // path; mutating kinds run through the engine's batch driver.
 func (l *List) ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpFind {

@@ -278,10 +278,7 @@ func (l *List) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	}
 }
 
-// Engine exposes the ISB engine (for tests asserting RD/CP behaviour).
-func (l *List) Engine() *isb.Engine { return l.e }
-
 // Begin is the system-side invocation step (persist CP_q := 0). The crash
 // harness calls it before invoking an operation; standalone callers need
 // not, since every operation performs it on entry as well.
-func (l *List) Begin(p *pmem.Proc) { l.e.BeginOp(p) }
+func (l *List) Begin(p *pmem.Proc) { l.e.Begin(p, false, nil) }

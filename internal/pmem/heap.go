@@ -124,7 +124,7 @@ type Heap struct {
 	// O(used arena) and lets persistLine skip write-backs of clean lines.
 	dirty []atomic.Uint64
 
-	annBase Addr // per-proc announcement lines (see proc.go: Announce)
+	annBase Addr // per-proc announcement regions (see the layout above annSum)
 
 	next    atomic.Uint64 // bump pointer (word index)
 	cap     uint64
@@ -148,54 +148,49 @@ type Heap struct {
 const reservedWords = WordsPerLine
 
 // Announcement record layout: one region per process, reserved in the heap
-// layout right after the Null line. The first line holds the single-operation
-// announcement (structure ID, operation kind, argument, checksum) that the
-// runtime's registry-routed recovery reads after a crash (see Proc.Announce),
-// plus the batch-announcement header (count, completed-prefix cursor,
-// checksum). The following lines hold the batch's op slots (kind/arg pairs)
-// and per-op result slots. See Proc.AnnounceBatch.
+// layout right after the Null line. Every admission shape writes the same
+// record — a durable vector of N legs behind one header — which the runtime's
+// registry-routed recovery reads after a crash (see Proc.Announce):
+//
+//	word   0        1              2        3     4 … 4+2N-1        136 … 136+N-2
+//	     ┌────────┬──────────────┬────────┬─────┬────────────────┐ ┌──────────────┐
+//	     │ sum    │ N | atomic   │ cursor │  -  │ leg 0 … leg N-1│ │ result slots │
+//	     └────────┴──────────────┴────────┴─────┴────────────────┘ └──────────────┘
+//	      immutable, bound by sum  mutable        immutable          mutable
+//
+// A leg is two words: structure ID, flags and kind packed into the first,
+// the argument in the second. A single operation is N = 1, a batch window N ≤
+// MaxBatch non-atomic legs, a transaction an atomic vector. sum is the
+// checksum over the count word and every leg, and the one word that makes
+// the record valid: 0 means "no record", and a record torn across cache lines
+// fails it. The header and legs 0–1 share the first line, so announcing a
+// single operation or a two-leg transaction is one write-back. cursor is the
+// completed prefix: legs [0, cursor) have durable responses in their result
+// slots (written back strictly before the cursor that covers them), leg
+// cursor is the one possibly in flight, and legs above it never started. The
+// last leg never gets a slot — its response stays in its engine's tracking
+// record — so the cursor never reaches N.
 const (
-	annStruct = 0 // structure ID (0 = no announcement)
-	annKind   = 1 // operation kind
-	annArg    = 2 // operation argument
-	annSum    = 3 // checksum binding the three words (see annCheck)
+	annSum    = 0 // checksum over annMeta and every leg word (0 = no record)
+	annMeta   = 1 // leg count | atomic flag << annAtomicShift
+	annCursor = 2 // completed-prefix cursor
+	annLegs   = 4 // MaxBatch two-word legs
 
-	abCount  = 4 // batch op count (0 = no batch announcement)
-	abCursor = 5 // completed-prefix cursor: ops [0, cursor) have durable results
-	abSum    = 6 // checksum binding structID, count and every op slot
+	annAtomicShift = 32
 
-	// annTxn is the transaction-announcement checksum (0 = no transaction
-	// announced): it binds the two leg descriptors and the flags word in the
-	// txLegs line (see txnCheck), so a header that persisted without its leg
-	// line — or vice versa — is detectably invalid. The three announcement
-	// shapes are mutually exclusive: announcing a transaction zeroes
-	// annStruct and abCount; Announce/AnnounceBatch zero annTxn.
-	annTxn = 7
+	// annResults is the first result slot word, on its own cache lines. A
+	// slot only means something below the cursor, so slots are never cleared.
+	annResults = (annLegs + 2*MaxBatch + WordsPerLine - 1) &^ (WordsPerLine - 1)
 
-	// abSlots is the first op slot word: MaxBatch (kind, arg) pairs.
-	abSlots = WordsPerLine
-	// abResults is the first result slot word: MaxBatch response words.
-	// A result slot of 0 (the engine's ⊥) means "no durable result".
-	abResults = abSlots + 2*MaxBatch
+	// annStride is the per-process announcement region size in words.
+	annStride = annResults + MaxBatch
 
-	// Transaction announcement: one line of leg descriptors — two
-	// (structID, kind, arg) triples, the durable commit-point word and a
-	// flags word — plus a line of per-leg result slots (0 = no durable
-	// result, like batch result slots). The commit point is 0 until leg 1
-	// completed and its result slot persisted; CommitTxn then sets it to
-	// txnCommitMark(annTxn's checksum), a nonzero value bound to this very
-	// transaction's legs, so a stale mark can never validate a new record.
-	txLegs    = abResults + MaxBatch // leg line: 6 leg words, commit, flags
-	txCommit  = txLegs + 6           // durable commit point (0 = uncommitted)
-	txFlags   = txLegs + 7           // transaction flags (see internal/txn)
-	txResults = txLegs + WordsPerLine
-
-	// annStride is the per-process announcement region size in words
-	// (header line + op slots + result slots + txn lines; whole lines).
-	annStride = txResults + WordsPerLine
+	// Leg word 0 packs the structure ID above the flags above the kind.
+	legFlagsShift  = 32
+	legStructShift = 40
 )
 
-// MaxBatch bounds the number of operations one batch announcement can hold.
+// MaxBatch bounds the number of legs one announcement can hold.
 const MaxBatch = 64
 
 // NewHeap allocates a simulated persistent heap and its process descriptors.
@@ -249,14 +244,18 @@ func (h *Heap) Proc(id int) *Proc {
 // annAddr returns the first word of proc id's announcement region.
 func (h *Heap) annAddr(id int) Addr { return h.annBase + Addr(id)*annStride }
 
-// annCheck is the checksum word binding an announcement's three payload
-// words. An announcement is only valid if the persisted checksum matches the
-// persisted payload, which makes a partially persisted announcement (a crash
-// between its stores and its pwb, with some words reaching persistence via
-// simulated eviction) detectably invalid instead of a garbled route. The
-// result is never zero, so a cleared line can never validate.
-func annCheck(structID, kind, arg uint64) uint64 {
-	x := structID*0x9e3779b97f4a7c15 ^ kind*0xbf58476d1ce4e5b9 ^ arg*0x94d049bb133111eb
+// annCheck is one step of the announcement checksum: it folds two payload
+// words into the running sum. Announce chains it over the count word and then
+// every leg, in order; the cursor and result slots are deliberately excluded —
+// they mutate as the vector progresses and have their own torn-write defense
+// (a result slot is durable strictly before the cursor that covers it). An
+// announcement is only valid if the persisted sum matches the persisted
+// payload, which makes a partially persisted record (a crash between its
+// stores and its pwbs, with some lines reaching persistence via simulated
+// eviction) detectably invalid instead of a garbled route. The result is
+// never zero, so a cleared header can never validate.
+func annCheck(sum, a, b uint64) uint64 {
+	x := sum*0x9e3779b97f4a7c15 ^ a*0xbf58476d1ce4e5b9 ^ b*0x94d049bb133111eb
 	x ^= x >> 29
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 32
@@ -265,40 +264,6 @@ func annCheck(structID, kind, arg uint64) uint64 {
 	}
 	return x
 }
-
-// batchCheck chains annCheck over a batch announcement's immutable part:
-// the structure ID, the op count and every (kind, arg) slot, in order. The
-// cursor and result slots are deliberately excluded — they mutate as the
-// batch progresses and have their own torn-write defenses (a result slot is
-// durable strictly before the cursor that covers it). Like annCheck the
-// result is never zero, so a cleared header can never validate.
-func batchCheck(structID, count uint64, op func(i int) (kind, arg uint64)) uint64 {
-	sum := annCheck(structID, count, 0)
-	for i := 0; i < int(count); i++ {
-		k, a := op(i)
-		sum = annCheck(sum, k, a)
-	}
-	return sum
-}
-
-// txnCheck chains annCheck over a transaction announcement's immutable
-// part: both leg descriptors and the flags word, in order. The commit point
-// and result slots are deliberately excluded — they mutate as the
-// transaction progresses and have their own torn-write defenses (a result
-// slot is durable strictly before the commit point that covers it). Never
-// zero, so a cleared header can never validate.
-func txnCheck(l1, l2 TxnLeg, flags uint64) uint64 {
-	sum := annCheck(l1.StructID, l1.Kind, l1.Arg)
-	sum = annCheck(sum, l2.StructID, l2.Kind)
-	return annCheck(sum, l2.Arg, flags)
-}
-
-// txnCommitMark derives the nonzero commit-point value for a transaction
-// with announcement checksum sum: bound to the legs it commits, so a commit
-// word that survived from an earlier transaction (a crash between the leg
-// line's stores and its write-back, with the old line partially evicted)
-// reads as uncommitted for the new record.
-func txnCommitMark(sum uint64) uint64 { return annCheck(sum, 0, 1) }
 
 // NumProcs reports how many process descriptors the heap was built with.
 func (h *Heap) NumProcs() int { return len(h.procs) }

@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -400,21 +402,48 @@ func TestDisarmCrash(t *testing.T) {
 	}
 }
 
+// announced reads back p's whole announcement as Announce's arguments.
+func announced(p *Proc) (legs []Leg, cursor int, atomic, ok bool) {
+	n, cursor, atomic, ok := p.Announcement()
+	for i := 0; i < n; i++ {
+		legs = append(legs, p.AnnouncedLeg(i))
+	}
+	return legs, cursor, atomic, ok
+}
+
 func TestAnnouncementRecordLifecycle(t *testing.T) {
 	h := newTracked(t, 2)
 	p := h.Proc(1)
 	if _, _, _, ok := p.Announcement(); ok {
 		t.Fatal("fresh heap reports an announcement")
 	}
-	p.Announce(3, 7, 9)
-	if sid, kind, arg, ok := p.Announcement(); !ok || sid != 3 || kind != 7 || arg != 9 {
-		t.Fatalf("Announcement = (%d,%d,%d,%v), want (3,7,9,true)", sid, kind, arg, ok)
+	want := []Leg{{StructID: 3, Kind: 7, Arg: 9}, {StructID: 255, Kind: 30, Arg: 1<<64 - 1, Flags: 1}}
+	before := p.Stats().Flushes
+	p.Announce(true, want...)
+	if got := p.Stats().Flushes - before; got != 1 {
+		t.Fatalf("announcing two legs cost %d pwbs, want 1 (header and legs 0-1 share a line)", got)
 	}
+	check := func(when string, wantCursor int) {
+		t.Helper()
+		legs, cursor, atomic, ok := announced(p)
+		if !ok || !atomic || cursor != wantCursor || !slices.Equal(legs, want) {
+			t.Fatalf("%s: announcement = (%+v, cursor %d, atomic %v, ok %v), want (%+v, %d, true, true)",
+				when, legs, cursor, atomic, ok, want, wantCursor)
+		}
+	}
+	check("after Announce", 0)
 	// The single pwb makes the record crash-durable.
 	h.Crash()
 	h.ResetAfterCrash()
-	if sid, kind, arg, ok := p.Announcement(); !ok || sid != 3 || kind != 7 || arg != 9 {
-		t.Fatalf("announcement lost across crash: (%d,%d,%d,%v)", sid, kind, arg, ok)
+	check("across a crash", 0)
+	// The cursor and the result slot it covers are durable once
+	// AdvanceCursor returns.
+	p.AdvanceCursor(1, 42)
+	h.Crash()
+	h.ResetAfterCrash()
+	check("after AdvanceCursor", 1)
+	if got := p.LegResult(0); got != 42 {
+		t.Fatalf("result slot 0 = %d, want 42", got)
 	}
 	// Per-proc isolation: proc 0 still has none.
 	if _, _, _, ok := h.Proc(0).Announcement(); ok {
@@ -431,19 +460,80 @@ func TestAnnouncementRecordLifecycle(t *testing.T) {
 func TestAnnouncementPartialPersistInvalid(t *testing.T) {
 	h := newTracked(t, 1)
 	p := h.Proc(0)
-	p.Announce(1, 2, 3)
-	// Overwrite with a new announcement whose pwb never happens, with one
-	// payload word leaking to persistence via eviction: the checksum must
-	// reject the mixed record after the crash.
+	p.Announce(false, Leg{StructID: 1, Kind: 2, Arg: 3})
+	// Overwrite with a new announcement whose pwb never happens, with the
+	// leg words leaking to persistence via eviction ahead of the checksum:
+	// the old sum must reject the mixed record after the crash.
 	a := h.annAddr(0)
-	p.Store(a+annStruct, 2)
-	p.Store(a+annKind, 5)
-	h.persistLine(a) // evict: new structID/kind durable, but old checksum...
-	p.Store(a+annArg, 6)
-	p.Store(a+annSum, annCheck(2, 5, 6)) // never written back
+	p.Store(a+annLegs, 2<<legStructShift|5)
+	p.Store(a+annLegs+1, 6)
+	h.persistLine(a)                                                       // evict: new leg durable, but old checksum...
+	p.Store(a+annSum, annCheck(annCheck(0, 1, 0), 2<<legStructShift|5, 6)) // never written back
 	h.Crash()
 	h.ResetAfterCrash()
-	if sid, kind, arg, ok := p.Announcement(); ok {
-		t.Fatalf("mixed announcement validated: (%d,%d,%d)", sid, kind, arg)
+	if legs, _, _, ok := announced(p); ok {
+		t.Fatalf("mixed announcement validated: %+v", legs)
+	}
+}
+
+// TestAnnouncementTornSubsets pins the property every admission shape's
+// crash argument rests on, directly rather than through the every-offset
+// sweeps: a record written over a valid older one, with any strict subset of
+// its cache lines persisted when the crash hits, reads back as exactly the
+// old record, no record, or (never, for a strict subset) the new record —
+// not a mix of the two. The old record is one leg longer or shorter than the
+// new one, so both "new lines beyond the old record" and "old lines beyond
+// the new record" occur. Every subset is enumerated up to 5 lines (N = 16);
+// MaxBatch's 17 lines are sampled by seed.
+func TestAnnouncementTornSubsets(t *testing.T) {
+	mk := func(n int, salt uint64) []Leg {
+		legs := make([]Leg, n)
+		for i := range legs {
+			legs[i] = Leg{StructID: 1 + salt, Kind: uint64(i) + salt, Arg: uint64(i)*7 + salt<<32}
+		}
+		return legs
+	}
+	for _, n := range []int{1, 2, 16, MaxBatch} {
+		for _, oldN := range []int{max(n-1, 1), min(n+1, MaxBatch)} {
+			oldLegs, newLegs := mk(oldN, 100), mk(n, 200)
+			lines := (annLegs + 2*n + WordsPerLine - 1) / WordsPerLine
+			subsets := make([]uint64, 0, 64)
+			if lines <= 5 {
+				for m := uint64(0); m < 1<<lines-1; m++ {
+					subsets = append(subsets, m)
+				}
+			} else {
+				rng := rand.New(rand.NewSource(int64(n*100 + oldN)))
+				for i := 0; i < 64; i++ {
+					subsets = append(subsets, rng.Uint64()&(1<<lines-1)&^(1<<uint(rng.Intn(lines))))
+				}
+			}
+			for _, mask := range subsets {
+				h := newTracked(t, 1)
+				p := h.Proc(0)
+				p.Announce(true, oldLegs...)
+				if oldN > 1 {
+					p.AdvanceCursor(1, 9)
+				}
+				p.writeAnnouncement(false, newLegs)
+				a := h.annAddr(0)
+				for l := 0; l < lines; l++ {
+					if mask>>l&1 == 1 {
+						h.persistLine(a + Addr(l*WordsPerLine))
+					}
+				}
+				h.Crash()
+				h.ResetAfterCrash()
+				legs, cursor, atomic, ok := announced(p)
+				isOld := ok && atomic && cursor == min(1, oldN-1) && slices.Equal(legs, oldLegs)
+				if ok && !isOld {
+					t.Fatalf("N=%d over N=%d, lines %b persisted: read a record that is not the old one: %+v (cursor %d, atomic %v)",
+						n, oldN, mask, legs, cursor, atomic)
+				}
+				if mask == 0 && !isOld {
+					t.Fatalf("N=%d over N=%d, nothing persisted: the old record is gone", n, oldN)
+				}
+			}
+		}
 	}
 }

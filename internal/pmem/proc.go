@@ -298,26 +298,71 @@ func (p *Proc) Alloc(words uint64) Addr {
 	return a
 }
 
-// Announce durably records that this process is about to execute operation
-// (kind, arg) on the structure with registry ID structID (nonzero): the
-// paper's announcement discipline, generalized across structures. It writes
-// the process's announcement line — reserved in the heap layout — and issues
-// a single pwb; the caller's next psync (in practice the engine's begin
-// barrier) orders it, so announcing costs no stand-alone sync. The record
-// stays in place for the whole operation and is only cleared by
-// ClearAnnounce at the next operation's system-side Begin step, which is
-// what lets registry-routed recovery find in-flight work after a crash.
-func (p *Proc) Announce(structID, kind, arg uint64) {
-	if structID == 0 {
-		panic("pmem: Announce with structID 0")
+// Leg is one leg of an announcement: which structure (registry ID, nonzero),
+// which operation kind, and its argument. Flags is opaque to this package
+// (see internal/txn). StructID must fit 24 bits, Flags 8 and Kind 32: they
+// share the leg's first word.
+type Leg struct {
+	StructID uint64
+	Kind     uint64
+	Arg      uint64
+	Flags    uint64
+}
+
+// Announce durably records that this process is about to execute legs (1 ≤
+// len(legs) ≤ MaxBatch), in order, as one admission: the paper's announcement
+// discipline, generalized across structures and to vectors. atomic marks the
+// vector all-or-nothing (a transaction); pmem only stores the flag. See the
+// layout above annSum.
+//
+// Announce issues one pwb per touched line — one for a single operation or a
+// two-leg transaction — and no psync: the caller's next psync (the begin
+// sequence's, see isb.Engine.Begin) orders them. The write order is what makes
+// a crash inside Announce safe: every other word is stored before sum, and
+// every other line written back before the header's. The caller durably
+// cleared the previous record first (ClearAnnounce, before resetting any
+// recovery register), so a crash leaves either nothing or a record whose sum
+// does not validate: in both cases the admission provably performed no tracked
+// writes and is simply re-submitted. The record stays in place until the next
+// admission's ClearAnnounce, which is what lets registry-routed recovery find
+// in-flight work after a crash.
+func (p *Proc) Announce(atomic bool, legs ...Leg) {
+	end := p.writeAnnouncement(atomic, legs)
+	a := p.h.annAddr(p.id)
+	for line := a + WordsPerLine; line < end; line += WordsPerLine {
+		p.PWB(line)
+	}
+	p.PWB(a)
+}
+
+// writeAnnouncement is Announce's stores without its write-backs; it returns
+// the address just past the last leg word.
+func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
+	if len(legs) < 1 || len(legs) > MaxBatch {
+		panic(fmt.Sprintf("pmem: Announce with %d legs (want 1..%d)", len(legs), MaxBatch))
 	}
 	a := p.h.annAddr(p.id)
-	p.Store(a+annStruct, structID)
-	p.Store(a+annKind, kind)
-	p.Store(a+annArg, arg)
-	p.Store(a+annSum, annCheck(structID, kind, arg))
-	p.Store(a+annTxn, 0) // shape exclusion: never a single op AND a txn
-	p.PWB(a)
+	meta := uint64(len(legs))
+	if atomic {
+		meta |= 1 << annAtomicShift
+	}
+	sum := annCheck(0, meta, 0)
+	w := a + annLegs
+	for _, l := range legs {
+		if l.StructID == 0 || l.StructID >= 1<<(64-legStructShift) ||
+			l.Flags >= 1<<(legStructShift-legFlagsShift) || l.Kind >= 1<<legFlagsShift {
+			panic(fmt.Sprintf("pmem: Announce with unencodable leg %+v", l))
+		}
+		w0 := l.StructID<<legStructShift | l.Flags<<legFlagsShift | l.Kind
+		p.Store(w, w0)
+		p.Store(w+1, l.Arg)
+		sum = annCheck(sum, w0, l.Arg)
+		w += 2
+	}
+	p.Store(a+annMeta, meta)
+	p.Store(a+annCursor, 0)
+	p.Store(a+annSum, sum)
+	return w
 }
 
 // ClearAnnounce durably empties this process's announcement record. It must
@@ -328,9 +373,7 @@ func (p *Proc) Announce(structID, kind, arg uint64) {
 // synchronously, so issuing the clear's pwb before touching CP_q suffices.
 func (p *Proc) ClearAnnounce() {
 	a := p.h.annAddr(p.id)
-	p.Store(a+annStruct, 0)
-	p.Store(a+abCount, 0)
-	p.Store(a+annTxn, 0)
+	p.Store(a+annSum, 0)
 	p.PWB(a)
 }
 
@@ -354,229 +397,70 @@ func (p *Proc) ResetSyncScope() { p.syncScope = false }
 // InSyncScope reports whether a sync scope is open on this process.
 func (p *Proc) InSyncScope() bool { return p.syncScope }
 
-// AnnounceBatch durably records that this process is about to execute a
-// batch of n operations (1 ≤ n ≤ MaxBatch) on the structure with registry ID
-// structID (nonzero), all under the caller's next single psync. op reports
-// the i-th operation's kind and argument.
-//
-// The record comprises the header (structID, count, cursor := 0, checksum
-// over the immutable part) and n (kind, arg) op slots; result slots are NOT
-// cleared here — a result slot only means something for indexes below the
-// cursor, and the cursor writes that move it are ordered after the covered
-// result slot's write-back (see SetBatchResult/AdvanceBatchCursor). The
-// single-op announcement words are cleared so the record cannot be read as
-// both shapes at once; the caller must have issued ClearAnnounce earlier in
-// the same begin sequence (before resetting any recovery register), exactly
-// as with Announce.
-func (p *Proc) AnnounceBatch(structID uint64, n int, op func(i int) (kind, arg uint64)) {
-	if structID == 0 {
-		panic("pmem: AnnounceBatch with structID 0")
-	}
-	if n < 1 || n > MaxBatch {
-		panic(fmt.Sprintf("pmem: AnnounceBatch with %d ops (want 1..%d)", n, MaxBatch))
-	}
-	a := p.h.annAddr(p.id)
-	for i := 0; i < n; i++ {
-		k, v := op(i)
-		p.Store(a+abSlots+Addr(2*i), k)
-		p.Store(a+abSlots+Addr(2*i)+1, v)
-	}
-	p.Store(a+annStruct, structID)
-	p.Store(a+annKind, 0)
-	p.Store(a+annArg, 0)
-	p.Store(a+annSum, 0)
-	p.Store(a+annTxn, 0) // shape exclusion: never a batch AND a txn
-	p.Store(a+abCursor, 0)
-	p.Store(a+abCount, uint64(n))
-	p.Store(a+abSum, batchCheck(structID, uint64(n), op))
-	// One pwb per touched line: the header and the op-slot lines. A crash
-	// with only some of these lines persisted leaves the checksum invalid,
-	// so a torn batch announcement reads as "no batch" (provably no effect).
-	end := a + abSlots + Addr(2*n)
-	for line := a; line < end; line += WordsPerLine {
-		p.PWB(line)
-	}
-}
-
-// SetBatchResult durably records operation i's response in the batch
-// announcement's result slot. resp must be nonzero (0 is the engine's ⊥,
-// the "no durable result" sentinel). The write-back is synchronous, so once
-// AdvanceBatchCursor(i+1) persists, the covering result is already durable —
-// the invariant batch recovery's completed-prefix reads rely on.
-func (p *Proc) SetBatchResult(i int, resp uint64) {
+// AdvanceCursor durably closes leg i-1 and opens leg i: leg i-1's response
+// goes into its result slot, then the completed-prefix cursor moves to i. resp
+// must be nonzero (0 is the engine's ⊥). Both write-backs are synchronous and
+// ordered, so once the cursor names i, result i-1 is already durable — the
+// invariant recovery's completed-prefix reads rely on. For an atomic vector
+// the cursor leaving 0 is the commit point.
+func (p *Proc) AdvanceCursor(i int, resp uint64) {
 	if resp == 0 {
-		panic("pmem: SetBatchResult with zero response")
+		panic("pmem: AdvanceCursor with zero response")
 	}
-	a := p.h.annAddr(p.id) + abResults + Addr(i)
-	p.Store(a, resp)
+	a := p.h.annAddr(p.id)
+	p.Store(a+annResults+Addr(i-1), resp)
+	p.PWB(a + annResults + Addr(i-1))
+	p.Store(a+annCursor, uint64(i))
 	p.PWB(a)
 }
 
-// AdvanceBatchCursor durably moves the completed-prefix cursor to i: the
-// batch's operations [0, i) now have durable results. Call only after
-// SetBatchResult(i-1, …) returned.
-func (p *Proc) AdvanceBatchCursor(i int) {
+// Announcement reads this process's announcement header, validating the
+// checksum over its immutable part. ok is false if nothing is announced (or
+// the record was only partially persisted when the crash hit — the admission
+// then provably performed no tracked writes). cursor < n is the durable
+// completed prefix: legs [0, cursor) have durable responses readable via
+// LegResult, leg cursor is the (at most one) in-flight leg, and legs
+// (cursor, n) provably never started.
+func (p *Proc) Announcement() (n, cursor int, atomic, ok bool) {
 	a := p.h.annAddr(p.id)
-	p.Store(a+abCursor, uint64(i))
-	p.PWB(a)
-}
-
-// BatchAnnouncement reads this process's batch announcement record,
-// validating the checksum over its immutable part. ok is false if no batch
-// is announced (or the record was only partially persisted when the crash
-// hit — the whole batch then provably performed no tracked writes). cursor
-// is the durable completed prefix: ops [0, cursor) have durable results
-// readable via BatchResult, op cursor is the (at most one) in-flight
-// operation, and ops (cursor, n) provably never started.
-func (p *Proc) BatchAnnouncement() (structID uint64, n, cursor int, ok bool) {
-	a := p.h.annAddr(p.id)
-	structID = p.Load(a + annStruct)
-	cnt := p.Load(a + abCount)
-	if structID == 0 || cnt == 0 || cnt > MaxBatch {
-		return 0, 0, 0, false
-	}
-	if p.Load(a+abSum) != batchCheck(structID, cnt, func(i int) (uint64, uint64) {
-		return p.Load(a + abSlots + Addr(2*i)), p.Load(a + abSlots + Addr(2*i) + 1)
-	}) {
-		return 0, 0, 0, false
-	}
-	cur := p.Load(a + abCursor)
-	if cur >= cnt {
-		// The cursor never reaches the count (the final operation's result
-		// lives in the engine's recovery record, not a result slot); clamp a
-		// torn value so callers can trust cursor < n.
-		cur = cnt - 1
-	}
-	return structID, int(cnt), int(cur), true
-}
-
-// BatchOp reads the i-th op slot of the batch announcement.
-func (p *Proc) BatchOp(i int) (kind, arg uint64) {
-	a := p.h.annAddr(p.id)
-	return p.Load(a + abSlots + Addr(2*i)), p.Load(a + abSlots + Addr(2*i) + 1)
-}
-
-// BatchResult reads the i-th result slot (0 = no durable result).
-func (p *Proc) BatchResult(i int) uint64 {
-	return p.Load(p.h.annAddr(p.id) + abResults + Addr(i))
-}
-
-// TxnLeg is one leg of a two-structure transaction announcement: which
-// structure (registry ID), which operation kind, and its argument.
-type TxnLeg struct {
-	StructID uint64
-	Kind     uint64
-	Arg      uint64
-}
-
-// AnnounceTxn durably records that this process is about to execute a
-// two-leg transaction — leg 1 on one structure, then a durable commit
-// point, then leg 2 — all admitted under the caller's next single psync.
-// flags carries transaction options (see internal/txn; e.g. "leg 2's
-// argument derives from leg 1's response").
-//
-// The write order is load-bearing (each pwb is synchronous): first the leg
-// line (both legs, commit point := 0, flags) and the zeroed result slots
-// persist, THEN the header's annTxn checksum — the word that makes the
-// record valid. A crash anywhere inside AnnounceTxn leaves either the old
-// announcement, nothing, or a checksum-invalid torn record: in every case
-// the transaction provably performed no tracked writes and is simply
-// re-submitted. The caller must have issued ClearAnnounce earlier in the
-// same begin sequence (before resetting any recovery register), exactly as
-// with Announce; zeroing the commit point and result slots before validity
-// is what lets recovery trust "commit = 0 means leg 2 never started" and
-// "result slot ≠ 0 means this transaction wrote it".
-func (p *Proc) AnnounceTxn(leg1, leg2 TxnLeg, flags uint64) {
-	if leg1.StructID == 0 || leg2.StructID == 0 {
-		panic("pmem: AnnounceTxn with structID 0")
-	}
-	a := p.h.annAddr(p.id)
-	p.Store(a+txLegs+0, leg1.StructID)
-	p.Store(a+txLegs+1, leg1.Kind)
-	p.Store(a+txLegs+2, leg1.Arg)
-	p.Store(a+txLegs+3, leg2.StructID)
-	p.Store(a+txLegs+4, leg2.Kind)
-	p.Store(a+txLegs+5, leg2.Arg)
-	p.Store(a+txCommit, 0)
-	p.Store(a+txFlags, flags)
-	p.PWB(a + txLegs)
-	p.Store(a+txResults, 0)
-	p.Store(a+txResults+1, 0)
-	p.PWB(a + txResults)
-	p.Store(a+annStruct, 0)
-	p.Store(a+abCount, 0)
-	p.Store(a+annTxn, txnCheck(leg1, leg2, flags))
-	p.PWB(a)
-}
-
-// CommitTxn durably flips the transaction's commit point: leg 1 completed
-// and its result slot persisted (call only after SetTxnResult(0, …)
-// returned — its write-back is synchronous, so the result is durable
-// strictly before the commit mark that covers it). After CommitTxn,
-// recovery re-drives leg 2 instead of re-submitting the transaction.
-func (p *Proc) CommitTxn() {
-	a := p.h.annAddr(p.id)
-	p.Store(a+txCommit, txnCommitMark(p.Load(a+annTxn)))
-	p.PWB(a + txCommit)
-}
-
-// SetTxnResult durably records leg i's (0 or 1) response in the
-// transaction announcement's result slot. resp must be nonzero (0 is the
-// engine's ⊥, the "no durable result" sentinel).
-func (p *Proc) SetTxnResult(i int, resp uint64) {
-	if resp == 0 {
-		panic("pmem: SetTxnResult with zero response")
-	}
-	a := p.h.annAddr(p.id) + txResults + Addr(i)
-	p.Store(a, resp)
-	p.PWB(a)
-}
-
-// TxnResult reads leg i's result slot (0 = no durable result). AnnounceTxn
-// durably zeroed both slots before the record became valid, so a nonzero
-// slot was written by THIS transaction — which is what lets recovery trust
-// slot 0 as proof that leg 1 completed even when the commit point's
-// write was lost.
-func (p *Proc) TxnResult(i int) uint64 {
-	return p.Load(p.h.annAddr(p.id) + txResults + Addr(i))
-}
-
-// TxnAnnouncement reads this process's transaction announcement record,
-// validating the checksum that binds the header to the leg line. ok is
-// false if no transaction is announced (or the record was only partially
-// persisted when the crash hit — the transaction then provably performed
-// no tracked writes). committed reports the durable commit point: false
-// means leg 2 provably never started.
-func (p *Proc) TxnAnnouncement() (leg1, leg2 TxnLeg, flags uint64, committed, ok bool) {
-	a := p.h.annAddr(p.id)
-	sum := p.Load(a + annTxn)
-	if sum == 0 {
-		return TxnLeg{}, TxnLeg{}, 0, false, false
-	}
-	leg1 = TxnLeg{StructID: p.Load(a + txLegs + 0), Kind: p.Load(a + txLegs + 1), Arg: p.Load(a + txLegs + 2)}
-	leg2 = TxnLeg{StructID: p.Load(a + txLegs + 3), Kind: p.Load(a + txLegs + 4), Arg: p.Load(a + txLegs + 5)}
-	flags = p.Load(a + txFlags)
-	if sum != txnCheck(leg1, leg2, flags) {
-		return TxnLeg{}, TxnLeg{}, 0, false, false
-	}
-	committed = p.Load(a+txCommit) == txnCommitMark(sum)
-	return leg1, leg2, flags, committed, true
-}
-
-// Announcement reads this process's announcement record, validating the
-// checksum. ok is false if the record is cleared or was only partially
-// persisted when the crash hit — in both cases the announced operation
-// provably performed no tracked writes, so there is nothing to recover.
-func (p *Proc) Announcement() (structID, kind, arg uint64, ok bool) {
-	a := p.h.annAddr(p.id)
-	structID = p.Load(a + annStruct)
-	kind = p.Load(a + annKind)
-	arg = p.Load(a + annArg)
 	sum := p.Load(a + annSum)
-	if structID == 0 || sum != annCheck(structID, kind, arg) {
-		return 0, 0, 0, false
+	if sum == 0 {
+		return 0, 0, false, false
 	}
-	return structID, kind, arg, true
+	meta := p.Load(a + annMeta)
+	atomic = meta>>annAtomicShift&1 == 1
+	cnt := meta &^ (1 << annAtomicShift)
+	if cnt == 0 || cnt > MaxBatch {
+		return 0, 0, false, false
+	}
+	check := annCheck(0, meta, 0)
+	for w := a + annLegs; w < a+annLegs+Addr(2*cnt); w += 2 {
+		check = annCheck(check, p.Load(w), p.Load(w+1))
+	}
+	if check != sum {
+		return 0, 0, false, false
+	}
+	// The cursor never reaches the count (see the layout); clamp a torn
+	// value so callers can trust cursor < n.
+	cur := min(p.Load(a+annCursor), cnt-1)
+	return int(cnt), int(cur), atomic, true
+}
+
+// AnnouncedLeg reads leg i of the announcement.
+func (p *Proc) AnnouncedLeg(i int) Leg {
+	w := p.h.annAddr(p.id) + annLegs + Addr(2*i)
+	w0 := p.Load(w)
+	return Leg{
+		StructID: w0 >> legStructShift,
+		Flags:    w0 >> legFlagsShift & (1<<(legStructShift-legFlagsShift) - 1),
+		Kind:     w0 & (1<<legFlagsShift - 1),
+		Arg:      p.Load(w + 1),
+	}
+}
+
+// LegResult reads leg i's result slot; meaningful only below the cursor.
+func (p *Proc) LegResult(i int) uint64 {
+	return p.Load(p.h.annAddr(p.id) + annResults + Addr(i))
 }
 
 // nextRand steps the per-proc xorshift PRNG.

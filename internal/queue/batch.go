@@ -64,6 +64,3 @@ func (q *Queue) RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	}
 	return q.e.RecoverSeq(p, kind, arg, uint64(seq), q.gather(kind))
 }
-
-// Engine exposes the queue's tracking engine (counter access, batching).
-func (q *Queue) Engine() *isb.Engine { return q.e }

@@ -118,7 +118,7 @@ func (q *Queue) Dequeue(p *pmem.Proc) (v uint64, ok bool) {
 }
 
 // Begin is the system-side invocation step (persist CP_q := 0).
-func (q *Queue) Begin(p *pmem.Proc) { q.e.BeginOp(p) }
+func (q *Queue) Begin(p *pmem.Proc) { q.e.Begin(p, false, nil) }
 
 // findLast chases next pointers from the Tail hint to the actual last node
 // and lazily swings Tail forward (volatile hint; needs no persistence).

@@ -8,10 +8,10 @@
 // exactly as the batch admission protocol measures. A full per-connection
 // queue answers with an explicit RETRY frame (backpressure; the client
 // resubmits), and every request carries a client-chosen 32-bit request ID
-// that rides the durable batch announcement's Arg (see PackArg and
+// that rides the durable announcement's Arg (see PackArg and
 // repro.HashMap.SetArgMask): after a crash, reboot is Restart plus ONE
-// RecoverAll, pending requests are answered from the report's batch
-// entries, and a resubmitted request ID is answered from the server's
+// RecoverAll, pending requests are answered from the report's legs,
+// and a resubmitted request ID is answered from the server's
 // response table instead of re-executed — client-visible exactly-once.
 //
 // The admission window is the unit of work above the Runtime too. Frames

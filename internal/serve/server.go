@@ -666,8 +666,8 @@ func (s *Server) popLocked(c *conn, k int) {
 // queue cannot starve its neighbours), starting each window at a rotating
 // cursor. The returned window aliases s.win[w].
 //
-// MOVE requests never share a window: a batch announcement and a
-// transaction announcement are mutually exclusive shapes, so each
+// MOVE requests never share a window: an announced vector is either a
+// window or an atomic transaction, never a mix, so each
 // connection contributes only the prefix of its queue ahead of its first
 // MOVE, and when every admissible queue is blocked on a MOVE, exactly one
 // MOVE is admitted as a singleton window.
@@ -888,41 +888,32 @@ func (s *Server) finishWindow(w int, reqs []pendingReq, vals []uint64, fromRepor
 }
 
 // onRecover rebuilds the response table from the RecoverAll report: every
-// completed or in-flight batch entry carries its request ID in the
-// announced Arg and its durable (or recovery-resolved) response, so a
-// client that resubmits after the reboot is answered without re-execution.
-// Runs with the whole group parked.
+// completed or in-flight leg carries its request ID in the announced Arg and
+// its durable (or recovery-resolved) response, so a client that resubmits
+// after the reboot is answered without re-execution. A window's legs are one
+// request each; a MOVE's two legs — an atomic vector, so unless the whole
+// vector had no effect (the worker re-applies it) both are durable by the
+// time the report exists — are one request with one packed answer. Runs with
+// the whole group parked.
 func (s *Server) onRecover(reps []repro.ProcReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashes++ // mirror of group.Crashes(); see the field comment
 	s.lastScan, _ = s.rt.LastScan()
 	for _, rep := range reps {
-		if rep.Txn != nil {
-			// A MOVE transaction. Unless it provably had no effect (the
-			// worker re-applies it), both legs are durable by the time the
-			// report exists — recovery rolls leg 2 forward first — so the
-			// packed answer is complete and resubmittable-from-table.
-			if rep.Txn.Class != repro.TxnNoEffect {
-				reqID, _ := SplitArg(rep.Txn.Legs[0].Op.Arg)
-				s.done[reqID] = moveVal(rep.Txn.Legs[0].Resp, rep.Txn.Legs[1].Resp)
-				s.recovered++
-			}
-			continue
-		}
-		if rep.Batch == nil {
-			continue // serve admits batches and transactions only
-		}
-		for _, ent := range rep.Batch {
-			if ent.Status == repro.OpNoEffect {
+		for i, leg := range rep.Legs {
+			if leg.Status == repro.OpNoEffect {
 				break
 			}
-			reqID, _ := SplitArg(ent.Op.Arg)
-			val := uint64(0)
-			if ent.Resp.Bool() {
-				val = 1
+			reqID, _ := SplitArg(leg.Op.Arg)
+			if rep.Atomic {
+				if i == 0 {
+					continue // answered with leg 2
+				}
+				s.done[reqID] = moveVal(rep.Legs[0].Resp, leg.Resp)
+			} else {
+				s.done[reqID] = boolVal(leg.Resp)
 			}
-			s.done[reqID] = val
 			s.recovered++
 		}
 	}

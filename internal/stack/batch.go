@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"repro/internal/exchanger"
 	"repro/internal/isb"
 	"repro/internal/pmem"
 )
@@ -47,11 +48,9 @@ func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	return isb.EncodeValue(v)
 }
 
-// ApplyBatchOp runs one operation at position seq inside an open batch
-// window. Batched pushes and pops bypass the elimination layer entirely:
-// the batch announcement replaces the per-op announcement the exchanger's
-// recovery routing depends on, and collisions would complete outside the
-// batch record's cursor protocol. OpTop takes the zero-persist path.
+// ApplyBatchOp runs the leg at index seq of an announced vector. Vector legs
+// bypass the elimination layer entirely: a collision would complete outside
+// the record's cursor protocol. OpTop takes the zero-persist path.
 func (s *Stack) ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpTop {
 		return s.ReadOp(p, kind, arg)
@@ -62,20 +61,32 @@ func (s *Stack) ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	return s.e.RunBatchOp(p, seq, OpPop, arg, s.gPop)
 }
 
-// RecoverBatchOp completes the in-flight operation at batch position seq
-// after a crash. Batched operations never visit the exchanger, so unlike
-// RecoverOp this consults only the central stack's ISB recovery (checking
-// the exchanger here could surface a previous single operation's stale
-// elimination outcome).
+// RecoverBatchOp completes the in-flight leg at index seq after a crash. It
+// first consults the exchanger's recovery data: if an elimination took
+// effect, that outcome stands; otherwise the central stack's ISB recovery
+// decides. The exchanger can only describe this leg — the begin sequence
+// reset its registers before the announcement existed, and only a single
+// operation's elimination attempt (ApplyOp) writes them afterwards — so for a
+// window or transaction leg the probe finds nothing and falls through.
+// Reads leave no durable trace; recovery re-executes them.
 func (s *Stack) RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpTop {
 		return s.ReadOp(p, kind, arg)
+	}
+	if s.spins > 0 {
+		role := exchanger.WaiterOnly
+		if kind == OpPop {
+			role = exchanger.ColliderOnly
+		}
+		if v, ok := s.ex.Recover(p, arg, role, 1, false); ok {
+			if kind == OpPush {
+				return isb.RespTrue
+			}
+			return isb.EncodeValue(v)
+		}
 	}
 	if kind == OpPush {
 		return s.e.RecoverSeq(p, OpPush, arg, uint64(seq), s.gPush)
 	}
 	return s.e.RecoverSeq(p, OpPop, arg, uint64(seq), s.gPop)
 }
-
-// Engine exposes the stack's tracking engine (counter access, batching).
-func (s *Stack) Engine() *isb.Engine { return s.e }

@@ -72,6 +72,11 @@ func New(h *pmem.Heap, elimSpins int) *Stack {
 // NewWithEngine builds the stack on a caller-supplied engine.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine, elimSpins int) *Stack {
 	s := &Stack{h: h, e: e, ex: exchanger.New(h), spins: elimSpins}
+	if elimSpins > 0 {
+		// Wherever CP_q resets, CP_ex resets with it: every announced leg on
+		// this stack — single, window or transaction — may consult both.
+		e.OnReset(s.ex.Reset)
+	}
 	p := h.Proc(0)
 	bottom := newNode(e, p, bottomMark, pmem.Null, 0)
 	s.sentinel = newNode(e, p, 0, bottom, 0)
@@ -93,15 +98,9 @@ func newNode(e *isb.Engine, p *pmem.Proc, val uint64, next pmem.Addr, info uint6
 	return nd
 }
 
-// Begin is the system-side invocation step for both recovery registers. The
-// engine's BeginOp also durably clears the announcement record (on an
-// announcing engine) before either CP_q resets, so it runs first: once a CP
-// says "nothing in flight", a stale announcement must already be gone or
-// registry-routed recovery would duplicate the previous operation.
-func (s *Stack) Begin(p *pmem.Proc) {
-	s.e.BeginOp(p)
-	s.ex.Begin(p)
-}
+// Begin is the system-side invocation step for both recovery registers (the
+// exchanger's resets through the engine's OnReset hook).
+func (s *Stack) Begin(p *pmem.Proc) { s.e.Begin(p, false, nil) }
 
 // ApplyOp runs the operation described by (kind, arg) and returns its
 // encoded response (RespTrue for push; RespEmpty or a value for pop).
@@ -111,18 +110,17 @@ func (s *Stack) Begin(p *pmem.Proc) {
 // announcement must exist before Exchange runs — and every recovery
 // register the announcement could be routed to must reset before the
 // announcement exists, or a previous operation's outcome would be read as
-// this one's. Hence the order: BeginOp (retire the old announcement, CP_q
-// := 0), exchanger Begin (CP_ex := 0; Exchange's own internal Begin runs
-// too late to provide this), then AnnounceFor. Without elimination the
-// engine's RunOp entry (BeginOpFor) provides the whole sequence itself.
+// this one's. The engine's begin sequence provides exactly that order
+// (retire the old announcement, CP_q := 0 and, through OnReset, CP_ex := 0 —
+// Exchange's own internal Begin runs too late to provide this — then
+// announce), so it runs here, ahead of the exchange; RunOp's own runs it
+// again if the elimination falls through.
 func (s *Stack) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind == OpTop {
 		return s.ReadOp(p, kind, arg)
 	}
 	if s.spins > 0 {
-		s.e.BeginOp(p)
-		s.ex.Begin(p)
-		s.e.AnnounceFor(p, kind, arg)
+		s.e.Begin(p, false, []pmem.Leg{{StructID: s.e.AnnounceID(), Kind: kind, Arg: arg}})
 		if kind == OpPush {
 			if _, ok := s.ex.Exchange(p, arg, exchanger.WaiterOnly, s.spins); ok {
 				return isb.RespTrue // eliminated by a pop
@@ -154,31 +152,9 @@ func (s *Stack) Pop(p *pmem.Proc) (uint64, bool) {
 }
 
 // RecoverOp resumes an interrupted Push or Pop after a crash, returning the
-// encoded response (RespTrue for push; RespEmpty or a value for pop). It
-// first consults the exchanger's recovery data: if the elimination took
-// effect, that outcome stands; otherwise the central stack's ISB recovery
-// decides.
+// encoded response (RespTrue for push; RespEmpty or a value for pop).
 func (s *Stack) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind == OpTop {
-		// Reads leave no durable trace; recovery re-executes them.
-		return s.ReadOp(p, kind, arg)
-	}
-	if s.spins > 0 {
-		role := exchanger.WaiterOnly
-		if kind == OpPop {
-			role = exchanger.ColliderOnly
-		}
-		if v, ok := s.ex.Recover(p, arg, role, 1, false); ok {
-			if kind == OpPush {
-				return isb.RespTrue
-			}
-			return isb.EncodeValue(v)
-		}
-	}
-	if kind == OpPush {
-		return s.e.Recover(p, OpPush, arg, s.gPush)
-	}
-	return s.e.Recover(p, OpPop, arg, s.gPop)
+	return s.RecoverBatchOp(p, 0, kind, arg)
 }
 
 // gatherPush: AffectSet = (sentinel, top); WriteSet = {sentinel.next:

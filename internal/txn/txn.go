@@ -1,74 +1,27 @@
 // Package txn holds the shared vocabulary of detectably recoverable
-// two-structure transactions: the recovery classes RecoverAll resolves a
-// crashed transaction into, the leg sequence stamps that fence the two
-// legs' tracking records apart, the announcement flags, and the
+// two-structure transactions: the announcement leg flag and the
 // deterministic leg-2 argument derivation both the apply and the recovery
 // path compute from the same durable inputs.
 //
-// The protocol itself lives in the repro root (Runtime.ApplyTxn and the
-// transaction branch of RecoverAll) and in pmem's announcement record
-// (Proc.AnnounceTxn and friends); this package exists so the crash
-// harnesses and the serve layer can name classes and flags without
-// importing the whole runtime surface.
+// The protocol itself lives in the repro root (Runtime.ApplyTxn's atomic
+// vector and RecoverAll) and in pmem's announcement record
+// (Proc.Announce and friends). A transaction's legs stamp their vector index
+// (0 and 1) into their tracking records like any window's; what fences a
+// previous operation's record off is the begin sequence's CP_q := 0 on every
+// involved engine, not the stamp.
 package txn
 
-import (
-	"fmt"
+import "repro/internal/isb"
 
-	"repro/internal/isb"
-)
-
-// Leg sequence stamps: the values install writes into each leg's Info
-// record (offSeq). Single operations stamp 0 and batch operations stamp
-// their window index starting at 0, so 1 and 2 keep a transaction leg's
-// record from ever being attributed to a single op — and keep leg 1's
-// record from resolving leg 2 when both legs hit the same engine with
-// identical (kind, arg).
-const (
-	Leg1Seq = 1
-	Leg2Seq = 2
-)
-
-// FlagArgFromLeg1 marks a transaction whose leg-2 argument is leg 1's
-// response value rather than the announced one: the dequeue-then-insert
-// handoff shape. When leg 1's response carries no value (dequeue on
-// empty), leg 2 is deterministically elided with isb.RespSkipped.
+// FlagArgFromLeg1 marks an announced leg (pmem.Leg.Flags) whose argument is
+// the previous leg's response value rather than the announced one: the
+// dequeue-then-insert handoff shape. When leg 1's response carries no value
+// (dequeue on empty), leg 2 is deterministically elided with
+// isb.RespSkipped.
 const FlagArgFromLeg1 uint64 = 1
 
-// Class is the recovery classification of a crashed transaction: exactly
-// one of three, decided by the durable commit point and leg 1's tracking
-// record.
-type Class int
-
-const (
-	// ClassNoEffect: the commit point was unset and leg 1 provably did not
-	// apply — neither structure changed, and the whole transaction is
-	// safely re-submitted.
-	ClassNoEffect Class = iota
-	// ClassLeg2Recovered: leg 1's effect was durable (committed, or rolled
-	// forward from its completed tracking record) and leg 2 was re-driven
-	// idempotently through per-operation recovery.
-	ClassLeg2Recovered
-	// ClassCompleted: both result slots were durable; the transaction
-	// finished before the crash and both responses were read back.
-	ClassCompleted
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassNoEffect:
-		return "no-effect"
-	case ClassLeg2Recovered:
-		return "leg2-recovered"
-	case ClassCompleted:
-		return "completed"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
 // DeriveLeg2Arg computes leg 2's effective argument from the announced
-// one, the transaction flags, and leg 1's encoded response. skip reports
+// one, the leg's flags, and leg 1's encoded response. skip reports
 // that leg 2 is elided (its response becomes isb.RespSkipped). Both the
 // apply path and recovery call this with the same durable inputs — the
 // announced argument and the result-slot response — so a re-driven leg 2

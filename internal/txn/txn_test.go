@@ -30,28 +30,3 @@ func TestDeriveLeg2Arg(t *testing.T) {
 		t.Fatal("empty leg-1 response did not skip leg 2")
 	}
 }
-
-func TestSeqStampsDisjointFromBatch(t *testing.T) {
-	// Single ops stamp 0; batch windows stamp their index starting at 0.
-	// The leg stamps must be distinct from 0 (single-op records) and from
-	// each other, so same-engine legs cannot resolve from each other's
-	// records. (Batch indexes 1 and 2 collide by design: a batch and a
-	// transaction can never be announced at once — the announcement shapes
-	// are mutually exclusive.)
-	if Leg1Seq == 0 || Leg2Seq == 0 || Leg1Seq == Leg2Seq {
-		t.Fatalf("leg stamps %d/%d must be nonzero and distinct", Leg1Seq, Leg2Seq)
-	}
-}
-
-func TestClassStrings(t *testing.T) {
-	for c, want := range map[Class]string{
-		ClassNoEffect:      "no-effect",
-		ClassLeg2Recovered: "leg2-recovered",
-		ClassCompleted:     "completed",
-		Class(9):           "Class(9)",
-	} {
-		if got := c.String(); got != want {
-			t.Fatalf("Class(%d).String() = %q, want %q", int(c), got, want)
-		}
-	}
-}

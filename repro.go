@@ -30,9 +30,9 @@
 //	if !rt.Run(func() { l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: 7}) }) {
 //	    rt.Restart() // discard volatile state
 //	    for _, rep := range rt.RecoverAll() {
-//	        // rep says which structure proc rep.Proc was operating on,
-//	        // which operation it was, and what it returned.
-//	        _ = rep.Resp.Bool()
+//	        // rep.Legs[0] says which structure proc rep.Proc was
+//	        // operating on, which operation it was, and what it returned.
+//	        _ = rep.Legs[0].Resp.Bool()
 //	    }
 //	}
 //
@@ -66,6 +66,7 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bst"
@@ -76,6 +77,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/queue"
 	"repro/internal/stack"
+	"repro/internal/txn"
 )
 
 // Proc is a process descriptor: the unit of crash and recovery. Each Proc
@@ -217,7 +219,7 @@ func (k StructKind) String() string {
 // retries it. Apply runs one operation to completion, durably announcing
 // (ID, Op) before the operation can take effect; RecoverOp is the
 // operation's recovery function, idempotent and re-invocable across
-// further crashes. Runtime.RecoverAll drives RecoverOp through the
+// further crashes. Runtime.RecoverAll drives the same recovery through the
 // registry, so applications never call it directly unless they keep their
 // own per-operation bookkeeping.
 type Structure interface {
@@ -403,30 +405,40 @@ func (r *Runtime) Run(f func()) bool { return pmem.RunOp(f) }
 // Procs must have unwound (their Run calls returned) before Restart.
 func (r *Runtime) Restart() { r.h.ResetAfterCrash() }
 
-// ProcReport is one entry of RecoverAll's report: the structure and
-// operation process Proc had announced, and the response recovery
-// resolved it to.
+// ProcReport is one entry of RecoverAll's report: the vector of legs
+// process Proc had announced — one leg for a single operation, the window's
+// for ApplyWindow, two atomic ones for ApplyTxn — and what recovery resolved
+// each to. The statuses always read, in leg order: a completed prefix
+// (responses read back from durable result slots), the one leg that was at
+// the cursor (resolved through per-operation recovery), and a no-effect
+// suffix the caller re-submits. An Atomic vector is all-or-nothing: either
+// every leg is no-effect — neither structure changed — or none is.
 type ProcReport struct {
-	Proc     int
-	StructID uint64
-	Op       Op
-	Resp     Resp
-	// Batch is non-nil when the process crashed inside an ApplyBatch
-	// window: one entry per announced operation, partitioned into the
-	// completed prefix, the single in-flight operation, and the unstarted
-	// suffix (see OpStatus). Op/Resp then mirror the in-flight entry.
-	Batch []BatchOpReport
-	// Txn is non-nil when the process crashed inside an ApplyTxn: the
-	// recovery class and both legs' outcomes (see TxnReport). Op/Resp then
-	// mirror leg 1 for a no-effect transaction and leg 2 otherwise.
-	Txn *TxnReport
+	Proc   int
+	Atomic bool
+	Legs   []LegReport
 }
 
 // RecoverAll is the registry-routed recovery sweep. Call it after Restart:
 // for every process it reads the persistent announcement record; if one is
-// set, the announced operation is routed to its structure's RecoverOp and
-// resolved, and the outcome is reported. Zero caller bookkeeping is needed
-// — the announcement carries the structure ID, operation kind and argument.
+// set, the announced legs are routed to their structures and resolved, and
+// the outcome is reported. Zero caller bookkeeping is needed — the
+// announcement carries each leg's structure ID, operation kind and argument.
+//
+// One rule resolves every admission shape, by the record's completed-prefix
+// cursor: legs below it answer from their durable result slots (the cursor
+// only advances after the covered result persisted); the leg AT it is
+// resolved through per-operation recovery — read-only kinds by re-execution,
+// mutating kinds through the engine's index-guarded recovery, which tells
+// this position's tracking record apart from an earlier same-kind leg's; and
+// everything above it provably performed no tracked writes (OpNoEffect). An
+// atomic vector adds one step while its cursor is still 0, i.e. uncommitted:
+// the second leg provably never started (execution commits strictly before
+// its first access), and the first must not be re-invoked, only probed. If it
+// did not apply, every leg is no-effect; if it did, recovery rolls FORWARD —
+// persists the result, commits, and resolves the second leg like any
+// in-flight leg, re-deriving its argument from the first's durable response —
+// because the transaction may never half-exist once recovery completes.
 //
 // Semantics worth knowing:
 //   - A process absent from the report either was idle or crashed before
@@ -505,72 +517,55 @@ func (r *Runtime) RecoverAll() []ProcReport {
 		// individual failure does not pass through Heap.finishReset: the
 		// recovery sweep and the operations after it run eager.
 		p.ResetSyncScope()
-		if rep, ok := r.recoverTxn(id); ok {
-			out = append(out, rep)
-			continue
-		}
-		if rep, ok := r.recoverBatch(id); ok {
-			out = append(out, rep)
-			continue
-		}
-		sid, kind, arg, ok := p.Announcement()
+		n, cursor, atomic, ok := p.Announcement()
 		if !ok {
 			continue
 		}
-		s := r.Structure(sid)
-		if s == nil {
-			panic(fmt.Sprintf("repro: announcement for unregistered structure %d (proc %d)", sid, id))
+		rep := ProcReport{Proc: id, Atomic: atomic, Legs: make([]LegReport, n)}
+		for i := range rep.Legs {
+			l := p.AnnouncedLeg(i)
+			rep.Legs[i] = LegReport{StructID: l.StructID, Op: Op{Kind: l.Kind, Arg: l.Arg}, Status: OpNoEffect}
 		}
-		op := Op{Kind: kind, Arg: arg}
-		out = append(out, ProcReport{Proc: id, StructID: sid, Op: op, Resp: s.RecoverOp(p, op)})
+		if atomic && cursor == 0 {
+			leg0 := r.route(id, rep.Legs[0].StructID).(admitter).adapt()
+			raw, applied := leg0.resolveLeg(p, 0, rep.Legs[0].Op)
+			if !applied {
+				out = append(out, rep)
+				continue
+			}
+			p.AdvanceCursor(1, raw)
+			cursor = 1
+		}
+		var prev uint64
+		for i := 0; i <= cursor; i++ {
+			ent := &rep.Legs[i]
+			if i < cursor {
+				ent.Status, prev = OpCompleted, p.LegResult(i)
+			} else if arg, skip := txn.DeriveLeg2Arg(ent.Op.Arg, p.AnnouncedLeg(i).Flags, prev); skip {
+				ent.Status, prev = OpInFlight, isb.RespSkipped
+			} else {
+				ent.Status, prev = OpInFlight, r.route(id, ent.StructID).recoverLeg(p, i, Op{Kind: ent.Op.Kind, Arg: arg})
+			}
+			ent.Resp = respOf(prev)
+		}
+		out = append(out, rep)
 	}
 	return out
 }
 
-// recoverBatch resolves process id's crashed batch, if its persistent
-// batch announcement validates (checksum intact). The completed-prefix
-// cursor partitions the announced operations: responses below it are read
-// back from the durable result slots (the cursor only advances after the
-// covered result persisted), the operation AT it is resolved through
-// per-operation recovery — read-only kinds by re-execution (no later
-// operation of the batch ran, and the read left no durable trace),
-// mutating kinds through the engine's sequence-guarded recovery, which
-// tells this position's tracking record apart from an earlier same-kind
-// operation's — and everything above it provably performed no tracked
-// writes (OpNoEffect) and is re-submitted by the application.
-func (r *Runtime) recoverBatch(id int) (ProcReport, bool) {
-	p := r.h.Proc(id)
-	sid, n, cursor, ok := p.BatchAnnouncement()
-	if !ok {
-		return ProcReport{}, false
-	}
+// legRecoverer is what RecoverAll requires of an announced leg's structure;
+// every registered structure provides it.
+type legRecoverer interface {
+	recoverLeg(p *Proc, seq int, op Op) uint64
+}
+
+// route resolves the structure ID an announcement of process id names.
+func (r *Runtime) route(id int, sid uint64) legRecoverer {
 	s := r.Structure(sid)
 	if s == nil {
-		panic(fmt.Sprintf("repro: batch announcement for unregistered structure %d (proc %d)", sid, id))
+		panic(fmt.Sprintf("repro: announcement for unregistered structure %d (proc %d)", sid, id))
 	}
-	ba, okBA := s.(batchApplier)
-	if !okBA {
-		panic(fmt.Sprintf("repro: batch announcement for non-batchable structure %d (proc %d)", sid, id))
-	}
-	rep := ProcReport{Proc: id, StructID: sid, Batch: make([]BatchOpReport, n)}
-	for i := 0; i < n; i++ {
-		kind, arg := p.BatchOp(i)
-		ent := BatchOpReport{Op: Op{Kind: kind, Arg: arg}}
-		switch {
-		case i < cursor:
-			ent.Status = OpCompleted
-			ent.Resp = respOf(p.BatchResult(i))
-		case i == cursor:
-			ent.Status = OpInFlight
-			ent.Resp = respOf(ba.recoverBatchOp(p, i, kind, arg))
-		default:
-			ent.Status = OpNoEffect
-		}
-		rep.Batch[i] = ent
-	}
-	rep.Op = rep.Batch[cursor].Op
-	rep.Resp = rep.Batch[cursor].Resp
-	return rep, true
+	return s.(legRecoverer)
 }
 
 // reachMarker is the per-structure hook the conservative scan seeds from.
@@ -636,10 +631,12 @@ func (r *Runtime) AuditReclaim() pmem.AuditReport {
 }
 
 // List is a detectably recoverable sorted set of uint64 keys (paper
-// Section 4; ISB-tracking over a Harris-style list).
+// Section 4; ISB-tracking over a Harris-style list). ID, Kind, Apply,
+// RecoverOp, Begin, MarkReachable, CheckInvariants and OpKinds come from the
+// embedded adapter, as for every engine-backed structure below.
 type List struct {
-	l  *list.List
-	id uint64
+	adapter
+	l *list.List
 }
 
 // NewList builds a recoverable list with the runtime's configured engine
@@ -647,28 +644,9 @@ type List struct {
 func (r *Runtime) NewList() *List {
 	e := r.newEngine()
 	l := &List{l: list.NewWithEngine(r.h, e)}
-	l.id = r.register(l, KindList)
-	e.SetAnnounceID(l.id)
+	r.adopt(l, &l.adapter, l.l, e, KindList, OpFind)
 	return l
 }
-
-// ID is the list's durable registry ID.
-func (l *List) ID() uint64 { return l.id }
-
-// Kind reports KindList.
-func (l *List) Kind() StructKind { return KindList }
-
-// Apply runs op (OpInsert/OpDelete/OpFind) and returns its response.
-// OpFind takes the zero-persist read path (see OpKind.ReadOnly).
-func (l *List) Apply(p *Proc, op Op) Resp {
-	if op.Kind == OpFind {
-		return respOf(l.l.ReadOp(p, op.Kind, op.Arg))
-	}
-	return respOf(l.l.ApplyOp(p, op.Kind, op.Arg))
-}
-
-// RecoverOp resolves an interrupted op after a crash.
-func (l *List) RecoverOp(p *Proc, op Op) Resp { return respOf(l.l.RecoverOp(p, op.Kind, op.Arg)) }
 
 // Insert adds key (1 ≤ key ≤ MaxUint64-1); false if present.
 func (l *List) Insert(p *Proc, key uint64) bool { return l.l.Insert(p, key) }
@@ -684,47 +662,22 @@ func (l *List) Find(p *Proc, key uint64) bool { return l.l.FindFast(p, key) }
 // crash and returns its response: the targeted wrapper over RecoverOp.
 func (l *List) Recover(p *Proc, op, key uint64) bool { return l.l.Recover(p, op, key) }
 
-// Begin is the system-side invocation step used by crash harnesses.
-func (l *List) Begin(p *Proc) { l.l.Begin(p) }
-
-// MarkReachable reports the list's reachable nodes to the post-crash
-// reclamation scan (see Runtime.RecoverAll).
-func (l *List) MarkReachable(p *Proc, mark func(pmem.Addr)) { l.l.MarkReachable(p, mark) }
-
 // Keys snapshots the current key set (requires quiescence).
 func (l *List) Keys() []uint64 { return l.l.Keys() }
 
-// CheckInvariants verifies the list's structural invariants at quiescence,
-// returning a description of the first violation, or "".
-func (l *List) CheckInvariants() string { return l.l.CheckInvariants() }
-
 // Queue is a detectably recoverable FIFO queue (ISB over MS-queue).
 type Queue struct {
-	q  *queue.Queue
-	id uint64
+	adapter
+	q *queue.Queue
 }
 
 // NewQueue builds a recoverable queue with the runtime's configured engine.
 func (r *Runtime) NewQueue() *Queue {
 	e := r.newEngine()
 	q := &Queue{q: queue.NewWithEngine(r.h, e)}
-	q.id = r.register(q, KindQueue)
-	e.SetAnnounceID(q.id)
+	r.adopt(q, &q.adapter, q.q, e, KindQueue, OpPeek)
 	return q
 }
-
-// ID is the queue's durable registry ID.
-func (q *Queue) ID() uint64 { return q.id }
-
-// Kind reports KindQueue.
-func (q *Queue) Kind() StructKind { return KindQueue }
-
-// Apply runs op (OpEnq/OpDeq/OpPeek) and returns its response. OpPeek
-// takes the zero-persist read path (see OpKind.ReadOnly).
-func (q *Queue) Apply(p *Proc, op Op) Resp { return respOf(q.q.ApplyOp(p, op.Kind, op.Arg)) }
-
-// RecoverOp resolves an interrupted op after a crash.
-func (q *Queue) RecoverOp(p *Proc, op Op) Resp { return respOf(q.q.RecoverOp(p, op.Kind, op.Arg)) }
 
 // Enqueue appends v.
 func (q *Queue) Enqueue(p *Proc, v uint64) { q.q.Enqueue(p, v) }
@@ -744,52 +697,23 @@ func (q *Queue) RecoverDequeue(p *Proc) (uint64, bool) {
 	return q.RecoverOp(p, Op{Kind: OpDeq}).Value()
 }
 
-// Begin is the system-side invocation step used by crash harnesses.
-func (q *Queue) Begin(p *Proc) { q.q.Begin(p) }
-
-// MarkReachable reports the queue's reachable nodes to the post-crash
-// reclamation scan.
-func (q *Queue) MarkReachable(p *Proc, mark func(pmem.Addr)) { q.q.MarkReachable(p, mark) }
-
 // Values snapshots the queue front-to-back (requires quiescence).
 func (q *Queue) Values() []uint64 { return q.q.Values() }
-
-// CheckInvariants verifies the queue's structural invariants at quiescence.
-func (q *Queue) CheckInvariants() string { return q.q.CheckInvariants() }
 
 // BST is a detectably recoverable leaf-oriented binary search tree
 // (Section 6; ISB over the Ellen et al. non-blocking BST).
 type BST struct {
-	b  *bst.BST
-	id uint64
+	adapter
+	b *bst.BST
 }
 
 // NewBST builds a recoverable BST with the runtime's configured engine.
 func (r *Runtime) NewBST() *BST {
 	e := r.newEngine()
 	b := &BST{b: bst.NewWithEngine(r.h, e)}
-	b.id = r.register(b, KindBST)
-	e.SetAnnounceID(b.id)
+	r.adopt(b, &b.adapter, b.b, e, KindBST, OpFind)
 	return b
 }
-
-// ID is the tree's durable registry ID.
-func (b *BST) ID() uint64 { return b.id }
-
-// Kind reports KindBST.
-func (b *BST) Kind() StructKind { return KindBST }
-
-// Apply runs op (OpInsert/OpDelete/OpFind) and returns its response.
-// OpFind takes the zero-persist read path (see OpKind.ReadOnly).
-func (b *BST) Apply(p *Proc, op Op) Resp {
-	if op.Kind == OpFind {
-		return respOf(b.b.ReadOp(p, op.Kind, op.Arg))
-	}
-	return respOf(b.b.ApplyOp(p, op.Kind, op.Arg))
-}
-
-// RecoverOp resolves an interrupted op after a crash.
-func (b *BST) RecoverOp(p *Proc, op Op) Resp { return respOf(b.b.RecoverOp(p, op.Kind, op.Arg)) }
 
 // Insert adds key (1 ≤ key ≤ bst.MaxUserKey); false if present.
 func (b *BST) Insert(p *Proc, key uint64) bool { return b.b.Insert(p, key) }
@@ -806,18 +730,8 @@ func (b *BST) Find(p *Proc, key uint64) bool { return b.b.FindRO(p, key) }
 // wrapper over RecoverOp.
 func (b *BST) Recover(p *Proc, op, key uint64) bool { return b.b.Recover(p, op, key) }
 
-// Begin is the system-side invocation step used by crash harnesses.
-func (b *BST) Begin(p *Proc) { b.b.Begin(p) }
-
-// MarkReachable reports the tree's reachable nodes to the post-crash
-// reclamation scan.
-func (b *BST) MarkReachable(p *Proc, mark func(pmem.Addr)) { b.b.MarkReachable(p, mark) }
-
 // Keys returns the keys in order (requires quiescence).
 func (b *BST) Keys() []uint64 { return b.b.Keys() }
-
-// CheckInvariants verifies the tree's structural invariants at quiescence.
-func (b *BST) CheckInvariants() string { return b.b.CheckInvariants() }
 
 // DefaultExchangeSpins is the partner-wait window Apply uses for
 // OpExchange. The typed Exchange method takes an explicit window.
@@ -844,6 +758,9 @@ func (e *Exchanger) ID() uint64 { return e.id }
 // Kind reports KindExchanger.
 func (e *Exchanger) Kind() StructKind { return KindExchanger }
 
+// OpKinds reports the operation kinds the exchanger accepts.
+func (e *Exchanger) OpKinds() []OpKind { return slices.Clone(opKinds[KindExchanger]) }
+
 // exchResp encodes an exchange outcome: the partner's value on success,
 // false if the exchange aborted (timeout / provably no effect).
 func exchResp(v uint64, ok bool) Resp {
@@ -854,17 +771,21 @@ func exchResp(v uint64, ok bool) Resp {
 }
 
 // Apply offers op.Arg for exchange (kind OpExchange), waiting up to
-// DefaultExchangeSpins iterations for a partner. The exchanger keeps its
-// own recovery registers rather than an ISB engine, so Apply sequences the
-// announcement protocol itself: retire the old announcement, reset CP_ex
-// (so a previous exchange's recovery data cannot be read as this
+// DefaultExchangeSpins iterations for a partner.
+func (e *Exchanger) Apply(p *Proc, op Op) Resp {
+	return exchResp(e.exchange(p, op, DefaultExchangeSpins))
+}
+
+// exchange runs one announced exchange. The exchanger keeps its own recovery
+// registers rather than an ISB engine, so it sequences the announcement
+// protocol itself, in isb.Engine.Begin's order: retire the old announcement,
+// reset CP_ex (so a previous exchange's recovery data cannot be read as this
 // operation's), then announce. Exchange's internal Begin re-runs harmlessly
 // after the announcement exists.
-func (e *Exchanger) Apply(p *Proc, op Op) Resp {
-	p.ClearAnnounce()
-	e.e.Begin(p)
-	p.Announce(e.id, op.Kind, op.Arg)
-	return exchResp(e.e.Exchange(p, op.Arg, exchanger.Symmetric, DefaultExchangeSpins))
+func (e *Exchanger) exchange(p *Proc, op Op, spins int) (uint64, bool) {
+	e.Begin(p)
+	p.Announce(false, pmem.Leg{StructID: e.id, Kind: op.Kind, Arg: op.Arg})
+	return e.e.Exchange(p, op.Arg, exchanger.Symmetric, spins)
 }
 
 // RecoverOp resolves an interrupted exchange of op.Arg: the partner's value
@@ -874,6 +795,8 @@ func (e *Exchanger) RecoverOp(p *Proc, op Op) Resp {
 	return exchResp(e.e.Recover(p, op.Arg, exchanger.Symmetric, 1, false))
 }
 
+func (e *Exchanger) recoverLeg(p *Proc, _ int, op Op) uint64 { return e.RecoverOp(p, op).raw }
+
 // Begin is the system-side invocation step: it durably clears the
 // announcement record, then the exchanger's CP register.
 func (e *Exchanger) Begin(p *Proc) {
@@ -882,13 +805,9 @@ func (e *Exchanger) Begin(p *Proc) {
 }
 
 // Exchange offers v and waits up to spins iterations for a partner; on
-// success it returns the partner's value. Announcement ordering as in
-// Apply.
+// success it returns the partner's value.
 func (e *Exchanger) Exchange(p *Proc, v uint64, spins int) (uint64, bool) {
-	p.ClearAnnounce()
-	e.e.Begin(p)
-	p.Announce(e.id, OpExchange, v)
-	return e.e.Exchange(p, v, exchanger.Symmetric, spins)
+	return e.exchange(p, Op{Kind: OpExchange, Arg: v}, spins)
 }
 
 // Recover resolves an interrupted Exchange(v). retry re-invokes an
@@ -898,10 +817,12 @@ func (e *Exchanger) Recover(p *Proc, v uint64, spins int, retry bool) (uint64, b
 }
 
 // Stack is a detectably recoverable elimination stack (ISB central stack
-// plus exchanger-based elimination).
+// plus exchanger-based elimination). With elimination on, a single
+// operation's announcement is durable before its elimination attempt, so
+// even an eliminated operation's effect is routable by RecoverAll.
 type Stack struct {
-	s  *stack.Stack
-	id uint64
+	adapter
+	s *stack.Stack
 }
 
 // NewStack builds a recoverable stack with the runtime's configured engine
@@ -910,25 +831,9 @@ type Stack struct {
 func (r *Runtime) NewStack(elimSpins int) *Stack {
 	e := r.newEngine()
 	s := &Stack{s: stack.NewWithEngine(r.h, e, elimSpins)}
-	s.id = r.register(s, KindStack)
-	e.SetAnnounceID(s.id)
+	r.adopt(s, &s.adapter, s.s, e, KindStack, OpTop)
 	return s
 }
-
-// ID is the stack's durable registry ID.
-func (s *Stack) ID() uint64 { return s.id }
-
-// Kind reports KindStack.
-func (s *Stack) Kind() StructKind { return KindStack }
-
-// Apply runs op (OpPush/OpPop/OpTop) and returns its response. The
-// announcement is durable before the elimination attempt, so even an
-// eliminated operation's effect is routable by RecoverAll. OpTop takes the
-// zero-persist read path (see OpKind.ReadOnly).
-func (s *Stack) Apply(p *Proc, op Op) Resp { return respOf(s.s.ApplyOp(p, op.Kind, op.Arg)) }
-
-// RecoverOp resolves an interrupted op after a crash.
-func (s *Stack) RecoverOp(p *Proc, op Op) Resp { return respOf(s.s.RecoverOp(p, op.Kind, op.Arg)) }
 
 // Push adds v (v ≤ stack.MaxValue).
 func (s *Stack) Push(p *Proc, v uint64) { s.s.Push(p, v) }
@@ -945,18 +850,8 @@ func (s *Stack) RecoverPop(p *Proc) (uint64, bool) {
 	return s.RecoverOp(p, Op{Kind: OpPop}).Value()
 }
 
-// Begin is the system-side invocation step used by crash harnesses.
-func (s *Stack) Begin(p *Proc) { s.s.Begin(p) }
-
-// MarkReachable reports the stack's reachable nodes to the post-crash
-// reclamation scan.
-func (s *Stack) MarkReachable(p *Proc, mark func(pmem.Addr)) { s.s.MarkReachable(p, mark) }
-
 // Values snapshots the stack top-to-bottom (requires quiescence).
 func (s *Stack) Values() []uint64 { return s.s.Values() }
-
-// CheckInvariants verifies the stack's structural invariants at quiescence.
-func (s *Stack) CheckInvariants() string { return s.s.CheckInvariants() }
 
 // HashMap is a detectably recoverable sharded lock-free hash set of uint64
 // keys: ISB-tracked Harris lists, one per bucket, sharing a single set of
@@ -966,13 +861,8 @@ func (s *Stack) CheckInvariants() string { return s.s.CheckInvariants() }
 // resharding will need). Unlike the single-point structures above, its
 // throughput scales with cores.
 type HashMap struct {
-	m  *hashmap.Map
-	id uint64
-	// argMask, when nonzero, is ANDed onto Op.Arg before it reaches the
-	// map: the announcement (and so every RecoverAll report entry) carries
-	// the full Arg while the stored key is its masked low bits. See
-	// SetArgMask.
-	argMask uint64
+	adapter
+	m *hashmap.Map
 }
 
 // NewHashMap builds a recoverable hash map with the given shard count
@@ -983,52 +873,21 @@ type HashMap struct {
 func (r *Runtime) NewHashMap(shards int) *HashMap {
 	e := r.newEngine()
 	m := &HashMap{m: hashmap.NewWithEngine(r.h, e, shards)}
-	m.id = r.register(m, KindHashMap)
-	e.SetAnnounceID(m.id)
+	r.adopt(m, &m.adapter, m.m, e, KindHashMap, OpFind)
 	return m
 }
 
-// ID is the map's durable registry ID.
-func (m *HashMap) ID() uint64 { return m.id }
-
-// Kind reports KindHashMap.
-func (m *HashMap) Kind() StructKind { return KindHashMap }
-
 // SetArgMask makes the map treat only arg & mask as the key on the
-// Op-based surfaces (Apply, RecoverOp and the batch paths); mask = 0
-// restores the default (the full Arg is the key). The masking is applied
-// identically on the apply and recover paths, so a recovered operation
-// resolves against the same key its original invocation used while the
-// announcement — and hence the RecoverAll report — still carries the full
-// Arg. Serving layers use the surplus high bits as a client request ID
-// that rides the durable announcement across crashes (see internal/serve).
-// Set it before operations run; the typed key methods (Insert/Delete/Find)
-// always take bare keys and are unaffected.
+// Op-based surfaces (Apply, RecoverOp and the window/transaction paths);
+// mask = 0 restores the default (the full Arg is the key). The masking is
+// applied identically on the apply and recover paths, so a recovered
+// operation resolves against the same key its original invocation used
+// while a window's or transaction's announcement — and hence the RecoverAll
+// report — still carries the full Arg. Serving layers use the surplus high
+// bits as a client request ID that rides the durable announcement across
+// crashes (see internal/serve). Set it before operations run; the typed key
+// methods (Insert/Delete/Find) always take bare keys and are unaffected.
 func (m *HashMap) SetArgMask(mask uint64) { m.argMask = mask }
-
-// key applies the configured arg mask.
-func (m *HashMap) key(arg uint64) uint64 {
-	if m.argMask != 0 {
-		return arg & m.argMask
-	}
-	return arg
-}
-
-// Apply runs op (OpInsert/OpDelete/OpFind) and returns its response.
-// OpFind takes the zero-persist read path (see OpKind.ReadOnly): it leaves
-// even the shard register untouched.
-func (m *HashMap) Apply(p *Proc, op Op) Resp {
-	if op.Kind == OpFind {
-		return respOf(m.m.ReadOp(p, op.Kind, m.key(op.Arg)))
-	}
-	return respOf(m.m.ApplyOp(p, op.Kind, m.key(op.Arg)))
-}
-
-// RecoverOp resolves an interrupted op after a crash, routing to the
-// operation's shard.
-func (m *HashMap) RecoverOp(p *Proc, op Op) Resp {
-	return respOf(m.m.RecoverOp(p, op.Kind, m.key(op.Arg)))
-}
 
 // Insert adds key (1 ≤ key ≤ MaxUint64-1); false if present.
 func (m *HashMap) Insert(p *Proc, key uint64) bool { return m.m.Insert(p, key) }
@@ -1044,20 +903,9 @@ func (m *HashMap) Find(p *Proc, key uint64) bool { return m.m.FindFast(p, key) }
 // crash, routing to the operation's shard, and returns its response.
 func (m *HashMap) Recover(p *Proc, op, key uint64) bool { return m.m.Recover(p, op, key) }
 
-// Begin is the system-side invocation step used by crash harnesses.
-func (m *HashMap) Begin(p *Proc) { m.m.Begin(p) }
-
 // NumShards reports the map's (power-of-two) shard count.
 func (m *HashMap) NumShards() int { return m.m.NumShards() }
-
-// MarkReachable reports every shard's reachable nodes to the post-crash
-// reclamation scan.
-func (m *HashMap) MarkReachable(p *Proc, mark func(pmem.Addr)) { m.m.MarkReachable(p, mark) }
 
 // Keys snapshots the current key set in ascending order (requires
 // quiescence).
 func (m *HashMap) Keys() []uint64 { return m.m.Keys() }
-
-// CheckInvariants verifies every shard's structural invariants plus the
-// sharding invariant.
-func (m *HashMap) CheckInvariants() string { return m.m.CheckInvariants() }

@@ -3,6 +3,7 @@ package repro
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,7 +164,7 @@ func TestRecoverAllRoutesAnnouncedOps(t *testing.T) {
 						// p1's enqueue completed before the crash; its
 						// announcement may still be set, in which case
 						// recovery idempotently re-confirms it.
-						if rep.StructID != q.ID() || rep.Op != (Op{Kind: OpEnq, Arg: 9}) || !rep.Resp.Bool() {
+						if leg := rep.Legs[0]; len(rep.Legs) != 1 || leg.StructID != q.ID() || leg.Op != (Op{Kind: OpEnq, Arg: 9}) || !leg.Resp.Bool() {
 							t.Fatalf("off=%d: stale enqueue re-confirmed wrong: %+v", off, rep)
 						}
 					}
@@ -177,12 +178,13 @@ func TestRecoverAllRoutesAnnouncedOps(t *testing.T) {
 					}
 				} else {
 					routed++
-					if mine.StructID != l.ID() || mine.Op != (Op{Kind: OpInsert, Arg: 7}) || !mine.Resp.Bool() {
+					if leg := mine.Legs[0]; len(mine.Legs) != 1 || mine.Atomic || leg.Status != OpInFlight ||
+						leg.StructID != l.ID() || leg.Op != (Op{Kind: OpInsert, Arg: 7}) || !leg.Resp.Bool() {
 						t.Fatalf("off=%d: bad report %+v (list ID %d)", off, *mine, l.ID())
 					}
 					// Re-running RecoverAll must re-confirm the same outcome.
 					for _, rep := range rt.RecoverAll() {
-						if rep.Proc == 0 && (rep.Op != mine.Op || rep.Resp != mine.Resp) {
+						if rep.Proc == 0 && !slices.Equal(rep.Legs, mine.Legs) {
 							t.Fatalf("off=%d: RecoverAll not idempotent: %+v vs %+v", off, rep, *mine)
 						}
 					}
@@ -295,12 +297,12 @@ func TestRecoverAllExchanger(t *testing.T) {
 			continue
 		}
 		routed++
-		if len(reps) != 1 || reps[0].StructID != ex.ID() ||
-			reps[0].Op != (Op{Kind: OpExchange, Arg: 5}) {
+		if len(reps) != 1 || len(reps[0].Legs) != 1 || reps[0].Legs[0].StructID != ex.ID() ||
+			reps[0].Legs[0].Op != (Op{Kind: OpExchange, Arg: 5}) {
 			t.Fatalf("off=%d: report %+v", off, reps)
 		}
-		if _, ok := reps[0].Resp.Value(); ok {
-			t.Fatalf("off=%d: lonely exchange reported success: %v", off, reps[0].Resp)
+		if _, ok := reps[0].Legs[0].Resp.Value(); ok {
+			t.Fatalf("off=%d: lonely exchange reported success: %v", off, reps[0].Legs[0].Resp)
 		}
 	}
 	if routed == 0 || absent == 0 {
@@ -343,10 +345,10 @@ func TestRecoverAllNoDuplicateOnRepeatedOp(t *testing.T) {
 						// effect; re-submit.
 						resp = q.Apply(p, Op{Kind: OpDeq})
 					case 1:
-						if reps[0].Op != (Op{Kind: OpDeq}) {
+						if reps[0].Legs[0].Op != (Op{Kind: OpDeq}) {
 							t.Fatalf("off=%d: routed %+v", off, reps[0])
 						}
-						resp = reps[0].Resp
+						resp = reps[0].Legs[0].Resp
 					default:
 						t.Fatalf("off=%d: %d reports", off, len(reps))
 					}

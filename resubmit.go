@@ -1,71 +1,41 @@
 package repro
 
 // MatchReport consumes one RecoverAll report entry on behalf of a caller
-// that crashed mid-submission and still holds the window's unanswered
-// operations in order. It aligns the report against pending and delivers
+// that crashed mid-submission and still holds the admission's unanswered
+// operations in order — one for a single operation, the window's, or a
+// transaction's two legs. It aligns the report against pending and delivers
 // every operation the report proves durable, returning how many leading
 // operations of pending were resolved — the caller re-submits the rest.
 //
-// Four shapes arise, all handled here (and pinned by TestMatchReport):
-//
-//   - Transaction report (rep.Txn != nil): a two-leg transaction occupies
-//     pending[0] (leg 1) and pending[1] (leg 2). TxnNoEffect resolves
-//     nothing — neither structure changed, the caller re-submits the whole
-//     transaction. Any other class proves BOTH legs durable (recovery
-//     rolls leg 2 forward before reporting), so both legs deliver at once
-//     — iff both announced leg operations match their pending positions;
-//     a mismatch is a stale report from an earlier, answered transaction.
-//     Matching is on the ANNOUNCED operations, so an ArgFromLeg1 leg 2
-//     compares by the argument the caller submitted, not the derived one.
-//   - Single-op report (rep.Batch == nil): a one-operation remainder
-//     announces like a plain operation. It resolves pending[0] iff the
-//     reported operation is exactly pending[0]; otherwise the entry is a
-//     previous operation's idempotent re-confirmation and nothing resolves.
-//   - Batch prefix: batch entries resolve pending in lockstep until the
-//     first no-effect entry (the unstarted suffix performed no tracked
-//     writes) — the completed prefix and the recovered in-flight operation
-//     both deliver their durable responses.
-//   - Stale report: an entry that does not match its pending position
-//     belongs to an earlier, fully answered window (the crash landed after
-//     completion but before the next announcement retired it). Matching
-//     stops immediately and resolves nothing; the durable effects it
-//     describes were already delivered the first time.
+// Report legs resolve pending in lockstep until the first no-effect leg (the
+// unstarted suffix performed no tracked writes) — the completed prefix and
+// the recovered in-flight leg both deliver their durable responses — or the
+// first leg that does not match its pending position: that report is stale,
+// it belongs to an earlier, fully answered admission (the crash landed after
+// completion but before the next announcement retired it), and the durable
+// effects it describes were already delivered the first time. An atomic
+// report resolves all of its legs or none: recovery rolls a committed
+// transaction's last leg forward before reporting, so a transaction that is
+// not wholly no-effect is wholly durable, and it must match pending
+// wholesale. Matching is on the ANNOUNCED operations, so an ArgFromLeg1 leg
+// compares by the argument the caller submitted, not the derived one.
 //
 // deliver is called once per resolved operation, in order, with the
 // operation's index in pending and its durable response. Callers that key
 // operations by an identity riding Op.Arg (see HashMap.SetArgMask) get
-// exact stale-window rejection for free: a stale entry's Arg carries the
-// old window's identity and cannot equal the pending one's.
+// exact stale-report rejection for free: a stale leg's Arg carries the old
+// admission's identity and cannot equal the pending one's. Pinned by
+// TestMatchReport.
 func MatchReport(rep ProcReport, pending []Op, deliver func(i int, op Op, resp Resp)) int {
-	// The transaction branch must run before the single-op one: a txn
-	// report mirrors one leg into rep.Op/rep.Resp for display, and that
-	// mirror must never resolve pending[0] as if it were a lone operation.
-	if rep.Txn != nil {
-		t := rep.Txn
-		if t.Class == TxnNoEffect {
-			return 0
-		}
-		if len(pending) >= 2 && t.Legs[0].Op == pending[0] && t.Legs[1].Op == pending[1] {
-			deliver(0, pending[0], t.Legs[0].Resp)
-			deliver(1, pending[1], t.Legs[1].Resp)
-			return 2
-		}
+	n := 0
+	for n < len(rep.Legs) && n < len(pending) && rep.Legs[n].Status != OpNoEffect && rep.Legs[n].Op == pending[n] {
+		n++
+	}
+	if rep.Atomic && n < len(rep.Legs) {
 		return 0
 	}
-	if rep.Batch == nil {
-		if len(pending) > 0 && rep.Op == pending[0] {
-			deliver(0, pending[0], rep.Resp)
-			return 1
-		}
-		return 0
+	for i := 0; i < n; i++ {
+		deliver(i, pending[i], rep.Legs[i].Resp)
 	}
-	resolved := 0
-	for i, ent := range rep.Batch {
-		if ent.Status == OpNoEffect || i >= len(pending) || ent.Op != pending[i] {
-			break
-		}
-		deliver(i, ent.Op, ent.Resp)
-		resolved = i + 1
-	}
-	return resolved
+	return n
 }

@@ -6,9 +6,10 @@ import (
 	"repro/internal/isb"
 )
 
-// TestMatchReport pins the three resubmission-matching branches the kvstore
-// example and the serve layer both depend on: the single-op remainder, the
-// batch completed-prefix + in-flight cut, and the stale-report rejection.
+// TestMatchReport pins the resubmission matching the kvstore example, the
+// benchmark and the serve layer all depend on, against the one report shape:
+// a single operation, a window's completed prefix + in-flight cut, a
+// transaction's all-or-nothing, and the stale-report rejection.
 func TestMatchReport(t *testing.T) {
 	opA := Op{Kind: OpInsert, Arg: 41}
 	opB := Op{Kind: OpDelete, Arg: 42}
@@ -25,7 +26,7 @@ func TestMatchReport(t *testing.T) {
 	}
 
 	t.Run("single-op-remainder", func(t *testing.T) {
-		rep := ProcReport{Proc: 0, Op: opA, Resp: rTrue}
+		rep := ProcReport{Proc: 0, Legs: []LegReport{{StructID: 1, Op: opA, Resp: rTrue, Status: OpInFlight}}}
 		g, deliver := collect()
 		if n := MatchReport(rep, []Op{opA, opB}, deliver); n != 1 {
 			t.Fatalf("resolved %d, want 1", n)
@@ -45,10 +46,10 @@ func TestMatchReport(t *testing.T) {
 	})
 
 	t.Run("batch-prefix", func(t *testing.T) {
-		rep := ProcReport{Proc: 1, Batch: []BatchOpReport{
-			{Op: opA, Resp: rTrue, Status: OpCompleted},
-			{Op: opB, Resp: rFalse, Status: OpInFlight},
-			{Op: opC, Status: OpNoEffect},
+		rep := ProcReport{Proc: 1, Legs: []LegReport{
+			{StructID: 1, Op: opA, Resp: rTrue, Status: OpCompleted},
+			{StructID: 1, Op: opB, Resp: rFalse, Status: OpInFlight},
+			{StructID: 1, Op: opC, Status: OpNoEffect},
 		}}
 		g, deliver := collect()
 		if n := MatchReport(rep, []Op{opA, opB, opC}, deliver); n != 2 {
@@ -68,45 +69,42 @@ func TestMatchReport(t *testing.T) {
 
 	t.Run("txn-report", func(t *testing.T) {
 		rSkip := respOf(isb.RespSkipped)
-		mkRep := func(class TxnClass, st1, st2 OpStatus, r1, r2 Resp) ProcReport {
-			rep := ProcReport{Proc: 3, Op: opB, Resp: r2, Txn: &TxnReport{Class: class}}
-			rep.Txn.Legs[0] = TxnLegReport{StructID: 1, Op: opA, Resp: r1, Status: st1}
-			rep.Txn.Legs[1] = TxnLegReport{StructID: 2, Op: opB, Resp: r2, Status: st2}
-			return rep
+		mkRep := func(st1, st2 OpStatus, r1, r2 Resp) ProcReport {
+			return ProcReport{Proc: 3, Atomic: true, Legs: []LegReport{
+				{StructID: 1, Op: opA, Resp: r1, Status: st1},
+				{StructID: 2, Op: opB, Resp: r2, Status: st2},
+			}}
 		}
 
-		// A completed transaction resolves both pending legs at once.
-		rep := mkRep(TxnCompleted, OpCompleted, OpCompleted, rTrue, rFalse)
+		// A committed transaction resolves both pending legs at once: leg 1
+		// from its slot, leg 2 — always the leg at the cursor — rolled
+		// forward before reporting, including an elided leg 2 (skipped
+		// response).
+		rep := mkRep(OpCompleted, OpInFlight, rTrue, rFalse)
 		g, deliver := collect()
 		if n := MatchReport(rep, []Op{opA, opB, opC}, deliver); n != 2 {
-			t.Fatalf("completed txn resolved %d, want 2", n)
+			t.Fatalf("committed txn resolved %d, want 2", n)
 		}
 		if len(*g) != 2 || (*g)[0] != (got{0, opA}) || (*g)[1] != (got{1, opB}) {
 			t.Fatalf("delivered %v, want [{0 %v} {1 %v}]", *g, opA, opB)
 		}
-
-		// Leg 2 recovered in-flight: leg 2's effect was rolled forward
-		// before reporting, so both legs still resolve — including an
-		// elided leg 2 (skipped response).
-		rep = mkRep(TxnLeg2Recovered, OpCompleted, OpInFlight, rTrue, rSkip)
 		g, deliver = collect()
-		if n := MatchReport(rep, []Op{opA, opB}, deliver); n != 2 || len(*g) != 2 {
-			t.Fatalf("leg2-recovered txn resolved %d (%v), want 2", n, *g)
+		if n := MatchReport(mkRep(OpCompleted, OpInFlight, rTrue, rSkip), []Op{opA, opB}, deliver); n != 2 || len(*g) != 2 {
+			t.Fatalf("txn with an elided leg 2 resolved %d (%v), want 2", n, *g)
 		}
 
 		// No effect: neither leg resolves; the caller re-submits the
 		// whole transaction.
-		rep = mkRep(TxnNoEffect, OpNoEffect, OpNoEffect, Resp{}, Resp{})
 		g, deliver = collect()
-		if n := MatchReport(rep, []Op{opA, opB}, deliver); n != 0 || len(*g) != 0 {
+		if n := MatchReport(mkRep(OpNoEffect, OpNoEffect, Resp{}, Resp{}), []Op{opA, opB}, deliver); n != 0 || len(*g) != 0 {
 			t.Fatalf("no-effect txn resolved %d ops (%v), want 0", n, *g)
 		}
 
 		// Stale transaction report: the legs belong to an earlier, fully
-		// answered transaction — mismatch on either pending position
-		// resolves nothing, and the leg mirrored into rep.Op/rep.Resp must
-		// not leak through the single-op branch.
-		rep = mkRep(TxnCompleted, OpCompleted, OpCompleted, rTrue, rFalse)
+		// answered transaction — a mismatch on either pending position
+		// resolves nothing. The partial match (leg 1 matches pending[0],
+		// leg 2 does not) is the one a window would half-resolve: an atomic
+		// report must not.
 		g, deliver = collect()
 		if n := MatchReport(rep, []Op{opB, opA}, deliver); n != 0 || len(*g) != 0 {
 			t.Fatalf("stale txn report resolved %d ops (%v), want 0", n, *g)
@@ -128,9 +126,9 @@ func TestMatchReport(t *testing.T) {
 		// An earlier, fully completed window's entries: position 0 does not
 		// match the new window's first pending op, so nothing resolves and
 		// nothing is delivered twice.
-		rep := ProcReport{Proc: 2, Batch: []BatchOpReport{
-			{Op: opB, Resp: rTrue, Status: OpCompleted},
-			{Op: opA, Resp: rTrue, Status: OpCompleted},
+		rep := ProcReport{Proc: 2, Legs: []LegReport{
+			{StructID: 1, Op: opB, Resp: rTrue, Status: OpCompleted},
+			{StructID: 1, Op: opA, Resp: rTrue, Status: OpInFlight},
 		}}
 		g, deliver := collect()
 		if n := MatchReport(rep, []Op{opA, opB}, deliver); n != 0 || len(*g) != 0 {
