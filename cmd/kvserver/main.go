@@ -106,7 +106,7 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 
 	deltas := make([]map[uint64]int, conns)
 	errs := make([]error, conns)
-	sessions := make([]*client.Session, conns)
+	sessions := make([]*client.Client, conns)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < conns; w++ {
@@ -122,7 +122,7 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 		}
 		sessions[w] = c
 		wg.Add(1)
-		go func(w int, c *client.Session) {
+		go func(w int, c *client.Client) {
 			defer wg.Done()
 			defer c.Close()
 			rng := rand.New(rand.NewSource(int64(w) + 1))

@@ -270,7 +270,11 @@ func TestRandomizedAgainstModel(t *testing.T) {
 // round even if nothing is freed: the arena never frees, and the reclaimer
 // drops retirements while the other Proc is descheduled inside an attempt.
 func TestSharedQueueLosesNothing(t *testing.T) {
-	const procs, rounds, pairs = 2, 10, 10_000
+	const procs, pairs = 2, 10_000
+	rounds := 10
+	if testing.Short() {
+		rounds = 2 // the race job's size
+	}
 	for _, tc := range []struct {
 		name    string
 		engine  func(*pmem.Heap) *isb.Engine

@@ -212,7 +212,7 @@ func TestSessionWriteCallSkipsSettledCall(t *testing.T) {
 	cli, peer := net.Pipe()
 	defer cli.Close()
 	defer peer.Close()
-	s := &Session{
+	s := &Client{
 		cfg:     SessionConfig{}.withDefaults(),
 		done:    make(chan struct{}),
 		pending: map[uint64]*sessionCall{},

@@ -9,8 +9,8 @@ import (
 	"repro/internal/serve"
 )
 
-// writeCounts counts the successful socket Writes of one Client, or of
-// every connection a Session has had, and the request frames they carried.
+// writeCounts counts the successful socket Writes of every connection a
+// Client has had, and the request frames they carried.
 type writeCounts struct {
 	writes, frames atomic.Uint64
 }

@@ -52,16 +52,22 @@ func (g *gateConn) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
+// sent is one raw Send's outcome.
+type sent struct {
+	ch  <-chan serve.Reply
+	err error
+}
+
 // queueBehindFlush starts n Sends on c, one at a time: the first parks
 // inside gateConn.Write, and each later one is known to have appended its
 // frame to the open batch before the next starts, which fixes the
-// submission order. It returns a channel carrying each Send's error.
-func queueBehindFlush(t *testing.T, c *Client, g *gateConn, n int) <-chan error {
+// submission order. It returns a channel carrying each Send's outcome.
+func queueBehindFlush(t *testing.T, c *Client, g *gateConn, n int) <-chan sent {
 	t.Helper()
-	errs := make(chan error, n)
+	out := make(chan sent, n)
 	send := func(i int) {
-		_, err := c.Send(serve.OpPut, uint64(100+i), uint64(i+1))
-		errs <- err
+		ch, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: uint64(100 + i), Key: uint64(i + 1)})
+		out <- sent{ch, err}
 	}
 	go send(0)
 	select {
@@ -69,11 +75,31 @@ func queueBehindFlush(t *testing.T, c *Client, g *gateConn, n int) <-chan error 
 	case <-time.After(10 * time.Second):
 		t.Fatal("first Send never reached Write")
 	}
+	c.mu.Lock()
+	fw := c.fw
+	c.mu.Unlock()
 	for i := 1; i < n; i++ {
 		go send(i)
-		waitQueued(t, c.fw, i)
+		waitQueued(t, fw, i)
 	}
-	return errs
+	return out
+}
+
+// mustFail requires that a Send the client accepted ends with its channel
+// closed — the client failed under it — and never with a reply.
+func mustFail(t *testing.T, what string, s sent) {
+	t.Helper()
+	if s.err != nil {
+		t.Fatalf("%s: Send refused with %v, want it accepted and failed by the loss", what, s.err)
+	}
+	select {
+	case rep, ok := <-s.ch:
+		if ok {
+			t.Fatalf("%s: got reply %+v from a silent peer", what, rep)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still waiting after the stream was torn", what)
+	}
 }
 
 // waitQueued returns once fw's open batch holds exactly frames frames.
@@ -99,69 +125,81 @@ func waitQueued(t *testing.T, fw *frameWriter, frames int) {
 // yields exactly 2 Writes — the first caller's own frame, then the other
 // 15 in one — carrying 16 intact frames in submission order.
 func TestCombiningWriterCoalesces(t *testing.T) {
-	const n = 16
-	g := newGateConn(t, nil)
-	c := New(g, 1)
-	errs := queueBehindFlush(t, c, g, n)
-	close(g.gate)
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.writes) != 2 {
-		t.Fatalf("%d Writes for %d frames queued behind one flush, want 2", len(g.writes), n)
-	}
-	fr := serve.NewFrameReader(bytes.NewReader(bytes.Join(g.writes, nil)))
-	for i := 0; i < n; i++ {
-		payload, err := fr.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		req, err := serve.DecodeRequest(payload)
-		if err != nil || req.ReqID != uint64(100+i) || req.Key != uint64(i+1) || req.Op != serve.OpPut {
-			t.Fatalf("frame %d = %+v (err %v), want PUT id %d key %d", i, req, err, 100+i, i+1)
-		}
-	}
-	if _, err := fr.Next(); err == nil {
-		t.Fatal("stray bytes after the 16 frames")
-	}
-	if got := len(g.writes[0]); got != frameBytes {
-		t.Fatalf("first Write carried %d bytes, want one frame", got)
+	for _, k := range constructions {
+		t.Run(k.name, func(t *testing.T) {
+			const n = 16
+			g := newGateConn(t, nil)
+			c := mustOpen(t, k.open, g, 1)
+			out := queueBehindFlush(t, c, g, n)
+			close(g.gate)
+			for i := 0; i < n; i++ {
+				if s := <-out; s.err != nil {
+					t.Fatalf("send: %v", s.err)
+				}
+			}
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			if len(g.writes) != 2 {
+				t.Fatalf("%d Writes for %d frames queued behind one flush, want 2", len(g.writes), n)
+			}
+			fr := serve.NewFrameReader(bytes.NewReader(bytes.Join(g.writes, nil)))
+			for i := 0; i < n; i++ {
+				payload, err := fr.Next()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				req, err := serve.DecodeRequest(payload)
+				if err != nil || req.ReqID != uint64(100+i) || req.Key != uint64(i+1) || req.Op != serve.OpPut {
+					t.Fatalf("frame %d = %+v (err %v), want PUT id %d key %d", i, req, err, 100+i, i+1)
+				}
+			}
+			if _, err := fr.Next(); err == nil {
+				t.Fatal("stray bytes after the 16 frames")
+			}
+			if got := len(g.writes[0]); got != frameBytes {
+				t.Fatalf("first Write carried %d bytes, want one frame", got)
+			}
+		})
 	}
 }
 
-// TestCombiningWriterFailedFlush pins the error path: a failed Write fails
-// every call whose frame was in it AND every call queued behind it (the
-// stream is torn, nothing after it can be parsed), leaves none of their
-// IDs in pending, and fails later calls without writing.
+// TestCombiningWriterFailedFlush pins the error path: a failed Write is
+// the loss of the connection (the stream is torn, nothing after it can be
+// parsed), so with no redial to be had it fails every call whose frame was
+// in it AND every call queued behind it, leaves none of their IDs in
+// pending, and fails later calls without writing. The error they get is the
+// Write's on a client with no dialer, the refused redial's on one with.
 func TestCombiningWriterFailedFlush(t *testing.T) {
-	const n = 16
-	boom := errors.New("wire torn")
-	g := newGateConn(t, boom)
-	c := New(g, 1)
-	errs := queueBehindFlush(t, c, g, n)
-	close(g.gate)
-	for i := 0; i < n; i++ {
-		if err := <-errs; !errors.Is(err, boom) {
-			t.Fatalf("send %d: err = %v, want the flush's error", i, err)
-		}
-	}
-	c.mu.Lock()
-	left := len(c.pending)
-	c.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d request IDs left in pending after a failed flush, want 0", left)
-	}
-	if _, err := c.Send(serve.OpPut, 999, 1); !errors.Is(err, boom) {
-		t.Fatalf("send after a failed flush: err = %v, want the sticky error", err)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.writes) != 1 {
-		t.Fatalf("%d Writes, want 1: nothing may follow a torn stream", len(g.writes))
+	for _, k := range constructions {
+		t.Run(k.name, func(t *testing.T) {
+			const n = 16
+			boom := errors.New("wire torn")
+			g := newGateConn(t, boom)
+			c := mustOpen(t, k.open, g, 1)
+			out := queueBehindFlush(t, c, g, n)
+			close(g.gate)
+			for i := 0; i < n; i++ {
+				mustFail(t, "send", <-out)
+			}
+			c.mu.Lock()
+			left := len(c.pending)
+			c.mu.Unlock()
+			if left != 0 {
+				t.Fatalf("%d request IDs left in pending after a failed flush, want 0", left)
+			}
+			want := k.lost(boom)
+			if err := c.terminalErr(); !errors.Is(err, want) {
+				t.Fatalf("client failed with %v, want %v", err, want)
+			}
+			if _, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: 999, Key: 1}); !errors.Is(err, want) {
+				t.Fatalf("send after a failed flush: err = %v, want the sticky error", err)
+			}
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			if len(g.writes) != 1 {
+				t.Fatalf("%d Writes, want 1: nothing may follow a torn stream", len(g.writes))
+			}
+		})
 	}
 }
 
@@ -216,83 +254,51 @@ func TestCombiningWriterGatherJoins(t *testing.T) {
 // is terminal for the whole connection: a call whose frame left in an
 // earlier, successful Write must not be left waiting on a peer that will
 // never answer (the read side here stays silent, as a half-open peer's
-// does, and Client has no request deadline).
+// does, and without a redial no deadline would free it).
 func TestCombiningWriterTornStreamFailsEarlierCalls(t *testing.T) {
-	boom := errors.New("wire torn")
-	g := newGateConn(t, boom)
-	g.okWrites = 1
-	close(g.gate)
-	c := New(g, 1)
-	first, err := c.Send(serve.OpPut, 100, 1)
-	if err != nil {
-		t.Fatalf("first send: %v", err)
-	}
-	if _, err := c.Send(serve.OpPut, 101, 2); !errors.Is(err, boom) {
-		t.Fatalf("second send: err = %v, want the Write's error", err)
-	}
-	select {
-	case rep, ok := <-first:
-		if ok {
-			t.Fatalf("first call got reply %+v from a silent peer", rep)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("first call still waiting after a later Write tore the stream")
-	}
-	if _, err := c.Send(serve.OpPut, 102, 3); !errors.Is(err, boom) {
-		t.Fatalf("send after the torn stream: err = %v, want the sticky error", err)
+	for _, k := range constructions {
+		t.Run(k.name, func(t *testing.T) {
+			boom := errors.New("wire torn")
+			g := newGateConn(t, boom)
+			g.okWrites = 1
+			close(g.gate)
+			c := mustOpen(t, k.open, g, 1)
+			var first, second sent
+			first.ch, first.err = c.Send(serve.Request{Op: serve.OpPut, ReqID: 100, Key: 1})
+			second.ch, second.err = c.Send(serve.Request{Op: serve.OpPut, ReqID: 101, Key: 2})
+			mustFail(t, "the call whose Write failed", second)
+			mustFail(t, "the call written before it", first)
+			if _, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: 102, Key: 3}); !errors.Is(err, k.lost(boom)) {
+				t.Fatalf("send after the torn stream: err = %v, want the sticky error", err)
+			}
+		})
 	}
 }
 
 // TestLoneCallerWritesAtOnce pins the depth-1 path: with nothing else in
 // flight a caller never gathers, so 1000 sequential calls are exactly 1000
-// socket Writes of one frame each, on a Client and on a Session.
+// socket Writes of one frame each, on one connection.
 func TestLoneCallerWritesAtOnce(t *testing.T) {
 	const n = 1000
 	_, ln := startSessionServer(t, serve.Config{Procs: 1, HeapWords: 1 << 18})
-	dialCounted := func() (*chaos.Conn, error) {
-		nc, err := ln.Dial()
-		if err != nil {
-			return nil, err
-		}
-		return chaos.NewConn(nc, chaos.Plan{}), nil
-	}
 	ops := []byte{serve.OpPut, serve.OpGet, serve.OpDel}
-
-	lone := func(t *testing.T, do func(op byte, key uint64) (serve.Reply, error)) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := do(ops[i%3], uint64(i%7+1)); err != nil {
-				t.Fatalf("do %d: %v", i, err)
+	for i, k := range constructions {
+		t.Run(k.name, func(t *testing.T) {
+			nc, err := ln.Dial()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			cc := chaos.NewConn(nc, chaos.Plan{})
+			c := mustOpen(t, k.open, cc, uint64(i+1))
+			for i := 0; i < n; i++ {
+				if _, err := c.Do(ops[i%3], uint64(i%7+1)); err != nil {
+					t.Fatalf("do %d: %v", i, err)
+				}
+			}
+			if st := c.SessionStats(); st.Writes != n || st.FramesOut != n || cc.Writes() != n || st.Dials != 1 {
+				t.Fatalf("%d sequential calls: %d Writes (%d on the socket) carrying %d frames over %d dials, want %d of one frame each on one connection",
+					n, st.Writes, cc.Writes(), st.FramesOut, st.Dials, n)
+			}
+		})
 	}
-
-	t.Run("client", func(t *testing.T) {
-		cc, err := dialCounted()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := New(cc, 1)
-		defer c.Close()
-		lone(t, c.Do)
-		if w, f := c.WriteStats(); w != n || f != n || cc.Writes() != n {
-			t.Fatalf("%d sequential calls: %d Writes (%d on the socket) carrying %d frames, want %d of one frame each", n, w, cc.Writes(), f, n)
-		}
-	})
-	t.Run("session", func(t *testing.T) {
-		var cc *chaos.Conn
-		s, err := DialSession(SessionConfig{ClientID: 2, Dial: func() (nc net.Conn, err error) {
-			cc, err = dialCounted()
-			return cc, err
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		lone(t, s.Do)
-		if st := s.SessionStats(); st.Writes != n || st.FramesOut != n || cc.Writes() != n || st.Dials != 1 {
-			t.Fatalf("%d sequential calls: %d Writes (%d on the socket) carrying %d frames over %d dials, want %d of one frame each on one connection",
-				n, st.Writes, cc.Writes(), st.FramesOut, st.Dials, n)
-		}
-	})
 }

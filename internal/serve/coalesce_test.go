@@ -14,24 +14,6 @@ import (
 	"repro/internal/serve/client"
 )
 
-// countingListener wraps every accepted (server-side) connection in a
-// transparent chaos.Conn, whose Writes counter is then the number of
-// socket writes the server made on it.
-type countingListener struct {
-	*serve.MemListener
-	accepted chan *chaos.Conn
-}
-
-func (l countingListener) Accept() (net.Conn, error) {
-	nc, err := l.MemListener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	cc := chaos.NewConn(nc, chaos.Plan{})
-	l.accepted <- cc
-	return cc, nil
-}
-
 // coalesceWindow is the pinned window: 16 pipelined requests on one
 // connection, a full Batch, with updates so the window costs psyncs.
 const coalesceWindow = 16
@@ -47,48 +29,16 @@ func coalesceConfig(crashSim bool) serve.Config {
 	}
 }
 
-// coalesceInstance queues the window on a gated server, opens the gate —
-// with a crash scheduled off accesses in, if off > 0 — and collects the
-// replies. It returns the server, the client, the server side of the
-// connection, the reply values, and the psyncs and heap accesses between
-// opening the gate and the last reply.
-func coalesceInstance(t *testing.T, crashSim bool, off uint64) (*serve.Server, *client.Client, *chaos.Conn, []uint64, uint64, uint64) {
-	t.Helper()
-	s := serve.New(coalesceConfig(crashSim))
-	ln := countingListener{serve.NewMemListener(), make(chan *chaos.Conn, 1)}
-	go s.Serve(ln)
-	t.Cleanup(s.Close)
-	c := dial(t, ln.MemListener, 1)
-	srvSide := <-ln.accepted
-
-	chs := make([]<-chan serve.Reply, coalesceWindow)
-	for i := range chs {
+// coalesceReqs is the window as a pipeline table; its reply values are
+// whatever the crash-free run gives.
+var coalesceReqs = func() []pipeReq {
+	reqs := make([]pipeReq, coalesceWindow)
+	for i := range reqs {
 		op, id, key := coalesceReq(i)
-		ch, err := c.Send(op, id, key)
-		if err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-		chs[i] = ch
+		reqs[i] = pipeReq{op: op, reqID: id, key: key}
 	}
-	for s.Snapshot().Queued < coalesceWindow {
-		runtime.Gosched()
-	}
-	heap := s.Runtime().Heap()
-	syncs0, acc0 := heap.TotalStats().Syncs, heap.AccessCount()
-	if off > 0 {
-		s.Runtime().ScheduleCrash(off)
-	}
-	s.Release()
-	vals := make([]uint64, coalesceWindow)
-	for i, ch := range chs {
-		rep := recvReply(t, ch, "window reply")
-		if _, id, _ := coalesceReq(i); rep.Status != serve.StOK || rep.ReqID != id {
-			t.Fatalf("request %d: status %d reqID %d, want OK/%d", i, rep.Status, rep.ReqID, id)
-		}
-		vals[i] = rep.Val
-	}
-	return s, c, srvSide, vals, heap.TotalStats().Syncs - syncs0, heap.AccessCount() - acc0
-}
+	return reqs
+}()
 
 // directWindowSyncs is the psync cost of the same 16 operations admitted
 // by Runtime.ApplyWindow with no serve layer above it.
@@ -115,7 +65,8 @@ func directWindowSyncs() uint64 {
 // and all 16 replies leave in exactly ONE server-side Write. A MOVE, which
 // is a singleton window, is answered in one Write too.
 func TestWindowCoalescing(t *testing.T) {
-	s, c, srvSide, _, syncs, _ := coalesceInstance(t, false, 0)
+	in := gatedInstance(t, coalesceConfig(false), coalesceReqs, 0)
+	s, c, srvSide, syncs := in.s, in.c, in.srvSide, in.syncs
 	st := s.Snapshot()
 	if p := st.Procs[0]; p.Windows != 1 || p.BatchFill[coalesceWindow] != 1 {
 		t.Fatalf("windows=%d fill[%d]=%d, want one full window", p.Windows, coalesceWindow, p.BatchFill[coalesceWindow])
@@ -180,35 +131,23 @@ func TestServeMoveSyncPrice(t *testing.T) {
 // suffix as another, so a window crashed once costs at most two Writes —
 // exactly one when the report answers the whole window.
 func TestWindowCoalescingAcrossCrash(t *testing.T) {
-	ref, _, _, want, _, span := coalesceInstance(t, true, 0)
-	ref.Close()
-	if span == 0 {
-		t.Fatal("reference window performed no tracked accesses")
-	}
 	answeredFromReport := false
-	for _, off := range []uint64{span / 4, span / 2, 3 * span / 4, span - 1, span} {
-		s, _, srvSide, vals, _, _ := coalesceInstance(t, true, off)
-		for i := range want {
-			if vals[i] != want[i] {
-				t.Fatalf("offset %d: request %d answered %d, want %d", off, i, vals[i], want[i])
+	crashSweep(t, coalesceConfig(true), coalesceReqs,
+		func(span uint64) []uint64 { return []uint64{span / 4, span / 2, 3 * span / 4, span - 1, span} },
+		func(*instance) {},
+		func(label string, in *instance) {
+			st := in.s.Snapshot()
+			writes := in.srvSide.Writes()
+			if writes < 1 || writes > 2 {
+				t.Fatalf("%s: %d Writes for a window crashed once (%d replies from the report), want 1 or 2",
+					label, writes, st.FromReport)
 			}
-		}
-		st := s.Snapshot()
-		if st.Crashes != 1 {
-			t.Fatalf("offset %d: %d crashes, want 1", off, st.Crashes)
-		}
-		writes := srvSide.Writes()
-		if writes < 1 || writes > 2 {
-			t.Fatalf("offset %d: %d Writes for a window crashed once (%d replies from the report), want 1 or 2",
-				off, writes, st.FromReport)
-		}
-		if (st.FromReport == 0 || st.FromReport == coalesceWindow) && writes != 1 {
-			t.Fatalf("offset %d: %d Writes for %d replies answered together, want 1", off, writes, coalesceWindow)
-		}
-		t.Logf("offset %d/%d: from_report=%d writes=%d", off, span, st.FromReport, writes)
-		answeredFromReport = answeredFromReport || st.FromReport > 0
-		s.Close()
-	}
+			if (st.FromReport == 0 || st.FromReport == coalesceWindow) && writes != 1 {
+				t.Fatalf("%s: %d Writes for %d replies answered together, want 1", label, writes, coalesceWindow)
+			}
+			t.Logf("%s: from_report=%d writes=%d", label, st.FromReport, writes)
+			answeredFromReport = answeredFromReport || st.FromReport > 0
+		})
 	if !answeredFromReport {
 		t.Fatal("no offset answered any reply from a report; the crash path was not exercised")
 	}
@@ -263,9 +202,9 @@ func replyBurst(t *testing.T) (writes, reads uint64) {
 	s.Release()
 	wg.Wait()
 	in1 := s.Snapshot()
-	if w, f := c.WriteStats(); w != cc.Writes() || f != 2*coalesceWindow || in1.FramesIn != f {
+	if st := c.SessionStats(); st.Writes != cc.Writes() || st.FramesOut != 2*coalesceWindow || in1.FramesIn != st.FramesOut {
 		t.Fatalf("client counted %d Writes carrying %d frames and the server %d frames in; the socket took %d Writes for %d requests",
-			w, f, in1.FramesIn, cc.Writes(), 2*coalesceWindow)
+			st.Writes, st.FramesOut, in1.FramesIn, cc.Writes(), 2*coalesceWindow)
 	}
 	return cc.Writes() - before, in1.Reads - in0.Reads
 }

@@ -1,135 +1,26 @@
 package serve_test
 
 import (
-	"net"
-	"runtime"
 	"testing"
-	"time"
 
-	"repro"
 	"repro/internal/serve"
 )
-
-// rawPipe is a frame-level pipe: the MOVE sweep drives Request fields the
-// high-level client API abstracts away (Key2, caller-chosen IDs) and
-// matches pipelined replies itself.
-type rawPipe struct {
-	nc net.Conn
-}
-
-func dialRaw(t *testing.T, ln *serve.MemListener) *rawPipe {
-	t.Helper()
-	nc, err := ln.Dial()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	return &rawPipe{nc: nc}
-}
-
-func (c *rawPipe) send(req serve.Request) error {
-	return serve.WriteFrame(c.nc, serve.EncodeRequest(req))
-}
-
-func (c *rawPipe) recv(t *testing.T) serve.Reply {
-	t.Helper()
-	type res struct {
-		rep serve.Reply
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		payload, err := serve.ReadFrame(c.nc)
-		if err != nil {
-			ch <- res{err: err}
-			return
-		}
-		rep, err := serve.DecodeReply(payload)
-		ch <- res{rep: rep, err: err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("recv: %v", r.err)
-		}
-		return r.rep
-	case <-time.After(20 * time.Second):
-		t.Fatal("recv: no reply")
-		return serve.Reply{}
-	}
-}
 
 // The MOVE sweep's fixed pipeline on one connection: a setup put, two
 // moves (source present; source absent), and membership probes. MOVE
 // admits alone, so the admission sequence is deterministic under a gated
-// server: [put] [move] [move] [get get get].
-var moveReqs = []struct {
-	op         byte
-	reqID      uint64
-	key, key2  uint64
-	want       uint64
-	flipIfRuns uint64 // what a re-EXECUTION would answer; != want guards dedup
-}{
-	{serve.OpPut, 201, 5, 0, 1, 0},
-	{serve.OpMove, 202, 5, 9, 3, 2}, // 5 present -> deleted; 9 fresh -> inserted
-	{serve.OpMove, 203, 7, 2, 2, 2}, // 7 absent; 2 fresh -> inserted
-	{serve.OpGet, 204, 5, 0, 0, 0},
-	{serve.OpGet, 205, 9, 0, 1, 1},
-	{serve.OpGet, 206, 2, 0, 1, 1},
+// server: [put] [move] [move] [get get get]. A re-EXECUTION of 202 would
+// answer 2, not 3 (key 5 is gone), which is what guards dedup.
+var moveReqs = []pipeReq{
+	{serve.OpPut, 201, 5, 0, 1},
+	{serve.OpMove, 202, 5, 9, 3}, // 5 present -> deleted; 9 fresh -> inserted
+	{serve.OpMove, 203, 7, 2, 2}, // 7 absent; 2 fresh -> inserted
+	{serve.OpGet, 204, 5, 0, 0},
+	{serve.OpGet, 205, 9, 0, 1},
+	{serve.OpGet, 206, 2, 0, 1},
 }
 
 var moveKeys = map[uint64]bool{9: true, 2: true}
-
-// moveInstance runs the fixed MOVE pipeline on a fresh gated server,
-// crashing at access offset off past the gate (0 = crash-free).
-func moveInstance(t *testing.T, eng repro.EngineKind, off uint64) (*serve.Server, *rawPipe, []uint64, uint64) {
-	t.Helper()
-	s, ln := startServer(t, sweepConfig(eng))
-	c := dialRaw(t, ln)
-
-	for i, r := range moveReqs {
-		if err := c.send(serve.Request{Op: r.op, ReqID: r.reqID, Key: r.key, Key2: r.key2}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	for s.Snapshot().Queued < uint64(len(moveReqs)) {
-		runtime.Gosched()
-	}
-	start := s.Runtime().Heap().AccessCount()
-	if off > 0 {
-		s.Runtime().ScheduleCrash(off)
-	}
-	s.Release()
-
-	vals := make([]uint64, len(moveReqs))
-	for range moveReqs {
-		rep := c.recv(t)
-		if rep.Status != serve.StOK {
-			t.Fatalf("request %d: status %d, want StOK", rep.ReqID, rep.Status)
-		}
-		i := int(rep.ReqID - moveReqs[0].reqID)
-		vals[i] = rep.Val
-	}
-	return s, c, vals, s.Runtime().Heap().AccessCount() - start
-}
-
-func checkMoveState(t *testing.T, s *serve.Server, vals []uint64, label string) {
-	t.Helper()
-	for i, r := range moveReqs {
-		if vals[i] != r.want {
-			t.Fatalf("%s: request %d (id %d) answered %d, want %d", label, i, r.reqID, vals[i], r.want)
-		}
-	}
-	keys := s.Store().Keys()
-	if len(keys) != len(moveKeys) {
-		t.Fatalf("%s: store holds %v, want keys of %v", label, keys, moveKeys)
-	}
-	for _, k := range keys {
-		if !moveKeys[k] {
-			t.Fatalf("%s: store holds stray key %d", label, k)
-		}
-	}
-}
 
 // TestServeMoveCrashSweep kills and reboots the store at EVERY access
 // offset of the MOVE pipeline — the setup window, both two-leg
@@ -144,52 +35,35 @@ func TestServeMoveCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is exhaustive; skipped in -short")
 	}
-	for _, eng := range []struct {
-		name string
-		kind repro.EngineKind
-	}{{"isb", repro.EngineIsb}, {"isb-opt", repro.EngineIsbOpt}} {
+	for _, eng := range sweepEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			s, _, vals, total := moveInstance(t, eng.kind, 0)
-			checkMoveState(t, s, vals, "reference")
-			if got := s.Crashes(); got != 0 {
-				t.Fatalf("reference run crashed %d times", got)
-			}
-			if st := s.Snapshot(); st.Procs[0].Moves != 2 {
-				t.Fatalf("reference run admitted %d MOVE windows, want 2", st.Procs[0].Moves)
-			}
-			s.Close()
-			if total == 0 {
-				t.Fatal("reference run performed no tracked accesses")
-			}
-			t.Logf("sweeping %d access offsets", total)
-
-			for off := uint64(1); off <= total; off++ {
-				s, c, vals, _ := moveInstance(t, eng.kind, off)
-				label := "offset " + itoa(off)
-				checkMoveState(t, s, vals, label)
-				if got := s.Crashes(); got != 1 {
-					t.Fatalf("%s: %d crashes, want exactly 1", label, got)
-				}
-				// Duplicate resubmits of both transactions: recorded packed
-				// answers, no re-execution (202's re-execution would answer
-				// 2, not 3: key 5 is gone).
-				for _, i := range []int{1, 2} {
-					r := moveReqs[i]
-					if err := c.send(serve.Request{Op: r.op, ReqID: r.reqID, Key: r.key, Key2: r.key2}); err != nil {
-						t.Fatalf("%s: resubmit send: %v", label, err)
+			crashSweep(t, sweepConfig(eng.kind), moveReqs, everyOffset,
+				func(ref *instance) {
+					checkPipelineState(t, ref, moveReqs, moveKeys, "reference")
+					if st := ref.s.Snapshot(); st.Procs[0].Moves != 2 {
+						t.Fatalf("reference run admitted %d MOVE windows, want 2", st.Procs[0].Moves)
 					}
-					rep := c.recv(t)
-					if rep.Status != serve.StOK || rep.Val != r.want {
-						t.Fatalf("%s: resubmit of id %d answered status %d val %d, want OK/%d",
-							label, r.reqID, rep.Status, rep.Val, r.want)
+				},
+				func(label string, in *instance) {
+					checkPipelineState(t, in, moveReqs, moveKeys, label)
+					// Duplicate resubmits of both transactions: recorded packed
+					// answers, no re-execution.
+					for _, r := range moveReqs[1:3] {
+						ch, err := in.c.Send(r.request())
+						if err != nil {
+							t.Fatalf("%s: resubmit send: %v", label, err)
+						}
+						rep := recvReply(t, ch, label+": resubmit reply")
+						if rep.Status != serve.StOK || rep.Val != r.want {
+							t.Fatalf("%s: resubmit of id %d answered status %d val %d, want OK/%d",
+								label, r.reqID, rep.Status, rep.Val, r.want)
+						}
 					}
-				}
-				checkMoveState(t, s, vals, label+" after resubmit")
-				if st := s.Snapshot(); st.Deduped != 2 {
-					t.Fatalf("%s: deduped = %d, want 2", label, st.Deduped)
-				}
-				s.Close()
-			}
+					checkPipelineState(t, in, moveReqs, moveKeys, label+" after resubmit")
+					if st := in.s.Snapshot(); st.Deduped != 2 {
+						t.Fatalf("%s: deduped = %d, want 2", label, st.Deduped)
+					}
+				})
 		})
 	}
 }

@@ -120,7 +120,7 @@ func TestServeBackpressure(t *testing.T) {
 	chs := make([]<-chan serve.Reply, len(ids))
 	for i := range ids {
 		ids[i] = uint64(100 + i)
-		ch, err := c.Send(serve.OpPut, ids[i], uint64(i+1))
+		ch, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: ids[i], Key: uint64(i + 1)})
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}

@@ -21,8 +21,8 @@ func TestServeShedWatermark(t *testing.T) {
 	// With one connection and QueueDepth 4, the shed threshold is
 	// totalQueued >= 2. Pipeline two enqueues, then a third: it must shed.
 	id1, id2, id3 := c.NextID(), c.NextID(), c.NextID()
-	ch1, err1 := c.Send(serve.OpPut, id1, 11)
-	ch2, err2 := c.Send(serve.OpPut, id2, 12)
+	ch1, err1 := c.Send(serve.Request{Op: serve.OpPut, ReqID: id1, Key: 11})
+	ch2, err2 := c.Send(serve.Request{Op: serve.OpPut, ReqID: id2, Key: 12})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("sends: %v, %v", err1, err2)
 	}
@@ -36,7 +36,7 @@ func TestServeShedWatermark(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	ch3, err := c.Send(serve.OpPut, id3, 13)
+	ch3, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: id3, Key: 13})
 	if err != nil {
 		t.Fatalf("send 3: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestServeShedDisabledByDefault(t *testing.T) {
 	c := dial(t, ln, 1)
 	var chs []<-chan serve.Reply
 	for i := 0; i < 2; i++ {
-		ch, err := c.Send(serve.OpPut, c.NextID(), uint64(21+i))
+		ch, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: c.NextID(), Key: uint64(21 + i)})
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -86,7 +86,7 @@ func TestServeShedDisabledByDefault(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	ch, err := c.Send(serve.OpPut, c.NextID(), 23)
+	ch, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: c.NextID(), Key: 23})
 	if err != nil {
 		t.Fatalf("overflow send: %v", err)
 	}

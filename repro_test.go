@@ -407,7 +407,11 @@ func TestPrivateCacheModelThroughAPI(t *testing.T) {
 // it even if nothing is reused (a reader descheduled while pinned stalls
 // the epoch, and the churning Proc then drops its retirements).
 func TestFastReadsTerminateUnderReclaimChurn(t *testing.T) {
-	const keys, churnOps, rounds = 4096, 100_000, 4
+	const keys, churnOps = 4096, 100_000
+	rounds := 4
+	if testing.Short() {
+		rounds = 1 // the race job's size
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
