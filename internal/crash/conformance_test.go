@@ -1,16 +1,180 @@
 package crash
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
-// Crash-point conformance: SweepAllPoints drives representative operations
-// of every structure through a crash at every shared-memory access. The
-// matrix itself — structures, engine variants (including eviction-enabled
-// heaps), cases and oracles — lives in scenarios.go.
-func TestCrashConformanceScenarios(t *testing.T) {
-	for _, sc := range Scenarios(SweepEngineVariants()) {
-		sc := sc
-		t.Run(sc.Name(), func(t *testing.T) {
-			SweepAllPoints(t, sc.Build, sc.Cases)
+// sweepFamily sweeps one family of the matrix (matrix.go), a subtest per
+// path element and row, logging how many crash points each row covered.
+func sweepFamily(t *testing.T, family string, parallel bool) {
+	var rows []row
+	for _, r := range matrix() {
+		if r.fam.name == family {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b row) int { return slices.Compare(a.path, b.path) })
+	sweepRows(t, rows, 0, parallel)
+}
+
+// sweepRows runs rows — sorted, and alike in path[:depth] — as subtests named
+// by path[depth], nesting until a row's path ends.
+func sweepRows(t *testing.T, rows []row, depth int, parallel bool) {
+	for len(rows) > 0 {
+		n := 1
+		for n < len(rows) && rows[n].path[depth] == rows[0].path[depth] {
+			n++
+		}
+		group := rows[:n]
+		rows = rows[n:]
+		t.Run(group[0].path[depth], func(t *testing.T) {
+			if parallel {
+				t.Parallel()
+			}
+			if r := group[0]; len(r.path) > depth+1 {
+				sweepRows(t, group, depth+1, parallel)
+			} else if n, err := Sweep(r.c.name, r.build, r.c.want); err != nil {
+				t.Fatal(err)
+			} else {
+				t.Logf("%d crash points swept", n)
+			}
 		})
+	}
+}
+
+// Crash-point conformance: representative operations of every structure,
+// built straight from its package, are driven through a crash at every
+// shared-memory access — on both engines, with and without simulated
+// eviction — and recovered the paper's way, the harness re-supplying the
+// operation to the structure's recovery function.
+func TestCrashConformanceScenarios(t *testing.T) { sweepFamily(t, "raw", false) }
+
+// Runtime-level crash-point conformance: the same single operations, but
+// recovery is routed by Runtime.RecoverAll — the announcement record says
+// which structure and operation were in flight; the harness supplies
+// nothing, and checks that the registry routed exactly the announced
+// operation (proc, structure ID, op, one in-flight leg). Every structure ×
+// both engines must recover to the same response and post-state as targeted
+// recovery does on the identical case tables.
+func TestRecoverAllCrashConformance(t *testing.T) { sweepFamily(t, "routed", false) }
+
+// Crash-point conformance for crash-consistent node reclamation: the
+// reclaim-churn subjects run every operation against recycled memory — so
+// the crash offsets also land inside Retire calls, ring writes, epoch
+// advances and free-list pushes — and RecoverAll must leave the reclaimer
+// sound before the announced operation resolves: once with every recovery
+// the fast reset (the scan's mark phase then audits each one read-only),
+// once with every recovery the full scan. The reclaimer-off cells hold the
+// leak-forever arena to the identical bar on identical schedules.
+func TestReclaimCrashConformance(t *testing.T) { sweepFamily(t, "churn", false) }
+
+// TestReclaimScanCrashSweep crashes inside RecoverAll itself — during the
+// reclaimer's recovery (the fast leg: hint repair, ring audits, the epoch
+// reset; the full leg adds the mark walks and free-list rebuilds) and
+// during the frozen recovery sweep that follows — at every access offset,
+// then restarts and re-runs RecoverAll. Both paths are restartable: a
+// second pass must still resolve the announced operation and leave the
+// structure in the sequential model's state, and a re-run fast reset may
+// over-count garbage but never under-count it (the audit inside verify).
+func TestReclaimScanCrashSweep(t *testing.T) { sweepFamily(t, "in-recovery", false) }
+
+// TestBatchPrefixDurable is the batched-admission conformance sweep: five
+// structures × both engines × reclamation on/off, a crash at every tracked
+// access offset of an ApplyBatch window — including mid-announcement and
+// mid-cursor-advance. Recovery is driven through RecoverAll's report
+// (completed prefix from the durable result slots, the single in-flight
+// operation through per-op recovery, the no-effect suffix re-submitted), and
+// every response plus the final state must match the sequential model.
+func TestBatchPrefixDurable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive batch crash-point sweep")
+	}
+	sweepFamily(t, "window", true)
+}
+
+// TestTxnCrashSweep is the transaction conformance sweep: four two-leg
+// shapes × both engines × reclamation on/off, a crash at every tracked
+// access offset of an ApplyTxn — mid-announcement, mid-leg-1,
+// mid-commit-point, mid-leg-2. On top of what every sweep checks, each
+// offset checks cross-structure atomicity: a no-effect report means NEITHER
+// structure changed; anything else means leg 1's effect never outlives
+// recovery without leg 2's.
+func TestTxnCrashSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive transaction crash-point sweep")
+	}
+	sweepFamily(t, "txn", true)
+}
+
+// TestMatrixCoverage enumerates the matrix without sweeping it and pins how
+// many rows each family holds, so that coverage cannot shrink silently.
+func TestMatrixCoverage(t *testing.T) {
+	want := map[string]int{
+		"raw":         104, // 26 cases × 4 engine variants
+		"routed":      48,  // 24 × 2 engines
+		"churn":       84,  // 14 × 2 engines × arena/fast/full
+		"in-recovery": 4,   // 2 engines × fast/full
+		"window":      32,  // 8 × 2 engines × arena/reclaim
+		"txn":         16,  // 4 × 2 engines × arena/reclaim
+	}
+	got, seen := map[string]int{}, map[string]bool{}
+	rows := matrix()
+	for _, r := range rows {
+		got[r.fam.name]++
+		id := r.fam.name + ":" + strings.Join(r.path, "/")
+		if seen[id] {
+			t.Errorf("duplicate row %s", id)
+		}
+		seen[id] = true
+		if len(r.c.want) != len(r.c.legs) || len(r.c.final) != len(r.sub.structs) || r.c.atomic != (r.c.pre != nil) {
+			t.Errorf("row %s is malformed: %+v", id, r.c)
+		}
+	}
+	for f, n := range want {
+		if got[f] != n {
+			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
+		}
+	}
+	if len(rows) != 288 {
+		t.Errorf("matrix has %d rows, want 288", len(rows))
+	}
+}
+
+// fakeSet and fakeSeq are structures that hold whatever the test says.
+type (
+	fakeSet []uint64
+	fakeSeq []uint64
+)
+
+func (f fakeSet) Keys() []uint64          { return f }
+func (f fakeSet) CheckInvariants() string { return "" }
+func (f fakeSeq) Values() []uint64        { return f }
+func (f fakeSeq) CheckInvariants() string { return "broken link" }
+
+// TestSameState pins the comparator to ordered equality: a snapshot of the
+// right length whose members are all expected is still wrong.
+func TestSameState(t *testing.T) {
+	want := [][]uint64{{3, 9, 14, 27, 31}}
+	for _, tc := range []struct {
+		name string
+		got  any
+		ok   bool
+	}{
+		{"equal", fakeSet{3, 9, 14, 27, 31}, true},
+		{"duplicate-plus-missing", fakeSet{3, 3, 9, 14, 27}, false},
+		{"reordered", fakeSet{3, 14, 9, 27, 31}, false},
+		{"short", fakeSet{3, 9, 14, 27}, false},
+		{"long", fakeSet{3, 9, 14, 27, 31, 40}, false},
+		{"invariant", fakeSeq{3, 9, 14, 27, 31}, false},
+		{"no-snapshot", 7, false},
+	} {
+		if msg := sameState([]any{tc.got}, want); (msg == "") != tc.ok {
+			t.Errorf("%s: sameState(%v, %v) = %q", tc.name, tc.got, want, msg)
+		}
+	}
+	if msg := sameState([]any{fakeSet{}, fakeSet{5}}, [][]uint64{nil, {5}}); msg != "" {
+		t.Errorf("two structures, one empty: %q", msg)
 	}
 }

@@ -20,9 +20,12 @@ func stackGen(next *atomic.Uint64) func(id, i int, rng *rand.Rand) Op {
 	}
 }
 
-func runStackStorm(t *testing.T, eng engineVariant, seed int64, procs, opsPerProc, crashes, spins int) {
+func runStackStorm(t *testing.T, eng engineVariant, seed int64, procs, opsPerProc, crashes, spins int, evictEvery uint64) {
 	t.Helper()
-	h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: procs, Tracked: true, Seed: uint64(seed) + 1})
+	h := pmem.NewHeap(pmem.Config{
+		Words: 1 << 21, Procs: procs, Tracked: true,
+		EvictEvery: evictEvery, Seed: uint64(seed) + 1,
+	})
 	s := stack.NewWithEngine(h, eng.mk(h), spins)
 	var next atomic.Uint64
 	res := Run(Config{
@@ -74,7 +77,7 @@ func runStackStorm(t *testing.T, eng engineVariant, seed int64, procs, opsPerPro
 func TestStackSingleProcCrashStorm(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng engineVariant) {
 		for seed := int64(1); seed <= 8; seed++ {
-			runStackStorm(t, eng, seed, 1, 50, 6, 0)
+			runStackStorm(t, eng, seed, 1, 50, 6, 0, 0)
 		}
 	})
 }
@@ -82,7 +85,7 @@ func TestStackSingleProcCrashStorm(t *testing.T) {
 func TestStackConcurrentCrashStorm(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng engineVariant) {
 		for seed := int64(1); seed <= 5; seed++ {
-			runStackStorm(t, eng, seed, 3, 20, 5, 0)
+			runStackStorm(t, eng, seed, 3, 20, 5, 0, 0)
 		}
 	})
 }
@@ -90,7 +93,20 @@ func TestStackConcurrentCrashStorm(t *testing.T) {
 func TestStackCrashStormWithElimination(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng engineVariant) {
 		for seed := int64(1); seed <= 5; seed++ {
-			runStackStorm(t, eng, seed, 3, 20, 5, stack.DefaultElimSpins)
+			runStackStorm(t, eng, seed, 3, 20, 5, stack.DefaultElimSpins, 0)
+		}
+	})
+}
+
+// TestStackCrashStormWithEviction adds simulated arbitrary cache evictions
+// (persisted state newer than the last explicit sync), with the elimination
+// window closed and open.
+func TestStackCrashStormWithEviction(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, eng engineVariant) {
+		for _, spins := range []int{0, stack.DefaultElimSpins} {
+			for seed := int64(1); seed <= 5; seed++ {
+				runStackStorm(t, eng, seed, 3, 20, 6, spins, 3)
+			}
 		}
 	})
 }
@@ -98,7 +114,7 @@ func TestStackCrashStormWithElimination(t *testing.T) {
 func TestStackHighCrashRate(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng engineVariant) {
 		for seed := int64(1); seed <= 4; seed++ {
-			runStackStorm(t, eng, seed, 2, 25, 15, stack.DefaultElimSpins)
+			runStackStorm(t, eng, seed, 2, 25, 15, stack.DefaultElimSpins, 0)
 		}
 	})
 }

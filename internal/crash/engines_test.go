@@ -1,33 +1,11 @@
 package crash
 
-import (
-	"testing"
-
-	"repro/internal/isb"
-	"repro/internal/pmem"
-)
-
-// engineVariant is the storm tests' view of an EngineVariant (scenarios.go):
-// one persistence placement and its engine factory. The whole crash suite —
-// storms and the crash-point conformance sweep — runs once per variant,
-// holding Isb and Isb-Opt to the same detectability bar.
-type engineVariant struct {
-	name string
-	mk   func(h *pmem.Heap) *isb.Engine
-}
-
-func engineVariants() []engineVariant {
-	var out []engineVariant
-	for _, v := range EngineVariants() {
-		out = append(out, engineVariant{name: v.Name, mk: v.New})
-	}
-	return out
-}
+import "testing"
 
 // forEachEngine runs f as a subtest per engine variant.
 func forEachEngine(t *testing.T, f func(t *testing.T, eng engineVariant)) {
 	t.Helper()
-	for _, eng := range engineVariants() {
+	for _, eng := range engineVariants {
 		t.Run(eng.name, func(t *testing.T) { f(t, eng) })
 	}
 }

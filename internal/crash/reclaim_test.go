@@ -12,100 +12,12 @@ import (
 )
 
 // eachRecoveryMode runs f as subtests name/fast and name/full: the two
-// forced recovery paths every reclaimer sweep below runs.
+// forced recovery paths.
 func eachRecoveryMode(t *testing.T, name string, f func(t *testing.T, mode pmem.RecoveryMode)) {
 	t.Run(name, func(t *testing.T) {
 		t.Run("fast", func(t *testing.T) { f(t, pmem.RecoverFast) })
 		t.Run("full", func(t *testing.T) { f(t, pmem.RecoverFull) })
 	})
-}
-
-// Crash-point conformance for crash-consistent node reclamation: the
-// reclaim-churn matrix (scenarios.go) drives every structure through a
-// crash at every shared-memory access of an operation that runs against
-// recycled memory — so the crash offsets also land inside Retire calls,
-// ring writes, epoch advances and free-list pushes — and recovery is
-// routed through Runtime.RecoverAll, which must leave the reclaimer sound
-// before the announced operation resolves: once with every recovery the
-// fast reset (the scan's mark phase then audits each one read-only), once
-// with every recovery the full scan. The reclaimer-off cells hold the
-// leak-forever arena to the identical bar on identical schedules.
-func TestReclaimCrashConformance(t *testing.T) {
-	for _, sc := range ReclaimScenarios() {
-		sc := sc
-		t.Run(sc.Name(), func(t *testing.T) {
-			SweepAllPoints(t, sc.Build, sc.Cases)
-		})
-	}
-}
-
-// TestReclaimScanCrashSweep crashes inside RecoverAll itself — during the
-// reclaimer's recovery (the fast leg: hint repair, ring audits, the epoch
-// reset; the full leg adds the mark walks and free-list rebuilds) and
-// during the frozen recovery sweep that follows — at every access offset,
-// then restarts and re-runs RecoverAll. Both paths are restartable: a
-// second pass must still resolve the announced operation and leave the
-// structure in the sequential model's state, and a re-run fast reset may
-// over-count garbage but never under-count it (the audit inside verify).
-func TestReclaimScanCrashSweep(t *testing.T) {
-	for _, eng := range reproEngines() {
-		eng := eng
-		eachRecoveryMode(t, eng.name, func(t *testing.T, mode pmem.RecoveryMode) {
-			// Deterministic instance: churned list, one insert crashed
-			// mid-flight at a fixed offset deep enough to have tagged nodes
-			// and allocated records.
-			const crashOff = 60
-			want := []uint64{linearize.RespTrue}
-			build := func() Instance {
-				rt := reclaimRT(eng.kind, true, mode)
-				l := rt.NewList()
-				p := rt.Proc(0)
-				for _, k := range reclaimChurnKeys {
-					l.Insert(p, k)
-					l.Delete(p, k)
-				}
-				for _, k := range setPrefill {
-					l.Insert(p, k)
-				}
-				l.Begin(p)
-				rt.Heap().ScheduleCrashAt(rt.Heap().AccessCount() + crashOff)
-				if pmem.RunOp(func() { l.Insert(p, 8) }) {
-					t.Fatal("expected the armed crash to interrupt the insert")
-				}
-				rt.Restart()
-				// What is swept is RecoverAll itself; a crash inside it is
-				// resolved by running it again.
-				resolve := func() ([]uint64, error) {
-					reps := rt.RecoverAll()
-					if len(reps) == 0 {
-						return []uint64{l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: 8}).Raw()}, nil
-					}
-					return []uint64{reps[len(reps)-1].Legs[0].Resp.Raw()}, nil
-				}
-				return Instance{
-					Heap: rt.Heap(),
-					Run: func() []uint64 {
-						got, _ := resolve()
-						return got
-					},
-					Resolve: resolve,
-					Verify: func() string {
-						if msg := setVerify(repro.OpInsert, repro.OpDelete, l.Keys, l.CheckInvariants)(
-							SweepCase{Op: Op{Kind: repro.OpInsert, Arg: 8}}); msg != "" {
-							return msg
-						}
-						return auditForcedFast(rt)
-					},
-					After: func() string { return sameResponses(resolve, want) },
-				}
-			}
-			n, err := Sweep("RecoverAll", build, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%d crash points swept", n)
-		})
-	}
 }
 
 // TestReclaimDifferential pins the reclaimer to the leak-forever arena's
@@ -118,13 +30,13 @@ func TestReclaimScanCrashSweep(t *testing.T) {
 // model fixes every response regardless of where a crash lands, so any
 // divergence is an allocator-semantics bug, not schedule noise.
 func TestReclaimDifferential(t *testing.T) {
-	for _, eng := range reproEngines() {
+	for _, eng := range engineVariants {
 		eng := eng
 		eachRecoveryMode(t, eng.name, func(t *testing.T, mode pmem.RecoveryMode) {
 			const ops = 600
 			run := func(reclaim bool) ([]uint64, []uint64, []linearize.Operation) {
 				recovered := 0
-				rt := reclaimRT(eng.kind, reclaim, mode)
+				rt := cell{eng: eng, reclaim: reclaim, mode: mode}.runtime()
 				m := rt.NewHashMap(4)
 				p := rt.Proc(0)
 				rng := rand.New(rand.NewSource(99))
@@ -151,7 +63,7 @@ func TestReclaimDifferential(t *testing.T) {
 						recovered++
 						rt.Restart()
 						reps := rt.RecoverAll()
-						if msg := auditForcedFast(rt); msg != "" {
+						if msg := auditFastRecovery(rt, rt.Heap().Epoch()); msg != "" {
 							t.Fatalf("op %d: %s", i, msg)
 						}
 						if len(reps) == 1 {
@@ -233,7 +145,7 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 	)
 	seed := stormRuns
 	stormRuns++
-	for _, eng := range reproEngines() {
+	for _, eng := range engineVariants {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
 			run := func(mode pmem.RecoveryMode) (rt *repro.Runtime, sinceFull uint64) {
@@ -303,11 +215,11 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 					switch c := rng.Intn(10); {
 					case c < ins:
 						op = repro.Op{Kind: repro.OpInsert, Arg: uint64(rng.Intn(keys)) + 1}
-						want = respBool(!present[op.Arg])
+						want = isb.BoolResp(!present[op.Arg])
 						present[op.Arg] = true
 					case c < 8:
 						op = repro.Op{Kind: repro.OpDelete, Arg: uint64(rng.Intn(keys)) + 1}
-						want = respBool(present[op.Arg])
+						want = isb.BoolResp(present[op.Arg])
 						delete(present, op.Arg)
 					case c < 9 || len(fifo) == 0:
 						s, op = q, repro.Op{Kind: repro.OpEnq, Arg: uint64(i)}

@@ -2,7 +2,7 @@ package crash
 
 import (
 	"fmt"
-	"testing"
+	"slices"
 
 	"repro"
 	"repro/internal/pmem"
@@ -45,16 +45,13 @@ type Instance struct {
 // rather than sampled, and it holds every engine variant to the same standard
 // (a batched phase must be recoverable whether the crash left it fully
 // persisted or fully absent). build must return a fresh, identically
-// prefilled instance on every call. Everything runs on Proc 0.
+// prefilled instance on every call; a finished instance's heap images are
+// recycled (pmem.Heap.Release), so the next build zeroes only what this one
+// carved instead of a whole arena. Everything runs on Proc 0.
 func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, err error) {
 	check := func(in Instance, got []uint64, off uint64) error {
-		if len(got) != len(want) {
-			return fmt.Errorf("%s off=%d: %d responses, want %d", name, off, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("%s off=%d: response %d is %d, want %d", name, off, i, got[i], want[i])
-			}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%s off=%d: responses %v, want %v", name, off, got, want)
 		}
 		if msg := in.Verify(); msg != "" {
 			return fmt.Errorf("%s off=%d: %s", name, off, msg)
@@ -78,6 +75,7 @@ func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, 
 	if total == 0 {
 		return 0, fmt.Errorf("%s: made no tracked accesses", name)
 	}
+	in.Heap.Release()
 
 	for off := uint64(1); off <= total; off++ {
 		in := build()
@@ -110,6 +108,7 @@ func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, 
 				return crashPoints, fmt.Errorf("%s off=%d: after duplicate recovery: %s", name, off, msg)
 			}
 		}
+		in.Heap.Release()
 	}
 	if crashPoints == 0 {
 		return 0, fmt.Errorf("%s: no crash point actually interrupted it", name)
@@ -117,97 +116,61 @@ func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, 
 	return crashPoints, nil
 }
 
-// sweepCases runs one sweep per case as subtests, logging how many crash
-// points each covered.
-func sweepCases[C any](t *testing.T, cases []C, name func(C) string, run func(C) (int, error)) {
-	t.Helper()
-	for _, c := range cases {
-		t.Run(name(c), func(t *testing.T) {
-			n, err := run(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%d crash points swept", n)
-		})
+// sameState is the one post-state oracle: each structure's snapshot — a set's
+// keys ascending, a queue's values front to back, a stack's top to bottom —
+// must equal, element for element, the slice the sequential model leaves, and
+// then its own invariant check must pass. It takes raw-package structures and
+// registered ones alike.
+func sameState(structs []any, want [][]uint64) string {
+	for i, s := range structs {
+		var got []uint64
+		switch s := s.(type) {
+		case interface{ Keys() []uint64 }:
+			got = s.Keys()
+		case interface{ Values() []uint64 }:
+			got = s.Values()
+		default:
+			return fmt.Sprintf("structure %d (%T) has no snapshot", i, s)
+		}
+		if !slices.Equal(got, want[i]) {
+			return fmt.Sprintf("structure %d (%T) holds %v, want %v", i, s, got, want[i])
+		}
 	}
-}
-
-// SweepCase is one single operation to sweep: the operation, the response
-// the sequential model requires, and a name for the subtest.
-type SweepCase struct {
-	Name     string
-	Op       Op
-	WantResp uint64
-}
-
-// SweepInstance is one freshly built structure under single-operation sweep:
-// the heap it lives on, the adapted Target, and the post-state check.
-type SweepInstance struct {
-	Heap   *pmem.Heap
-	Target Target
-	Verify func(c SweepCase) string
-	// RecoverAll, when non-nil, replaces Target.Recover in the crashed
-	// replays: the sweep's registry-routed mode, where recovery is driven
-	// by the runtime (announcement record + structure registry) instead of
-	// the harness re-supplying the operation. The callback must resolve the
-	// crashed operation — typically by invoking Runtime.RecoverAll and, if
-	// the crash preceded the durable announcement (so the operation
-	// provably had no effect and is absent from the report), re-invoking it
-	// — and return the encoded response.
-	RecoverAll func(p *pmem.Proc, op Op) uint64
-}
-
-// instance is the single operation c on in as Sweep drives it: Begin, Invoke,
-// Recover. The duplicate pass is recovery itself, run again: a completed
-// operation's recovery re-reports its response (and a read's re-executes it).
-func (in SweepInstance) instance(c SweepCase) Instance {
-	p, rec := in.Heap.Proc(0), in.Target.Recover
-	if in.RecoverAll != nil {
-		rec = in.RecoverAll
-	}
-	resolve := func() ([]uint64, error) { return []uint64{rec(p, c.Op)}, nil }
-	return Instance{
-		Heap:    in.Heap,
-		Prepare: func() { in.Target.Begin(p) },
-		Run:     func() []uint64 { return []uint64{in.Target.Invoke(p, c.Op)} },
-		Resolve: resolve,
-		Verify:  func() string { return in.Verify(c) },
-		After:   func() string { return sameResponses(resolve, []uint64{c.WantResp}) },
-	}
-}
-
-// RunCase sweeps one single operation at every crash point.
-func RunCase(build func() SweepInstance, c SweepCase) (crashPoints int, err error) {
-	return Sweep(c.Name, func() Instance { return build().instance(c) }, []uint64{c.WantResp})
-}
-
-// sameResponses is the duplicate pass of a sweep whose resolver is safe to
-// run twice: it must answer want again.
-func sameResponses(resolve func() ([]uint64, error), want []uint64) string {
-	got, err := resolve()
-	if err != nil {
-		return err.Error()
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Sprintf("response %d is %d, want %d", i, got[i], want[i])
+	for _, s := range structs {
+		if msg := s.(interface{ CheckInvariants() string }).CheckInvariants(); msg != "" {
+			return msg
 		}
 	}
 	return ""
 }
 
-// SweepAllPoints is the structure-agnostic single-operation conformance
-// sweep: RunCase per case, as subtests.
-func SweepAllPoints(t *testing.T, build func() SweepInstance, cases []SweepCase) {
-	t.Helper()
-	sweepCases(t, cases, func(c SweepCase) string { return c.Name },
-		func(c SweepCase) (int, error) { return RunCase(build, c) })
+// direct is the paper's model of recovery, as the raw-package cells run it:
+// the harness itself re-supplies the interrupted operation to the structure's
+// recovery function. The duplicate pass is recovery itself, run again: a
+// completed operation's recovery re-reports its response (and a read's
+// re-executes it).
+func direct(h *pmem.Heap, a Applier, op repro.Op, want uint64, verify func() string) Instance {
+	p := h.Proc(0)
+	resolve := func() ([]uint64, error) { return []uint64{a.RecoverOp(p, op.Kind, op.Arg)}, nil }
+	return Instance{
+		Heap:    h,
+		Prepare: func() { a.Begin(p) },
+		Run:     func() []uint64 { return []uint64{a.ApplyOp(p, op.Kind, op.Arg)} },
+		Resolve: resolve,
+		Verify:  verify,
+		After: func() string {
+			if got, _ := resolve(); got[0] != want {
+				return fmt.Sprintf("response %d, want %d", got[0], want)
+			}
+			return ""
+		},
+	}
 }
 
-// vector is a window or transaction under sweep: an announced vector of more
-// than one leg, submitted through the Runtime and resolved the way a real
-// application would — through RecoverAll's report, re-submitting exactly the
-// legs the report proves had no effect.
+// vector is an announced vector of legs under sweep — one leg for a single
+// operation, a window's, or a transaction's atomic two — submitted through the
+// Runtime and resolved the way a real application would: through RecoverAll's
+// report, re-submitting exactly the legs the report proves had no effect.
 type vector struct {
 	rt     *repro.Runtime
 	legs   []repro.TxnLeg
@@ -225,6 +188,9 @@ func (v vector) submit(from int) []uint64 {
 		r1, r2 := v.rt.ApplyTxn(p, v.legs[0], v.legs[1])
 		return []uint64{r1.Raw(), r2.Raw()}
 	}
+	if len(v.legs) == 1 {
+		return []uint64{v.legs[0].S.Apply(p, v.legs[0].Op).Raw()}
+	}
 	ops := make([]repro.Op, 0, len(v.legs))
 	for _, l := range v.legs[from:] {
 		ops = append(ops, l.Op)
@@ -236,34 +202,79 @@ func (v vector) submit(from int) []uint64 {
 	return out
 }
 
-// instance is the vector as Sweep drives it.
-func (v vector) instance(verify func() string, want []uint64) Instance {
-	return Instance{
+// instance is the vector as Sweep drives it. A single operation takes the
+// system-side invocation step first, as the storms do: Begin durably retires
+// the previous announcement, so any report is this operation's. Longer
+// vectors retire it inside the admission, under sweep.
+//
+// With crashedAt > 0 what is swept is RecoverAll itself: the admission is
+// first crashed at that access offset and the heap restarted, unswept, and a
+// crash inside the recovery that follows is resolved by running it again.
+func (v vector) instance(verify func() string, want []uint64, crashedAt uint64) Instance {
+	in := Instance{
 		Heap:    v.rt.Heap(),
 		Run:     func() []uint64 { return v.submit(0) },
 		Resolve: v.resolve,
 		Verify:  verify,
 		After:   func() string { return v.duplicate(want) },
 	}
+	if len(v.legs) == 1 {
+		in.Prepare = func() { v.legs[0].S.Begin(v.rt.Proc(0)) }
+	}
+	if crashedAt > 0 {
+		begin := in.Prepare
+		in.Prepare = func() {
+			if begin != nil {
+				begin()
+			}
+			in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + crashedAt)
+			if pmem.RunOp(func() { v.submit(0) }) {
+				panic(fmt.Sprintf("crash: the admission completed within %d accesses; nothing left to recover", crashedAt))
+			}
+			v.rt.Restart()
+		}
+		in.Run = func() []uint64 {
+			got, _ := v.resolve() // an error leaves got nil, which no want equals
+			return got
+		}
+	}
+	return in
+}
+
+// loneRead reports whether the vector is a single operation of its
+// structure's read-only kind, which runs on the zero-persist path and so
+// never announces.
+func (v vector) loneRead() bool {
+	if len(v.legs) != 1 {
+		return false
+	}
+	for _, k := range v.legs[0].S.(interface{ OpKinds() []repro.OpKind }).OpKinds() {
+		if k.Kind == v.legs[0].Op.Kind {
+			return k.ReadOnly
+		}
+	}
+	return false
 }
 
 // resolve turns a crashed replay into the full response vector: completed
 // and in-flight legs take their reported responses and the no-effect suffix
 // — for an atomic vector that is all of it or none — is re-submitted. No
-// report, or a report of another shape (the prefill's last single operation,
-// idempotently re-confirmed: the crash landed before this vector's record
-// became durable), proves the vector never announced, so every leg is
-// re-submitted. Whenever the whole of an atomic vector is re-submitted, pre
-// must hold first: neither structure changed.
+// report proves the vector never announced, so every leg is re-submitted; so
+// does, for a vector of several legs, a report of another shape (the
+// prefill's last single operation, idempotently re-confirmed: the crash
+// landed before this vector's record became durable). Whenever the whole of
+// an atomic vector is re-submitted, pre must hold first: neither structure
+// changed.
 //
-// It also checks the report's shape: the legs are the announced ones, and
-// their statuses form a completed prefix, exactly one in-flight leg and a
-// no-effect suffix, in that order — except that an atomic report is either
-// wholly no-effect or has no no-effect leg at all.
+// It also checks the report's routing and shape: it is Proc 0's, the legs are
+// the announced ones on the announced structures, and their statuses form a
+// completed prefix, exactly one in-flight leg and a no-effect suffix, in that
+// order — except that an atomic report is either wholly no-effect or has no
+// no-effect leg at all.
 func (v vector) resolve() ([]uint64, error) {
 	reps := v.rt.RecoverAll()
-	if len(reps) > 1 {
-		return nil, fmt.Errorf("single-proc sweep produced %d report entries", len(reps))
+	if len(reps) > 1 || len(reps) == 1 && reps[0].Proc != 0 {
+		return nil, fmt.Errorf("single-proc sweep on proc 0 reported %+v", reps)
 	}
 	got := make([]uint64, len(v.legs))
 	from := 0
@@ -293,6 +304,8 @@ func (v vector) resolve() ([]uint64, error) {
 		if v.atomic && from != 0 && from != len(legs) {
 			return nil, fmt.Errorf("atomic report resolves %d of %d legs: %+v", from, len(legs), legs)
 		}
+	} else if len(reps) == 1 && len(v.legs) == 1 {
+		return nil, fmt.Errorf("Begin retired the previous announcement, yet RecoverAll reported %+v", reps[0])
 	}
 	if v.atomic && from == 0 {
 		if msg := v.pre(); msg != "" {
@@ -312,6 +325,13 @@ func (v vector) resolve() ([]uint64, error) {
 // response.
 func (v vector) duplicate(want []uint64) string {
 	reps := v.rt.RecoverAll()
+	if len(reps) == 0 && v.loneRead() {
+		// Recovering what never announced is re-executing it.
+		if got := v.submit(0); got[0] != want[0] {
+			return fmt.Sprintf("read re-executed to %d, want %d", got[0], want[0])
+		}
+		return ""
+	}
 	if len(reps) != 1 || reps[0].Atomic != v.atomic || len(reps[0].Legs) > len(v.legs) {
 		return fmt.Sprintf("reported %+v", reps)
 	}

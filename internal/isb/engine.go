@@ -327,8 +327,11 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 	if p.Load(cp) == 0 || info == pmem.Null {
 		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 	}
-	// Defense for the pre-CP_q=0 crash window (see DESIGN.md): if RD_q
-	// still describes a different operation, this one made no changes.
+	// Defense for the pre-CP_q=0 crash window: the begin sequence persists
+	// CP_q := 0 before anything else of the new operation (README, "Recovery
+	// workflow"), so a crash ahead of that leaves CP_q and RD_q the previous
+	// operation's. If RD_q still describes a different operation, this one
+	// made no changes.
 	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
 		p.Load(info+offSeq) != seq {
 		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -231,5 +232,53 @@ func TestBarrierZeroAllocs(t *testing.T) {
 		p.PSync()
 	}); n != 0 {
 		t.Fatalf("barrier hot path allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestReleaseRecyclesCleanImages pins Heap.Release: a heap built from
+// recycled images is all zero — volatile, persisted and dirty bitmap, over the
+// whole arena — whatever the released heap did; images only ever go to a heap
+// of the size they came from; and the recycled heap then behaves exactly like
+// one that never was.
+func TestReleaseRecyclesCleanImages(t *testing.T) {
+	cfg := Config{Words: 1 << 13, Procs: 2, Tracked: true, EvictEvery: 4, Seed: 7}
+	const span = 2048
+	var prev *atomic.Uint64 // the last released heap's first volatile word
+	reused := 0
+	for round := int64(0); round < 16; round++ {
+		if other := NewHeap(Config{Words: cfg.Words * 2, Tracked: true}); len(other.vol) != cfg.Words*2 {
+			t.Fatalf("round %d: a %d-word heap got %d-word images", round, cfg.Words*2, len(other.vol))
+		}
+		h, fresh := NewHeap(cfg), NewHeap(cfg)
+		if &h.vol[0] == prev {
+			reused++
+		}
+		for w := range h.vol {
+			if h.vol[w].Load() != 0 || h.per[w].Load() != 0 {
+				t.Fatalf("round %d: word %d of a new heap is not zero", round, w)
+			}
+		}
+		if h.DirtyLineCount() != 0 {
+			t.Fatalf("round %d: a new heap has dirty lines", round)
+		}
+		for _, hp := range []*Heap{h, fresh} {
+			base := hp.Proc(0).Alloc(span)
+			hp.Proc(1).Announce(false, Leg{StructID: 1, Kind: 2, Arg: uint64(round)})
+			drive(rand.New(rand.NewSource(round)), hp, base, span, 600)
+			hp.Crash()
+			hp.ResetAfterCrash()
+			drive(rand.New(rand.NewSource(-round)), hp, base, span, 200)
+		}
+		for w := uint64(0); w < h.Used(); w++ {
+			if h.vol[w].Load() != fresh.vol[w].Load() || h.per[w].Load() != fresh.per[w].Load() {
+				t.Fatalf("round %d: word %d differs from a never-recycled heap's", round, w)
+			}
+		}
+		prev = &h.vol[0]
+		h.Release()
+	}
+	// sync.Pool may drop a Put (it does so at random under -race), never all.
+	if reused == 0 {
+		t.Fatal("no heap was ever built from released images")
 	}
 }

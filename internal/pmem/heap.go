@@ -46,6 +46,7 @@ package pmem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -206,13 +207,17 @@ func NewHeap(cfg Config) *Heap {
 		cfg.Words = min
 	}
 	h := &Heap{
-		vol:        make([]atomic.Uint64, cfg.Words),
 		cap:        uint64(cfg.Words),
 		model:      cfg.Model,
 		tracked:    cfg.Tracked,
 		evictEvery: cfg.EvictEvery,
 	}
-	if cfg.Tracked {
+	if !cfg.Tracked {
+		h.vol = make([]atomic.Uint64, cfg.Words)
+	} else if im, ok := releasedImages(cfg.Words).Get().(*images); ok {
+		h.vol, h.per, h.dirty = im.vol, im.per, im.dirty
+	} else {
+		h.vol = make([]atomic.Uint64, cfg.Words)
 		h.per = make([]atomic.Uint64, cfg.Words)
 		lines := (cfg.Words + WordsPerLine - 1) / WordsPerLine
 		h.dirty = make([]atomic.Uint64, (lines+63)/64)
@@ -234,6 +239,38 @@ func NewHeap(cfg Config) *Heap {
 		}
 	}
 	return h
+}
+
+// images are a tracked heap's three arrays, all zero, between one heap's
+// Release and the next NewHeap of the same size.
+type images struct{ vol, per, dirty []atomic.Uint64 }
+
+// released pools images by Config.Words (a *sync.Pool each, so the garbage
+// collector still takes what nobody asks for again).
+var released sync.Map
+
+func releasedImages(words int) *sync.Pool {
+	p, _ := released.LoadOrStore(words, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// Release ends a tracked heap's life and recycles its images: the next
+// NewHeap of the same size gets them back instead of allocating — and
+// zeroing — a whole arena. Only the carved prefix [0, Used()) is cleared:
+// nothing above the bump pointer is ever written. The heap must not be used
+// again (its images are gone; any access panics), and no Proc may be
+// running. A harness that builds a heap per crash offset calls this; a heap
+// that is never released is unaffected.
+func (h *Heap) Release() {
+	if !h.tracked || h.vol == nil {
+		return
+	}
+	n := min(h.next.Load(), h.cap)
+	clear(h.vol[:n])
+	clear(h.per[:n])
+	clear(h.dirty)
+	releasedImages(len(h.vol)).Put(&images{h.vol, h.per, h.dirty})
+	h.vol, h.per, h.dirty = nil, nil, nil
 }
 
 // Proc returns process descriptor id (0-based).

@@ -279,7 +279,9 @@ func (p *Proc) PBarrierRange(a Addr, words uint64) {
 
 // Alloc carves words fresh zeroed words out of the arena, even-aligned so
 // bit 0 of the address is free for tags/marks. Memory is never reused
-// within a run (the paper's algorithms assume GC; see DESIGN.md).
+// within a run: the paper's algorithms assume a garbage collector and never
+// free (README, "Crash-consistent node reclamation", says what replaces this
+// leak-forever arena when Config.Reclaim is on).
 func (p *Proc) Alloc(words uint64) Addr {
 	p.checkCrash()
 	words = (words + 1) &^ 1 // keep the local bump pointer even
