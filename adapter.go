@@ -66,7 +66,7 @@ func (a *adapter) key(arg uint64) uint64 {
 // Apply runs op to completion — a vector of one leg, announced by the
 // engine itself — and returns its response. The structure's read-only kind
 // takes the zero-persist path: no Info record, no announcement, no pwb, no
-// psync (on a HashMap not even the shard register is written).
+// psync.
 func (a *adapter) Apply(p *Proc, op Op) Resp {
 	if op.Kind == a.read {
 		return respOf(a.c.ReadOp(p, op.Kind, a.key(op.Arg)))

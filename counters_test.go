@@ -57,7 +57,7 @@ func TestEngineBatchingReducesPersistence(t *testing.T) {
 			t.Fatalf("shards=%d: Isb-Opt stand-alone flushes %d >= plain %d", shards, opt.Flushes, plain.Flushes)
 		}
 		if opt.Syncs >= plain.Syncs {
-			t.Fatalf("shards=%d: Isb-Opt syncs %d >= plain %d (shard-register folding missing?)", shards, opt.Syncs, plain.Syncs)
+			t.Fatalf("shards=%d: Isb-Opt syncs %d >= plain %d (single-op sync scope missing?)", shards, opt.Syncs, plain.Syncs)
 		}
 	}
 }
@@ -199,16 +199,16 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // closing one — whatever it admits: a successful update, a failed one, a
 // window of 1 or of 16, a two-leg transaction; a find is free. The Isb psyncs
 // are Algorithms 1–2's written placement (begin, CP_q := 1, install, one per
-// Help phase, and the hash map's shard register), counted at the commit
-// before single ops and transactions got a scope: they are the
-// reproduction's reference curve and must not move.
+// Help phase): the reproduction's reference curve. They moved once, by the
+// psync the hash map's shard register paid outside a scope, which the paper
+// does not have and which is gone.
 //
-// The write-backs are where persists_per_op could leak. They are what each
-// shape cost when the announcement record had three layouts, probed at that
-// commit, except where the one record is cheaper: a window of 1 announces in
-// one line like a single operation (it had a header and a slot line), and a
-// transaction announces in one line (it had three) and keeps its last leg's
-// response in the engine record like every other shape (it had a slot).
+// The write-backs are where persists_per_op could leak. A successful Isb-Opt
+// update writes back 8 times: begin's three (clear the announcement, CP_q :=
+// 0, announce), the install barrier (record and new nodes), the one pwb of the
+// RD_q/CP_q line (CP_q := 1 rides RD_q := info), and the tag, update and
+// cleanup barriers (the done flag rides the last). A failed one is read-only
+// after its gather and stops after the RD_q/CP_q pwb: 5.
 func TestAdmissionSyncPrice(t *testing.T) {
 	type price struct{ syncs, writeBacks uint64 }
 	type prices struct {
@@ -216,16 +216,17 @@ func TestAdmissionSyncPrice(t *testing.T) {
 	}
 	want := map[EngineKind]prices{
 		EngineIsb: {
-			update: price{7, 18}, failed: price{4, 8},
-			window1: price{2, 18}, window16: price{17, 167}, // window1 was 19
-			txn: price{12, 29}, // was 32
+			update: price{6, 17}, failed: price{3, 7}, // were 7, 18 and 4, 8
+			window1: price{2, 17}, window16: price{17, 151}, // were 2, 18 and 17, 167
+			txn: price{10, 27}, // was 12, 29
 			enq: price{6, 14}, deq: price{6, 11}, push: price{6, 17}, pop: price{6, 13},
 		},
 		EngineIsbOpt: {
-			update: price{2, 12}, failed: price{2, 8},
-			window1: price{2, 12}, window16: price{2, 119}, // window1 was 13
-			txn: price{2, 21}, // was 24
-			enq: price{2, 11}, deq: price{2, 10}, push: price{2, 11}, pop: price{2, 11},
+			update: price{2, 8}, failed: price{2, 5}, // were 2, 12 and 2, 8
+			window1: price{2, 8}, window16: price{2, 93}, // were 2, 12 and 2, 119
+			txn: price{2, 15}, // was 2, 21
+			// enq, deq, push and pop were 11, 10, 11 and 11
+			enq: price{2, 8}, deq: price{2, 8}, push: price{2, 8}, pop: price{2, 8},
 		},
 	}
 	for _, e := range engines() {

@@ -6,10 +6,8 @@ import (
 )
 
 // FindFast reports membership via the zero-persist read path: route to the
-// key's shard and run the bucket list's volatile traversal. The shard
-// register is NOT written — the read leaves no durable trace at all; a
-// crashed FindFast is simply re-submitted (routing on recovery would
-// re-hash the key anyway).
+// key's shard and run the bucket list's volatile traversal. The read leaves
+// no durable trace at all; a crashed FindFast is simply re-submitted.
 func (m *Map) FindFast(p *pmem.Proc, key uint64) bool {
 	return m.shards[m.ShardOf(key)].FindFast(p, key)
 }
@@ -24,32 +22,19 @@ func (m *Map) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 }
 
 // ApplyBatchOp runs one operation at position seq inside an open batch
-// window: record the shard (the register's psync elides inside the window
-// — the boundary or batch-end psync covers it, and the simulator's pwb is
-// synchronous, so crash-visible state is unchanged), then drive the
-// shard's bucket list. Read-only kinds skip both the register write and
-// the engine.
+// window on the key's shard's bucket list. Read-only kinds skip the engine.
 func (m *Map) ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpFind {
 		return m.ReadOp(p, kind, arg)
 	}
-	s := m.ShardOf(arg)
-	m.recordShard(p, s)
-	return m.shards[s].ApplyBatchOp(p, seq, kind, arg)
+	return m.shards[m.ShardOf(arg)].ApplyBatchOp(p, seq, kind, arg)
 }
 
 // RecoverBatchOp completes the in-flight operation at batch position seq
-// after a crash, routing like RecoverOp: trust the shard register when it
-// matches the re-hash, re-hash otherwise (a mismatch proves the register
-// still holds an earlier operation's target, so this operation never
-// reached a bucket).
+// after a crash, routing like RecoverOp.
 func (m *Map) RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpFind {
 		return m.ReadOp(p, kind, arg)
 	}
-	s := m.RecordedShard(p)
-	if s < 0 || s != m.ShardOf(arg) {
-		s = m.ShardOf(arg)
-	}
-	return m.shards[s].RecoverBatchOp(p, seq, kind, arg)
+	return m.shards[m.ShardOf(arg)].RecoverBatchOp(p, seq, kind, arg)
 }

@@ -8,16 +8,12 @@
 // Recovery design. All shards share one ISB engine and therefore one set of
 // per-process RD_q/CP_q recovery registers: a process has at most one
 // operation in flight, so it needs exactly one recovery slot regardless of
-// how many buckets the map has. In addition the map keeps a per-process
-// *shard register* in persistent memory (one cache line per process): just
-// before an Insert/Delete/Find touches its bucket, the register persistently
-// records which shard the operation targets. With a fixed power-of-two
-// shard count the route is also recomputable by re-hashing the key, so
-// today the register is a cross-check on that route (and the persistent
-// hook online resharding will need, when hashing can change across a
-// crash) rather than the only way to find the shard. Recover(p, op, key)
-// routes to the operation's shard and resolves it through the engine's
-// Info structures, exactly as for a stand-alone list.
+// how many buckets the map has. The shard count is a fixed power of two, so
+// an operation's shard is a function of its key alone: recovery re-hashes the
+// key (ShardOf) and resolves the operation through the engine's Info
+// structures in that shard's bucket list, exactly as for a stand-alone list.
+// Routing therefore persists nothing of its own. (Online resharding, where
+// the hash could change across a crash, would need a durable route.)
 package hashmap
 
 import (
@@ -40,11 +36,9 @@ const (
 // Map is a detectably recoverable sharded hash set of uint64 keys
 // (1 ≤ key ≤ MaxUint64-1, the Harris-list sentinel bounds).
 type Map struct {
-	h      *pmem.Heap
 	e      *isb.Engine
 	shards []*list.List
 	mask   uint64
-	regs   pmem.Addr // per-proc shard register lines; word0 = shard+1, 0 = none
 }
 
 // New builds a map with the requested shard count, rounded up to a power of
@@ -61,15 +55,11 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine, shards int) *Map {
 	for n < shards {
 		n <<= 1
 	}
-	m := &Map{h: h, e: e, mask: uint64(n - 1)}
+	m := &Map{e: e, mask: uint64(n - 1)}
 	m.shards = make([]*list.List, n)
 	for i := range m.shards {
 		m.shards[i] = list.NewWithEngine(h, e)
 	}
-	p0 := h.Proc(0)
-	procs := uint64(h.NumProcs())
-	raw := p0.Alloc(procs*pmem.WordsPerLine + pmem.WordsPerLine)
-	m.regs = (raw + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
 	return m
 }
 
@@ -90,47 +80,11 @@ func mix(x uint64) uint64 {
 // ShardOf returns the shard index key routes to.
 func (m *Map) ShardOf(key uint64) int { return int(mix(key) & m.mask) }
 
-func (m *Map) reg(p *pmem.Proc) pmem.Addr {
-	return m.regs + pmem.Addr(p.ID()*pmem.WordsPerLine)
-}
-
-// recordShard persistently notes the shard the next operation targets, so
-// that recovery can route without trusting volatile state.
-//
-// On a batched (Isb-Opt) engine the psync is elided: the operation enters
-// the engine immediately after, and Begin's psync — issued before the
-// operation touches its bucket, let alone persists any effect — covers the
-// register's pwb. A crash inside that window leaves the register possibly
-// unpersisted, but then the operation made no changes and Recover's
-// empty/stale-register path re-hashes the key. Inside a sync scope (an Isb
-// batch window) the psync defers likewise, to the op boundary.
-func (m *Map) recordShard(p *pmem.Proc, s int) {
-	r := m.reg(p)
-	p.Store(r, uint64(s)+1)
-	p.PWB(r)
-	if m.e.Batched() || p.InSyncScope() {
-		return
-	}
-	p.PSync()
-}
-
-// RecordedShard returns the shard register's content for p: the shard of
-// the operation in flight (or last recorded), or -1 if cleared.
-func (m *Map) RecordedShard(p *pmem.Proc) int {
-	v := p.Load(m.reg(p))
-	if v == 0 {
-		return -1
-	}
-	return int(v - 1)
-}
-
 // ApplyOp runs the operation described by (kind, arg) and returns its
 // encoded response: the uniform invocation surface every structure shares.
-// It records the target shard, then drives the shard's bucket list.
+// It drives the bucket list of the key's shard.
 func (m *Map) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	s := m.ShardOf(arg)
-	m.recordShard(p, s)
-	return m.shards[s].ApplyOp(p, kind, arg)
+	return m.shards[m.ShardOf(arg)].ApplyOp(p, kind, arg)
 }
 
 // Insert adds key to the map; it returns false if the key was present.
@@ -149,14 +103,9 @@ func (m *Map) Find(p *pmem.Proc, key uint64) bool {
 }
 
 // Recover completes p's interrupted operation (same kind and key) after a
-// crash and returns its response. It consults p's persistent shard
-// register; if the register is empty or stale — the crash landed before
-// this operation recorded its target, which proves the operation never
-// reached a bucket — the key is re-hashed instead (with a fixed shard
-// count the two routes agree whenever the register is set for this
-// operation), and the engine's recovery path re-runs or completes the
-// operation. Recover may itself crash and be re-invoked any number of
-// times.
+// crash and returns its response: it routes to the key's shard, whose
+// engine recovery re-runs or completes the operation. Recover may itself
+// crash and be re-invoked any number of times.
 func (m *Map) Recover(p *pmem.Proc, op, key uint64) bool {
 	return isb.Bool(m.RecoverOp(p, op, key))
 }
@@ -164,30 +113,14 @@ func (m *Map) Recover(p *pmem.Proc, op, key uint64) bool {
 // RecoverOp is the uniform recovery surface behind Recover: it routes to
 // the operation's shard and returns the encoded response.
 func (m *Map) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	s := m.RecordedShard(p)
-	if s < 0 || s != m.ShardOf(arg) {
-		// Register empty or recording an earlier operation's target: the
-		// crash landed before this operation wrote the register, so the
-		// operation never reached a bucket. Re-hash the key — with a fixed
-		// power-of-two shard count this is the shard the register would have
-		// recorded — and let the engine re-run the operation from scratch
-		// (its CP/RD checks detect that nothing took effect).
-		s = m.ShardOf(arg)
-	}
-	return m.shards[s].RecoverOp(p, kind, arg)
+	return m.shards[m.ShardOf(arg)].RecoverOp(p, kind, arg)
 }
 
 // Begin is the system-side invocation step used by crash harnesses: it
-// persistently clears CP_q and the shard register just before a fresh
-// operation, so recovery can tell a brand-new operation from one that
-// already recorded its target. A crash inside Begin leaves no recovery
-// obligation — the harness simply retries it.
-func (m *Map) Begin(p *pmem.Proc) {
-	r := m.reg(p)
-	p.Store(r, 0)
-	p.PWB(r)
-	m.e.Begin(p, false, nil) // issues the psync covering both lines
-}
+// persistently clears CP_q just before a fresh operation, so recovery can
+// tell a brand-new operation from one that already took effect. A crash
+// inside Begin leaves no recovery obligation — the harness simply retries it.
+func (m *Map) Begin(p *pmem.Proc) { m.e.Begin(p, false, nil) }
 
 // Keys snapshots the current key set in ascending order (requires
 // quiescence).

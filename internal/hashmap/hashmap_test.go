@@ -67,22 +67,27 @@ func TestSequentialAgainstModel(t *testing.T) {
 	}
 }
 
-func TestShardRegisterRecordsTarget(t *testing.T) {
+// TestRecoveryRoutesByKey: the key alone names its shard. A fresh operation
+// run through recovery (Begin, then Recover) lands its key in ShardOf's
+// bucket list and in no other, and recovering it again resolves the completed
+// record instead of re-running it.
+func TestRecoveryRoutesByKey(t *testing.T) {
 	h := newHeap(2, false)
 	m := New(h, 8)
 	p := h.Proc(1)
-	if m.RecordedShard(p) != -1 {
-		t.Fatal("fresh shard register not empty")
-	}
 	for k := uint64(1); k <= 50; k++ {
-		m.Insert(p, k)
-		if got, want := m.RecordedShard(p), m.ShardOf(k); got != want {
-			t.Fatalf("after Insert(%d): register %d, want shard %d", k, got, want)
+		m.Begin(p)
+		if !m.Recover(p, OpInsert, k) {
+			t.Fatalf("Insert(%d) run by recovery returned false", k)
 		}
-	}
-	m.Begin(p)
-	if m.RecordedShard(p) != -1 {
-		t.Fatal("Begin did not clear the shard register")
+		for s, l := range m.shards {
+			if got, want := l.Contains(k), s == m.ShardOf(k); got != want {
+				t.Fatalf("key %d in shard %d: %v, want %v (ShardOf = %d)", k, s, got, want, m.ShardOf(k))
+			}
+		}
+		if !m.Recover(p, OpInsert, k) {
+			t.Fatalf("recovering the completed Insert(%d) re-ran it", k)
+		}
 	}
 }
 
@@ -178,8 +183,8 @@ func TestConcurrentContendedSmoke(t *testing.T) {
 }
 
 // TestCrashRecoverMidInsert injects crashes at increasing access offsets
-// inside an Insert, restarts, and recovers; the shard register must name
-// the right shard and recovery must land the key exactly once.
+// inside an Insert, restarts, and recovers; recovery must route by the key
+// and land it exactly once, in its own shard (CheckInvariants).
 func TestCrashRecoverMidInsert(t *testing.T) {
 	for off := uint64(1); off <= 40; off++ {
 		h := newHeap(1, true)
@@ -193,9 +198,6 @@ func TestCrashRecoverMidInsert(t *testing.T) {
 			continue // crash would have landed after the op finished
 		}
 		h.ResetAfterCrash()
-		if rec := m.RecordedShard(p); rec != -1 && rec != m.ShardOf(key) {
-			t.Fatalf("off=%d: register %d, want %d or empty", off, rec, m.ShardOf(key))
-		}
 		if !m.Recover(p, OpInsert, key) {
 			t.Fatalf("off=%d: recovery of fresh insert returned false", off)
 		}

@@ -12,12 +12,16 @@ import (
 // delegated to the engine's Persister: every CAS on an info field or
 // WriteSet field is reported as a dirty word, and every phase ends with
 // EndPhase (the eager placement writes back per CAS; the batched placement
-// issues one barrier per phase).
+// issues one barrier per phase). A record already flagged done is the one
+// exception: only its cleanup re-runs, and only untags that win are written
+// back (see below).
 //
 // Help is idempotent and may be executed concurrently by any number of
 // processes. The invoker tags starting from the first AffectSet element;
 // helpers start from the second (they discovered the operation through a
-// tag the invoker installed, so the first element needs no help).
+// tag the invoker installed, so the first element needs no help). Recovery
+// helps its own record as the invoker, and only the invoker flags a record
+// done.
 func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	per := e.per(p)
 	per.Reset()
@@ -37,18 +41,22 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	// ones — and surviving nodes would stay tagged until some later
 	// operation happened to help them.
 	if p.Load(info+offResult) != RespNone {
-		// A durably done record is fully finished AND its retired-class
-		// operands may since have been recycled as unrelated live nodes,
-		// so its update CASes' expected values could recur — re-running
-		// finish here (post-crash recovery is the only path that can still
-		// reach such a record) would risk firing a stale CAS into live
-		// data. The done flag is written back before any operand is
-		// retired, so done = 0 guarantees the operands never left the
-		// structure's history and the re-run is the usual idempotent redo.
+		// A done record's update phase is durable (done is stored after its
+		// barrier), and its retired-class operands may since have been
+		// recycled as unrelated live nodes, so the update CASes' expected
+		// values could recur: the update phase never re-runs on it. Its
+		// cleanup may still be partly volatile — done rides the cleanup
+		// barrier, and eviction can persist it ahead of the untags — so the
+		// untag CASes re-run. They expect Tagged(info), which cannot recur
+		// while the record can still be consulted, and only a CAS that wins
+		// is written back: a lost one changed nothing.
 		if p.Load(info+offDone) != 0 {
+			if e.untag(p, per, info, tagged, true) {
+				e.endPhase(p, per)
+			}
 			return
 		}
-		e.finish(p, info, tagged)
+		e.finish(p, info, tagged, invoker)
 		return
 	}
 
@@ -75,12 +83,12 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	}
 	e.endPhase(p, per)
 
-	e.finish(p, info, tagged)
+	e.finish(p, info, tagged, invoker)
 }
 
 // finish runs the update and cleanup phases of Help. Both are idempotent
 // and may be re-executed by recovery or by any number of helpers.
-func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64) {
+func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker bool) {
 	per := e.per(p)
 
 	// Update phase: apply the WriteSet CASes. Each change happens exactly
@@ -98,17 +106,34 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64) {
 	per.WroteWord(info + offResult)
 	e.endPhase(p, per)
 
-	// Cleanup phase: untag the surviving nodes, each to a fresh cookie
-	// (never the same non-tagged value twice — see Engine.cookie). Retired
-	// nodes are absent from the CleanupSet and stay tagged until the
-	// allocator recycles them.
+	// Cleanup phase. The invoker first flags the record done: the update
+	// phase is durable now, and the flag rides this phase's barrier, which
+	// returns before the invoker retires any operand or unpins — the
+	// precondition for their addresses to ever recur.
+	if invoker {
+		p.Store(info+offDone, 1)
+		per.WroteWord(info + offDone)
+	}
+	e.untag(p, per, info, tagged, false)
+	e.endPhase(p, per)
+}
+
+// untag runs the cleanup CASes: each surviving node's tag goes to a fresh
+// cookie (never the same non-tagged value twice — see Engine.cookie).
+// Retired nodes are absent from the CleanupSet and stay tagged until the
+// allocator recycles them. Every CAS is reported to the persister, or with
+// wonOnly only those that won; untag reports whether any did.
+func (e *Engine) untag(p *pmem.Proc, per Persister, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
 	cn := int(p.Load(info + offCleanupLen))
 	for i := 0; i < cn; i++ {
 		nd := pmem.Addr(p.Load(info + offCleanup + pmem.Addr(i)))
-		p.CAS(nd, tagged, e.cookie(p))
-		per.WroteWord(nd)
+		ok := p.CAS(nd, tagged, e.cookie(p)) == tagged
+		if ok || !wonOnly {
+			per.WroteWord(nd)
+		}
+		won = won || ok
 	}
-	e.endPhase(p, per)
+	return won
 }
 
 // RunOp executes one recoverable operation via the Algorithm 2 (ROpt)
@@ -124,7 +149,9 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64) {
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one: the begin
 // psync opens it, every sync point after it defers, and one psync closes it
-// before the response is returned — what a batch window of one pays.
+// before the response is returned — what a batch window of one pays. Isb-Opt
+// also drops the RD_q := Null / CP_q := 1 prologue: CP_q := 1 rides the first
+// install's RD_q write-back (see runAttempts).
 func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	e.Begin(p, false, []pmem.Leg{{StructID: e.annID, Kind: opType, Arg: argKey}})
 	if !e.Batched() {
@@ -136,17 +163,29 @@ func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 	return r
 }
 
-// runAttempts is RunOp after the system-side CP_q := 0 step; Recover's
-// re-invoke path enters here directly (CP_q is already meaningful), with its
-// attempt bound.
+// runAttempts runs an engine's first leg after the system-side CP_q := 0 step
+// (RunOp, and RunBatchOp while CP_q is 0); recovery's re-invoke path enters
+// here too, with its attempt bound.
+//
+// Under Isb it runs Algorithm 2's prologue as written: RD_q := Null +
+// pbarrier, then CP_q := 1 + pwb + sync point. Under Isb-Opt there is no
+// prologue: the first install stores RD_q := info and then CP_q := 1, and the
+// pwb of RD_q it issues anyway persists both. RD_q and CP_q share one line
+// (Engine.base), which persists as a unit — and on x86 same-line stores
+// persist in program order — so the only durable pairs are (old, 0),
+// (info, 0) and (info, 1): CP_q = 1 names this leg's record, and since no tag
+// precedes that pwb, CP_q = 0 still proves the leg made no changes.
 func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
+	if e.Batched() {
+		return e.attemptLoop(p, opType, argKey, gather, bound, true)
+	}
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
 	p.Store(cp, 1)
 	p.PWB(cp)
 	e.opSync(p)
-	return e.attemptLoop(p, opType, argKey, gather, bound)
+	return e.attemptLoop(p, opType, argKey, gather, bound, false)
 }
 
 // maxRecoveryAttempts bounds the attempts of one RecoverSeq call. Every
@@ -158,19 +197,26 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 // that frees nothing during recovery, until the arena is gone.
 const maxRecoveryAttempts = 1 << 10
 
-// attemptLoop is the gather → install → Help attempt cycle, entered with
-// RD_q/CP_q already initialized. Legs after an engine's first enter here
-// directly: CP_q is already 1 and RD_q still names the previous leg's record,
-// which recovery tells apart from this leg's by the stamped index. bound, when
-// nonzero, is the recovery path's attempt limit (see maxRecoveryAttempts).
-func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
+// attemptLoop is the gather → install → Help attempt cycle. Legs after an
+// engine's first enter here directly: CP_q is already 1 and RD_q still names
+// the previous leg's record, which recovery tells apart from this leg's by the
+// stamped index. raiseCP makes the first install also store CP_q := 1 (the
+// Isb-Opt first leg, see runAttempts). bound, when nonzero, is the recovery
+// path's attempt limit (see maxRecoveryAttempts).
+func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP bool) uint64 {
 	rd := e.rd(p)
 	per := e.per(p)
 	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
 	for attempt := 1; ; attempt++ {
 		if bound != 0 && attempt > bound {
-			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d, CP_q = %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), p.Load(e.cp(p)), spec.Affect[:spec.NAffect]))
+			// RD_q may name a record this operation installed itself: show it.
+			last := ""
+			if info := pmem.Addr(p.Load(rd)); info != pmem.Null {
+				last = fmt.Sprintf(" (kind %d, key %d, seq %d, result %d, done %d)", p.Load(info+offOpType),
+					p.Load(info+offArgKey), p.Load(info+offSeq), p.Load(info+offResult), p.Load(info+offDone))
+			}
+			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d%s, CP_q = %d, last attempt's affect set %v",
+				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -218,6 +264,10 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		}
 		per.Flush()
 		p.Store(rd, uint64(info))
+		if raiseCP {
+			p.Store(e.cp(p), 1) // after RD_q, on its line: see runAttempts
+			raiseCP = false
+		}
 		p.PWB(rd)
 		e.opSync(p)
 		// RD_q durably points at this attempt's record, so the previous
@@ -234,7 +284,6 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 		e.Help(p, info, true)
 		if r := p.Load(info + offResult); r != RespNone {
-			e.markDone(p, info)
 			e.retireAffected(p, spec)
 			e.alloc.Exit(p)
 			return r
@@ -263,16 +312,6 @@ func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
 		e.alloc.Free(p, spec.Persist[i].Addr)
 	}
 	e.alloc.Free(p, info)
-}
-
-// markDone durably flags a completed record (one pwb, no psync): Help's
-// result-set path refuses to re-run finish on a done record, because done
-// is written back strictly before any of the record's operands is retired
-// — the precondition for their addresses to ever recur. A torn (lost)
-// flag is safe: it implies the operands were never retired either.
-func (e *Engine) markDone(p *pmem.Proc, info pmem.Addr) {
-	p.Store(info+offDone, 1)
-	p.PWB(info + offDone)
 }
 
 // retireAffected retires the retired-class nodes of a completed operation:
@@ -304,8 +343,11 @@ func (e *Engine) retireAffected(p *pmem.Proc, spec *Spec) {
 // gather function, and it returns the operation's response. Per the paper,
 // if CP_q = 0 or RD_q = Null the operation made no changes and is simply
 // re-invoked; otherwise Help(RD_q) completes it (or cleans up a failed
-// attempt) and the result field decides. Recover may itself crash and be
-// re-invoked any number of times.
+// attempt) and the result field decides. Under Isb-Opt RD_q is never reset
+// to Null, so CP_q = 0 alone decides: RD_q may then name the previous
+// operation's record, or this one's if the crash hit between its first
+// install and the write-back that raises CP_q — before any tag either way.
+// Recover may itself crash and be re-invoked any number of times.
 func (e *Engine) Recover(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	return e.RecoverSeq(p, opType, argKey, 0, gather)
 }
@@ -317,8 +359,11 @@ func (e *Engine) Recover(p *pmem.Proc, opType, argKey uint64, gather Gather) uin
 // record, even when consecutive legs share (kind, arg). Recovery always runs
 // eager: the sync scope the crash interrupted, if any, is torn down first,
 // and a re-invoked attempt stamps seq so that a further crash re-attributes
-// it correctly. It also terminates or fails loudly: re-invoked attempts are
-// bounded by maxRecoveryAttempts.
+// it correctly. A re-invocation is a first leg (runAttempts): under Isb-Opt
+// RD_q keeps naming the failed or mismatching record until the first
+// re-invoked install replaces it. It also terminates or fails loudly:
+// re-invoked attempts are bounded by maxRecoveryAttempts, and the panic names
+// the record RD_q still holds.
 func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	p.ResetSyncScope()
 	e.curSeq[p.ID()] = seq
@@ -433,15 +478,16 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 }
 
 // RunBatchOp runs the leg at index seq of an announced vector (Begin). An
-// engine's first leg initializes RD_q/CP_q exactly like a single operation;
-// later legs on the same engine skip the re-initialization — CP_q is already
-// 1, and the stale RD_q record is fenced off by the index stamp, not by an
-// RD_q := Null round-trip — which is where the per-op begin cost goes. CP_q
-// itself is the dispatch: Begin persisted CP_q := 0, and only runAttempts
-// raises it, so CP_q = 0 means no mutating leg of this vector has initialized
-// this engine's registers yet (read-only legs never enter the engine).
-// Recovery relies on the same invariant: a crash with CP_q = 0 proves the
-// in-flight leg installed nothing, so re-invoking it is safe.
+// engine's first leg raises CP_q exactly like a single operation; later legs
+// on the same engine skip that — CP_q is already 1, and the stale RD_q record
+// is fenced off by the index stamp, not by an RD_q := Null round-trip — which
+// is where the per-op begin cost goes. CP_q itself is the dispatch: Begin
+// persisted CP_q := 0, and only an engine's first leg raises it (under Isb in
+// runAttempts' prologue, under Isb-Opt at that leg's first install), so CP_q
+// = 0 means no mutating leg of this vector has raised it on this engine yet
+// (read-only legs never enter the engine). Recovery relies on the same
+// invariant: a crash with CP_q = 0 proves the in-flight leg tagged nothing,
+// so re-invoking it is safe.
 //
 // Inside a sync scope (pmem.Proc.OpenSyncScope, which the admitting runtime
 // opens around a window under either placement and around a transaction
@@ -455,5 +501,5 @@ func (e *Engine) RunBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather
 	if p.Load(e.cp(p)) == 0 {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
-	return e.attemptLoop(p, opType, argKey, gather, 0)
+	return e.attemptLoop(p, opType, argKey, gather, 0, false)
 }

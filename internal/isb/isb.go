@@ -84,7 +84,7 @@ const (
 	offAffectLen  = 4
 	offWriteLen   = 5
 	offCleanupLen = 6
-	offDone       = 7  // set + written back after the invoker observed the result
+	offDone       = 7  // set by the invoker as its cleanup phase starts; rides that phase's barrier
 	offAffect     = 8  // MaxAffect pairs ⟨infoFieldAddr, expectedValue⟩
 	offWrites     = 16 // MaxWrites triples ⟨addr, old, new⟩
 	offCleanup    = 25 // MaxCleanup info-field addresses
@@ -199,7 +199,7 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // is identical across placements.
 type Engine struct {
 	h    *pmem.Heap
-	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP
+	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP (one pwb persists both)
 	pers []Persister
 	// batched caches pers[0].Batched(): the admission paths branch on the
 	// placement once or twice per operation.
@@ -347,9 +347,7 @@ func (e *Engine) ForgetRetired() {
 }
 
 // Batched reports whether the engine defers write-backs to phase
-// boundaries (the Isb-Opt placement). Structures use it to fold their own
-// auxiliary persistence (e.g. the hash map's shard register) into the
-// engine's barriers.
+// boundaries (the Isb-Opt placement).
 func (e *Engine) Batched() bool { return e.batched }
 
 // Variant names the persistence placement: "isb" or "isb-opt".

@@ -344,29 +344,46 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 
 // TestRecoveryTerminatesOrFailsLoudly: a structure recovery cannot resolve —
 // here a gather that restarts forever — must end in the attempt bound's
-// panic, naming the operation and the recovery registers, and never in the
-// allocator's "arena exhausted" (each retry allocates a 32-word Info record,
-// and this heap holds about twice the bound's worth).
+// panic, naming the operation, the recovery registers and the record RD_q
+// still holds, and never in the allocator's "arena exhausted" (each retry
+// allocates a 32-word Info record, and this heap holds about twice the
+// bound's worth). CP_q is raised by Isb's prologue but only by the first
+// install under Isb-Opt, which also never resets RD_q to Null: there RD_q
+// still names the last installed record — here a completed increment's.
 func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
+	stuck := func(*pmem.Proc, pmem.Addr, *Spec) GatherResult { return Restart }
 	for _, opt := range []bool{false, true} {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
-		e := NewEngine(h)
-		if opt {
-			e = NewEngineOpt(h)
-		}
-		stuck := func(*pmem.Proc, pmem.Addr, *Spec) GatherResult { return Restart }
-		var msg string
-		func() {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			e.RecoverSeq(h.Proc(0), 7, 42, 3, stuck)
-		}()
-		for _, want := range []string{"isb: recovery of proc 0", "kind 7, key 42, seq 3", "RD_q = 0", "CP_q = 1", "affect set []"} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("opt=%v: recovery ended with %q, want a message containing %q", opt, msg, want)
+		for _, c := range []struct {
+			name     string
+			prior    bool // complete one increment before the stuck recovery
+			isb, opt string
+		}{
+			{"fresh", false, "RD_q = 0, CP_q = 1", "RD_q = 0, CP_q = 0"},
+			{"after an increment", true, "RD_q = 0, CP_q = 1", "(kind 7, key 0, seq 0, result 17, done 1), CP_q = 1"},
+		} {
+			h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
+			ctr := newCounter(h, opt)
+			p := h.Proc(0)
+			if c.prior {
+				ctr.inc(p)
 			}
-		}
-		if used := h.Used(); used > 1<<16 {
-			t.Fatalf("opt=%v: %d words used on a %d-word heap", opt, used, 1<<16)
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				ctr.e.RecoverSeq(p, opInc, 42, 3, stuck)
+			}()
+			regs := c.isb
+			if opt {
+				regs = c.opt
+			}
+			for _, want := range []string{"isb: recovery of proc 0", "kind 7, key 42, seq 3", regs, "affect set []"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("opt=%v %s: recovery ended with %q, want a message containing %q", opt, c.name, msg, want)
+				}
+			}
+			if used := h.Used(); used > 1<<16 {
+				t.Fatalf("opt=%v %s: %d words used on a %d-word heap", opt, c.name, used, 1<<16)
+			}
 		}
 	}
 }

@@ -855,11 +855,9 @@ func (s *Stack) Values() []uint64 { return s.s.Values() }
 
 // HashMap is a detectably recoverable sharded lock-free hash set of uint64
 // keys: ISB-tracked Harris lists, one per bucket, sharing a single set of
-// per-process recovery registers, plus a persistent per-process shard
-// register recording which shard an in-flight operation targets (a
-// cross-check on the deterministic hash route today, and the hook online
-// resharding will need). Unlike the single-point structures above, its
-// throughput scales with cores.
+// per-process recovery registers. The shard count is fixed, so the key's hash
+// is the route and recovery persists nothing beyond the engine's records.
+// Unlike the single-point structures above, its throughput scales with cores.
 type HashMap struct {
 	adapter
 	m *hashmap.Map
@@ -868,8 +866,7 @@ type HashMap struct {
 // NewHashMap builds a recoverable hash map with the given shard count
 // (rounded up to a power of two, minimum 1) on the runtime's configured
 // engine. With EngineIsbOpt each operation phase on a shard's bucket list
-// issues one batched barrier and the shard register's write-back is folded
-// into the engine's begin barrier.
+// issues one batched barrier.
 func (r *Runtime) NewHashMap(shards int) *HashMap {
 	e := r.newEngine()
 	m := &HashMap{m: hashmap.NewWithEngine(r.h, e, shards)}
@@ -895,8 +892,8 @@ func (m *HashMap) Insert(p *Proc, key uint64) bool { return m.m.Insert(p, key) }
 // Delete removes key; false if absent.
 func (m *HashMap) Delete(p *Proc, key uint64) bool { return m.m.Delete(p, key) }
 
-// Find reports membership (zero-persist read path: neither the shard
-// register nor any tracking state is written).
+// Find reports membership (zero-persist read path: no tracking state is
+// written).
 func (m *HashMap) Find(p *Proc, key uint64) bool { return m.m.FindFast(p, key) }
 
 // Recover completes p's interrupted operation (same kind and key) after a
