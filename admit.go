@@ -8,7 +8,6 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/queue"
 	"repro/internal/stack"
-	"repro/internal/txn"
 )
 
 // Read-only operation kinds beyond the sets' OpFind.
@@ -19,9 +18,9 @@ const (
 	OpTop = stack.OpTop
 )
 
-// MaxBatch is the largest number of legs one announcement can carry;
-// ApplyBatch transparently splits longer slices into successive windows of
-// at most this size.
+// MaxBatch is the largest number of legs one announcement can carry: the
+// longest window ApplyWindow admits. Callers with more operations admit them
+// as successive windows of at most this size.
 const MaxBatch = pmem.MaxBatch
 
 // OpKind describes one operation kind a structure accepts: its durable
@@ -48,14 +47,6 @@ func (r *Runtime) EngineCounters(s Structure) (batchSyncs, readFast uint64, ok b
 	return bs, rf, true
 }
 
-// Peek returns the queue's front value without dequeuing it (zero-persist
-// read path); ok=false on empty.
-func (q *Queue) Peek(p *Proc) (uint64, bool) { return q.q.Peek(p) }
-
-// Top returns the stack's top value without popping it (zero-persist read
-// path); ok=false on empty.
-func (s *Stack) Top(p *Proc) (uint64, bool) { return s.s.Top(p) }
-
 // TxnLeg names one leg of a two-structure transaction: the structure it
 // runs on and the operation to apply there. With ArgFromLeg1 (only valid
 // on leg 2) the leg's effective argument is leg 1's response value instead
@@ -67,9 +58,30 @@ type TxnLeg struct {
 	ArgFromLeg1 bool
 }
 
-// submit is the one admission core under ApplyBatch, ApplyWindow and
-// ApplyTxn: it announces legs as one durable vector (see pmem.Proc.Announce)
-// and runs them in order, writing their responses to out.
+// flagArgFromLeg1 marks an announced leg (pmem.Leg.Flags) whose argument is
+// the previous leg's response value rather than the announced one: the
+// dequeue-then-insert handoff shape (TxnLeg.ArgFromLeg1).
+const flagArgFromLeg1 uint64 = 1
+
+// deriveLeg2Arg computes leg 2's effective argument from the announced one,
+// the leg's flags, and leg 1's encoded response; skip reports that leg 2 is
+// elided (its response becomes isb.RespSkipped) because leg 1 carried no
+// value (dequeue on empty). Both submit and RecoverAll call it with the same
+// durable inputs — the announced argument and the result-slot response — so a
+// re-driven leg 2 always targets the argument the original execution did.
+func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
+	if flags&flagArgFromLeg1 == 0 {
+		return announced, false
+	}
+	if !isb.IsValue(resp1) {
+		return 0, true
+	}
+	return isb.DecodeValue(resp1), false
+}
+
+// submit is the one admission core under ApplyWindow and ApplyTxn: it
+// announces legs as one durable vector (see pmem.Proc.Announce) and runs them
+// in order, writing their responses to out.
 //
 // The whole begin sequence — CP resets on every involved engine plus the one
 // announcement naming every leg — rides a single psync (isb.Engine.Begin).
@@ -109,7 +121,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 			if i == 0 {
 				panic("repro: ArgFromLeg1 is only meaningful on leg 2")
 			}
-			rec[i].Flags = txn.FlagArgFromLeg1
+			rec[i].Flags = flagArgFromLeg1
 		}
 		if e := ads[i].e; e != ads[0].e && !slices.Contains(others, e) {
 			others = append(others, e)
@@ -127,7 +139,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		if i > 0 {
 			ads[i-1].e.Boundary(p, i, prev)
 		}
-		if arg, skip := txn.DeriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
+		if arg, skip := deriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
 			prev = isb.RespSkipped
 		} else {
 			prev = ads[i].c.ApplyBatchOp(p, i, l.Op.Kind, ads[i].key(arg))
@@ -171,33 +183,12 @@ func (r *Runtime) ApplyWindow(p *Proc, s Structure, ops []Op) []Resp {
 	if len(ops) == 0 {
 		return nil
 	}
-	out := make([]Resp, len(ops))
-	r.window(p, s, ops, out)
-	return out
-}
-
-// window submits ops on s as one non-atomic vector.
-func (r *Runtime) window(p *Proc, s Structure, ops []Op, out []Resp) {
 	var legs [MaxBatch]TxnLeg
 	for i, op := range ops {
 		legs[i] = TxnLeg{S: s, Op: op}
 	}
-	r.submit(p, false, legs[:len(ops)], out)
-}
-
-// ApplyBatch is ApplyWindow for any number of operations: it splits ops into
-// successive windows of up to MaxBatch and returns all responses in order.
-// After a crash the report describes the window that was in flight, so
-// callers that re-submit from a report use ApplyWindow (see there).
-func (r *Runtime) ApplyBatch(p *Proc, s Structure, ops []Op) []Resp {
-	if len(ops) == 0 {
-		return nil
-	}
 	out := make([]Resp, len(ops))
-	for base := 0; base < len(ops); base += MaxBatch {
-		end := min(base+MaxBatch, len(ops))
-		r.window(p, s, ops[base:end], out[base:end])
-	}
+	r.submit(p, false, legs[:len(ops)], out)
 	return out
 }
 

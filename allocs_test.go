@@ -34,22 +34,22 @@ func TestOpHotPathZeroAllocs(t *testing.T) {
 				s := rt.NewStack(0)
 				// Warm-up: grow scratch buffers and touch every code path once.
 				for k := uint64(1); k <= 64; k++ {
-					l.Insert(p, k)
+					l.Apply(p, Op{Kind: OpInsert, Arg: k})
 				}
-				l.Delete(p, 32)
-				q.Enqueue(p, 1)
-				q.Dequeue(p)
-				s.Push(p, 1)
-				s.Pop(p)
+				l.Apply(p, Op{Kind: OpDelete, Arg: 32})
+				q.Apply(p, Op{Kind: OpEnq, Arg: 1})
+				q.Apply(p, Op{Kind: OpDeq})
+				s.Apply(p, Op{Kind: OpPush, Arg: 1})
+				s.Apply(p, Op{Kind: OpPop})
 				// Warm the reclaimer past slab carving: churn one lap so the
 				// pinned window reuses freed blocks instead of growing slabs.
 				for k := uint64(100); k < 164; k++ {
-					l.Insert(p, k)
-					l.Delete(p, k)
-					q.Enqueue(p, k)
-					q.Dequeue(p)
-					s.Push(p, k)
-					s.Pop(p)
+					l.Apply(p, Op{Kind: OpInsert, Arg: k})
+					l.Apply(p, Op{Kind: OpDelete, Arg: k})
+					q.Apply(p, Op{Kind: OpEnq, Arg: k})
+					q.Apply(p, Op{Kind: OpDeq})
+					s.Apply(p, Op{Kind: OpPush, Arg: k})
+					s.Apply(p, Op{Kind: OpPop})
 				}
 
 				check := func(name string, f func()) {
@@ -62,17 +62,17 @@ func TestOpHotPathZeroAllocs(t *testing.T) {
 				check("list insert/find/delete", func() {
 					k++
 					key := 100 + k%64
-					l.Insert(p, key)
-					l.Find(p, key)
-					l.Delete(p, key)
+					l.Apply(p, Op{Kind: OpInsert, Arg: key})
+					l.Apply(p, Op{Kind: OpFind, Arg: key})
+					l.Apply(p, Op{Kind: OpDelete, Arg: key})
 				})
 				check("queue enq/deq", func() {
-					q.Enqueue(p, k)
-					q.Dequeue(p)
+					q.Apply(p, Op{Kind: OpEnq, Arg: k})
+					q.Apply(p, Op{Kind: OpDeq})
 				})
 				check("stack push/pop", func() {
-					s.Push(p, k)
-					s.Pop(p)
+					s.Apply(p, Op{Kind: OpPush, Arg: k})
+					s.Apply(p, Op{Kind: OpPop})
 				})
 			})
 		}
@@ -96,15 +96,15 @@ func TestHashMapOpZeroAllocs(t *testing.T) {
 				// so steady state serves from free lists.
 				for k := uint64(100); k < 164; k++ {
 					m.Insert(p, k)
-					m.Delete(p, k)
+					m.Apply(p, Op{Kind: OpDelete, Arg: k})
 				}
 				k := uint64(0)
 				if n := testing.AllocsPerRun(100, func() {
 					k++
 					key := 100 + k%64
 					m.Insert(p, key)
-					m.Find(p, key)
-					m.Delete(p, key)
+					m.Apply(p, Op{Kind: OpFind, Arg: key})
+					m.Apply(p, Op{Kind: OpDelete, Arg: key})
 				}); n != 0 {
 					t.Errorf("hashmap insert/find/delete: %.1f Go allocations per run, want 0", n)
 				}
@@ -135,12 +135,12 @@ func TestReadFastPathZeroPersist(t *testing.T) {
 				q := rt.NewQueue()
 				s := rt.NewStack(0)
 				for k := uint64(1); k <= 32; k++ {
-					l.Insert(p, k)
-					b.Insert(p, k)
+					l.Apply(p, Op{Kind: OpInsert, Arg: k})
+					b.Apply(p, Op{Kind: OpInsert, Arg: k})
 					m.Insert(p, k)
 				}
-				q.Enqueue(p, 7)
-				s.Push(p, 7)
+				q.Apply(p, Op{Kind: OpEnq, Arg: 7})
+				s.Apply(p, Op{Kind: OpPush, Arg: 7})
 
 				check := func(name string, f func()) {
 					t.Helper()
@@ -160,16 +160,16 @@ func TestReadFastPathZeroPersist(t *testing.T) {
 					}
 				}
 				k := uint64(0)
-				check("list find", func() { k++; l.Find(p, 1+k%64) })
-				check("bst find", func() { k++; b.Find(p, 1+k%64) })
-				check("hashmap find", func() { k++; m.Find(p, 1+k%64) })
+				check("list find", func() { k++; l.Apply(p, Op{Kind: OpFind, Arg: 1 + k%64}) })
+				check("bst find", func() { k++; b.Apply(p, Op{Kind: OpFind, Arg: 1 + k%64}) })
+				check("hashmap find", func() { k++; m.Apply(p, Op{Kind: OpFind, Arg: 1 + k%64}) })
 				check("queue peek", func() {
-					if v, ok := q.Peek(p); !ok || v != 7 {
+					if v, ok := q.Apply(p, Op{Kind: OpPeek}).Value(); !ok || v != 7 {
 						t.Fatalf("peek = (%d, %v), want (7, true)", v, ok)
 					}
 				})
 				check("stack top", func() {
-					if v, ok := s.Top(p); !ok || v != 7 {
+					if v, ok := s.Apply(p, Op{Kind: OpTop}).Value(); !ok || v != 7 {
 						t.Fatalf("top = (%d, %v), want (7, true)", v, ok)
 					}
 				})

@@ -26,9 +26,9 @@ func runMixedMapWorkload(rt *Runtime, m *HashMap, ops, keyRange int) pmem.Stats 
 		case 0:
 			m.Insert(p, k)
 		case 1:
-			m.Delete(p, k)
+			m.Apply(p, Op{Kind: OpDelete, Arg: k})
 		default:
-			m.Find(p, k)
+			m.Apply(p, Op{Kind: OpFind, Arg: k})
 		}
 	}
 	return rt.Heap().TotalStats()
@@ -64,8 +64,8 @@ func TestEngineBatchingReducesPersistence(t *testing.T) {
 
 // runBatchAdmission runs opsTotal single-proc operations (findPct% finds,
 // remainder split insert/delete) on a fresh prefilled 16-shard map, one at
-// a time through the typed Apply surface (batch <= 1) or in ApplyBatch
-// windows, and returns the workload's canonical metrics.
+// a time through Apply (batch <= 1) or in ApplyWindow windows, and returns
+// the workload's canonical metrics.
 func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64) isb.Stats {
 	rt := New(Config{Procs: 1, HeapWords: 1 << 24, Engine: kind})
 	m := rt.NewHashMap(16)
@@ -93,11 +93,11 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 			op := next()
 			switch op.Kind {
 			case OpFind:
-				m.Find(p, op.Arg)
+				m.Apply(p, Op{Kind: OpFind, Arg: op.Arg})
 			case OpInsert:
 				m.Insert(p, op.Arg)
 			default:
-				m.Delete(p, op.Arg)
+				m.Apply(p, Op{Kind: OpDelete, Arg: op.Arg})
 			}
 		}
 	} else {
@@ -105,12 +105,12 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 		for i := 0; i < opsTotal; i++ {
 			win = append(win, next())
 			if len(win) == batch {
-				rt.ApplyBatch(p, m, win)
+				rt.ApplyWindow(p, m, win)
 				win = win[:0]
 			}
 		}
 		if len(win) > 0 {
-			rt.ApplyBatch(p, m, win)
+			rt.ApplyWindow(p, m, win)
 		}
 	}
 
@@ -169,7 +169,7 @@ func runTxnAdmission(kind EngineKind, asTxn bool, pairs int, seed int64) isb.Sta
 				TxnLeg{S: src, Op: Op{Kind: OpDelete, Arg: k}},
 				TxnLeg{S: dst, Op: Op{Kind: OpInsert, Arg: k}})
 		} else {
-			src.Delete(p, k)
+			src.Apply(p, Op{Kind: OpDelete, Arg: k})
 			dst.Insert(p, k)
 		}
 	}
@@ -237,8 +237,8 @@ func TestAdmissionSyncPrice(t *testing.T) {
 			for k := uint64(1); k <= 64; k += 2 {
 				m.Insert(p, k)
 			}
-			q.Enqueue(p, 1)
-			s.Push(p, 1)
+			q.Apply(p, Op{Kind: OpEnq, Arg: 1})
+			s.Apply(p, Op{Kind: OpPush, Arg: 1})
 			window16 := make([]Op, 16)
 			for i := range window16 {
 				window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
@@ -369,8 +369,8 @@ func TestReclaimBoundedHeap(t *testing.T) {
 				t.Fatalf("demand %d words < 100x capacity %d", demand, 100*heapCap)
 			}
 			for i := 0; i < pairs; i++ {
-				q.Enqueue(p, uint64(i))
-				if v, ok := q.Dequeue(p); !ok || v != uint64(i) {
+				q.Apply(p, Op{Kind: OpEnq, Arg: uint64(i)})
+				if v, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); !ok || v != uint64(i) {
 					t.Fatalf("pair %d: dequeue got (%d, %v)", i, v, ok)
 				}
 			}

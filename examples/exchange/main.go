@@ -50,7 +50,7 @@ func main() {
 		defer wg.Done()
 		p := rt.Proc(0)
 		for v := uint64(1); v <= 100; v++ {
-			s.Push(p, v)
+			s.Apply(p, repro.Op{Kind: repro.OpPush, Arg: v})
 			pushed.Store(v, true)
 		}
 	}()
@@ -58,7 +58,7 @@ func main() {
 		defer wg.Done()
 		p := rt.Proc(1)
 		for i := 0; i < 100; i++ {
-			if v, ok := s.Pop(p); ok {
+			if v, ok := s.Apply(p, repro.Op{Kind: repro.OpPop}).Value(); ok {
 				popped.Store(v, true)
 			}
 		}

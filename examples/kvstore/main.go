@@ -3,7 +3,7 @@
 // while the "machine" keeps crashing. Keys spread over the map's shards, so
 // the workers mostly run contention-free.
 //
-// Workers admit their operations in ApplyBatch windows of 16: one durable
+// Workers admit their operations in ApplyWindow windows of 16: one durable
 // announcement per window instead of one per operation, deferred
 // psyncs, and finds served by the zero-persist read path. Recovery stays
 // zero-bookkeeping: after each crash the coordinator (playing "the
@@ -70,7 +70,7 @@ func measureSyncDrop() (single, batched float64) {
 			}
 			win = append(win, randomOp(rng))
 			if len(win) == batch {
-				rt.ApplyBatch(p, m, win)
+				rt.ApplyWindow(p, m, win)
 				win = win[:0]
 			}
 		}
@@ -145,7 +145,7 @@ func main() {
 					}
 					batch := pending
 					var out []repro.Resp
-					if rt.Run(func() { out = rt.ApplyBatch(p, store, batch) }) {
+					if rt.Run(func() { out = rt.ApplyWindow(p, store, batch) }) {
 						for i, op := range batch {
 							tally(op, out[i])
 						}

@@ -17,7 +17,7 @@ func main() {
 	p := rt.Proc(0)
 
 	for _, k := range []uint64{10, 20, 30} {
-		l.Insert(p, k)
+		l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: k})
 	}
 	fmt.Println("initial keys:", l.Keys())
 
@@ -56,8 +56,9 @@ func main() {
 	}
 
 	fmt.Println("keys after recovery:", l.Keys())
-	if !l.Find(p, 25) {
+	found := l.Apply(p, repro.Op{Kind: repro.OpFind, Arg: 25}).Bool()
+	if !found {
 		panic("key 25 missing after detectable recovery")
 	}
-	fmt.Println("Find(25):", l.Find(p, 25))
+	fmt.Println("Find(25):", found)
 }

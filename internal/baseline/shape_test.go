@@ -33,6 +33,28 @@ type fifo interface {
 	Dequeue(p *pmem.Proc) (uint64, bool)
 }
 
+// isbSet and isbFIFO give the ISB structures, which speak ApplyOp, the
+// baselines' typed surface.
+type (
+	isbSet  struct{ *list.List }
+	isbFIFO struct{ *queue.Queue }
+)
+
+func (l isbSet) Delete(p *pmem.Proc, key uint64) bool {
+	return isb.Bool(l.ApplyOp(p, list.OpDelete, key))
+}
+
+func (l isbSet) Find(p *pmem.Proc, key uint64) bool {
+	return isb.Bool(l.ApplyOp(p, list.OpFind, key))
+}
+
+func (q isbFIFO) Enqueue(p *pmem.Proc, v uint64) { q.ApplyOp(p, queue.OpEnq, v) }
+
+func (q isbFIFO) Dequeue(p *pmem.Proc) (uint64, bool) {
+	r := q.ApplyOp(p, queue.OpDeq, 0)
+	return isb.DecodeValue(r), isb.IsValue(r)
+}
+
 // The paper's curve labels for the lists; harrisLL is the non-recoverable
 // original.
 const (
@@ -45,8 +67,8 @@ const (
 )
 
 var lists = map[string]func(*pmem.Heap) set{
-	isbList:     func(h *pmem.Heap) set { return list.New(h) },
-	isbOpt:      func(h *pmem.Heap) set { return list.NewWithEngine(h, isb.NewEngineOpt(h)) },
+	isbList:     func(h *pmem.Heap) set { return isbSet{list.NewWithEngine(h, isb.NewEngine(h))} },
+	isbOpt:      func(h *pmem.Heap) set { return isbSet{list.NewWithEngine(h, isb.NewEngineOpt(h))} },
 	capsGeneral: func(h *pmem.Heap) set { return capsules.New(h, capsules.General) },
 	capsOpt:     func(h *pmem.Heap) set { return capsules.New(h, capsules.Normalized) },
 	dtOpt:       func(h *pmem.Heap) set { return dtlist.New(h) },
@@ -58,7 +80,7 @@ var queues = []struct {
 	original bool // not recoverable: issues no persistence instruction
 	new      func(*pmem.Heap) fifo
 }{
-	{"ISB-Queue", false, func(h *pmem.Heap) fifo { return queue.New(h) }},
+	{"ISB-Queue", false, func(h *pmem.Heap) fifo { return isbFIFO{queue.NewWithEngine(h, isb.NewEngine(h))} }},
 	{"Log-Queue", false, func(h *pmem.Heap) fifo { return logqueue.New(h) }},
 	{"Capsules-General", false, func(h *pmem.Heap) fifo { return capsqueue.New(h, capsqueue.General) }},
 	{"Capsules-Normal", false, func(h *pmem.Heap) fifo { return capsqueue.New(h, capsqueue.Normal) }},

@@ -5,43 +5,36 @@ import (
 	"repro/internal/pmem"
 )
 
-// FindRO reports membership via the zero-persist read path: a volatile
-// descent to the routed leaf with no Info record, no announcement, and no
-// persistence instruction — one step beyond OpFindFast, which still
-// installs and persists its Info record to stay detectably recoverable.
-// Linearizes at the load of the last child pointer (the external-BST
-// argument: the leaf reached routes the key at that instant). Nothing
-// durable records the read; a crashed FindRO is simply re-submitted. The
-// descent holds the allocator's epoch pin so that no node on the path is
-// freed under it (see list.FindFast).
-func (t *BST) FindRO(p *pmem.Proc, key uint64) bool {
+// ReadOp serves membership (OpFind and OpFindFast alike) on the zero-persist
+// read path: a volatile descent to the routed leaf with no Info record, no
+// announcement, and no persistence instruction — one step beyond the
+// engine-backed OpFindFast, which still installs and persists its Info record
+// to stay detectably recoverable. Linearizes at the load of the last child
+// pointer (the external-BST argument: the leaf reached routes the key at that
+// instant). Nothing durable records the read; a crashed read is simply
+// re-submitted. The descent holds the allocator's epoch pin so that no node on
+// the path is freed under it (see list.FindFast). Panics on a mutating kind.
+func (t *BST) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	if kind != OpFind && kind != OpFindFast {
+		panic("bst: ReadOp on a mutating kind")
+	}
 	a := t.e.Allocator()
 	a.Enter(p)
 	node := t.root
 	for {
 		left := pmem.Addr(p.Load(node + nLeft))
 		if left == pmem.Null {
-			found := p.Load(node+nKey) == key
+			found := p.Load(node+nKey) == arg
 			a.Exit(p)
 			t.e.NoteReadFast(p)
-			return found
+			return isb.BoolResp(found)
 		}
-		if key < p.Load(node+nKey) {
+		if arg < p.Load(node+nKey) {
 			node = left
 		} else {
 			node = pmem.Addr(p.Load(node + nRight))
 		}
 	}
-}
-
-// ReadOp serves a read-only operation kind on the zero-persist path (both
-// OpFind and OpFindFast answer membership, so both route here). Panics on
-// a mutating kind.
-func (t *BST) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind != OpFind && kind != OpFindFast {
-		panic("bst: ReadOp on a mutating kind")
-	}
-	return isb.BoolResp(t.FindRO(p, arg))
 }
 
 // ApplyBatchOp runs one operation at position seq inside an open batch

@@ -60,13 +60,7 @@ type BST struct {
 	gIns, gDel, gFind, gFindFast isb.Gather
 }
 
-// New builds an empty tree (root + two sentinel leaves) on the heap with
-// the paper's Algorithm 1/2 persistence placement.
-func New(h *pmem.Heap) *BST {
-	return NewWithEngine(h, isb.NewEngine(h))
-}
-
-// NewWithEngine builds the tree on a caller-supplied engine.
+// NewWithEngine builds an empty tree (root + two sentinel leaves) on engine e.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine) *BST {
 	t := &BST{h: h, e: e}
 	p := h.Proc(0)
@@ -118,36 +112,7 @@ func (t *BST) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // RecoverOp is the uniform recovery surface: it completes an interrupted
 // (kind, arg) operation and returns its encoded response.
 func (t *BST) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return t.e.Recover(p, kind, arg, t.gather(kind))
-}
-
-// Insert adds key; false if present. Keys must be in [1, MaxUserKey].
-func (t *BST) Insert(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(t.ApplyOp(p, OpInsert, key))
-}
-
-// Delete removes key; false if absent.
-func (t *BST) Delete(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(t.ApplyOp(p, OpDelete, key))
-}
-
-// Find reports membership (read-only ROpt fast path).
-func (t *BST) Find(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(t.ApplyOp(p, OpFind, key))
-}
-
-// FindFast is the paper's further Find optimization (Section 6): the
-// AffectSet is empty — the response is computed from the reached leaf's
-// immutable key without even gathering the leaf's info field. The
-// operation still persists its Info record and RD_q, so it remains
-// detectably recoverable, but it can never trigger helping.
-func (t *BST) FindFast(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(t.ApplyOp(p, OpFindFast, key))
-}
-
-// Recover is the boolean-typed wrapper over RecoverOp.
-func (t *BST) Recover(p *pmem.Proc, op, key uint64) bool {
-	return isb.Bool(t.RecoverOp(p, op, key))
+	return t.e.RecoverSeq(p, kind, arg, 0, t.gather(kind))
 }
 
 // Begin is the system-side invocation step (persist CP_q := 0).

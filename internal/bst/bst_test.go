@@ -7,22 +7,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
 func newBST(t *testing.T, procs int) (*BST, *pmem.Heap) {
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: procs, Tracked: true})
-	return New(h), h
+	return NewWithEngine(h, isb.NewEngine(h)), h
 }
 
 func TestEmptyTree(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
-	if b.Find(p, 5) {
+	if isb.Bool(b.ApplyOp(p, OpFind, 5)) {
 		t.Fatal("Find on empty tree")
 	}
-	if b.Delete(p, 5) {
+	if isb.Bool(b.ApplyOp(p, OpDelete, 5)) {
 		t.Fatal("Delete on empty tree")
 	}
 	if msg := b.CheckInvariants(); msg != "" {
@@ -33,16 +34,16 @@ func TestEmptyTree(t *testing.T) {
 func TestInsertFindDelete(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
-	if !b.Insert(p, 10) || b.Insert(p, 10) {
+	if !isb.Bool(b.ApplyOp(p, OpInsert, 10)) || isb.Bool(b.ApplyOp(p, OpInsert, 10)) {
 		t.Fatal("insert semantics broken")
 	}
-	if !b.Find(p, 10) || b.Find(p, 11) {
+	if !isb.Bool(b.ApplyOp(p, OpFind, 10)) || isb.Bool(b.ApplyOp(p, OpFind, 11)) {
 		t.Fatal("find semantics broken")
 	}
-	if !b.Delete(p, 10) || b.Delete(p, 10) {
+	if !isb.Bool(b.ApplyOp(p, OpDelete, 10)) || isb.Bool(b.ApplyOp(p, OpDelete, 10)) {
 		t.Fatal("delete semantics broken")
 	}
-	if b.Find(p, 10) {
+	if isb.Bool(b.ApplyOp(p, OpFind, 10)) {
 		t.Fatal("key present after delete")
 	}
 	if msg := b.CheckInvariants(); msg != "" {
@@ -55,7 +56,7 @@ func TestInOrderKeys(t *testing.T) {
 	p := h.Proc(0)
 	ins := []uint64{50, 20, 80, 10, 30, 70, 90, 25, 35}
 	for _, k := range ins {
-		if !b.Insert(p, k) {
+		if !isb.Bool(b.ApplyOp(p, OpInsert, k)) {
 			t.Fatalf("Insert(%d) failed", k)
 		}
 	}
@@ -82,10 +83,10 @@ func TestDeleteShapes(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
 	for _, k := range []uint64{40, 20, 60, 10, 30, 50, 70} {
-		b.Insert(p, k)
+		b.ApplyOp(p, OpInsert, k)
 	}
 	for _, k := range []uint64{40, 10, 70, 30, 50, 20, 60} {
-		if !b.Delete(p, k) {
+		if !isb.Bool(b.ApplyOp(p, OpDelete, k)) {
 			t.Fatalf("Delete(%d) failed", k)
 		}
 		if msg := b.CheckInvariants(); msg != "" {
@@ -102,12 +103,12 @@ func TestReinsertAfterDelete(t *testing.T) {
 	p := h.Proc(0)
 	for round := 0; round < 5; round++ {
 		for k := uint64(1); k <= 10; k++ {
-			if !b.Insert(p, k) {
+			if !isb.Bool(b.ApplyOp(p, OpInsert, k)) {
 				t.Fatalf("round %d: Insert(%d)", round, k)
 			}
 		}
 		for k := uint64(1); k <= 10; k++ {
-			if !b.Delete(p, k) {
+			if !isb.Bool(b.ApplyOp(p, OpDelete, k)) {
 				t.Fatalf("round %d: Delete(%d)", round, k)
 			}
 		}
@@ -120,13 +121,13 @@ func TestReinsertAfterDelete(t *testing.T) {
 func TestBoundaryUserKeys(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
-	if !b.Insert(p, 1) || !b.Insert(p, MaxUserKey) {
+	if !isb.Bool(b.ApplyOp(p, OpInsert, 1)) || !isb.Bool(b.ApplyOp(p, OpInsert, MaxUserKey)) {
 		t.Fatal("boundary inserts failed")
 	}
-	if !b.Find(p, 1) || !b.Find(p, MaxUserKey) {
+	if !isb.Bool(b.ApplyOp(p, OpFind, 1)) || !isb.Bool(b.ApplyOp(p, OpFind, MaxUserKey)) {
 		t.Fatal("boundary finds failed")
 	}
-	if !b.Delete(p, MaxUserKey) || !b.Delete(p, 1) {
+	if !isb.Bool(b.ApplyOp(p, OpDelete, MaxUserKey)) || !isb.Bool(b.ApplyOp(p, OpDelete, 1)) {
 		t.Fatal("boundary deletes failed")
 	}
 	if msg := b.CheckInvariants(); msg != "" {
@@ -143,17 +144,17 @@ func TestModelEquivalenceSequential(t *testing.T) {
 		k := uint64(rng.Intn(48) + 1)
 		switch rng.Intn(3) {
 		case 0:
-			if b.Insert(p, k) != !model[k] {
+			if isb.Bool(b.ApplyOp(p, OpInsert, k)) != !model[k] {
 				t.Fatalf("op %d: Insert(%d) mismatch", i, k)
 			}
 			model[k] = true
 		case 1:
-			if b.Delete(p, k) != model[k] {
+			if isb.Bool(b.ApplyOp(p, OpDelete, k)) != model[k] {
 				t.Fatalf("op %d: Delete(%d) mismatch", i, k)
 			}
 			delete(model, k)
 		default:
-			if b.Find(p, k) != model[k] {
+			if isb.Bool(b.ApplyOp(p, OpFind, k)) != model[k] {
 				t.Fatalf("op %d: Find(%d) mismatch", i, k)
 			}
 		}
@@ -169,24 +170,24 @@ func TestModelEquivalenceSequential(t *testing.T) {
 func TestQuickSetSemantics(t *testing.T) {
 	f := func(ops []uint16) bool {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
-		b := New(h)
+		b := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
 		model := map[uint64]bool{}
 		for _, o := range ops {
 			k := uint64(o%24) + 1
 			switch (o / 24) % 3 {
 			case 0:
-				if b.Insert(p, k) != !model[k] {
+				if isb.Bool(b.ApplyOp(p, OpInsert, k)) != !model[k] {
 					return false
 				}
 				model[k] = true
 			case 1:
-				if b.Delete(p, k) != model[k] {
+				if isb.Bool(b.ApplyOp(p, OpDelete, k)) != model[k] {
 					return false
 				}
 				delete(model, k)
 			default:
-				if b.Find(p, k) != model[k] {
+				if isb.Bool(b.ApplyOp(p, OpFind, k)) != model[k] {
 					return false
 				}
 			}
@@ -209,13 +210,13 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 			p := h.Proc(id)
 			base := uint64(id*1000 + 1)
 			for i := uint64(0); i < 150; i++ {
-				if !b.Insert(p, base+i) {
+				if !isb.Bool(b.ApplyOp(p, OpInsert, base+i)) {
 					t.Errorf("Insert(%d) failed", base+i)
 					return
 				}
 			}
 			for i := uint64(0); i < 150; i += 2 {
-				if !b.Delete(p, base+i) {
+				if !isb.Bool(b.ApplyOp(p, OpDelete, base+i)) {
 					t.Errorf("Delete(%d) failed", base+i)
 					return
 				}
@@ -252,10 +253,10 @@ func TestConcurrentContended(t *testing.T) {
 			for i := 0; i < perProc; i++ {
 				k := uint64(rng.Intn(keys) + 1)
 				if rng.Intn(2) == 0 {
-					if b.Insert(p, k) {
+					if isb.Bool(b.ApplyOp(p, OpInsert, k)) {
 						results[id] = append(results[id], ev{k, true})
 					}
-				} else if b.Delete(p, k) {
+				} else if isb.Bool(b.ApplyOp(p, OpDelete, k)) {
 					results[id] = append(results[id], ev{k, false})
 				}
 			}
@@ -293,10 +294,10 @@ func TestConcurrentContended(t *testing.T) {
 func TestRecoverWithoutCrash(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
-	if !b.Insert(p, 9) {
+	if !isb.Bool(b.ApplyOp(p, OpInsert, 9)) {
 		t.Fatal("insert failed")
 	}
-	if !b.Recover(p, OpInsert, 9) {
+	if !isb.Bool(b.RecoverOp(p, OpInsert, 9)) {
 		t.Fatal("recover after completed insert != true")
 	}
 	if n := len(b.Keys()); n != 1 {
@@ -310,16 +311,16 @@ func TestCrashEveryOffsetDuringInsertDelete(t *testing.T) {
 	// effects every time.
 	for offset := uint64(1); offset <= 60; offset++ {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		b := New(h)
+		b := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
-		b.Insert(p, 10)
-		b.Insert(p, 20)
+		b.ApplyOp(p, OpInsert, 10)
+		b.ApplyOp(p, OpInsert, 20)
 
 		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { b.Insert(p, 15) })
+		crashed := !pmem.RunOp(func() { b.ApplyOp(p, OpInsert, 15) })
 		if crashed {
 			h.ResetAfterCrash()
-			if !b.Recover(p, OpInsert, 15) {
+			if !isb.Bool(b.RecoverOp(p, OpInsert, 15)) {
 				t.Fatalf("insert offset %d: recovery returned false", offset)
 			}
 		}
@@ -328,10 +329,10 @@ func TestCrashEveryOffsetDuringInsertDelete(t *testing.T) {
 		}
 
 		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed = !pmem.RunOp(func() { b.Delete(p, 10) })
+		crashed = !pmem.RunOp(func() { b.ApplyOp(p, OpDelete, 10) })
 		if crashed {
 			h.ResetAfterCrash()
-			if !b.Recover(p, OpDelete, 10) {
+			if !isb.Bool(b.RecoverOp(p, OpDelete, 10)) {
 				t.Fatalf("delete offset %d: recovery returned false", offset)
 			}
 		}

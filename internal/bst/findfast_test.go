@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
@@ -20,21 +21,21 @@ func TestFindFastSemantics(t *testing.T) {
 		k := uint64(rng.Intn(32) + 1)
 		switch rng.Intn(4) {
 		case 0:
-			if b.Insert(p, k) != !model[k] {
+			if isb.Bool(b.ApplyOp(p, OpInsert, k)) != !model[k] {
 				t.Fatalf("op %d insert(%d)", i, k)
 			}
 			model[k] = true
 		case 1:
-			if b.Delete(p, k) != model[k] {
+			if isb.Bool(b.ApplyOp(p, OpDelete, k)) != model[k] {
 				t.Fatalf("op %d delete(%d)", i, k)
 			}
 			delete(model, k)
 		case 2:
-			if b.Find(p, k) != model[k] {
+			if isb.Bool(b.ApplyOp(p, OpFind, k)) != model[k] {
 				t.Fatalf("op %d find(%d)", i, k)
 			}
 		default:
-			if b.FindFast(p, k) != model[k] {
+			if isb.Bool(b.ApplyOp(p, OpFindFast, k)) != model[k] {
 				t.Fatalf("op %d findfast(%d)", i, k)
 			}
 		}
@@ -45,11 +46,11 @@ func TestFindFastNeverTags(t *testing.T) {
 	b, h := newBST(t, 1)
 	p := h.Proc(0)
 	for k := uint64(1); k <= 50; k++ {
-		b.Insert(p, k)
+		b.ApplyOp(p, OpInsert, k)
 	}
 	s0 := p.Stats()
 	for k := uint64(1); k <= 50; k++ {
-		b.FindFast(p, k)
+		b.ApplyOp(p, OpFindFast, k)
 	}
 	d := p.Stats().Sub(s0)
 	if d.CASes != 0 {
@@ -61,20 +62,20 @@ func TestFindFastCheaperThanFind(t *testing.T) {
 	// Two identically shaped trees; the same Find workload through the
 	// regular ROpt path and the empty-AffectSet path.
 	hA := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1})
-	bA := New(hA)
+	bA := NewWithEngine(hA, isb.NewEngine(hA))
 	pA := hA.Proc(0)
 	hB := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1})
-	bB := New(hB)
+	bB := NewWithEngine(hB, isb.NewEngine(hB))
 	pB := hB.Proc(0)
 	for k := uint64(1); k <= 50; k++ {
-		bA.Insert(pA, k)
-		bB.Insert(pB, k)
+		bA.ApplyOp(pA, OpInsert, k)
+		bB.ApplyOp(pB, OpInsert, k)
 	}
 	sA := pA.Stats()
 	sB := pB.Stats()
 	for k := uint64(1); k <= 50; k++ {
-		bA.Find(pA, k)
-		bB.FindFast(pB, k)
+		bA.ApplyOp(pA, OpFind, k)
+		bB.ApplyOp(pB, OpFindFast, k)
 	}
 	dA := pA.Stats().Sub(sA)
 	dB := pB.Stats().Sub(sB)
@@ -86,18 +87,18 @@ func TestFindFastCheaperThanFind(t *testing.T) {
 func TestFindFastCrashSweep(t *testing.T) {
 	for offset := uint64(1); offset <= 40; offset++ {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		b := New(h)
+		b := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
-		b.Insert(p, 10)
+		b.ApplyOp(p, OpInsert, 10)
 
 		b.Begin(p)
 		h.ScheduleCrashAt(h.AccessCount() + offset)
 		var res bool
-		crashed := !pmem.RunOp(func() { res = b.FindFast(p, 10) })
+		crashed := !pmem.RunOp(func() { res = isb.Bool(b.ApplyOp(p, OpFindFast, 10)) })
 		h.DisarmCrash()
 		if crashed {
 			h.ResetAfterCrash()
-			res = b.Recover(p, OpFindFast, 10)
+			res = isb.Bool(b.RecoverOp(p, OpFindFast, 10))
 		}
 		if !res {
 			t.Fatalf("offset %d: FindFast(10) false", offset)
@@ -105,11 +106,11 @@ func TestFindFastCrashSweep(t *testing.T) {
 		// And a miss:
 		b.Begin(p)
 		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed = !pmem.RunOp(func() { res = b.FindFast(p, 11) })
+		crashed = !pmem.RunOp(func() { res = isb.Bool(b.ApplyOp(p, OpFindFast, 11)) })
 		h.DisarmCrash()
 		if crashed {
 			h.ResetAfterCrash()
-			res = b.Recover(p, OpFindFast, 11)
+			res = isb.Bool(b.RecoverOp(p, OpFindFast, 11))
 		}
 		if res {
 			t.Fatalf("offset %d: FindFast(11) true", offset)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/isb"
 	"repro/internal/linearize"
 	"repro/internal/list"
 	"repro/internal/pmem"
@@ -125,7 +126,7 @@ func TestListManyProcsFewKeysStorm(t *testing.T) {
 
 func TestStormReportsRecoveries(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 22, Procs: 2, Tracked: true})
-	l := list.New(h)
+	l := list.NewWithEngine(h, isb.NewEngine(h))
 	res := Run(Config{
 		Heap: h, Target: Adapt(l), Procs: 2, OpsPerProc: 100,
 		Gen: listGen(4), Crashes: 8, MeanAccessGap: 700, Seed: 99,
@@ -143,7 +144,7 @@ func TestStormReportsRecoveries(t *testing.T) {
 
 func TestStormZeroCrashesIsPlainConcurrency(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 22, Procs: 4, Tracked: true})
-	l := list.New(h)
+	l := list.NewWithEngine(h, isb.NewEngine(h))
 	res := Run(Config{
 		Heap: h, Target: Adapt(l), Procs: 4, OpsPerProc: 50,
 		Gen: listGen(10), Crashes: 0, Seed: 7,

@@ -13,9 +13,10 @@ import (
 
 // This file is the crash-point conformance matrix, whole: one cell axis
 // (engine, eviction, allocator, forced recovery mode) crossed with subjects
-// (structures and their prefill) and their cases (legs, the responses and the
-// final state the sequential model requires). matrix enumerates it; the
-// conformance tests each sweep one family of its rows.
+// (structures and their prefill) and their cases (legs), each row checked
+// against the responses and the final state the sequential model derives
+// (expect, in sweep.go). matrix enumerates it; the conformance tests each
+// sweep one family of its rows.
 
 // sweepHeapWords sizes a sweep heap: small, because a sweep builds one per
 // crash offset, and large enough for the reclaim-churn prefill (1<<14
@@ -144,15 +145,11 @@ type leg struct {
 }
 
 // sweepCase is one deterministic admission — a single operation, a window or
-// an atomic transaction — with what the sequential model requires of it: each
-// leg's encoded response and each structure's final snapshot. An atomic case
-// also gives the snapshots before it, for the check behind a no-effect report.
+// an atomic transaction.
 type sweepCase struct {
-	name       string
-	legs       []leg
-	atomic     bool
-	want       []uint64
-	pre, final [][]uint64
+	name   string
+	legs   []leg
+	atomic bool
 }
 
 // subject is one row group of the matrix: structures, prefilled, and the
@@ -172,9 +169,9 @@ func ops(kind uint64, args ...uint64) []repro.Op {
 	return out
 }
 
-// window is a case of ops on a subject's only structure, ending in final.
-func window(name string, ops []repro.Op, want []uint64, final ...uint64) sweepCase {
-	c := sweepCase{name: name, want: want, final: [][]uint64{final}}
+// window is a case of ops on a subject's only structure.
+func window(name string, ops []repro.Op) sweepCase {
+	c := sweepCase{name: name}
 	for _, op := range ops {
 		c.legs = append(c.legs, leg{op: op})
 	}
@@ -182,38 +179,27 @@ func window(name string, ops []repro.Op, want []uint64, final ...uint64) sweepCa
 }
 
 // single is a one-operation case.
-func single(name string, kind, arg, want uint64, final ...uint64) sweepCase {
-	return window(name, ops(kind, arg), []uint64{want}, final...)
-}
+func single(name string, kind, arg uint64) sweepCase { return window(name, ops(kind, arg)) }
 
 // txn is an atomic case across a subject's structures.
-func txn(name string, leg1, leg2 leg, want1, want2 uint64, pre, final [][]uint64) sweepCase {
-	return sweepCase{name: name, legs: []leg{leg1, leg2}, atomic: true, want: []uint64{want1, want2}, pre: pre, final: final}
+func txn(name string, leg1, leg2 leg) sweepCase {
+	return sweepCase{name: name, legs: []leg{leg1, leg2}, atomic: true}
 }
 
 var (
-	yes, no = isb.RespTrue, isb.RespFalse
-	val     = isb.EncodeValue
-
 	// setPrefill seeds every set under single-operation sweep; setCases is
 	// the case table they share (the packages' op codes coincide).
 	setPrefill = ops(repro.OpInsert, 3, 9, 14, 27, 31)
 	setCases   = []sweepCase{
-		single("insert-fresh", repro.OpInsert, 8, yes, 3, 8, 9, 14, 27, 31),
-		single("insert-dup", repro.OpInsert, 9, no, 3, 9, 14, 27, 31),
-		single("delete-present", repro.OpDelete, 14, yes, 3, 9, 27, 31),
-		single("delete-absent", repro.OpDelete, 15, no, 3, 9, 14, 27, 31),
-		single("find-present", repro.OpFind, 27, yes, 3, 9, 14, 27, 31),
-		single("find-absent", repro.OpFind, 28, no, 3, 9, 14, 27, 31),
+		single("insert-fresh", repro.OpInsert, 8),
+		single("insert-dup", repro.OpInsert, 9),
+		single("delete-present", repro.OpDelete, 14),
+		single("delete-absent", repro.OpDelete, 15),
+		single("find-present", repro.OpFind, 27),
+		single("find-absent", repro.OpFind, 28),
 	}
-	queueCases = []sweepCase{
-		single("enqueue", repro.OpEnq, 7, yes, 5, 6, 7),
-		single("dequeue", repro.OpDeq, 0, val(5), 6),
-	}
-	stackCases = []sweepCase{
-		single("push", repro.OpPush, 7, yes, 7, 6, 5),
-		single("pop", repro.OpPop, 0, val(6), 5),
-	}
+	queueCases = []sweepCase{single("enqueue", repro.OpEnq, 7), single("dequeue", repro.OpDeq, 0)}
+	stackCases = []sweepCase{single("push", repro.OpPush, 7), single("pop", repro.OpPop, 0)}
 
 	// windowSetCases interleave mutations with reads (one mid-window, one
 	// terminal), so the sweep hits reads whose results must be durable
@@ -223,11 +209,11 @@ var (
 		window("mixed", []repro.Op{
 			{Kind: repro.OpInsert, Arg: 5}, {Kind: repro.OpFind, Arg: 5},
 			{Kind: repro.OpDelete, Arg: 9}, {Kind: repro.OpInsert, Arg: 9},
-		}, []uint64{yes, yes, yes, yes}, 3, 5, 9),
+		}),
 		window("read-tail", []repro.Op{
 			{Kind: repro.OpInsert, Arg: 5}, {Kind: repro.OpDelete, Arg: 7},
 			{Kind: repro.OpFind, Arg: 3}, {Kind: repro.OpFind, Arg: 7},
-		}, []uint64{yes, no, yes, no}, 3, 5, 9),
+		}),
 	}
 )
 
@@ -288,10 +274,10 @@ func windowSubjects() []subject {
 		one("hashmap", repro.KindHashMap, 4, small, windowSetCases),
 		one("queue", repro.KindQueue, 0, ops(repro.OpEnq, 7), []sweepCase{window("enq-peek-deq", []repro.Op{
 			{Kind: repro.OpEnq, Arg: 41}, {Kind: repro.OpPeek}, {Kind: repro.OpDeq}, {Kind: repro.OpDeq},
-		}, []uint64{yes, val(7), val(7), val(41)})}),
+		})}),
 		one("stack", repro.KindStack, 0, ops(repro.OpPush, 7), []sweepCase{window("push-top-pop", []repro.Op{
 			{Kind: repro.OpPush, Arg: 41}, {Kind: repro.OpTop}, {Kind: repro.OpPop}, {Kind: repro.OpPop},
-		}, []uint64{yes, val(41), val(41), val(7)})}),
+		})}),
 	}
 }
 
@@ -300,20 +286,18 @@ func windowSubjects() []subject {
 // engine, two sequence-stamped legs), and an elided leg 2 (handoff from an
 // empty queue).
 func txnSubjects() []subject {
-	type state = [][]uint64
 	deq := leg{op: repro.Op{Kind: repro.OpDeq}}
 	insertIt := leg{s: 1, op: repro.Op{Kind: repro.OpInsert}, fromLeg1: true}
+	del5, ins5 := leg{op: repro.Op{Kind: repro.OpDelete, Arg: 5}}, leg{s: 1, op: repro.Op{Kind: repro.OpInsert, Arg: 5}}
 	return []subject{
 		{"handoff", []structure{{repro.KindQueue, 0, ops(repro.OpEnq, 7)}, {repro.KindHashMap, 4, ops(repro.OpInsert, 3)}},
-			[]sweepCase{txn("deq-insert", deq, insertIt, val(7), yes, state{{7}, {3}}, state{nil, {3, 7}})}},
+			[]sweepCase{txn("deq-insert", deq, insertIt)}},
 		{"two-map-move", []structure{{repro.KindHashMap, 2, ops(repro.OpInsert, 5)}, {repro.KindHashMap, 2, ops(repro.OpInsert, 9)}},
-			[]sweepCase{txn("move", leg{op: repro.Op{Kind: repro.OpDelete, Arg: 5}}, leg{s: 1, op: repro.Op{Kind: repro.OpInsert, Arg: 5}},
-				yes, yes, state{{5}, {9}}, state{nil, {5, 9}})}},
+			[]sweepCase{txn("move", del5, ins5)}},
 		{"same-map-move", []structure{{repro.KindHashMap, 4, ops(repro.OpInsert, 5)}},
-			[]sweepCase{txn("rename", leg{op: repro.Op{Kind: repro.OpDelete, Arg: 5}}, leg{op: repro.Op{Kind: repro.OpInsert, Arg: 9}},
-				yes, yes, state{{5}}, state{{9}})}},
+			[]sweepCase{txn("rename", del5, leg{op: repro.Op{Kind: repro.OpInsert, Arg: 9}})}},
 		{"empty-handoff", []structure{{repro.KindQueue, 0, nil}, {repro.KindHashMap, 2, ops(repro.OpInsert, 3)}},
-			[]sweepCase{txn("deq-empty", deq, insertIt, isb.RespEmpty, isb.RespSkipped, state{nil, {3}}, state{nil, {3}})}},
+			[]sweepCase{txn("deq-empty", deq, insertIt)}},
 	}
 }
 
@@ -339,6 +323,7 @@ type row struct {
 	sub  subject
 	cell cell
 	c    sweepCase
+	exp  expected
 }
 
 // matrix enumerates every row, family by family.
@@ -364,10 +349,10 @@ func matrix() []row {
 	var out []row
 	for _, f := range []family{
 		{name: "raw", raw: true, cells: append(arena, evicting...), subjects: singleSubjects(
-			one("queue-empty", repro.KindQueue, 0, nil, []sweepCase{single("dequeue-empty", repro.OpDeq, 0, isb.RespEmpty)}),
-			one("queue-zero", repro.KindQueue, 0, ops(repro.OpEnq, 0), []sweepCase{single("dequeue-zero", repro.OpDeq, 0, val(0))}),
-			one("stack-empty", repro.KindStack, 0, nil, []sweepCase{single("pop-empty", repro.OpPop, 0, isb.RespEmpty)}),
-			one("stack-zero", repro.KindStack, 0, ops(repro.OpPush, 0), []sweepCase{single("pop-zero", repro.OpPop, 0, val(0))}),
+			one("queue-empty", repro.KindQueue, 0, nil, []sweepCase{single("dequeue-empty", repro.OpDeq, 0)}),
+			one("queue-zero", repro.KindQueue, 0, ops(repro.OpEnq, 0), []sweepCase{single("dequeue-zero", repro.OpDeq, 0)}),
+			one("stack-empty", repro.KindStack, 0, nil, []sweepCase{single("pop-empty", repro.OpPop, 0)}),
+			one("stack-zero", repro.KindStack, 0, ops(repro.OpPush, 0), []sweepCase{single("pop-zero", repro.OpPop, 0)}),
 		), path: func(s subject, c cell, k sweepCase) []string { return []string{s.name, c.engine(), k.name} }},
 		{name: "routed", cells: arena, subjects: singleSubjects(
 			one("stack-elim", repro.KindStack, 2, ops(repro.OpPush, 5, 6), stackCases),
@@ -387,7 +372,7 @@ func matrix() []row {
 		for _, s := range f.subjects {
 			for _, c := range f.cells {
 				for _, k := range s.cases {
-					out = append(out, row{f, f.path(s, c, k), s, c, k})
+					out = append(out, row{f, f.path(s, c, k), s, c, k, expect(s, k)})
 				}
 			}
 		}
@@ -401,7 +386,7 @@ func (r row) build() Instance {
 	if r.fam.raw {
 		h := r.cell.heap()
 		a := r.sub.structs[0].raw(h, r.cell.eng.mk(h))
-		return direct(h, a, r.c.legs[0].op, r.c.want[0], func() string { return sameState([]any{a}, r.c.final) })
+		return direct(h, a, r.c.legs[0].op, r.exp.want[0], func() string { return sameState([]any{a}, r.exp.final) })
 	}
 	rt := r.cell.runtime()
 	regs, structs := make([]repro.Structure, len(r.sub.structs)), make([]any, len(r.sub.structs))
@@ -414,20 +399,20 @@ func (r row) build() Instance {
 			regs[i].Apply(rt.Proc(0), op)
 		}
 	}
-	v := vector{rt: rt, atomic: r.c.atomic, pre: func() string { return sameState(structs, r.c.pre) }}
+	v := vector{rt: rt, atomic: r.c.atomic, pre: func() string { return sameState(structs, r.exp.pre) }}
 	for _, l := range r.c.legs {
 		v.legs = append(v.legs, repro.TxnLeg{S: regs[l.s], Op: l.op, ArgFromLeg1: l.fromLeg1})
 	}
-	verify := func() string { return sameState(structs, r.c.final) }
+	verify := func() string { return sameState(structs, r.exp.final) }
 	if r.cell.reclaim && r.cell.mode == pmem.RecoverFast {
 		verify = func() string {
-			if msg := sameState(structs, r.c.final); msg != "" {
+			if msg := sameState(structs, r.exp.final); msg != "" {
 				return msg
 			}
 			return auditFastRecovery(rt, rt.Heap().Epoch())
 		}
 	}
-	return v.instance(verify, r.c.want, r.fam.crashedAt)
+	return v.instance(verify, r.exp.want, r.fam.crashedAt)
 }
 
 // inFlightBound bounds, in words, what crashes crashes leak outside the

@@ -292,7 +292,7 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 			// then includes what that crash drops) and the in-flight bound
 			// explain.
 			auto.Reclaimer().ForceRecovery(pmem.RecoverFull)
-			auto.Crash()
+			auto.Heap().Crash()
 			auto.Restart()
 			auto.RecoverAll()
 			scan, _ := auto.LastScan()

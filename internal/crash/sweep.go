@@ -2,9 +2,12 @@ package crash
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro"
+	"repro/internal/isb"
+	"repro/internal/linearize"
 	"repro/internal/pmem"
 )
 
@@ -144,6 +147,70 @@ func sameState(structs []any, want [][]uint64) string {
 	return ""
 }
 
+// expected is what the sequential model requires of a case: each leg's
+// encoded response, and each structure's snapshot before and after it (the
+// one before backs the check behind an atomic case's no-effect report).
+type expected struct {
+	want       []uint64
+	pre, final [][]uint64
+}
+
+// expect runs each structure's prefill and then the case's legs through the
+// structure's sequential model (internal/linearize, whose op codes are the
+// structures'). A leg whose argument derives from leg 1
+// (repro.TxnLeg.ArgFromLeg1) takes leg 1's value, or is skipped when leg 1
+// carried none.
+func expect(s subject, c sweepCase) expected {
+	models, states := make([]linearize.Model, len(s.structs)), make([]any, len(s.structs))
+	for i, st := range s.structs {
+		models[i] = linearize.SetModel()
+		switch st.kind {
+		case repro.KindQueue:
+			models[i] = linearize.QueueModel()
+		case repro.KindStack:
+			models[i] = linearize.StackModel()
+		}
+		states[i] = models[i].Init()
+		for _, op := range st.prefill {
+			states[i], _ = models[i].Step(states[i], op.Kind, op.Arg)
+		}
+	}
+	e := expected{pre: snapshots(s, states)}
+	var resp uint64
+	for _, l := range c.legs {
+		arg := l.op.Arg
+		if l.fromLeg1 && !isb.IsValue(resp) {
+			resp = isb.RespSkipped
+		} else {
+			if l.fromLeg1 {
+				arg = isb.DecodeValue(resp)
+			}
+			states[l.s], resp = models[l.s].Step(states[l.s], l.op.Kind, arg)
+		}
+		e.want = append(e.want, resp)
+	}
+	e.final = snapshots(s, states)
+	return e
+}
+
+// snapshots spells model states the way sameState reads the structures: a
+// set's keys ascending, a queue front to back, a stack top to bottom.
+func snapshots(s subject, states []any) [][]uint64 {
+	out := make([][]uint64, len(states))
+	for i, st := range states {
+		switch st := st.(type) {
+		case map[uint64]bool:
+			out[i] = slices.Sorted(maps.Keys(st))
+		case []uint64:
+			out[i] = slices.Clone(st)
+			if s.structs[i].kind == repro.KindStack {
+				slices.Reverse(out[i])
+			}
+		}
+	}
+	return out
+}
+
 // direct is the paper's model of recovery, as the raw-package cells run it:
 // the harness itself re-supplies the interrupted operation to the structure's
 // recovery function. The duplicate pass is recovery itself, run again: a
@@ -196,7 +263,7 @@ func (v vector) submit(from int) []uint64 {
 		ops = append(ops, l.Op)
 	}
 	var out []uint64
-	for _, r := range v.rt.ApplyBatch(p, v.legs[0].S, ops) {
+	for _, r := range v.rt.ApplyWindow(p, v.legs[0].S, ops) {
 		out = append(out, r.Raw())
 	}
 	return out

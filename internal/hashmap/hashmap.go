@@ -41,15 +41,10 @@ type Map struct {
 	mask   uint64
 }
 
-// New builds a map with the requested shard count, rounded up to a power of
-// two (minimum 1), with the paper's Algorithm 1/2 persistence placement.
-// Shard bucket sentinels are persisted by list construction.
-func New(h *pmem.Heap, shards int) *Map {
-	return NewWithEngine(h, isb.NewEngine(h), shards)
-}
-
-// NewWithEngine builds the map on a caller-supplied engine shared by all
-// bucket lists (one set of RD_q/CP_q recovery registers for the whole map).
+// NewWithEngine builds a map with the requested shard count, rounded up to a
+// power of two (minimum 1), on engine e, which all bucket lists share (one set
+// of RD_q/CP_q recovery registers for the whole map). Shard bucket sentinels
+// are persisted by list construction.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine, shards int) *Map {
 	n := 1
 	for n < shards {
@@ -92,26 +87,10 @@ func (m *Map) Insert(p *pmem.Proc, key uint64) bool {
 	return isb.Bool(m.ApplyOp(p, OpInsert, key))
 }
 
-// Delete removes key from the map; it returns false if the key was absent.
-func (m *Map) Delete(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(m.ApplyOp(p, OpDelete, key))
-}
-
-// Find reports whether key is in the map (read-only, ROpt fast path).
-func (m *Map) Find(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(m.ApplyOp(p, OpFind, key))
-}
-
-// Recover completes p's interrupted operation (same kind and key) after a
-// crash and returns its response: it routes to the key's shard, whose
-// engine recovery re-runs or completes the operation. Recover may itself
+// RecoverOp completes p's interrupted operation (same kind and key) after a
+// crash and returns its encoded response: it routes to the key's shard, whose
+// engine recovery re-runs or completes the operation. RecoverOp may itself
 // crash and be re-invoked any number of times.
-func (m *Map) Recover(p *pmem.Proc, op, key uint64) bool {
-	return isb.Bool(m.RecoverOp(p, op, key))
-}
-
-// RecoverOp is the uniform recovery surface behind Recover: it routes to
-// the operation's shard and returns the encoded response.
 func (m *Map) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	return m.shards[m.ShardOf(arg)].RecoverOp(p, kind, arg)
 }
@@ -131,11 +110,6 @@ func (m *Map) Keys() []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Contains is a non-recoverable volatile read used by tests and verifiers.
-func (m *Map) Contains(key uint64) bool {
-	return m.shards[m.ShardOf(key)].Contains(key)
 }
 
 // MarkReachable reports every node of every shard to the post-crash

@@ -2,9 +2,11 @@ package hashmap
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
@@ -17,8 +19,8 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 	for _, c := range []struct{ ask, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		if got := New(h, c.ask).NumShards(); got != c.want {
-			t.Fatalf("New(%d shards).NumShards() = %d, want %d", c.ask, got, c.want)
+		if got := NewWithEngine(h, isb.NewEngine(h), c.ask).NumShards(); got != c.want {
+			t.Fatalf("NewWithEngine(%d shards).NumShards() = %d, want %d", c.ask, got, c.want)
 		}
 	}
 }
@@ -26,7 +28,7 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 func TestSequentialAgainstModel(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		h := newHeap(1, false)
-		m := New(h, shards)
+		m := NewWithEngine(h, isb.NewEngine(h), shards)
 		p := h.Proc(0)
 		model := map[uint64]bool{}
 		rng := rand.New(rand.NewSource(int64(shards)))
@@ -39,12 +41,12 @@ func TestSequentialAgainstModel(t *testing.T) {
 				}
 				model[k] = true
 			case 1:
-				if got, want := m.Delete(p, k), model[k]; got != want {
+				if got, want := isb.Bool(m.ApplyOp(p, OpDelete, k)), model[k]; got != want {
 					t.Fatalf("shards=%d: Delete(%d) = %v, want %v", shards, k, got, want)
 				}
 				delete(model, k)
 			default:
-				if got, want := m.Find(p, k), model[k]; got != want {
+				if got, want := isb.Bool(m.ApplyOp(p, OpFind, k)), model[k]; got != want {
 					t.Fatalf("shards=%d: Find(%d) = %v, want %v", shards, k, got, want)
 				}
 			}
@@ -73,19 +75,19 @@ func TestSequentialAgainstModel(t *testing.T) {
 // record instead of re-running it.
 func TestRecoveryRoutesByKey(t *testing.T) {
 	h := newHeap(2, false)
-	m := New(h, 8)
+	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	p := h.Proc(1)
 	for k := uint64(1); k <= 50; k++ {
 		m.Begin(p)
-		if !m.Recover(p, OpInsert, k) {
+		if !isb.Bool(m.RecoverOp(p, OpInsert, k)) {
 			t.Fatalf("Insert(%d) run by recovery returned false", k)
 		}
 		for s, l := range m.shards {
-			if got, want := l.Contains(k), s == m.ShardOf(k); got != want {
+			if got, want := slices.Contains(l.Keys(), k), s == m.ShardOf(k); got != want {
 				t.Fatalf("key %d in shard %d: %v, want %v (ShardOf = %d)", k, s, got, want, m.ShardOf(k))
 			}
 		}
-		if !m.Recover(p, OpInsert, k) {
+		if !isb.Bool(m.RecoverOp(p, OpInsert, k)) {
 			t.Fatalf("recovering the completed Insert(%d) re-ran it", k)
 		}
 	}
@@ -93,7 +95,7 @@ func TestRecoveryRoutesByKey(t *testing.T) {
 
 func TestKeysSpreadAcrossShards(t *testing.T) {
 	h := newHeap(1, false)
-	m := New(h, 8)
+	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	p := h.Proc(0)
 	for k := uint64(1); k <= 400; k++ {
 		m.Insert(p, k)
@@ -121,7 +123,7 @@ func TestKeysSpreadAcrossShards(t *testing.T) {
 func TestConcurrentDisjointKeys(t *testing.T) {
 	const procs, keysPer = 4, 32
 	h := newHeap(procs, false)
-	m := New(h, 8)
+	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
 		wg.Add(1)
@@ -133,7 +135,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 				m.Insert(p, k)
 			}
 			for k := base; k < base+keysPer; k += 2 {
-				m.Delete(p, k)
+				m.ApplyOp(p, OpDelete, k)
 			}
 		}(w)
 	}
@@ -143,7 +145,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 	}
 	for k := uint64(1); k <= procs*keysPer; k++ {
 		want := (k-1)%2 == 1 // odd offsets survive (even offsets deleted)
-		if got := m.Contains(k); got != want {
+		if got := slices.Contains(m.Keys(), k); got != want {
 			t.Fatalf("key %d: present %v, want %v", k, got, want)
 		}
 	}
@@ -155,7 +157,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 func TestConcurrentContendedSmoke(t *testing.T) {
 	const procs = 4
 	h := newHeap(procs, false)
-	m := New(h, 4)
+	m := NewWithEngine(h, isb.NewEngine(h), 4)
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
 		wg.Add(1)
@@ -169,9 +171,9 @@ func TestConcurrentContendedSmoke(t *testing.T) {
 				case 0:
 					m.Insert(p, k)
 				case 1:
-					m.Delete(p, k)
+					m.ApplyOp(p, OpDelete, k)
 				default:
-					m.Find(p, k)
+					m.ApplyOp(p, OpFind, k)
 				}
 			}
 		}(w)
@@ -188,7 +190,7 @@ func TestConcurrentContendedSmoke(t *testing.T) {
 func TestCrashRecoverMidInsert(t *testing.T) {
 	for off := uint64(1); off <= 40; off++ {
 		h := newHeap(1, true)
-		m := New(h, 4)
+		m := NewWithEngine(h, isb.NewEngine(h), 4)
 		p := h.Proc(0)
 		m.Insert(p, 100) // pre-existing neighbour traffic
 		const key = 7
@@ -198,10 +200,10 @@ func TestCrashRecoverMidInsert(t *testing.T) {
 			continue // crash would have landed after the op finished
 		}
 		h.ResetAfterCrash()
-		if !m.Recover(p, OpInsert, key) {
+		if !isb.Bool(m.RecoverOp(p, OpInsert, key)) {
 			t.Fatalf("off=%d: recovery of fresh insert returned false", off)
 		}
-		if !m.Contains(key) || !m.Contains(100) {
+		if !slices.Contains(m.Keys(), key) || !slices.Contains(m.Keys(), 100) {
 			t.Fatalf("off=%d: post-recovery membership wrong", off)
 		}
 		if msg := m.CheckInvariants(); msg != "" {

@@ -9,7 +9,7 @@ import (
 // Help tries to complete the operation described by the Info record at
 // info. It is the paper's Algorithm 1 Help procedure, including the red
 // persistency instructions of the shared cache model, with their placement
-// delegated to the engine's Persister: every CAS on an info field or
+// delegated to the engine's persister: every CAS on an info field or
 // WriteSet field is reported as a dirty word, and every phase ends with
 // EndPhase (the eager placement writes back per CAS; the batched placement
 // issues one barrier per phase). A record already flagged done is the one
@@ -123,7 +123,7 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 // Retired nodes are absent from the CleanupSet and stay tagged until the
 // allocator recycles them. Every CAS is reported to the persister, or with
 // wonOnly only those that won; untag reports whether any did.
-func (e *Engine) untag(p *pmem.Proc, per Persister, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
+func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
 	cn := int(p.Load(info + offCleanupLen))
 	for i := 0; i < cn; i++ {
 		nd := pmem.Addr(p.Load(info + offCleanup + pmem.Addr(i)))
@@ -338,32 +338,28 @@ func (e *Engine) retireAffected(p *pmem.Proc, spec *Spec) {
 	}
 }
 
-// Recover is the generic Op-Recover: called after a crash with the same
-// opType/argKey the interrupted operation was invoked with, plus the same
-// gather function, and it returns the operation's response. Per the paper,
-// if CP_q = 0 or RD_q = Null the operation made no changes and is simply
+// RecoverSeq is the generic Op-Recover, for the leg at index seq of its
+// announced vector (0 for single operations): called after a crash with the
+// same opType/argKey the interrupted operation was invoked with, plus the same
+// gather function, it returns the operation's response. Per the paper, if
+// CP_q = 0 or RD_q = Null the operation made no changes and is simply
 // re-invoked; otherwise Help(RD_q) completes it (or cleans up a failed
-// attempt) and the result field decides. Under Isb-Opt RD_q is never reset
-// to Null, so CP_q = 0 alone decides: RD_q may then name the previous
+// attempt) and the result field decides. Under Isb-Opt RD_q is never reset to
+// Null, so CP_q = 0 alone decides: RD_q may then name the previous
 // operation's record, or this one's if the crash hit between its first
 // install and the write-back that raises CP_q — before any tag either way.
-// Recover may itself crash and be re-invoked any number of times.
-func (e *Engine) Recover(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
-	return e.RecoverSeq(p, opType, argKey, 0, gather)
-}
-
-// RecoverSeq is Recover for the leg at index seq of its announced vector (0
-// for single operations): the installed record is only attributed to this
-// leg if its stamped index matches, so a crashed vector whose cursor says
-// "leg seq is in flight" can never resolve leg seq from a neighbouring leg's
-// record, even when consecutive legs share (kind, arg). Recovery always runs
-// eager: the sync scope the crash interrupted, if any, is torn down first,
-// and a re-invoked attempt stamps seq so that a further crash re-attributes
-// it correctly. A re-invocation is a first leg (runAttempts): under Isb-Opt
-// RD_q keeps naming the failed or mismatching record until the first
-// re-invoked install replaces it. It also terminates or fails loudly:
-// re-invoked attempts are bounded by maxRecoveryAttempts, and the panic names
-// the record RD_q still holds.
+//
+// The installed record is only attributed to this leg if its stamped index
+// matches, so a crashed vector whose cursor says "leg seq is in flight" can
+// never resolve leg seq from a neighbouring leg's record, even when
+// consecutive legs share (kind, arg). Recovery always runs eager: the sync
+// scope the crash interrupted, if any, is torn down first, and a re-invoked
+// attempt stamps seq so that a further crash re-attributes it correctly. A
+// re-invocation is a first leg (runAttempts): under Isb-Opt RD_q keeps naming
+// the failed or mismatching record until the first re-invoked install
+// replaces it. RecoverSeq may itself crash and be re-invoked any number of
+// times, and it terminates or fails loudly: re-invoked attempts are bounded by
+// maxRecoveryAttempts, and the panic names the record RD_q still holds.
 func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	p.ResetSyncScope()
 	e.curSeq[p.ID()] = seq

@@ -194,15 +194,15 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // Engine holds the per-process recovery variables for one data structure
 // instance. RD_q and CP_q live in persistent memory, one cache line per
 // process to avoid false sharing. Persistence-instruction placement is
-// delegated to a Persister per process (see persist.go); everything else —
+// delegated to a persister per process (see persist.go); everything else —
 // helping, tagging, backtracking, the update and cleanup phases, recovery —
 // is identical across placements.
 type Engine struct {
 	h    *pmem.Heap
 	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP (one pwb persists both)
-	pers []Persister
-	// batched caches pers[0].Batched(): the admission paths branch on the
-	// placement once or twice per operation.
+	pers []persister
+	// batched is the placement: batchPersister (Isb-Opt) or eagerPersister
+	// (Isb). The admission paths branch on it once or twice per operation.
 	batched bool
 	// specs are per-process attempt-spec scratch records. A Spec passed to
 	// a Gather callback by address escapes analysis, so a stack-local one
@@ -252,7 +252,7 @@ type Engine struct {
 // NewEngine allocates RD/CP lines for every process of the heap, with the
 // paper's Algorithm 1/2 persistence placement (the "Isb" curve).
 func NewEngine(h *pmem.Heap) *Engine {
-	return NewEngineWith(h, func(p *pmem.Proc) Persister { return &eagerPersister{p: p} })
+	return newEngine(h, false)
 }
 
 // NewEngineOpt is NewEngine with hand-tuned persistence (the "Isb-Opt"
@@ -261,13 +261,12 @@ func NewEngine(h *pmem.Heap) *Engine {
 // barrier. The paper licenses this explicitly: "all pwb instructions can be
 // issued at the end of the phase, before the psync".
 func NewEngineOpt(h *pmem.Heap) *Engine {
-	return NewEngineWith(h, func(p *pmem.Proc) Persister { return &batchPersister{p: p} })
+	return newEngine(h, true)
 }
 
-// NewEngineWith builds an engine whose persistence placement is supplied by
-// the caller: mk is invoked once per process and must return a Persister
-// bound to that process.
-func NewEngineWith(h *pmem.Heap, mk func(p *pmem.Proc) Persister) *Engine {
+// newEngine builds an engine with the batched (Isb-Opt) or the eager (Isb)
+// placement.
+func newEngine(h *pmem.Heap, batched bool) *Engine {
 	p0 := h.Proc(0)
 	n := uint64(h.NumProcs())
 	raw := p0.Alloc(n*pmem.WordsPerLine + pmem.WordsPerLine)
@@ -275,7 +274,7 @@ func NewEngineWith(h *pmem.Heap, mk func(p *pmem.Proc) Persister) *Engine {
 	e := &Engine{
 		h:          h,
 		base:       base,
-		pers:       make([]Persister, h.NumProcs()),
+		pers:       make([]persister, h.NumProcs()),
 		specs:      make([]Spec, h.NumProcs()),
 		alloc:      pmem.Arena{},
 		lastInfo:   make([]pmem.Addr, h.NumProcs()),
@@ -283,11 +282,15 @@ func NewEngineWith(h *pmem.Heap, mk func(p *pmem.Proc) Persister) *Engine {
 		curSeq:     make([]uint64, h.NumProcs()),
 		batchSyncs: make([]uint64, h.NumProcs()),
 		readFast:   make([]uint64, h.NumProcs()),
+		batched:    batched,
 	}
 	for i := range e.pers {
-		e.pers[i] = mk(h.Proc(i))
+		if batched {
+			e.pers[i] = &batchPersister{p: h.Proc(i)}
+		} else {
+			e.pers[i] = &eagerPersister{p: h.Proc(i)}
+		}
 	}
-	e.batched = e.pers[0].Batched()
 	return e
 }
 
@@ -350,16 +353,8 @@ func (e *Engine) ForgetRetired() {
 // boundaries (the Isb-Opt placement).
 func (e *Engine) Batched() bool { return e.batched }
 
-// Variant names the persistence placement: "isb" or "isb-opt".
-func (e *Engine) Variant() string {
-	if e.Batched() {
-		return "isb-opt"
-	}
-	return "isb"
-}
-
-// per returns the calling process's Persister.
-func (e *Engine) per(p *pmem.Proc) Persister { return e.pers[p.ID()] }
+// per returns the calling process's persister.
+func (e *Engine) per(p *pmem.Proc) persister { return e.pers[p.ID()] }
 
 func (e *Engine) rd(p *pmem.Proc) pmem.Addr {
 	return e.base + pmem.Addr(p.ID()*pmem.WordsPerLine)
@@ -384,7 +379,7 @@ func (e *Engine) opSync(p *pmem.Proc) {
 // write-backs (a no-op for the eager placement, which wrote back per store)
 // and hit the engine's sync point. Inside a sync scope only the write-backs
 // happen now.
-func (e *Engine) endPhase(p *pmem.Proc, per Persister) {
+func (e *Engine) endPhase(p *pmem.Proc, per persister) {
 	if p.InSyncScope() {
 		per.Flush()
 		e.batchSyncs[p.ID()]++
@@ -532,9 +527,4 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	for i := 0; i < s.NCleanup; i++ {
 		p.Store(info+offCleanup+pmem.Addr(i), uint64(s.Cleanup[i]))
 	}
-}
-
-// Result reads an Info record's result field.
-func (e *Engine) Result(p *pmem.Proc, info pmem.Addr) uint64 {
-	return p.Load(info + offResult)
 }

@@ -36,10 +36,6 @@ func newCounter(h *pmem.Heap, opt bool) *counter {
 	if opt {
 		e = NewEngineOpt(h)
 	}
-	return newCounterWith(h, e)
-}
-
-func newCounterWith(h *pmem.Heap, e *Engine) *counter {
 	c := &counter{e: e}
 	p := h.Proc(0)
 	box := p.Alloc(2)
@@ -148,7 +144,7 @@ func TestEngineRecoverAfterEveryCrashOffset(t *testing.T) {
 			h.DisarmCrash()
 			if crashed {
 				h.ResetAfterCrash()
-				resp = DecodeValue(c.e.Recover(p, opInc, 0, c.g))
+				resp = DecodeValue(c.e.RecoverSeq(p, opInc, 0, 0, c.g))
 			}
 			if resp != 2 {
 				t.Fatalf("opt=%v offset %d: response %d, want 2", opt, offset, resp)
@@ -167,7 +163,7 @@ func TestEngineRecoverStaleRDReinvokes(t *testing.T) {
 	c.inc(p)
 	// Recover for a *different* op type: the Info in RD_q must be ignored.
 	const opOther uint64 = 99
-	resp := c.e.Recover(p, opOther, 0, c.g)
+	resp := c.e.RecoverSeq(p, opOther, 0, 0, c.g)
 	if DecodeValue(resp) != 2 {
 		t.Fatalf("stale-RD recovery re-invoked wrongly: %d", resp)
 	}
@@ -181,46 +177,19 @@ func TestEngineBeginOpClearsCheckpoint(t *testing.T) {
 	// After the bare Begin (system-side CP_q := 0), Recover must re-invoke
 	// even though RD_q still points at the completed op's Info.
 	c.e.Begin(p, false, nil)
-	if got := DecodeValue(c.e.Recover(p, opInc, 0, c.g)); got != 2 {
+	if got := DecodeValue(c.e.RecoverSeq(p, opInc, 0, 0, c.g)); got != 2 {
 		t.Fatalf("post-Begin recovery returned %d, want fresh execution (2)", got)
 	}
 }
 
-// countingPersister proves custom placements plug into NewEngineWith: it
-// delegates to the eager placement and counts the phases it ends.
-type countingPersister struct {
-	p      *pmem.Proc
-	phases int
-}
-
-func (c *countingPersister) Reset()                               {}
-func (c *countingPersister) WroteWord(a pmem.Addr)                { c.p.PWB(a) }
-func (c *countingPersister) WroteRange(a pmem.Addr, words uint64) { c.p.PBarrierRange(a, words) }
-func (c *countingPersister) Flush()                               {}
-func (c *countingPersister) EndPhase()                            { c.phases++; c.p.PSync() }
-func (c *countingPersister) Batched() bool                        { return false }
-
+// TestEngineVariantsAndPersisterHook: each constructor builds its placement.
 func TestEngineVariantsAndPersisterHook(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
-	if e := NewEngine(h); e.Batched() || e.Variant() != "isb" {
-		t.Fatalf("plain engine: Batched=%v Variant=%q", e.Batched(), e.Variant())
+	if e := NewEngine(h); e.Batched() {
+		t.Fatal("plain engine is batched")
 	}
-	if e := NewEngineOpt(h); !e.Batched() || e.Variant() != "isb-opt" {
-		t.Fatalf("opt engine: Batched=%v Variant=%q", e.Batched(), e.Variant())
-	}
-
-	var cp *countingPersister
-	e := NewEngineWith(h, func(p *pmem.Proc) Persister {
-		cp = &countingPersister{p: p}
-		return cp
-	})
-	c := newCounterWith(h, e)
-	p := h.Proc(0)
-	if got := c.inc(p); got != 1 {
-		t.Fatalf("inc through custom persister returned %d", got)
-	}
-	if cp.phases == 0 {
-		t.Fatal("custom persister saw no phase boundaries")
+	if e := NewEngineOpt(h); !e.Batched() {
+		t.Fatal("opt engine is not batched")
 	}
 }
 
@@ -326,7 +295,7 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 			// first element — busy-wait for that.
 			p := h.Proc(id)
 			for p.Load(c.anchor+aInfo) != Tagged(info) {
-				if c.e.Result(p, info) != RespNone {
+				if p.Load(info+offResult) != RespNone {
 					return // op already done
 				}
 			}
@@ -337,8 +306,8 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 	if got := c.value(h); got != 1 {
 		t.Fatalf("value %d after %d concurrent helpers, want 1", got, helpers)
 	}
-	if c.e.Result(inv, info) != EncodeValue(1) {
-		t.Fatalf("result %d", c.e.Result(inv, info))
+	if r := inv.Load(info + offResult); r != EncodeValue(1) {
+		t.Fatalf("result %d", r)
 	}
 }
 

@@ -2,7 +2,7 @@ package isb
 
 import "repro/internal/pmem"
 
-// Persister decides where an engine's persistence instructions go. The
+// persister decides where an engine's persistence instructions go. The
 // engine reports every persistent word (or freshly allocated range) it
 // writes and marks phase boundaries; the implementation chooses whether to
 // write back eagerly — one pwb per store, exactly as Algorithms 1 and 2 are
@@ -14,13 +14,13 @@ import "repro/internal/pmem"
 // Crash contract: after EndPhase returns, everything reported since the
 // previous EndPhase is durable. Under the batched placement nothing in the
 // phase is guaranteed durable before that point, so a crash mid-phase may
-// leave the phase fully absent from persistent memory; Help and Recover
+// leave the phase fully absent from persistent memory; Help and RecoverSeq
 // tolerate both outcomes because every phase is idempotent and re-runnable
 // from its Info record.
 //
-// A Persister is bound to one Proc and therefore used by one goroutine at a
+// A persister is bound to one Proc and therefore used by one goroutine at a
 // time; the Engine keeps one per process.
-type Persister interface {
+type persister interface {
 	// Reset discards any state left over from a phase a crash interrupted.
 	Reset()
 	// WroteWord records one persistent word written in the current phase.
@@ -34,8 +34,6 @@ type Persister interface {
 	// EndPhase is Flush followed by a psync: the phase's writes are durable
 	// before any instruction after it.
 	EndPhase()
-	// Batched reports whether write-backs are deferred to phase boundaries.
-	Batched() bool
 }
 
 // eagerPersister is the paper's written placement (Isb): a pwb immediately
@@ -49,7 +47,6 @@ func (e *eagerPersister) WroteWord(a pmem.Addr)                { e.p.PWB(a) }
 func (e *eagerPersister) WroteRange(a pmem.Addr, words uint64) { e.p.PBarrierRange(a, words) }
 func (e *eagerPersister) Flush()                               {}
 func (e *eagerPersister) EndPhase()                            { e.p.PSync() }
-func (e *eagerPersister) Batched() bool                        { return false }
 
 // batchPersister is the hand-tuned placement (Isb-Opt): dirty lines
 // accumulate across a phase and one barrier per phase writes them all back,
@@ -100,5 +97,3 @@ func (b *batchPersister) EndPhase() {
 	b.Flush()
 	b.p.PSync()
 }
-
-func (b *batchPersister) Batched() bool { return true }

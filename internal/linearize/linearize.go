@@ -21,7 +21,7 @@ import (
 // logical timestamps from a shared monotone counter: Op a precedes Op b in
 // real time iff a.End < b.Start.
 //
-// Operations admitted through one batch window (Runtime.ApplyBatch) share
+// Operations admitted through one batch window (Runtime.ApplyWindow) share
 // the window's Start/End — the harness cannot observe where inside the
 // window each member executed — and carry their batch position in Seq.
 // Check treats members of the same batch (same Proc, Start and End) as

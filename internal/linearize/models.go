@@ -18,6 +18,10 @@ const (
 
 	KindPush uint64 = 20
 	KindPop  uint64 = 21
+
+	// The read-only probes: the queue's front, the stack's top.
+	kindPeek uint64 = 12
+	kindTop  uint64 = 22
 )
 
 // Responses in model terms (mirrors internal/isb's encoding).
@@ -173,7 +177,8 @@ func CheckShardedSetHistory(hist []Operation, shardOf func(key uint64) int) (int
 }
 
 // QueueModel is the sequential FIFO queue spec. Enq(arg) returns RespTrue;
-// Deq returns EncodeValue(v) for the head value or RespEmpty.
+// Deq returns EncodeValue(v) for the head value or RespEmpty, and so does
+// Peek (12), which leaves the queue unchanged.
 func QueueModel() Model {
 	type q = []uint64
 	return Model{
@@ -193,6 +198,11 @@ func QueueModel() Model {
 				n := make(q, len(s)-1)
 				copy(n, s[1:])
 				return n, EncodeValue(s[0])
+			case kindPeek:
+				if len(s) == 0 {
+					return s, RespEmpty
+				}
+				return s, EncodeValue(s[0])
 			default:
 				return s, 0
 			}
@@ -209,7 +219,8 @@ func QueueModel() Model {
 }
 
 // StackModel is the sequential LIFO stack spec. Push(arg) returns RespTrue;
-// Pop returns EncodeValue(v) or RespEmpty.
+// Pop returns EncodeValue(v) or RespEmpty, and so does Top (22), which leaves
+// the stack unchanged.
 func StackModel() Model {
 	type stk = []uint64
 	return Model{
@@ -229,6 +240,11 @@ func StackModel() Model {
 				n := make(stk, len(s)-1)
 				copy(n, s[:len(s)-1])
 				return n, EncodeValue(s[len(s)-1])
+			case kindTop:
+				if len(s) == 0 {
+					return s, RespEmpty
+				}
+				return s, EncodeValue(s[len(s)-1])
 			default:
 				return s, 0
 			}

@@ -32,7 +32,7 @@ func (l *List) FindFast(p *pmem.Proc, key uint64) bool {
 }
 
 // ReadOp serves a read-only operation kind on the zero-persist path; it is
-// the uniform fast-read surface (the Apply/ApplyBatch wrappers route
+// the uniform fast-read surface (Apply and the admission windows route
 // ReadOnly kinds here). Panics on a mutating kind.
 func (l *List) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind != OpFind {

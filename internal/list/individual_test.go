@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
@@ -17,7 +18,7 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 		h := pmem.NewHeap(pmem.Config{
 			Words: 1 << 20, Procs: 1, Tracked: true, Model: pmem.PrivateCache,
 		})
-		l := New(h)
+		l := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
 		l.Insert(p, 10)
 		l.Insert(p, 30)
@@ -29,7 +30,7 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 		if crashed {
 			// No heap reset: only this process's volatile state is lost;
 			// in the private cache model shared memory is persistent.
-			if !l.Recover(p, OpInsert, 20) {
+			if !isb.Bool(l.RecoverOp(p, OpInsert, 20)) {
 				t.Fatalf("offset %d: insert recovery false", offset)
 			}
 		}
@@ -39,10 +40,10 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 
 		l.Begin(p)
 		p.ScheduleSelfCrash(offset)
-		crashed = !pmem.RunOp(func() { l.Delete(p, 30) })
+		crashed = !pmem.RunOp(func() { l.ApplyOp(p, OpDelete, 30) })
 		p.CancelSelfCrash()
 		if crashed {
-			if !l.Recover(p, OpDelete, 30) {
+			if !isb.Bool(l.RecoverOp(p, OpDelete, 30)) {
 				t.Fatalf("offset %d: delete recovery false", offset)
 			}
 		}
@@ -64,7 +65,7 @@ func TestIndividualCrashWithSurvivors(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{
 		Words: 1 << 23, Procs: survivors + 1, Tracked: true, Model: pmem.PrivateCache,
 	})
-	l := New(h)
+	l := NewWithEngine(h, isb.NewEngine(h))
 	var wg sync.WaitGroup
 
 	// Survivors on disjoint ranges: all their ops must succeed.
@@ -81,7 +82,7 @@ func TestIndividualCrashWithSurvivors(t *testing.T) {
 				}
 			}
 			for i := uint64(0); i < 150; i += 2 {
-				if !l.Delete(p, base+i) {
+				if !isb.Bool(l.ApplyOp(p, OpDelete, base+i)) {
 					t.Errorf("survivor %d: Delete(%d) failed", id, base+i)
 					return
 				}
@@ -105,7 +106,7 @@ func TestIndividualCrashWithSurvivors(t *testing.T) {
 			// than it can recover makes no progress by definition).
 			for attempt := uint64(1); !ok; attempt++ {
 				p.ScheduleSelfCrash(11 + attempt*29)
-				ok = pmem.RunOp(func() { l.Recover(p, OpInsert, key) })
+				ok = pmem.RunOp(func() { l.RecoverOp(p, OpInsert, key) })
 			}
 			p.CancelSelfCrash()
 		}

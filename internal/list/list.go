@@ -49,15 +49,10 @@ type List struct {
 	gIns, gDel, gFind isb.Gather
 }
 
-// New builds an empty list on the heap, persisting the sentinels.
-func New(h *pmem.Heap) *List {
-	return NewWithEngine(h, isb.NewEngine(h))
-}
-
-// NewWithEngine builds the list on a caller-supplied engine. Several lists
-// can share one engine — and with it one set of per-process RD_q/CP_q
-// recovery registers — which is how the sharded hash map keeps a single
-// recovery obligation per process across all of its buckets.
+// NewWithEngine builds an empty list on engine e, persisting the sentinels.
+// Several lists can share one engine — and with it one set of per-process
+// RD_q/CP_q recovery registers — which is how the sharded hash map keeps a
+// single recovery obligation per process across all of its buckets.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine) *List {
 	l := &List{h: h, e: e}
 	p := h.Proc(0)
@@ -108,27 +103,12 @@ func (l *List) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // same (kind, arg) the interrupted invocation had, it returns the
 // operation's encoded response, completing it if necessary.
 func (l *List) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return l.e.Recover(p, kind, arg, l.gather(kind))
+	return l.e.RecoverSeq(p, kind, arg, 0, l.gather(kind))
 }
 
 // Insert adds key to the set; it returns false if the key was present.
 func (l *List) Insert(p *pmem.Proc, key uint64) bool {
 	return isb.Bool(l.ApplyOp(p, OpInsert, key))
-}
-
-// Delete removes key from the set; it returns false if the key was absent.
-func (l *List) Delete(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(l.ApplyOp(p, OpDelete, key))
-}
-
-// Find reports whether key is in the set (read-only, ROpt fast path).
-func (l *List) Find(p *pmem.Proc, key uint64) bool {
-	return isb.Bool(l.ApplyOp(p, OpFind, key))
-}
-
-// Recover is the boolean-typed wrapper over RecoverOp.
-func (l *List) Recover(p *pmem.Proc, op, key uint64) bool {
-	return isb.Bool(l.RecoverOp(p, op, key))
 }
 
 // search returns pred/curr straddling key: the first node with
@@ -201,20 +181,6 @@ func (l *List) gatherFind(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gath
 	spec.ReadOnly = true
 	spec.Response = isb.BoolResp(p.Load(curr+nKey) == key)
 	return isb.Proceed
-}
-
-// Contains is a non-recoverable read used by tests and verifiers: it walks
-// the volatile image directly (no helping, no persistence).
-func (l *List) Contains(key uint64) bool {
-	h := l.h
-	curr := l.head
-	for {
-		k := h.ReadVolatile(curr + nKey)
-		if k >= key {
-			return k == key
-		}
-		curr = pmem.Addr(h.ReadVolatile(curr + nNext))
-	}
 }
 
 // Keys snapshots the current (volatile) key set, for verification. Callers

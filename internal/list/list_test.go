@@ -6,22 +6,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
 func newList(t *testing.T, procs int) (*List, *pmem.Heap) {
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: procs, Tracked: true})
-	return New(h), h
+	return NewWithEngine(h, isb.NewEngine(h)), h
 }
 
 func TestEmptyList(t *testing.T) {
 	l, h := newList(t, 1)
 	p := h.Proc(0)
-	if l.Find(p, 10) {
+	if isb.Bool(l.ApplyOp(p, OpFind, 10)) {
 		t.Fatal("Find on empty list returned true")
 	}
-	if l.Delete(p, 10) {
+	if isb.Bool(l.ApplyOp(p, OpDelete, 10)) {
 		t.Fatal("Delete on empty list returned true")
 	}
 	if got := l.Keys(); len(got) != 0 {
@@ -38,19 +39,19 @@ func TestInsertFindDelete(t *testing.T) {
 	if l.Insert(p, 5) {
 		t.Fatal("duplicate Insert(5) succeeded")
 	}
-	if !l.Find(p, 5) {
+	if !isb.Bool(l.ApplyOp(p, OpFind, 5)) {
 		t.Fatal("Find(5) after insert failed")
 	}
-	if l.Find(p, 6) {
+	if isb.Bool(l.ApplyOp(p, OpFind, 6)) {
 		t.Fatal("Find(6) true on {5}")
 	}
-	if !l.Delete(p, 5) {
+	if !isb.Bool(l.ApplyOp(p, OpDelete, 5)) {
 		t.Fatal("Delete(5) failed")
 	}
-	if l.Delete(p, 5) {
+	if isb.Bool(l.ApplyOp(p, OpDelete, 5)) {
 		t.Fatal("second Delete(5) succeeded")
 	}
-	if l.Find(p, 5) {
+	if isb.Bool(l.ApplyOp(p, OpFind, 5)) {
 		t.Fatal("Find(5) after delete")
 	}
 }
@@ -87,7 +88,7 @@ func TestInsertBetween(t *testing.T) {
 		t.Fatal("Insert(20) between 10 and 30 failed")
 	}
 	for _, k := range []uint64{10, 20, 30} {
-		if !l.Find(p, k) {
+		if !isb.Bool(l.ApplyOp(p, OpFind, k)) {
 			t.Fatalf("Find(%d) failed", k)
 		}
 	}
@@ -102,10 +103,10 @@ func TestBoundaryKeys(t *testing.T) {
 	if !l.Insert(p, MaxKey-1) {
 		t.Fatal("Insert(MaxKey-1) failed")
 	}
-	if !l.Find(p, 1) || !l.Find(p, MaxKey-1) {
+	if !isb.Bool(l.ApplyOp(p, OpFind, 1)) || !isb.Bool(l.ApplyOp(p, OpFind, MaxKey-1)) {
 		t.Fatal("boundary keys not found")
 	}
-	if !l.Delete(p, MaxKey-1) || !l.Delete(p, 1) {
+	if !isb.Bool(l.ApplyOp(p, OpDelete, MaxKey-1)) || !isb.Bool(l.ApplyOp(p, OpDelete, 1)) {
 		t.Fatal("boundary keys not deleted")
 	}
 }
@@ -116,7 +117,7 @@ func TestDeleteHeadAndTailOfRun(t *testing.T) {
 	for k := uint64(1); k <= 5; k++ {
 		l.Insert(p, k)
 	}
-	if !l.Delete(p, 1) || !l.Delete(p, 5) || !l.Delete(p, 3) {
+	if !isb.Bool(l.ApplyOp(p, OpDelete, 1)) || !isb.Bool(l.ApplyOp(p, OpDelete, 5)) || !isb.Bool(l.ApplyOp(p, OpDelete, 3)) {
 		t.Fatal("deletes failed")
 	}
 	got := l.Keys()
@@ -143,13 +144,13 @@ func TestModelEquivalenceSequential(t *testing.T) {
 			model[k] = true
 		case 1:
 			want := model[k]
-			if got := l.Delete(p, k); got != want {
+			if got := isb.Bool(l.ApplyOp(p, OpDelete, k)); got != want {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
 			}
 			delete(model, k)
 		default:
 			want := model[k]
-			if got := l.Find(p, k); got != want {
+			if got := isb.Bool(l.ApplyOp(p, OpFind, k)); got != want {
 				t.Fatalf("op %d: Find(%d) = %v, want %v", i, k, got, want)
 			}
 		}
@@ -166,7 +167,7 @@ func TestModelEquivalenceSequential(t *testing.T) {
 func TestQuickSetSemantics(t *testing.T) {
 	f := func(ops []uint16) bool {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
-		l := New(h)
+		l := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
 		model := map[uint64]bool{}
 		for _, o := range ops {
@@ -178,12 +179,12 @@ func TestQuickSetSemantics(t *testing.T) {
 				}
 				model[k] = true
 			case 1:
-				if l.Delete(p, k) != model[k] {
+				if isb.Bool(l.ApplyOp(p, OpDelete, k)) != model[k] {
 					return false
 				}
 				delete(model, k)
 			default:
-				if l.Find(p, k) != model[k] {
+				if isb.Bool(l.ApplyOp(p, OpFind, k)) != model[k] {
 					return false
 				}
 			}
@@ -215,14 +216,14 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 				}
 			}
 			for i := uint64(0); i < 200; i += 2 {
-				if !l.Delete(p, base+i) {
+				if !isb.Bool(l.ApplyOp(p, OpDelete, base+i)) {
 					errs <- "delete failed"
 					return
 				}
 			}
 			for i := uint64(0); i < 200; i++ {
 				want := i%2 == 1
-				if l.Find(p, base+i) != want {
+				if isb.Bool(l.ApplyOp(p, OpFind, base+i)) != want {
 					errs <- "find mismatch"
 					return
 				}
@@ -268,7 +269,7 @@ func TestConcurrentContendedKeys(t *testing.T) {
 						results[id] = append(results[id], ev{k, true})
 					}
 				} else {
-					if l.Delete(p, k) {
+					if isb.Bool(l.ApplyOp(p, OpDelete, k)) {
 						results[id] = append(results[id], ev{k, false})
 					}
 				}
@@ -314,17 +315,17 @@ func TestRecoverWithoutCrash(t *testing.T) {
 	if !l.Insert(p, 7) {
 		t.Fatal("insert failed")
 	}
-	if got := l.Recover(p, OpInsert, 7); got != true {
+	if got := isb.Bool(l.RecoverOp(p, OpInsert, 7)); got != true {
 		t.Fatal("Recover after completed Insert(7) != true")
 	}
 	// And it must not have re-executed the insert.
 	if n := len(l.Keys()); n != 1 {
 		t.Fatalf("recover re-executed insert: %d keys", n)
 	}
-	if !l.Delete(p, 7) {
+	if !isb.Bool(l.ApplyOp(p, OpDelete, 7)) {
 		t.Fatal("delete failed")
 	}
-	if got := l.Recover(p, OpDelete, 7); got != true {
+	if got := isb.Bool(l.RecoverOp(p, OpDelete, 7)); got != true {
 		t.Fatal("Recover after completed Delete(7) != true")
 	}
 	if n := len(l.Keys()); n != 0 {
@@ -341,10 +342,10 @@ func TestRecoverDifferentOpReinvokes(t *testing.T) {
 	l.Insert(p, 7) // leaves RD_q pointing at the Insert's Info
 	// "Crash" immediately at the start of a Find(9): recovery must run the
 	// Find itself, not report the Insert's response.
-	if l.Recover(p, OpFind, 9) {
+	if isb.Bool(l.RecoverOp(p, OpFind, 9)) {
 		t.Fatal("Recover(Find,9) returned stale true")
 	}
-	if !l.Recover(p, OpFind, 7) {
+	if !isb.Bool(l.RecoverOp(p, OpFind, 7)) {
 		t.Fatal("Recover(Find,7) should find the key")
 	}
 }
@@ -361,10 +362,10 @@ func TestResponsePersistedBeforeReturn(t *testing.T) {
 	}{
 		{func() bool { return l.Insert(p, 3) }, "insert-new"},
 		{func() bool { return l.Insert(p, 3) }, "insert-dup"},
-		{func() bool { return l.Find(p, 3) }, "find-hit"},
-		{func() bool { return l.Find(p, 4) }, "find-miss"},
-		{func() bool { return l.Delete(p, 3) }, "delete-hit"},
-		{func() bool { return l.Delete(p, 3) }, "delete-miss"},
+		{func() bool { return isb.Bool(l.ApplyOp(p, OpFind, 3)) }, "find-hit"},
+		{func() bool { return isb.Bool(l.ApplyOp(p, OpFind, 4)) }, "find-miss"},
+		{func() bool { return isb.Bool(l.ApplyOp(p, OpDelete, 3)) }, "delete-hit"},
+		{func() bool { return isb.Bool(l.ApplyOp(p, OpDelete, 3)) }, "delete-miss"},
 	}
 	for _, op := range ops {
 		got := op.run()
@@ -384,7 +385,7 @@ func TestResponsePersistedBeforeReturn(t *testing.T) {
 		default:
 			kind, key = OpDelete, 3
 		}
-		if rec := l.Recover(p, kind, key); rec != got {
+		if rec := isb.Bool(l.RecoverOp(p, kind, key)); rec != got {
 			t.Fatalf("%s: response %v but recovery says %v", op.kind, got, rec)
 		}
 	}
@@ -409,9 +410,9 @@ func TestStressManyKeysManyProcs(t *testing.T) {
 				case 0:
 					l.Insert(p, k)
 				case 1:
-					l.Delete(p, k)
+					l.ApplyOp(p, OpDelete, k)
 				default:
-					l.Find(p, k)
+					l.ApplyOp(p, OpFind, k)
 				}
 			}
 		}(id)

@@ -302,8 +302,8 @@ func (p *Proc) Alloc(words uint64) Addr {
 
 // Leg is one leg of an announcement: which structure (registry ID, nonzero),
 // which operation kind, and its argument. Flags is opaque to this package
-// (see internal/txn). StructID must fit 24 bits, Flags 8 and Kind 32: they
-// share the leg's first word.
+// (see flagArgFromLeg1 in the repro root). StructID must fit 24 bits, Flags 8
+// and Kind 32: they share the leg's first word.
 type Leg struct {
 	StructID uint64
 	Kind     uint64

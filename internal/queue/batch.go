@@ -9,42 +9,27 @@ import (
 // zero-persist read path (it never installs an Info record).
 const OpPeek uint64 = 12
 
-// PeekFast returns the front value without dequeuing it: a volatile read
-// of the dummy's successor with no Info record, no announcement, and no
-// persistence instruction. Linearizes at the load of head.next — the MS
-// queue's front is exactly the dummy's successor at that instant. Nothing
-// durable records the read; a crashed peek is simply re-submitted. The
-// epoch pin keeps the dummy and its successor allocated while they are
-// read (see list.FindFast).
-func (q *Queue) PeekFast(p *pmem.Proc) (v uint64, ok bool) {
-	a := q.e.Allocator()
-	a.Enter(p)
-	dummy := pmem.Addr(p.Load(q.head))
-	first := pmem.Addr(p.Load(dummy + nNext))
-	if first != pmem.Null {
-		v, ok = p.Load(first+nVal), true
-	}
-	a.Exit(p)
-	q.e.NoteReadFast(p)
-	return v, ok
-}
-
-// Peek is the typed convenience wrapper over the OpPeek fast path.
-func (q *Queue) Peek(p *pmem.Proc) (v uint64, ok bool) {
-	return q.PeekFast(p)
-}
-
-// ReadOp serves a read-only operation kind on the zero-persist path.
-// Panics on a mutating kind.
+// ReadOp serves OpPeek, the front value without dequeuing it, on the
+// zero-persist path: a volatile read of the dummy's successor with no Info
+// record, no announcement, and no persistence instruction. Linearizes at the
+// load of head.next — the MS queue's front is exactly the dummy's successor at
+// that instant. Nothing durable records the read; a crashed peek is simply
+// re-submitted. The epoch pin keeps the dummy and its successor allocated
+// while they are read (see list.FindFast). Panics on a mutating kind.
 func (q *Queue) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind != OpPeek {
 		panic("queue: ReadOp on a mutating kind")
 	}
-	v, ok := q.PeekFast(p)
-	if !ok {
-		return isb.RespEmpty
+	a := q.e.Allocator()
+	a.Enter(p)
+	resp := isb.RespEmpty
+	dummy := pmem.Addr(p.Load(q.head))
+	if first := pmem.Addr(p.Load(dummy + nNext)); first != pmem.Null {
+		resp = isb.EncodeValue(p.Load(first + nVal))
 	}
-	return isb.EncodeValue(v)
+	a.Exit(p)
+	q.e.NoteReadFast(p)
+	return resp
 }
 
 // ApplyBatchOp runs one operation at position seq inside an open batch

@@ -40,13 +40,7 @@ type Queue struct {
 	gEnq, gDeq isb.Gather
 }
 
-// New builds an empty queue (one dummy node) on the heap with the paper's
-// Algorithm 1/2 persistence placement.
-func New(h *pmem.Heap) *Queue {
-	return NewWithEngine(h, isb.NewEngine(h))
-}
-
-// NewWithEngine builds the queue on a caller-supplied engine.
+// NewWithEngine builds an empty queue (one dummy node) on engine e.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine) *Queue {
 	q := &Queue{h: h, e: e}
 	p := h.Proc(0)
@@ -100,21 +94,7 @@ func (q *Queue) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
 		// Reads leave no durable trace; recovery re-executes them.
 		return q.ReadOp(p, kind, arg)
 	}
-	return q.e.Recover(p, kind, arg, q.gather(kind))
-}
-
-// Enqueue appends v to the queue.
-func (q *Queue) Enqueue(p *pmem.Proc, v uint64) {
-	q.ApplyOp(p, OpEnq, v)
-}
-
-// Dequeue removes and returns the oldest value; ok is false on empty.
-func (q *Queue) Dequeue(p *pmem.Proc) (v uint64, ok bool) {
-	r := q.ApplyOp(p, OpDeq, 0)
-	if r == isb.RespEmpty {
-		return 0, false
-	}
-	return isb.DecodeValue(r), true
+	return q.e.RecoverSeq(p, kind, arg, 0, q.gather(kind))
 }
 
 // Begin is the system-side invocation step (persist CP_q := 0).
@@ -214,21 +194,6 @@ func (q *Queue) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 func (q *Queue) RepairTail(p *pmem.Proc) {
 	p.Store(q.tail, p.Load(q.head))
 	p.PWB(q.tail)
-}
-
-// Len counts queued values on the volatile image (test helper; requires
-// quiescence).
-func (q *Queue) Len() int {
-	h := q.h
-	n := 0
-	curr := pmem.Addr(h.ReadVolatile(q.head))
-	for {
-		curr = pmem.Addr(h.ReadVolatile(curr + nNext))
-		if curr == pmem.Null {
-			return n
-		}
-		n++
-	}
 }
 
 // Values snapshots queued values front-to-back (test helper; quiescence).

@@ -12,16 +12,24 @@ import (
 func newQueue(t *testing.T, procs int) (*Queue, *pmem.Heap) {
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: procs, Tracked: true})
-	return New(h), h
+	return NewWithEngine(h, isb.NewEngine(h)), h
+}
+
+// value decodes a dequeue response: ok is false on empty.
+func value(r uint64) (uint64, bool) {
+	if !isb.IsValue(r) {
+		return 0, false
+	}
+	return isb.DecodeValue(r), true
 }
 
 func TestEmptyDequeue(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
-	if _, ok := q.Dequeue(p); ok {
+	if _, ok := value(q.ApplyOp(p, OpDeq, 0)); ok {
 		t.Fatal("dequeue on empty queue succeeded")
 	}
-	if q.Len() != 0 {
+	if len(q.Values()) != 0 {
 		t.Fatal("empty queue has nonzero length")
 	}
 }
@@ -30,18 +38,18 @@ func TestFIFOOrder(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
 	for v := uint64(1); v <= 100; v++ {
-		q.Enqueue(p, v)
+		q.ApplyOp(p, OpEnq, v)
 	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", q.Len())
+	if len(q.Values()) != 100 {
+		t.Fatalf("Len = %d, want 100", len(q.Values()))
 	}
 	for v := uint64(1); v <= 100; v++ {
-		got, ok := q.Dequeue(p)
+		got, ok := value(q.ApplyOp(p, OpDeq, 0))
 		if !ok || got != v {
 			t.Fatalf("Dequeue = (%d,%v), want (%d,true)", got, ok, v)
 		}
 	}
-	if _, ok := q.Dequeue(p); ok {
+	if _, ok := value(q.ApplyOp(p, OpDeq, 0)); ok {
 		t.Fatal("queue should be drained")
 	}
 }
@@ -49,16 +57,16 @@ func TestFIFOOrder(t *testing.T) {
 func TestInterleavedEnqDeq(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
-	q.Enqueue(p, 1)
-	q.Enqueue(p, 2)
-	if v, _ := q.Dequeue(p); v != 1 {
+	q.ApplyOp(p, OpEnq, 1)
+	q.ApplyOp(p, OpEnq, 2)
+	if v, _ := value(q.ApplyOp(p, OpDeq, 0)); v != 1 {
 		t.Fatalf("got %d, want 1", v)
 	}
-	q.Enqueue(p, 3)
-	if v, _ := q.Dequeue(p); v != 2 {
+	q.ApplyOp(p, OpEnq, 3)
+	if v, _ := value(q.ApplyOp(p, OpDeq, 0)); v != 2 {
 		t.Fatalf("got %d, want 2", v)
 	}
-	if v, _ := q.Dequeue(p); v != 3 {
+	if v, _ := value(q.ApplyOp(p, OpDeq, 0)); v != 3 {
 		t.Fatalf("got %d, want 3", v)
 	}
 	if msg := q.CheckInvariants(); msg != "" {
@@ -70,7 +78,7 @@ func TestValuesSnapshot(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
 	for _, v := range []uint64{5, 6, 7} {
-		q.Enqueue(p, v)
+		q.ApplyOp(p, OpEnq, v)
 	}
 	got := q.Values()
 	if len(got) != 3 || got[0] != 5 || got[1] != 6 || got[2] != 7 {
@@ -94,7 +102,7 @@ func TestConcurrentEnqueueDequeue(t *testing.T) {
 			defer wg.Done()
 			p := h.Proc(id)
 			for j := 0; j < perProc; j++ {
-				q.Enqueue(p, uint64(id)*1_000_000+uint64(j))
+				q.ApplyOp(p, OpEnq, uint64(id)*1_000_000+uint64(j))
 			}
 		}(id)
 	}
@@ -108,7 +116,7 @@ func TestConcurrentEnqueueDequeue(t *testing.T) {
 			p := h.Proc(procs + id)
 			var got []uint64
 			for len(got) < perProc {
-				if v, ok := q.Dequeue(p); ok {
+				if v, ok := value(q.ApplyOp(p, OpDeq, 0)); ok {
 					got = append(got, v)
 					if _, dup := total.LoadOrStore(v, id); dup {
 						t.Errorf("value %d dequeued twice", v)
@@ -136,8 +144,8 @@ func TestConcurrentEnqueueDequeue(t *testing.T) {
 			lastSeen[prod] = seq
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
+	if len(q.Values()) != 0 {
+		t.Fatalf("queue not drained: %d left", len(q.Values()))
 	}
 	if msg := q.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -147,21 +155,21 @@ func TestConcurrentEnqueueDequeue(t *testing.T) {
 func TestRecoverAfterCompletedOps(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
-	q.Enqueue(p, 42)
+	q.ApplyOp(p, OpEnq, 42)
 	if r := q.RecoverOp(p, OpEnq, 42); r != isb.RespTrue {
 		t.Fatalf("Recover(enq) = %d", r)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("recover duplicated enqueue: len %d", q.Len())
+	if len(q.Values()) != 1 {
+		t.Fatalf("recover duplicated enqueue: len %d", len(q.Values()))
 	}
-	v, ok := q.Dequeue(p)
+	v, ok := value(q.ApplyOp(p, OpDeq, 0))
 	if !ok || v != 42 {
 		t.Fatalf("Dequeue = (%d,%v)", v, ok)
 	}
 	if r := q.RecoverOp(p, OpDeq, 0); r != isb.EncodeValue(42) {
 		t.Fatalf("Recover(deq) = %d, want EncodeValue(42)", r)
 	}
-	if q.Len() != 0 {
+	if len(q.Values()) != 0 {
 		t.Fatal("recover re-executed dequeue")
 	}
 }
@@ -171,11 +179,11 @@ func TestRecoverAfterCrashMidEnqueue(t *testing.T) {
 	// the value is present exactly once.
 	for offset := uint64(1); offset <= 40; offset++ {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		q := New(h)
+		q := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
-		q.Enqueue(p, 1)
+		q.ApplyOp(p, OpEnq, 1)
 		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { q.Enqueue(p, 2) })
+		crashed := !pmem.RunOp(func() { q.ApplyOp(p, OpEnq, 2) })
 		if crashed {
 			h.ResetAfterCrash()
 			if r := q.RecoverOp(p, OpEnq, 2); r != isb.RespTrue {
@@ -195,14 +203,14 @@ func TestRecoverAfterCrashMidEnqueue(t *testing.T) {
 func TestRecoverAfterCrashMidDequeue(t *testing.T) {
 	for offset := uint64(1); offset <= 40; offset++ {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		q := New(h)
+		q := NewWithEngine(h, isb.NewEngine(h))
 		p := h.Proc(0)
-		q.Enqueue(p, 7)
-		q.Enqueue(p, 8)
+		q.ApplyOp(p, OpEnq, 7)
+		q.ApplyOp(p, OpEnq, 8)
 		h.ScheduleCrashAt(h.AccessCount() + offset)
 		var v uint64
 		var ok bool
-		crashed := !pmem.RunOp(func() { v, ok = q.Dequeue(p) })
+		crashed := !pmem.RunOp(func() { v, ok = value(q.ApplyOp(p, OpDeq, 0)) })
 		if crashed {
 			h.ResetAfterCrash()
 			r := q.RecoverOp(p, OpDeq, 0)
@@ -225,7 +233,7 @@ func TestTailHintCatchesUp(t *testing.T) {
 	q, h := newQueue(t, 2)
 	p := h.Proc(0)
 	for v := uint64(1); v <= 50; v++ {
-		q.Enqueue(p, v)
+		q.ApplyOp(p, OpEnq, v)
 	}
 	if msg := q.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -240,10 +248,10 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		if rng.Intn(2) == 0 {
 			v := uint64(i) + 1
-			q.Enqueue(p, v)
+			q.ApplyOp(p, OpEnq, v)
 			model = append(model, v)
 		} else {
-			v, ok := q.Dequeue(p)
+			v, ok := value(q.ApplyOp(p, OpDeq, 0))
 			if len(model) == 0 {
 				if ok {
 					t.Fatalf("op %d: dequeue non-empty on empty model", i)
@@ -256,8 +264,8 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	if q.Len() != len(model) {
-		t.Fatalf("length mismatch: %d vs %d", q.Len(), len(model))
+	if len(q.Values()) != len(model) {
+		t.Fatalf("length mismatch: %d vs %d", len(q.Values()), len(model))
 	}
 }
 
@@ -300,8 +308,8 @@ func TestSharedQueueLosesNothing(t *testing.T) {
 						defer wg.Done()
 						p := h.Proc(id)
 						for i := 0; i < pairs; i++ {
-							q.Enqueue(p, uint64(id)<<32|uint64(i))
-							if _, ok := q.Dequeue(p); !ok {
+							q.ApplyOp(p, OpEnq, uint64(id)<<32|uint64(i))
+							if _, ok := value(q.ApplyOp(p, OpDeq, 0)); !ok {
 								t.Errorf("round %d proc %d pair %d: dequeue answered EMPTY right after its own enqueue", round, id, i)
 								return
 							}
@@ -309,7 +317,7 @@ func TestSharedQueueLosesNothing(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				if n := q.Len(); n != 0 {
+				if n := len(q.Values()); n != 0 {
 					t.Errorf("round %d: %d values left after as many dequeues as enqueues", round, n)
 				}
 				if msg := q.CheckInvariants(); msg != "" {

@@ -374,7 +374,7 @@ func TestServeCloseDuringCrash(t *testing.T) {
 			t.Fatalf("put(%d): %v", k, err)
 		}
 	}
-	s.Runtime().Crash()
+	s.Runtime().Heap().Crash()
 	for !s.Runtime().Crashing() {
 		runtime.Gosched()
 	}

@@ -11,13 +11,16 @@ import (
 // visits the elimination layer).
 const OpTop uint64 = 22
 
-// TopFast returns the top value without popping it: a volatile read of
-// sentinel.next with no Info record, no announcement, and no persistence
-// instruction. Linearizes at the load of sentinel.next. Nothing durable
-// records the read; a crashed top is simply re-submitted. The epoch pin
-// keeps the top node allocated while its value is read (see
-// list.FindFast).
-func (s *Stack) TopFast(p *pmem.Proc) (v uint64, ok bool) {
+// ReadOp serves OpTop, the top value without popping it, on the zero-persist
+// path: a volatile read of sentinel.next with no Info record, no announcement,
+// and no persistence instruction. Linearizes at the load of sentinel.next.
+// Nothing durable records the read; a crashed top is simply re-submitted. The
+// epoch pin keeps the top node allocated while its value is read (see
+// list.FindFast). Panics on a mutating kind.
+func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	if kind != OpTop {
+		panic("stack: ReadOp on a mutating kind")
+	}
 	a := s.e.Allocator()
 	a.Enter(p)
 	top := pmem.Addr(p.Load(s.sentinel + nNext))
@@ -25,27 +28,9 @@ func (s *Stack) TopFast(p *pmem.Proc) (v uint64, ok bool) {
 	a.Exit(p)
 	s.e.NoteReadFast(p)
 	if val == bottomMark {
-		return 0, false
-	}
-	return val, true
-}
-
-// Top is the typed convenience wrapper over the OpTop fast path.
-func (s *Stack) Top(p *pmem.Proc) (v uint64, ok bool) {
-	return s.TopFast(p)
-}
-
-// ReadOp serves a read-only operation kind on the zero-persist path.
-// Panics on a mutating kind.
-func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind != OpTop {
-		panic("stack: ReadOp on a mutating kind")
-	}
-	v, ok := s.TopFast(p)
-	if !ok {
 		return isb.RespEmpty
 	}
-	return isb.EncodeValue(v)
+	return isb.EncodeValue(val)
 }
 
 // ApplyBatchOp runs the leg at index seq of an announced vector. Vector legs

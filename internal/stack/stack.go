@@ -63,13 +63,8 @@ type Stack struct {
 	gPush, gPop isb.Gather
 }
 
-// New builds an empty stack with the paper's Algorithm 1/2 persistence
-// placement. elimSpins ≤ 0 disables elimination.
-func New(h *pmem.Heap, elimSpins int) *Stack {
-	return NewWithEngine(h, isb.NewEngine(h), elimSpins)
-}
-
-// NewWithEngine builds the stack on a caller-supplied engine.
+// NewWithEngine builds an empty stack on engine e. elimSpins ≤ 0 disables
+// elimination.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine, elimSpins int) *Stack {
 	s := &Stack{h: h, e: e, ex: exchanger.New(h), spins: elimSpins}
 	if elimSpins > 0 {
@@ -135,20 +130,6 @@ func (s *Stack) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 		return s.e.RunOp(p, OpPush, arg, s.gPush)
 	}
 	return s.e.RunOp(p, OpPop, arg, s.gPop)
-}
-
-// Push adds v to the stack (eliminating with a concurrent Pop if possible).
-func (s *Stack) Push(p *pmem.Proc, v uint64) {
-	s.ApplyOp(p, OpPush, v)
-}
-
-// Pop removes and returns the top value; ok=false on empty.
-func (s *Stack) Pop(p *pmem.Proc) (uint64, bool) {
-	r := s.ApplyOp(p, OpPop, 0)
-	if r == isb.RespEmpty {
-		return 0, false
-	}
-	return isb.DecodeValue(r), true
 }
 
 // RecoverOp resumes an interrupted Push or Pop after a crash, returning the

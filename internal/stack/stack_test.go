@@ -12,13 +12,21 @@ import (
 func newStack(t *testing.T, procs, spins int) (*Stack, *pmem.Heap) {
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: procs, Tracked: true})
-	return New(h, spins), h
+	return NewWithEngine(h, isb.NewEngine(h), spins), h
+}
+
+// value decodes a pop response: ok is false on empty.
+func value(r uint64) (uint64, bool) {
+	if !isb.IsValue(r) {
+		return 0, false
+	}
+	return isb.DecodeValue(r), true
 }
 
 func TestEmptyPop(t *testing.T) {
 	s, h := newStack(t, 1, 0)
 	p := h.Proc(0)
-	if _, ok := s.Pop(p); ok {
+	if _, ok := value(s.ApplyOp(p, OpPop, 0)); ok {
 		t.Fatal("pop on empty stack succeeded")
 	}
 }
@@ -27,15 +35,15 @@ func TestLIFOOrder(t *testing.T) {
 	s, h := newStack(t, 1, 0)
 	p := h.Proc(0)
 	for v := uint64(1); v <= 50; v++ {
-		s.Push(p, v)
+		s.ApplyOp(p, OpPush, v)
 	}
 	for v := uint64(50); v >= 1; v-- {
-		got, ok := s.Pop(p)
+		got, ok := value(s.ApplyOp(p, OpPop, 0))
 		if !ok || got != v {
 			t.Fatalf("Pop = (%d,%v), want (%d,true)", got, ok, v)
 		}
 	}
-	if _, ok := s.Pop(p); ok {
+	if _, ok := value(s.ApplyOp(p, OpPop, 0)); ok {
 		t.Fatal("stack should be empty")
 	}
 	if msg := s.CheckInvariants(); msg != "" {
@@ -46,9 +54,9 @@ func TestLIFOOrder(t *testing.T) {
 func TestValuesSnapshot(t *testing.T) {
 	s, h := newStack(t, 1, 0)
 	p := h.Proc(0)
-	s.Push(p, 1)
-	s.Push(p, 2)
-	s.Push(p, 3)
+	s.ApplyOp(p, OpPush, 1)
+	s.ApplyOp(p, OpPush, 2)
+	s.ApplyOp(p, OpPush, 3)
 	got := s.Values()
 	if len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("Values = %v, want [3 2 1]", got)
@@ -63,10 +71,10 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		if rng.Intn(2) == 0 {
 			v := uint64(i) + 1
-			s.Push(p, v)
+			s.ApplyOp(p, OpPush, v)
 			model = append(model, v)
 		} else {
-			v, ok := s.Pop(p)
+			v, ok := value(s.ApplyOp(p, OpPop, 0))
 			if len(model) == 0 {
 				if ok {
 					t.Fatalf("op %d: pop on empty model returned %d", i, v)
@@ -100,7 +108,7 @@ func TestConcurrentPushPop(t *testing.T) {
 			defer wg.Done()
 			p := h.Proc(id)
 			for j := 0; j < perProc; j++ {
-				s.Push(p, uint64(id)*1_000_000+uint64(j)+1)
+				s.ApplyOp(p, OpPush, uint64(id)*1_000_000+uint64(j)+1)
 			}
 		}(id)
 		wg.Add(1)
@@ -108,7 +116,7 @@ func TestConcurrentPushPop(t *testing.T) {
 			defer wg.Done()
 			p := h.Proc(procs + id)
 			for j := 0; j < perProc; j++ {
-				if v, ok := s.Pop(p); ok {
+				if v, ok := value(s.ApplyOp(p, OpPop, 0)); ok {
 					popped[id] = append(popped[id], v)
 				}
 			}
@@ -151,14 +159,14 @@ func TestEliminationPairs(t *testing.T) {
 		defer wg.Done()
 		p := h.Proc(0)
 		for v := uint64(1); v <= 50; v++ {
-			s.Push(p, v)
+			s.ApplyOp(p, OpPush, v)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		p := h.Proc(1)
 		for i := 0; i < 50; i++ {
-			if v, ok := s.Pop(p); ok {
+			if v, ok := value(s.ApplyOp(p, OpPop, 0)); ok {
 				got = append(got, v)
 			}
 		}
@@ -185,14 +193,14 @@ func TestEliminationPairs(t *testing.T) {
 func TestRecoverAfterCompletedOps(t *testing.T) {
 	s, h := newStack(t, 1, 0)
 	p := h.Proc(0)
-	s.Push(p, 9)
+	s.ApplyOp(p, OpPush, 9)
 	if r := s.RecoverOp(p, OpPush, 9); r != isb.RespTrue {
 		t.Fatalf("Recover(push) = %d", r)
 	}
 	if n := len(s.Values()); n != 1 {
 		t.Fatalf("recover duplicated push: %d values", n)
 	}
-	v, ok := s.Pop(p)
+	v, ok := value(s.ApplyOp(p, OpPop, 0))
 	if !ok || v != 9 {
 		t.Fatalf("Pop = (%d,%v)", v, ok)
 	}
@@ -208,12 +216,12 @@ func TestCrashSweepPushPop(t *testing.T) {
 	for _, spins := range []int{0, 8} {
 		for offset := uint64(1); offset <= 60; offset++ {
 			h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-			s := New(h, spins)
+			s := NewWithEngine(h, isb.NewEngine(h), spins)
 			p := h.Proc(0)
-			s.Push(p, 1)
+			s.ApplyOp(p, OpPush, 1)
 
 			h.ScheduleCrashAt(h.AccessCount() + offset)
-			crashed := !pmem.RunOp(func() { s.Push(p, 2) })
+			crashed := !pmem.RunOp(func() { s.ApplyOp(p, OpPush, 2) })
 			if crashed {
 				h.ResetAfterCrash()
 				if r := s.RecoverOp(p, OpPush, 2); r != isb.RespTrue {
@@ -228,7 +236,7 @@ func TestCrashSweepPushPop(t *testing.T) {
 			h.ScheduleCrashAt(h.AccessCount() + offset)
 			var v uint64
 			var ok bool
-			crashed = !pmem.RunOp(func() { v, ok = s.Pop(p) })
+			crashed = !pmem.RunOp(func() { v, ok = value(s.ApplyOp(p, OpPop, 0)) })
 			if crashed {
 				h.ResetAfterCrash()
 				r := s.RecoverOp(p, OpPop, 0)

@@ -21,6 +21,7 @@
 //	l := rt.NewList()
 //	p := rt.Proc(0)
 //	l.Apply(p, repro.Op{Kind: repro.OpInsert, Arg: 42})
+//	found := l.Apply(p, repro.Op{Kind: repro.OpFind, Arg: 42}).Bool() // true
 //
 //	// Simulate a crash in the middle of an operation. Begin is the
 //	// system-side invocation step: it retires the previous operation's
@@ -38,10 +39,11 @@
 //
 // A process whose operation crashed before its announcement persisted is
 // absent from the report; that operation provably performed no tracked
-// writes and can simply be re-submitted. Typed convenience methods
-// (Insert/Delete/Find, Enqueue/Dequeue, Push/Pop, …) and per-structure
-// targeted recovery (List.Recover, Queue.RecoverEnqueue, …) remain as thin
-// wrappers over the same protocol.
+// writes and can simply be re-submitted. An application that keeps its own
+// per-operation bookkeeping can instead hand the interrupted Op back to the
+// structure's RecoverOp. Runtime.ApplyWindow admits several operations on
+// one structure under one announcement, and Runtime.ApplyTxn two legs on two
+// structures atomically; RecoverAll resolves both shapes the same way.
 //
 // Every operation persists enough tracking state (the paper's Info
 // structures, per-process RD_q/CP_q registers, and the per-process
@@ -77,7 +79,6 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/queue"
 	"repro/internal/stack"
-	"repro/internal/txn"
 )
 
 // Proc is a process descriptor: the unit of crash and recovery. Each Proc
@@ -118,7 +119,7 @@ type Op struct {
 	Arg  uint64
 }
 
-// Operation kinds accepted by Apply and the typed Recover wrappers.
+// Operation kinds accepted by Apply and RecoverOp.
 const (
 	OpInsert = list.OpInsert
 	OpDelete = list.OpDelete
@@ -171,6 +172,8 @@ func (r Resp) String() string {
 		return "false"
 	case r.raw == isb.RespEmpty:
 		return "empty"
+	case r.raw == isb.RespSkipped:
+		return "skipped"
 	case isb.IsValue(r.raw):
 		return fmt.Sprintf("value(%d)", isb.DecodeValue(r.raw))
 	default:
@@ -330,9 +333,6 @@ func (r *Runtime) Structures() []Structure {
 	return out
 }
 
-// Engine reports the runtime's configured persistence placement.
-func (r *Runtime) Engine() EngineKind { return r.engine }
-
 // Heap exposes the underlying simulated heap (internal test plumbing).
 func (r *Runtime) Heap() *pmem.Heap { return r.h }
 
@@ -389,15 +389,12 @@ func (r *Runtime) ScheduleCrash(n uint64) {
 // CancelCrash disarms a scheduled crash that has not fired.
 func (r *Runtime) CancelCrash() { r.h.DisarmCrash() }
 
-// Crash initiates a system-wide crash immediately.
-func (r *Runtime) Crash() { r.h.Crash() }
-
 // Crashing reports whether a crash is in progress.
 func (r *Runtime) Crashing() bool { return r.h.Crashing() }
 
 // Run executes f, returning false if a simulated crash interrupted it.
 // After a crash, call Restart (once all Procs have unwound) and then
-// RecoverAll (or a targeted per-structure Recover method).
+// RecoverAll (or the interrupted structure's RecoverOp).
 func (r *Runtime) Run(f func()) bool { return pmem.RunOp(f) }
 
 // Restart discards all volatile state, as a machine restart after a power
@@ -541,7 +538,7 @@ func (r *Runtime) RecoverAll() []ProcReport {
 			ent := &rep.Legs[i]
 			if i < cursor {
 				ent.Status, prev = OpCompleted, p.LegResult(i)
-			} else if arg, skip := txn.DeriveLeg2Arg(ent.Op.Arg, p.AnnouncedLeg(i).Flags, prev); skip {
+			} else if arg, skip := deriveLeg2Arg(ent.Op.Arg, p.AnnouncedLeg(i).Flags, prev); skip {
 				ent.Status, prev = OpInFlight, isb.RespSkipped
 			} else {
 				ent.Status, prev = OpInFlight, r.route(id, ent.StructID).recoverLeg(p, i, Op{Kind: ent.Op.Kind, Arg: arg})
@@ -648,20 +645,6 @@ func (r *Runtime) NewList() *List {
 	return l
 }
 
-// Insert adds key (1 ≤ key ≤ MaxUint64-1); false if present.
-func (l *List) Insert(p *Proc, key uint64) bool { return l.l.Insert(p, key) }
-
-// Delete removes key; false if absent.
-func (l *List) Delete(p *Proc, key uint64) bool { return l.l.Delete(p, key) }
-
-// Find reports membership (zero-persist read path: no Info record, no
-// pwb, no psync; a crashed Find is simply re-submitted).
-func (l *List) Find(p *Proc, key uint64) bool { return l.l.FindFast(p, key) }
-
-// Recover completes p's interrupted operation (same kind and key) after a
-// crash and returns its response: the targeted wrapper over RecoverOp.
-func (l *List) Recover(p *Proc, op, key uint64) bool { return l.l.Recover(p, op, key) }
-
 // Keys snapshots the current key set (requires quiescence).
 func (l *List) Keys() []uint64 { return l.l.Keys() }
 
@@ -677,24 +660,6 @@ func (r *Runtime) NewQueue() *Queue {
 	q := &Queue{q: queue.NewWithEngine(r.h, e)}
 	r.adopt(q, &q.adapter, q.q, e, KindQueue, OpPeek)
 	return q
-}
-
-// Enqueue appends v.
-func (q *Queue) Enqueue(p *Proc, v uint64) { q.q.Enqueue(p, v) }
-
-// Dequeue removes the oldest value; ok=false on empty.
-func (q *Queue) Dequeue(p *Proc) (uint64, bool) { return q.q.Dequeue(p) }
-
-// RecoverEnqueue resolves an interrupted Enqueue(v).
-func (q *Queue) RecoverEnqueue(p *Proc, v uint64) {
-	q.RecoverOp(p, Op{Kind: OpEnq, Arg: v})
-}
-
-// RecoverDequeue resolves an interrupted Dequeue, returning its response
-// exactly as Dequeue would (ok=false only on empty; a dequeued value of 0
-// is (0, true)).
-func (q *Queue) RecoverDequeue(p *Proc) (uint64, bool) {
-	return q.RecoverOp(p, Op{Kind: OpDeq}).Value()
 }
 
 // Values snapshots the queue front-to-back (requires quiescence).
@@ -715,21 +680,6 @@ func (r *Runtime) NewBST() *BST {
 	return b
 }
 
-// Insert adds key (1 ≤ key ≤ bst.MaxUserKey); false if present.
-func (b *BST) Insert(p *Proc, key uint64) bool { return b.b.Insert(p, key) }
-
-// Delete removes key; false if absent.
-func (b *BST) Delete(p *Proc, key uint64) bool { return b.b.Delete(p, key) }
-
-// Find reports membership (zero-persist read path; the engine-backed
-// detectable finds remain available through internal/bst's OpFind and
-// OpFindFast kinds).
-func (b *BST) Find(p *Proc, key uint64) bool { return b.b.FindRO(p, key) }
-
-// Recover completes p's interrupted operation after a crash: the targeted
-// wrapper over RecoverOp.
-func (b *BST) Recover(p *Proc, op, key uint64) bool { return b.b.Recover(p, op, key) }
-
 // Keys returns the keys in order (requires quiescence).
 func (b *BST) Keys() []uint64 { return b.b.Keys() }
 
@@ -740,14 +690,13 @@ const DefaultExchangeSpins = 64
 // Exchanger is a detectably recoverable two-party exchange channel.
 type Exchanger struct {
 	e  *exchanger.Exchanger
-	h  *pmem.Heap
 	id uint64
 }
 
 // NewExchanger builds a recoverable exchanger and registers it for
 // RecoverAll.
 func (r *Runtime) NewExchanger() *Exchanger {
-	e := &Exchanger{e: exchanger.New(r.h), h: r.h}
+	e := &Exchanger{e: exchanger.New(r.h)}
 	e.id = r.register(e, KindExchanger)
 	return e
 }
@@ -810,12 +759,6 @@ func (e *Exchanger) Exchange(p *Proc, v uint64, spins int) (uint64, bool) {
 	return e.exchange(p, Op{Kind: OpExchange, Arg: v}, spins)
 }
 
-// Recover resolves an interrupted Exchange(v). retry re-invokes an
-// exchange that provably had no effect.
-func (e *Exchanger) Recover(p *Proc, v uint64, spins int, retry bool) (uint64, bool) {
-	return e.e.Recover(p, v, exchanger.Symmetric, spins, retry)
-}
-
 // Stack is a detectably recoverable elimination stack (ISB central stack
 // plus exchanger-based elimination). With elimination on, a single
 // operation's announcement is durable before its elimination attempt, so
@@ -833,21 +776,6 @@ func (r *Runtime) NewStack(elimSpins int) *Stack {
 	s := &Stack{s: stack.NewWithEngine(r.h, e, elimSpins)}
 	r.adopt(s, &s.adapter, s.s, e, KindStack, OpTop)
 	return s
-}
-
-// Push adds v (v ≤ stack.MaxValue).
-func (s *Stack) Push(p *Proc, v uint64) { s.s.Push(p, v) }
-
-// Pop removes and returns the top value; ok=false on empty.
-func (s *Stack) Pop(p *Proc) (uint64, bool) { return s.s.Pop(p) }
-
-// RecoverPush resolves an interrupted Push(v).
-func (s *Stack) RecoverPush(p *Proc, v uint64) { s.RecoverOp(p, Op{Kind: OpPush, Arg: v}) }
-
-// RecoverPop resolves an interrupted Pop, returning its response exactly
-// as Pop would (ok=false only on empty; a popped value of 0 is (0, true)).
-func (s *Stack) RecoverPop(p *Proc) (uint64, bool) {
-	return s.RecoverOp(p, Op{Kind: OpPop}).Value()
 }
 
 // Values snapshots the stack top-to-bottom (requires quiescence).
@@ -882,23 +810,12 @@ func (r *Runtime) NewHashMap(shards int) *HashMap {
 // while a window's or transaction's announcement — and hence the RecoverAll
 // report — still carries the full Arg. Serving layers use the surplus high
 // bits as a client request ID that rides the durable announcement across
-// crashes (see internal/serve). Set it before operations run; the typed key
-// methods (Insert/Delete/Find) always take bare keys and are unaffected.
+// crashes (see internal/serve). Set it before operations run; Insert, the
+// prefill path, always takes a bare key and is unaffected.
 func (m *HashMap) SetArgMask(mask uint64) { m.argMask = mask }
 
 // Insert adds key (1 ≤ key ≤ MaxUint64-1); false if present.
 func (m *HashMap) Insert(p *Proc, key uint64) bool { return m.m.Insert(p, key) }
-
-// Delete removes key; false if absent.
-func (m *HashMap) Delete(p *Proc, key uint64) bool { return m.m.Delete(p, key) }
-
-// Find reports membership (zero-persist read path: no tracking state is
-// written).
-func (m *HashMap) Find(p *Proc, key uint64) bool { return m.m.FindFast(p, key) }
-
-// Recover completes p's interrupted operation (same kind and key) after a
-// crash, routing to the operation's shard, and returns its response.
-func (m *HashMap) Recover(p *Proc, op, key uint64) bool { return m.m.Recover(p, op, key) }
 
 // NumShards reports the map's (power-of-two) shard count.
 func (m *HashMap) NumShards() int { return m.m.NumShards() }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/isb"
 )
 
 func TestPublicListLifecycle(t *testing.T) {
@@ -15,16 +17,16 @@ func TestPublicListLifecycle(t *testing.T) {
 			rt := New(Config{Procs: 2, CrashSim: true, Engine: e.kind})
 			l := rt.NewList()
 			p := rt.Proc(0)
-			if !l.Insert(p, 42) || !l.Find(p, 42) {
+			if !l.Apply(p, Op{Kind: OpInsert, Arg: 42}).Bool() || !l.Apply(p, Op{Kind: OpFind, Arg: 42}).Bool() {
 				t.Fatal("insert/find through public API failed")
 			}
 			rt.ScheduleCrash(8)
-			if rt.Run(func() { l.Insert(p, 7) }) {
+			if rt.Run(func() { l.Apply(p, Op{Kind: OpInsert, Arg: 7}) }) {
 				// The crash may land after the op completed; then nothing to do.
 				rt.CancelCrash()
 			} else {
 				rt.Restart()
-				if !l.Recover(p, OpInsert, 7) {
+				if !l.RecoverOp(p, Op{Kind: OpInsert, Arg: 7}).Bool() {
 					t.Fatal("recovery returned false for a fresh key")
 				}
 			}
@@ -42,20 +44,20 @@ func TestPublicQueueRecovery(t *testing.T) {
 			rt := New(Config{Procs: 1, CrashSim: true, Engine: e.kind})
 			q := rt.NewQueue()
 			p := rt.Proc(0)
-			q.Enqueue(p, 1)
+			q.Apply(p, Op{Kind: OpEnq, Arg: 1})
 			rt.ScheduleCrash(5)
-			if !rt.Run(func() { q.Enqueue(p, 2) }) {
+			if !rt.Run(func() { q.Apply(p, Op{Kind: OpEnq, Arg: 2}) }) {
 				rt.Restart()
-				q.RecoverEnqueue(p, 2)
+				q.RecoverOp(p, Op{Kind: OpEnq, Arg: 2})
 			} else {
 				rt.CancelCrash()
 			}
-			v1, ok1 := q.Dequeue(p)
-			v2, ok2 := q.Dequeue(p)
+			v1, ok1 := q.Apply(p, Op{Kind: OpDeq}).Value()
+			v2, ok2 := q.Apply(p, Op{Kind: OpDeq}).Value()
 			if !ok1 || !ok2 || v1 != 1 || v2 != 2 {
 				t.Fatalf("dequeued (%d,%v) (%d,%v)", v1, ok1, v2, ok2)
 			}
-			if _, ok := q.Dequeue(p); ok {
+			if _, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); ok {
 				t.Fatal("phantom element")
 			}
 		})
@@ -69,7 +71,7 @@ func TestPublicBSTAndStack(t *testing.T) {
 			b := rt.NewBST()
 			p := rt.Proc(0)
 			for _, k := range []uint64{5, 3, 9} {
-				if !b.Insert(p, k) {
+				if !b.Apply(p, Op{Kind: OpInsert, Arg: k}).Bool() {
 					t.Fatalf("BST insert %d", k)
 				}
 			}
@@ -77,9 +79,9 @@ func TestPublicBSTAndStack(t *testing.T) {
 				t.Fatalf("BST keys %v", got)
 			}
 			s := rt.NewStack(0)
-			s.Push(p, 10)
-			s.Push(p, 20)
-			if v, ok := s.Pop(p); !ok || v != 20 {
+			s.Apply(p, Op{Kind: OpPush, Arg: 10})
+			s.Apply(p, Op{Kind: OpPush, Arg: 20})
+			if v, ok := s.Apply(p, Op{Kind: OpPop}).Value(); !ok || v != 20 {
 				t.Fatalf("stack pop (%d,%v)", v, ok)
 			}
 		})
@@ -95,7 +97,7 @@ func TestPublicHashMapLifecycle(t *testing.T) {
 				t.Fatalf("NumShards = %d", m.NumShards())
 			}
 			p := rt.Proc(0)
-			if !m.Insert(p, 42) || !m.Find(p, 42) || m.Insert(p, 42) {
+			if !m.Insert(p, 42) || !m.Apply(p, Op{Kind: OpFind, Arg: 42}).Bool() || m.Insert(p, 42) {
 				t.Fatal("insert/find through public API failed")
 			}
 			rt.ScheduleCrash(12)
@@ -104,7 +106,7 @@ func TestPublicHashMapLifecycle(t *testing.T) {
 				rt.CancelCrash()
 			} else {
 				rt.Restart()
-				if !m.Recover(p, OpInsert, 7) {
+				if !m.RecoverOp(p, Op{Kind: OpInsert, Arg: 7}).Bool() {
 					t.Fatal("recovery returned false for a fresh key")
 				}
 			}
@@ -112,7 +114,7 @@ func TestPublicHashMapLifecycle(t *testing.T) {
 			if len(ks) != 2 || ks[0] != 7 || ks[1] != 42 {
 				t.Fatalf("Keys = %v", ks)
 			}
-			if !m.Delete(p, 42) || m.Find(p, 42) {
+			if !m.Apply(p, Op{Kind: OpDelete, Arg: 42}).Bool() || m.Apply(p, Op{Kind: OpFind, Arg: 42}).Bool() {
 				t.Fatal("delete through public API failed")
 			}
 		})
@@ -144,8 +146,8 @@ func TestRecoverAllRoutesAnnouncedOps(t *testing.T) {
 				l := rt.NewList()
 				q := rt.NewQueue()
 				p0, p1 := rt.Proc(0), rt.Proc(1)
-				l.Insert(p0, 5)
-				q.Enqueue(p1, 9)
+				l.Apply(p0, Op{Kind: OpInsert, Arg: 5})
+				q.Apply(p1, Op{Kind: OpEnq, Arg: 9})
 				l.Begin(p0)
 				rt.ScheduleCrash(off)
 				if rt.Run(func() { l.Apply(p0, Op{Kind: OpInsert, Arg: 7}) }) {
@@ -210,10 +212,10 @@ func TestRecoverAllEmptyWhenIdle(t *testing.T) {
 	rt := New(Config{Procs: 3, CrashSim: true, HeapWords: 1 << 20})
 	l := rt.NewList()
 	p := rt.Proc(0)
-	l.Insert(p, 1)
+	l.Apply(p, Op{Kind: OpInsert, Arg: 1})
 	l.Begin(p) // clears proc 0's announcement
-	rt.Crash()
-	rt.Run(func() { l.Find(p, 1) }) // unwind the pending crash on proc 0
+	rt.Heap().Crash()
+	rt.Run(func() { l.Apply(p, Op{Kind: OpFind, Arg: 1}) }) // unwind the pending crash on proc 0
 	rt.Restart()
 	if reps := rt.RecoverAll(); len(reps) != 0 {
 		t.Fatalf("idle runtime reported %+v", reps)
@@ -232,36 +234,36 @@ func TestRecoverDequeueZeroValue(t *testing.T) {
 				q := rt.NewQueue()
 				s := rt.NewStack(0)
 				p := rt.Proc(0)
-				q.Enqueue(p, 0)
-				s.Push(p, 0)
+				q.Apply(p, Op{Kind: OpEnq, Arg: 0})
+				s.Apply(p, Op{Kind: OpPush, Arg: 0})
 
 				q.Begin(p)
 				rt.ScheduleCrash(off)
-				if !rt.Run(func() { q.Dequeue(p) }) {
+				if !rt.Run(func() { q.Apply(p, Op{Kind: OpDeq}) }) {
 					crashes++
 					rt.Restart()
-					if v, ok := q.RecoverDequeue(p); !ok || v != 0 {
-						t.Fatalf("off=%d: RecoverDequeue = (%d,%v), want (0,true)", off, v, ok)
+					if v, ok := q.RecoverOp(p, Op{Kind: OpDeq}).Value(); !ok || v != 0 {
+						t.Fatalf("off=%d: recovered dequeue = (%d,%v), want (0,true)", off, v, ok)
 					}
 				} else {
 					rt.CancelCrash()
 				}
-				if _, ok := q.Dequeue(p); ok {
+				if _, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); ok {
 					t.Fatalf("off=%d: queue not empty after dequeue of 0", off)
 				}
 
 				s.Begin(p)
 				rt.ScheduleCrash(off)
-				if !rt.Run(func() { s.Pop(p) }) {
+				if !rt.Run(func() { s.Apply(p, Op{Kind: OpPop}) }) {
 					crashes++
 					rt.Restart()
-					if v, ok := s.RecoverPop(p); !ok || v != 0 {
-						t.Fatalf("off=%d: RecoverPop = (%d,%v), want (0,true)", off, v, ok)
+					if v, ok := s.RecoverOp(p, Op{Kind: OpPop}).Value(); !ok || v != 0 {
+						t.Fatalf("off=%d: recovered pop = (%d,%v), want (0,true)", off, v, ok)
 					}
 				} else {
 					rt.CancelCrash()
 				}
-				if _, ok := s.Pop(p); ok {
+				if _, ok := s.Apply(p, Op{Kind: OpPop}).Value(); ok {
 					t.Fatalf("off=%d: stack not empty after pop of 0", off)
 				}
 			}
@@ -324,8 +326,8 @@ func TestRecoverAllNoDuplicateOnRepeatedOp(t *testing.T) {
 				rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 20, Engine: e.kind})
 				q := rt.NewQueue()
 				p := rt.Proc(0)
-				q.Enqueue(p, 11)
-				q.Enqueue(p, 22)
+				q.Apply(p, Op{Kind: OpEnq, Arg: 11})
+				q.Apply(p, Op{Kind: OpEnq, Arg: 22})
 				q.Begin(p)
 				if v, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); !ok || v != 11 {
 					t.Fatalf("first dequeue = (%d,%v)", v, ok)
@@ -390,7 +392,7 @@ func TestPrivateCacheModelThroughAPI(t *testing.T) {
 	rt := New(Config{Procs: 1, Model: PrivateCache})
 	l := rt.NewList()
 	p := rt.Proc(0)
-	if !l.Insert(p, 1) || !l.Delete(p, 1) {
+	if !l.Apply(p, Op{Kind: OpInsert, Arg: 1}).Bool() || !l.Apply(p, Op{Kind: OpDelete, Arg: 1}).Bool() {
 		t.Fatal("private-cache list ops failed")
 	}
 }
@@ -429,7 +431,7 @@ func TestFastReadsTerminateUnderReclaimChurn(t *testing.T) {
 					p, rng := rt.Proc(1), rand.New(rand.NewSource(int64(round)))
 					for i := 0; i < churnOps; i++ {
 						if k := uint64(rng.Intn(keys)) + 1; !m.Insert(p, k) {
-							m.Delete(p, k)
+							m.Apply(p, Op{Kind: OpDelete, Arg: k})
 						}
 					}
 					churned.Store(true)
@@ -438,7 +440,7 @@ func TestFastReadsTerminateUnderReclaimChurn(t *testing.T) {
 					defer wg.Done()
 					p, rng := rt.Proc(0), rand.New(rand.NewSource(int64(rounds+round)))
 					for !churned.Load() {
-						m.Find(p, uint64(rng.Intn(keys))+1)
+						m.Apply(p, Op{Kind: OpFind, Arg: uint64(rng.Intn(keys)) + 1})
 					}
 				}()
 				wg.Wait()
@@ -447,5 +449,50 @@ func TestFastReadsTerminateUnderReclaimChurn(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestDeriveLeg2Arg(t *testing.T) {
+	// Without the flag, the announced argument passes through untouched —
+	// whatever leg 1 answered.
+	for _, resp1 := range []uint64{isb.RespTrue, isb.RespEmpty, isb.EncodeValue(9)} {
+		arg, skip := deriveLeg2Arg(77, 0, resp1)
+		if arg != 77 || skip {
+			t.Fatalf("deriveLeg2Arg(77, 0, %d) = (%d, %v), want (77, false)", resp1, arg, skip)
+		}
+	}
+	// With the flag, a value-carrying leg-1 response becomes the argument.
+	arg, skip := deriveLeg2Arg(77, flagArgFromLeg1, isb.EncodeValue(42))
+	if arg != 42 || skip {
+		t.Fatalf("derived arg = (%d, %v), want (42, false)", arg, skip)
+	}
+	// A carried value of 0 must derive to 0, not read as "no value".
+	arg, skip = deriveLeg2Arg(77, flagArgFromLeg1, isb.EncodeValue(0))
+	if arg != 0 || skip {
+		t.Fatalf("derived zero value = (%d, %v), want (0, false)", arg, skip)
+	}
+	// A valueless response (dequeue on empty) elides leg 2.
+	if _, skip := deriveLeg2Arg(77, flagArgFromLeg1, isb.RespEmpty); !skip {
+		t.Fatal("empty leg-1 response did not skip leg 2")
+	}
+}
+
+// TestRespString pins how reports render each response class, a skipped
+// transaction leg included.
+func TestRespString(t *testing.T) {
+	for _, tc := range []struct {
+		raw  uint64
+		want string
+	}{
+		{isb.RespTrue, "true"},
+		{isb.RespFalse, "false"},
+		{isb.RespEmpty, "empty"},
+		{isb.RespSkipped, "skipped"},
+		{isb.EncodeValue(0), "value(0)"},
+		{isb.EncodeValue(7), "value(7)"},
+	} {
+		if got := respOf(tc.raw).String(); got != tc.want {
+			t.Errorf("Resp(%d).String() = %q, want %q", tc.raw, got, tc.want)
+		}
 	}
 }
