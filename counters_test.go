@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isb"
 	"repro/internal/pmem"
+	"repro/internal/stack"
 )
 
 // Tier-1 performance pins. Each one compares persistence-instruction
@@ -209,10 +210,17 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // RD_q/CP_q line (CP_q := 1 rides RD_q := info), and the tag, update and
 // cleanup barriers (the done flag rides the last). A failed one is read-only
 // after its gather and stops after the RD_q/CP_q pwb: 5.
+//
+// On one Proc an eliminating push or pop always times out on the exchanger
+// and falls through to the central stack. It pays the exchange's own psyncs
+// and write-backs on top of the central stack's price, and one begin sequence:
+// the fall-through enters the engine under the announcement the exchange ran
+// behind (it used to run the begin sequence again, one psync and four
+// write-backs more).
 func TestAdmissionSyncPrice(t *testing.T) {
 	type price struct{ syncs, writeBacks uint64 }
 	type prices struct {
-		find, update, failed, window1, window16, txn, enq, deq, push, pop price
+		find, update, failed, window1, window16, txn, enq, deq, push, pop, elimPush, elimPop price
 	}
 	want := map[EngineKind]prices{
 		EngineIsb: {
@@ -220,6 +228,7 @@ func TestAdmissionSyncPrice(t *testing.T) {
 			window1: price{2, 17}, window16: price{17, 151}, // were 2, 18 and 17, 167
 			txn: price{10, 27}, // was 12, 29
 			enq: price{6, 14}, deq: price{6, 11}, push: price{6, 17}, pop: price{6, 13},
+			elimPush: price{11, 27}, elimPop: price{10, 20}, // were 12, 31 and 11, 24
 		},
 		EngineIsbOpt: {
 			update: price{2, 8}, failed: price{2, 5}, // were 2, 12 and 2, 8
@@ -227,18 +236,21 @@ func TestAdmissionSyncPrice(t *testing.T) {
 			txn: price{2, 15}, // was 2, 21
 			// enq, deq, push and pop were 11, 10, 11 and 11
 			enq: price{2, 8}, deq: price{2, 8}, push: price{2, 8}, pop: price{2, 8},
+			elimPush: price{7, 18}, elimPop: price{6, 15}, // were 8, 22 and 7, 19
 		},
 	}
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
 			rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: e.kind})
 			m, q, s := rt.NewHashMap(4), rt.NewQueue(), rt.NewStack(0) // no elimination: the central-stack path
+			es := rt.NewStack(stack.DefaultElimSpins)                  // one Proc: every exchange times out
 			p := rt.Proc(0)
 			for k := uint64(1); k <= 64; k += 2 {
 				m.Insert(p, k)
 			}
 			q.Apply(p, Op{Kind: OpEnq, Arg: 1})
 			s.Apply(p, Op{Kind: OpPush, Arg: 1})
+			es.Apply(p, Op{Kind: OpPush, Arg: 1})
 			window16 := make([]Op, 16)
 			for i := range window16 {
 				window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
@@ -263,6 +275,8 @@ func TestAdmissionSyncPrice(t *testing.T) {
 				{"dequeue", w.deq, func() { q.Apply(p, Op{Kind: OpDeq}) }},
 				{"push", w.push, func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
 				{"pop", w.pop, func() { s.Apply(p, Op{Kind: OpPop}) }},
+				{"eliminating push", w.elimPush, func() { es.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+				{"eliminating pop", w.elimPop, func() { es.Apply(p, Op{Kind: OpPop}) }},
 			} {
 				before := rt.Heap().TotalStats()
 				c.admit()

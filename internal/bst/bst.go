@@ -106,7 +106,7 @@ func (t *BST) gather(kind uint64) isb.Gather {
 // ApplyOp runs the operation described by (kind, arg) and returns its
 // encoded response: the uniform invocation surface every structure shares.
 func (t *BST) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return t.e.RunOp(p, kind, arg, t.gather(kind))
+	return t.e.RunOp(p, kind, arg, t.gather(kind), nil)
 }
 
 // RecoverOp is the uniform recovery surface: it completes an interrupted

@@ -9,10 +9,20 @@
 // logical start/end timestamps, producing a history the linearize package
 // can check. Detectability itself is asserted structurally: recovery always
 // yields a definite response.
+//
+// The package's tests run off two tables over one vocabulary of engines and
+// structures. The storm table (storm_test.go) gives each storm test its shape:
+// the test runs Run once per engine variant and seed, as subtests
+// engine/seed=N, checks every history with one oracle, and a failing seed
+// prints the go test line that runs it alone. The conformance matrix
+// (matrix.go) drives Sweep, a crash at every access offset of one process's
+// admission.
 package crash
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -26,58 +36,26 @@ type Op struct {
 	Arg  uint64
 }
 
-// Target is a detectably recoverable structure under test. Begin is the
-// system-side invocation step of the paper's model (persistently set
-// CP_q := 0 just before the operation starts); if it crashes, the system
-// simply retries it — the operation is not yet considered invoked, so no
-// recovery obligation exists. Invoke runs an operation to completion;
-// Recover is the operation's recovery function, called with the same Op
-// after a crash (possibly several times). Both return the encoded response.
-type Target interface {
-	Begin(p *pmem.Proc)
-	Invoke(p *pmem.Proc, op Op) uint64
-	Recover(p *pmem.Proc, op Op) uint64
-}
-
-// Applier is the uniform operation surface the structure packages share:
-// Begin (system-side invocation step), ApplyOp (run one operation, encoded
-// response) and RecoverOp (resolve an interrupted operation). Adapt turns
-// any of them into a Target, which is what lets the storms and the sweep
-// drive every structure without per-structure glue.
+// Applier is the uniform operation surface the structure packages share,
+// which is what lets the storms and the sweeps drive every structure without
+// per-structure glue. Begin is the system-side invocation step of the paper's
+// model (persistently set CP_q := 0 just before the operation starts); if it
+// crashes, the system simply retries it — the operation is not yet considered
+// invoked, so no recovery obligation exists. ApplyOp runs an operation to
+// completion; RecoverOp is the operation's recovery function, called with the
+// same kind and argument after a crash (possibly several times). Both return
+// the encoded response.
 type Applier interface {
 	Begin(p *pmem.Proc)
 	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64
 	RecoverOp(p *pmem.Proc, kind, arg uint64) uint64
 }
 
-// applierTarget adapts an Applier to the Target interface.
-type applierTarget struct{ a Applier }
-
-func (t applierTarget) Begin(p *pmem.Proc) { t.a.Begin(p) }
-func (t applierTarget) Invoke(p *pmem.Proc, op Op) uint64 {
-	return t.a.ApplyOp(p, op.Kind, op.Arg)
-}
-func (t applierTarget) Recover(p *pmem.Proc, op Op) uint64 {
-	return t.a.RecoverOp(p, op.Kind, op.Arg)
-}
-
-// Adapt wraps an Applier as a Target.
-func Adapt(a Applier) Target { return applierTarget{a} }
-
-// Event is one completed operation in the recorded history.
-type Event struct {
-	Proc      int
-	Op        Op
-	Resp      uint64
-	Start     uint64
-	End       uint64
-	Recovered bool // response obtained via Recover after ≥1 crash
-}
-
 // Config parameterises a storm.
 type Config struct {
-	Heap       *pmem.Heap
-	Target     Target
+	Heap *pmem.Heap
+	// Target is the structure under test.
+	Target     Applier
 	Procs      int
 	OpsPerProc int
 	// Gen produces the i-th operation of proc id.
@@ -91,10 +69,10 @@ type Config struct {
 	Seed          int64
 }
 
-// Result of a storm.
+// Result of a storm: every completed operation, and how many crashes fired
+// and how many operations took their response from RecoverOp.
 type Result struct {
 	History      []linearize.Operation
-	Events       []Event
 	CrashesFired int
 	RecoveredOps int
 }
@@ -162,7 +140,16 @@ func (c *coordinator) leave() {
 	c.maybeReset()
 }
 
-// Run executes the storm and returns the recorded history.
+// procRand is process id's operation stream under seed: the rng Run hands
+// Config.Gen.
+func procRand(seed int64, id int) *rand.Rand {
+	return rand.New(rand.NewSource(seed ^ int64(id*7919+1)))
+}
+
+// Run executes the storm and returns the recorded history. A panic in any
+// process — recovery's attempt bound, say — ends that process's share of the
+// storm; once the others finish, Run re-raises the first such panic, with the
+// stack it was raised on, in the caller's goroutine.
 func Run(cfg Config) Result {
 	if cfg.Procs <= 0 || cfg.OpsPerProc <= 0 {
 		return Result{}
@@ -172,8 +159,9 @@ func Run(cfg Config) Result {
 	}
 	trigRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5bf03635))
 	c := newCoordinator(cfg.Heap, cfg.Procs, cfg.Crashes, cfg.MeanAccessGap, trigRng)
-	var clock atomic.Uint64
-	events := make([][]Event, cfg.Procs)
+	var clock, recoveredOps atomic.Uint64
+	var failure atomic.Pointer[string]
+	hist := make([][]linearize.Operation, cfg.Procs)
 	var wg sync.WaitGroup
 
 	// Arm the first crash before the workers start.
@@ -186,8 +174,14 @@ func Run(cfg Config) Result {
 		go func(id int) {
 			defer wg.Done()
 			defer c.leave()
+			defer func() {
+				if r := recover(); r != nil {
+					msg := fmt.Sprintf("proc %d: %v\n%s", id, r, debug.Stack())
+					failure.CompareAndSwap(nil, &msg)
+				}
+			}()
 			p := cfg.Heap.Proc(id)
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(id*7919+1)))
+			rng := procRand(cfg.Seed, id)
 			for i := 0; i < cfg.OpsPerProc; i++ {
 				op := cfg.Gen(id, i, rng)
 				// System-side invocation step: retried (not recovered)
@@ -197,37 +191,28 @@ func Run(cfg Config) Result {
 				}
 				start := clock.Add(1)
 				var resp uint64
-				recovered := false
-				ok := pmem.RunOp(func() { resp = cfg.Target.Invoke(p, op) })
-				for !ok {
-					recovered = true
-					c.park()
-					ok = pmem.RunOp(func() { resp = cfg.Target.Recover(p, op) })
+				ok := pmem.RunOp(func() { resp = cfg.Target.ApplyOp(p, op.Kind, op.Arg) })
+				if !ok {
+					recoveredOps.Add(1)
 				}
-				end := clock.Add(1)
-				events[id] = append(events[id], Event{
-					Proc: id, Op: op, Resp: resp,
-					Start: start, End: end, Recovered: recovered,
+				for !ok {
+					c.park()
+					ok = pmem.RunOp(func() { resp = cfg.Target.RecoverOp(p, op.Kind, op.Arg) })
+				}
+				hist[id] = append(hist[id], linearize.Operation{
+					Proc: id, Kind: op.Kind, Arg: op.Arg, Resp: resp, Start: start, End: clock.Add(1),
 				})
 			}
 		}(id)
 	}
 
 	wg.Wait()
-
-	var res Result
-	res.CrashesFired = c.fired
-	for _, evs := range events {
-		for _, e := range evs {
-			res.Events = append(res.Events, e)
-			if e.Recovered {
-				res.RecoveredOps++
-			}
-			res.History = append(res.History, linearize.Operation{
-				Proc: e.Proc, Kind: e.Op.Kind, Arg: e.Op.Arg,
-				Resp: e.Resp, Start: e.Start, End: e.End,
-			})
-		}
+	if msg := failure.Load(); msg != nil {
+		panic(*msg)
+	}
+	res := Result{CrashesFired: c.fired, RecoveredOps: int(recoveredOps.Load())}
+	for _, h := range hist {
+		res.History = append(res.History, h...)
 	}
 	return res
 }

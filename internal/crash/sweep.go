@@ -17,7 +17,7 @@ import (
 type Instance struct {
 	Heap *pmem.Heap
 	// Prepare, when non-nil, is the system-side step that runs before the
-	// crash is armed (Target.Begin); its accesses are not swept.
+	// crash is armed (Applier.Begin); its accesses are not swept.
 	Prepare func()
 	// Run is the admission itself: it returns the responses, in order.
 	Run func() []uint64
@@ -126,13 +126,8 @@ func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, 
 // registered ones alike.
 func sameState(structs []any, want [][]uint64) string {
 	for i, s := range structs {
-		var got []uint64
-		switch s := s.(type) {
-		case interface{ Keys() []uint64 }:
-			got = s.Keys()
-		case interface{ Values() []uint64 }:
-			got = s.Values()
-		default:
+		got, ok := snapshot(s)
+		if !ok {
 			return fmt.Sprintf("structure %d (%T) has no snapshot", i, s)
 		}
 		if !slices.Equal(got, want[i]) {
@@ -145,6 +140,30 @@ func sameState(structs []any, want [][]uint64) string {
 		}
 	}
 	return ""
+}
+
+// snapshot reads a structure's contents the way the sequential models spell
+// them: a set's keys ascending, a queue's values front to back, a stack's top
+// to bottom. ok is false for a value that is no structure.
+func snapshot(s any) (contents []uint64, ok bool) {
+	switch s := s.(type) {
+	case interface{ Keys() []uint64 }:
+		return s.Keys(), true
+	case interface{ Values() []uint64 }:
+		return s.Values(), true
+	}
+	return nil, false
+}
+
+// model is the sequential specification of a structure kind.
+func model(kind repro.StructKind) linearize.Model {
+	switch kind {
+	case repro.KindQueue:
+		return linearize.QueueModel()
+	case repro.KindStack:
+		return linearize.StackModel()
+	}
+	return linearize.SetModel()
 }
 
 // expected is what the sequential model requires of a case: each leg's
@@ -163,13 +182,7 @@ type expected struct {
 func expect(s subject, c sweepCase) expected {
 	models, states := make([]linearize.Model, len(s.structs)), make([]any, len(s.structs))
 	for i, st := range s.structs {
-		models[i] = linearize.SetModel()
-		switch st.kind {
-		case repro.KindQueue:
-			models[i] = linearize.QueueModel()
-		case repro.KindStack:
-			models[i] = linearize.StackModel()
-		}
+		models[i] = model(st.kind)
 		states[i] = models[i].Init()
 		for _, op := range st.prefill {
 			states[i], _ = models[i].Step(states[i], op.Kind, op.Arg)

@@ -152,8 +152,19 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // before the response is returned — what a batch window of one pays. Isb-Opt
 // also drops the RD_q := Null / CP_q := 1 prologue: CP_q := 1 rides the first
 // install's RD_q write-back (see runAttempts).
-func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
+//
+// pre, when non-nil, is an effect the operation may take outside the engine
+// (the elimination stack's exchange). It runs between Begin and the engine,
+// so the announcement is durable before it can take effect; when it reports
+// ok its response is the operation's, and otherwise the operation enters the
+// engine as leg 0 of the vector already announced.
+func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather, pre func() (uint64, bool)) uint64 {
 	e.Begin(p, false, []pmem.Leg{{StructID: e.annID, Kind: opType, Arg: argKey}})
+	if pre != nil {
+		if r, ok := pre(); ok {
+			return r
+		}
+	}
 	if !e.Batched() {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
@@ -361,37 +372,11 @@ func (e *Engine) retireAffected(p *pmem.Proc, spec *Spec) {
 // times, and it terminates or fails loudly: re-invoked attempts are bounded by
 // maxRecoveryAttempts, and the panic names the record RD_q still holds.
 func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
-	p.ResetSyncScope()
-	e.curSeq[p.ID()] = seq
-	rd, cp := e.rd(p), e.cp(p)
-	info := pmem.Addr(p.Load(rd))
-	if p.Load(cp) == 0 || info == pmem.Null {
-		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
-	}
-	// Defense for the pre-CP_q=0 crash window: the begin sequence persists
-	// CP_q := 0 before anything else of the new operation (README, "Recovery
-	// workflow"), so a crash ahead of that leaves CP_q and RD_q the previous
-	// operation's. If RD_q still describes a different operation, this one
-	// made no changes.
-	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
-		p.Load(info+offSeq) != seq {
-		return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
-	}
-	// Pin before dereferencing the record: post-crash recovery kept it and
-	// everything it names alive (the fast reset frees nothing; a scan keeps
-	// what announced records name), and the pin keeps that true while Help
-	// re-runs. The completed operation's retired-class nodes are NOT
-	// retired here — pre-crash they may already have been retired, freed
-	// and reused as live nodes; a recovery-path retire could therefore hit
-	// a live block. They leak instead, inside the per-crash in-flight
-	// budget, until the next scan.
-	e.alloc.Enter(p)
-	e.Help(p, info, true)
-	if r := p.Load(info + offResult); r != RespNone {
+	if r, _ := e.helpRecorded(p, opType, argKey, seq); r != RespNone {
 		e.alloc.Exit(p)
 		return r
 	}
-	// The last attempt did not take effect: re-invoke.
+	// No matching record, or its last attempt did not take effect: re-invoke.
 	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 }
 
@@ -405,27 +390,47 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 // tagging attempt's expected info values cannot recur) — instead of
 // running attempts. Idempotent and re-invocable across further crashes.
 func (e *Engine) ResolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, bool) {
+	r, pinned := e.helpRecorded(p, opType, argKey, seq)
+	if pinned {
+		e.alloc.Exit(p)
+	}
+	return r, r != RespNone
+}
+
+// helpRecorded is the entry both recovery functions open with. It tears down
+// the sync scope a crash interrupted, stamps seq for any re-invoked attempt,
+// and, if RD_q holds this leg's record, helps it to completion as its invoker
+// and returns its result (RespNone if the record's attempt never took
+// effect) with the process left pinned. Without such a record it returns
+// RespNone, unpinned: the leg made no changes.
+func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint64, pinned bool) {
 	p.ResetSyncScope()
 	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
 	if p.Load(cp) == 0 || info == pmem.Null {
-		return 0, false
+		return RespNone, false
 	}
+	// Defense for the pre-CP_q=0 crash window: the begin sequence persists
+	// CP_q := 0 before anything else of the new operation (README, "Recovery
+	// workflow"), so a crash ahead of that leaves CP_q and RD_q the previous
+	// operation's. If RD_q still describes a different operation, this one
+	// made no changes.
 	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
 		p.Load(info+offSeq) != seq {
-		return 0, false
+		return RespNone, false
 	}
-	// Pin before dereferencing the record (see RecoverSeq: post-crash
-	// recovery kept it alive, and completed operands are NOT retired here).
+	// Pin before dereferencing the record: post-crash recovery kept it and
+	// everything it names alive (the fast reset frees nothing; a scan keeps
+	// what announced records name), and the pin keeps that true while Help
+	// re-runs. The completed operation's retired-class nodes are NOT
+	// retired here — pre-crash they may already have been retired, freed
+	// and reused as live nodes; a recovery-path retire could therefore hit
+	// a live block. They leak instead, inside the per-crash in-flight
+	// budget, until the next scan.
 	e.alloc.Enter(p)
 	e.Help(p, info, true)
-	r := p.Load(info + offResult)
-	e.alloc.Exit(p)
-	if r == RespNone {
-		return 0, false
-	}
-	return r, true
+	return p.Load(info + offResult), true
 }
 
 // MarkReachable reports, via mark, every address the engine's recovery

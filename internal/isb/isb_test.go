@@ -69,7 +69,7 @@ func (c *counter) gatherInc(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResu
 }
 
 func (c *counter) inc(p *pmem.Proc) uint64 {
-	return DecodeValue(c.e.RunOp(p, opInc, 0, c.g))
+	return DecodeValue(c.e.RunOp(p, opInc, 0, c.g, nil))
 }
 
 func (c *counter) value(h *pmem.Heap) uint64 {
@@ -137,7 +137,7 @@ func TestEngineRecoverAfterEveryCrashOffset(t *testing.T) {
 			c := newCounter(h, opt)
 			p := h.Proc(0)
 			c.inc(p)                 // value 1
-			c.e.Begin(p, false, nil) // system-side invocation step (see crash.Target)
+			c.e.Begin(p, false, nil) // system-side invocation step (see crash.Applier)
 			h.ScheduleCrashAt(h.AccessCount() + offset)
 			var resp uint64
 			crashed := !pmem.RunOp(func() { resp = c.inc(p) })

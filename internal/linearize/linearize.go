@@ -127,11 +127,3 @@ func Check(m Model, hist []Operation) bool {
 	}
 	return search(0, m.Init())
 }
-
-// Explain returns "" if hist is linearizable, else a short description.
-func Explain(m Model, hist []Operation) string {
-	if Check(m, hist) {
-		return ""
-	}
-	return fmt.Sprintf("history of %d ops is not linearizable", len(hist))
-}

@@ -146,29 +146,6 @@ func TestCheckSetHistoryDecomposition(t *testing.T) {
 	}
 }
 
-func TestCheckShardedSetHistoryDecomposition(t *testing.T) {
-	shardOf := func(k uint64) int { return int(k % 4) }
-	var hist []Operation
-	var clock uint64
-	for k := uint64(1); k <= 40; k++ { // 40 keys × 2 ops = 80 ops > MaxOps
-		for _, kind := range []uint64{KindInsert, KindDelete} {
-			hist = append(hist, Operation{Kind: kind, Arg: k, Resp: RespTrue, Start: clock, End: clock + 1})
-			clock += 2
-		}
-	}
-	if s, k, ok := CheckShardedSetHistory(hist, shardOf); !ok {
-		t.Fatalf("valid sharded history rejected at shard %d key %d", s, k)
-	}
-	hist[1].Resp = RespFalse // Delete(1) right after a successful Insert(1)
-	s, k, ok := CheckShardedSetHistory(hist, shardOf)
-	if ok {
-		t.Fatal("invalid sharded history accepted")
-	}
-	if s != shardOf(1) || k != 1 {
-		t.Fatalf("violation located at shard %d key %d, want shard %d key 1", s, k, shardOf(1))
-	}
-}
-
 // TestQuickSequentialAlwaysLinearizable: any history generated by actually
 // running the model sequentially must be accepted, for all three models.
 func TestQuickSequentialAlwaysLinearizable(t *testing.T) {
@@ -237,16 +214,6 @@ func TestCheckPanicsBeyondMaxOps(t *testing.T) {
 			Start: uint64(2 * i), End: uint64(2*i + 1)}
 	}
 	Check(SetModel(), big)
-}
-
-func TestExplain(t *testing.T) {
-	if Explain(SetModel(), nil) != "" {
-		t.Fatal("empty history should explain as linearizable")
-	}
-	bad := []Operation{{Kind: KindFind, Arg: 1, Resp: RespTrue, Start: 0, End: 1}}
-	if Explain(SetModel(), bad) == "" {
-		t.Fatal("Find(1)=true on an empty set should not be linearizable")
-	}
 }
 
 // TestBatchProgramOrder: members of one batch share the window's

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Operation kinds shared by the sequential models. Structures map their own
-// op codes onto these before checking.
+// Operation kinds shared by the sequential models: they are the structures'
+// own op codes, so a recorded history is checked as it stands.
 const (
 	KindInsert uint64 = 1
 	KindDelete uint64 = 2
@@ -147,33 +147,6 @@ func CheckSetHistory(hist []Operation) (uint64, bool) {
 		}
 	}
 	return 0, true
-}
-
-// CheckShardedSetHistory checks a history over a sharded set (e.g. the
-// hash map): operations are first routed per shard with shardOf — distinct
-// shards never interact, so the history is linearizable iff every per-shard
-// sub-history is — and each shard's sub-history is then checked as a set
-// history (which decomposes further per key). Batched histories route each
-// batch member to its own shard; same-shard (and same-key) members retain
-// their intra-batch program order through Operation.Seq. It returns the first
-// offending shard and key, or (0, 0, true).
-func CheckShardedSetHistory(hist []Operation, shardOf func(key uint64) int) (int, uint64, bool) {
-	byShard := map[int][]Operation{}
-	for _, op := range hist {
-		s := shardOf(op.Arg)
-		byShard[s] = append(byShard[s], op)
-	}
-	order := make([]int, 0, len(byShard))
-	for s := range byShard {
-		order = append(order, s)
-	}
-	sort.Ints(order) // deterministic violation reports
-	for _, s := range order {
-		if k, ok := CheckSetHistory(byShard[s]); !ok {
-			return s, k, false
-		}
-	}
-	return 0, 0, true
 }
 
 // QueueModel is the sequential FIFO queue spec. Enq(arg) returns RespTrue;

@@ -96,7 +96,7 @@ func (l *List) gather(kind uint64) isb.Gather {
 // encoded response: the uniform invocation surface every structure shares
 // (crash harnesses and the repro Apply/RecoverOp API are built on it).
 func (l *List) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return l.e.RunOp(p, kind, arg, l.gather(kind))
+	return l.e.RunOp(p, kind, arg, l.gather(kind), nil)
 }
 
 // RecoverOp is the uniform recovery surface: called after a crash with the

@@ -84,7 +84,7 @@ func (q *Queue) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind == OpPeek {
 		return q.ReadOp(p, kind, arg)
 	}
-	return q.e.RunOp(p, kind, arg, q.gather(kind))
+	return q.e.RunOp(p, kind, arg, q.gather(kind), nil)
 }
 
 // RecoverOp completes an interrupted operation after a crash and returns

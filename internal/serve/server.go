@@ -615,9 +615,11 @@ func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	defer s.group.Leave()
 	p := s.rt.Proc(w)
+	n := max(s.cfg.Batch, 2) // a MOVE admits two legs
 	sc := &winScratch{
-		ops:  make([]repro.Op, 0, s.cfg.Batch),
-		vals: make([]uint64, 0, s.cfg.Batch),
+		ops:   make([]repro.Op, 0, n),
+		resps: make([]repro.Resp, n),
+		vals:  make([]uint64, n),
 	}
 	for {
 		batch := s.drain(w)
@@ -748,11 +750,12 @@ func reqOp(r Request) repro.Op {
 	return repro.Op{Kind: kind, Arg: PackArg(r.ReqID, r.Key)}
 }
 
-// winScratch is a worker's reusable per-window buffers: the window's
-// operations and its reply values.
+// winScratch is a worker's reusable per-admission buffers: the operations
+// admitted, their responses and the reply values.
 type winScratch struct {
-	ops  []repro.Op
-	vals []uint64
+	ops   []repro.Op
+	resps []repro.Resp
+	vals  []uint64
 }
 
 // boolVal is the reply value of a boolean response.
@@ -763,81 +766,67 @@ func boolVal(r repro.Resp) uint64 {
 	return 0
 }
 
-// serveWindow runs one admission window to completion across any number of
-// crashes: admit via ApplyWindow; on a crash, park through the group
-// rendezvous (reboot = Restart + one RecoverAll, run by the last parker),
-// answer the prefix the report proves durable via repro.MatchReport, and
-// re-admit the no-effect suffix.
-func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *winScratch) {
-	if pending[0].req.Op == OpMove {
-		s.serveMove(p, w, pending)
-		return
-	}
-	ops, vals := sc.ops[:0], sc.vals[:len(pending)]
-	for i := range pending {
-		ops = append(ops, reqOp(pending[i].req))
-	}
-	for len(pending) > 0 {
-		var out []repro.Resp
-		if s.rt.Run(func() { out = s.rt.ApplyWindow(p, s.store, ops) }) {
-			for i, resp := range out {
-				vals[i] = boolVal(resp)
-			}
-			s.finishWindow(w, pending, vals, false)
-			return
-		}
-		// Wake idle workers so they join the rendezvous, then park.
-		s.wakeAll()
-		s.group.Park()
-		if rep, ok := s.group.Report(w); ok {
-			n := repro.MatchReport(rep, ops, func(i int, _ repro.Op, resp repro.Resp) {
-				vals[i] = boolVal(resp)
-			})
-			s.finishWindow(w, pending[:n], vals, true)
-			pending, ops, vals = pending[n:], ops[n:], vals[n:]
-		}
-		// No report (or nothing matched): the window provably performed no
-		// tracked writes and is re-admitted wholesale.
-	}
-}
-
 // moveVal packs a MOVE's two leg results into one reply value: bit 0 is
 // the delete's (source present), bit 1 the insert's (destination fresh).
 func moveVal(del, ins repro.Resp) uint64 {
 	return boolVal(del) | boolVal(ins)<<1
 }
 
-// serveMove runs one MOVE (a singleton window) to completion across any
-// number of crashes: the delete and insert legs run as a single ApplyTxn
-// (one durable commit point between them). On a crash, the transaction
-// report either proves both legs durable — recovery rolls a committed
-// transaction's second leg forward before reporting — and answers from it,
-// or proves the whole transaction had no effect, in which case it is
-// re-applied. The request ID riding both legs' announced Args makes a
-// stale report unmatchable, exactly as in the batch path.
-func (s *Server) serveMove(p *repro.Proc, w int, window []pendingReq) {
-	req := window[0].req
-	leg1 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpDelete, Arg: PackArg(req.ReqID, req.Key)}}
-	leg2 := repro.TxnLeg{S: s.store, Op: repro.Op{Kind: repro.OpInsert, Arg: PackArg(req.ReqID, req.Key2)}}
-	ops := []repro.Op{leg1.Op, leg2.Op}
-	for {
-		var legs [2]repro.Resp
-		fromReport := false
-		if !s.rt.Run(func() { legs[0], legs[1] = s.rt.ApplyTxn(p, leg1, leg2) }) {
+// serveWindow runs one admission to completion across any number of
+// crashes: a window of PUT/DEL/GET requests through ApplyWindow, or a lone
+// MOVE, whose delete and insert legs run as one ApplyTxn (one durable commit
+// point between them). On a crash it parks through the group rendezvous
+// (reboot = Restart + one RecoverAll, run by the last parker), answers what
+// the report proves durable via repro.MatchReport — a window's completed
+// prefix; a MOVE's two legs or nothing, recovery having rolled a committed
+// transaction's second leg forward — and re-admits the rest. The request ID
+// riding every announced Arg makes a stale report unmatchable.
+func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *winScratch) {
+	move := pending[0].req.Op == OpMove
+	ops := sc.ops[:0]
+	if move {
+		req := pending[0].req
+		ops = append(ops, repro.Op{Kind: repro.OpDelete, Arg: PackArg(req.ReqID, req.Key)},
+			repro.Op{Kind: repro.OpInsert, Arg: PackArg(req.ReqID, req.Key2)})
+	} else {
+		for i := range pending {
+			ops = append(ops, reqOp(pending[i].req))
+		}
+	}
+	resps, vals := sc.resps, sc.vals
+	for len(ops) > 0 {
+		n := len(ops) // operations resolved
+		admitted := s.rt.Run(func() {
+			if move {
+				resps[0], resps[1] = s.rt.ApplyTxn(p, repro.TxnLeg{S: s.store, Op: ops[0]}, repro.TxnLeg{S: s.store, Op: ops[1]})
+			} else {
+				copy(resps, s.rt.ApplyWindow(p, s.store, ops))
+			}
+		})
+		if !admitted {
+			// Wake idle workers so they join the rendezvous, then park. No
+			// report, or nothing matched: the admission provably performed no
+			// tracked writes and is re-admitted wholesale.
 			s.wakeAll()
 			s.group.Park()
-			rep, ok := s.group.Report(w)
-			if !ok || repro.MatchReport(rep, ops, func(i int, _ repro.Op, resp repro.Resp) {
-				legs[i] = resp
-			}) != 2 {
-				// No report or no effect: the transaction provably did not
-				// apply and is re-submitted wholesale.
-				continue
+			n = 0
+			if rep, ok := s.group.Report(w); ok {
+				n = repro.MatchReport(rep, ops, func(i int, _ repro.Op, r repro.Resp) { resps[i] = r })
 			}
-			fromReport = true
 		}
-		s.finishWindow(w, window, []uint64{moveVal(legs[0], legs[1])}, fromReport)
-		return
+		k := n // requests answered
+		if move {
+			k = n / 2
+			vals[0] = moveVal(resps[0], resps[1])
+		} else {
+			for i := range k {
+				vals[i] = boolVal(resps[i])
+			}
+		}
+		if k > 0 {
+			s.finishWindow(w, pending[:k], vals, !admitted)
+		}
+		pending, ops, resps, vals = pending[k:], ops[n:], resps[n:], vals[k:]
 	}
 }
 

@@ -52,7 +52,9 @@ func (s *Stack) ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 // decides. The exchanger can only describe this leg — the begin sequence
 // reset its registers before the announcement existed, and only a single
 // operation's elimination attempt (ApplyOp) writes them afterwards — so for a
-// window or transaction leg the probe finds nothing and falls through.
+// window or transaction leg the probe finds nothing and falls through, and so
+// does it for an attempt that timed out (partnerless or withdrawn) before the
+// operation entered the engine.
 // Reads leave no durable trace; recovery re-executes them.
 func (s *Stack) RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if kind == OpTop {

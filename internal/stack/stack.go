@@ -108,28 +108,33 @@ func (s *Stack) Begin(p *pmem.Proc) { s.e.Begin(p, false, nil) }
 // this one's. The engine's begin sequence provides exactly that order
 // (retire the old announcement, CP_q := 0 and, through OnReset, CP_ex := 0 —
 // Exchange's own internal Begin runs too late to provide this — then
-// announce), so it runs here, ahead of the exchange; RunOp's own runs it
-// again if the elimination falls through.
+// announce), so the exchange is RunOp's pre step. An exchange that times out
+// enters the engine under the same announcement: it left its exchanger
+// record partnerless or withdrawn, which RecoverBatchOp's probe reads as no
+// effect before the central stack's recovery decides.
 func (s *Stack) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind == OpTop {
 		return s.ReadOp(p, kind, arg)
 	}
+	var eliminate func() (uint64, bool)
 	if s.spins > 0 {
-		s.e.Begin(p, false, []pmem.Leg{{StructID: s.e.AnnounceID(), Kind: kind, Arg: arg}})
-		if kind == OpPush {
-			if _, ok := s.ex.Exchange(p, arg, exchanger.WaiterOnly, s.spins); ok {
-				return isb.RespTrue // eliminated by a pop
-			}
-		} else {
-			if v, ok := s.ex.Exchange(p, 0, exchanger.ColliderOnly, s.spins); ok {
-				return isb.EncodeValue(v) // eliminated a concurrent push
-			}
-		}
+		eliminate = func() (uint64, bool) { return s.eliminate(p, kind, arg) }
 	}
 	if kind == OpPush {
-		return s.e.RunOp(p, OpPush, arg, s.gPush)
+		return s.e.RunOp(p, OpPush, arg, s.gPush, eliminate)
 	}
-	return s.e.RunOp(p, OpPop, arg, s.gPop)
+	return s.e.RunOp(p, OpPop, arg, s.gPop, eliminate)
+}
+
+// eliminate offers the operation on the exchanger, a push as a waiter and a
+// pop as a collider; ok reports a collision, which is the operation's effect.
+func (s *Stack) eliminate(p *pmem.Proc, kind, arg uint64) (uint64, bool) {
+	if kind == OpPush {
+		_, ok := s.ex.Exchange(p, arg, exchanger.WaiterOnly, s.spins)
+		return isb.RespTrue, ok // eliminated by a pop
+	}
+	v, ok := s.ex.Exchange(p, 0, exchanger.ColliderOnly, s.spins)
+	return isb.EncodeValue(v), ok // eliminated a concurrent push
 }
 
 // RecoverOp resumes an interrupted Push or Pop after a crash, returning the
