@@ -304,43 +304,3 @@ func TestRecoverWithoutCrash(t *testing.T) {
 		t.Fatalf("recover re-executed insert: %d keys", n)
 	}
 }
-
-func TestCrashEveryOffsetDuringInsertDelete(t *testing.T) {
-	// Exhaustive small-offset crash sweep: crash at each access offset
-	// during an Insert then a Delete; recovery must produce exactly-once
-	// effects every time.
-	for offset := uint64(1); offset <= 60; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		b := NewWithEngine(h, isb.NewEngine(h))
-		p := h.Proc(0)
-		b.ApplyOp(p, OpInsert, 10)
-		b.ApplyOp(p, OpInsert, 20)
-
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { b.ApplyOp(p, OpInsert, 15) })
-		if crashed {
-			h.ResetAfterCrash()
-			if !isb.Bool(b.RecoverOp(p, OpInsert, 15)) {
-				t.Fatalf("insert offset %d: recovery returned false", offset)
-			}
-		}
-		if got := len(b.Keys()); got != 3 {
-			t.Fatalf("insert offset %d: %d keys, want 3", offset, got)
-		}
-
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed = !pmem.RunOp(func() { b.ApplyOp(p, OpDelete, 10) })
-		if crashed {
-			h.ResetAfterCrash()
-			if !isb.Bool(b.RecoverOp(p, OpDelete, 10)) {
-				t.Fatalf("delete offset %d: recovery returned false", offset)
-			}
-		}
-		if got := len(b.Keys()); got != 2 {
-			t.Fatalf("delete offset %d: %d keys, want 2", offset, got)
-		}
-		if msg := b.CheckInvariants(); msg != "" {
-			t.Fatalf("offset %d: %s", offset, msg)
-		}
-	}
-}

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/isb"
+	"repro/internal/pmem"
 )
 
 // sweepFamily sweeps one family of the matrix (matrix.go), a subtest per
-// path element and row, logging how many crash points each row covered.
+// path element and row, each row's leaf a SweepTest.
 func sweepFamily(t *testing.T, family string, parallel bool) {
 	var rows []row
 	for _, r := range matrix() {
@@ -37,10 +38,8 @@ func sweepRows(t *testing.T, rows []row, depth int, parallel bool) {
 			}
 			if r := group[0]; len(r.path) > depth+1 {
 				sweepRows(t, group, depth+1, parallel)
-			} else if n, err := Sweep(r.c.name, r.build, r.exp.want); err != nil {
-				t.Fatal(err)
 			} else {
-				t.Logf("%d crash points swept", n)
+				SweepTest(t, r.build, r.exp.want)
 			}
 		})
 	}
@@ -114,12 +113,12 @@ func TestTxnCrashSweep(t *testing.T) {
 // many rows each family holds, so that coverage cannot shrink silently.
 func TestMatrixCoverage(t *testing.T) {
 	want := map[string]int{
-		"raw":         104, // 26 cases × 4 engine variants
-		"routed":      48,  // 24 × 2 engines
+		"raw":         116, // 29 cases × 4 engine variants (eviction off/on)
+		"routed":      108, // 27 × 4 engine variants
 		"churn":       84,  // 14 × 2 engines × arena/fast/full
 		"in-recovery": 4,   // 2 engines × fast/full
-		"window":      32,  // 8 × 2 engines × arena/reclaim
-		"txn":         16,  // 4 × 2 engines × arena/reclaim
+		"window":      48,  // 8 × 2 engines × arena/evict/reclaim
+		"txn":         24,  // 4 × 2 engines × arena/evict/reclaim
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	rows := matrix()
@@ -141,8 +140,71 @@ func TestMatrixCoverage(t *testing.T) {
 			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
 		}
 	}
-	if len(rows) != 288 {
-		t.Errorf("matrix has %d rows, want 288", len(rows))
+	if len(rows) != 384 {
+		t.Errorf("matrix has %d rows, want 384", len(rows))
+	}
+}
+
+// TestSweepCountsFaults pins Sweep itself on instances built to order: a
+// crash the instance recovers from inside Run is a crash point, a byte-fault
+// instance counts the span it carried, and a fault that never fires and an
+// empty span are violations.
+func TestSweepCountsFaults(t *testing.T) {
+	ok := func() string { return "" }
+	one := func() ([]uint64, error) { return []uint64{1}, nil }
+	// stores makes n tracked stores, resetting the heap itself after a crash
+	// among them, as a server reboots; or it disarms the crash first.
+	stores := func(n int, disarms bool) func() Instance {
+		return func() Instance {
+			h := pmem.NewHeap(pmem.Config{Words: sweepHeapWords, Procs: 1, Tracked: true})
+			p := h.Proc(0)
+			a := p.Alloc(1)
+			return Instance{Heap: h, Verify: ok, Run: func() ([]uint64, error) {
+				if disarms {
+					h.DisarmCrash()
+				}
+				for i := range n {
+					if !pmem.RunOp(func() { p.Store(a, uint64(i)) }) {
+						h.ResetAfterCrash()
+					}
+				}
+				return one()
+			}}
+		}
+	}
+	// carries is a stream of span bytes; a cut at byte off carries off-1 of
+	// them, unless the cut is ignored.
+	carries := func(span uint64, ignoresCut bool) func() Instance {
+		return func() Instance {
+			cut := span + 1
+			return Instance{
+				Heap: pmem.NewHeap(pmem.Config{Words: sweepHeapWords, Procs: 1}), Verify: ok, Run: one,
+				Kill: func(off uint64) {
+					if !ignoresCut {
+						cut = off
+					}
+				},
+				Carried: func() uint64 { return cut - 1 },
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() Instance
+		n     int
+		err   string
+	}{
+		{"recovered-in-run", stores(5, false), 5, ""},
+		{"byte-span", carries(7, false), 7, ""},
+		{"crash-never-fires", stores(5, true), 0, "off=1: the fault never fired"},
+		{"cut-never-fires", carries(7, true), 0, "off=1: the fault never fired"},
+		{"no-access", stores(0, false), 0, "nothing to sweep"},
+		{"no-byte", carries(0, false), 0, "nothing to sweep"},
+	} {
+		n, err := Sweep(tc.build, []uint64{1})
+		if n != tc.n || (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: Sweep = %d, %v; want %d crash points, error %q", tc.name, n, err, tc.n, tc.err)
+		}
 	}
 }
 

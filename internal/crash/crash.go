@@ -13,10 +13,13 @@
 // The package's tests run off two tables over one vocabulary of engines and
 // structures. The storm table (storm_test.go) gives each storm test its shape:
 // the test runs Run once per engine variant and seed, as subtests
-// engine/seed=N, checks every history with one oracle, and a failing seed
-// prints the go test line that runs it alone. The conformance matrix
-// (matrix.go) drives Sweep, a crash at every access offset of one process's
-// admission.
+// engine/seed=N, and checks every history with one oracle. The conformance
+// matrix (matrix.go) drives Sweep, a crash at every access offset of one
+// process's admission. Sweep is also the serve layer's one fault sweep: a
+// server's pipeline crashed at every access offset and recovered by the
+// server itself, and the wire sweep's connection cut at every byte offset.
+// Every storm and sweep failure prints the go test line that re-runs its
+// leaf (Rerun).
 package crash
 
 import (

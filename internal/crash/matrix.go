@@ -222,15 +222,17 @@ func one(name string, kind repro.StructKind, param int, prefill []repro.Op, case
 	return subject{name, []structure{{kind, param, prefill}}, cases}
 }
 
-// singleSubjects are the single-operation subjects: the five structures, then
-// extra. The raw family adds the queue and stack empty and — regression
-// instances: a removed value of 0 must stay distinguishable from "empty" at
-// every crash point — holding a single zero. The routed family adds
-// stack-elim, which keeps the elimination window open (one proc, so every
-// exchange times out and falls back to the central stack): it sweeps the
-// announce-before-elimination entry sequence and the exchanger-first
-// recovery, which elimSpins=0 never reaches. Actual collisions need
-// concurrency: the elimination storms cover them.
+// singleSubjects are the single-operation subjects: the five structures, the
+// queue and stack holding a single zero — regression instances: a removed
+// value of 0 must stay distinguishable from "empty" at every crash point —
+// then extra. The raw family adds the queue and stack empty and the BST's
+// small shapes beside its root. The routed family adds a dequeue repeating
+// the prefill's last one, which must resolve to the next value, never
+// re-deliver the previous one, and stack-elim, which keeps the elimination
+// window open (one proc, so every exchange times out and falls back to the
+// central stack): it sweeps the announce-before-elimination entry sequence
+// and the exchanger-first recovery, which elimSpins=0 never reaches. Actual
+// collisions need concurrency: the elimination storms cover them.
 func singleSubjects(extra ...subject) []subject {
 	return append([]subject{
 		one("list", repro.KindList, 0, setPrefill, setCases),
@@ -238,6 +240,8 @@ func singleSubjects(extra ...subject) []subject {
 		one("hashmap", repro.KindHashMap, 4, setPrefill, setCases),
 		one("queue", repro.KindQueue, 0, ops(repro.OpEnq, 5, 6), queueCases),
 		one("stack", repro.KindStack, 0, ops(repro.OpPush, 5, 6), stackCases),
+		one("queue-zero", repro.KindQueue, 0, ops(repro.OpEnq, 0), []sweepCase{single("dequeue-zero", repro.OpDeq, 0)}),
+		one("stack-zero", repro.KindStack, 0, ops(repro.OpPush, 0), []sweepCase{single("pop-zero", repro.OpPop, 0)}),
 	}, extra...)
 }
 
@@ -328,18 +332,20 @@ type row struct {
 
 // matrix enumerates every row, family by family.
 func matrix() []row {
-	var arena, evicting, forced, churned, both []cell
+	// plain cells are the arena with eviction off and on; vectors add the
+	// reclaimer to them, and churned and forced its forced recovery modes.
+	var plain, vectors, churned, forced []cell
 	for _, e := range engineVariants {
+		arena, evicting := cell{eng: e}, cell{eng: e, evict: 32}
 		fast := cell{eng: e, reclaim: true, mode: pmem.RecoverFast}
 		full := cell{eng: e, reclaim: true, mode: pmem.RecoverFull}
-		arena = append(arena, cell{eng: e})
-		evicting = append(evicting, cell{eng: e, evict: 32})
+		plain = append(plain, arena, evicting)
+		vectors = append(vectors, arena, evicting, cell{eng: e, reclaim: true})
+		churned = append(churned, arena, fast, full)
 		forced = append(forced, fast, full)
-		churned = append(churned, cell{eng: e}, fast, full)
-		both = append(both, cell{eng: e}, cell{eng: e, reclaim: true})
 	}
 	cellThenCase := func(s subject, c cell, k sweepCase) []string {
-		return []string{s.name, c.eng.name, c.alloc(), k.name}
+		return []string{s.name, c.engine(), c.alloc(), k.name}
 	}
 	// The crash inside RecoverAll: a churned list's insert, crashed deep
 	// enough to have tagged nodes and allocated records.
@@ -348,15 +354,19 @@ func matrix() []row {
 
 	var out []row
 	for _, f := range []family{
-		{name: "raw", raw: true, cells: append(arena, evicting...), subjects: singleSubjects(
+		{name: "raw", raw: true, cells: plain, subjects: singleSubjects(
 			one("queue-empty", repro.KindQueue, 0, nil, []sweepCase{single("dequeue-empty", repro.OpDeq, 0)}),
-			one("queue-zero", repro.KindQueue, 0, ops(repro.OpEnq, 0), []sweepCase{single("dequeue-zero", repro.OpDeq, 0)}),
 			one("stack-empty", repro.KindStack, 0, nil, []sweepCase{single("pop-empty", repro.OpPop, 0)}),
-			one("stack-zero", repro.KindStack, 0, ops(repro.OpPush, 0), []sweepCase{single("pop-zero", repro.OpPop, 0)}),
+			one("bst-pair", repro.KindBST, 0, ops(repro.OpInsert, 10, 20), []sweepCase{
+				single("insert-between", repro.OpInsert, 15), single("delete-low", repro.OpDelete, 10),
+			}),
+			one("bst-triple", repro.KindBST, 0, ops(repro.OpInsert, 10, 20, 15), []sweepCase{single("delete-low", repro.OpDelete, 10)}),
 		), path: func(s subject, c cell, k sweepCase) []string { return []string{s.name, c.engine(), k.name} }},
-		{name: "routed", cells: arena, subjects: singleSubjects(
+		{name: "routed", cells: plain, subjects: singleSubjects(
+			one("queue-repeat", repro.KindQueue, 0, []repro.Op{{Kind: repro.OpEnq, Arg: 11}, {Kind: repro.OpEnq, Arg: 22}, {Kind: repro.OpDeq}},
+				[]sweepCase{single("dequeue-again", repro.OpDeq, 0)}),
 			one("stack-elim", repro.KindStack, 2, ops(repro.OpPush, 5, 6), stackCases),
-		), path: func(s subject, c cell, k sweepCase) []string { return []string{c.eng.name, s.name, k.name} }},
+		), path: func(s subject, c cell, k sweepCase) []string { return []string{c.engine(), s.name, k.name} }},
 		{name: "churn", cells: churned, subjects: churnSubjects(), path: cellThenCase},
 		{name: "in-recovery", crashedAt: 60, cells: forced, subjects: []subject{inRecovery},
 			path: func(_ subject, c cell, _ sweepCase) []string {
@@ -365,9 +375,9 @@ func matrix() []row {
 				}
 				return []string{c.eng.name, "fast"}
 			}},
-		{name: "window", cells: both, subjects: windowSubjects(), path: cellThenCase},
-		{name: "txn", cells: both, subjects: txnSubjects(),
-			path: func(s subject, c cell, _ sweepCase) []string { return []string{s.name, c.eng.name, c.alloc()} }},
+		{name: "window", cells: vectors, subjects: windowSubjects(), path: cellThenCase},
+		{name: "txn", cells: vectors, subjects: txnSubjects(),
+			path: func(s subject, c cell, _ sweepCase) []string { return []string{s.name, c.engine(), c.alloc()} }},
 	} {
 		for _, s := range f.subjects {
 			for _, c := range f.cells {

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -121,18 +120,13 @@ func runStorm(t *testing.T) {
 					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 						if res, msg := r.run(eng, seed); msg != "" {
 							t.Fatalf("%s (%d crashes fired, %d ops recovered)\nre-run: %s",
-								msg, res.CrashesFired, res.RecoveredOps, rerun(t))
+								msg, res.CrashesFired, res.RecoveredOps, Rerun(t))
 						}
 					})
 				}
 			}
 		})
 	}
-}
-
-// rerun spells the go test line that runs t alone (its names quote as is).
-func rerun(t *testing.T) string {
-	return fmt.Sprintf("go test ./internal/crash/ -run '^%s$' -count=1", strings.ReplaceAll(t.Name(), "/", "$/^"))
 }
 
 // run drives one storm of row r on engine eng and returns its result and its

@@ -1,9 +1,13 @@
 package crash
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"runtime/debug"
 	"slices"
+	"strings"
+	"testing"
 
 	"repro"
 	"repro/internal/isb"
@@ -11,19 +15,22 @@ import (
 	"repro/internal/pmem"
 )
 
-// Instance is one freshly built, deterministic single-process admission
-// under sweep — a single operation, a batch window or a transaction — as the
-// one sweep loop sees it.
+// Instance is one freshly built, deterministic admission under sweep — a
+// single operation, a batch window or a transaction on Proc 0, or a server's
+// request pipeline — as the one sweep loop sees it.
 type Instance struct {
 	Heap *pmem.Heap
 	// Prepare, when non-nil, is the system-side step that runs before the
-	// crash is armed (Applier.Begin); its accesses are not swept.
+	// fault is armed (Applier.Begin); its accesses are not swept.
 	Prepare func()
-	// Run is the admission itself: it returns the responses, in order.
-	Run func() []uint64
+	// Run is the admission itself: it returns the responses, in order, or
+	// why it could not.
+	Run func() ([]uint64, error)
 	// Resolve runs after a crash interrupted Run and the heap was reset: it
 	// recovers, re-submits whatever recovery proves had no effect, and
-	// returns the full response vector.
+	// returns the full response vector. An instance that recovers from a
+	// crash itself, on its own goroutines, has none: a server reboots and
+	// Run still collects every reply.
 	Resolve func() ([]uint64, error)
 	// Verify checks the post-state once every response is in: final
 	// contents plus structural invariants. It returns a description of the
@@ -33,90 +40,159 @@ type Instance struct {
 	// duplicate recovery pass, which must re-report the same responses and —
 	// Verify runs again after it — change nothing.
 	After func() string
+	// Kill, when non-nil, makes the fault index a byte offset of a
+	// connection's stream instead of a heap access: Kill(off) plans the cut
+	// at byte off before Run, and Carried reports the bytes the stream
+	// carried during Run. A cut at off carries off-1 bytes, so it fired
+	// exactly when Carried() < off; the uninterrupted run's Carried is the
+	// span swept.
+	Kill    func(off uint64)
+	Carried func() uint64
+	// Close, when non-nil, ends the instance before its heap is recycled: a
+	// server shuts down here.
+	Close func()
 }
 
-// Sweep is the crash-point sweep every conformance test in this package
-// runs on: it measures Run's tracked access count on an uninterrupted
-// instance, then replays it once per access offset on a fresh instance with a
-// system-wide crash armed exactly there, resolving each crash through
-// Resolve and checking the responses against want, the post-state, and
-// duplicate-recovery idempotence each time. It returns how many offsets
-// actually interrupted Run, or the first conformance violation.
+// Sweep is the one fault-point sweep: the conformance matrix and the serve
+// layer's crash and wire sweeps all run on it. It runs an uninterrupted
+// instance to fix the span — Run's tracked heap accesses, or the bytes its
+// connection carried — then replays a fresh instance once per fault index
+// with the fault armed exactly there: a system-wide crash at that access, or
+// the connection cut at that byte. Every index is a crash point — a fault
+// that does not fire is a violation: a crash must interrupt Run, and is
+// resolved through Resolve, or the instance must recover from it itself,
+// which shows as the heap's Epoch moving; a cut must carry fewer bytes than
+// its index. At every index the responses must equal want (nil: the
+// uninterrupted run's), the post-state must pass Verify, and the duplicate
+// pass After must change nothing. It returns the number of crash points, or
+// the first violation, naming its index.
 //
 // Each crashed replay must recover to the sequential model's responses and
 // post-state — this is the paper's detectability bar, checked exhaustively
 // rather than sampled, and it holds every engine variant to the same standard
 // (a batched phase must be recoverable whether the crash left it fully
-// persisted or fully absent). build must return a fresh, identically
-// prefilled instance on every call; a finished instance's heap images are
-// recycled (pmem.Heap.Release), so the next build zeroes only what this one
-// carved instead of a whole arena. Everything runs on Proc 0.
-func Sweep(name string, build func() Instance, want []uint64) (crashPoints int, err error) {
-	check := func(in Instance, got []uint64, off uint64) error {
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("%s off=%d: responses %v, want %v", name, off, got, want)
-		}
-		if msg := in.Verify(); msg != "" {
-			return fmt.Errorf("%s off=%d: %s", name, off, msg)
-		}
-		return nil
-	}
-
+// persisted or fully absent). build must return a fresh, identical instance
+// on every call; a finished instance is closed and its heap images recycled
+// (pmem.Heap.Release), so the next build zeroes only what this one carved
+// instead of a whole arena.
+func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
 	// Tracked heaps count accesses unconditionally. Count Run's accesses
 	// only: the replays below run Prepare before arming, so offsets past
 	// Run's span could never interrupt it and would be wasted rebuilds.
 	in := build()
+	in.prepare()
+	start, epoch := in.Heap.AccessCount(), in.Heap.Epoch()
+	got, err := in.Run()
+	span := in.Heap.AccessCount() - start
+	if err == nil && in.Kill != nil {
+		span = in.Carried()
+	} else if err == nil && in.Heap.Epoch() != epoch {
+		err = errors.New("crashed with no crash armed")
+	}
+	if want == nil {
+		want = got
+	}
+	if err == nil {
+		err = in.check(got, want)
+	}
+	in.end()
+	if err != nil {
+		return 0, fmt.Errorf("uninterrupted: %v", err)
+	}
+	if span == 0 {
+		return 0, errors.New("uninterrupted: nothing to sweep (no tracked access, no byte carried)")
+	}
+	for off := uint64(1); off <= span; off++ {
+		if err := build().at(off, want); err != nil {
+			return 0, fmt.Errorf("off=%d: %v", off, err)
+		}
+	}
+	return int(span), nil
+}
+
+// at replays the instance with its fault armed at index off.
+func (in Instance) at(off uint64, want []uint64) (err error) {
+	defer in.end()
+	in.prepare()
+	epoch := in.Heap.Epoch()
+	if in.Kill != nil {
+		in.Kill(off)
+	} else {
+		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
+	}
+	var got []uint64
+	switch {
+	case !pmem.RunOp(func() { got, err = in.Run() }):
+		if in.Resolve == nil {
+			return errors.New("crashed on the sweep's goroutine, and nothing resolves it")
+		}
+		in.Heap.ResetAfterCrash()
+		if !pmem.RunOp(func() { got, err = in.Resolve() }) {
+			return errors.New("recovery crashed with no crash armed")
+		}
+	case err != nil:
+	case in.Kill != nil && in.Carried() >= off, in.Kill == nil && in.Heap.Epoch() == epoch:
+		return errors.New("the fault never fired")
+	}
+	if err == nil {
+		err = in.check(got, want)
+	}
+	if err == nil && in.After != nil {
+		if msg := in.After(); msg != "" {
+			err = fmt.Errorf("duplicate recovery: %s", msg)
+		} else if msg := in.Verify(); msg != "" {
+			err = fmt.Errorf("after duplicate recovery: %s", msg)
+		}
+	}
+	return err
+}
+
+// check holds the responses to want and the post-state to Verify.
+func (in Instance) check(got, want []uint64) error {
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("responses %v, want %v", got, want)
+	}
+	if msg := in.Verify(); msg != "" {
+		return errors.New(msg)
+	}
+	return nil
+}
+
+func (in Instance) prepare() {
 	if in.Prepare != nil {
 		in.Prepare()
 	}
-	before := in.Heap.AccessCount()
-	got := in.Run()
-	total := in.Heap.AccessCount() - before
-	if err := check(in, got, 0); err != nil {
-		return 0, fmt.Errorf("uninterrupted %v", err)
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("%s: made no tracked accesses", name)
+}
+
+// end closes the instance and recycles its heap.
+func (in Instance) end() {
+	if in.Close != nil {
+		in.Close()
 	}
 	in.Heap.Release()
+}
 
-	for off := uint64(1); off <= total; off++ {
-		in := build()
-		if in.Prepare != nil {
-			in.Prepare()
-		}
-		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
-		var got []uint64
-		if pmem.RunOp(func() { got = in.Run() }) {
-			in.Heap.DisarmCrash() // the crash would land after completion
-		} else {
-			crashPoints++
-			in.Heap.ResetAfterCrash()
-			var rerr error
-			if !pmem.RunOp(func() { got, rerr = in.Resolve() }) {
-				return crashPoints, fmt.Errorf("%s off=%d: recovery crashed with no crash armed", name, off)
-			}
-			if rerr != nil {
-				return crashPoints, fmt.Errorf("%s off=%d: %v", name, off, rerr)
-			}
-		}
-		if err := check(in, got, off); err != nil {
-			return crashPoints, err
-		}
-		if in.After != nil {
-			if msg := in.After(); msg != "" {
-				return crashPoints, fmt.Errorf("%s off=%d: duplicate recovery: %s", name, off, msg)
-			}
-			if msg := in.Verify(); msg != "" {
-				return crashPoints, fmt.Errorf("%s off=%d: after duplicate recovery: %s", name, off, msg)
-			}
-		}
-		in.Heap.Release()
+// SweepTest runs Sweep as test t's leaf: it logs how many crash points the
+// sweep covered, or fails t with the violation and the line that re-runs t
+// alone.
+func SweepTest(t testing.TB, build func() Instance, want []uint64) {
+	t.Helper()
+	n, err := Sweep(build, want)
+	if err != nil {
+		t.Fatalf("%v\nre-run: %s", err, Rerun(t))
 	}
-	if crashPoints == 0 {
-		return 0, fmt.Errorf("%s: no crash point actually interrupted it", name)
+	t.Logf("%d crash points swept", n)
+}
+
+// Rerun spells the go test line, from the module root, that runs t alone
+// (its names quote as is). A test binary's build path is its package's
+// import path plus ".test".
+func Rerun(t testing.TB) string {
+	pkg := "."
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		pkg += strings.TrimPrefix(strings.TrimSuffix(bi.Path, ".test"), bi.Main.Path) + "/"
 	}
-	return crashPoints, nil
+	return fmt.Sprintf("go test %s -run '^%s$' -count=1", pkg, strings.ReplaceAll(t.Name(), "/", "$/^"))
 }
 
 // sameState is the one post-state oracle: each structure's snapshot — a set's
@@ -235,7 +311,7 @@ func direct(h *pmem.Heap, a Applier, op repro.Op, want uint64, verify func() str
 	return Instance{
 		Heap:    h,
 		Prepare: func() { a.Begin(p) },
-		Run:     func() []uint64 { return []uint64{a.ApplyOp(p, op.Kind, op.Arg)} },
+		Run:     func() ([]uint64, error) { return []uint64{a.ApplyOp(p, op.Kind, op.Arg)}, nil },
 		Resolve: resolve,
 		Verify:  verify,
 		After: func() string {
@@ -293,7 +369,7 @@ func (v vector) submit(from int) []uint64 {
 func (v vector) instance(verify func() string, want []uint64, crashedAt uint64) Instance {
 	in := Instance{
 		Heap:    v.rt.Heap(),
-		Run:     func() []uint64 { return v.submit(0) },
+		Run:     func() ([]uint64, error) { return v.submit(0), nil },
 		Resolve: v.resolve,
 		Verify:  verify,
 		After:   func() string { return v.duplicate(want) },
@@ -313,10 +389,7 @@ func (v vector) instance(verify func() string, want []uint64, crashedAt uint64) 
 			}
 			v.rt.Restart()
 		}
-		in.Run = func() []uint64 {
-			got, _ := v.resolve() // an error leaves got nil, which no want equals
-			return got
-		}
+		in.Run = v.resolve
 	}
 	return in
 }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/pmem"
 )
 
-func newHeap(procs int, tracked bool) *pmem.Heap {
-	return pmem.NewHeap(pmem.Config{Words: 1 << 22, Procs: procs, Tracked: tracked})
+func newHeap(procs int) *pmem.Heap {
+	return pmem.NewHeap(pmem.Config{Words: 1 << 22, Procs: procs})
 }
 
 func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
-	h := newHeap(1, false)
+	h := newHeap(1)
 	for _, c := range []struct{ ask, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
@@ -27,7 +27,7 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 
 func TestSequentialAgainstModel(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
-		h := newHeap(1, false)
+		h := newHeap(1)
 		m := NewWithEngine(h, isb.NewEngine(h), shards)
 		p := h.Proc(0)
 		model := map[uint64]bool{}
@@ -74,7 +74,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 // bucket list and in no other, and recovering it again resolves the completed
 // record instead of re-running it.
 func TestRecoveryRoutesByKey(t *testing.T) {
-	h := newHeap(2, false)
+	h := newHeap(2)
 	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	p := h.Proc(1)
 	for k := uint64(1); k <= 50; k++ {
@@ -94,7 +94,7 @@ func TestRecoveryRoutesByKey(t *testing.T) {
 }
 
 func TestKeysSpreadAcrossShards(t *testing.T) {
-	h := newHeap(1, false)
+	h := newHeap(1)
 	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	p := h.Proc(0)
 	for k := uint64(1); k <= 400; k++ {
@@ -122,7 +122,7 @@ func TestKeysSpreadAcrossShards(t *testing.T) {
 // the final membership is exactly determined per proc.
 func TestConcurrentDisjointKeys(t *testing.T) {
 	const procs, keysPer = 4, 32
-	h := newHeap(procs, false)
+	h := newHeap(procs)
 	m := NewWithEngine(h, isb.NewEngine(h), 8)
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
@@ -156,7 +156,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 // as -race coverage of helping across shard lists sharing one engine.
 func TestConcurrentContendedSmoke(t *testing.T) {
 	const procs = 4
-	h := newHeap(procs, false)
+	h := newHeap(procs)
 	m := NewWithEngine(h, isb.NewEngine(h), 4)
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
@@ -181,33 +181,5 @@ func TestConcurrentContendedSmoke(t *testing.T) {
 	wg.Wait()
 	if msg := m.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
-	}
-}
-
-// TestCrashRecoverMidInsert injects crashes at increasing access offsets
-// inside an Insert, restarts, and recovers; recovery must route by the key
-// and land it exactly once, in its own shard (CheckInvariants).
-func TestCrashRecoverMidInsert(t *testing.T) {
-	for off := uint64(1); off <= 40; off++ {
-		h := newHeap(1, true)
-		m := NewWithEngine(h, isb.NewEngine(h), 4)
-		p := h.Proc(0)
-		m.Insert(p, 100) // pre-existing neighbour traffic
-		const key = 7
-		h.ScheduleCrashAt(h.AccessCount() + off)
-		if pmem.RunOp(func() { m.Insert(p, key) }) {
-			h.DisarmCrash()
-			continue // crash would have landed after the op finished
-		}
-		h.ResetAfterCrash()
-		if !isb.Bool(m.RecoverOp(p, OpInsert, key)) {
-			t.Fatalf("off=%d: recovery of fresh insert returned false", off)
-		}
-		if !slices.Contains(m.Keys(), key) || !slices.Contains(m.Keys(), 100) {
-			t.Fatalf("off=%d: post-recovery membership wrong", off)
-		}
-		if msg := m.CheckInvariants(); msg != "" {
-			t.Fatalf("off=%d: %s", off, msg)
-		}
 	}
 }

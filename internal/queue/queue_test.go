@@ -174,61 +174,6 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 	}
 }
 
-func TestRecoverAfterCrashMidEnqueue(t *testing.T) {
-	// Arm a crash a few accesses into an enqueue, then recover and verify
-	// the value is present exactly once.
-	for offset := uint64(1); offset <= 40; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		q := NewWithEngine(h, isb.NewEngine(h))
-		p := h.Proc(0)
-		q.ApplyOp(p, OpEnq, 1)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { q.ApplyOp(p, OpEnq, 2) })
-		if crashed {
-			h.ResetAfterCrash()
-			if r := q.RecoverOp(p, OpEnq, 2); r != isb.RespTrue {
-				t.Fatalf("offset %d: recover = %d", offset, r)
-			}
-		}
-		vals := q.Values()
-		if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
-			t.Fatalf("offset %d (crashed=%v): values %v", offset, crashed, vals)
-		}
-		if msg := q.CheckInvariants(); msg != "" {
-			t.Fatalf("offset %d: %s", offset, msg)
-		}
-	}
-}
-
-func TestRecoverAfterCrashMidDequeue(t *testing.T) {
-	for offset := uint64(1); offset <= 40; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		q := NewWithEngine(h, isb.NewEngine(h))
-		p := h.Proc(0)
-		q.ApplyOp(p, OpEnq, 7)
-		q.ApplyOp(p, OpEnq, 8)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var v uint64
-		var ok bool
-		crashed := !pmem.RunOp(func() { v, ok = value(q.ApplyOp(p, OpDeq, 0)) })
-		if crashed {
-			h.ResetAfterCrash()
-			r := q.RecoverOp(p, OpDeq, 0)
-			if r == isb.RespEmpty {
-				t.Fatalf("offset %d: dequeue on 2-element queue recovered empty", offset)
-			}
-			v, ok = isb.DecodeValue(r), true
-		}
-		if !ok || v != 7 {
-			t.Fatalf("offset %d: dequeue got (%d,%v), want (7,true)", offset, v, ok)
-		}
-		vals := q.Values()
-		if len(vals) != 1 || vals[0] != 8 {
-			t.Fatalf("offset %d: remaining %v, want [8]", offset, vals)
-		}
-	}
-}
-
 func TestTailHintCatchesUp(t *testing.T) {
 	q, h := newQueue(t, 2)
 	p := h.Proc(0)

@@ -3,54 +3,49 @@ package chaos_test
 import (
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/crash"
 	"repro/internal/serve"
 	"repro/internal/serve/chaos"
 	"repro/internal/serve/client"
 )
 
 // The wire sweep is the serve layer's flagship conformance test: a fixed
-// workload is driven through a session client whose FIRST connection is
+// workload is driven through a redialing client whose FIRST connection is
 // killed at EVERY byte offset of every frame in both directions —
 // optionally composed with a mid-workload server crash — and each run
-// must produce responses identical to the fault-free reference, leave the
-// store in the identical final state, and admit every request exactly
-// once (zero duplicate executions). It is the wire-layer analogue of the
-// access-offset crash sweeps: detectability extended over torn frames and
-// dropped connections.
+// must produce the fault-free responses, leave the store in the fault-free
+// final state, and admit every request exactly once (zero duplicate
+// executions). It runs on crash.Sweep with byte offsets as the fault
+// index: detectability extended over torn frames and dropped connections.
 
-// wireOp is one workload step; moves carry key2.
+// wireOp is one workload step; moves carry key2 and answer
+// deleted | inserted<<1.
 type wireOp struct {
 	op        byte
 	key, key2 uint64
+	want      uint64
 }
 
 // wireOps exercises every op kind, including a MOVE transaction and
 // membership flips whose answers a duplicated execution would falsify.
 var wireOps = []wireOp{
-	{serve.OpPut, 5, 0},
-	{serve.OpPut, 6, 0},
-	{serve.OpGet, 5, 0},
-	{serve.OpMove, 5, 7},
-	{serve.OpDel, 6, 0},
-	{serve.OpPut, 8, 0},
-	{serve.OpGet, 6, 0},
-	{serve.OpGet, 7, 0},
+	{serve.OpPut, 5, 0, 1},
+	{serve.OpPut, 6, 0, 1},
+	{serve.OpGet, 5, 0, 1},
+	{serve.OpMove, 5, 7, 3},
+	{serve.OpDel, 6, 0, 1},
+	{serve.OpPut, 8, 0, 1},
+	{serve.OpGet, 6, 0, 0},
+	{serve.OpGet, 7, 0, 1},
 }
 
-// wireResult is everything one run is judged by.
-type wireResult struct {
-	vals     []uint64 // normalized reply values, one per workload step
-	admitted uint64   // server-side admissions: must equal len(wireOps)
-	keys     []uint64 // sorted final store contents at quiescence
-	wBytes   uint64   // bytes the first conn wrote (reference runs only)
-	rBytes   uint64   // bytes the first conn read (reference runs only)
-	span     uint64   // tracked heap accesses across the workload
-}
+// wireKeys is the store the workload leaves.
+var wireKeys = []uint64{7, 8}
 
 func wireConfig(eng repro.EngineKind, crashSim bool) serve.Config {
 	return serve.Config{
@@ -59,100 +54,109 @@ func wireConfig(eng repro.EngineKind, crashSim bool) serve.Config {
 	}
 }
 
-// runWire executes the fixed workload once: the first session connection
-// gets the given fault plan (zero plan = reference), every redial is
-// clean, and crashAt > 0 arms one mid-workload server crash.
-func runWire(t *testing.T, eng repro.EngineKind, crashSim bool, crashAt uint64, plan chaos.Plan) wireResult {
-	t.Helper()
+// wireInstance is one run of the workload on a fresh server through a
+// redialing client. Its first connection carries the fault plan — a cut of
+// the client's read stream, or else of its write stream, at the byte the
+// sweep picks — and every redial is clean. crashAt > 0 arms one server crash
+// that many heap accesses into the workload, which the server recovers from
+// itself. Run ends with client and server closed, so the audit reads a
+// quiescent store.
+func wireInstance(eng repro.EngineKind, crashSim bool, crashAt uint64, read bool) crash.Instance {
 	srv := serve.New(wireConfig(eng, crashSim))
 	ln := serve.NewMemListener()
 	go srv.Serve(ln)
-	defer srv.Close()
-
-	var first *chaos.Conn
-	dials := 0
-	s, err := client.DialSession(client.SessionConfig{
-		ClientID: 1,
-		Dial: func() (net.Conn, error) {
-			nc, err := ln.Dial()
-			if err != nil {
-				return nil, err
+	var (
+		plan     chaos.Plan
+		first    *chaos.Conn
+		admitted uint64
+		keys     []uint64
+		crashes  int
+	)
+	dial := func() (net.Conn, error) {
+		nc, err := ln.Dial()
+		if err != nil || first != nil {
+			return nc, err
+		}
+		first = chaos.NewConn(nc, plan)
+		return first, nil
+	}
+	return crash.Instance{
+		Heap: srv.Runtime().Heap(),
+		Prepare: func() {
+			if crashAt > 0 {
+				srv.Runtime().ScheduleCrash(crashAt)
 			}
-			dials++
-			if dials == 1 {
-				first = chaos.NewConn(nc, plan)
-				return first, nil
-			}
-			return nc, nil
 		},
-		RequestTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("dial session: %v", err)
-	}
-	defer s.Close()
-
-	startAcc := srv.Runtime().Heap().AccessCount()
-	if crashAt > 0 {
-		srv.Runtime().ScheduleCrash(crashAt)
-	}
-
-	res := wireResult{vals: make([]uint64, len(wireOps))}
-	for i, op := range wireOps {
-		if op.op == serve.OpMove {
-			del, ins, err := s.Move(op.key, op.key2)
+		Run: func() ([]uint64, error) {
+			s, err := client.DialSession(client.SessionConfig{ClientID: 1, Dial: dial, RequestTimeout: 5 * time.Second})
 			if err != nil {
-				t.Fatalf("step %d move(%d,%d): %v", i, op.key, op.key2, err)
+				return nil, fmt.Errorf("dial session: %v", err)
 			}
-			if del {
-				res.vals[i] |= 1
+			defer s.Close()
+			vals := make([]uint64, len(wireOps))
+			for i, op := range wireOps {
+				if op.op == serve.OpMove {
+					del, ins, err := s.Move(op.key, op.key2)
+					if err != nil {
+						return nil, fmt.Errorf("step %d move(%d,%d): %v", i, op.key, op.key2, err)
+					}
+					if del {
+						vals[i] |= 1
+					}
+					if ins {
+						vals[i] |= 2
+					}
+					continue
+				}
+				rep, err := s.Do(op.op, op.key)
+				if err != nil {
+					return nil, fmt.Errorf("step %d op %d(%d): %v", i, op.op, op.key, err)
+				}
+				vals[i] = rep.Val
 			}
-			if ins {
-				res.vals[i] |= 2
+			admitted = srv.Snapshot().Admitted
+			s.Close()
+			srv.Close() // quiesce (joining any in-progress recovery) before the audit
+			keys, crashes = srv.Store().Keys(), srv.Crashes()
+			return vals, nil
+		},
+		Verify: func() string {
+			if admitted != uint64(len(wireOps)) || !slices.Equal(keys, wireKeys) {
+				return fmt.Sprintf("%d admissions for %d requests (duplicate or lost execution); store holds %v, want %v",
+					admitted, len(wireOps), keys, wireKeys)
 			}
-			continue
-		}
-		rep, err := s.Do(op.op, op.key)
-		if err != nil {
-			t.Fatalf("step %d op %d(%d): %v", i, op.op, op.key, err)
-		}
-		res.vals[i] = rep.Val
+			if crashes > 1 || (crashes == 1) != (crashAt > 0) {
+				return fmt.Sprintf("the server crashed %d times with a crash armed at access %d", crashes, crashAt)
+			}
+			return ""
+		},
+		Kill: func(off uint64) {
+			if read {
+				plan.KillReadAt = off
+			} else {
+				plan.KillWriteAt = off
+			}
+		},
+		Carried: func() uint64 {
+			if read {
+				return first.BytesRead()
+			}
+			return first.BytesWritten()
+		},
+		Close: srv.Close,
 	}
-	res.span = srv.Runtime().Heap().AccessCount() - startAcc
-
-	res.admitted = srv.Snapshot().Admitted
-	if first != nil {
-		res.wBytes = first.BytesWritten()
-		res.rBytes = first.BytesRead()
-	}
-	s.Close()
-	srv.Close() // quiesce (joining any in-progress recovery) before the audit
-	res.keys = append([]uint64(nil), srv.Store().Keys()...)
-	sort.Slice(res.keys, func(i, j int) bool { return res.keys[i] < res.keys[j] })
-	return res
 }
 
-// checkWire compares one swept run against the fault-free reference.
-func checkWire(t *testing.T, label string, got, ref wireResult) {
-	t.Helper()
-	for i := range ref.vals {
-		if got.vals[i] != ref.vals[i] {
-			t.Fatalf("%s: step %d answered %d, want %d (responses must match the fault-free run)",
-				label, i, got.vals[i], ref.vals[i])
-		}
+// midWorkload is the heap access halfway through the workload's crash-free
+// run on a crash-simulating server: where the crash cells compose their
+// server crash.
+func midWorkload(t *testing.T, eng repro.EngineKind) uint64 {
+	in := wireInstance(eng, true, 0, false)
+	start := in.Heap.AccessCount()
+	if _, err := in.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if got.admitted != uint64(len(wireOps)) {
-		t.Fatalf("%s: %d admissions for %d requests — duplicate or lost execution",
-			label, got.admitted, len(wireOps))
-	}
-	if len(got.keys) != len(ref.keys) {
-		t.Fatalf("%s: store holds %v, want %v", label, got.keys, ref.keys)
-	}
-	for i := range ref.keys {
-		if got.keys[i] != ref.keys[i] {
-			t.Fatalf("%s: store holds %v, want %v", label, got.keys, ref.keys)
-		}
-	}
+	return (in.Heap.AccessCount() - start) / 2
 }
 
 // TestWireSweep kills the first connection at every byte offset of the
@@ -163,37 +167,29 @@ func checkWire(t *testing.T, label string, got, ref wireResult) {
 func TestWireSweep(t *testing.T) {
 	for _, eng := range []repro.EngineKind{repro.EngineIsb, repro.EngineIsbOpt} {
 		for _, withCrash := range []bool{false, true} {
-			eng, withCrash := eng, withCrash
-			name := fmt.Sprintf("engine=%d/crash=%v", eng, withCrash)
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("engine=%d/crash=%v", eng, withCrash), func(t *testing.T) {
 				t.Parallel()
-				// Fault-free reference fixes the expected answers, the final
-				// store, the offset space (bytes on the wire), and — for the
-				// crash legs — the access span a mid-workload crash bisects.
-				ref := runWire(t, eng, withCrash, 0, chaos.Plan{})
-				if ref.admitted != uint64(len(wireOps)) {
-					t.Fatalf("reference admitted %d of %d", ref.admitted, len(wireOps))
-				}
-				crashAt := uint64(0)
+				var crashAt uint64
 				if withCrash {
-					crashAt = ref.span / 2
-					if crashAt == 0 {
-						t.Fatalf("reference run spanned no tracked accesses")
-					}
+					crashAt = midWorkload(t, eng)
 				}
-				stride := uint64(1)
-				if testing.Short() {
-					stride = 13
-				}
-				for off := uint64(1); off <= ref.wBytes; off += stride {
-					got := runWire(t, eng, withCrash, crashAt, chaos.Plan{KillWriteAt: off})
-					checkWire(t, fmt.Sprintf("%s kill-write@%d", name, off), got, ref)
-				}
-				for off := uint64(1); off <= ref.rBytes; off += stride {
-					got := runWire(t, eng, withCrash, crashAt, chaos.Plan{KillReadAt: off})
-					checkWire(t, fmt.Sprintf("%s kill-read@%d", name, off), got, ref)
+				for _, stream := range []string{"kill-write", "kill-read"} {
+					t.Run(stream, func(t *testing.T) {
+						crash.SweepTest(t, func() crash.Instance {
+							return wireInstance(eng, withCrash, crashAt, stream == "kill-read")
+						}, wireWant())
+					})
 				}
 			})
 		}
 	}
+}
+
+// wireWant is the workload's reply column.
+func wireWant() []uint64 {
+	out := make([]uint64, len(wireOps))
+	for i, op := range wireOps {
+		out[i] = op.want
+	}
+	return out
 }

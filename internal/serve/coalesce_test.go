@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/crash"
 	"repro/internal/serve"
 	"repro/internal/serve/chaos"
 	"repro/internal/serve/client"
@@ -65,8 +66,15 @@ func directWindowSyncs() uint64 {
 // and all 16 replies leave in exactly ONE server-side Write. A MOVE, which
 // is a singleton window, is answered in one Write too.
 func TestWindowCoalescing(t *testing.T) {
-	in := gatedInstance(t, coalesceConfig(false), coalesceReqs, 0)
-	s, c, srvSide, syncs := in.s, in.c, in.srvSide, in.syncs
+	p := newPipeline(t, coalesceConfig(false), coalesceReqs)
+	t.Cleanup(p.close)
+	s, c, srvSide := p.s, p.c, p.srvSide
+	heap := s.Runtime().Heap()
+	before := heap.TotalStats().Syncs
+	if _, err := p.run(); err != nil {
+		t.Fatal(err)
+	}
+	syncs := heap.TotalStats().Syncs - before
 	st := s.Snapshot()
 	if p := st.Procs[0]; p.Windows != 1 || p.BatchFill[coalesceWindow] != 1 {
 		t.Fatalf("windows=%d fill[%d]=%d, want one full window", p.Windows, coalesceWindow, p.BatchFill[coalesceWindow])
@@ -126,28 +134,26 @@ func TestServeMoveSyncPrice(t *testing.T) {
 	}
 }
 
-// TestWindowCoalescingAcrossCrash pins the crash path: the replies of the
-// prefix MatchReport proves durable leave as one batch, and the re-admitted
-// suffix as another, so a window crashed once costs at most two Writes —
-// exactly one when the report answers the whole window.
+// TestWindowCoalescingAcrossCrash pins the crash path at every access
+// offset of the window: the replies of the prefix MatchReport proves durable
+// leave as one batch, and the re-admitted suffix as another, so a window
+// crashed once costs at most two Writes — exactly one when the report
+// answers the whole window or none of it. The replies are the crash-free
+// run's.
 func TestWindowCoalescingAcrossCrash(t *testing.T) {
 	answeredFromReport := false
-	crashSweep(t, coalesceConfig(true), coalesceReqs,
-		func(span uint64) []uint64 { return []uint64{span / 4, span / 2, 3 * span / 4, span - 1, span} },
-		func(*instance) {},
-		func(label string, in *instance) {
-			st := in.s.Snapshot()
-			writes := in.srvSide.Writes()
-			if writes < 1 || writes > 2 {
-				t.Fatalf("%s: %d Writes for a window crashed once (%d replies from the report), want 1 or 2",
-					label, writes, st.FromReport)
+	crash.SweepTest(t, func() crash.Instance {
+		p := newPipeline(t, coalesceConfig(true), coalesceReqs)
+		return p.instance(func() string {
+			st, writes := p.s.Snapshot(), p.srvSide.Writes()
+			if writes < 1 || writes > 2 || (st.FromReport == 0 || st.FromReport == coalesceWindow) && writes != 1 {
+				return fmt.Sprintf("%d Writes for a window with %d of its %d replies from the report, want 1, or 2 for a split",
+					writes, st.FromReport, coalesceWindow)
 			}
-			if (st.FromReport == 0 || st.FromReport == coalesceWindow) && writes != 1 {
-				t.Fatalf("%s: %d Writes for %d replies answered together, want 1", label, writes, coalesceWindow)
-			}
-			t.Logf("%s: from_report=%d writes=%d", label, st.FromReport, writes)
 			answeredFromReport = answeredFromReport || st.FromReport > 0
-		})
+			return ""
+		}, nil)
+	}, nil)
 	if !answeredFromReport {
 		t.Fatal("no offset answered any reply from a report; the crash path was not exercised")
 	}

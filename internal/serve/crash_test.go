@@ -1,13 +1,16 @@
 package serve_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/crash"
 	"repro/internal/serve"
 	"repro/internal/serve/chaos"
 	"repro/internal/serve/client"
@@ -26,6 +29,15 @@ func (r pipeReq) request() serve.Request {
 	return serve.Request{Op: r.op, ReqID: r.reqID, Key: r.key, Key2: r.key2}
 }
 
+// wants is the table's reply column.
+func wants(reqs []pipeReq) []uint64 {
+	out := make([]uint64, len(reqs))
+	for i, r := range reqs {
+		out[i] = r.want
+	}
+	return out
+}
+
 // The sweep's fixed window: six requests on one connection, small enough
 // to admit as a single ApplyWindow (Batch=8) so the access sequence is
 // deterministic, with responses that exercise both boolean outcomes.
@@ -38,7 +50,7 @@ var sweepReqs = []pipeReq{
 	{serve.OpPut, 106, 3, 0, 1},
 }
 
-var sweepKeys = map[uint64]bool{2: true, 3: true}
+var sweepKeys = []uint64{2, 3}
 
 func sweepConfig(eng repro.EngineKind) serve.Config {
 	return serve.Config{
@@ -52,17 +64,16 @@ var sweepEngines = []struct {
 	kind repro.EngineKind
 }{{"isb", repro.EngineIsb}, {"isb-opt", repro.EngineIsbOpt}}
 
-func recvReply(t *testing.T, ch <-chan serve.Reply, what string) serve.Reply {
-	t.Helper()
+// await takes one reply off ch.
+func await(ch <-chan serve.Reply) (serve.Reply, error) {
 	select {
 	case rep, ok := <-ch:
 		if !ok {
-			t.Fatalf("%s: connection died", what)
+			return rep, errors.New("connection died")
 		}
-		return rep
+		return rep, nil
 	case <-time.After(20 * time.Second):
-		t.Fatalf("%s: no reply", what)
-		return serve.Reply{}
+		return serve.Reply{}, errors.New("no reply")
 	}
 }
 
@@ -84,206 +95,155 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return cc, nil
 }
 
-// instance is one run of a fixed pipeline on a fresh gated server: the
-// server (still open; the caller closes it), the client, the server side
-// of its connection, the reply values in table order, and the psyncs and
-// heap accesses between opening the gate and the last reply.
-type instance struct {
-	s           *serve.Server
-	c           *client.Client
-	srvSide     *chaos.Conn
-	vals        []uint64
-	syncs, span uint64
+// pipeline is a fixed pipeline queued on a fresh gated server: the server,
+// the client, the server side of its connection, and the channels the
+// replies will arrive on.
+type pipeline struct {
+	s       *serve.Server
+	c       *client.Client
+	srvSide *chaos.Conn
+	reqs    []pipeReq
+	replies []<-chan serve.Reply
 }
 
-// gatedInstance queues reqs, pipelined on one connection, on a fresh gated
-// server, opens the gate — with a crash scheduled off accesses in, if
-// off > 0 — and collects the replies. The gate fixes the queue contents,
-// so the admission sequence (MOVE admits alone) and with it the access
-// sequence are deterministic.
-func gatedInstance(t *testing.T, cfg serve.Config, reqs []pipeReq, off uint64) *instance {
+// newPipeline sends reqs, pipelined on one connection, to a fresh gated
+// server and waits until all of them are queued. The gate fixes the queue
+// contents, so the admission sequence (MOVE admits alone) and with it the
+// access sequence are deterministic.
+func newPipeline(t *testing.T, cfg serve.Config, reqs []pipeReq) *pipeline {
 	t.Helper()
-	in := &instance{s: serve.New(cfg)}
+	p := &pipeline{s: serve.New(cfg), reqs: reqs}
 	ln := countingListener{serve.NewMemListener(), make(chan *chaos.Conn, 1)}
-	go in.s.Serve(ln)
-	t.Cleanup(in.s.Close)
-	in.c = dial(t, ln.MemListener, 1)
-	in.srvSide = <-ln.accepted
-
-	chs := make([]<-chan serve.Reply, len(reqs))
+	go p.s.Serve(ln)
+	nc, err := ln.Dial()
+	if err != nil {
+		p.s.Close()
+		t.Fatalf("dial: %v", err)
+	}
+	p.c = client.New(nc, 1)
+	p.srvSide = <-ln.accepted
 	for i, r := range reqs {
-		ch, err := in.c.Send(r.request())
+		ch, err := p.c.Send(r.request())
 		if err != nil {
+			p.close()
 			t.Fatalf("send %d: %v", i, err)
 		}
-		chs[i] = ch
+		p.replies = append(p.replies, ch)
 	}
-	for in.s.Snapshot().Queued < uint64(len(reqs)) {
+	for p.s.Snapshot().Queued < uint64(len(reqs)) {
 		runtime.Gosched()
 	}
-	heap := in.s.Runtime().Heap()
-	syncs0, acc0 := heap.TotalStats().Syncs, heap.AccessCount()
-	if off > 0 {
-		in.s.Runtime().ScheduleCrash(off)
-	}
-	in.s.Release()
-
-	in.vals = make([]uint64, len(reqs))
-	for i, ch := range chs {
-		rep := recvReply(t, ch, "pipeline reply")
-		if rep.Status != serve.StOK || rep.ReqID != reqs[i].reqID {
-			t.Fatalf("request %d: status %d reqID %d, want OK/%d", i, rep.Status, rep.ReqID, reqs[i].reqID)
-		}
-		in.vals[i] = rep.Val
-	}
-	in.syncs, in.span = heap.TotalStats().Syncs-syncs0, heap.AccessCount()-acc0
-	return in
+	return p
 }
 
-// crashSweep is the one loop under the serve crash sweeps. A crash-free
-// reference run of the pipeline fixes the replies and the access span;
-// then each offset that offsets names from the span gets a fresh gated
-// server running the same pipeline with a crash scheduled there, which
-// must crash exactly once and answer exactly as the reference did.
-// reference and check add each test's own assertions.
-func crashSweep(t *testing.T, cfg serve.Config, reqs []pipeReq, offsets func(span uint64) []uint64,
-	reference func(ref *instance), check func(label string, in *instance)) {
-	t.Helper()
-	ref := gatedInstance(t, cfg, reqs, 0)
-	if got := ref.s.Crashes(); got != 0 {
-		t.Fatalf("reference run crashed %d times", got)
+// run opens the gate and collects the reply values in table order.
+func (p *pipeline) run() ([]uint64, error) {
+	p.s.Release()
+	vals := make([]uint64, len(p.reqs))
+	for i, ch := range p.replies {
+		rep, err := await(ch)
+		if err == nil && (rep.Status != serve.StOK || rep.ReqID != p.reqs[i].reqID) {
+			err = fmt.Errorf("status %d reqID %d, want OK/%d", rep.Status, rep.ReqID, p.reqs[i].reqID)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("request %d: %v", i, err)
+		}
+		vals[i] = rep.Val
 	}
-	reference(ref)
-	ref.s.Close()
-	if ref.span == 0 {
-		t.Fatal("reference run performed no tracked accesses")
+	return vals, nil
+}
+
+func (p *pipeline) close() {
+	p.c.Close()
+	p.s.Close()
+}
+
+// instance is the pipeline as crash.Sweep drives it: the crash the sweep
+// arms between queueing and the gate is the server's to recover (it reboots
+// the store on its own goroutines), and run still collects every reply.
+func (p *pipeline) instance(verify, after func() string) crash.Instance {
+	return crash.Instance{Heap: p.s.Runtime().Heap(), Run: p.run, Verify: verify, After: after, Close: p.close}
+}
+
+// holds reports "" exactly when the store holds keys and nothing else.
+func (p *pipeline) holds(keys []uint64) string {
+	if got := p.s.Store().Keys(); !slices.Equal(got, keys) {
+		return fmt.Sprintf("store holds %v, want %v", got, keys)
 	}
-	offs := offsets(ref.span)
-	t.Logf("sweeping %d of %d access offsets", len(offs), ref.span)
-	for _, off := range offs {
-		in := gatedInstance(t, cfg, reqs, off)
-		label := fmt.Sprintf("offset %d", off)
-		for i := range ref.vals {
-			if in.vals[i] != ref.vals[i] {
-				t.Fatalf("%s: request %d (id %d) answered %d, want %d", label, i, reqs[i].reqID, in.vals[i], ref.vals[i])
+	return ""
+}
+
+// resubmitted is the exactly-once pass after a crash: every request of
+// again is sent rounds more times under its own ID and must be answered from
+// the response table with its recorded value — never re-executed (the store
+// check that follows it) and never queued again.
+func (p *pipeline) resubmitted(again []pipeReq, rounds int) string {
+	for round := range rounds {
+		for _, r := range again {
+			ch, err := p.c.Send(r.request())
+			if err != nil {
+				return fmt.Sprintf("resubmit %d of id %d: %v", round, r.reqID, err)
+			}
+			if rep, err := await(ch); err != nil || rep.Status != serve.StOK || rep.Val != r.want {
+				return fmt.Sprintf("resubmit %d of id %d answered status %d val %d (err %v), want OK/%d",
+					round, r.reqID, rep.Status, rep.Val, err, r.want)
 			}
 		}
-		if got := in.s.Crashes(); got != 1 {
-			t.Fatalf("%s: %d crashes, want exactly 1", label, got)
-		}
-		check(label, in)
-		in.s.Close()
 	}
-}
-
-// everyOffset walks the whole span.
-func everyOffset(span uint64) []uint64 {
-	offs := make([]uint64, span)
-	for i := range offs {
-		offs[i] = uint64(i + 1)
+	if st := p.s.Snapshot(); st.Deduped != uint64(rounds*len(again)) || st.Queued != uint64(len(p.reqs)) {
+		return fmt.Sprintf("%d deduped, %d queued; want %d, %d", st.Deduped, st.Queued, rounds*len(again), len(p.reqs))
 	}
-	return offs
-}
-
-// checkPipelineState requires the table's reply values and exactly the
-// crash-free keys in the store.
-func checkPipelineState(t *testing.T, in *instance, reqs []pipeReq, keys map[uint64]bool, label string) {
-	t.Helper()
-	for i, r := range reqs {
-		if in.vals[i] != r.want {
-			t.Fatalf("%s: request %d (id %d) answered %d, want %d", label, i, r.reqID, in.vals[i], r.want)
-		}
-	}
-	got := in.s.Store().Keys()
-	if len(got) != len(keys) {
-		t.Fatalf("%s: store holds %v, want keys of %v", label, got, keys)
-	}
-	for _, k := range got {
-		if !keys[k] {
-			t.Fatalf("%s: store holds stray key %d", label, k)
-		}
-	}
+	return ""
 }
 
 // TestServeCrashSweep kills and reboots the store at EVERY access offset
 // of the serve path's admission window, for both engine placements. At
-// each offset the client must observe exactly the crash-free responses,
-// the recovered store must hold exactly the crash-free keys, and a
-// duplicate resubmit must be answered from the response table without
-// perturbing either.
+// each offset the client must observe exactly the crash-free responses and
+// the recovered store must hold exactly the crash-free keys; then every
+// request ID is resubmitted twice and must be answered from the response
+// table — identical responses, store untouched, no re-execution.
 func TestServeCrashSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is exhaustive; skipped in -short")
-	}
 	for _, eng := range sweepEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			crashSweep(t, sweepConfig(eng.kind), sweepReqs, everyOffset,
-				func(ref *instance) { checkPipelineState(t, ref, sweepReqs, sweepKeys, "reference") },
-				func(label string, in *instance) {
-					checkPipelineState(t, in, sweepReqs, sweepKeys, label)
-					// Duplicate resubmits: one whose re-execution would flip
-					// the answer (106: key 3 now present) and one whose
-					// re-execution would corrupt the store (104: deleting the
-					// re-inserted key 1... which must not exist to re-delete).
-					for _, i := range []int{5, 3} {
-						r := sweepReqs[i]
-						rep, err := in.c.DoWithID(r.op, r.reqID, r.key)
-						if err != nil || rep.Val != r.want {
-							t.Fatalf("%s: resubmit of id %d answered %d (err %v), want recorded %d",
-								label, r.reqID, rep.Val, err, r.want)
-						}
-					}
-					checkPipelineState(t, in, sweepReqs, sweepKeys, label+" after resubmit")
-					if st := in.s.Snapshot(); st.Deduped != 2 {
-						t.Fatalf("%s: deduped = %d, want 2", label, st.Deduped)
-					}
-				})
+			crash.SweepTest(t, func() crash.Instance {
+				p := newPipeline(t, sweepConfig(eng.kind), sweepReqs)
+				return p.instance(func() string { return p.holds(sweepKeys) },
+					func() string { return p.resubmitted(sweepReqs, 2) })
+			}, wants(sweepReqs))
 		})
 	}
 }
 
-// TestServeExactlyOnceResubmit is the dedicated exactly-once pin: after a
-// mid-window crash, every request ID is resubmitted twice and must be
-// answered from the response table — identical responses, store
-// untouched, no re-execution.
+// TestServeExactlyOnceResubmit pins exactly-once on the crash-free path,
+// where the response table is filled by completion rather than by a
+// recovery report — the one run of the window that TestServeCrashSweep's
+// After pass never resubmits. Every request ID is resubmitted twice and
+// must be answered from the table: identical responses, store untouched,
+// nothing queued again.
 func TestServeExactlyOnceResubmit(t *testing.T) {
-	// A handful of offsets spread across the span (the full sweep lives
-	// in TestServeCrashSweep).
-	spread := func(span uint64) (offs []uint64) {
-		for _, off := range []uint64{1, span / 4, span / 2, 3 * span / 4, span} {
-			if off > 0 {
-				offs = append(offs, off)
-			}
-		}
-		return offs
-	}
 	for _, eng := range sweepEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			crashSweep(t, sweepConfig(eng.kind), sweepReqs, spread,
-				func(ref *instance) { checkPipelineState(t, ref, sweepReqs, sweepKeys, "reference") },
-				func(label string, in *instance) {
-					checkPipelineState(t, in, sweepReqs, sweepKeys, label)
-					for round := 0; round < 2; round++ {
-						for _, r := range sweepReqs {
-							rep, err := in.c.DoWithID(r.op, r.reqID, r.key)
-							if err != nil || rep.Val != r.want {
-								t.Fatalf("%s: resubmit round %d of id %d answered %d (err %v), want %d",
-									label, round, r.reqID, rep.Val, err, r.want)
-							}
-						}
-					}
-					checkPipelineState(t, in, sweepReqs, sweepKeys, label+" after resubmits")
-					st := in.s.Snapshot()
-					if st.Deduped != uint64(2*len(sweepReqs)) {
-						t.Fatalf("%s: deduped = %d, want %d", label, st.Deduped, 2*len(sweepReqs))
-					}
-					// Every reply past the crash-free prefix was either served
-					// from the report or re-executed as provably-no-effect;
-					// either way the admission counters stay exact.
-					if st.Queued != uint64(len(sweepReqs)) {
-						t.Fatalf("%s: queued = %d, want %d (resubmits must not re-enqueue)", label, st.Queued, len(sweepReqs))
-					}
-				})
+			p := newPipeline(t, sweepConfig(eng.kind), sweepReqs)
+			defer p.close()
+			vals, err := p.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := wants(sweepReqs); !slices.Equal(vals, want) {
+				t.Fatalf("responses %v, want %v", vals, want)
+			}
+			if msg := p.holds(sweepKeys); msg != "" {
+				t.Fatal(msg)
+			}
+			if msg := p.resubmitted(sweepReqs, 2); msg != "" {
+				t.Fatal(msg)
+			}
+			if msg := p.holds(sweepKeys); msg != "" {
+				t.Fatalf("after resubmits: %s", msg)
+			}
+			if got := p.s.Crashes(); got != 0 {
+				t.Fatalf("%d crashes, want 0", got)
+			}
 		})
 	}
 }

@@ -1,25 +1,41 @@
 package serve
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
-// latHist is a power-of-two-bucket latency histogram: bucket i counts
-// service latencies in [2^i, 2^(i+1)) microseconds (bucket 0 holds <2µs).
-// Quantiles read back the containing bucket's upper bound — coarse, but
-// allocation-free, mergeable, and monotone under load shifts, which is all
-// the p50/p99 surface needs.
+// latHist is a log-linear latency histogram in whole microseconds: below
+// 4µs a bucket per microsecond, above that each octave [2^k, 2^(k+1)) split
+// into 4 equal sub-buckets, so a bucket's upper bound is at most 25% above
+// anything it holds. Quantiles read back the containing bucket's upper bound:
+// allocation-free, mergeable, and monotone under load shifts. The last
+// bucket also holds everything past ~2.4 h.
 type latHist struct {
-	buckets [40]uint64
+	buckets [128]uint64
 	count   uint64
 }
 
-func (h *latHist) observe(d time.Duration) {
-	us := uint64(d.Microseconds())
-	i := 0
-	for us > 1 && i < len(h.buckets)-1 {
-		us >>= 1
-		i++
+// latBucket is the bucket holding us microseconds: above 4µs, the shift s
+// leaves us>>s in [4, 8), whose low two bits pick the octave's quarter.
+func latBucket(us uint64) int {
+	if us < 4 {
+		return int(us)
 	}
-	h.buckets[i]++
+	s := bits.Len64(us) - 3
+	return 4*s + int(us>>s)
+}
+
+// latTop is bucket i's exclusive upper bound in microseconds.
+func latTop(i int) float64 {
+	if i < 4 {
+		return float64(i + 1)
+	}
+	return float64(uint64(i%4+5) << (i/4 - 1))
+}
+
+func (h *latHist) observe(d time.Duration) {
+	h.buckets[min(latBucket(uint64(d.Microseconds())), len(h.buckets)-1)]++
 	h.count++
 }
 
@@ -36,10 +52,10 @@ func (h *latHist) quantile(q float64) float64 {
 	for i, n := range h.buckets {
 		cum += n
 		if cum > want {
-			return float64(uint64(1) << uint(i+1))
+			return latTop(i)
 		}
 	}
-	return float64(uint64(1) << uint(len(h.buckets)))
+	return latTop(len(h.buckets) - 1)
 }
 
 // ConnStats is one connection's counter snapshot.

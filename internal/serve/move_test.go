@@ -1,8 +1,10 @@
 package serve_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/serve"
 )
 
@@ -20,7 +22,7 @@ var moveReqs = []pipeReq{
 	{serve.OpGet, 206, 2, 0, 1},
 }
 
-var moveKeys = map[uint64]bool{9: true, 2: true}
+var moveKeys = []uint64{2, 9}
 
 // TestServeMoveCrashSweep kills and reboots the store at EVERY access
 // offset of the MOVE pipeline — the setup window, both two-leg
@@ -30,40 +32,19 @@ var moveKeys = map[uint64]bool{9: true, 2: true}
 // recovered store exactly the crash-free keys (a torn move would leave the
 // source deleted without the destination, caught here), and resubmitting
 // both MOVE IDs must replay the recorded packed answers without touching
-// the store.
+// the store. Every run admits both MOVEs as windows of their own.
 func TestServeMoveCrashSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is exhaustive; skipped in -short")
-	}
 	for _, eng := range sweepEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			crashSweep(t, sweepConfig(eng.kind), moveReqs, everyOffset,
-				func(ref *instance) {
-					checkPipelineState(t, ref, moveReqs, moveKeys, "reference")
-					if st := ref.s.Snapshot(); st.Procs[0].Moves != 2 {
-						t.Fatalf("reference run admitted %d MOVE windows, want 2", st.Procs[0].Moves)
+			crash.SweepTest(t, func() crash.Instance {
+				p := newPipeline(t, sweepConfig(eng.kind), moveReqs)
+				return p.instance(func() string {
+					if moves := p.s.Snapshot().Procs[0].Moves; moves != 2 {
+						return fmt.Sprintf("admitted %d MOVE windows, want 2", moves)
 					}
-				},
-				func(label string, in *instance) {
-					checkPipelineState(t, in, moveReqs, moveKeys, label)
-					// Duplicate resubmits of both transactions: recorded packed
-					// answers, no re-execution.
-					for _, r := range moveReqs[1:3] {
-						ch, err := in.c.Send(r.request())
-						if err != nil {
-							t.Fatalf("%s: resubmit send: %v", label, err)
-						}
-						rep := recvReply(t, ch, label+": resubmit reply")
-						if rep.Status != serve.StOK || rep.Val != r.want {
-							t.Fatalf("%s: resubmit of id %d answered status %d val %d, want OK/%d",
-								label, r.reqID, rep.Status, rep.Val, r.want)
-						}
-					}
-					checkPipelineState(t, in, moveReqs, moveKeys, label+" after resubmit")
-					if st := in.s.Snapshot(); st.Deduped != 2 {
-						t.Fatalf("%s: deduped = %d, want 2", label, st.Deduped)
-					}
-				})
+					return p.holds(moveKeys)
+				}, func() string { return p.resubmitted(moveReqs[1:3], 1) })
+			}, wants(moveReqs))
 		})
 	}
 }

@@ -7,6 +7,29 @@ import (
 	"repro"
 )
 
+// TestLatHistQuantiles pins the latency histogram's resolution: over runs
+// of known samples, the p50 and p99 it reads back are at most 25% above the
+// true ones (whole octaves read 64 for a p99 of 40), and observing allocates
+// nothing.
+func TestLatHistQuantiles(t *testing.T) {
+	for _, run := range [][2]uint64{{1, 1000}, {20, 40}, {300, 5000}, {90, 130}} {
+		var h latHist
+		for us := run[0]; us <= run[1]; us++ {
+			h.observe(time.Duration(us) * time.Microsecond)
+		}
+		for _, q := range []float64{0.50, 0.99} {
+			exact := float64(run[0] + uint64(q*float64(run[1]-run[0]+1)))
+			if got := h.quantile(q); got < exact || got > 1.25*exact {
+				t.Errorf("samples %d..%dµs: p%.0f reads %.0f, exact %.0f", run[0], run[1], 100*q, got, exact)
+			}
+		}
+	}
+	var h latHist
+	if n := testing.AllocsPerRun(100, func() { h.observe(37 * time.Microsecond) }); n != 0 {
+		t.Errorf("observe allocates %.0f times", n)
+	}
+}
+
 // TestTakeLockedFairness pins the round-robin admission composition: one
 // request per connection per pass, so a connection with a deep queue
 // cannot crowd its neighbours out of a window.

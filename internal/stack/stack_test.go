@@ -211,46 +211,3 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 		t.Fatal("recover re-executed pop")
 	}
 }
-
-func TestCrashSweepPushPop(t *testing.T) {
-	for _, spins := range []int{0, 8} {
-		for offset := uint64(1); offset <= 60; offset++ {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-			s := NewWithEngine(h, isb.NewEngine(h), spins)
-			p := h.Proc(0)
-			s.ApplyOp(p, OpPush, 1)
-
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			crashed := !pmem.RunOp(func() { s.ApplyOp(p, OpPush, 2) })
-			if crashed {
-				h.ResetAfterCrash()
-				if r := s.RecoverOp(p, OpPush, 2); r != isb.RespTrue {
-					t.Fatalf("spins %d offset %d: push recovery = %d", spins, offset, r)
-				}
-			}
-			vals := s.Values()
-			if len(vals) != 2 || vals[0] != 2 || vals[1] != 1 {
-				t.Fatalf("spins %d offset %d: values %v, want [2 1]", spins, offset, vals)
-			}
-
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			var v uint64
-			var ok bool
-			crashed = !pmem.RunOp(func() { v, ok = value(s.ApplyOp(p, OpPop, 0)) })
-			if crashed {
-				h.ResetAfterCrash()
-				r := s.RecoverOp(p, OpPop, 0)
-				if r == isb.RespEmpty {
-					t.Fatalf("spins %d offset %d: pop recovered empty on 2-element stack", spins, offset)
-				}
-				v, ok = isb.DecodeValue(r), true
-			}
-			if !ok || v != 2 {
-				t.Fatalf("spins %d offset %d: pop (%d,%v), want (2,true)", spins, offset, v, ok)
-			}
-			if msg := s.CheckInvariants(); msg != "" {
-				t.Fatalf("spins %d offset %d: %s", spins, offset, msg)
-			}
-		}
-	}
-}

@@ -137,7 +137,8 @@ const (
 // kind: Bool for set operations, pushes and enqueues; Value/Empty for
 // dequeues, pops and exchanges. The encoding keeps payloads disjoint from
 // the control responses, so a carried value of 0 can never be confused
-// with "empty" (see TestRecoverDequeueZeroValue).
+// with "empty" (the queue-zero and stack-zero rows of internal/crash's
+// conformance matrix pin it at every crash point).
 type Resp struct{ raw uint64 }
 
 // Raw exposes the encoded response word (harness/test plumbing).

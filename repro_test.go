@@ -222,58 +222,6 @@ func TestRecoverAllEmptyWhenIdle(t *testing.T) {
 	}
 }
 
-// TestRecoverDequeueZeroValue pins the public boundary: recovering a
-// dequeue (and pop) of value 0 must return (0, true), never be mistaken
-// for "empty" — at every crash offset that interrupts the operation.
-func TestRecoverDequeueZeroValue(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			crashes := 0
-			for off := uint64(1); off <= 120; off++ {
-				rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 20, Engine: e.kind})
-				q := rt.NewQueue()
-				s := rt.NewStack(0)
-				p := rt.Proc(0)
-				q.Apply(p, Op{Kind: OpEnq, Arg: 0})
-				s.Apply(p, Op{Kind: OpPush, Arg: 0})
-
-				q.Begin(p)
-				rt.ScheduleCrash(off)
-				if !rt.Run(func() { q.Apply(p, Op{Kind: OpDeq}) }) {
-					crashes++
-					rt.Restart()
-					if v, ok := q.RecoverOp(p, Op{Kind: OpDeq}).Value(); !ok || v != 0 {
-						t.Fatalf("off=%d: recovered dequeue = (%d,%v), want (0,true)", off, v, ok)
-					}
-				} else {
-					rt.CancelCrash()
-				}
-				if _, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); ok {
-					t.Fatalf("off=%d: queue not empty after dequeue of 0", off)
-				}
-
-				s.Begin(p)
-				rt.ScheduleCrash(off)
-				if !rt.Run(func() { s.Apply(p, Op{Kind: OpPop}) }) {
-					crashes++
-					rt.Restart()
-					if v, ok := s.RecoverOp(p, Op{Kind: OpPop}).Value(); !ok || v != 0 {
-						t.Fatalf("off=%d: recovered pop = (%d,%v), want (0,true)", off, v, ok)
-					}
-				} else {
-					rt.CancelCrash()
-				}
-				if _, ok := s.Apply(p, Op{Kind: OpPop}).Value(); ok {
-					t.Fatalf("off=%d: stack not empty after pop of 0", off)
-				}
-			}
-			if crashes == 0 {
-				t.Fatal("no crash offset interrupted the operations")
-			}
-		})
-	}
-}
-
 // TestRecoverAllExchanger: at every crash offset that interrupts a lonely
 // exchange, RecoverAll either finds no announcement (the crash preceded
 // it; nothing to recover) or routes the announced OpExchange to the
@@ -310,62 +258,6 @@ func TestRecoverAllExchanger(t *testing.T) {
 	if routed == 0 || absent == 0 {
 		t.Fatalf("coverage hole: routed=%d absent=%d completed=%d (want routed and absent nonzero)",
 			routed, absent, completed)
-	}
-}
-
-// TestRecoverAllNoDuplicateOnRepeatedOp pins the exactly-once contract for
-// consecutive identical operations under the documented Begin discipline:
-// dequeue 11, then crash a second (identical) dequeue at every early
-// offset. The resolution — report entry or, absent one, re-submission —
-// must always yield 22, never re-deliver 11.
-func TestRecoverAllNoDuplicateOnRepeatedOp(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			crashed := 0
-			for off := uint64(1); off <= 30; off++ {
-				rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 20, Engine: e.kind})
-				q := rt.NewQueue()
-				p := rt.Proc(0)
-				q.Apply(p, Op{Kind: OpEnq, Arg: 11})
-				q.Apply(p, Op{Kind: OpEnq, Arg: 22})
-				q.Begin(p)
-				if v, ok := q.Apply(p, Op{Kind: OpDeq}).Value(); !ok || v != 11 {
-					t.Fatalf("first dequeue = (%d,%v)", v, ok)
-				}
-				q.Begin(p) // retires the first dequeue's announcement
-				rt.ScheduleCrash(off)
-				var resp Resp
-				if rt.Run(func() { resp = q.Apply(p, Op{Kind: OpDeq}) }) {
-					rt.CancelCrash()
-				} else {
-					crashed++
-					rt.Restart()
-					reps := rt.RecoverAll()
-					switch len(reps) {
-					case 0:
-						// No announcement ⇒ the second dequeue had no
-						// effect; re-submit.
-						resp = q.Apply(p, Op{Kind: OpDeq})
-					case 1:
-						if reps[0].Legs[0].Op != (Op{Kind: OpDeq}) {
-							t.Fatalf("off=%d: routed %+v", off, reps[0])
-						}
-						resp = reps[0].Legs[0].Resp
-					default:
-						t.Fatalf("off=%d: %d reports", off, len(reps))
-					}
-				}
-				if v, ok := resp.Value(); !ok || v != 22 {
-					t.Fatalf("off=%d: second dequeue resolved to (%d,%v), want (22,true) — value 11 would be a duplicate delivery", off, v, ok)
-				}
-				if vs := q.Values(); len(vs) != 0 {
-					t.Fatalf("off=%d: queue left %v", off, vs)
-				}
-			}
-			if crashed == 0 {
-				t.Fatal("no crash offset interrupted the second dequeue")
-			}
-		})
 	}
 }
 
