@@ -16,11 +16,12 @@ import (
 // with operations.
 //
 // The reclaim=true variants extend the pin over the whole reclamation hot
-// path: free-list pops in Alloc, retired-ring writes in Retire, epoch
-// pin enter/exit, and the periodic epoch advance + free sweep (the churn
-// below crosses the ring's free threshold many times per AllocsPerRun
-// window) — none of it may allocate Go memory either. Only the cold paths
-// (carving a new slab, the post-crash scan) are allowed to.
+// path: free-list pops in Alloc, ring appends in Retire, epoch pin
+// enter/exit, and the periodic epoch advance + free sweep (the churn below
+// crosses the ring's free threshold many times per AllocsPerRun window) —
+// none of it may allocate Go memory either. Only the cold paths (carving a
+// new slab, growing a ring behind a stalled epoch, the post-crash scan) are
+// allowed to.
 func TestOpHotPathZeroAllocs(t *testing.T) {
 	for _, e := range engines() {
 		for _, reclaim := range []bool{false, true} {

@@ -217,11 +217,12 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // the fall-through enters the engine under the announcement the exchange ran
 // behind (it used to run the begin sequence again, one psync and four
 // write-backs more).
+//
+// Each engine runs an arena leg and a reclaim leg (Config.Reclaim), and both
+// pay the same: the reclaimer adds no write-back. It paid one pwb per
+// retirement while its retired rings lived in the heap (an Isb-Opt update 10,
+// a window of 16 117).
 func TestAdmissionSyncPrice(t *testing.T) {
-	type price struct{ syncs, writeBacks uint64 }
-	type prices struct {
-		find, update, failed, window1, window16, txn, enq, deq, push, pop, elimPush, elimPop price
-	}
 	want := map[EngineKind]prices{
 		EngineIsb: {
 			update: price{6, 17}, failed: price{3, 7}, // were 7, 18 and 4, 8
@@ -241,52 +242,69 @@ func TestAdmissionSyncPrice(t *testing.T) {
 	}
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
-			rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: e.kind})
-			m, q, s := rt.NewHashMap(4), rt.NewQueue(), rt.NewStack(0) // no elimination: the central-stack path
-			es := rt.NewStack(stack.DefaultElimSpins)                  // one Proc: every exchange times out
-			p := rt.Proc(0)
-			for k := uint64(1); k <= 64; k += 2 {
-				m.Insert(p, k)
-			}
-			q.Apply(p, Op{Kind: OpEnq, Arg: 1})
-			s.Apply(p, Op{Kind: OpPush, Arg: 1})
-			es.Apply(p, Op{Kind: OpPush, Arg: 1})
-			window16 := make([]Op, 16)
-			for i := range window16 {
-				window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
-			}
-			w := want[e.kind]
-			for _, c := range []struct {
-				name  string
-				want  price
-				admit func()
-			}{
-				{"find", w.find, func() { m.Apply(p, Op{Kind: OpFind, Arg: 1}) }},
-				{"successful update", w.update, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 2}) }},
-				{"failed update", w.failed, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 1}) }},
-				{"ApplyWindow of 1", w.window1, func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 4}}) }},
-				{"ApplyWindow of 16", w.window16, func() { rt.ApplyWindow(p, m, window16) }},
-				{"ApplyTxn(delete, insert)", w.txn, func() {
-					rt.ApplyTxn(p,
-						TxnLeg{S: m, Op: Op{Kind: OpDelete, Arg: 1}},
-						TxnLeg{S: m, Op: Op{Kind: OpInsert, Arg: 6}})
-				}},
-				{"enqueue", w.enq, func() { q.Apply(p, Op{Kind: OpEnq, Arg: 7}) }},
-				{"dequeue", w.deq, func() { q.Apply(p, Op{Kind: OpDeq}) }},
-				{"push", w.push, func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
-				{"pop", w.pop, func() { s.Apply(p, Op{Kind: OpPop}) }},
-				{"eliminating push", w.elimPush, func() { es.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
-				{"eliminating pop", w.elimPop, func() { es.Apply(p, Op{Kind: OpPop}) }},
-			} {
-				before := rt.Heap().TotalStats()
-				c.admit()
-				st := rt.Heap().TotalStats().Sub(before)
-				if got := (price{st.Syncs, st.Barriers + st.Flushes}); got != c.want {
-					t.Errorf("%s: %d psyncs and %d pbarriers + pwbs, want %d and %d",
-						c.name, got.syncs, got.writeBacks, c.want.syncs, c.want.writeBacks)
-				}
-			}
+			t.Run("arena", func(t *testing.T) { admissionPrices(t, e.kind, false, want[e.kind]) })
+			t.Run("reclaim", func(t *testing.T) { admissionPrices(t, e.kind, true, want[e.kind]) })
 		})
+	}
+}
+
+type price struct{ syncs, writeBacks uint64 }
+
+// prices is one engine's row of TestAdmissionSyncPrice, one price per shape.
+type prices struct {
+	find, update, failed, window1, window16, txn, enq, deq, push, pop, elimPush, elimPop price
+}
+
+// admissionPrices measures every admission shape of TestAdmissionSyncPrice
+// on one Proc and compares each with w. The reclaim leg pays the arena
+// leg's prices: the reclaimer writes back only when it carves a slab (the
+// slab directory's two write-backs), which the set-up's allocations have
+// done for every measured shape. Should a shape carve one, warm up more;
+// the equality stays.
+func admissionPrices(t *testing.T, kind EngineKind, reclaim bool, w prices) {
+	rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: kind, Reclaim: reclaim})
+	m, q, s := rt.NewHashMap(4), rt.NewQueue(), rt.NewStack(0) // no elimination: the central-stack path
+	es := rt.NewStack(stack.DefaultElimSpins)                  // one Proc: every exchange times out
+	p := rt.Proc(0)
+	for k := uint64(1); k <= 64; k += 2 {
+		m.Insert(p, k)
+	}
+	q.Apply(p, Op{Kind: OpEnq, Arg: 1})
+	s.Apply(p, Op{Kind: OpPush, Arg: 1})
+	es.Apply(p, Op{Kind: OpPush, Arg: 1})
+	window16 := make([]Op, 16)
+	for i := range window16 {
+		window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
+	}
+	for _, c := range []struct {
+		name  string
+		want  price
+		admit func()
+	}{
+		{"find", w.find, func() { m.Apply(p, Op{Kind: OpFind, Arg: 1}) }},
+		{"successful update", w.update, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 2}) }},
+		{"failed update", w.failed, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 1}) }},
+		{"ApplyWindow of 1", w.window1, func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 4}}) }},
+		{"ApplyWindow of 16", w.window16, func() { rt.ApplyWindow(p, m, window16) }},
+		{"ApplyTxn(delete, insert)", w.txn, func() {
+			rt.ApplyTxn(p,
+				TxnLeg{S: m, Op: Op{Kind: OpDelete, Arg: 1}},
+				TxnLeg{S: m, Op: Op{Kind: OpInsert, Arg: 6}})
+		}},
+		{"enqueue", w.enq, func() { q.Apply(p, Op{Kind: OpEnq, Arg: 7}) }},
+		{"dequeue", w.deq, func() { q.Apply(p, Op{Kind: OpDeq}) }},
+		{"push", w.push, func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+		{"pop", w.pop, func() { s.Apply(p, Op{Kind: OpPop}) }},
+		{"eliminating push", w.elimPush, func() { es.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+		{"eliminating pop", w.elimPop, func() { es.Apply(p, Op{Kind: OpPop}) }},
+	} {
+		before := rt.Heap().TotalStats()
+		c.admit()
+		st := rt.Heap().TotalStats().Sub(before)
+		if got := (price{st.Syncs, st.Barriers + st.Flushes}); got != c.want {
+			t.Errorf("%s: %d psyncs and %d pbarriers + pwbs, want %d and %d",
+				c.name, got.syncs, got.writeBacks, c.want.syncs, c.want.writeBacks)
+		}
 	}
 }
 
@@ -407,9 +425,11 @@ func TestReclaimBoundedHeap(t *testing.T) {
 // crash_recover-shaped instances — 1 Proc, the reclaimer on, a window of 8
 // crashed mid-flight — differ 16× in live keys (same load per bucket). The
 // heap accesses a fast RecoverAll makes are the same on both, to within
-// the recovered operation's own list walk, and below a fixed constant
-// (about four per retired-ring slot plus the announced window); the
-// accesses of a full conservative scan differ by more than 10×.
+// the recovered operation's own list walk, and below a fixed constant: the
+// reclaimer's reset touches no heap word, so what is left is the announced
+// window's own recovery (104 accesses under Isb, 97 under Isb-Opt; 763 and
+// 756 while the reclaimer kept its rings in the heap). The accesses of a
+// full conservative scan differ by more than 10×.
 func TestRecoveryCostFollowsInFlight(t *testing.T) {
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
@@ -446,7 +466,7 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			if diff := int64(fastLarge) - int64(fastSmall); diff < -16 || diff > 16 {
 				t.Fatalf("fast RecoverAll: %d accesses with 1024 keys, %d with 16384 — must not follow live size", fastSmall, fastLarge)
 			}
-			if fastLarge > 1024 {
+			if fastLarge > 128 {
 				t.Fatalf("fast RecoverAll made %d accesses, want a small constant", fastLarge)
 			}
 			// The scan's counts on these two instances are what they were
@@ -456,7 +476,10 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// announcement region shrank from 216 to 200 words per process:
 			// every block moved down 16 words, and two payload words that
 			// merely look like addresses now land inside blocks. Restoring
-			// the old stride restores the old counts.)
+			// the old stride restores the old counts. They held when the
+			// reclaimer's epoch, pin and ring lines left the heap: those 552
+			// words sat inside Proc 0's first allocation chunk, so no slab
+			// moved.)
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != 2061 || scan.Swept != 52 {
 				t.Fatalf("full scan at 1024 keys: %+v, want 2061 marked and 52 swept", scan)

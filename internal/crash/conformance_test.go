@@ -72,8 +72,9 @@ func TestRecoverAllCrashConformance(t *testing.T) { sweepFamily(t, "routed", fal
 func TestReclaimCrashConformance(t *testing.T) { sweepFamily(t, "churn", false) }
 
 // TestReclaimScanCrashSweep crashes inside RecoverAll itself — during the
-// reclaimer's recovery (the fast leg: hint repair, ring audits, the epoch
-// reset; the full leg adds the mark walks and free-list rebuilds) and
+// reclaimer's recovery (the fast leg: hint repair only, since the
+// reclaimer's reset touches no heap word; the full leg adds the mark walks
+// and free-list rebuilds) and
 // during the frozen recovery sweep that follows — at every access offset,
 // then restarts and re-runs RecoverAll. Both paths are restartable: a
 // second pass must still resolve the announced operation and leave the

@@ -248,7 +248,8 @@ func singleSubjects(extra ...subject) []subject {
 // churnSubjects prefill through enough allocate/retire cycles that the swept
 // operation runs against recycled memory — retired rings populated, the epoch
 // advanced, free-list reuse active — so its crash offsets also land inside
-// Retire calls, epoch advances and frees. The churned keys are disjoint from
+// frees and free-list pops (Retire and the epoch touch no heap word, so no
+// offset lands in them). The churned keys are disjoint from
 // setPrefill and every case argument, and the queue's ring drains itself
 // (every dequeue retires the old dummy), so the sequential model is
 // unchanged: only the allocator's state is hot.

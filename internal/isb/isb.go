@@ -225,7 +225,7 @@ type Engine struct {
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
 	// pmem.Reclaimer recycles retired blocks after an epoch grace period.
 	// Epoch pins and retirements are threaded through the operation entry
-	// points so reclamation adds no stand-alone psync (see Begin).
+	// points; neither touches the heap, so reclamation adds no write-back.
 	alloc pmem.Allocator
 	// lastInfo tracks, per process, the Info record currently installed in
 	// that process's RD_q: it is retired at the next operation's begin (once
@@ -454,8 +454,7 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*En
 
 // reset persists CP_q := 0 (no psync: Begin's covers it) and retires the
 // previous operation's Info record: once CP_q := 0 is written back the record
-// can never be consulted again, and its ring entry's write-back rides Begin's
-// psync.
+// can never be consulted again.
 func (e *Engine) reset(p *pmem.Proc) {
 	e.curSeq[p.ID()] = 0
 	cp := e.cp(p)

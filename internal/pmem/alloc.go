@@ -8,9 +8,10 @@ package pmem
 //     It remains the conformance oracle: every structure behaves identically
 //     on it, and the differential tests pin the reclaiming allocator against
 //     it.
-//   - Reclaimer (reclaim.go): an epoch-based reclaimer whose retired-node
-//     rings, epoch counters and free-list heads live in the pmem heap
-//     layout, making reclamation itself detectably recoverable.
+//   - Reclaimer (reclaim.go): an epoch-based reclaimer whose only persistent
+//     state is a slab directory; its retired rings, epoch, pins and
+//     free-list heads are volatile Go-side state that post-crash recovery
+//     resets, and a conservative scan rebuilds from reachability.
 //
 // The split of Free vs Retire mirrors visibility: Free returns a block that
 // was never published (no other process can hold a reference — e.g. the
@@ -39,7 +40,7 @@ type Allocator interface {
 	Enter(p *Proc)
 
 	// Exit releases the pin. A process that crashes while pinned is
-	// un-pinned by the post-crash scan.
+	// un-pinned by the allocator's post-crash recovery.
 	Exit(p *Proc)
 
 	// BlockOf resolves an interior pointer to its containing block's start

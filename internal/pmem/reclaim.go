@@ -6,57 +6,56 @@ import (
 	"sync/atomic"
 )
 
-// Reclaimer is an epoch-based memory reclaimer whose recovery-relevant
-// state lives in the pmem heap layout, next to the announcement record of
-// the runtime registry: a global epoch counter, one reclaimer line per
-// process (pin word, retired-ring count, per-size-class free-list heads),
-// one retired-node ring per process whose entries are checksum-guarded the
-// same way announcements are, and a persistent slab directory from which
-// the post-crash scan can enumerate every block the reclaimer ever carved.
+// Reclaimer is an epoch-based memory reclaimer whose only persistent state
+// is a slab directory in the pmem heap, from which the post-crash scan can
+// enumerate every block the reclaimer ever carved. Its bookkeeping — the
+// global epoch, one pin per process, one retired ring per process and the
+// per-size-class free-list heads — is Go-side per-process state that no
+// recovery path reads, so none of it is ever written back.
 //
 // # Normal operation
 //
 // Blocks are carved from per-process slabs (large even-aligned regions
 // grabbed from the shared bump pointer and recorded durably in the slab
-// directory before any block from them is handed out), one slab per
-// (process, size class). Alloc pops the process's free list for the block's
-// class, falling back to the slab cursor. Retire appends a checksummed
-// entry ⟨block, class, epoch, sum⟩ to the process's ring — one store batch
-// plus a single pwb, no psync — and occasionally tries to advance the
-// global epoch. An entry is freed (block zeroed and pushed on a free list)
-// once the global epoch is two ahead of the entry's epoch: every process
-// pinned when the block was unlinked has exited or re-entered since, so no
-// reference survives. Epoch pins ride the ISB engine's operation entry
-// (see isb.Engine), so epoch transitions add no stand-alone psync.
+// directory before any block from them is handed out — two pwbs per slab),
+// one slab per (process, size class). Alloc pops the process's free list for
+// the block's class (the link lives in block word 0: two heap accesses),
+// falling back to the slab cursor. Retire appends ⟨block, epoch⟩ to the
+// process's ring — no heap access — and occasionally tries to advance the
+// global epoch. A ring that fills while a pinned peer stalls the epoch grows
+// (and keeps its capacity), so a stalled peer costs memory held in rings,
+// never a lost retirement. An entry is freed (block zeroed and pushed on a
+// free list) once the global epoch is two ahead of the entry's epoch: every
+// process pinned when the block was unlinked has exited or re-entered since,
+// so no reference survives. Epoch pins ride the ISB engine's operation entry
+// (see isb.Engine) and are Go-side atomics, so they cost no heap access.
 //
 // # Crash recovery
 //
-// Free-list heads, ring counts, pins and the epoch are maintained with
-// volatile stores only: after a crash they are untrustworthy (a head may
-// revert to a persisted value pointing at a block that was since
-// reallocated and is live). What does survive a simulated crash is the
-// Go-side allocator state — the slab index, the per-block state bytes, the
-// slab cursors and the counters below — exactly as the heap's bump pointer
-// does: it describes which memory has been handed out, not what the
-// structures contain.
+// What survives a simulated crash is the Go-side allocator state — the slab
+// index, the per-block state bytes, the slab cursors and the counters below
+// — exactly as the heap's bump pointer does: it describes which memory has
+// been handed out, not what the structures contain. The epoch, the pins, the
+// rings and the free lists are untrustworthy after a crash: a ring entry
+// names a block whose unlink may not have persisted, a free-list link sits
+// in block word 0 and reverts with it, and a pin belongs to an operation
+// that no longer runs.
 //
 // Recover, driven by Runtime.RecoverAll before any operation recovery
-// runs, therefore does on every crash only what costs O(Procs × ringCap):
-// it audits the retired rings' checksums (counting torn entries, exactly
-// like torn announcements) and clears them, releases stuck pins, zeroes
-// the free-list heads, restarts the epoch and persists the control lines
-// under one psync. It frees nothing. Every block that sat on a pre-crash
-// free list or in a pre-crash ring is abandoned where it is — never
-// reused, never freed — and booked as accounted garbage; allocation
-// continues from the slab cursors and only post-crash retirements flow
-// through the rings to the free lists. The invariant that makes this safe
-// without looking at the structures:
+// runs, therefore does on every crash only what costs O(Procs): it books
+// what the rings and free lists held as garbage and resets the Go-side
+// state — no heap access, no pwb, no psync. It frees nothing. Every block
+// that sat on a pre-crash free list or in a pre-crash ring is abandoned
+// where it is — never reused, never freed — and booked as accounted
+// garbage; allocation continues from the slab cursors and only post-crash
+// retirements flow through the rings to the free lists. The invariant that
+// makes this safe without looking at the structures:
 //
 //	recovery never adds a block to a free list without a full mark.
 //
-// A retirement whose ring entry was lost therefore never frees anything,
-// and a retirement whose unlink did not persist leaves a reachable block
-// that is merely never retired again (Retire ignores non-live blocks).
+// A retirement that reached no ring therefore never frees anything, and a
+// retirement whose unlink did not persist leaves a reachable block that is
+// merely never retired again (Retire ignores non-live blocks).
 //
 // The full conservative scan (Scan) is what gives abandoned blocks back,
 // and Recover runs it inside the same call only when accounted garbage has
@@ -74,7 +73,7 @@ import (
 //  1. marks every block reachable from the structures' roots or referenced
 //     by an announced in-flight operation's Info record (conservative:
 //     anything recovery might still touch survives);
-//  2. audits and clears the rings as above;
+//  2. resets the Go-side state as above;
 //  3. sweeps: every unmarked block returns to a free list (zeroed), every
 //     marked block becomes live again; the garbage account restarts at 0.
 //
@@ -98,9 +97,6 @@ import (
 type Reclaimer struct {
 	h *Heap
 
-	epochA   Addr // global epoch word (line-aligned)
-	procBase Addr // per-proc reclaimer lines
-	ringBase Addr // per-proc retired rings, ringCap entries each
 	dirBase  Addr // slab directory: word 0 = count, then one word per slab
 	maxSlabs uint64
 
@@ -115,6 +111,8 @@ type Reclaimer struct {
 	// allocation-free.
 	slabs atomic.Pointer[[]*slab]
 
+	epoch atomic.Uint64 // the global epoch
+	pins  []pin
 	procs []reclaimProc
 
 	// scanEpoch is the heap crash-epoch the reclaimer state is valid for;
@@ -143,17 +141,62 @@ type Reclaimer struct {
 	stats ReclaimStats
 }
 
-// reclaimProc is the Go-side per-process allocator state. Like the heap's
-// bump pointer, it survives simulated crashes (it describes where fresh
-// memory is, not what the structures contain).
+// pin is one process's epoch pin: 0 when unpinned, else the epoch it
+// observed at Enter. Owner-written, read by every peer's advanceAndFree,
+// so it sits on a cache line of its own.
+type pin struct {
+	epoch atomic.Uint64
+	_     [WordsPerLine*8 - 8]byte
+}
+
+// reclaimProc is the Go-side per-process state, written only by its owner
+// (and by Recover and Scan, with no process running).
 type reclaimProc struct {
-	ringStart uint64 // oldest live ring entry index
-	// held counts the words this process's ring and free lists hold: a
-	// block enters at Retire or Free and leaves when Alloc pops it.
-	// Owner-written, like the cursors; Recover turns it into garbage.
-	held    uint64
+	// ring is the retired FIFO, a power-of-two circular buffer of n entries
+	// from head; a full ring doubles.
+	ring    []retired
+	head, n int
+	// free holds the free-list heads, one per class; a link lives in block
+	// word 0.
+	free [maxClasses]Addr
+	// held counts the words the ring and free lists hold: a block enters
+	// at Retire or Free and leaves when Alloc pops it. Recover turns it
+	// into garbage.
+	held uint64
+	// The slab cursors survive a crash, like the heap's bump pointer.
 	cur     [maxClasses]Addr
 	curLeft [maxClasses]uint64
+}
+
+// retired is one ring entry: a block unlinked in epoch.
+type retired struct {
+	block Addr
+	epoch uint64
+}
+
+// push appends e to the ring, doubling it when full.
+func (ps *reclaimProc) push(e retired) {
+	if ps.n == len(ps.ring) {
+		grown := make([]retired, 2*len(ps.ring))
+		k := copy(grown, ps.ring[ps.head:])
+		copy(grown[k:], ps.ring[:ps.head])
+		ps.ring, ps.head = grown, 0
+	}
+	ps.ring[(ps.head+ps.n)&(len(ps.ring)-1)] = e
+	ps.n++
+}
+
+// eachHeld calls f for every block the process holds: its ring entries,
+// then its free lists, whose links it reads through read.
+func (ps *reclaimProc) eachHeld(read func(Addr) uint64, f func(Addr)) {
+	for i := 0; i < ps.n; i++ {
+		f(ps.ring[(ps.head+i)&(len(ps.ring)-1)].block)
+	}
+	for _, a := range ps.free {
+		for ; a != Null; a = Addr(read(a)) {
+			f(a)
+		}
+	}
 }
 
 // slab is one carved region serving blocks of a single size class. state
@@ -175,20 +218,14 @@ const (
 	bsMark byte = 0x80 // scan mark bit, OR-ed onto the state
 )
 
-// Layout constants.
+// Sizes and thresholds.
 const (
 	maxClasses = 4
 	slabWords  = 2048
-	ringCap    = 128 // retired-ring entries per process
-	entryWords = 4   // ⟨block, class, epoch, sum⟩; never straddles a line
+	ringCap    = 128 // initial retired-ring entries per process (a power of two)
 
-	// Per-proc reclaimer line layout.
-	rpPin       = 0 // 0 = unpinned, else the observed epoch
-	rpRingCount = 1
-	rpFreeBase  = 2 // free-list heads, one word per class
-
-	// firstEpoch is the starting (and post-scan) global epoch; nonzero so
-	// a pin word of 0 unambiguously means "unpinned".
+	// firstEpoch is the starting (and post-recovery) global epoch; nonzero
+	// so a pin of 0 unambiguously means "unpinned".
 	firstEpoch = 2
 
 	// ringFreeThreshold triggers an advance/free pass from Retire.
@@ -201,24 +238,21 @@ type ReclaimStats struct {
 	Reused   uint64 // blocks served from a free list
 	Retired  uint64 // retirements recorded in a ring
 	Freed    uint64 // blocks moved ring → free list after grace
-	Dropped  uint64 // retirements dropped (ring overflow or degraded mode)
+	Dropped  uint64 // retirements dropped (degraded mode, between a crash and Recover)
 	Advances uint64 // successful global epoch advances
 
-	FastRecoveries uint64 // crashes recovered by the O(Procs × ring) reset alone
+	FastRecoveries uint64 // crashes recovered by the O(Procs) reset alone
 	FullScans      uint64 // conservative scans run (by Recover's rule or directly)
 }
 
 // ScanReport summarises one post-crash recovery of the reclaimer: Recover's
 // fast reset (Full false; Marked and Swept 0) or a full Scan.
 type ScanReport struct {
-	Full         bool   // the conservative scan ran
-	Marked       uint64 // blocks kept live (reachable or announced-operand)
-	Swept        uint64 // blocks returned to free lists
-	ValidRetires uint64 // ring entries whose checksum validated
-	TornRetires  uint64 // ring entries rejected by their checksum
-	StuckPins    int    // processes found pinned at crash time
-	Dropped      uint64 // words this recovery abandoned (pre-crash rings and free lists)
-	Garbage      uint64 // words abandoned since the last full scan, this crash's included
+	Full    bool   // the conservative scan ran
+	Marked  uint64 // blocks kept live (reachable or announced-operand)
+	Swept   uint64 // blocks returned to free lists
+	Dropped uint64 // words this recovery abandoned (pre-crash rings and free lists)
+	Garbage uint64 // words abandoned since the last full scan, this crash's included
 }
 
 // RecoveryMode overrides Recover's garbage rule. Test hook: the crash
@@ -231,36 +265,22 @@ const (
 	RecoverFull                     // scan at every crash
 )
 
-// NewReclaimer reserves the reclaimer's pmem layout on h: the global epoch
-// line, one line + one retired ring per process, and the slab directory.
+// NewReclaimer reserves the reclaimer's slab directory on h and sets up its
+// Go-side state.
 func NewReclaimer(h *Heap) *Reclaimer {
-	p0 := h.Proc(0)
-	procs := uint64(h.NumProcs())
-	r := &Reclaimer{h: h, procs: make([]reclaimProc, procs)}
+	n := h.NumProcs()
+	r := &Reclaimer{h: h, pins: make([]pin, n), procs: make([]reclaimProc, n)}
 	r.maxSlabs = h.Capacity()/slabWords + 1
-
-	alignedLines := func(lines uint64) Addr {
-		raw := p0.Alloc(lines*WordsPerLine + WordsPerLine)
-		return (raw + WordsPerLine - 1) &^ (WordsPerLine - 1)
+	r.dirBase = h.Proc(0).Alloc(1 + r.maxSlabs)
+	for id := range r.procs {
+		r.procs[id].ring = make([]retired, ringCap)
 	}
-	r.epochA = alignedLines(1)
-	r.procBase = alignedLines(procs)
-	r.ringBase = alignedLines(procs * ringCap * entryWords / WordsPerLine)
-	r.dirBase = p0.Alloc(1 + r.maxSlabs)
-
-	p0.Store(r.epochA, firstEpoch)
-	p0.PWB(r.epochA)
-	p0.PSync()
+	r.epoch.Store(firstEpoch)
 
 	empty := make([]*slab, 0)
 	r.slabs.Store(&empty)
 	r.scanEpoch.Store(h.Epoch())
 	return r
-}
-
-func (r *Reclaimer) procLine(id int) Addr { return r.procBase + Addr(id)*WordsPerLine }
-func (r *Reclaimer) ringSlot(id int, i uint64) Addr {
-	return r.ringBase + Addr(uint64(id)*ringCap+i)*entryWords
 }
 
 // synced reports whether the reclaimer's volatile state is trustworthy: no
@@ -360,19 +380,16 @@ func (r *Reclaimer) BlockOf(a Addr) (Addr, uint64, bool) {
 func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 	class := r.classFor(words)
 	size := r.classes[class].Load()
-	if r.synced() {
-		head := r.procLine(p.ID()) + rpFreeBase + Addr(class)
-		if a := Addr(p.Load(head)); a != Null {
-			p.Store(head, p.Load(a)) // pop; block word 0 is the free link
-			p.Store(a, 0)            // restore the zeroed-block contract
-			s, _, bi, _ := r.lookup(a)
-			s.state[bi] = bsLive
-			r.procs[p.ID()].held -= size
-			atomic.AddUint64(&r.stats.Reused, 1)
-			return a
-		}
-	}
 	ps := &r.procs[p.ID()]
+	if a := ps.free[class]; a != Null && r.synced() {
+		ps.free[class] = Addr(p.Load(a)) // pop; block word 0 is the free link
+		p.Store(a, 0)                    // restore the zeroed-block contract
+		s, _, bi, _ := r.lookup(a)
+		s.state[bi] = bsLive
+		ps.held -= size
+		atomic.AddUint64(&r.stats.Reused, 1)
+		return a
+	}
 	if ps.curLeft[class] < size || ps.cur[class] == 0 {
 		s := r.newSlab(p, class)
 		ps.cur[class] = s.base
@@ -397,69 +414,44 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 	if !ok || s.state[bi] != bsLive {
 		return
 	}
-	r.procs[p.ID()].held += r.classes[s.class].Load()
-	r.pushFree(p, p.ID(), s, start, bi)
+	ps := &r.procs[p.ID()]
+	ps.held += r.classes[s.class].Load()
+	r.pushFree(p, ps, s, start, bi)
 }
 
-// pushFree zeroes the block and links it onto proc id's free list for its
-// class. The link lives in block word 0; heads and links are volatile-only
-// (a crash abandons the list; only a full scan rebuilds it). Callers
-// account the block in the owner's held count.
-func (r *Reclaimer) pushFree(p *Proc, id int, s *slab, start Addr, bi uint64) {
+// pushFree zeroes the block and links it onto ps's free list for its
+// class. The link lives in block word 0; a crash abandons the list (only a
+// full scan rebuilds it). Callers account the block in ps.held.
+func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, s *slab, start Addr, bi uint64) {
 	size := r.classes[s.class].Load()
 	for w := Addr(1); w < Addr(size); w++ {
 		p.Store(start+w, 0)
 	}
-	head := r.procLine(id) + rpFreeBase + Addr(s.class)
-	p.Store(start, p.Load(head))
-	p.Store(head, uint64(start))
+	p.Store(start, uint64(ps.free[s.class]))
+	ps.free[s.class] = start
 	s.state[bi] = bsFree
 }
 
-// Retire records that the block containing a has been unlinked: a
-// checksummed ⟨block, class, epoch, sum⟩ entry is appended to the calling
-// process's ring and persisted with a single pwb (no psync — a torn entry
-// is detected by its checksum, exactly like a torn announcement). Already
-// retired, freed or unknown blocks are ignored, which makes the
+// Retire records that the block containing a has been unlinked: ⟨block,
+// epoch⟩ is appended to the calling process's ring, with no heap access.
+// Already retired, freed or unknown blocks are ignored, which makes the
 // recovery-path retire calls idempotent.
 func (r *Reclaimer) Retire(p *Proc, a Addr) {
 	s, start, bi, ok := r.lookup(a)
 	if !ok || s.state[bi] != bsLive {
 		return
 	}
+	s.state[bi] = bsRetired
 	size := r.classes[s.class].Load()
 	if !r.synced() {
-		s.state[bi] = bsRetired
 		r.drop(size)
 		return
 	}
-	id := p.ID()
-	line := r.procLine(id)
-	count := p.Load(line + rpRingCount)
-	if count >= ringCap {
-		r.advanceAndFree(p)
-		count = p.Load(line + rpRingCount)
-		if count >= ringCap {
-			// Ring overflow (e.g. a process crashed while pinned, blocking
-			// the epoch): drop the retirement. The block stays unreachable
-			// and is re-homed by the next full scan.
-			s.state[bi] = bsRetired
-			r.drop(size)
-			return
-		}
-	}
-	r.procs[id].held += size
-	s.state[bi] = bsRetired
-	epoch := p.Load(r.epochA)
-	slot := r.ringSlot(id, (r.procs[id].ringStart+count)%ringCap)
-	p.Store(slot+0, uint64(start))
-	p.Store(slot+1, uint64(s.class))
-	p.Store(slot+2, epoch)
-	p.Store(slot+3, annCheck(uint64(start), uint64(s.class), epoch))
-	p.PWB(slot)
-	p.Store(line+rpRingCount, count+1)
+	ps := &r.procs[p.ID()]
+	ps.held += size
+	ps.push(retired{start, r.epoch.Load()})
 	atomic.AddUint64(&r.stats.Retired, 1)
-	if count+1 >= ringFreeThreshold {
+	if ps.n >= ringFreeThreshold {
 		r.advanceAndFree(p)
 	}
 }
@@ -472,15 +464,15 @@ func (r *Reclaimer) drop(words uint64) {
 }
 
 // Enter pins the calling process in the current epoch (refreshing any
-// existing pin). The store is volatile: the pin only gates the epoch
-// within a run, and post-crash recovery releases stuck pins.
+// existing pin). The pin only gates the epoch within a run; post-crash
+// recovery releases stuck pins.
 func (r *Reclaimer) Enter(p *Proc) {
-	p.Store(r.procLine(p.ID())+rpPin, p.Load(r.epochA))
+	r.pins[p.ID()].epoch.Store(r.epoch.Load())
 }
 
 // Exit releases the calling process's pin.
 func (r *Reclaimer) Exit(p *Proc) {
-	p.Store(r.procLine(p.ID())+rpPin, 0)
+	r.pins[p.ID()].epoch.Store(0)
 }
 
 // advanceAndFree tries to advance the global epoch (allowed once every
@@ -492,51 +484,36 @@ func (r *Reclaimer) advanceAndFree(p *Proc) {
 	if r.frozen.Load() {
 		return
 	}
-	epoch := p.Load(r.epochA)
+	epoch := r.epoch.Load()
 	canAdvance := true
-	for q := 0; q < len(r.procs); q++ {
-		if pin := p.Load(r.procLine(q) + rpPin); pin != 0 && pin != epoch {
+	for q := range r.pins {
+		if pin := r.pins[q].epoch.Load(); pin != 0 && pin != epoch {
 			canAdvance = false
 			break
 		}
 	}
-	if canAdvance && p.CASBool(r.epochA, epoch, epoch+1) {
+	if canAdvance && r.epoch.CompareAndSwap(epoch, epoch+1) {
 		atomic.AddUint64(&r.stats.Advances, 1)
 	}
-	epoch = p.Load(r.epochA)
+	epoch = r.epoch.Load()
 
-	id := p.ID()
-	line := r.procLine(id)
-	ps := &r.procs[id]
-	for {
-		count := p.Load(line + rpRingCount)
-		if count == 0 {
-			return
-		}
-		slot := r.ringSlot(id, ps.ringStart)
-		start := Addr(p.Load(slot + 0))
-		class := p.Load(slot + 1)
-		retEpoch := p.Load(slot + 2)
-		if p.Load(slot+3) != annCheck(uint64(start), class, retEpoch) {
-			return // defensive: never free through an invalid entry
-		}
-		if retEpoch+2 > epoch {
+	ps := &r.procs[p.ID()]
+	for ; ps.n > 0; ps.n-- {
+		e := ps.ring[ps.head]
+		if e.epoch+2 > epoch {
 			return // grace period not over for this (and later) entries
 		}
-		s, blkStart, bi, ok := r.lookup(start)
-		if ok && s.state[bi] == bsRetired && blkStart == start {
-			r.pushFree(p, id, s, start, bi)
+		if s, start, bi, ok := r.lookup(e.block); ok && s.state[bi] == bsRetired && start == e.block {
+			r.pushFree(p, ps, s, start, bi)
 			atomic.AddUint64(&r.stats.Freed, 1)
 		}
-		p.Store(slot+3, 0) // invalidate the consumed entry
-		ps.ringStart = (ps.ringStart + 1) % ringCap
-		p.Store(line+rpRingCount, count-1)
+		ps.head = (ps.head + 1) & (len(ps.ring) - 1)
 	}
 }
 
 // Freeze suspends epoch advance and freeing until Thaw; Retire keeps
-// recording (a full ring drops retirements, which is safe). Used around
-// sequential post-crash operation recovery.
+// recording (the rings grow). Used around sequential post-crash operation
+// recovery.
 func (r *Reclaimer) Freeze() { r.frozen.Store(true) }
 
 // Thaw resumes epoch advance and freeing.
@@ -578,10 +555,10 @@ func (r *Reclaimer) ForceRecovery(m RecoveryMode) { r.mode = m }
 // Recover is the reclaimer's post-crash entry point, called by
 // Runtime.RecoverAll with no process running. It abandons what the crash
 // left on the free lists and in the rings (booking it as garbage), then
-// either resets the control state — O(Procs × ringCap), nothing freed — or,
-// when garbage × 2 ≥ words carved, runs the full Scan with mark. Like
-// Scan it may itself crash at any point and simply be re-run; a re-run may
-// count a block as garbage twice, never miss one.
+// either resets the Go-side state — O(Procs), no heap access, nothing
+// freed — or, when garbage × 2 ≥ words carved, runs the full Scan with
+// mark. Like Scan it may itself crash at any point and simply be re-run; a
+// re-run may count a block as garbage twice, never miss one.
 func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 	// Carved: every slab, less what is still under a cursor.
 	carved := uint64(len(*r.slabs.Load())) * slabWords
@@ -589,7 +566,6 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 	for id := range r.procs {
 		ps := &r.procs[id]
 		dropped += ps.held
-		ps.held = 0
 		for _, left := range ps.curLeft {
 			carved -= left
 		}
@@ -604,55 +580,23 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 	if full {
 		rep = r.Scan(p, mark)
 	} else {
-		r.resetRings(p, &rep)
-		r.persistControl(p)
+		r.reset()
 		atomic.AddUint64(&r.stats.FastRecoveries, 1)
 	}
 	rep.Dropped, rep.Garbage = dropped, garbage
 	return rep
 }
 
-// resetRings audits and clears the retired rings, releases stuck pins and
-// empties the free-list heads (volatile stores; persistControl follows).
-// The ring entries are not trusted for freeing decisions — their checksums
-// only distinguish recorded retirements from torn ones.
-func (r *Reclaimer) resetRings(p *Proc, rep *ScanReport) {
+// reset empties the rings and the free lists, releases the pins, restarts
+// the epoch and leaves degraded mode. It touches no heap word.
+func (r *Reclaimer) reset() {
 	for id := range r.procs {
-		for i := uint64(0); i < ringCap; i++ {
-			slot := r.ringSlot(id, i)
-			sum := p.Load(slot + 3)
-			if sum == 0 {
-				continue
-			}
-			if sum == annCheck(p.Load(slot+0), p.Load(slot+1), p.Load(slot+2)) {
-				rep.ValidRetires++
-			} else {
-				rep.TornRetires++
-			}
-			p.Store(slot+3, 0)
-		}
-		line := r.procLine(id)
-		if p.Load(line+rpPin) != 0 {
-			rep.StuckPins++
-		}
-		p.Store(line+rpPin, 0)
-		p.Store(line+rpRingCount, 0)
-		r.procs[id].ringStart = 0
-		for c := 0; c < maxClasses; c++ {
-			p.Store(line+rpFreeBase+Addr(c), 0)
-		}
+		ps := &r.procs[id]
+		ps.head, ps.n, ps.held = 0, 0, 0
+		ps.free = [maxClasses]Addr{}
+		r.pins[id].epoch.Store(0)
 	}
-}
-
-// persistControl restarts the epoch, persists the control lines under one
-// psync and leaves degraded mode.
-func (r *Reclaimer) persistControl(p *Proc) {
-	p.Store(r.epochA, firstEpoch)
-	p.PWB(r.epochA)
-	for id := range r.procs {
-		p.PWB(r.procLine(id))
-	}
-	p.PSync()
+	r.epoch.Store(firstEpoch)
 	r.scanEpoch.Store(r.h.Epoch())
 }
 
@@ -685,9 +629,8 @@ func (r *Reclaimer) clearMarks() {
 // and every address an announced in-flight operation's Info record
 // mentions; the callback tolerates arbitrary values (non-block addresses
 // are ignored). Scan rebuilds all reclaimer state from the marks — rings,
-// free lists, pins, the epoch and the garbage account — and persists the
-// rebuilt lines, so it may itself crash at any point and simply be re-run.
-// Call with no process running.
+// free lists, pins, the epoch and the garbage account — so it may itself
+// crash at any point and simply be re-run. Call with no process running.
 func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	rep := ScanReport{Full: true}
 
@@ -697,15 +640,14 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	// Phase 1: conservative mark.
 	mark(func(a Addr) { r.MarkBlock(a) })
 
-	// Phase 2: audit and clear the rings, pins and free-list heads.
-	r.resetRings(p, &rep)
+	// Phase 2: empty the rings, pins and free lists; restart the epoch. A
+	// crash in the sweep below moves the heap's epoch on, so the reclaimer
+	// is degraded again until the re-run.
+	r.reset()
 
 	// Phase 3: sweep. Marked blocks are live again; everything else the
 	// reclaimer ever handed out returns to a free list, zeroed. Freed
 	// blocks are spread round-robin over the processes' lists.
-	for id := range r.procs {
-		r.procs[id].held = 0
-	}
 	home := 0
 	for _, s := range *r.slabs.Load() {
 		size := r.classes[s.class].Load()
@@ -718,15 +660,14 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 				rep.Marked++
 				continue
 			}
-			r.procs[home].held += size
-			r.pushFree(p, home, s, s.base+Addr(uint64(bi)*size), uint64(bi))
+			ps := &r.procs[home]
+			ps.held += size
+			r.pushFree(p, ps, s, s.base+Addr(uint64(bi)*size), uint64(bi))
 			home = (home + 1) % len(r.procs)
 			rep.Swept++
 		}
 	}
 
-	// Phase 4: restart the epoch and persist the rebuilt control lines.
-	r.persistControl(p)
 	r.garbage.Store(0)
 	atomic.AddUint64(&r.stats.FullScans, 1)
 	return rep
@@ -758,9 +699,9 @@ func (a AuditReport) Check(inFlight uint64) string {
 }
 
 // Audit is Scan's mark phase run as a read-only checker: it marks, counts
-// and clears the marks again, sweeping and storing nothing (the rings and
-// free lists are read from the volatile image, uncounted). The crash tests
-// run it after every fast recovery. Call with no process running.
+// and clears the marks again, sweeping and storing nothing (the free-list
+// links are read from the volatile image, uncounted). The crash tests run
+// it after every fast recovery. Call with no process running.
 func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 	r.clearMarks()
 	mark(func(a Addr) { r.MarkBlock(a) })
@@ -777,25 +718,13 @@ func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 			}
 		}
 	}
-	held := func(a Addr) {
-		if s, _, bi, ok := r.lookup(a); ok && s.state[bi]&bsMark != 0 {
-			rep.MarkedHeld++
-		}
-	}
-	read := r.h.ReadVolatile
 	for id := range r.procs {
 		rep.Held += r.procs[id].held
-		for c := Addr(0); c < maxClasses; c++ {
-			for a := Addr(read(r.procLine(id) + rpFreeBase + c)); a != Null; a = Addr(read(a)) {
-				held(a)
+		r.procs[id].eachHeld(r.h.ReadVolatile, func(a Addr) {
+			if s, _, bi, ok := r.lookup(a); ok && s.state[bi]&bsMark != 0 {
+				rep.MarkedHeld++
 			}
-		}
-		for i := uint64(0); i < ringCap; i++ {
-			slot := r.ringSlot(id, i)
-			if sum := read(slot + 3); sum != 0 && sum == annCheck(read(slot), read(slot+1), read(slot+2)) {
-				held(Addr(read(slot)))
-			}
-		}
+		})
 	}
 	r.clearMarks()
 	return rep

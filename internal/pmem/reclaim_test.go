@@ -34,9 +34,10 @@ func TestReclaimerAllocFreeReuse(t *testing.T) {
 	}
 }
 
-// TestReclaimerRetireGrace pins the epoch grace period: a retired block is
-// not reused while any process stays pinned in the retire epoch, and is
-// reused after every pin moves on.
+// TestReclaimerRetireGrace pins the epoch grace period and the spill: a
+// retired block is not freed while any process stays pinned in the retire
+// epoch, a ring that fills meanwhile grows instead of dropping, and every
+// block is freed once the pins are released.
 func TestReclaimerRetireGrace(t *testing.T) {
 	h := reclaimHeap(t, 2)
 	r := NewReclaimer(h)
@@ -48,26 +49,29 @@ func TestReclaimerRetireGrace(t *testing.T) {
 	r.Retire(p, a)
 
 	// Force many advance attempts: q is pinned at the current epoch, so the
-	// epoch advances at most once and a's grace period never elapses.
-	for i := 0; i < 4*ringFreeThreshold; i++ {
+	// epoch advances at most once and a's grace period never elapses. The
+	// 257 retirements outgrow the ring's initial capacity.
+	const retired = 1 + 4*ringFreeThreshold
+	for i := 1; i < retired; i++ {
 		n := r.Alloc(p, 4)
 		r.Retire(p, n)
 	}
-	if got := r.Stats().Freed; got != 0 {
-		t.Fatalf("freed %d blocks while a process was pinned in the retire epoch", got)
+	if st := r.Stats(); st.Freed != 0 || st.Dropped != 0 || st.Retired != retired {
+		t.Fatalf("while a process was pinned in the retire epoch: %+v, want %d retired, 0 freed, 0 dropped", st, retired)
 	}
 
-	// Release q; two refreshed pins later the grace period has elapsed.
+	// Release both pins; two epoch advances later every grace period is over.
 	r.Exit(q)
-	for i := 0; i < 4*ringFreeThreshold; i++ {
-		r.Enter(p)
-		n := r.Alloc(p, 4)
-		r.Retire(p, n)
-	}
-	if got := r.Stats().Freed; got == 0 {
-		t.Fatal("no blocks freed after all pins released")
-	}
 	r.Exit(p)
+	for i := 0; i < 3; i++ {
+		r.advanceAndFree(p)
+	}
+	if st := r.Stats(); st.Freed != retired || st.Dropped != 0 {
+		t.Fatalf("after the pins were released: %+v, want all %d blocks freed", st, retired)
+	}
+	if ps := &r.procs[0]; ps.n != 0 || len(ps.ring) < retired {
+		t.Fatalf("ring holds %d entries in %d slots, want 0 in at least %d (a grown ring keeps its capacity)", ps.n, len(ps.ring), retired)
+	}
 }
 
 // TestReclaimerBoundedHeap pins the tentpole property at the allocator
@@ -153,8 +157,8 @@ func TestReclaimerDegradedAfterCrash(t *testing.T) {
 }
 
 // TestReclaimerScanMarksSurvive pins the conservative sweep: marked blocks
-// stay live (content intact), unmarked blocks return zeroed to free lists,
-// and torn ring entries are detected by checksum.
+// stay live (content intact), and unmarked blocks — retired or not — return
+// zeroed to free lists.
 func TestReclaimerScanMarksSurvive(t *testing.T) {
 	h := reclaimHeap(t, 2)
 	r := NewReclaimer(h)
@@ -168,33 +172,23 @@ func TestReclaimerScanMarksSurvive(t *testing.T) {
 	r.Enter(p)
 	gone := r.Alloc(p, 4)
 	r.Retire(p, gone)
-	dropped := r.Alloc(p, 4)
-	r.Retire(p, dropped)
+	gone2 := r.Alloc(p, 4)
+	r.Retire(p, gone2)
 	r.Exit(p)
-
-	// Tear the second retirement's ring entry: corrupt its checksum word
-	// and persist the damage, as a crash mid-entry-write would leave it.
-	slot := r.ringSlot(0, 1)
-	p.Store(slot+3, p.Load(slot+3)^1)
-	p.PWB(slot)
-	p.PSync()
 
 	h.Crash()
 	h.ResetAfterCrash()
 
 	rep := r.Scan(p, func(mark func(Addr)) {
-		mark(keep + 2) // interior pointer marks the block
-		mark(1 << 40)  // garbage addresses are ignored
-		mark(r.epochA) // non-slab pmem addresses are ignored
+		mark(keep + 2)  // interior pointer marks the block
+		mark(1 << 40)   // garbage addresses are ignored
+		mark(r.dirBase) // non-slab pmem addresses are ignored
 	})
 	if rep.Marked != 1 {
 		t.Fatalf("Marked = %d, want 1 (%+v)", rep.Marked, rep)
 	}
 	if rep.Swept != 3 {
 		t.Fatalf("Swept = %d, want 3 (%+v)", rep.Swept, rep)
-	}
-	if rep.TornRetires != 1 {
-		t.Fatalf("TornRetires = %d, want 1 (%+v)", rep.TornRetires, rep)
 	}
 	if v := p.Load(keep); v != 42 {
 		t.Fatalf("marked block content lost: %d", v)
@@ -205,7 +199,7 @@ func TestReclaimerScanMarksSurvive(t *testing.T) {
 
 	// Swept blocks are reusable and zeroed.
 	x := r.Alloc(p, 4)
-	if x != lose && x != gone && x != dropped {
+	if x != lose && x != gone && x != gone2 {
 		t.Fatalf("post-scan Alloc did not reuse a swept block: %#x", x)
 	}
 	if v := p.Load(x); v != 0 {
@@ -275,8 +269,8 @@ func TestReclaimerRecoverFast(t *testing.T) {
 	if rep.Full || rep.Marked != 0 || rep.Swept != 0 {
 		t.Fatalf("fast recovery reported a scan: %+v", rep)
 	}
-	if rep.ValidRetires != 2 || rep.Dropped != 4+32+4 || rep.Garbage != rep.Dropped {
-		t.Fatalf("fast recovery books: %+v, want 2 valid retires and 40 words dropped", rep)
+	if rep.Dropped != 4+32+4 || rep.Garbage != rep.Dropped {
+		t.Fatalf("fast recovery books: %+v, want 40 words dropped", rep)
 	}
 	if !r.synced() {
 		t.Fatal("reclaimer still degraded after Recover")
@@ -300,6 +294,70 @@ func TestReclaimerRecoverFast(t *testing.T) {
 	r.Exit(p)
 	if st := r.Stats(); st.Freed == 0 || st.Reused < 2 {
 		t.Fatalf("post-crash retirements were not recycled: %+v", st)
+	}
+}
+
+// TestReclaimerRecoverForgets pins what the fast recovery resets: the
+// rings (one grown past its initial capacity behind a stuck pin), the free
+// lists and the pins. After Recover no pre-crash block is reachable from
+// the Go-side state, and neither the reset nor the bookkeeping around an
+// operation (Enter, Retire, Exit) touches the heap.
+func TestReclaimerRecoverForgets(t *testing.T) {
+	h := reclaimHeap(t, 2)
+	r := NewReclaimer(h)
+	p, q := h.Proc(0), h.Proc(1)
+	r.ForceRecovery(RecoverFast)
+
+	pre := map[Addr]bool{}
+	r.Enter(p)
+	r.Enter(q) // stuck: q crashes pinned, and the epoch stalls behind it
+	for i := 0; i < 2*ringCap; i++ {
+		a := r.Alloc(p, 4)
+		pre[a] = true
+		r.Retire(p, a)
+	}
+	listed := r.Alloc(q, 32)
+	pre[listed] = true
+	r.Free(q, listed)
+
+	a := r.Alloc(p, 4)
+	pre[a] = true
+	before := h.AccessCount()
+	r.Enter(p)
+	r.Retire(p, a)
+	r.Exit(p)
+	if got := h.AccessCount(); got != before {
+		t.Fatalf("Enter, Retire and Exit made %d heap accesses, want 0", got-before)
+	}
+	if st := r.Stats(); st.Dropped != 0 || r.procs[0].n != len(pre)-1 {
+		t.Fatalf("a stalled epoch dropped retirements: %+v, ring %d", st, r.procs[0].n)
+	}
+	r.Enter(p) // p crashes pinned too
+
+	h.Crash()
+	h.ResetAfterCrash()
+	before, stats := h.AccessCount(), h.TotalStats()
+	rep := r.Recover(p, func(func(Addr)) { t.Fatal("fast recovery ran the mark phase") })
+	if got := h.AccessCount(); got != before || h.TotalStats() != stats {
+		t.Fatalf("fast recovery made %d heap accesses and %+v persistence instructions, want none",
+			got-before, h.TotalStats().Sub(stats))
+	}
+	if rep.Full || rep.Dropped != 4*uint64(len(pre)-1)+32 {
+		t.Fatalf("fast recovery books: %+v", rep)
+	}
+	if e := r.epoch.Load(); e != firstEpoch {
+		t.Fatalf("epoch %d after recovery, want %d", e, firstEpoch)
+	}
+	for id := range r.procs {
+		if pin := r.pins[id].epoch.Load(); pin != 0 {
+			t.Fatalf("proc %d still pinned at %d", id, pin)
+		}
+		if held := r.procs[id].held; held != 0 {
+			t.Fatalf("proc %d still holds %d words", id, held)
+		}
+		r.procs[id].eachHeld(h.ReadVolatile, func(a Addr) {
+			t.Errorf("proc %d still reaches block %#x (pre-crash: %v)", id, a, pre[a])
+		})
 	}
 }
 

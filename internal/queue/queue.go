@@ -190,10 +190,10 @@ func (q *Queue) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // lost. The dummy Head names is always on the chain, and the first
 // enqueue's findLast chases and swings Tail from it like any lagging hint,
 // so the repair is O(1). Runtime.RecoverAll runs it on every crash, before
-// any operation; its pwb rides the reclaimer's recovery psync.
+// any operation, so the repaired hint needs no write-back: no recovery reads
+// a persisted Tail without repairing it first.
 func (q *Queue) RepairTail(p *pmem.Proc) {
 	p.Store(q.tail, p.Load(q.head))
-	p.PWB(q.tail)
 }
 
 // Values snapshots queued values front-to-back (test helper; quiescence).

@@ -55,15 +55,16 @@
 // By default nodes come from a leak-forever arena: correct, and the
 // conformance oracle, but the heap must be sized for the run's cumulative
 // allocation. Config{Reclaim: true} swaps in a crash-consistent epoch
-// reclaimer whose retired lists, epoch counters and free lists live in the
-// persistent heap, so churn-heavy workloads run in a heap sized for their
-// working set. RecoverAll then prefixes recovery with a reset of the
-// reclaimer that costs what was in flight, not what is alive: blocks the
-// crash caught on a free list or in a retired ring are abandoned and
-// counted, and a conservative reachability scan gives them back only once
-// they have caught up with the rest of the heap — a lost retirement
-// degrades to a (bounded) leak, never to a dangling pointer. See the
-// package README for the full discipline.
+// reclaimer, so churn-heavy workloads run in a heap sized for their working
+// set. Its only persistent state is a slab directory; its retired rings,
+// epoch, pins and free lists are volatile and cost no write-back.
+// RecoverAll then prefixes recovery with a reset of the reclaimer that
+// costs what was in flight, not what is alive: blocks the crash caught on a
+// free list or in a retired ring are abandoned and counted, and a
+// conservative reachability scan gives them back only once they have
+// caught up with the rest of the heap — a lost retirement degrades to a
+// (bounded) leak, never to a dangling pointer. See the package README for
+// the full discipline.
 package repro
 
 import (
@@ -261,8 +262,8 @@ type Config struct {
 	Engine EngineKind
 	// Reclaim enables crash-consistent node reclamation: every structure
 	// this runtime builds draws nodes from a shared epoch-based reclaimer
-	// (whose epoch counter, per-process retired rings and free lists live
-	// in the persistent heap) instead of the leak-forever arena, and
+	// (whose only persistent state is its slab directory) instead of the
+	// leak-forever arena, and
 	// RecoverAll prefixes recovery with the reclaimer's own (see
 	// RecoverAll). See ReclaimStats/LastScan for observability.
 	Reclaim bool
@@ -461,31 +462,34 @@ type ProcReport struct {
 // With Config.Reclaim, RecoverAll first recovers the reclaimer
 // (pmem.Reclaimer.Recover), at a cost that follows what was in flight, not
 // what is alive: structures repair their volatile hint words (the queue's
-// Tail, O(1)), then the retired rings are audited and cleared, stuck pins
-// released, the free lists emptied and the epoch restarted, under one
-// psync — O(Procs × ring size) and nothing is freed, so recovery never adds
-// a block to a free list without a full mark. Blocks the crash caught on a
-// free list or in a ring are abandoned and counted, in words, as garbage;
-// on top of them a crash leaks, unaccounted, at most one attempt's fresh
-// or unlinked nodes plus its tracking record per process. Only when the
-// accounted garbage has caught up with the rest of the carved heap
-// (garbage × 2 ≥ words carved) does the same call run the conservative
-// scan instead: every block
-// reachable from a structure root or referenced by an announced
-// operation's tracking record survives (transitively) and all other blocks
-// return to the free lists. The scan is conservative in one direction
-// only: a node may survive that would eventually have been freed, but a
-// reachable node is never freed. What this relies on besides the heap is
-// the reclaimer's Go-side block states and counters, which survive a
-// simulated crash exactly as the heap's bump pointer does. The reclaimer
-// is frozen during the per-process recovery sweep so that an early
-// process's re-invoked operation cannot free a block a later process's
-// tracking record still names. LastScan reports which path ran.
+// Tail, O(1)), then the reclaimer's volatile state is reset — the retired
+// rings and free lists emptied, stuck pins released, the epoch restarted —
+// O(Procs), with no heap access, no write-back and no psync, and nothing is
+// freed, so recovery never adds a block to a free list without a full mark.
+// Blocks the crash caught on a free list or in a ring are abandoned and
+// counted, in words, as garbage; on top of them a crash leaks, unaccounted,
+// at most one attempt's fresh or unlinked nodes plus its tracking record per
+// process. Only when the accounted garbage has caught up with the rest of
+// the carved heap (garbage × 2 ≥ words carved) does the same call run the
+// conservative scan instead: every block reachable from a structure root or
+// referenced by an announced operation's tracking record survives
+// (transitively) and all other blocks return to the free lists. The scan
+// rebuilds the free lists from the slab index (persisted as the slab
+// directory) and the marks alone: no recovery reads the reclaimer's
+// pre-crash bookkeeping, which is why none of it is persisted. The scan is
+// conservative in one direction only: a node may survive that would
+// eventually have been freed, but a reachable node is never freed. What
+// this relies on besides the heap is the reclaimer's Go-side block states
+// and counters, which survive a simulated crash exactly as the heap's bump
+// pointer does. The reclaimer is frozen during the per-process recovery
+// sweep so that an early process's re-invoked operation cannot free a block
+// a later process's tracking record still names. LastScan reports which
+// path ran.
 func (r *Runtime) RecoverAll() []ProcReport {
 	if r.reclaimer != nil {
 		p0 := r.h.Proc(0)
 		// Hint repair is its own step, run at every crash before the
-		// reclaimer's psync, because most recoveries never mark. Only the
+		// reclaimer's recovery, because most recoveries never mark. Only the
 		// Queue keeps a volatile-only word (Tail) a crash can leave
 		// pointing into recycled memory; List, HashMap, BST and Stack
 		// have none.
