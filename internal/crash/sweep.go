@@ -51,6 +51,19 @@ type Instance struct {
 	// Close, when non-nil, ends the instance before its heap is recycled: a
 	// server shuts down here.
 	Close func()
+	// Persist widens every crash point into one per cache line the crash
+	// left dirty, plus none: at the crash, before the reset, that one line
+	// also reaches persistent memory, as an eviction or another process's
+	// write-back of a shared line would have taken it there. The fault index
+	// becomes (offset, line).
+	Persist bool
+	// Interfere, when non-nil, runs after the reset and before Resolve: one
+	// fixed operation on Proc 1 that writes the AffectSet of Proc 0's
+	// interrupted operation, so that Proc 0 recovers against a structure
+	// another process changed since the crash. It returns the check that
+	// replaces the comparison with want: the history of the interloper and
+	// Resolve's responses must linearize.
+	Interfere func() (check func(got []uint64) error)
 }
 
 // Sweep is the one fault-point sweep: the conformance matrix and the serve
@@ -64,8 +77,9 @@ type Instance struct {
 // which shows as the heap's Epoch moving; a cut must carry fewer bytes than
 // its index. At every index the responses must equal want (nil: the
 // uninterrupted run's), the post-state must pass Verify, and the duplicate
-// pass After must change nothing. It returns the number of crash points, or
-// the first violation, naming its index.
+// pass After must change nothing. It returns the number of crash points —
+// with Persist, every (offset, line) pair, "none" included — or the first
+// violation, naming its index.
 //
 // Each crashed replay must recover to the sequential model's responses and
 // post-state — this is the paper's detectability bar, checked exhaustively
@@ -102,17 +116,34 @@ func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
 	if span == 0 {
 		return 0, errors.New("uninterrupted: nothing to sweep (no tracked access, no byte carried)")
 	}
+	points := 0
 	for off := uint64(1); off <= span; off++ {
-		if err := build().at(off, want); err != nil {
+		lines, err := build().at(off, pmem.Null, want)
+		for i := 0; err == nil && i < len(lines); i++ {
+			_, err = build().at(off, lines[i], want)
+			if err != nil {
+				err = fmt.Errorf("line=%d: %v", lines[i], err)
+			}
+		}
+		if err != nil {
 			return 0, fmt.Errorf("off=%d: %v", off, err)
 		}
+		points += 1 + len(lines)
 	}
-	return int(span), nil
+	return points, nil
 }
 
-// at replays the instance with its fault armed at index off.
-func (in Instance) at(off uint64, want []uint64) (err error) {
+// at replays the instance with its fault armed at index off and, with
+// Persist, line persisted at the crash (Null: none). A replay with none
+// returns the lines the crash left dirty, which the sweep replays next.
+func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.Addr, err error) {
 	defer in.end()
+	defer func() {
+		// Recovery's attempt bound, say: one failing index, not a dead binary.
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
 	in.prepare()
 	epoch := in.Heap.Epoch()
 	if in.Kill != nil {
@@ -121,18 +152,31 @@ func (in Instance) at(off uint64, want []uint64) (err error) {
 		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
 	}
 	var got []uint64
+	var check func([]uint64) error
 	switch {
 	case !pmem.RunOp(func() { got, err = in.Run() }):
 		if in.Resolve == nil {
-			return errors.New("crashed on the sweep's goroutine, and nothing resolves it")
+			return nil, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
+		}
+		if in.Persist && line == pmem.Null {
+			dirty = dirtyLines(in.Heap)
+		} else if line != pmem.Null {
+			in.Heap.Proc(0).PWB(line) // Proc 0 saw the crash: its accesses pass
 		}
 		in.Heap.ResetAfterCrash()
+		if in.Interfere != nil {
+			check = in.Interfere()
+		}
 		if !pmem.RunOp(func() { got, err = in.Resolve() }) {
-			return errors.New("recovery crashed with no crash armed")
+			return nil, errors.New("recovery crashed with no crash armed")
 		}
 	case err != nil:
 	case in.Kill != nil && in.Carried() >= off, in.Kill == nil && in.Heap.Epoch() == epoch:
-		return errors.New("the fault never fired")
+		return nil, errors.New("the fault never fired")
+	}
+	if err == nil && check != nil {
+		err = check(got)
+		want = got // the history check stands in for want
 	}
 	if err == nil {
 		err = in.check(got, want)
@@ -144,7 +188,22 @@ func (in Instance) at(off uint64, want []uint64) (err error) {
 			err = fmt.Errorf("after duplicate recovery: %s", msg)
 		}
 	}
-	return err
+	return dirty, err
+}
+
+// dirtyLines lists the cache lines whose volatile image differs from the
+// persisted one: at a crash, the lines an eviction could still persist. A
+// dirty line whose image agrees would persist nothing new, so it is left out.
+func dirtyLines(h *pmem.Heap) []pmem.Addr {
+	var out []pmem.Addr
+	for w := pmem.Addr(0); w < pmem.Addr(min(h.Used(), h.Capacity())); w++ {
+		if h.ReadVolatile(w) != h.ReadPersisted(w) {
+			line := w &^ (pmem.WordsPerLine - 1)
+			out = append(out, line)
+			w = line + pmem.WordsPerLine - 1
+		}
+	}
+	return out
 }
 
 // check holds the responses to want and the post-state to Verify.

@@ -17,20 +17,18 @@ import (
 // back (see below).
 //
 // Help is idempotent and may be executed concurrently by any number of
-// processes. The invoker tags starting from the first AffectSet element;
-// helpers start from the second (they discovered the operation through a
-// tag the invoker installed, so the first element needs no help). Recovery
-// helps its own record as the invoker, and only the invoker flags a record
-// done.
+// processes. Helpers tag from the first AffectSet element, like the invoker:
+// the paper's helpers start from the second, since they found the operation
+// through a tag the invoker installed after the first, but a crash breaks
+// that order — a later element's line can persist while the first's does
+// not, and a helper that skipped the first would then complete an operation
+// whose first element another process has since changed. Recovery helps its
+// own record as the invoker, and only the invoker flags a record done.
 func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	per := e.per(p)
 	per.Reset()
 	tagged := Tagged(info)
 	n := int(p.Load(info + offAffectLen))
-	start := 0
-	if !invoker {
-		start = 1
-	}
 
 	// A set result proves the tagging and update phases already completed
 	// (every result store is persisted before the cleanup phase starts), so
@@ -61,21 +59,38 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	}
 
 	// Tagging phase.
-	for i := start; i < n; i++ {
+	for i := 0; i < n; i++ {
 		nd := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*i)))
 		exp := p.Load(info + offAffect + pmem.Addr(2*i) + 1)
 		res := p.CAS(nd, exp, tagged)
 		per.WroteWord(nd)
 		if res != exp && res != tagged {
-			// Backtrack phase: untag earlier elements in reverse order,
-			// each to a fresh cookie (see Engine.cookie). Safe even past
-			// the invoker's first element: a tag failure at a retired-class
-			// element (index ≥ 1) proves the operation can never complete,
-			// because expected info values never recur.
-			for j := i - 1; j >= 0; j-- {
-				ndj := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*j)))
-				p.CAS(ndj, tagged, e.cookie(p))
-				per.WroteWord(ndj)
+			// Backtrack phase: untag every other element, each to a fresh
+			// cookie (see Engine.cookie) — the earlier ones in reverse order,
+			// then the later ones. A failure at i means nd_i holds neither
+			// exp nor the tag, and expected info values never recur, so
+			// unless the operation already completed — a lagging helper
+			// meets its cleaned-up first element, and its retired elements
+			// must keep their tags — it never can, and no helper still needs
+			// any of its tags. A later element can only hold the tag after a
+			// crash: its line persisted (eviction, or another process's
+			// write-back of a shared line) while an earlier one's did not,
+			// and another process then changed the earlier one. Left tagged,
+			// it would send every operation that meets it to help this
+			// record, fail at i and retry, for good. A CAS that loses changed
+			// nothing.
+			if p.Load(info+offResult) == RespNone {
+				for j := i - 1; j >= 0; j-- {
+					ndj := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*j)))
+					p.CAS(ndj, tagged, e.cookie(p))
+					per.WroteWord(ndj)
+				}
+				for j := i + 1; j < n; j++ {
+					ndj := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*j)))
+					if p.CAS(ndj, tagged, e.cookie(p)) == tagged {
+						per.WroteWord(ndj)
+					}
+				}
 			}
 			e.endPhase(p, per)
 			return

@@ -21,9 +21,9 @@
 // Engine requirement (checked at install time): only the first AffectSet
 // element may appear in the CleanupSet. Later elements must be retired by a
 // successful operation (they stay tagged forever). This is what makes the
-// full backtrack — untagging every earlier element after a tag failure —
-// safe even for helpers: a tag failure at a retired-class element proves the
-// operation can never complete, because expected info values never recur.
+// full backtrack — untagging every other element after a tag failure — safe
+// even for helpers: a tag failure on an operation that has not completed
+// proves it never can, because expected info values never recur.
 package isb
 
 import (
