@@ -205,11 +205,14 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // does not have and which is gone.
 //
 // The write-backs are where persists_per_op could leak. A successful Isb-Opt
-// update writes back 8 times: begin's three (clear the announcement, CP_q :=
-// 0, announce), the install barrier (record and new nodes), the one pwb of the
-// RD_q/CP_q line (CP_q := 1 rides RD_q := info), and the tag, update and
-// cleanup barriers (the done flag rides the last). A failed one is read-only
-// after its gather and stops after the RD_q/CP_q pwb: 5.
+// update writes back 7 times: begin's three (clear the announcement, CP_q :=
+// 0, announce), the install barrier (record and new nodes, and the previous
+// update's cleanup), the one pwb of the RD_q/CP_q line (CP_q := 1 rides RD_q
+// := info), and the tag and update barriers. Its own cleanup, done flag
+// included, rides the next install barrier, so every successful update in a
+// shape is one write-back cheaper than it was (a window of 16 holds 8). A
+// failed one is read-only after its gather and stops after the RD_q/CP_q pwb:
+// 5.
 //
 // On one Proc an eliminating push or pop always times out on the exchanger
 // and falls through to the central stack. It pays the exchange's own psyncs
@@ -232,12 +235,12 @@ func TestAdmissionSyncPrice(t *testing.T) {
 			elimPush: price{11, 27}, elimPop: price{10, 20}, // were 12, 31 and 11, 24
 		},
 		EngineIsbOpt: {
-			update: price{2, 8}, failed: price{2, 5}, // were 2, 12 and 2, 8
-			window1: price{2, 8}, window16: price{2, 93}, // were 2, 12 and 2, 119
-			txn: price{2, 15}, // was 2, 21
-			// enq, deq, push and pop were 11, 10, 11 and 11
-			enq: price{2, 8}, deq: price{2, 8}, push: price{2, 8}, pop: price{2, 8},
-			elimPush: price{7, 18}, elimPop: price{6, 15}, // were 8, 22 and 7, 19
+			update: price{2, 7}, failed: price{2, 5}, // were 2, 12 / 2, 8 and 2, 8 / 2, 5
+			window1: price{2, 7}, window16: price{2, 85}, // were 2, 12 / 2, 8 and 2, 119 / 2, 93
+			txn: price{2, 13}, // was 2, 21 / 2, 15
+			// enq, deq, push and pop were 11, 10, 11 and 11, then 8 each
+			enq: price{2, 7}, deq: price{2, 7}, push: price{2, 7}, pop: price{2, 7},
+			elimPush: price{7, 17}, elimPop: price{6, 14}, // were 8, 22 / 7, 18 and 7, 19 / 6, 15
 		},
 	}
 	for _, e := range engines() {
@@ -479,14 +482,21 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// the old stride restores the old counts. They held when the
 			// reclaimer's epoch, pin and ring lines left the heap: those 552
 			// words sat inside Proc 0's first allocation chunk, so no slab
-			// moved.)
+			// moved. They moved again, from 2061 / 52 and 32833 / 0 under
+			// both engines, when an operation's last record stopped retiring at the next
+			// begin and retires at the next install: one block more is
+			// carved before the crash. Under Isb-Opt, whose cleanup barrier
+			// now rides the next install's, the crash at access 300 also
+			// lands further into the window, and the scan keeps two blocks
+			// more.)
+			want := map[EngineKind][2]uint64{EngineIsb: {2061, 53}, EngineIsbOpt: {2063, 51}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
-			if !scan.Full || scan.Marked != 2061 || scan.Swept != 52 {
-				t.Fatalf("full scan at 1024 keys: %+v, want 2061 marked and 52 swept", scan)
+			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
+				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])
 			}
 			fullLarge, scan := recoverCost(16384, pmem.RecoverFull)
-			if !scan.Full || scan.Marked != 32833 || scan.Swept != 0 {
-				t.Fatalf("full scan at 16384 keys: %+v, want 32833 marked and 0 swept", scan)
+			if !scan.Full || scan.Marked != 32834 || scan.Swept != 0 {
+				t.Fatalf("full scan at 16384 keys: %+v, want 32834 marked and 0 swept", scan)
 			}
 			if fullLarge < 10*fullSmall {
 				t.Fatalf("full scan: %d accesses with 1024 keys, %d with 16384 — expected it to follow live size", fullSmall, fullLarge)

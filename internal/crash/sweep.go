@@ -158,10 +158,10 @@ func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.A
 		if in.Resolve == nil {
 			return nil, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
 		}
-		if in.Persist && line == pmem.Null {
-			dirty = dirtyLines(in.Heap)
-		} else if line != pmem.Null {
+		if line != pmem.Null {
 			in.Heap.Proc(0).PWB(line) // Proc 0 saw the crash: its accesses pass
+		} else if in.Persist {
+			dirty = dirtyLines(in.Heap)
 		}
 		in.Heap.ResetAfterCrash()
 		if in.Interfere != nil {

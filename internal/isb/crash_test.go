@@ -26,38 +26,41 @@ var listOps = []struct {
 // crashPoint is one crash of sweepEvicting, handed over after recovery.
 type crashPoint struct {
 	off       uint64
-	h         *pmem.Heap
-	l         *list.List
-	p         *pmem.Proc
 	kind, key uint64
-	inverse   uint64
 	at        isb.Durable // persisted at the crash
 	keysAt    []uint64    // persisted at the crash
-	tagged    int         // CleanupSet entries persisted tagged by RD_q's record at the crash
 }
 
-// sweepEvicting runs each of listOps on a fresh list whose heap persists
-// every store's line at once (EvictEvery 1: a crash persists exactly the
-// stores before it), with a system-wide crash at every access offset until an
-// offset outruns the operation. The system-side Begin
-// runs before the crash is armed, so every sweep starts from a durable
-// CP_q = 0. After each crash the operation is recovered, its response and the
-// list's state checked, and visit gets the crash point.
-func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
+// newList builds a list holding listPrefill, under Isb-Opt (opt) or Isb, on
+// a heap that persists the line of one in evictEvery stores at once (0:
+// none), and returns it with its heap, engine and Proc 0.
+func newList(opt bool, evictEvery uint64) (*pmem.Heap, *isb.Engine, *list.List, *pmem.Proc) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true, EvictEvery: evictEvery})
+	e := isb.NewEngine(h)
+	if opt {
+		e = isb.NewEngineOpt(h)
+	}
+	e.SetAnnounceID(1)
+	l := list.NewWithEngine(h, e)
+	p := h.Proc(0)
+	for _, k := range listPrefill {
+		l.Insert(p, k)
+	}
+	return h, e, l, p
+}
+
+// sweepEvicting runs each of listOps under Isb-Opt on a fresh list whose
+// heap persists every store's line at once (EvictEvery 1: a crash persists
+// exactly the stores before it), with a system-wide crash at every access
+// offset until an offset outruns the operation. The system-side Begin runs
+// before the crash is armed, so every sweep starts from a durable CP_q = 0.
+// After each crash the operation is recovered, its response and the list's
+// state checked, and visit gets the crash point.
+func sweepEvicting(t *testing.T, visit func(c crashPoint)) {
 	for _, op := range listOps {
 		crashes := 0
 		for off := uint64(1); ; off++ {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true, EvictEvery: 1})
-			e := isb.NewEngine(h)
-			if opt {
-				e = isb.NewEngineOpt(h)
-			}
-			e.SetAnnounceID(1)
-			l := list.NewWithEngine(h, e)
-			p := h.Proc(0)
-			for _, k := range listPrefill {
-				l.Insert(p, k)
-			}
+			h, e, l, p := newList(true, 1)
 			l.Begin(p)
 			h.ScheduleCrashAt(h.AccessCount() + off)
 			crashed := !pmem.RunOp(func() { l.ApplyOp(p, op.kind, op.key) })
@@ -66,12 +69,7 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 				break
 			}
 			crashes++
-			c := crashPoint{off: off, h: h, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, at: e.Durable(p)}
-			for _, a := range c.at.Cleanup {
-				if h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
-					c.tagged++
-				}
-			}
+			c := crashPoint{off: off, kind: op.kind, key: op.key, at: e.Durable(p)}
 			h.ResetAfterCrash()
 			c.keysAt = l.Keys()
 			if r := l.RecoverOp(p, op.kind, op.key); !isb.Bool(r) {
@@ -100,7 +98,7 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 // used to rule out, must occur and must recover like any CP_q = 0.
 func TestFirstInstallRaisesCPCrash(t *testing.T) {
 	ownZero := map[uint64]int{}
-	sweepEvicting(t, true, func(c crashPoint) {
+	sweepEvicting(t, func(c crashPoint) {
 		own := c.at.RD != pmem.Null && c.at.Kind == c.kind && c.at.Key == c.key && c.at.Seq == 0
 		if c.at.CP == 0 {
 			if !slices.Equal(c.keysAt, listPrefill) {
@@ -123,41 +121,119 @@ func TestFirstInstallRaisesCPCrash(t *testing.T) {
 	}
 }
 
-// TestDoneRidesCleanupBarrierCrash pins the done flag's new place: the
-// invoker stores it as the cleanup phase starts and the cleanup barrier
-// persists it, so eviction can make it durable while some untags are not.
-// Crashed at every access of an insert and a delete on both engines, every
-// crash that left the record durably done must recover with no CleanupSet
-// node tagged by the record, volatile or persisted — Help on a done record
-// re-runs the untags — and the follow-up operation on the same key must
-// finish in one attempt (a second attempt would allocate a second record).
+// TestDoneRidesCleanupBarrierCrash pins where an update's cleanup — its done
+// flag and its untags — becomes durable. Under Isb the cleanup phase ends
+// with its barrier before the response. Under Isb-Opt, inside the
+// operation's sync scope, it rides the process's next barrier: the next
+// install's. An insert and a delete each complete; then the follow-up on the
+// same key, begin included, is crashed at every access on a heap that never
+// evicts, so persistent memory holds exactly what was written back. Isb-Opt
+// must leave some crash with an untag of the completed operation still
+// volatile, and Isb none, and no crash may find one volatile once the
+// follow-up's record is installed. Every crash must recover the follow-up to
+// its response and the list to its prefill, with no node tagged by the
+// completed operation's record, volatile or persisted: recovery — or, after a
+// crash inside the begin, the retried begin — settles it (Engine.Settle).
 func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 	for _, opt := range []bool{false, true} {
-		done, partial := 0, 0
-		sweepEvicting(t, opt, func(c crashPoint) {
-			if c.at.CP != 1 || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
-				return
-			}
-			done++
-			if c.tagged > 0 {
-				partial++
-			}
-			for _, a := range c.at.Cleanup {
-				if c.h.ReadVolatile(a) == isb.Tagged(c.at.RD) || c.h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
-					t.Fatalf("opt=%v offset %d: node field %d still tagged by the done record %d after recovery", opt, c.off, a, c.at.RD)
+		crashes, volatile := 0, 0
+		for _, op := range listOps {
+			for off := uint64(1); ; off++ {
+				h, e, l, p := newList(opt, 0)
+				l.Begin(p)
+				if r := l.ApplyOp(p, op.kind, op.key); !isb.Bool(r) {
+					t.Fatalf("opt=%v %s: answered %d, want true", opt, op.name, r)
+				}
+				done := e.Durable(p)
+				h.ScheduleCrashAt(h.AccessCount() + off)
+				began := false
+				crashed := !pmem.RunOp(func() {
+					l.Begin(p)
+					began = true
+					l.ApplyOp(p, op.inverse, op.key)
+				})
+				h.DisarmCrash()
+				if !crashed {
+					break
+				}
+				crashes++
+				installed := e.Durable(p).RD != done.RD // the follow-up's install barrier ran
+				for _, a := range done.Cleanup {
+					if h.ReadPersisted(a) == isb.Tagged(done.RD) && h.ReadVolatile(a) != isb.Tagged(done.RD) {
+						if installed {
+							t.Fatalf("opt=%v %s offset %d: the follow-up's install barrier did not carry the untag of node field %d", opt, op.name, off, a)
+						}
+						volatile++
+						break
+					}
+				}
+				h.ResetAfterCrash()
+				var r uint64
+				if began {
+					r = l.RecoverOp(p, op.inverse, op.key)
+				} else { // a crashed begin is retried, not recovered
+					l.Begin(p)
+					r = l.ApplyOp(p, op.inverse, op.key)
+				}
+				if !isb.Bool(r) {
+					t.Fatalf("opt=%v %s offset %d: follow-up answered %d, want true", opt, op.name, off, r)
+				}
+				if ks := l.Keys(); !slices.Equal(ks, listPrefill) {
+					t.Fatalf("opt=%v %s offset %d: keys %v after the follow-up, want %v", opt, op.name, off, ks, listPrefill)
+				}
+				if msg := l.CheckInvariants(); msg != "" {
+					t.Fatalf("opt=%v %s offset %d: %s", opt, op.name, off, msg)
+				}
+				for _, a := range done.Cleanup {
+					if h.ReadVolatile(a) == isb.Tagged(done.RD) || h.ReadPersisted(a) == isb.Tagged(done.RD) {
+						t.Fatalf("opt=%v %s offset %d: node field %d still tagged by the completed record %d", opt, op.name, off, a, done.RD)
+					}
 				}
 			}
-			before := c.p.Stats().AllocWords
-			if r := c.l.ApplyOp(c.p, c.inverse, c.key); !isb.Bool(r) {
-				t.Fatalf("opt=%v offset %d: follow-up on key %d answered %d, want true", opt, c.off, c.key, r)
-			}
-			if words := c.p.Stats().AllocWords - before; words >= 2*isb.InfoWords {
-				t.Fatalf("opt=%v offset %d: follow-up on key %d allocated %d words: more than one attempt", opt, c.off, c.key, words)
-			}
-		})
-		if partial == 0 {
-			t.Fatalf("opt=%v: none of %d crashes with a durable done flag left an untag volatile", opt, done)
 		}
-		t.Logf("opt=%v: %d crashes left the record durably done, %d of them with an untag volatile", opt, done, partial)
+		if opt && volatile == 0 {
+			t.Fatalf("isb-opt: none of %d crashes after a completed update left one of its untags volatile", crashes)
+		}
+		if !opt && volatile != 0 {
+			t.Fatalf("isb: %d of %d crashes after a completed update left one of its untags volatile", volatile, crashes)
+		}
+		t.Logf("opt=%v: %d crashes after a completed update, %d with one of its untags volatile", opt, crashes, volatile)
+	}
+}
+
+// TestDeferredCleanupHoldsOperands pins when an Isb-Opt update's unlinked
+// node retires: not when the update returns, since its cleanup, done flag
+// included, is still volatile, and a recovery that re-runs its update phase
+// must not meet the node recycled; but as soon as the next install's barrier
+// has carried that cleanup. Counted in the reclaimer's retirements: an insert
+// after a failed one retires only the failed one's record, and the delete
+// after it retires the insert's unlinked node and record.
+func TestDeferredCleanupHoldsOperands(t *testing.T) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1})
+	r := pmem.NewReclaimer(h)
+	e := isb.NewEngineOpt(h)
+	e.SetAllocator(r)
+	l := list.NewWithEngine(h, e)
+	p := h.Proc(0)
+	for _, k := range listPrefill {
+		l.Insert(p, k)
+	}
+	l.Insert(p, listPrefill[0]) // fails: read-only after its gather
+	for _, step := range []struct {
+		kind, key, retired uint64
+	}{
+		{list.OpInsert, 20, 1}, // the failed insert's record
+		{list.OpFind, 20, 0},   // the zero-persist read issues no barrier
+		{list.OpDelete, 20, 2}, // the insert's unlinked node, then its record
+	} {
+		before := r.Stats().Retired
+		if step.kind == list.OpFind {
+			l.ReadOp(p, step.kind, step.key)
+		} else {
+			l.ApplyOp(p, step.kind, step.key)
+		}
+		if got := r.Stats().Retired - before; got != step.retired {
+			t.Errorf("kind %d key %d retired %d blocks, want %d", step.kind, step.key, got, step.retired)
+		}
 	}
 }

@@ -12,9 +12,11 @@ import (
 // delegated to the engine's persister: every CAS on an info field or
 // WriteSet field is reported as a dirty word, and every phase ends with
 // EndPhase (the eager placement writes back per CAS; the batched placement
-// issues one barrier per phase). A record already flagged done is the one
-// exception: only its cleanup re-runs, and only untags that win are written
-// back (see below).
+// issues one barrier per phase) — except the invoker's cleanup phase inside
+// an Isb-Opt sync scope, which rides the next barrier (see finish). On a
+// record whose result is set only what is left re-runs: a done record's
+// untags, of which only those that win are written back, and nothing at all
+// once no CleanupSet node carries the tag (see below).
 //
 // Help is idempotent and may be executed concurrently by any number of
 // processes. Helpers tag from the first AffectSet element, like the invoker:
@@ -43,8 +45,8 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 		// barrier), and its retired-class operands may since have been
 		// recycled as unrelated live nodes, so the update CASes' expected
 		// values could recur: the update phase never re-runs on it. Its
-		// cleanup may still be partly volatile — done rides the cleanup
-		// barrier, and eviction can persist it ahead of the untags — so the
+		// cleanup may still be partly volatile — done is written back with
+		// the untags, and eviction can persist it ahead of them — so the
 		// untag CASes re-run. They expect Tagged(info), which cannot recur
 		// while the record can still be consulted, and only a CAS that wins
 		// is written back: a lost one changed nothing.
@@ -54,7 +56,13 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 			}
 			return
 		}
-		e.finish(p, info, tagged, invoker)
+		// Without the flag, a CleanupSet that no longer carries the tag
+		// proves the same, since an untag only ever follows a barrier of the
+		// update phase, and leaves nothing to do. A read-only record, which
+		// tags nothing, ends here too.
+		if e.tagsLeft(p, info) {
+			e.finish(p, info, tagged, invoker)
+		}
 		return
 	}
 
@@ -122,14 +130,28 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	e.endPhase(p, per)
 
 	// Cleanup phase. The invoker first flags the record done: the update
-	// phase is durable now, and the flag rides this phase's barrier, which
-	// returns before the invoker retires any operand or unpins — the
-	// precondition for their addresses to ever recur.
+	// phase is durable now, and the flag is written back with the untags,
+	// before the invoker retires any operand — the precondition for their
+	// addresses to ever recur.
 	if invoker {
 		p.Store(info+offDone, 1)
 		per.WroteWord(info + offDone)
 	}
 	e.untag(p, per, info, tagged, false)
+	if invoker && e.batched && p.InSyncScope() {
+		// Under Isb-Opt inside a sync scope the invoker does not end the
+		// phase: its lines ride this process's next barrier on the engine,
+		// normally the next install's, and the operands retire after it
+		// (attemptLoop holds them, see releaseHeld). The response does not
+		// wait: the result is durable since the update phase. Until that
+		// barrier the one record whose cleanup may be volatile is the one
+		// RD_q names, and neither it nor its operands have been retired, so
+		// a recovery that re-runs its update phase cannot meet a recycled
+		// value (Settle finishes the cleanup after a crash).
+		per.Defer()
+		e.batchSyncs[p.ID()]++
+		return
+	}
 	e.endPhase(p, per)
 }
 
@@ -208,6 +230,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
+	e.retireLast(p) // RD_q no longer names it
 	p.Store(cp, 1)
 	p.PWB(cp)
 	e.opSync(p)
@@ -281,14 +304,15 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 		// Install the Info record and persist it with the new nodes. The
 		// batched persister covers the record and the whole NewSet in one
-		// barrier; the eager one issues a pbarrier per range.
+		// barrier — with the previous operation's deferred cleanup, if any —
+		// and the eager one issues a pbarrier per range.
 		per.Reset()
 		e.install(p, info, spec)
 		per.WroteRange(info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
-		per.Flush()
+		e.flush(p, per)
 		p.Store(rd, uint64(info))
 		if raiseCP {
 			p.Store(e.cp(p), 1) // after RD_q, on its line: see runAttempts
@@ -310,7 +334,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 		e.Help(p, info, true)
 		if r := p.Load(info + offResult); r != RespNone {
-			e.retireAffected(p, spec)
+			e.retireAffected(p, per, spec)
 			e.alloc.Exit(p)
 			return r
 		}
@@ -345,10 +369,14 @@ func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
 // just unlinked (they stay tagged; traversals can no longer reach them).
 // Only the invoker calls this, exactly once per operation — result ≠ ⊥ on
 // the invoker's own current record proves this very attempt took effect.
-func (e *Engine) retireAffected(p *pmem.Proc, spec *Spec) {
+// While the operation's cleanup waits for a barrier (see finish) the nodes
+// are held instead, and releaseHeld retires them once it is durable.
+func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 	if spec.ReadOnly {
 		return // nothing was unlinked
 	}
+	h := &e.held[p.ID()]
+	h.epoch = e.h.Epoch()
 	for i := 0; i < spec.NAffect; i++ {
 		nd := spec.Affect[i].Info
 		inCleanup := false
@@ -358,10 +386,42 @@ func (e *Engine) retireAffected(p *pmem.Proc, spec *Spec) {
 				break
 			}
 		}
-		if !inCleanup {
+		switch {
+		case inCleanup:
+		case per.Deferred():
+			h.nodes[h.n] = nd
+			h.n++
+		default:
 			e.alloc.Retire(p, nd)
 		}
 	}
+}
+
+// flush is persister.Flush followed by releaseHeld: the one way a barrier
+// the engine issues ends, so that whatever waited for a deferred cleanup
+// retires as soon as some barrier has carried it.
+func (e *Engine) flush(p *pmem.Proc, per persister) {
+	per.Flush()
+	e.releaseHeld(p, per)
+}
+
+// releaseHeld retires the operands retireAffected held once no deferred
+// cleanup is waiting any more. A crash since they were held (the heap's
+// epoch moved) may have lost that cleanup, done flag included, and a
+// recovery may then re-run the record's update phase: they leak instead,
+// within the per-crash budget, and a full scan keeps them while RD_q still
+// names their record (MarkReachable).
+func (e *Engine) releaseHeld(p *pmem.Proc, per persister) {
+	h := &e.held[p.ID()]
+	if h.n == 0 || per.Deferred() {
+		return
+	}
+	if h.epoch == e.h.Epoch() {
+		for _, nd := range h.nodes[:h.n] {
+			e.alloc.Retire(p, nd)
+		}
+	}
+	h.n = 0
 }
 
 // RecoverSeq is the generic Op-Recover, for the leg at index seq of its
@@ -420,6 +480,7 @@ func (e *Engine) ResolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, b
 // RespNone, unpinned: the leg made no changes.
 func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint64, pinned bool) {
 	p.ResetSyncScope()
+	e.Settle(p)
 	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
@@ -448,21 +509,70 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	return p.Load(info + offResult), true
 }
 
+// Settle finishes, once per crash, the cleanups the crash cut short: under
+// Isb-Opt an invoker leaves its cleanup, done flag included, to its next
+// barrier (see finish), and a crash before that barrier leaves a completed
+// operation's surviving nodes durably tagged. Nobody else would finish it —
+// the process may be idle or busy on another engine — so the first begin or
+// recovery on the engine after a crash, and RecoverAll for every engine,
+// helps each record an RD_q names, whatever CP_q says, if its result is set
+// and its CleanupSet still carries its tag. Re-running its update phase
+// cannot meet a recycled value: until its cleanup is durable neither the
+// record nor its operands have been retired. Settle helps as any helper does,
+// in a sync scope it closes without a psync of its own: its write-backs are
+// complete when it returns, and the process's next psync (the begin's, or
+// recovery's) orders them before anything that could depend on them. Under
+// Isb every cleanup ends with its barrier, and there is nothing to finish.
+func (e *Engine) Settle(p *pmem.Proc) {
+	epoch := e.h.Epoch()
+	if !e.batched || e.settled.Load() == epoch {
+		return
+	}
+	own := !p.InSyncScope()
+	if own {
+		p.OpenSyncScope()
+	}
+	e.alloc.Enter(p) // RD_q's record cannot retire under us
+	for q := 0; q < e.h.NumProcs(); q++ {
+		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
+		if info != pmem.Null && p.Load(info+offResult) != RespNone && e.tagsLeft(p, info) {
+			e.Help(p, info, false)
+		}
+	}
+	e.alloc.Exit(p)
+	if own {
+		p.ResetSyncScope()
+	}
+	e.settled.Store(epoch)
+}
+
+// tagsLeft reports whether a node of info's CleanupSet still carries its
+// tag: whether its cleanup has yet to finish.
+func (e *Engine) tagsLeft(p *pmem.Proc, info pmem.Addr) bool {
+	for i := pmem.Addr(0); i < pmem.Addr(p.Load(info+offCleanupLen)); i++ {
+		if p.Load(pmem.Addr(p.Load(info+offCleanup+i))) == Tagged(info) {
+			return true
+		}
+	}
+	return false
+}
+
 // MarkReachable reports, via mark, every address the engine's recovery
-// data can still lead to: for each process with CP_q = 1 and a non-Null
-// RD_q, the installed Info record and (conservatively) every word of it
-// with the tag bit cleared — AffectSet field addresses, WriteSet
-// addresses and values, CleanupSet addresses. The post-crash scan's
-// transitive closure follows on from whatever those words name. Part of
-// the conservative-scan contract: an announced operation's operands
-// survive reclamation even if their retirement was recorded.
+// data can still lead to: for each process, the Info record a non-Null RD_q
+// names, whatever CP_q says, and (conservatively) every word of it with the
+// tag bit cleared — AffectSet field addresses, WriteSet addresses and
+// values, CleanupSet addresses — plus the last record the process installed,
+// until it retires. The post-crash scan's transitive closure follows on from
+// whatever those words name. Part of the conservative-scan contract: an
+// announced operation's operands survive reclamation even if their
+// retirement was recorded, and so do the record and operands of a completed
+// operation whose cleanup recovery may still have to finish (Settle).
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
-		line := e.base + pmem.Addr(q*pmem.WordsPerLine)
-		if p.Load(line+1) == 0 { // CP_q
-			continue
+		if li := e.lastInfo[q]; li != pmem.Null {
+			mark(li)
 		}
-		info := pmem.Addr(p.Load(line)) // RD_q
+		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
 		if info == pmem.Null {
 			continue
 		}
@@ -476,11 +586,11 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // Boundary closes leg seq-1 of the announced vector, which ran on this
 // engine, and opens leg seq: the previous leg's response becomes durable in
 // its result slot, then the completed-prefix cursor advances to cover it
-// (pmem.Proc.AdvanceCursor) — for an atomic vector, the commit point. Only
-// after the cursor advance can the previous leg's tracking record no longer
-// be consulted; its retirement happens here, not before. Inside a sync scope
-// under the Isb placement the boundary issues the per-leg psync the deferred
-// intra-leg sync points merged into; under Isb-Opt it defers too.
+// (pmem.Proc.AdvanceCursor) — for an atomic vector, the commit point. The
+// previous leg's tracking record retires once the next install moves RD_q off
+// it (retireLast). Inside a sync scope under the Isb placement the boundary
+// issues the per-leg psync the deferred intra-leg sync points merged into;
+// under Isb-Opt it defers too.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	p.AdvanceCursor(seq, prevResp)
 	if p.InSyncScope() {
@@ -490,7 +600,6 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 			p.PSync()
 		}
 	}
-	e.retireLast(p)
 }
 
 // RunBatchOp runs the leg at index seq of an announced vector (Begin). An

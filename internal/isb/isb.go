@@ -28,6 +28,7 @@ package isb
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/pmem"
 )
@@ -84,7 +85,7 @@ const (
 	offAffectLen  = 4
 	offWriteLen   = 5
 	offCleanupLen = 6
-	offDone       = 7  // set by the invoker as its cleanup phase starts; rides that phase's barrier
+	offDone       = 7  // set by the invoker as its cleanup phase starts; written back with the untags
 	offAffect     = 8  // MaxAffect pairs ⟨infoFieldAddr, expectedValue⟩
 	offWrites     = 16 // MaxWrites triples ⟨addr, old, new⟩
 	offCleanup    = 25 // MaxCleanup info-field addresses
@@ -227,16 +228,20 @@ type Engine struct {
 	// Epoch pins and retirements are threaded through the operation entry
 	// points; neither touches the heap, so reclamation adds no write-back.
 	alloc pmem.Allocator
-	// lastInfo tracks, per process, the Info record currently installed in
-	// that process's RD_q: it is retired at the next operation's begin (once
-	// CP_q := 0 is durable the record can never be consulted again) or
-	// superseded by the next attempt's record. Go-side on purpose — after a
-	// crash it either matches the durable RD_q (which post-crash recovery
-	// keeps live) or names a record no durable word mentions (its install
-	// did not persist, so neither did any tag), and retiring it on
-	// schedule is right in both cases — unless a scan ran: see
-	// ForgetRetired.
+	// lastInfo tracks, per process, the Info record last installed in that
+	// process's RD_q: it retires once RD_q durably names another (the next
+	// install's write-back, or Isb's RD_q := Null) and never earlier, so the
+	// record RD_q names is never recycled under it — recovery reads it
+	// whatever CP_q says (Settle). Go-side on purpose: after a crash it
+	// either matches the durable RD_q or names a record no durable word
+	// mentions any more, and retiring it on schedule is right in both cases;
+	// a full scan keeps it alive until then (MarkReachable).
 	lastInfo []pmem.Addr
+	// held is, per process, the retired-class operands of the last operation
+	// whose cleanup waits for a barrier (see finish and releaseHeld).
+	held []heldNodes
+	// settled is the heap epoch (crash count) Settle last finished at.
+	settled atomic.Uint64
 	// cookieCtr feeds cookie (see there), one counter per process.
 	cookieCtr []uint64
 	// curSeq is the leg index install stamps into Info records (offSeq): the
@@ -247,6 +252,14 @@ type Engine struct {
 	// batchSyncs/readFast back Counters (see isb.Stats).
 	batchSyncs []uint64
 	readFast   []uint64
+}
+
+// heldNodes are operands waiting to retire, and the heap epoch they were
+// held in.
+type heldNodes struct {
+	nodes [MaxAffect]pmem.Addr
+	n     int
+	epoch uint64
 }
 
 // NewEngine allocates RD/CP lines for every process of the heap, with the
@@ -278,6 +291,7 @@ func newEngine(h *pmem.Heap, batched bool) *Engine {
 		specs:      make([]Spec, h.NumProcs()),
 		alloc:      pmem.Arena{},
 		lastInfo:   make([]pmem.Addr, h.NumProcs()),
+		held:       make([]heldNodes, h.NumProcs()),
 		cookieCtr:  make([]uint64, h.NumProcs()),
 		curSeq:     make([]uint64, h.NumProcs()),
 		batchSyncs: make([]uint64, h.NumProcs()),
@@ -323,29 +337,16 @@ func (e *Engine) cookie(p *pmem.Proc) uint64 {
 
 // retireLast retires the calling process's previously installed Info
 // record. Callers must ensure the record can no longer be consulted by
-// recovery: either CP_q := 0 has been written back (begin path) or RD_q
-// already points at a newer record (attempt loop). In-flight helpers may
-// still hold the record; the allocator's epoch grace covers them.
+// recovery: RD_q durably points elsewhere — at a newer record, or Null. Until
+// then recovery may read it even with CP_q = 0 (Settle), and since an
+// Isb-Opt operation's cleanup may wait for the next install's barrier, no
+// earlier point would do. In-flight helpers may still hold the record; the
+// allocator's epoch grace covers them.
 func (e *Engine) retireLast(p *pmem.Proc) {
 	id := p.ID()
 	if li := e.lastInfo[id]; li != 0 {
 		e.lastInfo[id] = 0
 		e.alloc.Retire(p, li)
-	}
-}
-
-// ForgetRetired drops every process's pending last-record retirement.
-// Runtime.RecoverAll calls it after a crash whose recovery ran the full
-// scan: a crash can land exactly between CP_q := 0 becoming durable and the
-// retirement being recorded, in which case the tracked record may already
-// have been swept (and reused) by the scan — retiring it later would hit a
-// live block. The records the scan kept alive leak instead (at most one per
-// process per scan), which is the same conservative budget the scan itself
-// accepts. After a fast recovery nothing was swept and the pending
-// retirements stay.
-func (e *Engine) ForgetRetired() {
-	for i := range e.lastInfo {
-		e.lastInfo[i] = 0
 	}
 }
 
@@ -381,11 +382,12 @@ func (e *Engine) opSync(p *pmem.Proc) {
 // happen now.
 func (e *Engine) endPhase(p *pmem.Proc, per persister) {
 	if p.InSyncScope() {
-		per.Flush()
+		e.flush(p, per)
 		e.batchSyncs[p.ID()]++
 		return
 	}
 	per.EndPhase()
+	e.releaseHeld(p, per)
 }
 
 // NoteReadFast counts one operation served by the zero-persist read-only
@@ -452,15 +454,16 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*En
 	p.PSync()
 }
 
-// reset persists CP_q := 0 (no psync: Begin's covers it) and retires the
-// previous operation's Info record: once CP_q := 0 is written back the record
-// can never be consulted again.
+// reset persists CP_q := 0 (no psync: Begin's covers it). The previous
+// operation's Info record stays: RD_q still names it, and its cleanup may
+// still wait for this admission's first barrier (see retireLast) — or, after
+// a crash, for Settle, which the first begin after it runs.
 func (e *Engine) reset(p *pmem.Proc) {
+	e.Settle(p)
 	e.curSeq[p.ID()] = 0
 	cp := e.cp(p)
 	p.Store(cp, 0)
 	p.PWB(cp)
-	e.retireLast(p)
 	if e.onReset != nil {
 		e.onReset(p)
 	}

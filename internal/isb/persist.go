@@ -12,7 +12,8 @@ import "repro/internal/pmem"
 // end of the phase, before the psync").
 //
 // Crash contract: after EndPhase returns, everything reported since the
-// previous EndPhase is durable. Under the batched placement nothing in the
+// previous EndPhase is durable, and so is a phase ended by Defer once a later
+// phase has been written back. Under the batched placement nothing in the
 // phase is guaranteed durable before that point, so a crash mid-phase may
 // leave the phase fully absent from persistent memory; Help and RecoverSeq
 // tolerate both outcomes because every phase is idempotent and re-runnable
@@ -34,6 +35,11 @@ type persister interface {
 	// EndPhase is Flush followed by a psync: the phase's writes are durable
 	// before any instruction after it.
 	EndPhase()
+	// Defer ends the current phase without writing it back: its writes join
+	// the next phase that is written back, whichever that is.
+	Defer()
+	// Deferred reports whether writes Defer moved are still waiting for it.
+	Deferred() bool
 }
 
 // eagerPersister is the paper's written placement (Isb): a pwb immediately
@@ -47,6 +53,8 @@ func (e *eagerPersister) WroteWord(a pmem.Addr)                { e.p.PWB(a) }
 func (e *eagerPersister) WroteRange(a pmem.Addr, words uint64) { e.p.PBarrierRange(a, words) }
 func (e *eagerPersister) Flush()                               {}
 func (e *eagerPersister) EndPhase()                            { e.p.PSync() }
+func (e *eagerPersister) Defer()                               {} // every write is already back
+func (e *eagerPersister) Deferred() bool                       { return false }
 
 // batchPersister is the hand-tuned placement (Isb-Opt): dirty lines
 // accumulate across a phase and one barrier per phase writes them all back,
@@ -55,13 +63,21 @@ func (e *eagerPersister) EndPhase()                            { e.p.PSync() }
 // adjacent-duplicate check, so a run of stores to one line — the common
 // phase shape — costs one slot, keeping large phases' scratch small. The
 // capacity of the dirty slice is retained across phases, so steady-state
-// operation does not allocate.
+// operation does not allocate. A deferred phase's lines wait in carry, which
+// Reset leaves alone, until the next barrier writes them back with its own.
 type batchPersister struct {
-	p     *pmem.Proc
-	dirty []pmem.Addr
+	p            *pmem.Proc
+	dirty, carry []pmem.Addr
 }
 
 func (b *batchPersister) Reset() { b.dirty = b.dirty[:0] }
+
+func (b *batchPersister) Defer() {
+	b.carry = append(b.carry, b.dirty...)
+	b.dirty = b.dirty[:0]
+}
+
+func (b *batchPersister) Deferred() bool { return len(b.carry) > 0 }
 
 // note records line l as dirty unless it was the line recorded last.
 func (b *batchPersister) note(l pmem.Addr) {
@@ -85,10 +101,15 @@ func (b *batchPersister) WroteRange(a pmem.Addr, words uint64) {
 	}
 }
 
+// Flush issues the phase's barrier, which also carries any deferred lines. A
+// phase that wrote nothing issues none, deferred lines or not: they wait for
+// a barrier that is paid anyway.
 func (b *batchPersister) Flush() {
 	if len(b.dirty) == 0 {
 		return
 	}
+	b.dirty = append(b.dirty, b.carry...)
+	b.carry = b.carry[:0]
 	b.p.PBarrierAddrs(b.dirty)
 	b.dirty = b.dirty[:0]
 }

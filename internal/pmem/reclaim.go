@@ -85,10 +85,10 @@ import (
 // attempt had allocated but not linked, or unlinked but not yet retired
 // (operation recovery does not retire them, see isb.Engine.RecoverSeq) —
 // at most an attempt's nodes plus its Info record per process per crash —
-// and, after a Scan, the records whose pending retirement RecoverAll then
-// forgets (isb.Engine.ForgetRetired). They are live-but-unreachable until
-// the next Scan sweeps them, and small next to what a crash abandons, so
-// the rule still fires.
+// and the operands an Isb-Opt operation held for its deferred cleanup
+// barrier, which a crash makes the engine drop (isb.Engine.releaseHeld).
+// They are live-but-unreachable until the next Scan sweeps them, and small
+// next to what a crash abandons, so the rule still fires.
 //
 // Until Recover (or Scan) has run after a crash, the reclaimer runs in a
 // safe degraded mode: Alloc bypasses the (untrustworthy) free lists and

@@ -107,7 +107,8 @@ const (
 	// EngineIsbOpt is the hand-tuned batched placement: each operation
 	// phase (tag → update → cleanup) accumulates its dirty words and
 	// issues one barrier, deduplicating cache lines, before the phase's
-	// psync. After a crash a phase is either fully persisted or absent;
+	// psync; an update's cleanup phase rides the process's next barrier
+	// instead. After a crash a phase is either fully persisted or absent;
 	// recovery tolerates both.
 	EngineIsbOpt
 )
@@ -469,7 +470,9 @@ type ProcReport struct {
 // Blocks the crash caught on a free list or in a ring are abandoned and
 // counted, in words, as garbage; on top of them a crash leaks, unaccounted,
 // at most one attempt's fresh or unlinked nodes plus its tracking record per
-// process. Only when the accounted garbage has caught up with the rest of
+// process, and under EngineIsbOpt the nodes each structure's last completed
+// update still held for its deferred cleanup (README, "What an admission
+// costs"). Only when the accounted garbage has caught up with the rest of
 // the carved heap (garbage × 2 ≥ words carved) does the same call run the
 // conservative scan instead: every block reachable from a structure root or
 // referenced by an announced operation's tracking record survives
@@ -500,15 +503,6 @@ func (r *Runtime) RecoverAll() []ProcReport {
 		}
 		r.lastScan = r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
 		r.scanned = true
-		if r.lastScan.Full {
-			for _, e := range r.engines {
-				// Pending last-op retirements name pre-crash blocks the scan
-				// may just have swept and re-homed; retiring them now would
-				// free live memory. (A fast recovery freed nothing, so there
-				// they stay pending and retire on schedule.)
-				e.ForgetRetired()
-			}
-		}
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
 	}
@@ -551,6 +545,12 @@ func (r *Runtime) RecoverAll() []ProcReport {
 			ent.Resp = respOf(prev)
 		}
 		out = append(out, rep)
+	}
+	// Under Isb-Opt a completed operation's cleanup may have waited for a
+	// barrier the crash beat, on any engine, named by an announcement or
+	// not: every engine finishes it now, once per crash.
+	for _, e := range r.engines {
+		e.Settle(r.h.Proc(0))
 	}
 	return out
 }
