@@ -430,10 +430,9 @@ func (r row) build() Instance {
 // reclaimer's garbage account. Per crash and process: on the structure it
 // was operating on, what the interrupted attempt allocated or unlinked (at
 // most MaxAffect 4-word nodes) plus its Info record; on every structure,
-// under Isb-Opt, the unlinked nodes its last update held for a deferred
-// cleanup, which the crash makes the engine drop — and a full scan keeps
-// alive, until the next install there, whatever the record RD_q names names.
-// Structures × (MaxAffect nodes + a record) covers both.
+// whatever the record RD_q names names, which a full scan keeps alive until
+// the next install there. Structures × (MaxAffect nodes + a record) covers
+// both.
 func inFlightBound(rt *repro.Runtime, crashes uint64) uint64 {
 	return crashes * uint64(rt.NumProcs()*len(rt.Structures())) * (isb.MaxAffect*4 + isb.InfoWords)
 }

@@ -32,36 +32,41 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	tagged := Tagged(info)
 	n := int(p.Load(info + offAffectLen))
 
-	// A set result proves the tagging and update phases already completed
-	// (every result store is persisted before the cleanup phase starts), so
-	// skip straight to re-running the idempotent update and cleanup phases.
-	// Without this, recovering a crash that landed mid-cleanup would abort
-	// in the tagging phase — the completed operation's tags have been
-	// recycled to non-tagged info values that can never match the expected
-	// ones — and surviving nodes would stay tagged until some later
-	// operation happened to help them.
+	// A set result proves the tagging phase already completed, so skip
+	// straight to what is left of the update and cleanup phases. Without
+	// this, recovering a crash that landed mid-cleanup would abort in the
+	// tagging phase — the completed operation's tags have been recycled to
+	// non-tagged info values that can never match the expected ones — and
+	// surviving nodes would stay tagged until some later operation happened
+	// to help them.
 	if p.Load(info+offResult) != RespNone {
-		// A done record's update phase is durable (done is stored after its
-		// barrier), and its retired-class operands may since have been
-		// recycled as unrelated live nodes, so the update CASes' expected
-		// values could recur: the update phase never re-runs on it. Its
-		// cleanup may still be partly volatile — done is written back with
-		// the untags, and eviction can persist it ahead of them — so the
-		// untag CASes re-run. They expect Tagged(info), which cannot recur
-		// while the record can still be consulted, and only a CAS that wins
-		// is written back: a lost one changed nothing.
-		if p.Load(info+offDone) != 0 {
-			if e.untag(p, per, info, tagged, true) {
-				e.endPhase(p, per)
+		// The update phase re-runs only while it may not be durable: the
+		// result can persist ahead of the WriteSet (eviction), but done is
+		// stored after the update barrier, and so is every untag. Once done,
+		// or one untag, is visible the update is durable, and re-running it
+		// could meet recycled values: the retired-class operands retire once
+		// the cleanup is durable, and a CleanupSet node, once untagged, may
+		// be tagged, unlinked and recycled by any other process — a WriteSet
+		// CAS on it would then write into an unrelated live node. While every
+		// CleanupSet node still holds Tagged(info), none of that happened:
+		// another process changes a node only after tagging it, and its tag
+		// barrier would have overwritten the persisted tag (a record without
+		// a CleanupSet names only retired-class operands, which stay tagged
+		// and allocated until done is durable). A read-only record writes
+		// nothing and never re-runs.
+		if p.Load(info+offDone) == 0 && p.Load(info+offWriteLen) != 0 {
+			if _, all := e.cleanupTags(p, info); all {
+				e.finish(p, info, tagged, invoker)
+				return
 			}
-			return
 		}
-		// Without the flag, a CleanupSet that no longer carries the tag
-		// proves the same, since an untag only ever follows a barrier of the
-		// update phase, and leaves nothing to do. A read-only record, which
-		// tags nothing, ends here too.
-		if e.tagsLeft(p, info) {
-			e.finish(p, info, tagged, invoker)
+		// Otherwise only the untags re-run: the cleanup may still be partly
+		// volatile — done is written back with the untags, and eviction can
+		// persist a line ahead of the others. They expect Tagged(info), which
+		// cannot recur while the record can still be consulted, and only a
+		// CAS that wins is written back: a lost one changed nothing.
+		if e.untag(p, per, info, tagged, true) {
+			e.endPhase(p, per)
 		}
 		return
 	}
@@ -141,13 +146,15 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	if invoker && e.batched && p.InSyncScope() {
 		// Under Isb-Opt inside a sync scope the invoker does not end the
 		// phase: its lines ride this process's next barrier on the engine,
-		// normally the next install's, and the operands retire after it
-		// (attemptLoop holds them, see releaseHeld). The response does not
-		// wait: the result is durable since the update phase. Until that
-		// barrier the one record whose cleanup may be volatile is the one
-		// RD_q names, and neither it nor its operands have been retired, so
-		// a recovery that re-runs its update phase cannot meet a recycled
-		// value (Settle finishes the cleanup after a crash).
+		// normally the next install's, and the record and its retired-class
+		// operands retire after that install (retireAffected holds them, see
+		// retireLast). The response does not wait: the result is durable
+		// since the update phase. Until that barrier the one record whose
+		// cleanup may be volatile is the one RD_q names, and neither it nor
+		// its retired-class operands have been retired. Its surviving nodes
+		// are untagged in volatile memory, so others may change and recycle
+		// them: Help re-runs the update phase only while every one of them
+		// still holds the tag (Settle finishes the cleanup after a crash).
 		per.Defer()
 		e.batchSyncs[p.ID()]++
 		return
@@ -312,7 +319,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
-		e.flush(p, per)
+		per.Flush()
 		p.Store(rd, uint64(info))
 		if raiseCP {
 			p.Store(e.cp(p), 1) // after RD_q, on its line: see runAttempts
@@ -321,9 +328,10 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		p.PWB(rd)
 		e.opSync(p)
 		// RD_q durably points at this attempt's record, so the previous
-		// attempt's (if any) can no longer be consulted: retire it.
+		// attempt's (if any) can no longer be consulted, and the barrier
+		// above carried its deferred cleanup: retire it, with what it held.
 		e.retireLast(p)
-		e.lastInfo[p.ID()] = info
+		e.last[p.ID()].info = info
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
 		// stored into the record by install and persisted above.
@@ -370,13 +378,12 @@ func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
 // Only the invoker calls this, exactly once per operation — result ≠ ⊥ on
 // the invoker's own current record proves this very attempt took effect.
 // While the operation's cleanup waits for a barrier (see finish) the nodes
-// are held instead, and releaseHeld retires them once it is durable.
+// are held with its record instead, and retire with it (retireLast).
 func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 	if spec.ReadOnly {
 		return // nothing was unlinked
 	}
-	h := &e.held[p.ID()]
-	h.epoch = e.h.Epoch()
+	last := &e.last[p.ID()]
 	for i := 0; i < spec.NAffect; i++ {
 		nd := spec.Affect[i].Info
 		inCleanup := false
@@ -389,39 +396,12 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 		switch {
 		case inCleanup:
 		case per.Deferred():
-			h.nodes[h.n] = nd
-			h.n++
+			last.held[last.n] = nd
+			last.n++
 		default:
 			e.alloc.Retire(p, nd)
 		}
 	}
-}
-
-// flush is persister.Flush followed by releaseHeld: the one way a barrier
-// the engine issues ends, so that whatever waited for a deferred cleanup
-// retires as soon as some barrier has carried it.
-func (e *Engine) flush(p *pmem.Proc, per persister) {
-	per.Flush()
-	e.releaseHeld(p, per)
-}
-
-// releaseHeld retires the operands retireAffected held once no deferred
-// cleanup is waiting any more. A crash since they were held (the heap's
-// epoch moved) may have lost that cleanup, done flag included, and a
-// recovery may then re-run the record's update phase: they leak instead,
-// within the per-crash budget, and a full scan keeps them while RD_q still
-// names their record (MarkReachable).
-func (e *Engine) releaseHeld(p *pmem.Proc, per persister) {
-	h := &e.held[p.ID()]
-	if h.n == 0 || per.Deferred() {
-		return
-	}
-	if h.epoch == e.h.Epoch() {
-		for _, nd := range h.nodes[:h.n] {
-			e.alloc.Retire(p, nd)
-		}
-	}
-	h.n = 0
 }
 
 // RecoverSeq is the generic Op-Recover, for the leg at index seq of its
@@ -516,13 +496,16 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 // the process may be idle or busy on another engine — so the first begin or
 // recovery on the engine after a crash, and RecoverAll for every engine,
 // helps each record an RD_q names, whatever CP_q says, if its result is set
-// and its CleanupSet still carries its tag. Re-running its update phase
-// cannot meet a recycled value: until its cleanup is durable neither the
-// record nor its operands have been retired. Settle helps as any helper does,
-// in a sync scope it closes without a psync of its own: its write-backs are
-// complete when it returns, and the process's next psync (the begin's, or
-// recovery's) orders them before anything that could depend on them. Under
-// Isb every cleanup ends with its barrier, and there is nothing to finish.
+// and its CleanupSet still carries its tag. Until that cleanup is durable
+// neither the record nor its retired-class operands have been retired, but
+// its surviving nodes may have been: once untagged in volatile memory any
+// process may tag, unlink and recycle them. Help therefore re-runs the update
+// phase only while every CleanupSet node still holds the tag, and otherwise
+// just the untags. Settle helps as any helper does, in a sync scope it closes
+// without a psync of its own: its write-backs are complete when it returns,
+// and the process's next psync (the begin's, or recovery's) orders them
+// before anything that could depend on them. Under Isb every cleanup ends
+// with its barrier, and there is nothing to finish.
 func (e *Engine) Settle(p *pmem.Proc) {
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
@@ -535,7 +518,10 @@ func (e *Engine) Settle(p *pmem.Proc) {
 	e.alloc.Enter(p) // RD_q's record cannot retire under us
 	for q := 0; q < e.h.NumProcs(); q++ {
 		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
-		if info != pmem.Null && p.Load(info+offResult) != RespNone && e.tagsLeft(p, info) {
+		if info == pmem.Null || p.Load(info+offResult) == RespNone {
+			continue
+		}
+		if some, _ := e.cleanupTags(p, info); some {
 			e.Help(p, info, false)
 		}
 	}
@@ -546,31 +532,40 @@ func (e *Engine) Settle(p *pmem.Proc) {
 	e.settled.Store(epoch)
 }
 
-// tagsLeft reports whether a node of info's CleanupSet still carries its
-// tag: whether its cleanup has yet to finish.
-func (e *Engine) tagsLeft(p *pmem.Proc, info pmem.Addr) bool {
+// cleanupTags reports whether some node of info's CleanupSet still carries
+// its tag — its cleanup has yet to finish — and whether every one does — its
+// cleanup has yet to start (see Help).
+func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
+	all = true
 	for i := pmem.Addr(0); i < pmem.Addr(p.Load(info+offCleanupLen)); i++ {
 		if p.Load(pmem.Addr(p.Load(info+offCleanup+i))) == Tagged(info) {
-			return true
+			some = true
+		} else {
+			all = false
 		}
 	}
-	return false
+	return some, all
 }
 
 // MarkReachable reports, via mark, every address the engine's recovery
 // data can still lead to: for each process, the Info record a non-Null RD_q
 // names, whatever CP_q says, and (conservatively) every word of it with the
 // tag bit cleared — AffectSet field addresses, WriteSet addresses and
-// values, CleanupSet addresses — plus the last record the process installed,
-// until it retires. The post-crash scan's transitive closure follows on from
-// whatever those words name. Part of the conservative-scan contract: an
-// announced operation's operands survive reclamation even if their
-// retirement was recorded, and so do the record and operands of a completed
-// operation whose cleanup recovery may still have to finish (Settle).
+// values, CleanupSet addresses — plus the last record the process installed
+// and the operands held with it, until they retire. The post-crash scan's
+// transitive closure follows on from whatever those words name. Part of the
+// conservative-scan contract: an announced operation's operands survive
+// reclamation even if their retirement was recorded, and so do the record
+// and operands of a completed operation whose cleanup recovery may still
+// have to finish (Settle), and whatever retireLast will still retire.
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
-		if li := e.lastInfo[q]; li != pmem.Null {
-			mark(li)
+		last := &e.last[q]
+		if last.info != pmem.Null {
+			mark(last.info)
+		}
+		for _, nd := range last.held[:last.n] {
+			mark(nd)
 		}
 		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
 		if info == pmem.Null {

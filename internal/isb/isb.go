@@ -228,18 +228,18 @@ type Engine struct {
 	// Epoch pins and retirements are threaded through the operation entry
 	// points; neither touches the heap, so reclamation adds no write-back.
 	alloc pmem.Allocator
-	// lastInfo tracks, per process, the Info record last installed in that
-	// process's RD_q: it retires once RD_q durably names another (the next
-	// install's write-back, or Isb's RD_q := Null) and never earlier, so the
-	// record RD_q names is never recycled under it — recovery reads it
-	// whatever CP_q says (Settle). Go-side on purpose: after a crash it
-	// either matches the durable RD_q or names a record no durable word
-	// mentions any more, and retiring it on schedule is right in both cases;
-	// a full scan keeps it alive until then (MarkReachable).
-	lastInfo []pmem.Addr
-	// held is, per process, the retired-class operands of the last operation
-	// whose cleanup waits for a barrier (see finish and releaseHeld).
-	held []heldNodes
+	// last tracks, per process, the Info record last installed in that
+	// process's RD_q, and the retired-class operands its operation held for
+	// its deferred cleanup (see finish): they retire once RD_q durably names
+	// another record (the next install's write-back, which follows the
+	// barrier that carried the cleanup, or Isb's RD_q := Null) and never
+	// earlier, so the record RD_q names is never recycled under it — recovery
+	// reads it whatever CP_q says (Settle). Go-side on purpose: after a crash
+	// the record either matches the durable RD_q or names one no durable word
+	// mentions any more, and retiring it on schedule is right in both cases,
+	// as it is for the operands: the next install follows Settle. A full scan
+	// keeps them alive until then (MarkReachable).
+	last []lastOp
 	// settled is the heap epoch (crash count) Settle last finished at.
 	settled atomic.Uint64
 	// cookieCtr feeds cookie (see there), one counter per process.
@@ -254,12 +254,12 @@ type Engine struct {
 	readFast   []uint64
 }
 
-// heldNodes are operands waiting to retire, and the heap epoch they were
-// held in.
-type heldNodes struct {
-	nodes [MaxAffect]pmem.Addr
-	n     int
-	epoch uint64
+// lastOp is what a process's last install leaves to retire: its Info record
+// and the operands held with it.
+type lastOp struct {
+	info pmem.Addr
+	held [MaxAffect]pmem.Addr
+	n    int
 }
 
 // NewEngine allocates RD/CP lines for every process of the heap, with the
@@ -290,8 +290,7 @@ func newEngine(h *pmem.Heap, batched bool) *Engine {
 		pers:       make([]persister, h.NumProcs()),
 		specs:      make([]Spec, h.NumProcs()),
 		alloc:      pmem.Arena{},
-		lastInfo:   make([]pmem.Addr, h.NumProcs()),
-		held:       make([]heldNodes, h.NumProcs()),
+		last:       make([]lastOp, h.NumProcs()),
 		cookieCtr:  make([]uint64, h.NumProcs()),
 		curSeq:     make([]uint64, h.NumProcs()),
 		batchSyncs: make([]uint64, h.NumProcs()),
@@ -336,17 +335,22 @@ func (e *Engine) cookie(p *pmem.Proc) uint64 {
 }
 
 // retireLast retires the calling process's previously installed Info
-// record. Callers must ensure the record can no longer be consulted by
-// recovery: RD_q durably points elsewhere — at a newer record, or Null. Until
-// then recovery may read it even with CP_q = 0 (Settle), and since an
-// Isb-Opt operation's cleanup may wait for the next install's barrier, no
-// earlier point would do. In-flight helpers may still hold the record; the
-// allocator's epoch grace covers them.
+// record, and the operands held with it. Callers must ensure the record can
+// no longer be consulted by recovery: RD_q durably points elsewhere — at a
+// newer record, or Null. Until then recovery may read it even with CP_q = 0
+// (Settle), and since an Isb-Opt operation's cleanup may wait for the next
+// install's barrier, no earlier point would do: the operands retire only
+// once that barrier has made the cleanup durable, so no recovery re-runs the
+// update phase on them (see Help). In-flight helpers may still hold any of
+// them; the allocator's epoch grace covers them.
 func (e *Engine) retireLast(p *pmem.Proc) {
-	id := p.ID()
-	if li := e.lastInfo[id]; li != 0 {
-		e.lastInfo[id] = 0
-		e.alloc.Retire(p, li)
+	last := e.last[p.ID()]
+	e.last[p.ID()] = lastOp{} // before any Retire: a crash inside one must not repeat the others
+	for _, nd := range last.held[:last.n] {
+		e.alloc.Retire(p, nd)
+	}
+	if last.info != pmem.Null {
+		e.alloc.Retire(p, last.info)
 	}
 }
 
@@ -382,12 +386,11 @@ func (e *Engine) opSync(p *pmem.Proc) {
 // happen now.
 func (e *Engine) endPhase(p *pmem.Proc, per persister) {
 	if p.InSyncScope() {
-		e.flush(p, per)
+		per.Flush()
 		e.batchSyncs[p.ID()]++
 		return
 	}
 	per.EndPhase()
-	e.releaseHeld(p, per)
 }
 
 // NoteReadFast counts one operation served by the zero-persist read-only

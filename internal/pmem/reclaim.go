@@ -84,9 +84,7 @@ import (
 // What neither path accounts is what was in flight: the nodes a crashed
 // attempt had allocated but not linked, or unlinked but not yet retired
 // (operation recovery does not retire them, see isb.Engine.RecoverSeq) —
-// at most an attempt's nodes plus its Info record per process per crash —
-// and the operands an Isb-Opt operation held for its deferred cleanup
-// barrier, which a crash makes the engine drop (isb.Engine.releaseHeld).
+// at most an attempt's nodes plus its Info record per process per crash.
 // They are live-but-unreachable until the next Scan sweeps them, and small
 // next to what a crash abandons, so the rule still fires.
 //

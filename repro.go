@@ -470,9 +470,7 @@ type ProcReport struct {
 // Blocks the crash caught on a free list or in a ring are abandoned and
 // counted, in words, as garbage; on top of them a crash leaks, unaccounted,
 // at most one attempt's fresh or unlinked nodes plus its tracking record per
-// process, and under EngineIsbOpt the nodes each structure's last completed
-// update still held for its deferred cleanup (README, "What an admission
-// costs"). Only when the accounted garbage has caught up with the rest of
+// process. Only when the accounted garbage has caught up with the rest of
 // the carved heap (garbage × 2 ≥ words carved) does the same call run the
 // conservative scan instead: every block reachable from a structure root or
 // referenced by an announced operation's tracking record survives
