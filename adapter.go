@@ -7,29 +7,30 @@ import (
 	"repro/internal/pmem"
 )
 
-// core is the operation surface the five engine-backed structure packages
-// (list, queue, bst, stack, hashmap) share, in encoded response words.
+// core is what the five engine-backed structure packages (list, queue, bst,
+// stack, hashmap) share, in encoded response words: the operation surface of
+// the isb.Ops each embeds, plus the structure's own zero-persist read, scan
+// roots and invariant check.
 type core interface {
-	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64
-	ReadOp(p *pmem.Proc, kind, arg uint64) uint64
-	ApplyBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64
-	RecoverBatchOp(p *pmem.Proc, seq int, kind, arg uint64) uint64
 	Begin(p *pmem.Proc)
+	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64
+	ReadOnly(kind uint64) bool
+	ReadOp(p *pmem.Proc, kind, arg uint64) uint64
+	ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64
+	RecoverLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64
+	ResolveLeg(p *pmem.Proc, seq int, kind, arg uint64) (uint64, bool)
 	MarkReachable(p *pmem.Proc, mark func(pmem.Addr))
 	CheckInvariants() string
 }
 
 // adapter is embedded by List, Queue, BST, Stack and HashMap: it lifts a
 // core onto the Structure protocol (typed Op and Resp, the durable registry
-// ID) and onto the leg surface submit and RecoverAll drive.
+// ID, the arg mask) and hands submit and RecoverAll the core's leg surface.
 type adapter struct {
 	c    core
 	e    *isb.Engine // c's engine
 	id   uint64
 	kind StructKind
-	// read is the structure's one read-only kind, served on the zero-persist
-	// path (see OpKind.ReadOnly).
-	read uint64
 	// argMask, when nonzero, is ANDed onto Op.Arg before it reaches the
 	// core (see HashMap.SetArgMask).
 	argMask uint64
@@ -37,8 +38,8 @@ type adapter struct {
 
 // adopt registers s — the wrapper embedding a — under the next durable ID and
 // binds a to its core c, built on engine e.
-func (r *Runtime) adopt(s Structure, a *adapter, c core, e *isb.Engine, kind StructKind, read uint64) {
-	*a = adapter{c: c, e: e, kind: kind, read: read}
+func (r *Runtime) adopt(s Structure, a *adapter, c core, e *isb.Engine, kind StructKind) {
+	*a = adapter{c: c, e: e, kind: kind}
 	a.id = r.register(s, kind)
 	e.SetAnnounceID(a.id)
 }
@@ -64,35 +65,30 @@ func (a *adapter) key(arg uint64) uint64 {
 }
 
 // Apply runs op to completion — a vector of one leg, announced by the
-// engine itself — and returns its response. The structure's read-only kind
-// takes the zero-persist path: no Info record, no announcement, no pwb, no
-// psync.
+// engine itself — and returns its response. A read-only kind takes the
+// zero-persist path: no Info record, no announcement, no pwb, no psync.
 func (a *adapter) Apply(p *Proc, op Op) Resp {
-	if op.Kind == a.read {
+	if a.c.ReadOnly(op.Kind) {
 		return respOf(a.c.ReadOp(p, op.Kind, a.key(op.Arg)))
 	}
 	return respOf(a.c.ApplyOp(p, op.Kind, a.key(op.Arg)))
 }
 
-// RecoverOp resolves an interrupted op after a crash.
+// RecoverOp resolves an interrupted op after a crash: leg 0 of a vector of
+// one (isb.Ops.RecoverLeg).
 func (a *adapter) RecoverOp(p *Proc, op Op) Resp { return respOf(a.recoverLeg(p, 0, op)) }
 
 // recoverLeg completes the in-flight leg at index seq of p's announced
-// vector: read-only kinds by re-execution (no later leg ran, and the read
-// left no durable trace), mutating kinds through the engine's index-guarded
-// recovery.
+// vector (isb.Ops.RecoverLeg: read-only kinds by re-execution, the rest
+// through the engine's index-guarded recovery).
 func (a *adapter) recoverLeg(p *Proc, seq int, op Op) uint64 {
-	return a.c.RecoverBatchOp(p, seq, op.Kind, a.key(op.Arg))
+	return a.c.RecoverLeg(p, seq, op.Kind, a.key(op.Arg))
 }
 
 // resolveLeg probes whether the leg at index seq took effect, without
-// re-invoking it (see isb.Engine.ResolveSeq). A read-only leg never did: its
-// zero-persist execution changes nothing and leaves no record to probe.
+// re-invoking it (isb.Ops.ResolveLeg).
 func (a *adapter) resolveLeg(p *Proc, seq int, op Op) (uint64, bool) {
-	if op.Kind == a.read {
-		return 0, false
-	}
-	return a.e.ResolveSeq(p, op.Kind, a.key(op.Arg), uint64(seq))
+	return a.c.ResolveLeg(p, seq, op.Kind, a.key(op.Arg))
 }
 
 // Begin is the system-side invocation step used by crash harnesses.

@@ -142,7 +142,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		if arg, skip := deriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
 			prev = isb.RespSkipped
 		} else {
-			prev = ads[i].c.ApplyBatchOp(p, i, l.Op.Kind, ads[i].key(arg))
+			prev = ads[i].c.ApplyLeg(p, i, l.Op.Kind, ads[i].key(arg))
 		}
 		out[i] = respOf(prev)
 	}

@@ -3,17 +3,23 @@ package repro
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/stack"
 )
 
 // TestOpHotPathZeroAllocs pins zero steady-state Go allocations on the
 // operation hot path, through the public Runtime so the announcement path
-// is included: every Insert/Delete/Find (and Enqueue/Dequeue, Push/Pop)
+// is included: every Insert/Delete/Find on the list and the BST (and
+// Enqueue/Dequeue, and Push/Pop on a stack with and without elimination)
 // durably announces, runs its phases and persists, and none of it may
 // allocate Go memory once scratch buffers (the batched engine's dirty
 // slice, the barrier dedup line set) have grown to steady state. The
 // simulated pmem arena does not count — its words come from pre-allocated
 // slices — which is exactly the point: simulator overhead must not scale
-// with operations.
+// with operations. The eliminating stack runs on one Proc, so every exchange
+// times out and falls back to the central stack: the pin covers the
+// elimination step the operation surface (isb.Ops) runs between the begin
+// sequence and the engine.
 //
 // The reclaim=true variants extend the pin over the whole reclamation hot
 // path: free-list pops in Alloc, ring appends in Retire, epoch pin
@@ -31,26 +37,36 @@ func TestOpHotPathZeroAllocs(t *testing.T) {
 				p := rt.Proc(0)
 
 				l := rt.NewList()
+				b := rt.NewBST()
 				q := rt.NewQueue()
 				s := rt.NewStack(0)
+				es := rt.NewStack(stack.DefaultElimSpins)
 				// Warm-up: grow scratch buffers and touch every code path once.
 				for k := uint64(1); k <= 64; k++ {
 					l.Apply(p, Op{Kind: OpInsert, Arg: k})
+					b.Apply(p, Op{Kind: OpInsert, Arg: k})
 				}
 				l.Apply(p, Op{Kind: OpDelete, Arg: 32})
+				b.Apply(p, Op{Kind: OpDelete, Arg: 32})
 				q.Apply(p, Op{Kind: OpEnq, Arg: 1})
 				q.Apply(p, Op{Kind: OpDeq})
 				s.Apply(p, Op{Kind: OpPush, Arg: 1})
 				s.Apply(p, Op{Kind: OpPop})
+				es.Apply(p, Op{Kind: OpPush, Arg: 1})
+				es.Apply(p, Op{Kind: OpPop})
 				// Warm the reclaimer past slab carving: churn one lap so the
 				// pinned window reuses freed blocks instead of growing slabs.
 				for k := uint64(100); k < 164; k++ {
 					l.Apply(p, Op{Kind: OpInsert, Arg: k})
 					l.Apply(p, Op{Kind: OpDelete, Arg: k})
+					b.Apply(p, Op{Kind: OpInsert, Arg: k})
+					b.Apply(p, Op{Kind: OpDelete, Arg: k})
 					q.Apply(p, Op{Kind: OpEnq, Arg: k})
 					q.Apply(p, Op{Kind: OpDeq})
 					s.Apply(p, Op{Kind: OpPush, Arg: k})
 					s.Apply(p, Op{Kind: OpPop})
+					es.Apply(p, Op{Kind: OpPush, Arg: k})
+					es.Apply(p, Op{Kind: OpPop})
 				}
 
 				check := func(name string, f func()) {
@@ -74,6 +90,16 @@ func TestOpHotPathZeroAllocs(t *testing.T) {
 				check("stack push/pop", func() {
 					s.Apply(p, Op{Kind: OpPush, Arg: k})
 					s.Apply(p, Op{Kind: OpPop})
+				})
+				check("bst insert/delete", func() {
+					k++
+					key := 100 + k%64
+					b.Apply(p, Op{Kind: OpInsert, Arg: key})
+					b.Apply(p, Op{Kind: OpDelete, Arg: key})
+				})
+				check("eliminating stack push/pop", func() {
+					es.Apply(p, Op{Kind: OpPush, Arg: k})
+					es.Apply(p, Op{Kind: OpPop})
 				})
 			})
 		}

@@ -312,7 +312,7 @@ func admissionPrices(t *testing.T, kind EngineKind, reclaim bool, w prices) {
 }
 
 // TestIndividualCrashClosesScope is the RecoverAll half of the scope
-// teardown (internal/isb's TestScopeCrashTeardown is the RecoverOp half): a
+// teardown (internal/isb's TestScopeCrashTeardown is the RecoverLeg half): a
 // process that fails individually — no Restart, so Heap.finishReset never
 // runs — at every access of a window and of a transaction leaves its sync
 // scope open. RecoverAll must close it, or every later sync point of that

@@ -51,8 +51,10 @@ const (
 	MaxUserKey uint64 = 1<<64 - 3
 )
 
-// BST is a detectably recoverable set of uint64 keys.
+// BST is a detectably recoverable set of uint64 keys. Its operation surface
+// is the embedded isb.Ops; OpFind and OpFindFast are its read-only kinds.
 type BST struct {
+	isb.Ops
 	h    *pmem.Heap
 	e    *isb.Engine
 	root pmem.Addr
@@ -75,6 +77,7 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine) *BST {
 	t.gDel = t.gatherDelete
 	t.gFind = t.gatherFind
 	t.gFindFast = t.gatherFindFast
+	t.Ops = isb.NewOps(e, t.gather, t.ReadOp, OpFind, OpFindFast)
 	return t
 }
 
@@ -90,7 +93,7 @@ func newNode(e *isb.Engine, p *pmem.Proc, key uint64, left, right pmem.Addr, inf
 }
 
 // gather maps an operation kind to its gather function.
-func (t *BST) gather(kind uint64) isb.Gather {
+func (t *BST) gather(kind, _ uint64) isb.Gather {
 	switch kind {
 	case OpInsert:
 		return t.gIns
@@ -103,20 +106,37 @@ func (t *BST) gather(kind uint64) isb.Gather {
 	}
 }
 
-// ApplyOp runs the operation described by (kind, arg) and returns its
-// encoded response: the uniform invocation surface every structure shares.
-func (t *BST) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return t.e.RunOp(p, kind, arg, t.gather(kind), nil)
+// ReadOp serves membership (OpFind and OpFindFast alike) on the zero-persist
+// read path: a volatile descent to the routed leaf with no Info record, no
+// announcement, and no persistence instruction — one step beyond the
+// engine-backed OpFindFast, which still installs and persists its Info record
+// to stay detectably recoverable. Linearizes at the load of the last child
+// pointer (the external-BST argument: the leaf reached routes the key at that
+// instant). Nothing durable records the read; a crashed read is simply
+// re-submitted. The descent holds the allocator's epoch pin so that no node on
+// the path is freed under it (see list.ReadOp). Panics on a mutating kind.
+func (t *BST) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	if kind != OpFind && kind != OpFindFast {
+		panic("bst: ReadOp on a mutating kind")
+	}
+	a := t.e.Allocator()
+	a.Enter(p)
+	node := t.root
+	for {
+		left := pmem.Addr(p.Load(node + nLeft))
+		if left == pmem.Null {
+			found := p.Load(node+nKey) == arg
+			a.Exit(p)
+			t.e.NoteReadFast(p)
+			return isb.BoolResp(found)
+		}
+		if arg < p.Load(node+nKey) {
+			node = left
+		} else {
+			node = pmem.Addr(p.Load(node + nRight))
+		}
+	}
 }
-
-// RecoverOp is the uniform recovery surface: it completes an interrupted
-// (kind, arg) operation and returns its encoded response.
-func (t *BST) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return t.e.RecoverSeq(p, kind, arg, 0, t.gather(kind))
-}
-
-// Begin is the system-side invocation step (persist CP_q := 0).
-func (t *BST) Begin(p *pmem.Proc) { t.e.Begin(p, false, nil) }
 
 // searchResult carries the gp/p/l chain of one descent plus the info
 // fields gathered on first access to each node.

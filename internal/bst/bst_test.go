@@ -297,7 +297,7 @@ func TestRecoverWithoutCrash(t *testing.T) {
 	if !isb.Bool(b.ApplyOp(p, OpInsert, 9)) {
 		t.Fatal("insert failed")
 	}
-	if !isb.Bool(b.RecoverOp(p, OpInsert, 9)) {
+	if !isb.Bool(b.RecoverLeg(p, 0, OpInsert, 9)) {
 		t.Fatal("recover after completed insert != true")
 	}
 	if n := len(b.Keys()); n != 1 {

@@ -98,7 +98,7 @@ func TestFindFastCrashSweep(t *testing.T) {
 		h.DisarmCrash()
 		if crashed {
 			h.ResetAfterCrash()
-			res = isb.Bool(b.RecoverOp(p, OpFindFast, 10))
+			res = isb.Bool(b.RecoverLeg(p, 0, OpFindFast, 10))
 		}
 		if !res {
 			t.Fatalf("offset %d: FindFast(10) false", offset)
@@ -110,7 +110,7 @@ func TestFindFastCrashSweep(t *testing.T) {
 		h.DisarmCrash()
 		if crashed {
 			h.ResetAfterCrash()
-			res = isb.Bool(b.RecoverOp(p, OpFindFast, 11))
+			res = isb.Bool(b.RecoverLeg(p, 0, OpFindFast, 11))
 		}
 		if res {
 			t.Fatalf("offset %d: FindFast(11) true", offset)

@@ -39,19 +39,20 @@ type Op struct {
 	Arg  uint64
 }
 
-// Applier is the uniform operation surface the structure packages share,
-// which is what lets the storms and the sweeps drive every structure without
-// per-structure glue. Begin is the system-side invocation step of the paper's
-// model (persistently set CP_q := 0 just before the operation starts); if it
-// crashes, the system simply retries it — the operation is not yet considered
-// invoked, so no recovery obligation exists. ApplyOp runs an operation to
-// completion; RecoverOp is the operation's recovery function, called with the
-// same kind and argument after a crash (possibly several times). Both return
-// the encoded response.
+// Applier is the part of the operation surface every structure package
+// embeds (isb.Ops) that the storms and the raw sweeps drive, which is what
+// lets them drive every structure without per-structure glue. Begin is the
+// system-side invocation step of the paper's model (persistently set
+// CP_q := 0 just before the operation starts); if it crashes, the system
+// simply retries it — the operation is not yet considered invoked, so no
+// recovery obligation exists. ApplyOp runs an operation to completion;
+// RecoverLeg at index 0 is its recovery function, called with the same kind
+// and argument after a crash (possibly several times). Both return the
+// encoded response.
 type Applier interface {
 	Begin(p *pmem.Proc)
 	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64
-	RecoverOp(p *pmem.Proc, kind, arg uint64) uint64
+	RecoverLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64
 }
 
 // Config parameterises a storm.
@@ -73,7 +74,7 @@ type Config struct {
 }
 
 // Result of a storm: every completed operation, and how many crashes fired
-// and how many operations took their response from RecoverOp.
+// and how many operations took their response from recovery.
 type Result struct {
 	History      []linearize.Operation
 	CrashesFired int
@@ -200,7 +201,7 @@ func Run(cfg Config) Result {
 				}
 				for !ok {
 					c.park()
-					ok = pmem.RunOp(func() { resp = cfg.Target.RecoverOp(p, op.Kind, op.Arg) })
+					ok = pmem.RunOp(func() { resp = cfg.Target.RecoverLeg(p, 0, op.Kind, op.Arg) })
 				}
 				hist[id] = append(hist[id], linearize.Operation{
 					Proc: id, Kind: op.Kind, Arg: op.Arg, Resp: resp, Start: start, End: clock.Add(1),

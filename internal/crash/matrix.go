@@ -270,7 +270,7 @@ func churnSubjects() []subject {
 }
 
 // windowSubjects: all five structures. The stack cells disable elimination
-// (batched operations bypass it by design; see stack.ApplyBatchOp).
+// (vector legs bypass it by design; see isb.Ops.SetElimination).
 func windowSubjects() []subject {
 	small := ops(repro.OpInsert, 3, 9)
 	return []subject{

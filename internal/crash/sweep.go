@@ -366,7 +366,7 @@ func snapshots(s subject, states []any) [][]uint64 {
 // re-executes it).
 func direct(h *pmem.Heap, a Applier, op repro.Op, want uint64, verify func() string) Instance {
 	p := h.Proc(0)
-	resolve := func() ([]uint64, error) { return []uint64{a.RecoverOp(p, op.Kind, op.Arg)}, nil }
+	resolve := func() ([]uint64, error) { return []uint64{a.RecoverLeg(p, 0, op.Kind, op.Arg)}, nil }
 	return Instance{
 		Heap:    h,
 		Prepare: func() { a.Begin(p) },

@@ -79,7 +79,7 @@ func (e *Exchanger) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
 
 // Reset persists CP_q := 0 without a psync of its own: the hook for a begin
 // sequence that resets several recovery registers under one psync (see
-// isb.Engine.OnReset).
+// isb.Ops.SetElimination).
 func (e *Exchanger) Reset(p *pmem.Proc) {
 	cp := e.cp(p)
 	p.Store(cp, 0)

@@ -34,9 +34,11 @@ const (
 )
 
 // Map is a detectably recoverable sharded hash set of uint64 keys
-// (1 ≤ key ≤ MaxUint64-1, the Harris-list sentinel bounds).
+// (1 ≤ key ≤ MaxUint64-1, the Harris-list sentinel bounds). Its operation
+// surface is the embedded isb.Ops, whose gather lookup and read route to the
+// key's shard.
 type Map struct {
-	e      *isb.Engine
+	isb.Ops
 	shards []*list.List
 	mask   uint64
 }
@@ -50,11 +52,12 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine, shards int) *Map {
 	for n < shards {
 		n <<= 1
 	}
-	m := &Map{e: e, mask: uint64(n - 1)}
+	m := &Map{mask: uint64(n - 1)}
 	m.shards = make([]*list.List, n)
 	for i := range m.shards {
 		m.shards[i] = list.NewWithEngine(h, e)
 	}
+	m.Ops = isb.NewOps(e, m.gather, m.ReadOp, OpFind)
 	return m
 }
 
@@ -75,31 +78,23 @@ func mix(x uint64) uint64 {
 // ShardOf returns the shard index key routes to.
 func (m *Map) ShardOf(key uint64) int { return int(mix(key) & m.mask) }
 
-// ApplyOp runs the operation described by (kind, arg) and returns its
-// encoded response: the uniform invocation surface every structure shares.
-// It drives the bucket list of the key's shard.
-func (m *Map) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return m.shards[m.ShardOf(arg)].ApplyOp(p, kind, arg)
+// gather routes an operation to the gather lookup of its key's shard.
+func (m *Map) gather(kind, arg uint64) isb.Gather {
+	return m.shards[m.ShardOf(arg)].Gather(kind, arg)
+}
+
+// ReadOp serves a read-only operation kind on the zero-persist path: the key's
+// shard runs its bucket list's volatile traversal. The read leaves no durable
+// trace at all; a crashed read is simply re-submitted. Panics on a mutating
+// kind.
+func (m *Map) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	return m.shards[m.ShardOf(arg)].ReadOp(p, kind, arg)
 }
 
 // Insert adds key to the map; it returns false if the key was present.
 func (m *Map) Insert(p *pmem.Proc, key uint64) bool {
 	return isb.Bool(m.ApplyOp(p, OpInsert, key))
 }
-
-// RecoverOp completes p's interrupted operation (same kind and key) after a
-// crash and returns its encoded response: it routes to the key's shard, whose
-// engine recovery re-runs or completes the operation. RecoverOp may itself
-// crash and be re-invoked any number of times.
-func (m *Map) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return m.shards[m.ShardOf(arg)].RecoverOp(p, kind, arg)
-}
-
-// Begin is the system-side invocation step used by crash harnesses: it
-// persistently clears CP_q just before a fresh operation, so recovery can
-// tell a brand-new operation from one that already took effect. A crash
-// inside Begin leaves no recovery obligation — the harness simply retries it.
-func (m *Map) Begin(p *pmem.Proc) { m.e.Begin(p, false, nil) }
 
 // Keys snapshots the current key set in ascending order (requires
 // quiescence).

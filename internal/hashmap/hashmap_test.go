@@ -79,7 +79,7 @@ func TestRecoveryRoutesByKey(t *testing.T) {
 	p := h.Proc(1)
 	for k := uint64(1); k <= 50; k++ {
 		m.Begin(p)
-		if !isb.Bool(m.RecoverOp(p, OpInsert, k)) {
+		if !isb.Bool(m.RecoverLeg(p, 0, OpInsert, k)) {
 			t.Fatalf("Insert(%d) run by recovery returned false", k)
 		}
 		for s, l := range m.shards {
@@ -87,7 +87,7 @@ func TestRecoveryRoutesByKey(t *testing.T) {
 				t.Fatalf("key %d in shard %d: %v, want %v (ShardOf = %d)", k, s, got, want, m.ShardOf(k))
 			}
 		}
-		if !isb.Bool(m.RecoverOp(p, OpInsert, k)) {
+		if !isb.Bool(m.RecoverLeg(p, 0, OpInsert, k)) {
 			t.Fatalf("recovering the completed Insert(%d) re-ran it", k)
 		}
 	}

@@ -83,7 +83,7 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 			}
 			h.ResetAfterCrash()
 			c.keysAt = l.Keys()
-			if r := l.RecoverOp(p, op.kind, op.key); !isb.Bool(r) {
+			if r := l.RecoverLeg(p, 0, op.kind, op.key); !isb.Bool(r) {
 				t.Fatalf("%s offset %d: recovery answered %d, want true", op.name, off, r)
 			}
 			if ks := l.Keys(); !slices.Equal(ks, op.want) {
@@ -226,7 +226,7 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 				h.ResetAfterCrash()
 				var r uint64
 				if began {
-					r = l.RecoverOp(p, op.inverse, op.key)
+					r = l.RecoverLeg(p, 0, op.inverse, op.key)
 				} else { // a crashed begin is retried, not recovered
 					l.Begin(p)
 					r = l.ApplyOp(p, op.inverse, op.key)

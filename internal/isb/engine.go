@@ -180,15 +180,16 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 	return won
 }
 
-// RunOp executes one recoverable operation via the Algorithm 2 (ROpt)
-// driver and returns its encoded response. gather is called once per
-// attempt with a fresh Info record.
+// runOp executes a single operation, announced by Begin as leg 0 of a vector
+// of one (Ops.ApplyOp), via the Algorithm 2 (ROpt) driver and returns its
+// encoded response. gather is called once per attempt with a fresh Info
+// record.
 //
-// The sequence is exactly the paper's: announce the operation — a vector of
-// one leg — and persist CP_q := 0 (Begin), RD_q := Null + pbarrier, CP_q := 1
-// + pwb + psync, then attempts of gather → helping phase → install Info →
-// pbarrier over the record and the NewSet → RD_q := info + pwb + psync →
-// read-only fast return or Help → return result if set.
+// With Begin the sequence is exactly the paper's: announce the operation and
+// persist CP_q := 0, RD_q := Null + pbarrier, CP_q := 1 + pwb + psync, then
+// attempts of gather → helping phase → install Info → pbarrier over the
+// record and the NewSet → RD_q := info + pwb + psync → read-only fast return
+// or Help → return result if set.
 //
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one: the begin
@@ -196,19 +197,7 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // before the response is returned — what a batch window of one pays. Isb-Opt
 // also drops the RD_q := Null / CP_q := 1 prologue: CP_q := 1 rides the first
 // install's RD_q write-back (see runAttempts).
-//
-// pre, when non-nil, is an effect the operation may take outside the engine
-// (the elimination stack's exchange). It runs between Begin and the engine,
-// so the announcement is durable before it can take effect; when it reports
-// ok its response is the operation's, and otherwise the operation enters the
-// engine as leg 0 of the vector already announced.
-func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather, pre func() (uint64, bool)) uint64 {
-	e.Begin(p, false, []pmem.Leg{{StructID: e.annID, Kind: opType, Arg: argKey}})
-	if pre != nil {
-		if r, ok := pre(); ok {
-			return r
-		}
-	}
+func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
@@ -219,7 +208,7 @@ func (e *Engine) RunOp(p *pmem.Proc, opType, argKey uint64, gather Gather, pre f
 }
 
 // runAttempts runs an engine's first leg after the system-side CP_q := 0 step
-// (RunOp, and RunBatchOp while CP_q is 0); recovery's re-invoke path enters
+// (runOp, and runBatchOp while CP_q is 0); recovery's re-invoke path enters
 // here too, with its attempt bound.
 //
 // Under Isb it runs Algorithm 2's prologue as written: RD_q := Null +
@@ -244,7 +233,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	return e.attemptLoop(p, opType, argKey, gather, bound, false)
 }
 
-// maxRecoveryAttempts bounds the attempts of one RecoverSeq call. Every
+// maxRecoveryAttempts bounds the attempts of one recoverSeq call. Every
 // retry of a lock-free attempt is paid for by some other operation's
 // progress, and recovery only ever competes with the handful of operations
 // in flight at the crash (the storms run ≤ 4 processes × 40 operations), so
@@ -404,7 +393,7 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 	}
 }
 
-// RecoverSeq is the generic Op-Recover, for the leg at index seq of its
+// recoverSeq is the generic Op-Recover, for the leg at index seq of its
 // announced vector (0 for single operations): called after a crash with the
 // same opType/argKey the interrupted operation was invoked with, plus the same
 // gather function, it returns the operation's response. Per the paper, if
@@ -423,10 +412,10 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 // attempt stamps seq so that a further crash re-attributes it correctly. A
 // re-invocation is a first leg (runAttempts): under Isb-Opt RD_q keeps naming
 // the failed or mismatching record until the first re-invoked install
-// replaces it. RecoverSeq may itself crash and be re-invoked any number of
+// replaces it. recoverSeq may itself crash and be re-invoked any number of
 // times, and it terminates or fails loudly: re-invoked attempts are bounded by
 // maxRecoveryAttempts, and the panic names the record RD_q still holds.
-func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
+func (e *Engine) recoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	if r, _ := e.helpRecorded(p, opType, argKey, seq); r != RespNone {
 		e.alloc.Exit(p)
 		return r
@@ -435,16 +424,16 @@ func (e *Engine) RecoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 }
 
-// ResolveSeq probes whether the leg (opType, argKey) at index seq took
+// resolveSeq probes whether the leg (opType, argKey) at index seq took
 // effect, WITHOUT re-invoking it: the roll-forward-or-resubmit decision
-// point of an atomic vector's recovery. Like
-// RecoverSeq it helps an installed matching record to completion (the
-// effect may land now, during recovery — that still counts as applied);
-// unlike RecoverSeq a missing or mismatching record returns (0, false)
-// — the operation provably made no changes and never can (a failed
-// tagging attempt's expected info values cannot recur) — instead of
-// running attempts. Idempotent and re-invocable across further crashes.
-func (e *Engine) ResolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, bool) {
+// point of an atomic vector's recovery. Like recoverSeq it helps an
+// installed matching record to completion (the effect may land now, during
+// recovery — that still counts as applied); unlike recoverSeq a missing or
+// mismatching record returns (0, false) — the operation provably made no
+// changes and never can (a failed tagging attempt's expected info values
+// cannot recur) — instead of running attempts. Idempotent and re-invocable
+// across further crashes.
+func (e *Engine) resolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, bool) {
 	r, pinned := e.helpRecorded(p, opType, argKey, seq)
 	if pinned {
 		e.alloc.Exit(p)
@@ -597,7 +586,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	}
 }
 
-// RunBatchOp runs the leg at index seq of an announced vector (Begin). An
+// runBatchOp runs the leg at index seq of an announced vector (Begin). An
 // engine's first leg raises CP_q exactly like a single operation; later legs
 // on the same engine skip that — CP_q is already 1, and the stale RD_q record
 // is fenced off by the index stamp, not by an RD_q := Null round-trip — which
@@ -616,7 +605,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // clwb-style; both are pure cost/accounting changes — every pwb still
 // applies its line write-back synchronously, so the reachable crash states
 // are exactly those of the unscoped execution.
-func (e *Engine) RunBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
+func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
 	if p.Load(e.cp(p)) == 0 {
 		return e.runAttempts(p, opType, argKey, gather, 0)

@@ -10,8 +10,9 @@
 // ranges of newly allocated nodes to persist, and the operation's response.
 // Everything else — helping, tagging, backtracking, the update and cleanup
 // phases, persistence-instruction placement, per-process recovery data
-// (RD_q, CP_q) and the recovery function — is generic and shared by the
-// linked list, queue, BST and stack packages.
+// (RD_q, CP_q), the recovery function, and the operation surface around them
+// (Ops) — is generic and shared by the list, queue, BST, stack and hash map
+// packages.
 //
 // Tagging convention: a node's info field holds the word address of an Info
 // record with bit 0 as the tag ("lock") bit. Info records are allocated
@@ -220,7 +221,8 @@ type Engine struct {
 	annID uint64
 	// onReset, when set, runs at the end of reset: the hook through which a
 	// structure with a second set of recovery registers (the elimination
-	// stack's exchanger) has them reset wherever CP_q is.
+	// stack's exchanger, see Ops.SetElimination) has them reset wherever CP_q
+	// is.
 	onReset func(p *pmem.Proc)
 	// alloc serves Info records and (through Alloc) structure nodes. The
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
@@ -246,7 +248,7 @@ type Engine struct {
 	cookieCtr []uint64
 	// curSeq is the leg index install stamps into Info records (offSeq): the
 	// operation's position in its announced vector, 0 for a single operation.
-	// Every path to install sets it first (Begin, RunBatchOp, RecoverSeq), so
+	// Every path to install sets it first (Begin, runBatchOp, recoverSeq), so
 	// a crash needs no reset.
 	curSeq []uint64
 	// batchSyncs/readFast back Counters (see isb.Stats).
@@ -412,20 +414,13 @@ func (e *Engine) Counters() (batchSyncs, readFast uint64) {
 // registration, before any operation runs.
 func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 
-// AnnounceID reports the registered announcement ID (0 = announcing off).
-func (e *Engine) AnnounceID() uint64 { return e.annID }
-
-// OnReset registers the structure's hook for resetting recovery registers it
-// keeps outside the engine (see the onReset field). Call before any operation
-// runs.
-func (e *Engine) OnReset(f func(p *pmem.Proc)) { e.onReset = f }
-
 // Begin is the begin sequence of every admission shape — the system-side
 // action of the paper's model (persistently set CP_q := 0 just before a fresh
 // operation starts), generalized to an announced vector of legs: a single
-// operation (RunOp), a batch window, a two-structure transaction (others is
-// then the second leg's engine, if distinct), or no legs at all — the bare
-// step a crash harness runs before each invocation. e is leg 0's engine.
+// operation (Ops.ApplyOp), a batch window, a two-structure transaction
+// (others is then the second leg's engine, if distinct), or no legs at all —
+// the bare step a crash harness runs before each invocation (Ops.Begin). e is
+// leg 0's engine.
 // Everything rides the one psync at the end, so no shape pays an extra sync.
 //
 // The write order is load-bearing (each pwb is synchronous):

@@ -26,9 +26,9 @@ const (
 )
 
 type counter struct {
+	Ops
 	e      *Engine
 	anchor pmem.Addr
-	g      Gather
 }
 
 func newCounter(h *pmem.Heap, opt bool) *counter {
@@ -45,7 +45,7 @@ func newCounter(h *pmem.Heap, opt bool) *counter {
 	p.PBarrierRange(box, 2)
 	p.PBarrierRange(c.anchor, 2)
 	p.PSync()
-	c.g = c.gatherInc
+	c.Ops = NewOps(e, func(uint64, uint64) Gather { return c.gatherInc }, nil)
 	return c
 }
 
@@ -69,7 +69,7 @@ func (c *counter) gatherInc(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResu
 }
 
 func (c *counter) inc(p *pmem.Proc) uint64 {
-	return DecodeValue(c.e.RunOp(p, opInc, 0, c.g, nil))
+	return DecodeValue(c.ApplyOp(p, opInc, 0))
 }
 
 func (c *counter) value(h *pmem.Heap) uint64 {
@@ -144,7 +144,7 @@ func TestEngineRecoverAfterEveryCrashOffset(t *testing.T) {
 			h.DisarmCrash()
 			if crashed {
 				h.ResetAfterCrash()
-				resp = DecodeValue(c.e.RecoverSeq(p, opInc, 0, 0, c.g))
+				resp = DecodeValue(c.RecoverLeg(p, 0, opInc, 0))
 			}
 			if resp != 2 {
 				t.Fatalf("opt=%v offset %d: response %d, want 2", opt, offset, resp)
@@ -163,7 +163,7 @@ func TestEngineRecoverStaleRDReinvokes(t *testing.T) {
 	c.inc(p)
 	// Recover for a *different* op type: the Info in RD_q must be ignored.
 	const opOther uint64 = 99
-	resp := c.e.RecoverSeq(p, opOther, 0, 0, c.g)
+	resp := c.RecoverLeg(p, 0, opOther, 0)
 	if DecodeValue(resp) != 2 {
 		t.Fatalf("stale-RD recovery re-invoked wrongly: %d", resp)
 	}
@@ -177,7 +177,7 @@ func TestEngineBeginOpClearsCheckpoint(t *testing.T) {
 	// After the bare Begin (system-side CP_q := 0), Recover must re-invoke
 	// even though RD_q still points at the completed op's Info.
 	c.e.Begin(p, false, nil)
-	if got := DecodeValue(c.e.RecoverSeq(p, opInc, 0, 0, c.g)); got != 2 {
+	if got := DecodeValue(c.RecoverLeg(p, 0, opInc, 0)); got != 2 {
 		t.Fatalf("post-Begin recovery returned %d, want fresh execution (2)", got)
 	}
 }
@@ -339,7 +339,7 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 			var msg string
 			func() {
 				defer func() { msg = fmt.Sprint(recover()) }()
-				ctr.e.RecoverSeq(p, opInc, 42, 3, stuck)
+				ctr.e.recoverSeq(p, opInc, 42, 3, stuck)
 			}()
 			regs := c.isb
 			if opt {

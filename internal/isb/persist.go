@@ -15,7 +15,7 @@ import "repro/internal/pmem"
 // previous EndPhase is durable, and so is a phase ended by Defer once a later
 // phase has been written back. Under the batched placement nothing in the
 // phase is guaranteed durable before that point, so a crash mid-phase may
-// leave the phase fully absent from persistent memory; Help and RecoverSeq
+// leave the phase fully absent from persistent memory; Help and recoverSeq
 // tolerate both outcomes because every phase is idempotent and re-runnable
 // from its Info record.
 //

@@ -48,7 +48,7 @@ func TestScopeCrashTeardown(t *testing.T) {
 				crashedAny = true
 				crashes++
 				deferred, _ := e.Counters()
-				resp = l.RecoverOp(p, c.kind, c.key)
+				resp = l.RecoverLeg(p, 0, c.kind, c.key)
 				if after, _ := e.Counters(); after != deferred {
 					t.Fatalf("offset %d kind %d: recovery deferred %d sync points, want it eager", off, c.kind, after-deferred)
 				}

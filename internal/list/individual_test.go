@@ -30,7 +30,7 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 		if crashed {
 			// No heap reset: only this process's volatile state is lost;
 			// in the private cache model shared memory is persistent.
-			if !isb.Bool(l.RecoverOp(p, OpInsert, 20)) {
+			if !isb.Bool(l.RecoverLeg(p, 0, OpInsert, 20)) {
 				t.Fatalf("offset %d: insert recovery false", offset)
 			}
 		}
@@ -43,7 +43,7 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 		crashed = !pmem.RunOp(func() { l.ApplyOp(p, OpDelete, 30) })
 		p.CancelSelfCrash()
 		if crashed {
-			if !isb.Bool(l.RecoverOp(p, OpDelete, 30)) {
+			if !isb.Bool(l.RecoverLeg(p, 0, OpDelete, 30)) {
 				t.Fatalf("offset %d: delete recovery false", offset)
 			}
 		}
@@ -106,7 +106,7 @@ func TestIndividualCrashWithSurvivors(t *testing.T) {
 			// than it can recover makes no progress by definition).
 			for attempt := uint64(1); !ok; attempt++ {
 				p.ScheduleSelfCrash(11 + attempt*29)
-				ok = pmem.RunOp(func() { l.RecoverOp(p, OpInsert, key) })
+				ok = pmem.RunOp(func() { l.RecoverLeg(p, 0, OpInsert, key) })
 			}
 			p.CancelSelfCrash()
 		}

@@ -40,8 +40,11 @@ const (
 	MaxKey uint64 = 1<<64 - 1
 )
 
-// List is a detectably recoverable sorted set of uint64 keys.
+// List is a detectably recoverable sorted set of uint64 keys. Its operation
+// surface — Begin, ApplyOp and the leg entry points — is the embedded
+// isb.Ops; OpFind is its read-only kind.
 type List struct {
+	isb.Ops
 	h          *pmem.Heap
 	e          *isb.Engine
 	head, tail pmem.Addr
@@ -64,6 +67,7 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine) *List {
 	l.gIns = l.gatherInsert
 	l.gDel = l.gatherDelete
 	l.gFind = l.gatherFind
+	l.Ops = isb.NewOps(e, l.Gather, l.ReadOp, OpFind)
 	return l
 }
 
@@ -80,8 +84,9 @@ func newNode(e *isb.Engine, p *pmem.Proc, key uint64, next pmem.Addr, info uint6
 	return nd
 }
 
-// gather maps an operation kind to its gather function.
-func (l *List) gather(kind uint64) isb.Gather {
+// Gather maps an operation kind to its gather function (arg is unused): the
+// list's gather lookup, which its Ops runs and the hash map routes to.
+func (l *List) Gather(kind, _ uint64) isb.Gather {
 	switch kind {
 	case OpInsert:
 		return l.gIns
@@ -92,18 +97,34 @@ func (l *List) gather(kind uint64) isb.Gather {
 	}
 }
 
-// ApplyOp runs the operation described by (kind, arg) and returns its
-// encoded response: the uniform invocation surface every structure shares
-// (crash harnesses and the repro Apply/RecoverOp API are built on it).
-func (l *List) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return l.e.RunOp(p, kind, arg, l.gather(kind), nil)
-}
-
-// RecoverOp is the uniform recovery surface: called after a crash with the
-// same (kind, arg) the interrupted invocation had, it returns the
-// operation's encoded response, completing it if necessary.
-func (l *List) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return l.e.RecoverSeq(p, kind, arg, 0, l.gather(kind))
+// ReadOp serves OpFind, the set's read-only kind, on the zero-persist path: a
+// volatile traversal over the persistent nodes with no Info record, no
+// announcement, and no persistence instruction of any kind. Panics on a
+// mutating kind.
+//
+// Linearization is the standard Harris-list argument: the traversal follows
+// next pointers loaded one at a time, and the membership verdict is correct at
+// the moment the deciding next pointer was loaded. Nothing durable records the
+// read, so a crash simply loses it — the caller re-submits, which is safe
+// because the read had no effect.
+//
+// The walk holds the allocator's epoch pin (volatile, and a no-op on the
+// arena): without it the reclaimer could free and zero the node the walk
+// stands on, whose zero key and Null next would trap it at address 0.
+func (l *List) ReadOp(p *pmem.Proc, kind, key uint64) uint64 {
+	if kind != OpFind {
+		panic("list: ReadOp on a mutating kind")
+	}
+	a := l.e.Allocator()
+	a.Enter(p)
+	curr := l.head
+	for p.Load(curr+nKey) < key {
+		curr = pmem.Addr(p.Load(curr + nNext))
+	}
+	found := p.Load(curr+nKey) == key
+	a.Exit(p)
+	l.e.NoteReadFast(p)
+	return isb.BoolResp(found)
 }
 
 // Insert adds key to the set; it returns false if the key was present.
@@ -243,8 +264,3 @@ func (l *List) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 		curr = pmem.Addr(p.Load(curr + nNext))
 	}
 }
-
-// Begin is the system-side invocation step (persist CP_q := 0). The crash
-// harness calls it before invoking an operation; standalone callers need
-// not, since every operation performs it on entry as well.
-func (l *List) Begin(p *pmem.Proc) { l.e.Begin(p, false, nil) }

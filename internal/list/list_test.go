@@ -315,7 +315,7 @@ func TestRecoverWithoutCrash(t *testing.T) {
 	if !l.Insert(p, 7) {
 		t.Fatal("insert failed")
 	}
-	if got := isb.Bool(l.RecoverOp(p, OpInsert, 7)); got != true {
+	if got := isb.Bool(l.RecoverLeg(p, 0, OpInsert, 7)); got != true {
 		t.Fatal("Recover after completed Insert(7) != true")
 	}
 	// And it must not have re-executed the insert.
@@ -325,7 +325,7 @@ func TestRecoverWithoutCrash(t *testing.T) {
 	if !isb.Bool(l.ApplyOp(p, OpDelete, 7)) {
 		t.Fatal("delete failed")
 	}
-	if got := isb.Bool(l.RecoverOp(p, OpDelete, 7)); got != true {
+	if got := isb.Bool(l.RecoverLeg(p, 0, OpDelete, 7)); got != true {
 		t.Fatal("Recover after completed Delete(7) != true")
 	}
 	if n := len(l.Keys()); n != 0 {
@@ -335,24 +335,29 @@ func TestRecoverWithoutCrash(t *testing.T) {
 
 // TestRecoverDifferentOpReinvokes: if RD_q describes a different operation
 // (the crash hit before the new op initialized its recovery data), Recover
-// must re-invoke rather than return the stale response.
+// must re-invoke rather than return the stale response. A Find is re-executed
+// whatever RD_q says (isb.Ops' one read rule).
 func TestRecoverDifferentOpReinvokes(t *testing.T) {
 	l, h := newList(t, 1)
 	p := h.Proc(0)
 	l.Insert(p, 7) // leaves RD_q pointing at the Insert's Info
-	// "Crash" immediately at the start of a Find(9): recovery must run the
-	// Find itself, not report the Insert's response.
-	if isb.Bool(l.RecoverOp(p, OpFind, 9)) {
+	// "Crash" immediately at the start of a Delete(9): recovery must run the
+	// Delete itself, not report the Insert's response.
+	if isb.Bool(l.RecoverLeg(p, 0, OpDelete, 9)) {
+		t.Fatal("Recover(Delete,9) returned stale true")
+	}
+	if isb.Bool(l.RecoverLeg(p, 0, OpFind, 9)) {
 		t.Fatal("Recover(Find,9) returned stale true")
 	}
-	if !isb.Bool(l.RecoverOp(p, OpFind, 7)) {
+	if !isb.Bool(l.RecoverLeg(p, 0, OpFind, 7)) {
 		t.Fatal("Recover(Find,7) should find the key")
 	}
 }
 
 // TestResponsePersistedBeforeReturn (strict recoverability): after any
-// completed operation, the Info result reachable from persisted RD_q holds
-// the response.
+// completed update, the Info result reachable from persisted RD_q holds the
+// response. The find rows pin the other half of the rule: no recovery reads
+// a Find's record, which it re-executes against the persisted image.
 func TestResponsePersistedBeforeReturn(t *testing.T) {
 	l, h := newList(t, 1)
 	p := h.Proc(0)
@@ -385,7 +390,7 @@ func TestResponsePersistedBeforeReturn(t *testing.T) {
 		default:
 			kind, key = OpDelete, 3
 		}
-		if rec := isb.Bool(l.RecoverOp(p, kind, key)); rec != got {
+		if rec := isb.Bool(l.RecoverLeg(p, 0, kind, key)); rec != got {
 			t.Fatalf("%s: response %v but recovery says %v", op.kind, got, rec)
 		}
 	}

@@ -25,14 +25,19 @@ const (
 	nodeWords = 4
 )
 
-// Operation kinds for recovery and the crash harness.
+// Operation kinds for recovery and the crash harness. OpPeek, the
+// read-only front-of-queue probe, is served exclusively by the zero-persist
+// read path (it never installs an Info record).
 const (
-	OpEnq uint64 = 10
-	OpDeq uint64 = 11
+	OpEnq  uint64 = 10
+	OpDeq  uint64 = 11
+	OpPeek uint64 = 12
 )
 
-// Queue is a detectably recoverable FIFO queue of uint64 values.
+// Queue is a detectably recoverable FIFO queue of uint64 values. Its
+// operation surface is the embedded isb.Ops.
 type Queue struct {
+	isb.Ops
 	h          *pmem.Heap
 	e          *isb.Engine
 	head, tail pmem.Addr // anchor words (separate cache lines)
@@ -56,6 +61,7 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine) *Queue {
 	p.PSync()
 	q.gEnq = q.gatherEnq
 	q.gDeq = q.gatherDeq
+	q.Ops = isb.NewOps(e, q.gather, q.ReadOp, OpPeek)
 	return q
 }
 
@@ -69,36 +75,40 @@ func newNode(e *isb.Engine, p *pmem.Proc, val, info uint64) pmem.Addr {
 	return nd
 }
 
-// gather maps an operation kind to its gather function.
-func (q *Queue) gather(kind uint64) isb.Gather {
-	if kind == OpEnq {
+// gather maps an operation kind to its gather function; OpPeek has none.
+func (q *Queue) gather(kind, _ uint64) isb.Gather {
+	switch kind {
+	case OpEnq:
 		return q.gEnq
+	case OpPeek:
+		return nil
+	default:
+		return q.gDeq
 	}
-	return q.gDeq
 }
 
-// ApplyOp runs the operation described by (kind, arg) and returns its
-// encoded response (isb.RespTrue for enqueue; isb.RespEmpty or an encoded
-// value for dequeue): the uniform invocation surface every structure shares.
-func (q *Queue) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind == OpPeek {
-		return q.ReadOp(p, kind, arg)
+// ReadOp serves OpPeek, the front value without dequeuing it, on the
+// zero-persist path: a volatile read of the dummy's successor with no Info
+// record, no announcement, and no persistence instruction. Linearizes at the
+// load of head.next — the MS queue's front is exactly the dummy's successor at
+// that instant. Nothing durable records the read; a crashed peek is simply
+// re-submitted. The epoch pin keeps the dummy and its successor allocated
+// while they are read (see list.ReadOp). Panics on a mutating kind.
+func (q *Queue) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	if kind != OpPeek {
+		panic("queue: ReadOp on a mutating kind")
 	}
-	return q.e.RunOp(p, kind, arg, q.gather(kind), nil)
-}
-
-// RecoverOp completes an interrupted operation after a crash and returns
-// its encoded response.
-func (q *Queue) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind == OpPeek {
-		// Reads leave no durable trace; recovery re-executes them.
-		return q.ReadOp(p, kind, arg)
+	a := q.e.Allocator()
+	a.Enter(p)
+	resp := isb.RespEmpty
+	dummy := pmem.Addr(p.Load(q.head))
+	if first := pmem.Addr(p.Load(dummy + nNext)); first != pmem.Null {
+		resp = isb.EncodeValue(p.Load(first + nVal))
 	}
-	return q.e.RecoverSeq(p, kind, arg, 0, q.gather(kind))
+	a.Exit(p)
+	q.e.NoteReadFast(p)
+	return resp
 }
-
-// Begin is the system-side invocation step (persist CP_q := 0).
-func (q *Queue) Begin(p *pmem.Proc) { q.e.Begin(p, false, nil) }
 
 // findLast chases next pointers from the Tail hint to the actual last node
 // and lazily swings Tail forward (volatile hint; needs no persistence).

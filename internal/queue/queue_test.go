@@ -156,7 +156,7 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 	q, h := newQueue(t, 1)
 	p := h.Proc(0)
 	q.ApplyOp(p, OpEnq, 42)
-	if r := q.RecoverOp(p, OpEnq, 42); r != isb.RespTrue {
+	if r := q.RecoverLeg(p, 0, OpEnq, 42); r != isb.RespTrue {
 		t.Fatalf("Recover(enq) = %d", r)
 	}
 	if len(q.Values()) != 1 {
@@ -166,7 +166,7 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 	if !ok || v != 42 {
 		t.Fatalf("Dequeue = (%d,%v)", v, ok)
 	}
-	if r := q.RecoverOp(p, OpDeq, 0); r != isb.EncodeValue(42) {
+	if r := q.RecoverLeg(p, 0, OpDeq, 0); r != isb.EncodeValue(42) {
 		t.Fatalf("Recover(deq) = %d, want EncodeValue(42)", r)
 	}
 	if len(q.Values()) != 0 {

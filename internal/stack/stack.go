@@ -36,10 +36,13 @@ const (
 	nodeWords = 4
 )
 
-// Operation kinds for recovery and the crash harness.
+// Operation kinds for recovery and the crash harness. OpTop, the read-only
+// top-of-stack probe, is served exclusively by the zero-persist read path (it
+// never installs an Info record and never visits the elimination layer).
 const (
 	OpPush uint64 = 20
 	OpPop  uint64 = 21
+	OpTop  uint64 = 22
 )
 
 // bottomMark identifies the bottom sentinel; user values must be smaller.
@@ -52,8 +55,11 @@ const MaxValue uint64 = 1<<64 - 2
 // the exchanger before falling back to the central stack).
 const DefaultElimSpins = 24
 
-// Stack is a detectably recoverable LIFO stack of uint64 values.
+// Stack is a detectably recoverable LIFO stack of uint64 values. Its
+// operation surface is the embedded isb.Ops, with the exchanger as its
+// elimination layer.
 type Stack struct {
+	isb.Ops
 	h        *pmem.Heap
 	e        *isb.Engine
 	ex       *exchanger.Exchanger
@@ -67,11 +73,6 @@ type Stack struct {
 // elimination.
 func NewWithEngine(h *pmem.Heap, e *isb.Engine, elimSpins int) *Stack {
 	s := &Stack{h: h, e: e, ex: exchanger.New(h), spins: elimSpins}
-	if elimSpins > 0 {
-		// Wherever CP_q resets, CP_ex resets with it: every announced leg on
-		// this stack — single, window or transaction — may consult both.
-		e.OnReset(s.ex.Reset)
-	}
 	p := h.Proc(0)
 	bottom := newNode(e, p, bottomMark, pmem.Null, 0)
 	s.sentinel = newNode(e, p, 0, bottom, 0)
@@ -80,6 +81,12 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine, elimSpins int) *Stack {
 	p.PSync()
 	s.gPush = s.gatherPush
 	s.gPop = s.gatherPop
+	s.Ops = isb.NewOps(e, s.gather, s.ReadOp, OpTop)
+	if elimSpins > 0 {
+		// Wherever CP_q resets, CP_ex resets with it: every announced leg on
+		// this stack — single, window or transaction — may consult both.
+		s.SetElimination(s.eliminate, s.probe, s.ex.Reset)
+	}
 	return s
 }
 
@@ -93,41 +100,52 @@ func newNode(e *isb.Engine, p *pmem.Proc, val uint64, next pmem.Addr, info uint6
 	return nd
 }
 
-// Begin is the system-side invocation step for both recovery registers (the
-// exchanger's resets through the engine's OnReset hook).
-func (s *Stack) Begin(p *pmem.Proc) { s.e.Begin(p, false, nil) }
-
-// ApplyOp runs the operation described by (kind, arg) and returns its
-// encoded response (RespTrue for push; RespEmpty or a value for pop).
-//
-// With elimination enabled the operation can take effect outside the
-// engine (a collision never reaches the central stack), so its
-// announcement must exist before Exchange runs — and every recovery
-// register the announcement could be routed to must reset before the
-// announcement exists, or a previous operation's outcome would be read as
-// this one's. The engine's begin sequence provides exactly that order
-// (retire the old announcement, CP_q := 0 and, through OnReset, CP_ex := 0 —
-// Exchange's own internal Begin runs too late to provide this — then
-// announce), so the exchange is RunOp's pre step. An exchange that times out
-// enters the engine under the same announcement: it left its exchanger
-// record partnerless or withdrawn, which RecoverBatchOp's probe reads as no
-// effect before the central stack's recovery decides.
-func (s *Stack) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	if kind == OpTop {
-		return s.ReadOp(p, kind, arg)
+// gather maps an operation kind to its gather function; OpTop has none.
+func (s *Stack) gather(kind, _ uint64) isb.Gather {
+	switch kind {
+	case OpPush:
+		return s.gPush
+	case OpTop:
+		return nil
+	default:
+		return s.gPop
 	}
-	var eliminate func() (uint64, bool)
-	if s.spins > 0 {
-		eliminate = func() (uint64, bool) { return s.eliminate(p, kind, arg) }
-	}
-	if kind == OpPush {
-		return s.e.RunOp(p, OpPush, arg, s.gPush, eliminate)
-	}
-	return s.e.RunOp(p, OpPop, arg, s.gPop, eliminate)
 }
 
-// eliminate offers the operation on the exchanger, a push as a waiter and a
-// pop as a collider; ok reports a collision, which is the operation's effect.
+// ReadOp serves OpTop, the top value without popping it, on the zero-persist
+// path: a volatile read of sentinel.next with no Info record, no announcement,
+// and no persistence instruction. Linearizes at the load of sentinel.next.
+// Nothing durable records the read; a crashed top is simply re-submitted. The
+// epoch pin keeps the top node allocated while its value is read (see
+// list.ReadOp). Panics on a mutating kind.
+func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
+	if kind != OpTop {
+		panic("stack: ReadOp on a mutating kind")
+	}
+	a := s.e.Allocator()
+	a.Enter(p)
+	top := pmem.Addr(p.Load(s.sentinel + nNext))
+	val := p.Load(top + nVal)
+	a.Exit(p)
+	s.e.NoteReadFast(p)
+	if val == bottomMark {
+		return isb.RespEmpty
+	}
+	return isb.EncodeValue(val)
+}
+
+// eliminate is a single operation's elimination step: it offers the
+// operation on the exchanger, a push as a waiter and a pop as a collider; ok
+// reports a collision, which is the operation's effect. It can take effect
+// outside the engine, so the operation's announcement must exist before it
+// runs — and every recovery register the announcement could be routed to must
+// reset before the announcement exists, or a previous operation's outcome
+// would be read as this one's. The begin sequence provides exactly that order
+// (retire the old announcement, CP_q := 0 and CP_ex := 0 — Exchange's own
+// internal Begin runs too late to provide this — then announce), which is why
+// isb.Ops runs it after Begin. An exchange that times out enters the engine
+// under the same announcement: it left its exchanger record partnerless or
+// withdrawn, which probe reads as no effect.
 func (s *Stack) eliminate(p *pmem.Proc, kind, arg uint64) (uint64, bool) {
 	if kind == OpPush {
 		_, ok := s.ex.Exchange(p, arg, exchanger.WaiterOnly, s.spins)
@@ -137,10 +155,24 @@ func (s *Stack) eliminate(p *pmem.Proc, kind, arg uint64) (uint64, bool) {
 	return isb.EncodeValue(v), ok // eliminated a concurrent push
 }
 
-// RecoverOp resumes an interrupted Push or Pop after a crash, returning the
-// encoded response (RespTrue for push; RespEmpty or a value for pop).
-func (s *Stack) RecoverOp(p *pmem.Proc, kind, arg uint64) uint64 {
-	return s.RecoverBatchOp(p, 0, kind, arg)
+// probe is recovery's first step for a push or pop: it consults the
+// exchanger's recovery data, and ok reports an elimination that took effect,
+// whose outcome stands; otherwise the central stack's ISB recovery decides.
+// The exchanger can only describe this leg — the begin sequence reset its
+// registers before the announcement existed, and only a single operation's
+// elimination step writes them afterwards — so for a window or transaction
+// leg the probe finds nothing and falls through, and so does it for an
+// attempt that timed out before the operation entered the engine.
+func (s *Stack) probe(p *pmem.Proc, kind, arg uint64) (uint64, bool) {
+	role := exchanger.WaiterOnly
+	if kind == OpPop {
+		role = exchanger.ColliderOnly
+	}
+	v, ok := s.ex.Recover(p, arg, role, 1, false)
+	if kind == OpPush {
+		return isb.RespTrue, ok
+	}
+	return isb.EncodeValue(v), ok
 }
 
 // gatherPush: AffectSet = (sentinel, top); WriteSet = {sentinel.next:

@@ -194,7 +194,7 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 	s, h := newStack(t, 1, 0)
 	p := h.Proc(0)
 	s.ApplyOp(p, OpPush, 9)
-	if r := s.RecoverOp(p, OpPush, 9); r != isb.RespTrue {
+	if r := s.RecoverLeg(p, 0, OpPush, 9); r != isb.RespTrue {
 		t.Fatalf("Recover(push) = %d", r)
 	}
 	if n := len(s.Values()); n != 1 {
@@ -204,7 +204,7 @@ func TestRecoverAfterCompletedOps(t *testing.T) {
 	if !ok || v != 9 {
 		t.Fatalf("Pop = (%d,%v)", v, ok)
 	}
-	if r := s.RecoverOp(p, OpPop, 0); r != isb.EncodeValue(9) {
+	if r := s.RecoverLeg(p, 0, OpPop, 0); r != isb.EncodeValue(9) {
 		t.Fatalf("Recover(pop) = %d", r)
 	}
 	if len(s.Values()) != 0 {

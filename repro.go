@@ -225,9 +225,11 @@ func (k StructKind) String() string {
 // retries it. Apply runs one operation to completion, durably announcing
 // (ID, Op) before the operation can take effect; RecoverOp is the
 // operation's recovery function, idempotent and re-invocable across
-// further crashes. Runtime.RecoverAll drives the same recovery through the
-// registry, so applications never call it directly unless they keep their
-// own per-operation bookkeeping.
+// further crashes. A single operation is leg 0 of a vector of one: for the
+// engine-backed structures RecoverOp is the same leg recovery
+// (isb.Ops.RecoverLeg) that Runtime.RecoverAll drives through the registry
+// for every leg, so applications never call it directly unless they keep
+// their own per-operation bookkeeping.
 type Structure interface {
 	// ID is the structure's durable registry ID (1-based, per Runtime).
 	ID() uint64
@@ -644,7 +646,7 @@ type List struct {
 func (r *Runtime) NewList() *List {
 	e := r.newEngine()
 	l := &List{l: list.NewWithEngine(r.h, e)}
-	r.adopt(l, &l.adapter, l.l, e, KindList, OpFind)
+	r.adopt(l, &l.adapter, l.l, e, KindList)
 	return l
 }
 
@@ -661,7 +663,7 @@ type Queue struct {
 func (r *Runtime) NewQueue() *Queue {
 	e := r.newEngine()
 	q := &Queue{q: queue.NewWithEngine(r.h, e)}
-	r.adopt(q, &q.adapter, q.q, e, KindQueue, OpPeek)
+	r.adopt(q, &q.adapter, q.q, e, KindQueue)
 	return q
 }
 
@@ -679,7 +681,7 @@ type BST struct {
 func (r *Runtime) NewBST() *BST {
 	e := r.newEngine()
 	b := &BST{b: bst.NewWithEngine(r.h, e)}
-	r.adopt(b, &b.adapter, b.b, e, KindBST, OpFind)
+	r.adopt(b, &b.adapter, b.b, e, KindBST)
 	return b
 }
 
@@ -777,7 +779,7 @@ type Stack struct {
 func (r *Runtime) NewStack(elimSpins int) *Stack {
 	e := r.newEngine()
 	s := &Stack{s: stack.NewWithEngine(r.h, e, elimSpins)}
-	r.adopt(s, &s.adapter, s.s, e, KindStack, OpTop)
+	r.adopt(s, &s.adapter, s.s, e, KindStack)
 	return s
 }
 
@@ -801,7 +803,7 @@ type HashMap struct {
 func (r *Runtime) NewHashMap(shards int) *HashMap {
 	e := r.newEngine()
 	m := &HashMap{m: hashmap.NewWithEngine(r.h, e, shards)}
-	r.adopt(m, &m.adapter, m.m, e, KindHashMap, OpFind)
+	r.adopt(m, &m.adapter, m.m, e, KindHashMap)
 	return m
 }
 
