@@ -17,6 +17,11 @@ import "sync"
 // tail crash-free (the regression TestCrashGroupReArmsAfterLeave pins).
 // When the last worker leaves, any armed-but-unfired crash is cancelled so
 // post-run audits (Keys walks) cannot trip it.
+//
+// The report is handed out per worker and nowhere else: as in the paper's
+// model, each failed process receives the durable record of its own
+// operation, and the group's lock is held only around the runtime, never
+// around a caller's code.
 type CrashGroup struct {
 	rt    *Runtime
 	every uint64 // accesses between re-armed crashes; 0 = externally armed
@@ -28,12 +33,6 @@ type CrashGroup struct {
 	generation int
 	crashes    int
 	reports    map[int]ProcReport
-
-	// OnRecover, when non-nil, runs after every RecoverAll with the group
-	// quiescent (all workers parked, group lock held) and receives the raw
-	// report — the hook a serving layer uses to rebuild volatile admission
-	// state (e.g. a request-ID → response table) from the durable record.
-	OnRecover func([]ProcReport)
 }
 
 // NewCrashGroup builds a group of workers sharing rt and, when crashEvery
@@ -57,9 +56,6 @@ func (g *CrashGroup) recoverLocked() {
 	g.reports = make(map[int]ProcReport, len(reps))
 	for _, rep := range reps {
 		g.reports[rep.Proc] = rep
-	}
-	if g.OnRecover != nil {
-		g.OnRecover(reps)
 	}
 	g.crashes++
 	g.generation++

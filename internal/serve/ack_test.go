@@ -2,9 +2,12 @@ package serve_test
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/serve"
+	"repro/internal/serve/client"
 )
 
 // TestServeAckKeepsTableFlat is the response-table bound regression: under
@@ -60,6 +63,49 @@ func TestServeAckKeepsTableFlat(t *testing.T) {
 		if st.EvictedEntries < total-flatBound {
 			t.Fatalf("round %d: evicted only %d of %d answered entries", r, st.EvictedEntries, total)
 		}
+	}
+}
+
+// TestServeTableFlatAcrossCrashes is the same bound under a crash storm.
+// Every crash's report names each Proc's last announced window, answered
+// long ago if the Proc was idle; a crashed request must be answered by the
+// worker that admitted it and by nothing else, or those old answers return
+// to the table below their clients' watermarks, where no acknowledgement
+// walks again.
+func TestServeTableFlatAcrossCrashes(t *testing.T) {
+	const clients, puts = 4, 400
+	s, ln := startServer(t, serve.Config{
+		Procs: 2, Batch: 8, QueueDepth: 16,
+		CrashSim: true, CrashEvery: 1500, HeapWords: 1 << 20,
+		Engine: repro.EngineIsbOpt,
+	})
+	var wg sync.WaitGroup
+	for w := range clients {
+		c := dial(t, ln, uint64(w+1))
+		wg.Add(1)
+		go func(c *client.Client) {
+			defer wg.Done()
+			for i := range puts {
+				if _, err := c.Put(uint64(i%32) + 1); err != nil {
+					t.Errorf("put %d: %v", i, err)
+					return
+				}
+			}
+			// One more request acknowledges every earlier one.
+			if _, err := c.Get(1); err != nil {
+				t.Errorf("final get: %v", err)
+			}
+		}(c)
+	}
+	wg.Wait()
+	st := s.Snapshot()
+	if st.Crashes == 0 {
+		t.Fatal("storm fired no crashes; the table was never checked across one")
+	}
+	// Each client's last request is the only unacknowledged one.
+	if st.TableEntries > clients {
+		t.Fatalf("table holds %d entries after %d crashes, want <= %d (one unacknowledged request per client)",
+			st.TableEntries, st.Crashes, clients)
 	}
 }
 

@@ -111,8 +111,7 @@ type Stats struct {
 	Conns []ConnStats `json:"conns"`
 	Procs []ProcStats `json:"procs"`
 	// Crashes counts store crashes recovered (Restart + one RecoverAll
-	// each); TableEntries is the current response-table size, of which
-	// RecoveredEntries were (re)filled from RecoverAll reports.
+	// each), as the crash group counts them.
 	Crashes int `json:"crashes"`
 	// With Config.Reclaim, FastRecoveries and FullScans split Crashes by
 	// what RecoverAll did to the reclaimer — the O(Procs × ring) reset, or
@@ -120,14 +119,15 @@ type Stats struct {
 	// LastGarbage are the latest recovery's figures: words it abandoned on
 	// pre-crash free lists and rings, and words abandoned since the last
 	// scan.
-	FastRecoveries   uint64 `json:"fast_recoveries"`
-	FullScans        uint64 `json:"full_scans"`
-	LastDropped      uint64 `json:"last_dropped_words"`
-	LastGarbage      uint64 `json:"last_garbage_words"`
-	TableEntries     int    `json:"table_entries"`
-	RecoveredEntries uint64 `json:"recovered_entries"`
+	FastRecoveries uint64 `json:"fast_recoveries"`
+	FullScans      uint64 `json:"full_scans"`
+	LastDropped    uint64 `json:"last_dropped_words"`
+	LastGarbage    uint64 `json:"last_garbage_words"`
+	// TableEntries is the current response-table size: the answered
+	// requests not yet acknowledged, crashes or not.
 	// EvictedEntries counts response-table entries dropped because the
 	// owning client acknowledged their replies (Request.Ack watermark).
+	TableEntries   int    `json:"table_entries"`
 	EvictedEntries uint64 `json:"evicted_entries"`
 	// Totals across all connections, open and closed.
 	Queued     uint64 `json:"queued"`

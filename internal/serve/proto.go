@@ -10,9 +10,10 @@
 // resubmits), and every request carries a client-chosen 32-bit request ID
 // that rides the durable announcement's Arg (see PackArg and
 // repro.HashMap.SetArgMask): after a crash, reboot is Restart plus ONE
-// RecoverAll, pending requests are answered from the report's legs,
-// and a resubmitted request ID is answered from the server's
-// response table instead of re-executed — client-visible exactly-once.
+// RecoverAll, pending requests are answered from the report's legs by the
+// worker that admitted them, and a resubmitted request ID is answered from
+// the server's response table instead of re-executed — client-visible
+// exactly-once.
 //
 // The admission window is the unit of work above the Runtime too. Frames
 // are append-encoded into caller-owned buffers (AppendRequest, AppendReply)
@@ -97,9 +98,6 @@ func SplitID(reqID uint64) (client, seq uint64) { return reqID >> SeqBits, reqID
 // PackArg packs a request ID and a key into one announcement Arg: the
 // durable identity a recovered operation is matched and answered by.
 func PackArg(reqID, key uint64) uint64 { return reqID<<KeyBits | key }
-
-// SplitArg recovers the request ID and key from an announced Arg.
-func SplitArg(arg uint64) (reqID, key uint64) { return arg >> KeyBits, arg & MaxKey }
 
 // reqWire/replyWire are the fixed frame payload sizes (an op/status byte
 // plus big-endian uint64s); a stats reply appends its JSON body.

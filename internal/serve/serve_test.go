@@ -255,13 +255,16 @@ func TestServeConcurrentStorm(t *testing.T) {
 
 // TestServeStatsDuringCrashStorm hammers the stats path (direct Snapshot
 // and the in-band OpStats frame) concurrently with a crash storm: stats
-// must never interfere with the recovery rendezvous. The deterministic
-// lock-order pin is TestSnapshotDuringRecoveryLockOrder (whitebox); this
-// is the end-to-end smoke over the wire.
+// must never interfere with the recovery rendezvous, and a Snapshot must
+// complete while a recovery runs. Snapshot reads the crash group and the
+// runtime before it takes the server lock, and the group's recovery never
+// takes it, so the two locks are never nested; the race detector checks
+// the reads that cross a recovery.
 func TestServeStatsDuringCrashStorm(t *testing.T) {
 	s, ln := startServer(t, serve.Config{
 		Procs: 2, Batch: 8, QueueDepth: 16,
 		CrashSim: true, CrashEvery: 400, HeapWords: 1 << 20,
+		Reclaim: true, // every recovery also writes the scan report Snapshot reads
 	})
 	c := dial(t, ln, 1)
 	sc := dial(t, ln, 2)

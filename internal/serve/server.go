@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/pmem"
 )
 
 // Config parameterises a Server.
@@ -140,6 +139,10 @@ type Server struct {
 	// flushes and framesOut total every connection's writeLoop counters,
 	// open and closed.
 	flushes, framesOut atomic.Uint64
+	// idleClosed and writeTimeouts count the disconnects the idle and write
+	// deadlines caused, bumped by the connection's own goroutines without
+	// the server lock.
+	idleClosed, writeTimeouts atomic.Uint64
 
 	mu        sync.Mutex
 	procConns [][]*conn // conns pinned to each proc
@@ -155,41 +158,31 @@ type Server struct {
 	win [][]pendingReq
 	// done is the response table: request ID -> result of every answered
 	// request (boolean for PUT/DEL/GET, both packed leg booleans for
-	// MOVE), including entries (re)filled from RecoverAll reports — what
-	// makes a resubmitted request ID exactly-once. It is bounded by the
+	// MOVE) — what makes a resubmitted request ID exactly-once. Only
+	// finishWindow fills it, after a crash too, so an entry is only ever
+	// added before its client can acknowledge it. It is bounded by the
 	// acknowledgement protocol: each request piggybacks the client's
 	// acked-sequence high-watermark (Request.Ack) and applyAckLocked
 	// evicts everything at or below it, so under steady resubmit-free
 	// traffic the table holds only the unacknowledged tail.
-	done     map[uint64]uint64
-	acked    map[uint64]uint64   // client prefix -> acked seq watermark
-	evicted  uint64              // table entries dropped via acks
-	inflight map[uint64]struct{} // queued or admitted, not yet answered
-	// crashes mirrors group.Crashes() under s.mu (bumped in onRecover, which
-	// already holds it). Snapshot reads the mirror: calling group.Crashes()
-	// while holding s.mu would invert the lock order against
-	// CrashGroup.recoverLocked -> onRecover (g.mu then s.mu) and deadlock a
-	// stats request racing a crash recovery.
-	crashes   int
-	lastScan  pmem.ScanReport // the latest recovery's reclaimer report
-	recovered uint64          // table entries filled by OnRecover
-	closedAgg connMetrics     // folded-in metrics of closed conns
+	done      map[uint64]uint64
+	acked     map[uint64]uint64   // client prefix -> acked seq watermark
+	evicted   uint64              // table entries dropped via acks
+	inflight  map[uint64]struct{} // queued or admitted, not yet answered
+	closedAgg connMetrics         // folded-in metrics of closed conns
 	// closedReads / closedFramesIn fold in closed conns' reads and framesIn.
 	closedReads, closedFramesIn uint64
 	// totalQueued / nconns feed the shed watermark: aggregate queued
 	// requests and open connections across all procs.
 	totalQueued int
 	nconns      int
-	// disconnects counts connections torn down (any cause); idleClosed and
-	// writeTimeouts the subsets closed by the idle and write deadlines.
-	disconnects   uint64
-	idleClosed    uint64
-	writeTimeouts uint64
-	connSeq       uint64
-	released      bool
-	closed        bool
-	ln            net.Listener
-	wg            sync.WaitGroup // workers
+	// disconnects counts connections torn down (any cause).
+	disconnects uint64
+	connSeq     uint64
+	released    bool
+	closed      bool
+	ln          net.Listener
+	wg          sync.WaitGroup // workers
 }
 
 // New builds the server, its Runtime and store, and starts the Proc
@@ -229,7 +222,6 @@ func New(cfg Config) *Server {
 		every = cfg.CrashEvery
 	}
 	s.group = repro.NewCrashGroup(s.rt, cfg.Procs, every)
-	s.group.OnRecover = s.onRecover
 	for w := 0; w < cfg.Procs; w++ {
 		s.wg.Add(1)
 		go s.worker(w)
@@ -388,9 +380,7 @@ func (c *conn) readLoop() {
 		payload, err := fr.Next()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				c.s.mu.Lock()
-				c.s.idleClosed++
-				c.s.mu.Unlock()
+				c.s.idleClosed.Add(1)
 			}
 			return
 		}
@@ -474,9 +464,7 @@ func (c *conn) writeLoop() {
 		}
 		if _, err := c.nc.Write(buf); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				c.s.mu.Lock()
-				c.s.writeTimeouts++
-				c.s.mu.Unlock()
+				c.s.writeTimeouts.Add(1)
 			}
 			c.nc.Close()
 			continue
@@ -573,8 +561,8 @@ func (s *Server) handle(c *conn, req Request) (queued bool) {
 	s.mu.Lock()
 	s.applyAckLocked(req.Ack)
 	if val, ok := s.done[req.ReqID]; ok {
-		// A resubmitted request ID: answer from the response table (after
-		// a crash, filled from the RecoverAll report) — never re-execute.
+		// A resubmitted request ID: answer from the response table — never
+		// re-execute.
 		c.m.deduped++
 		s.mu.Unlock()
 		c.sendReply(Reply{Status: StOK, ReqID: req.ReqID, Val: val})
@@ -876,65 +864,36 @@ func (s *Server) finishWindow(w int, reqs []pendingReq, vals []uint64, fromRepor
 	}
 }
 
-// onRecover rebuilds the response table from the RecoverAll report: every
-// completed or in-flight leg carries its request ID in the announced Arg and
-// its durable (or recovery-resolved) response, so a client that resubmits
-// after the reboot is answered without re-execution. A window's legs are one
-// request each; a MOVE's two legs — an atomic vector, so unless the whole
-// vector had no effect (the worker re-applies it) both are durable by the
-// time the report exists — are one request with one packed answer. Runs with
-// the whole group parked.
-func (s *Server) onRecover(reps []repro.ProcReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashes++ // mirror of group.Crashes(); see the field comment
-	s.lastScan, _ = s.rt.LastScan()
-	for _, rep := range reps {
-		for i, leg := range rep.Legs {
-			if leg.Status == repro.OpNoEffect {
-				break
-			}
-			reqID, _ := SplitArg(leg.Op.Arg)
-			if rep.Atomic {
-				if i == 0 {
-					continue // answered with leg 2
-				}
-				s.done[reqID] = moveVal(rep.Legs[0].Resp, leg.Resp)
-			} else {
-				s.done[reqID] = boolVal(leg.Resp)
-			}
-			s.recovered++
-		}
-	}
-}
-
-// Snapshot assembles the stats the OpStats endpoint serves.
+// Snapshot assembles the stats the OpStats endpoint serves. It reads the
+// crash state from its owners, the crash group and the runtime, before it
+// takes s.mu: no path holds the group's lock and the server's together.
 func (s *Server) Snapshot() Stats {
+	crashes := s.group.Crashes()
+	scan, _ := s.rt.LastScan()
+	rs, _ := s.rt.ReclaimStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs, _ := s.rt.ReclaimStats()
 	st := Stats{
-		Crashes:          s.crashes,
-		FastRecoveries:   rs.FastRecoveries,
-		FullScans:        rs.FullScans,
-		LastDropped:      s.lastScan.Dropped,
-		LastGarbage:      s.lastScan.Garbage,
-		TableEntries:     len(s.done),
-		RecoveredEntries: s.recovered,
-		EvictedEntries:   s.evicted,
-		Queued:           s.closedAgg.queued,
-		Admitted:         s.closedAgg.admitted,
-		Retried:          s.closedAgg.retried,
-		Deduped:          s.closedAgg.deduped,
-		FromReport:       s.closedAgg.fromReport,
-		Sheds:            s.closedAgg.shed,
-		Disconnects:      s.disconnects,
-		IdleClosed:       s.idleClosed,
-		WriteTimeouts:    s.writeTimeouts,
-		Flushes:          s.flushes.Load(),
-		FramesOut:        s.framesOut.Load(),
-		Reads:            s.closedReads,
-		FramesIn:         s.closedFramesIn,
+		Crashes:        crashes,
+		FastRecoveries: rs.FastRecoveries,
+		FullScans:      rs.FullScans,
+		LastDropped:    scan.Dropped,
+		LastGarbage:    scan.Garbage,
+		TableEntries:   len(s.done),
+		EvictedEntries: s.evicted,
+		Queued:         s.closedAgg.queued,
+		Admitted:       s.closedAgg.admitted,
+		Retried:        s.closedAgg.retried,
+		Deduped:        s.closedAgg.deduped,
+		FromReport:     s.closedAgg.fromReport,
+		Sheds:          s.closedAgg.shed,
+		Disconnects:    s.disconnects,
+		IdleClosed:     s.idleClosed.Load(),
+		WriteTimeouts:  s.writeTimeouts.Load(),
+		Flushes:        s.flushes.Load(),
+		FramesOut:      s.framesOut.Load(),
+		Reads:          s.closedReads,
+		FramesIn:       s.closedFramesIn,
 	}
 	for _, pc := range s.procConns {
 		for _, c := range pc {

@@ -3,8 +3,6 @@ package serve
 import (
 	"testing"
 	"time"
-
-	"repro"
 )
 
 // TestLatHistQuantiles pins the latency histogram's resolution: over runs
@@ -84,92 +82,6 @@ func TestTakeLockedFairness(t *testing.T) {
 	// Detach the synthetic conns (no sockets) before Close tears down.
 	s.procConns[0] = nil
 	s.mu.Unlock()
-}
-
-// TestSnapshotDuringRecoveryLockOrder deterministically pins the lock
-// order between Snapshot and crash recovery. Recovery runs OnRecover while
-// holding the crash group's lock and then takes the server's; Snapshot
-// must therefore never reach for the group's lock while holding the
-// server's. The test wraps OnRecover to run a Snapshot to completion at
-// exactly that point: pre-fix (Snapshot called group.Crashes() under
-// s.mu), the Snapshot wedges against the held group lock and the timeout
-// trips; post-fix it completes from the mirrored crash counter.
-func TestSnapshotDuringRecoveryLockOrder(t *testing.T) {
-	s := New(Config{
-		Procs: 1, Shards: 4, Batch: 4, QueueDepth: 8,
-		CrashSim: true, HeapWords: 1 << 16, Gated: true,
-	})
-	defer s.Close()
-
-	// A synthetic connection: replies pile into the outbox, no sockets.
-	c := &conn{s: s, id: 1, proc: 0}
-	s.mu.Lock()
-	s.procConns[0] = []*conn{c}
-	s.mu.Unlock()
-	for i := uint64(0); i < 3; i++ {
-		s.handle(c, Request{Op: OpPut, ReqID: 100 + i, Key: i + 1})
-	}
-
-	inner := s.group.OnRecover // s.onRecover
-	verdict := make(chan bool, 1)
-	s.group.OnRecover = func(reps []repro.ProcReport) {
-		// The group lock is held here. A Snapshot must still complete.
-		snapped := make(chan struct{})
-		go func() { s.Snapshot(); close(snapped) }()
-		select {
-		case <-snapped:
-			verdict <- true
-			inner(reps)
-		case <-time.After(2 * time.Second):
-			// Snapshot is wedged on the group lock while holding s.mu;
-			// calling inner (which takes s.mu) would deadlock the worker
-			// forever, so skip it and just release the group.
-			verdict <- false
-		}
-	}
-
-	// Crash a few accesses into the gated window; the lone worker parks
-	// and runs the recovery — and our wrapped hook — itself.
-	s.Runtime().ScheduleCrash(5)
-	s.Release()
-
-	select {
-	case ok := <-verdict:
-		if !ok {
-			t.Fatal("Snapshot deadlocked against a crash recovery holding the group lock")
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("crash recovery never ran")
-	}
-	// With the lock order intact, the window still completes: all three
-	// requests are answered through recovery.
-	for i, rep := range awaitOutbox(t, c, 3) {
-		if rep.Status != StOK {
-			t.Fatalf("reply %d: status %d, want StOK", i, rep.Status)
-		}
-	}
-	if got := s.Snapshot().Crashes; got != 1 {
-		t.Fatalf("snapshot crashes = %d, want 1", got)
-	}
-}
-
-// awaitOutbox polls a synthetic connection's outbox — no writeLoop drains
-// it — until it holds n replies, and returns them.
-func awaitOutbox(t *testing.T, c *conn, n int) []Reply {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		c.omu.Lock()
-		out := append([]Reply(nil), c.out...)
-		c.omu.Unlock()
-		if len(out) >= n {
-			return out
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("outbox holds %d replies, want %d", len(out), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func reqIDs(batch []pendingReq) []uint64 {

@@ -70,6 +70,7 @@ package repro
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bst"
@@ -284,8 +285,9 @@ type Runtime struct {
 	regBase   pmem.Addr   // persisted registry: word0 = count, word id = kind
 	reclaimer *pmem.Reclaimer
 	engines   []*isb.Engine // every engine newEngine built (scan/recovery plumbing)
-	lastScan  pmem.ScanReport
-	scanned   bool
+	// lastScan is the latest RecoverAll's reclaimer report, nil before the
+	// first; atomic so that LastScan may run while a recovery does.
+	lastScan atomic.Pointer[pmem.ScanReport]
 }
 
 // New builds a runtime.
@@ -376,7 +378,13 @@ func (r *Runtime) ReclaimStats() (pmem.ReclaimStats, bool) {
 // LastScan reports what the most recent RecoverAll did to the reclaimer —
 // the fast reset (Full false, Marked and Swept 0) or the conservative scan;
 // ok is false if none has run (reclamation disabled, or no recovery yet).
-func (r *Runtime) LastScan() (pmem.ScanReport, bool) { return r.lastScan, r.scanned }
+// It is safe to call while RecoverAll runs.
+func (r *Runtime) LastScan() (pmem.ScanReport, bool) {
+	if scan := r.lastScan.Load(); scan != nil {
+		return *scan, true
+	}
+	return pmem.ScanReport{}, false
+}
 
 // Proc returns process descriptor id (0-based).
 func (r *Runtime) Proc(id int) *Proc { return r.h.Proc(id) }
@@ -501,8 +509,8 @@ func (r *Runtime) RecoverAll() []ProcReport {
 				q.q.RepairTail(p0)
 			}
 		}
-		r.lastScan = r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
-		r.scanned = true
+		scan := r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
+		r.lastScan.Store(&scan)
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
 	}
