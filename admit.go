@@ -83,8 +83,9 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // announces legs as one durable vector (see pmem.Proc.Announce) and runs them
 // in order, writing their responses to out.
 //
-// The whole begin sequence — CP resets on every involved engine plus the one
-// announcement naming every leg — rides a single psync (isb.Engine.Begin).
+// The whole begin sequence is the one announcement naming every leg, whose
+// raised admission number resets CP on every involved engine, and a single
+// psync (isb.Engine.Begin).
 // The rest is a sync scope, closed by one more psync: under EngineIsbOpt every
 // leg's sync points defer to it, so any vector costs the two psyncs a single
 // operation costs; under EngineIsb a window's defer to the leg boundaries

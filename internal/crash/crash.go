@@ -43,7 +43,8 @@ type Op struct {
 // embeds (isb.Ops) that the storms and the raw sweeps drive, which is what
 // lets them drive every structure without per-structure glue. Begin is the
 // system-side invocation step of the paper's model (persistently set
-// CP_q := 0 just before the operation starts); if it crashes, the system
+// CP_q := 0 just before the operation starts, here by raising the process's
+// admission number, which CP_q is read against); if it crashes, the system
 // simply retries it — the operation is not yet considered invoked, so no
 // recovery obligation exists. ApplyOp runs an operation to completion;
 // RecoverLeg at index 0 is its recovery function, called with the same kind

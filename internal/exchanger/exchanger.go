@@ -77,18 +77,10 @@ func (e *Exchanger) rd(p *pmem.Proc) pmem.Addr {
 }
 func (e *Exchanger) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
 
-// Reset persists CP_q := 0 without a psync of its own: the hook for a begin
-// sequence that resets several recovery registers under one psync (see
-// isb.Ops.SetElimination).
-func (e *Exchanger) Reset(p *pmem.Proc) {
-	cp := e.cp(p)
-	p.Store(cp, 0)
-	p.PWB(cp)
-}
-
-// Begin is the system-side invocation step (persist CP_q := 0).
+// Begin is the system-side invocation step (persist CP_q := 0): a bare begin,
+// whose raise of the admission number resets CP_q (it holds the number).
 func (e *Exchanger) Begin(p *pmem.Proc) {
-	e.Reset(p)
+	p.ClearAnnounce()
 	p.PSync()
 }
 
@@ -97,14 +89,16 @@ func (e *Exchanger) Begin(p *pmem.Proc) {
 // aborted (timeout, or no waiter for a ColliderOnly call).
 func (e *Exchanger) Exchange(p *pmem.Proc, v uint64, role Role, spins int) (uint64, bool) {
 	e.Begin(p)
-	return e.run(p, v, role, spins)
+	return e.Offer(p, v, role, spins)
 }
 
-func (e *Exchanger) run(p *pmem.Proc, v uint64, role Role, spins int) (uint64, bool) {
+// Offer is Exchange under the caller's admission, with no begin of its own,
+// which would invalidate the caller's announcement.
+func (e *Exchanger) Offer(p *pmem.Proc, v uint64, role Role, spins int) (uint64, bool) {
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
-	p.Store(cp, 1)
+	p.Store(cp, p.Admission())
 	p.PWB(cp)
 	p.PSync()
 
@@ -214,7 +208,7 @@ func (e *Exchanger) finishAbort(p *pmem.Proc, my pmem.Addr) (uint64, bool) {
 func (e *Exchanger) Recover(p *pmem.Proc, v uint64, role Role, spins int, retry bool) (uint64, bool) {
 	rd, cp := e.rd(p), e.cp(p)
 	my := pmem.Addr(p.Load(rd))
-	if p.Load(cp) == 0 || my == pmem.Null {
+	if p.Load(cp) != p.Admission() || my == pmem.Null {
 		return e.reinvoke(p, v, role, spins, retry)
 	}
 	if p.Load(my+xVal) != v {
@@ -257,7 +251,7 @@ func (e *Exchanger) reinvoke(p *pmem.Proc, v uint64, role Role, spins int, retry
 	if !retry {
 		return 0, false
 	}
-	return e.run(p, v, role, spins)
+	return e.Offer(p, v, role, spins)
 }
 
 // SlotFree reports whether the slot is empty (test helper).

@@ -28,6 +28,7 @@ var listOps = []struct {
 type crashPoint struct {
 	off       uint64
 	h         *pmem.Heap
+	e         *isb.Engine
 	l         *list.List
 	p         *pmem.Proc
 	kind, key uint64
@@ -59,9 +60,10 @@ func newList(opt bool, evictEvery uint64) (*pmem.Heap, *isb.Engine, *list.List, 
 // list whose heap persists every store's line at once (EvictEvery 1: a crash
 // persists exactly the stores before it), with a system-wide crash at every
 // access offset until an offset outruns the operation. The system-side Begin
-// runs before the crash is armed, so every sweep starts from a durable CP_q =
-// 0. After each crash the operation is recovered, its response and the
-// list's state checked, and visit gets the crash point.
+// runs before the crash is armed, so every sweep starts from a durable CP_q
+// older than the admission number. After each crash the operation is
+// recovered, its response and the list's state checked, and visit gets the
+// crash point.
 func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 	for _, op := range listOps {
 		crashes := 0
@@ -75,13 +77,13 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 				break
 			}
 			crashes++
-			c := crashPoint{off: off, h: h, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, at: e.Durable(p)}
+			h.ResetAfterCrash() // the volatile image is now the persisted one
+			c := crashPoint{off: off, h: h, e: e, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, at: e.Durable(p)}
 			for _, a := range c.at.Cleanup {
 				if h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
 					c.tagged++
 				}
 			}
-			h.ResetAfterCrash()
 			c.keysAt = l.Keys()
 			if r := l.RecoverLeg(p, 0, op.kind, op.key); !isb.Bool(r) {
 				t.Fatalf("%s offset %d: recovery answered %d, want true", op.name, off, r)
@@ -101,33 +103,38 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 }
 
 // TestFirstInstallRaisesCPCrash pins where Isb-Opt raises CP_q: with the
-// prologue gone, the first install stores RD_q := info, then CP_q := 1, on
-// one line that one pwb persists. Crashed at every access of an insert and a
-// delete, the persisted pair must show CP_q = 1 only with RD_q naming this
-// operation's record — stamped with its kind, key and leg index — and CP_q =
-// 0 only with the list untouched. The (info, 0) pair, which the Null prologue
-// used to rule out, must occur and must recover like any CP_q = 0.
+// prologue gone, the first install stores RD_q := info, then CP_q := the
+// admission number, on one line that one pwb persists. Crashed at every
+// access of an insert and a delete, the persisted pair must show CP_q equal
+// to the admission number only with RD_q naming this operation's record —
+// stamped with its kind, key and leg index — and a stale CP_q only with the
+// list untouched. The (this record, old number) pair, which the Null prologue
+// used to rule out, must occur and must recover as not installed: recovery
+// re-invokes, and a new record replaces it.
 func TestFirstInstallRaisesCPCrash(t *testing.T) {
-	ownZero := map[uint64]int{}
+	ownStale := map[uint64]int{}
 	sweepEvicting(t, true, func(c crashPoint) {
 		own := c.at.RD != pmem.Null && c.at.Kind == c.kind && c.at.Key == c.key && c.at.Seq == 0
-		if c.at.CP == 0 {
+		if c.at.CP != c.at.Adm {
 			if !slices.Equal(c.keysAt, listPrefill) {
-				t.Fatalf("offset %d: CP_q = 0 persisted with keys %v, want %v", c.off, c.keysAt, listPrefill)
+				t.Fatalf("offset %d: stale CP_q %d (admission %d) persisted with keys %v, want %v", c.off, c.at.CP, c.at.Adm, c.keysAt, listPrefill)
 			}
 			if own {
-				ownZero[c.kind]++
+				ownStale[c.kind]++
+				if rd := c.e.Durable(c.p).RD; rd == c.at.RD {
+					t.Fatalf("offset %d: recovery kept RD_q = %d, which a stale CP_q names: it helped the record instead of re-invoking", c.off, rd)
+				}
 			}
 			return
 		}
 		if !own {
-			t.Fatalf("offset %d: CP_q = 1 persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
-				c.off, c.at.RD, c.at.Kind, c.at.Key, c.at.Seq, c.kind, c.key)
+			t.Fatalf("offset %d: CP_q = admission %d persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
+				c.off, c.at.Adm, c.at.RD, c.at.Kind, c.at.Key, c.at.Seq, c.kind, c.key)
 		}
 	})
 	for _, op := range listOps {
-		if ownZero[op.kind] == 0 {
-			t.Errorf("%s: no crash persisted RD_q = this operation's record with CP_q = 0", op.name)
+		if ownStale[op.kind] == 0 {
+			t.Errorf("%s: no crash persisted RD_q = this operation's record with a stale CP_q", op.name)
 		}
 	}
 }
@@ -172,7 +179,7 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 	for _, opt := range []bool{false, true} {
 		done, partial := 0, 0
 		sweepEvicting(t, opt, func(c crashPoint) {
-			if c.at.CP != 1 || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
+			if c.at.CP != c.at.Adm || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
 				return
 			}
 			done++

@@ -185,17 +185,18 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // encoded response. gather is called once per attempt with a fresh Info
 // record.
 //
-// With Begin the sequence is exactly the paper's: announce the operation and
-// persist CP_q := 0, RD_q := Null + pbarrier, CP_q := 1 + pwb + psync, then
-// attempts of gather → helping phase → install Info → pbarrier over the
-// record and the NewSet → RD_q := info + pwb + psync → read-only fast return
-// or Help → return result if set.
+// With Begin the sequence is exactly the paper's: announce the operation,
+// which raises the admission number (CP_q := 0) + pwb + psync, RD_q := Null +
+// pbarrier, CP_q := the number (CP_q := 1) + pwb + psync, then attempts of
+// gather → helping phase → install Info → pbarrier over the record and the
+// NewSet → RD_q := info + pwb + psync → read-only fast return or Help →
+// return result if set.
 //
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one: the begin
 // psync opens it, every sync point after it defers, and one psync closes it
 // before the response is returned — what a batch window of one pays. Isb-Opt
-// also drops the RD_q := Null / CP_q := 1 prologue: CP_q := 1 rides the first
+// also drops the RD_q := Null / CP_q := 1 prologue: CP_q rides the first
 // install's RD_q write-back (see runAttempts).
 func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
@@ -207,18 +208,19 @@ func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 	return r
 }
 
-// runAttempts runs an engine's first leg after the system-side CP_q := 0 step
-// (runOp, and runBatchOp while CP_q is 0); recovery's re-invoke path enters
-// here too, with its attempt bound.
+// runAttempts runs an engine's first leg of an admission, after the begin
+// made CP_q stale (runOp, and runBatchOp while CP_q is stale); recovery's
+// re-invoke path enters here too, with its attempt bound.
 //
 // Under Isb it runs Algorithm 2's prologue as written: RD_q := Null +
-// pbarrier, then CP_q := 1 + pwb + sync point. Under Isb-Opt there is no
-// prologue: the first install stores RD_q := info and then CP_q := 1, and the
-// pwb of RD_q it issues anyway persists both. RD_q and CP_q share one line
-// (Engine.base), which persists as a unit — and on x86 same-line stores
-// persist in program order — so the only durable pairs are (old, 0),
-// (info, 0) and (info, 1): CP_q = 1 names this leg's record, and since no tag
-// precedes that pwb, CP_q = 0 still proves the leg made no changes.
+// pbarrier, then CP_q := the admission number + pwb + sync point. Under
+// Isb-Opt there is no prologue: the first install stores RD_q := info and
+// then CP_q := the number, and the pwb of RD_q it issues anyway persists both.
+// RD_q and CP_q share one line (Engine.base), which persists as a unit — and
+// on x86 same-line stores persist in program order — so the only durable
+// pairs are (old record, old number), (info, old number) and (info, this
+// number): a current CP_q names this leg's record, and since no tag precedes
+// that pwb, a stale one still proves the leg made no changes.
 func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	if e.Batched() {
 		return e.attemptLoop(p, opType, argKey, gather, bound, true)
@@ -227,7 +229,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
 	e.retireLast(p) // RD_q no longer names it
-	p.Store(cp, 1)
+	p.Store(cp, p.Admission())
 	p.PWB(cp)
 	e.opSync(p)
 	return e.attemptLoop(p, opType, argKey, gather, bound, false)
@@ -243,11 +245,12 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 const maxRecoveryAttempts = 1 << 10
 
 // attemptLoop is the gather → install → Help attempt cycle. Legs after an
-// engine's first enter here directly: CP_q is already 1 and RD_q still names
-// the previous leg's record, which recovery tells apart from this leg's by the
-// stamped index. raiseCP makes the first install also store CP_q := 1 (the
-// Isb-Opt first leg, see runAttempts). bound, when nonzero, is the recovery
-// path's attempt limit (see maxRecoveryAttempts).
+// engine's first enter here directly: CP_q is already current and RD_q still
+// names the previous leg's record, which recovery tells apart from this leg's
+// by the stamped index. raiseCP makes the first install also store the
+// admission number into CP_q (the Isb-Opt first leg, see runAttempts). bound,
+// when nonzero, is the recovery path's attempt limit (see
+// maxRecoveryAttempts).
 func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP bool) uint64 {
 	rd := e.rd(p)
 	per := e.per(p)
@@ -260,8 +263,8 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 				last = fmt.Sprintf(" (kind %d, key %d, seq %d, result %d, done %d)", p.Load(info+offOpType),
 					p.Load(info+offArgKey), p.Load(info+offSeq), p.Load(info+offResult), p.Load(info+offDone))
 			}
-			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d%s, CP_q = %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), spec.Affect[:spec.NAffect]))
+			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d%s, CP_q = %d, admission %d, last attempt's affect set %v",
+				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), p.Admission(), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -311,7 +314,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		per.Flush()
 		p.Store(rd, uint64(info))
 		if raiseCP {
-			p.Store(e.cp(p), 1) // after RD_q, on its line: see runAttempts
+			p.Store(e.cp(p), p.Admission()) // after RD_q, on its line: see runAttempts
 			raiseCP = false
 		}
 		p.PWB(rd)
@@ -397,12 +400,13 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 // announced vector (0 for single operations): called after a crash with the
 // same opType/argKey the interrupted operation was invoked with, plus the same
 // gather function, it returns the operation's response. Per the paper, if
-// CP_q = 0 or RD_q = Null the operation made no changes and is simply
-// re-invoked; otherwise Help(RD_q) completes it (or cleans up a failed
-// attempt) and the result field decides. Under Isb-Opt RD_q is never reset to
-// Null, so CP_q = 0 alone decides: RD_q may then name the previous
-// operation's record, or this one's if the crash hit between its first
-// install and the write-back that raises CP_q — before any tag either way.
+// CP_q = 0 (here: CP_q is not the admission number) or RD_q = Null the
+// operation made no changes and is simply re-invoked; otherwise Help(RD_q)
+// completes it (or cleans up a failed attempt) and the result field decides.
+// Under Isb-Opt RD_q is never reset to Null, so a stale CP_q alone decides:
+// RD_q may then name the previous operation's record, or this one's if the
+// crash hit between its first install and the write-back that raises CP_q —
+// before any tag either way.
 //
 // The installed record is only attributed to this leg if its stamped index
 // matches, so a crashed vector whose cursor says "leg seq is in flight" can
@@ -453,14 +457,14 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
-	if p.Load(cp) == 0 || info == pmem.Null {
+	if p.Load(cp) != p.Admission() || info == pmem.Null {
 		return RespNone, false
 	}
-	// Defense for the pre-CP_q=0 crash window: the begin sequence persists
-	// CP_q := 0 before anything else of the new operation (README, "Recovery
-	// workflow"), so a crash ahead of that leaves CP_q and RD_q the previous
-	// operation's. If RD_q still describes a different operation, this one
-	// made no changes.
+	// Defense for a crash inside the begin: its write-back raises the
+	// admission number before anything else of the new operation (README,
+	// "Recovery workflow"), so a crash ahead of that leaves the number, CP_q
+	// and RD_q the previous operation's. If RD_q still describes a different
+	// operation, this one made no changes.
 	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
 		p.Load(info+offSeq) != seq {
 		return RespNone, false
@@ -588,15 +592,15 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 
 // runBatchOp runs the leg at index seq of an announced vector (Begin). An
 // engine's first leg raises CP_q exactly like a single operation; later legs
-// on the same engine skip that — CP_q is already 1, and the stale RD_q record
-// is fenced off by the index stamp, not by an RD_q := Null round-trip — which
-// is where the per-op begin cost goes. CP_q itself is the dispatch: Begin
-// persisted CP_q := 0, and only an engine's first leg raises it (under Isb in
-// runAttempts' prologue, under Isb-Opt at that leg's first install), so CP_q
-// = 0 means no mutating leg of this vector has raised it on this engine yet
-// (read-only legs never enter the engine). Recovery relies on the same
-// invariant: a crash with CP_q = 0 proves the in-flight leg tagged nothing,
-// so re-invoking it is safe.
+// on the same engine skip that — CP_q is already current, and the stale RD_q
+// record is fenced off by the index stamp, not by an RD_q := Null round-trip
+// — which is where the per-op begin cost goes. CP_q itself is the dispatch:
+// Begin raised the admission number, and only an engine's first leg stores it
+// into CP_q (under Isb in runAttempts' prologue, under Isb-Opt at that leg's
+// first install), so a stale CP_q means no mutating leg of this vector has
+// raised it on this engine yet (read-only legs never enter the engine).
+// Recovery relies on the same invariant: a crash with CP_q stale proves the
+// in-flight leg tagged nothing, so re-invoking it is safe.
 //
 // Inside a sync scope (pmem.Proc.OpenSyncScope, which the admitting runtime
 // opens around a window under either placement and around a transaction
@@ -607,7 +611,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // are exactly those of the unscoped execution.
 func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
-	if p.Load(e.cp(p)) == 0 {
+	if p.Load(e.cp(p)) != p.Admission() {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
 	return e.attemptLoop(p, opType, argKey, gather, 0, false)

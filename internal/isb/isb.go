@@ -198,7 +198,9 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // process to avoid false sharing. Persistence-instruction placement is
 // delegated to a persister per process (see persist.go); everything else —
 // helping, tagging, backtracking, the update and cleanup phases, recovery —
-// is identical across placements.
+// is identical across placements. CP_q holds the admission number
+// (pmem.Proc.Admission) RD_q's record was installed under: "CP_q = 1" reads
+// CP_q = p.Admission(), and every begin's raise of the number is CP_q := 0.
 type Engine struct {
 	h    *pmem.Heap
 	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP (one pwb persists both)
@@ -213,17 +215,10 @@ type Engine struct {
 	// nests on one process).
 	specs []Spec
 	// annID, when nonzero, is the runtime-registry structure ID this engine
-	// announces under: Begin then durably clears the calling process's
-	// announcement record and publishes the new one around persisting
-	// CP_q := 0, all under its one psync, so announcing adds no stand-alone
-	// sync in either placement. Engines built outside a Runtime leave annID 0
-	// and never touch the record.
+	// announces under: Begin's one write-back then publishes the process's new
+	// announcement record along with its admission number. Engines built
+	// outside a Runtime leave annID 0 and begin bare (pmem.Proc.ClearAnnounce).
 	annID uint64
-	// onReset, when set, runs at the end of reset: the hook through which a
-	// structure with a second set of recovery registers (the elimination
-	// stack's exchanger, see Ops.SetElimination) has them reset wherever CP_q
-	// is.
-	onReset func(p *pmem.Proc)
 	// alloc serves Info records and (through Alloc) structure nodes. The
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
 	// pmem.Reclaimer recycles retired blocks after an epoch grace period.
@@ -339,7 +334,7 @@ func (e *Engine) cookie(p *pmem.Proc) uint64 {
 // retireLast retires the calling process's previously installed Info
 // record, and the operands held with it. Callers must ensure the record can
 // no longer be consulted by recovery: RD_q durably points elsewhere — at a
-// newer record, or Null. Until then recovery may read it even with CP_q = 0
+// newer record, or Null. Until then recovery may read it even with CP_q stale
 // (Settle), and since an Isb-Opt operation's cleanup may wait for the next
 // install's barrier, no earlier point would do: the operands retire only
 // once that barrier has made the cleanup durable, so no recovery re-runs the
@@ -421,50 +416,35 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 // (others is then the second leg's engine, if distinct), or no legs at all —
 // the bare step a crash harness runs before each invocation (Ops.Begin). e is
 // leg 0's engine.
-// Everything rides the one psync at the end, so no shape pays an extra sync.
 //
-// The write order is load-bearing (each pwb is synchronous):
-//  1. clear the old announcement — once CP_q resets, a stale announcement
-//     would read as "in flight, made no changes" and registry-routed
-//     recovery would re-invoke (duplicate) the previous, completed op;
-//  2. persist CP_q := 0 on every involved engine — the new announcement must
-//     only become valid once no engine can attribute a previous operation's
-//     RD_q record to one of its legs; otherwise recovering a leg whose
-//     (kind, arg, index) equal the previous one's would return the previous
-//     response instead of running it;
-//  3. announce — durable before any leg, or any pre-engine effect such as
-//     the stack's elimination attempt, can take effect.
-//
-// A crash anywhere inside Begin leaves either the old announcement, nothing,
-// or a checksum-invalid torn record: in every case the admission provably
-// performed no tracked writes and is simply re-submitted.
+// It is one write-back and one psync: reset every involved engine, then
+// announce the legs (or begin bare), which raises the process's admission
+// number — CP_q := 0 on every engine at once, the exchanger's CP_ex included —
+// durably before any leg, or any pre-engine effect such as the stack's
+// elimination attempt, can take effect. A crash inside Begin leaves the
+// previous announcement under its own number, which recovery re-reports
+// idempotently, or no valid record: this admission provably performed no
+// tracked writes and is simply re-submitted.
 func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*Engine) {
-	if e.annID != 0 {
-		p.ClearAnnounce()
-	}
 	e.reset(p)
 	for _, o := range others {
 		o.reset(p)
 	}
 	if e.annID != 0 && len(legs) > 0 {
 		p.Announce(atomic, legs...)
+	} else {
+		p.ClearAnnounce()
 	}
 	p.PSync()
 }
 
-// reset persists CP_q := 0 (no psync: Begin's covers it). The previous
+// reset readies the engine for an admission, writing nothing. The previous
 // operation's Info record stays: RD_q still names it, and its cleanup may
 // still wait for this admission's first barrier (see retireLast) — or, after
 // a crash, for Settle, which the first begin after it runs.
 func (e *Engine) reset(p *pmem.Proc) {
 	e.Settle(p)
 	e.curSeq[p.ID()] = 0
-	cp := e.cp(p)
-	p.Store(cp, 0)
-	p.PWB(cp)
-	if e.onReset != nil {
-		e.onReset(p)
-	}
 }
 
 // allocInfo allocates a zeroed Info record for one attempt.

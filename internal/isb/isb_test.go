@@ -316,9 +316,11 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 // panic, naming the operation, the recovery registers and the record RD_q
 // still holds, and never in the allocator's "arena exhausted" (each retry
 // allocates a 32-word Info record, and this heap holds about twice the
-// bound's worth). CP_q is raised by Isb's prologue but only by the first
-// install under Isb-Opt, which also never resets RD_q to Null: there RD_q
-// still names the last installed record — here a completed increment's.
+// bound's worth). CP_q is raised to the admission number by Isb's prologue
+// but only by the first install under Isb-Opt, which also never resets RD_q to
+// Null: there RD_q still names the last installed record — here a completed
+// increment's, under the admission before the bare begin that precedes the
+// recovery.
 func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 	stuck := func(*pmem.Proc, pmem.Addr, *Spec) GatherResult { return Restart }
 	for _, opt := range []bool{false, true} {
@@ -327,8 +329,8 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 			prior    bool // complete one increment before the stuck recovery
 			isb, opt string
 		}{
-			{"fresh", false, "RD_q = 0, CP_q = 1", "RD_q = 0, CP_q = 0"},
-			{"after an increment", true, "RD_q = 0, CP_q = 1", "(kind 7, key 0, seq 0, result 17, done 1), CP_q = 1"},
+			{"fresh", false, "RD_q = 0, CP_q = 1, admission 1", "RD_q = 0, CP_q = 0, admission 1"},
+			{"after an increment", true, "RD_q = 0, CP_q = 2, admission 2", "(kind 7, key 0, seq 0, result 17, done 1), CP_q = 1, admission 2"},
 		} {
 			h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
 			ctr := newCounter(h, opt)
@@ -336,6 +338,7 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 			if c.prior {
 				ctr.inc(p)
 			}
+			ctr.e.Begin(p, false, nil)
 			var msg string
 			func() {
 				defer func() { msg = fmt.Sprint(recover()) }()

@@ -41,22 +41,22 @@ func NewOps(e *Engine, gather func(kind, arg uint64) Gather, read func(p *pmem.P
 
 // SetElimination adds an elimination layer in front of the engine, which a
 // single operation tries between Begin and the engine: eliminate is the
-// attempt (ok reports it took effect, with that response), probe recovery's
-// check whether it did, and reset resets the layer's own recovery registers
-// wherever CP_q resets — before the announcement exists, so a previous
-// operation's outcome is never read as this one's (Engine.Begin). Vector legs
-// never eliminate: a collision would complete outside the record's cursor
-// protocol. Call before any operation runs.
-func (o *Ops) SetElimination(eliminate, probe func(p *pmem.Proc, kind, arg uint64) (uint64, bool), reset func(p *pmem.Proc)) {
-	o.eliminate, o.probe, o.e.onReset = eliminate, probe, reset
+// attempt (ok reports it took effect, with that response) and probe
+// recovery's check whether it did. The layer's recovery registers must hold
+// the admission number, as CP_q does, so that the begin resets them too and
+// a previous operation's outcome is never read as this one's (Engine.Begin).
+// Vector legs never eliminate: a collision would complete outside the
+// record's cursor protocol. Call before any operation runs.
+func (o *Ops) SetElimination(eliminate, probe func(p *pmem.Proc, kind, arg uint64) (uint64, bool)) {
+	o.eliminate, o.probe = eliminate, probe
 }
 
 // ReadOnly reports whether kind is one of the structure's read-only kinds.
 func (o *Ops) ReadOnly(kind uint64) bool { return slices.Contains(o.reads, kind) }
 
 // Begin is the system-side invocation step of the paper's model (persist
-// CP_q := 0), announcing nothing. A crash harness runs it before each
-// invocation; standalone callers need not, since ApplyOp begins on entry.
+// CP_q := 0): a bare begin, announcing nothing. A crash harness runs it before
+// each invocation; standalone callers need not, since ApplyOp begins on entry.
 func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 
 // ApplyOp runs one operation to completion and returns its encoded response:

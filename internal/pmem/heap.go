@@ -153,29 +153,32 @@ const reservedWords = WordsPerLine
 // record — a durable vector of N legs behind one header — which the runtime's
 // registry-routed recovery reads after a crash (see Proc.Announce):
 //
-//	word   0        1              2        3     4 … 4+2N-1        136 … 136+N-2
-//	     ┌────────┬──────────────┬────────┬─────┬────────────────┐ ┌──────────────┐
-//	     │ sum    │ N | atomic   │ cursor │  -  │ leg 0 … leg N-1│ │ result slots │
-//	     └────────┴──────────────┴────────┴─────┴────────────────┘ └──────────────┘
-//	      immutable, bound by sum  mutable        immutable          mutable
+//	word   0        1              2        3           4 … 4+2N-1        136 … 136+N-2
+//	     ┌────────┬──────────────┬────────┬───────────┬────────────────┐ ┌──────────────┐
+//	     │ sum    │ N | atomic   │ cursor │ admission │ leg 0 … leg N-1│ │ result slots │
+//	     └────────┴──────────────┴────────┴───────────┴────────────────┘ └──────────────┘
+//	      bound by sum             mutable  bound by sum  bound by sum       mutable
 //
 // A leg is two words: structure ID, flags and kind packed into the first,
 // the argument in the second. A single operation is N = 1, a batch window N ≤
 // MaxBatch non-atomic legs, a transaction an atomic vector. sum is the
-// checksum over the count word and every leg, and the one word that makes
-// the record valid: 0 means "no record", and a record torn across cache lines
-// fails it. The header and legs 0–1 share the first line, so announcing a
-// single operation or a two-leg transaction is one write-back. cursor is the
+// checksum over the count word, the admission number (Proc.Admission) and
+// every leg, and the one word that makes the record valid: 0 means "no
+// record", and a record torn across cache lines, or read under another
+// admission number, fails it. The header and legs 0–1 share the first line,
+// so announcing a single operation or a two-leg transaction is one
+// write-back. cursor is the
 // completed prefix: legs [0, cursor) have durable responses in their result
 // slots (written back strictly before the cursor that covers them), leg
 // cursor is the one possibly in flight, and legs above it never started. The
 // last leg never gets a slot — its response stays in its engine's tracking
 // record — so the cursor never reaches N.
 const (
-	annSum    = 0 // checksum over annMeta and every leg word (0 = no record)
-	annMeta   = 1 // leg count | atomic flag << annAtomicShift
-	annCursor = 2 // completed-prefix cursor
-	annLegs   = 4 // MaxBatch two-word legs
+	annSum       = 0 // checksum over annMeta, annAdmission and every leg word (0 = no record)
+	annMeta      = 1 // leg count | atomic flag << annAtomicShift
+	annCursor    = 2 // completed-prefix cursor
+	annAdmission = 3 // admission number
+	annLegs      = 4 // MaxBatch two-word legs
 
 	annAtomicShift = 32
 
@@ -282,11 +285,11 @@ func (h *Heap) Proc(id int) *Proc {
 func (h *Heap) annAddr(id int) Addr { return h.annBase + Addr(id)*annStride }
 
 // annCheck is one step of the announcement checksum: it folds two payload
-// words into the running sum. Announce chains it over the count word and then
-// every leg, in order; the cursor and result slots are deliberately excluded —
-// they mutate as the vector progresses and have their own torn-write defense
-// (a result slot is durable strictly before the cursor that covers it). An
-// announcement is only valid if the persisted sum matches the persisted
+// words into the running sum. Announce chains it over the count word and the
+// admission number, then every leg, in order; the cursor and result slots are
+// deliberately excluded — they mutate as the vector progresses and have their
+// own torn-write defense (a result slot is durable strictly before the cursor
+// that covers it). An announcement is only valid if the persisted sum matches the persisted
 // payload, which makes a partially persisted record (a crash between its
 // stores and its pwbs, with some lines reaching persistence via simulated
 // eviction) detectably invalid instead of a garbled route. The result is

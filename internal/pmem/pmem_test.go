@@ -537,3 +537,61 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 		}
 	}
 }
+
+// TestAnnouncementAdmissionEveryStore is the per-store sibling of
+// TestAnnouncementTornSubsets, for the admission number the record is bound
+// to: a record written over a valid older one is crashed after each of its
+// stores, with the header line persisted at the crash. Whatever validates
+// must be the old record — its legs, flag and cursor — under the old
+// admission number, or nothing; the new record, under the new number, only
+// once every store has run. The identical cases are the ones that need the
+// number inside the checksum: their old sum also covers the new legs.
+func TestAnnouncementAdmissionEveryStore(t *testing.T) {
+	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 2, Kind: 6, Arg: 7}}
+	for _, c := range []struct {
+		name     string
+		old, new []Leg
+	}{
+		{"identical, one line", legs[:2], legs[:2]},
+		{"identical, two lines", legs, legs},
+		{"different", legs[:1], legs[:2]},
+	} {
+		stores := 0
+		for k := uint64(1); ; k++ {
+			h := newTracked(t, 1)
+			p := h.Proc(0)
+			p.Announce(false, c.old...)
+			if len(c.old) > 1 {
+				p.AdvanceCursor(len(c.old)-1, 9)
+			}
+			oldAdm, oldCursor := p.Admission(), len(c.old)-1
+			h.ScheduleCrashAt(h.AccessCount() + k)
+			done := RunOp(func() { p.writeAnnouncement(false, c.new) })
+			h.DisarmCrash()
+			h.persistLine(h.annAddr(0))
+			h.Crash()
+			h.ResetAfterCrash()
+			got, cursor, atomic, ok := announced(p)
+			adm := p.Admission()
+			isOld := ok && adm == oldAdm && !atomic && cursor == oldCursor && slices.Equal(got, c.old)
+			isNew := ok && adm == oldAdm+1 && !atomic && cursor == 0 && slices.Equal(got, c.new)
+			switch {
+			case done && !isNew:
+				t.Fatalf("%s: after the last store read (%+v, cursor %d, atomic %v, ok %v) under admission %d, want the new record under %d",
+					c.name, got, cursor, atomic, ok, adm, oldAdm+1)
+			case !done && ok && !isOld:
+				t.Fatalf("%s: crashed at access %d of the write, read (%+v, cursor %d, atomic %v) under admission %d, want the old record under %d or nothing",
+					c.name, k, got, cursor, atomic, adm, oldAdm)
+			case k == 1 && !isOld:
+				t.Fatalf("%s: crashed before the first store: the old record is gone", c.name)
+			}
+			if done {
+				break
+			}
+			stores++
+		}
+		if stores < 2*len(c.new)+4 {
+			t.Fatalf("%s: only %d crash points; the sweep is not reaching every store", c.name, stores)
+		}
+	}
+}

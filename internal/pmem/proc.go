@@ -319,15 +319,15 @@ type Leg struct {
 //
 // Announce issues one pwb per touched line — one for a single operation or a
 // two-leg transaction — and no psync: the caller's next psync (the begin
-// sequence's, see isb.Engine.Begin) orders them. The write order is what makes
-// a crash inside Announce safe: every other word is stored before sum, and
-// every other line written back before the header's. The caller durably
-// cleared the previous record first (ClearAnnounce, before resetting any
-// recovery register), so a crash leaves either nothing or a record whose sum
-// does not validate: in both cases the admission provably performed no tracked
-// writes and is simply re-submitted. The record stays in place until the next
-// admission's ClearAnnounce, which is what lets registry-routed recovery find
-// in-flight work after a crash.
+// sequence's, see isb.Engine.Begin) orders them. It raises the admission
+// number (see Admission), and the write order is what makes a crash inside it
+// safe: the raised number first, which invalidates the previous record before
+// any other word of it changes, sum last, and the header line written back
+// last. A crash leaves the previous, completed record under its own number,
+// which recovery resolves idempotently, or no valid record: either way this
+// admission provably performed no tracked writes and is simply re-submitted.
+// The record stays in place until the next admission begins, which is what
+// lets registry-routed recovery find in-flight work after a crash.
 func (p *Proc) Announce(atomic bool, legs ...Leg) {
 	end := p.writeAnnouncement(atomic, legs)
 	a := p.h.annAddr(p.id)
@@ -344,11 +344,13 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 		panic(fmt.Sprintf("pmem: Announce with %d legs (want 1..%d)", len(legs), MaxBatch))
 	}
 	a := p.h.annAddr(p.id)
+	n := p.Admission() + 1
+	p.Store(a+annAdmission, n)
 	meta := uint64(len(legs))
 	if atomic {
 		meta |= 1 << annAtomicShift
 	}
-	sum := annCheck(0, meta, 0)
+	sum := annCheck(0, meta, n)
 	w := a + annLegs
 	for _, l := range legs {
 		if l.StructID == 0 || l.StructID >= 1<<(64-legStructShift) ||
@@ -367,17 +369,21 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 	return w
 }
 
-// ClearAnnounce durably empties this process's announcement record. It must
-// become durable before any recovery register of the previous operation is
-// reset (CP_q := 0): once CP says "nothing in flight", a stale announcement
-// would make registry-routed recovery re-invoke — and therefore duplicate —
-// the previous, completed operation. The simulator's pwb writes back
-// synchronously, so issuing the clear's pwb before touching CP_q suffices.
+// ClearAnnounce is the bare begin: an admission that announces nothing. It
+// raises the admission number and empties the record, in one write-back of
+// the header line and no psync (the caller's orders it). Engines built outside
+// a Runtime begin with it, and so does a crash harness's system-side step.
 func (p *Proc) ClearAnnounce() {
 	a := p.h.annAddr(p.id)
+	p.Store(a+annAdmission, p.Admission()+1)
 	p.Store(a+annSum, 0)
 	p.PWB(a)
 }
+
+// Admission returns this process's admission number, raised by every begin
+// (Announce, ClearAnnounce). A CP register (an engine's CP_q, the exchanger's
+// CP_ex) stores the number it was written under: one raise resets them all.
+func (p *Proc) Admission() uint64 { return p.Load(p.h.annAddr(p.id) + annAdmission) }
 
 // OpenSyncScope opens a sync scope on this process (see the syncScope
 // field). The caller has just issued the psync that publishes the
@@ -435,7 +441,7 @@ func (p *Proc) Announcement() (n, cursor int, atomic, ok bool) {
 	if cnt == 0 || cnt > MaxBatch {
 		return 0, 0, false, false
 	}
-	check := annCheck(0, meta, 0)
+	check := annCheck(0, meta, p.Load(a+annAdmission))
 	for w := a + annLegs; w < a+annLegs+Addr(2*cnt); w += 2 {
 		check = annCheck(check, p.Load(w), p.Load(w+1))
 	}

@@ -83,9 +83,7 @@ func NewWithEngine(h *pmem.Heap, e *isb.Engine, elimSpins int) *Stack {
 	s.gPop = s.gatherPop
 	s.Ops = isb.NewOps(e, s.gather, s.ReadOp, OpTop)
 	if elimSpins > 0 {
-		// Wherever CP_q resets, CP_ex resets with it: every announced leg on
-		// this stack — single, window or transaction — may consult both.
-		s.SetElimination(s.eliminate, s.probe, s.ex.Reset)
+		s.SetElimination(s.eliminate, s.probe)
 	}
 	return s
 }
@@ -139,27 +137,28 @@ func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // reports a collision, which is the operation's effect. It can take effect
 // outside the engine, so the operation's announcement must exist before it
 // runs — and every recovery register the announcement could be routed to must
-// reset before the announcement exists, or a previous operation's outcome
-// would be read as this one's. The begin sequence provides exactly that order
-// (retire the old announcement, CP_q := 0 and CP_ex := 0 — Exchange's own
-// internal Begin runs too late to provide this — then announce), which is why
-// isb.Ops runs it after Begin. An exchange that times out enters the engine
-// under the same announcement: it left its exchanger record partnerless or
-// withdrawn, which probe reads as no effect.
+// be stale until then, or a previous operation's outcome would be read as
+// this one's. The begin provides both at once: its one write-back publishes
+// the announcement and raises the admission number that CP_q and CP_ex are
+// read against, which is why isb.Ops runs this after Begin, and why the
+// exchange runs under that admission (Offer) instead of beginning its own. An
+// exchange that times out enters the engine under the same announcement: it
+// left its exchanger record partnerless or withdrawn, which probe reads as no
+// effect.
 func (s *Stack) eliminate(p *pmem.Proc, kind, arg uint64) (uint64, bool) {
 	if kind == OpPush {
-		_, ok := s.ex.Exchange(p, arg, exchanger.WaiterOnly, s.spins)
+		_, ok := s.ex.Offer(p, arg, exchanger.WaiterOnly, s.spins)
 		return isb.RespTrue, ok // eliminated by a pop
 	}
-	v, ok := s.ex.Exchange(p, 0, exchanger.ColliderOnly, s.spins)
+	v, ok := s.ex.Offer(p, 0, exchanger.ColliderOnly, s.spins)
 	return isb.EncodeValue(v), ok // eliminated a concurrent push
 }
 
 // probe is recovery's first step for a push or pop: it consults the
 // exchanger's recovery data, and ok reports an elimination that took effect,
 // whose outcome stands; otherwise the central stack's ISB recovery decides.
-// The exchanger can only describe this leg — the begin sequence reset its
-// registers before the announcement existed, and only a single operation's
+// The exchanger can only describe this leg — the begin's raise of the
+// admission number made its registers stale, and only a single operation's
 // elimination step writes them afterwards — so for a window or transaction
 // leg the probe finds nothing and falls through, and so does it for an
 // attempt that timed out before the operation entered the engine.

@@ -221,9 +221,10 @@ func (k StructKind) String() string {
 
 // Structure is the uniform operation/recovery surface every Runtime
 // structure implements. Begin is the system-side invocation step of the
-// paper's model (durably clear the announcement record, then CP_q := 0); a
-// crash inside Begin leaves no recovery obligation — the system simply
-// retries it. Apply runs one operation to completion, durably announcing
+// paper's model (CP_q := 0): one write-back clears the announcement record
+// and raises the process's admission number, which every CP register is read
+// against. A crash inside Begin leaves no recovery obligation — the system
+// simply retries it. Apply runs one operation to completion, durably announcing
 // (ID, Op) before the operation can take effect; RecoverOp is the
 // operation's recovery function, idempotent and re-invocable across
 // further crashes. A single operation is leg 0 of a vector of one: for the
@@ -455,7 +456,8 @@ type ProcReport struct {
 //     its announcement persisted; in the latter case the operation provably
 //     performed no tracked writes and can simply be re-submitted.
 //   - An announcement may describe an operation that had already completed
-//     (the crash landed between its completion and the next Begin).
+//     (the crash landed between its completion and the end of the next
+//     Begin's write-back).
 //     Recovery of a completed operation is idempotent: it changes nothing
 //     and re-reports the operation's original response.
 //   - For exactly-once consumption of the report, call the structure's
@@ -739,15 +741,16 @@ func (e *Exchanger) Apply(p *Proc, op Op) Resp {
 }
 
 // exchange runs one announced exchange. The exchanger keeps its own recovery
-// registers rather than an ISB engine, so it sequences the announcement
-// protocol itself, in isb.Engine.Begin's order: retire the old announcement,
-// reset CP_ex (so a previous exchange's recovery data cannot be read as this
-// operation's), then announce. Exchange's internal Begin re-runs harmlessly
-// after the announcement exists.
+// registers rather than an ISB engine, so it begins the admission itself, as
+// isb.Engine.Begin does: the announcement's write-back raises the admission
+// number, which CP_ex is read against (so a previous exchange's recovery data
+// cannot be read as this operation's), then the begin psync. The exchange
+// runs under that admission (Offer): a begin of its own would invalidate the
+// announcement.
 func (e *Exchanger) exchange(p *Proc, op Op, spins int) (uint64, bool) {
-	e.Begin(p)
 	p.Announce(false, pmem.Leg{StructID: e.id, Kind: op.Kind, Arg: op.Arg})
-	return e.e.Exchange(p, op.Arg, exchanger.Symmetric, spins)
+	p.PSync()
+	return e.e.Offer(p, op.Arg, exchanger.Symmetric, spins)
 }
 
 // RecoverOp resolves an interrupted exchange of op.Arg: the partner's value
@@ -759,12 +762,9 @@ func (e *Exchanger) RecoverOp(p *Proc, op Op) Resp {
 
 func (e *Exchanger) recoverLeg(p *Proc, _ int, op Op) uint64 { return e.RecoverOp(p, op).raw }
 
-// Begin is the system-side invocation step: it durably clears the
-// announcement record, then the exchanger's CP register.
-func (e *Exchanger) Begin(p *Proc) {
-	p.ClearAnnounce()
-	e.e.Begin(p)
-}
+// Begin is the system-side invocation step: a bare begin, which durably
+// clears the announcement record and raises the admission number.
+func (e *Exchanger) Begin(p *Proc) { e.e.Begin(p) }
 
 // Exchange offers v and waits up to spins iterations for a partner; on
 // success it returns the partner's value.
