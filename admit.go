@@ -91,16 +91,17 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // operation costs; under EngineIsb a window's defer to the leg boundaries
 // (still one psync per leg) and a transaction stays unscoped, every leg psync
 // where Algorithms 1–2 put it. Between two legs the previous response goes to
-// its durable result slot and the completed-prefix cursor advances past it —
-// synchronous pwbs under both engines; the last leg's response stays in its
-// engine's tracking record. Read-only kinds run on the zero-persist path but
-// still occupy their position: their response is persisted at the next
-// boundary, which is what makes a recovered in-flight read safe to re-execute
-// — no later leg can have taken effect before the read's own response was
-// durable.
+// its result slot, stamped with the admission number (isb.Engine.Boundary, on
+// the next leg's engine): one pwb under EngineIsb, and under EngineIsbOpt none
+// — the slot's line rides the next leg's install barrier, ahead of anything
+// that leg makes durable. The last leg's response stays in its engine's
+// tracking record. Read-only kinds run on the zero-persist path but still
+// occupy their position: their response is stamped at the next boundary,
+// which is what makes a recovered in-flight read safe to re-execute — no
+// later leg can have taken effect before the read's own slot was durable.
 //
 // atomic makes the vector all-or-nothing across a crash: its commit point is
-// the cursor leaving 0, strictly before the second leg's first access (see
+// slot 0 stamped, durable strictly before the second leg takes any effect (see
 // RecoverAll). Atomic vectors are accepted at length 2 only.
 func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 	if atomic && len(legs) != 2 {
@@ -138,7 +139,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 	var prev uint64
 	for i, l := range legs {
 		if i > 0 {
-			ads[i-1].e.Boundary(p, i, prev)
+			ads[i].e.Boundary(p, i, prev)
 		}
 		if arg, skip := deriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
 			prev = isb.RespSkipped
@@ -154,13 +155,13 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 
 // ApplyWindow runs ops on s as ONE admission window and returns their
 // responses in order: one durable announcement — the leg array, a count, a
-// checksum and a completed-prefix cursor — replaces the per-operation
+// checksum and stamped result slots — replaces the per-operation
 // announcements, so the whole window is admitted under a single psync (see
 // submit for what the rest costs). A window of one is a vector of one.
 //
 // Crash semantics (see RecoverAll): the window's report entry partitions
 // its operations into a completed prefix (responses read back from the
-// durable result slots), the single in-flight operation at the cursor
+// stamped result slots), the single in-flight operation at the cursor
 // (resolved through per-operation recovery, exactly as an unbatched op
 // would be), and an unstarted suffix that provably performed no tracked
 // writes and is simply re-submitted. The guarantee per operation is
@@ -195,7 +196,7 @@ func (r *Runtime) ApplyWindow(p *Proc, s Structure, ops []Op) []Resp {
 
 // ApplyTxn runs a two-structure transaction — an atomic vector of two legs
 // — and returns both responses in leg order: leg 1 to its ISB completion, the
-// durable commit point (the cursor leaving 0), then leg 2. See submit for the
+// commit point (slot 0 stamped), then leg 2. See submit for the
 // admission price: it is a window's.
 //
 // The crash contract (see RecoverAll): a crashed transaction's report is

@@ -85,7 +85,7 @@ func TestReclaimScanCrashSweep(t *testing.T) { sweepFamily(t, "in-recovery", fal
 // TestBatchPrefixDurable is the batched-admission conformance sweep: five
 // structures × both engines × reclamation on/off, a crash at every tracked
 // access offset of an ApplyWindow — including mid-announcement and
-// mid-cursor-advance. Recovery is driven through RecoverAll's report
+// mid-boundary. Recovery is driven through RecoverAll's report
 // (completed prefix from the durable result slots, the single in-flight
 // operation through per-op recovery, the no-effect suffix re-submitted), and
 // every response plus the final state must match the sequential model.
@@ -96,7 +96,7 @@ func TestBatchPrefixDurable(t *testing.T) {
 	sweepFamily(t, "window", true)
 }
 
-// TestTxnCrashSweep is the transaction conformance sweep: four two-leg
+// TestTxnCrashSweep is the transaction conformance sweep: five two-leg
 // shapes × both engines × reclamation on/off, a crash at every tracked
 // access offset of an ApplyTxn — mid-announcement, mid-leg-1,
 // mid-commit-point, mid-leg-2. On top of what every sweep checks, each
@@ -119,7 +119,7 @@ func TestMatrixCoverage(t *testing.T) {
 		"churn":       84,  // 14 × 2 engines × arena/fast/full
 		"in-recovery": 4,   // 2 engines × fast/full
 		"window":      48,  // 8 × 2 engines × arena/evict/reclaim
-		"txn":         24,  // 4 × 2 engines × arena/evict/reclaim
+		"txn":         30,  // 5 × 2 engines × arena/evict/reclaim
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	rows := matrix()
@@ -141,8 +141,8 @@ func TestMatrixCoverage(t *testing.T) {
 			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
 		}
 	}
-	if len(rows) != 384 {
-		t.Errorf("matrix has %d rows, want 384", len(rows))
+	if len(rows) != 390 {
+		t.Errorf("matrix has %d rows, want 390", len(rows))
 	}
 }
 

@@ -286,12 +286,14 @@ func windowSubjects() []subject {
 	}
 }
 
-// txnSubjects are four transaction shapes: queue→map handoff with a derived
+// txnSubjects are five transaction shapes: queue→map handoff with a derived
 // argument, a move between two maps (two engines), a move within one map (one
-// engine, two sequence-stamped legs), and an elided leg 2 (handoff from an
-// empty queue).
+// engine, two sequence-stamped legs), an elided leg 2 (handoff from an empty
+// queue), and a copy whose leg 1 is a read (the queue's front into the map):
+// leg 1 takes no effect, so only leg 2's install barrier, on the other
+// engine, makes the commit point durable.
 func txnSubjects() []subject {
-	deq := leg{op: repro.Op{Kind: repro.OpDeq}}
+	deq, peek := leg{op: repro.Op{Kind: repro.OpDeq}}, leg{op: repro.Op{Kind: repro.OpPeek}}
 	insertIt := leg{s: 1, op: repro.Op{Kind: repro.OpInsert}, fromLeg1: true}
 	del5, ins5 := leg{op: repro.Op{Kind: repro.OpDelete, Arg: 5}}, leg{s: 1, op: repro.Op{Kind: repro.OpInsert, Arg: 5}}
 	return []subject{
@@ -303,6 +305,8 @@ func txnSubjects() []subject {
 			[]sweepCase{txn("rename", del5, leg{op: repro.Op{Kind: repro.OpInsert, Arg: 9}})}},
 		{"empty-handoff", []structure{{repro.KindQueue, 0, nil}, {repro.KindHashMap, 2, ops(repro.OpInsert, 3)}},
 			[]sweepCase{txn("deq-empty", deq, insertIt)}},
+		{"copy", []structure{{repro.KindQueue, 0, ops(repro.OpEnq, 7)}, {repro.KindHashMap, 4, ops(repro.OpInsert, 3)}},
+			[]sweepCase{txn("peek-insert", peek, insertIt)}},
 	}
 }
 

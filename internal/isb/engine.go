@@ -409,16 +409,18 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 // before any tag either way.
 //
 // The installed record is only attributed to this leg if its stamped index
-// matches, so a crashed vector whose cursor says "leg seq is in flight" can
+// matches, so a crashed vector whose result slots put leg seq in flight can
 // never resolve leg seq from a neighbouring leg's record, even when
-// consecutive legs share (kind, arg). Recovery always runs eager: the sync
-// scope the crash interrupted, if any, is torn down first, and a re-invoked
-// attempt stamps seq so that a further crash re-attributes it correctly. A
-// re-invocation is a first leg (runAttempts): under Isb-Opt RD_q keeps naming
-// the failed or mismatching record until the first re-invoked install
-// replaces it. recoverSeq may itself crash and be re-invoked any number of
-// times, and it terminates or fails loudly: re-invoked attempts are bounded by
-// maxRecoveryAttempts, and the panic names the record RD_q still holds.
+// consecutive legs share (kind, arg): RD_q names leg seq-1's record from leg
+// seq's boundary until leg seq's first install. Recovery always runs eager:
+// the sync scope the crash interrupted, if any, is torn down first, and a
+// re-invoked attempt stamps seq so that a further crash re-attributes it
+// correctly. A re-invocation is a first leg (runAttempts): under Isb-Opt RD_q
+// keeps naming the failed or mismatching record until the first re-invoked
+// install replaces it. recoverSeq may itself crash and be re-invoked any
+// number of times, and it terminates or fails loudly: re-invoked attempts are
+// bounded by maxRecoveryAttempts, and the panic names the record RD_q still
+// holds.
 func (e *Engine) recoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	if r, _ := e.helpRecorded(p, opType, argKey, seq); r != RespNone {
 		e.alloc.Exit(p)
@@ -571,18 +573,34 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	}
 }
 
-// Boundary closes leg seq-1 of the announced vector, which ran on this
-// engine, and opens leg seq: the previous leg's response becomes durable in
-// its result slot, then the completed-prefix cursor advances to cover it
-// (pmem.Proc.AdvanceCursor) — for an atomic vector, the commit point. The
-// previous leg's tracking record retires once the next install moves RD_q off
-// it (retireLast). Inside a sync scope under the Isb placement the boundary
-// issues the per-leg psync the deferred intra-leg sync points merged into;
-// under Isb-Opt it defers too.
+// Boundary closes leg seq-1 of the announced vector and opens leg seq, which
+// runs on this engine: the previous leg's response goes into its result slot,
+// stamped with the admission number (pmem.Proc.StoreLegResult) — for an
+// atomic vector, slot 0 stamped is the commit point. The previous leg's
+// tracking record retires once the next install moves RD_q off it
+// (retireLast).
+//
+// Under Isb the slot is written back at once, and inside a sync scope the
+// boundary issues the per-leg psync the deferred intra-leg sync points merged
+// into. Under Isb-Opt the boundary writes nothing back and defers its psync
+// to the scope's close: the slot's line rides this engine's next barrier (the
+// persister's carry set, which also holds the deferred cleanup), which a
+// mutating leg seq issues as its install barrier, before RD_q moves and before
+// any tag. No leg takes a durable effect ahead of its install barrier, and a
+// read leg takes none at all: what a leg can write back before it is the
+// barriers of operations it helps first, which carry the line sooner, and the
+// reclaimer's slab directory, which records no operation's effect. So a
+// crash before that barrier finds the slot unstamped and leg seq-1 at the
+// derived cursor, with RD_q still naming its record if it mutated
+// (recoverSeq, resolveSeq). The slot of a leg followed only by reads may
+// never be written back: RD_q keeps that leg's record until the next
+// admission. A window's legs share one engine and a transaction has one
+// boundary, so the line always waits on the engine of the next leg that can
+// take effect.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
-	p.AdvanceCursor(seq, prevResp)
+	e.per(p).Carry(p.StoreLegResult(seq-1, prevResp))
 	if p.InSyncScope() {
-		if e.Batched() {
+		if e.batched {
 			e.batchSyncs[p.ID()]++
 		} else {
 			p.PSync()

@@ -480,9 +480,9 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	p.Store(info+offArgKey, s.ArgKey)
 	// The record's leg index: recovery only attributes a record to the
 	// announced vector's in-flight leg when the stamped index matches the
-	// durable cursor, so a crash between the cursor advance and the next
-	// leg's first install cannot misattribute the previous leg's record to an
-	// identical (kind, arg) successor.
+	// leg's position, so a crash between a boundary and the next leg's first
+	// install — the previous leg's slot stamped, RD_q still naming its record
+	// — cannot misattribute that record to an identical (kind, arg) successor.
 	p.Store(info+offSeq, e.curSeq[p.ID()])
 	succ := s.SuccessResponse
 	if s.ReadOnly {

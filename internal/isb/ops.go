@@ -46,7 +46,8 @@ func NewOps(e *Engine, gather func(kind, arg uint64) Gather, read func(p *pmem.P
 // the admission number, as CP_q does, so that the begin resets them too and
 // a previous operation's outcome is never read as this one's (Engine.Begin).
 // Vector legs never eliminate: a collision would complete outside the
-// record's cursor protocol. Call before any operation runs.
+// record's result-slot protocol, and ahead of the install barrier that makes
+// the previous leg's slot durable. Call before any operation runs.
 func (o *Ops) SetElimination(eliminate, probe func(p *pmem.Proc, kind, arg uint64) (uint64, bool)) {
 	o.eliminate, o.probe = eliminate, probe
 }
@@ -54,9 +55,10 @@ func (o *Ops) SetElimination(eliminate, probe func(p *pmem.Proc, kind, arg uint6
 // ReadOnly reports whether kind is one of the structure's read-only kinds.
 func (o *Ops) ReadOnly(kind uint64) bool { return slices.Contains(o.reads, kind) }
 
-// Begin is the system-side invocation step of the paper's model (persist
-// CP_q := 0): a bare begin, announcing nothing. A crash harness runs it before
-// each invocation; standalone callers need not, since ApplyOp begins on entry.
+// Begin is the system-side invocation step of the paper's model (CP_q := 0,
+// here the raise of the admission number every CP register is read against):
+// a bare begin, announcing nothing. A crash harness runs it before each
+// invocation; standalone callers need not, since ApplyOp begins on entry.
 func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 
 // ApplyOp runs one operation to completion and returns its encoded response:
@@ -81,8 +83,9 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 
 // ApplyLeg runs the leg at index seq of p's announced vector (Engine.Begin)
 // and returns its encoded response: a read-only kind on the zero-persist path
-// — it still occupies its position, and its response persists at the next
-// boundary — and any other kind through the engine's leg driver (runBatchOp).
+// — it still occupies its position, and its response is stamped into its
+// result slot at the next boundary — and any other kind through the engine's
+// leg driver (runBatchOp).
 func (o *Ops) ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if o.ReadOnly(kind) {
 		return o.read(p, kind, arg)

@@ -1,6 +1,10 @@
 package isb
 
-import "repro/internal/pmem"
+import (
+	"slices"
+
+	"repro/internal/pmem"
+)
 
 // persister decides where an engine's persistence instructions go. The
 // engine reports every persistent word (or freshly allocated range) it
@@ -38,7 +42,10 @@ type persister interface {
 	// Defer ends the current phase without writing it back: its writes join
 	// the next phase that is written back, whichever that is.
 	Defer()
-	// Deferred reports whether writes Defer moved are still waiting for it.
+	// Carry records one word written outside any phase whose write-back may
+	// wait for the next barrier, like a deferred phase's.
+	Carry(a pmem.Addr)
+	// Deferred reports whether writes Defer or Carry moved are still waiting.
 	Deferred() bool
 }
 
@@ -54,6 +61,7 @@ func (e *eagerPersister) WroteRange(a pmem.Addr, words uint64) { e.p.PBarrierRan
 func (e *eagerPersister) Flush()                               {}
 func (e *eagerPersister) EndPhase()                            { e.p.PSync() }
 func (e *eagerPersister) Defer()                               {} // every write is already back
+func (e *eagerPersister) Carry(a pmem.Addr)                    { e.p.PWB(a) }
 func (e *eagerPersister) Deferred() bool                       { return false }
 
 // batchPersister is the hand-tuned placement (Isb-Opt): dirty lines
@@ -75,6 +83,12 @@ func (b *batchPersister) Reset() { b.dirty = b.dirty[:0] }
 func (b *batchPersister) Defer() {
 	b.carry = append(b.carry, b.dirty...)
 	b.dirty = b.dirty[:0]
+}
+
+func (b *batchPersister) Carry(a pmem.Addr) {
+	if l := a &^ (pmem.WordsPerLine - 1); !slices.Contains(b.carry, l) {
+		b.carry = append(b.carry, l)
+	}
 }
 
 func (b *batchPersister) Deferred() bool { return len(b.carry) > 0 }

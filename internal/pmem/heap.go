@@ -153,11 +153,11 @@ const reservedWords = WordsPerLine
 // record — a durable vector of N legs behind one header — which the runtime's
 // registry-routed recovery reads after a crash (see Proc.Announce):
 //
-//	word   0        1              2        3           4 … 4+2N-1        136 … 136+N-2
-//	     ┌────────┬──────────────┬────────┬───────────┬────────────────┐ ┌──────────────┐
-//	     │ sum    │ N | atomic   │ cursor │ admission │ leg 0 … leg N-1│ │ result slots │
-//	     └────────┴──────────────┴────────┴───────────┴────────────────┘ └──────────────┘
-//	      bound by sum             mutable  bound by sum  bound by sum       mutable
+//	word   0        1              2    3           4 … 4+2N-1        136 … 136+2N-3
+//	     ┌────────┬──────────────┬────┬───────────┬────────────────┐ ┌───────────────────┐
+//	     │ sum    │ N | atomic   │ –  │ admission │ leg 0 … leg N-1│ │ slot 0 … slot N-2 │
+//	     └────────┴──────────────┴────┴───────────┴────────────────┘ └───────────────────┘
+//	      bound by sum                  bound by sum  bound by sum    response, stamp
 //
 // A leg is two words: structure ID, flags and kind packed into the first,
 // the argument in the second. A single operation is N = 1, a batch window N ≤
@@ -167,27 +167,32 @@ const reservedWords = WordsPerLine
 // record", and a record torn across cache lines, or read under another
 // admission number, fails it. The header and legs 0–1 share the first line,
 // so announcing a single operation or a two-leg transaction is one
-// write-back. cursor is the
-// completed prefix: legs [0, cursor) have durable responses in their result
-// slots (written back strictly before the cursor that covers them), leg
-// cursor is the one possibly in flight, and legs above it never started. The
-// last leg never gets a slot — its response stays in its engine's tracking
-// record — so the cursor never reaches N.
+// write-back.
+//
+// A result slot is two words on one line: a closed leg's response, then the
+// admission number it was written under (Proc.CloseLeg). A line persists as a
+// unit and the number is stored after the response, so a slot stamped with
+// the current admission number holds its leg's durable response; a slot of an
+// older admission never matches, the number being monotone. The completed
+// prefix is derived from the stamps: legs below the first unstamped slot have
+// durable responses, the leg at it is the one possibly in flight, and legs
+// above it never took effect. The last leg never gets a slot — its response
+// stays in its engine's tracking record — so the prefix never reaches N.
 const (
 	annSum       = 0 // checksum over annMeta, annAdmission and every leg word (0 = no record)
 	annMeta      = 1 // leg count | atomic flag << annAtomicShift
-	annCursor    = 2 // completed-prefix cursor
 	annAdmission = 3 // admission number
 	annLegs      = 4 // MaxBatch two-word legs
 
 	annAtomicShift = 32
 
-	// annResults is the first result slot word, on its own cache lines. A
-	// slot only means something below the cursor, so slots are never cleared.
+	// annResults is the first result slot word, on its own cache lines. Slots
+	// are two-word aligned, so none straddles a line, and never cleared: only
+	// a stamp that matches the current admission number counts.
 	annResults = (annLegs + 2*MaxBatch + WordsPerLine - 1) &^ (WordsPerLine - 1)
 
 	// annStride is the per-process announcement region size in words.
-	annStride = annResults + MaxBatch
+	annStride = annResults + 2*MaxBatch
 
 	// Leg word 0 packs the structure ID above the flags above the kind.
 	legFlagsShift  = 32
@@ -286,10 +291,10 @@ func (h *Heap) annAddr(id int) Addr { return h.annBase + Addr(id)*annStride }
 
 // annCheck is one step of the announcement checksum: it folds two payload
 // words into the running sum. Announce chains it over the count word and the
-// admission number, then every leg, in order; the cursor and result slots are
-// deliberately excluded — they mutate as the vector progresses and have their
-// own torn-write defense (a result slot is durable strictly before the cursor
-// that covers it). An announcement is only valid if the persisted sum matches the persisted
+// admission number, then every leg, in order; the result slots are
+// deliberately excluded — they are written as the vector progresses and carry
+// their own defense, the admission-number stamp. An announcement is only valid
+// if the persisted sum matches the persisted
 // payload, which makes a partially persisted record (a crash between its
 // stores and its pwbs, with some lines reaching persistence via simulated
 // eviction) detectably invalid instead of a garbled route. The result is

@@ -436,12 +436,12 @@ func TestAnnouncementRecordLifecycle(t *testing.T) {
 	h.Crash()
 	h.ResetAfterCrash()
 	check("across a crash", 0)
-	// The cursor and the result slot it covers are durable once
-	// AdvanceCursor returns.
-	p.AdvanceCursor(1, 42)
+	// The stamped result slot, and with it the cursor it derives, are
+	// durable once CloseLeg returns.
+	p.CloseLeg(0, 42)
 	h.Crash()
 	h.ResetAfterCrash()
-	check("after AdvanceCursor", 1)
+	check("after CloseLeg", 1)
 	if got := p.LegResult(0); got != 42 {
 		t.Fatalf("result slot 0 = %d, want 42", got)
 	}
@@ -483,8 +483,10 @@ func TestAnnouncementPartialPersistInvalid(t *testing.T) {
 // old record, no record, or (never, for a strict subset) the new record —
 // not a mix of the two. The old record is one leg longer or shorter than the
 // new one, so both "new lines beyond the old record" and "old lines beyond
-// the new record" occur. Every subset is enumerated up to 5 lines (N = 16);
-// MaxBatch's 17 lines are sampled by seed.
+// the new record" occur. The old record has every slot stamped, so it reads
+// back with its full prefix and its responses, which the new record, raising
+// the admission number, must not inherit. Every subset is enumerated up to 5
+// lines (N = 16); MaxBatch's 17 lines are sampled by seed.
 func TestAnnouncementTornSubsets(t *testing.T) {
 	mk := func(n int, salt uint64) []Leg {
 		legs := make([]Leg, n)
@@ -512,8 +514,8 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 				h := newTracked(t, 1)
 				p := h.Proc(0)
 				p.Announce(true, oldLegs...)
-				if oldN > 1 {
-					p.AdvanceCursor(1, 9)
+				for i := 0; i < oldN-1; i++ {
+					p.CloseLeg(i, uint64(9+i))
 				}
 				p.writeAnnouncement(false, newLegs)
 				a := h.annAddr(0)
@@ -525,7 +527,10 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 				h.Crash()
 				h.ResetAfterCrash()
 				legs, cursor, atomic, ok := announced(p)
-				isOld := ok && atomic && cursor == min(1, oldN-1) && slices.Equal(legs, oldLegs)
+				isOld := ok && atomic && cursor == oldN-1 && slices.Equal(legs, oldLegs)
+				for i := 0; isOld && i < cursor; i++ {
+					isOld = p.LegResult(i) == uint64(9+i)
+				}
 				if ok && !isOld {
 					t.Fatalf("N=%d over N=%d, lines %b persisted: read a record that is not the old one: %+v (cursor %d, atomic %v)",
 						n, oldN, mask, legs, cursor, atomic)
@@ -542,10 +547,11 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 // TestAnnouncementTornSubsets, for the admission number the record is bound
 // to: a record written over a valid older one is crashed after each of its
 // stores, with the header line persisted at the crash. Whatever validates
-// must be the old record — its legs, flag and cursor — under the old
+// must be the old record — its legs, flag and stamped prefix — under the old
 // admission number, or nothing; the new record, under the new number, only
-// once every store has run. The identical cases are the ones that need the
-// number inside the checksum: their old sum also covers the new legs.
+// once every store has run, and then with none of the old stamped slots in
+// its prefix. The identical cases are the ones that need the number inside the
+// checksum: their old sum also covers the new legs.
 func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 2, Kind: 6, Arg: 7}}
 	for _, c := range []struct {
@@ -561,8 +567,8 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 			h := newTracked(t, 1)
 			p := h.Proc(0)
 			p.Announce(false, c.old...)
-			if len(c.old) > 1 {
-				p.AdvanceCursor(len(c.old)-1, 9)
+			for i := 0; i < len(c.old)-1; i++ {
+				p.CloseLeg(i, 9)
 			}
 			oldAdm, oldCursor := p.Admission(), len(c.old)-1
 			h.ScheduleCrashAt(h.AccessCount() + k)
@@ -592,6 +598,56 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 		}
 		if stores < 2*len(c.new)+4 {
 			t.Fatalf("%s: only %d crash points; the sweep is not reaching every store", c.name, stores)
+		}
+	}
+}
+
+// TestLegResultEveryStore crashes a slot write after each of its accesses,
+// with the slot's line persisted at the crash: the prefix must read i — slot
+// i not stamped — or i+1 with slot i holding the new response, never a slot
+// stamped under the current admission beside a stale response. The slot
+// still holds a different response from the previous admission, stamped
+// under its number, so a stamp stored ahead of the response would show.
+func TestLegResultEveryStore(t *testing.T) {
+	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
+	for i := 0; i < len(legs)-1; i++ {
+		points := 0
+		for k := uint64(1); ; k++ {
+			h := newTracked(t, 1)
+			p := h.Proc(0)
+			p.Announce(false, legs...)
+			for j := 0; j < len(legs)-1; j++ {
+				p.CloseLeg(j, 50+uint64(j))
+			}
+			p.Announce(false, legs...)
+			for j := 0; j < i; j++ {
+				p.CloseLeg(j, 100+uint64(j))
+			}
+			h.ScheduleCrashAt(h.AccessCount() + k)
+			done := RunOp(func() { p.CloseLeg(i, 100+uint64(i)) })
+			h.DisarmCrash()
+			h.persistLine(lineOf(h.annAddr(0) + annResults + Addr(2*i)))
+			h.Crash()
+			h.ResetAfterCrash()
+			n, cursor, _, ok := p.Announcement()
+			switch {
+			case !ok || n != len(legs):
+				t.Fatalf("slot %d, crash at access %d: no valid record (n %d, ok %v)", i, k, n, ok)
+			case cursor != i && cursor != i+1, done && cursor != i+1:
+				t.Fatalf("slot %d, crash at access %d (write done %v): cursor %d", i, k, done, cursor)
+			}
+			for j := 0; j < cursor; j++ {
+				if got := p.LegResult(j); got != 100+uint64(j) {
+					t.Fatalf("slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", i, k, j, got, 100+j)
+				}
+			}
+			if done {
+				break
+			}
+			points++
+		}
+		if points < 3 {
+			t.Fatalf("slot %d: only %d crash points; the sweep is not reaching every store", i, points)
 		}
 	}
 }

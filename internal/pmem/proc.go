@@ -321,11 +321,12 @@ type Leg struct {
 // two-leg transaction — and no psync: the caller's next psync (the begin
 // sequence's, see isb.Engine.Begin) orders them. It raises the admission
 // number (see Admission), and the write order is what makes a crash inside it
-// safe: the raised number first, which invalidates the previous record before
-// any other word of it changes, sum last, and the header line written back
-// last. A crash leaves the previous, completed record under its own number,
-// which recovery resolves idempotently, or no valid record: either way this
-// admission provably performed no tracked writes and is simply re-submitted.
+// safe: the raised number first, which invalidates the previous record — and
+// every result slot stamped under it — before any other word of it changes,
+// sum last, and the header line written back last. A crash leaves the
+// previous, completed record under its own number, which recovery resolves
+// idempotently, or no valid record: either way this admission provably
+// performed no tracked writes and is simply re-submitted.
 // The record stays in place until the next admission begins, which is what
 // lets registry-routed recovery find in-flight work after a crash.
 func (p *Proc) Announce(atomic bool, legs ...Leg) {
@@ -364,7 +365,6 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 		w += 2
 	}
 	p.Store(a+annMeta, meta)
-	p.Store(a+annCursor, 0)
 	p.Store(a+annSum, sum)
 	return w
 }
@@ -405,30 +405,35 @@ func (p *Proc) ResetSyncScope() { p.syncScope = false }
 // InSyncScope reports whether a sync scope is open on this process.
 func (p *Proc) InSyncScope() bool { return p.syncScope }
 
-// AdvanceCursor durably closes leg i-1 and opens leg i: leg i-1's response
-// goes into its result slot, then the completed-prefix cursor moves to i. resp
-// must be nonzero (0 is the engine's ⊥). Both write-backs are synchronous and
-// ordered, so once the cursor names i, result i-1 is already durable — the
-// invariant recovery's completed-prefix reads rely on. For an atomic vector
-// the cursor leaving 0 is the commit point.
-func (p *Proc) AdvanceCursor(i int, resp uint64) {
+// CloseLeg durably closes leg i of the announced vector: its response goes
+// into result slot i, stamped with the admission number, in one write-back.
+// Once the line is back, legs [0, i] are the completed prefix if every lower
+// slot is stamped too; for an atomic vector slot 0 stamped is the commit
+// point.
+func (p *Proc) CloseLeg(i int, resp uint64) { p.PWB(p.StoreLegResult(i, resp)) }
+
+// StoreLegResult is CloseLeg's two stores without its write-back: resp, which
+// must be nonzero (0 is the engine's ⊥), then the admission number beside it.
+// It returns the slot's address, whose line the caller writes back — at once,
+// or with a barrier that comes before anything a later leg makes durable.
+func (p *Proc) StoreLegResult(i int, resp uint64) Addr {
 	if resp == 0 {
-		panic("pmem: AdvanceCursor with zero response")
+		panic("pmem: StoreLegResult with zero response")
 	}
-	a := p.h.annAddr(p.id)
-	p.Store(a+annResults+Addr(i-1), resp)
-	p.PWB(a + annResults + Addr(i-1))
-	p.Store(a+annCursor, uint64(i))
-	p.PWB(a)
+	s := p.h.annAddr(p.id) + annResults + Addr(2*i)
+	p.Store(s, resp)
+	p.Store(s+1, p.Admission())
+	return s
 }
 
 // Announcement reads this process's announcement header, validating the
 // checksum over its immutable part. ok is false if nothing is announced (or
 // the record was only partially persisted when the crash hit — the admission
-// then provably performed no tracked writes). cursor < n is the durable
-// completed prefix: legs [0, cursor) have durable responses readable via
-// LegResult, leg cursor is the (at most one) in-flight leg, and legs
-// (cursor, n) provably never started.
+// then provably performed no tracked writes). cursor < n is the completed
+// prefix, derived from the result slots: legs [0, cursor) have durable
+// responses readable via LegResult, leg cursor — the first whose slot is not
+// stamped with the admission number — is the (at most one) in-flight leg, and
+// legs (cursor, n) provably took no effect.
 func (p *Proc) Announcement() (n, cursor int, atomic, ok bool) {
 	a := p.h.annAddr(p.id)
 	sum := p.Load(a + annSum)
@@ -441,17 +446,18 @@ func (p *Proc) Announcement() (n, cursor int, atomic, ok bool) {
 	if cnt == 0 || cnt > MaxBatch {
 		return 0, 0, false, false
 	}
-	check := annCheck(0, meta, p.Load(a+annAdmission))
+	adm := p.Load(a + annAdmission)
+	check := annCheck(0, meta, adm)
 	for w := a + annLegs; w < a+annLegs+Addr(2*cnt); w += 2 {
 		check = annCheck(check, p.Load(w), p.Load(w+1))
 	}
 	if check != sum {
 		return 0, 0, false, false
 	}
-	// The cursor never reaches the count (see the layout); clamp a torn
-	// value so callers can trust cursor < n.
-	cur := min(p.Load(a+annCursor), cnt-1)
-	return int(cnt), int(cur), atomic, true
+	for cursor < int(cnt)-1 && p.Load(a+annResults+Addr(2*cursor)+1) == adm {
+		cursor++
+	}
+	return int(cnt), cursor, atomic, true
 }
 
 // AnnouncedLeg reads leg i of the announcement.
@@ -466,9 +472,9 @@ func (p *Proc) AnnouncedLeg(i int) Leg {
 	}
 }
 
-// LegResult reads leg i's result slot; meaningful only below the cursor.
+// LegResult reads leg i's response; meaningful only below the cursor.
 func (p *Proc) LegResult(i int) uint64 {
-	return p.Load(p.h.annAddr(p.id) + annResults + Addr(i))
+	return p.Load(p.h.annAddr(p.id) + annResults + Addr(2*i))
 }
 
 // nextRand steps the per-proc xorshift PRNG.

@@ -436,20 +436,21 @@ type ProcReport struct {
 // the outcome is reported. Zero caller bookkeeping is needed — the
 // announcement carries each leg's structure ID, operation kind and argument.
 //
-// One rule resolves every admission shape, by the record's completed-prefix
-// cursor: legs below it answer from their durable result slots (the cursor
-// only advances after the covered result persisted); the leg AT it is
-// resolved through per-operation recovery — read-only kinds by re-execution,
-// mutating kinds through the engine's index-guarded recovery, which tells
-// this position's tracking record apart from an earlier same-kind leg's; and
-// everything above it provably performed no tracked writes (OpNoEffect). An
-// atomic vector adds one step while its cursor is still 0, i.e. uncommitted:
-// the second leg provably never started (execution commits strictly before
-// its first access), and the first must not be re-invoked, only probed. If it
-// did not apply, every leg is no-effect; if it did, recovery rolls FORWARD —
-// persists the result, commits, and resolves the second leg like any
-// in-flight leg, re-deriving its argument from the first's durable response —
-// because the transaction may never half-exist once recovery completes.
+// One rule resolves every admission shape, by the record's cursor — the first
+// result slot not stamped with the admission number: legs below it answer
+// from their slots (a stamped slot holds its durable response); the leg AT it
+// is resolved through per-operation recovery — read-only kinds by
+// re-execution, mutating kinds through the engine's index-guarded recovery,
+// which tells this position's tracking record apart from an earlier same-kind
+// leg's; and everything above it provably performed no tracked writes
+// (OpNoEffect). An atomic vector adds one step while its cursor is still 0,
+// i.e. uncommitted: the second leg provably took no effect (slot 0 is durable
+// strictly before the second leg's install barrier), and the first must not
+// be re-invoked, only probed. If it did not apply, every leg is no-effect; if
+// it did, recovery rolls FORWARD — stamps slot 0, which commits, and resolves
+// the second leg like any in-flight leg, re-deriving its argument from the
+// first's durable response — because the transaction may never half-exist
+// once recovery completes.
 //
 // Semantics worth knowing:
 //   - A process absent from the report either was idle or crashed before
@@ -539,7 +540,7 @@ func (r *Runtime) RecoverAll() []ProcReport {
 				out = append(out, rep)
 				continue
 			}
-			p.AdvanceCursor(1, raw)
+			p.CloseLeg(0, raw)
 			cursor = 1
 		}
 		var prev uint64

@@ -206,6 +206,68 @@ func TestRecoverAllRoutesAnnouncedOps(t *testing.T) {
 	}
 }
 
+// TestCrashAfterAdmission crashes a window and a same-map transaction after
+// the admission returned and before the next begin. Under Isb-Opt a
+// boundary's stamped result slot rides the next leg's install barrier, and a
+// read leg issues none, so the slots after the last mutating leg are still
+// volatile: the record's prefix stops at that leg, which must resolve from
+// RD_q — its record is still installed — to the response the admission
+// returned. The reads after it are no-effect and re-submitted. Under Isb every
+// slot was written back at its boundary.
+func TestCrashAfterAdmission(t *testing.T) {
+	for _, e := range engines() {
+		for _, c := range []struct {
+			name      string
+			ops       []Op
+			lastWrite int
+			keys      []uint64
+		}{
+			{"window", []Op{{Kind: OpInsert, Arg: 5}, {Kind: OpDelete, Arg: 3}, {Kind: OpFind, Arg: 5}, {Kind: OpFind, Arg: 3}}, 1, []uint64{5, 9}},
+			{"txn", []Op{{Kind: OpDelete, Arg: 9}, {Kind: OpFind, Arg: 9}}, 0, []uint64{3}},
+		} {
+			t.Run(e.name+"/"+c.name, func(t *testing.T) {
+				rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 18, Engine: e.kind})
+				m := rt.NewHashMap(4)
+				p := rt.Proc(0)
+				m.Insert(p, 3)
+				m.Insert(p, 9)
+				out := make([]Resp, 2)
+				if c.name == "txn" {
+					out[0], out[1] = rt.ApplyTxn(p, TxnLeg{S: m, Op: c.ops[0]}, TxnLeg{S: m, Op: c.ops[1]})
+				} else {
+					out = rt.ApplyWindow(p, m, c.ops)
+				}
+				rt.Heap().Crash()
+				rt.Restart()
+				wantCursor := len(c.ops) - 1
+				if e.kind == EngineIsbOpt {
+					wantCursor = c.lastWrite
+				}
+				if _, cursor, _, ok := p.Announcement(); !ok || cursor != wantCursor {
+					t.Fatalf("durable record: cursor %d (ok %v), want %d", cursor, ok, wantCursor)
+				}
+				reps := rt.RecoverAll()
+				if len(reps) != 1 || len(reps[0].Legs) != len(c.ops) {
+					t.Fatalf("RecoverAll reported %+v, want the %d-leg %s", reps, len(c.ops), c.name)
+				}
+				for i, l := range reps[0].Legs {
+					switch {
+					case l.Op != c.ops[i]:
+						t.Fatalf("leg %d reported as %v, want %v", i, l.Op, c.ops[i])
+					case l.Status == OpNoEffect && (i <= c.lastWrite || l.Op.Kind != OpFind):
+						t.Fatalf("leg %d (%v) reported no-effect after it took effect", i, l.Op)
+					case l.Status != OpNoEffect && l.Resp != out[i]:
+						t.Fatalf("leg %d (%v, %v) resolved to %v, the admission returned %v", i, l.Op, l.Status, l.Resp, out[i])
+					}
+				}
+				if ks := m.Keys(); !slices.Equal(ks, c.keys) {
+					t.Fatalf("keys %v after recovery, want %v", ks, c.keys)
+				}
+			})
+		}
+	}
+}
+
 // TestRecoverAllEmptyWhenIdle: procs with no announced operation produce no
 // report entries.
 func TestRecoverAllEmptyWhenIdle(t *testing.T) {
