@@ -84,21 +84,24 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // in order, writing their responses to out.
 //
 // The whole begin sequence is the one announcement naming every leg, whose
-// raised admission number resets CP on every involved engine, and a single
-// psync (isb.Engine.Begin).
-// The rest is a sync scope, closed by one more psync: under EngineIsbOpt every
-// leg's sync points defer to it, so any vector costs the two psyncs a single
-// operation costs; under EngineIsb a window's defer to the leg boundaries
-// (still one psync per leg) and a transaction stays unscoped, every leg psync
-// where Algorithms 1–2 put it. Between two legs the previous response goes to
-// its result slot, stamped with the admission number (isb.Engine.Boundary, on
-// the next leg's engine): one pwb under EngineIsb, and under EngineIsbOpt none
-// — the slot's line rides the next leg's install barrier, ahead of anything
-// that leg makes durable. The last leg's response stays in its engine's
-// tracking record. Read-only kinds run on the zero-persist path but still
-// occupy their position: their response is stamped at the next boundary,
-// which is what makes a recovered in-flight read safe to re-execute — no
-// later leg can have taken effect before the read's own slot was durable.
+// raised admission number resets CP on every involved engine
+// (isb.Engine.Begin). The rest is a sync scope, closed by one psync, and the
+// scope opens ahead of the begin: under EngineIsbOpt the begin writes nothing
+// back — the record rides the admission's first barrier — and every sync
+// point, the begin's included, defers to the close, so any vector costs the
+// one psync a single operation costs; under EngineIsb the begin is one
+// write-back and one psync, a window's sync points defer to the leg
+// boundaries (still one psync per leg) and a transaction stays unscoped,
+// every leg psync where Algorithms 1–2 put it. Between two legs the previous
+// response goes to its result slot, stamped with the admission number
+// (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
+// — the slot's line joins the process's carry set and rides its next barrier,
+// normally the next leg's install barrier, ahead of anything that leg makes
+// durable. The last leg's response stays in its engine's tracking record.
+// Read-only kinds run on the zero-persist path but still occupy their
+// position: their response is stamped at the next boundary, which is what
+// makes a recovered in-flight read safe to re-execute — no later leg can have
+// taken effect before the read's own slot was durable.
 //
 // atomic makes the vector all-or-nothing across a crash: its commit point is
 // slot 0 stamped, durable strictly before the second leg takes any effect (see
@@ -131,8 +134,9 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 	}
 	scoped := !atomic || ads[0].e.Batched()
 	if scoped {
-		// Opened ahead of the begin sequence so that its write-backs overlap
-		// too; the begin psync is explicit, not an engine sync point.
+		// Opened ahead of the begin sequence: under EngineIsbOpt the begin
+		// then defers its write-back and its psync, and under EngineIsb its
+		// write-backs overlap while its psync stays explicit.
 		p.OpenSyncScope()
 	}
 	ads[0].e.Begin(p, atomic, rec[:len(legs)], others...)
@@ -156,8 +160,8 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 // ApplyWindow runs ops on s as ONE admission window and returns their
 // responses in order: one durable announcement — the leg array, a count, a
 // checksum and stamped result slots — replaces the per-operation
-// announcements, so the whole window is admitted under a single psync (see
-// submit for what the rest costs). A window of one is a vector of one.
+// announcements, so the whole window is admitted under a single begin (see
+// submit for what it costs). A window of one is a vector of one.
 //
 // Crash semantics (see RecoverAll): the window's report entry partitions
 // its operations into a completed prefix (responses read back from the

@@ -137,8 +137,11 @@ func main() {
 					// the new announcement re-reports the old one — for a
 					// re-submitted remainder, the crashed window's own — and
 					// its entries can equal the pending operations (worker
-					// 3's sixth window holds "delete 19" first and last). A
-					// crash inside Begin submitted nothing: drop its report.
+					// 3's sixth window holds "delete 19" first and last). The
+					// bare begin is eager under either engine, where a
+					// window's own begin under Isb-Opt is not: its record
+					// rides the window's first barrier. A crash inside Begin
+					// submitted nothing: drop its report.
 					for !rt.Run(func() { store.Begin(p) }) {
 						group.Park()
 						group.Report(w)

@@ -21,7 +21,8 @@ import (
 type Instance struct {
 	Heap *pmem.Heap
 	// Prepare, when non-nil, is the system-side step that runs before the
-	// fault is armed (Applier.Begin); its accesses are not swept.
+	// fault is armed (Applier.Begin, a bare begin, eager under either
+	// engine); its accesses are not swept.
 	Prepare func()
 	// Run is the admission itself: it returns the responses, in order, or
 	// why it could not.

@@ -145,16 +145,16 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	e.untag(p, per, info, tagged, false)
 	if invoker && e.batched && p.InSyncScope() {
 		// Under Isb-Opt inside a sync scope the invoker does not end the
-		// phase: its lines ride this process's next barrier on the engine,
+		// phase: its lines ride this process's next barrier, on any engine,
 		// normally the next install's, and the record and its retired-class
-		// operands retire after that install (retireAffected holds them, see
-		// retireLast). The response does not wait: the result is durable
-		// since the update phase. Until that barrier the one record whose
-		// cleanup may be volatile is the one RD_q names, and neither it nor
-		// its retired-class operands have been retired. Its surviving nodes
-		// are untagged in volatile memory, so others may change and recycle
-		// them: Help re-runs the update phase only while every one of them
-		// still holds the tag (Settle finishes the cleanup after a crash).
+		// operands retire after this engine's next install (retireAffected
+		// holds them, see retireLast). The response does not wait: the result
+		// is durable since the update phase. Until that barrier the one record
+		// whose cleanup may be volatile is the one RD_q names, and neither it
+		// nor its retired-class operands have been retired. Its surviving
+		// nodes are untagged in volatile memory, so others may change and
+		// recycle them: Help re-runs the update phase only while every one of
+		// them still holds the tag (Settle finishes the cleanup after a crash).
 		per.Defer()
 		e.batchSyncs[p.ID()]++
 		return
@@ -193,11 +193,13 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // return result if set.
 //
 // Under the Isb placement every one of those psyncs issues where it is
-// written. Under Isb-Opt the operation is a sync scope of one: the begin
-// psync opens it, every sync point after it defers, and one psync closes it
-// before the response is returned — what a batch window of one pays. Isb-Opt
-// also drops the RD_q := Null / CP_q := 1 prologue: CP_q rides the first
-// install's RD_q write-back (see runAttempts).
+// written. Under Isb-Opt the operation is a sync scope of one, opened ahead of
+// the begin (Ops.ApplyOp): the begin writes nothing back — its record rides
+// the install barrier — every sync point defers, and one psync closes the
+// scope before the response is returned, what a batch window of one pays.
+// Isb-Opt also drops the RD_q := Null / CP_q := 1 prologue: CP_q rides the
+// first install's RD_q write-back (see runAttempts). An elimination stack's
+// begin stays eager, and its scope opens here, after the exchange.
 func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
 		return e.runAttempts(p, opType, argKey, gather, 0)
@@ -462,11 +464,15 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	if p.Load(cp) != p.Admission() || info == pmem.Null {
 		return RespNone, false
 	}
-	// Defense for a crash inside the begin: its write-back raises the
-	// admission number before anything else of the new operation (README,
-	// "Recovery workflow"), so a crash ahead of that leaves the number, CP_q
-	// and RD_q the previous operation's. If RD_q still describes a different
-	// operation, this one made no changes.
+	// Defense for a crash before the begin's record is durable — inside an
+	// eager begin's write-back, or under Isb-Opt anywhere ahead of the
+	// admission's first barrier, which carries the record: the raised
+	// admission number persists with the record, before anything else of the
+	// new operation (README, "Recovery workflow"), so such a crash leaves the
+	// number, CP_q and RD_q the previous operation's. If RD_q still describes
+	// a different operation, this one made no changes; if it describes an
+	// identical one, recovery re-reports that operation, which is stale, and
+	// only an identity in the argument tells the caller so (repro.MatchReport).
 	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
 		p.Load(info+offSeq) != seq {
 		return RespNone, false
@@ -497,10 +503,11 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 // process may tag, unlink and recycle them. Help therefore re-runs the update
 // phase only while every CleanupSet node still holds the tag, and otherwise
 // just the untags. Settle helps as any helper does, in a sync scope it closes
-// without a psync of its own: its write-backs are complete when it returns,
-// and the process's next psync (the begin's, or recovery's) orders them
-// before anything that could depend on them. Under Isb every cleanup ends
-// with its barrier, and there is nothing to finish.
+// without a psync of its own: its write-backs are complete when it returns —
+// PWB is clflush-class, as every deferred sync point assumes — and the
+// process's next psync (the close of the admission's scope, an eager begin's,
+// or recovery's) accounts for them. Under Isb every cleanup ends with its
+// barrier, and there is nothing to finish.
 func (e *Engine) Settle(p *pmem.Proc) {
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
@@ -573,38 +580,39 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	}
 }
 
-// Boundary closes leg seq-1 of the announced vector and opens leg seq, which
-// runs on this engine: the previous leg's response goes into its result slot,
-// stamped with the admission number (pmem.Proc.StoreLegResult) — for an
-// atomic vector, slot 0 stamped is the commit point. The previous leg's
-// tracking record retires once the next install moves RD_q off it
-// (retireLast).
+// Boundary closes leg seq-1 of the announced vector and opens leg seq: the
+// previous leg's response goes into its result slot, stamped with the
+// admission number (pmem.Proc.StoreLegResult) — for an atomic vector, slot 0
+// stamped is the commit point. The previous leg's tracking record retires
+// once the next install on its engine moves RD_q off it (retireLast).
 //
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
-// into. Under Isb-Opt the boundary writes nothing back and defers its psync
-// to the scope's close: the slot's line rides this engine's next barrier (the
-// persister's carry set, which also holds the deferred cleanup), which a
-// mutating leg seq issues as its install barrier, before RD_q moves and before
-// any tag. No leg takes a durable effect ahead of its install barrier, and a
-// read leg takes none at all: what a leg can write back before it is the
-// barriers of operations it helps first, which carry the line sooner, and the
-// reclaimer's slab directory, which records no operation's effect. So a
-// crash before that barrier finds the slot unstamped and leg seq-1 at the
-// derived cursor, with RD_q still naming its record if it mutated
-// (recoverSeq, resolveSeq). The slot of a leg followed only by reads may
-// never be written back: RD_q keeps that leg's record until the next
-// admission. A window's legs share one engine and a transaction has one
-// boundary, so the line always waits on the engine of the next leg that can
-// take effect.
+// into. Under Isb-Opt the boundary defers its psync to the scope's close and
+// writes nothing back of its own — only the first boundary of a vector that
+// leads with a read writes back the still-carried announcement, before the
+// slot's stores (pmem.Proc.StoreLegResult) — and the slot's line joins the process's carry set
+// (pmem.Proc.Carry), which its next barrier writes back, on whichever engine
+// — a mutating leg's install barrier, before RD_q moves and before any tag,
+// or sooner, the barrier of an operation the leg helps. No leg takes a
+// durable effect ahead of its install barrier, and a read leg takes none at
+// all; the reclaimer's slab directory, which can be written back sooner,
+// records no operation's effect. So a crash before that barrier finds the
+// slot unstamped and leg seq-1 at the derived cursor, with RD_q still naming
+// its record if it mutated (recoverSeq, resolveSeq). The slot of a leg
+// followed only by reads may never be written back: RD_q keeps that leg's
+// record until the next admission.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
-	e.per(p).Carry(p.StoreLegResult(seq-1, prevResp))
-	if p.InSyncScope() {
-		if e.batched {
-			e.batchSyncs[p.ID()]++
-		} else {
-			p.PSync()
-		}
+	slot := p.StoreLegResult(seq-1, prevResp)
+	switch {
+	case e.batched:
+		p.Carry(slot)
+		e.batchSyncs[p.ID()]++
+	case p.InSyncScope():
+		p.PWB(slot)
+		p.PSync()
+	default:
+		p.PWB(slot)
 	}
 }
 

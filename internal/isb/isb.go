@@ -417,23 +417,45 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 // the bare step a crash harness runs before each invocation (Ops.Begin). e is
 // leg 0's engine.
 //
-// It is one write-back and one psync: reset every involved engine, then
-// announce the legs (or begin bare), which raises the process's admission
-// number — CP_q := 0 on every engine at once, the exchanger's CP_ex included —
-// durably before any leg, or any pre-engine effect such as the stack's
-// elimination attempt, can take effect. A crash inside Begin leaves the
-// previous announcement under its own number, which recovery re-reports
-// idempotently, or no valid record: this admission provably performed no
-// tracked writes and is simply re-submitted.
+// It resets every involved engine, then announces the legs (or begins bare),
+// which raises the process's admission number — CP_q := 0 on every engine at
+// once, the exchanger's CP_ex included. Where that begin is eager it is one
+// write-back and one psync, durable before any leg, or any pre-engine effect
+// such as the stack's elimination attempt, can take effect; a crash inside it
+// leaves the previous announcement under its own number, which recovery
+// re-reports idempotently, or no valid record: this admission provably
+// performed no tracked writes and is simply re-submitted.
+//
+// Under Isb-Opt, an announcement inside a sync scope — the admitting runtime
+// opens it ahead of the begin, and ApplyOp does unless an elimination layer
+// runs first — writes nothing back and issues no psync: the record's lines
+// join the process's carry set (pmem.Proc.AnnounceCarried), and the begin
+// psync is one more sync point deferred to the scope's close. The
+// admission's first barrier writes the record back: its first install's, a
+// tag or update barrier of an operation it helps first, or, for a vector
+// that leads with a read, the one its first boundary issues before storing
+// slot 0 (pmem.Proc.StoreLegResult). That barrier's fence precedes RD_q's
+// write-back, every CP_q raise, every tag and every result slot, so no
+// tracked effect of the admission can be durable before its record is, and
+// a crash ahead of it finds what a crash inside an eager begin finds. A
+// single read never writes its record back. Three begins stay eager,
+// each for its own reason: the bare begin, which is the paper's system-side
+// step itself; the elimination stack's, whose exchange takes effect outside
+// any engine barrier; and every Isb begin, the paper's placement as written.
 func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*Engine) {
 	e.reset(p)
 	for _, o := range others {
 		o.reset(p)
 	}
-	if e.annID != 0 && len(legs) > 0 {
-		p.Announce(atomic, legs...)
-	} else {
+	switch {
+	case e.annID == 0 || len(legs) == 0:
 		p.ClearAnnounce()
+	case e.batched && p.InSyncScope():
+		p.AnnounceCarried(atomic, legs...)
+		e.batchSyncs[p.ID()]++
+		return
+	default:
+		p.Announce(atomic, legs...)
 	}
 	p.PSync()
 }

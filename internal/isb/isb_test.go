@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/pmem"
 )
@@ -357,5 +358,13 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 				t.Fatalf("opt=%v %s: %d words used on a %d-word heap", opt, c.name, used, 1<<16)
 			}
 		}
+	}
+}
+
+// TestPersisterFillsCacheLine pins the batched persister's padding: each
+// process writes its own at every barrier, so two must not share a cache line.
+func TestPersisterFillsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(batchPersister{}); n != pmem.WordsPerLine*8 {
+		t.Fatalf("a batchPersister is %d bytes, want one %d-byte cache line: adjust its padding", n, pmem.WordsPerLine*8)
 	}
 }

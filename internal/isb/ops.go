@@ -57,7 +57,9 @@ func (o *Ops) ReadOnly(kind uint64) bool { return slices.Contains(o.reads, kind)
 
 // Begin is the system-side invocation step of the paper's model (CP_q := 0,
 // here the raise of the admission number every CP register is read against):
-// a bare begin, announcing nothing. A crash harness runs it before each
+// a bare begin, announcing nothing, and eager under both placements — one
+// write-back and one psync — so the previous record is retired durably
+// before the invocation it precedes. A crash harness runs it before each
 // invocation; standalone callers need not, since ApplyOp begins on entry.
 func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 
@@ -66,11 +68,17 @@ func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 // step if one is set — the announcement is durable before it can take effect,
 // and a timed-out attempt enters the engine under the same announcement —
 // then leg 0 through the engine (runOp). A kind with no gather takes the
-// zero-persist read instead.
+// zero-persist read instead. Under Isb-Opt without elimination the
+// operation's sync scope opens ahead of the begin, whose record then rides
+// the install barrier (Engine.Begin); the elimination step needs the eager
+// begin.
 func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	g := o.gather(kind, arg)
 	if g == nil {
 		return o.read(p, kind, arg)
+	}
+	if o.e.batched && o.eliminate == nil {
+		p.OpenSyncScope()
 	}
 	o.e.Begin(p, false, []pmem.Leg{{StructID: o.e.annID, Kind: kind, Arg: arg}})
 	if o.eliminate != nil {

@@ -1,10 +1,6 @@
 package isb
 
-import (
-	"slices"
-
-	"repro/internal/pmem"
-)
+import "repro/internal/pmem"
 
 // persister decides where an engine's persistence instructions go. The
 // engine reports every persistent word (or freshly allocated range) it
@@ -16,12 +12,12 @@ import (
 // end of the phase, before the psync").
 //
 // Crash contract: after EndPhase returns, everything reported since the
-// previous EndPhase is durable, and so is a phase ended by Defer once a later
-// phase has been written back. Under the batched placement nothing in the
-// phase is guaranteed durable before that point, so a crash mid-phase may
-// leave the phase fully absent from persistent memory; Help and recoverSeq
-// tolerate both outcomes because every phase is idempotent and re-runnable
-// from its Info record.
+// previous EndPhase is durable, and so is a phase ended by Defer once the
+// process's next barrier, on any engine, has run. Under the batched placement
+// nothing in the phase is guaranteed durable before that point, so a crash
+// mid-phase may leave the phase fully absent from persistent memory; Help and
+// recoverSeq tolerate both outcomes because every phase is idempotent and
+// re-runnable from its Info record.
 //
 // A persister is bound to one Proc and therefore used by one goroutine at a
 // time; the Engine keeps one per process.
@@ -40,12 +36,11 @@ type persister interface {
 	// before any instruction after it.
 	EndPhase()
 	// Defer ends the current phase without writing it back: its writes join
-	// the next phase that is written back, whichever that is.
+	// the process's next barrier (pmem.Proc.Carry), whichever engine issues it.
 	Defer()
-	// Carry records one word written outside any phase whose write-back may
-	// wait for the next barrier, like a deferred phase's.
-	Carry(a pmem.Addr)
-	// Deferred reports whether writes Defer or Carry moved are still waiting.
+	// Deferred reports whether this persister's last phase ended with Defer
+	// and none of its own barriers has run since. Lines other code carried —
+	// the announcement, a result slot — do not count.
 	Deferred() bool
 }
 
@@ -61,7 +56,6 @@ func (e *eagerPersister) WroteRange(a pmem.Addr, words uint64) { e.p.PBarrierRan
 func (e *eagerPersister) Flush()                               {}
 func (e *eagerPersister) EndPhase()                            { e.p.PSync() }
 func (e *eagerPersister) Defer()                               {} // every write is already back
-func (e *eagerPersister) Carry(a pmem.Addr)                    { e.p.PWB(a) }
 func (e *eagerPersister) Deferred() bool                       { return false }
 
 // batchPersister is the hand-tuned placement (Isb-Opt): dirty lines
@@ -71,27 +65,29 @@ func (e *eagerPersister) Deferred() bool                       { return false }
 // adjacent-duplicate check, so a run of stores to one line — the common
 // phase shape — costs one slot, keeping large phases' scratch small. The
 // capacity of the dirty slice is retained across phases, so steady-state
-// operation does not allocate. A deferred phase's lines wait in carry, which
-// Reset leaves alone, until the next barrier writes them back with its own.
+// operation does not allocate. A deferred phase's lines go to the process's
+// carry set (pmem.Proc.Carry), which the next barrier on any engine writes
+// back with its own; deferred remembers that this persister deferred one.
 type batchPersister struct {
-	p            *pmem.Proc
-	dirty, carry []pmem.Addr
+	p        *pmem.Proc
+	dirty    []pmem.Addr
+	deferred bool
+	// Each process's persister is written at every barrier: the padding makes
+	// it a cache line of its own (TestPersisterFillsCacheLine).
+	_ [24]byte
 }
 
 func (b *batchPersister) Reset() { b.dirty = b.dirty[:0] }
 
 func (b *batchPersister) Defer() {
-	b.carry = append(b.carry, b.dirty...)
-	b.dirty = b.dirty[:0]
-}
-
-func (b *batchPersister) Carry(a pmem.Addr) {
-	if l := a &^ (pmem.WordsPerLine - 1); !slices.Contains(b.carry, l) {
-		b.carry = append(b.carry, l)
+	for _, l := range b.dirty {
+		b.p.Carry(l)
 	}
+	b.dirty = b.dirty[:0]
+	b.deferred = true
 }
 
-func (b *batchPersister) Deferred() bool { return len(b.carry) > 0 }
+func (b *batchPersister) Deferred() bool { return b.deferred }
 
 // note records line l as dirty unless it was the line recorded last.
 func (b *batchPersister) note(l pmem.Addr) {
@@ -115,17 +111,16 @@ func (b *batchPersister) WroteRange(a pmem.Addr, words uint64) {
 	}
 }
 
-// Flush issues the phase's barrier, which also carries any deferred lines. A
-// phase that wrote nothing issues none, deferred lines or not: they wait for
-// a barrier that is paid anyway.
+// Flush issues the phase's barrier, which also writes back every carried
+// line. A phase that wrote nothing issues none, carried lines or not: they
+// wait for a barrier that is paid anyway.
 func (b *batchPersister) Flush() {
 	if len(b.dirty) == 0 {
 		return
 	}
-	b.dirty = append(b.dirty, b.carry...)
-	b.carry = b.carry[:0]
 	b.p.PBarrierAddrs(b.dirty)
 	b.dirty = b.dirty[:0]
+	b.deferred = false
 }
 
 func (b *batchPersister) EndPhase() {

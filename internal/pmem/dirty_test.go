@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // drive applies one pseudo-random store/pwb/barrier/psync step to a heap.
@@ -280,5 +281,15 @@ func TestReleaseRecyclesCleanImages(t *testing.T) {
 	// sync.Pool may drop a Put (it does so at random under -race), never all.
 	if reused == 0 {
 		t.Fatal("no heap was ever built from released images")
+	}
+}
+
+// TestProcFillsCacheLines pins the Proc padding: Procs run on different
+// goroutines and write their counters at every access, so a Proc that did
+// not fill whole cache lines would share one with its neighbour in the
+// allocator's size class and slow both down.
+func TestProcFillsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n%(WordsPerLine*8) != 0 {
+		t.Fatalf("a Proc is %d bytes, not a whole number of %d-byte cache lines: adjust its padding", n, WordsPerLine*8)
 	}
 }

@@ -173,7 +173,9 @@ const reservedWords = WordsPerLine
 // admission number it was written under (Proc.CloseLeg). A line persists as a
 // unit and the number is stored after the response, so a slot stamped with
 // the current admission number holds its leg's durable response; a slot of an
-// older admission never matches, the number being monotone. The completed
+// older admission never matches, the number being monotone: no slot is
+// stamped before its record's header is written back (StoreLegResult), so a
+// number a crash rolls back was never stamped. The completed
 // prefix is derived from the stamps: legs below the first unstamped slot have
 // durable responses, the leg at it is the one possibly in flight, and legs
 // above it never took effect. The last leg never gets a slot — its response

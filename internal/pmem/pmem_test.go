@@ -517,6 +517,7 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 				for i := 0; i < oldN-1; i++ {
 					p.CloseLeg(i, uint64(9+i))
 				}
+				oldAdm := p.Admission()
 				p.writeAnnouncement(false, newLegs)
 				a := h.annAddr(0)
 				for l := 0; l < lines; l++ {
@@ -527,7 +528,7 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 				h.Crash()
 				h.ResetAfterCrash()
 				legs, cursor, atomic, ok := announced(p)
-				isOld := ok && atomic && cursor == oldN-1 && slices.Equal(legs, oldLegs)
+				isOld := ok && atomic && cursor == oldN-1 && slices.Equal(legs, oldLegs) && p.Admission() == oldAdm
 				for i := 0; isOld && i < cursor; i++ {
 					isOld = p.LegResult(i) == uint64(9+i)
 				}
@@ -608,46 +609,68 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // stamped under the current admission beside a stale response. The slot
 // still holds a different response from the previous admission, stamped
 // under its number, so a stamp stored ahead of the response would show.
+//
+// In the carried rows the record is written with AnnounceCarried, and the
+// first slot write is also the record's first write-back: a crash before it
+// must find the previous record under the previous number with its own
+// responses, never with the new response in a slot it still reads as
+// stamped, and a crash after it the new record.
 func TestLegResultEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
-	for i := 0; i < len(legs)-1; i++ {
-		points := 0
-		for k := uint64(1); ; k++ {
-			h := newTracked(t, 1)
-			p := h.Proc(0)
-			p.Announce(false, legs...)
-			for j := 0; j < len(legs)-1; j++ {
-				p.CloseLeg(j, 50+uint64(j))
-			}
-			p.Announce(false, legs...)
-			for j := 0; j < i; j++ {
-				p.CloseLeg(j, 100+uint64(j))
-			}
-			h.ScheduleCrashAt(h.AccessCount() + k)
-			done := RunOp(func() { p.CloseLeg(i, 100+uint64(i)) })
-			h.DisarmCrash()
-			h.persistLine(lineOf(h.annAddr(0) + annResults + Addr(2*i)))
-			h.Crash()
-			h.ResetAfterCrash()
-			n, cursor, _, ok := p.Announcement()
-			switch {
-			case !ok || n != len(legs):
-				t.Fatalf("slot %d, crash at access %d: no valid record (n %d, ok %v)", i, k, n, ok)
-			case cursor != i && cursor != i+1, done && cursor != i+1:
-				t.Fatalf("slot %d, crash at access %d (write done %v): cursor %d", i, k, done, cursor)
-			}
-			for j := 0; j < cursor; j++ {
-				if got := p.LegResult(j); got != 100+uint64(j) {
-					t.Fatalf("slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", i, k, j, got, 100+j)
+	for _, carried := range []bool{false, true} {
+		for i := 0; i < len(legs)-1; i++ {
+			points := 0
+			for k := uint64(1); ; k++ {
+				h := newTracked(t, 1)
+				p := h.Proc(0)
+				p.Announce(false, legs...)
+				for j := 0; j < len(legs)-1; j++ {
+					p.CloseLeg(j, 50+uint64(j))
 				}
+				oldAdm := p.Admission()
+				if carried {
+					p.AnnounceCarried(false, legs...)
+				} else {
+					p.Announce(false, legs...)
+				}
+				for j := 0; j < i; j++ {
+					p.CloseLeg(j, 100+uint64(j))
+				}
+				h.ScheduleCrashAt(h.AccessCount() + k)
+				done := RunOp(func() { p.CloseLeg(i, 100+uint64(i)) })
+				h.DisarmCrash()
+				h.persistLine(lineOf(h.annAddr(0) + annResults + Addr(2*i)))
+				h.Crash()
+				h.ResetAfterCrash()
+				n, cursor, _, ok := p.Announcement()
+				old := p.Admission() == oldAdm
+				switch {
+				case !ok || n != len(legs):
+					t.Fatalf("carried %v, slot %d, crash at access %d: no valid record (n %d, ok %v)", carried, i, k, n, ok)
+				case old && (!carried || i > 0 || done):
+					t.Fatalf("carried %v, slot %d, crash at access %d (write done %v): the record under the previous number survived", carried, i, k, done)
+				case old && cursor != len(legs)-1:
+					t.Fatalf("carried %v, slot %d, crash at access %d: the previous record reads cursor %d, want %d", carried, i, k, cursor, len(legs)-1)
+				case !old && (cursor != i && cursor != i+1 || done && cursor != i+1):
+					t.Fatalf("carried %v, slot %d, crash at access %d (write done %v): cursor %d", carried, i, k, done, cursor)
+				}
+				want := uint64(100)
+				if old {
+					want = 50
+				}
+				for j := 0; j < cursor; j++ {
+					if got := p.LegResult(j); got != want+uint64(j) {
+						t.Fatalf("carried %v, slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", carried, i, k, j, got, want+uint64(j))
+					}
+				}
+				if done {
+					break
+				}
+				points++
 			}
-			if done {
-				break
+			if points < 3 {
+				t.Fatalf("carried %v, slot %d: only %d crash points; the sweep is not reaching every store", carried, i, points)
 			}
-			points++
-		}
-		if points < 3 {
-			t.Fatalf("slot %d: only %d crash points; the sweep is not reaching every store", i, points)
 		}
 	}
 }

@@ -33,6 +33,12 @@ type Proc struct {
 	// flushLines); its capacity is retained across barriers.
 	lineScratch []Addr
 
+	// carry holds the lines whose write-back waits for this process's next
+	// barrier, on whichever engine it is issued (see Carry). Go-side, and
+	// left alone by a crash: a carried line that a crash reverted is clean,
+	// and the barrier that finally names it writes back nothing.
+	carry []Addr
+
 	// syncScope is set while an admission — one operation, a batch window or
 	// a transaction — has a sync scope open on this process: the ISB engines'
 	// sync points defer to the scope's one closing psync instead of issuing,
@@ -45,7 +51,18 @@ type Proc struct {
 	// every recovery entry point for an individual one — is the one teardown.
 	syncScope bool
 
+	// annCarried is set while this process's announcement record waits in
+	// the carry set for its first write-back (AnnounceCarried) and cleared by
+	// the barrier that writes it back; StoreLegResult writes it back first
+	// if it is still set.
+	annCarried bool
+
 	spinSink uint64 // defeats dead-code elimination of latency spins
+
+	// Procs run on different goroutines and write their counters at every
+	// access: the padding makes a Proc a whole number of cache lines, so two
+	// never share one (TestProcFillsCacheLines).
+	_ [48]byte
 }
 
 // ID returns the process id (0-based).
@@ -219,16 +236,35 @@ func (p *Proc) PSync() {
 	}
 }
 
-// flushLines write-backs each distinct cache line covering addrs exactly
-// once, in ascending line order. Dedup is exact for any phase size — no
-// fixed window beyond which duplicates would be re-flushed — and reuses the
-// per-proc scratch buffer, so steady-state barriers perform zero Go
-// allocations (pinned by TestBarrierZeroAllocs).
+// Carry hands the line containing a to this process's next barrier
+// (PBarrierAddrs, PBarrierRange), whichever structure or engine issues it: a
+// line whose durability only has to precede what that barrier's fence
+// orders. The line is written back with the barrier's own and leaves the
+// carry set; until then a crash may or may not find it persisted. Lines are
+// kept once however often they are carried.
+func (p *Proc) Carry(a Addr) {
+	if p.h.model == PrivateCache {
+		return
+	}
+	if l := lineOf(a); !slices.Contains(p.carry, l) {
+		p.carry = append(p.carry, l)
+	}
+}
+
+// flushLines write-backs each distinct cache line covering addrs or carried
+// (Carry) exactly once, in ascending line order, and empties the carry set.
+// Dedup is exact for any phase size — no fixed window beyond which
+// duplicates would be re-flushed — and reuses the per-proc scratch buffer, so
+// steady-state barriers perform zero Go allocations (pinned by
+// TestBarrierZeroAllocs).
 func (p *Proc) flushLines(addrs []Addr) {
 	ls := p.lineScratch[:0]
 	for _, a := range addrs {
 		ls = append(ls, lineOf(a))
 	}
+	ls = append(ls, p.carry...)
+	p.carry = p.carry[:0]
+	p.annCarried = false
 	slices.Sort(ls)
 	ls = slices.Compact(ls)
 	p.lineScratch = ls
@@ -247,11 +283,11 @@ func (p *Proc) PBarrier(addrs ...Addr) {
 }
 
 // PBarrierAddrs issues one barrier (single pfence, counted once) covering
-// the cache lines of all given addresses, flushing each distinct line
-// exactly once however many there are. This is the hand-tuned batching the
-// paper describes: "all pwb instructions can be issued at the end of the
-// phase, before the psync; a single pwb flushes all fields fitting in a
-// cache line."
+// the cache lines of all given addresses and every carried line (Carry),
+// flushing each distinct line exactly once however many there are. This is
+// the hand-tuned batching the paper describes: "all pwb instructions can be
+// issued at the end of the phase, before the psync; a single pwb flushes all
+// fields fitting in a cache line."
 func (p *Proc) PBarrierAddrs(addrs []Addr) {
 	p.checkCrash()
 	if p.h.model == PrivateCache {
@@ -262,7 +298,8 @@ func (p *Proc) PBarrierAddrs(addrs []Addr) {
 	p.stats.Fences++
 }
 
-// PBarrierRange issues a barrier covering [a, a+words).
+// PBarrierRange issues a barrier covering [a, a+words) and every carried
+// line (Carry).
 func (p *Proc) PBarrierRange(a Addr, words uint64) {
 	p.checkCrash()
 	if p.h.model == PrivateCache {
@@ -274,6 +311,14 @@ func (p *Proc) PBarrierRange(a Addr, words uint64) {
 		p.stats.LineFlushes++
 		p.pwb(line)
 	}
+	for _, line := range p.carry {
+		if line < lineOf(a) || line >= end {
+			p.stats.LineFlushes++
+			p.pwb(line)
+		}
+	}
+	p.carry = p.carry[:0]
+	p.annCarried = false
 	p.stats.Fences++
 }
 
@@ -318,7 +363,7 @@ type Leg struct {
 // layout above annSum.
 //
 // Announce issues one pwb per touched line — one for a single operation or a
-// two-leg transaction — and no psync: the caller's next psync (the begin
+// two-leg transaction — and no psync: the caller's next psync (an eager begin
 // sequence's, see isb.Engine.Begin) orders them. It raises the admission
 // number (see Admission), and the write order is what makes a crash inside it
 // safe: the raised number first, which invalidates the previous record — and
@@ -336,6 +381,25 @@ func (p *Proc) Announce(atomic bool, legs ...Leg) {
 		p.PWB(line)
 	}
 	p.PWB(a)
+	p.annCarried = false
+}
+
+// AnnounceCarried is Announce with its write-backs handed to the carry set
+// (Carry): the record's lines persist with this process's next barrier, and a
+// crash before it finds the previous record under the previous number — or,
+// where an eviction took some of the lines, no valid record — exactly as a
+// crash inside Announce does. The caller must let nothing the admission does
+// take a durable effect before that barrier, whose fence then orders the
+// record ahead of it (an Isb-Opt begin, see isb.Engine.Begin). The first
+// result slot the admission stores also waits for the record: StoreLegResult
+// writes a still-carried record back first, so a read leading a vector pays
+// that barrier. An admission of one read never writes its record back.
+func (p *Proc) AnnounceCarried(atomic bool, legs ...Leg) {
+	end := p.writeAnnouncement(atomic, legs)
+	for line := p.h.annAddr(p.id); line < end; line += WordsPerLine {
+		p.Carry(line)
+	}
+	p.annCarried = true
 }
 
 // writeAnnouncement is Announce's stores without its write-backs; it returns
@@ -372,12 +436,15 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 // ClearAnnounce is the bare begin: an admission that announces nothing. It
 // raises the admission number and empties the record, in one write-back of
 // the header line and no psync (the caller's orders it). Engines built outside
-// a Runtime begin with it, and so does a crash harness's system-side step.
+// a Runtime begin with it, and so does a crash harness's system-side step. It
+// is eager under every placement: it is the paper's system-side CP_q := 0,
+// durable before the invocation it precedes.
 func (p *Proc) ClearAnnounce() {
 	a := p.h.annAddr(p.id)
 	p.Store(a+annAdmission, p.Admission()+1)
 	p.Store(a+annSum, 0)
 	p.PWB(a)
+	p.annCarried = false
 }
 
 // Admission returns this process's admission number, raised by every begin
@@ -386,8 +453,10 @@ func (p *Proc) ClearAnnounce() {
 func (p *Proc) Admission() uint64 { return p.Load(p.h.annAddr(p.id) + annAdmission) }
 
 // OpenSyncScope opens a sync scope on this process (see the syncScope
-// field). The caller has just issued the psync that publishes the
-// admission's announcement; CloseSyncScope issues the one that ends it.
+// field). The admitting runtime opens it ahead of the begin: under Isb-Opt
+// the begin's psync is then one more deferred sync point, its record riding
+// the admission's first barrier; CloseSyncScope issues the one psync that
+// ends the scope.
 func (p *Proc) OpenSyncScope() { p.syncScope = true }
 
 // CloseSyncScope closes the open sync scope with the single psync every
@@ -416,9 +485,20 @@ func (p *Proc) CloseLeg(i int, resp uint64) { p.PWB(p.StoreLegResult(i, resp)) }
 // must be nonzero (0 is the engine's ⊥), then the admission number beside it.
 // It returns the slot's address, whose line the caller writes back — at once,
 // or with a barrier that comes before anything a later leg makes durable.
+//
+// If the record is still carried (AnnounceCarried, no barrier since), it
+// first issues a barrier that writes it back. The slot then never changes
+// while the durable header still holds the previous admission: an eviction
+// that persisted the slot line could otherwise leave the previous record
+// valid with this admission's response in its slot, or a stamp above the
+// number a crash rolls back to, which the next begin would reuse.
 func (p *Proc) StoreLegResult(i int, resp uint64) Addr {
 	if resp == 0 {
 		panic("pmem: StoreLegResult with zero response")
+	}
+	if p.annCarried {
+		p.annCarried = false
+		p.PBarrierAddrs(nil)
 	}
 	s := p.h.annAddr(p.id) + annResults + Addr(2*i)
 	p.Store(s, resp)

@@ -79,8 +79,8 @@ func TestWindowCoalescing(t *testing.T) {
 	if p := st.Procs[0]; p.Windows != 1 || p.BatchFill[coalesceWindow] != 1 {
 		t.Fatalf("windows=%d fill[%d]=%d, want one full window", p.Windows, coalesceWindow, p.BatchFill[coalesceWindow])
 	}
-	if want := directWindowSyncs(); syncs != want || want != 2 {
-		t.Fatalf("window cost %d psyncs, direct ApplyWindow %d, want both 2", syncs, want)
+	if want := directWindowSyncs(); syncs != want || want != 1 {
+		t.Fatalf("window cost %d psyncs, direct ApplyWindow %d, want both 1", syncs, want)
 	}
 	if got := srvSide.Writes(); got != 1 {
 		t.Fatalf("server made %d Writes for one window's %d replies, want 1", got, coalesceWindow)
@@ -105,9 +105,9 @@ func TestWindowCoalescing(t *testing.T) {
 
 // TestServeMoveSyncPrice pins the other admission shape the server uses: a
 // MOVE is one ApplyTxn, and under Isb-Opt a transaction is one sync scope —
-// the begin psync that publishes its announcement and the one that closes
-// it — so a MOVE whose two legs both take effect costs the server's heap
-// exactly the 2 psyncs a window costs (serve_pingpong's syncs/op rests on
+// its announcement rides the first install barrier, and one psync closes the
+// scope — so a MOVE whose two legs both take effect costs the server's heap
+// exactly the 1 psync a window costs (serve_pingpong's syncs/op rests on
 // this count).
 func TestServeMoveSyncPrice(t *testing.T) {
 	cfg := coalesceConfig(false)
@@ -126,8 +126,8 @@ func TestServeMoveSyncPrice(t *testing.T) {
 	if err != nil || !deleted || !inserted {
 		t.Fatalf("move: deleted=%v inserted=%v err=%v, want both legs to take effect", deleted, inserted, err)
 	}
-	if got := heap.TotalStats().Syncs - before; got != 2 {
-		t.Fatalf("one MOVE cost %d psyncs, want 2", got)
+	if got := heap.TotalStats().Syncs - before; got != 1 {
+		t.Fatalf("one MOVE cost %d psyncs, want 1", got)
 	}
 	if st := s.Snapshot(); st.Procs[0].Moves != 1 {
 		t.Fatalf("admitted %d MOVE windows, want 1", st.Procs[0].Moves)

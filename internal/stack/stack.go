@@ -141,7 +141,9 @@ func (s *Stack) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // this one's. The begin provides both at once: its one write-back publishes
 // the announcement and raises the admission number that CP_q and CP_ex are
 // read against, which is why isb.Ops runs this after Begin, and why the
-// exchange runs under that admission (Offer) instead of beginning its own. An
+// exchange runs under that admission (Offer) instead of beginning its own.
+// That begin stays eager under Isb-Opt too: an exchange takes effect outside
+// any engine barrier, so no barrier would carry the record ahead of it. An
 // exchange that times out enters the engine under the same announcement: it
 // left its exchanger record partnerless or withdrawn, which probe reads as no
 // effect.

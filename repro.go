@@ -223,8 +223,8 @@ func (k StructKind) String() string {
 // structure implements. Begin is the system-side invocation step of the
 // paper's model (CP_q := 0): one write-back clears the announcement record
 // and raises the process's admission number, which every CP register is read
-// against. A crash inside Begin leaves no recovery obligation — the system
-// simply retries it. Apply runs one operation to completion, durably announcing
+// against, and one psync orders it, under either engine. A crash inside Begin
+// leaves no recovery obligation — the system simply retries it. Apply runs one operation to completion, durably announcing
 // (ID, Op) before the operation can take effect; RecoverOp is the
 // operation's recovery function, idempotent and re-invocable across
 // further crashes. A single operation is leg 0 of a vector of one: for the
@@ -457,18 +457,24 @@ type ProcReport struct {
 //     its announcement persisted; in the latter case the operation provably
 //     performed no tracked writes and can simply be re-submitted.
 //   - An announcement may describe an operation that had already completed
-//     (the crash landed between its completion and the end of the next
-//     Begin's write-back).
-//     Recovery of a completed operation is idempotent: it changes nothing
-//     and re-reports the operation's original response.
-//   - For exactly-once consumption of the report, call the structure's
-//     Begin(p) before each Apply, as the crash harnesses and examples do:
-//     Begin durably retires the previous operation's announcement, so any
-//     report entry for p is the current operation's. Without Begin, a
-//     report entry can be the previous operation's idempotent
-//     re-confirmation, which is indistinguishable from the in-flight one
-//     when two consecutive operations are identical — an application that
-//     acts on the reported response twice would double-apply it.
+//     (the crash landed between its completion and the write-back of the
+//     next admission's record: inside an eager begin, or under EngineIsbOpt
+//     anywhere before the next admission's first barrier, or after an
+//     admission that only read). Recovery of a completed operation is
+//     idempotent: it changes nothing and re-reports the operation's
+//     original response.
+//   - For exactly-once consumption of the report, tell a repeated identical
+//     operation apart from its predecessor: carry an identity in the
+//     announced Op.Arg (HashMap.SetArgMask through ApplyWindow or ApplyTxn,
+//     see MatchReport), or call the structure's Begin(p) before each Apply,
+//     as the crash harnesses and examples do: the bare begin is eager under
+//     either engine and durably retires the previous operation's
+//     announcement, so any report entry for p is the current operation's.
+//     Without either, a report entry can be the previous operation's
+//     idempotent re-confirmation, which is indistinguishable from the
+//     in-flight one when two consecutive operations are identical — an
+//     application that acts on the reported response twice would
+//     double-apply it.
 //   - RecoverAll may itself be interrupted by a further crash and re-run;
 //     announcements are only cleared by each process's next Begin (or the
 //     next operation's entry step).

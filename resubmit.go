@@ -11,9 +11,13 @@ package repro
 // unstarted suffix performed no tracked writes) — the completed prefix and
 // the recovered in-flight leg both deliver their durable responses — or the
 // first leg that does not match its pending position: that report is stale,
-// it belongs to an earlier, fully answered admission (the crash landed after
-// completion but before the next announcement retired it), and the durable
-// effects it describes were already delivered the first time. An atomic
+// it belongs to an earlier, fully answered admission, and the durable effects
+// it describes were already delivered the first time. A report is stale when
+// the crash landed after that admission completed and before the next one's
+// record was durable: inside an eager begin's write-back, or, under
+// EngineIsbOpt, anywhere between the begin and the admission's first
+// barrier, which is what writes its record back (a single read's never
+// is). An atomic
 // report resolves all of its legs or none: recovery rolls a committed
 // transaction's last leg forward before reporting, so a transaction that is
 // not wholly no-effect is wholly durable, and it must match pending
@@ -21,11 +25,17 @@ package repro
 // compares by the argument the caller submitted, not the derived one.
 //
 // deliver is called once per resolved operation, in order, with the
-// operation's index in pending and its durable response. Callers that key
-// operations by an identity riding Op.Arg (see HashMap.SetArgMask) get
-// exact stale-report rejection for free: a stale leg's Arg carries the old
+// operation's index in pending and its durable response. A stale report of
+// an operation identical to the pending one — same kind, same Arg — matches,
+// and delivers the old response for an operation that took no effect: a
+// repeated identical operation is told apart exactly only by an identity
+// riding the announced Op.Arg, or by a bare begin (Structure.Begin) between
+// the two admissions, whose eager write-back retires the old record. Callers
+// that key operations by an identity riding Op.Arg through ApplyWindow or
+// ApplyTxn (see HashMap.SetArgMask; Apply announces the masked key) get exact
+// stale-report rejection for free: a stale leg's Arg carries the old
 // admission's identity and cannot equal the pending one's. Pinned by
-// TestMatchReport.
+// TestMatchReport and TestIdentityRejectsStaleReport.
 func MatchReport(rep ProcReport, pending []Op, deliver func(i int, op Op, resp Resp)) int {
 	n := 0
 	for n < len(rep.Legs) && n < len(pending) && rep.Legs[n].Status != OpNoEffect && rep.Legs[n].Op == pending[n] {
