@@ -7,20 +7,6 @@ import (
 	"repro/internal/pmem"
 )
 
-// dirtyLines lists the cache lines whose volatile image differs from the
-// persisted one: at a crash, the lines an eviction could still persist.
-func dirtyLines(h *pmem.Heap) []pmem.Addr {
-	var out []pmem.Addr
-	for w := pmem.Addr(0); w < pmem.Addr(min(h.Used(), h.Capacity())); w++ {
-		if h.ReadVolatile(w) != h.ReadPersisted(w) {
-			line := w &^ (pmem.WordsPerLine - 1)
-			out = append(out, line)
-			w = line + pmem.WordsPerLine - 1
-		}
-	}
-	return out
-}
-
 // legOps lists a report's announced operations.
 func legOps(rep ProcReport) []Op {
 	ops := make([]Op, len(rep.Legs))
@@ -162,7 +148,7 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 							if line != pmem.Null {
 								p.PWB(line)
 							} else {
-								dirty = dirtyLines(rt.Heap())
+								dirty = rt.Heap().DivergedLines()
 							}
 							rt.Restart()
 							if ks := v.src.Keys(); !slices.Equal(ks, keys) || len(v.dst.Keys()) != 0 || !slices.Equal(v.aux.Keys(), pr.aux) {

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isb"
@@ -68,7 +71,7 @@ func TestEngineBatchingReducesPersistence(t *testing.T) {
 // a time through Apply (batch <= 1) or in ApplyWindow windows, and returns
 // the workload's canonical metrics.
 func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64) isb.Stats {
-	rt := New(Config{Procs: 1, HeapWords: 1 << 24, Engine: kind})
+	rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: kind})
 	m := rt.NewHashMap(16)
 	p := rt.Proc(0)
 	rng := rand.New(rand.NewSource(seed))
@@ -133,11 +136,36 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 // stamped result slot both ride the next install barrier — so batch=64
 // writes back exactly as often as batch=1, plus once per window that leads
 // with a find: that window's first boundary writes its announcement back
-// before it stores slot 0 (pmem.Proc.StoreLegResult).
+// before it stores slot 0 (pmem.Proc.StoreLegResult). The README's table of
+// psyncs per operation is the whole grid, three mixes by both engines by
+// batch 1, 8 and 64.
 func TestBatchAdmissionSpeedup(t *testing.T) {
 	const opsTotal, batch, findPct, seed = 20000, 64, 10, 7
-	st1 := runBatchAdmission(EngineIsbOpt, 1, opsTotal, findPct, seed)
-	st64 := runBatchAdmission(EngineIsbOpt, batch, opsTotal, findPct, seed)
+	rows := [][]string{{"workload", "engine", "batch=1", "batch=8", "batch=64"}}
+	var st1, st64 isb.Stats // write-heavy under Isb-Opt
+	for _, mix := range []struct {
+		name    string
+		findPct int
+	}{{"write-heavy", findPct}, {"mixed", 50}, {"read-heavy", 90}} {
+		for _, e := range engines() {
+			row := []string{mix.name, e.name}
+			for _, b := range []int{1, 8, batch} {
+				st := runBatchAdmission(e.kind, b, opsTotal, mix.findPct, seed)
+				row = append(row, fmt.Sprintf("%.2f", st.SyncsPerOp()))
+				if mix.findPct == findPct && e.kind == EngineIsbOpt {
+					switch b {
+					case 1:
+						st1 = st
+					case batch:
+						st64 = st
+					}
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	checkReadmeTable(t, "batch-psyncs", rows...)
+
 	if 2*st64.SyncsPerOp() > st1.SyncsPerOp() {
 		t.Fatalf("batch=64 syncs/op %.3f is not half of batch=1's %.3f (batch1: %v) (batch64: %v)",
 			st64.SyncsPerOp(), st1.SyncsPerOp(), st1, st64)
@@ -170,7 +198,7 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 // delete/insert single operations, and returns the canonical metrics with
 // Ops = pairs (so per-op figures read as per-pair).
 func runTxnAdmission(kind EngineKind, asTxn bool, pairs int, seed int64) isb.Stats {
-	rt := New(Config{Procs: 1, HeapWords: 1 << 24, Engine: kind})
+	rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: kind})
 	src := rt.NewHashMap(4)
 	dst := rt.NewHashMap(4)
 	p := rt.Proc(0)
@@ -198,9 +226,11 @@ func runTxnAdmission(kind EngineKind, asTxn bool, pairs int, seed int64) isb.Sta
 // atomicity of a two-leg transaction must not cost more psyncs than
 // running its legs as two unrelated single operations — the one begin
 // covering both legs pays for the commit point, slot 0 stamped. Under Isb-Opt
-// a transaction and each single operation are one psync apiece.
+// a transaction and each single operation are one psync apiece. It renders
+// the README's transaction-price table.
 func TestTxnAdmissionSyncCost(t *testing.T) {
 	const pairs = 4000
+	rows := [][]string{{"engine", "two single ops", "one ApplyTxn"}}
 	for _, e := range engines() {
 		single := runTxnAdmission(e.kind, false, pairs, 7)
 		txn := runTxnAdmission(e.kind, true, pairs, 7)
@@ -208,8 +238,10 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 			t.Fatalf("%s: txn pair costs %.3f syncs, two singles cost %.3f — atomicity must not cost extra psyncs",
 				e.name, txn.SyncsPerOp(), single.SyncsPerOp())
 		}
-		t.Logf("%s: two-singles %.3f syncs/pair, txn %.3f syncs/pair", e.name, single.SyncsPerOp(), txn.SyncsPerOp())
+		rows = append(rows, []string{e.name,
+			fmt.Sprintf("%.2f psyncs/pair", single.SyncsPerOp()), fmt.Sprintf("%.2f psyncs/pair", txn.SyncsPerOp())})
 	}
+	checkReadmeTable(t, "txn-price", rows...)
 }
 
 // TestAdmissionSyncPrice pins what each admission shape charges on one Proc,
@@ -220,9 +252,7 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // is free. The bare begin (Structure.Begin) stays eager under both engines:
 // it is the paper's system-side CP_q := 0, one write-back and one psync. The
 // Isb psyncs are Algorithms 1–2's written placement (begin, CP_q := 1,
-// install, one per Help phase): the reproduction's reference curve. They
-// moved once, by the psync the hash map's shard register paid outside a
-// scope, which the paper does not have and which is gone.
+// install, one per Help phase): the reproduction's reference curve.
 //
 // The write-backs are where persists_per_op could leak. A successful Isb-Opt
 // update writes back 4 times: the install barrier (record and new nodes, the
@@ -233,10 +263,8 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // failed one is read-only after its gather and stops after the RD_q/CP_q pwb:
 // 2. A window or transaction leg after the first pays no begin, and its
 // boundary — the previous leg's stamped result slot — writes back nothing of
-// its own: the slot's line rides the leg's install barrier. A window of 16
-// drops 5 write-backs, not 1, when its announcement rides that barrier: its
-// record spans 5 lines, one pwb each while the begin was eager. Under Isb
-// the slot costs one pwb and the boundary one psync.
+// its own: the slot's line rides the leg's install barrier. Under Isb the
+// slot costs one pwb and the boundary one psync.
 //
 // On one Proc an eliminating push or pop always times out on the exchanger
 // and falls through to the central stack. It pays the exchange's own psyncs
@@ -247,64 +275,59 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // announcement the exchange ran behind.
 //
 // Each engine runs an arena leg and a reclaim leg (Config.Reclaim), and both
-// pay the same: the reclaimer adds no write-back. It paid one pwb per
-// retirement while its retired rings lived in the heap (an Isb-Opt update 10,
-// a window of 16 117).
+// pay the same: the reclaimer adds no write-back. want is laid out as the
+// README's admission-price table, which it renders.
 func TestAdmissionSyncPrice(t *testing.T) {
-	// Each shape's trailing comment is its history: the prices it paid
-	// before, oldest first.
-	want := map[EngineKind]prices{
-		EngineIsb: {
-			bare:     price{1, 1},
-			update:   price{6, 15},   // 7, 18; 6, 17
-			failed:   price{3, 5},    // 4, 8; 3, 7
-			window1:  price{2, 15},   // 2, 18; 2, 17
-			window16: price{17, 134}, // 17, 167; 17, 151; 17, 149
-			txn:      price{10, 24},  // 12, 29; 10, 27; 10, 25
-			enq:      price{6, 12},   // 6, 14
-			deq:      price{6, 9},    // 6, 11
-			push:     price{6, 15},   // 6, 17
-			pop:      price{6, 11},   // 6, 13
-			elimPush: price{10, 23},  // 12, 31; 11, 27
-			elimPop:  price{9, 16},   // 11, 24; 10, 20
-		},
-		EngineIsbOpt: {
-			bare:     price{1, 1},
-			update:   price{1, 4},  // 2, 12; 2, 8; 2, 7; 2, 5
-			failed:   price{1, 2},  // 2, 8; 2, 5; 2, 3
-			window1:  price{1, 4},  // 2, 12; 2, 8; 2, 7; 2, 5
-			window16: price{1, 48}, // 2, 119; 2, 93; 2, 85; 2, 83; 2, 53
-			txn:      price{1, 8},  // 2, 21; 2, 15; 2, 13; 2, 11; 2, 9
-			enq:      price{1, 4},  // 2, 11; 2, 8; 2, 7; 2, 5
-			deq:      price{1, 4},  // 2, 10; 2, 8; 2, 7; 2, 5
-			push:     price{1, 4},  // 2, 11; 2, 8; 2, 7; 2, 5
-			pop:      price{1, 4},  // 2, 11; 2, 8; 2, 7; 2, 5
-			elimPush: price{6, 13}, // 8, 22; 7, 18; 7, 17
-			elimPop:  price{5, 10}, // 7, 19; 6, 15; 6, 14
-		},
+	want := []struct {
+		shape    string
+		isb, opt price
+	}{
+		{"find", price{0, 0}, price{0, 0}},
+		{"bare begin", price{1, 1}, price{1, 1}},
+		{"successful update", price{6, 15}, price{1, 4}},
+		{"failed update", price{3, 5}, price{1, 2}},
+		{"ApplyWindow of 1", price{2, 15}, price{1, 4}},
+		{"ApplyWindow of 16", price{17, 134}, price{1, 48}},
+		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 8}},
+		{"enqueue", price{6, 12}, price{1, 4}},
+		{"dequeue", price{6, 9}, price{1, 4}},
+		{"push", price{6, 15}, price{1, 4}},
+		{"pop", price{6, 11}, price{1, 4}},
+		{"eliminating push", price{10, 23}, price{6, 13}},
+		{"eliminating pop", price{9, 16}, price{5, 10}},
 	}
+	rows := [][]string{{"shape", "Isb psyncs", "Isb write-backs", "Isb-Opt psyncs", "Isb-Opt write-backs"}}
+	for _, w := range want {
+		rows = append(rows, []string{w.shape, fmt.Sprint(w.isb.syncs), fmt.Sprint(w.isb.writeBacks),
+			fmt.Sprint(w.opt.syncs), fmt.Sprint(w.opt.writeBacks)})
+	}
+	checkReadmeTable(t, "admission-price", rows...)
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
-			t.Run("arena", func(t *testing.T) { admissionPrices(t, e.kind, false, want[e.kind]) })
-			t.Run("reclaim", func(t *testing.T) { admissionPrices(t, e.kind, true, want[e.kind]) })
+			for _, alloc := range []string{"arena", "reclaim"} {
+				t.Run(alloc, func(t *testing.T) {
+					got := admissionPrices(e.kind, alloc == "reclaim")
+					for _, w := range want {
+						wp := map[EngineKind]price{EngineIsb: w.isb, EngineIsbOpt: w.opt}[e.kind]
+						if g := got[w.shape]; g != wp {
+							t.Errorf("%s: %d psyncs and %d pbarriers + pwbs, want %d and %d",
+								w.shape, g.syncs, g.writeBacks, wp.syncs, wp.writeBacks)
+						}
+					}
+				})
+			}
 		})
 	}
 }
 
 type price struct{ syncs, writeBacks uint64 }
 
-// prices is one engine's row of TestAdmissionSyncPrice, one price per shape.
-type prices struct {
-	find, bare, update, failed, window1, window16, txn, enq, deq, push, pop, elimPush, elimPop price
-}
-
 // admissionPrices measures every admission shape of TestAdmissionSyncPrice
-// on one Proc and compares each with w. The reclaim leg pays the arena
-// leg's prices: the reclaimer writes back only when it carves a slab (the
-// slab directory's two write-backs), which the set-up's allocations have
-// done for every measured shape. Should a shape carve one, warm up more;
-// the equality stays.
-func admissionPrices(t *testing.T, kind EngineKind, reclaim bool, w prices) {
+// on one Proc, by shape. The reclaim leg pays the arena leg's prices: the
+// reclaimer writes back only when it carves a slab (the slab directory's two
+// write-backs), which the set-up's allocations have done for every measured
+// shape. Should a shape carve one, warm up more; the equality stays.
+func admissionPrices(kind EngineKind, reclaim bool) map[string]price {
 	rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: kind, Reclaim: reclaim})
 	m, q, s := rt.NewHashMap(4), rt.NewQueue(), rt.NewStack(0) // no elimination: the central-stack path
 	es := rt.NewStack(stack.DefaultElimSpins)                  // one Proc: every exchange times out
@@ -319,36 +342,60 @@ func admissionPrices(t *testing.T, kind EngineKind, reclaim bool, w prices) {
 	for i := range window16 {
 		window16[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(100 + i)}
 	}
+	got := map[string]price{}
 	for _, c := range []struct {
-		name  string
-		want  price
+		shape string
 		admit func()
 	}{
-		{"find", w.find, func() { m.Apply(p, Op{Kind: OpFind, Arg: 1}) }},
-		{"bare begin", w.bare, func() { m.Begin(p) }},
-		{"successful update", w.update, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 2}) }},
-		{"failed update", w.failed, func() { m.Apply(p, Op{Kind: OpInsert, Arg: 1}) }},
-		{"ApplyWindow of 1", w.window1, func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 4}}) }},
-		{"ApplyWindow of 16", w.window16, func() { rt.ApplyWindow(p, m, window16) }},
-		{"ApplyTxn(delete, insert)", w.txn, func() {
+		{"find", func() { m.Apply(p, Op{Kind: OpFind, Arg: 1}) }},
+		{"bare begin", func() { m.Begin(p) }},
+		{"successful update", func() { m.Apply(p, Op{Kind: OpInsert, Arg: 2}) }},
+		{"failed update", func() { m.Apply(p, Op{Kind: OpInsert, Arg: 1}) }},
+		{"ApplyWindow of 1", func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 4}}) }},
+		{"ApplyWindow of 16", func() { rt.ApplyWindow(p, m, window16) }},
+		{"ApplyTxn(delete, insert)", func() {
 			rt.ApplyTxn(p,
 				TxnLeg{S: m, Op: Op{Kind: OpDelete, Arg: 1}},
 				TxnLeg{S: m, Op: Op{Kind: OpInsert, Arg: 6}})
 		}},
-		{"enqueue", w.enq, func() { q.Apply(p, Op{Kind: OpEnq, Arg: 7}) }},
-		{"dequeue", w.deq, func() { q.Apply(p, Op{Kind: OpDeq}) }},
-		{"push", w.push, func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
-		{"pop", w.pop, func() { s.Apply(p, Op{Kind: OpPop}) }},
-		{"eliminating push", w.elimPush, func() { es.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
-		{"eliminating pop", w.elimPop, func() { es.Apply(p, Op{Kind: OpPop}) }},
+		{"enqueue", func() { q.Apply(p, Op{Kind: OpEnq, Arg: 7}) }},
+		{"dequeue", func() { q.Apply(p, Op{Kind: OpDeq}) }},
+		{"push", func() { s.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+		{"pop", func() { s.Apply(p, Op{Kind: OpPop}) }},
+		{"eliminating push", func() { es.Apply(p, Op{Kind: OpPush, Arg: 7}) }},
+		{"eliminating pop", func() { es.Apply(p, Op{Kind: OpPop}) }},
 	} {
 		before := rt.Heap().TotalStats()
 		c.admit()
 		st := rt.Heap().TotalStats().Sub(before)
-		if got := (price{st.Syncs, st.Barriers + st.Flushes}); got != c.want {
-			t.Errorf("%s: %d psyncs and %d pbarriers + pwbs, want %d and %d",
-				c.name, got.syncs, got.writeBacks, c.want.syncs, c.want.writeBacks)
+		got[c.shape] = price{st.Syncs, st.Barriers + st.Flushes}
+	}
+	return got
+}
+
+// checkReadmeTable renders rows, the first one the header, as a markdown
+// table and requires README.md's block between "<!-- gen:name -->" and
+// "<!-- /gen -->" to read exactly that: a count the README tables is the one
+// its pin computes. On a difference it prints the block to paste in.
+func checkReadmeTable(t *testing.T, name string, rows ...[]string) {
+	t.Helper()
+	var table strings.Builder
+	for i, r := range rows {
+		table.WriteString("| " + strings.Join(r, " | ") + " |\n")
+		if i == 0 {
+			table.WriteString(strings.Repeat("|---", len(r)) + "|\n")
 		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := "<!-- gen:" + name + " -->\n"
+	_, block, opened := strings.Cut(string(readme), open)
+	block, _, closed := strings.Cut(block, "<!-- /gen -->")
+	if !opened || !closed || block != table.String() {
+		t.Errorf("README.md block %q is not what %s computes; regenerated:\n\n%s%s<!-- /gen -->",
+			name, t.Name(), open, table.String())
 	}
 }
 
@@ -471,9 +518,8 @@ func TestReclaimBoundedHeap(t *testing.T) {
 // heap accesses a fast RecoverAll makes are the same on both, to within
 // the recovered operation's own list walk, and below a fixed constant: the
 // reclaimer's reset touches no heap word, so what is left is the announced
-// window's own recovery (75 accesses under Isb, 74 under Isb-Opt; 763 and
-// 756 while the reclaimer kept its rings in the heap). The accesses of a
-// full conservative scan differ by more than 10×.
+// window's own recovery. The accesses of a full conservative scan differ by
+// more than 10×.
 func TestRecoveryCostFollowsInFlight(t *testing.T) {
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
@@ -513,25 +559,12 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			if fastLarge > 128 {
 				t.Fatalf("fast RecoverAll made %d accesses, want a small constant", fastLarge)
 			}
-			// The scan's counts on these two instances are what they were
-			// when RecoverAll always scanned and markAll kept its own
-			// visited map: the oracle did not move. (The conservative closure
-			// did, by two blocks at 1024 keys — 2059 / 54 before — when the
-			// announcement region shrank from 216 to 200 words per process:
-			// every block moved down 16 words, and two payload words that
-			// merely look like addresses now land inside blocks. Restoring
-			// the old stride restores the old counts. They held when the
-			// reclaimer's epoch, pin and ring lines left the heap: those 552
-			// words sat inside Proc 0's first allocation chunk, so no slab
-			// moved. They moved again, from 2061 / 52 and 32833 / 0 under
-			// both engines, when an operation's last record stopped retiring at the next
-			// begin and retires at the next install: one block more is
-			// carved before the crash. Under Isb-Opt, whose cleanup barrier
-			// now rides the next install's, the crash at access 300 also
-			// lands further into the window, and the scan keeps two blocks
-			// more. Under Isb-Opt they moved once more, from 2063 / 51, when
-			// a window boundary stopped writing back: the crash lands later
-			// in the window again.)
+			// The full scan is the oracle every fast recovery is audited
+			// against, so its counts are pinned exactly. They follow the
+			// heap layout (a payload word that merely looks like an
+			// address may land inside a block, which the conservative
+			// closure then keeps) and where in the window access 300
+			// lands, so a layout or write-back change moves them.
 			want := map[EngineKind][2]uint64{EngineIsb: {2061, 53}, EngineIsbOpt: {2065, 49}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {

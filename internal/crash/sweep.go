@@ -162,7 +162,7 @@ func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.A
 		if line != pmem.Null {
 			in.Heap.Proc(0).PWB(line) // Proc 0 saw the crash: its accesses pass
 		} else if in.Persist {
-			dirty = dirtyLines(in.Heap)
+			dirty = in.Heap.DivergedLines()
 		}
 		in.Heap.ResetAfterCrash()
 		if in.Interfere != nil {
@@ -190,21 +190,6 @@ func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.A
 		}
 	}
 	return dirty, err
-}
-
-// dirtyLines lists the cache lines whose volatile image differs from the
-// persisted one: at a crash, the lines an eviction could still persist. A
-// dirty line whose image agrees would persist nothing new, so it is left out.
-func dirtyLines(h *pmem.Heap) []pmem.Addr {
-	var out []pmem.Addr
-	for w := pmem.Addr(0); w < pmem.Addr(min(h.Used(), h.Capacity())); w++ {
-		if h.ReadVolatile(w) != h.ReadPersisted(w) {
-			line := w &^ (pmem.WordsPerLine - 1)
-			out = append(out, line)
-			w = line + pmem.WordsPerLine - 1
-		}
-	}
-	return out
 }
 
 // check holds the responses to want and the post-state to Verify.

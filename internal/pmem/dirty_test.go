@@ -114,6 +114,44 @@ func TestDirtyLineCount(t *testing.T) {
 	}
 }
 
+// TestDivergedLinesAreDirty holds DivergedLines to the dirty field's
+// invariant, "volatile != persisted implies dirty", which ResetAfterCrash's
+// O(dirty) restore relies on: after randomized store/pwb/barrier/evict
+// sequences every line it returns is line-aligned, listed once in address
+// order, and has its dirty bit set. A line re-stored with the value it
+// persisted is dirty but not diverged, and is left out.
+func TestDivergedLinesAreDirty(t *testing.T) {
+	diverged := 0
+	for _, evict := range []uint64{0, 4} {
+		for seq := int64(0); seq < 20; seq++ {
+			h := NewHeap(Config{Words: 1 << 14, Procs: 1, Tracked: true, EvictEvery: evict, Seed: uint64(seq) + 1})
+			const span = 4096
+			drive(rand.New(rand.NewSource(seq)), h, h.Proc(0).Alloc(span), span, 400)
+			lines := h.DivergedLines()
+			for i, line := range lines {
+				w, m := dirtyBit(line)
+				if line%WordsPerLine != 0 || i > 0 && line <= lines[i-1] || h.dirty[w].Load()&m == 0 {
+					t.Fatalf("evict=%d seq %d: diverged line %d is misaligned, out of order or clean (lines %v)", evict, seq, line, lines)
+				}
+			}
+			diverged += len(lines)
+		}
+	}
+	if diverged == 0 {
+		t.Fatal("no sequence left a diverged line: the check is vacuous")
+	}
+
+	h := NewHeap(Config{Words: 1 << 13, Procs: 1, Tracked: true})
+	p := h.Proc(0)
+	a := p.Alloc(16)
+	p.Store(a, 7)
+	p.PWB(a)
+	p.Store(a, 7)
+	if lines, n := h.DivergedLines(), h.DirtyLineCount(); len(lines) != 0 || n != 1 {
+		t.Fatalf("a re-store of the persisted value: diverged lines %v, %d dirty, want none and 1", lines, n)
+	}
+}
+
 // TestPersistLineSkipsClean pins the skip: re-flushing an already-clean
 // line must not issue another line write-back copy (observable through the
 // persisted image staying at the volatile value — and, more directly, the

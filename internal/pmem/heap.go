@@ -353,6 +353,24 @@ func (h *Heap) ReadPersisted(a Addr) uint64 {
 	return h.per[a].Load()
 }
 
+// DivergedLines lists, in address order, the cache lines whose volatile
+// image differs from the persisted one (tracked mode only): at a crash, the
+// lines an eviction could still persist. A dirty line whose images agree
+// would persist nothing new, so it is left out. The scan compares every
+// used word rather than reading the dirty bitmap, so it can check the
+// bitmap's invariant (TestDivergedLinesAreDirty).
+func (h *Heap) DivergedLines() []Addr {
+	var out []Addr
+	for w := Addr(0); w < Addr(min(h.Used(), h.Capacity())); w++ {
+		if h.ReadVolatile(w) != h.ReadPersisted(w) {
+			line := lineOf(w)
+			out = append(out, line)
+			w = line + WordsPerLine - 1
+		}
+	}
+	return out
+}
+
 // lineOf returns the first word of the cache line containing a.
 func lineOf(a Addr) Addr { return a &^ (WordsPerLine - 1) }
 
