@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -98,8 +99,8 @@ func TestBSTHighCrashRate(t *testing.T)                 { runStorm(t) }
 
 // runStorm runs the table's rows named t on every engine variant, a subtest
 // engine/seed=N per seed. A failing seed prints its crashes fired, operations
-// recovered and the go test line that runs it alone; scheduling varies from
-// run to run, so the line narrows a failure to a seed, not an interleaving.
+// recovered and the go test line that runs it alone, which replays it: the
+// seed fixes the schedule too (Run).
 func runStorm(t *testing.T) {
 	var rows []storm
 	for _, r := range storms() {
@@ -118,7 +119,7 @@ func runStorm(t *testing.T) {
 			for _, r := range rows {
 				for seed := int64(1); seed <= int64(r.seeds); seed++ {
 					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-						if res, msg := r.run(eng, seed); msg != "" {
+						if _, res, msg := r.run(eng, seed); msg != "" {
 							t.Fatalf("%s (%d crashes fired, %d ops recovered)\nre-run: %s",
 								msg, res.CrashesFired, res.RecoveredOps, Rerun(t))
 						}
@@ -129,16 +130,17 @@ func runStorm(t *testing.T) {
 	}
 }
 
-// run drives one storm of row r on engine eng and returns its result and its
-// first violation, or "": a panic, an unresolved operation, a crash the heap
-// did not see, a broken structural invariant, or the oracle's verdict.
-func (r storm) run(eng engineVariant, seed int64) (res Result, msg string) {
+// run drives one storm of row r on engine eng and returns its heap, its
+// result and its first violation, or "": a panic, an unresolved operation, a
+// crash the heap did not see, a broken structural invariant, or the oracle's
+// verdict.
+func (r storm) run(eng engineVariant, seed int64) (h *pmem.Heap, res Result, msg string) {
 	defer func() {
 		if p := recover(); p != nil {
 			msg = fmt.Sprint("panic: ", p)
 		}
 	}()
-	h := pmem.NewHeap(pmem.Config{
+	h = pmem.NewHeap(pmem.Config{
 		Words: r.heapWords, Procs: r.procs, Tracked: true, EvictEvery: uint64(r.evict), Seed: uint64(seed) + 1,
 	})
 	a := r.s.raw(h, eng.mk(h))
@@ -147,13 +149,13 @@ func (r storm) run(eng engineVariant, seed int64) (res Result, msg string) {
 		Crashes: r.crashes, MeanAccessGap: r.procs * r.ops * r.gap / (r.crashes + 1), Seed: seed,
 	})
 	if n := r.procs * r.ops; len(res.History) != n || h.Epoch() != uint64(res.CrashesFired) {
-		return res, fmt.Sprintf("%d of %d operations resolved; the heap restarted %d times", len(res.History), n, h.Epoch())
+		return h, res, fmt.Sprintf("%d of %d operations resolved; the heap restarted %d times", len(res.History), n, h.Epoch())
 	}
 	if msg := a.(interface{ CheckInvariants() string }).CheckInvariants(); msg != "" {
-		return res, "structural invariant violated: " + msg
+		return h, res, "structural invariant violated: " + msg
 	}
 	final, _ := snapshot(a)
-	return res, stormOracle(r.s.kind, res.History, final)
+	return h, res, stormOracle(r.s.kind, res.History, final)
 }
 
 func isSet(kind repro.StructKind) bool {
@@ -219,8 +221,8 @@ func stormOracle(kind repro.StructKind, hist []linearize.Operation, final []uint
 }
 
 // TestStormCoverage enumerates the storm table without running it and pins
-// its size, so that storm coverage cannot shrink silently: 24 tests and 136
-// seeded storms per engine, 130 under -short.
+// its size — its tests, and its seeded storms per engine and under -short —
+// so that storm coverage cannot shrink silently.
 func TestStormCoverage(t *testing.T) {
 	want := map[repro.StructKind]int{repro.KindList: 27, repro.KindQueue: 23, repro.KindStack: 32, repro.KindHashMap: 31, repro.KindBST: 23}
 	got, tests, short := map[repro.StructKind]int{}, map[string]bool{}, 0
@@ -271,15 +273,35 @@ func TestStormOracle(t *testing.T) {
 
 func TestStormReportsRecoveries(t *testing.T) {
 	r := storm{s: structure{kind: repro.KindList}, procs: 2, ops: 100, crashes: 8, keys: 4, heapWords: 1 << 22, gap: 32}
-	if res, msg := r.run(engineVariants[0], 99); msg != "" || res.CrashesFired == 0 || res.RecoveredOps == 0 {
+	if _, res, msg := r.run(engineVariants[0], 99); msg != "" || res.CrashesFired == 0 || res.RecoveredOps == 0 {
 		t.Fatalf("%q after %d crashes and %d recovered operations", msg, res.CrashesFired, res.RecoveredOps)
 	}
 }
 
 func TestStormZeroCrashesIsPlainConcurrency(t *testing.T) {
 	r := storm{s: structure{kind: repro.KindList}, procs: 4, ops: 50, keys: 10, heapWords: 1 << 22}
-	if res, msg := r.run(engineVariants[0], 7); msg != "" || res.CrashesFired != 0 || res.RecoveredOps != 0 {
+	if _, res, msg := r.run(engineVariants[0], 7); msg != "" || res.CrashesFired != 0 || res.RecoveredOps != 0 {
 		t.Fatalf("%q after %d crashes and %d recovered operations", msg, res.CrashesFired, res.RecoveredOps)
+	}
+}
+
+// TestStormIsDeterministic pins that a storm is a function of its row, engine
+// and seed: a multi-Proc eviction storm run twice records the same history,
+// fires the same crashes, recovers the same operations and makes the same
+// number of heap accesses.
+func TestStormIsDeterministic(t *testing.T) {
+	i := slices.IndexFunc(storms(), func(r storm) bool { return r.test == "TestListCrashStormWithEviction" })
+	eng := engineVariants[slices.IndexFunc(engineVariants, func(e engineVariant) bool { return e.name == "isb-opt" })]
+	r := storms()[i]
+	h1, res1, msg1 := r.run(eng, 1)
+	h2, res2, msg2 := r.run(eng, 1)
+	if msg1 != "" || msg2 != "" {
+		t.Fatalf("storm failed: %q, %q", msg1, msg2)
+	}
+	if !reflect.DeepEqual(res1, res2) || h1.AccessCount() != h2.AccessCount() {
+		t.Fatalf("two runs of one seed differ: %d and %d crashes fired, %d and %d ops recovered, %d and %d heap accesses, histories equal: %v",
+			res1.CrashesFired, res2.CrashesFired, res1.RecoveredOps, res2.RecoveredOps,
+			h1.AccessCount(), h2.AccessCount(), reflect.DeepEqual(res1.History, res2.History))
 	}
 }
 

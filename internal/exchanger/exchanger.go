@@ -218,17 +218,17 @@ func (e *Exchanger) Recover(p *pmem.Proc, v uint64, role Role, spins int, retry 
 	partner := p.Load(my + xPartner)
 	switch {
 	case partner == 0:
-		// Waiter with no collision yet — or never installed. Withdraw if
-		// still in the slot, then re-invoke.
-		if pmem.Addr(p.Load(e.slot)) == my {
-			if !p.CASBool(my+xPartner, 0, withdrawn) {
-				return e.finishSuccess(p, my, pmem.Addr(p.Load(my+xPartner)))
-			}
-			p.PWB(my + xPartner)
-			p.PSync()
-			p.CAS(e.slot, uint64(my), uint64(pmem.Null))
-			p.PWB(e.slot)
+		// Waiter with no collision yet — or never installed. Withdraw, then
+		// re-invoke. Only the withdrawal CAS decides: until it lands a
+		// collider that read the slot earlier can still win the record and
+		// clear the slot, so a read of the slot proves nothing.
+		if !p.CASBool(my+xPartner, 0, withdrawn) {
+			return e.finishSuccess(p, my, pmem.Addr(p.Load(my+xPartner)))
 		}
+		p.PWB(my + xPartner)
+		p.PSync()
+		p.CAS(e.slot, uint64(my), uint64(pmem.Null))
+		p.PWB(e.slot)
 		return e.reinvoke(p, v, role, spins, retry)
 	case partner == withdrawn:
 		return e.reinvoke(p, v, role, spins, retry)

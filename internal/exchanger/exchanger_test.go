@@ -207,3 +207,41 @@ func TestCrashSweepCollision(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverRacesCollider runs a collider at every access of a crashed
+// waiter's recovery, from the heap's access hook: the waiter crashed in its
+// wait loop, its record installed and durable, so until its withdrawal lands
+// the collider can still win it. Both sides must agree on the outcome, and a
+// collision must swap the values.
+func TestRecoverRacesCollider(t *testing.T) {
+	for k := 1; ; k++ {
+		e, h := newEx(t, 2)
+		p0, p1 := h.Proc(0), h.Proc(1)
+		h.ScheduleCrashAt(h.AccessCount() + 64)
+		if pmem.RunOp(func() { e.Exchange(p0, 100, WaiterOnly, 1<<10) }) {
+			t.Fatal("the waiter did not crash")
+		}
+		h.ResetAfterCrash()
+		if e.SlotFree() {
+			t.Fatal("the waiter crashed before its record was durably installed")
+		}
+		var cv uint64
+		var cok, ran bool
+		n := 0
+		h.SetAccessHook(func(*pmem.Proc) {
+			if n++; n == k {
+				h.SetAccessHook(nil)
+				cv, cok = e.Exchange(p1, 200, ColliderOnly, 4)
+				ran = true
+			}
+		})
+		wv, wok := e.Recover(p0, 100, WaiterOnly, 4, false)
+		h.SetAccessHook(nil)
+		if !ran {
+			return
+		}
+		if wok != cok || wok && (wv != 200 || cv != 100) {
+			t.Fatalf("collider at recovery access %d: waiter (%d, %v), collider (%d, %v)", k, wv, wok, cv, cok)
+		}
+	}
+}

@@ -138,6 +138,10 @@ type Heap struct {
 
 	evictEvery uint64
 
+	// hook, when set, runs at every access of a tracked heap before it is
+	// counted (SetAccessHook).
+	hook func(*Proc)
+
 	crashing  atomic.Bool // when set, every Proc panics at its next access
 	epoch     atomic.Uint64
 	accessCtr atomic.Uint64 // total pmem accesses (tracked mode, unconditional)
@@ -454,6 +458,12 @@ func (h *Heap) ScheduleCrashAt(n uint64) {
 	}
 	h.crashAt.Store(n)
 }
+
+// SetAccessHook installs f, a test hook, to run at every access of a tracked
+// heap on the accessing Proc's goroutine, before the access is counted or can
+// crash; nil removes it. A crash harness's scheduler decides there which Proc
+// runs next (crash.Run). Set it while no Proc is running.
+func (h *Heap) SetAccessHook(f func(*Proc)) { h.hook = f }
 
 // DisarmCrash cancels a scheduled crash that has not fired yet.
 func (h *Heap) DisarmCrash() { h.crashAt.Store(0) }

@@ -77,13 +77,17 @@ type Crash struct{ ProcID int }
 
 func (c Crash) Error() string { return "pmem: simulated crash" }
 
-// checkCrash counts this access (tracked mode counts unconditionally; see
-// Heap.AccessCount), panics with Crash if a system-wide crash is in
-// progress, and fires a scheduled (system-wide or individual) crash when
-// this access crosses the armed threshold.
+// checkCrash runs the heap's access hook (SetAccessHook), counts this access
+// (tracked mode counts unconditionally; see Heap.AccessCount), panics with
+// Crash if a system-wide crash is in progress, and fires a scheduled
+// (system-wide or individual) crash when this access crosses the armed
+// threshold.
 func (p *Proc) checkCrash() {
 	if !p.h.tracked {
 		return
+	}
+	if p.h.hook != nil {
+		p.h.hook(p)
 	}
 	if p.selfCrashAt != 0 {
 		p.accesses++
@@ -251,17 +255,13 @@ func (p *Proc) Carry(a Addr) {
 	}
 }
 
-// flushLines write-backs each distinct cache line covering addrs or carried
-// (Carry) exactly once, in ascending line order, and empties the carry set.
-// Dedup is exact for any phase size — no fixed window beyond which
-// duplicates would be re-flushed — and reuses the per-proc scratch buffer, so
-// steady-state barriers perform zero Go allocations (pinned by
-// TestBarrierZeroAllocs).
-func (p *Proc) flushLines(addrs []Addr) {
-	ls := p.lineScratch[:0]
-	for _, a := range addrs {
-		ls = append(ls, lineOf(a))
-	}
+// flushLines write-backs each distinct cache line of ls — lines a barrier
+// collected in lineScratch — or carried (Carry) exactly once, in ascending
+// line order, and empties the carry set. Dedup is exact for any phase size —
+// no fixed window beyond which duplicates would be re-flushed — and reuses
+// the per-proc scratch buffer, so steady-state barriers perform zero Go
+// allocations (pinned by TestBarrierZeroAllocs).
+func (p *Proc) flushLines(ls []Addr) {
 	ls = append(ls, p.carry...)
 	p.carry = p.carry[:0]
 	p.annCarried = false
@@ -294,7 +294,11 @@ func (p *Proc) PBarrierAddrs(addrs []Addr) {
 		return
 	}
 	p.stats.Barriers++
-	p.flushLines(addrs)
+	ls := p.lineScratch[:0]
+	for _, a := range addrs {
+		ls = append(ls, lineOf(a))
+	}
+	p.flushLines(ls)
 	p.stats.Fences++
 }
 
@@ -306,19 +310,11 @@ func (p *Proc) PBarrierRange(a Addr, words uint64) {
 		return
 	}
 	p.stats.Barriers++
-	end := a + Addr(words)
-	for line := lineOf(a); line < end; line += WordsPerLine {
-		p.stats.LineFlushes++
-		p.pwb(line)
+	ls := p.lineScratch[:0]
+	for line := lineOf(a); line < a+Addr(words); line += WordsPerLine {
+		ls = append(ls, line)
 	}
-	for _, line := range p.carry {
-		if line < lineOf(a) || line >= end {
-			p.stats.LineFlushes++
-			p.pwb(line)
-		}
-	}
-	p.carry = p.carry[:0]
-	p.annCarried = false
+	p.flushLines(ls)
 	p.stats.Fences++
 }
 

@@ -142,6 +142,35 @@ func TestServeAckDoesNotEvictForeignIDs(t *testing.T) {
 	}
 }
 
+// TestServeAckWalksPastItsCap pins that a watermark further ahead than one
+// walk's cap (2^16 sequence numbers) is walked in stretches, one per frame:
+// the entry just above the old watermark is evicted too, not skipped and kept
+// for good.
+func TestServeAckWalksPastItsCap(t *testing.T) {
+	s, ln := startServer(t, serve.Config{Procs: 1, Batch: 4, HeapWords: 1 << 18})
+	// Client 1's sequence numbers 1 and 2^16+5, answered through client 2,
+	// which settles (and so acknowledges) only IDs of its own.
+	c := dial(t, ln, 2)
+	lo, hi := uint64(1)<<serve.SeqBits|1, uint64(1)<<serve.SeqBits|(1<<16+5)
+	for i, id := range []uint64{lo, hi} {
+		if rep, err := c.DoWithID(serve.OpPut, id, uint64(i+1)); err != nil || rep.Val != 1 {
+			t.Fatalf("put under ID %#x = val %d, err %v; want 1", id, rep.Val, err)
+		}
+	}
+	for i := range 2 {
+		ch, err := c.Send(serve.Request{Op: serve.OpStats, ReqID: c.NextID(), Ack: hi})
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if rep, ok := <-ch; !ok || rep.Status != serve.StOK {
+			t.Fatalf("frame %d: reply %+v, delivered %v", i, rep, ok)
+		}
+	}
+	if n := s.Snapshot().TableEntries; n != 0 {
+		t.Fatalf("table holds %d entries after two frames acknowledged %#x, want 0", n, hi)
+	}
+}
+
 // TestServeReconnectHitsResponseTable is the resurrected-client leg of the
 // exactly-once protocol: a request answered on one connection, whose reply
 // the client may have lost, must be answered from the response table on a

@@ -480,9 +480,9 @@ func (c *conn) writeLoop() {
 // maxAckWalk caps how many sequence numbers one acknowledgement may evict
 // in a single walk: a legitimate watermark advances by the handful of
 // requests since the last one, while a hostile frame could otherwise name
-// a MaxSeq-wide range and stall the admission lock for the whole walk.
-// Capped eviction is sound — entries below the skipped range merely
-// linger until the table is rebuilt.
+// a MaxSeq-wide range and stall the admission lock for the whole walk. A
+// watermark further ahead is walked maxAckWalk at a time, one stretch per
+// frame from that client, so no entry below it is skipped.
 const maxAckWalk = 1 << 16
 
 // applyAckLocked evicts the response-table entries an acknowledgement
@@ -497,9 +497,7 @@ func (s *Server) applyAckLocked(ack uint64) {
 	if seq <= old {
 		return
 	}
-	if seq-old > maxAckWalk {
-		old = seq - maxAckWalk
-	}
+	seq = min(seq, old+maxAckWalk)
 	for sq := old + 1; sq <= seq; sq++ {
 		if _, ok := s.done[cl<<SeqBits|sq]; ok {
 			delete(s.done, cl<<SeqBits|sq)
