@@ -36,10 +36,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7070", "TCP listen address (normal mode)")
-	procs := flag.Int("procs", 2, "admission Procs (fixed worker pool)")
+	procs := flag.Int("procs", 2, "admission Procs (fixed worker pool; client c's requests go to Proc c % procs)")
 	shards := flag.Int("shards", 16, "store shards")
 	batch := flag.Int("batch", 16, "max requests per admission window")
-	queueDepth := flag.Int("queue-depth", 32, "per-connection queue bound")
+	queueDepth := flag.Int("queue-depth", 32, "per-connection queue bound at each Proc")
 	crashEvery := flag.Uint64("crash-every", 0, "memory accesses between injected crashes (0 = no crash sim)")
 	shedWatermark := flag.Float64("shed-watermark", 0, "aggregate queue fraction past which requests are answered OVERLOAD (0 = off)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "disconnect connections idle for this long (0 = off)")

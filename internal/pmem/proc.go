@@ -563,10 +563,6 @@ func (p *Proc) nextRand() uint64 {
 	return x
 }
 
-// Rand exposes the PRNG for workload generators that want per-proc seeded
-// randomness without extra state.
-func (p *Proc) Rand() uint64 { return p.nextRand() }
-
 // Stats returns a copy of the per-proc instruction counters.
 func (p *Proc) Stats() Stats { return p.stats }
 

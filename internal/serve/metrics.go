@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,10 +11,11 @@ import (
 // into 4 equal sub-buckets, so a bucket's upper bound is at most 25% above
 // anything it holds. Quantiles read back the containing bucket's upper bound:
 // allocation-free, mergeable, and monotone under load shifts. The last
-// bucket also holds everything past ~2.4 h.
+// bucket also holds everything past ~2.4 h. Counts are atomic: Snapshot
+// reads them while workers observe.
 type latHist struct {
-	buckets [128]uint64
-	count   uint64
+	buckets [128]atomic.Uint64
+	count   atomic.Uint64
 }
 
 // latBucket is the bucket holding us microseconds: above 4µs, the shift s
@@ -35,22 +37,23 @@ func latTop(i int) float64 {
 }
 
 func (h *latHist) observe(d time.Duration) {
-	h.buckets[min(latBucket(uint64(d.Microseconds())), len(h.buckets)-1)]++
-	h.count++
+	h.buckets[min(latBucket(uint64(d.Microseconds())), len(h.buckets)-1)].Add(1)
+	h.count.Add(1)
 }
 
 // quantile reports the q-quantile in microseconds (0 when empty).
 func (h *latHist) quantile(q float64) float64 {
-	if h.count == 0 {
+	count := h.count.Load()
+	if count == 0 {
 		return 0
 	}
-	want := uint64(q * float64(h.count))
-	if want >= h.count {
-		want = h.count - 1
+	want := uint64(q * float64(count))
+	if want >= count {
+		want = count - 1
 	}
 	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
 		if cum > want {
 			return latTop(i)
 		}
@@ -61,10 +64,10 @@ func (h *latHist) quantile(q float64) float64 {
 // ConnStats is one connection's counter snapshot.
 type ConnStats struct {
 	ID   uint64 `json:"id"`
-	Proc int    `json:"proc"`
-	// Queued counts requests admitted into the connection's queue; Admitted
+	Proc int    `json:"proc"` // where its first request routed; -1 before
+	// Queued counts requests admitted into the connection's queues; Admitted
 	// counts those drained into an ApplyWindow; Retried counts RETRY
-	// replies (queue full or duplicate-in-flight backpressure).
+	// replies (a full queue).
 	Queued   uint64 `json:"queued"`
 	Admitted uint64 `json:"admitted"`
 	Retried  uint64 `json:"retried"`
@@ -184,18 +187,17 @@ func (s Stats) BatchFillMean() float64 {
 	return float64(ops) / float64(wins)
 }
 
-// connMetrics is the live (lock-guarded) counterpart of ConnStats.
-type connMetrics struct {
-	queued, admitted, retried uint64
-	deduped, fromReport, shed uint64
-	lat                       latHist
+// counts are the request counters a connection and a worker both keep.
+type counts struct {
+	queued, admitted, retried atomic.Uint64
+	deduped, fromReport, shed atomic.Uint64
 }
 
-func (m *connMetrics) snapshot(id uint64, proc int) ConnStats {
-	return ConnStats{
-		ID: id, Proc: proc,
-		Queued: m.queued, Admitted: m.admitted, Retried: m.retried,
-		Deduped: m.deduped, FromReport: m.fromReport, Shed: m.shed,
-		P50Micros: m.lat.quantile(0.50), P99Micros: m.lat.quantile(0.99),
-	}
+// procMetrics is a worker's live ProcStats and its share of Stats' totals.
+type procMetrics struct {
+	counts
+	windows, moves atomic.Uint64
+	batchFill      []atomic.Uint64
+	table          atomic.Int64 // response-table entries
+	evicted        atomic.Uint64
 }

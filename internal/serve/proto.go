@@ -2,24 +2,24 @@
 // store: a KV server speaking length-prefixed binary frames that
 // multiplexes many client connections onto the Runtime's fixed Proc pool.
 //
-// Each connection is pinned to one Proc; a Proc drains up to Config.Batch
-// queued requests — round-robin across its connections for fairness — into
-// one Runtime.ApplyWindow, so concurrent connections amortize psyncs
-// exactly as the batch admission protocol measures. A full per-connection
-// queue answers with an explicit RETRY frame (backpressure; the client
-// resubmits), and every request carries a client-chosen 32-bit request ID
-// that rides the durable announcement's Arg (see PackArg and
-// repro.HashMap.SetArgMask): after a crash, reboot is Restart plus ONE
-// RecoverAll, pending requests are answered from the report's legs by the
-// worker that admitted them, and a resubmitted request ID is answered from
-// the server's response table instead of re-executed — client-visible
-// exactly-once.
+// Each request goes to the Proc that owns its client, whose worker alone
+// holds its queues and answers; a Proc drains up to Config.Batch queued
+// requests — round-robin across connections for fairness — into one
+// Runtime.ApplyWindow, so concurrent connections amortize psyncs exactly as
+// the batch admission protocol measures. A full queue answers with an
+// explicit RETRY frame (backpressure; the client resubmits), and every
+// request carries a client-chosen 32-bit request ID that rides the durable
+// announcement's Arg (see PackArg and repro.HashMap.SetArgMask): after a
+// crash, reboot is Restart plus ONE RecoverAll, pending requests are
+// answered from the report's legs by the worker that admitted them, and a
+// resubmitted request ID is answered from the server's response table
+// instead of re-executed — client-visible exactly-once.
 //
 // The admission window is the unit of work above the Runtime too. Frames
 // are append-encoded into caller-owned buffers (AppendRequest, AppendReply)
 // and read through a buffered FrameReader, so one read delivers a pipelined
 // burst and a frame is never split across Writes. A finished window is
-// recorded under one hold of the server lock and each connection's replies
+// recorded by its worker, no lock taken, and each connection's replies
 // leave in one Write; the client's combining writer does the same for the
 // requests of concurrent callers. WriteFrame, ReadFrame and the
 // Encode/Decode pairs remain for callers that move one frame at a time; the
@@ -56,9 +56,9 @@ const (
 	// StOK: the operation executed (or was answered from the durable
 	// report/response table); Val carries its boolean result.
 	StOK byte = 0
-	// StRetry: backpressure — the connection's admission queue is full, or
-	// the same request ID is already queued. Resubmit with the SAME
-	// request ID after a short delay; the ID makes the retry idempotent.
+	// StRetry: backpressure — the connection's admission queue is full.
+	// Resubmit with the SAME request ID after a short delay; the ID makes
+	// the retry idempotent.
 	StRetry byte = 1
 	// StErr: malformed frame or out-of-range op/key/request ID.
 	StErr byte = 2

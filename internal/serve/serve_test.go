@@ -257,7 +257,7 @@ func TestServeConcurrentStorm(t *testing.T) {
 // and the in-band OpStats frame) concurrently with a crash storm: stats
 // must never interfere with the recovery rendezvous, and a Snapshot must
 // complete while a recovery runs. Snapshot reads the crash group and the
-// runtime before it takes the server lock, and the group's recovery never
+// runtime before it takes the registry lock, and the group's recovery never
 // takes it, so the two locks are never nested; the race detector checks
 // the reads that cross a recovery.
 func TestServeStatsDuringCrashStorm(t *testing.T) {
@@ -317,7 +317,7 @@ func TestServeStatsDuringCrashStorm(t *testing.T) {
 // its bounded outbox and is disconnected, while a well-behaved client on
 // the SAME Proc keeps completing operations. Pre-fix, the Proc worker
 // blocked inside the stalled connection's reply write, halting every
-// connection pinned to it (and, under crashes, the whole recovery
+// connection it served (and, under crashes, the whole recovery
 // rendezvous).
 func TestServeSlowReaderDoesNotStallWorkers(t *testing.T) {
 	_, ln := startServer(t, serve.Config{

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,16 +14,16 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// Procs is the fixed admission pool: one worker goroutine per Runtime
-	// Proc (default 2). Connections are pinned round-robin to Procs.
+	// Procs is the fixed admission pool: one worker per Runtime Proc
+	// (default 2), serving the clients c (SplitID) with c % Procs == Proc.
 	Procs int
 	// Shards is the store's shard count (default 16).
 	Shards int
 	// Batch caps how many queued requests one Proc drains into a single
 	// ApplyWindow (default 16, max repro.MaxBatch).
 	Batch int
-	// QueueDepth bounds each connection's pending queue; a full queue
-	// answers RETRY (default 32).
+	// QueueDepth bounds each connection's pending queue at a worker; a full
+	// queue answers RETRY (default 32).
 	QueueDepth int
 	// CrashSim enables the tracked heap; CrashEvery (accesses between
 	// injected crashes) arms the crash storm the harnesses run under.
@@ -36,6 +38,7 @@ type Config struct {
 	// Gated holds every worker before its first admission until Release is
 	// called — deterministic-harness plumbing (the crash sweep uses it to
 	// fix the queue contents, and so the heap access sequence, per run).
+	// A gated worker still queues, bounces and answers from the table.
 	Gated bool
 	// ShedWatermark enables graceful overload shedding: when the aggregate
 	// queued-request count across ALL connections reaches this fraction of
@@ -46,11 +49,10 @@ type Config struct {
 	// sensible values are in (0, 1].
 	ShedWatermark float64
 	// IdleTimeout disconnects a connection that sends no frame for this
-	// long (0 disables): a dead or wedged peer must not hold a pinned
-	// Proc slot and its queue capacity forever. Exactly-once state is
-	// untouched — the response table is keyed by request ID, not by
-	// connection — so a client redialing after an idle-close still gets
-	// its recorded answers.
+	// long (0 disables): a dead or wedged peer must not hold its queues and
+	// their capacity forever. Exactly-once state is untouched — the
+	// response table is keyed by request ID, not by connection — so a
+	// client redialing after an idle-close still gets its recorded answers.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each reply flush — one Write carrying every reply
 	// queued for the connection, a whole window's worth under load — not
@@ -83,106 +85,102 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingReq is one queued request with its reply route and enqueue time.
+// pendingReq is one decoded request with its reply route and arrival time.
 type pendingReq struct {
 	c   *conn
 	req Request
 	enq time.Time
 }
 
-// conn is one accepted connection: reply socket, assigned Proc, pending
-// queue and counters (queue and metrics are guarded by Server.mu). Replies
-// are queued on out and written by the connection's own writer goroutine,
-// so a Proc worker never blocks on a slow client's socket.
+// conn is one accepted connection: reply socket, its queue at each worker,
+// outbox and counters. Replies are queued on out and written by the
+// connection's own writer goroutine, so a worker never blocks on a slow
+// client's socket.
 type conn struct {
-	s    *Server
-	id   uint64
-	nc   net.Conn
-	proc int
-	q    []pendingReq
-	m    connMetrics
-	gone bool
-	// lim and taken are takeLocked's scratch for the window being composed:
-	// the admissible prefix of q (the requests ahead of its first MOVE) and
-	// how many of them the window took.
-	lim, taken int
+	s     *Server
+	id    uint64
+	nc    net.Conn
+	proc  atomic.Int32 // ConnStats.Proc
+	lanes []*lane      // lanes[w] is worker w's alone
+	counts
+	lat latHist // request latency, arrival to answer
 
 	// The outbox: replies awaiting writeLoop, which swaps the whole slice
-	// out and writes it with one Write. omu is a leaf lock, taken after
-	// Server.mu or alone.
+	// out and writes it with one Write. omu is a leaf lock.
 	omu    sync.Mutex
 	ocond  sync.Cond // L is &omu; signalled when out fills or closed is set
 	out    []Reply   // bounded by Server.outCap
 	closed bool      // set by removeConn; retires writeLoop
 	// flushes counts writeLoop's successful Writes, framesOut the reply
-	// frames they carried.
-	flushes, framesOut atomic.Uint64
-	// reads counts the socket reads readLoop's frames arrived in, framesIn
-	// those frames: the inbound mirror of flushes/framesOut, written only by
-	// the reader goroutine.
-	reads, framesIn atomic.Uint64
+	// frames they carried; reads and framesIn are readLoop's mirror.
+	flushes, framesOut, reads, framesIn atomic.Uint64
+}
+
+// lane is one connection's queue at one worker. lim and taken are take's
+// scratch: the admissible prefix of q and how many of them the window took.
+type lane struct {
+	c          *conn
+	q          []pendingReq
+	lim, taken int
+}
+
+// worker is one Proc's admission loop and the sole owner of what its
+// admissions touch: its lanes, its clients' share of the response table and
+// ack watermarks, and its counters. Others reach it through the inbox.
+type worker struct {
+	s  *Server
+	id int
+	// wake (capacity 1) is the inbox signal: a request, a departure, Release,
+	// Close or another worker's crash. A send never blocks.
+	wake  chan struct{}
+	mu    sync.Mutex
+	space sync.Cond    // L is &mu; broadcast when the inbox is emptied
+	inbox []pendingReq // on mu
+
+	// The worker goroutine's alone from here on.
+	lanes []*lane
+	rr    int // round-robin cursor over lanes
+	win   []pendingReq
+	// done is this worker's share of the response table: request ID ->
+	// result (packed leg booleans for MOVE) of every answered request, what
+	// makes a resubmitted ID exactly-once. Only finish fills it, so an entry
+	// is added before its client can acknowledge it, and applyAck evicts
+	// what the client's watermark (Request.Ack) proves received: the table
+	// holds the unacknowledged tail.
+	done  map[uint64]uint64
+	acked map[uint64]uint64 // client prefix -> acked seq watermark
+	m     procMetrics
 }
 
 // Server multiplexes client connections onto the store's Proc pool. See
 // the package comment for the admission, backpressure and crash story.
 type Server struct {
-	cfg   Config
-	rt    *repro.Runtime
-	store *repro.HashMap
-	group *repro.CrashGroup
+	cfg     Config
+	rt      *repro.Runtime
+	store   *repro.HashMap
+	group   *repro.CrashGroup
+	workers []*worker
 
-	// outCap bounds each connection's outbox, sized so every reply a
-	// well-behaved connection can have outstanding (its full queue, a
-	// drained window, plus backpressure bounces) fits without ever parking
-	// a worker.
+	// outCap bounds each connection's outbox: every reply a well-behaved
+	// connection can have outstanding (its full queue, a drained window,
+	// backpressure bounces) fits without ever parking a worker.
 	outCap int
-	// flushes and framesOut total every connection's writeLoop counters,
-	// open and closed.
-	flushes, framesOut atomic.Uint64
-	// idleClosed and writeTimeouts count the disconnects the idle and write
-	// deadlines caused, bumped by the connection's own goroutines without
-	// the server lock.
-	idleClosed, writeTimeouts atomic.Uint64
+	// queued (requests in every lane) and nconns feed the shed watermark.
+	queued, nconns atomic.Int64
+	// Totals over every connection, open and closed: its Writes, reads and
+	// frames, and disconnects, of which idleClosed and writeTimeouts the
+	// idle and write deadlines caused.
+	flushes, framesOut, reads, framesIn    atomic.Uint64
+	disconnects, idleClosed, writeTimeouts atomic.Uint64
+	released, closed                       atomic.Bool
 
-	mu        sync.Mutex
-	procConns [][]*conn // conns pinned to each proc
-	rr        []int     // per-proc round-robin drain cursor
-	procM     []ProcStats
-	// wake[w] (on mu) wakes proc w's worker; idle[w] is set while it waits
-	// with nothing admissible, so a reader signals only a sleeping owner,
-	// and once per burst of enqueues.
-	wake []sync.Cond
-	idle []bool
-	// win[w] is the window buffer takeLocked composes into; worker w owns
-	// its contents from takeLocked until its next drain.
-	win [][]pendingReq
-	// done is the response table: request ID -> result of every answered
-	// request (boolean for PUT/DEL/GET, both packed leg booleans for
-	// MOVE) — what makes a resubmitted request ID exactly-once. Only
-	// finishWindow fills it, after a crash too, so an entry is only ever
-	// added before its client can acknowledge it. It is bounded by the
-	// acknowledgement protocol: each request piggybacks the client's
-	// acked-sequence high-watermark (Request.Ack) and applyAckLocked
-	// evicts everything at or below it, so under steady resubmit-free
-	// traffic the table holds only the unacknowledged tail.
-	done      map[uint64]uint64
-	acked     map[uint64]uint64   // client prefix -> acked seq watermark
-	evicted   uint64              // table entries dropped via acks
-	inflight  map[uint64]struct{} // queued or admitted, not yet answered
-	closedAgg connMetrics         // folded-in metrics of closed conns
-	// closedReads / closedFramesIn fold in closed conns' reads and framesIn.
-	closedReads, closedFramesIn uint64
-	// totalQueued / nconns feed the shed watermark: aggregate queued
-	// requests and open connections across all procs.
-	totalQueued int
-	nconns      int
-	// disconnects counts connections torn down (any cause).
-	disconnects uint64
-	connSeq     uint64
-	released    bool
-	closed      bool
-	ln          net.Listener
-	wg          sync.WaitGroup // workers
+	// mu guards the connection registry and the listener; no request takes
+	// it. closed is set under it, so addConn and Close agree.
+	mu      sync.Mutex
+	conns   []*conn
+	connSeq uint64
+	ln      net.Listener
+	wg      sync.WaitGroup // workers
 }
 
 // New builds the server, its Runtime and store, and starts the Proc
@@ -196,37 +194,37 @@ func New(cfg Config) *Server {
 			Engine: cfg.Engine, Reclaim: cfg.Reclaim,
 			PWBLatency: cfg.PWBLatency, PSyncLatency: cfg.PSyncLatency,
 		}),
-		outCap:    2*cfg.QueueDepth + cfg.Batch + 8,
-		procConns: make([][]*conn, cfg.Procs),
-		rr:        make([]int, cfg.Procs),
-		procM:     make([]ProcStats, cfg.Procs),
-		wake:      make([]sync.Cond, cfg.Procs),
-		idle:      make([]bool, cfg.Procs),
-		win:       make([][]pendingReq, cfg.Procs),
-		done:      map[uint64]uint64{},
-		acked:     map[uint64]uint64{},
-		inflight:  map[uint64]struct{}{},
+		outCap: 2*cfg.QueueDepth + cfg.Batch + 8,
 	}
-	for w := range s.wake {
-		s.wake[w].L = &s.mu
-	}
+	s.released.Store(!cfg.Gated)
 	s.store = s.rt.NewHashMap(cfg.Shards)
 	// The store keys on the low KeyBits of the announced Arg; the high
 	// bits are the request ID riding the announcement across crashes.
 	s.store.SetArgMask(MaxKey)
-	for i := range s.procM {
-		s.procM[i] = ProcStats{Proc: i, BatchFill: make([]uint64, cfg.Batch+1)}
-	}
 	every := uint64(0)
 	if cfg.CrashSim {
 		every = cfg.CrashEvery
 	}
 	s.group = repro.NewCrashGroup(s.rt, cfg.Procs, every)
-	for w := 0; w < cfg.Procs; w++ {
-		s.wg.Add(1)
-		go s.worker(w)
+	for w := range cfg.Procs {
+		s.workers = append(s.workers, newWorker(s, w))
+	}
+	s.wg.Add(cfg.Procs)
+	for _, w := range s.workers {
+		go w.run()
 	}
 	return s
+}
+
+// newWorker builds s's worker id; New starts its loop.
+func newWorker(s *Server, id int) *worker {
+	w := &worker{
+		s: s, id: id, wake: make(chan struct{}, 1),
+		done: map[uint64]uint64{}, acked: map[uint64]uint64{},
+	}
+	w.space.L = &w.mu
+	w.m.batchFill = make([]atomic.Uint64, s.cfg.Batch+1)
+	return w
 }
 
 // Runtime exposes the server's runtime (bench and harness plumbing).
@@ -238,42 +236,40 @@ func (s *Server) Store() *repro.HashMap { return s.store }
 // Crashes reports how many store crashes the server has recovered from.
 func (s *Server) Crashes() int { return s.group.Crashes() }
 
-// wakeAll wakes every Proc's worker: the crash rendezvous, Release and
-// Close each need all of them to look up. It takes mu so that a worker
-// which checked for the condition just before it changed has reached its
-// Wait, and cannot miss the signal.
-func (s *Server) wakeAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for w := range s.wake {
-		s.wake[w].Signal()
+// route is the index of the worker that owns reqID's client.
+func (s *Server) route(reqID uint64) int {
+	client, _ := SplitID(reqID)
+	return int(client % uint64(len(s.workers)))
+}
+
+// signal wakes the worker, now or at its next sleep.
+func (w *worker) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
 // Release opens the admission gate of a Config.Gated server.
 func (s *Server) Release() {
-	s.mu.Lock()
-	s.released = true
-	s.mu.Unlock()
-	s.wakeAll()
+	s.released.Store(true)
+	for _, w := range s.workers {
+		w.signal()
+	}
 }
 
 // Serve accepts connections on ln until the listener or server closes.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
-	closed := s.closed
 	s.mu.Unlock()
-	if closed {
+	if s.closed.Load() {
 		return net.ErrClosed
 	}
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed = s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			return err
@@ -287,91 +283,75 @@ func (s *Server) Serve(ln net.Listener) error {
 // the store is auditable at quiescence).
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
-	ln := s.ln
-	var conns []*conn
-	for _, pc := range s.procConns {
-		conns = append(conns, pc...)
+	s.closed.Store(true)
+	for _, c := range s.conns {
+		c.nc.Close()
 	}
+	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
-	for _, c := range conns {
-		if c.nc != nil {
-			c.nc.Close()
-		}
+	for _, w := range s.workers {
+		w.mu.Lock() // a reader that saw the server open is waiting by now
+		w.space.Broadcast()
+		w.mu.Unlock()
+		w.signal()
 	}
-	s.wakeAll()
 	s.wg.Wait()
 }
 
-// addConn pins nc to a Proc and starts its reader and writer.
-func (s *Server) addConn(nc net.Conn) *conn {
-	s.mu.Lock()
-	s.connSeq++
-	c := &conn{s: s, id: s.connSeq, nc: nc, proc: int(s.connSeq-1) % s.cfg.Procs}
+// addConn registers nc and starts its reader and writer, or, once Close
+// has run, closes it at once.
+func (s *Server) addConn(nc net.Conn) {
+	c := &conn{s: s, nc: nc, lanes: make([]*lane, len(s.workers))}
 	c.ocond.L = &c.omu
-	s.procConns[c.proc] = append(s.procConns[c.proc], c)
-	s.nconns++
-	s.mu.Unlock()
-	go c.readLoop()
-	go c.writeLoop()
-	return c
-}
-
-// removeConn drops c: its queued-but-unadmitted requests are discarded
-// (their IDs leave the inflight set, so a resubmission on a fresh
-// connection is admitted rather than bounced) and its counters fold into
-// the closed-connection aggregate.
-func (s *Server) removeConn(c *conn) {
+	c.proc.Store(-1)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c.gone {
+	if s.closed.Load() {
+		s.mu.Unlock()
+		nc.Close()
 		return
 	}
-	c.gone = true
-	pc := s.procConns[c.proc]
-	for i, cc := range pc {
-		if cc == c {
-			s.procConns[c.proc] = append(pc[:i], pc[i+1:]...)
-			break
-		}
-	}
-	for _, pr := range c.q {
-		delete(s.inflight, pr.req.ReqID)
-	}
-	s.totalQueued -= len(c.q)
-	s.nconns--
-	s.disconnects++
-	c.q = nil
+	s.connSeq++
+	c.id = s.connSeq
+	s.conns = append(s.conns, c)
+	s.mu.Unlock()
+	s.nconns.Add(1)
+	go c.readLoop()
+	go c.writeLoop()
+}
+
+// removeConn drops c: it retires the writer and posts opGone to every
+// worker, behind c's requests.
+func (s *Server) removeConn(c *conn) {
+	s.mu.Lock()
+	s.conns = slices.DeleteFunc(s.conns, func(cc *conn) bool { return cc == c })
+	s.mu.Unlock()
+	s.nconns.Add(-1)
+	s.disconnects.Add(1)
 	c.omu.Lock()
 	c.closed = true
 	c.omu.Unlock()
 	c.ocond.Signal()
-	s.closedAgg.queued += c.m.queued
-	s.closedAgg.admitted += c.m.admitted
-	s.closedAgg.retried += c.m.retried
-	s.closedAgg.deduped += c.m.deduped
-	s.closedAgg.fromReport += c.m.fromReport
-	s.closedAgg.shed += c.m.shed
-	s.closedReads += c.reads.Load()
-	s.closedFramesIn += c.framesIn.Load()
+	for _, w := range s.workers {
+		w.post(pendingReq{c: c, req: Request{Op: opGone}})
+	}
 }
 
-// readLoop decodes frames off one connection and routes them; one read
-// delivers every frame of a pipelined burst. With Config.IdleTimeout set,
-// each frame must arrive within it or the connection is closed as idle.
+// readLoop decodes frames off one connection and posts each to the worker
+// that owns its client; one read delivers every frame of a pipelined burst.
+// With Config.IdleTimeout set, each frame must arrive within it or the
+// connection is closed as idle.
 func (c *conn) readLoop() {
 	defer c.s.removeConn(c)
 	defer c.nc.Close()
 	idle := c.s.cfg.IdleTimeout
 	fr := NewFrameReader(c.nc)
-	queued := false // requests enqueued since the worker was last woken
 	for {
 		fill := !fr.Buffered() // Next has to read from the socket
 		if idle > 0 && fill {
@@ -386,21 +366,32 @@ func (c *conn) readLoop() {
 		}
 		if fill {
 			c.reads.Add(1)
+			c.s.reads.Add(1)
 		}
 		c.framesIn.Add(1)
+		c.s.framesIn.Add(1)
 		req, err := DecodeRequest(payload)
-		if err != nil {
-			c.sendReply(Reply{Status: StErr})
+		if err != nil || req.Op != OpStats && !validOp(req) {
+			c.sendReply(Reply{Status: StErr, ReqID: req.ReqID})
 			continue
 		}
-		queued = c.s.handle(c, req) || queued
-		if queued && !fr.Buffered() {
-			// The burst is in the queue: wake the worker once, for all of
-			// it, so a window is not closed over the burst's first frame.
-			c.s.wakeWorker(c.proc)
-			queued = false
-		}
+		w := c.s.route(req.ReqID)
+		c.proc.CompareAndSwap(-1, int32(w))
+		c.s.workers[w].post(pendingReq{c: c, req: req, enq: time.Now()})
 	}
+}
+
+// post appends pr to the inbox and wakes the worker. While the inbox holds
+// a queue's worth, the reader waits for the worker to empty it, so a flood
+// backs up into the socket, not the heap.
+func (w *worker) post(pr pendingReq) {
+	w.mu.Lock()
+	for len(w.inbox) >= w.s.cfg.QueueDepth && !w.s.closed.Load() {
+		w.space.Wait()
+	}
+	w.inbox = append(w.inbox, pr)
+	w.mu.Unlock()
+	w.signal()
 }
 
 // pushLocked appends one reply to the outbox; false means the outbox is
@@ -420,7 +411,7 @@ func (c *conn) pushLocked(r Reply) bool {
 // would halt the whole server behind one stalled socket.
 func (c *conn) wakeWriter(ok bool) {
 	c.ocond.Signal()
-	if !ok && c.nc != nil {
+	if !ok {
 		c.nc.Close() // slow consumer: tear down, reader runs removeConn
 	}
 }
@@ -432,6 +423,11 @@ func (c *conn) sendReply(r Reply) {
 	c.omu.Unlock()
 	c.wakeWriter(ok)
 }
+
+// Markers that never reach the wire: opGone, a reader's last post to a
+// worker, says its connection is gone; stStats is a STATS reply, acked by
+// the owner, whose snapshot writeLoop takes, so no worker assembles one.
+const opGone, stStats byte = 0, 0xff
 
 // writeLoop is the connection's single writer, so neither the reader nor
 // the Proc workers ever block on the socket. Each pass swaps the whole
@@ -455,9 +451,15 @@ func (c *conn) writeLoop() {
 		batch, c.out = c.out, batch[:0]
 		c.omu.Unlock()
 		buf = buf[:0]
-		for i := range batch {
-			buf = AppendReply(buf, batch[i])
-			batch[i].Body = nil // a stats body is garbage once encoded
+		for _, r := range batch {
+			if r.Status == stStats {
+				body, err := json.Marshal(c.s.Snapshot())
+				r.Status, r.Body = StOK, body
+				if err != nil || replyWire+len(body) > MaxFrame {
+					r.Status, r.Body = StErr, nil
+				}
+			}
+			buf = AppendReply(buf, r)
 		}
 		if wt > 0 {
 			c.nc.SetWriteDeadline(time.Now().Add(wt))
@@ -480,31 +482,33 @@ func (c *conn) writeLoop() {
 // maxAckWalk caps how many sequence numbers one acknowledgement may evict
 // in a single walk: a legitimate watermark advances by the handful of
 // requests since the last one, while a hostile frame could otherwise name
-// a MaxSeq-wide range and stall the admission lock for the whole walk. A
-// watermark further ahead is walked maxAckWalk at a time, one stretch per
-// frame from that client, so no entry below it is skipped.
+// a MaxSeq-wide range and stall its worker for the whole walk. A watermark
+// further ahead is walked maxAckWalk at a time, one stretch per frame from
+// that client, so no entry below it is skipped.
 const maxAckWalk = 1 << 16
 
-// applyAckLocked evicts the response-table entries an acknowledgement
-// watermark proves the client has received (its replies are in hand, so
-// their IDs can never be resubmitted). Requires s.mu.
-func (s *Server) applyAckLocked(ack uint64) {
-	if ack == 0 {
+// applyAck evicts the response-table entries an acknowledgement watermark
+// proves the client has received (its replies are in hand, so their IDs
+// can never be resubmitted). They live at the client's owner; another
+// worker has none and ignores the watermark.
+func (w *worker) applyAck(ack uint64) {
+	if ack == 0 || w.s.route(ack) != w.id {
 		return
 	}
 	cl, seq := SplitID(ack)
-	old := s.acked[cl]
+	old := w.acked[cl]
 	if seq <= old {
 		return
 	}
 	seq = min(seq, old+maxAckWalk)
 	for sq := old + 1; sq <= seq; sq++ {
-		if _, ok := s.done[cl<<SeqBits|sq]; ok {
-			delete(s.done, cl<<SeqBits|sq)
-			s.evicted++
+		if _, ok := w.done[cl<<SeqBits|sq]; ok {
+			delete(w.done, cl<<SeqBits|sq)
+			w.m.evicted.Add(1)
 		}
 	}
-	s.acked[cl] = seq
+	w.acked[cl] = seq
+	w.m.table.Store(int64(len(w.done)))
 }
 
 // validOp reports whether a data request is in range for its op.
@@ -524,207 +528,206 @@ func validOp(req Request) bool {
 	return req.Key >= 1 && req.Key <= MaxKey && req.ReqID <= MaxReqID
 }
 
-// wakeWorker signals proc w's worker if it is asleep.
-func (s *Server) wakeWorker(w int) {
-	s.mu.Lock()
-	wake := s.idle[w]
-	s.idle[w] = false
-	s.mu.Unlock()
-	if wake {
-		s.wake[w].Signal()
-	}
-}
-
-// handle admits one decoded request: stats snapshot, response-table hit,
-// backpressure, or enqueue (reported as true; the caller then owes the
-// worker a wakeWorker once its burst is in). Every accepted frame's Ack is
-// applied first, so the response table shrinks even on requests that bounce.
-func (s *Server) handle(c *conn, req Request) (queued bool) {
-	if req.Op == OpStats {
-		s.mu.Lock()
-		s.applyAckLocked(req.Ack)
-		s.mu.Unlock()
-		body, err := json.Marshal(s.Snapshot())
-		if err != nil || replyWire+len(body) > MaxFrame {
-			c.sendReply(Reply{Status: StErr, ReqID: req.ReqID})
-			return
-		}
-		c.sendReply(Reply{Status: StOK, ReqID: req.ReqID, Body: body})
-		return
-	}
-	if !validOp(req) {
-		c.sendReply(Reply{Status: StErr, ReqID: req.ReqID})
-		return
-	}
-	s.mu.Lock()
-	s.applyAckLocked(req.Ack)
-	if val, ok := s.done[req.ReqID]; ok {
-		// A resubmitted request ID: answer from the response table — never
-		// re-execute.
-		c.m.deduped++
-		s.mu.Unlock()
-		c.sendReply(Reply{Status: StOK, ReqID: req.ReqID, Val: val})
-		return
-	}
-	if wm := s.cfg.ShedWatermark; wm > 0 &&
-		float64(s.totalQueued) >= wm*float64(s.nconns*s.cfg.QueueDepth) {
-		// Aggregate saturation: shed. Placed after the dedup check so that
-		// resubmits of already-answered IDs are still served from the table
-		// even while the server is drowning.
-		c.m.shed++
-		s.mu.Unlock()
-		c.sendReply(Reply{Status: StShed, ReqID: req.ReqID})
-		return
-	}
-	if _, busy := s.inflight[req.ReqID]; busy {
-		c.m.retried++
-		s.mu.Unlock()
-		c.sendReply(Reply{Status: StRetry, ReqID: req.ReqID})
-		return
-	}
-	if len(c.q) >= s.cfg.QueueDepth {
-		c.m.retried++
-		s.mu.Unlock()
-		c.sendReply(Reply{Status: StRetry, ReqID: req.ReqID})
-		return
-	}
-	c.q = append(c.q, pendingReq{c: c, req: req, enq: time.Now()})
-	s.inflight[req.ReqID] = struct{}{}
-	s.totalQueued++
-	c.m.queued++
-	s.mu.Unlock()
-	return true
-}
-
-// worker is one Proc's admission loop: drain a window, serve it, repeat.
-func (s *Server) worker(w int) {
+// run is the worker's loop: empty the inbox, serve a window, repeat.
+func (w *worker) run() {
+	s := w.s
 	defer s.wg.Done()
 	defer s.group.Leave()
-	p := s.rt.Proc(w)
+	p := s.rt.Proc(w.id)
 	n := max(s.cfg.Batch, 2) // a MOVE admits two legs
 	sc := &winScratch{
 		ops:   make([]repro.Op, 0, n),
 		resps: make([]repro.Resp, n),
 		vals:  make([]uint64, n),
 	}
-	for {
-		batch := s.drain(w)
-		if batch == nil {
-			return
-		}
-		s.serveWindow(p, w, batch, sc)
-	}
-}
-
-// drain blocks until worker w has admissible requests (or the server
-// closes — nil), parking through any crash rendezvous it is notified of.
-func (s *Server) drain(w int) []pendingReq {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil
-		}
+	var in []pendingReq // the inbox taken, swapped back emptied
+	gathered := false
+	for !s.closed.Load() {
 		if s.rt.Crashing() {
-			s.mu.Unlock()
 			s.group.Park()
-			s.mu.Lock()
 			continue
 		}
-		if !s.cfg.Gated || s.released {
-			if batch := s.takeLocked(w); len(batch) > 0 {
-				return batch
+		w.mu.Lock()
+		in, w.inbox = w.inbox, in[:0]
+		w.space.Broadcast()
+		w.mu.Unlock()
+		for _, pr := range in {
+			w.accept(pr)
+		}
+		clear(in)
+		if len(in) > 0 && !gathered {
+			// Yield once before composing: requests the last replies set off join.
+			gathered = true
+			runtime.Gosched()
+			continue
+		}
+		gathered = false
+		if s.released.Load() {
+			if win := w.take(); len(win) > 0 {
+				w.serveWindow(p, win, sc)
+				continue
 			}
 		}
-		s.idle[w] = true
-		s.wake[w].Wait()
-		s.idle[w] = false
+		if len(in) == 0 {
+			<-w.wake // nothing came in and nothing is admissible
+		}
 	}
 }
 
-// popLocked removes the first k requests of c's queue in place.
-func (s *Server) popLocked(c *conn, k int) {
-	c.q = c.q[:copy(c.q, c.q[k:])]
-	c.m.admitted += uint64(k)
-	s.totalQueued -= k
+// accept takes one request off the inbox. Its acknowledgement is applied
+// first, so the response table shrinks even on requests that bounce; then
+// it is answered from the table, shed, bounced with RETRY when its lane is
+// full, or queued there.
+func (w *worker) accept(pr pendingReq) {
+	s, c, id := w.s, pr.c, pr.req.ReqID
+	if pr.req.Op == opGone {
+		w.drop(c)
+		return
+	}
+	w.applyAck(pr.req.Ack)
+	if pr.req.Op == OpStats {
+		c.sendReply(Reply{Status: stStats, ReqID: id})
+		return
+	}
+	if val, ok := w.done[id]; ok {
+		w.dedup(c, id, val)
+		return
+	}
+	if wm := s.cfg.ShedWatermark; wm > 0 &&
+		float64(s.queued.Load()) >= wm*float64(s.nconns.Load()*int64(s.cfg.QueueDepth)) {
+		// Aggregate saturation: shed. After the dedup check, so resubmits of
+		// answered IDs are still served from the table while drowning.
+		c.shed.Add(1)
+		w.m.shed.Add(1)
+		c.sendReply(Reply{Status: StShed, ReqID: id})
+		return
+	}
+	l := c.lanes[w.id]
+	if l == nil {
+		l = &lane{c: c}
+		c.lanes[w.id] = l
+		w.lanes = append(w.lanes, l)
+	}
+	if len(l.q) >= s.cfg.QueueDepth {
+		c.retried.Add(1)
+		w.m.retried.Add(1)
+		c.sendReply(Reply{Status: StRetry, ReqID: id})
+		return
+	}
+	l.q = append(l.q, pr)
+	s.queued.Add(1)
+	c.queued.Add(1)
+	w.m.queued.Add(1)
 }
 
-// takeLocked drains up to cfg.Batch requests for proc w, one request per
-// connection per pass (round-robin fairness: a connection with a deep
-// queue cannot starve its neighbours), starting each window at a rotating
-// cursor. The returned window aliases s.win[w].
+// dedup answers a resubmitted request ID from the table, never re-executed.
+func (w *worker) dedup(c *conn, id, val uint64) {
+	c.deduped.Add(1)
+	w.m.deduped.Add(1)
+	c.sendReply(Reply{Status: StOK, ReqID: id, Val: val})
+}
+
+// drop discards c's lane and its unadmitted requests; a resubmission on a
+// fresh connection is queued afresh.
+func (w *worker) drop(c *conn) {
+	if l := c.lanes[w.id]; l != nil {
+		c.lanes[w.id] = nil
+		w.lanes = slices.DeleteFunc(w.lanes, func(x *lane) bool { return x == l })
+		w.s.queued.Add(-int64(len(l.q)))
+	}
+}
+
+// pop removes the first k requests of l's queue in place.
+func (w *worker) pop(l *lane, k int) {
+	l.q = l.q[:copy(l.q, l.q[k:])]
+	w.s.queued.Add(-int64(k))
+}
+
+// take composes the next window: up to cfg.Batch requests, one per lane
+// per pass (round-robin fairness: a connection with a deep queue cannot
+// starve its neighbours), starting each window at a rotating cursor. The
+// returned window aliases w.win.
 //
 // MOVE requests never share a window: an announced vector is either a
-// window or an atomic transaction, never a mix, so each
-// connection contributes only the prefix of its queue ahead of its first
-// MOVE, and when every admissible queue is blocked on a MOVE, exactly one
-// MOVE is admitted as a singleton window.
-func (s *Server) takeLocked(w int) []pendingReq {
-	conns := s.procConns[w]
-	n := len(conns)
+// window or an atomic transaction, never a mix, so each lane contributes
+// only the prefix of its queue ahead of its first MOVE, and when every
+// admissible queue is blocked on a MOVE, exactly one MOVE is admitted as a
+// singleton window. The worker serves one window at a time, so a queued
+// duplicate of an answered request is answered from the table here, and
+// one of a request in this window waits for the next.
+func (w *worker) take() []pendingReq {
+	lanes := w.lanes
+	n := len(lanes)
 	if n == 0 {
 		return nil
 	}
-	for _, c := range conns {
-		c.lim, c.taken = len(c.q), 0
-		for i := range c.q {
-			if c.q[i].req.Op == OpMove {
-				c.lim = i
+	for _, l := range lanes {
+		l.lim, l.taken = len(l.q), 0
+		for i := range l.q {
+			if l.q[i].req.Op == OpMove {
+				l.lim = i
 				break
 			}
 		}
 	}
-	out := s.win[w][:0]
-	start := s.rr[w]
-	for depth := 0; len(out) < s.cfg.Batch; depth++ {
+	out := w.win[:0]
+	// use answers pr from the table if it was answered since it queued.
+	use := func(l *lane, pr pendingReq) {
+		if val, ok := w.done[pr.req.ReqID]; ok {
+			w.dedup(l.c, pr.req.ReqID, val)
+		} else {
+			out = append(out, pr)
+			l.c.admitted.Add(1)
+			w.m.admitted.Add(1)
+		}
+	}
+	batch, start := w.s.cfg.Batch, w.rr
+	for depth := 0; len(out) < batch; depth++ {
 		took := false
-		for i := 0; i < n && len(out) < s.cfg.Batch; i++ {
-			c := conns[(start+i)%n]
-			if depth < c.lim {
-				out = append(out, c.q[depth])
-				c.taken = depth + 1
-				took = true
+		for i := 0; i < n && len(out) < batch; i++ {
+			l := lanes[(start+i)%n]
+			if depth >= l.lim {
+				continue
 			}
+			if id := l.q[depth].req.ReqID; slices.ContainsFunc(out, func(pr pendingReq) bool { return pr.req.ReqID == id }) {
+				l.lim = depth // a duplicate waits for this window's answer
+				continue
+			}
+			use(l, l.q[depth])
+			l.taken = depth + 1
+			took = true
 		}
 		if !took {
 			break
 		}
 	}
-	pm := &s.procM[w]
-	if len(out) == 0 {
+	for _, l := range lanes {
+		if l.taken > 0 {
+			w.pop(l, l.taken)
+		}
+	}
+	if len(out) > 0 {
+		w.m.windows.Add(1)
+		w.m.batchFill[len(out)].Add(1)
+	} else {
 		// Every nonempty queue leads with a MOVE; admit one alone.
-		for i := 0; i < n; i++ {
-			c := conns[(start+i)%n]
-			if len(c.q) == 0 {
-				continue
+		for i := 0; i < n && len(out) == 0; i++ {
+			for l := lanes[(start+i)%n]; len(l.q) > 0 && len(out) == 0; w.pop(l, 1) {
+				use(l, l.q[0])
 			}
-			out = append(out, c.q[0])
-			s.popLocked(c, 1)
-			pm.Moves++
-			break
 		}
 		if len(out) == 0 {
 			return nil
 		}
-	} else {
-		// Pop the admitted prefixes.
-		for _, c := range conns {
-			if c.taken > 0 {
-				s.popLocked(c, c.taken)
-			}
-		}
-		pm.Windows++
-		pm.BatchFill[len(out)]++
+		w.m.moves.Add(1)
 	}
-	pm.Admitted += uint64(len(out))
-	s.rr[w] = (start + 1) % n // advance the fairness cursor
-	s.win[w] = out
+	w.rr = (start + 1) % n // advance the fairness cursor
+	w.win = out
 	return out
 }
 
 // reqOp maps a request onto the store's operation protocol: the request ID
-// rides the announcement Arg's high bits (see PackArg), the key its low
-// bits.
+// rides the announcement Arg's high bits (see PackArg), the key its low.
 func reqOp(r Request) repro.Op {
 	kind := repro.OpFind
 	switch r.Op {
@@ -767,7 +770,8 @@ func moveVal(del, ins repro.Resp) uint64 {
 // prefix; a MOVE's two legs or nothing, recovery having rolled a committed
 // transaction's second leg forward — and re-admits the rest. The request ID
 // riding every announced Arg makes a stale report unmatchable.
-func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *winScratch) {
+func (w *worker) serveWindow(p *repro.Proc, pending []pendingReq, sc *winScratch) {
+	s := w.s
 	move := pending[0].req.Op == OpMove
 	ops := sc.ops[:0]
 	if move {
@@ -793,10 +797,12 @@ func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *win
 			// Wake idle workers so they join the rendezvous, then park. No
 			// report, or nothing matched: the admission provably performed no
 			// tracked writes and is re-admitted wholesale.
-			s.wakeAll()
+			for _, o := range s.workers {
+				o.signal()
+			}
 			s.group.Park()
 			n = 0
-			if rep, ok := s.group.Report(w); ok {
+			if rep, ok := s.group.Report(w.id); ok {
 				n = repro.MatchReport(rep, ops, func(i int, _ repro.Op, r repro.Resp) { resps[i] = r })
 			}
 		}
@@ -810,40 +816,29 @@ func (s *Server) serveWindow(p *repro.Proc, w int, pending []pendingReq, sc *win
 			}
 		}
 		if k > 0 {
-			s.finishWindow(w, pending[:k], vals, !admitted)
+			w.finish(pending[:k], vals, !admitted)
 		}
 		pending, ops, resps, vals = pending[k:], ops[n:], resps[n:], vals[k:]
 	}
 }
 
-// finishWindow answers reqs — a whole window, or the durable prefix a
-// report proves after a crash — with vals: it records them in the response
-// table under ONE s.mu hold, then hands each connection its replies as one
-// batch, so a window costs one outbox lock hold, one writer wake-up and one
-// socket Write per connection. It clears reqs' conn pointers as it goes.
-func (s *Server) finishWindow(w int, reqs []pendingReq, vals []uint64, fromReport bool) {
+// finish answers reqs — a whole window, or the durable prefix a report
+// proves after a crash — with vals: it records them in the response table,
+// then hands each connection its replies as one batch, so a window costs
+// one outbox lock hold, one writer wake-up and one socket Write per
+// connection. It clears reqs' conn pointers as it goes.
+func (w *worker) finish(reqs []pendingReq, vals []uint64, fromReport bool) {
 	now := time.Now()
-	s.mu.Lock()
 	for i := range reqs {
 		pr := &reqs[i]
-		s.done[pr.req.ReqID] = vals[i]
-		delete(s.inflight, pr.req.ReqID)
-		m := &pr.c.m
-		if pr.c.gone {
-			// removeConn already folded this connection's counters into the
-			// closed aggregate; route the late completion there too, or the
-			// update would vanish from Snapshot totals.
-			m = &s.closedAgg
-		}
-		m.lat.observe(now.Sub(pr.enq))
+		w.done[pr.req.ReqID] = vals[i]
+		pr.c.lat.observe(now.Sub(pr.enq))
 		if fromReport {
-			m.fromReport++
+			pr.c.fromReport.Add(1)
+			w.m.fromReport.Add(1)
 		}
 	}
-	if fromReport {
-		s.procM[w].FromReport += uint64(len(reqs))
-	}
-	s.mu.Unlock()
+	w.m.table.Store(int64(len(w.done)))
 	for i := range reqs {
 		c := reqs[i].c
 		if c == nil {
@@ -862,57 +857,58 @@ func (s *Server) finishWindow(w int, reqs []pendingReq, vals []uint64, fromRepor
 	}
 }
 
-// Snapshot assembles the stats the OpStats endpoint serves. It reads the
-// crash state from its owners, the crash group and the runtime, before it
-// takes s.mu: no path holds the group's lock and the server's together.
+// Snapshot assembles the stats the OpStats endpoint serves, reading each
+// owner's state in turn: it never holds two locks at once.
 func (s *Server) Snapshot() Stats {
 	crashes := s.group.Crashes()
 	scan, _ := s.rt.LastScan()
 	rs, _ := s.rt.ReclaimStats()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		Crashes:        crashes,
 		FastRecoveries: rs.FastRecoveries,
 		FullScans:      rs.FullScans,
 		LastDropped:    scan.Dropped,
 		LastGarbage:    scan.Garbage,
-		TableEntries:   len(s.done),
-		EvictedEntries: s.evicted,
-		Queued:         s.closedAgg.queued,
-		Admitted:       s.closedAgg.admitted,
-		Retried:        s.closedAgg.retried,
-		Deduped:        s.closedAgg.deduped,
-		FromReport:     s.closedAgg.fromReport,
-		Sheds:          s.closedAgg.shed,
-		Disconnects:    s.disconnects,
+		Disconnects:    s.disconnects.Load(),
 		IdleClosed:     s.idleClosed.Load(),
 		WriteTimeouts:  s.writeTimeouts.Load(),
 		Flushes:        s.flushes.Load(),
 		FramesOut:      s.framesOut.Load(),
-		Reads:          s.closedReads,
-		FramesIn:       s.closedFramesIn,
+		Reads:          s.reads.Load(),
+		FramesIn:       s.framesIn.Load(),
 	}
-	for _, pc := range s.procConns {
-		for _, c := range pc {
-			cs := c.m.snapshot(c.id, c.proc)
-			cs.Flushes, cs.FramesOut = c.flushes.Load(), c.framesOut.Load()
-			cs.Reads, cs.FramesIn = c.reads.Load(), c.framesIn.Load()
-			st.Reads += cs.Reads
-			st.FramesIn += cs.FramesIn
-			st.Conns = append(st.Conns, cs)
-			st.Queued += cs.Queued
-			st.Admitted += cs.Admitted
-			st.Retried += cs.Retried
-			st.Deduped += cs.Deduped
-			st.FromReport += cs.FromReport
-			st.Sheds += cs.Shed
+	for _, w := range s.workers {
+		m := &w.m
+		ps := ProcStats{Proc: w.id, Windows: m.windows.Load(), Admitted: m.admitted.Load(),
+			Moves: m.moves.Load(), FromReport: m.fromReport.Load()}
+		for i := range m.batchFill {
+			ps.BatchFill = append(ps.BatchFill, m.batchFill[i].Load())
 		}
+		st.Procs = append(st.Procs, ps)
+		st.TableEntries += int(m.table.Load())
+		st.EvictedEntries += m.evicted.Load()
+		st.Queued += m.queued.Load()
+		st.Admitted += m.admitted.Load()
+		st.Retried += m.retried.Load()
+		st.Deduped += m.deduped.Load()
+		st.FromReport += m.fromReport.Load()
+		st.Sheds += m.shed.Load()
 	}
-	for i := range s.procM {
-		pm := s.procM[i]
-		pm.BatchFill = append([]uint64(nil), pm.BatchFill...)
-		st.Procs = append(st.Procs, pm)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.conns {
+		st.Conns = append(st.Conns, c.stats())
 	}
 	return st
+}
+
+// stats is the connection's ConnStats.
+func (c *conn) stats() ConnStats {
+	return ConnStats{
+		ID: c.id, Proc: int(c.proc.Load()),
+		Queued: c.queued.Load(), Admitted: c.admitted.Load(), Retried: c.retried.Load(),
+		Deduped: c.deduped.Load(), FromReport: c.fromReport.Load(), Shed: c.shed.Load(),
+		Flushes: c.flushes.Load(), FramesOut: c.framesOut.Load(), Reads: c.reads.Load(), FramesIn: c.framesIn.Load(),
+		P50Micros: c.lat.quantile(0.50), P99Micros: c.lat.quantile(0.99),
+	}
 }

@@ -28,60 +28,52 @@ func TestLatHistQuantiles(t *testing.T) {
 	}
 }
 
-// TestTakeLockedFairness pins the round-robin admission composition: one
-// request per connection per pass, so a connection with a deep queue
-// cannot crowd its neighbours out of a window.
-func TestTakeLockedFairness(t *testing.T) {
+// TestTakeFairness pins the round-robin admission composition of a
+// worker: one request per connection per pass, so a connection with a deep
+// queue cannot crowd its neighbours out of a window.
+func TestTakeFairness(t *testing.T) {
 	s := New(Config{Procs: 1, Batch: 4, QueueDepth: 64, Gated: true})
 	defer s.Close()
 
-	c1 := &conn{s: s, id: 1, proc: 0}
-	c2 := &conn{s: s, id: 2, proc: 0}
-	s.mu.Lock()
-	s.procConns[0] = []*conn{c1, c2}
+	// A worker of s's that runs no loop: take is called by hand.
+	w := newWorker(s, 0)
+	c1, c2 := &conn{s: s, id: 1}, &conn{s: s, id: 2}
+	l1, l2 := &lane{c: c1}, &lane{c: c2}
+	w.lanes = []*lane{l1, l2}
 	for i := 0; i < 10; i++ {
-		c1.q = append(c1.q, pendingReq{c: c1, req: Request{Op: OpGet, ReqID: uint64(100 + i), Key: 1}, enq: time.Now()})
+		l1.q = append(l1.q, pendingReq{c: c1, req: Request{Op: OpGet, ReqID: uint64(100 + i), Key: 1}, enq: time.Now()})
 	}
 	for i := 0; i < 3; i++ {
-		c2.q = append(c2.q, pendingReq{c: c2, req: Request{Op: OpGet, ReqID: uint64(200 + i), Key: 1}, enq: time.Now()})
+		l2.q = append(l2.q, pendingReq{c: c2, req: Request{Op: OpGet, ReqID: uint64(200 + i), Key: 1}, enq: time.Now()})
 	}
 
-	batch := s.takeLocked(0)
+	batch := w.take()
 	if len(batch) != 4 {
-		s.mu.Unlock()
 		t.Fatalf("window drained %d requests, want 4", len(batch))
 	}
 	// Depth-major round robin: c1[0], c2[0], c1[1], c2[1].
 	want := []uint64{100, 200, 101, 201}
 	for i, pr := range batch {
 		if pr.req.ReqID != want[i] {
-			s.mu.Unlock()
 			t.Fatalf("slot %d admitted request %d, want %d", i, pr.req.ReqID, want[i])
 		}
 	}
-	if len(c1.q) != 8 || len(c2.q) != 1 {
-		s.mu.Unlock()
-		t.Fatalf("residual queues %d/%d, want 8/1", len(c1.q), len(c2.q))
+	if len(l1.q) != 8 || len(l2.q) != 1 {
+		t.Fatalf("residual queues %d/%d, want 8/1", len(l1.q), len(l2.q))
 	}
 
 	// The cursor rotates: the next window opens its first pass at c2.
-	batch = s.takeLocked(0)
+	batch = w.take()
 	if got := batch[0].req.ReqID; got != 202 {
-		s.mu.Unlock()
 		t.Fatalf("second window opened with request %d, want 202 (cursor rotation)", got)
 	}
 	// c2 is drained after its last request; the remainder comes from c1.
 	if len(batch) != 4 || batch[1].req.ReqID != 102 || batch[3].req.ReqID != 104 {
-		s.mu.Unlock()
 		t.Fatalf("second window = %v, want [202 102 103 104]", reqIDs(batch))
 	}
-	if pm := s.procM[0]; pm.Windows != 2 || pm.Admitted != 8 || pm.BatchFill[4] != 2 {
-		s.mu.Unlock()
-		t.Fatalf("proc stats windows=%d admitted=%d fill[4]=%d, want 2/8/2", pm.Windows, pm.Admitted, pm.BatchFill[4])
+	if pm := &w.m; pm.windows.Load() != 2 || pm.admitted.Load() != 8 || pm.batchFill[4].Load() != 2 {
+		t.Fatalf("proc stats windows=%d admitted=%d fill[4]=%d, want 2/8/2", pm.windows.Load(), pm.admitted.Load(), pm.batchFill[4].Load())
 	}
-	// Detach the synthetic conns (no sockets) before Close tears down.
-	s.procConns[0] = nil
-	s.mu.Unlock()
 }
 
 func reqIDs(batch []pendingReq) []uint64 {
