@@ -86,13 +86,14 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // The whole begin sequence is the one announcement naming every leg, whose
 // raised admission number resets CP on every involved engine
 // (isb.Engine.Begin). The rest is a sync scope, closed by one psync, and the
-// scope opens ahead of the begin: under EngineIsbOpt the begin writes nothing
-// back — the record rides the admission's first barrier — and every sync
-// point, the begin's included, defers to the close, so any vector costs the
-// one psync a single operation costs; under EngineIsb the begin is one
-// write-back and one psync, a window's sync points defer to the leg
-// boundaries (still one psync per leg) and a transaction stays unscoped,
-// every leg psync where Algorithms 1–2 put it. Between two legs the previous
+// scope opens ahead of the begin: under EngineIsbOpt the begin stores nothing
+// — the record is stored at the admission's first install and rides its
+// barrier — and every sync point, the begin's included, defers to the close,
+// so any vector costs the one psync a single operation costs, and a vector
+// that installs nothing (reads and effect-free updates only) costs none;
+// under EngineIsb the begin is one write-back and one psync, a window's sync
+// points defer to the leg boundaries (still one psync per leg) and a
+// transaction stays unscoped, every leg psync where Algorithms 1–2 put it. Between two legs the previous
 // response goes to its result slot, stamped with the admission number
 // (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
 // — the slot's line joins the process's carry set and rides its next barrier,
@@ -101,7 +102,10 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // Read-only kinds run on the zero-persist path but still occupy their
 // position: their response is stamped at the next boundary, which is what
 // makes a recovered in-flight read safe to re-execute — no later leg can have
-// taken effect before the read's own slot was durable.
+// taken effect before the read's own slot was durable. Under EngineIsbOpt an
+// update leg whose gather proves it effect-free does the same when a later
+// update leg follows it (see lastUpdate): that leg either installs, and its
+// barrier carries this leg's slot, or finds the record still pending too.
 //
 // atomic makes the vector all-or-nothing across a crash: its commit point is
 // slot 0 stamped, durable strictly before the second leg takes any effect (see
@@ -114,6 +118,10 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		rec    [MaxBatch]pmem.Leg
 		ads    [MaxBatch]*adapter
 		others = make([]*isb.Engine, 0, 1)
+		// lastUpdate is the last leg that surely runs through its engine: not
+		// a read, and not a leg a dequeue on empty may skip. Each leg before
+		// it may answer an effect-free outcome without an install (elide).
+		lastUpdate = -1
 	)
 	for i, l := range legs {
 		ad, ok := l.S.(admitter)
@@ -130,6 +138,9 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		}
 		if e := ads[i].e; e != ads[0].e && !slices.Contains(others, e) {
 			others = append(others, e)
+		}
+		if !l.ArgFromLeg1 && !ads[i].c.ReadOnly(l.Op.Kind) {
+			lastUpdate = i
 		}
 	}
 	scoped := !atomic || ads[0].e.Batched()
@@ -148,7 +159,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		if arg, skip := deriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
 			prev = isb.RespSkipped
 		} else {
-			prev = ads[i].c.ApplyLeg(p, i, l.Op.Kind, ads[i].key(arg))
+			prev = ads[i].c.ApplyLeg(p, i, l.Op.Kind, ads[i].key(arg), i < lastUpdate)
 		}
 		out[i] = respOf(prev)
 	}

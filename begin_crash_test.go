@@ -21,10 +21,12 @@ func legOps(rep ProcReport) []Op {
 // its announcement, under Isb the begin's own pwb — once with nothing more
 // persisted and once with each line the crash left dirty persisted, as an
 // eviction could have, on both engines and both allocators. A shape that
-// leads with a read stores slot 0 at its first boundary, so its sweep runs on
-// through that boundary's stores, up to the next write-back: the record must
-// be written back before the slot changes, or an evicted slot line leaves
-// the previous record valid with the new read's response in its slot.
+// leads with a read stamps slot 0 past its first write-back — under Isb-Opt
+// the read's response waits with the pending record and is stored after the
+// install barrier that writes the record back — so its sweep runs on through
+// the stores of slot 0, up to the next write-back: the record must be written
+// back before the slot changes, or an evicted slot line leaves the previous
+// record valid with the new read's response in its slot.
 //
 // The admission before it is either a window whose slot 0 is stamped — an
 // insert its second leg undid, so re-running that leg would show — or an
@@ -217,9 +219,9 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 // TestIdentityRejectsStaleReport pins the stale-report contract on its
 // hardest case: two identical single inserts, each a window of one, the second
 // crashed at every access from its begin up to its first write-back. Under
-// Isb-Opt that crash reports the first insert — the second's record only
-// persists with its install barrier — whose response (true) is not the
-// second's (false). An identity riding the announced Op.Arg
+// Isb-Opt that crash reports the first insert — the second, which fails, is
+// effect-free and never stores its record — whose response (true) is not
+// the second's (false). An identity riding the announced Op.Arg
 // (HashMap.SetArgMask) keeps MatchReport from delivering it: the report
 // resolves nothing, and the re-submission answers what the sequential model
 // does.

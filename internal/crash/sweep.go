@@ -439,15 +439,18 @@ func (v vector) instance(verify func() string, want []uint64, crashedAt uint64) 
 	return in
 }
 
-// loneRead reports whether the vector is a single operation of its
-// structure's read-only kind, which runs on the zero-persist path and so
-// never announces.
-func (v vector) loneRead() bool {
-	if len(v.legs) != 1 {
-		return false
+// effectFree reports whether leg i, answering resp, changed nothing: a read,
+// an update the structure found nothing to do for (an insert of a present
+// key, a delete of an absent one, a dequeue or pop on empty), or a leg elided
+// because leg 1 carried no value. Under Isb-Opt such a leg need leave no
+// durable trace, and re-submitting it is exactly-once.
+func (v vector) effectFree(i int, resp uint64) bool {
+	switch resp {
+	case isb.RespFalse, isb.RespEmpty, isb.RespSkipped:
+		return true
 	}
-	for _, k := range v.legs[0].S.(interface{ OpKinds() []repro.OpKind }).OpKinds() {
-		if k.Kind == v.legs[0].Op.Kind {
+	for _, k := range v.legs[i].S.(interface{ OpKinds() []repro.OpKind }).OpKinds() {
+		if k.Kind == v.legs[i].Op.Kind {
 			return k.ReadOnly
 		}
 	}
@@ -520,23 +523,41 @@ func (v vector) resolve() ([]uint64, error) {
 // path a rebooted application drives when it recovers twice: a second
 // RecoverAll must re-report the last announced vector (the whole admission,
 // or the suffix resolve re-submitted) with every leg resolved to the same
-// response.
+// response, except an effect-free suffix (effectFree), which may have left no
+// durable trace — an admission that installs nothing stores no record — and,
+// re-submitted the way resolve does, must answer the same again.
 func (v vector) duplicate(want []uint64) string {
 	reps := v.rt.RecoverAll()
-	if len(reps) == 0 && v.loneRead() {
-		// Recovering what never announced is re-executing it.
-		if got := v.submit(0); got[0] != want[0] {
-			return fmt.Sprintf("read re-executed to %d, want %d", got[0], want[0])
-		}
-		return ""
-	}
-	if len(reps) != 1 || reps[0].Atomic != v.atomic || len(reps[0].Legs) > len(v.legs) {
+	if len(reps) > 1 {
 		return fmt.Sprintf("reported %+v", reps)
 	}
-	tail := len(v.legs) - len(reps[0].Legs)
-	for i, leg := range reps[0].Legs {
-		if leg.Status == repro.OpNoEffect || leg.Op != v.legs[tail+i].Op || leg.Resp.Raw() != want[tail+i] {
-			return fmt.Sprintf("leg %d of %d re-reported as %+v, want %+v → %d", tail+i, len(v.legs), leg, v.legs[tail+i].Op, want[tail+i])
+	from := 0 // legs [0, from) are re-reported; the rest is re-submitted
+	if len(reps) == 1 && reps[0].Atomic == v.atomic && len(reps[0].Legs) <= len(v.legs) {
+		tail := len(v.legs) - len(reps[0].Legs)
+		for i, leg := range reps[0].Legs {
+			if leg.Op != v.legs[tail+i].Op {
+				return fmt.Sprintf("leg %d of %d re-reported as %+v, want %+v", tail+i, len(v.legs), leg, v.legs[tail+i].Op)
+			}
+			if leg.Status == repro.OpNoEffect {
+				break
+			}
+			if leg.Resp.Raw() != want[tail+i] {
+				return fmt.Sprintf("leg %d of %d re-reported as %+v, want %+v → %d", tail+i, len(v.legs), leg, v.legs[tail+i].Op, want[tail+i])
+			}
+			from = tail + i + 1
+		}
+	}
+	if v.atomic && from != len(v.legs) {
+		from = 0
+	}
+	for i := from; i < len(v.legs); i++ {
+		if !v.effectFree(i, want[i]) {
+			return fmt.Sprintf("leg %d (%+v → %d) took effect, yet recovery does not re-report it: %+v", i, v.legs[i].Op, want[i], reps)
+		}
+	}
+	if from < len(v.legs) {
+		if got := v.submit(from); !slices.Equal(got, want[from:]) {
+			return fmt.Sprintf("effect-free legs %d.. re-submitted answered %v, want %v", from, got, want[from:])
 		}
 	}
 	return ""

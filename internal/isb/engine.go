@@ -194,18 +194,21 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 //
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one, opened ahead of
-// the begin (Ops.ApplyOp): the begin writes nothing back — its record rides
-// the install barrier — every sync point defers, and one psync closes the
-// scope before the response is returned, what a batch window of one pays.
+// the begin (Ops.ApplyOp): the begin stores nothing — the install stores its
+// record, which rides the install barrier — every sync point defers, and one
+// psync closes the scope before the response is returned, what a batch
+// window of one pays. An effect-free outcome installs nothing, and a scope
+// that wrote nothing back closes without its psync: it costs what a read
+// does.
 // Isb-Opt also drops the RD_q := Null / CP_q := 1 prologue: CP_q rides the
 // first install's RD_q write-back (see runAttempts). An elimination stack's
 // begin stays eager, and its scope opens here, after the exchange.
 func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
-		return e.runAttempts(p, opType, argKey, gather, 0)
+		return e.runAttempts(p, opType, argKey, gather, 0, false)
 	}
 	p.OpenSyncScope()
-	r := e.runAttempts(p, opType, argKey, gather, 0)
+	r := e.runAttempts(p, opType, argKey, gather, 0, false)
 	p.CloseSyncScope()
 	return r
 }
@@ -223,9 +226,9 @@ func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 // pairs are (old record, old number), (info, old number) and (info, this
 // number): a current CP_q names this leg's record, and since no tag precedes
 // that pwb, a stale one still proves the leg made no changes.
-func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
+func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, elide bool) uint64 {
 	if e.Batched() {
-		return e.attemptLoop(p, opType, argKey, gather, bound, true)
+		return e.attemptLoop(p, opType, argKey, gather, bound, true, elide)
 	}
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
@@ -234,7 +237,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	p.Store(cp, p.Admission())
 	p.PWB(cp)
 	e.opSync(p)
-	return e.attemptLoop(p, opType, argKey, gather, bound, false)
+	return e.attemptLoop(p, opType, argKey, gather, bound, false, false)
 }
 
 // maxRecoveryAttempts bounds the attempts of one recoverSeq call. Every
@@ -250,10 +253,11 @@ const maxRecoveryAttempts = 1 << 10
 // engine's first enter here directly: CP_q is already current and RD_q still
 // names the previous leg's record, which recovery tells apart from this leg's
 // by the stamped index. raiseCP makes the first install also store the
-// admission number into CP_q (the Isb-Opt first leg, see runAttempts). bound,
-// when nonzero, is the recovery path's attempt limit (see
+// admission number into CP_q (the Isb-Opt first leg, see runAttempts). elide
+// reports that a later update leg of the vector follows (Ops.ApplyLeg).
+// bound, when nonzero, is the recovery path's attempt limit (see
 // maxRecoveryAttempts).
-func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP bool) uint64 {
+func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP, elide bool) uint64 {
 	rd := e.rd(p)
 	per := e.per(p)
 	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
@@ -303,17 +307,39 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			continue
 		}
 
+		// Effect-free fast path, Isb-Opt only: the gather proved the leg
+		// read-only — a find, an insert of a present key, a delete of an absent
+		// one — and no durable record will name it as in flight once its
+		// admission returns, so recovery never re-invokes it after its response
+		// is out. That holds while the admission's record is still pending
+		// (pmem.Proc.AnnounceLazy): a later install stores it with this leg's
+		// response in its slot, or the scope's close drops it. It holds too for
+		// a leg followed by an update leg (elide): the boundary stamps this
+		// leg's slot, and that leg's install barrier carries it, unless that
+		// leg finds the record still pending too. The last update leg of a
+		// vector whose record is stored takes the ROpt install below, as does
+		// every leg under Isb.
+		if spec.ReadOnly && e.batched && (elide || p.RecordPending()) {
+			e.discardAttempt(p, info, spec)
+			e.readFast[p.ID()]++
+			e.alloc.Exit(p)
+			return spec.Response
+		}
+
 		// Install the Info record and persist it with the new nodes. The
 		// batched persister covers the record and the whole NewSet in one
-		// barrier — with the previous operation's deferred cleanup, if any —
-		// and the eager one issues a pbarrier per range.
+		// barrier — with the admission's announcement, stored now if it is
+		// still pending, and the previous operation's deferred cleanup, if
+		// any — and the eager one issues a pbarrier per range.
 		per.Reset()
 		e.install(p, info, spec)
 		per.WroteRange(info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
+		p.StoreAnnouncement()
 		per.Flush()
+		p.StoreLegResults()
 		p.Store(rd, uint64(info))
 		if raiseCP {
 			p.Store(e.cp(p), p.Admission()) // after RD_q, on its line: see runAttempts
@@ -328,7 +354,11 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		e.last[p.ID()].info = info
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
-		// stored into the record by install and persisted above.
+		// stored into the record by install and persisted above. Under
+		// Isb-Opt only a read-only leg that could not take the effect-free
+		// path above gets here: the last update leg of a vector whose record
+		// is stored, which RD_q must name so that recovery finds its
+		// response rather than re-invoking it.
 		if spec.ReadOnly {
 			e.alloc.Exit(p)
 			return spec.Response
@@ -429,7 +459,7 @@ func (e *Engine) recoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 		return r
 	}
 	// No matching record, or its last attempt did not take effect: re-invoke.
-	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
+	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts, false)
 }
 
 // resolveSeq probes whether the leg (opType, argKey) at index seq took
@@ -466,7 +496,7 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	}
 	// Defense for a crash before the begin's record is durable — inside an
 	// eager begin's write-back, or under Isb-Opt anywhere ahead of the
-	// admission's first barrier, which carries the record: the raised
+	// admission's first install barrier, which carries the record: the raised
 	// admission number persists with the record, before anything else of the
 	// new operation (README, "Recovery workflow"), so such a crash leaves the
 	// number, CP_q and RD_q the previous operation's. If RD_q still describes
@@ -589,30 +619,31 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
 // into. Under Isb-Opt the boundary defers its psync to the scope's close and
-// writes nothing back of its own — only the first boundary of a vector that
-// leads with a read writes back the still-carried announcement, before the
-// slot's stores (pmem.Proc.StoreLegResult) — and the slot's line joins the process's carry set
-// (pmem.Proc.Carry), which its next barrier writes back, on whichever engine
-// — a mutating leg's install barrier, before RD_q moves and before any tag,
-// or sooner, the barrier of an operation the leg helps. No leg takes a
-// durable effect ahead of its install barrier, and a read leg takes none at
-// all; the reclaimer's slab directory, which can be written back sooner,
-// records no operation's effect. So a crash before that barrier finds the
-// slot unstamped and leg seq-1 at the derived cursor, with RD_q still naming
-// its record if it mutated (recoverSeq, resolveSeq). The slot of a leg
-// followed only by reads may never be written back: RD_q keeps that leg's
-// record until the next admission.
+// writes nothing back of its own (pmem.Proc.CarryLegResult). While the
+// record is still pending — every leg so far a read or effect-free — the
+// response waits with it, for the first install to store after its barrier
+// (pmem.Proc.StoreLegResults). Otherwise the slot's line joins the process's
+// carry set (pmem.Proc.Carry), which its next barrier writes back, on
+// whichever engine — a mutating leg's install barrier, before RD_q moves and
+// before any tag, or sooner, the barrier of an operation the leg helps. No
+// leg takes a durable effect ahead of its install barrier, and a read or
+// effect-free leg takes none at all; the reclaimer's slab directory, which
+// can be written back sooner, records no operation's effect. So a crash
+// before that barrier finds the slot unstamped and leg seq-1 at the derived
+// cursor, with RD_q still naming its record if it installed one (recoverSeq,
+// resolveSeq). The slot of a leg followed only by reads may never be written
+// back: RD_q keeps that leg's record until the next admission, which is why
+// the last update leg of a vector with a stored record installs even when
+// effect-free.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
-	slot := p.StoreLegResult(seq-1, prevResp)
-	switch {
-	case e.batched:
-		p.Carry(slot)
+	if e.batched {
+		p.CarryLegResult(seq-1, prevResp)
 		e.batchSyncs[p.ID()]++
-	case p.InSyncScope():
-		p.PWB(slot)
+		return
+	}
+	p.PWB(p.StoreLegResult(seq-1, prevResp))
+	if p.InSyncScope() {
 		p.PSync()
-	default:
-		p.PWB(slot)
 	}
 }
 
@@ -621,10 +652,13 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // on the same engine skip that — CP_q is already current, and the stale RD_q
 // record is fenced off by the index stamp, not by an RD_q := Null round-trip
 // — which is where the per-op begin cost goes. CP_q itself is the dispatch:
-// Begin raised the admission number, and only an engine's first leg stores it
-// into CP_q (under Isb in runAttempts' prologue, under Isb-Opt at that leg's
-// first install), so a stale CP_q means no mutating leg of this vector has
-// raised it on this engine yet (read-only legs never enter the engine).
+// Begin raised the admission number — under Isb-Opt the number the record
+// will be stored under, which pmem.Proc.Admission returns while it is
+// pending — and only an engine's first leg stores it into CP_q (under Isb in
+// runAttempts' prologue, under Isb-Opt at that leg's first install), so a
+// stale CP_q means no mutating leg of this vector has raised it on this
+// engine yet (read-only legs never enter the engine, and effect-free ones
+// under Isb-Opt may install nothing).
 // Recovery relies on the same invariant: a crash with CP_q stale proves the
 // in-flight leg tagged nothing, so re-invoking it is safe.
 //
@@ -635,10 +669,10 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // clwb-style; both are pure cost/accounting changes — every pwb still
 // applies its line write-back synchronously, so the reachable crash states
 // are exactly those of the unscoped execution.
-func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
+func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather, elide bool) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
 	if p.Load(e.cp(p)) != p.Admission() {
-		return e.runAttempts(p, opType, argKey, gather, 0)
+		return e.runAttempts(p, opType, argKey, gather, 0, elide)
 	}
-	return e.attemptLoop(p, opType, argKey, gather, 0, false)
+	return e.attemptLoop(p, opType, argKey, gather, 0, false, elide)
 }

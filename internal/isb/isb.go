@@ -428,20 +428,22 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 //
 // Under Isb-Opt, an announcement inside a sync scope — the admitting runtime
 // opens it ahead of the begin, and ApplyOp does unless an elimination layer
-// runs first — writes nothing back and issues no psync: the record's lines
-// join the process's carry set (pmem.Proc.AnnounceCarried), and the begin
-// psync is one more sync point deferred to the scope's close. The
-// admission's first barrier writes the record back: its first install's, a
-// tag or update barrier of an operation it helps first, or, for a vector
-// that leads with a read, the one its first boundary issues before storing
-// slot 0 (pmem.Proc.StoreLegResult). That barrier's fence precedes RD_q's
-// write-back, every CP_q raise, every tag and every result slot, so no
-// tracked effect of the admission can be durable before its record is, and
-// a crash ahead of it finds what a crash inside an eager begin finds. A
-// single read never writes its record back. Three begins stay eager,
-// each for its own reason: the bare begin, which is the paper's system-side
-// step itself; the elimination stack's, whose exchange takes effect outside
-// any engine barrier; and every Isb begin, the paper's placement as written.
+// runs first — stores nothing, writes nothing back and issues no psync: the
+// legs wait on the process (pmem.Proc.AnnounceLazy), and the begin psync is
+// one more sync point deferred to the scope's close. The admission's first
+// install stores the record, and its raised admission number, just before
+// its barrier, which writes them back; the responses of the boundaries
+// before it follow in a barrier of their own (pmem.Proc.StoreLegResults).
+// That install barrier's fence precedes RD_q's write-back, every CP_q raise,
+// every tag and every result slot, so no tracked effect of the admission can
+// be durable before its record is, and a crash ahead of it finds what a crash
+// inside an eager begin finds. An admission that installs nothing — reads and
+// effect-free updates only (attemptLoop) — never stores its record: the
+// scope's close drops it, so no durable record names it as in flight once it
+// has returned. Three begins stay eager, each for its own reason: the bare
+// begin, which is the paper's system-side step itself; the elimination
+// stack's, whose exchange takes effect outside any engine barrier; and every
+// Isb begin, the paper's placement as written.
 func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*Engine) {
 	e.reset(p)
 	for _, o := range others {
@@ -451,7 +453,7 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*En
 	case e.annID == 0 || len(legs) == 0:
 		p.ClearAnnounce()
 	case e.batched && p.InSyncScope():
-		p.AnnounceCarried(atomic, legs...)
+		p.AnnounceLazy(atomic, legs...)
 		e.batchSyncs[p.ID()]++
 		return
 	default:

@@ -19,7 +19,13 @@ import (
 // One read rule holds on every leg: a read-only kind runs the zero-persist
 // read, and recovery re-executes it. ApplyOp alone still runs a read through
 // the engine when the structure has a gather for it — the paper's tracked
-// Find (Algorithm 3, and the BST's AffectSet = ∅ Find).
+// Find (Algorithm 3, and the BST's AffectSet = ∅ Find). Under Isb-Opt the
+// rule reaches past the kinds: an update whose gather proves it read-only (an
+// insert of a present key, a delete of an absent one, a dequeue or pop on
+// empty) is answered like a find, with nothing persisted, wherever no durable
+// record would name it in flight once its admission returned (see
+// Engine.attemptLoop), and recovery, finding no record of it, re-executes it,
+// which is exactly-once for an operation that had no effect.
 type Ops struct {
 	e *Engine
 	// gather maps an operation to its gather function, or to nil for a kind
@@ -69,9 +75,10 @@ func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 // and a timed-out attempt enters the engine under the same announcement —
 // then leg 0 through the engine (runOp). A kind with no gather takes the
 // zero-persist read instead. Under Isb-Opt without elimination the
-// operation's sync scope opens ahead of the begin, whose record then rides
-// the install barrier (Engine.Begin); the elimination step needs the eager
-// begin.
+// operation's sync scope opens ahead of the begin, whose record is then
+// stored at the install and rides its barrier, or never stored when the
+// operation proves effect-free (Engine.Begin); the elimination step needs
+// the eager begin.
 func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	g := o.gather(kind, arg)
 	if g == nil {
@@ -93,12 +100,14 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // and returns its encoded response: a read-only kind on the zero-persist path
 // — it still occupies its position, and its response is stamped into its
 // result slot at the next boundary — and any other kind through the engine's
-// leg driver (runBatchOp).
-func (o *Ops) ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
+// leg driver (runBatchOp). elide reports that a later update leg follows in
+// the vector, whose install barrier carries this leg's stamped slot: under
+// Isb-Opt an effect-free outcome then installs nothing.
+func (o *Ops) ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64, elide bool) uint64 {
 	if o.ReadOnly(kind) {
 		return o.read(p, kind, arg)
 	}
-	return o.e.runBatchOp(p, seq, kind, arg, o.gather(kind, arg))
+	return o.e.runBatchOp(p, seq, kind, arg, o.gather(kind, arg), elide)
 }
 
 // RecoverLeg is the operation's recovery function for the leg at index seq

@@ -21,7 +21,8 @@ type Stats struct {
 	// an op-boundary (Isb window) or scope-closing psync instead of issuing.
 	BatchSyncs uint64
 	// ReadFastPath counts operations served by the zero-persist read-only
-	// fast path (no Info record, no pwb, no psync).
+	// fast path (no Info record, no pwb, no psync): reads, and under Isb-Opt
+	// updates whose gather proved them effect-free.
 	ReadFastPath uint64
 }
 

@@ -610,14 +610,17 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // still holds a different response from the previous admission, stamped
 // under its number, so a stamp stored ahead of the response would show.
 //
-// In the carried rows the record is written with AnnounceCarried, and the
-// first slot write is also the record's first write-back: a crash before it
-// must find the previous record under the previous number with its own
-// responses, never with the new response in a slot it still reads as
-// stamped, and a crash after it the new record.
+// In the lazy rows the record is left pending with AnnounceLazy and slots 0
+// to i with it (CarryLegResult), and what is crashed is the first install's
+// sequence: the record stored and written back by a barrier, then the pending
+// slots stored and written back by another (StoreLegResults). A crash before
+// the first barrier must find the previous record under the previous number
+// with its own responses, never with a new response in a slot it still reads
+// as stamped, and a crash after it the new record with a prefix of the new
+// responses.
 func TestLegResultEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
-	for _, carried := range []bool{false, true} {
+	for _, lazy := range []bool{false, true} {
 		for i := 0; i < len(legs)-1; i++ {
 			points := 0
 			for k := uint64(1); ; k++ {
@@ -628,16 +631,25 @@ func TestLegResultEveryStore(t *testing.T) {
 					p.CloseLeg(j, 50+uint64(j))
 				}
 				oldAdm := p.Admission()
-				if carried {
-					p.AnnounceCarried(false, legs...)
+				write := func() { p.CloseLeg(i, 100+uint64(i)) }
+				if lazy {
+					p.AnnounceLazy(false, legs...)
+					for j := 0; j <= i; j++ {
+						p.CarryLegResult(j, 100+uint64(j))
+					}
+					write = func() {
+						p.StoreAnnouncement()
+						p.PBarrierAddrs(nil)
+						p.StoreLegResults()
+					}
 				} else {
 					p.Announce(false, legs...)
-				}
-				for j := 0; j < i; j++ {
-					p.CloseLeg(j, 100+uint64(j))
+					for j := 0; j < i; j++ {
+						p.CloseLeg(j, 100+uint64(j))
+					}
 				}
 				h.ScheduleCrashAt(h.AccessCount() + k)
-				done := RunOp(func() { p.CloseLeg(i, 100+uint64(i)) })
+				done := RunOp(write)
 				h.DisarmCrash()
 				h.persistLine(lineOf(h.annAddr(0) + annResults + Addr(2*i)))
 				h.Crash()
@@ -646,13 +658,15 @@ func TestLegResultEveryStore(t *testing.T) {
 				old := p.Admission() == oldAdm
 				switch {
 				case !ok || n != len(legs):
-					t.Fatalf("carried %v, slot %d, crash at access %d: no valid record (n %d, ok %v)", carried, i, k, n, ok)
-				case old && (!carried || i > 0 || done):
-					t.Fatalf("carried %v, slot %d, crash at access %d (write done %v): the record under the previous number survived", carried, i, k, done)
+					t.Fatalf("lazy %v, slot %d, crash at access %d: no valid record (n %d, ok %v)", lazy, i, k, n, ok)
+				case old && (!lazy || done):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): the record under the previous number survived", lazy, i, k, done)
 				case old && cursor != len(legs)-1:
-					t.Fatalf("carried %v, slot %d, crash at access %d: the previous record reads cursor %d, want %d", carried, i, k, cursor, len(legs)-1)
-				case !old && (cursor != i && cursor != i+1 || done && cursor != i+1):
-					t.Fatalf("carried %v, slot %d, crash at access %d (write done %v): cursor %d", carried, i, k, done, cursor)
+					t.Fatalf("lazy %v, slot %d, crash at access %d: the previous record reads cursor %d, want %d", lazy, i, k, cursor, len(legs)-1)
+				case !old && lazy && (cursor > i+1 || done && cursor != i+1):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
+				case !old && !lazy && (cursor != i && cursor != i+1 || done && cursor != i+1):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
 				}
 				want := uint64(100)
 				if old {
@@ -660,7 +674,7 @@ func TestLegResultEveryStore(t *testing.T) {
 				}
 				for j := 0; j < cursor; j++ {
 					if got := p.LegResult(j); got != want+uint64(j) {
-						t.Fatalf("carried %v, slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", carried, i, k, j, got, want+uint64(j))
+						t.Fatalf("lazy %v, slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", lazy, i, k, j, got, want+uint64(j))
 					}
 				}
 				if done {
@@ -669,8 +683,40 @@ func TestLegResultEveryStore(t *testing.T) {
 				points++
 			}
 			if points < 3 {
-				t.Fatalf("carried %v, slot %d: only %d crash points; the sweep is not reaching every store", carried, i, points)
+				t.Fatalf("lazy %v, slot %d: only %d crash points; the sweep is not reaching every store", lazy, i, points)
 			}
+		}
+	}
+}
+
+// TestSyncScopeClosesOnWriteBacks pins what closing a sync scope costs: a
+// scope in which nothing was written back closes without a psync — there is
+// nothing for it to order — and one with a single write-back, a stand-alone
+// pwb or a barrier, closes with exactly one. A record left pending in an empty
+// scope is dropped with it: the admission number stays where it was.
+func TestSyncScopeClosesOnWriteBacks(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		body  func(p *Proc, a Addr)
+		syncs uint64
+	}{
+		{"empty", func(*Proc, Addr) {}, 0},
+		{"pending record", func(p *Proc, _ Addr) { p.AnnounceLazy(false, Leg{StructID: 1, Kind: 2, Arg: 3}) }, 0},
+		{"one pwb", func(p *Proc, a Addr) { p.Store(a, 1); p.PWB(a) }, 1},
+		{"one barrier", func(p *Proc, a Addr) { p.Store(a, 1); p.PBarrier(a) }, 1},
+	} {
+		h := newTracked(t, 1)
+		p := h.Proc(0)
+		a := p.Alloc(2)
+		adm := p.Admission()
+		p.OpenSyncScope()
+		c.body(p, a)
+		p.CloseSyncScope()
+		if got := p.Stats().Syncs; got != c.syncs {
+			t.Errorf("%s: the scope closed with %d psyncs, want %d", c.name, got, c.syncs)
+		}
+		if p.Admission() != adm {
+			t.Errorf("%s: admission %d after the scope, want %d", c.name, p.Admission(), adm)
 		}
 	}
 }

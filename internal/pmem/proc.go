@@ -51,18 +51,27 @@ type Proc struct {
 	// every recovery entry point for an individual one — is the one teardown.
 	syncScope bool
 
-	// annCarried is set while this process's announcement record waits in
-	// the carry set for its first write-back (AnnounceCarried) and cleared by
-	// the barrier that writes it back; StoreLegResult writes it back first
-	// if it is still set.
-	annCarried bool
+	// pending holds the legs of an admission announced lazily (AnnounceLazy)
+	// whose record is not stored yet, pendingAtomic its atomic flag, and
+	// results the responses its boundaries gave legs 0, 1, … meanwhile
+	// (CarryLegResult); annPending says there is one. StoreAnnouncement and
+	// StoreLegResults store them, and a scope's close or teardown drops what
+	// was never stored. Go-side: nothing durable names a pending admission.
+	pending       []Leg
+	results       []uint64
+	pendingAtomic bool
+	annPending    bool
+
+	// unsynced is set by every write-back and cleared by PSync: a sync
+	// scope whose close finds it clear has nothing to order (CloseSyncScope).
+	unsynced bool
 
 	spinSink uint64 // defeats dead-code elimination of latency spins
 
 	// Procs run on different goroutines and write their counters at every
 	// access: the padding makes a Proc a whole number of cache lines, so two
 	// never share one (TestProcFillsCacheLines).
-	_ [48]byte
+	_ [56]byte
 }
 
 // ID returns the process id (0-based).
@@ -202,6 +211,7 @@ func (p *Proc) PWB(a Addr) {
 		return // shared variables are always persistent
 	}
 	p.stats.Flushes++
+	p.unsynced = true
 	p.pwb(a)
 }
 
@@ -235,6 +245,7 @@ func (p *Proc) PSync() {
 		return
 	}
 	p.stats.Syncs++
+	p.unsynced = false
 	if p.h.psyncSpin > 0 {
 		p.spin(p.h.psyncSpin)
 	}
@@ -264,7 +275,6 @@ func (p *Proc) Carry(a Addr) {
 func (p *Proc) flushLines(ls []Addr) {
 	ls = append(ls, p.carry...)
 	p.carry = p.carry[:0]
-	p.annCarried = false
 	slices.Sort(ls)
 	ls = slices.Compact(ls)
 	p.lineScratch = ls
@@ -300,6 +310,7 @@ func (p *Proc) PBarrierAddrs(addrs []Addr) {
 	}
 	p.flushLines(ls)
 	p.stats.Fences++
+	p.unsynced = true
 }
 
 // PBarrierRange issues a barrier covering [a, a+words) and every carried
@@ -316,6 +327,7 @@ func (p *Proc) PBarrierRange(a Addr, words uint64) {
 	}
 	p.flushLines(ls)
 	p.stats.Fences++
+	p.unsynced = true
 }
 
 // Alloc carves words fresh zeroed words out of the arena, even-aligned so
@@ -371,31 +383,72 @@ type Leg struct {
 // The record stays in place until the next admission begins, which is what
 // lets registry-routed recovery find in-flight work after a crash.
 func (p *Proc) Announce(atomic bool, legs ...Leg) {
+	p.annPending = false
 	end := p.writeAnnouncement(atomic, legs)
 	a := p.h.annAddr(p.id)
 	for line := a + WordsPerLine; line < end; line += WordsPerLine {
 		p.PWB(line)
 	}
 	p.PWB(a)
-	p.annCarried = false
 }
 
-// AnnounceCarried is Announce with its write-backs handed to the carry set
-// (Carry): the record's lines persist with this process's next barrier, and a
-// crash before it finds the previous record under the previous number — or,
-// where an eviction took some of the lines, no valid record — exactly as a
-// crash inside Announce does. The caller must let nothing the admission does
-// take a durable effect before that barrier, whose fence then orders the
-// record ahead of it (an Isb-Opt begin, see isb.Engine.Begin). The first
-// result slot the admission stores also waits for the record: StoreLegResult
-// writes a still-carried record back first, so a read leading a vector pays
-// that barrier. An admission of one read never writes its record back.
-func (p *Proc) AnnounceCarried(atomic bool, legs ...Leg) {
-	end := p.writeAnnouncement(atomic, legs)
+// AnnounceLazy is Announce with nothing stored yet: the legs wait on the
+// process (Go-side), and so do the responses of the boundaries reached
+// meanwhile (CarryLegResult), until the admission's first durable action —
+// its first install, which stores the record (StoreAnnouncement) ahead of its
+// barrier and the pending responses (StoreLegResults) after it. A scope that
+// closes first drops them all (CloseSyncScope). Until then Admission already
+// returns the number the record will be stored under, so CP registers compare
+// against it, and a crash finds the previous record under the previous
+// number, exactly as a crash inside Announce does. An admission that
+// installs nothing — reads and effect-free updates only (isb.Engine's
+// attemptLoop) — leaves no record at all, so no durable record can name it
+// as in flight once it has returned: recovery would re-invoke it, and a
+// re-invoked failed insert could insert a key no caller inserted.
+func (p *Proc) AnnounceLazy(atomic bool, legs ...Leg) {
+	p.pending = append(p.pending[:0], legs...)
+	p.results = p.results[:0]
+	p.pendingAtomic, p.annPending = atomic, true
+}
+
+// RecordPending reports whether a lazily announced record is still unstored
+// (AnnounceLazy).
+func (p *Proc) RecordPending() bool { return p.annPending }
+
+// StoreAnnouncement stores the record AnnounceLazy left pending, raising the
+// admission number, and hands its lines to the carry set (Carry). The caller
+// issues the barrier that writes them back next, before the admission takes
+// any durable effect — an Isb-Opt install barrier — and then StoreLegResults.
+// Without a pending record it does nothing.
+func (p *Proc) StoreAnnouncement() {
+	if !p.annPending {
+		return
+	}
+	p.annPending = false
+	end := p.writeAnnouncement(p.pendingAtomic, p.pending)
 	for line := p.h.annAddr(p.id); line < end; line += WordsPerLine {
 		p.Carry(line)
 	}
-	p.annCarried = true
+}
+
+// StoreLegResults stores the responses the boundaries left pending
+// (CarryLegResult) into their stamped result slots and writes them back in
+// one barrier, once the barrier after StoreAnnouncement has made the record
+// durable: no slot changes while the durable header still holds the previous
+// admission, since an eviction that persisted a slot line could otherwise
+// leave the previous record valid with this admission's response in its
+// slot, or a stamp above the number a crash rolls back to, which the next
+// begin would reuse. The barrier precedes everything the installing leg makes
+// durable after its install. Without pending responses it does nothing.
+func (p *Proc) StoreLegResults() {
+	if len(p.results) == 0 {
+		return
+	}
+	for i, resp := range p.results {
+		p.Carry(p.StoreLegResult(i, resp))
+	}
+	p.results = p.results[:0]
+	p.PBarrierAddrs(nil)
 }
 
 // writeAnnouncement is Announce's stores without its write-backs; it returns
@@ -405,7 +458,7 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 		panic(fmt.Sprintf("pmem: Announce with %d legs (want 1..%d)", len(legs), MaxBatch))
 	}
 	a := p.h.annAddr(p.id)
-	n := p.Admission() + 1
+	n := p.Load(a+annAdmission) + 1
 	p.Store(a+annAdmission, n)
 	meta := uint64(len(legs))
 	if atomic {
@@ -436,39 +489,69 @@ func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
 // is eager under every placement: it is the paper's system-side CP_q := 0,
 // durable before the invocation it precedes.
 func (p *Proc) ClearAnnounce() {
+	p.annPending = false
 	a := p.h.annAddr(p.id)
 	p.Store(a+annAdmission, p.Admission()+1)
 	p.Store(a+annSum, 0)
 	p.PWB(a)
-	p.annCarried = false
 }
 
 // Admission returns this process's admission number, raised by every begin
-// (Announce, ClearAnnounce). A CP register (an engine's CP_q, the exchanger's
-// CP_ex) stores the number it was written under: one raise resets them all.
-func (p *Proc) Admission() uint64 { return p.Load(p.h.annAddr(p.id) + annAdmission) }
+// (Announce, ClearAnnounce, and a lazy announcement once StoreAnnouncement
+// stores it; while it is pending the number it will be stored under). A CP
+// register (an engine's CP_q, the exchanger's CP_ex) stores the number it was
+// written under: one raise resets them all.
+func (p *Proc) Admission() uint64 {
+	n := p.Load(p.h.annAddr(p.id) + annAdmission)
+	if p.annPending {
+		n++
+	}
+	return n
+}
 
 // OpenSyncScope opens a sync scope on this process (see the syncScope
 // field). The admitting runtime opens it ahead of the begin: under Isb-Opt
-// the begin's psync is then one more deferred sync point, its record riding
-// the admission's first barrier; CloseSyncScope issues the one psync that
-// ends the scope.
+// the begin's psync is then one more deferred sync point, its record stored
+// at the admission's first durable action (AnnounceLazy); CloseSyncScope
+// issues the one psync that ends the scope.
 func (p *Proc) OpenSyncScope() { p.syncScope = true }
 
 // CloseSyncScope closes the open sync scope with the single psync every
-// deferred sync point and overlapped write-back was waiting for.
+// deferred sync point and overlapped write-back was waiting for — if there is
+// one: a scope in which nothing was written back since the last psync (a
+// read, an effect-free update, a window of them) has nothing to order, and
+// closes without it. A record still pending (AnnounceLazy) is dropped: the
+// admission took no durable action.
 func (p *Proc) CloseSyncScope() {
-	p.syncScope = false
-	p.PSync()
+	p.syncScope, p.annPending = false, false
+	if p.unsynced {
+		p.PSync()
+	}
 }
 
 // ResetSyncScope abandons a sync scope a crash interrupted, without the
-// closing psync: recovery runs with every sync point eager and every pwb at
-// full latency.
-func (p *Proc) ResetSyncScope() { p.syncScope = false }
+// closing psync, and drops a pending record: recovery runs with every sync
+// point eager and every pwb at full latency.
+func (p *Proc) ResetSyncScope() { p.syncScope, p.annPending = false, false }
 
 // InSyncScope reports whether a sync scope is open on this process.
 func (p *Proc) InSyncScope() bool { return p.syncScope }
+
+// CarryLegResult is StoreLegResult with the slot's line handed to the carry
+// set (Carry): it rides this process's next barrier, which must come before
+// anything a later leg makes durable (an Isb-Opt boundary, isb.Engine's
+// Boundary). While the record is pending (AnnounceLazy) the response waits
+// with it, for StoreLegResults; i must then be the next leg in order.
+func (p *Proc) CarryLegResult(i int, resp uint64) {
+	if p.annPending {
+		if i != len(p.results) {
+			panic(fmt.Sprintf("pmem: pending result for leg %d, want leg %d", i, len(p.results)))
+		}
+		p.results = append(p.results, resp)
+		return
+	}
+	p.Carry(p.StoreLegResult(i, resp))
+}
 
 // CloseLeg durably closes leg i of the announced vector: its response goes
 // into result slot i, stamped with the admission number, in one write-back.
@@ -482,19 +565,14 @@ func (p *Proc) CloseLeg(i int, resp uint64) { p.PWB(p.StoreLegResult(i, resp)) }
 // It returns the slot's address, whose line the caller writes back — at once,
 // or with a barrier that comes before anything a later leg makes durable.
 //
-// If the record is still carried (AnnounceCarried, no barrier since), it
-// first issues a barrier that writes it back. The slot then never changes
-// while the durable header still holds the previous admission: an eviction
-// that persisted the slot line could otherwise leave the previous record
-// valid with this admission's response in its slot, or a stamp above the
-// number a crash rolls back to, which the next begin would reuse.
+// The record must be durable already: while it is pending (AnnounceLazy),
+// CarryLegResult keeps the response instead.
 func (p *Proc) StoreLegResult(i int, resp uint64) Addr {
 	if resp == 0 {
 		panic("pmem: StoreLegResult with zero response")
 	}
-	if p.annCarried {
-		p.annCarried = false
-		p.PBarrierAddrs(nil)
+	if p.annPending {
+		panic("pmem: StoreLegResult while the record is pending")
 	}
 	s := p.h.annAddr(p.id) + annResults + Addr(2*i)
 	p.Store(s, resp)

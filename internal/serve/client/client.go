@@ -384,10 +384,16 @@ func (c *Client) writeCall(nc net.Conn, gen uint64, call *sessionCall) bool {
 
 // writeLocked finishes the critical section in which its caller found call
 // pending: it builds the frame — piggybacking the CURRENT ack watermark —
-// restarts the call's deadline and picks the writer, then releases c.mu
-// and writes. A failed Write tears the stream, so it is the loss of
-// generation gen's connection, not only of the calls whose frames it
-// carried; false reports it.
+// restarts the call's deadline and adds the frame to the writer's open batch,
+// then releases c.mu and flushes. The frame joins the batch inside the
+// critical section that read the watermark: once c.mu is released, a late
+// reply from a dying generation's readLoop may settle this very call, and a
+// frame built after that, carrying an ack at or above the call's sequence,
+// must not reach the socket first — the server, which applies acks before its
+// dedup lookup, would evict the call's table entry and then re-execute this
+// resubmission. A failed Write tears the stream, so it is the loss of
+// generation gen's connection, not only of the calls whose frames it carried;
+// false reports it.
 func (c *Client) writeLocked(nc net.Conn, gen uint64, call *sessionCall) bool {
 	req := call.req
 	if c.ackSeq > 0 {
@@ -395,14 +401,18 @@ func (c *Client) writeLocked(nc net.Conn, gen uint64, call *sessionCall) bool {
 	}
 	call.tick = c.tick
 	fw := c.fw
-	gather := len(c.pending) > 1 // other calls in flight: a burst may follow
-	c.mu.Unlock()
 	if fw == nil || fw.w != nc {
 		// nc is not the current connection (a generation already replaced):
 		// its frames must not ride the current one's batches.
 		fw = newFrameWriter(nc, &c.wc)
 	}
-	if err := fw.send(req, gather); err != nil {
+	k, err := fw.add(req)
+	gather := len(c.pending) > 1 // other calls in flight: a burst may follow
+	c.mu.Unlock()
+	if err == nil {
+		err = fw.flush(k, gather)
+	}
+	if err != nil {
 		c.dropConn(gen, err)
 		return false
 	}

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,5 +262,91 @@ func TestSessionWriteCallSkipsSettledCall(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("writeCall skipped a call that is still pending")
+	}
+}
+
+// TestResubmitFrameLeavesBeforeLaterAcks pins the order in which a
+// resubmission and a later ack reach the wire. A redial resubmits call X,
+// building its frame while X is pending, so the frame's ack is below X's
+// sequence; if the frame joined the writer's batch only after the client's
+// lock was released, a late reply from the dying generation's readLoop could
+// settle X meanwhile, and the next call Y's frame, acknowledging X, could
+// reach the socket first. The server applies an ack before its dedup lookup:
+// Y would evict X's table entry and X's resubmission would then run again.
+//
+// The schedule is fixed on one processor: the resubmission blocks on the
+// writer's lock, held by the test, which then releases it and, before the
+// resubmission runs again, settles X and sends Y. The frames the connection
+// carried are then replayed, after X's first admission, to a server: X must
+// be admitted once.
+func TestResubmitFrameLeavesBeforeLaterAcks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cli, peer := net.Pipe()
+	defer cli.Close()
+	defer peer.Close()
+	c := &Client{
+		cfg:     SessionConfig{}.withDefaults(),
+		done:    make(chan struct{}),
+		pending: map[uint64]*sessionCall{},
+		settled: map[uint64]struct{}{},
+	}
+	c.nc, c.gen, c.fw = cli, 1, newFrameWriter(cli, &c.wc)
+	x := &sessionCall{req: serve.Request{Op: serve.OpPut, ReqID: 1, Key: 7}, ch: make(chan serve.Reply, 1)}
+	c.pending[x.req.ReqID] = x
+	wire := make(chan serve.Request, 2)
+	go func() {
+		for {
+			payload, err := serve.ReadFrame(peer)
+			if err != nil {
+				return
+			}
+			req, err := serve.DecodeRequest(payload)
+			if err != nil {
+				return
+			}
+			wire <- req
+		}
+	}()
+
+	c.fw.mu.Lock()
+	go c.writeCall(cli, 1, x)
+	for i := 0; i < 10; i++ {
+		runtime.Gosched() // the resubmission runs until it blocks on the writer's lock
+	}
+	c.fw.mu.Unlock()
+	// What the dying generation's readLoop and X's caller do, then Y's send.
+	c.mu.Lock()
+	delete(c.pending, x.req.ReqID)
+	c.mu.Unlock()
+	c.settle(x.req.ReqID)
+	if err := c.send(serve.Request{Op: serve.OpPut, ReqID: 2, Key: 8}, make(chan serve.Reply, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var frames []serve.Request
+	for len(frames) < 2 {
+		select {
+		case req := <-wire:
+			frames = append(frames, req)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the connection carried %d frames, want 2", len(frames))
+		}
+	}
+
+	srv, ln := startSessionServer(t, serve.Config{Procs: 1, Batch: 4, HeapWords: 1 << 18})
+	nc, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for _, req := range append([]serve.Request{x.req}, frames...) {
+		if _, err := nc.Write(serve.AppendRequest(nil, req)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serve.ReadFrame(nc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.Snapshot().Admitted; got != 2 {
+		t.Fatalf("the server admitted %d requests, want 2 (X once, Y once): the wire carried %+v, so X's resubmission ran again", got, frames)
 	}
 }

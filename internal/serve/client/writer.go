@@ -78,15 +78,15 @@ func newFrameWriter(w io.Writer, counts *writeCounts) *frameWriter {
 	return fw
 }
 
-// send writes req's frame and returns once the Write that carried it has
-// completed, with that Write's error. gather reports that other calls of
-// the connection are in flight, so a reply burst may be about to bring their
-// next requests.
-func (fw *frameWriter) send(req serve.Request, gather bool) error {
+// add appends req's frame to the open batch and returns that batch's number,
+// for flush. Frames leave in the order they were added, so a caller whose
+// frames must not overtake one another adds them inside its own critical
+// section (Client.writeLocked).
+func (fw *frameWriter) add(req serve.Request) (uint64, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.err != nil {
-		return fw.err
+		return 0, fw.err
 	}
 	fw.buf = serve.AppendRequest(fw.buf, req)
 	fw.frames++
@@ -94,14 +94,24 @@ func (fw *frameWriter) send(req serve.Request, gather bool) error {
 	if fw.state == fwWriting {
 		k++
 	}
-	for fw.state != fwIdle {
+	return k, nil
+}
+
+// flush returns once batch k has been written, with its Write's error,
+// writing it itself if no other caller is its flusher yet. gather reports that
+// other calls of the connection are in flight, so a reply burst may be about
+// to bring their next requests.
+func (fw *frameWriter) flush(k uint64, gather bool) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	for fw.flushed <= k && fw.state != fwIdle {
 		fw.conds[k&1].Wait()
-		if fw.flushed > k {
-			if fw.err != nil && k >= fw.failed {
-				return fw.err
-			}
-			return nil
+	}
+	if fw.flushed > k {
+		if fw.err != nil && k >= fw.failed {
+			return fw.err
 		}
+		return nil
 	}
 	// No flusher, so batch k is still the open one: flush it.
 	if gather {

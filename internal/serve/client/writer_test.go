@@ -216,7 +216,11 @@ func TestCombiningWriterGatherJoins(t *testing.T) {
 	fw := newFrameWriter(g, &wc)
 	errs := make(chan error, n)
 	send := func(i int) {
-		errs <- fw.send(serve.Request{Op: serve.OpPut, ReqID: uint64(100 + i), Key: uint64(i + 1)}, true)
+		k, err := fw.add(serve.Request{Op: serve.OpPut, ReqID: uint64(100 + i), Key: uint64(i + 1)})
+		if err == nil {
+			err = fw.flush(k, true)
+		}
+		errs <- err
 	}
 	fw.yield = func() { // on the test's goroutine: send(0) below is the flusher
 		for i := 1; i < n; i++ {

@@ -105,10 +105,10 @@ func TestWindowCoalescing(t *testing.T) {
 
 // TestServeMoveSyncPrice pins the other admission shape the server uses: a
 // MOVE is one ApplyTxn, and under Isb-Opt a transaction is one sync scope —
-// its announcement rides the first install barrier, and one psync closes the
-// scope — so a MOVE whose two legs both take effect costs the server's heap
-// exactly the 1 psync a window costs (serve_pingpong's syncs/op rests on
-// this count).
+// its announcement is stored at the first install and rides its barrier, and
+// one psync closes the scope — so a MOVE whose two legs both take effect
+// costs the server's heap exactly the 1 psync a window that takes effect
+// costs (serve_pingpong's syncs/op rests on this count).
 func TestServeMoveSyncPrice(t *testing.T) {
 	cfg := coalesceConfig(false)
 	cfg.Gated = false
