@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/isb"
@@ -34,14 +35,16 @@ type adapter struct {
 	// argMask, when nonzero, is ANDed onto Op.Arg before it reaches the
 	// core (see HashMap.SetArgMask).
 	argMask uint64
+	// kinds holds one bit per op kind the structure accepts (kindMask).
+	kinds uint64
 }
 
 // adopt registers s — the wrapper embedding a — under the next durable ID and
 // binds a to its core c, built on engine e.
 func (r *Runtime) adopt(s Structure, a *adapter, c core, e *isb.Engine, kind StructKind) {
-	*a = adapter{c: c, e: e, kind: kind}
+	*a = adapter{c: c, e: e, kind: kind, kinds: kindMask(kind)}
 	a.id = r.register(s, kind)
-	e.SetAnnounceID(a.id)
+	e.SetAnnounceID(a.id, r.recs)
 }
 
 // admitter is what ApplyWindow, ApplyTxn and EngineCounters require of a
@@ -66,8 +69,10 @@ func (a *adapter) key(arg uint64) uint64 {
 
 // Apply runs op to completion — a vector of one leg, announced by the
 // engine itself — and returns its response. A read-only kind takes the
-// zero-persist path: no Info record, no announcement, no pwb, no psync.
+// zero-persist path: no Info record, no announcement, no pwb, no psync. A
+// kind the structure does not accept panics.
 func (a *adapter) Apply(p *Proc, op Op) Resp {
+	acceptKind(a.kinds, a.id, a.kind, op.Kind)
 	if a.c.ReadOnly(op.Kind) {
 		return respOf(a.c.ReadOp(p, op.Kind, a.key(op.Arg)))
 	}
@@ -104,6 +109,24 @@ func (a *adapter) CheckInvariants() string { return a.c.CheckInvariants() }
 
 // OpKinds reports the operation kinds the structure accepts.
 func (a *adapter) OpKinds() []OpKind { return slices.Clone(opKinds[a.kind]) }
+
+// kindMask is the set of op kinds a structure of kind k accepts (OpKinds),
+// one bit per kind code: every code is below 64.
+func kindMask(k StructKind) (mask uint64) {
+	for _, ok := range opKinds[k] {
+		mask |= 1 << ok.Kind
+	}
+	return mask
+}
+
+// acceptKind panics unless mask (kindMask) holds op kind kind: the structure
+// id, of kind k, does not accept it. Every admission checks its legs before
+// the begin, so a rejected one leaves no scope open and no number raised.
+func acceptKind(mask, id uint64, k StructKind, kind uint64) {
+	if kind >= 64 || mask>>kind&1 == 0 {
+		panic(fmt.Sprintf("repro: structure %d (%v) accepts no op kind %d", id, k, kind))
+	}
+}
 
 // opKinds is the OpKinds table.
 var opKinds = map[StructKind][]OpKind{

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/isb"
-	"repro/internal/pmem"
 	"repro/internal/queue"
 	"repro/internal/stack"
 )
@@ -21,7 +20,7 @@ const (
 // MaxBatch is the largest number of legs one announcement can carry: the
 // longest window ApplyWindow admits. Callers with more operations admit them
 // as successive windows of at most this size.
-const MaxBatch = pmem.MaxBatch
+const MaxBatch = isb.MaxBatch
 
 // OpKind describes one operation kind a structure accepts: its durable
 // kind code, a human-readable name, and whether the kind is read-only.
@@ -58,7 +57,7 @@ type TxnLeg struct {
 	ArgFromLeg1 bool
 }
 
-// flagArgFromLeg1 marks an announced leg (pmem.Leg.Flags) whose argument is
+// flagArgFromLeg1 marks an announced leg (isb.Leg.Flags) whose argument is
 // the previous leg's response value rather than the announced one: the
 // dequeue-then-insert handoff shape (TxnLeg.ArgFromLeg1).
 const flagArgFromLeg1 uint64 = 1
@@ -80,7 +79,7 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 }
 
 // submit is the one admission core under ApplyWindow and ApplyTxn: it
-// announces legs as one durable vector (see pmem.Proc.Announce) and runs them
+// announces legs as one durable vector (see isb.Announce) and runs them
 // in order, writing their responses to out.
 //
 // The whole begin sequence is the one announcement naming every leg, whose
@@ -115,7 +114,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		panic("repro: atomic admissions have exactly two legs")
 	}
 	var (
-		rec    [MaxBatch]pmem.Leg
+		rec    [MaxBatch]isb.Leg
 		ads    [MaxBatch]*adapter
 		others = make([]*isb.Engine, 0, 1)
 		// lastUpdate is the last leg that surely runs through its engine: not
@@ -129,7 +128,8 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 			panic(fmt.Sprintf("repro: structure %d (%v) cannot be admitted in a window or transaction", l.S.ID(), l.S.Kind()))
 		}
 		ads[i] = ad.adapt()
-		rec[i] = pmem.Leg{StructID: ads[i].id, Kind: l.Op.Kind, Arg: l.Op.Arg}
+		acceptKind(ads[i].kinds, ads[i].id, ads[i].kind, l.Op.Kind)
+		rec[i] = isb.Leg{StructID: ads[i].id, Kind: l.Op.Kind, Arg: l.Op.Arg}
 		if l.ArgFromLeg1 {
 			if i == 0 {
 				panic("repro: ArgFromLeg1 is only meaningful on leg 2")

@@ -140,7 +140,7 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 // window, counted by replaying the workload on the set model. A window whose
 // first successful update is not its first leg pays once more: that install
 // stores the record, and then the slots its boundaries left pending, in a
-// barrier of their own (pmem.Proc.StoreLegResults). A window whose last update
+// barrier of their own (isb.Records). A window whose last update
 // leg fails after one succeeded pays twice more: that leg's ROpt install
 // barrier and RD_q pwb, so that no durable record names it in flight once the
 // window returns. The README's table of psyncs per operation is the whole
@@ -432,6 +432,21 @@ func checkReadmeTable(t *testing.T, name string, rows ...[]string) {
 	if !opened || !closed || block != table.String() {
 		t.Errorf("README.md block %q is not what %s computes; regenerated:\n\n%s%s<!-- /gen -->",
 			name, t.Name(), open, table.String())
+	}
+}
+
+// readmeMaxLines is README.md's length budget (ROADMAP item 10).
+const readmeMaxLines = 800
+
+// TestReadmeLength holds README.md to its budget: a change that adds prose
+// cuts prose elsewhere, never a generated block (checkReadmeTable).
+func TestReadmeLength(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(readme), "\n"); n > readmeMaxLines {
+		t.Fatalf("README.md is %d lines, over its budget of %d: cut prose", n, readmeMaxLines)
 	}
 }
 

@@ -79,10 +79,7 @@ func (e *Exchanger) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
 
 // Begin is the system-side invocation step (persist CP_q := 0): a bare begin,
 // whose raise of the admission number resets CP_q (it holds the number).
-func (e *Exchanger) Begin(p *pmem.Proc) {
-	p.ClearAnnounce()
-	p.PSync()
-}
+func (e *Exchanger) Begin(p *pmem.Proc) { isb.Announce(p, false) }
 
 // Exchange offers v and waits up to spins iterations for a partner. On
 // success it returns the partner's value; ok=false means the operation
@@ -98,7 +95,7 @@ func (e *Exchanger) Offer(p *pmem.Proc, v uint64, role Role, spins int) (uint64,
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
-	p.Store(cp, p.Admission())
+	p.Store(cp, isb.Admission(p))
 	p.PWB(cp)
 	p.PSync()
 
@@ -208,7 +205,7 @@ func (e *Exchanger) finishAbort(p *pmem.Proc, my pmem.Addr) (uint64, bool) {
 func (e *Exchanger) Recover(p *pmem.Proc, v uint64, role Role, spins int, retry bool) (uint64, bool) {
 	rd, cp := e.rd(p), e.cp(p)
 	my := pmem.Addr(p.Load(rd))
-	if p.Load(cp) != p.Admission() || my == pmem.Null {
+	if p.Load(cp) != isb.Admission(p) || my == pmem.Null {
 		return e.reinvoke(p, v, role, spins, retry)
 	}
 	if p.Load(my+xVal) != v {

@@ -47,7 +47,7 @@ func newList(opt bool, evictEvery uint64) (*pmem.Heap, *isb.Engine, *list.List, 
 	if opt {
 		e = isb.NewEngineOpt(h)
 	}
-	e.SetAnnounceID(1)
+	e.SetAnnounceID(1, isb.NewRecords(h))
 	l := list.NewWithEngine(h, e)
 	p := h.Proc(0)
 	for _, k := range listPrefill {

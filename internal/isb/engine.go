@@ -234,7 +234,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
 	e.retireLast(p) // RD_q no longer names it
-	p.Store(cp, p.Admission())
+	p.Store(cp, e.recs.Admission(p))
 	p.PWB(cp)
 	e.opSync(p)
 	return e.attemptLoop(p, opType, argKey, gather, bound, false, false)
@@ -270,7 +270,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 					p.Load(info+offArgKey), p.Load(info+offSeq), p.Load(info+offResult), p.Load(info+offDone))
 			}
 			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d%s, CP_q = %d, admission %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), p.Admission(), spec.Affect[:spec.NAffect]))
+				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -312,14 +312,14 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// one — and no durable record will name it as in flight once its
 		// admission returns, so recovery never re-invokes it after its response
 		// is out. That holds while the admission's record is still pending
-		// (pmem.Proc.AnnounceLazy): a later install stores it with this leg's
+		// (Records.announceLazy): a later install stores it with this leg's
 		// response in its slot, or the scope's close drops it. It holds too for
 		// a leg followed by an update leg (elide): the boundary stamps this
 		// leg's slot, and that leg's install barrier carries it, unless that
 		// leg finds the record still pending too. The last update leg of a
 		// vector whose record is stored takes the ROpt install below, as does
 		// every leg under Isb.
-		if spec.ReadOnly && e.batched && (elide || p.RecordPending()) {
+		if spec.ReadOnly && e.batched && (elide || e.recs.pending(p)) {
 			e.discardAttempt(p, info, spec)
 			e.readFast[p.ID()]++
 			e.alloc.Exit(p)
@@ -337,12 +337,12 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
-		p.StoreAnnouncement()
+		e.recs.storeAnnouncement(p)
 		per.Flush()
-		p.StoreLegResults()
+		e.recs.storeLegResults(p)
 		p.Store(rd, uint64(info))
 		if raiseCP {
-			p.Store(e.cp(p), p.Admission()) // after RD_q, on its line: see runAttempts
+			p.Store(e.cp(p), e.recs.Admission(p)) // after RD_q, on its line: see runAttempts
 			raiseCP = false
 		}
 		p.PWB(rd)
@@ -491,7 +491,7 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	e.curSeq[p.ID()] = seq
 	rd, cp := e.rd(p), e.cp(p)
 	info := pmem.Addr(p.Load(rd))
-	if p.Load(cp) != p.Admission() || info == pmem.Null {
+	if p.Load(cp) != e.recs.Admission(p) || info == pmem.Null {
 		return RespNone, false
 	}
 	// Defense for a crash before the begin's record is durable — inside an
@@ -612,17 +612,17 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 
 // Boundary closes leg seq-1 of the announced vector and opens leg seq: the
 // previous leg's response goes into its result slot, stamped with the
-// admission number (pmem.Proc.StoreLegResult) — for an atomic vector, slot 0
-// stamped is the commit point. The previous leg's tracking record retires
-// once the next install on its engine moves RD_q off it (retireLast).
+// admission number (CloseLeg) — for an atomic vector, slot 0 stamped is the
+// commit point. The previous leg's tracking record retires once the next
+// install on its engine moves RD_q off it (retireLast).
 //
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
 // into. Under Isb-Opt the boundary defers its psync to the scope's close and
-// writes nothing back of its own (pmem.Proc.CarryLegResult). While the
+// writes nothing back of its own (Records.carryLegResult). While the
 // record is still pending — every leg so far a read or effect-free — the
 // response waits with it, for the first install to store after its barrier
-// (pmem.Proc.StoreLegResults). Otherwise the slot's line joins the process's
+// (Records.storeLegResults). Otherwise the slot's line joins the process's
 // carry set (pmem.Proc.Carry), which its next barrier writes back, on
 // whichever engine — a mutating leg's install barrier, before RD_q moves and
 // before any tag, or sooner, the barrier of an operation the leg helps. No
@@ -637,11 +637,11 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // effect-free.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	if e.batched {
-		p.CarryLegResult(seq-1, prevResp)
+		e.recs.carryLegResult(p, seq-1, prevResp)
 		e.batchSyncs[p.ID()]++
 		return
 	}
-	p.PWB(p.StoreLegResult(seq-1, prevResp))
+	CloseLeg(p, seq-1, prevResp)
 	if p.InSyncScope() {
 		p.PSync()
 	}
@@ -653,7 +653,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // record is fenced off by the index stamp, not by an RD_q := Null round-trip
 // — which is where the per-op begin cost goes. CP_q itself is the dispatch:
 // Begin raised the admission number — under Isb-Opt the number the record
-// will be stored under, which pmem.Proc.Admission returns while it is
+// will be stored under, which Records.Admission returns while it is
 // pending — and only an engine's first leg stores it into CP_q (under Isb in
 // runAttempts' prologue, under Isb-Opt at that leg's first install), so a
 // stale CP_q means no mutating leg of this vector has raised it on this
@@ -671,7 +671,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // are exactly those of the unscoped execution.
 func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather, elide bool) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
-	if p.Load(e.cp(p)) != p.Admission() {
+	if p.Load(e.cp(p)) != e.recs.Admission(p) {
 		return e.runAttempts(p, opType, argKey, gather, 0, elide)
 	}
 	return e.attemptLoop(p, opType, argKey, gather, 0, false, elide)

@@ -15,12 +15,12 @@ type Durable struct {
 }
 
 // Durable reads p's recovery state from the persisted image. The admission
-// number is read through p (the announcement record is pmem's), so it is the
-// persisted one where the volatile image is: after a crash's ResetAfterCrash,
-// or between admissions, whose begin wrote it back.
+// number is read through p (Admission), so it is the persisted one where the
+// volatile image is: after a crash's ResetAfterCrash, or between admissions,
+// whose begin wrote it back.
 func (e *Engine) Durable(p *pmem.Proc) Durable {
 	h := e.h
-	d := Durable{RD: pmem.Addr(h.ReadPersisted(e.rd(p))), CP: h.ReadPersisted(e.cp(p)), Adm: p.Admission()}
+	d := Durable{RD: pmem.Addr(h.ReadPersisted(e.rd(p))), CP: h.ReadPersisted(e.cp(p)), Adm: Admission(p)}
 	if d.RD == pmem.Null {
 		return d
 	}

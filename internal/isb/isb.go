@@ -199,8 +199,8 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // delegated to a persister per process (see persist.go); everything else —
 // helping, tagging, backtracking, the update and cleanup phases, recovery —
 // is identical across placements. CP_q holds the admission number
-// (pmem.Proc.Admission) RD_q's record was installed under: "CP_q = 1" reads
-// CP_q = p.Admission(), and every begin's raise of the number is CP_q := 0.
+// (Records.Admission) RD_q's record was installed under: "CP_q = 1" reads
+// CP_q equals that number, and every begin's raise of the number is CP_q := 0.
 type Engine struct {
 	h    *pmem.Heap
 	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP (one pwb persists both)
@@ -216,9 +216,12 @@ type Engine struct {
 	specs []Spec
 	// annID, when nonzero, is the runtime-registry structure ID this engine
 	// announces under: Begin's one write-back then publishes the process's new
-	// announcement record along with its admission number. Engines built
-	// outside a Runtime leave annID 0 and begin bare (pmem.Proc.ClearAnnounce).
+	// announcement record along with its admission number. recs is the table
+	// of lazily announced records the engine shares with the heap's other
+	// engines (Records). Engines built outside a Runtime have neither, and
+	// begin bare (Announce with no legs).
 	annID uint64
+	recs  *Records
 	// alloc serves Info records and (through Alloc) structure nodes. The
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
 	// pmem.Reclaimer recycles retired blocks after an epoch grace period.
@@ -405,9 +408,10 @@ func (e *Engine) Counters() (batchSyncs, readFast uint64) {
 }
 
 // SetAnnounceID registers the runtime structure ID this engine announces
-// operations under (see the annID field). Call once, at structure
+// operations under, and the table of lazily announced records it shares with
+// the heap's other engines (see the annID field). Call once, at structure
 // registration, before any operation runs.
-func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
+func (e *Engine) SetAnnounceID(id uint64, recs *Records) { e.annID, e.recs = id, recs }
 
 // Begin is the begin sequence of every admission shape — the system-side
 // action of the paper's model (persistently set CP_q := 0 just before a fresh
@@ -429,11 +433,11 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 // Under Isb-Opt, an announcement inside a sync scope — the admitting runtime
 // opens it ahead of the begin, and ApplyOp does unless an elimination layer
 // runs first — stores nothing, writes nothing back and issues no psync: the
-// legs wait on the process (pmem.Proc.AnnounceLazy), and the begin psync is
-// one more sync point deferred to the scope's close. The admission's first
+// legs wait in the engine's table (Records.announceLazy), and the begin psync
+// is one more sync point deferred to the scope's close. The admission's first
 // install stores the record, and its raised admission number, just before
 // its barrier, which writes them back; the responses of the boundaries
-// before it follow in a barrier of their own (pmem.Proc.StoreLegResults).
+// before it follow in a barrier of their own (Records.storeLegResults).
 // That install barrier's fence precedes RD_q's write-back, every CP_q raise,
 // every tag and every result slot, so no tracked effect of the admission can
 // be durable before its record is, and a crash ahead of it finds what a crash
@@ -444,22 +448,23 @@ func (e *Engine) SetAnnounceID(id uint64) { e.annID = id }
 // begin, which is the paper's system-side step itself; the elimination
 // stack's, whose exchange takes effect outside any engine barrier; and every
 // Isb begin, the paper's placement as written.
-func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []pmem.Leg, others ...*Engine) {
+func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine) {
 	e.reset(p)
 	for _, o := range others {
 		o.reset(p)
 	}
 	switch {
-	case e.annID == 0 || len(legs) == 0:
-		p.ClearAnnounce()
-	case e.batched && p.InSyncScope():
-		p.AnnounceLazy(atomic, legs...)
+	case e.recs == nil:
+		legs = nil // outside a Runtime: the bare begin
+	case len(legs) > 0 && e.batched && p.InSyncScope():
+		e.recs.announceLazy(p, atomic, legs)
 		e.batchSyncs[p.ID()]++
 		return
-	default:
-		p.Announce(atomic, legs...)
+	default: // an eager begin clears what a lazy one left
+		r := &e.recs.procs[p.ID()]
+		r.pending, r.results = false, r.results[:0]
 	}
-	p.PSync()
+	Announce(p, atomic, legs...)
 }
 
 // reset readies the engine for an admission, writing nothing. The previous

@@ -87,7 +87,7 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if o.e.batched && o.eliminate == nil {
 		p.OpenSyncScope()
 	}
-	o.e.Begin(p, false, []pmem.Leg{{StructID: o.e.annID, Kind: kind, Arg: arg}})
+	o.e.Begin(p, false, []Leg{{StructID: o.e.annID, Kind: kind, Arg: arg}})
 	if o.eliminate != nil {
 		if r, ok := o.eliminate(p, kind, arg); ok {
 			return r

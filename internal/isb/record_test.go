@@ -1,0 +1,317 @@
+package isb
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/pmem"
+)
+
+func newTrackedHeap(procs int) *pmem.Heap {
+	return pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: procs, Tracked: true})
+}
+
+// crashAndReset discards h's volatile image, as a system-wide crash does.
+func crashAndReset(h *pmem.Heap) {
+	h.Crash()
+	h.ResetAfterCrash()
+}
+
+func TestAnnouncementRecordLifecycle(t *testing.T) {
+	h := newTrackedHeap(2)
+	p := h.Proc(1)
+	if _, ok := ReadRecord(p); ok {
+		t.Fatal("fresh heap reports an announcement")
+	}
+	want := []Leg{{StructID: 3, Kind: 7, Arg: 9}, {StructID: 255, Kind: 30, Arg: 1<<64 - 1, Flags: 1}}
+	before := p.Stats().Flushes
+	Announce(p, true, want...)
+	if got := p.Stats().Flushes - before; got != 1 {
+		t.Fatalf("announcing two legs cost %d pwbs, want 1 (header and legs 0-1 share a line)", got)
+	}
+	check := func(when string, wantCursor int) {
+		t.Helper()
+		rec, ok := ReadRecord(p)
+		if !ok || !rec.Atomic || rec.Cursor != wantCursor || !slices.Equal(rec.Legs, want) {
+			t.Fatalf("%s: announcement = (%+v, ok %v), want (%+v, cursor %d, atomic)", when, rec, ok, want, wantCursor)
+		}
+	}
+	check("after Announce", 0)
+	// The single pwb makes the record crash-durable.
+	crashAndReset(h)
+	check("across a crash", 0)
+	// The stamped result slot, and with it the cursor it derives, are
+	// durable once CloseLeg returns.
+	CloseLeg(p, 0, 42)
+	crashAndReset(h)
+	check("after CloseLeg", 1)
+	if rec, _ := ReadRecord(p); rec.Results[0] != 42 {
+		t.Fatalf("result slot 0 = %d, want 42", rec.Results[0])
+	}
+	// Per-proc isolation: proc 0 still has none.
+	if _, ok := ReadRecord(h.Proc(0)); ok {
+		t.Fatal("announcement leaked across procs")
+	}
+	Announce(p, false)
+	crashAndReset(h)
+	if _, ok := ReadRecord(p); ok {
+		t.Fatal("cleared announcement survived the crash")
+	}
+}
+
+func TestAnnouncementPartialPersistInvalid(t *testing.T) {
+	h := newTrackedHeap(1)
+	p := h.Proc(0)
+	Announce(p, false, Leg{StructID: 1, Kind: 2, Arg: 3})
+	// Overwrite with a new announcement whose pwb never happens, with the
+	// leg words leaking to persistence via eviction ahead of the checksum:
+	// the old sum must reject the mixed record after the crash.
+	a := p.Region()
+	p.Store(a+annLegs, 2<<legStructShift|5)
+	p.Store(a+annLegs+1, 6)
+	p.PWB(a)                                                               // evict: new leg durable, but old checksum...
+	p.Store(a+annSum, annCheck(annCheck(0, 1, 0), 2<<legStructShift|5, 6)) // never written back
+	crashAndReset(h)
+	if rec, ok := ReadRecord(p); ok {
+		t.Fatalf("mixed announcement validated: %+v", rec.Legs)
+	}
+}
+
+// TestAnnouncementTornSubsets pins the property every admission shape's
+// crash argument rests on, directly rather than through the every-offset
+// sweeps: a record written over a valid older one, with any strict subset of
+// its cache lines persisted when the crash hits, reads back as exactly the
+// old record, no record, or (never, for a strict subset) the new record —
+// not a mix of the two. The old record is one leg longer or shorter than the
+// new one, so both "new lines beyond the old record" and "old lines beyond
+// the new record" occur. The old record has every slot stamped, so it reads
+// back with its full prefix and its responses, which the new record, raising
+// the admission number, must not inherit. Every subset is enumerated up to 5
+// lines (N = 16); MaxBatch's 17 lines are sampled by seed.
+func TestAnnouncementTornSubsets(t *testing.T) {
+	mk := func(n int, salt uint64) []Leg {
+		legs := make([]Leg, n)
+		for i := range legs {
+			legs[i] = Leg{StructID: 1 + salt, Kind: uint64(i) + salt, Arg: uint64(i)*7 + salt<<32}
+		}
+		return legs
+	}
+	for _, n := range []int{1, 2, 16, MaxBatch} {
+		for _, oldN := range []int{max(n-1, 1), min(n+1, MaxBatch)} {
+			oldLegs, newLegs := mk(oldN, 100), mk(n, 200)
+			lines := (annLegs + 2*n + pmem.WordsPerLine - 1) / pmem.WordsPerLine
+			subsets := make([]uint64, 0, 64)
+			if lines <= 5 {
+				for m := uint64(0); m < 1<<lines-1; m++ {
+					subsets = append(subsets, m)
+				}
+			} else {
+				rng := rand.New(rand.NewSource(int64(n*100 + oldN)))
+				for i := 0; i < 64; i++ {
+					subsets = append(subsets, rng.Uint64()&(1<<lines-1)&^(1<<uint(rng.Intn(lines))))
+				}
+			}
+			for _, mask := range subsets {
+				h := newTrackedHeap(1)
+				p := h.Proc(0)
+				Announce(p, true, oldLegs...)
+				for i := 0; i < oldN-1; i++ {
+					CloseLeg(p, i, uint64(9+i))
+				}
+				oldAdm := Admission(p)
+				writeRecord(p, false, newLegs)
+				a := p.Region()
+				for l := 0; l < lines; l++ {
+					if mask>>l&1 == 1 {
+						p.PWB(a + pmem.Addr(l*pmem.WordsPerLine))
+					}
+				}
+				crashAndReset(h)
+				rec, ok := ReadRecord(p)
+				isOld := ok && rec.Atomic && rec.Cursor == oldN-1 && slices.Equal(rec.Legs, oldLegs) && Admission(p) == oldAdm
+				for i := 0; isOld && i < rec.Cursor; i++ {
+					isOld = rec.Results[i] == uint64(9+i)
+				}
+				if ok && !isOld {
+					t.Fatalf("N=%d over N=%d, lines %b persisted: read a record that is not the old one: %+v", n, oldN, mask, rec)
+				}
+				if mask == 0 && !isOld {
+					t.Fatalf("N=%d over N=%d, nothing persisted: the old record is gone", n, oldN)
+				}
+			}
+		}
+	}
+}
+
+// TestAnnouncementAdmissionEveryStore is the per-store sibling of
+// TestAnnouncementTornSubsets, for the admission number the record is bound
+// to: a record written over a valid older one is crashed after each of its
+// stores, with the header line persisted at the crash. Whatever validates
+// must be the old record — its legs, flag and stamped prefix — under the old
+// admission number, or nothing; the new record, under the new number, only
+// once every store has run, and then with none of the old stamped slots in
+// its prefix. The identical cases are the ones that need the number inside the
+// checksum: their old sum also covers the new legs.
+func TestAnnouncementAdmissionEveryStore(t *testing.T) {
+	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 2, Kind: 6, Arg: 7}}
+	for _, c := range []struct {
+		name     string
+		old, new []Leg
+	}{
+		{"identical, one line", legs[:2], legs[:2]},
+		{"identical, two lines", legs, legs},
+		{"different", legs[:1], legs[:2]},
+	} {
+		stores := 0
+		for k := uint64(1); ; k++ {
+			h := newTrackedHeap(1)
+			p := h.Proc(0)
+			Announce(p, false, c.old...)
+			for i := 0; i < len(c.old)-1; i++ {
+				CloseLeg(p, i, 9)
+			}
+			oldAdm, oldCursor := Admission(p), len(c.old)-1
+			h.ScheduleCrashAt(h.AccessCount() + k)
+			done := pmem.RunOp(func() { writeRecord(p, false, c.new) })
+			h.DisarmCrash()
+			p.PWB(p.Region()) // p saw the crash, if one fired: its accesses pass
+			crashAndReset(h)
+			rec, ok := ReadRecord(p)
+			adm := Admission(p)
+			isOld := ok && adm == oldAdm && !rec.Atomic && rec.Cursor == oldCursor && slices.Equal(rec.Legs, c.old)
+			isNew := ok && adm == oldAdm+1 && !rec.Atomic && rec.Cursor == 0 && slices.Equal(rec.Legs, c.new)
+			switch {
+			case done && !isNew:
+				t.Fatalf("%s: after the last store read (%+v, ok %v) under admission %d, want the new record under %d",
+					c.name, rec, ok, adm, oldAdm+1)
+			case !done && ok && !isOld:
+				t.Fatalf("%s: crashed at access %d of the write, read %+v under admission %d, want the old record under %d or nothing",
+					c.name, k, rec, adm, oldAdm)
+			case k == 1 && !isOld:
+				t.Fatalf("%s: crashed before the first store: the old record is gone", c.name)
+			}
+			if done {
+				break
+			}
+			stores++
+		}
+		if stores < 2*len(c.new)+4 {
+			t.Fatalf("%s: only %d crash points; the sweep is not reaching every store", c.name, stores)
+		}
+	}
+}
+
+// TestLegResultEveryStore crashes a slot write after each of its accesses,
+// with the slot's line persisted at the crash: the prefix must read i — slot
+// i not stamped — or i+1 with slot i holding the new response, never a slot
+// stamped under the current admission beside a stale response. The slot
+// still holds a different response from the previous admission, stamped
+// under its number, so a stamp stored ahead of the response would show.
+//
+// In the lazy rows the record is left pending with announceLazy and slots 0
+// to i with it (carryLegResult), and what is crashed is the first install's
+// sequence: the record stored and written back by a barrier, then the pending
+// slots stored and written back by another (storeLegResults). A crash before
+// the first barrier must find the previous record under the previous number
+// with its own responses, never with a new response in a slot it still reads
+// as stamped, and a crash after it the new record with a prefix of the new
+// responses.
+func TestLegResultEveryStore(t *testing.T) {
+	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
+	for _, lazy := range []bool{false, true} {
+		for i := 0; i < len(legs)-1; i++ {
+			points := 0
+			for k := uint64(1); ; k++ {
+				h := newTrackedHeap(1)
+				p, recs := h.Proc(0), NewRecords(h)
+				Announce(p, false, legs...)
+				for j := 0; j < len(legs)-1; j++ {
+					CloseLeg(p, j, 50+uint64(j))
+				}
+				oldAdm := Admission(p)
+				write := func() { CloseLeg(p, i, 100+uint64(i)) }
+				if lazy {
+					p.OpenSyncScope() // a lazy record lives in its admission's scope
+					recs.announceLazy(p, false, legs)
+					for j := 0; j <= i; j++ {
+						recs.carryLegResult(p, j, 100+uint64(j))
+					}
+					write = func() {
+						recs.storeAnnouncement(p)
+						p.PBarrierAddrs(nil)
+						recs.storeLegResults(p)
+					}
+				} else {
+					Announce(p, false, legs...)
+					for j := 0; j < i; j++ {
+						CloseLeg(p, j, 100+uint64(j))
+					}
+				}
+				h.ScheduleCrashAt(h.AccessCount() + k)
+				done := pmem.RunOp(write)
+				h.DisarmCrash()
+				p.PWB(p.Region() + annResults + pmem.Addr(2*i))
+				crashAndReset(h)
+				rec, ok := ReadRecord(p)
+				old := Admission(p) == oldAdm
+				switch cursor := rec.Cursor; {
+				case !ok || len(rec.Legs) != len(legs):
+					t.Fatalf("lazy %v, slot %d, crash at access %d: no valid record (n %d, ok %v)", lazy, i, k, len(rec.Legs), ok)
+				case old && (!lazy || done):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): the record under the previous number survived", lazy, i, k, done)
+				case old && cursor != len(legs)-1:
+					t.Fatalf("lazy %v, slot %d, crash at access %d: the previous record reads cursor %d, want %d", lazy, i, k, cursor, len(legs)-1)
+				case !old && lazy && (cursor > i+1 || done && cursor != i+1):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
+				case !old && !lazy && (cursor != i && cursor != i+1 || done && cursor != i+1):
+					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
+				}
+				want := uint64(100)
+				if old {
+					want = 50
+				}
+				for j, got := range rec.Results {
+					if got != want+uint64(j) {
+						t.Fatalf("lazy %v, slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", lazy, i, k, j, got, want+uint64(j))
+					}
+				}
+				if done {
+					break
+				}
+				points++
+			}
+			if points < 3 {
+				t.Fatalf("lazy %v, slot %d: only %d crash points; the sweep is not reaching every store", lazy, i, points)
+			}
+		}
+	}
+}
+
+// TestCloseScopeDropsPendingRecord is pmem's TestSyncScopeClosesOnWriteBacks
+// for a record left pending in an empty scope: the scope closes without a
+// psync, and the record is dropped with it, so the admission number stays
+// where it was. A scope a crash tears down drops it too.
+func TestCloseScopeDropsPendingRecord(t *testing.T) {
+	h := newTrackedHeap(1)
+	p, recs := h.Proc(0), NewRecords(h)
+	adm := recs.Admission(p)
+	p.OpenSyncScope()
+	recs.announceLazy(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
+	if got := recs.Admission(p); got != adm+1 {
+		t.Fatalf("pending record runs under admission %d, want %d", got, adm+1)
+	}
+	p.CloseSyncScope()
+	if got := p.Stats().Syncs; got != 0 {
+		t.Errorf("the scope closed with %d psyncs, want 0", got)
+	}
+	if recs.Admission(p) != adm || recs.pending(p) {
+		t.Errorf("admission %d (pending %v) after the scope, want %d", recs.Admission(p), recs.pending(p), adm)
+	}
+	p.OpenSyncScope()
+	recs.announceLazy(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
+	crashAndReset(h)
+	if recs.Admission(p) != adm || recs.pending(p) {
+		t.Errorf("admission %d (pending %v) after a crash, want %d", recs.Admission(p), recs.pending(p), adm)
+	}
+}

@@ -26,7 +26,7 @@ func TestScopeCrashTeardown(t *testing.T) {
 	for off := uint64(1); ; off++ {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
 		e := isb.NewEngineOpt(h)
-		e.SetAnnounceID(1)
+		e.SetAnnounceID(1, isb.NewRecords(h))
 		l := list.NewWithEngine(h, e)
 		p := h.Proc(0)
 		l.Insert(p, 10)

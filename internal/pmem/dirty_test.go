@@ -302,7 +302,11 @@ func TestReleaseRecyclesCleanImages(t *testing.T) {
 		}
 		for _, hp := range []*Heap{h, fresh} {
 			base := hp.Proc(0).Alloc(span)
-			hp.Proc(1).Announce(false, Leg{StructID: 1, Kind: 2, Arg: uint64(round)})
+			// Proc 1's reserved region: one line written back, one left dirty.
+			q, r := hp.Proc(1), hp.Proc(1).Region()
+			q.Store(r, uint64(round)+1)
+			q.PWB(r)
+			q.Store(r+WordsPerLine, uint64(round)+1)
 			drive(rand.New(rand.NewSource(round)), hp, base, span, 600)
 			hp.Crash()
 			hp.ResetAfterCrash()

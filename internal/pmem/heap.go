@@ -125,8 +125,6 @@ type Heap struct {
 	// O(used arena) and lets persistLine skip write-backs of clean lines.
 	dirty []atomic.Uint64
 
-	annBase Addr // per-proc announcement regions (see the layout above annSum)
-
 	next    atomic.Uint64 // bump pointer (word index)
 	cap     uint64
 	procs   []*Proc
@@ -152,61 +150,10 @@ type Heap struct {
 // and the first line is never flushed by accident).
 const reservedWords = WordsPerLine
 
-// Announcement record layout: one region per process, reserved in the heap
-// layout right after the Null line. Every admission shape writes the same
-// record — a durable vector of N legs behind one header — which the runtime's
-// registry-routed recovery reads after a crash (see Proc.Announce):
-//
-//	word   0        1              2    3           4 … 4+2N-1        136 … 136+2N-3
-//	     ┌────────┬──────────────┬────┬───────────┬────────────────┐ ┌───────────────────┐
-//	     │ sum    │ N | atomic   │ –  │ admission │ leg 0 … leg N-1│ │ slot 0 … slot N-2 │
-//	     └────────┴──────────────┴────┴───────────┴────────────────┘ └───────────────────┘
-//	      bound by sum                  bound by sum  bound by sum    response, stamp
-//
-// A leg is two words: structure ID, flags and kind packed into the first,
-// the argument in the second. A single operation is N = 1, a batch window N ≤
-// MaxBatch non-atomic legs, a transaction an atomic vector. sum is the
-// checksum over the count word, the admission number (Proc.Admission) and
-// every leg, and the one word that makes the record valid: 0 means "no
-// record", and a record torn across cache lines, or read under another
-// admission number, fails it. The header and legs 0–1 share the first line,
-// so announcing a single operation or a two-leg transaction is one
-// write-back.
-//
-// A result slot is two words on one line: a closed leg's response, then the
-// admission number it was written under (Proc.CloseLeg). A line persists as a
-// unit and the number is stored after the response, so a slot stamped with
-// the current admission number holds its leg's durable response; a slot of an
-// older admission never matches, the number being monotone: no slot is
-// stamped before its record's header is written back (StoreLegResult), so a
-// number a crash rolls back was never stamped. The completed
-// prefix is derived from the stamps: legs below the first unstamped slot have
-// durable responses, the leg at it is the one possibly in flight, and legs
-// above it never took effect. The last leg never gets a slot — its response
-// stays in its engine's tracking record — so the prefix never reaches N.
-const (
-	annSum       = 0 // checksum over annMeta, annAdmission and every leg word (0 = no record)
-	annMeta      = 1 // leg count | atomic flag << annAtomicShift
-	annAdmission = 3 // admission number
-	annLegs      = 4 // MaxBatch two-word legs
-
-	annAtomicShift = 32
-
-	// annResults is the first result slot word, on its own cache lines. Slots
-	// are two-word aligned, so none straddles a line, and never cleared: only
-	// a stamp that matches the current admission number counts.
-	annResults = (annLegs + 2*MaxBatch + WordsPerLine - 1) &^ (WordsPerLine - 1)
-
-	// annStride is the per-process announcement region size in words.
-	annStride = annResults + 2*MaxBatch
-
-	// Leg word 0 packs the structure ID above the flags above the kind.
-	legFlagsShift  = 32
-	legStructShift = 40
-)
-
-// MaxBatch bounds the number of legs one announcement can hold.
-const MaxBatch = 64
+// ProcRegionWords is the size of the region the heap reserves for each
+// process right after the Null line (Proc.Region), at fixed addresses: the
+// ISB engine keeps its per-process announcement record there.
+const ProcRegionWords = 264
 
 // NewHeap allocates a simulated persistent heap and its process descriptors.
 func NewHeap(cfg Config) *Heap {
@@ -216,8 +163,8 @@ func NewHeap(cfg Config) *Heap {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 1
 	}
-	// Room for the Null line, the per-proc announcement regions, and an arena.
-	if min := 2*reservedWords + annStride*cfg.Procs; cfg.Words < min {
+	// Room for the Null line, the per-proc regions, and an arena.
+	if min := 2*reservedWords + ProcRegionWords*cfg.Procs; cfg.Words < min {
 		cfg.Words = min
 	}
 	h := &Heap{
@@ -236,8 +183,7 @@ func NewHeap(cfg Config) *Heap {
 		lines := (cfg.Words + WordsPerLine - 1) / WordsPerLine
 		h.dirty = make([]atomic.Uint64, (lines+63)/64)
 	}
-	h.annBase = reservedWords
-	h.next.Store(reservedWords + uint64(cfg.Procs)*annStride)
+	h.next.Store(reservedWords + uint64(cfg.Procs)*ProcRegionWords)
 	h.pwbSpin = spinIters(cfg.PWBLatency)
 	h.psyncSpin = spinIters(cfg.PSyncLatency)
 	seed := cfg.Seed
@@ -290,30 +236,6 @@ func (h *Heap) Release() {
 // Proc returns process descriptor id (0-based).
 func (h *Heap) Proc(id int) *Proc {
 	return h.procs[id]
-}
-
-// annAddr returns the first word of proc id's announcement region.
-func (h *Heap) annAddr(id int) Addr { return h.annBase + Addr(id)*annStride }
-
-// annCheck is one step of the announcement checksum: it folds two payload
-// words into the running sum. Announce chains it over the count word and the
-// admission number, then every leg, in order; the result slots are
-// deliberately excluded — they are written as the vector progresses and carry
-// their own defense, the admission-number stamp. An announcement is only valid
-// if the persisted sum matches the persisted
-// payload, which makes a partially persisted record (a crash between its
-// stores and its pwbs, with some lines reaching persistence via simulated
-// eviction) detectably invalid instead of a garbled route. The result is
-// never zero, so a cleared header can never validate.
-func annCheck(sum, a, b uint64) uint64 {
-	x := sum*0x9e3779b97f4a7c15 ^ a*0xbf58476d1ce4e5b9 ^ b*0x94d049bb133111eb
-	x ^= x >> 29
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 32
-	if x == 0 {
-		x = 1
-	}
-	return x
 }
 
 // NumProcs reports how many process descriptors the heap was built with.

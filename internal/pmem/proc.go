@@ -1,9 +1,6 @@
 package pmem
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Proc is a process descriptor: the unit of crash-recovery in the paper's
 // model. All primitive operations on the heap go through a Proc, which lets
@@ -51,17 +48,6 @@ type Proc struct {
 	// every recovery entry point for an individual one — is the one teardown.
 	syncScope bool
 
-	// pending holds the legs of an admission announced lazily (AnnounceLazy)
-	// whose record is not stored yet, pendingAtomic its atomic flag, and
-	// results the responses its boundaries gave legs 0, 1, … meanwhile
-	// (CarryLegResult); annPending says there is one. StoreAnnouncement and
-	// StoreLegResults store them, and a scope's close or teardown drops what
-	// was never stored. Go-side: nothing durable names a pending admission.
-	pending       []Leg
-	results       []uint64
-	pendingAtomic bool
-	annPending    bool
-
 	// unsynced is set by every write-back and cleared by PSync: a sync
 	// scope whose close finds it clear has nothing to order (CloseSyncScope).
 	unsynced bool
@@ -71,11 +57,16 @@ type Proc struct {
 	// Procs run on different goroutines and write their counters at every
 	// access: the padding makes a Proc a whole number of cache lines, so two
 	// never share one (TestProcFillsCacheLines).
-	_ [56]byte
+	_ [48]byte
 }
 
 // ID returns the process id (0-based).
 func (p *Proc) ID() int { return p.id }
+
+// Region returns the first word of this process's reserved region:
+// ProcRegionWords words the heap sets aside for it below the arena, whose
+// layout is its user's (the ISB engine's announcement record).
+func (p *Proc) Region() Addr { return reservedWords + Addr(p.id)*ProcRegionWords }
 
 // Heap returns the heap this Proc belongs to.
 func (p *Proc) Heap() *Heap { return p.h }
@@ -353,166 +344,9 @@ func (p *Proc) Alloc(words uint64) Addr {
 	return a
 }
 
-// Leg is one leg of an announcement: which structure (registry ID, nonzero),
-// which operation kind, and its argument. Flags is opaque to this package
-// (see flagArgFromLeg1 in the repro root). StructID must fit 24 bits, Flags 8
-// and Kind 32: they share the leg's first word.
-type Leg struct {
-	StructID uint64
-	Kind     uint64
-	Arg      uint64
-	Flags    uint64
-}
-
-// Announce durably records that this process is about to execute legs (1 ≤
-// len(legs) ≤ MaxBatch), in order, as one admission: the paper's announcement
-// discipline, generalized across structures and to vectors. atomic marks the
-// vector all-or-nothing (a transaction); pmem only stores the flag. See the
-// layout above annSum.
-//
-// Announce issues one pwb per touched line — one for a single operation or a
-// two-leg transaction — and no psync: the caller's next psync (an eager begin
-// sequence's, see isb.Engine.Begin) orders them. It raises the admission
-// number (see Admission), and the write order is what makes a crash inside it
-// safe: the raised number first, which invalidates the previous record — and
-// every result slot stamped under it — before any other word of it changes,
-// sum last, and the header line written back last. A crash leaves the
-// previous, completed record under its own number, which recovery resolves
-// idempotently, or no valid record: either way this admission provably
-// performed no tracked writes and is simply re-submitted.
-// The record stays in place until the next admission begins, which is what
-// lets registry-routed recovery find in-flight work after a crash.
-func (p *Proc) Announce(atomic bool, legs ...Leg) {
-	p.annPending = false
-	end := p.writeAnnouncement(atomic, legs)
-	a := p.h.annAddr(p.id)
-	for line := a + WordsPerLine; line < end; line += WordsPerLine {
-		p.PWB(line)
-	}
-	p.PWB(a)
-}
-
-// AnnounceLazy is Announce with nothing stored yet: the legs wait on the
-// process (Go-side), and so do the responses of the boundaries reached
-// meanwhile (CarryLegResult), until the admission's first durable action —
-// its first install, which stores the record (StoreAnnouncement) ahead of its
-// barrier and the pending responses (StoreLegResults) after it. A scope that
-// closes first drops them all (CloseSyncScope). Until then Admission already
-// returns the number the record will be stored under, so CP registers compare
-// against it, and a crash finds the previous record under the previous
-// number, exactly as a crash inside Announce does. An admission that
-// installs nothing — reads and effect-free updates only (isb.Engine's
-// attemptLoop) — leaves no record at all, so no durable record can name it
-// as in flight once it has returned: recovery would re-invoke it, and a
-// re-invoked failed insert could insert a key no caller inserted.
-func (p *Proc) AnnounceLazy(atomic bool, legs ...Leg) {
-	p.pending = append(p.pending[:0], legs...)
-	p.results = p.results[:0]
-	p.pendingAtomic, p.annPending = atomic, true
-}
-
-// RecordPending reports whether a lazily announced record is still unstored
-// (AnnounceLazy).
-func (p *Proc) RecordPending() bool { return p.annPending }
-
-// StoreAnnouncement stores the record AnnounceLazy left pending, raising the
-// admission number, and hands its lines to the carry set (Carry). The caller
-// issues the barrier that writes them back next, before the admission takes
-// any durable effect — an Isb-Opt install barrier — and then StoreLegResults.
-// Without a pending record it does nothing.
-func (p *Proc) StoreAnnouncement() {
-	if !p.annPending {
-		return
-	}
-	p.annPending = false
-	end := p.writeAnnouncement(p.pendingAtomic, p.pending)
-	for line := p.h.annAddr(p.id); line < end; line += WordsPerLine {
-		p.Carry(line)
-	}
-}
-
-// StoreLegResults stores the responses the boundaries left pending
-// (CarryLegResult) into their stamped result slots and writes them back in
-// one barrier, once the barrier after StoreAnnouncement has made the record
-// durable: no slot changes while the durable header still holds the previous
-// admission, since an eviction that persisted a slot line could otherwise
-// leave the previous record valid with this admission's response in its
-// slot, or a stamp above the number a crash rolls back to, which the next
-// begin would reuse. The barrier precedes everything the installing leg makes
-// durable after its install. Without pending responses it does nothing.
-func (p *Proc) StoreLegResults() {
-	if len(p.results) == 0 {
-		return
-	}
-	for i, resp := range p.results {
-		p.Carry(p.StoreLegResult(i, resp))
-	}
-	p.results = p.results[:0]
-	p.PBarrierAddrs(nil)
-}
-
-// writeAnnouncement is Announce's stores without its write-backs; it returns
-// the address just past the last leg word.
-func (p *Proc) writeAnnouncement(atomic bool, legs []Leg) Addr {
-	if len(legs) < 1 || len(legs) > MaxBatch {
-		panic(fmt.Sprintf("pmem: Announce with %d legs (want 1..%d)", len(legs), MaxBatch))
-	}
-	a := p.h.annAddr(p.id)
-	n := p.Load(a+annAdmission) + 1
-	p.Store(a+annAdmission, n)
-	meta := uint64(len(legs))
-	if atomic {
-		meta |= 1 << annAtomicShift
-	}
-	sum := annCheck(0, meta, n)
-	w := a + annLegs
-	for _, l := range legs {
-		if l.StructID == 0 || l.StructID >= 1<<(64-legStructShift) ||
-			l.Flags >= 1<<(legStructShift-legFlagsShift) || l.Kind >= 1<<legFlagsShift {
-			panic(fmt.Sprintf("pmem: Announce with unencodable leg %+v", l))
-		}
-		w0 := l.StructID<<legStructShift | l.Flags<<legFlagsShift | l.Kind
-		p.Store(w, w0)
-		p.Store(w+1, l.Arg)
-		sum = annCheck(sum, w0, l.Arg)
-		w += 2
-	}
-	p.Store(a+annMeta, meta)
-	p.Store(a+annSum, sum)
-	return w
-}
-
-// ClearAnnounce is the bare begin: an admission that announces nothing. It
-// raises the admission number and empties the record, in one write-back of
-// the header line and no psync (the caller's orders it). Engines built outside
-// a Runtime begin with it, and so does a crash harness's system-side step. It
-// is eager under every placement: it is the paper's system-side CP_q := 0,
-// durable before the invocation it precedes.
-func (p *Proc) ClearAnnounce() {
-	p.annPending = false
-	a := p.h.annAddr(p.id)
-	p.Store(a+annAdmission, p.Admission()+1)
-	p.Store(a+annSum, 0)
-	p.PWB(a)
-}
-
-// Admission returns this process's admission number, raised by every begin
-// (Announce, ClearAnnounce, and a lazy announcement once StoreAnnouncement
-// stores it; while it is pending the number it will be stored under). A CP
-// register (an engine's CP_q, the exchanger's CP_ex) stores the number it was
-// written under: one raise resets them all.
-func (p *Proc) Admission() uint64 {
-	n := p.Load(p.h.annAddr(p.id) + annAdmission)
-	if p.annPending {
-		n++
-	}
-	return n
-}
-
 // OpenSyncScope opens a sync scope on this process (see the syncScope
 // field). The admitting runtime opens it ahead of the begin: under Isb-Opt
-// the begin's psync is then one more deferred sync point, its record stored
-// at the admission's first durable action (AnnounceLazy); CloseSyncScope
+// the begin's psync is then one more deferred sync point; CloseSyncScope
 // issues the one psync that ends the scope.
 func (p *Proc) OpenSyncScope() { p.syncScope = true }
 
@@ -520,116 +354,21 @@ func (p *Proc) OpenSyncScope() { p.syncScope = true }
 // deferred sync point and overlapped write-back was waiting for — if there is
 // one: a scope in which nothing was written back since the last psync (a
 // read, an effect-free update, a window of them) has nothing to order, and
-// closes without it. A record still pending (AnnounceLazy) is dropped: the
-// admission took no durable action.
+// closes without it.
 func (p *Proc) CloseSyncScope() {
-	p.syncScope, p.annPending = false, false
+	p.syncScope = false
 	if p.unsynced {
 		p.PSync()
 	}
 }
 
 // ResetSyncScope abandons a sync scope a crash interrupted, without the
-// closing psync, and drops a pending record: recovery runs with every sync
-// point eager and every pwb at full latency.
-func (p *Proc) ResetSyncScope() { p.syncScope, p.annPending = false, false }
+// closing psync: recovery runs with every sync point eager and every pwb at
+// full latency.
+func (p *Proc) ResetSyncScope() { p.syncScope = false }
 
 // InSyncScope reports whether a sync scope is open on this process.
 func (p *Proc) InSyncScope() bool { return p.syncScope }
-
-// CarryLegResult is StoreLegResult with the slot's line handed to the carry
-// set (Carry): it rides this process's next barrier, which must come before
-// anything a later leg makes durable (an Isb-Opt boundary, isb.Engine's
-// Boundary). While the record is pending (AnnounceLazy) the response waits
-// with it, for StoreLegResults; i must then be the next leg in order.
-func (p *Proc) CarryLegResult(i int, resp uint64) {
-	if p.annPending {
-		if i != len(p.results) {
-			panic(fmt.Sprintf("pmem: pending result for leg %d, want leg %d", i, len(p.results)))
-		}
-		p.results = append(p.results, resp)
-		return
-	}
-	p.Carry(p.StoreLegResult(i, resp))
-}
-
-// CloseLeg durably closes leg i of the announced vector: its response goes
-// into result slot i, stamped with the admission number, in one write-back.
-// Once the line is back, legs [0, i] are the completed prefix if every lower
-// slot is stamped too; for an atomic vector slot 0 stamped is the commit
-// point.
-func (p *Proc) CloseLeg(i int, resp uint64) { p.PWB(p.StoreLegResult(i, resp)) }
-
-// StoreLegResult is CloseLeg's two stores without its write-back: resp, which
-// must be nonzero (0 is the engine's ⊥), then the admission number beside it.
-// It returns the slot's address, whose line the caller writes back — at once,
-// or with a barrier that comes before anything a later leg makes durable.
-//
-// The record must be durable already: while it is pending (AnnounceLazy),
-// CarryLegResult keeps the response instead.
-func (p *Proc) StoreLegResult(i int, resp uint64) Addr {
-	if resp == 0 {
-		panic("pmem: StoreLegResult with zero response")
-	}
-	if p.annPending {
-		panic("pmem: StoreLegResult while the record is pending")
-	}
-	s := p.h.annAddr(p.id) + annResults + Addr(2*i)
-	p.Store(s, resp)
-	p.Store(s+1, p.Admission())
-	return s
-}
-
-// Announcement reads this process's announcement header, validating the
-// checksum over its immutable part. ok is false if nothing is announced (or
-// the record was only partially persisted when the crash hit — the admission
-// then provably performed no tracked writes). cursor < n is the completed
-// prefix, derived from the result slots: legs [0, cursor) have durable
-// responses readable via LegResult, leg cursor — the first whose slot is not
-// stamped with the admission number — is the (at most one) in-flight leg, and
-// legs (cursor, n) provably took no effect.
-func (p *Proc) Announcement() (n, cursor int, atomic, ok bool) {
-	a := p.h.annAddr(p.id)
-	sum := p.Load(a + annSum)
-	if sum == 0 {
-		return 0, 0, false, false
-	}
-	meta := p.Load(a + annMeta)
-	atomic = meta>>annAtomicShift&1 == 1
-	cnt := meta &^ (1 << annAtomicShift)
-	if cnt == 0 || cnt > MaxBatch {
-		return 0, 0, false, false
-	}
-	adm := p.Load(a + annAdmission)
-	check := annCheck(0, meta, adm)
-	for w := a + annLegs; w < a+annLegs+Addr(2*cnt); w += 2 {
-		check = annCheck(check, p.Load(w), p.Load(w+1))
-	}
-	if check != sum {
-		return 0, 0, false, false
-	}
-	for cursor < int(cnt)-1 && p.Load(a+annResults+Addr(2*cursor)+1) == adm {
-		cursor++
-	}
-	return int(cnt), cursor, atomic, true
-}
-
-// AnnouncedLeg reads leg i of the announcement.
-func (p *Proc) AnnouncedLeg(i int) Leg {
-	w := p.h.annAddr(p.id) + annLegs + Addr(2*i)
-	w0 := p.Load(w)
-	return Leg{
-		StructID: w0 >> legStructShift,
-		Flags:    w0 >> legFlagsShift & (1<<(legStructShift-legFlagsShift) - 1),
-		Kind:     w0 & (1<<legFlagsShift - 1),
-		Arg:      p.Load(w + 1),
-	}
-}
-
-// LegResult reads leg i's response; meaningful only below the cursor.
-func (p *Proc) LegResult(i int) uint64 {
-	return p.Load(p.h.annAddr(p.id) + annResults + Addr(2*i))
-}
 
 // nextRand steps the per-proc xorshift PRNG.
 func (p *Proc) nextRand() uint64 {

@@ -286,6 +286,7 @@ type Runtime struct {
 	regBase   pmem.Addr   // persisted registry: word0 = count, word id = kind
 	reclaimer *pmem.Reclaimer
 	engines   []*isb.Engine // every engine newEngine built (scan/recovery plumbing)
+	recs      *isb.Records  // the engines' lazily announced records (isb.Records)
 	// lastScan is the latest RecoverAll's reclaimer report, nil before the
 	// first; atomic so that LastScan may run while a recovery does.
 	lastScan atomic.Pointer[pmem.ScanReport]
@@ -303,6 +304,7 @@ func New(cfg Config) *Runtime {
 		PWBLatency: cfg.PWBLatency, PSyncLatency: cfg.PSyncLatency,
 	}), engine: cfg.Engine}
 	r.regBase = r.h.Proc(0).Alloc(1 + regCapacity)
+	r.recs = isb.NewRecords(r.h)
 	if cfg.Reclaim {
 		r.reclaimer = pmem.NewReclaimer(r.h)
 	}
@@ -530,31 +532,30 @@ func (r *Runtime) RecoverAll() []ProcReport {
 		// individual failure does not pass through Heap.finishReset: the
 		// recovery sweep and the operations after it run eager.
 		p.ResetSyncScope()
-		n, cursor, atomic, ok := p.Announcement()
+		rec, ok := isb.ReadRecord(p)
 		if !ok {
 			continue
 		}
-		rep := ProcReport{Proc: id, Atomic: atomic, Legs: make([]LegReport, n)}
-		for i := range rep.Legs {
-			l := p.AnnouncedLeg(i)
+		rep := ProcReport{Proc: id, Atomic: rec.Atomic, Legs: make([]LegReport, len(rec.Legs))}
+		for i, l := range rec.Legs {
 			rep.Legs[i] = LegReport{StructID: l.StructID, Op: Op{Kind: l.Kind, Arg: l.Arg}, Status: OpNoEffect}
 		}
-		if atomic && cursor == 0 {
+		if rec.Atomic && rec.Cursor == 0 {
 			leg0 := r.route(id, rep.Legs[0].StructID).(admitter).adapt()
 			raw, applied := leg0.resolveLeg(p, 0, rep.Legs[0].Op)
 			if !applied {
 				out = append(out, rep)
 				continue
 			}
-			p.CloseLeg(0, raw)
-			cursor = 1
+			isb.CloseLeg(p, 0, raw)
+			rec.Cursor, rec.Results = 1, []uint64{raw}
 		}
 		var prev uint64
-		for i := 0; i <= cursor; i++ {
+		for i := 0; i <= rec.Cursor; i++ {
 			ent := &rep.Legs[i]
-			if i < cursor {
-				ent.Status, prev = OpCompleted, p.LegResult(i)
-			} else if arg, skip := deriveLeg2Arg(ent.Op.Arg, p.AnnouncedLeg(i).Flags, prev); skip {
+			if i < rec.Cursor {
+				ent.Status, prev = OpCompleted, rec.Results[i]
+			} else if arg, skip := deriveLeg2Arg(ent.Op.Arg, rec.Legs[i].Flags, prev); skip {
 				ent.Status, prev = OpInFlight, isb.RespSkipped
 			} else {
 				ent.Status, prev = OpInFlight, r.route(id, ent.StructID).recoverLeg(p, i, Op{Kind: ent.Op.Kind, Arg: arg})
@@ -741,22 +742,22 @@ func exchResp(v uint64, ok bool) Resp {
 	return respOf(isb.EncodeValue(v))
 }
 
-// Apply offers op.Arg for exchange (kind OpExchange), waiting up to
-// DefaultExchangeSpins iterations for a partner.
+// Apply offers op.Arg for exchange (kind OpExchange, the only kind it
+// accepts), waiting up to DefaultExchangeSpins iterations for a partner.
 func (e *Exchanger) Apply(p *Proc, op Op) Resp {
+	acceptKind(1<<OpExchange, e.id, KindExchanger, op.Kind)
 	return exchResp(e.exchange(p, op, DefaultExchangeSpins))
 }
 
 // exchange runs one announced exchange. The exchanger keeps its own recovery
-// registers rather than an ISB engine, so it begins the admission itself, as
-// isb.Engine.Begin does: the announcement's write-back raises the admission
-// number, which CP_ex is read against (so a previous exchange's recovery data
-// cannot be read as this operation's), then the begin psync. The exchange
-// runs under that admission (Offer): a begin of its own would invalidate the
-// announcement.
+// registers rather than an ISB engine, so it begins the admission itself with
+// the eager begin (isb.Announce): the announcement's write-back raises the
+// admission number, which CP_ex is read against (so a previous exchange's
+// recovery data cannot be read as this operation's), then the begin psync.
+// The exchange runs under that admission (Offer): a begin of its own would
+// invalidate the announcement.
 func (e *Exchanger) exchange(p *Proc, op Op, spins int) (uint64, bool) {
-	p.Announce(false, pmem.Leg{StructID: e.id, Kind: op.Kind, Arg: op.Arg})
-	p.PSync()
+	isb.Announce(p, false, isb.Leg{StructID: e.id, Kind: op.Kind, Arg: op.Arg})
 	return e.e.Offer(p, op.Arg, exchanger.Symmetric, spins)
 }
 

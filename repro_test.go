@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,8 +247,8 @@ func TestCrashAfterAdmission(t *testing.T) {
 				if e.kind == EngineIsbOpt {
 					wantCursor = c.lastWrite
 				}
-				if _, cursor, _, ok := p.Announcement(); !ok || cursor != wantCursor {
-					t.Fatalf("durable record: cursor %d (ok %v), want %d", cursor, ok, wantCursor)
+				if rec, ok := isb.ReadRecord(p); !ok || rec.Cursor != wantCursor {
+					t.Fatalf("durable record: cursor %d (ok %v), want %d", rec.Cursor, ok, wantCursor)
 				}
 				reps := rt.RecoverAll()
 				if len(reps) != 1 || len(reps[0].Legs) != len(c.ops) {
@@ -449,6 +451,53 @@ func TestRespString(t *testing.T) {
 	} {
 		if got := respOf(tc.raw).String(); got != tc.want {
 			t.Errorf("Resp(%d).String() = %q, want %q", tc.raw, got, tc.want)
+		}
+	}
+}
+
+// TestUnacceptedOpKindPanics pins that an op kind the structure does not
+// accept (OpKinds) is refused the same way under both engines and on every
+// admission path: one repro: panic, raised before the begin, so no sync
+// scope is left open, the admission number has not moved, and no other leg
+// of the admission took effect. 99 is no kind at all, and 1<<33 does not fit
+// an announced leg's kind field.
+func TestUnacceptedOpKindPanics(t *testing.T) {
+	for _, e := range engines() {
+		for _, kind := range []uint64{99, 1 << 33} {
+			for _, path := range []string{"Apply", "ApplyWindow", "ApplyTxn"} {
+				t.Run(fmt.Sprintf("%s/%d/%s", e.name, kind, path), func(t *testing.T) {
+					rt := New(Config{Procs: 1, HeapWords: 1 << 18, Engine: e.kind})
+					l := rt.NewList()
+					p := rt.Proc(0)
+					l.Apply(p, Op{Kind: OpInsert, Arg: 5})
+					adm := rt.recs.Admission(p)
+					bad, insert := Op{Kind: kind, Arg: 5}, Op{Kind: OpInsert, Arg: 7}
+					msg := func() (msg string) {
+						defer func() { msg, _ = recover().(string) }()
+						switch path {
+						case "Apply":
+							l.Apply(p, bad)
+						case "ApplyWindow":
+							rt.ApplyWindow(p, l, []Op{bad, insert})
+						case "ApplyTxn":
+							rt.ApplyTxn(p, TxnLeg{S: l, Op: bad}, TxnLeg{S: l, Op: insert})
+						}
+						return ""
+					}()
+					if !strings.HasPrefix(msg, "repro: ") {
+						t.Fatalf("kind %d was not refused with a repro: panic (got %q)", kind, msg)
+					}
+					if p.InSyncScope() {
+						t.Fatal("a sync scope is still open after the refusal")
+					}
+					if got := rt.recs.Admission(p); got != adm {
+						t.Fatalf("admission number %d after the refusal, want %d", got, adm)
+					}
+					if ks := l.Keys(); !slices.Equal(ks, []uint64{5}) {
+						t.Fatalf("keys %v after the refusal, want [5]", ks)
+					}
+				})
+			}
 		}
 	}
 }
