@@ -17,7 +17,7 @@ type core interface {
 	ApplyOp(p *pmem.Proc, kind, arg uint64) uint64
 	ReadOnly(kind uint64) bool
 	ReadOp(p *pmem.Proc, kind, arg uint64) uint64
-	ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64, elide bool) uint64
+	ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64
 	RecoverLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64
 	ResolveLeg(p *pmem.Proc, seq int, kind, arg uint64) (uint64, bool)
 	MarkReachable(p *pmem.Proc, mark func(pmem.Addr))

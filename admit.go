@@ -95,16 +95,15 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // transaction stays unscoped, every leg psync where Algorithms 1–2 put it. Between two legs the previous
 // response goes to its result slot, stamped with the admission number
 // (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
-// — the slot's line joins the process's carry set and rides its next barrier,
-// normally the next leg's install barrier, ahead of anything that leg makes
-// durable. The last leg's response stays in its engine's tracking record.
-// Read-only kinds run on the zero-persist path but still occupy their
-// position: their response is stamped at the next boundary, which is what
-// makes a recovered in-flight read safe to re-execute — no later leg can have
-// taken effect before the read's own slot was durable. Under EngineIsbOpt an
-// update leg whose gather proves it effect-free does the same when a later
-// update leg follows it (see lastUpdate): that leg either installs, and its
-// barrier carries this leg's slot, or finds the record still pending too.
+// — the response waits for the process's next install, which stores the slot
+// ahead of anything that leg makes durable, and a slot no later leg installs
+// after is never stored. The last leg's response stays in its engine's
+// tracking record. Read-only kinds run on the zero-persist path but still
+// occupy their position: their slot is durable before a later leg can take
+// effect, which is what makes a recovered in-flight read safe to re-execute.
+// Under EngineIsbOpt an update leg whose gather proves it effect-free does
+// the same, wherever it sits, but for an atomic vector's leg 2 once leg 1 has
+// installed (isb.Records.elides).
 //
 // atomic makes the vector all-or-nothing across a crash: its commit point is
 // slot 0 stamped, durable strictly before the second leg takes any effect (see
@@ -117,10 +116,6 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		rec    [MaxBatch]isb.Leg
 		ads    [MaxBatch]*adapter
 		others = make([]*isb.Engine, 0, 1)
-		// lastUpdate is the last leg that surely runs through its engine: not
-		// a read, and not a leg a dequeue on empty may skip. Each leg before
-		// it may answer an effect-free outcome without an install (elide).
-		lastUpdate = -1
 	)
 	for i, l := range legs {
 		ad, ok := l.S.(admitter)
@@ -139,9 +134,6 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		if e := ads[i].e; e != ads[0].e && !slices.Contains(others, e) {
 			others = append(others, e)
 		}
-		if !l.ArgFromLeg1 && !ads[i].c.ReadOnly(l.Op.Kind) {
-			lastUpdate = i
-		}
 	}
 	scoped := !atomic || ads[0].e.Batched()
 	if scoped {
@@ -159,7 +151,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		if arg, skip := deriveLeg2Arg(l.Op.Arg, rec[i].Flags, prev); skip {
 			prev = isb.RespSkipped
 		} else {
-			prev = ads[i].c.ApplyLeg(p, i, l.Op.Kind, ads[i].key(arg), i < lastUpdate)
+			prev = ads[i].c.ApplyLeg(p, i, l.Op.Kind, ads[i].key(arg))
 		}
 		out[i] = respOf(prev)
 	}

@@ -134,17 +134,11 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 // mechanically (benchmark workload admit_window_txn measures it). A window
 // saves psyncs, not write-backs: neither a lone update's begin nor a window
 // leg's boundary writes back anything of its own — the announcement and the
-// stamped result slot both ride the next install barrier — and an
-// effect-free leg (a find, a failed update) writes back nothing in either, so
-// batch=64 writes back exactly as often as batch=1 but for two kinds of
-// window, counted by replaying the workload on the set model. A window whose
-// first successful update is not its first leg pays once more: that install
-// stores the record, and then the slots its boundaries left pending, in a
-// barrier of their own (isb.Records). A window whose last update
-// leg fails after one succeeded pays twice more: that leg's ROpt install
-// barrier and RD_q pwb, so that no durable record names it in flight once the
-// window returns. The README's table of psyncs per operation is the whole
-// grid, three mixes by both engines by batch 1, 8 and 64.
+// stamped result slots ride the next install's barriers (isb.Records) — and
+// an effect-free leg (a find, a failed update) writes back nothing in either,
+// wherever it sits in the window, so batch=64 writes back exactly as often as
+// batch=1. The README's table of psyncs per operation is the whole grid,
+// three mixes by both engines by batch 1, 8 and 64.
 func TestBatchAdmissionSpeedup(t *testing.T) {
 	const opsTotal, batch, findPct, seed = 20000, 64, 10, 7
 	rows := [][]string{{"workload", "engine", "batch=1", "batch=8", "batch=64"}}
@@ -176,38 +170,8 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 		t.Fatalf("batch=64 syncs/op %.3f is not half of batch=1's %.3f (batch1: %v) (batch64: %v)",
 			st64.SyncsPerOp(), st1.SyncsPerOp(), st1, st64)
 	}
-	// Replay runBatchAdmission's draws on the set model: per window, the
-	// first successful update's index, and whether the last update leg failed.
-	rng, set := rand.New(rand.NewSource(seed)), map[uint64]bool{}
-	for i := 0; i < 128; i++ {
-		set[uint64(rng.Intn(256))+1] = true
-	}
-	var lateFirst, failedLast uint64
-	first, lastOK, ud := -1, false, 0
-	for i := 0; i < opsTotal; i++ {
-		k := uint64(rng.Intn(256)) + 1
-		if rng.Intn(100) >= findPct {
-			ud++
-			ok := set[k] != (ud%2 == 0) // an insert needs k absent, a delete present
-			set[k] = ud%2 == 0
-			if ok && first < 0 {
-				first = i % batch
-			}
-			lastOK = ok
-		}
-		if i%batch == batch-1 || i == opsTotal-1 {
-			if first > 0 {
-				lateFirst++
-			}
-			if first >= 0 && !lastOK {
-				failedLast++
-			}
-			first = -1
-		}
-	}
-	if w64, w1 := st64.Mem.Barriers+st64.Mem.Flushes, st1.Mem.Barriers+st1.Mem.Flushes; w64 != w1+lateFirst+2*failedLast {
-		t.Fatalf("batch=64 wrote back %d times, batch=1 %d; %d windows' first success is not their first leg and %d windows end in a failed update: the begin and every boundary must ride the next barrier",
-			w64, w1, lateFirst, failedLast)
+	if w64, w1 := st64.Mem.Barriers+st64.Mem.Flushes, st1.Mem.Barriers+st1.Mem.Flushes; w64 != w1 {
+		t.Fatalf("batch=64 wrote back %d times, batch=1 %d: the begin and every boundary must ride the next install's write-backs", w64, w1)
 	}
 	if st64.BatchSyncs == 0 {
 		t.Fatal("batch=64 run deferred no syncs; the batch protocol is not engaged")
@@ -292,11 +256,12 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // RD_q/CP_q pwb and no record, since nothing durable names it once it
 // returns. A window or transaction leg after the first pays no begin, and its
 // boundary — the previous leg's stamped result slot — writes back nothing of
-// its own: the slot's line rides the leg's install barrier. A window led by
-// a failed update pays one barrier more: its first install stores the
-// record, and only once that is durable the slot the failed leg left pending,
-// in a barrier of its own. Under Isb the slot costs one pwb and the boundary
-// one psync.
+// its own: the slot waits for the next install, whose barrier carries it, or
+// whose RD_q write-back does, as a barrier, when that install stores the
+// record. An effect-free window leg installs nothing wherever it sits, so
+// every Isb-Opt window writes back what its legs would alone: the rows with
+// legs pin that sum. Under Isb the slot costs one pwb and the boundary one
+// psync.
 //
 // On one Proc an eliminating push or pop always times out on the exchanger
 // and falls through to the central stack. It pays the exchange's own psyncs
@@ -310,30 +275,42 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // pay the same: the reclaimer adds no write-back. want is laid out as the
 // README's admission-price table, which it renders.
 func TestAdmissionSyncPrice(t *testing.T) {
+	const ok, failed = "successful update", "failed update"
 	want := []struct {
 		shape    string
 		isb, opt price
+		legs     []string // a window's legs, as single-op shapes
 	}{
-		{"find", price{0, 0}, price{0, 0}},
-		{"bare begin", price{1, 1}, price{1, 1}},
-		{"successful update", price{6, 15}, price{1, 4}},
-		{"failed update", price{3, 5}, price{0, 0}},
-		{"ApplyWindow of 1", price{2, 15}, price{1, 4}},
-		{"ApplyWindow of 1 find", price{1, 1}, price{0, 0}},
-		{"ApplyWindow of 16", price{17, 134}, price{1, 34}},
-		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 5}},
-		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 8}},
-		{"enqueue", price{6, 12}, price{1, 4}},
-		{"dequeue", price{6, 9}, price{1, 4}},
-		{"push", price{6, 15}, price{1, 4}},
-		{"pop", price{6, 11}, price{1, 4}},
-		{"eliminating push", price{10, 23}, price{6, 13}},
-		{"eliminating pop", price{9, 16}, price{5, 10}},
+		{"find", price{0, 0}, price{0, 0}, nil},
+		{"bare begin", price{1, 1}, price{1, 1}, nil},
+		{ok, price{6, 15}, price{1, 4}, nil},
+		{failed, price{3, 5}, price{0, 0}, nil},
+		{"ApplyWindow of 1", price{2, 15}, price{1, 4}, []string{ok}},
+		{"ApplyWindow of 1 find", price{1, 1}, price{0, 0}, []string{"find"}},
+		{"ApplyWindow of 16", price{17, 134}, price{1, 32}, slices.Repeat([]string{ok, failed}, 8)},
+		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 4}, []string{failed, ok}},
+		{"ApplyWindow(insert, failed insert)", price{3, 18}, price{1, 4}, []string{ok, failed}},
+		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 8}, []string{ok, ok}},
+		{"enqueue", price{6, 12}, price{1, 4}, nil},
+		{"dequeue", price{6, 9}, price{1, 4}, nil},
+		{"push", price{6, 15}, price{1, 4}, nil},
+		{"pop", price{6, 11}, price{1, 4}, nil},
+		{"eliminating push", price{10, 23}, price{6, 13}, nil},
+		{"eliminating pop", price{9, 16}, price{5, 10}, nil},
 	}
 	rows := [][]string{{"shape", "Isb psyncs", "Isb write-backs", "Isb-Opt psyncs", "Isb-Opt write-backs"}}
+	single := map[string]uint64{}
 	for _, w := range want {
 		rows = append(rows, []string{w.shape, fmt.Sprint(w.isb.syncs), fmt.Sprint(w.isb.writeBacks),
 			fmt.Sprint(w.opt.syncs), fmt.Sprint(w.opt.writeBacks)})
+		single[w.shape] = w.opt.writeBacks
+		var sum uint64
+		for _, l := range w.legs {
+			sum += single[l]
+		}
+		if w.legs != nil && sum != w.opt.writeBacks {
+			t.Errorf("%s: Isb-Opt writes back %d times, its legs alone %d", w.shape, w.opt.writeBacks, sum)
+		}
 	}
 	checkReadmeTable(t, "admission-price", rows...)
 	for _, e := range engines() {
@@ -389,6 +366,7 @@ func admissionPrices(kind EngineKind, reclaim bool) map[string]price {
 		{"ApplyWindow of 1 find", func() { rt.ApplyWindow(p, m, []Op{{Kind: OpFind, Arg: 1}}) }},
 		{"ApplyWindow of 16", func() { rt.ApplyWindow(p, m, window16) }},
 		{"ApplyWindow(failed insert, insert)", func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 1}, {Kind: OpInsert, Arg: 8}}) }},
+		{"ApplyWindow(insert, failed insert)", func() { rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: 10}, {Kind: OpInsert, Arg: 3}}) }},
 		{"ApplyTxn(delete, insert)", func() {
 			rt.ApplyTxn(p,
 				TxnLeg{S: m, Op: Op{Kind: OpDelete, Arg: 1}},

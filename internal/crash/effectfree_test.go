@@ -1,11 +1,13 @@
 package crash
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro"
 	"repro/internal/linearize"
+	"repro/internal/pmem"
 )
 
 // effectFreeRow is one row of the effect-free invariant: on a prefilled set,
@@ -17,27 +19,33 @@ type effectFreeRow struct {
 	eng  engineVariant
 	name string
 	prev []repro.Op
+	txn  bool // prev is a transaction, not a window
 }
 
-// effectFreeRows are list and BST × both engines × three shapes of the
+// effectFreeRows are list and BST × both engines × five shapes of the
 // completed admission: the failed insert alone, the failed insert leading a
-// window with a find after it, and the failed insert as the last leg of a
-// window whose first leg inserted.
+// window with a find after it, the failed insert as the last leg of a window
+// whose first leg inserted 20, or inserted 8, which the swept window then
+// finds present too, and the failed insert as leg 2 of a transaction whose
+// leg 1 inserted.
 func effectFreeRows() []effectFreeRow {
 	ins := func(k uint64) repro.Op { return repro.Op{Kind: repro.OpInsert, Arg: k} }
 	shapes := []struct {
 		name string
 		prev []repro.Op
+		txn  bool
 	}{
-		{"failed-insert", []repro.Op{ins(9)}},
-		{"failed-insert+find", []repro.Op{ins(9), {Kind: repro.OpFind, Arg: 27}}},
-		{"insert+failed-insert", []repro.Op{ins(20), ins(9)}},
+		{"failed-insert", []repro.Op{ins(9)}, false},
+		{"failed-insert+find", []repro.Op{ins(9), {Kind: repro.OpFind, Arg: 27}}, false},
+		{"insert+failed-insert", []repro.Op{ins(20), ins(9)}, false},
+		{"insert-8+failed-insert", []repro.Op{ins(8), ins(9)}, false},
+		{"txn-insert+failed-insert", []repro.Op{ins(20), ins(9)}, true},
 	}
 	var out []effectFreeRow
 	for _, kind := range []repro.StructKind{repro.KindList, repro.KindBST} {
 		for _, eng := range engineVariants {
 			for _, sh := range shapes {
-				out = append(out, effectFreeRow{kind, eng, sh.name, sh.prev})
+				out = append(out, effectFreeRow{kind, eng, sh.name, sh.prev, sh.txn})
 			}
 		}
 	}
@@ -79,7 +87,12 @@ func (r effectFreeRow) build() Instance {
 	for _, op := range setPrefill {
 		record(0, []repro.Op{op}, admit(p0, []repro.Op{op}))
 	}
-	record(0, r.prev, admit(p0, r.prev))
+	if r.txn {
+		a, b := rt.ApplyTxn(p0, repro.TxnLeg{S: s, Op: r.prev[0]}, repro.TxnLeg{S: s, Op: r.prev[1]})
+		record(0, r.prev, []uint64{a.Raw(), b.Raw()})
+	} else {
+		record(0, r.prev, admit(p0, r.prev))
+	}
 	del := []repro.Op{{Kind: repro.OpDelete, Arg: 9}}
 	record(1, del, admit(p1, del))
 	next := []repro.Op{{Kind: repro.OpInsert, Arg: 14}, {Kind: repro.OpInsert, Arg: 8}, {Kind: repro.OpFind, Arg: 9}}
@@ -120,18 +133,114 @@ func (r effectFreeRow) build() Instance {
 // 0's next admission would let RecoverAll re-invoke the failed insert of 9
 // after Proc 1 deleted it, and 9 would reappear with no caller inserting it:
 // the set would hold it and the swept window's find would see it. Under
-// Isb-Opt the failed insert alone and the one leading the window install
-// nothing, so only a record stored ahead of the admission's first install
-// could name them; the failed insert that ends a window whose record is
-// stored keeps its ROpt install, which RD_q names with its response. The
-// swept window leads with an effect-free leg too: its slot must be durable
-// before the next leg's tags, or a recovery that re-invokes it meets an
-// evicted tag, completes the insert of 8 through it, and the report still
-// sends that insert back for re-submission.
+// Isb-Opt no failed insert of a window installs anything, wherever it sits:
+// one ahead of the window's first install could only be named by a record
+// stored before that install, and one after it by a slot stamped without a
+// later install, so the durable cursor rests on the insert of 20 or 8, whose
+// record RD_q names. The transaction's failed leg 2 keeps its ROpt install,
+// which RD_q names with its response, since without it the commit slot would
+// stay unstamped and roll-forward would re-drive the leg. The swept window
+// leads with an effect-free leg too: its slot must be durable before the next
+// leg's tags, or a recovery that re-invokes it meets an evicted tag,
+// completes the insert of 8 through it, and the report still sends that
+// insert back for re-submission.
 func TestTwoProcCrashEffectFree(t *testing.T) {
 	for _, r := range effectFreeRows() {
 		t.Run(fmt.Sprintf("%v/%s/%s", r.kind, r.eng.name, r.name), func(t *testing.T) {
 			SweepTest(t, r.build, nil)
 		})
 	}
+}
+
+// TestTwoProcCrashLostTags is the same invariant for an effect-free leg
+// that installed first: Proc 0 inserts 8, absent, alone or as the last leg
+// of a window after an insert of 20, and Proc 1 inserts 8 at Proc 0's k-th
+// access, for every k of the admission's span. Where Proc 1's insert lands
+// between Proc 0's install and its tags, the tags fail and the retry finds
+// 8 present, so the leg returns false with RD_q naming the attempt whose
+// tags failed, unless the retry installs too. Proc 1 then deletes 8 and the
+// system crashes before Proc 0's next admission, with each line the crash
+// left dirty persisted in turn: RecoverAll must not insert 8 again.
+func TestTwoProcCrashLostTags(t *testing.T) {
+	ins := func(k uint64) repro.Op { return repro.Op{Kind: repro.OpInsert, Arg: k} }
+	shapes := []struct {
+		name string
+		ops  []repro.Op
+		want []uint64
+	}{
+		{"insert", []repro.Op{ins(8)}, []uint64{3, 9, 14, 27, 31}},
+		{"insert+insert", []repro.Op{ins(20), ins(8)}, []uint64{3, 9, 14, 20, 27, 31}},
+	}
+	for _, kind := range []repro.StructKind{repro.KindList, repro.KindBST} {
+		for _, eng := range engineVariants {
+			for _, sh := range shapes {
+				t.Run(fmt.Sprintf("%v/%s/%s", kind, eng.name, sh.name), func(t *testing.T) {
+					for k := 1; ; k++ {
+						dirty, fired, err := lostTags(kind, eng, sh.ops, sh.want, k, pmem.Null)
+						for i := 0; err == nil && i < len(dirty); i++ {
+							_, _, err = lostTags(kind, eng, sh.ops, sh.want, k, dirty[i])
+							if err != nil {
+								err = fmt.Errorf("line=%d: %v", dirty[i], err)
+							}
+						}
+						if err != nil {
+							t.Fatalf("Proc 1's insert at access %d: %v", k, err)
+						}
+						if !fired {
+							return
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// lostTags runs one instance of TestTwoProcCrashLostTags, with line (Null:
+// none) persisted at the crash; fired reports whether Proc 0's admission
+// reached its k-th access. A run with no line returns the dirty lines.
+func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64, k int, line pmem.Addr) (dirty []pmem.Addr, fired bool, err error) {
+	rt := repro.New(repro.Config{Procs: 2, CrashSim: true, HeapWords: sweepHeapWords, Seed: 42, Engine: eng.kind})
+	h := rt.Heap()
+	defer h.Release()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	s := structure{kind: kind}.register(rt)
+	p0, p1 := rt.Proc(0), rt.Proc(1)
+	for _, op := range setPrefill {
+		s.Apply(p0, op)
+	}
+	n := 0
+	h.SetAccessHook(func(p *pmem.Proc) {
+		if p.ID() != 0 {
+			return
+		}
+		if n++; n == k {
+			h.SetAccessHook(nil)
+			s.Apply(p1, repro.Op{Kind: repro.OpInsert, Arg: 8})
+			fired = true
+		}
+	})
+	if len(ops) == 1 {
+		s.Apply(p0, ops[0])
+	} else {
+		rt.ApplyWindow(p0, s, ops)
+	}
+	h.SetAccessHook(nil)
+	s.Apply(p1, repro.Op{Kind: repro.OpDelete, Arg: 8})
+	if line != pmem.Null {
+		h.Proc(0).PWB(line)
+	} else {
+		dirty = h.DivergedLines()
+	}
+	h.Crash()
+	h.ResetAfterCrash()
+	rt.RecoverAll()
+	if msg := sameState([]any{s}, [][]uint64{want}); msg != "" {
+		return nil, fired, errors.New(msg)
+	}
+	return dirty, fired, nil
 }

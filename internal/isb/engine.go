@@ -205,10 +205,10 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // begin stays eager, and its scope opens here, after the exchange.
 func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
-		return e.runAttempts(p, opType, argKey, gather, 0, false)
+		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
 	p.OpenSyncScope()
-	r := e.runAttempts(p, opType, argKey, gather, 0, false)
+	r := e.runAttempts(p, opType, argKey, gather, 0)
 	p.CloseSyncScope()
 	return r
 }
@@ -226,9 +226,9 @@ func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 // pairs are (old record, old number), (info, old number) and (info, this
 // number): a current CP_q names this leg's record, and since no tag precedes
 // that pwb, a stale one still proves the leg made no changes.
-func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, elide bool) uint64 {
+func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	if e.Batched() {
-		return e.attemptLoop(p, opType, argKey, gather, bound, true, elide)
+		return e.attemptLoop(p, opType, argKey, gather, bound, true)
 	}
 	rd, cp := e.rd(p), e.cp(p)
 	p.Store(rd, uint64(pmem.Null))
@@ -237,7 +237,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	p.Store(cp, e.recs.Admission(p))
 	p.PWB(cp)
 	e.opSync(p)
-	return e.attemptLoop(p, opType, argKey, gather, bound, false, false)
+	return e.attemptLoop(p, opType, argKey, gather, bound, false)
 }
 
 // maxRecoveryAttempts bounds the attempts of one recoverSeq call. Every
@@ -253,14 +253,26 @@ const maxRecoveryAttempts = 1 << 10
 // engine's first enter here directly: CP_q is already current and RD_q still
 // names the previous leg's record, which recovery tells apart from this leg's
 // by the stamped index. raiseCP makes the first install also store the
-// admission number into CP_q (the Isb-Opt first leg, see runAttempts). elide
-// reports that a later update leg of the vector follows (Ops.ApplyLeg).
+// admission number into CP_q (the Isb-Opt first leg, see runAttempts).
 // bound, when nonzero, is the recovery path's attempt limit (see
 // maxRecoveryAttempts).
-func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP, elide bool) uint64 {
+//
+// Under Isb-Opt an attempt whose gather proves the leg effect-free returns
+// without an install wherever no durable record will name the leg in flight
+// once its admission returns (Records.elides): every leg of a lazily
+// announced window, and any leg while its admission's record is pending —
+// but only while this call has installed nothing, since an earlier attempt
+// that lost its tags left RD_q naming this leg with no effect taken.
+// Otherwise the install stores what its admission keeps Go-side: the record,
+// if still pending, ahead of the install barrier, and the responses of the
+// boundaries since the process's last install, ahead of that barrier or,
+// when it carries the record, after it, riding the RD_q write-back, which
+// then becomes a barrier (Records.storeLegResults).
+func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP bool) uint64 {
 	rd := e.rd(p)
 	per := e.per(p)
 	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
+	installed := false
 	for attempt := 1; ; attempt++ {
 		if bound != 0 && attempt > bound {
 			// RD_q may name a record this operation installed itself: show it.
@@ -310,16 +322,14 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// Effect-free fast path, Isb-Opt only: the gather proved the leg
 		// read-only — a find, an insert of a present key, a delete of an absent
 		// one — and no durable record will name it as in flight once its
-		// admission returns, so recovery never re-invokes it after its response
-		// is out. That holds while the admission's record is still pending
-		// (Records.announceLazy): a later install stores it with this leg's
-		// response in its slot, or the scope's close drops it. It holds too for
-		// a leg followed by an update leg (elide): the boundary stamps this
-		// leg's slot, and that leg's install barrier carries it, unless that
-		// leg finds the record still pending too. The last update leg of a
-		// vector whose record is stored takes the ROpt install below, as does
+		// admission returns (Records.elides), so recovery never re-invokes it
+		// after its response is out: a later install stores its response in
+		// its slot, or the scope's close drops it. Once an attempt of this leg
+		// installed, RD_q names the leg with that attempt's failed tags, and a
+		// recovery would re-invoke it: the retry must install so that RD_q
+		// names its response. The rest take the ROpt install below, as does
 		// every leg under Isb.
-		if spec.ReadOnly && e.batched && (elide || e.recs.pending(p)) {
+		if spec.ReadOnly && e.batched && !installed && e.recs.elides(p) {
 			e.discardAttempt(p, info, spec)
 			e.readFast[p.ID()]++
 			e.alloc.Exit(p)
@@ -329,36 +339,45 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// Install the Info record and persist it with the new nodes. The
 		// batched persister covers the record and the whole NewSet in one
 		// barrier — with the admission's announcement, stored now if it is
-		// still pending, and the previous operation's deferred cleanup, if
-		// any — and the eager one issues a pbarrier per range.
+		// still pending, or else the result slots kept since the last
+		// install, and the previous operation's deferred cleanup, if any —
+		// and the eager one writes each range back with a pbarrier.
 		per.Reset()
 		e.install(p, info, spec)
 		per.WroteRange(info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
-		e.recs.storeAnnouncement(p)
+		first := e.recs.storeAnnouncement(p)
+		if !first {
+			e.recs.storeLegResults(p)
+		}
 		per.Flush()
-		e.recs.storeLegResults(p)
+		slots := first && e.recs.storeLegResults(p)
 		p.Store(rd, uint64(info))
 		if raiseCP {
 			p.Store(e.cp(p), e.recs.Admission(p)) // after RD_q, on its line: see runAttempts
 			raiseCP = false
 		}
-		p.PWB(rd)
+		if slots {
+			p.PBarrierRange(rd, 1) // one write-back still, carrying the slots
+		} else {
+			p.PWB(rd)
+		}
 		e.opSync(p)
 		// RD_q durably points at this attempt's record, so the previous
 		// attempt's (if any) can no longer be consulted, and the barrier
 		// above carried its deferred cleanup: retire it, with what it held.
 		e.retireLast(p)
 		e.last[p.ID()].info = info
+		installed = true
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
 		// stored into the record by install and persisted above. Under
 		// Isb-Opt only a read-only leg that could not take the effect-free
-		// path above gets here: the last update leg of a vector whose record
-		// is stored, which RD_q must name so that recovery finds its
-		// response rather than re-invoking it.
+		// path above gets here — an atomic vector's, an eager begin's, or a
+		// retry after an attempt that lost its tags — which RD_q must name so
+		// that recovery finds its response rather than re-invoking it.
 		if spec.ReadOnly {
 			e.alloc.Exit(p)
 			return spec.Response
@@ -459,7 +478,7 @@ func (e *Engine) recoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gat
 		return r
 	}
 	// No matching record, or its last attempt did not take effect: re-invoke.
-	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts, false)
+	return e.runAttempts(p, opType, argKey, gather, maxRecoveryAttempts)
 }
 
 // resolveSeq probes whether the leg (opType, argKey) at index seq took
@@ -619,25 +638,21 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
 // into. Under Isb-Opt the boundary defers its psync to the scope's close and
-// writes nothing back of its own (Records.carryLegResult). While the
-// record is still pending — every leg so far a read or effect-free — the
-// response waits with it, for the first install to store after its barrier
-// (Records.storeLegResults). Otherwise the slot's line joins the process's
-// carry set (pmem.Proc.Carry), which its next barrier writes back, on
-// whichever engine — a mutating leg's install barrier, before RD_q moves and
-// before any tag, or sooner, the barrier of an operation the leg helps. No
-// leg takes a durable effect ahead of its install barrier, and a read or
-// effect-free leg takes none at all; the reclaimer's slab directory, which
-// can be written back sooner, records no operation's effect. So a crash
-// before that barrier finds the slot unstamped and leg seq-1 at the derived
-// cursor, with RD_q still naming its record if it installed one (recoverSeq,
-// resolveSeq). The slot of a leg followed only by reads may never be written
-// back: RD_q keeps that leg's record until the next admission, which is why
-// the last update leg of a vector with a stored record installs even when
-// effect-free.
+// stores nothing: the response waits Go-side (Records.keepLegResult) for the
+// process's next install, on whichever engine, which stores the slot and
+// makes it durable before RD_q moves and before any tag
+// (Records.storeLegResults). No leg takes a durable effect ahead of its
+// install barrier, and a read or effect-free leg takes none at all; the
+// reclaimer's slab directory, which can be written back sooner, records no
+// operation's effect. So a crash before that install finds the slot
+// unstamped and leg seq-1 at the derived cursor, with RD_q still naming its
+// record if it installed one (recoverSeq, resolveSeq). A slot no later leg
+// installs after is never stored: once the admission returns, its durable
+// record's cursor sits on its last installing leg, which RD_q names, so an
+// effect-free leg after it needs no install of its own.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	if e.batched {
-		e.recs.carryLegResult(p, seq-1, prevResp)
+		e.recs.keepLegResult(p, seq-1, prevResp)
 		e.batchSyncs[p.ID()]++
 		return
 	}
@@ -669,10 +684,10 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // clwb-style; both are pure cost/accounting changes — every pwb still
 // applies its line write-back synchronously, so the reachable crash states
 // are exactly those of the unscoped execution.
-func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather, elide bool) uint64 {
+func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
 	if p.Load(e.cp(p)) != e.recs.Admission(p) {
-		return e.runAttempts(p, opType, argKey, gather, 0, elide)
+		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
-	return e.attemptLoop(p, opType, argKey, gather, 0, false, elide)
+	return e.attemptLoop(p, opType, argKey, gather, 0, false)
 }

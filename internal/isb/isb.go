@@ -437,17 +437,21 @@ func (e *Engine) SetAnnounceID(id uint64, recs *Records) { e.annID, e.recs = id,
 // is one more sync point deferred to the scope's close. The admission's first
 // install stores the record, and its raised admission number, just before
 // its barrier, which writes them back; the responses of the boundaries
-// before it follow in a barrier of their own (Records.storeLegResults).
-// That install barrier's fence precedes RD_q's write-back, every CP_q raise,
-// every tag and every result slot, so no tracked effect of the admission can
-// be durable before its record is, and a crash ahead of it finds what a crash
-// inside an eager begin finds. An admission that installs nothing — reads and
-// effect-free updates only (attemptLoop) — never stores its record: the
-// scope's close drops it, so no durable record names it as in flight once it
-// has returned. Three begins stay eager, each for its own reason: the bare
-// begin, which is the paper's system-side step itself; the elimination
-// stack's, whose exchange takes effect outside any engine barrier; and every
-// Isb begin, the paper's placement as written.
+// before it follow, carried by that install's RD_q write-back
+// (Records.storeLegResults). That install barrier's fence precedes RD_q's
+// write-back, every CP_q raise, every tag and every result slot, so no
+// tracked effect of the admission can be durable before its record is, and a
+// crash ahead of it finds what a crash inside an eager begin finds. An
+// admission that installs nothing — reads and effect-free updates only
+// (attemptLoop) — never stores its record: the scope's close drops it, so no
+// durable record names it as in flight once it has returned; and an
+// effect-free leg after the first install installs nothing either, its
+// window's durable cursor resting on the last leg that did
+// (Records.elides). Three begins stay eager, each for its own reason: the
+// bare begin, which is the paper's system-side step itself; the elimination
+// stack's, whose exchange takes effect outside any engine barrier, so its
+// effect-free outcome keeps the ROpt install; and every Isb begin, the
+// paper's placement as written.
 func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine) {
 	e.reset(p)
 	for _, o := range others {
@@ -462,7 +466,7 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 		return
 	default: // an eager begin clears what a lazy one left
 		r := &e.recs.procs[p.ID()]
-		r.pending, r.results = false, r.results[:0]
+		r.lazy, r.pending = false, false
 	}
 	Announce(p, atomic, legs...)
 }

@@ -100,14 +100,12 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 // and returns its encoded response: a read-only kind on the zero-persist path
 // — it still occupies its position, and its response is stamped into its
 // result slot at the next boundary — and any other kind through the engine's
-// leg driver (runBatchOp). elide reports that a later update leg follows in
-// the vector, whose install barrier carries this leg's stamped slot: under
-// Isb-Opt an effect-free outcome then installs nothing.
-func (o *Ops) ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64, elide bool) uint64 {
+// leg entry point (runBatchOp).
+func (o *Ops) ApplyLeg(p *pmem.Proc, seq int, kind, arg uint64) uint64 {
 	if o.ReadOnly(kind) {
 		return o.read(p, kind, arg)
 	}
-	return o.e.runBatchOp(p, seq, kind, arg, o.gather(kind, arg), elide)
+	return o.e.runBatchOp(p, seq, kind, arg, o.gather(kind, arg))
 }
 
 // RecoverLeg is the operation's recovery function for the leg at index seq

@@ -178,8 +178,7 @@ func CloseLeg(p *pmem.Proc, i int, resp uint64) { p.PWB(storeLegResult(p, i, res
 // must be nonzero (0 is the engine's ⊥), then the admission number beside it.
 // It returns the slot's address, whose line the caller writes back — at once,
 // or with a barrier that comes before anything a later leg makes durable. The
-// record must be stored already: while it is pending, Records.carryLegResult
-// keeps the response instead.
+// record must be stored already (Records.storeLegResults).
 func storeLegResult(p *pmem.Proc, i int, resp uint64) pmem.Addr {
 	if resp == 0 {
 		panic("isb: leg result with zero response")
@@ -241,53 +240,85 @@ func ReadRecord(p *pmem.Proc) (r Record, ok bool) {
 	return r, true
 }
 
-// Records holds, per process of one heap, the record of an admission
-// announced lazily (announceLazy) and not stored yet, with the responses its
-// boundaries gave legs 0, 1, … meanwhile (carryLegResult). All of a heap's
-// engines share it (Engine.SetAnnounceID): a transaction spans two. Go-side:
-// nothing durable names a pending admission.
+// Records holds, per process of one heap, what an admission announced lazily
+// (announceLazy) keeps Go-side: its record, until its first install stores
+// it (storeAnnouncement), and the responses its boundaries give legs 0, 1, …
+// (keepLegResult), until the process's next install, on any engine, stores
+// them in their stamped slots (storeLegResults). All of a heap's engines
+// share it (Engine.SetAnnounceID): a transaction spans two. What it holds
+// belongs to the admission's sync scope, whose close or teardown drops it:
+// nothing durable names a pending record, and a response no later leg's
+// install stored is never stamped, so once the admission returns its durable
+// record's cursor sits on its last installing leg, the one RD_q names.
 type Records struct{ procs []lazyRecord }
 
 type lazyRecord struct {
-	legs    []Leg
+	legs []Leg
+	// results are the boundaries' responses, legs 0, 1, … in order; the
+	// first stored of them are in their slots already.
 	results []uint64
+	stored  int
 	atomic  bool
-	pending bool
+	lazy    bool // the admission was announced lazily
+	pending bool // and its record is not stored yet
 	// Procs run on different goroutines and each writes its entry at every
 	// admission: the padding keeps two entries' fields off a common cache line.
-	_ [78]byte
+	_ [69]byte
 }
 
 // NewRecords builds the table for h's processes.
 func NewRecords(h *pmem.Heap) *Records { return &Records{procs: make([]lazyRecord, h.NumProcs())} }
 
 // announceLazy is Announce with nothing stored yet, and no psync: the legs
-// wait in the table, and so do the responses of the boundaries reached
-// meanwhile (carryLegResult), until the admission's first durable action —
-// its first install, which stores the record (storeAnnouncement) ahead of its
-// barrier and the pending responses (storeLegResults) after it. A scope that
-// closes first drops them all (pending). Until then Admission already
-// returns the number the record will be stored under, so CP registers compare
-// against it, and a crash finds the previous record under the previous
-// number, exactly as a crash inside Announce does. An admission that installs
-// nothing — reads and effect-free updates only (Engine.attemptLoop) — leaves
-// no record at all, so no durable record can name it as in flight once it has
-// returned: recovery would re-invoke it, and a re-invoked failed insert could
-// insert a key no caller inserted.
+// wait in the table until the admission's first durable action — its first
+// install, which stores the record (storeAnnouncement) ahead of its barrier.
+// A scope that closes first drops it (live). Until then Admission already
+// returns the number the record will be stored under, so CP registers
+// compare against it, and a crash finds the previous record under the
+// previous number, exactly as a crash inside Announce does. An admission
+// that installs nothing — reads and effect-free updates only
+// (Engine.attemptLoop) — leaves no record at all, so no durable record can
+// name it as in flight once it has returned: recovery would re-invoke it,
+// and a re-invoked failed insert could insert a key no caller inserted.
 func (t *Records) announceLazy(p *pmem.Proc, atomic bool, legs []Leg) {
 	r := &t.procs[p.ID()]
 	r.legs = append(r.legs[:0], legs...)
-	r.results = r.results[:0]
-	r.atomic, r.pending = atomic, true
+	r.results, r.stored = r.results[:0], 0
+	r.atomic, r.lazy, r.pending = atomic, true, true
 }
 
-// pending reports whether p's lazily announced record is still unstored. A
-// record belongs to the sync scope it was announced in, so the scope's close
-// (CloseSyncScope: the admission took no durable action) or teardown
-// (ResetSyncScope, a crash's reset included) drops it; the next begin
-// replaces or clears the stale entry before anything reads it again.
+// live returns p's entry while it describes the admission p runs: one
+// announced lazily, whose sync scope is still open. A scope's close
+// (CloseSyncScope) or teardown (ResetSyncScope, a crash's reset included)
+// drops the entry; the next begin replaces or clears it before anything
+// reads it again.
+func (t *Records) live(p *pmem.Proc) *lazyRecord {
+	if t == nil || !t.procs[p.ID()].lazy || !p.InSyncScope() {
+		return nil
+	}
+	return &t.procs[p.ID()]
+}
+
+// pending reports whether p's lazily announced record is still unstored.
 func (t *Records) pending(p *pmem.Proc) bool {
-	return t != nil && t.procs[p.ID()].pending && p.InSyncScope()
+	r := t.live(p)
+	return r != nil && r.pending
+}
+
+// elides reports whether an update leg of p's admission that its gather
+// proves effect-free may return without an install (Engine.attemptLoop):
+// no durable record will name it in flight once the admission returns. That
+// holds for every leg of a lazily announced window, since its slot is stamped
+// only if a later leg installs, and for any leg while the record is pending,
+// as long as the leg itself has not installed: an attempt of it that lost its
+// tags leaves RD_q naming it, which attemptLoop checks. Two cases install it anyway, the ROpt way, so that RD_q names it with its
+// response: the last update leg of an atomic vector whose record is stored,
+// because roll-forward (RecoverAll) would re-drive it otherwise; and every
+// leg of an eagerly begun admission, because the elimination stack's
+// exchange takes effect outside any install barrier.
+func (t *Records) elides(p *pmem.Proc) bool {
+	r := t.live(p)
+	return r != nil && (r.pending || !r.atomic)
 }
 
 // Admission is the number p's admission runs under: the durable one, or,
@@ -304,10 +335,11 @@ func (t *Records) Admission(p *pmem.Proc) uint64 {
 // admission number, and hands its lines to the carry set (pmem.Proc.Carry).
 // The caller issues the barrier that writes them back next, before the
 // admission takes any durable effect — an Isb-Opt install barrier — and then
-// storeLegResults. Without a pending record it does nothing.
-func (t *Records) storeAnnouncement(p *pmem.Proc) {
+// storeLegResults. It reports whether it stored the record: without a
+// pending one it does nothing.
+func (t *Records) storeAnnouncement(p *pmem.Proc) bool {
 	if !t.pending(p) {
-		return
+		return false
 	}
 	r := &t.procs[p.ID()]
 	r.pending = false
@@ -315,42 +347,42 @@ func (t *Records) storeAnnouncement(p *pmem.Proc) {
 	for line := p.Region(); line < end; line += pmem.WordsPerLine {
 		p.Carry(line)
 	}
+	return true
 }
 
-// storeLegResults stores the responses the boundaries left pending
-// (carryLegResult) into their stamped result slots and writes them back in
-// one barrier, once the barrier after storeAnnouncement has made the record
-// durable: no slot changes while the durable header still holds the previous
-// admission, since an eviction that persisted a slot line could otherwise
-// leave the previous record valid with this admission's response in its
-// slot, or a stamp above the number a crash rolls back to, which the next
-// begin would reuse. The barrier precedes everything the installing leg makes
-// durable after its install. Without pending responses it does nothing.
-func (t *Records) storeLegResults(p *pmem.Proc) {
-	if t == nil || len(t.procs[p.ID()].results) == 0 {
-		return
+// storeLegResults stores the responses the boundaries kept since p's last
+// install (keepLegResult) into their stamped result slots and hands the
+// slots' lines to the carry set; it reports whether it stored any. An
+// install calls it on either side of its barrier. Where the record is
+// durable already, ahead of it: that barrier carries the slots, durable
+// before RD_q moves off the previous installer's record, or recovery would
+// re-invoke a leg that took effect. Where the install stores the record
+// (storeAnnouncement), after it: no slot changes while the durable header
+// still holds the previous admission, since an eviction that persisted a
+// slot line could otherwise leave the previous record valid with this
+// admission's response in its slot, or a stamp above the number a crash
+// rolls back to, which the next begin would reuse. The install's RD_q
+// write-back then becomes a barrier that carries them, still ahead of every
+// tag.
+func (t *Records) storeLegResults(p *pmem.Proc) bool {
+	r := t.live(p)
+	if r == nil || r.stored == len(r.results) {
+		return false
 	}
-	r := &t.procs[p.ID()]
-	for i, resp := range r.results {
-		p.Carry(storeLegResult(p, i, resp))
+	for i := r.stored; i < len(r.results); i++ {
+		p.Carry(storeLegResult(p, i, r.results[i]))
 	}
-	r.results = r.results[:0]
-	p.PBarrierAddrs(nil)
+	r.stored = len(r.results)
+	return true
 }
 
-// carryLegResult is storeLegResult with the slot's line handed to the carry
-// set (pmem.Proc.Carry): it rides p's next barrier, which must come before
-// anything a later leg makes durable (an Isb-Opt boundary, Engine.Boundary).
-// While the record is pending the response waits with it, for
-// storeLegResults; i must then be the next leg in order.
-func (t *Records) carryLegResult(p *pmem.Proc, i int, resp uint64) {
-	if !t.pending(p) {
-		p.Carry(storeLegResult(p, i, resp))
-		return
-	}
+// keepLegResult keeps the response of leg i, the next in order, for p's next
+// install to store (storeLegResults). Under Isb-Opt every vector is announced
+// lazily: the admitting runtime opens its scope ahead of the begin.
+func (t *Records) keepLegResult(p *pmem.Proc, i int, resp uint64) {
 	r := &t.procs[p.ID()]
 	if i != len(r.results) {
-		panic(fmt.Sprintf("isb: pending result for leg %d, want leg %d", i, len(r.results)))
+		panic(fmt.Sprintf("isb: kept result for leg %d, want leg %d", i, len(r.results)))
 	}
 	r.results = append(r.results, resp)
 }

@@ -210,9 +210,10 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // under its number, so a stamp stored ahead of the response would show.
 //
 // In the lazy rows the record is left pending with announceLazy and slots 0
-// to i with it (carryLegResult), and what is crashed is the first install's
-// sequence: the record stored and written back by a barrier, then the pending
-// slots stored and written back by another (storeLegResults). A crash before
+// to i with it (keepLegResult), and what is crashed is the first install's
+// sequence: the record stored and written back by its barrier, then the kept
+// slots stored (storeLegResults) and written back by the barrier its RD_q
+// write-back becomes. A crash before
 // the first barrier must find the previous record under the previous number
 // with its own responses, never with a new response in a slot it still reads
 // as stamped, and a crash after it the new record with a prefix of the new
@@ -235,12 +236,13 @@ func TestLegResultEveryStore(t *testing.T) {
 					p.OpenSyncScope() // a lazy record lives in its admission's scope
 					recs.announceLazy(p, false, legs)
 					for j := 0; j <= i; j++ {
-						recs.carryLegResult(p, j, 100+uint64(j))
+						recs.keepLegResult(p, j, 100+uint64(j))
 					}
 					write = func() {
 						recs.storeAnnouncement(p)
 						p.PBarrierAddrs(nil)
 						recs.storeLegResults(p)
+						p.PBarrierAddrs(nil)
 					}
 				} else {
 					Announce(p, false, legs...)

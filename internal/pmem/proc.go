@@ -111,9 +111,13 @@ func (p *Proc) checkCrash() {
 	}
 }
 
-// Load atomically reads the volatile image.
+// Load atomically reads the volatile image. Load, Store and CAS test the
+// heap's mode inline, so that an untracked heap pays no call into the
+// simulator (heap.go, "Performance model").
 func (p *Proc) Load(a Addr) uint64 {
-	p.checkCrash()
+	if p.h.tracked {
+		p.checkCrash()
+	}
 	p.stats.Loads++
 	return p.h.vol[a].Load()
 }
@@ -121,23 +125,26 @@ func (p *Proc) Load(a Addr) uint64 {
 // Store atomically writes the volatile image. In the private cache model
 // (or under simulated eviction) the write also reaches the persisted image.
 func (p *Proc) Store(a Addr, v uint64) {
-	p.checkCrash()
+	if p.h.tracked {
+		p.checkCrash()
+	}
 	if a == Null {
 		panic("pmem: store to Null")
 	}
 	p.stats.Stores++
 	p.h.vol[a].Store(v)
 	if p.h.tracked {
-		p.h.markDirty(a)
+		p.afterWrite(a)
 	}
-	p.afterWrite(a)
 }
 
 // CAS performs Compare&Swap on the volatile image and, following the paper's
 // convention, returns the value it read: the CAS succeeded iff the returned
 // value equals old.
 func (p *Proc) CAS(a Addr, old, new uint64) uint64 {
-	p.checkCrash()
+	if p.h.tracked {
+		p.checkCrash()
+	}
 	if a == Null {
 		panic("pmem: CAS on Null")
 	}
@@ -149,9 +156,8 @@ func (p *Proc) CAS(a Addr, old, new uint64) uint64 {
 		}
 		if p.h.vol[a].CompareAndSwap(old, new) {
 			if p.h.tracked {
-				p.h.markDirty(a)
+				p.afterWrite(a)
 			}
-			p.afterWrite(a)
 			return old
 		}
 	}
@@ -163,11 +169,10 @@ func (p *Proc) CASBool(a Addr, old, new uint64) bool {
 	return p.CAS(a, old, new) == old
 }
 
-// afterWrite applies private-cache persistence and simulated eviction.
+// afterWrite marks a's line dirty and applies private-cache persistence and
+// simulated eviction: a tracked heap's write.
 func (p *Proc) afterWrite(a Addr) {
-	if !p.h.tracked {
-		return
-	}
+	p.h.markDirty(a)
 	if p.h.model == PrivateCache {
 		p.h.persistLine(lineOf(a))
 		return
