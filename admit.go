@@ -95,9 +95,9 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // transaction stays unscoped, every leg psync where Algorithms 1–2 put it. Between two legs the previous
 // response goes to its result slot, stamped with the admission number
 // (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
-// — the response waits for the process's next install, which stores the slot
-// ahead of anything that leg makes durable, and a slot no later leg installs
-// after is never stored. The last leg's response stays in its engine's
+// — the response waits for the process's next install, whose barrier writes
+// the slot back before anything that leg makes durable, and a slot no later
+// leg installs after is never stored. The last leg's response stays in its engine's
 // tracking record. Read-only kinds run on the zero-persist path but still
 // occupy their position: their slot is durable before a later leg can take
 // effect, which is what makes a recovered in-flight read safe to re-execute.

@@ -247,21 +247,20 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // install, one per Help phase): the reproduction's reference curve.
 //
 // The write-backs are where persists_per_op could leak. A successful Isb-Opt
-// update writes back 4 times: the install barrier (record and new nodes, the
+// update writes back 3 times: the install barrier (record and new nodes, the
 // admission's announcement, whose raised number resets CP_q on every engine,
-// and the previous update's cleanup), the one pwb of the RD_q/CP_q line (CP_q
-// := the admission number rides RD_q := info), and the tag and update
-// barriers. Its own cleanup, done flag included, rides the next barrier. A
-// failed one is read-only after its gather and stops there: no install, no
-// RD_q/CP_q pwb and no record, since nothing durable names it once it
-// returns. A window or transaction leg after the first pays no begin, and its
-// boundary — the previous leg's stamped result slot — writes back nothing of
-// its own: the slot waits for the next install, whose barrier carries it, or
-// whose RD_q write-back does, as a barrier, when that install stores the
-// record. An effect-free window leg installs nothing wherever it sits, so
-// every Isb-Opt window writes back what its legs would alone: the rows with
-// legs pin that sum. Under Isb the slot costs one pwb and the boundary one
-// psync.
+// the RD_q/CP_q register and the previous update's cleanup), and the tag and
+// update barriers. Its own cleanup, done flag included, rides the next
+// barrier. A failed one is read-only after its gather and stops there: no
+// install and no record, since nothing durable names it once it returns. A
+// window or transaction leg after the first pays no begin, and its boundary —
+// the previous leg's result slot — writes back nothing of its own: the slot
+// waits for the next install, whose barrier carries it, inside the record as
+// its prefix when that install stores the record. An effect-free window leg
+// installs nothing wherever it sits, so every Isb-Opt window writes back what
+// its legs would alone: the rows with legs pin that sum. Under Isb the slot
+// costs one pwb and the boundary one psync, and the install keeps its own
+// RD_q pwb.
 //
 // On one Proc an eliminating push or pop always times out on the exchanger
 // and falls through to the central stack. It pays the exchange's own psyncs
@@ -283,20 +282,20 @@ func TestAdmissionSyncPrice(t *testing.T) {
 	}{
 		{"find", price{0, 0}, price{0, 0}, nil},
 		{"bare begin", price{1, 1}, price{1, 1}, nil},
-		{ok, price{6, 15}, price{1, 4}, nil},
+		{ok, price{6, 15}, price{1, 3}, nil},
 		{failed, price{3, 5}, price{0, 0}, nil},
-		{"ApplyWindow of 1", price{2, 15}, price{1, 4}, []string{ok}},
+		{"ApplyWindow of 1", price{2, 15}, price{1, 3}, []string{ok}},
 		{"ApplyWindow of 1 find", price{1, 1}, price{0, 0}, []string{"find"}},
-		{"ApplyWindow of 16", price{17, 134}, price{1, 32}, slices.Repeat([]string{ok, failed}, 8)},
-		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 4}, []string{failed, ok}},
-		{"ApplyWindow(insert, failed insert)", price{3, 18}, price{1, 4}, []string{ok, failed}},
-		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 8}, []string{ok, ok}},
-		{"enqueue", price{6, 12}, price{1, 4}, nil},
-		{"dequeue", price{6, 9}, price{1, 4}, nil},
-		{"push", price{6, 15}, price{1, 4}, nil},
-		{"pop", price{6, 11}, price{1, 4}, nil},
-		{"eliminating push", price{10, 23}, price{6, 13}, nil},
-		{"eliminating pop", price{9, 16}, price{5, 10}, nil},
+		{"ApplyWindow of 16", price{17, 134}, price{1, 24}, slices.Repeat([]string{ok, failed}, 8)},
+		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 3}, []string{failed, ok}},
+		{"ApplyWindow(insert, failed insert)", price{3, 18}, price{1, 3}, []string{ok, failed}},
+		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 6}, []string{ok, ok}},
+		{"enqueue", price{6, 12}, price{1, 3}, nil},
+		{"dequeue", price{6, 9}, price{1, 3}, nil},
+		{"push", price{6, 15}, price{1, 3}, nil},
+		{"pop", price{6, 11}, price{1, 3}, nil},
+		{"eliminating push", price{10, 23}, price{6, 12}, nil},
+		{"eliminating pop", price{9, 16}, price{5, 9}, nil},
 	}
 	rows := [][]string{{"shape", "Isb psyncs", "Isb write-backs", "Isb-Opt psyncs", "Isb-Opt write-backs"}}
 	single := map[string]uint64{}
@@ -594,7 +593,7 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// address may land inside a block, which the conservative
 			// closure then keeps) and where in the window access 300
 			// lands, so a layout or write-back change moves them.
-			want := map[EngineKind][2]uint64{EngineIsb: {2061, 53}, EngineIsbOpt: {2064, 50}}[e.kind]
+			want := map[EngineKind][2]uint64{EngineIsb: {2057, 57}, EngineIsbOpt: {2062, 52}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
 				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])

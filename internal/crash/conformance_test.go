@@ -120,6 +120,7 @@ func TestMatrixCoverage(t *testing.T) {
 		"in-recovery": 4,   // 2 engines × fast/full
 		"window":      48,  // 8 × 2 engines × arena/evict/reclaim
 		"txn":         30,  // 5 × 2 engines × arena/evict/reclaim
+		"persist":     37,  // 24 single + 8 window + 5 txn cases, Isb-Opt only
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	rows := matrix()
@@ -141,8 +142,8 @@ func TestMatrixCoverage(t *testing.T) {
 			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
 		}
 	}
-	if len(rows) != 390 {
-		t.Errorf("matrix has %d rows, want 390", len(rows))
+	if len(rows) != 427 {
+		t.Errorf("matrix has %d rows, want 427", len(rows))
 	}
 }
 
@@ -274,4 +275,22 @@ func TestSameState(t *testing.T) {
 	if msg := sameState([]any{fakeSet{}, fakeSet{5}}, [][]uint64{nil, {5}}); msg != "" {
 		t.Errorf("two structures, one empty: %q", msg)
 	}
+}
+
+// TestCrashPersistSubsets is the persistence-order sweep: every single
+// operation, window and transaction case of the families above, registered
+// on a Runtime under Isb-Opt, crashed at every access with each line
+// the crash left dirty persisted alone, and with every dirty line but that
+// one persisted (Instance.Persist). An Isb-Opt install writes back its Info
+// record, the NewSet, the announcement with its prefix or the kept result
+// slots, RD_q/CP_q and the carried cleanup in one barrier whose lines may
+// persist in any order, so these are the crash states its argument must
+// cover: the register durable with the record or the NewSet not, the record
+// and the register durable with the NewSet not, the register without the
+// announcement header, a slot without the rest.
+func TestCrashPersistSubsets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive persistence-order crash-point sweep")
+	}
+	sweepFamily(t, "persist", true)
 }

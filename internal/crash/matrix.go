@@ -12,7 +12,8 @@ import (
 )
 
 // This file is the crash-point conformance matrix, whole: one cell axis
-// (engine, eviction, allocator, forced recovery mode) crossed with subjects
+// (engine, eviction, allocator, forced recovery mode, lines persisted at the
+// crash) crossed with subjects
 // (structures and their prefill) and their cases (legs), each row checked
 // against the responses and the final state the sequential model derives
 // (expect, in sweep.go). matrix enumerates it; the conformance tests each
@@ -51,6 +52,9 @@ type cell struct {
 	// audits every recovery with the scan's mark phase.
 	reclaim bool
 	mode    pmem.RecoveryMode
+	// persist sweeps every crash point with each dirty line persisted at the
+	// crash, and each complement (Instance.Persist).
+	persist bool
 }
 
 // engine and alloc spell the cell in subtest paths.
@@ -339,6 +343,10 @@ type row struct {
 func matrix() []row {
 	// plain cells are the arena with eviction off and on; vectors add the
 	// reclaimer to them, and churned and forced its forced recovery modes.
+	// persisted is Isb-Opt's alone: only its install barrier carries the
+	// announcement and the register, and Isb's keeps the paper's prologue
+	// and RD_q pwb.
+	persisted := []cell{{eng: engineVariants[1], persist: true}}
 	var plain, vectors, churned, forced []cell
 	for _, e := range engineVariants {
 		arena, evicting := cell{eng: e}, cell{eng: e, evict: 32}
@@ -383,6 +391,8 @@ func matrix() []row {
 		{name: "window", cells: vectors, subjects: windowSubjects(), path: cellThenCase},
 		{name: "txn", cells: vectors, subjects: txnSubjects(),
 			path: func(s subject, c cell, _ sweepCase) []string { return []string{s.name, c.engine(), c.alloc()} }},
+		{name: "persist", cells: persisted, subjects: append(append(singleSubjects(), windowSubjects()...), txnSubjects()...),
+			path: func(s subject, c cell, k sweepCase) []string { return []string{c.eng.name, s.name, k.name} }},
 	} {
 		for _, s := range f.subjects {
 			for _, c := range f.cells {
@@ -427,16 +437,18 @@ func (r row) build() Instance {
 			return auditFastRecovery(rt, rt.Heap().Epoch())
 		}
 	}
-	return v.instance(verify, r.exp.want, r.fam.crashedAt)
+	in := v.instance(verify, r.exp.want, r.fam.crashedAt)
+	in.Persist = r.cell.persist
+	return in
 }
 
 // inFlightBound bounds, in words, what crashes crashes leak outside the
 // reclaimer's garbage account. Per crash and process: on the structure it
 // was operating on, what the interrupted attempt allocated or unlinked (at
 // most MaxAffect 4-word nodes) plus its Info record; on every structure,
-// whatever the record RD_q names names, which a full scan keeps alive until
-// the next install there. Structures × (MaxAffect nodes + a record) covers
-// both.
+// whatever the records its registers name name, which a full scan keeps
+// alive until installs there overwrite them. Structures × (MaxAffect nodes +
+// a record) covers both.
 func inFlightBound(rt *repro.Runtime, crashes uint64) uint64 {
 	return crashes * uint64(rt.NumProcs()*len(rt.Structures())) * (isb.MaxAffect*4 + isb.InfoWords)
 }

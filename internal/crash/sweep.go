@@ -55,8 +55,11 @@ type Instance struct {
 	// Persist widens every crash point into one per cache line the crash
 	// left dirty, plus none: at the crash, before the reset, that one line
 	// also reaches persistent memory, as an eviction or another process's
-	// write-back of a shared line would have taken it there. The fault index
-	// becomes (offset, line).
+	// write-back of a shared line would have taken it there. With three dirty
+	// lines or more each line also gives its complement, every dirty line but
+	// that one persisted: a barrier the crash cut short after all but one of
+	// its lines, in whatever order (Px86), or evictions that beat it. The
+	// fault index becomes (offset, line) or (offset, all but line).
 	Persist bool
 	// Interfere, when non-nil, runs after the reset and before Resolve: one
 	// fixed operation on Proc 1 that writes the AffectSet of Proc 0's
@@ -79,8 +82,8 @@ type Instance struct {
 // its index. At every index the responses must equal want (nil: the
 // uninterrupted run's), the post-state must pass Verify, and the duplicate
 // pass After must change nothing. It returns the number of crash points —
-// with Persist, every (offset, line) pair, "none" included — or the first
-// violation, naming its index.
+// with Persist, every (offset, line) pair, "none" included, and every
+// complement — or the first violation, naming its index.
 //
 // Each crashed replay must recover to the sequential model's responses and
 // post-state — this is the paper's detectability bar, checked exhaustively
@@ -119,25 +122,36 @@ func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
 	}
 	points := 0
 	for off := uint64(1); off <= span; off++ {
-		lines, err := build().at(off, pmem.Null, want)
-		for i := 0; err == nil && i < len(lines); i++ {
-			_, err = build().at(off, lines[i], want)
-			if err != nil {
+		lines, err := build().at(off, nil, want)
+		var sets [][]pmem.Addr
+		for _, l := range lines {
+			sets = append(sets, []pmem.Addr{l})
+		}
+		for i := 0; len(lines) > 2 && i < len(lines); i++ {
+			sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
+		}
+		for i := 0; err == nil && i < len(sets); i++ {
+			_, err = build().at(off, sets[i], want)
+			switch {
+			case err == nil:
+			case i < len(lines):
 				err = fmt.Errorf("line=%d: %v", lines[i], err)
+			default:
+				err = fmt.Errorf("all lines but %d: %v", lines[i-len(lines)], err)
 			}
 		}
 		if err != nil {
 			return 0, fmt.Errorf("off=%d: %v", off, err)
 		}
-		points += 1 + len(lines)
+		points += 1 + len(sets)
 	}
 	return points, nil
 }
 
 // at replays the instance with its fault armed at index off and, with
-// Persist, line persisted at the crash (Null: none). A replay with none
+// Persist, the lines persist persisted at the crash. A replay with none
 // returns the lines the crash left dirty, which the sweep replays next.
-func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.Addr, err error) {
+func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []pmem.Addr, err error) {
 	defer in.end()
 	defer func() {
 		// Recovery's attempt bound, say: one failing index, not a dead binary.
@@ -159,9 +173,10 @@ func (in Instance) at(off uint64, line pmem.Addr, want []uint64) (dirty []pmem.A
 		if in.Resolve == nil {
 			return nil, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
 		}
-		if line != pmem.Null {
-			in.Heap.Proc(0).PWB(line) // Proc 0 saw the crash: its accesses pass
-		} else if in.Persist {
+		for _, l := range persist {
+			in.Heap.Proc(0).PWB(l) // Proc 0 saw the crash: its accesses pass
+		}
+		if persist == nil && in.Persist {
 			dirty = in.Heap.DivergedLines()
 		}
 		in.Heap.ResetAfterCrash()

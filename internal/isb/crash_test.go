@@ -1,6 +1,7 @@
 package isb_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -33,9 +34,10 @@ type crashPoint struct {
 	p         *pmem.Proc
 	kind, key uint64
 	inverse   uint64
-	at        isb.Durable // persisted at the crash
-	keysAt    []uint64    // persisted at the crash
-	tagged    int         // CleanupSet entries persisted tagged by RD_q's record at the crash
+	all       isb.Durable  // persisted at the crash
+	at        isb.Register // of all, the register whose CP_q is the admission number, if any
+	keysAt    []uint64     // persisted at the crash
+	tagged    int          // CleanupSet entries persisted tagged by at's record at the crash
 }
 
 // newList builds a list holding listPrefill, under Isb-Opt (opt) or Isb, on
@@ -78,7 +80,8 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 			}
 			crashes++
 			h.ResetAfterCrash() // the volatile image is now the persisted one
-			c := crashPoint{off: off, h: h, e: e, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, at: e.Durable(p)}
+			c := crashPoint{off: off, h: h, e: e, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, all: e.Durable(p)}
+			c.at = c.all.Current()
 			for _, a := range c.at.Cleanup {
 				if h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
 					c.tagged++
@@ -103,33 +106,35 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 }
 
 // TestFirstInstallRaisesCPCrash pins where Isb-Opt raises CP_q: with the
-// prologue gone, the first install stores RD_q := info, then CP_q := the
-// admission number, on one line that one pwb persists. Crashed at every
-// access of an insert and a delete, the persisted pair must show CP_q equal
-// to the admission number only with RD_q naming this operation's record —
-// stamped with its kind, key and leg index — and a stale CP_q only with the
-// list untouched. The (this record, old number) pair, which the Null prologue
-// used to rule out, must occur and must recover as not installed: recovery
-// re-invokes, and a new record replaces it.
+// prologue gone, an install stores RD_q := info, then CP_q := the admission
+// number, into the register its barrier writes back. Crashed at every access
+// of an insert and a delete, a persisted register may show CP_q equal to the
+// admission number only with RD_q naming this operation's record — stamped
+// with its kind, key and leg index — and both stale only with the list
+// untouched. The (this record, old number) pair, which the Null prologue used
+// to rule out, must occur and must recover as not installed: recovery
+// re-invokes, and a new record replaces it in its register.
 func TestFirstInstallRaisesCPCrash(t *testing.T) {
 	ownStale := map[uint64]int{}
 	sweepEvicting(t, true, func(c crashPoint) {
-		own := c.at.RD != pmem.Null && c.at.Kind == c.kind && c.at.Key == c.key && c.at.Seq == 0
-		if c.at.CP != c.at.Adm {
-			if !slices.Equal(c.keysAt, listPrefill) {
-				t.Fatalf("offset %d: stale CP_q %d (admission %d) persisted with keys %v, want %v", c.off, c.at.CP, c.at.Adm, c.keysAt, listPrefill)
-			}
-			if own {
+		current := false
+		for _, reg := range c.all.Regs {
+			own := reg.RD != pmem.Null && reg.Kind == c.kind && reg.Key == c.key && reg.Seq == 0
+			switch {
+			case reg.CP == c.all.Adm && !own:
+				t.Fatalf("offset %d: CP_q = admission %d persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
+					c.off, c.all.Adm, reg.RD, reg.Kind, reg.Key, reg.Seq, c.kind, c.key)
+			case reg.CP == c.all.Adm:
+				current = true
+			case own:
 				ownStale[c.kind]++
-				if rd := c.e.Durable(c.p).RD; rd == c.at.RD {
-					t.Fatalf("offset %d: recovery kept RD_q = %d, which a stale CP_q names: it helped the record instead of re-invoking", c.off, rd)
+				if c.e.Durable(c.p).Names(reg.RD) {
+					t.Fatalf("offset %d: recovery kept RD_q = %d, which a stale CP_q names: it helped the record instead of re-invoking", c.off, reg.RD)
 				}
 			}
-			return
 		}
-		if !own {
-			t.Fatalf("offset %d: CP_q = admission %d persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
-				c.off, c.at.Adm, c.at.RD, c.at.Kind, c.at.Key, c.at.Seq, c.kind, c.key)
+		if !current && !slices.Equal(c.keysAt, listPrefill) {
+			t.Fatalf("offset %d: stale CP_q in both registers (admission %d) persisted with keys %v, want %v", c.off, c.all.Adm, c.keysAt, listPrefill)
 		}
 	})
 	for _, op := range listOps {
@@ -179,7 +184,7 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 	for _, opt := range []bool{false, true} {
 		done, partial := 0, 0
 		sweepEvicting(t, opt, func(c crashPoint) {
-			if c.at.CP != c.at.Adm || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
+			if c.at.CP != c.all.Adm || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
 				return
 			}
 			done++
@@ -207,7 +212,8 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 				if r := l.ApplyOp(p, op.kind, op.key); !isb.Bool(r) {
 					t.Fatalf("opt=%v %s: answered %d, want true", opt, op.name, r)
 				}
-				done := e.Durable(p)
+				before := e.Durable(p)
+				done := before.Current()
 				h.ScheduleCrashAt(h.AccessCount() + off)
 				began := false
 				crashed := !pmem.RunOp(func() {
@@ -220,7 +226,8 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 					break
 				}
 				crashes++
-				installed := e.Durable(p).RD != done.RD // the follow-up's install barrier ran
+				now := e.Durable(p) // the follow-up's install barrier ran: a register names its record
+				installed := now.Regs[0].RD != before.Regs[0].RD || now.Regs[1].RD != before.Regs[1].RD
 				for _, a := range done.Cleanup {
 					if h.ReadPersisted(a) == isb.Tagged(done.RD) && h.ReadVolatile(a) != isb.Tagged(done.RD) {
 						if installed {
@@ -270,8 +277,10 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 // has been recycled. Proc 0 enqueues on q1: the update links the new node
 // behind q1's dummy, and the untags and done flag wait for Proc 0's next
 // barrier, which never comes. Proc 1 dequeues q1, tagging and retiring that
-// dummy (its untag is only volatile), and churns on q2 until the shared
-// reclaimer hands the dummy's block to one of its enqueues. The crash then
+// dummy (its untag is only volatile), and enqueues on q2 until the shared
+// reclaimer hands the dummy's block to one of them: the enqueues' retired
+// records fill Proc 1's ring until it frees, and q2 retires no node, so the
+// dummy is the first node block on the free list. The crash then
 // finds Proc 0's record with its result set, done unset and the new node
 // still tagged. Recovering both queues (the reclaimer, the queues' tail
 // hints, then Settle on each engine, as Runtime.RecoverAll does) must finish
@@ -291,25 +300,22 @@ func TestDeferredCleanupRecycledSurvivor(t *testing.T) {
 	p0, p1 := h.Proc(0), h.Proc(1)
 
 	q1.ApplyOp(p0, queue.OpEnq, 1)
-	enq := engines[0].Durable(p0) // CleanupSet: the dummy's info field, then the new node's
+	enq := engines[0].Durable(p0).Current() // CleanupSet: the dummy's info field, then the new node's
 	if r := q1.ApplyOp(p1, queue.OpDeq, 0); r != isb.EncodeValue(1) {
 		t.Fatalf("q1 dequeue answered %d, want 1", r)
 	}
 	q1.ApplyOp(p1, queue.OpDeq, 0) // empty: its install retires the dummy
 	var want []uint64
 	reused := false
-	for v := uint64(1); v <= 10000 && !reused; v++ {
+	for v := uint64(1); v <= 1000 && !reused; v++ {
 		q2.ApplyOp(p1, queue.OpEnq, v)
 		want = append(want, v)
-		if reused = engines[1].Durable(p1).Cleanup[1] == enq.Cleanup[0]; !reused {
-			q2.ApplyOp(p1, queue.OpDeq, 0)
-			want = want[1:]
-		}
+		reused = engines[1].Durable(p1).Current().Cleanup[1] == enq.Cleanup[0]
 	}
 	if !reused {
 		t.Fatal("the reclaimer never handed q1's old dummy to an enqueue on q2")
 	}
-	if at := engines[0].Durable(p0); at.RD != enq.RD || at.Done != 0 || h.ReadPersisted(enq.Cleanup[1]) != isb.Tagged(enq.RD) {
+	if at := engines[0].Durable(p0).Current(); at.RD != enq.RD || at.Done != 0 || h.ReadPersisted(enq.Cleanup[1]) != isb.Tagged(enq.RD) {
 		t.Fatalf("persisted: RD_0 %d, done %d, new node's info %d; want the enqueue's record %d, not done, its new node tagged",
 			at.RD, at.Done, h.ReadPersisted(enq.Cleanup[1]), enq.RD)
 	}
@@ -373,5 +379,45 @@ func TestDeferredCleanupHoldsOperands(t *testing.T) {
 		if got := r.Stats().Retired - before; got != step.retired {
 			t.Errorf("kind %d key %d retired %d blocks, want %d", step.kind, step.key, got, step.retired)
 		}
+	}
+}
+
+// retireLog is an allocator that remembers every block its engine retires.
+type retireLog struct {
+	pmem.Arena
+	retired map[pmem.Addr]bool
+}
+
+func (r *retireLog) Retire(p *pmem.Proc, a pmem.Addr) { r.retired[a] = true }
+
+// TestRegistersNameNoRetiredRecord pins when an Isb-Opt record retires: not
+// before both of its process's registers have durably moved off it. An
+// install writes the register the last complete install did not, so the
+// record the other names — whose cleanup, or whose leg's result slot, the
+// barrier carries — stays named until that barrier is done, and a record
+// retires only once a later install's barrier durably overwrites its own
+// register: one install after the install that replaced it. After every
+// admission of a run of single operations and windows, with failed updates
+// among them, neither persisted register may name a record the engine has
+// retired.
+func TestRegistersNameNoRetiredRecord(t *testing.T) {
+	_, e, l, p := newList(true, 0)
+	alloc := &retireLog{retired: map[pmem.Addr]bool{}}
+	e.SetAllocator(alloc)
+	check := func(what string) {
+		t.Helper()
+		for r, reg := range e.Durable(p).Regs {
+			if reg.RD != pmem.Null && alloc.retired[reg.RD] {
+				t.Fatalf("after %s: register %d durably names record %d, which was retired", what, r, reg.RD)
+			}
+		}
+	}
+	for k := uint64(0); k < 12; k++ {
+		kind, key := []uint64{list.OpInsert, list.OpDelete}[k%2], 20+k%3
+		l.ApplyOp(p, kind, key)
+		check(fmt.Sprintf("kind %d key %d", kind, key))
+	}
+	if len(alloc.retired) == 0 {
+		t.Fatal("nothing retired: the run never reached a register's second overwrite")
 	}
 }

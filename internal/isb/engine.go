@@ -2,6 +2,7 @@ package isb
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/pmem"
 )
@@ -30,7 +31,7 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	per := e.per(p)
 	per.Reset()
 	tagged := Tagged(info)
-	n := int(p.Load(info + offAffectLen))
+	n, _, _ := lens(p.Load(info + offLens))
 
 	// A set result proves the tagging phase already completed, so skip
 	// straight to what is left of the update and cleanup phases. Without
@@ -54,7 +55,7 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 		// a CleanupSet names only retired-class operands, which stay tagged
 		// and allocated until done is durable). A read-only record writes
 		// nothing and never re-runs.
-		if p.Load(info+offDone) == 0 && p.Load(info+offWriteLen) != 0 {
+		if _, wn, _ := lens(p.Load(info + offLens)); p.Load(info+offDone) == 0 && wn != 0 {
 			if _, all := e.cleanupTags(p, info); all {
 				e.finish(p, info, tagged, invoker)
 				return
@@ -122,7 +123,7 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	// Update phase: apply the WriteSet CASes. Each change happens exactly
 	// once across all helpers because old values never recur (the ABA
 	// assumption the structures discharge by copying replaced nodes).
-	wn := int(p.Load(info + offWriteLen))
+	_, wn, _ := lens(p.Load(info + offLens))
 	for i := 0; i < wn; i++ {
 		a := pmem.Addr(p.Load(info + offWrites + pmem.Addr(3*i)))
 		old := p.Load(info + offWrites + pmem.Addr(3*i) + 1)
@@ -146,12 +147,13 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	if invoker && e.batched && p.InSyncScope() {
 		// Under Isb-Opt inside a sync scope the invoker does not end the
 		// phase: its lines ride this process's next barrier, on any engine,
-		// normally the next install's, and the record and its retired-class
-		// operands retire after this engine's next install (retireAffected
-		// holds them, see retireLast). The response does not wait: the result
-		// is durable since the update phase. Until that barrier the one record
-		// whose cleanup may be volatile is the one RD_q names, and neither it
-		// nor its retired-class operands have been retired. Its surviving
+		// normally the next install's, and its retired-class operands retire
+		// after this engine's next install, the record one install later
+		// (retireAffected holds the operands, see retireLast). The response
+		// does not wait: the result is durable since the update phase. Until
+		// that barrier the one record whose cleanup may be volatile is the one
+		// the last complete install's register names, and neither it nor its
+		// retired-class operands have been retired. Its surviving
 		// nodes are untagged in volatile memory, so others may change and
 		// recycle them: Help re-runs the update phase only while every one of
 		// them still holds the tag (Settle finishes the cleanup after a crash).
@@ -168,7 +170,7 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 // allocator recycles them. Every CAS is reported to the persister, or with
 // wonOnly only those that won; untag reports whether any did.
 func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
-	cn := int(p.Load(info + offCleanupLen))
+	_, _, cn := lens(p.Load(info + offLens))
 	for i := 0; i < cn; i++ {
 		nd := pmem.Addr(p.Load(info + offCleanup + pmem.Addr(i)))
 		ok := p.CAS(nd, tagged, e.cookie(p)) == tagged
@@ -195,14 +197,16 @@ func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint6
 // Under the Isb placement every one of those psyncs issues where it is
 // written. Under Isb-Opt the operation is a sync scope of one, opened ahead of
 // the begin (Ops.ApplyOp): the begin stores nothing — the install stores its
-// record, which rides the install barrier — every sync point defers, and one
-// psync closes the scope before the response is returned, what a batch
-// window of one pays. An effect-free outcome installs nothing, and a scope
-// that wrote nothing back closes without its psync: it costs what a read
-// does.
-// Isb-Opt also drops the RD_q := Null / CP_q := 1 prologue: CP_q rides the
-// first install's RD_q write-back (see runAttempts). An elimination stack's
-// begin stays eager, and its scope opens here, after the exchange.
+// record — every sync point defers, and one psync closes the scope before the
+// response is returned, what a batch window of one pays. An effect-free
+// outcome installs nothing, and a scope that wrote nothing back closes
+// without its psync: it costs what a read does. Isb-Opt also drops the RD_q
+// := Null / CP_q := 1 prologue and the RD_q pwb: RD_q and CP_q ride the
+// install barrier, with the record and everything else that must be durable
+// before the first tag (see attemptLoop). A successful update thus writes
+// back three times: that barrier, the tag barrier and the update barrier. An
+// elimination stack's begin stays eager, and its scope opens here, after the
+// exchange.
 func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
 	if !e.Batched() {
 		return e.runAttempts(p, opType, argKey, gather, 0)
@@ -217,27 +221,27 @@ func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 // made CP_q stale (runOp, and runBatchOp while CP_q is stale); recovery's
 // re-invoke path enters here too, with its attempt bound.
 //
-// Under Isb it runs Algorithm 2's prologue as written: RD_q := Null +
-// pbarrier, then CP_q := the admission number + pwb + sync point. Under
-// Isb-Opt there is no prologue: the first install stores RD_q := info and
-// then CP_q := the number, and the pwb of RD_q it issues anyway persists both.
-// RD_q and CP_q share one line (Engine.base), which persists as a unit — and
-// on x86 same-line stores persist in program order — so the only durable
-// pairs are (old record, old number), (info, old number) and (info, this
-// number): a current CP_q names this leg's record, and since no tag precedes
-// that pwb, a stale one still proves the leg made no changes.
+// Under Isb it runs Algorithm 2's prologue as written, on the engine's first
+// register: RD_q := Null + pbarrier, then CP_q := the admission number + pwb
+// + sync point. Under Isb-Opt there is no prologue: every install stores
+// RD_q := info and CP_q := the number into the register its barrier writes
+// back (attemptLoop). The register's line persists as a unit, so its only
+// durable pairs are (old record, old number) and (info, this number) — the
+// pair (info, old number) too under eviction, between the two stores — and a
+// pair naming this leg's record is believed only with evidence that the
+// barrier completed (helpRecorded).
 func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	if e.Batched() {
-		return e.attemptLoop(p, opType, argKey, gather, bound, true)
+		return e.attemptLoop(p, opType, argKey, gather, bound)
 	}
-	rd, cp := e.rd(p), e.cp(p)
+	rd, cp := e.rd(p.ID(), 0), e.cp(p.ID(), 0)
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
-	e.retireLast(p) // RD_q no longer names it
+	e.retireLast(p, 0, pmem.Null) // RD_q no longer names it
 	p.Store(cp, e.recs.Admission(p))
 	p.PWB(cp)
 	e.opSync(p)
-	return e.attemptLoop(p, opType, argKey, gather, bound, false)
+	return e.attemptLoop(p, opType, argKey, gather, bound)
 }
 
 // maxRecoveryAttempts bounds the attempts of one recoverSeq call. Every
@@ -250,39 +254,42 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 const maxRecoveryAttempts = 1 << 10
 
 // attemptLoop is the gather → install → Help attempt cycle. Legs after an
-// engine's first enter here directly: CP_q is already current and RD_q still
-// names the previous leg's record, which recovery tells apart from this leg's
-// by the stamped index. raiseCP makes the first install also store the
-// admission number into CP_q (the Isb-Opt first leg, see runAttempts).
-// bound, when nonzero, is the recovery path's attempt limit (see
-// maxRecoveryAttempts).
+// engine's first enter here directly under Isb: CP_q is already current and
+// RD_q still names the previous leg's record, which recovery tells apart from
+// this leg's by the stamp. bound, when nonzero, is the recovery path's
+// attempt limit (see maxRecoveryAttempts).
 //
 // Under Isb-Opt an attempt whose gather proves the leg effect-free returns
 // without an install wherever no durable record will name the leg in flight
 // once its admission returns (Records.elides): every leg of a lazily
 // announced window, and any leg while its admission's record is pending —
 // but only while this call has installed nothing, since an earlier attempt
-// that lost its tags left RD_q naming this leg with no effect taken.
-// Otherwise the install stores what its admission keeps Go-side: the record,
-// if still pending, ahead of the install barrier, and the responses of the
-// boundaries since the process's last install, ahead of that barrier or,
-// when it carries the record, after it, riding the RD_q write-back, which
-// then becomes a barrier (Records.storeLegResults).
-func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int, raiseCP bool) uint64 {
-	rd := e.rd(p)
+// that lost its tags left a register naming this leg with no effect taken.
+//
+// Otherwise an Isb-Opt install stores everything that must be durable before
+// its first tag and writes it all back with one barrier: the Info record and
+// the NewSet; what the admission keeps Go-side (Records.storeKept) — the
+// record, if still pending, with the responses kept so far, or else the
+// responses kept since the process's last install; the register, RD_q := info
+// and CP_q := the admission number; and the previous operation's deferred
+// cleanup, carried. The barrier may persist any subset of those lines, in any
+// order (Px86), and recovery is correct for each: the register written is the
+// one the last complete install did not write, so the record the durable
+// state may still need — the previous leg's, or the one whose cleanup this
+// barrier carries — stays named until the barrier is done (retireLast); the
+// record validates itself (readInfo), so a register naming it before its
+// lines persisted names nothing; and recovery believes a register only with
+// evidence that its barrier completed, a set result or a durable tag, since a
+// valid record whose NewSet did not persist must never be helped
+// (helpRecorded).
+func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
 	per := e.per(p)
 	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
 	installed := false
 	for attempt := 1; ; attempt++ {
 		if bound != 0 && attempt > bound {
-			// RD_q may name a record this operation installed itself: show it.
-			last := ""
-			if info := pmem.Addr(p.Load(rd)); info != pmem.Null {
-				last = fmt.Sprintf(" (kind %d, key %d, seq %d, result %d, done %d)", p.Load(info+offOpType),
-					p.Load(info+offArgKey), p.Load(info+offSeq), p.Load(info+offResult), p.Load(info+offDone))
-			}
-			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: RD_q = %d%s, CP_q = %d, admission %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, p.Load(rd), last, p.Load(e.cp(p)), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
+			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: registers %s, admission %d, last attempt's affect set %v",
+				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, e.registers(p), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -294,7 +301,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// but an explicit protocol keeps the crash surface inspectable.)
 		e.alloc.Enter(p)
 
-		info := e.allocInfo(p)
+		info := e.alloc.Alloc(p, InfoWords)
 		spec.Reset()
 		spec.OpType, spec.ArgKey = opType, argKey
 
@@ -325,10 +332,10 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// admission returns (Records.elides), so recovery never re-invokes it
 		// after its response is out: a later install stores its response in
 		// its slot, or the scope's close drops it. Once an attempt of this leg
-		// installed, RD_q names the leg with that attempt's failed tags, and a
-		// recovery would re-invoke it: the retry must install so that RD_q
-		// names its response. The rest take the ROpt install below, as does
-		// every leg under Isb.
+		// installed, a register names the leg with that attempt's failed tags,
+		// and a recovery would re-invoke it: the retry must install so that a
+		// register names its response. The rest take the ROpt install below,
+		// as does every leg under Isb.
 		if spec.ReadOnly && e.batched && !installed && e.recs.elides(p) {
 			e.discardAttempt(p, info, spec)
 			e.readFast[p.ID()]++
@@ -336,48 +343,42 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			return spec.Response
 		}
 
-		// Install the Info record and persist it with the new nodes. The
-		// batched persister covers the record and the whole NewSet in one
-		// barrier — with the admission's announcement, stored now if it is
-		// still pending, or else the result slots kept since the last
-		// install, and the previous operation's deferred cleanup, if any —
-		// and the eager one writes each range back with a pbarrier.
+		// Install the Info record and persist it with the new nodes: under
+		// Isb-Opt in the one barrier described above, under Isb with a
+		// pbarrier per range, then RD_q := info and its pwb.
 		per.Reset()
 		e.install(p, info, spec)
 		per.WroteRange(info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
 			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
-		first := e.recs.storeAnnouncement(p)
-		if !first {
-			e.recs.storeLegResults(p)
-		}
-		per.Flush()
-		slots := first && e.recs.storeLegResults(p)
-		p.Store(rd, uint64(info))
-		if raiseCP {
-			p.Store(e.cp(p), e.recs.Admission(p)) // after RD_q, on its line: see runAttempts
-			raiseCP = false
-		}
-		if slots {
-			p.PBarrierRange(rd, 1) // one write-back still, carrying the slots
+		if e.batched {
+			r := 1 - e.last[p.ID()].reg
+			e.recs.storeKept(p)
+			p.Store(e.rd(p.ID(), r), uint64(info))
+			p.Store(e.cp(p.ID(), r), e.recs.Admission(p))
+			per.WroteWord(e.rd(p.ID(), r))
+			per.Flush()
+			// Register r durably names this attempt's record, and the record
+			// the other names, with everything the barrier carried, is
+			// durable: retire what r named before, and the operands the
+			// previous operation held (retireLast).
+			e.retireLast(p, r, info)
 		} else {
+			rd := e.rd(p.ID(), 0)
+			p.Store(rd, uint64(info))
 			p.PWB(rd)
+			e.retireLast(p, 0, info) // the previous attempt's, if any
 		}
 		e.opSync(p)
-		// RD_q durably points at this attempt's record, so the previous
-		// attempt's (if any) can no longer be consulted, and the barrier
-		// above carried its deferred cleanup: retire it, with what it held.
-		e.retireLast(p)
-		e.last[p.ID()].info = info
 		installed = true
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
 		// stored into the record by install and persisted above. Under
 		// Isb-Opt only a read-only leg that could not take the effect-free
 		// path above gets here — an atomic vector's, an eager begin's, or a
-		// retry after an attempt that lost its tags — which RD_q must name so
-		// that recovery finds its response rather than re-invoking it.
+		// retry after an attempt that lost its tags — which a register must
+		// name so that recovery finds its response rather than re-invoking it.
 		if spec.ReadOnly {
 			e.alloc.Exit(p)
 			return spec.Response
@@ -454,24 +455,21 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 // CP_q = 0 (here: CP_q is not the admission number) or RD_q = Null the
 // operation made no changes and is simply re-invoked; otherwise Help(RD_q)
 // completes it (or cleans up a failed attempt) and the result field decides.
-// Under Isb-Opt RD_q is never reset to Null, so a stale CP_q alone decides:
-// RD_q may then name the previous operation's record, or this one's if the
-// crash hit between its first install and the write-back that raises CP_q —
-// before any tag either way.
+// Here a process has two registers, and a leg is resolved from the one whose
+// record is this leg's and whose install barrier provably completed
+// (helpRecorded); without one the leg made no changes.
 //
-// The installed record is only attributed to this leg if its stamped index
-// matches, so a crashed vector whose result slots put leg seq in flight can
-// never resolve leg seq from a neighbouring leg's record, even when
-// consecutive legs share (kind, arg): RD_q names leg seq-1's record from leg
-// seq's boundary until leg seq's first install. Recovery always runs eager:
-// the sync scope the crash interrupted, if any, is torn down first, and a
-// re-invoked attempt stamps seq so that a further crash re-attributes it
-// correctly. A re-invocation is a first leg (runAttempts): under Isb-Opt RD_q
-// keeps naming the failed or mismatching record until the first re-invoked
-// install replaces it. recoverSeq may itself crash and be re-invoked any
-// number of times, and it terminates or fails loudly: re-invoked attempts are
-// bounded by maxRecoveryAttempts, and the panic names the record RD_q still
-// holds.
+// The installed record is only attributed to this leg if its stamp matches, so
+// a crashed vector whose result slots put leg seq in flight can never resolve
+// leg seq from a neighbouring leg's record, even when consecutive legs share
+// (kind, arg): a register names leg seq-1's record from leg seq's boundary
+// until after leg seq's first install. Recovery always runs eager: the sync
+// scope the crash interrupted, if any, is torn down first, and a re-invoked
+// attempt stamps seq so that a further crash re-attributes it correctly. A
+// re-invocation is a first leg (runAttempts). recoverSeq may itself crash and
+// be re-invoked any number of times, and it terminates or fails loudly:
+// re-invoked attempts are bounded by maxRecoveryAttempts, and the panic names
+// what the registers still hold.
 func (e *Engine) recoverSeq(p *pmem.Proc, opType, argKey, seq uint64, gather Gather) uint64 {
 	if r, _ := e.helpRecorded(p, opType, argKey, seq); r != RespNone {
 		e.alloc.Exit(p)
@@ -500,43 +498,94 @@ func (e *Engine) resolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, b
 
 // helpRecorded is the entry both recovery functions open with. It tears down
 // the sync scope a crash interrupted, stamps seq for any re-invoked attempt,
-// and, if RD_q holds this leg's record, helps it to completion as its invoker
-// and returns its result (RespNone if the record's attempt never took
-// effect) with the process left pinned. Without such a record it returns
-// RespNone, unpinned: the leg made no changes.
+// and looks for this leg's record in p's two registers, the last complete
+// install's first. A register names it if its CP_q is the admission number
+// and its record validates (readInfo), is stamped with this process, the
+// admission and seq, and describes (opType, argKey). It is believed only with
+// evidence that the install barrier completed: the result is set, or some
+// AffectSet field durably holds Tagged(info) — tags are CASed only after the
+// barrier. Without that evidence the barrier may have persisted the record
+// and the register but not the NewSet, which Help would link; and the leg made
+// no changes, since nothing it does takes effect before its tags. A record
+// found is helped to completion as its invoker, its register becomes the last
+// complete install's, so the next install writes the other, and its result
+// (RespNone if the record's attempt never took effect) is returned with the
+// process left pinned. Without one it returns RespNone, unpinned: the leg made
+// no changes.
 func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint64, pinned bool) {
 	p.ResetSyncScope()
 	e.Settle(p)
 	e.curSeq[p.ID()] = seq
-	rd, cp := e.rd(p), e.cp(p)
-	info := pmem.Addr(p.Load(rd))
-	if p.Load(cp) != e.recs.Admission(p) || info == pmem.Null {
-		return RespNone, false
-	}
-	// Defense for a crash before the begin's record is durable — inside an
-	// eager begin's write-back, or under Isb-Opt anywhere ahead of the
-	// admission's first install barrier, which carries the record: the raised
-	// admission number persists with the record, before anything else of the
-	// new operation (README, "Recovery workflow"), so such a crash leaves the
-	// number, CP_q and RD_q the previous operation's. If RD_q still describes
-	// a different operation, this one made no changes; if it describes an
-	// identical one, recovery re-reports that operation, which is stale, and
-	// only an identity in the argument tells the caller so (repro.MatchReport).
-	if p.Load(info+offOpType) != opType || p.Load(info+offArgKey) != argKey ||
-		p.Load(info+offSeq) != seq {
-		return RespNone, false
-	}
-	// Pin before dereferencing the record: post-crash recovery kept it and
-	// everything it names alive (the fast reset frees nothing; a scan keeps
-	// what announced records name), and the pin keeps that true while Help
-	// re-runs. The completed operation's retired-class nodes are NOT
-	// retired here — pre-crash they may already have been retired, freed
-	// and reused as live nodes; a recovery-path retire could therefore hit
-	// a live block. They leak instead, inside the per-crash in-flight
-	// budget, until the next scan.
+	adm := e.recs.Admission(p)
+	last := &e.last[p.ID()]
+	// Pin before dereferencing a record: post-crash recovery kept each
+	// register's record and everything it names alive (the fast reset frees
+	// nothing; a scan keeps what announced records name), and the pin keeps
+	// that true while Help re-runs. The completed operation's retired-class
+	// nodes are NOT retired here — pre-crash they may already have been
+	// retired, freed and reused as live nodes; a recovery-path retire could
+	// therefore hit a live block. They leak instead, inside the per-crash
+	// in-flight budget, until the next scan.
 	e.alloc.Enter(p)
-	e.Help(p, info, true)
-	return p.Load(info + offResult), true
+	for _, reg := range [2]int{last.reg, 1 - last.reg} {
+		info := pmem.Addr(p.Load(e.rd(p.ID(), reg)))
+		if p.Load(e.cp(p.ID(), reg)) != adm || info == pmem.Null {
+			continue
+		}
+		// Defense for a crash before the begin's record is durable — inside an
+		// eager begin's write-back, or under Isb-Opt anywhere ahead of the
+		// admission's first install barrier, which carries the record: the
+		// raised admission number persists with the record, before anything
+		// else of the new operation (README, "Recovery workflow"), so such a
+		// crash leaves the number and the registers the previous operation's.
+		// If a register still describes a different operation, this one made
+		// no changes; if it describes an identical one, recovery re-reports
+		// that operation, which is stale, and only an identity in the argument
+		// tells the caller so (repro.MatchReport).
+		rec, ok := readInfo(p, info)
+		if !ok || rec[offStamp] != seq|uint64(p.ID())<<stampProcShift || rec[offAdm] != adm ||
+			rec[offOpType] != opType || rec[offArgKey] != argKey || !e.evident(p, info, &rec) {
+			continue
+		}
+		last.reg = reg
+		e.Help(p, info, true)
+		return p.Load(info + offResult), true
+	}
+	e.alloc.Exit(p)
+	return RespNone, false
+}
+
+// evident reports whether the install barrier of the record rec, read from
+// info, provably completed: its result is set — by the update phase, or at
+// the install of a read-only record, on the line of the sum that validated
+// it — or some AffectSet field holds Tagged(info).
+func (e *Engine) evident(p *pmem.Proc, info pmem.Addr, rec *[InfoWords]uint64) bool {
+	if rec[offResult] != RespNone {
+		return true
+	}
+	na, _, _ := lens(rec[offLens])
+	for i := 0; i < na; i++ {
+		if p.Load(pmem.Addr(rec[offAffect+2*i])) == Tagged(info) {
+			return true
+		}
+	}
+	return false
+}
+
+// registers spells p's registers for a panic message: each RD_q, CP_q and,
+// for a record, its kind, key, stamp, result and done flag.
+func (e *Engine) registers(p *pmem.Proc) string {
+	var out []string
+	for r := range 2 {
+		info := pmem.Addr(p.Load(e.rd(p.ID(), r)))
+		reg := fmt.Sprintf("RD_q = %d", info)
+		if info != pmem.Null {
+			reg += fmt.Sprintf(" (kind %d, key %d, stamp %#x, result %d, done %d)", p.Load(info+offOpType),
+				p.Load(info+offArgKey), p.Load(info+offStamp), p.Load(info+offResult), p.Load(info+offDone))
+		}
+		out = append(out, fmt.Sprintf("[%s, CP_q = %d]", reg, p.Load(e.cp(p.ID(), r))))
+	}
+	return strings.Join(out, " ")
 }
 
 // Settle finishes, once per crash, the cleanups the crash cut short: under
@@ -545,18 +594,19 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 // operation's surviving nodes durably tagged. Nobody else would finish it —
 // the process may be idle or busy on another engine — so the first begin or
 // recovery on the engine after a crash, and RecoverAll for every engine,
-// helps each record an RD_q names, whatever CP_q says, if its result is set
-// and its CleanupSet still carries its tag. Until that cleanup is durable
-// neither the record nor its retired-class operands have been retired, but
-// its surviving nodes may have been: once untagged in volatile memory any
-// process may tag, unlink and recycle them. Help therefore re-runs the update
-// phase only while every CleanupSet node still holds the tag, and otherwise
-// just the untags. Settle helps as any helper does, in a sync scope it closes
-// without a psync of its own: its write-backs are complete when it returns —
-// PWB is clflush-class, as every deferred sync point assumes — and the
-// process's next psync (the close of the admission's scope, an eager begin's,
-// or recovery's) accounts for them. Under Isb every cleanup ends with its
-// barrier, and there is nothing to finish.
+// helps each record either register of any process names, whatever its CP_q
+// says, if the record validates and is stamped with that process and that
+// CP_q, its result is set and its CleanupSet still carries its tag. Until
+// that cleanup is durable neither the record nor its retired-class operands
+// have been retired, but its surviving nodes may have been: once untagged in
+// volatile memory any process may tag, unlink and recycle them. Help
+// therefore re-runs the update phase only while every CleanupSet node still
+// holds the tag, and otherwise just the untags. Settle helps as any helper
+// does, in a sync scope it closes without a psync of its own: its write-backs
+// are complete when it returns — PWB is clflush-class, as every deferred sync
+// point assumes — and the process's next psync (the close of the admission's
+// scope, an eager begin's, or recovery's) accounts for them. Under Isb every
+// cleanup ends with its barrier, and there is nothing to finish.
 func (e *Engine) Settle(p *pmem.Proc) {
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
@@ -566,14 +616,20 @@ func (e *Engine) Settle(p *pmem.Proc) {
 	if own {
 		p.OpenSyncScope()
 	}
-	e.alloc.Enter(p) // RD_q's record cannot retire under us
+	e.alloc.Enter(p) // a register's record cannot retire under us
 	for q := 0; q < e.h.NumProcs(); q++ {
-		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
-		if info == pmem.Null || p.Load(info+offResult) == RespNone {
-			continue
-		}
-		if some, _ := e.cleanupTags(p, info); some {
-			e.Help(p, info, false)
+		for r := range 2 {
+			info := pmem.Addr(p.Load(e.rd(q, r)))
+			if info == pmem.Null {
+				continue
+			}
+			rec, ok := readInfo(p, info)
+			if !ok || rec[offResult] == RespNone || rec[offStamp]>>stampProcShift != uint64(q) || rec[offAdm] != p.Load(e.cp(q, r)) {
+				continue
+			}
+			if some, _ := e.cleanupTags(p, info); some {
+				e.Help(p, info, false)
+			}
 		}
 	}
 	e.alloc.Exit(p)
@@ -588,7 +644,8 @@ func (e *Engine) Settle(p *pmem.Proc) {
 // cleanup has yet to start (see Help).
 func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
 	all = true
-	for i := pmem.Addr(0); i < pmem.Addr(p.Load(info+offCleanupLen)); i++ {
+	_, _, cn := lens(p.Load(info + offLens))
+	for i := pmem.Addr(0); i < pmem.Addr(cn); i++ {
 		if p.Load(pmem.Addr(p.Load(info+offCleanup+i))) == Tagged(info) {
 			some = true
 		} else {
@@ -599,56 +656,61 @@ func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
 }
 
 // MarkReachable reports, via mark, every address the engine's recovery
-// data can still lead to: for each process, the Info record a non-Null RD_q
-// names, whatever CP_q says, and (conservatively) every word of it with the
-// tag bit cleared — AffectSet field addresses, WriteSet addresses and
-// values, CleanupSet addresses — plus the last record the process installed
-// and the operands held with it, until they retire. The post-crash scan's
-// transitive closure follows on from whatever those words name. Part of the
-// conservative-scan contract: an announced operation's operands survive
-// reclamation even if their retirement was recorded, and so do the record
-// and operands of a completed operation whose cleanup recovery may still
-// have to finish (Settle), and whatever retireLast will still retire.
+// data can still lead to: for each process, the Info record each non-Null
+// register names, whatever its CP_q says, and (conservatively) every word of
+// it with the tag bit cleared — AffectSet field addresses, WriteSet addresses
+// and values, CleanupSet addresses — plus the records the process's registers
+// were last written with and the operands held with the last, until they
+// retire. The post-crash scan's transitive closure follows on from whatever
+// those words name. Part of the conservative-scan contract: an announced
+// operation's operands survive reclamation even if their retirement was
+// recorded, and so do the record and operands of a completed operation whose
+// cleanup recovery may still have to finish (Settle), and whatever
+// retireLast will still retire.
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
 		last := &e.last[q]
-		if last.info != pmem.Null {
-			mark(last.info)
+		for r := range 2 {
+			if last.info[r] != pmem.Null {
+				mark(last.info[r])
+			}
 		}
 		for _, nd := range last.held[:last.n] {
 			mark(nd)
 		}
-		info := pmem.Addr(p.Load(e.base + pmem.Addr(q*pmem.WordsPerLine))) // RD_q
-		if info == pmem.Null {
-			continue
-		}
-		mark(info)
-		for w := pmem.Addr(0); w < InfoWords; w++ {
-			mark(pmem.Addr(p.Load(info+w) &^ 1))
+		for r := range 2 {
+			info := pmem.Addr(p.Load(e.rd(q, r)))
+			if info == pmem.Null {
+				continue
+			}
+			mark(info)
+			for w := pmem.Addr(0); w < InfoWords; w++ {
+				mark(pmem.Addr(p.Load(info+w) &^ 1))
+			}
 		}
 	}
 }
 
 // Boundary closes leg seq-1 of the announced vector and opens leg seq: the
-// previous leg's response goes into its result slot, stamped with the
-// admission number (CloseLeg) — for an atomic vector, slot 0 stamped is the
-// commit point. The previous leg's tracking record retires once the next
-// install on its engine moves RD_q off it (retireLast).
+// previous leg's response goes into its result slot (CloseLeg) — for an
+// atomic vector, slot 0 stamped is the commit point. The previous leg's
+// tracking record retires once the installs on its engine have durably
+// overwritten the register naming it (retireLast).
 //
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
 // into. Under Isb-Opt the boundary defers its psync to the scope's close and
 // stores nothing: the response waits Go-side (Records.keepLegResult) for the
-// process's next install, on whichever engine, which stores the slot and
-// makes it durable before RD_q moves and before any tag
-// (Records.storeLegResults). No leg takes a durable effect ahead of its
-// install barrier, and a read or effect-free leg takes none at all; the
+// process's next install, on whichever engine, whose barrier writes it back
+// before any tag (Records.storeKept). No leg takes a durable effect ahead of
+// its install barrier, and a read or effect-free leg takes none at all; the
 // reclaimer's slab directory, which can be written back sooner, records no
-// operation's effect. So a crash before that install finds the slot
-// unstamped and leg seq-1 at the derived cursor, with RD_q still naming its
-// record if it installed one (recoverSeq, resolveSeq). A slot no later leg
-// installs after is never stored: once the admission returns, its durable
-// record's cursor sits on its last installing leg, which RD_q names, so an
+// operation's effect. So a crash before that barrier completes finds leg
+// seq-1 at the derived cursor, or the slot alone durable and leg seq in
+// flight with no effect, and leg seq-1's record still named by a register if
+// it installed one (recoverSeq, resolveSeq). A slot no later leg installs
+// after is never stored: once the admission returns, its durable record's
+// cursor sits on its last installing leg, which a register names, so an
 // effect-free leg after it needs no install of its own.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	if e.batched {
@@ -662,20 +724,18 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	}
 }
 
-// runBatchOp runs the leg at index seq of an announced vector (Begin). An
-// engine's first leg raises CP_q exactly like a single operation; later legs
-// on the same engine skip that — CP_q is already current, and the stale RD_q
-// record is fenced off by the index stamp, not by an RD_q := Null round-trip
-// — which is where the per-op begin cost goes. CP_q itself is the dispatch:
-// Begin raised the admission number — under Isb-Opt the number the record
-// will be stored under, which Records.Admission returns while it is
-// pending — and only an engine's first leg stores it into CP_q (under Isb in
-// runAttempts' prologue, under Isb-Opt at that leg's first install), so a
-// stale CP_q means no mutating leg of this vector has raised it on this
-// engine yet (read-only legs never enter the engine, and effect-free ones
-// under Isb-Opt may install nothing).
-// Recovery relies on the same invariant: a crash with CP_q stale proves the
-// in-flight leg tagged nothing, so re-invoking it is safe.
+// runBatchOp runs the leg at index seq of an announced vector (Begin). Under
+// Isb an engine's first leg raises CP_q exactly like a single operation;
+// later legs on the same engine skip that — CP_q is already current, and the
+// stale RD_q record is fenced off by the stamp, not by an RD_q := Null
+// round-trip — which is where the per-op begin cost goes. CP_q itself is the
+// dispatch: Begin raised the admission number, and only an engine's first leg
+// stores it into CP_q, in runAttempts' prologue, so a stale CP_q means no
+// mutating leg of this vector has raised it on this engine yet (read-only
+// legs never enter the engine). Recovery relies on the same invariant: a
+// crash with CP_q stale proves the in-flight leg tagged nothing, so
+// re-invoking it is safe. Under Isb-Opt every install stores CP_q with RD_q
+// (attemptLoop), and there is nothing to dispatch on.
 //
 // Inside a sync scope (pmem.Proc.OpenSyncScope, which the admitting runtime
 // opens around a window under either placement and around a transaction
@@ -686,8 +746,8 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // are exactly those of the unscoped execution.
 func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.curSeq[p.ID()] = uint64(seq)
-	if p.Load(e.cp(p)) != e.recs.Admission(p) {
+	if !e.batched && p.Load(e.cp(p.ID(), 0)) != e.recs.Admission(p) {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
-	return e.attemptLoop(p, opType, argKey, gather, 0, false)
+	return e.attemptLoop(p, opType, argKey, gather, 0)
 }

@@ -78,19 +78,29 @@ func InfoOf(v uint64) pmem.Addr      { return pmem.Addr(v &^ 1) }
 // Info record layout (word offsets). Records are fixed-size so that arena
 // allocation stays a bump; the limits cover every structure in the paper
 // (the BST's Delete has the largest AffectSet: gp, p, l, sibling).
+//
+// A record validates itself, as the announcement record does: offSum is a
+// checksum (infoSum) over every immutable word the record uses, the stamp —
+// process, leg index and admission number — included. It shares its
+// two-word pair with offResult, and records are two-word aligned, so the
+// pair never straddles a cache line: a record whose sum validates holds its
+// own install's result, never a stale one from a record the address held
+// before. Only offResult and offDone change after the install.
 const (
-	offOpType     = 0
-	offArgKey     = 1
-	offResult     = 2
-	offSuccess    = 3
-	offAffectLen  = 4
-	offWriteLen   = 5
-	offCleanupLen = 6
-	offDone       = 7  // set by the invoker as its cleanup phase starts; written back with the untags
-	offAffect     = 8  // MaxAffect pairs ⟨infoFieldAddr, expectedValue⟩
-	offWrites     = 16 // MaxWrites triples ⟨addr, old, new⟩
-	offCleanup    = 25 // MaxCleanup info-field addresses
-	offSeq        = 31 // index, in its announced vector, of the leg this record belongs to
+	offOpType  = 0
+	offArgKey  = 1
+	offResult  = 2
+	offSum     = 3 // checksum over the stamp and the immutable words
+	offSuccess = 4
+	offLens    = 5  // AffectSet | WriteSet << 8 | CleanupSet << 16 lengths
+	offStamp   = 6  // leg index | process << stampProcShift
+	offDone    = 7  // set by the invoker as its cleanup phase starts; written back with the untags
+	offAffect  = 8  // MaxAffect pairs ⟨infoFieldAddr, expectedValue⟩
+	offWrites  = 16 // MaxWrites triples ⟨addr, old, new⟩
+	offCleanup = 25 // MaxCleanup info-field addresses
+	offAdm     = 31 // admission number the record was installed under
+
+	stampProcShift = 32
 
 	// MaxAffect etc. bound the per-operation sets.
 	MaxAffect  = 4
@@ -195,15 +205,18 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 
 // Engine holds the per-process recovery variables for one data structure
 // instance. RD_q and CP_q live in persistent memory, one cache line per
-// process to avoid false sharing. Persistence-instruction placement is
-// delegated to a persister per process (see persist.go); everything else —
-// helping, tagging, backtracking, the update and cleanup phases, recovery —
-// is identical across placements. CP_q holds the admission number
-// (Records.Admission) RD_q's record was installed under: "CP_q = 1" reads
-// CP_q equals that number, and every begin's raise of the number is CP_q := 0.
+// process to avoid false sharing, which holds two such registers: Isb uses
+// the first only, and Isb-Opt alternates, each install writing the register
+// its process's last complete install did not (see attemptLoop).
+// Persistence-instruction placement is delegated to a persister per process
+// (see persist.go); everything else — helping, tagging, backtracking, the
+// update and cleanup phases, recovery — is identical across placements. A
+// register's CP_q holds the admission number (Records.Admission) its RD_q's
+// record was installed under: "CP_q = 1" reads CP_q equals that number, and
+// every begin's raise of the number is CP_q := 0.
 type Engine struct {
 	h    *pmem.Heap
-	base pmem.Addr // proc q's line: base + q*WordsPerLine; word0 = RD, word1 = CP (one pwb persists both)
+	base pmem.Addr // proc q's line: base + q*WordsPerLine; register r is RD at word 2r, CP at 2r+1
 	pers []persister
 	// batched is the placement: batchPersister (Isb-Opt) or eagerPersister
 	// (Isb). The admission paths branch on it once or twice per operation.
@@ -228,23 +241,14 @@ type Engine struct {
 	// Epoch pins and retirements are threaded through the operation entry
 	// points; neither touches the heap, so reclamation adds no write-back.
 	alloc pmem.Allocator
-	// last tracks, per process, the Info record last installed in that
-	// process's RD_q, and the retired-class operands its operation held for
-	// its deferred cleanup (see finish): they retire once RD_q durably names
-	// another record (the next install's write-back, which follows the
-	// barrier that carried the cleanup, or Isb's RD_q := Null) and never
-	// earlier, so the record RD_q names is never recycled under it — recovery
-	// reads it whatever CP_q says (Settle). Go-side on purpose: after a crash
-	// the record either matches the durable RD_q or names one no durable word
-	// mentions any more, and retiring it on schedule is right in both cases,
-	// as it is for the operands: the next install follows Settle. A full scan
-	// keeps them alive until then (MarkReachable).
+	// last is, per process, what its registers hold and what retires when
+	// they are overwritten (lastOp, retireLast).
 	last []lastOp
 	// settled is the heap epoch (crash count) Settle last finished at.
 	settled atomic.Uint64
 	// cookieCtr feeds cookie (see there), one counter per process.
 	cookieCtr []uint64
-	// curSeq is the leg index install stamps into Info records (offSeq): the
+	// curSeq is the leg index install stamps into Info records (offStamp): the
 	// operation's position in its announced vector, 0 for a single operation.
 	// Every path to install sets it first (Begin, runBatchOp, recoverSeq), so
 	// a crash needs no reset.
@@ -254,10 +258,17 @@ type Engine struct {
 	readFast   []uint64
 }
 
-// lastOp is what a process's last install leaves to retire: its Info record
-// and the operands held with it.
+// lastOp is a process's Go-side view of its registers: the one its last
+// complete install wrote (reg), the Info record each was last written with,
+// and the retired-class operands its last operation held for its deferred
+// cleanup (see finish). Go-side on purpose: after a crash a register durably
+// holds either the record info names for it or that of an install the crash
+// cut short, which then leaks inside the crash's in-flight budget, and
+// retiring on schedule is right in both cases. A full scan keeps them alive
+// until then (MarkReachable).
 type lastOp struct {
-	info pmem.Addr
+	reg  int
+	info [2]pmem.Addr
 	held [MaxAffect]pmem.Addr
 	n    int
 }
@@ -334,23 +345,31 @@ func (e *Engine) cookie(p *pmem.Proc) uint64 {
 	return (e.cookieCtr[id]*uint64(len(e.cookieCtr)) + uint64(id)) << 1
 }
 
-// retireLast retires the calling process's previously installed Info
-// record, and the operands held with it. Callers must ensure the record can
-// no longer be consulted by recovery: RD_q durably points elsewhere — at a
-// newer record, or Null. Until then recovery may read it even with CP_q stale
-// (Settle), and since an Isb-Opt operation's cleanup may wait for the next
-// install's barrier, no earlier point would do: the operands retire only
-// once that barrier has made the cleanup durable, so no recovery re-runs the
-// update phase on them (see Help). In-flight helpers may still hold any of
-// them; the allocator's epoch grace covers them.
-func (e *Engine) retireLast(p *pmem.Proc) {
-	last := e.last[p.ID()]
-	e.last[p.ID()] = lastOp{} // before any Retire: a crash inside one must not repeat the others
-	for _, nd := range last.held[:last.n] {
+// retireLast records that register r of the calling process durably names
+// info now (Null: nothing), and retires what that frees: the record r named
+// before, and the operands held for the last operation's deferred cleanup.
+// Callers must ensure both can no longer be consulted by recovery: r's write
+// is durable, and so is every line the last barrier carried. Under Isb that is
+// RD_q := Null, behind its barrier, or RD_q := info, behind its pwb, and
+// every cleanup is durable before its operation returns. Under Isb-Opt it is
+// an install's barrier, which writes r, the register the last complete
+// install did not write: a record therefore retires one install later than
+// the install that replaced it, since until the barrier that overwrites it is
+// done, recovery may read it whatever CP_q says (Settle) and it may be the one
+// a crash leaves the leg resolving from. The operands retire at the first
+// such barrier, which carried the cleanup they wait for, so no recovery
+// re-runs the update phase on them (see Help). In-flight helpers may still
+// hold any of them; the allocator's epoch grace covers them.
+func (e *Engine) retireLast(p *pmem.Proc, r int, info pmem.Addr) {
+	last := &e.last[p.ID()]
+	old, held, n := last.info[r], last.held, last.n
+	// Before any Retire: a crash inside one must not repeat the others.
+	last.reg, last.info[r], last.n = r, info, 0
+	for _, nd := range held[:n] {
 		e.alloc.Retire(p, nd)
 	}
-	if last.info != pmem.Null {
-		e.alloc.Retire(p, last.info)
+	if old != pmem.Null {
+		e.alloc.Retire(p, old)
 	}
 }
 
@@ -361,10 +380,11 @@ func (e *Engine) Batched() bool { return e.batched }
 // per returns the calling process's persister.
 func (e *Engine) per(p *pmem.Proc) persister { return e.pers[p.ID()] }
 
-func (e *Engine) rd(p *pmem.Proc) pmem.Addr {
-	return e.base + pmem.Addr(p.ID()*pmem.WordsPerLine)
+// rd and cp are the words of register r of process q.
+func (e *Engine) rd(q, r int) pmem.Addr {
+	return e.base + pmem.Addr(q*pmem.WordsPerLine+2*r)
 }
-func (e *Engine) cp(p *pmem.Proc) pmem.Addr { return e.rd(p) + 1 }
+func (e *Engine) cp(q, r int) pmem.Addr { return e.rd(q, r) + 1 }
 
 // opSync is the engine-side psync point: outside a sync scope it issues a
 // psync; inside one (pmem.Proc.OpenSyncScope) it is deferred — counted, and
@@ -435,23 +455,22 @@ func (e *Engine) SetAnnounceID(id uint64, recs *Records) { e.annID, e.recs = id,
 // runs first — stores nothing, writes nothing back and issues no psync: the
 // legs wait in the engine's table (Records.announceLazy), and the begin psync
 // is one more sync point deferred to the scope's close. The admission's first
-// install stores the record, and its raised admission number, just before
-// its barrier, which writes them back; the responses of the boundaries
-// before it follow, carried by that install's RD_q write-back
-// (Records.storeLegResults). That install barrier's fence precedes RD_q's
-// write-back, every CP_q raise, every tag and every result slot, so no
-// tracked effect of the admission can be durable before its record is, and a
-// crash ahead of it finds what a crash inside an eager begin finds. An
-// admission that installs nothing — reads and effect-free updates only
-// (attemptLoop) — never stores its record: the scope's close drops it, so no
-// durable record names it as in flight once it has returned; and an
-// effect-free leg after the first install installs nothing either, its
-// window's durable cursor resting on the last leg that did
-// (Records.elides). Three begins stay eager, each for its own reason: the
-// bare begin, which is the paper's system-side step itself; the elimination
-// stack's, whose exchange takes effect outside any engine barrier, so its
-// effect-free outcome keeps the ROpt install; and every Isb begin, the
-// paper's placement as written.
+// install stores the record, its raised admission number and, as its prefix,
+// the responses of the boundaries before it, just before its barrier, which
+// writes them back with the install's own lines, RD_q and CP_q among them
+// (Records.storeKept). No tag, and so no tracked effect of the admission,
+// precedes that barrier, and whatever subset of its lines a crash persists,
+// recovery finds what a crash inside an eager begin finds — the previous
+// record, or none — or the new record with no leg begun. An admission that
+// installs nothing — reads and effect-free updates only (attemptLoop) — never
+// stores its record: the scope's close drops it, so no durable record names it
+// as in flight once it has returned; and an effect-free leg after the first
+// install installs nothing either, its window's durable cursor resting on the
+// last leg that did (Records.elides). Three begins stay eager, each for its
+// own reason: the bare begin, which is the paper's system-side step itself;
+// the elimination stack's, whose exchange takes effect outside any engine
+// barrier, so its effect-free outcome keeps the ROpt install; and every Isb
+// begin, the paper's placement as written.
 func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine) {
 	e.reset(p)
 	for _, o := range others {
@@ -472,27 +491,16 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 }
 
 // reset readies the engine for an admission, writing nothing. The previous
-// operation's Info record stays: RD_q still names it, and its cleanup may
-// still wait for this admission's first barrier (see retireLast) — or, after
-// a crash, for Settle, which the first begin after it runs.
+// operation's Info record stays: a register still names it, and its cleanup
+// may still wait for this admission's first barrier (see retireLast) — or,
+// after a crash, for Settle, which the first begin after it runs.
 func (e *Engine) reset(p *pmem.Proc) {
 	e.Settle(p)
 	e.curSeq[p.ID()] = 0
 }
 
-// allocInfo allocates a zeroed Info record for one attempt.
-func (e *Engine) allocInfo(p *pmem.Proc) pmem.Addr {
-	a := e.alloc.Alloc(p, InfoWords)
-	// Both allocators hand out zeroed memory within a run, but after a
-	// crash a fresh carve may straddle memory whose volatile image was
-	// reset to stale persisted bytes. Clear the header words we depend on.
-	p.Store(a+offResult, RespNone)
-	p.Store(a+offDone, 0)
-	return a
-}
-
-// install writes spec into the Info record (volatile stores; the caller's
-// barrier persists the record).
+// install writes spec into the Info record, stamped and summed (volatile
+// stores; the caller's barrier persists the record).
 func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	if s.NAffect > MaxAffect || s.NWrites > MaxWrites || s.NCleanup > MaxCleanup {
 		panic(fmt.Sprintf("isb: spec out of bounds: %+v", s))
@@ -509,35 +517,85 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 			}
 		}
 	}
-	p.Store(info+offOpType, s.OpType)
-	p.Store(info+offArgKey, s.ArgKey)
-	// The record's leg index: recovery only attributes a record to the
-	// announced vector's in-flight leg when the stamped index matches the
-	// leg's position, so a crash between a boundary and the next leg's first
-	// install — the previous leg's slot stamped, RD_q still naming its record
-	// — cannot misattribute that record to an identical (kind, arg) successor.
-	p.Store(info+offSeq, e.curSeq[p.ID()])
-	succ := s.SuccessResponse
+	var rec [InfoWords]uint64
+	rec[offOpType], rec[offArgKey] = s.OpType, s.ArgKey
+	rec[offResult], rec[offSuccess] = RespNone, s.SuccessResponse
 	if s.ReadOnly {
-		succ = s.Response
-		p.Store(info+offResult, s.Response) // ROpt line 74
-	} else {
-		p.Store(info+offResult, RespNone)
+		rec[offResult], rec[offSuccess] = s.Response, s.Response // ROpt line 74
 	}
-	p.Store(info+offSuccess, succ)
-	p.Store(info+offAffectLen, uint64(s.NAffect))
-	p.Store(info+offWriteLen, uint64(s.NWrites))
-	p.Store(info+offCleanupLen, uint64(s.NCleanup))
+	rec[offLens] = uint64(s.NAffect) | uint64(s.NWrites)<<8 | uint64(s.NCleanup)<<16
+	// The record's stamp: recovery only attributes a record to the announced
+	// vector's in-flight leg when it names this process, the admission and
+	// the leg's position, so a crash between a boundary and the next leg's
+	// first install — the previous leg's slot durable, a register still naming
+	// its record — cannot misattribute that record to an identical (kind, arg)
+	// successor, and a record whose lines never persisted, over a recycled one
+	// that validates, cannot pass as this install's.
+	rec[offStamp] = e.curSeq[p.ID()] | uint64(p.ID())<<stampProcShift
+	rec[offAdm] = e.recs.Admission(p)
 	for i := 0; i < s.NAffect; i++ {
-		p.Store(info+offAffect+pmem.Addr(2*i), uint64(s.Affect[i].Info))
-		p.Store(info+offAffect+pmem.Addr(2*i)+1, s.Affect[i].Expected)
+		rec[offAffect+2*i], rec[offAffect+2*i+1] = uint64(s.Affect[i].Info), s.Affect[i].Expected
 	}
 	for i := 0; i < s.NWrites; i++ {
-		p.Store(info+offWrites+pmem.Addr(3*i), uint64(s.Writes[i].Addr))
-		p.Store(info+offWrites+pmem.Addr(3*i)+1, s.Writes[i].Old)
-		p.Store(info+offWrites+pmem.Addr(3*i)+2, s.Writes[i].New)
+		w := rec[offWrites+3*i:]
+		w[0], w[1], w[2] = uint64(s.Writes[i].Addr), s.Writes[i].Old, s.Writes[i].New
 	}
 	for i := 0; i < s.NCleanup; i++ {
-		p.Store(info+offCleanup+pmem.Addr(i), uint64(s.Cleanup[i]))
+		rec[offCleanup+i] = uint64(s.Cleanup[i])
 	}
+	rec[offSum] = infoSum(&rec)
+	for _, sp := range spans(rec[offLens]) {
+		for off := sp[0]; off < sp[1]; off++ {
+			p.Store(info+pmem.Addr(off), rec[off])
+		}
+	}
+}
+
+// lens decodes an Info record's offLens word.
+func lens(w uint64) (affect, writes, cleanup int) {
+	return int(w & 0xff), int(w >> 8 & 0xff), int(w >> 16 & 0xff)
+}
+
+// spans returns the ranges [lo, hi) of words a record whose offLens word is
+// lw uses: its header, the used entries of each set, and offAdm. The lengths
+// must be in bounds.
+func spans(lw uint64) [5][2]int {
+	na, nw, nc := lens(lw)
+	return [5][2]int{{0, offAffect}, {offAffect, offAffect + 2*na}, {offWrites, offWrites + 3*nw},
+		{offCleanup, offCleanup + nc}, {offAdm, offAdm + 1}}
+}
+
+// infoSum is an Info record's checksum: annCheck chained over every word of
+// rec the record uses, in layout order, but the two that change after the
+// install, offResult and offDone, and the sum itself.
+func infoSum(rec *[InfoWords]uint64) uint64 {
+	sum := annCheck(0, rec[offOpType], rec[offArgKey])
+	sum = annCheck(sum, rec[offSuccess], rec[offLens])
+	sum = annCheck(sum, rec[offStamp], 0)
+	sps := spans(rec[offLens])
+	for _, sp := range sps[1:] {
+		for off := sp[0]; off < sp[1]; off++ {
+			sum = annCheck(sum, rec[off], uint64(off))
+		}
+	}
+	return sum
+}
+
+// readInfo loads the Info record at info, and reports whether it validates:
+// its set lengths in bounds and its sum matching the words it uses. A record
+// whose lines did not all persist before a crash fails, and so does whatever
+// a recycled address holds; only offResult and offDone may have changed since.
+func readInfo(p *pmem.Proc, info pmem.Addr) (rec [InfoWords]uint64, ok bool) {
+	rec[offLens] = p.Load(info + offLens)
+	if na, nw, nc := lens(rec[offLens]); na > MaxAffect || nw > MaxWrites || nc > MaxCleanup || rec[offLens]>>24 != 0 {
+		return rec, false
+	}
+	for _, sp := range spans(rec[offLens]) {
+		for off := sp[0]; off < sp[1]; off++ {
+			if off != offLens {
+				rec[off] = p.Load(info + pmem.Addr(off))
+			}
+		}
+	}
+	return rec, rec[offSum] == infoSum(&rec)
 }

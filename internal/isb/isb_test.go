@@ -229,7 +229,7 @@ func TestSpecBoundsChecked(t *testing.T) {
 	spec.AddAffect(a, 0)
 	spec.AddAffect(b, 0)
 	spec.AddCleanup(b) // violates the retire-class rule
-	e.install(p, e.allocInfo(p), &spec)
+	e.install(p, e.alloc.Alloc(p, InfoWords), &spec)
 }
 
 func TestTaggingHelpers(t *testing.T) {
@@ -274,7 +274,7 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 	inv := h.Proc(0)
 
 	// Build the op by hand so every proc can Help the same record.
-	info := c.e.allocInfo(inv)
+	info := c.e.alloc.Alloc(inv, InfoWords)
 	var spec Spec
 	spec.OpType, spec.ArgKey = opInc, 0
 	if c.gatherInc(inv, info, &spec) != Proceed {
@@ -317,11 +317,11 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 // panic, naming the operation, the recovery registers and the record RD_q
 // still holds, and never in the allocator's "arena exhausted" (each retry
 // allocates a 32-word Info record, and this heap holds about twice the
-// bound's worth). CP_q is raised to the admission number by Isb's prologue
-// but only by the first install under Isb-Opt, which also never resets RD_q to
-// Null: there RD_q still names the last installed record — here a completed
-// increment's, under the admission before the bare begin that precedes the
-// recovery.
+// bound's worth). CP_q is raised to the admission number by Isb's prologue,
+// in the first register, but only by an install under Isb-Opt, which never
+// resets RD_q to Null and alternates registers: there the second register
+// still names the last installed record — here a completed increment's, under
+// the admission before the bare begin that precedes the recovery.
 func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 	stuck := func(*pmem.Proc, pmem.Addr, *Spec) GatherResult { return Restart }
 	for _, opt := range []bool{false, true} {
@@ -330,8 +330,8 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 			prior    bool // complete one increment before the stuck recovery
 			isb, opt string
 		}{
-			{"fresh", false, "RD_q = 0, CP_q = 1, admission 1", "RD_q = 0, CP_q = 0, admission 1"},
-			{"after an increment", true, "RD_q = 0, CP_q = 2, admission 2", "(kind 7, key 0, seq 0, result 17, done 1), CP_q = 1, admission 2"},
+			{"fresh", false, "[RD_q = 0, CP_q = 1] [RD_q = 0, CP_q = 0], admission 1", "[RD_q = 0, CP_q = 0] [RD_q = 0, CP_q = 0], admission 1"},
+			{"after an increment", true, "[RD_q = 0, CP_q = 2] [RD_q = 0, CP_q = 0], admission 2", "(kind 7, key 0, stamp 0x0, result 17, done 1), CP_q = 1], admission 2"},
 		} {
 			h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1, Tracked: true})
 			ctr := newCounter(h, opt)

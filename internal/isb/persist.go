@@ -15,9 +15,11 @@ import "repro/internal/pmem"
 // previous EndPhase is durable, and so is a phase ended by Defer once the
 // process's next barrier, on any engine, has run. Under the batched placement
 // nothing in the phase is guaranteed durable before that point, so a crash
-// mid-phase may leave the phase fully absent from persistent memory; Help and
-// recoverSeq tolerate both outcomes because every phase is idempotent and
-// re-runnable from its Info record.
+// mid-phase may leave the phase fully absent from persistent memory, or any
+// subset of its lines durable; Help and recoverSeq tolerate every outcome
+// because every phase is idempotent and re-runnable from its Info record, and
+// recovery believes an install only with evidence that its barrier completed
+// (Engine.helpRecorded).
 //
 // A persister is bound to one Proc and therefore used by one goroutine at a
 // time; the Engine keeps one per process.

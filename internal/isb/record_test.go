@@ -81,14 +81,18 @@ func TestAnnouncementPartialPersistInvalid(t *testing.T) {
 // TestAnnouncementTornSubsets pins the property every admission shape's
 // crash argument rests on, directly rather than through the every-offset
 // sweeps: a record written over a valid older one, with any strict subset of
-// its cache lines persisted when the crash hits, reads back as exactly the
-// old record, no record, or (never, for a strict subset) the new record —
-// not a mix of the two. The old record is one leg longer or shorter than the
-// new one, so both "new lines beyond the old record" and "old lines beyond
-// the new record" occur. The old record has every slot stamped, so it reads
-// back with its full prefix and its responses, which the new record, raising
-// the admission number, must not inherit. Every subset is enumerated up to 5
-// lines (N = 16); MaxBatch's 17 lines are sampled by seed.
+// its cache lines persisted when the crash hits — its header's and those of
+// the prefix it binds — reads back as exactly the old record, no record, or
+// (never, for a strict subset) the new record — not a mix of the two. The old
+// record is one leg longer or shorter than the new one, so both "new lines
+// beyond the old record" and "old lines beyond the new record" occur. The old
+// record has every slot stamped, so it reads back with its full prefix and
+// its responses, which the new record, raising the admission number, must
+// not inherit. Then a third record, with no prefix and under the number the
+// torn one may have left for reuse, is written back whole: it must read with
+// cursor 0, whatever slots the torn record persisted in its area. Every
+// subset is enumerated up to 7 lines (N = 16: 5 lines of header and legs, 2
+// of prefix slots); MaxBatch's 19 lines are sampled by seed.
 func TestAnnouncementTornSubsets(t *testing.T) {
 	mk := func(n int, salt uint64) []Leg {
 		legs := make([]Leg, n)
@@ -100,16 +104,28 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 	for _, n := range []int{1, 2, 16, MaxBatch} {
 		for _, oldN := range []int{max(n-1, 1), min(n+1, MaxBatch)} {
 			oldLegs, newLegs := mk(oldN, 100), mk(n, 200)
-			lines := (annLegs + 2*n + pmem.WordsPerLine - 1) / pmem.WordsPerLine
-			subsets := make([]uint64, 0, 64)
-			if lines <= 5 {
-				for m := uint64(0); m < 1<<lines-1; m++ {
+			prefix := make([]uint64, min(n-1, 5))
+			for i := range prefix {
+				prefix[i] = uint64(300 + i)
+			}
+			var lines []pmem.Addr
+			for l := pmem.Addr(0); l < annLegs+2*pmem.Addr(n); l += pmem.WordsPerLine {
+				lines = append(lines, l)
+			}
+			for i := range prefix {
+				if l := annResults + (pmem.Addr(2*i) &^ (pmem.WordsPerLine - 1)); !slices.Contains(lines, l) {
+					lines = append(lines, l) // the new record's area, for an odd old admission
+				}
+			}
+			subsets := make([]uint64, 0, 1<<7)
+			if len(lines) <= 7 {
+				for m := uint64(0); m < 1<<len(lines)-1; m++ {
 					subsets = append(subsets, m)
 				}
 			} else {
 				rng := rand.New(rand.NewSource(int64(n*100 + oldN)))
 				for i := 0; i < 64; i++ {
-					subsets = append(subsets, rng.Uint64()&(1<<lines-1)&^(1<<uint(rng.Intn(lines))))
+					subsets = append(subsets, rng.Uint64()&(1<<len(lines)-1)&^(1<<uint(rng.Intn(len(lines)))))
 				}
 			}
 			for _, mask := range subsets {
@@ -120,11 +136,13 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 					CloseLeg(p, i, uint64(9+i))
 				}
 				oldAdm := Admission(p)
-				writeRecord(p, false, newLegs)
-				a := p.Region()
-				for l := 0; l < lines; l++ {
+				if oldAdm%2 != 1 {
+					t.Fatalf("old admission %d: the slot lines above assume an odd one", oldAdm)
+				}
+				writeRecord(p, false, newLegs, prefix)
+				for l, off := range lines {
 					if mask>>l&1 == 1 {
-						p.PWB(a + pmem.Addr(l*pmem.WordsPerLine))
+						p.PWB(p.Region() + off)
 					}
 				}
 				crashAndReset(h)
@@ -138,6 +156,14 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 				}
 				if mask == 0 && !isOld {
 					t.Fatalf("N=%d over N=%d, nothing persisted: the old record is gone", n, oldN)
+				}
+				end := writeRecord(p, false, newLegs, nil)
+				for line := p.Region(); line < end; line += pmem.WordsPerLine {
+					p.PWB(line)
+				}
+				crashAndReset(h)
+				if rec, ok := ReadRecord(p); !ok || rec.Cursor != 0 || !slices.Equal(rec.Legs, newLegs) {
+					t.Fatalf("N=%d over N=%d, lines %b persisted, then rewritten without a prefix: read (%+v, ok %v), want the legs at cursor 0", n, oldN, mask, rec, ok)
 				}
 			}
 		}
@@ -173,7 +199,7 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 			}
 			oldAdm, oldCursor := Admission(p), len(c.old)-1
 			h.ScheduleCrashAt(h.AccessCount() + k)
-			done := pmem.RunOp(func() { writeRecord(p, false, c.new) })
+			done := pmem.RunOp(func() { writeRecord(p, false, c.new, nil) })
 			h.DisarmCrash()
 			p.PWB(p.Region()) // p saw the crash, if one fired: its accesses pass
 			crashAndReset(h)
@@ -205,19 +231,18 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // TestLegResultEveryStore crashes a slot write after each of its accesses,
 // with the slot's line persisted at the crash: the prefix must read i — slot
 // i not stamped — or i+1 with slot i holding the new response, never a slot
-// stamped under the current admission beside a stale response. The slot
-// still holds a different response from the previous admission, stamped
-// under its number, so a stamp stored ahead of the response would show.
+// stamped for the current record beside a stale response. The slot still
+// holds a different response from the admission before the previous one,
+// which used the same slot area, so a stamp stored ahead of the response
+// would show.
 //
 // In the lazy rows the record is left pending with announceLazy and slots 0
 // to i with it (keepLegResult), and what is crashed is the first install's
-// sequence: the record stored and written back by its barrier, then the kept
-// slots stored (storeLegResults) and written back by the barrier its RD_q
-// write-back becomes. A crash before
-// the first barrier must find the previous record under the previous number
-// with its own responses, never with a new response in a slot it still reads
-// as stamped, and a crash after it the new record with a prefix of the new
-// responses.
+// sequence: the record stored with the kept responses as its prefix
+// (storeKept) and written back by its barrier. A crash before the barrier must
+// find the previous record under the previous number with its own responses,
+// never with a new response in a slot it reads, and a crash after it the new
+// record with the whole prefix of the new responses.
 func TestLegResultEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
 	for _, lazy := range []bool{false, true} {
@@ -226,9 +251,11 @@ func TestLegResultEveryStore(t *testing.T) {
 			for k := uint64(1); ; k++ {
 				h := newTrackedHeap(1)
 				p, recs := h.Proc(0), NewRecords(h)
-				Announce(p, false, legs...)
-				for j := 0; j < len(legs)-1; j++ {
-					CloseLeg(p, j, 50+uint64(j))
+				for range 2 { // the second fills the slot area the new record reuses
+					Announce(p, false, legs...)
+					for j := 0; j < len(legs)-1; j++ {
+						CloseLeg(p, j, 50+uint64(j))
+					}
 				}
 				oldAdm := Admission(p)
 				write := func() { CloseLeg(p, i, 100+uint64(i)) }
@@ -239,9 +266,7 @@ func TestLegResultEveryStore(t *testing.T) {
 						recs.keepLegResult(p, j, 100+uint64(j))
 					}
 					write = func() {
-						recs.storeAnnouncement(p)
-						p.PBarrierAddrs(nil)
-						recs.storeLegResults(p)
+						recs.storeKept(p)
 						p.PBarrierAddrs(nil)
 					}
 				} else {
@@ -253,7 +278,7 @@ func TestLegResultEveryStore(t *testing.T) {
 				h.ScheduleCrashAt(h.AccessCount() + k)
 				done := pmem.RunOp(write)
 				h.DisarmCrash()
-				p.PWB(p.Region() + annResults + pmem.Addr(2*i))
+				p.PWB(slot(p, oldAdm+1, i))
 				crashAndReset(h)
 				rec, ok := ReadRecord(p)
 				old := Admission(p) == oldAdm
@@ -315,5 +340,47 @@ func TestCloseScopeDropsPendingRecord(t *testing.T) {
 	crashAndReset(h)
 	if recs.Admission(p) != adm || recs.pending(p) {
 		t.Errorf("admission %d (pending %v) after a crash, want %d", recs.Admission(p), recs.pending(p), adm)
+	}
+}
+
+// TestInfoResultTravelsWithSum pins why offResult shares its two-word pair
+// with offSum: a record validates only together with its own install's
+// result. At each two-word alignment the allocators can give it, a record is
+// installed over an older one at the same address — the same operation,
+// stamp and AffectSet, a different WriteSet, its result set — and written
+// back with every line but one, or all of them. Whatever validates
+// (readInfo) must hold the new install's result, ⊥, never the old one: a
+// stale result would be evidence of a barrier that never completed, and its
+// response.
+func TestInfoResultTravelsWithSum(t *testing.T) {
+	spec := func(new uint64) *Spec {
+		var s Spec
+		s.OpType, s.ArgKey, s.SuccessResponse = 7, 9, RespTrue
+		s.AddAffect(8, 0)
+		s.AddAffect(10, 0)
+		s.AddWrite(12, 1, new)
+		s.AddCleanup(8)
+		return &s
+	}
+	for align := pmem.Addr(0); align < pmem.WordsPerLine; align += 2 {
+		for skip := -1; skip < InfoWords/pmem.WordsPerLine+1; skip++ {
+			h := newTrackedHeap(1)
+			p, e := h.Proc(0), NewEngineOpt(h)
+			base := p.Alloc(InfoWords + 2*pmem.WordsPerLine)
+			info := (base+pmem.WordsPerLine-1)&^(pmem.WordsPerLine-1) + align
+			e.install(p, info, spec(2))
+			p.Store(info+offResult, RespTrue)
+			p.PBarrierRange(info, InfoWords)
+			e.install(p, info, spec(3))
+			for l, line := 0, info&^(pmem.WordsPerLine-1); line < info+InfoWords; l, line = l+1, line+pmem.WordsPerLine {
+				if l != skip {
+					p.PWB(line)
+				}
+			}
+			crashAndReset(h)
+			if rec, ok := readInfo(p, info); ok && rec[offResult] != RespNone {
+				t.Fatalf("record at line offset %d, line %d not written back: validates with the old result %d", align, skip, rec[offResult])
+			}
+		}
 	}
 }

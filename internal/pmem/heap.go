@@ -153,7 +153,7 @@ const reservedWords = WordsPerLine
 // ProcRegionWords is the size of the region the heap reserves for each
 // process right after the Null line (Proc.Region), at fixed addresses: the
 // ISB engine keeps its per-process announcement record there.
-const ProcRegionWords = 264
+const ProcRegionWords = 392
 
 // NewHeap allocates a simulated persistent heap and its process descriptors.
 func NewHeap(cfg Config) *Heap {

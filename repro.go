@@ -439,8 +439,9 @@ type ProcReport struct {
 // announcement carries each leg's structure ID, operation kind and argument.
 //
 // One rule resolves every admission shape, by the record's cursor — the first
-// result slot not stamped with the admission number: legs below it answer
-// from their slots (a stamped slot holds its durable response); the leg AT it
+// result slot neither in the prefix the record binds nor stamped for it: legs
+// below it answer from their slots (a stamped slot holds its durable
+// response); the leg AT it
 // is resolved through per-operation recovery — read-only kinds by
 // re-execution, mutating kinds through the engine's index-guarded recovery,
 // which tells this position's tracking record apart from an earlier same-kind
