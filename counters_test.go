@@ -181,6 +181,49 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 		st64, st1.SyncsPerOp()/st64.SyncsPerOp())
 }
 
+// TestEngineCountersSumProcs pins the engine's counters per process:
+// EngineCounters must return the exact sum of each Proc's batch-sync and
+// read-fast counts. Two Procs of one map run finds and updates on disjoint
+// keys, Proc 0 one at a time and Proc 1 in windows, interleaved on one
+// goroutine so that no operation overlaps another and the counts are
+// deterministic; each Proc's counts are what its sequence counts with the
+// other Proc idle.
+func TestEngineCountersSumProcs(t *testing.T) {
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			run := func(procs ...int) (batchSyncs, readFast uint64) {
+				rt := New(Config{Procs: 2, HeapWords: 1 << 20, Engine: e.kind})
+				m := rt.NewHashMap(4)
+				win := make([]Op, 0, 4)
+				for i := 0; i < 240; i++ {
+					for _, id := range procs {
+						// Proc 0 owns the even keys, Proc 1 the odd ones.
+						op := Op{Kind: []uint64{OpFind, OpInsert, OpDelete}[i%3], Arg: uint64(2*(i%20) + 2 - id)}
+						if id == 0 {
+							m.Apply(rt.Proc(0), op)
+							continue
+						}
+						if win = append(win, op); len(win) == cap(win) {
+							rt.ApplyWindow(rt.Proc(1), m, win)
+							win = win[:0]
+						}
+					}
+				}
+				bs, rf, _ := rt.EngineCounters(m)
+				return bs, rf
+			}
+			bs0, rf0 := run(0)
+			bs1, rf1 := run(1)
+			if rf0 == 0 || rf1 == 0 || bs1 == 0 {
+				t.Fatalf("a Proc counted nothing: Proc 0 (%d, %d), Proc 1 (%d, %d) batch syncs and read-fast ops", bs0, rf0, bs1, rf1)
+			}
+			if bs, rf := run(0, 1); bs != bs0+bs1 || rf != rf0+rf1 {
+				t.Fatalf("two Procs counted %d batch syncs and %d read-fast ops, want %d+%d and %d+%d", bs, rf, bs0, bs1, rf0, rf1)
+			}
+		})
+	}
+}
+
 // runTxnAdmission moves `pairs` keys from a prefilled source map into a
 // destination map, either as two-leg transactions or as independent
 // delete/insert single operations, and returns the canonical metrics with

@@ -9,12 +9,11 @@ import (
 
 // Help tries to complete the operation described by the Info record at
 // info. It is the paper's Algorithm 1 Help procedure, including the red
-// persistency instructions of the shared cache model, with their placement
-// delegated to the engine's persister: every CAS on an info field or
-// WriteSet field is reported as a dirty word, and every phase ends with
-// EndPhase (the eager placement writes back per CAS; the batched placement
-// issues one barrier per phase) — except the invoker's cleanup phase inside
-// an Isb-Opt sync scope, which rides the next barrier (see finish). On a
+// persistency instructions of the shared cache model, placed by the engine:
+// every CAS on an info field or WriteSet field is reported as a written word
+// (wrote), and every phase ends with endPhase (Isb writes back per CAS;
+// Isb-Opt issues one barrier per phase) — except the invoker's cleanup phase
+// inside an Isb-Opt sync scope, which rides the next barrier (see finish). On a
 // record whose result is set only what is left re-runs: a done record's
 // untags, of which only those that win are written back, and nothing at all
 // once no CleanupSet node carries the tag (see below).
@@ -28,8 +27,8 @@ import (
 // whose first element another process has since changed. Recovery helps its
 // own record as the invoker, and only the invoker flags a record done.
 func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
-	per := e.per(p)
-	per.Reset()
+	ep := e.proc(p)
+	ep.dirty = ep.dirty[:0] // lines noted by a phase a crash cut short
 	tagged := Tagged(info)
 	n, _, _ := lens(p.Load(info + offLens))
 
@@ -66,8 +65,8 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 		// persist a line ahead of the others. They expect Tagged(info), which
 		// cannot recur while the record can still be consulted, and only a
 		// CAS that wins is written back: a lost one changed nothing.
-		if e.untag(p, per, info, tagged, true) {
-			e.endPhase(p, per)
+		if e.untag(p, ep, info, tagged, true) {
+			ep.endPhase()
 		}
 		return
 	}
@@ -77,7 +76,7 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 		nd := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*i)))
 		exp := p.Load(info + offAffect + pmem.Addr(2*i) + 1)
 		res := p.CAS(nd, exp, tagged)
-		per.WroteWord(nd)
+		e.wrote(ep, nd)
 		if res != exp && res != tagged {
 			// Backtrack phase: untag every other element, each to a fresh
 			// cookie (see Engine.cookie) — the earlier ones in reverse order,
@@ -96,21 +95,21 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 			if p.Load(info+offResult) == RespNone {
 				for j := i - 1; j >= 0; j-- {
 					ndj := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*j)))
-					p.CAS(ndj, tagged, e.cookie(p))
-					per.WroteWord(ndj)
+					p.CAS(ndj, tagged, e.cookie(ep))
+					e.wrote(ep, ndj)
 				}
 				for j := i + 1; j < n; j++ {
 					ndj := pmem.Addr(p.Load(info + offAffect + pmem.Addr(2*j)))
-					if p.CAS(ndj, tagged, e.cookie(p)) == tagged {
-						per.WroteWord(ndj)
+					if p.CAS(ndj, tagged, e.cookie(ep)) == tagged {
+						e.wrote(ep, ndj)
 					}
 				}
 			}
-			e.endPhase(p, per)
+			ep.endPhase()
 			return
 		}
 	}
-	e.endPhase(p, per)
+	ep.endPhase()
 
 	e.finish(p, info, tagged, invoker)
 }
@@ -118,7 +117,7 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 // finish runs the update and cleanup phases of Help. Both are idempotent
 // and may be re-executed by recovery or by any number of helpers.
 func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker bool) {
-	per := e.per(p)
+	ep := e.proc(p)
 
 	// Update phase: apply the WriteSet CASes. Each change happens exactly
 	// once across all helpers because old values never recur (the ABA
@@ -129,11 +128,11 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 		old := p.Load(info + offWrites + pmem.Addr(3*i) + 1)
 		new := p.Load(info + offWrites + pmem.Addr(3*i) + 2)
 		p.CAS(a, old, new)
-		per.WroteWord(a)
+		e.wrote(ep, a)
 	}
 	p.Store(info+offResult, p.Load(info+offSuccess))
-	per.WroteWord(info + offResult)
-	e.endPhase(p, per)
+	e.wrote(ep, info+offResult)
+	ep.endPhase()
 
 	// Cleanup phase. The invoker first flags the record done: the update
 	// phase is durable now, and the flag is written back with the untags,
@@ -141,9 +140,9 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	// addresses to ever recur.
 	if invoker {
 		p.Store(info+offDone, 1)
-		per.WroteWord(info + offDone)
+		e.wrote(ep, info+offDone)
 	}
-	e.untag(p, per, info, tagged, false)
+	e.untag(p, ep, info, tagged, false)
 	if invoker && e.batched && p.InSyncScope() {
 		// Under Isb-Opt inside a sync scope the invoker does not end the
 		// phase: its lines ride this process's next barrier, on any engine,
@@ -157,68 +156,33 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 		// nodes are untagged in volatile memory, so others may change and
 		// recycle them: Help re-runs the update phase only while every one of
 		// them still holds the tag (Settle finishes the cleanup after a crash).
-		per.Defer()
-		e.batchSyncs[p.ID()]++
+		ep.deferPhase()
+		ep.batchSyncs++
 		return
 	}
-	e.endPhase(p, per)
+	ep.endPhase()
 }
 
 // untag runs the cleanup CASes: each surviving node's tag goes to a fresh
 // cookie (never the same non-tagged value twice — see Engine.cookie).
 // Retired nodes are absent from the CleanupSet and stay tagged until the
-// allocator recycles them. Every CAS is reported to the persister, or with
-// wonOnly only those that won; untag reports whether any did.
-func (e *Engine) untag(p *pmem.Proc, per persister, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
+// allocator recycles them. Every CAS is reported written, or with wonOnly
+// only those that won; untag reports whether any did.
+func (e *Engine) untag(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
 	_, _, cn := lens(p.Load(info + offLens))
 	for i := 0; i < cn; i++ {
 		nd := pmem.Addr(p.Load(info + offCleanup + pmem.Addr(i)))
-		ok := p.CAS(nd, tagged, e.cookie(p)) == tagged
+		ok := p.CAS(nd, tagged, e.cookie(ep)) == tagged
 		if ok || !wonOnly {
-			per.WroteWord(nd)
+			e.wrote(ep, nd)
 		}
 		won = won || ok
 	}
 	return won
 }
 
-// runOp executes a single operation, announced by Begin as leg 0 of a vector
-// of one (Ops.ApplyOp), via the Algorithm 2 (ROpt) driver and returns its
-// encoded response. gather is called once per attempt with a fresh Info
-// record.
-//
-// With Begin the sequence is exactly the paper's: announce the operation,
-// which raises the admission number (CP_q := 0) + pwb + psync, RD_q := Null +
-// pbarrier, CP_q := the number (CP_q := 1) + pwb + psync, then attempts of
-// gather → helping phase → install Info → pbarrier over the record and the
-// NewSet → RD_q := info + pwb + psync → read-only fast return or Help →
-// return result if set.
-//
-// Under the Isb placement every one of those psyncs issues where it is
-// written. Under Isb-Opt the operation is a sync scope of one, opened ahead of
-// the begin (Ops.ApplyOp): the begin stores nothing — the install stores its
-// record — every sync point defers, and one psync closes the scope before the
-// response is returned, what a batch window of one pays. An effect-free
-// outcome installs nothing, and a scope that wrote nothing back closes
-// without its psync: it costs what a read does. Isb-Opt also drops the RD_q
-// := Null / CP_q := 1 prologue and the RD_q pwb: RD_q and CP_q ride the
-// install barrier, with the record and everything else that must be durable
-// before the first tag (see attemptLoop). A successful update thus writes
-// back three times: that barrier, the tag barrier and the update barrier. An
-// elimination stack's begin stays eager, and its scope opens here, after the
-// exchange.
-func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint64 {
-	if !e.Batched() {
-		return e.runAttempts(p, opType, argKey, gather, 0)
-	}
-	p.OpenSyncScope()
-	r := e.runAttempts(p, opType, argKey, gather, 0)
-	p.CloseSyncScope()
-	return r
-}
-
 // runAttempts runs an engine's first leg of an admission, after the begin
-// made CP_q stale (runOp, and runBatchOp while CP_q is stale); recovery's
+// made CP_q stale (Ops.ApplyOp, and runBatchOp while CP_q is stale); recovery's
 // re-invoke path enters here too, with its attempt bound.
 //
 // Under Isb it runs Algorithm 2's prologue as written, on the engine's first
@@ -231,7 +195,7 @@ func (e *Engine) runOp(p *pmem.Proc, opType, argKey uint64, gather Gather) uint6
 // pair naming this leg's record is believed only with evidence that the
 // barrier completed (helpRecorded).
 func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
-	if e.Batched() {
+	if e.batched {
 		return e.attemptLoop(p, opType, argKey, gather, bound)
 	}
 	rd, cp := e.rd(p.ID(), 0), e.cp(p.ID(), 0)
@@ -240,7 +204,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	e.retireLast(p, 0, pmem.Null) // RD_q no longer names it
 	p.Store(cp, e.recs.Admission(p))
 	p.PWB(cp)
-	e.opSync(p)
+	e.proc(p).opSync()
 	return e.attemptLoop(p, opType, argKey, gather, bound)
 }
 
@@ -283,13 +247,13 @@ const maxRecoveryAttempts = 1 << 10
 // valid record whose NewSet did not persist must never be helped
 // (helpRecorded).
 func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather, bound int) uint64 {
-	per := e.per(p)
-	spec := &e.specs[p.ID()] // reused per-process scratch, see Engine.specs
+	ep := e.proc(p)
+	spec := &ep.spec
 	installed := false
 	for attempt := 1; ; attempt++ {
 		if bound != 0 && attempt > bound {
 			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: registers %s, admission %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, e.curSeq[p.ID()], bound, e.registers(p), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
+				p.ID(), opType, argKey, ep.seq, bound, e.registers(p), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -338,7 +302,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// as does every leg under Isb.
 		if spec.ReadOnly && e.batched && !installed && e.recs.elides(p) {
 			e.discardAttempt(p, info, spec)
-			e.readFast[p.ID()]++
+			ep.readFast++
 			e.alloc.Exit(p)
 			return spec.Response
 		}
@@ -346,19 +310,19 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// Install the Info record and persist it with the new nodes: under
 		// Isb-Opt in the one barrier described above, under Isb with a
 		// pbarrier per range, then RD_q := info and its pwb.
-		per.Reset()
+		ep.dirty = ep.dirty[:0]
 		e.install(p, info, spec)
-		per.WroteRange(info, InfoWords)
+		e.wroteRange(ep, info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
-			per.WroteRange(spec.Persist[i].Addr, spec.Persist[i].Words)
+			e.wroteRange(ep, spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
 		if e.batched {
-			r := 1 - e.last[p.ID()].reg
+			r := 1 - ep.last.reg
 			e.recs.storeKept(p)
 			p.Store(e.rd(p.ID(), r), uint64(info))
 			p.Store(e.cp(p.ID(), r), e.recs.Admission(p))
-			per.WroteWord(e.rd(p.ID(), r))
-			per.Flush()
+			e.wrote(ep, e.rd(p.ID(), r))
+			ep.flush()
 			// Register r durably names this attempt's record, and the record
 			// the other names, with everything the barrier carried, is
 			// durable: retire what r named before, and the operands the
@@ -370,7 +334,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			p.PWB(rd)
 			e.retireLast(p, 0, info) // the previous attempt's, if any
 		}
-		e.opSync(p)
+		ep.opSync()
 		installed = true
 
 		// ROpt fast path (Algorithm 2 lines 78–79): the response was
@@ -386,7 +350,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 		e.Help(p, info, true)
 		if r := p.Load(info + offResult); r != RespNone {
-			e.retireAffected(p, per, spec)
+			e.retireAffected(p, ep, spec)
 			e.alloc.Exit(p)
 			return r
 		}
@@ -423,11 +387,11 @@ func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
 // the invoker's own current record proves this very attempt took effect.
 // While the operation's cleanup waits for a barrier (see finish) the nodes
 // are held with its record instead, and retire with it (retireLast).
-func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
+func (e *Engine) retireAffected(p *pmem.Proc, ep *engineProc, spec *Spec) {
 	if spec.ReadOnly {
 		return // nothing was unlinked
 	}
-	last := &e.last[p.ID()]
+	last := &ep.last
 	for i := 0; i < spec.NAffect; i++ {
 		nd := spec.Affect[i].Info
 		inCleanup := false
@@ -439,7 +403,7 @@ func (e *Engine) retireAffected(p *pmem.Proc, per persister, spec *Spec) {
 		}
 		switch {
 		case inCleanup:
-		case per.Deferred():
+		case ep.deferred:
 			last.held[last.n] = nd
 			last.n++
 		default:
@@ -515,9 +479,10 @@ func (e *Engine) resolveSeq(p *pmem.Proc, opType, argKey, seq uint64) (uint64, b
 func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint64, pinned bool) {
 	p.ResetSyncScope()
 	e.Settle(p)
-	e.curSeq[p.ID()] = seq
+	ep := e.proc(p)
+	ep.seq = seq
 	adm := e.recs.Admission(p)
-	last := &e.last[p.ID()]
+	last := &ep.last
 	// Pin before dereferencing a record: post-crash recovery kept each
 	// register's record and everything it names alive (the fast reset frees
 	// nothing; a scan keeps what announced records name), and the pin keeps
@@ -669,7 +634,7 @@ func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
 // retireLast will still retire.
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
-		last := &e.last[q]
+		last := &e.procs[q].last
 		for r := range 2 {
 			if last.info[r] != pmem.Null {
 				mark(last.info[r])
@@ -715,7 +680,7 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	if e.batched {
 		e.recs.keepLegResult(p, seq-1, prevResp)
-		e.batchSyncs[p.ID()]++
+		e.proc(p).batchSyncs++
 		return
 	}
 	CloseLeg(p, seq-1, prevResp)
@@ -745,7 +710,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // applies its line write-back synchronously, so the reachable crash states
 // are exactly those of the unscoped execution.
 func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
-	e.curSeq[p.ID()] = uint64(seq)
+	e.proc(p).seq = uint64(seq)
 	if !e.batched && p.Load(e.cp(p.ID(), 0)) != e.recs.Admission(p) {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}

@@ -42,7 +42,7 @@ func (d Durable) Names(info pmem.Addr) bool { return d.Regs[0].RD == info || d.R
 // whose begin wrote it back.
 func (e *Engine) Durable(p *pmem.Proc) Durable {
 	h := e.h
-	d := Durable{Adm: Admission(p), Last: e.last[p.ID()].reg}
+	d := Durable{Adm: Admission(p), Last: e.proc(p).last.reg}
 	for r := range d.Regs {
 		reg := &d.Regs[r]
 		reg.RD, reg.CP = pmem.Addr(h.ReadPersisted(e.rd(p.ID(), r))), h.ReadPersisted(e.cp(p.ID(), r))

@@ -12,7 +12,9 @@
 // phases, persistence-instruction placement, per-process recovery data
 // (RD_q, CP_q), the recovery function, and the operation surface around them
 // (Ops) — is generic and shared by the list, queue, BST, stack and hash map
-// packages.
+// packages. A phase's writes go back per store under Isb and in one barrier
+// per phase under Isb-Opt (Engine.wrote), and an engine's volatile
+// per-process state is one record per process, padded to whole cache lines.
 //
 // Tagging convention: a node's info field holds the word address of an Info
 // record with bit 0 as the tag ("lock") bit. Info records are allocated
@@ -207,26 +209,20 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // instance. RD_q and CP_q live in persistent memory, one cache line per
 // process to avoid false sharing, which holds two such registers: Isb uses
 // the first only, and Isb-Opt alternates, each install writing the register
-// its process's last complete install did not (see attemptLoop).
-// Persistence-instruction placement is delegated to a persister per process
-// (see persist.go); everything else — helping, tagging, backtracking, the
-// update and cleanup phases, recovery — is identical across placements. A
-// register's CP_q holds the admission number (Records.Admission) its RD_q's
-// record was installed under: "CP_q = 1" reads CP_q equals that number, and
-// every begin's raise of the number is CP_q := 0.
+// its process's last complete install did not (see attemptLoop). The volatile
+// per-process state is one engineProc per process. A phase reports what it
+// writes to wrote and wroteRange, where the placements differ: a pwb per
+// store under Isb, one deduplicating barrier per phase under Isb-Opt; helping,
+// tagging, backtracking, the update and cleanup phases and recovery run the
+// same code under both. A register's CP_q holds the admission number
+// (Records.Admission) its RD_q's record was installed under: "CP_q = 1" reads
+// CP_q equals that number, and every begin's raise of the number is CP_q := 0.
 type Engine struct {
 	h    *pmem.Heap
 	base pmem.Addr // proc q's line: base + q*WordsPerLine; register r is RD at word 2r, CP at 2r+1
-	pers []persister
-	// batched is the placement: batchPersister (Isb-Opt) or eagerPersister
-	// (Isb). The admission paths branch on it once or twice per operation.
+	// batched is the placement: Isb-Opt, or Isb (the paper's as written).
 	batched bool
-	// specs are per-process attempt-spec scratch records. A Spec passed to
-	// a Gather callback by address escapes analysis, so a stack-local one
-	// would cost one heap allocation per operation; each process instead
-	// reuses its slot (a Proc is single-goroutine, and runAttempts never
-	// nests on one process).
-	specs []Spec
+	procs   []engineProc
 	// annID, when nonzero, is the runtime-registry structure ID this engine
 	// announces under: Begin's one write-back then publishes the process's new
 	// announcement record along with its admission number. recs is the table
@@ -241,21 +237,38 @@ type Engine struct {
 	// Epoch pins and retirements are threaded through the operation entry
 	// points; neither touches the heap, so reclamation adds no write-back.
 	alloc pmem.Allocator
-	// last is, per process, what its registers hold and what retires when
-	// they are overwritten (lastOp, retireLast).
-	last []lastOp
 	// settled is the heap epoch (crash count) Settle last finished at.
 	settled atomic.Uint64
-	// cookieCtr feeds cookie (see there), one counter per process.
-	cookieCtr []uint64
-	// curSeq is the leg index install stamps into Info records (offStamp): the
+}
+
+// engineProc is one process's volatile engine state. A Proc runs on one
+// goroutine and writes its entry at every operation, so an entry fills whole
+// cache lines and two never share one (TestEngineProcFillsCacheLines).
+type engineProc struct {
+	p *pmem.Proc
+	// dirty holds the Isb-Opt phase's written lines (note); deferred reports
+	// that the last phase ended with deferPhase and none of this entry's
+	// barriers has run since. Lines other code carried — the announcement, a
+	// result slot — do not count.
+	dirty    []pmem.Addr
+	deferred bool
+	// spec is the attempt scratch. A Spec passed to a Gather callback by
+	// address escapes analysis, so a stack-local one would cost one heap
+	// allocation per operation; attemptLoop never nests on one process.
+	spec Spec
+	// last is what the registers hold and what retires when they are
+	// overwritten (lastOp, retireLast).
+	last lastOp
+	// cookies feeds cookie (see there).
+	cookies uint64
+	// seq is the leg index install stamps into Info records (offStamp): the
 	// operation's position in its announced vector, 0 for a single operation.
 	// Every path to install sets it first (Begin, runBatchOp, recoverSeq), so
 	// a crash needs no reset.
-	curSeq []uint64
-	// batchSyncs/readFast back Counters (see isb.Stats).
-	batchSyncs []uint64
-	readFast   []uint64
+	seq uint64
+	// batchSyncs and readFast back Counters (see isb.Stats).
+	batchSyncs, readFast uint64
+	_                    [56]byte
 }
 
 // lastOp is a process's Go-side view of its registers: the one its last
@@ -295,25 +308,9 @@ func newEngine(h *pmem.Heap, batched bool) *Engine {
 	n := uint64(h.NumProcs())
 	raw := p0.Alloc(n*pmem.WordsPerLine + pmem.WordsPerLine)
 	base := (raw + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
-	e := &Engine{
-		h:          h,
-		base:       base,
-		pers:       make([]persister, h.NumProcs()),
-		specs:      make([]Spec, h.NumProcs()),
-		alloc:      pmem.Arena{},
-		last:       make([]lastOp, h.NumProcs()),
-		cookieCtr:  make([]uint64, h.NumProcs()),
-		curSeq:     make([]uint64, h.NumProcs()),
-		batchSyncs: make([]uint64, h.NumProcs()),
-		readFast:   make([]uint64, h.NumProcs()),
-		batched:    batched,
-	}
-	for i := range e.pers {
-		if batched {
-			e.pers[i] = &batchPersister{p: h.Proc(i)}
-		} else {
-			e.pers[i] = &eagerPersister{p: h.Proc(i)}
-		}
+	e := &Engine{h: h, base: base, batched: batched, procs: make([]engineProc, n), alloc: pmem.Arena{}}
+	for i := range e.procs {
+		e.procs[i].p = h.Proc(i)
 	}
 	return e
 }
@@ -339,10 +336,9 @@ func (e *Engine) Alloc(p *pmem.Proc, words uint64) pmem.Addr {
 // never recur" survives memory reuse. Untagged info-field values are never
 // dereferenced (only compared), so the switch is invisible to gathers;
 // cookies are even, so IsTagged and the invariant checkers are unaffected.
-func (e *Engine) cookie(p *pmem.Proc) uint64 {
-	id := p.ID()
-	e.cookieCtr[id]++
-	return (e.cookieCtr[id]*uint64(len(e.cookieCtr)) + uint64(id)) << 1
+func (e *Engine) cookie(ep *engineProc) uint64 {
+	ep.cookies++
+	return (ep.cookies*uint64(len(e.procs)) + uint64(ep.p.ID())) << 1
 }
 
 // retireLast records that register r of the calling process durably names
@@ -361,7 +357,7 @@ func (e *Engine) cookie(p *pmem.Proc) uint64 {
 // re-runs the update phase on them (see Help). In-flight helpers may still
 // hold any of them; the allocator's epoch grace covers them.
 func (e *Engine) retireLast(p *pmem.Proc, r int, info pmem.Addr) {
-	last := &e.last[p.ID()]
+	last := &e.proc(p).last
 	old, held, n := last.info[r], last.held, last.n
 	// Before any Retire: a crash inside one must not repeat the others.
 	last.reg, last.info[r], last.n = r, info, 0
@@ -377,8 +373,8 @@ func (e *Engine) retireLast(p *pmem.Proc, r int, info pmem.Addr) {
 // boundaries (the Isb-Opt placement).
 func (e *Engine) Batched() bool { return e.batched }
 
-// per returns the calling process's persister.
-func (e *Engine) per(p *pmem.Proc) persister { return e.pers[p.ID()] }
+// proc returns the calling process's entry.
+func (e *Engine) proc(p *pmem.Proc) *engineProc { return &e.procs[p.ID()] }
 
 // rd and cp are the words of register r of process q.
 func (e *Engine) rd(q, r int) pmem.Addr {
@@ -386,43 +382,117 @@ func (e *Engine) rd(q, r int) pmem.Addr {
 }
 func (e *Engine) cp(q, r int) pmem.Addr { return e.rd(q, r) + 1 }
 
+// The engine reports every persistent word it writes to wrote, and every
+// freshly allocated range to wroteRange, and ends every phase with endPhase.
+// The placements differ there only. Isb writes back per store, exactly as
+// Algorithms 1 and 2 are written: a pwb right after every store or CAS, a
+// pbarrier per freshly allocated range, so its flush has nothing to do.
+// Isb-Opt notes the phase's dirty lines, and flush issues one barrier whose
+// pwbs dedupe cache lines (licensed by the paper: "all pwb instructions can be
+// issued at the end of the phase, before the psync").
+//
+// Crash contract: after endPhase returns, everything reported since the
+// previous phase ended is durable, and so is a phase ended by deferPhase once
+// the process's next barrier, on any engine, has run. Under Isb-Opt nothing in
+// the phase is guaranteed durable before that point, so a crash mid-phase may
+// leave the phase fully absent from persistent memory, or any subset of its
+// lines durable; Help and recoverSeq tolerate every outcome because every
+// phase is idempotent and re-runnable from its Info record, and recovery
+// believes an install only with evidence that its barrier completed
+// (Engine.helpRecorded).
+
+// wrote reports one persistent word written in the current phase.
+func (e *Engine) wrote(ep *engineProc, a pmem.Addr) {
+	if !e.batched {
+		ep.p.PWB(a)
+		return
+	}
+	ep.note(a &^ (pmem.WordsPerLine - 1))
+}
+
+// wroteRange reports a span of newly allocated persistent memory that must
+// persist with the current phase (the paper's NewSet).
+func (e *Engine) wroteRange(ep *engineProc, a pmem.Addr, words uint64) {
+	if !e.batched {
+		ep.p.PBarrierRange(a, words)
+		return
+	}
+	// Stride from the containing line boundary, not from a: the arena only
+	// guarantees 2-word alignment, so an unaligned range can span one more
+	// line than words/WordsPerLine and the tail line must not be dropped.
+	end := a + pmem.Addr(words)
+	for l := a &^ (pmem.WordsPerLine - 1); l < end; l += pmem.WordsPerLine {
+		ep.note(l)
+	}
+}
+
+// note records line l as dirty unless it was the line recorded last, so a
+// run of stores to one line — the common phase shape — costs one slot,
+// keeping large phases' scratch small. dirty's capacity is retained across
+// phases, so steady-state operation does not allocate; the barrier
+// (PBarrierAddrs) dedupes exactly, for any phase size.
+func (ep *engineProc) note(l pmem.Addr) {
+	if n := len(ep.dirty); n > 0 && ep.dirty[n-1] == l {
+		return
+	}
+	ep.dirty = append(ep.dirty, l)
+}
+
+// flush makes every line noted since the last flush durable, without an
+// ordering point: the phase's barrier, which also writes back every carried
+// line. A phase that noted nothing issues none, carried lines or not: they
+// wait for a barrier that is paid anyway.
+func (ep *engineProc) flush() {
+	if len(ep.dirty) == 0 {
+		return
+	}
+	ep.p.PBarrierAddrs(ep.dirty)
+	ep.dirty = ep.dirty[:0]
+	ep.deferred = false
+}
+
+// deferPhase ends the current phase without writing it back: its lines go to
+// the process's carry set (pmem.Proc.Carry), which the next barrier on any
+// engine writes back with its own.
+func (ep *engineProc) deferPhase() {
+	for _, l := range ep.dirty {
+		ep.p.Carry(l)
+	}
+	ep.dirty = ep.dirty[:0]
+	ep.deferred = true
+}
+
+// endPhase closes a persistence phase: flush, then the engine's sync point.
+// Inside a sync scope only the write-backs happen now.
+func (ep *engineProc) endPhase() {
+	ep.flush()
+	ep.opSync()
+}
+
 // opSync is the engine-side psync point: outside a sync scope it issues a
 // psync; inside one (pmem.Proc.OpenSyncScope) it is deferred — counted, and
 // paid by the scope's closing psync (or, in an Isb batch window, by the op
 // boundary's). Deferral never changes crash-visible state: every pwb writes
 // its line back synchronously, so a psync's only simulated effects are
 // ordering cost and accounting.
-func (e *Engine) opSync(p *pmem.Proc) {
-	if p.InSyncScope() {
-		e.batchSyncs[p.ID()]++
+func (ep *engineProc) opSync() {
+	if ep.p.InSyncScope() {
+		ep.batchSyncs++
 		return
 	}
-	p.PSync()
-}
-
-// endPhase closes a persistence phase: flush the persister's accumulated
-// write-backs (a no-op for the eager placement, which wrote back per store)
-// and hit the engine's sync point. Inside a sync scope only the write-backs
-// happen now.
-func (e *Engine) endPhase(p *pmem.Proc, per persister) {
-	if p.InSyncScope() {
-		per.Flush()
-		e.batchSyncs[p.ID()]++
-		return
-	}
-	per.EndPhase()
+	ep.p.PSync()
 }
 
 // NoteReadFast counts one operation served by the zero-persist read-only
 // fast path (structures call it from their volatile-traversal reads).
-func (e *Engine) NoteReadFast(p *pmem.Proc) { e.readFast[p.ID()]++ }
+func (e *Engine) NoteReadFast(p *pmem.Proc) { e.proc(p).readFast++ }
 
 // Counters sums the engine's batching/fast-path counters across processes
 // (see isb.Stats for the per-op view).
 func (e *Engine) Counters() (batchSyncs, readFast uint64) {
-	for i := range e.batchSyncs {
-		batchSyncs += e.batchSyncs[i]
-		readFast += e.readFast[i]
+	for i := range e.procs {
+		batchSyncs += e.procs[i].batchSyncs
+		readFast += e.procs[i].readFast
 	}
 	return
 }
@@ -481,7 +551,7 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 		legs = nil // outside a Runtime: the bare begin
 	case len(legs) > 0 && e.batched && p.InSyncScope():
 		e.recs.announceLazy(p, atomic, legs)
-		e.batchSyncs[p.ID()]++
+		e.proc(p).batchSyncs++
 		return
 	default: // an eager begin clears what a lazy one left
 		r := &e.recs.procs[p.ID()]
@@ -496,7 +566,7 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 // after a crash, for Settle, which the first begin after it runs.
 func (e *Engine) reset(p *pmem.Proc) {
 	e.Settle(p)
-	e.curSeq[p.ID()] = 0
+	e.proc(p).seq = 0
 }
 
 // install writes spec into the Info record, stamped and summed (volatile
@@ -531,7 +601,7 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	// its record — cannot misattribute that record to an identical (kind, arg)
 	// successor, and a record whose lines never persisted, over a recycled one
 	// that validates, cannot pass as this install's.
-	rec[offStamp] = e.curSeq[p.ID()] | uint64(p.ID())<<stampProcShift
+	rec[offStamp] = e.proc(p).seq | uint64(p.ID())<<stampProcShift
 	rec[offAdm] = e.recs.Admission(p)
 	for i := 0; i < s.NAffect; i++ {
 		rec[offAffect+2*i], rec[offAffect+2*i+1] = uint64(s.Affect[i].Info), s.Affect[i].Expected

@@ -194,23 +194,25 @@ func TestEngineVariantsAndPersisterHook(t *testing.T) {
 	}
 }
 
-// TestBatchPersisterCoversUnalignedRangeTail: the arena only guarantees
-// 2-word alignment, so a range may span one more cache line than
-// words/WordsPerLine; the batched placement must record the tail line.
-func TestBatchPersisterCoversUnalignedRangeTail(t *testing.T) {
-	b := &batchPersister{}
+// TestWroteRangeCoversUnalignedTail: the arena only guarantees 2-word
+// alignment, so a range may span one more cache line than
+// words/WordsPerLine; the batched placement must note the tail line.
+func TestWroteRangeCoversUnalignedTail(t *testing.T) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 1})
+	e := NewEngineOpt(h)
+	ep := e.proc(h.Proc(0))
 	start := pmem.Addr(10*pmem.WordsPerLine + 4) // 4 words into a line
-	b.WroteRange(start, InfoWords)               // spans 5 lines, not 4
+	e.wroteRange(ep, start, InfoWords)           // spans 5 lines, not 4
 	lines := map[pmem.Addr]bool{}
-	for _, a := range b.dirty {
+	for _, a := range ep.dirty {
 		lines[a&^(pmem.WordsPerLine-1)] = true
 	}
 	last := (start + InfoWords - 1) &^ (pmem.WordsPerLine - 1)
 	if !lines[last] {
-		t.Fatalf("tail line %d not recorded (lines %v)", last, b.dirty)
+		t.Fatalf("tail line %d not noted (lines %v)", last, ep.dirty)
 	}
 	if want := int(InfoWords/pmem.WordsPerLine) + 1; len(lines) != want {
-		t.Fatalf("recorded %d distinct lines, want %d", len(lines), want)
+		t.Fatalf("noted %d distinct lines, want %d", len(lines), want)
 	}
 }
 
@@ -361,10 +363,22 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestPersisterFillsCacheLine pins the batched persister's padding: each
-// process writes its own at every barrier, so two must not share a cache line.
-func TestPersisterFillsCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(batchPersister{}); n != pmem.WordsPerLine*8 {
-		t.Fatalf("a batchPersister is %d bytes, want one %d-byte cache line: adjust its padding", n, pmem.WordsPerLine*8)
+// TestEngineProcFillsCacheLines and TestLazyRecordFillsCacheLines pin the
+// padding of the engine's and the record table's per-process entries: Procs
+// run on different goroutines and each writes its own entries at every
+// operation, so an entry that did not fill whole cache lines would share one
+// with its neighbour and slow both down.
+func TestEngineProcFillsCacheLines(t *testing.T) {
+	fillsCacheLines(t, "engineProc", unsafe.Sizeof(engineProc{}))
+}
+
+func TestLazyRecordFillsCacheLines(t *testing.T) {
+	fillsCacheLines(t, "lazyRecord", unsafe.Sizeof(lazyRecord{}))
+}
+
+func fillsCacheLines(t *testing.T, name string, n uintptr) {
+	t.Helper()
+	if n%(pmem.WordsPerLine*8) != 0 {
+		t.Fatalf("a %s is %d bytes, not a whole number of %d-byte cache lines: adjust its padding", name, n, pmem.WordsPerLine*8)
 	}
 }

@@ -73,27 +73,51 @@ func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 // a vector of one leg, announced by the begin sequence, then the elimination
 // step if one is set — the announcement is durable before it can take effect,
 // and a timed-out attempt enters the engine under the same announcement —
-// then leg 0 through the engine (runOp). A kind with no gather takes the
-// zero-persist read instead. Under Isb-Opt without elimination the
-// operation's sync scope opens ahead of the begin, whose record is then
-// stored at the install and rides its barrier, or never stored when the
-// operation proves effect-free (Engine.Begin); the elimination step needs
-// the eager begin.
+// then leg 0 through the Algorithm 2 (ROpt) driver. A kind with no gather
+// takes the zero-persist read instead.
+//
+// Under Isb the sequence is exactly the paper's: announce the operation,
+// which raises the admission number (CP_q := 0) + pwb + psync, RD_q := Null +
+// pbarrier, CP_q := the number (CP_q := 1) + pwb + psync, then attempts of
+// gather → helping phase → install Info → pbarrier over the record and the
+// NewSet → RD_q := info + pwb + psync → read-only fast return or Help →
+// return result if set. Every one of those psyncs issues where it is written.
+//
+// Under Isb-Opt the operation is a sync scope of one, opened ahead of the
+// begin: the begin stores nothing — the install stores its record — every
+// sync point defers, and one psync closes the scope before the response is
+// returned, what a batch window of one pays. An effect-free outcome installs
+// nothing (Engine.Begin), and a scope that wrote nothing back closes without
+// its psync: it costs what a read does. Isb-Opt also drops the RD_q := Null /
+// CP_q := 1 prologue and the RD_q pwb: RD_q and CP_q ride the install
+// barrier, with the record and everything else that must be durable before
+// the first tag (Engine.attemptLoop). A successful update thus writes back
+// three times: that barrier, the tag barrier and the update barrier. The
+// elimination step needs the eager begin, so with one the scope opens after
+// the exchange.
 func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	g := o.gather(kind, arg)
 	if g == nil {
 		return o.read(p, kind, arg)
 	}
-	if o.e.batched && o.eliminate == nil {
+	scoped, elim := o.e.batched, o.eliminate != nil
+	if scoped && !elim {
 		p.OpenSyncScope()
 	}
 	o.e.Begin(p, false, []Leg{{StructID: o.e.annID, Kind: kind, Arg: arg}})
-	if o.eliminate != nil {
+	if elim {
 		if r, ok := o.eliminate(p, kind, arg); ok {
 			return r
 		}
+		if scoped {
+			p.OpenSyncScope()
+		}
 	}
-	return o.e.runOp(p, kind, arg, g)
+	r := o.e.runAttempts(p, kind, arg, g, 0)
+	if scoped {
+		p.CloseSyncScope()
+	}
+	return r
 }
 
 // ApplyLeg runs the leg at index seq of p's announced vector (Engine.Begin)

@@ -292,7 +292,8 @@ type lazyRecord struct {
 	lazy    bool // the admission was announced lazily
 	pending bool // and its record is not stored yet
 	// Procs run on different goroutines and each writes its entry at every
-	// admission: the padding keeps two entries' fields off a common cache line.
+	// admission: the padding keeps two entries' fields off a common cache line
+	// (TestLazyRecordFillsCacheLines).
 	_ [69]byte
 }
 

@@ -330,8 +330,20 @@ func TestReleaseRecyclesCleanImages(t *testing.T) {
 // goroutines and write their counters at every access, so a Proc that did
 // not fill whole cache lines would share one with its neighbour in the
 // allocator's size class and slow both down.
-func TestProcFillsCacheLines(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n%(WordsPerLine*8) != 0 {
-		t.Fatalf("a Proc is %d bytes, not a whole number of %d-byte cache lines: adjust its padding", n, WordsPerLine*8)
+func TestProcFillsCacheLines(t *testing.T) { fillsCacheLines(t, "Proc", unsafe.Sizeof(Proc{})) }
+
+// TestReclaimProcFillsCacheLines and TestPinFillsCacheLines pin the
+// reclaimer's per-process padding on the same grounds: a process writes its
+// reclaimProc at every Alloc and Retire, and its pin at every attempt.
+func TestReclaimProcFillsCacheLines(t *testing.T) {
+	fillsCacheLines(t, "reclaimProc", unsafe.Sizeof(reclaimProc{}))
+}
+
+func TestPinFillsCacheLines(t *testing.T) { fillsCacheLines(t, "pin", unsafe.Sizeof(pin{})) }
+
+func fillsCacheLines(t *testing.T, name string, n uintptr) {
+	t.Helper()
+	if n%(WordsPerLine*8) != 0 {
+		t.Fatalf("a %s is %d bytes, not a whole number of %d-byte cache lines: adjust its padding", name, n, WordsPerLine*8)
 	}
 }

@@ -141,14 +141,16 @@ type Reclaimer struct {
 
 // pin is one process's epoch pin: 0 when unpinned, else the epoch it
 // observed at Enter. Owner-written, read by every peer's advanceAndFree,
-// so it sits on a cache line of its own.
+// so it sits on a cache line of its own (TestPinFillsCacheLines).
 type pin struct {
 	epoch atomic.Uint64
 	_     [WordsPerLine*8 - 8]byte
 }
 
 // reclaimProc is the Go-side per-process state, written only by its owner
-// (and by Recover and Scan, with no process running).
+// (and by Recover and Scan, with no process running). Its owner writes it at
+// every Alloc and Retire, so it fills whole cache lines and two never share
+// one (TestReclaimProcFillsCacheLines).
 type reclaimProc struct {
 	// ring is the retired FIFO, a power-of-two circular buffer of n entries
 	// from head; a full ring doubles.
@@ -164,6 +166,7 @@ type reclaimProc struct {
 	// The slab cursors survive a crash, like the heap's bump pointer.
 	cur     [maxClasses]Addr
 	curLeft [maxClasses]uint64
+	_       [48]byte
 }
 
 // retired is one ring entry: a block unlinked in epoch.
