@@ -92,7 +92,13 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // that installs nothing (reads and effect-free updates only) costs none;
 // under EngineIsb the begin is one write-back and one psync, a window's sync
 // points defer to the leg boundaries (still one psync per leg) and a
-// transaction stays unscoped, every leg psync where Algorithms 1–2 put it. Between two legs the previous
+// transaction stays unscoped, every leg psync where Algorithms 1–2 put it.
+// Under EngineIsbOpt a successful leg's update phase is held, its tags set,
+// until the process's next barrier — the next installing leg's, on whichever
+// structure — so k installing legs write back 2k+1 times: an install and a tag
+// barrier each, and the close (isb.Engine.CloseSyncScope), which writes back
+// the last update still held and runs its untags before the psync. Between
+// two legs the previous
 // response goes to its result slot, stamped with the admission number
 // (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
 // — the response waits for the process's next install, whose barrier writes
@@ -156,7 +162,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		out[i] = respOf(prev)
 	}
 	if scoped {
-		p.CloseSyncScope()
+		ads[0].e.CloseSyncScope(p)
 	}
 }
 

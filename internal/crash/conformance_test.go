@@ -118,9 +118,9 @@ func TestMatrixCoverage(t *testing.T) {
 		"routed":      108, // 27 × 4 engine variants
 		"churn":       84,  // 14 × 2 engines × arena/fast/full
 		"in-recovery": 4,   // 2 engines × fast/full
-		"window":      48,  // 8 × 2 engines × arena/evict/reclaim
+		"window":      66,  // 11 × 2 engines × arena/evict/reclaim
 		"txn":         30,  // 5 × 2 engines × arena/evict/reclaim
-		"persist":     37,  // 24 single + 8 window + 5 txn cases, Isb-Opt only
+		"persist":     40,  // 24 single + 11 window + 5 txn cases, Isb-Opt only
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	rows := matrix()
@@ -142,8 +142,8 @@ func TestMatrixCoverage(t *testing.T) {
 			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
 		}
 	}
-	if len(rows) != 427 {
-		t.Errorf("matrix has %d rows, want 427", len(rows))
+	if len(rows) != 448 {
+		t.Errorf("matrix has %d rows, want 448", len(rows))
 	}
 }
 

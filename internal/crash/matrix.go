@@ -208,7 +208,9 @@ var (
 	// windowSetCases interleave mutations with reads (one mid-window, one
 	// terminal), so the sweep hits reads whose results must be durable
 	// before the next leg's effect, and a read as the final — never
-	// result-slot-covered — leg. Prefill {3, 9}.
+	// result-slot-covered — leg. Prefill {3, 9}. The third inserts 5 and 6,
+	// neighbours in one hash-map shard too: leg 2's gather meets the tags of
+	// leg 1's update, which waits for leg 2's install barrier under Isb-Opt.
 	windowSetCases = []sweepCase{
 		window("mixed", []repro.Op{
 			{Kind: repro.OpInsert, Arg: 5}, {Kind: repro.OpFind, Arg: 5},
@@ -218,6 +220,7 @@ var (
 			{Kind: repro.OpInsert, Arg: 5}, {Kind: repro.OpDelete, Arg: 7},
 			{Kind: repro.OpFind, Arg: 3}, {Kind: repro.OpFind, Arg: 7},
 		}),
+		window("adjacent-inserts", ops(repro.OpInsert, 5, 6)),
 	}
 )
 

@@ -12,8 +12,9 @@ import (
 // persistency instructions of the shared cache model, placed by the engine:
 // every CAS on an info field or WriteSet field is reported as a written word
 // (wrote), and every phase ends with endPhase (Isb writes back per CAS;
-// Isb-Opt issues one barrier per phase) — except the invoker's cleanup phase
-// inside an Isb-Opt sync scope, which rides the next barrier (see finish). On a
+// Isb-Opt issues one barrier per phase) — except the invoker's update and
+// cleanup phases inside an Isb-Opt sync scope, each of which rides the
+// process's next barrier (see finish). On a
 // record whose result is set only what is left re-runs: a done record's
 // untags, of which only those that win are written back, and nothing at all
 // once no CleanupSet node carries the tag (see below).
@@ -41,8 +42,10 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	// to help them.
 	if p.Load(info+offResult) != RespNone {
 		// The update phase re-runs only while it may not be durable: the
-		// result can persist ahead of the WriteSet (eviction), but done is
-		// stored after the update barrier, and so is every untag. Once done,
+		// result can persist ahead of the WriteSet (eviction, or a barrier
+		// that persisted some of a held update's lines), but done is stored
+		// after the barrier that wrote the update back, and so is every
+		// untag. Once done,
 		// or one untag, is visible the update is durable, and re-running it
 		// could meet recycled values: the retired-class operands retire once
 		// the cleanup is durable, and a CleanupSet node, once untagged, may
@@ -65,8 +68,8 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 		// persist a line ahead of the others. They expect Tagged(info), which
 		// cannot recur while the record can still be consulted, and only a
 		// CAS that wins is written back: a lost one changed nothing.
-		if e.untag(p, ep, info, tagged, true) {
-			ep.endPhase()
+		if e.untag(p, ep, info, tagged, true, 0) {
+			e.endPhase(ep)
 		}
 		return
 	}
@@ -105,24 +108,37 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 					}
 				}
 			}
-			ep.endPhase()
+			e.endPhase(ep)
 			return
 		}
 	}
-	ep.endPhase()
+	e.endPhase(ep)
 
 	e.finish(p, info, tagged, invoker)
 }
 
 // finish runs the update and cleanup phases of Help. Both are idempotent
 // and may be re-executed by recovery or by any number of helpers.
+//
+// Under Isb-Opt inside an admitting runtime's sync scope the invoker ends
+// neither phase with a barrier of its own. Its update phase is held
+// (Records.hold): the WriteSet CASes and the result are stored, their lines
+// carried, and the tags stay set, so the update is durable once its tags are
+// — Help finishes it from the record. The process's next barrier, on any
+// engine, writes it back: normally the next leg's install, whose gather may
+// meet its tags and expects the cookies its cleanup will store there
+// (attemptLoop), or the scope's close (CloseSyncScope). Then the cleanup
+// runs, whose lines ride the barrier after that (cleanup). Until then the
+// record is the one its engine's last complete install names, so a crash
+// leaves it named and evident (its tags are durable), and Settle finishes
+// it, even where a later leg's slot persisted ahead of its update.
 func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker bool) {
 	ep := e.proc(p)
 
 	// Update phase: apply the WriteSet CASes. Each change happens exactly
 	// once across all helpers because old values never recur (the ABA
 	// assumption the structures discharge by copying replaced nodes).
-	_, wn, _ := lens(p.Load(info + offLens))
+	_, wn, cn := lens(p.Load(info + offLens))
 	for i := 0; i < wn; i++ {
 		a := pmem.Addr(p.Load(info + offWrites + pmem.Addr(3*i)))
 		old := p.Load(info + offWrites + pmem.Addr(3*i) + 1)
@@ -132,47 +148,62 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	}
 	p.Store(info+offResult, p.Load(info+offSuccess))
 	e.wrote(ep, info+offResult)
-	ep.endPhase()
+	if invoker && e.batched && e.recs != nil && p.InSyncScope() {
+		ep.deferPhase()
+		ep.batchSyncs++
+		e.recs.hold(p, e, info, ep.cookies+1)
+		ep.cookies += uint64(cn)
+		return
+	}
+	e.endPhase(ep)
+	e.cleanup(p, ep, info, tagged, invoker, 0)
+}
 
-	// Cleanup phase. The invoker first flags the record done: the update
-	// phase is durable now, and the flag is written back with the untags,
-	// before the invoker retires any operand — the precondition for their
-	// addresses to ever recur.
+// cleanup is Help's cleanup phase. The invoker first flags the record done:
+// the update phase is durable now, and the flag is written back with the
+// untags, before the invoker retires any operand — the precondition for their
+// addresses to ever recur.
+//
+// Under Isb-Opt inside a sync scope the invoker does not end the phase: its
+// lines ride this process's next barrier, on any engine, and its
+// retired-class operands retire after this engine's next install, the record
+// one install later (see retireLast). The response does not wait for it.
+// Until that barrier the record's surviving nodes are untagged in volatile
+// memory only, so others may change and recycle them: Help re-runs the update
+// phase only while every one of them still holds the tag (Settle finishes the
+// cleanup after a crash).
+func (e *Engine) cleanup(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged uint64, invoker bool, first uint64) {
 	if invoker {
 		p.Store(info+offDone, 1)
 		e.wrote(ep, info+offDone)
 	}
-	e.untag(p, ep, info, tagged, false)
+	e.untag(p, ep, info, tagged, false, first)
 	if invoker && e.batched && p.InSyncScope() {
-		// Under Isb-Opt inside a sync scope the invoker does not end the
-		// phase: its lines ride this process's next barrier, on any engine,
-		// normally the next install's, and its retired-class operands retire
-		// after this engine's next install, the record one install later
-		// (retireAffected holds the operands, see retireLast). The response
-		// does not wait: the result is durable since the update phase. Until
-		// that barrier the one record whose cleanup may be volatile is the one
-		// the last complete install's register names, and neither it nor its
-		// retired-class operands have been retired. Its surviving
-		// nodes are untagged in volatile memory, so others may change and
-		// recycle them: Help re-runs the update phase only while every one of
-		// them still holds the tag (Settle finishes the cleanup after a crash).
 		ep.deferPhase()
 		ep.batchSyncs++
 		return
 	}
-	ep.endPhase()
+	e.endPhase(ep)
 }
 
 // untag runs the cleanup CASes: each surviving node's tag goes to a fresh
-// cookie (never the same non-tagged value twice — see Engine.cookie).
-// Retired nodes are absent from the CleanupSet and stay tagged until the
-// allocator recycles them. Every CAS is reported written, or with wonOnly
-// only those that won; untag reports whether any did.
-func (e *Engine) untag(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged uint64, wonOnly bool) (won bool) {
+// cookie (never the same non-tagged value twice — see Engine.cookie), or,
+// with first nonzero, to the cookie of counter value first+i reserved for
+// CleanupSet entry i (Records.hold). Retired nodes are absent from the
+// CleanupSet and stay tagged until the allocator recycles them. Every CAS is
+// reported written, or with wonOnly only those that won; untag reports
+// whether any did.
+func (e *Engine) untag(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged uint64, wonOnly bool, first uint64) (won bool) {
 	_, _, cn := lens(p.Load(info + offLens))
 	for i := 0; i < cn; i++ {
 		nd := pmem.Addr(p.Load(info + offCleanup + pmem.Addr(i)))
-		ok := p.CAS(nd, tagged, e.cookie(ep)) == tagged
+		var c uint64
+		if first == 0 {
+			c = e.cookie(ep)
+		} else {
+			c = e.cookieAt(ep, first+uint64(i))
+		}
+		ok := p.CAS(nd, tagged, c) == tagged
 		if ok || !wonOnly {
 			e.wrote(ep, nd)
 		}
@@ -235,12 +266,13 @@ const maxRecoveryAttempts = 1 << 10
 // the NewSet; what the admission keeps Go-side (Records.storeKept) — the
 // record, if still pending, with the responses kept so far, or else the
 // responses kept since the process's last install; the register, RD_q := info
-// and CP_q := the admission number; and the previous operation's deferred
-// cleanup, carried. The barrier may persist any subset of those lines, in any
-// order (Px86), and recovery is correct for each: the register written is the
-// one the last complete install did not write, so the record the durable
-// state may still need — the previous leg's, or the one whose cleanup this
-// barrier carries — stays named until the barrier is done (retireLast); the
+// and CP_q := the admission number; and, carried, the update phase the
+// process holds (finish) and any cleanup still deferred. The barrier may
+// persist any subset of those lines, in any order (Px86), and recovery is
+// correct for each: the register written is the one the last complete
+// install did not write, so the record the durable state may still need —
+// the previous leg's, whose update this barrier may carry, or the one whose
+// cleanup it carries — stays named until the barrier is done (retireLast); the
 // record validates itself (readInfo), so a register naming it before its
 // lines persisted names nothing; and recovery believes a register only with
 // evidence that its barrier completed, a set result or a durable tag, since a
@@ -276,14 +308,25 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		}
 
 		// Helping phase: if some gathered info field is tagged, complete
-		// that operation first, then start a new attempt.
+		// that operation first, then start a new attempt. A CleanupSet tag
+		// of the update this process holds needs no helper: that update took
+		// effect in memory already, and this attempt's install barrier writes
+		// it back and releases it before this attempt tags anything
+		// (Records.release), its untag storing the cookie reserved for the
+		// field — the value this attempt expects there (Records.heldCookie).
 		helped := false
 		for i := 0; i < spec.NAffect; i++ {
-			if IsTagged(spec.Affect[i].Expected) {
-				e.Help(p, InfoOf(spec.Affect[i].Expected), false)
-				helped = true
-				break
+			a := &spec.Affect[i]
+			if !IsTagged(a.Expected) {
+				continue
 			}
+			if c, ok := e.recs.heldCookie(p, a.Info, InfoOf(a.Expected)); ok {
+				a.Expected = c
+				continue
+			}
+			e.Help(p, InfoOf(a.Expected), false)
+			helped = true
+			break
 		}
 		if helped {
 			e.discardAttempt(p, info, spec)
@@ -311,6 +354,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// Isb-Opt in the one barrier described above, under Isb with a
 		// pbarrier per range, then RD_q := info and its pwb.
 		ep.dirty = ep.dirty[:0]
+		released := false
 		e.install(p, info, spec)
 		e.wroteRange(ep, info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
@@ -325,9 +369,12 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			ep.flush()
 			// Register r durably names this attempt's record, and the record
 			// the other names, with everything the barrier carried, is
-			// durable: retire what r named before, and the operands the
-			// previous operation held (retireLast).
+			// durable: retire what r named before, and the operands whose
+			// cleanup the barrier carried (retireLast). Only then the update
+			// the barrier wrote back, if the process held one, runs its
+			// cleanup, whose operands wait for the next install.
 			e.retireLast(p, r, info)
+			released = e.recs.release(p) == e
 		} else {
 			rd := e.rd(p.ID(), 0)
 			p.Store(rd, uint64(info))
@@ -343,14 +390,21 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// path above gets here — an atomic vector's, an eager begin's, or a
 		// retry after an attempt that lost its tags — which a register must
 		// name so that recovery finds its response rather than re-invoking it.
+		// The cleanup of an update on this engine that the install barrier
+		// released rides no tag barrier then: it gets a barrier of its own,
+		// or the next install here would overwrite the register naming its
+		// record, this one's being the other, while it may still be volatile.
 		if spec.ReadOnly {
+			if released {
+				p.PBarrierAddrs(nil)
+			}
 			e.alloc.Exit(p)
 			return spec.Response
 		}
 
 		e.Help(p, info, true)
 		if r := p.Load(info + offResult); r != RespNone {
-			e.retireAffected(p, ep, spec)
+			e.retireAffected(p, ep, spec, info)
 			e.alloc.Exit(p)
 			return r
 		}
@@ -385,13 +439,17 @@ func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
 // just unlinked (they stay tagged; traversals can no longer reach them).
 // Only the invoker calls this, exactly once per operation — result ≠ ⊥ on
 // the invoker's own current record proves this very attempt took effect.
-// While the operation's cleanup waits for a barrier (see finish) the nodes
-// are held with its record instead, and retire with it (retireLast).
-func (e *Engine) retireAffected(p *pmem.Proc, ep *engineProc, spec *Spec) {
+// While the operation's update or cleanup waits for a barrier (see finish)
+// the nodes are held instead — with the held update, or in lastOp.held — and
+// retire once the cleanup is durable (retireLast).
+func (e *Engine) retireAffected(p *pmem.Proc, ep *engineProc, spec *Spec, info pmem.Addr) {
 	if spec.ReadOnly {
 		return // nothing was unlinked
 	}
-	last := &ep.last
+	last, h, n := &ep.last, e.recs.holding(p, info), 0
+	if h != nil {
+		copy(h.cleanup[:], spec.Cleanup[:spec.NCleanup])
+	}
 	for i := 0; i < spec.NAffect; i++ {
 		nd := spec.Affect[i].Info
 		inCleanup := false
@@ -403,6 +461,9 @@ func (e *Engine) retireAffected(p *pmem.Proc, ep *engineProc, spec *Spec) {
 		}
 		switch {
 		case inCleanup:
+		case h != nil:
+			h.ops[n] = nd
+			n++
 		case ep.deferred:
 			last.held[last.n] = nd
 			last.n++
@@ -553,26 +614,32 @@ func (e *Engine) registers(p *pmem.Proc) string {
 	return strings.Join(out, " ")
 }
 
-// Settle finishes, once per crash, the cleanups the crash cut short: under
-// Isb-Opt an invoker leaves its cleanup, done flag included, to its next
-// barrier (see finish), and a crash before that barrier leaves a completed
-// operation's surviving nodes durably tagged. Nobody else would finish it —
-// the process may be idle or busy on another engine — so the first begin or
-// recovery on the engine after a crash, and RecoverAll for every engine,
-// helps each record either register of any process names, whatever its CP_q
-// says, if the record validates and is stamped with that process and that
-// CP_q, its result is set and its CleanupSet still carries its tag. Until
-// that cleanup is durable neither the record nor its retired-class operands
-// have been retired, but its surviving nodes may have been: once untagged in
-// volatile memory any process may tag, unlink and recycle them. Help
-// therefore re-runs the update phase only while every CleanupSet node still
-// holds the tag, and otherwise just the untags. Settle helps as any helper
-// does, in a sync scope it closes without a psync of its own: its write-backs
-// are complete when it returns — PWB is clflush-class, as every deferred sync
-// point assumes — and the process's next psync (the close of the admission's
-// scope, an eager begin's, or recovery's) accounts for them. Under Isb every
-// cleanup ends with its barrier, and there is nothing to finish.
+// Settle finishes, once per crash, the updates and cleanups the crash cut
+// short: under Isb-Opt an invoker leaves its update phase, then its cleanup,
+// done flag included, each to its process's next barrier (see finish), and a
+// crash before that barrier leaves a completed operation's nodes durably
+// tagged — with its update possibly not durable, though a later leg's result
+// slot is. Nobody else would finish it — the process may be idle or busy on
+// another engine — so the first begin or recovery on the engine after a
+// crash, and RecoverAll for every engine, helps each record either register
+// of any process names, whatever its CP_q says, if the record validates, is
+// stamped with that process and that CP_q, and is evident (its result set or
+// a durable AffectSet tag: its install barrier completed), unless it is
+// finished: result set, done set or no WriteSet, and no CleanupSet node
+// carrying its tag. Until that cleanup is durable neither the record nor its
+// retired-class operands have been retired, but its surviving nodes may have
+// been: once untagged in volatile memory any process may tag, unlink and
+// recycle them. Help therefore re-runs the update phase only while every
+// CleanupSet node still holds the tag, and otherwise just the untags. Settle
+// helps as any helper does, in a sync scope it closes without a psync of its
+// own: its write-backs are complete when it returns — PWB is clflush-class, as
+// every deferred sync point assumes — and the process's next psync (the close
+// of the admission's scope, an eager begin's, or recovery's) accounts for
+// them. Under Isb every update and cleanup ends with its barrier, and there
+// is nothing to finish. First of all, at every call, it ends the update the
+// calling process may still hold from before a crash (Records.settleHeld).
 func (e *Engine) Settle(p *pmem.Proc) {
+	e.recs.settleHeld(p)
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
 		return
@@ -589,10 +656,13 @@ func (e *Engine) Settle(p *pmem.Proc) {
 				continue
 			}
 			rec, ok := readInfo(p, info)
-			if !ok || rec[offResult] == RespNone || rec[offStamp]>>stampProcShift != uint64(q) || rec[offAdm] != p.Load(e.cp(q, r)) {
+			if !ok || rec[offStamp]>>stampProcShift != uint64(q) || rec[offAdm] != p.Load(e.cp(q, r)) || !e.evident(p, info, &rec) {
 				continue
 			}
-			if some, _ := e.cleanupTags(p, info); some {
+			_, wn, _ := lens(rec[offLens])
+			if rec[offResult] == RespNone || rec[offDone] == 0 && wn != 0 {
+				e.Help(p, info, false)
+			} else if some, _ := e.cleanupTags(p, info); some {
 				e.Help(p, info, false)
 			}
 		}
@@ -625,8 +695,9 @@ func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
 // register names, whatever its CP_q says, and (conservatively) every word of
 // it with the tag bit cleared — AffectSet field addresses, WriteSet addresses
 // and values, CleanupSet addresses — plus the records the process's registers
-// were last written with and the operands held with the last, until they
-// retire. The post-crash scan's transitive closure follows on from whatever
+// were last written with and the operands held for cleanups not yet durable,
+// its held update's among them, until they retire. The post-crash scan's
+// transitive closure follows on from whatever
 // those words name. Part of the conservative-scan contract: an announced
 // operation's operands survive reclamation even if their retirement was
 // recorded, and so do the record and operands of a completed operation whose
@@ -642,6 +713,13 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 		}
 		for _, nd := range last.held[:last.n] {
 			mark(nd)
+		}
+		if h := e.recs.holding(e.procs[q].p, pmem.Null); h != nil && h.e == e {
+			for _, nd := range h.ops {
+				if nd != pmem.Null {
+					mark(nd)
+				}
+			}
 		}
 		for r := range 2 {
 			info := pmem.Addr(p.Load(e.rd(q, r)))
@@ -673,7 +751,9 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // operation's effect. So a crash before that barrier completes finds leg
 // seq-1 at the derived cursor, or the slot alone durable and leg seq in
 // flight with no effect, and leg seq-1's record still named by a register if
-// it installed one (recoverSeq, resolveSeq). A slot no later leg installs
+// it installed one (recoverSeq, resolveSeq) — evident by its durable tags, so
+// that Settle finishes the update phase the barrier also carries (finish)
+// where the slot persisted without it. A slot no later leg installs
 // after is never stored: once the admission returns, its durable record's
 // cursor sits on its last installing leg, which a register names, so an
 // effect-free leg after it needs no install of its own.

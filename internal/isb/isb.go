@@ -268,21 +268,23 @@ type engineProc struct {
 	seq uint64
 	// batchSyncs and readFast back Counters (see isb.Stats).
 	batchSyncs, readFast uint64
-	_                    [56]byte
+	_                    [24]byte
 }
 
 // lastOp is a process's Go-side view of its registers: the one its last
 // complete install wrote (reg), the Info record each was last written with,
-// and the retired-class operands its last operation held for its deferred
-// cleanup (see finish). Go-side on purpose: after a crash a register durably
-// holds either the record info names for it or that of an install the crash
-// cut short, which then leaks inside the crash's in-flight budget, and
-// retiring on schedule is right in both cases. A full scan keeps them alive
-// until then (MarkReachable).
+// and the retired-class operands of updates whose cleanup is not yet durable
+// (see finish): at most two updates' — one released by a barrier on another
+// engine, and the next, which a crash left held (Records.settleHeld) before
+// this engine installed again. Go-side
+// on purpose: after a crash a register durably holds either the record info
+// names for it or that of an install the crash cut short, which then leaks
+// inside the crash's in-flight budget, and retiring on schedule is right in
+// both cases. A full scan keeps them alive until then (MarkReachable).
 type lastOp struct {
 	reg  int
 	info [2]pmem.Addr
-	held [MaxAffect]pmem.Addr
+	held [2 * MaxAffect]pmem.Addr
 	n    int
 }
 
@@ -338,12 +340,18 @@ func (e *Engine) Alloc(p *pmem.Proc, words uint64) pmem.Addr {
 // cookies are even, so IsTagged and the invariant checkers are unaffected.
 func (e *Engine) cookie(ep *engineProc) uint64 {
 	ep.cookies++
-	return (ep.cookies*uint64(len(e.procs)) + uint64(ep.p.ID())) << 1
+	return e.cookieAt(ep, ep.cookies)
+}
+
+// cookieAt is the cookie of ep's counter value c: a held update reserves its
+// untags' values ahead (Records.hold), so that the next leg can expect them.
+func (e *Engine) cookieAt(ep *engineProc, c uint64) uint64 {
+	return (c*uint64(len(e.procs)) + uint64(ep.p.ID())) << 1
 }
 
 // retireLast records that register r of the calling process durably names
 // info now (Null: nothing), and retires what that frees: the record r named
-// before, and the operands held for the last operation's deferred cleanup.
+// before, and the operands held for cleanups this barrier made durable.
 // Callers must ensure both can no longer be consulted by recovery: r's write
 // is durable, and so is every line the last barrier carried. Under Isb that is
 // RD_q := Null, behind its barrier, or RD_q := info, behind its pwb, and
@@ -352,10 +360,12 @@ func (e *Engine) cookie(ep *engineProc) uint64 {
 // install did not write: a record therefore retires one install later than
 // the install that replaced it, since until the barrier that overwrites it is
 // done, recovery may read it whatever CP_q says (Settle) and it may be the one
-// a crash leaves the leg resolving from. The operands retire at the first
-// such barrier, which carried the cleanup they wait for, so no recovery
-// re-runs the update phase on them (see Help). In-flight helpers may still
-// hold any of them; the allocator's epoch grace covers them.
+// a crash leaves the leg resolving from. An update's operands join lastOp.held
+// once the untags after its update phase have run, and retire at this
+// engine's next install barrier, which carried them, so no recovery re-runs
+// the update phase on them (see Help); the install that releases a held
+// update calls this first (attemptLoop). In-flight helpers may still hold any
+// of them; the allocator's epoch grace covers them.
 func (e *Engine) retireLast(p *pmem.Proc, r int, info pmem.Addr) {
 	last := &e.proc(p).last
 	old, held, n := last.info[r], last.held, last.n
@@ -393,7 +403,8 @@ func (e *Engine) cp(q, r int) pmem.Addr { return e.rd(q, r) + 1 }
 //
 // Crash contract: after endPhase returns, everything reported since the
 // previous phase ended is durable, and so is a phase ended by deferPhase once
-// the process's next barrier, on any engine, has run. Under Isb-Opt nothing in
+// the process's next barrier, on any engine, has run: a held update phase
+// (Engine.finish), whose cleanup that barrier then releases. Under Isb-Opt nothing in
 // the phase is guaranteed durable before that point, so a crash mid-phase may
 // leave the phase fully absent from persistent memory, or any subset of its
 // lines durable; Help and recoverSeq tolerate every outcome because every
@@ -441,14 +452,15 @@ func (ep *engineProc) note(l pmem.Addr) {
 // flush makes every line noted since the last flush durable, without an
 // ordering point: the phase's barrier, which also writes back every carried
 // line. A phase that noted nothing issues none, carried lines or not: they
-// wait for a barrier that is paid anyway.
-func (ep *engineProc) flush() {
+// wait for a barrier that is paid anyway. It reports whether it issued one.
+func (ep *engineProc) flush() bool {
 	if len(ep.dirty) == 0 {
-		return
+		return false
 	}
 	ep.p.PBarrierAddrs(ep.dirty)
 	ep.dirty = ep.dirty[:0]
 	ep.deferred = false
+	return true
 }
 
 // deferPhase ends the current phase without writing it back: its lines go to
@@ -463,10 +475,23 @@ func (ep *engineProc) deferPhase() {
 }
 
 // endPhase closes a persistence phase: flush, then the engine's sync point.
-// Inside a sync scope only the write-backs happen now.
-func (ep *engineProc) endPhase() {
-	ep.flush()
+// Inside a sync scope only the write-backs happen now. A barrier it issues
+// writes back the update the process holds, if any, on any engine, whose
+// cleanup then runs (Records.release).
+func (e *Engine) endPhase(ep *engineProc) {
+	if ep.flush() {
+		e.recs.release(ep.p)
+	}
 	ep.opSync()
+}
+
+// CloseSyncScope closes p's sync scope (pmem.Proc.CloseSyncScope) where an
+// admission returns: an update p still holds is written back first, with one
+// barrier, and its untags run, so no tag outlives its admission; the untags
+// ride p's next barrier, as every cleanup does, and the closing psync follows.
+func (e *Engine) CloseSyncScope(p *pmem.Proc) {
+	e.recs.flushHeld(p)
+	p.CloseSyncScope()
 }
 
 // opSync is the engine-side psync point: outside a sync scope it issues a

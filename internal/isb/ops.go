@@ -92,7 +92,8 @@ func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 // CP_q := 1 prologue and the RD_q pwb: RD_q and CP_q ride the install
 // barrier, with the record and everything else that must be durable before
 // the first tag (Engine.attemptLoop). A successful update thus writes back
-// three times: that barrier, the tag barrier and the update barrier. The
+// three times: that barrier, the tag barrier and the scope's close, which
+// writes back the update phase the engine held (Engine.CloseSyncScope). The
 // elimination step needs the eager begin, so with one the scope opens after
 // the exchange.
 func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
@@ -115,7 +116,7 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	}
 	r := o.e.runAttempts(p, kind, arg, g, 0)
 	if scoped {
-		p.CloseSyncScope()
+		o.e.CloseSyncScope(p)
 	}
 	return r
 }

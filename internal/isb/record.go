@@ -279,7 +279,8 @@ func ReadRecord(p *pmem.Proc) (r Record, ok bool) {
 // it: nothing durable names a pending record, and a response no later leg's
 // install stored is never stored, so once the admission returns its durable
 // record's cursor sits on its last installing leg, the one its engine's
-// registers name.
+// registers name. It also holds the process's held update (hold), which the
+// process's next barrier on any engine releases.
 type Records struct{ procs []lazyRecord }
 
 type lazyRecord struct {
@@ -288,13 +289,134 @@ type lazyRecord struct {
 	// first stored of them are in their slots already.
 	results []uint64
 	stored  int
+	held    heldUpdate
 	atomic  bool
 	lazy    bool // the admission was announced lazily
 	pending bool // and its record is not stored yet
 	// Procs run on different goroutines and each writes its entry at every
 	// admission: the padding keeps two entries' fields off a common cache line
 	// (TestLazyRecordFillsCacheLines).
-	_ [69]byte
+	_ [13]byte
+}
+
+// heldUpdate is an Isb-Opt update whose update phase ran but was not written
+// back (Engine.finish): the engine and record it ran on, the retired-class
+// operands it unlinked, which retire once the untags after it are durable,
+// its CleanupSet (both Null-terminated, copied from the attempt's Spec by
+// Engine.retireAffected), the first of the cookie counter values reserved
+// for its untags, one per CleanupSet entry, and the heap epoch it ran in.
+// releasing is set while its cleanup runs (release).
+type heldUpdate struct {
+	e         *Engine
+	info      pmem.Addr
+	ops       [MaxAffect]pmem.Addr
+	cleanup   [MaxCleanup]pmem.Addr
+	first     uint64
+	epoch     uint64
+	releasing bool
+}
+
+// hold records that p's update on e, whose record is info, waits for p's next
+// barrier: its WriteSet CASes and result are in the carry set, and its tags
+// stay set until release, whose untags store the cookies of counter values
+// first, first+1, … (Engine.cookieAt).
+func (t *Records) hold(p *pmem.Proc, e *Engine, info pmem.Addr, first uint64) {
+	t.procs[p.ID()].held = heldUpdate{e: e, info: info, first: first, epoch: e.h.Epoch()}
+}
+
+// heldCookie reports the value p's release of its held update will store in
+// the info field a, if that update's record is info and a is in its
+// CleanupSet: what an attempt of p's that meets the tag may expect there, as
+// long as its install barrier, which releases the update, precedes its tags.
+func (t *Records) heldCookie(p *pmem.Proc, a, info pmem.Addr) (uint64, bool) {
+	h := t.holding(p, info)
+	if h == nil {
+		return 0, false
+	}
+	for i, c := range h.cleanup {
+		if c == a {
+			return h.e.cookieAt(h.e.proc(p), h.first+uint64(i)), true
+		}
+	}
+	return 0, false
+}
+
+// holding returns p's held update if there is one whose record is info, or
+// any with info Null; nil otherwise.
+func (t *Records) holding(p *pmem.Proc, info pmem.Addr) *heldUpdate {
+	if t == nil {
+		return nil
+	}
+	h := &t.procs[p.ID()].held
+	if h.e == nil || info != pmem.Null && h.info != info {
+		return nil
+	}
+	return h
+}
+
+// release runs the cleanup of p's held update, which a barrier of p's has
+// just written back: the done flag and the untags, carried to p's next
+// barrier inside a sync scope, and its operands go to its engine's
+// lastOp.held, which the next install's retireLast retires once that barrier
+// is done. The entry clears only once the cleanup ran, so a failure inside it
+// leaves the update held for settleHeld; releasing stops the barrier an
+// unscoped cleanup ends with from releasing it again. It returns the engine
+// of the update it released, if any.
+func (t *Records) release(p *pmem.Proc) *Engine {
+	h := t.holding(p, pmem.Null)
+	if h == nil || h.releasing {
+		return nil
+	}
+	e := h.e
+	h.releasing = true
+	e.cleanup(p, e.proc(p), h.info, Tagged(h.info), true, h.first)
+	h.retire(p)
+	return e
+}
+
+// retire hands h's operands to its engine's retire schedule (retireLast) and
+// clears h.
+func (h *heldUpdate) retire(p *pmem.Proc) {
+	last := &h.e.proc(p).last
+	for _, nd := range h.ops {
+		if nd == pmem.Null {
+			break
+		}
+		last.held[last.n] = nd
+		last.n++
+	}
+	*h = heldUpdate{}
+}
+
+// flushHeld writes p's held update back with a barrier of its own, which
+// writes back nothing but the carried lines, and releases it: at a sync
+// scope's close (Engine.CloseSyncScope), and after an individual failure
+// (settleHeld).
+func (t *Records) flushHeld(p *pmem.Proc) {
+	if t.holding(p, pmem.Null) == nil {
+		return
+	}
+	p.PBarrierAddrs(nil)
+	t.release(p)
+}
+
+// settleHeld ends, at a begin or a recovery (Engine.Settle), an update p
+// still holds after a crash. A system crash moved the heap's epoch and
+// reverted the update to its durable image, whose tags the held record's
+// engine settles before it installs again: the operands only join its retire
+// schedule. An individual failure left memory as it was: the update is
+// written back and released, its cleanup eager when recovery runs it, outside
+// a sync scope.
+func (t *Records) settleHeld(p *pmem.Proc) {
+	h := t.holding(p, pmem.Null)
+	switch {
+	case h == nil:
+	case h.epoch != p.Heap().Epoch():
+		h.retire(p)
+	default:
+		h.releasing = false
+		t.flushHeld(p)
+	}
 }
 
 // NewRecords builds the table for h's processes.

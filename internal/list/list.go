@@ -220,10 +220,14 @@ func (l *List) Keys() []uint64 {
 }
 
 // CheckInvariants walks the list and verifies structural invariants:
-// strictly increasing keys, tail reachability, and untagged live nodes at
-// quiescence. It returns a description of the first violation, or "".
+// strictly increasing keys, tail reachability, and untagged live nodes, the
+// head sentinel included, at quiescence. It returns a description of the
+// first violation, or "".
 func (l *List) CheckInvariants() string {
 	h := l.h
+	if isb.IsTagged(h.ReadVolatile(l.head + nInfo)) {
+		return "head sentinel tagged at quiescence"
+	}
 	prev := h.ReadVolatile(l.head + nKey)
 	curr := pmem.Addr(h.ReadVolatile(l.head + nNext))
 	steps := 0
