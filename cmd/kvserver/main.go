@@ -190,7 +190,7 @@ func runSelftest(cfg serve.Config, conns, ops int, sched *chaos.Schedule) error 
 		conns, ops, time.Since(start).Round(time.Millisecond), st.Crashes, st.FromReport, st.Retried, st.BatchFillMean(),
 		st.FramesPerFlush(), st.FramesOut, st.Flushes, st.FramesPerRead(), st.FramesIn, st.Reads)
 	if cfg.Reclaim {
-		fmt.Printf("reclaimer recovery: %d fast resets, %d full scans; the last one abandoned %d words, %d accounted as garbage since the last scan\n",
+		fmt.Printf("reclaimer recovery: %d fast resets, %d full scans; the last one lost %d words, %d accounted as garbage since the last scan\n",
 			st.FastRecoveries, st.FullScans, st.LastDropped, st.LastGarbage)
 	}
 	if sched != nil {

@@ -667,14 +667,14 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// address may land inside a block, which the conservative
 			// closure then keeps) and where in the window access 300
 			// lands, so a layout or write-back change moves them.
-			want := map[EngineKind][2]uint64{EngineIsb: {2057, 57}, EngineIsbOpt: {2062, 52}}[e.kind]
+			want := map[EngineKind][4]uint64{EngineIsb: {2049, 1, 32777, 1}, EngineIsbOpt: {2050, 0, 32774, 0}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
 				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])
 			}
 			fullLarge, scan := recoverCost(16384, pmem.RecoverFull)
-			if !scan.Full || scan.Marked != 32834 || scan.Swept != 0 {
-				t.Fatalf("full scan at 16384 keys: %+v, want 32834 marked and 0 swept", scan)
+			if !scan.Full || scan.Marked != want[2] || scan.Swept != want[3] {
+				t.Fatalf("full scan at 16384 keys: %+v, want %d marked and %d swept", scan, want[2], want[3])
 			}
 			if fullLarge < 10*fullSmall {
 				t.Fatalf("full scan: %d accesses with 1024 keys, %d with 16384 — expected it to follow live size", fullSmall, fullLarge)

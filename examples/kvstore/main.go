@@ -89,7 +89,7 @@ func main() {
 	// epoch reclaimer the heap only needs the *working set*: live keys +
 	// two epochs of not-yet-recycled blocks + the per-process retired
 	// rings — a few hundred blocks here — and up to as much again in
-	// blocks that crashes abandoned since the last recovery scan, so
+	// blocks that crashes lost since the last recovery scan, so
 	// 1<<18 words (2 MiB) runs the same crash-riddled workload at any op
 	// count.
 	rt := repro.New(repro.Config{
@@ -204,7 +204,7 @@ func main() {
 		if last.Full {
 			path = "a full scan"
 		}
-		fmt.Printf("recovery: %d fast reclaimer resets, %d full scans; the last crash took %s (%d words abandoned, %d accounted as garbage)\n",
+		fmt.Printf("recovery: %d fast reclaimer resets, %d full scans; the last crash took %s (%d words lost, %d accounted as garbage)\n",
 			rs.FastRecoveries, rs.FullScans, path, last.Dropped, last.Garbage)
 	}
 	if bs, rf, ok := rt.EngineCounters(store); ok {

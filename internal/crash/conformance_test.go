@@ -63,8 +63,8 @@ func TestRecoverAllCrashConformance(t *testing.T) { sweepFamily(t, "routed", fal
 
 // Crash-point conformance for crash-consistent node reclamation: the
 // reclaim-churn subjects run every operation against recycled memory — so
-// the crash offsets also land inside Retire calls, ring writes, epoch
-// advances and free-list pushes — and RecoverAll must leave the reclaimer
+// the crash offsets also land inside the dead-bit CASes of Alloc, Free and
+// Retire, free-list pushes and slab adoptions — and RecoverAll must leave the reclaimer
 // sound before the announced operation resolves: once with every recovery
 // the fast reset (the scan's mark phase then audits each one read-only),
 // once with every recovery the full scan. The reclaimer-off cells hold the
@@ -72,9 +72,9 @@ func TestRecoverAllCrashConformance(t *testing.T) { sweepFamily(t, "routed", fal
 func TestReclaimCrashConformance(t *testing.T) { sweepFamily(t, "churn", false) }
 
 // TestReclaimScanCrashSweep crashes inside RecoverAll itself — during the
-// reclaimer's recovery (the fast leg: hint repair only, since the
-// reclaimer's reset touches no heap word; the full leg adds the mark walks
-// and free-list rebuilds) and
+// reclaimer's recovery (the fast leg: hint repair and the registers' dead
+// bits, since the reclaimer's reset touches no heap word; the full leg adds
+// the mark walks and the bitmap rewrite) and
 // during the frozen recovery sweep that follows — at every access offset,
 // then restarts and re-runs RecoverAll. Both paths are restartable: a
 // second pass must still resolve the announced operation and leave the
@@ -120,7 +120,7 @@ func TestMatrixCoverage(t *testing.T) {
 		"in-recovery": 4,   // 2 engines × fast/full
 		"window":      66,  // 11 × 2 engines × arena/evict/reclaim
 		"txn":         30,  // 5 × 2 engines × arena/evict/reclaim
-		"persist":     40,  // 24 single + 11 window + 5 txn cases, Isb-Opt only
+		"persist":     80,  // 24 single + 11 window + 5 txn cases, Isb-Opt only, arena/reclaim
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	rows := matrix()
@@ -142,8 +142,8 @@ func TestMatrixCoverage(t *testing.T) {
 			t.Errorf("family %s has %d rows, want %d", f, got[f], n)
 		}
 	}
-	if len(rows) != 448 {
-		t.Errorf("matrix has %d rows, want 448", len(rows))
+	if len(rows) != 488 {
+		t.Errorf("matrix has %d rows, want 488", len(rows))
 	}
 }
 

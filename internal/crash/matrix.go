@@ -255,8 +255,8 @@ func singleSubjects(extra ...subject) []subject {
 // churnSubjects prefill through enough allocate/retire cycles that the swept
 // operation runs against recycled memory — retired rings populated, the epoch
 // advanced, free-list reuse active — so its crash offsets also land inside
-// frees and free-list pops (Retire and the epoch touch no heap word, so no
-// offset lands in them). The churned keys are disjoint from
+// frees, free-list pops and the dead-bit CASes of Alloc, Free and Retire
+// (the epoch touches no heap word). The churned keys are disjoint from
 // setPrefill and every case argument, and the queue's ring drains itself
 // (every dequeue retires the old dummy), so the sequential model is
 // unchanged: only the allocator's state is hot.
@@ -348,8 +348,10 @@ func matrix() []row {
 	// reclaimer to them, and churned and forced its forced recovery modes.
 	// persisted is Isb-Opt's alone: only its install barrier carries the
 	// announcement and the register, and Isb's keeps the paper's prologue
-	// and RD_q pwb.
-	persisted := []cell{{eng: engineVariants[1], persist: true}}
+	// and RD_q pwb. Its reclaimer cell audits every recovery: the barrier
+	// also carries the cleared dead bits of the blocks the install names.
+	persisted := []cell{{eng: engineVariants[1], persist: true},
+		{eng: engineVariants[1], persist: true, reclaim: true, mode: pmem.RecoverFast}}
 	var plain, vectors, churned, forced []cell
 	for _, e := range engineVariants {
 		arena, evicting := cell{eng: e}, cell{eng: e, evict: 32}
@@ -395,7 +397,12 @@ func matrix() []row {
 		{name: "txn", cells: vectors, subjects: txnSubjects(),
 			path: func(s subject, c cell, _ sweepCase) []string { return []string{s.name, c.engine(), c.alloc()} }},
 		{name: "persist", cells: persisted, subjects: append(append(singleSubjects(), windowSubjects()...), txnSubjects()...),
-			path: func(s subject, c cell, k sweepCase) []string { return []string{c.eng.name, s.name, k.name} }},
+			path: func(s subject, c cell, k sweepCase) []string {
+				if c.reclaim {
+					return []string{c.eng.name + "-reclaim", s.name, k.name}
+				}
+				return []string{c.eng.name, s.name, k.name}
+			}},
 	} {
 		for _, s := range f.subjects {
 			for _, c := range f.cells {
@@ -433,11 +440,12 @@ func (r row) build() Instance {
 	}
 	verify := func() string { return sameState(structs, r.exp.final) }
 	if r.cell.reclaim && r.cell.mode == pmem.RecoverFast {
+		v.audit = func() string { return auditFastRecovery(rt, rt.Heap().Epoch()) }
 		verify = func() string {
 			if msg := sameState(structs, r.exp.final); msg != "" {
 				return msg
 			}
-			return auditFastRecovery(rt, rt.Heap().Epoch())
+			return v.audit()
 		}
 	}
 	in := v.instance(verify, r.exp.want, r.fam.crashedAt)

@@ -118,171 +118,183 @@ func TestReclaimDifferential(t *testing.T) {
 // (CI runs ten: 10 000 crashes) while a plain run is always seed 0.
 var stormRuns int64
 
+// The storm's shape.
+const (
+	stormProcs   = 2
+	stormKeys    = 4096
+	stormClasses = 2 // 4-word nodes and 32-word Info records
+	// stormPad parks every slab above any integer the schedule stores (keys,
+	// values), so the conservative closure retains nothing by coincidence
+	// and the audit's bound is exact; heap comparisons leave it out.
+	stormPad = 1 << 20
+)
+
+// reclaimStorm runs one seeded storm: two Procs (driven in turn from one
+// goroutine, so a seed fixes the schedule) churn a HashMap and a Queue
+// through crashes crashes — some inside RecoverAll itself, most a few
+// operations apart, some far enough apart for the rings to cycle — with the
+// reclaimer's recovery path forced to mode. Every response and the final
+// contents must match the sequential model, and every fast recovery is
+// audited by the scan's mark phase. With forget, the reclaimer forgets
+// every Go-side record of its pool at every crash (pmem.Reclaimer.Forget),
+// before RecoverAll rebuilds it. It returns the runtime and the crashes
+// since the last full scan.
+func reclaimStorm(t *testing.T, eng engineVariant, seed int64, crashes int, mode pmem.RecoveryMode, forget bool) (rt *repro.Runtime, sinceFull uint64) {
+	rt = repro.New(repro.Config{
+		Procs: stormProcs, CrashSim: true, HeapWords: 1 << 21,
+		Seed: 42, Engine: eng.kind, Reclaim: true,
+	})
+	rt.Reclaimer().ForceRecovery(mode)
+	rt.Proc(0).Alloc(stormPad)
+	m, q := rt.NewHashMap(256), rt.NewQueue()
+	rng := rand.New(rand.NewSource(seed))
+	present := map[uint64]bool{}
+	var fifo []uint64
+	for k := uint64(1); k <= stormKeys; k += 2 {
+		m.Insert(rt.Proc(0), k)
+		present[k] = true
+	}
+
+	arm := func() {
+		gap := 30 + rng.Intn(370)
+		if rng.Intn(16) == 0 {
+			gap = 8000 + rng.Intn(12000)
+		}
+		rt.ScheduleCrash(uint64(gap))
+	}
+	// recoverAll is one Restart + RecoverAll, itself crashed now and then,
+	// followed by the audit of whichever path ran. sinceFull counts the
+	// crashes whose in-flight residue no scan has swept yet (a scan keeps
+	// what its own crash's announced records name, so that crash counts
+	// too).
+	fired := 0
+	recoverAll := func() []repro.ProcReport {
+		for {
+			fired++
+			sinceFull++
+			rt.Restart()
+			if forget {
+				rt.Reclaimer().Forget()
+			}
+			if rng.Intn(8) == 0 {
+				rt.ScheduleCrash(uint64(rng.Intn(300)) + 1)
+			}
+			var reps []repro.ProcReport
+			ok := rt.Run(func() { reps = rt.RecoverAll() })
+			rt.CancelCrash()
+			if !ok {
+				continue
+			}
+			if scan, _ := rt.LastScan(); scan.Full {
+				sinceFull = 1
+			}
+			if msg := auditFastRecovery(rt, sinceFull); msg != "" {
+				t.Fatalf("seed %d, crash %d: %s", seed, fired, msg)
+			}
+			arm()
+			return reps
+		}
+	}
+
+	arm()
+	for i := 0; fired < crashes; i++ {
+		p := rt.Proc(i % stormProcs)
+		var s repro.Structure = m
+		var op repro.Op
+		var want uint64
+		// The map breathes — 3000 operations mostly inserting, 3000 mostly
+		// deleting — so the pool is drawn down again and again.
+		ins := 2 + 4*(i/3000%2)
+		switch c := rng.Intn(10); {
+		case c < ins:
+			op = repro.Op{Kind: repro.OpInsert, Arg: uint64(rng.Intn(stormKeys)) + 1}
+			want = isb.BoolResp(!present[op.Arg])
+			present[op.Arg] = true
+		case c < 8:
+			op = repro.Op{Kind: repro.OpDelete, Arg: uint64(rng.Intn(stormKeys)) + 1}
+			want = isb.BoolResp(present[op.Arg])
+			delete(present, op.Arg)
+		case c < 9 || len(fifo) == 0:
+			s, op = q, repro.Op{Kind: repro.OpEnq, Arg: uint64(i)}
+			want = linearize.RespTrue
+			fifo = append(fifo, op.Arg)
+		default:
+			s, op = q, repro.Op{Kind: repro.OpDeq}
+			want = isb.EncodeValue(fifo[0])
+			fifo = fifo[1:]
+		}
+		// A crash inside Begin leaves no recovery obligation.
+		for !rt.Run(func() { s.Begin(p) }) {
+			recoverAll()
+		}
+		var resp repro.Resp
+		ok := rt.Run(func() { resp = s.Apply(p, op) })
+		for !ok {
+			// Begin cleared p's announcement, so a report entry for p is
+			// this operation's; none means the crash preceded the
+			// announcement and the op is resubmitted.
+			for _, rep := range recoverAll() {
+				if rep.Proc == p.ID() {
+					resp, ok = rep.Legs[0].Resp, true
+				}
+			}
+			if !ok {
+				ok = rt.Run(func() { resp = s.Apply(p, op) })
+			}
+		}
+		if resp.Raw() != want {
+			t.Fatalf("seed %d, op %d (%+v on proc %d): response %d, want %d", seed, i, op, p.ID(), resp.Raw(), want)
+		}
+	}
+	rt.CancelCrash()
+
+	var wantKeys []uint64
+	for k := range present {
+		wantKeys = append(wantKeys, k)
+	}
+	slices.Sort(wantKeys)
+	if got := m.Keys(); !slices.Equal(got, wantKeys) {
+		t.Fatalf("seed %d: keys %v, want %v", seed, got, wantKeys)
+	}
+	if got := q.Values(); !slices.Equal(got, fifo) {
+		t.Fatalf("seed %d: queue %v, want %v", seed, got, fifo)
+	}
+	if msg := m.CheckInvariants() + q.CheckInvariants(); msg != "" {
+		t.Fatalf("seed %d: %s", seed, msg)
+	}
+	return rt, sinceFull
+}
+
 // TestReclaimRecoveryStorm is the amortised-recovery claim under a long
-// seeded schedule: two Procs (driven in turn from one goroutine, so a seed
-// fixes the schedule) churn a HashMap and a Queue through 1 000 crashes —
-// some inside RecoverAll itself, most a few operations apart, some far
-// enough apart for the rings to cycle — with the reclaimer choosing its own
-// recovery path. Every response and the final contents must match the
-// sequential model; every fast recovery is audited by the scan's mark
-// phase; the garbage rule must have fired; the heap must stay within twice
-// what the same schedule holds when it scans at every crash (plus one slab
-// per Proc and class of slack); and a final forced scan must sweep no more
-// than the books say is there.
+// seeded storm (see reclaimStorm) of 1 000 crashes, with the reclaimer choosing
+// its own recovery path: full scans must be at most 5 % of the recoveries
+// (the pool survives a crash in the dead bitmaps, so little is lost), at
+// least one recovery must be fast, the heap must stay within twice what the
+// same schedule holds when it scans at every crash (plus one slab per Proc
+// and class of slack), and a final forced scan must sweep no more than the
+// books say is there. TestReclaimerRecoverGarbageRule covers the rule that
+// picks a scan.
 func TestReclaimRecoveryStorm(t *testing.T) {
 	crashes := 1000
 	if testing.Short() {
-		crashes = 100 // the race job's share; the rule fires near crash 50
+		crashes = 100 // the race job's share
 	}
-	const (
-		procs   = 2
-		keys    = 4096
-		classes = 2 // 4-word nodes and 32-word Info records
-		// pad parks every slab above any integer the schedule stores
-		// (keys, values, the engines' untag cookies), so the conservative
-		// closure retains nothing by coincidence and the audit's bound is
-		// exact; both sides of the heap comparison leave it out.
-		pad = 1 << 20
-	)
 	seed := stormRuns
 	stormRuns++
 	for _, eng := range engineVariants {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			run := func(mode pmem.RecoveryMode) (rt *repro.Runtime, sinceFull uint64) {
-				rt = repro.New(repro.Config{
-					Procs: procs, CrashSim: true, HeapWords: 1 << 21,
-					Seed: 42, Engine: eng.kind, Reclaim: true,
-				})
-				rt.Reclaimer().ForceRecovery(mode)
-				rt.Proc(0).Alloc(pad)
-				m, q := rt.NewHashMap(256), rt.NewQueue()
-				rng := rand.New(rand.NewSource(seed))
-				present := map[uint64]bool{}
-				var fifo []uint64
-				for k := uint64(1); k <= keys; k += 2 {
-					m.Insert(rt.Proc(0), k)
-					present[k] = true
-				}
-
-				arm := func() {
-					gap := 30 + rng.Intn(370)
-					if rng.Intn(16) == 0 {
-						gap = 8000 + rng.Intn(12000)
-					}
-					rt.ScheduleCrash(uint64(gap))
-				}
-				// recoverAll is one Restart + RecoverAll, itself crashed now
-				// and then, followed by the audit of whichever path ran.
-				// sinceFull counts the crashes whose in-flight residue no
-				// scan has swept yet (a scan keeps what its own crash's
-				// announced records name, so that crash counts too).
-				fired := 0
-				recoverAll := func() []repro.ProcReport {
-					for {
-						fired++
-						sinceFull++
-						rt.Restart()
-						if rng.Intn(8) == 0 {
-							rt.ScheduleCrash(uint64(rng.Intn(300)) + 1)
-						}
-						var reps []repro.ProcReport
-						ok := rt.Run(func() { reps = rt.RecoverAll() })
-						rt.CancelCrash()
-						if !ok {
-							continue
-						}
-						if scan, _ := rt.LastScan(); scan.Full {
-							sinceFull = 1
-						}
-						if msg := auditFastRecovery(rt, sinceFull); msg != "" {
-							t.Fatalf("seed %d, crash %d: %s", seed, fired, msg)
-						}
-						arm()
-						return reps
-					}
-				}
-
-				arm()
-				for i := 0; fired < crashes; i++ {
-					p := rt.Proc(i % procs)
-					var s repro.Structure = m
-					var op repro.Op
-					var want uint64
-					// The map breathes — 3000 operations mostly inserting, 3000
-					// mostly deleting — so free lists a scan rebuilt are drawn
-					// down again and the garbage rule goes quiet between bursts.
-					ins := 2 + 4*(i/3000%2)
-					switch c := rng.Intn(10); {
-					case c < ins:
-						op = repro.Op{Kind: repro.OpInsert, Arg: uint64(rng.Intn(keys)) + 1}
-						want = isb.BoolResp(!present[op.Arg])
-						present[op.Arg] = true
-					case c < 8:
-						op = repro.Op{Kind: repro.OpDelete, Arg: uint64(rng.Intn(keys)) + 1}
-						want = isb.BoolResp(present[op.Arg])
-						delete(present, op.Arg)
-					case c < 9 || len(fifo) == 0:
-						s, op = q, repro.Op{Kind: repro.OpEnq, Arg: uint64(i)}
-						want = linearize.RespTrue
-						fifo = append(fifo, op.Arg)
-					default:
-						s, op = q, repro.Op{Kind: repro.OpDeq}
-						want = isb.EncodeValue(fifo[0])
-						fifo = fifo[1:]
-					}
-					// A crash inside Begin leaves no recovery obligation.
-					for !rt.Run(func() { s.Begin(p) }) {
-						recoverAll()
-					}
-					var resp repro.Resp
-					ok := rt.Run(func() { resp = s.Apply(p, op) })
-					for !ok {
-						// Begin cleared p's announcement, so a report entry
-						// for p is this operation's; none means the crash
-						// preceded the announcement and the op is resubmitted.
-						for _, rep := range recoverAll() {
-							if rep.Proc == p.ID() {
-								resp, ok = rep.Legs[0].Resp, true
-							}
-						}
-						if !ok {
-							ok = rt.Run(func() { resp = s.Apply(p, op) })
-						}
-					}
-					if resp.Raw() != want {
-						t.Fatalf("seed %d, op %d (%+v on proc %d): response %d, want %d", seed, i, op, p.ID(), resp.Raw(), want)
-					}
-				}
-				rt.CancelCrash()
-
-				var wantKeys []uint64
-				for k := range present {
-					wantKeys = append(wantKeys, k)
-				}
-				slices.Sort(wantKeys)
-				if got := m.Keys(); !slices.Equal(got, wantKeys) {
-					t.Fatalf("seed %d: keys %v, want %v", seed, got, wantKeys)
-				}
-				if got := q.Values(); !slices.Equal(got, fifo) {
-					t.Fatalf("seed %d: queue %v, want %v", seed, got, fifo)
-				}
-				if msg := m.CheckInvariants() + q.CheckInvariants(); msg != "" {
-					t.Fatalf("seed %d: %s", seed, msg)
-				}
-				return rt, sinceFull
-			}
-			full, _ := run(pmem.RecoverFull)
-			auto, sinceFull := run(pmem.RecoverAuto)
+			full, _ := reclaimStorm(t, eng, seed, crashes, pmem.RecoverFull, false)
+			auto, sinceFull := reclaimStorm(t, eng, seed, crashes, pmem.RecoverAuto, false)
 			st, _ := auto.ReclaimStats()
-			if st.FullScans == 0 {
-				t.Fatalf("seed %d: the garbage rule never fired in %d crashes: %+v", seed, crashes, st)
+			if recoveries := st.FastRecoveries + st.FullScans; st.FullScans*20 > recoveries {
+				t.Fatalf("seed %d: %d full scans in %d recoveries, want at most 5 %%: %+v", seed, st.FullScans, recoveries, st)
 			}
 			if st.FastRecoveries == 0 {
 				t.Fatalf("seed %d: no recovery was fast: %+v", seed, st)
 			}
-			usedFull, usedAuto := full.Heap().Used()-pad, auto.Heap().Used()-pad
-			if bound := 2*usedFull + procs*classes*2048; usedAuto > bound {
+			usedFull, usedAuto := full.Heap().Used()-stormPad, auto.Heap().Used()-stormPad
+			if bound := 2*usedFull + stormProcs*stormClasses*2048; usedAuto > bound {
 				t.Fatalf("seed %d: heap %d words, scan-every-crash holds %d (bound %d)", seed, usedAuto, usedFull, bound)
 			}
 			t.Logf("seed %d: %d fast recoveries, %d full scans, %+v; heap %d words against %d scanning at every crash",
@@ -299,6 +311,30 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 			scan, _ := auto.LastScan()
 			if budget := scan.Garbage + inFlightBound(auto, sinceFull); !scan.Full || scan.Swept > budget {
 				t.Fatalf("seed %d: final scan swept %d blocks, books explain %d (%+v)", seed, scan.Swept, budget, scan)
+			}
+		})
+	}
+}
+
+// TestReclaimPoolFromImage rebuilds the reclaimer's pool from the persisted
+// image alone: a storm (see reclaimStorm) of 300 crashes in which the reclaimer
+// forgets, at every crash, its rings, free lists, claimed slabs, late marks
+// and which blocks it ever handed out (pmem.Reclaimer.Forget), and every
+// recovery is fast. Each one is audited: no block the structures reach or
+// an engine register names may be in the pool, none may be in it twice, and
+// the unreachable words must be explained by the books. A rebuild that read
+// Go-side state would hand out a linked block or lose the pool.
+func TestReclaimPoolFromImage(t *testing.T) {
+	crashes := 300
+	if testing.Short() {
+		crashes = 60
+	}
+	for _, eng := range engineVariants {
+		eng := eng
+		t.Run(eng.name, func(t *testing.T) {
+			rt, _ := reclaimStorm(t, eng, 7, crashes, pmem.RecoverFast, true)
+			if st, _ := rt.ReclaimStats(); st.Reused == 0 || st.FullScans != 0 {
+				t.Fatalf("the pool was never drawn on, or scanned: %+v", st)
 			}
 		})
 	}

@@ -395,6 +395,9 @@ type vector struct {
 	// still holds its pre-admission state: the atomicity check behind a
 	// no-effect report.
 	pre func() string
+	// audit, when non-nil, checks the reclaimer right after RecoverAll,
+	// before anything re-submitted can draw on the pool it rebuilt.
+	audit func() string
 }
 
 // submit admits legs[from:] and returns their responses.
@@ -491,6 +494,11 @@ func (v vector) resolve() ([]uint64, error) {
 	reps := v.rt.RecoverAll()
 	if len(reps) > 1 || len(reps) == 1 && reps[0].Proc != 0 {
 		return nil, fmt.Errorf("single-proc sweep on proc 0 reported %+v", reps)
+	}
+	if v.audit != nil {
+		if msg := v.audit(); msg != "" {
+			return nil, errors.New(msg)
+		}
 	}
 	got := make([]uint64, len(v.legs))
 	from := 0

@@ -545,13 +545,14 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	adm := e.recs.Admission(p)
 	last := &ep.last
 	// Pin before dereferencing a record: post-crash recovery kept each
-	// register's record and everything it names alive (the fast reset frees
-	// nothing; a scan keeps what announced records name), and the pin keeps
-	// that true while Help re-runs. The completed operation's retired-class
-	// nodes are NOT retired here — pre-crash they may already have been
-	// retired, freed and reused as live nodes; a recovery-path retire could
-	// therefore hit a live block. They leak instead, inside the per-crash
-	// in-flight budget, until the next scan.
+	// register's record out of the free pool (Runtime.RecoverAll), what an
+	// evident record names stays allocated for as long as Help may act on
+	// it (rule i of pmem.Reclaimer), and the pin keeps that true while Help
+	// re-runs. The completed operation's retired-class nodes are NOT retired
+	// here — pre-crash they may already have been retired, freed and reused
+	// as live nodes; a recovery-path retire could therefore hit a live
+	// block. They leak instead, inside the per-crash in-flight budget, until
+	// the next scan.
 	e.alloc.Enter(p)
 	for _, reg := range [2]int{last.reg, 1 - last.reg} {
 		info := pmem.Addr(p.Load(e.rd(p.ID(), reg)))
@@ -690,6 +691,19 @@ func (e *Engine) cleanupTags(p *pmem.Proc, info pmem.Addr) (some, all bool) {
 	return some, all
 }
 
+// Registered reports, via f, the Info record each non-Null register of each
+// process names, whatever its CP_q says: every record a recovery may still
+// read. Two loads per process.
+func (e *Engine) Registered(p *pmem.Proc, f func(pmem.Addr)) {
+	for q := 0; q < e.h.NumProcs(); q++ {
+		for r := range 2 {
+			if info := pmem.Addr(p.Load(e.rd(q, r))); info != pmem.Null {
+				f(info)
+			}
+		}
+	}
+}
+
 // MarkReachable reports, via mark, every address the engine's recovery
 // data can still lead to: for each process, the Info record each non-Null
 // register names, whatever its CP_q says, and (conservatively) every word of
@@ -721,17 +735,13 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 				}
 			}
 		}
-		for r := range 2 {
-			info := pmem.Addr(p.Load(e.rd(q, r)))
-			if info == pmem.Null {
-				continue
-			}
-			mark(info)
-			for w := pmem.Addr(0); w < InfoWords; w++ {
-				mark(pmem.Addr(p.Load(info+w) &^ 1))
-			}
-		}
 	}
+	e.Registered(p, func(info pmem.Addr) {
+		mark(info)
+		for w := pmem.Addr(0); w < InfoWords; w++ {
+			mark(pmem.Addr(p.Load(info+w) &^ 1))
+		}
+	})
 }
 
 // Boundary closes leg seq-1 of the announced vector and opens leg seq: the
@@ -747,13 +757,13 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // process's next install, on whichever engine, whose barrier writes it back
 // before any tag (Records.storeKept). No leg takes a durable effect ahead of
 // its install barrier, and a read or effect-free leg takes none at all; the
-// reclaimer's slab directory, which can be written back sooner, records no
-// operation's effect. So a crash before that barrier completes finds leg
-// seq-1 at the derived cursor, or the slot alone durable and leg seq in
-// flight with no effect, and leg seq-1's record still named by a register if
-// it installed one (recoverSeq, resolveSeq) — evident by its durable tags, so
-// that Settle finishes the update phase the barrier also carries (finish)
-// where the slot persisted without it. A slot no later leg installs
+// reclaimer's slab directory and dead bits, which can be written back
+// sooner, record no operation's effect. So a crash before that barrier
+// completes finds leg seq-1 at the derived cursor, or the slot alone durable
+// and leg seq in flight with no effect, and leg seq-1's record still named by
+// a register if it installed one (recoverSeq, resolveSeq) — evident by its
+// durable tags, so that Settle finishes the update phase the barrier also
+// carries (finish) where the slot persisted without it. A slot no later leg installs
 // after is never stored: once the admission returns, its durable record's
 // cursor sits on its last installing leg, which a register names, so an
 // effect-free leg after it needs no install of its own.

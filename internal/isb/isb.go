@@ -235,7 +235,9 @@ type Engine struct {
 	// default pmem.Arena reproduces the seed's leak-forever behaviour; a
 	// pmem.Reclaimer recycles retired blocks after an epoch grace period.
 	// Epoch pins and retirements are threaded through the operation entry
-	// points; neither touches the heap, so reclamation adds no write-back.
+	// points; a pin touches no heap word, and an allocation's or a
+	// retirement's dead bit rides the process's next barrier (pmem.Proc.Carry),
+	// so reclamation adds no write-back.
 	alloc pmem.Allocator
 	// settled is the heap epoch (crash count) Settle last finished at.
 	settled atomic.Uint64
@@ -337,7 +339,9 @@ func (e *Engine) Alloc(p *pmem.Proc, words uint64) pmem.Addr {
 // Info records are recycled: the tag-phase invariant "expected info values
 // never recur" survives memory reuse. Untagged info-field values are never
 // dereferenced (only compared), so the switch is invisible to gathers;
-// cookies are even, so IsTagged and the invariant checkers are unaffected.
+// cookies are even, so IsTagged and the invariant checkers are unaffected,
+// and carry cookieBit, so that no cookie looks like a heap address to the
+// reclaimer's conservative scan.
 func (e *Engine) cookie(ep *engineProc) uint64 {
 	ep.cookies++
 	return e.cookieAt(ep, ep.cookies)
@@ -346,8 +350,11 @@ func (e *Engine) cookie(ep *engineProc) uint64 {
 // cookieAt is the cookie of ep's counter value c: a held update reserves its
 // untags' values ahead (Records.hold), so that the next leg can expect them.
 func (e *Engine) cookieAt(ep *engineProc, c uint64) uint64 {
-	return (c*uint64(len(e.procs)) + uint64(ep.p.ID())) << 1
+	return cookieBit | (c*uint64(len(e.procs))+uint64(ep.p.ID()))<<1
 }
+
+// cookieBit is set in every cookie: far above any heap address.
+const cookieBit = 1 << 62
 
 // retireLast records that register r of the calling process durably names
 // info now (Null: nothing), and retires what that frees: the record r named

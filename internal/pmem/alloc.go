@@ -8,10 +8,11 @@ package pmem
 //     It remains the conformance oracle: every structure behaves identically
 //     on it, and the differential tests pin the reclaiming allocator against
 //     it.
-//   - Reclaimer (reclaim.go): an epoch-based reclaimer whose only persistent
-//     state is a slab directory; its retired rings, epoch, pins and
-//     free-list heads are volatile Go-side state that post-crash recovery
-//     resets, and a conservative scan rebuilds from reachability.
+//   - Reclaimer (reclaim.go): an epoch-based reclaimer whose persistent
+//     state is a slab directory and a dead bitmap per slab, from which the
+//     free pool comes back after a crash; its retired rings, epoch, pins
+//     and free-list heads are volatile Go-side state that post-crash
+//     recovery resets, and a conservative scan is its rare fallback.
 //
 // The split of Free vs Retire mirrors visibility: Free returns a block that
 // was never published (no other process can hold a reference — e.g. the

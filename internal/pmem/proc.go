@@ -36,6 +36,11 @@ type Proc struct {
 	// and the barrier that finally names it writes back nothing.
 	carry []Addr
 
+	// barriers counts the barriers this process issued, each of which wrote
+	// its carry set back. Never reset (unlike stats): the reclaimer compares
+	// it to tell a carried dead bit written back from one a crash may lose.
+	barriers uint64
+
 	// syncScope is set while an admission — one operation, a batch window or
 	// a transaction — has a sync scope open on this process: the ISB engines'
 	// sync points defer to the scope's one closing psync instead of issuing,
@@ -57,7 +62,7 @@ type Proc struct {
 	// Procs run on different goroutines and write their counters at every
 	// access: the padding makes a Proc a whole number of cache lines, so two
 	// never share one (TestProcFillsCacheLines).
-	_ [48]byte
+	_ [40]byte
 }
 
 // ID returns the process id (0-based).
@@ -269,6 +274,7 @@ func (p *Proc) Carry(a Addr) {
 // the per-proc scratch buffer, so steady-state barriers perform zero Go
 // allocations (pinned by TestBarrierZeroAllocs).
 func (p *Proc) flushLines(ls []Addr) {
+	p.barriers++
 	ls = append(ls, p.carry...)
 	p.carry = p.carry[:0]
 	slices.Sort(ls)

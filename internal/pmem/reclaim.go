@@ -2,96 +2,111 @@ package pmem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// Reclaimer is an epoch-based memory reclaimer whose only persistent state
-// is a slab directory in the pmem heap, from which the post-crash scan can
-// enumerate every block the reclaimer ever carved. Its bookkeeping — the
-// global epoch, one pin per process, one retired ring per process and the
-// per-size-class free-list heads — is Go-side per-process state that no
-// recovery path reads, so none of it is ever written back.
+// Reclaimer is an epoch-based memory reclaimer whose persistent state is a
+// slab directory and, per slab, a durable dead bitmap: one bit per block,
+// set while the block is free and clear while it may be in use. The free
+// pool survives a crash in those bits; everything else — the global epoch,
+// one pin per process, one retired ring per process, the free-list heads
+// and the pools adopted from the bitmaps — is Go-side state that no recovery
+// path reads.
 //
 // # Normal operation
 //
-// Blocks are carved from per-process slabs (large even-aligned regions
-// grabbed from the shared bump pointer and recorded durably in the slab
-// directory before any block from them is handed out — two pwbs per slab),
-// one slab per (process, size class). Alloc pops the process's free list for
-// the block's class (the link lives in block word 0: two heap accesses),
-// falling back to the slab cursor. Retire appends ⟨block, epoch⟩ to the
-// process's ring — no heap access — and occasionally tries to advance the
-// global epoch. A ring that fills while a pinned peer stalls the epoch grows
-// (and keeps its capacity), so a stalled peer costs memory held in rings,
-// never a lost retirement. An entry is freed (block zeroed and pushed on a
-// free list) once the global epoch is two ahead of the entry's epoch: every
-// process pinned when the block was unlinked has exited or re-entered since,
-// so no reference survives. Epoch pins ride the ISB engine's operation entry
-// (see isb.Engine) and are Go-side atomics, so they cost no heap access.
+// Blocks are carved from slabs (even-aligned regions grabbed from the shared
+// bump pointer, each serving one size class, its bitmap on its own line(s)
+// just below it), recorded durably in the slab directory before any block
+// from them is handed out: the bitmap, every block free, then the entry and
+// the count that publish it — a pwb per bitmap line and two. The directory entry
+// names the slab's blocks; the bitmap sits below them, at an offset its
+// class fixes. Alloc pops the process's free list for the block's class
+// (the link lives in block word 0), else takes the lowest free block of the
+// slab the process draws from, else adopts an unclaimed slab (below), else
+// carves a new one; every path clears the block's dead bit with a CAS and
+// hands its line to the process's next barrier (Proc.Carry). Retire sets the
+// bit the same way, appends ⟨block, epoch⟩ to the process's ring and
+// occasionally tries to advance the global epoch. A ring that fills while a
+// pinned peer stalls the epoch grows (and keeps its capacity), so a stalled
+// peer costs memory held in rings, never a lost retirement. An entry is
+// freed (block zeroed and pushed on a free list) once the global epoch is
+// two ahead of the entry's epoch: every process pinned when the block was
+// unlinked has exited or re-entered since, so no reference survives. Epoch
+// pins ride the ISB engine's operation entry (see isb.Engine) and are
+// Go-side atomics, so they cost no heap access. Lookups go through a table
+// indexed by address / slabWords: O(1), two probes at most.
+//
+// # The dead bitmap
+//
+// A bit is durable only once a barrier wrote its line back; until then a
+// crash may find either value. Three rules make every value a crash can
+// leave safe:
+//
+//   - (i) Setting a bit. Retire and Free set it once the block can be
+//     reused after any crash: its unlink is durable and no recovery still
+//     consults it — retireLast, retireAffected, the failed-tag path and
+//     discardAttempt in the ISB engine guarantee both. After a crash no
+//     process holds a reference, so the epoch grace is moot there.
+//   - (ii) Clearing a bit. An allocation clears it, and the line rides the
+//     allocating admission's install barrier (or the constructor's barrier
+//     for a structure's sentinels), which precedes any CAS that links the
+//     block: a linked block's bit is durably clear.
+//   - (iii) In-flight exclusion. Under Isb-Opt the register that names an
+//     install's record (RD_q) is written back by the same barrier as the
+//     record's cleared bit, and a crash inside it may persist one without
+//     the other. Runtime.RecoverAll therefore clears, before anything
+//     allocates, the bit of every block a register names, and of the dead
+//     blocks such a kept block's words name, transitively (Keep): an
+//     O(Procs × in flight) closure whose clears ride the next barrier.
 //
 // # Crash recovery
 //
-// What survives a simulated crash is the Go-side allocator state — the slab
-// index, the per-block state bytes, the slab cursors and the counters below
-// — exactly as the heap's bump pointer does: it describes which memory has
-// been handed out, not what the structures contain. The epoch, the pins, the
-// rings and the free lists are untrustworthy after a crash: a ring entry
-// names a block whose unlink may not have persisted, a free-list link sits
-// in block word 0 and reverts with it, and a pin belongs to an operation
-// that no longer runs.
+// Recover, driven by Runtime.RecoverAll before any operation recovery runs,
+// resets the Go-side state — rings, free lists, adopted pools, pins, epoch —
+// with no heap access, no pwb and no psync, and starts a new pool
+// generation in which every slab is unclaimed. The pool is then whatever
+// the bitmaps say: the first Alloc of a class after the crash claims a slab
+// of that class and reads its bitmap (adopt), so a recovery costs nothing
+// per slab and an allocation one bitmap read per slab it adopts. Blocks
+// retired or freed after the crash in a slab not yet claimed are marked
+// late, and adoption leaves them to the ring and the free list they went
+// to. The Go-side slab index is kept across a crash as a cache of the
+// directory, like the heap's bump pointer; nothing the pool is rebuilt
+// from is Go-side.
 //
-// Recover, driven by Runtime.RecoverAll before any operation recovery
-// runs, therefore does on every crash only what costs O(Procs): it books
-// what the rings and free lists held as garbage and resets the Go-side
-// state — no heap access, no pwb, no psync. It frees nothing. Every block
-// that sat on a pre-crash free list or in a pre-crash ring is abandoned
-// where it is — never reused, never freed — and booked as accounted
-// garbage; allocation continues from the slab cursors and only post-crash
-// retirements flow through the rings to the free lists. The invariant that
-// makes this safe without looking at the structures:
-//
-//	recovery never adds a block to a free list without a full mark.
-//
-// A retirement that reached no ring therefore never frees anything, and a
-// retirement whose unlink did not persist leaves a reachable block that is
-// merely never retired again (Retire ignores non-live blocks).
-//
-// The full conservative scan (Scan) is what gives abandoned blocks back,
-// and Recover runs it inside the same call only when accounted garbage has
-// caught up with the rest of the carved heap:
+// What a crash can still lose is booked, in words, as garbage: dead bits a
+// process set since its last barrier (Retire, Free — its carried lines may
+// not have reached NVM), blocks RecoverAll keeps out of the pool (iii),
+// retirements dropped before Recover ran. Not booked: what was in flight —
+// the nodes a crashed attempt allocated whose cleared bits persisted, at
+// most an attempt's nodes plus its Info record per process per crash, and
+// the ISB engine's retired-class operands its recovery does not retire.
+// Those blocks are live-but-unreachable until a Scan returns them. The full
+// conservative scan (Scan) is the rare fallback, which Recover runs inside
+// the same call only when the garbage has caught up with the rest of the
+// heap:
 //
 //	garbage × 2 ≥ words carved
 //
 // — a GOGC-style rule on two counts the reclaimer keeps anyway (in words:
-// the size classes differ 8×, and it is the heap the rule bounds), so the
-// heap stays within about twice what scanning at every crash would hold,
-// one crash that drops a huge free list degenerates to a scan right away,
-// and the amortised cost of a recovery is O(in flight + blocks dropped)
-// instead of O(live). Scan:
+// the size classes differ 8×, and it is the heap the rule bounds). Scan:
 //
 //  1. marks every block reachable from the structures' roots or referenced
 //     by an announced in-flight operation's Info record (conservative:
 //     anything recovery might still touch survives);
 //  2. resets the Go-side state as above;
-//  3. sweeps: every unmarked block returns to a free list (zeroed), every
-//     marked block becomes live again; the garbage account restarts at 0.
+//  3. rewrites every bitmap — marked blocks in use, every other handed-out
+//     block free — and writes the bitmaps back with one barrier; the
+//     garbage account restarts at 0.
 //
-// The conservative cost of Scan: a block that was validly retired but is
-// still referenced by an announced operation's Info record stays live
-// until a later scan finds it unreferenced.
-//
-// What neither path accounts is what was in flight: the nodes a crashed
-// attempt had allocated but not linked, or unlinked but not yet retired
-// (the ISB engine's operation recovery does not retire them) —
-// at most an attempt's nodes plus its Info record per process per crash.
-// They are live-but-unreachable until the next Scan sweeps them, and small
-// next to what a crash abandons, so the rule still fires.
+// Scan is also the oracle the tests hold the fast path to (Audit).
 //
 // Until Recover (or Scan) has run after a crash, the reclaimer runs in a
-// safe degraded mode: Alloc bypasses the (untrustworthy) free lists and
-// carves fresh memory, and Retire drops retirements (counted in
-// Stats.Dropped and as garbage).
+// safe degraded mode: Alloc bypasses the free lists and adopts no slab, and
+// Retire drops retirements (counted in Stats.Dropped and as garbage).
 type Reclaimer struct {
 	h *Heap
 
@@ -104,10 +119,12 @@ type Reclaimer struct {
 	nclasses atomic.Uint64
 	mu       sync.Mutex // slab directory + class registration
 
-	// slabs is the sorted (by base) Go-side slab index used for containment
-	// lookups; copy-on-append so hot-path readers are lock-free and
-	// allocation-free.
+	// slabs lists every slab in creation order, copy-on-append, so that
+	// iteration is lock-free; table resolves an address to its slab
+	// (lookup): entry k is the slab whose first block lies in [k, k+1) ×
+	// slabWords.
 	slabs atomic.Pointer[[]*slab]
+	table []atomic.Pointer[slab]
 
 	epoch atomic.Uint64 // the global epoch
 	pins  []pin
@@ -118,14 +135,18 @@ type Reclaimer struct {
 	// (degraded mode).
 	scanEpoch atomic.Uint64
 
-	// garbage counts the words abandoned since the last full scan: what
-	// sat on a free list or in a ring when a crash hit, plus every dropped
-	// retirement. Recover weighs it against the words carved to decide
-	// whether this crash pays for a Scan. Words, not blocks: the size
-	// classes differ 8×, and it is the heap the rule bounds. It may
-	// over-count (a crash between a counter and the state change it
-	// announces), never under-count.
+	// gen numbers the pools: Recover and Scan start a new one, in which no
+	// slab is claimed yet. adoptAt is, per class, the index into slabs the
+	// next adoption looks at.
+	gen     atomic.Uint64
+	adoptAt [maxClasses]atomic.Int64
+
+	// garbage counts the words lost since the last full scan (see Crash
+	// recovery). Recover weighs it against carved, the words ever handed
+	// out, to decide whether this crash pays for a Scan. It may over-count,
+	// never under-count.
 	garbage atomic.Uint64
+	carved  atomic.Uint64
 	// mode is the test hook behind ForceRecovery.
 	mode RecoveryMode
 
@@ -159,14 +180,14 @@ type reclaimProc struct {
 	// free holds the free-list heads, one per class; a link lives in block
 	// word 0.
 	free [maxClasses]Addr
-	// held counts the words the ring and free lists hold: a block enters
-	// at Retire or Free and leaves when Alloc pops it. Recover turns it
-	// into garbage.
-	held uint64
-	// The slab cursors survive a crash, like the heap's bump pointer.
-	cur     [maxClasses]Addr
-	curLeft [maxClasses]uint64
-	_       [48]byte
+	// cur is, per class, the slab whose free blocks (slab.avail) the process
+	// hands out.
+	cur [maxClasses]*slab
+	// pend counts the words whose dead bit the process set since its
+	// barrier number pendAt (Proc.barriers): what a crash before its next
+	// barrier may lose.
+	pend, pendAt uint64
+	_            [8]byte
 }
 
 // retired is one ring entry: a block unlinked in epoch.
@@ -200,24 +221,40 @@ func (ps *reclaimProc) eachHeld(read func(Addr) uint64, f func(Addr)) {
 	}
 }
 
-// slab is one carved region serving blocks of a single size class. state
-// holds one byte per block: 0 = never allocated (still under the slab
-// cursor), else a blockState (possibly with the scan's mark bit).
-type slab struct {
-	base  Addr
-	class int
-	state []byte
+// setDead notes that p set a dead bit of words words: lost if p crashes
+// before its next barrier.
+func (ps *reclaimProc) setDead(p *Proc, words uint64) {
+	if p.barriers != ps.pendAt {
+		ps.pend, ps.pendAt = 0, p.barriers
+	}
+	ps.pend += words
 }
 
-// Block lifecycle states (Go-side; rebuilt from reachability by the scan).
-const (
-	bsVirgin  byte = 0
-	bsLive    byte = 1
-	bsRetired byte = 2
-	bsFree    byte = 3
+// slab is one carved region serving blocks of a single size class.
+type slab struct {
+	base  Addr   // the first block
+	bits  Addr   // the dead bitmap, line-aligned, below base
+	class int    // size-class index
+	size  uint64 // block words
+	n     uint64 // blocks
 
-	bsMark byte = 0x80 // scan mark bit, OR-ed onto the state
-)
+	// gen is the pool generation (Reclaimer.gen) the slab was claimed in:
+	// by the process that carved it, or by an adoption. avail then holds
+	// the blocks the claiming process may still hand out — its first loaded
+	// words, the rest still to be read from the bitmap — and only that
+	// process touches it.
+	gen    atomic.Uint64
+	avail  []uint64
+	loaded int
+	// hw is the high-water mark: blocks [0, hw) were handed out at least
+	// once. Written by the claiming process; Scan and Audit read it.
+	hw uint64
+	// late marks the blocks retired or freed in the current generation:
+	// they reach a ring or a free list, and an adoption leaves them out.
+	late []atomic.Uint64
+	// marks are the scan's mark bits.
+	marks []uint64
+}
 
 // Sizes and thresholds.
 const (
@@ -235,14 +272,14 @@ const (
 
 // ReclaimStats counts reclaimer events (monotone within a run).
 type ReclaimStats struct {
-	Carved   uint64 // blocks carved fresh from a slab
-	Reused   uint64 // blocks served from a free list
+	Carved   uint64 // blocks handed out for the first time
+	Reused   uint64 // blocks handed out again: from a free list or an adopted slab
 	Retired  uint64 // retirements recorded in a ring
 	Freed    uint64 // blocks moved ring → free list after grace
 	Dropped  uint64 // retirements dropped (degraded mode, between a crash and Recover)
 	Advances uint64 // successful global epoch advances
 
-	FastRecoveries uint64 // crashes recovered by the O(Procs) reset alone
+	FastRecoveries uint64 // crashes recovered by the reset alone
 	FullScans      uint64 // conservative scans run (by Recover's rule or directly)
 }
 
@@ -250,10 +287,10 @@ type ReclaimStats struct {
 // fast reset (Full false; Marked and Swept 0) or a full Scan.
 type ScanReport struct {
 	Full    bool   // the conservative scan ran
-	Marked  uint64 // blocks kept live (reachable or announced-operand)
-	Swept   uint64 // blocks returned to free lists
-	Dropped uint64 // words this recovery abandoned (pre-crash rings and free lists)
-	Garbage uint64 // words abandoned since the last full scan, this crash's included
+	Marked  uint64 // handed-out blocks kept in use (reachable or announced-operand)
+	Swept   uint64 // handed-out blocks the scan returned to the pool (their bit was clear)
+	Dropped uint64 // words this crash may have lost: dead bits not yet written back
+	Garbage uint64 // words lost since the last full scan, this crash's included
 }
 
 // RecoveryMode overrides Recover's garbage rule. Test hook: the crash
@@ -273,6 +310,7 @@ func NewReclaimer(h *Heap) *Reclaimer {
 	r := &Reclaimer{h: h, pins: make([]pin, n), procs: make([]reclaimProc, n)}
 	r.maxSlabs = h.Capacity()/slabWords + 1
 	r.dirBase = h.Proc(0).Alloc(1 + r.maxSlabs)
+	r.table = make([]atomic.Pointer[slab], r.maxSlabs+1)
 	for id := range r.procs {
 		r.procs[id].ring = make([]retired, ringCap)
 	}
@@ -318,52 +356,64 @@ func (r *Reclaimer) classFor(words uint64) int {
 	return n
 }
 
-// newSlab carves a fresh slab for class and durably appends it to the slab
-// directory before any block from it can be handed out, so the post-crash
-// scan can always enumerate it. Directory entry encoding: base<<3 | class.
+// newSlab carves a fresh slab for class, claimed by the calling process, and
+// makes it durable before any block from it can be handed out: its bitmap,
+// every block free, then the directory entry (base<<3 | class) and the count
+// that publishes it. A crash between the pwbs loses at most this one (still
+// unused) slab to the arena.
 func (r *Reclaimer) newSlab(p *Proc, class int) *slab {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	base := r.h.grabChunk(slabWords)
 	idx := *r.slabs.Load()
 	if uint64(len(idx)) >= r.maxSlabs {
 		panic("pmem: reclaimer slab directory full")
 	}
-	// Durable before use: entry first, then the count that publishes it.
-	// A crash between the two pwbs loses at most this one (still unused)
-	// slab to the arena.
-	p.Store(r.dirBase+1+Addr(len(idx)), uint64(base)<<3|uint64(class))
+	size := r.classes[class].Load()
+	n := slabWords / size
+	words := (n + 63) / 64
+	below := (words + WordsPerLine - 1) &^ (WordsPerLine - 1)
+	// One line of slack aligns the bitmap whatever the bump pointer's
+	// alignment, so that a slab of 4-word blocks keeps its bits on one line.
+	raw := r.h.grabChunk(below + slabWords + WordsPerLine)
+	bm := lineOf(raw + WordsPerLine - 1)
+	s := &slab{base: bm + Addr(below), bits: bm, class: class, size: size, n: n,
+		avail: make([]uint64, words), late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
+	s.gen.Store(r.gen.Load())
+	s.loaded = len(s.avail)
+	for w := range s.avail {
+		s.avail[w] = ^uint64(0) >> (64 - min(64, n-uint64(w)*64))
+		p.Store(bm+Addr(w), s.avail[w])
+	}
+	for line := bm; line < s.base; line += WordsPerLine {
+		p.PWB(line)
+	}
+	p.Store(r.dirBase+1+Addr(len(idx)), uint64(s.base)<<3|uint64(class))
 	p.PWB(r.dirBase + 1 + Addr(len(idx)))
 	p.Store(r.dirBase, uint64(len(idx))+1)
 	p.PWB(r.dirBase)
-	s := &slab{base: base, class: class, state: make([]byte, slabWords/r.classes[class].Load())}
+	r.table[uint64(s.base)/slabWords].Store(s)
 	next := make([]*slab, len(idx)+1)
-	copy(next, idx) // bump bases are monotone, so append keeps the index sorted
+	copy(next, idx)
 	next[len(idx)] = s
 	r.slabs.Store(&next)
 	return s
 }
 
 // lookup resolves a to its slab, block start and block index; ok is false
-// for addresses outside every slab.
+// for addresses outside every slab's blocks.
 func (r *Reclaimer) lookup(a Addr) (s *slab, start Addr, bi uint64, ok bool) {
-	idx := *r.slabs.Load()
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx[mid].base+slabWords <= a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(idx) || a < idx[lo].base {
+	k := uint64(a) / slabWords
+	if k >= uint64(len(r.table)) {
 		return nil, 0, 0, false
 	}
-	s = idx[lo]
-	size := r.classes[s.class].Load()
-	bi = uint64(a-s.base) / size
-	return s, s.base + Addr(bi*size), bi, true
+	if s = r.table[k].Load(); (s == nil || a < s.base) && k > 0 {
+		s = r.table[k-1].Load()
+	}
+	if s == nil || a < s.base || a >= s.base+slabWords {
+		return nil, 0, 0, false
+	}
+	bi = uint64(a-s.base) / s.size
+	return s, s.base + Addr(bi*s.size), bi, true
 }
 
 // BlockOf resolves an interior pointer to its containing block.
@@ -372,37 +422,108 @@ func (r *Reclaimer) BlockOf(a Addr) (Addr, uint64, bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	return start, r.classes[s.class].Load(), true
+	return start, s.size, true
+}
+
+// flip sets (dead) or clears block bi's dead bit with a CAS, and carries
+// its line to p's next barrier. It reports whether the bit changed.
+func (r *Reclaimer) flip(p *Proc, s *slab, bi uint64, dead bool) bool {
+	w, m := s.bits+Addr(bi/64), uint64(1)<<(bi%64)
+	for {
+		old := p.Load(w)
+		if old&m != 0 == dead {
+			return false
+		}
+		if p.CAS(w, old, old^m) == old {
+			p.Carry(w)
+			return true
+		}
+	}
 }
 
 // Alloc serves a block of at least words words: from the calling process's
-// free list when the reclaimer is synced, else (or when the list is empty)
-// from the process's slab cursor.
+// free list, else from its slab of the class, else from a slab it adopts,
+// else from a slab it carves. Until Recover has run after a crash it takes
+// neither the free list nor an adoption.
 func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 	class := r.classFor(words)
-	size := r.classes[class].Load()
 	ps := &r.procs[p.ID()]
-	if a := ps.free[class]; a != Null && r.synced() {
+	synced := r.synced()
+	if a := ps.free[class]; a != Null && synced {
 		ps.free[class] = Addr(p.Load(a)) // pop; block word 0 is the free link
 		p.Store(a, 0)                    // restore the zeroed-block contract
 		s, _, bi, _ := r.lookup(a)
-		s.state[bi] = bsLive
-		ps.held -= size
+		r.flip(p, s, bi, false)
 		atomic.AddUint64(&r.stats.Reused, 1)
 		return a
 	}
-	if ps.curLeft[class] < size || ps.cur[class] == 0 {
-		s := r.newSlab(p, class)
-		ps.cur[class] = s.base
-		ps.curLeft[class] = slabWords
+	for {
+		if s := ps.cur[class]; s != nil {
+			if a := r.take(p, s); a != Null {
+				return a
+			}
+		}
+		ps.cur[class] = nil
+		if synced {
+			ps.cur[class] = r.adopt(class)
+		}
+		if ps.cur[class] == nil {
+			ps.cur[class] = r.newSlab(p, class)
+		}
 	}
-	a := ps.cur[class]
-	ps.cur[class] += Addr(size)
-	ps.curLeft[class] -= size
-	s, _, bi, _ := r.lookup(a)
-	s.state[bi] = bsLive
-	atomic.AddUint64(&r.stats.Carved, 1)
-	return a
+}
+
+// take hands out s's lowest free block, its bit cleared, or returns Null
+// when s has none left; it reads the bitmap a word at a time (see adopt). A
+// block of a carved slab is zero; an adopted one is handed out as the crash
+// left it, which Allocator allows: every caller initializes what it reads.
+func (r *Reclaimer) take(p *Proc, s *slab) Addr {
+	for w := range s.avail {
+		if w == s.loaded {
+			s.avail[w] = p.Load(s.bits+Addr(w)) &^ s.late[w].Load()
+			s.loaded++
+		}
+		v := s.avail[w]
+		if v == 0 {
+			continue
+		}
+		b := bits.TrailingZeros64(v)
+		s.avail[w] = v &^ (1 << b)
+		bi := uint64(w*64 + b)
+		a := s.base + Addr(bi*s.size)
+		r.flip(p, s, bi, false)
+		if bi < s.hw {
+			atomic.AddUint64(&r.stats.Reused, 1)
+		} else {
+			r.carved.Add((bi + 1 - s.hw) * s.size)
+			s.hw = bi + 1
+			atomic.AddUint64(&r.stats.Carved, 1)
+		}
+		return a
+	}
+	return Null
+}
+
+// adopt claims the next slab of class no process has claimed in this
+// generation, touching no heap word: take then reads its bitmap into avail a
+// word at a time, as it needs it — every block whose bit is set, but those
+// marked late. The late mark is set before a Retire or Free sets the bit and
+// read after it, so a block whose bit take reads set on its way to a ring
+// or a free list is left out.
+func (r *Reclaimer) adopt(class int) *slab {
+	idx := *r.slabs.Load()
+	g := r.gen.Load()
+	for {
+		i := r.adoptAt[class].Add(1) - 1
+		if i >= int64(len(idx)) {
+			return nil
+		}
+		s := idx[i]
+		if old := s.gen.Load(); s.class == class && old != g && s.gen.CompareAndSwap(old, g) {
+			s.loaded = 0
+			return s
+		}
+	}
 }
 
 // Free returns a never-published block straight to the calling process's
@@ -412,44 +533,51 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 		return
 	}
 	s, start, bi, ok := r.lookup(a)
-	if !ok || s.state[bi] != bsLive {
+	if !ok || !r.kill(p, s, bi) {
 		return
 	}
-	ps := &r.procs[p.ID()]
-	ps.held += r.classes[s.class].Load()
-	r.pushFree(p, ps, s, start, bi)
+	r.pushFree(p, &r.procs[p.ID()], s, start)
+}
+
+// kill marks block bi late and sets its dead bit, reporting whether it was
+// in use (see adopt for the order).
+func (r *Reclaimer) kill(p *Proc, s *slab, bi uint64) bool {
+	s.late[bi/64].Or(1 << (bi % 64))
+	if !r.flip(p, s, bi, true) {
+		return false
+	}
+	r.procs[p.ID()].setDead(p, s.size)
+	return true
 }
 
 // pushFree zeroes the block and links it onto ps's free list for its
-// class. The link lives in block word 0; a crash abandons the list (only a
-// full scan rebuilds it). Callers account the block in ps.held.
-func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, s *slab, start Addr, bi uint64) {
-	size := r.classes[s.class].Load()
-	for w := Addr(1); w < Addr(size); w++ {
+// class. The link lives in block word 0; a crash drops the list, and the
+// block's dead bit brings it back.
+func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, s *slab, start Addr) {
+	for w := Addr(1); w < Addr(s.size); w++ {
 		p.Store(start+w, 0)
 	}
 	p.Store(start, uint64(ps.free[s.class]))
 	ps.free[s.class] = start
-	s.state[bi] = bsFree
 }
 
-// Retire records that the block containing a has been unlinked: ⟨block,
-// epoch⟩ is appended to the calling process's ring, with no heap access.
-// Already retired, freed or unknown blocks are ignored, which makes the
-// recovery-path retire calls idempotent.
+// Retire records that the block containing a has been unlinked: its dead bit
+// is set and carried, and ⟨block, epoch⟩ is appended to the calling
+// process's ring. Already retired, freed or unknown blocks are ignored,
+// which makes the recovery-path retire calls idempotent.
 func (r *Reclaimer) Retire(p *Proc, a Addr) {
 	s, start, bi, ok := r.lookup(a)
-	if !ok || s.state[bi] != bsLive {
+	if !ok {
 		return
 	}
-	s.state[bi] = bsRetired
-	size := r.classes[s.class].Load()
 	if !r.synced() {
-		r.drop(size)
+		r.drop(s.size)
+		return
+	}
+	if !r.kill(p, s, bi) {
 		return
 	}
 	ps := &r.procs[p.ID()]
-	ps.held += size
 	ps.push(retired{start, r.epoch.Load()})
 	atomic.AddUint64(&r.stats.Retired, 1)
 	if ps.n >= ringFreeThreshold {
@@ -504,10 +632,9 @@ func (r *Reclaimer) advanceAndFree(p *Proc) {
 		if e.epoch+2 > epoch {
 			return // grace period not over for this (and later) entries
 		}
-		if s, start, bi, ok := r.lookup(e.block); ok && s.state[bi] == bsRetired && start == e.block {
-			r.pushFree(p, ps, s, start, bi)
-			atomic.AddUint64(&r.stats.Freed, 1)
-		}
+		s, _, _, _ := r.lookup(e.block)
+		r.pushFree(p, ps, s, e.block)
+		atomic.AddUint64(&r.stats.Freed, 1)
 		ps.head = (ps.head + 1) & (len(ps.ring) - 1)
 	}
 }
@@ -535,16 +662,19 @@ func (r *Reclaimer) Stats() ReclaimStats {
 	}
 }
 
-// LiveBlocks counts blocks currently live or awaiting grace (excluding
-// free-listed and virgin blocks).
+// LiveBlocks counts the handed-out blocks in use or awaiting grace: those
+// whose dead bit is clear in the volatile image, and the ring entries.
 func (r *Reclaimer) LiveBlocks() uint64 {
 	var n uint64
 	for _, s := range *r.slabs.Load() {
-		for _, st := range s.state {
-			if st&^bsMark == bsLive || st&^bsMark == bsRetired {
+		for bi := uint64(0); bi < s.hw; bi++ {
+			if r.h.ReadVolatile(s.bits+Addr(bi/64))>>(bi%64)&1 == 0 {
 				n++
 			}
 		}
+	}
+	for id := range r.procs {
+		n += uint64(r.procs[id].n)
 	}
 	return n
 }
@@ -553,27 +683,47 @@ func (r *Reclaimer) LiveBlocks() uint64 {
 // process running).
 func (r *Reclaimer) ForceRecovery(m RecoveryMode) { r.mode = m }
 
+// Forget drops every Go-side record of which blocks are free — the rings,
+// the free lists, the slabs claimed and what they hold, the late marks —
+// and of which blocks were ever handed out, as a restarted process would
+// have none of them. Test hook, for after a crash and before
+// Runtime.RecoverAll: the pool must then come back from the bitmaps alone.
+// The counters and the garbage account, which only price recoveries, stay.
+func (r *Reclaimer) Forget() {
+	for id := range r.procs {
+		ps := &r.procs[id]
+		ps.head, ps.n = 0, 0
+		ps.free, ps.cur = [maxClasses]Addr{}, [maxClasses]*slab{}
+	}
+	for _, s := range *r.slabs.Load() {
+		s.hw, s.loaded = s.n, 0
+		clear(s.avail)
+		clear(s.marks)
+		for w := range s.late {
+			s.late[w].Store(0)
+		}
+	}
+}
+
 // Recover is the reclaimer's post-crash entry point, called by
-// Runtime.RecoverAll with no process running. It abandons what the crash
-// left on the free lists and in the rings (booking it as garbage), then
-// either resets the Go-side state — O(Procs), no heap access, nothing
-// freed — or, when garbage × 2 ≥ words carved, runs the full Scan with
+// Runtime.RecoverAll with no process running. It books what the crash may
+// have lost (dead bits set since a process's last barrier), then either
+// resets the Go-side state — no heap access, nothing freed: the pool is
+// the bitmaps — or, when garbage × 2 ≥ words carved, runs the full Scan with
 // mark. Like Scan it may itself crash at any point and simply be re-run; a
 // re-run may count a block as garbage twice, never miss one.
 func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
-	// Carved: every slab, less what is still under a cursor.
-	carved := uint64(len(*r.slabs.Load())) * slabWords
 	var dropped uint64
-	for id := range r.procs {
-		ps := &r.procs[id]
-		dropped += ps.held
-		for _, left := range ps.curLeft {
-			carved -= left
+	if r.h.model != PrivateCache {
+		for id := range r.procs {
+			if ps := &r.procs[id]; ps.pendAt == r.h.procs[id].barriers {
+				dropped += ps.pend
+			}
 		}
 	}
 	garbage := r.garbage.Add(dropped)
 
-	full := garbage*2 >= carved
+	full := garbage*2 >= r.carved.Load()
 	if r.mode != RecoverAuto {
 		full = r.mode == RecoverFull
 	}
@@ -588,40 +738,71 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 	return rep
 }
 
-// reset empties the rings and the free lists, releases the pins, restarts
-// the epoch and leaves degraded mode. It touches no heap word.
+// reset empties the rings, the free lists and the claimed slabs, drops the
+// late marks, releases the pins, restarts the epoch, starts a new pool
+// generation and leaves degraded mode. It touches no heap word.
 func (r *Reclaimer) reset() {
 	for id := range r.procs {
 		ps := &r.procs[id]
-		ps.head, ps.n, ps.held = 0, 0, 0
-		ps.free = [maxClasses]Addr{}
+		ps.head, ps.n, ps.pend = 0, 0, 0
+		ps.free, ps.cur = [maxClasses]Addr{}, [maxClasses]*slab{}
 		r.pins[id].epoch.Store(0)
 	}
+	for _, s := range *r.slabs.Load() {
+		for w := range s.late {
+			s.late[w].Store(0)
+		}
+	}
+	for c := range r.adoptAt {
+		r.adoptAt[c].Store(0)
+	}
+	r.gen.Add(1)
 	r.epoch.Store(firstEpoch)
 	r.scanEpoch.Store(r.h.Epoch())
 }
 
+// Keep takes the block containing a out of the pool if its dead bit is set:
+// it clears the bit, carried to p's next barrier, books the block as
+// garbage (nothing will retire it) and returns it with kept true. Any other
+// address returns kept false. Runtime.RecoverAll calls it for the blocks
+// recovery may still consult (rule iii) before anything allocates.
+func (r *Reclaimer) Keep(p *Proc, a Addr) (start Addr, words uint64, kept bool) {
+	s, start, bi, ok := r.lookup(a)
+	if !ok || !r.flip(p, s, bi, false) {
+		return 0, 0, false
+	}
+	r.garbage.Add(s.size)
+	return start, s.size, true
+}
+
 // MarkBlock sets the scan mark on the handed-out block containing a and
 // returns the block with fresh true the first time; any other address, a
-// never-allocated block or an already marked one returns fresh false. It is
-// what Scan's mark callback does, exposed so a caller computing a
+// never handed-out block or an already marked one returns fresh false. It
+// is what Scan's mark callback does, exposed so a caller computing a
 // transitive closure can push exactly the newly marked blocks.
 func (r *Reclaimer) MarkBlock(a Addr) (start Addr, words uint64, fresh bool) {
 	s, start, bi, ok := r.lookup(a)
-	if !ok || s.state[bi] == bsVirgin || s.state[bi]&bsMark != 0 {
+	if !ok || bi >= s.hw || s.marks[bi/64]>>(bi%64)&1 != 0 {
 		return 0, 0, false
 	}
-	s.state[bi] |= bsMark
-	return start, r.classes[s.class].Load(), true
+	s.marks[bi/64] |= 1 << (bi % 64)
+	return start, s.size, true
 }
 
 // clearMarks drops every scan mark bit.
 func (r *Reclaimer) clearMarks() {
 	for _, s := range *r.slabs.Load() {
-		for i := range s.state {
-			s.state[i] &^= bsMark
-		}
+		clear(s.marks)
 	}
+}
+
+// handedOut is the mask of word w of s's bitmap covering blocks [0, hw).
+func (s *slab) handedOut(w int) uint64 {
+	lo := uint64(w) * 64
+	if s.hw <= lo {
+		return 0
+	}
+	return ^uint64(0) >> (64 - min(64, s.hw-lo))
 }
 
 // Scan is the full conservative scan: the slow path of Recover, and the
@@ -629,9 +810,11 @@ func (r *Reclaimer) clearMarks() {
 // callback for (at least) every address reachable from a structure root
 // and every address an announced in-flight operation's Info record
 // mentions; the callback tolerates arbitrary values (non-block addresses
-// are ignored). Scan rebuilds all reclaimer state from the marks — rings,
-// free lists, pins, the epoch and the garbage account — so it may itself
-// crash at any point and simply be re-run. Call with no process running.
+// are ignored). Scan rebuilds the pool from the marks: every handed-out
+// block it did not mark is free, every marked one in use, and the bitmaps
+// are written back with one barrier before it returns; it resets the rings,
+// free lists, pins, the epoch and the garbage account. It may itself crash
+// at any point and simply be re-run. Call with no process running.
 func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	rep := ScanReport{Full: true}
 
@@ -641,33 +824,27 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	// Phase 1: conservative mark.
 	mark(func(a Addr) { r.MarkBlock(a) })
 
-	// Phase 2: empty the rings, pins and free lists; restart the epoch. A
-	// crash in the sweep below moves the heap's epoch on, so the reclaimer
-	// is degraded again until the re-run.
+	// Phase 2: empty the rings, pins, free lists and claims; restart the
+	// epoch. A crash in the sweep below moves the heap's epoch on, so the
+	// reclaimer is degraded again until the re-run.
 	r.reset()
 
-	// Phase 3: sweep. Marked blocks are live again; everything else the
-	// reclaimer ever handed out returns to a free list, zeroed. Freed
-	// blocks are spread round-robin over the processes' lists.
-	home := 0
+	// Phase 3: sweep into the bitmaps. Blocks never handed out keep their
+	// bits; the lines go back with one barrier.
 	for _, s := range *r.slabs.Load() {
-		size := r.classes[s.class].Load()
-		for bi, st := range s.state {
-			if st == bsVirgin {
-				continue
+		for w, marks := range s.marks {
+			a := s.bits + Addr(w)
+			hand, old := s.handedOut(w), p.Load(a)
+			want := old&^hand | hand&^marks
+			rep.Marked += uint64(bits.OnesCount64(marks))
+			rep.Swept += uint64(bits.OnesCount64(want &^ old))
+			if want != old {
+				p.Store(a, want)
+				p.Carry(a)
 			}
-			if st&bsMark != 0 {
-				s.state[bi] = bsLive
-				rep.Marked++
-				continue
-			}
-			ps := &r.procs[home]
-			ps.held += size
-			r.pushFree(p, ps, s, s.base+Addr(uint64(bi)*size), uint64(bi))
-			home = (home + 1) % len(r.procs)
-			rep.Swept++
 		}
 	}
+	p.PBarrierAddrs(nil)
 
 	r.garbage.Store(0)
 	atomic.AddUint64(&r.stats.FullScans, 1)
@@ -676,21 +853,27 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 
 // AuditReport is Audit's census of the handed-out blocks, in words.
 type AuditReport struct {
-	Marked     uint64 // in blocks the mark phase reached
-	Unmarked   uint64 // in blocks it did not: garbage, in flight, or held
-	Held       uint64 // in the rings and on the free lists now
-	Garbage    uint64 // abandoned since the last full scan
-	MarkedHeld uint64 // marked blocks (a count) found on a free list or in a ring
+	Marked   uint64 // in blocks the mark phase reached
+	Unmarked uint64 // in blocks it did not: garbage, in flight, or pooled
+	Held     uint64 // in the pool and the rings now
+	Garbage  uint64 // lost since the last full scan
+	// MarkedHeld counts the marked blocks found in the pool or a ring, and
+	// Twice the blocks found there twice.
+	MarkedHeld uint64
+	Twice      uint64
 }
 
 // Check holds the census against the accounting: nothing marked may be
-// held, and what is unmarked must be covered by the garbage account, the
-// words currently held, and inFlight — the caller's bound on what crashed
-// attempts leaked unaccounted since the last full scan. It returns the
-// first violation, or "".
+// pooled, nothing pooled twice, and what is unmarked must be covered by the
+// garbage account, the words pooled and inFlight — the caller's bound on
+// what crashed attempts leaked unaccounted since the last full scan. It
+// returns the first violation, or "".
 func (a AuditReport) Check(inFlight uint64) string {
 	if a.MarkedHeld != 0 {
-		return fmt.Sprintf("%d marked blocks are on a free list or in a ring", a.MarkedHeld)
+		return fmt.Sprintf("%d marked blocks are in the pool or a ring", a.MarkedHeld)
+	}
+	if a.Twice != 0 {
+		return fmt.Sprintf("%d blocks are in the pool twice", a.Twice)
 	}
 	if a.Unmarked > a.Garbage+a.Held+inFlight {
 		return fmt.Sprintf("%d unmarked words > garbage %d + held %d + in flight %d",
@@ -700,32 +883,57 @@ func (a AuditReport) Check(inFlight uint64) string {
 }
 
 // Audit is Scan's mark phase run as a read-only checker: it marks, counts
-// and clears the marks again, sweeping and storing nothing (the free-list
-// links are read from the volatile image, uncounted). The crash tests run
-// it after every fast recovery. Call with no process running.
+// and clears the marks again, sweeping and storing nothing. The pool it
+// checks is what the next allocations can hand out: the rings, the free
+// lists (links read from the volatile image, uncounted), the free blocks of
+// every claimed slab, and the dead bits of every unclaimed one but the late
+// blocks. The crash tests run it after every fast recovery. Call with no
+// process running.
 func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 	r.clearMarks()
 	mark(func(a Addr) { r.MarkBlock(a) })
 	rep := AuditReport{Garbage: r.garbage.Load()}
-	for _, s := range *r.slabs.Load() {
-		size := r.classes[s.class].Load()
-		for _, st := range s.state {
-			switch {
-			case st == bsVirgin:
-			case st&bsMark != 0:
-				rep.Marked += size
-			default:
-				rep.Unmarked += size
-			}
+	idx := *r.slabs.Load()
+	pooled := make(map[*slab][]uint64, len(idx))
+	pool := func(s *slab, bi uint64) {
+		set := pooled[s]
+		if set == nil {
+			set = make([]uint64, len(s.marks))
+			pooled[s] = set
+		}
+		w, m := bi/64, uint64(1)<<(bi%64)
+		switch {
+		case set[w]&m != 0:
+			rep.Twice++
+		case s.marks[w]&m != 0:
+			rep.MarkedHeld++
+		}
+		set[w] |= m
+		if bi < s.hw {
+			rep.Held += s.size
 		}
 	}
 	for id := range r.procs {
-		rep.Held += r.procs[id].held
 		r.procs[id].eachHeld(r.h.ReadVolatile, func(a Addr) {
-			if s, _, bi, ok := r.lookup(a); ok && s.state[bi]&bsMark != 0 {
-				rep.MarkedHeld++
+			if s, _, bi, ok := r.lookup(a); ok {
+				pool(s, bi)
 			}
 		})
+	}
+	g := r.gen.Load()
+	for _, s := range idx {
+		for w := range s.marks {
+			free := s.avail[w]
+			if s.gen.Load() != g || w >= s.loaded {
+				free = r.h.ReadVolatile(s.bits+Addr(w)) &^ s.late[w].Load()
+			}
+			for ; free != 0; free &= free - 1 {
+				pool(s, uint64(w*64+bits.TrailingZeros64(free)))
+			}
+			hand := s.handedOut(w)
+			rep.Marked += uint64(bits.OnesCount64(s.marks[w]&hand)) * s.size
+			rep.Unmarked += uint64(bits.OnesCount64(hand&^s.marks[w])) * s.size
+		}
 	}
 	r.clearMarks()
 	return rep

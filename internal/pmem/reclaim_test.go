@@ -158,7 +158,7 @@ func TestReclaimerDegradedAfterCrash(t *testing.T) {
 
 // TestReclaimerScanMarksSurvive pins the conservative sweep: marked blocks
 // stay live (content intact), and unmarked blocks — retired or not — return
-// zeroed to free lists.
+// to the pool.
 func TestReclaimerScanMarksSurvive(t *testing.T) {
 	h := reclaimHeap(t, 2)
 	r := NewReclaimer(h)
@@ -169,10 +169,11 @@ func TestReclaimerScanMarksSurvive(t *testing.T) {
 	p.PWB(keep)
 	lose := r.Alloc(p, 4)
 	p.Store(lose, 43)
-	r.Enter(p)
 	gone := r.Alloc(p, 4)
-	r.Retire(p, gone)
 	gone2 := r.Alloc(p, 4)
+	p.PBarrierAddrs(nil) // the four allocations' cleared bits are durable
+	r.Enter(p)
+	r.Retire(p, gone) // the set bits are not: the crash loses them
 	r.Retire(p, gone2)
 	r.Exit(p)
 
@@ -216,6 +217,7 @@ func TestReclaimerScanIdempotent(t *testing.T) {
 
 	keep := r.Alloc(p, 4)
 	r.Alloc(p, 4) // swept
+	p.PBarrierAddrs(nil)
 	h.Crash()
 	h.ResetAfterCrash()
 
@@ -225,10 +227,10 @@ func TestReclaimerScanIdempotent(t *testing.T) {
 	if rep1.Marked != 1 || rep2.Marked != 1 {
 		t.Fatalf("Marked = %d then %d, want 1 both times", rep1.Marked, rep2.Marked)
 	}
-	// Free blocks are re-swept (the heads were reset, so every free block
-	// must be re-pushed), but the partition must not change.
-	if rep2.Swept != rep1.Swept {
-		t.Fatalf("scan not idempotent: swept %d then %d", rep1.Swept, rep2.Swept)
+	// The first scan wrote its sweep back; the second finds it in the
+	// bitmaps and returns nothing more: the partition does not change.
+	if rep1.Swept != 1 || rep2.Swept != 0 {
+		t.Fatalf("scan not idempotent: swept %d then %d, want 1 then 0", rep1.Swept, rep2.Swept)
 	}
 	if got := r.LiveBlocks(); got != 1 {
 		t.Fatalf("LiveBlocks = %d, want 1", got)
@@ -237,8 +239,10 @@ func TestReclaimerScanIdempotent(t *testing.T) {
 
 // TestReclaimerRecoverFast pins the fast post-crash path: Recover frees
 // nothing and never calls mark; what the crash caught on a free list or in
-// a ring is abandoned — never handed out again — and booked as garbage, in
-// words; and retirement and reuse work again for post-crash blocks.
+// a ring comes back from the dead bitmap once a barrier wrote its bit back,
+// and a block freed after the last barrier is booked as garbage, in words,
+// and never handed out again; and retirement and reuse work again for
+// post-crash blocks.
 func TestReclaimerRecoverFast(t *testing.T) {
 	h := reclaimHeap(t, 1)
 	r := NewReclaimer(h)
@@ -258,10 +262,12 @@ func TestReclaimerRecoverFast(t *testing.T) {
 	if ringed != freed {
 		t.Fatalf("setup: Alloc did not pop the freed block")
 	}
-	abandoned := map[Addr]bool{ringed: true, ringed2: true}
 	onList := r.Alloc(p, 4)
 	r.Free(p, onList)
-	abandoned[onList] = true
+	lost := r.Alloc(p, 32)
+	p.PBarrierAddrs(nil) // every bit so far is durable
+	back := map[Addr]bool{ringed: true, ringed2: true, onList: true}
+	r.Free(p, lost) // after the last barrier: its bit is lost
 
 	h.Crash()
 	h.ResetAfterCrash()
@@ -269,8 +275,8 @@ func TestReclaimerRecoverFast(t *testing.T) {
 	if rep.Full || rep.Marked != 0 || rep.Swept != 0 {
 		t.Fatalf("fast recovery reported a scan: %+v", rep)
 	}
-	if rep.Dropped != 4+32+4 || rep.Garbage != rep.Dropped {
-		t.Fatalf("fast recovery books: %+v, want 40 words dropped", rep)
+	if rep.Dropped != 32 || rep.Garbage != rep.Dropped {
+		t.Fatalf("fast recovery books: %+v, want 32 words dropped", rep)
 	}
 	if !r.synced() {
 		t.Fatal("reclaimer still degraded after Recover")
@@ -279,20 +285,25 @@ func TestReclaimerRecoverFast(t *testing.T) {
 		t.Fatalf("stats after one fast recovery: %+v", st)
 	}
 
-	// Post-crash blocks cycle; abandoned ones never come back.
+	// The pool hands the pre-crash free blocks out again, never the lost
+	// one; post-crash blocks cycle.
 	r.Enter(p)
 	for i := 0; i < 8*ringFreeThreshold; i++ {
 		r.Enter(p)
 		for _, words := range []uint64{4, 32} {
 			a := r.Alloc(p, words)
-			if abandoned[a] {
-				t.Fatalf("Alloc handed out abandoned block %#x", a)
+			if a == lost {
+				t.Fatalf("Alloc handed out block %#x, whose dead bit the crash lost", a)
 			}
+			delete(back, a)
 			r.Retire(p, a)
 		}
 	}
 	r.Exit(p)
-	if st := r.Stats(); st.Freed == 0 || st.Reused < 2 {
+	if len(back) != 0 {
+		t.Fatalf("blocks freed before the last barrier never came back: %v", back)
+	}
+	if st := r.Stats(); st.Freed == 0 || st.Reused < 5 {
 		t.Fatalf("post-crash retirements were not recycled: %+v", st)
 	}
 }
@@ -300,8 +311,9 @@ func TestReclaimerRecoverFast(t *testing.T) {
 // TestReclaimerRecoverForgets pins what the fast recovery resets: the
 // rings (one grown past its initial capacity behind a stuck pin), the free
 // lists and the pins. After Recover no pre-crash block is reachable from
-// the Go-side state, and neither the reset nor the bookkeeping around an
-// operation (Enter, Retire, Exit) touches the heap.
+// the Go-side state, and the reset touches no heap word; the bookkeeping
+// around an operation (Enter, Retire, Exit) touches one, the block's
+// bitmap word, and issues no persistence instruction.
 func TestReclaimerRecoverForgets(t *testing.T) {
 	h := reclaimHeap(t, 2)
 	r := NewReclaimer(h)
@@ -322,12 +334,13 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 
 	a := r.Alloc(p, 4)
 	pre[a] = true
-	before := h.AccessCount()
+	before, stats := h.AccessCount(), h.TotalStats()
 	r.Enter(p)
 	r.Retire(p, a)
 	r.Exit(p)
-	if got := h.AccessCount(); got != before {
-		t.Fatalf("Enter, Retire and Exit made %d heap accesses, want 0", got-before)
+	if got := h.AccessCount(); got != before+2 || h.TotalStats().Sub(stats) != (Stats{Loads: 1, CASes: 1}) {
+		t.Fatalf("Enter, Retire and Exit made %d heap accesses and %+v, want the bitmap word's load and CAS",
+			got-before, h.TotalStats().Sub(stats))
 	}
 	if st := r.Stats(); st.Dropped != 0 || r.procs[0].n != len(pre)-1 {
 		t.Fatalf("a stalled epoch dropped retirements: %+v, ring %d", st, r.procs[0].n)
@@ -336,7 +349,7 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 
 	h.Crash()
 	h.ResetAfterCrash()
-	before, stats := h.AccessCount(), h.TotalStats()
+	before, stats = h.AccessCount(), h.TotalStats()
 	rep := r.Recover(p, func(func(Addr)) { t.Fatal("fast recovery ran the mark phase") })
 	if got := h.AccessCount(); got != before || h.TotalStats() != stats {
 		t.Fatalf("fast recovery made %d heap accesses and %+v persistence instructions, want none",
@@ -352,9 +365,6 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 		if pin := r.pins[id].epoch.Load(); pin != 0 {
 			t.Fatalf("proc %d still pinned at %d", id, pin)
 		}
-		if held := r.procs[id].held; held != 0 {
-			t.Fatalf("proc %d still holds %d words", id, held)
-		}
 		r.procs[id].eachHeld(h.ReadVolatile, func(a Addr) {
 			t.Errorf("proc %d still reaches block %#x (pre-crash: %v)", id, a, pre[a])
 		})
@@ -362,8 +372,8 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 }
 
 // TestReclaimerRecoverGarbageRule pins when Recover pays for a scan:
-// exactly when the words abandoned since the last scan, doubled, reach the
-// words carved — and that the scan restarts the account.
+// exactly when the words lost since the last scan, doubled, reach the words
+// carved — and that the scan restarts the account.
 func TestReclaimerRecoverGarbageRule(t *testing.T) {
 	h := reclaimHeap(t, 1)
 	r := NewReclaimer(h)
@@ -374,31 +384,32 @@ func TestReclaimerRecoverGarbageRule(t *testing.T) {
 		return r.Recover(p, func(func(Addr)) {})
 	}
 
-	// 8 live + 7 freed of 15 carved: 28 words × 2 < 60.
+	// 15 carved, their cleared bits durable; 7 freed after the barrier lose
+	// their set bits: 28 words × 2 < 60.
 	var blocks []Addr
 	for i := 0; i < 15; i++ {
 		blocks = append(blocks, r.Alloc(p, 4))
 	}
+	p.PBarrierAddrs(nil)
 	for _, a := range blocks[8:] {
 		r.Free(p, a)
 	}
 	if rep := crash(); rep.Full || rep.Dropped != 7*4 {
 		t.Fatalf("below the rule: %+v, want a fast recovery dropping 28 words", rep)
 	}
-	// One more abandoned block tips it: (28+4) × 2 ≥ 64 carved.
+	// One more lost block tips it: (28+4) × 2 ≥ 64 carved.
 	r.Free(p, r.Alloc(p, 4))
 	rep := crash()
-	if !rep.Full || rep.Garbage != 32 || rep.Marked != 0 || rep.Swept != 16 {
-		t.Fatalf("at the rule: %+v, want a full scan of 32 garbage words sweeping all 16 blocks", rep)
+	if !rep.Full || rep.Garbage != 32 || rep.Marked != 0 || rep.Swept != 15 {
+		t.Fatalf("at the rule: %+v, want a full scan of 32 garbage words sweeping the 15 blocks in use", rep)
 	}
-	// The sweep put every block on the free list and the account is back
-	// at 0, so the next crash drops exactly that list — and, with nothing
-	// marked, that is the whole carved heap again.
-	if rep := crash(); !rep.Full || rep.Dropped != 16*4 || rep.Garbage != rep.Dropped {
-		t.Fatalf("after the scan: %+v, want 64 words dropped and nothing older", rep)
+	// The sweep wrote every bit back and the account is back at 0, so the
+	// next crash loses nothing.
+	if rep := crash(); rep.Full || rep.Dropped != 0 || rep.Garbage != 0 {
+		t.Fatalf("after the scan: %+v, want a fast recovery with nothing lost", rep)
 	}
-	if st := r.Stats(); st.FastRecoveries != 1 || st.FullScans != 2 {
-		t.Fatalf("stats: %+v, want 1 fast recovery and 2 scans", st)
+	if st := r.Stats(); st.FastRecoveries != 2 || st.FullScans != 1 {
+		t.Fatalf("stats: %+v, want 2 fast recoveries and 1 scan", st)
 	}
 }
 

@@ -117,11 +117,10 @@ type Stats struct {
 	// each), as the crash group counts them.
 	Crashes int `json:"crashes"`
 	// With Config.Reclaim, FastRecoveries and FullScans split Crashes by
-	// what RecoverAll did to the reclaimer — the O(Procs × ring) reset, or
-	// the conservative scan its garbage rule called for — and LastDropped /
-	// LastGarbage are the latest recovery's figures: words it abandoned on
-	// pre-crash free lists and rings, and words abandoned since the last
-	// scan.
+	// what RecoverAll did to the reclaimer — the reset, or the conservative
+	// scan its garbage rule called for — and LastDropped / LastGarbage are
+	// the latest recovery's figures: words the crash may have lost (dead
+	// bits not yet written back), and words lost since the last scan.
 	FastRecoveries uint64 `json:"fast_recoveries"`
 	FullScans      uint64 `json:"full_scans"`
 	LastDropped    uint64 `json:"last_dropped_words"`

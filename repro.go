@@ -56,13 +56,14 @@
 // conformance oracle, but the heap must be sized for the run's cumulative
 // allocation. Config{Reclaim: true} swaps in a crash-consistent epoch
 // reclaimer, so churn-heavy workloads run in a heap sized for their working
-// set. Its only persistent state is a slab directory; its retired rings,
-// epoch, pins and free lists are volatile and cost no write-back.
+// set. Its persistent state is a slab directory and a dead bitmap per slab,
+// whose bits ride the barriers the operations pay anyway; its retired
+// rings, epoch, pins and free lists are volatile and cost no write-back.
 // RecoverAll then prefixes recovery with a reset of the reclaimer that
-// costs what was in flight, not what is alive: blocks the crash caught on a
-// free list or in a retired ring are abandoned and counted, and a
-// conservative reachability scan gives them back only once they have
-// caught up with the rest of the heap — a lost retirement degrades to a
+// costs what was in flight, not what is alive: the free pool comes back
+// from the bitmaps, what a crash may lose (bits not yet written back) is
+// counted, and a conservative reachability scan gives it back only once it
+// has caught up with the rest of the heap — a lost retirement degrades to a
 // (bounded) leak, never to a dangling pointer. See the package README for
 // the full discipline.
 package repro
@@ -267,10 +268,10 @@ type Config struct {
 	Engine EngineKind
 	// Reclaim enables crash-consistent node reclamation: every structure
 	// this runtime builds draws nodes from a shared epoch-based reclaimer
-	// (whose only persistent state is its slab directory) instead of the
-	// leak-forever arena, and
-	// RecoverAll prefixes recovery with the reclaimer's own (see
-	// RecoverAll). See ReclaimStats/LastScan for observability.
+	// (whose persistent state is its slab directory and dead bitmaps)
+	// instead of the leak-forever arena, and RecoverAll prefixes recovery
+	// with the reclaimer's own (see RecoverAll). See ReclaimStats/LastScan
+	// for observability.
 	Reclaim bool
 }
 
@@ -486,28 +487,33 @@ type ProcReport struct {
 // (pmem.Reclaimer.Recover), at a cost that follows what was in flight, not
 // what is alive: structures repair their volatile hint words (the queue's
 // Tail, O(1)), then the reclaimer's volatile state is reset — the retired
-// rings and free lists emptied, stuck pins released, the epoch restarted —
-// O(Procs), with no heap access, no write-back and no psync, and nothing is
-// freed, so recovery never adds a block to a free list without a full mark.
-// Blocks the crash caught on a free list or in a ring are abandoned and
-// counted, in words, as garbage; on top of them a crash leaks, unaccounted,
-// at most one attempt's fresh or unlinked nodes plus its tracking record per
-// process. Only when the accounted garbage has caught up with the rest of
-// the carved heap (garbage × 2 ≥ words carved) does the same call run the
-// conservative scan instead: every block reachable from a structure root or
-// referenced by an announced operation's tracking record survives
-// (transitively) and all other blocks return to the free lists. The scan
-// rebuilds the free lists from the slab index (persisted as the slab
-// directory) and the marks alone: no recovery reads the reclaimer's
-// pre-crash bookkeeping, which is why none of it is persisted. The scan is
+// rings, free lists and adopted pools emptied, stuck pins released, the
+// epoch restarted — with no heap access, no write-back and no psync. The
+// free pool is not lost with them: it is the reclaimer's per-slab dead
+// bitmaps, which a block's retirement sets and its allocation clears, each
+// written back by the next barrier, and which allocations read lazily, a
+// slab at a time. Before anything allocates, the blocks every engine
+// register names are kept out of that pool (keepRegistered, with the dead
+// blocks they name): an install's barrier writes back its register and its
+// record's cleared bit together, and a crash inside it may persist one and
+// not the other. What a crash can lose — dead bits not yet written back,
+// and the blocks kept — is counted, in words, as garbage; on top of it a
+// crash leaks, unaccounted, at most one attempt's fresh or unlinked nodes
+// plus its tracking record per process. Only when the accounted garbage
+// has caught up with the rest of the carved heap (garbage × 2 ≥ words
+// carved) does the same call run the conservative scan instead: every block
+// reachable from a structure root or referenced by an announced operation's
+// tracking record survives (transitively), and every other block the
+// reclaimer handed out is marked free in its bitmap. The scan is
 // conservative in one direction only: a node may survive that would
-// eventually have been freed, but a reachable node is never freed. What
-// this relies on besides the heap is the reclaimer's Go-side block states
-// and counters, which survive a simulated crash exactly as the heap's bump
-// pointer does. The reclaimer is frozen during the per-process recovery
-// sweep so that an early process's re-invoked operation cannot free a block
-// a later process's tracking record still names. LastScan reports which
-// path ran.
+// eventually have been freed, but a reachable node is never freed. Neither
+// path reads the reclaimer's pre-crash bookkeeping; what they rely on
+// besides the heap is the reclaimer's slab index, a Go-side cache of its
+// persisted slab directory that survives a simulated crash exactly as the
+// heap's bump pointer does. The reclaimer is frozen during the per-process
+// recovery sweep so that an early process's re-invoked operation cannot
+// free a block a later process's tracking record still names. LastScan
+// reports which path ran.
 func (r *Runtime) RecoverAll() []ProcReport {
 	if r.reclaimer != nil {
 		p0 := r.h.Proc(0)
@@ -522,6 +528,7 @@ func (r *Runtime) RecoverAll() []ProcReport {
 			}
 		}
 		scan := r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
+		r.keepRegistered(p0)
 		r.lastScan.Store(&scan)
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
@@ -632,11 +639,37 @@ func (r *Runtime) markAll(p *Proc) {
 	}
 }
 
+// keepRegistered keeps out of the reclaimer's pool every block a register
+// of any engine names whose dead bit is set, and, transitively, every dead
+// block a kept block's words name (pmem.Reclaimer.Keep). A register names a
+// record with its bit durably set only when a crash cut its install barrier
+// short, so this reads two registers per process and engine and one bitmap
+// word per record, and follows a record's words only when it kept it.
+func (r *Runtime) keepRegistered(p *Proc) {
+	var work []pmem.Addr
+	keep := func(a pmem.Addr) {
+		if start, words, kept := r.reclaimer.Keep(p, a); kept {
+			for i := uint64(0); i < words; i++ {
+				work = append(work, start+pmem.Addr(i))
+			}
+		}
+	}
+	for _, e := range r.engines {
+		e.Registered(p, keep)
+	}
+	for len(work) > 0 {
+		a := work[len(work)-1]
+		work = work[:len(work)-1]
+		keep(pmem.Addr(p.Load(a) &^ 1))
+	}
+}
+
 // AuditReclaim checks the reclaimer's books against reachability without
 // changing anything (test plumbing; call at quiescence with Config.Reclaim
-// on). MarkedHeld comes from the structures' own root walks alone — exact
-// reachability, where the closure's conservative guesses would raise false
-// alarms — and the census from the full closure markAll computes.
+// on). MarkedHeld comes from what recovery and the structures can still
+// reach for certain — the structures' own root walks and the records the
+// engines' registers name — where the closure's conservative guesses would
+// raise false alarms; the census from the full closure markAll computes.
 func (r *Runtime) AuditReclaim() pmem.AuditReport {
 	p0 := r.h.Proc(0)
 	roots := r.reclaimer.Audit(func(mark func(pmem.Addr)) {
@@ -645,9 +678,12 @@ func (r *Runtime) AuditReclaim() pmem.AuditReport {
 				m.MarkReachable(p0, mark)
 			}
 		}
+		for _, e := range r.engines {
+			e.Registered(p0, mark)
+		}
 	})
 	rep := r.reclaimer.Audit(func(func(pmem.Addr)) { r.markAll(p0) })
-	rep.MarkedHeld = roots.MarkedHeld
+	rep.MarkedHeld, rep.Twice = roots.MarkedHeld, roots.Twice
 	return rep
 }
 
