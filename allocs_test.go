@@ -210,3 +210,38 @@ func TestReadFastPathZeroPersist(t *testing.T) {
 		}
 	}
 }
+
+// TestEffectFreeUpdatesAllocateNothing pins what consecutive effect-free
+// Isb-Opt updates cost the allocator in steady state: nothing. Such an
+// attempt installs nothing, so its Info record stays with the engine for the
+// process's next attempt: on the arena no word is carved, and on the
+// reclaimer no block is handed out or freed, so no dead bit is read or
+// written and the updates store and CAS nothing at all — alone (Apply) and
+// in a window (ApplyWindow).
+func TestEffectFreeUpdatesAllocateNothing(t *testing.T) {
+	for _, reclaim := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reclaim=%v", reclaim), func(t *testing.T) {
+			rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 20, Engine: EngineIsbOpt, Reclaim: reclaim})
+			p := rt.Proc(0)
+			m := rt.NewHashMap(8)
+			for k := uint64(1); k <= 32; k++ {
+				m.Insert(p, k)
+			}
+			m.Apply(p, Op{Kind: OpInsert, Arg: 1}) // the engine keeps its record from here on
+			before := rt.Heap().TotalStats()
+			rec0, _ := rt.ReclaimStats()
+			for k := uint64(1); k <= 32; k++ {
+				m.Apply(p, Op{Kind: OpInsert, Arg: k})
+				m.Apply(p, Op{Kind: OpDelete, Arg: 100 + k})
+				rt.ApplyWindow(p, m, []Op{{Kind: OpInsert, Arg: k}, {Kind: OpDelete, Arg: 200 + k}})
+			}
+			d := rt.Heap().TotalStats().Sub(before)
+			if d.AllocWords != 0 || d.Stores != 0 || d.CASes != 0 {
+				t.Fatalf("128 effect-free updates: %+v, want no word carved, stored or CASed", d)
+			}
+			if rec, _ := rt.ReclaimStats(); rec != rec0 {
+				t.Fatalf("128 effect-free updates moved the reclaimer: %+v, then %+v", rec0, rec)
+			}
+		})
+	}
+}

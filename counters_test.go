@@ -658,7 +658,10 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			if diff := int64(fastLarge) - int64(fastSmall); diff < -16 || diff > 16 {
 				t.Fatalf("fast RecoverAll: %d accesses with 1024 keys, %d with 16384 — must not follow live size", fastSmall, fastLarge)
 			}
-			if fastLarge > 128 {
+			// A leg resolved from its record costs ~120 accesses; one whose
+			// recovery re-runs its attempt, as access 300 lands under
+			// Isb-Opt, ~200.
+			if fastLarge > 256 {
 				t.Fatalf("fast RecoverAll made %d accesses, want a small constant", fastLarge)
 			}
 			// The full scan is the oracle every fast recovery is audited
@@ -667,7 +670,7 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// address may land inside a block, which the conservative
 			// closure then keeps) and where in the window access 300
 			// lands, so a layout or write-back change moves them.
-			want := map[EngineKind][4]uint64{EngineIsb: {2049, 1, 32777, 1}, EngineIsbOpt: {2050, 0, 32774, 0}}[e.kind]
+			want := map[EngineKind][4]uint64{EngineIsb: {2049, 1, 32777, 1}, EngineIsbOpt: {2049, 2, 32773, 2}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
 				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])

@@ -244,8 +244,8 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 // progress, and recovery only ever competes with the handful of operations
 // in flight at the crash (the storms run ≤ 4 processes × 40 operations), so
 // reaching the bound means the structure cannot be resolved — and each
-// further attempt would only allocate another Info record on an allocator
-// that frees nothing during recovery, until the arena is gone.
+// further attempt that installs would only allocate another Info record on
+// an allocator that frees nothing during recovery, until the arena is gone.
 const maxRecoveryAttempts = 1 << 10
 
 // attemptLoop is the gather → install → Help attempt cycle. Legs after an
@@ -253,6 +253,12 @@ const maxRecoveryAttempts = 1 << 10
 // RD_q still names the previous leg's record, which recovery tells apart from
 // this leg's by the stamp. bound, when nonzero, is the recovery path's
 // attempt limit (see maxRecoveryAttempts).
+//
+// An attempt takes the Info record the process keeps (keptRecord), and
+// allocates one only when it keeps none; the process stops keeping it at the
+// install. So an attempt that installs nothing — it restarts, helps, or
+// proves its leg effect-free — leaves its record to the next
+// (discardAttempt), and consecutive effect-free updates allocate nothing.
 //
 // Under Isb-Opt an attempt whose gather proves the leg effect-free returns
 // without an install wherever no durable record will name the leg in flight
@@ -297,13 +303,13 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// but an explicit protocol keeps the crash surface inspectable.)
 		e.alloc.Enter(p)
 
-		info := e.alloc.Alloc(p, InfoWords)
+		info := e.keptRecord(p, ep)
 		spec.Reset()
 		spec.OpType, spec.ArgKey = opType, argKey
 
 		// Gather phase.
 		if gather(p, info, spec) == Restart {
-			e.discardAttempt(p, info, spec)
+			e.discardAttempt(p, spec)
 			continue
 		}
 
@@ -329,7 +335,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			break
 		}
 		if helped {
-			e.discardAttempt(p, info, spec)
+			e.discardAttempt(p, spec)
 			continue
 		}
 
@@ -344,7 +350,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// register names its response. The rest take the ROpt install below,
 		// as does every leg under Isb.
 		if spec.ReadOnly && e.batched && !installed && e.recs.elides(p) {
-			e.discardAttempt(p, info, spec)
+			e.discardAttempt(p, spec)
 			ep.readFast++
 			e.alloc.Exit(p)
 			return spec.Response
@@ -352,9 +358,11 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 		// Install the Info record and persist it with the new nodes: under
 		// Isb-Opt in the one barrier described above, under Isb with a
-		// pbarrier per range, then RD_q := info and its pwb.
+		// pbarrier per range, then RD_q := info and its pwb. From here on a
+		// register may name the record: it is no longer the process's to keep.
 		ep.dirty = ep.dirty[:0]
 		released := false
+		ep.kept = pmem.Null
 		e.install(p, info, spec)
 		e.wroteRange(ep, info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
@@ -421,17 +429,46 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	}
 }
 
-// discardAttempt returns an attempt's never-published allocations — the
-// Info record and the fresh nodes the gather recorded in its Persist
-// ranges — straight to the free list. Before install, no shared location
-// mentions any of them, so immediate reuse is safe. (Gathers allocate
-// nodes and call AddPersist together, and their Restart paths run before
-// any allocation, so the Persist ranges are exactly the fresh nodes.)
-func (e *Engine) discardAttempt(p *pmem.Proc, info pmem.Addr, spec *Spec) {
+// discardAttempt returns the fresh nodes an attempt that installs nothing
+// allocated — those the gather recorded in its Persist ranges — straight to
+// the free list; its Info record stays kept for the process's next attempt
+// on this engine (keptRecord). Before install no shared location mentions
+// any of them — no register names the record, gathers never write into it,
+// and only the fresh nodes carry its tag — so immediate reuse is safe, on
+// the reclaimer and on the arena alike. (Gathers allocate nodes and call
+// AddPersist together, and their Restart paths run before any allocation,
+// so the Persist ranges are exactly the fresh nodes.)
+func (e *Engine) discardAttempt(p *pmem.Proc, spec *Spec) {
 	for i := 0; i < spec.NPersist; i++ {
 		e.alloc.Free(p, spec.Persist[i].Addr)
 	}
-	e.alloc.Free(p, info)
+}
+
+// keptRecord returns the Info record for the process's next attempt: the one
+// the process keeps (discardAttempt) if it was allocated since the last
+// system crash, else a fresh one, which it keeps until an attempt installs
+// it. A record kept across a crash is never used: it was allocated from a
+// pool the crash has since rebuilt, which may hand it out again.
+// Runtime.RecoverAll returns it to that pool first (Release); an engine
+// recovered without RecoverAll, on the arena, just drops it.
+func (e *Engine) keptRecord(p *pmem.Proc, ep *engineProc) pmem.Addr {
+	if epoch := e.h.Epoch(); ep.kept == pmem.Null || ep.keptAt != epoch {
+		ep.kept, ep.keptAt = e.alloc.Alloc(p, InfoWords), epoch
+	}
+	return ep.kept
+}
+
+// Release hands f the Info record each process keeps (keptRecord), and
+// forgets each once f returns: what Runtime.RecoverAll returns to the
+// reclaimer's pool after a crash, before anything allocates. A crash inside
+// f leaves the record kept for a re-run.
+func (e *Engine) Release(f func(pmem.Addr)) {
+	for q := range e.procs {
+		if ep := &e.procs[q]; ep.kept != pmem.Null {
+			f(ep.kept)
+			ep.kept = pmem.Null
+		}
+	}
 }
 
 // retireAffected retires the retired-class nodes of a completed operation:
@@ -719,6 +756,9 @@ func (e *Engine) Registered(p *pmem.Proc, f func(pmem.Addr)) {
 // retireLast will still retire.
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
+		if kept := e.procs[q].kept; kept != pmem.Null {
+			mark(kept)
+		}
 		last := &e.procs[q].last
 		for r := range 2 {
 			if last.info[r] != pmem.Null {

@@ -17,9 +17,10 @@
 // per-process state is one record per process, padded to whole cache lines.
 //
 // Tagging convention: a node's info field holds the word address of an Info
-// record with bit 0 as the tag ("lock") bit. Info records are allocated
-// fresh for every attempt, so an info field never holds the same tagged
-// value twice, which rules out ABA on info fields.
+// record with bit 0 as the tag ("lock") bit. Every attempt that installs
+// uses a fresh Info record (one that installs nothing tags nothing, and
+// leaves its record to the next), so an info field never holds the same
+// tagged value twice, which rules out ABA on info fields.
 //
 // Engine requirement (checked at install time): only the first AffectSet
 // element may appear in the CleanupSet. Later elements must be retired by a
@@ -270,7 +271,12 @@ type engineProc struct {
 	seq uint64
 	// batchSyncs and readFast back Counters (see isb.Stats).
 	batchSyncs, readFast uint64
-	_                    [24]byte
+	// kept is the Info record of the process's last attempt that installed
+	// nothing, or of the attempt in progress until it installs, allocated at
+	// heap epoch keptAt: the next attempt's record (attemptLoop).
+	kept   pmem.Addr
+	keptAt uint64
+	_      [8]byte
 }
 
 // lastOp is a process's Go-side view of its registers: the one its last

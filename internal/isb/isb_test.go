@@ -183,6 +183,60 @@ func TestEngineBeginOpClearsCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRetryKeepsRecord pins that an attempt which installs nothing hands its
+// Info record to the process's next attempt instead of allocating another,
+// under both placements: after a gather that restarts, and after one that
+// meets another process's tag and helps it. Only the installing attempt's
+// record and fresh nodes are carved from the arena.
+func TestRetryKeepsRecord(t *testing.T) {
+	for _, opt := range []bool{false, true} {
+		for _, helps := range []bool{false, true} {
+			h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 2, Tracked: true, Model: pmem.PrivateCache})
+			c := newCounter(h, opt)
+			p, q := h.Proc(0), h.Proc(1)
+			var seen []pmem.Addr
+			restart := !helps
+			c.Ops = NewOps(c.e, func(uint64, uint64) Gather {
+				return func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult {
+					seen = append(seen, info)
+					if restart {
+						restart = false
+						return Restart
+					}
+					return c.gatherInc(p, info, spec)
+				}
+			}, nil)
+			if helps {
+				// Fail q individually at the first access that leaves the
+				// anchor tagged: p's first attempt meets the tag and helps.
+				for n := uint64(1); !IsTagged(h.ReadVolatile(c.anchor + aInfo)); n++ {
+					q.ScheduleSelfCrash(n)
+					pmem.RunOp(func() { c.inc(q) })
+					q.CancelSelfCrash()
+				}
+				seen = nil
+			}
+			words := p.Stats().AllocWords
+			// p's increment follows q's, which p's first attempt completes.
+			want, boxes := uint64(1), 1
+			if helps {
+				want, boxes = 2, 2
+			}
+			if got := c.inc(p); got != want || c.value(h) != want {
+				t.Fatalf("opt=%v helps=%v: response %d, value %d, want %d", opt, helps, got, c.value(h), want)
+			}
+			if len(seen) != 2 || seen[0] != seen[1] {
+				t.Fatalf("opt=%v helps=%v: the attempts used records %v, want the first one twice", opt, helps, seen)
+			}
+			// A restart returns before its gather allocates; the helping
+			// attempt's fresh box leaks on the arena, its record does not.
+			if carved := p.Stats().AllocWords - words; carved != InfoWords+2*uint64(boxes) {
+				t.Fatalf("opt=%v helps=%v: carved %d words, want one record and %d boxes", opt, helps, carved, boxes)
+			}
+		}
+	}
+}
+
 // TestEngineVariantsAndPersisterHook: each constructor builds its placement.
 func TestEngineVariantsAndPersisterHook(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})

@@ -16,10 +16,12 @@ package pmem
 //
 // The split of Free vs Retire mirrors visibility: Free returns a block that
 // was never published (no other process can hold a reference — e.g. the
-// fresh nodes of a gather attempt that restarted before its Info record was
-// installed) and may reuse it immediately; Retire unlinks a block that other
-// processes may still reach through in-flight helping or stale traversals,
-// so reuse must wait for an epoch grace period.
+// fresh nodes of a gather attempt that installed nothing) and may reuse it
+// immediately; Retire unlinks a block that other processes may still reach
+// through in-flight helping or stale traversals, so reuse must wait for an
+// epoch grace period. A never-published block its owner will use again
+// needs neither: the ISB engine keeps such an attempt's Info record for the
+// process's next attempt, and frees nothing for it.
 type Allocator interface {
 	// Alloc returns a zeroed-or-overwritable block of at least words words,
 	// even-aligned (bit 0 free for tags). Callers must initialize every
@@ -27,7 +29,9 @@ type Allocator interface {
 	Alloc(p *Proc, words uint64) Addr
 
 	// Free returns a never-published block for immediate reuse. a may be
-	// any address inside the block. Unknown blocks are ignored.
+	// any address inside the block. Unknown blocks are ignored. The caller
+	// must have held the block since it was allocated from the current pool:
+	// one a crash stranded goes back through Reclaimer.Return instead.
 	Free(p *Proc, a Addr)
 
 	// Retire marks the block containing a as unlinked; it becomes reusable

@@ -33,14 +33,18 @@
 // The simulator keeps its own costs off the measured hot paths. A tracked
 // heap maintains a per-cache-line dirty bitmap recording which lines'
 // volatile image may diverge from the persisted image: line write-backs
-// skip clean lines, and ResetAfterCrash restores only dirty lines —
-// O(dirty), not O(used arena) — which is what makes every-crash-point
-// conformance sweeps cheap enough to run densely. Barrier dedup
-// (PBarrier/PBarrierAddrs) is exact for any phase size via a per-proc
+// skip clean lines, a line write-back stores only the words that differ,
+// and ResetAfterCrash restores only dirty lines, reading the bitmap only as
+// far as the bump pointer — O(dirty), not O(arena) — which is what makes
+// every-crash-point conformance sweeps cheap enough to run densely. Barrier
+// dedup (PBarrier/PBarrierAddrs) is exact for any phase size via a per-proc
 // reusable line set, so each distinct line is flushed once and the hot
 // path performs zero steady-state Go allocations. Tracked-mode accesses
-// are counted unconditionally (AccessCount); untracked heaps skip the
-// shared counter entirely.
+// are counted unconditionally (AccessCount): with a locked add on a heap of
+// several Procs, with a plain one on a heap of one, where no other
+// goroutine can race the count; untracked heaps skip the counter entirely.
+// A read-modify-write of a word's bits (FetchOr, FetchAndNot) is one access,
+// not a load and a CAS.
 package pmem
 
 import (
@@ -144,6 +148,13 @@ type Heap struct {
 	epoch     atomic.Uint64
 	accessCtr atomic.Uint64 // total pmem accesses (tracked mode, unconditional)
 	crashAt   atomic.Uint64 // armed access-count threshold; 0 = disarmed
+
+	// single marks a heap of one Proc, which counts its accesses in
+	// accesses with a plain add: its one Proc runs on one goroutine at a
+	// time, so the count needs no locked instruction. The numbering is
+	// accessCtr's exactly (TestAccessCountOneProcDifferential).
+	single   bool
+	accesses uint64
 }
 
 // reserved words at the bottom of the arena (so Null==0 is never allocated,
@@ -172,6 +183,7 @@ func NewHeap(cfg Config) *Heap {
 		model:      cfg.Model,
 		tracked:    cfg.Tracked,
 		evictEvery: cfg.EvictEvery,
+		single:     cfg.Procs == 1,
 	}
 	if !cfg.Tracked {
 		h.vol = make([]atomic.Uint64, cfg.Words)
@@ -335,14 +347,18 @@ func (h *Heap) persistLine(line Addr) {
 	h.copyLine(h.per, h.vol, line)
 }
 
-// copyLine copies one cache line from src to dst, clamped to the arena.
+// copyLine copies one cache line from src to dst, clamped to the arena. It
+// stores only the words that differ: a store is a locked exchange, a load
+// is not, and a written-back line mostly holds words already persisted.
 func (h *Heap) copyLine(dst, src []atomic.Uint64, line Addr) {
 	end := line + WordsPerLine
 	if end > Addr(h.cap) {
 		end = Addr(h.cap)
 	}
 	for w := line; w < end; w++ {
-		dst[w].Store(src[w].Load())
+		if v := src[w].Load(); dst[w].Load() != v {
+			dst[w].Store(v)
+		}
 	}
 }
 
@@ -363,9 +379,16 @@ func (h *Heap) Crashing() bool { return h.crashing.Load() }
 // AccessCount returns the total number of pmem accesses performed so far in
 // tracked mode, whether or not a crash is armed (used to schedule crashes at
 // access granularity and to measure an operation's access span). Untracked
-// heaps do not count: the counter is a shared atomic, and untracked heaps
-// exist precisely so benchmarks skip that hot-path cost.
-func (h *Heap) AccessCount() uint64 { return h.accessCtr.Load() }
+// heaps do not count: the counter is a shared atomic (a plain word on a
+// one-Proc heap), and untracked heaps exist precisely so benchmarks skip
+// that hot-path cost. On a one-Proc heap, read it only while the Proc is
+// not running.
+func (h *Heap) AccessCount() uint64 {
+	if h.single {
+		return h.accesses
+	}
+	return h.accessCtr.Load()
+}
 
 // ScheduleCrashAt arms a crash that fires when the global access counter
 // reaches n: the Proc whose access crosses the threshold initiates the
@@ -395,14 +418,17 @@ func (h *Heap) DisarmCrash() { h.crashAt.Store(0) }
 // guarantee no Proc is running.
 //
 // Only dirty lines — those whose volatile image diverged from the persisted
-// image since their last write-back — are restored, so the cost is
-// O(dirty lines), not O(used arena). TestResetAfterCrashDifferential pins
-// the equivalence against a brute-force full-arena restore.
+// image since their last write-back — are restored, and the bitmap is read
+// only as far as the bump pointer (nothing above it was ever written), so
+// the cost is O(dirty lines) plus a bitmap word per 512 used lines, not
+// O(arena). TestResetAfterCrashDifferential pins the equivalence against a
+// brute-force full-arena restore.
 func (h *Heap) ResetAfterCrash() {
 	if !h.tracked {
 		panic("pmem: ResetAfterCrash on untracked heap")
 	}
-	for wi := range h.dirty {
+	lines := (min(h.Used(), h.cap) + WordsPerLine - 1) / WordsPerLine
+	for wi := range h.dirty[:(lines+63)/64] {
 		bitsw := h.dirty[wi].Load()
 		if bitsw == 0 {
 			continue

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -422,6 +423,78 @@ func TestSyncScopeClosesOnWriteBacks(t *testing.T) {
 		p.CloseSyncScope()
 		if got := p.Stats().Syncs; got != c.syncs {
 			t.Errorf("%s: the scope closed with %d psyncs, want %d", c.name, got, c.syncs)
+		}
+	}
+}
+
+// TestAccessCountOneProcDifferential pins the plain access count of a
+// one-Proc heap against the shared atomic one a heap of two Procs keeps:
+// one script, run by Proc 0 with Proc 1 idle, spans the same AccessCount
+// after every step on both, and a crash armed at each offset lands on the
+// same step. The script covers every primitive that counts an access, the
+// reclaimer's Alloc, Free and Retire among them.
+func TestAccessCountOneProcDifferential(t *testing.T) {
+	script := func(h *Heap, step func()) {
+		p := h.Proc(0)
+		r := NewReclaimer(h)
+		a := p.Alloc(16)
+		step()
+		p.Store(a, 1)
+		step()
+		p.Load(a)
+		step()
+		p.CAS(a, 1, 2)
+		step()
+		p.CAS(a, 1, 3) // fails
+		step()
+		p.FetchOr(a+1, 6)
+		step()
+		p.FetchAndNot(a+1, 2)
+		step()
+		p.Carry(a + 8)
+		step()
+		p.PWB(a)
+		step()
+		p.PFence()
+		step()
+		p.PBarrier(a, a+8)
+		step()
+		p.PBarrierRange(a, 16)
+		step()
+		p.PSync()
+		step()
+		b := r.Alloc(p, 4)
+		step()
+		r.Free(p, b)
+		step()
+		r.Retire(p, r.Alloc(p, 32))
+		step()
+	}
+	build := func(procs int) *Heap { return NewHeap(Config{Words: 1 << 14, Procs: procs, Tracked: true}) }
+
+	var spans [2][]uint64
+	for i, procs := range []int{1, 2} {
+		h := build(procs)
+		start := h.AccessCount()
+		script(h, func() { spans[i] = append(spans[i], h.AccessCount()-start) })
+	}
+	if !slices.Equal(spans[0], spans[1]) {
+		t.Fatalf("access spans after each step: one Proc %v, two Procs %v", spans[0], spans[1])
+	}
+	total := spans[0][len(spans[0])-1]
+	for off := uint64(1); off <= total; off++ {
+		var landed [2]int
+		for i, procs := range []int{1, 2} {
+			h := build(procs)
+			h.ScheduleCrashAt(h.AccessCount() + off)
+			steps := 0
+			if RunOp(func() { script(h, func() { steps++ }) }) {
+				t.Fatalf("offset %d of %d: the crash never fired on %d Procs", off, total, procs)
+			}
+			landed[i] = steps
+		}
+		if landed[0] != landed[1] {
+			t.Fatalf("a crash at offset %d lands after step %d on one Proc, after step %d on two", off, landed[0], landed[1])
 		}
 	}
 }

@@ -108,7 +108,13 @@ func (p *Proc) checkCrash() {
 		}
 		return
 	}
-	n := p.h.accessCtr.Add(1)
+	var n uint64
+	if h := p.h; h.single {
+		h.accesses++
+		n = h.accesses
+	} else {
+		n = h.accessCtr.Add(1)
+	}
 	if at := p.h.crashAt.Load(); at != 0 && n >= at && p.h.crashAt.CompareAndSwap(at, 0) {
 		p.h.crashing.Store(true)
 		p.crashed = true
@@ -160,6 +166,43 @@ func (p *Proc) CAS(a Addr, old, new uint64) uint64 {
 			return cur
 		}
 		if p.h.vol[a].CompareAndSwap(old, new) {
+			if p.h.tracked {
+				p.afterWrite(a)
+			}
+			return old
+		}
+	}
+}
+
+// FetchOr sets the bits of m in the word at a and returns the word it
+// replaced, atomically: one access, counted as one read-modify-write
+// (Stats.CASes) whether or not a bit changed.
+func (p *Proc) FetchOr(a Addr, m uint64) uint64 { return p.fetchSwap(a, m, m) }
+
+// FetchAndNot clears the bits of m in the word at a and returns the word it
+// replaced, atomically; counted as FetchOr is.
+func (p *Proc) FetchAndNot(a Addr, m uint64) uint64 { return p.fetchSwap(a, m, 0) }
+
+// fetchSwap sets the bits of m in the word at a to those of bits and
+// returns the word it replaced, marking the line written if it changed. A
+// CAS loop rather than sync/atomic's Or and And: Go 1.24.0 miscompiles
+// their value-returning forms on amd64 (the result is taken for an address).
+func (p *Proc) fetchSwap(a Addr, m, bits uint64) uint64 {
+	if p.h.tracked {
+		p.checkCrash()
+	}
+	if a == Null {
+		panic("pmem: read-modify-write on Null")
+	}
+	p.stats.CASes++
+	w := &p.h.vol[a]
+	for {
+		old := w.Load()
+		new := old&^m | bits
+		if new == old {
+			return old
+		}
+		if w.CompareAndSwap(old, new) {
 			if p.h.tracked {
 				p.afterWrite(a)
 			}

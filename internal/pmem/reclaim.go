@@ -26,18 +26,19 @@ import (
 // class fixes. Alloc pops the process's free list for the block's class
 // (the link lives in block word 0), else takes the lowest free block of the
 // slab the process draws from, else adopts an unclaimed slab (below), else
-// carves a new one; every path clears the block's dead bit with a CAS and
-// hands its line to the process's next barrier (Proc.Carry). Retire sets the
-// bit the same way, appends ⟨block, epoch⟩ to the process's ring and
-// occasionally tries to advance the global epoch. A ring that fills while a
-// pinned peer stalls the epoch grows (and keeps its capacity), so a stalled
-// peer costs memory held in rings, never a lost retirement. An entry is
-// freed (block zeroed and pushed on a free list) once the global epoch is
-// two ahead of the entry's epoch: every process pinned when the block was
-// unlinked has exited or re-entered since, so no reference survives. Epoch
-// pins ride the ISB engine's operation entry (see isb.Engine) and are
-// Go-side atomics, so they cost no heap access. Lookups go through a table
-// indexed by address / slabWords: O(1), two probes at most.
+// carves a new one; every path clears the block's dead bit with one
+// read-modify-write (flip) and hands its line to the process's next barrier
+// (Proc.Carry). Retire sets the bit the same way, appends ⟨block, epoch⟩ to
+// the process's ring and occasionally tries to advance the global epoch. A
+// ring that fills while a pinned peer stalls the epoch grows (and keeps its
+// capacity), so a stalled peer costs memory held in rings, never a lost
+// retirement. An entry is freed (block zeroed and pushed on a free list)
+// once the global epoch is two ahead of the entry's epoch: every process
+// pinned when the block was unlinked has exited or re-entered since, so no
+// reference survives. Epoch pins ride the ISB engine's operation entry (see
+// isb.Engine) and are Go-side atomics, so they cost no heap access. Lookups
+// go through a table indexed by address / slabWords: O(1), two probes at
+// most.
 //
 // # The dead bitmap
 //
@@ -73,7 +74,10 @@ import (
 // per slab and an allocation one bitmap read per slab it adopts. Blocks
 // retired or freed after the crash in a slab not yet claimed are marked
 // late, and adoption leaves them to the ring and the free list they went
-// to. The Go-side slab index is kept across a crash as a cache of the
+// to. A block a process held unpublished at the crash — the Info record an
+// ISB engine keeps for its next attempt — comes back through Return before
+// anything allocates: its dead bit is set, or left set, and adoption pools
+// it. The Go-side slab index is kept across a crash as a cache of the
 // directory, like the heap's bump pointer; nothing the pool is rebuilt
 // from is Go-side.
 //
@@ -425,20 +429,22 @@ func (r *Reclaimer) BlockOf(a Addr) (Addr, uint64, bool) {
 	return start, s.size, true
 }
 
-// flip sets (dead) or clears block bi's dead bit with a CAS, and carries
-// its line to p's next barrier. It reports whether the bit changed.
+// flip sets (dead) or clears block bi's dead bit with one read-modify-write
+// (Proc.FetchOr, Proc.FetchAndNot), and carries its line to p's next barrier
+// if the bit changed. It reports whether it did.
 func (r *Reclaimer) flip(p *Proc, s *slab, bi uint64, dead bool) bool {
 	w, m := s.bits+Addr(bi/64), uint64(1)<<(bi%64)
-	for {
-		old := p.Load(w)
-		if old&m != 0 == dead {
-			return false
-		}
-		if p.CAS(w, old, old^m) == old {
-			p.Carry(w)
-			return true
-		}
+	var old uint64
+	if dead {
+		old = p.FetchOr(w, m)
+	} else {
+		old = p.FetchAndNot(w, m)
 	}
+	if old&m != 0 == dead {
+		return false
+	}
+	p.Carry(w)
+	return true
 }
 
 // Alloc serves a block of at least words words: from the calling process's
@@ -537,6 +543,20 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 		return
 	}
 	r.pushFree(p, &r.procs[p.ID()], s, start)
+}
+
+// Return gives back to the pool a block a crash stranded: one a process
+// held, unpublished, when the crash came — the Info record an ISB engine
+// keeps for its next attempt. It sets the block's dead bit, carried to p's
+// next barrier and booked like Free's, and nothing else: no late mark and
+// no free list, since the slab's next adoption pools the block from its
+// bit. (Free would mark it late, and a block whose bit a crash had already
+// set would then drop out of the pool.) Call it after Recover and before
+// anything allocates, while no slab is claimed: Runtime.RecoverAll does.
+func (r *Reclaimer) Return(p *Proc, a Addr) {
+	if s, _, bi, ok := r.lookup(a); ok && r.synced() && r.flip(p, s, bi, true) {
+		r.procs[p.ID()].setDead(p, s.size)
+	}
 }
 
 // kill marks block bi late and sets its dead bit, reporting whether it was

@@ -338,8 +338,8 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 	r.Enter(p)
 	r.Retire(p, a)
 	r.Exit(p)
-	if got := h.AccessCount(); got != before+2 || h.TotalStats().Sub(stats) != (Stats{Loads: 1, CASes: 1}) {
-		t.Fatalf("Enter, Retire and Exit made %d heap accesses and %+v, want the bitmap word's load and CAS",
+	if got := h.AccessCount(); got != before+1 || h.TotalStats().Sub(stats) != (Stats{CASes: 1}) {
+		t.Fatalf("Enter, Retire and Exit made %d heap accesses and %+v, want the bitmap word's one fetch-OR",
 			got-before, h.TotalStats().Sub(stats))
 	}
 	if st := r.Stats(); st.Dropped != 0 || r.procs[0].n != len(pre)-1 {

@@ -496,24 +496,27 @@ type ProcReport struct {
 // register names are kept out of that pool (keepRegistered, with the dead
 // blocks they name): an install's barrier writes back its register and its
 // record's cleared bit together, and a crash inside it may persist one and
-// not the other. What a crash can lose — dead bits not yet written back,
-// and the blocks kept — is counted, in words, as garbage; on top of it a
-// crash leaks, unaccounted, at most one attempt's fresh or unlinked nodes
-// plus its tracking record per process. Only when the accounted garbage
-// has caught up with the rest of the carved heap (garbage × 2 ≥ words
-// carved) does the same call run the conservative scan instead: every block
-// reachable from a structure root or referenced by an announced operation's
-// tracking record survives (transitively), and every other block the
-// reclaimer handed out is marked free in its bitmap. The scan is
+// not the other. Then the tracking record each engine keeps for a process's
+// next attempt, which no register names, goes back to the pool
+// (isb.Engine.Release, pmem.Reclaimer.Return). What a crash can lose — dead
+// bits not yet written back, and the blocks kept — is counted, in words, as
+// garbage; on top of it a crash leaks, unaccounted, at most one attempt's
+// fresh or unlinked nodes plus its tracking record per process (a record
+// leaks only when the crash cuts its install short). Only when the accounted
+// garbage has caught up with the rest of the carved heap (garbage × 2 ≥
+// words carved) does the same call run the conservative scan instead: every
+// block reachable from a structure root or referenced by an announced
+// operation's tracking record survives (transitively), and every other block
+// the reclaimer handed out is marked free in its bitmap. The scan is
 // conservative in one direction only: a node may survive that would
 // eventually have been freed, but a reachable node is never freed. Neither
 // path reads the reclaimer's pre-crash bookkeeping; what they rely on
 // besides the heap is the reclaimer's slab index, a Go-side cache of its
 // persisted slab directory that survives a simulated crash exactly as the
 // heap's bump pointer does. The reclaimer is frozen during the per-process
-// recovery sweep so that an early process's re-invoked operation cannot
-// free a block a later process's tracking record still names. LastScan
-// reports which path ran.
+// recovery sweep so that an early process's re-invoked operation cannot free
+// a block a later process's tracking record still names. LastScan reports
+// which path ran.
 func (r *Runtime) RecoverAll() []ProcReport {
 	if r.reclaimer != nil {
 		p0 := r.h.Proc(0)
@@ -529,6 +532,9 @@ func (r *Runtime) RecoverAll() []ProcReport {
 		}
 		scan := r.reclaimer.Recover(p0, func(func(pmem.Addr)) { r.markAll(p0) })
 		r.keepRegistered(p0)
+		for _, e := range r.engines {
+			e.Release(func(a pmem.Addr) { r.reclaimer.Return(p0, a) })
+		}
 		r.lastScan.Store(&scan)
 		r.reclaimer.Freeze()
 		defer r.reclaimer.Thaw()
