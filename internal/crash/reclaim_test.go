@@ -25,9 +25,9 @@ func eachRecoveryMode(t *testing.T, name string, f func(t *testing.T, mode pmem.
 // schedule runs once on each allocator, and every per-operation response,
 // the final key set, and set-linearizability must coincide. Crash offsets
 // are drawn identically, but the two runs' access streams differ (the
-// reclaimer zeroes and links freed blocks, and reuses them, where the arena
-// carves fresh words), so crashes
-// land at different micro-points — which is the point: the sequential
+// reclaimer links freed blocks and reuses them, where the arena carves
+// fresh words), so crashes land at different micro-points — which is the
+// point: the sequential
 // model fixes every response regardless of where a crash lands, so any
 // divergence is an allocator-semantics bug, not schedule noise.
 func TestReclaimDifferential(t *testing.T) {

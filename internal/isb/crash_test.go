@@ -345,6 +345,77 @@ func TestDeferredCleanupRecycledSurvivor(t *testing.T) {
 	}
 }
 
+// TestSettleFlagsDone crashes an Isb-Opt dequeue whose done flag never got
+// its barrier, and then lets its operand recycle. Proc 0 dequeues: the scope
+// close writes the update back, and the done flag waits for Proc 0's next
+// barrier, which the crash preempts. Recovery settles the record, and Proc
+// 0's next install retires the old dummy — the Go-side schedule outlives the
+// crash — while its other register still names the dequeue's record. After a
+// second crash Proc 1 enqueues until the reclaimer hands it that dummy's
+// block, then dequeues until the block is the dummy again. A third crash
+// must not let the dequeue's record, still named and evident, re-run its
+// update: its CAS on Head, from the recycled dummy, would put the dequeued
+// nodes back on the queue. Settle therefore flags done an update without a
+// CleanupSet it finishes, as the invoker would have.
+func TestSettleFlagsDone(t *testing.T) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 2, Tracked: true})
+	r := pmem.NewReclaimer(h)
+	e := isb.NewEngineOpt(h)
+	e.SetAllocator(r)
+	q := queue.NewWithEngine(h, e)
+	p0, p1 := h.Proc(0), h.Proc(1)
+	crash := func() {
+		h.Crash()
+		h.ResetAfterCrash()
+		r.Recover(p0, func(mark func(pmem.Addr)) {
+			q.MarkReachable(p0, mark)
+			e.MarkReachable(p0, mark)
+		})
+		q.RepairTail(p0)
+		e.Settle(p0)
+	}
+
+	q.ApplyOp(p1, queue.OpEnq, 1)
+	dummy := e.Durable(p1).Current().Cleanup[0] // the first dummy's info field
+	q.ApplyOp(p1, queue.OpEnq, 2)
+	if v := q.ApplyOp(p0, queue.OpDeq, 0); v != isb.EncodeValue(1) {
+		t.Fatalf("dequeue answered %d, want 1", v)
+	}
+	deq := e.Durable(p0).Current()
+	crash()
+	if d := e.Durable(p0); !slices.ContainsFunc(d.Regs[:], func(reg isb.Register) bool { return reg.RD == deq.RD && reg.Done != 0 }) {
+		t.Fatalf("after recovery no register names the dequeue's record %d durably done: %+v", deq.RD, d)
+	}
+	q.ApplyOp(p0, queue.OpEnq, 3) // retires the first dummy
+	crash()
+	want := []uint64{2, 3}
+	reused := false
+	for v := uint64(10); v < 1000 && !reused; v++ {
+		q.ApplyOp(p1, queue.OpEnq, v)
+		want = append(want, v)
+		reused = e.Durable(p1).Current().Cleanup[1] == dummy
+	}
+	if !reused {
+		t.Fatal("the reclaimer never handed the first dummy to an enqueue")
+	}
+	for len(want) > 0 {
+		if got := q.ApplyOp(p1, queue.OpDeq, 0); got != isb.EncodeValue(want[0]) {
+			t.Fatalf("dequeue answered %d, want %d", got, want[0])
+		}
+		want = want[1:]
+	}
+	if !e.Durable(p0).Names(deq.RD) {
+		t.Fatal("no register names the first dequeue's record any more: the scenario needs it named")
+	}
+	crash()
+	if vs := q.Values(); !slices.Equal(vs, want) {
+		t.Fatalf("queue holds %v after recovery, want %v", vs, want)
+	}
+	if msg := q.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 // TestDeferredCleanupHoldsOperands pins when an Isb-Opt update's unlinked
 // node retires: not when the update returns, since its cleanup, done flag
 // included, is still volatile, and a recovery that re-runs its update phase

@@ -26,7 +26,8 @@ import (
 // that order — a later element's line can persist while the first's does
 // not, and a helper that skipped the first would then complete an operation
 // whose first element another process has since changed. Recovery helps its
-// own record as the invoker, and only the invoker flags a record done.
+// own record as the invoker, and only the invoker flags a record done — and
+// Settle, for an update without a CleanupSet it finished after a crash.
 func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 	ep := e.proc(p)
 	ep.dirty = ep.dirty[:0] // lines noted by a phase a crash cut short
@@ -673,9 +674,16 @@ func (e *Engine) registers(p *pmem.Proc) string {
 // own: its write-backs are complete when it returns — PWB is clflush-class, as
 // every deferred sync point assumes — and the process's next psync (the close
 // of the admission's scope, an eager begin's, or recovery's) accounts for
-// them. Under Isb every update and cleanup ends with its barrier, and there
-// is nothing to finish. First of all, at every call, it ends the update the
-// calling process may still hold from before a crash (Records.settleHeld).
+// them. An update it finished without a CleanupSet (a dequeue) it flags
+// done, with a barrier of its own: the invoker's flag may have died with the
+// crash while the invoker's Go-side schedule (lastOp.held, settleHeld) still
+// retires the record's operands at its next install, and nothing else would
+// stop every later Settle from re-running the update into an operand
+// recycled since — a CleanupSet stops it once its untags are durable, which
+// Settle's cleanup makes them. Under Isb every update and cleanup ends with
+// its barrier, and there is nothing to finish. First of all, at every call,
+// it ends the update the calling process may still hold from before a crash
+// (Records.settleHeld).
 func (e *Engine) Settle(p *pmem.Proc) {
 	e.recs.settleHeld(p)
 	epoch := e.h.Epoch()
@@ -697,9 +705,13 @@ func (e *Engine) Settle(p *pmem.Proc) {
 			if !ok || rec[offStamp]>>stampProcShift != uint64(q) || rec[offAdm] != p.Load(e.cp(q, r)) || !e.evident(p, info, &rec) {
 				continue
 			}
-			_, wn, _ := lens(rec[offLens])
+			_, wn, cn := lens(rec[offLens])
 			if rec[offResult] == RespNone || rec[offDone] == 0 && wn != 0 {
 				e.Help(p, info, false)
+				if wn != 0 && cn == 0 && p.Load(info+offResult) != RespNone {
+					p.Store(info+offDone, 1)
+					p.PBarrier(info + offDone)
+				}
 			} else if some, _ := e.cleanupTags(p, info); some {
 				e.Help(p, info, false)
 			}

@@ -288,7 +288,10 @@ type engineProc struct {
 // on purpose: after a crash a register durably holds either the record info
 // names for it or that of an install the crash cut short, which then leaks
 // inside the crash's in-flight budget, and retiring on schedule is right in
-// both cases. A full scan keeps them alive until then (MarkReachable).
+// both cases: where a crash cut the done flag short, Settle's durable untags,
+// or for an update without a CleanupSet its done flag, stop a re-run of the
+// update before the next install. A full scan keeps them alive until then
+// (MarkReachable).
 type lastOp struct {
 	reg  int
 	info [2]pmem.Addr

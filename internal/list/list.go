@@ -109,8 +109,9 @@ func (l *List) Gather(kind, _ uint64) isb.Gather {
 // because the read had no effect.
 //
 // The walk holds the allocator's epoch pin (volatile, and a no-op on the
-// arena): without it the reclaimer could free and zero the node the walk
-// stands on, whose zero key and Null next would trap it at address 0.
+// arena): without it the reclaimer could free and reuse the node the walk
+// stands on — its key word a free-list link, then another node's fields —
+// and the walk would follow words that no longer belong to this list.
 func (l *List) ReadOp(p *pmem.Proc, kind, key uint64) uint64 {
 	if kind != OpFind {
 		panic("list: ReadOp on a mutating kind")

@@ -23,9 +23,17 @@ package pmem
 // needs neither: the ISB engine keeps such an attempt's Info record for the
 // process's next attempt, and frees nothing for it.
 type Allocator interface {
-	// Alloc returns a zeroed-or-overwritable block of at least words words,
-	// even-aligned (bit 0 free for tags). Callers must initialize every
-	// word they later read.
+	// Alloc returns a block of at least words words, even-aligned (bit 0
+	// free for tags), whose content is not promised: the arena's is zero,
+	// a reused one holds whatever its last user or a crash left (the
+	// Reclaimer clears nothing). Callers must initialize every word they
+	// later read, and do: a list, queue or stack node its key or value,
+	// next and info words, a BST node all four (each package's newNode);
+	// the ISB engine an Info record's header, the set entries it uses and
+	// its admission word (install), the only words readInfo reads back.
+	// The words nobody writes — a three-word node's fourth, a record's
+	// unused entries — only the conservative scan reads, as possible
+	// pointers: a stale one may make it keep a block, never free one.
 	Alloc(p *Proc, words uint64) Addr
 
 	// Free returns a never-published block for immediate reuse. a may be

@@ -28,17 +28,19 @@ import (
 // slab the process draws from, else adopts an unclaimed slab (below), else
 // carves a new one; every path clears the block's dead bit with one
 // read-modify-write (flip) and hands its line to the process's next barrier
-// (Proc.Carry). Retire sets the bit the same way, appends ⟨block, epoch⟩ to
-// the process's ring and occasionally tries to advance the global epoch. A
-// ring that fills while a pinned peer stalls the epoch grows (and keeps its
-// capacity), so a stalled peer costs memory held in rings, never a lost
-// retirement. An entry is freed (block zeroed and pushed on a free list)
-// once the global epoch is two ahead of the entry's epoch: every process
-// pinned when the block was unlinked has exited or re-entered since, so no
-// reference survives. Epoch pins ride the ISB engine's operation entry (see
-// isb.Engine) and are Go-side atomics, so they cost no heap access. Lookups
-// go through a table indexed by address / slabWords: O(1), two probes at
-// most.
+// (Proc.Carry). Retire sets the bit the same way, appends ⟨block, class,
+// epoch⟩ to the process's ring and occasionally tries to advance the global
+// epoch. A ring that fills while a pinned peer stalls the epoch grows (and
+// keeps its capacity), so a stalled peer costs memory held in rings, never a
+// lost retirement. An entry is freed (pushed on a free list: one store, the
+// link in word 0; the rest of the block keeps what it held) once the global
+// epoch is two ahead of the entry's epoch: every process pinned when the
+// block was unlinked has exited or re-entered since, so no reference
+// survives. Nothing reads a free block's other words, and every caller of
+// Alloc initializes the words it reads (Allocator), so none is cleared.
+// Epoch pins ride the ISB engine's operation entry (see isb.Engine) and are
+// Go-side atomics, so they cost no heap access. Lookups go through a table
+// indexed by address / slabWords: O(1), two probes at most.
 //
 // # The dead bitmap
 //
@@ -72,14 +74,15 @@ import (
 // the bitmaps say: the first Alloc of a class after the crash claims a slab
 // of that class and reads its bitmap (adopt), so a recovery costs nothing
 // per slab and an allocation one bitmap read per slab it adopts. Blocks
-// retired or freed after the crash in a slab not yet claimed are marked
-// late, and adoption leaves them to the ring and the free list they went
-// to. A block a process held unpublished at the crash — the Info record an
-// ISB engine keeps for its next attempt — comes back through Return before
-// anything allocates: its dead bit is set, or left set, and adoption pools
-// it. The Go-side slab index is kept across a crash as a cache of the
-// directory, like the heap's bump pointer; nothing the pool is rebuilt
-// from is Go-side.
+// retired or freed after the crash in a slab whose bitmap its claimer has
+// not read in full are marked late, and adoption leaves them to the ring and
+// the free list they went to; once the claimer has read it all (the slab
+// settled), no mark is set. A block a process held unpublished at the crash
+// — the Info record an ISB engine keeps for its next attempt — comes back
+// through Return before anything allocates: its dead bit is set, or left
+// set, and adoption pools it. The Go-side slab index is kept across a crash
+// as a cache of the directory, like the heap's bump pointer; nothing the
+// pool is rebuilt from is Go-side.
 //
 // What a crash can still lose is booked, in words, as garbage: dead bits a
 // process set since its last barrier (Retire, Free — its carried lines may
@@ -161,6 +164,8 @@ type Reclaimer struct {
 	// Info record names.
 	frozen atomic.Bool
 
+	// stats holds the rare counters; Carved, Reused, Retired and Freed are
+	// per process (reclaimProc.counts), and Stats sums them.
 	stats ReclaimStats
 }
 
@@ -191,12 +196,26 @@ type reclaimProc struct {
 	// barrier number pendAt (Proc.barriers): what a crash before its next
 	// barrier may lose.
 	pend, pendAt uint64
-	_            [8]byte
+	// counts are the process's Carved, Reused, Retired and Freed events
+	// (ReclaimStats), written by the owner only and summed by Stats; reset
+	// leaves them, so they stay monotone across Recover and Scan.
+	counts [nCounts]atomic.Uint64
+	_      [40]byte
 }
 
-// retired is one ring entry: a block unlinked in epoch.
+// The per-process event counters.
+const (
+	cCarved = iota
+	cReused
+	cRetired
+	cFreed
+	nCounts
+)
+
+// retired is one ring entry: a block of class unlinked in epoch.
 type retired struct {
 	block Addr
+	class int
 	epoch uint64
 }
 
@@ -250,11 +269,17 @@ type slab struct {
 	gen    atomic.Uint64
 	avail  []uint64
 	loaded int
+	// settled is the generation in which the claiming process loaded the
+	// last bitmap word into avail (at carve time for a carved slab). From
+	// then on in that generation no take or Audit reads the bitmap, and
+	// the slab is claimed by nobody else, so kill sets no late mark.
+	settled atomic.Uint64
 	// hw is the high-water mark: blocks [0, hw) were handed out at least
 	// once. Written by the claiming process; Scan and Audit read it.
 	hw uint64
-	// late marks the blocks retired or freed in the current generation:
-	// they reach a ring or a free list, and an adoption leaves them out.
+	// late marks the blocks retired or freed in the current generation
+	// before the slab settled: they reach a ring or a free list, and an
+	// adoption leaves them out.
 	late []atomic.Uint64
 	// marks are the scan's mark bits.
 	marks []uint64
@@ -274,7 +299,9 @@ const (
 	ringFreeThreshold = 64
 )
 
-// ReclaimStats counts reclaimer events (monotone within a run).
+// ReclaimStats counts reclaimer events, monotone within a run, Recover and
+// Scan included. Carved, Reused, Retired and Freed are summed over the
+// processes.
 type ReclaimStats struct {
 	Carved   uint64 // blocks handed out for the first time
 	Reused   uint64 // blocks handed out again: from a free list or an adopted slab
@@ -383,6 +410,7 @@ func (r *Reclaimer) newSlab(p *Proc, class int) *slab {
 	s := &slab{base: bm + Addr(below), bits: bm, class: class, size: size, n: n,
 		avail: make([]uint64, words), late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
 	s.gen.Store(r.gen.Load())
+	s.settled.Store(r.gen.Load())
 	s.loaded = len(s.avail)
 	for w := range s.avail {
 		s.avail[w] = ^uint64(0) >> (64 - min(64, n-uint64(w)*64))
@@ -450,17 +478,18 @@ func (r *Reclaimer) flip(p *Proc, s *slab, bi uint64, dead bool) bool {
 // Alloc serves a block of at least words words: from the calling process's
 // free list, else from its slab of the class, else from a slab it adopts,
 // else from a slab it carves. Until Recover has run after a crash it takes
-// neither the free list nor an adoption.
+// neither the free list nor an adoption. A block popped from the free list
+// comes as its last user left it, word 0 holding the spent link: the caller
+// initializes what it reads (Allocator).
 func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 	class := r.classFor(words)
 	ps := &r.procs[p.ID()]
 	synced := r.synced()
 	if a := ps.free[class]; a != Null && synced {
 		ps.free[class] = Addr(p.Load(a)) // pop; block word 0 is the free link
-		p.Store(a, 0)                    // restore the zeroed-block contract
 		s, _, bi, _ := r.lookup(a)
 		r.flip(p, s, bi, false)
-		atomic.AddUint64(&r.stats.Reused, 1)
+		ps.counts[cReused].Add(1)
 		return a
 	}
 	for {
@@ -480,14 +509,18 @@ func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 }
 
 // take hands out s's lowest free block, its bit cleared, or returns Null
-// when s has none left; it reads the bitmap a word at a time (see adopt). A
-// block of a carved slab is zero; an adopted one is handed out as the crash
-// left it, which Allocator allows: every caller initializes what it reads.
+// when s has none left; it reads the bitmap a word at a time (see adopt),
+// and marks s settled once it has read the last. A block of a carved slab is
+// zero; a reused one is handed out as its last user or the crash left it,
+// which Allocator allows: every caller initializes what it reads.
 func (r *Reclaimer) take(p *Proc, s *slab) Addr {
+	ps := &r.procs[p.ID()]
 	for w := range s.avail {
 		if w == s.loaded {
 			s.avail[w] = p.Load(s.bits+Addr(w)) &^ s.late[w].Load()
-			s.loaded++
+			if s.loaded++; s.loaded == len(s.avail) {
+				s.settled.Store(r.gen.Load())
+			}
 		}
 		v := s.avail[w]
 		if v == 0 {
@@ -499,11 +532,11 @@ func (r *Reclaimer) take(p *Proc, s *slab) Addr {
 		a := s.base + Addr(bi*s.size)
 		r.flip(p, s, bi, false)
 		if bi < s.hw {
-			atomic.AddUint64(&r.stats.Reused, 1)
+			ps.counts[cReused].Add(1)
 		} else {
 			r.carved.Add((bi + 1 - s.hw) * s.size)
 			s.hw = bi + 1
-			atomic.AddUint64(&r.stats.Carved, 1)
+			ps.counts[cCarved].Add(1)
 		}
 		return a
 	}
@@ -515,7 +548,9 @@ func (r *Reclaimer) take(p *Proc, s *slab) Addr {
 // word at a time, as it needs it — every block whose bit is set, but those
 // marked late. The late mark is set before a Retire or Free sets the bit and
 // read after it, so a block whose bit take reads set on its way to a ring
-// or a free list is left out.
+// or a free list is left out. Once take has read the last word (settled),
+// nothing reads the bitmap again in this generation — a new one starts only
+// in Recover or Scan, with no process running — so kill stops marking.
 func (r *Reclaimer) adopt(class int) *slab {
 	idx := *r.slabs.Load()
 	g := r.gen.Load()
@@ -542,7 +577,7 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 	if !ok || !r.kill(p, s, bi) {
 		return
 	}
-	r.pushFree(p, &r.procs[p.ID()], s, start)
+	r.pushFree(p, &r.procs[p.ID()], s.class, start)
 }
 
 // Return gives back to the pool a block a crash stranded: one a process
@@ -559,10 +594,13 @@ func (r *Reclaimer) Return(p *Proc, a Addr) {
 	}
 }
 
-// kill marks block bi late and sets its dead bit, reporting whether it was
-// in use (see adopt for the order).
+// kill marks block bi late, unless s has settled in this generation, and
+// sets its dead bit, reporting whether it was in use (see adopt for the
+// order).
 func (r *Reclaimer) kill(p *Proc, s *slab, bi uint64) bool {
-	s.late[bi/64].Or(1 << (bi % 64))
+	if s.settled.Load() != r.gen.Load() {
+		s.late[bi/64].Or(1 << (bi % 64))
+	}
 	if !r.flip(p, s, bi, true) {
 		return false
 	}
@@ -570,15 +608,12 @@ func (r *Reclaimer) kill(p *Proc, s *slab, bi uint64) bool {
 	return true
 }
 
-// pushFree zeroes the block and links it onto ps's free list for its
-// class. The link lives in block word 0; a crash drops the list, and the
-// block's dead bit brings it back.
-func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, s *slab, start Addr) {
-	for w := Addr(1); w < Addr(s.size); w++ {
-		p.Store(start+w, 0)
-	}
-	p.Store(start, uint64(ps.free[s.class]))
-	ps.free[s.class] = start
+// pushFree links the block at start onto ps's free list for class: one
+// store, the link in block word 0, the only word of a free block anything
+// reads. A crash drops the list, and the block's dead bit brings it back.
+func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, class int, start Addr) {
+	p.Store(start, uint64(ps.free[class]))
+	ps.free[class] = start
 }
 
 // Retire records that the block containing a has been unlinked: its dead bit
@@ -598,8 +633,8 @@ func (r *Reclaimer) Retire(p *Proc, a Addr) {
 		return
 	}
 	ps := &r.procs[p.ID()]
-	ps.push(retired{start, r.epoch.Load()})
-	atomic.AddUint64(&r.stats.Retired, 1)
+	ps.push(retired{start, s.class, r.epoch.Load()})
+	ps.counts[cRetired].Add(1)
 	if ps.n >= ringFreeThreshold {
 		r.advanceAndFree(p)
 	}
@@ -652,9 +687,8 @@ func (r *Reclaimer) advanceAndFree(p *Proc) {
 		if e.epoch+2 > epoch {
 			return // grace period not over for this (and later) entries
 		}
-		s, _, _, _ := r.lookup(e.block)
-		r.pushFree(p, ps, s, e.block)
-		atomic.AddUint64(&r.stats.Freed, 1)
+		r.pushFree(p, ps, e.class, e.block)
+		ps.counts[cFreed].Add(1)
 		ps.head = (ps.head + 1) & (len(ps.ring) - 1)
 	}
 }
@@ -669,17 +703,21 @@ func (r *Reclaimer) Thaw() { r.frozen.Store(false) }
 
 // Stats returns a snapshot of the reclaimer's event counters.
 func (r *Reclaimer) Stats() ReclaimStats {
-	return ReclaimStats{
-		Carved:   atomic.LoadUint64(&r.stats.Carved),
-		Reused:   atomic.LoadUint64(&r.stats.Reused),
-		Retired:  atomic.LoadUint64(&r.stats.Retired),
-		Freed:    atomic.LoadUint64(&r.stats.Freed),
+	st := ReclaimStats{
 		Dropped:  atomic.LoadUint64(&r.stats.Dropped),
 		Advances: atomic.LoadUint64(&r.stats.Advances),
 
 		FastRecoveries: atomic.LoadUint64(&r.stats.FastRecoveries),
 		FullScans:      atomic.LoadUint64(&r.stats.FullScans),
 	}
+	for id := range r.procs {
+		c := &r.procs[id].counts
+		st.Carved += c[cCarved].Load()
+		st.Reused += c[cReused].Load()
+		st.Retired += c[cRetired].Load()
+		st.Freed += c[cFreed].Load()
+	}
+	return st
 }
 
 // LiveBlocks counts the handed-out blocks in use or awaiting grace: those

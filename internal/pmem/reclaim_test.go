@@ -9,13 +9,16 @@ func reclaimHeap(t *testing.T, procs int) *Heap {
 
 // TestReclaimerAllocFreeReuse pins the insta-reuse path: a never-published
 // block freed by its owner is handed out again by the very next Alloc of
-// the same class, zeroed.
+// the same class, even-aligned and distinct from every block still in use.
+// Its content is not promised (Allocator.Alloc): the reclaimer clears
+// nothing, so the test reads none of it.
 func TestReclaimerAllocFreeReuse(t *testing.T) {
 	h := reclaimHeap(t, 2)
 	r := NewReclaimer(h)
 	p := h.Proc(0)
 
 	a := r.Alloc(p, 4)
+	live := r.Alloc(p, 4)
 	p.Store(a, 77)
 	p.Store(a+3, 99)
 	r.Free(p, a+2) // interior pointer must resolve to the block
@@ -23,15 +26,171 @@ func TestReclaimerAllocFreeReuse(t *testing.T) {
 	if b != a {
 		t.Fatalf("freed block not reused: got %#x want %#x", b, a)
 	}
-	for w := Addr(0); w < 4; w++ {
-		if v := p.Load(b + w); v != 0 {
-			t.Fatalf("reused block word %d not zeroed: %d", w, v)
+	c := r.Alloc(p, 4)
+	for _, x := range []Addr{live, b, c} {
+		if x&1 != 0 {
+			t.Fatalf("block %#x is not even-aligned", x)
 		}
 	}
-	st := r.Stats()
-	if st.Reused != 1 {
-		t.Fatalf("Reused = %d, want 1", st.Reused)
+	if c == b || c == live || b == live {
+		t.Fatalf("blocks in use overlap: %#x, %#x, %#x", live, b, c)
 	}
+	if st := r.Stats(); st.Reused != 1 || st.Carved != 3 {
+		t.Fatalf("stats %+v, want 1 reused and 3 carved", st)
+	}
+}
+
+// TestReclaimerRoundTripStores pins what a block's round trip writes: a
+// 32-word block retired, freed after its grace and handed out again costs
+// one store (the free link in word 0), one load (the pop) and two
+// read-modify-writes (the dead bit set, then cleared). Nothing clears the
+// other 31 words, and no other heap word is touched.
+func TestReclaimerRoundTripStores(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	p := h.Proc(0)
+
+	a := r.Alloc(p, 32)
+	for w := Addr(0); w < 32; w++ {
+		p.Store(a+w, uint64(a)+uint64(w)) // words that look like pointers
+	}
+	before, st0 := h.TotalStats(), r.Stats()
+	r.Enter(p)
+	r.Retire(p, a)
+	r.Exit(p)
+	for i := 0; i < 3; i++ {
+		r.advanceAndFree(p)
+	}
+	if b := r.Alloc(p, 32); b != a {
+		t.Fatalf("the freed block did not come back: got %#x want %#x", b, a)
+	}
+	if got := h.TotalStats().Sub(before); got != (Stats{Loads: 1, Stores: 1, CASes: 2}) {
+		t.Fatalf("retire → free → Alloc cost %+v, want 1 load, 1 store and 2 CASes", got)
+	}
+	st := r.Stats()
+	if st.Retired-st0.Retired != 1 || st.Freed-st0.Freed != 1 || st.Reused-st0.Reused != 1 || st.Carved != st0.Carved {
+		t.Fatalf("stats %+v after %+v, want one retired, freed and reused", st, st0)
+	}
+}
+
+// TestReclaimStatsSumProcs pins the per-process counters: ReclaimStats is
+// the sum over the processes of what each did, and Recover and Scan, which
+// reset every other Go-side record, leave it monotone.
+func TestReclaimStatsSumProcs(t *testing.T) {
+	h := reclaimHeap(t, 2)
+	r := NewReclaimer(h)
+	r.ForceRecovery(RecoverFast)
+	for id, n := range []int{3, 5} {
+		p := h.Proc(id)
+		r.Enter(p)
+		for i := 0; i < n; i++ {
+			r.Retire(p, r.Alloc(p, 4))
+		}
+		r.Exit(p)
+		for i := 0; i < 3; i++ {
+			r.advanceAndFree(p)
+		}
+		for i := 0; i < n; i++ {
+			r.Alloc(p, 4)
+		}
+	}
+	want := ReclaimStats{Carved: 3 + 5, Reused: 3 + 5, Retired: 3 + 5, Freed: 3 + 5, Advances: r.Stats().Advances}
+	for id, n := range []uint64{3, 5} {
+		for c := range r.procs[id].counts {
+			if got := r.procs[id].counts[c].Load(); got != n {
+				t.Fatalf("process %d counted %d events of kind %d, want %d", id, got, c, n)
+			}
+		}
+	}
+	if st := r.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+
+	p := h.Proc(0)
+	prev := r.Stats()
+	for _, recov := range []func(){
+		func() { r.Recover(p, func(func(Addr)) {}) },
+		func() { r.Scan(p, func(func(Addr)) {}) },
+	} {
+		h.Crash()
+		h.ResetAfterCrash()
+		recov()
+		st := r.Stats()
+		if st.Carved < prev.Carved || st.Reused < prev.Reused || st.Retired < prev.Retired || st.Freed < prev.Freed ||
+			st.FastRecoveries+st.FullScans != prev.FastRecoveries+prev.FullScans+1 {
+			t.Fatalf("stats %+v after a recovery, were %+v: not monotone", st, prev)
+		}
+		prev = st
+	}
+}
+
+// TestReclaimerLateMarksAfterCrash pins rule (C) of the late marks: a slab
+// adopted after a crash and loaded only in part marks a block retired in a
+// word it has not loaded, so the load that follows leaves it to the ring
+// and nothing is handed out twice; once the last word is loaded the slab
+// has settled and a retirement marks nothing.
+func TestReclaimerLateMarksAfterCrash(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	r.ForceRecovery(RecoverFast)
+	p := h.Proc(0)
+
+	const n = slabWords / 4 // one slab of 4-word blocks, eight bitmap words
+	blocks := make([]Addr, n)
+	for i := range blocks {
+		blocks[i] = r.Alloc(p, 4)
+	}
+	s, _, _, _ := r.lookup(blocks[0])
+	if s.settled.Load() != r.gen.Load() {
+		t.Fatal("a carved slab is not settled")
+	}
+	r.Free(p, blocks[0])   // word 0
+	r.Free(p, blocks[300]) // word 4
+	p.PBarrierAddrs(nil)
+
+	h.Crash()
+	h.ResetAfterCrash()
+	r.Recover(p, func(func(Addr)) { t.Fatal("fast recovery ran the mark phase") })
+	audit := func(when string) {
+		t.Helper()
+		if rep := r.Audit(func(func(Addr)) {}); rep.Twice != 0 {
+			t.Fatalf("%s: %d blocks pooled twice (%+v)", when, rep.Twice, rep)
+		}
+	}
+
+	handed := map[Addr]bool{}
+	alloc := func() Addr {
+		a := r.Alloc(p, 4)
+		if handed[a] {
+			t.Fatalf("block %#x handed out twice", a)
+		}
+		handed[a] = true
+		return a
+	}
+	if a := alloc(); a != blocks[0] || s.loaded != 1 || s.gen.Load() != r.gen.Load() {
+		t.Fatalf("post-crash Alloc: %#x with %d words loaded, want %#x from the adopted slab with 1", a, s.loaded, blocks[0])
+	}
+	r.Enter(p)
+	r.Retire(p, blocks[400]) // word 6: not loaded yet
+	if s.late[6].Load()>>(400%64)&1 == 0 {
+		t.Fatal("a retirement in an unloaded word took no late mark")
+	}
+	audit("with the slab loaded in part")
+	if a := alloc(); a != blocks[300] {
+		t.Fatalf("Alloc: %#x, want the free block %#x", a, blocks[300])
+	}
+	if a := alloc(); a >= s.base && a < s.base+slabWords {
+		t.Fatalf("Alloc: %#x from the exhausted slab", a)
+	}
+	if s.loaded != len(s.avail) || s.settled.Load() != r.gen.Load() {
+		t.Fatalf("slab not settled with %d of %d words loaded", s.loaded, len(s.avail))
+	}
+	r.Retire(p, blocks[100]) // word 1, after the slab settled
+	r.Exit(p)
+	if s.late[1].Load() != 0 {
+		t.Fatal("a retirement in a settled slab took a late mark")
+	}
+	audit("with the slab settled")
 }
 
 // TestReclaimerRetireGrace pins the epoch grace period and the spill: a

@@ -326,14 +326,16 @@ func (s *Server) addConn(nc net.Conn) {
 	go c.writeLoop()
 }
 
-// removeConn drops c: it retires the writer and posts opGone to every
-// worker, behind c's requests.
+// removeConn drops c: it counts the disconnect, closes the socket, retires
+// the writer and posts opGone to every worker, behind c's requests. The
+// count comes before the close, so a client that reads EOF finds it.
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
 	s.conns = slices.DeleteFunc(s.conns, func(cc *conn) bool { return cc == c })
 	s.mu.Unlock()
 	s.nconns.Add(-1)
 	s.disconnects.Add(1)
+	c.nc.Close()
 	c.omu.Lock()
 	c.closed = true
 	c.omu.Unlock()
@@ -349,7 +351,6 @@ func (s *Server) removeConn(c *conn) {
 // connection is closed as idle.
 func (c *conn) readLoop() {
 	defer c.s.removeConn(c)
-	defer c.nc.Close()
 	idle := c.s.cfg.IdleTimeout
 	fr := NewFrameReader(c.nc)
 	for {

@@ -358,9 +358,10 @@ func TestPrivateCacheModelThroughAPI(t *testing.T) {
 // TestFastReadsTerminateUnderReclaimChurn: a pure reader on Proc 0 walks
 // the bucket lists on the zero-persist path while Proc 1 inserts and
 // deletes with the reclaimer on. A walk that is not pinned in the
-// reclaimer's epoch steps into a freed, zeroed block and spins at address 0
-// for good, so the test is that it returns: the churn is a fixed number of
-// operations and the reader reads for as long as the churn runs. The two
+// reclaimer's epoch steps into a freed or reused block, whose words no
+// longer belong to its list, and may follow them for good, so the test is
+// that it returns: the churn is a fixed number of operations and the
+// reader reads for as long as the churn runs. The two
 // share one core, whatever the machine has: the block under a walk is only
 // freed while the walk is off its core for a few hundred churn operations,
 // and a time slice is that long. A round is sized so that 2^23 words hold
