@@ -22,7 +22,7 @@ import (
 // sequence and the engine.
 //
 // The reclaim=true variants extend the pin over the whole reclamation hot
-// path: free-list pops in Alloc, ring appends in Retire, epoch pin
+// path: free-stack pops in Alloc, ring appends in Retire, epoch pin
 // enter/exit, and the periodic epoch advance + free sweep (the churn below
 // crosses the ring's free threshold many times per AllocsPerRun window) —
 // none of it may allocate Go memory either. Only the cold paths (carving a
@@ -120,7 +120,7 @@ func TestHashMapOpZeroAllocs(t *testing.T) {
 					m.Insert(p, k)
 				}
 				// Warm the reclaimer past slab carving: one full churn lap
-				// so steady state serves from free lists.
+				// so steady state serves from the free stacks.
 				for k := uint64(100); k < 164; k++ {
 					m.Insert(p, k)
 					m.Apply(p, Op{Kind: OpDelete, Arg: k})

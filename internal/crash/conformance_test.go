@@ -63,8 +63,8 @@ func TestRecoverAllCrashConformance(t *testing.T) { sweepFamily(t, "routed", fal
 
 // Crash-point conformance for crash-consistent node reclamation: the
 // reclaim-churn subjects run every operation against recycled memory — so
-// the crash offsets also land inside the dead-bit CASes of Alloc, Free and
-// Retire, free-list pushes and slab adoptions — and RecoverAll must leave the reclaimer
+// the crash offsets also land inside the dead-bit flips of Alloc, Free and
+// Retire and slab adoptions — and RecoverAll must leave the reclaimer
 // sound before the announced operation resolves: once with every recovery
 // the fast reset (the scan's mark phase then audits each one read-only),
 // once with every recovery the full scan. The reclaimer-off cells hold the

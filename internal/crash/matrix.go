@@ -254,9 +254,9 @@ func singleSubjects(extra ...subject) []subject {
 
 // churnSubjects prefill through enough allocate/retire cycles that the swept
 // operation runs against recycled memory — retired rings populated, the epoch
-// advanced, free-list reuse active — so its crash offsets also land inside
-// frees, free-list pops and the dead-bit CASes of Alloc, Free and Retire
-// (the epoch touches no heap word). The churned keys are disjoint from
+// advanced, reuse active — so its crash offsets also land inside slab
+// adoptions and the dead-bit flips of Alloc, Free and Retire (the epoch and
+// the free stacks touch no heap word). The churned keys are disjoint from
 // setPrefill and every case argument, and the queue's ring drains itself
 // (every dequeue retires the old dummy), so the sequential model is
 // unchanged: only the allocator's state is hot.
@@ -467,7 +467,7 @@ func inFlightBound(rt *repro.Runtime, crashes uint64) uint64 {
 // auditFastRecovery is the checker behind every fast recovery in the
 // sweeps: if the runtime's last recovery skipped the scan, run the scan's
 // mark phase read-only and hold the reclaimer's books to it — no reachable
-// block on a free list or in a ring, and no more unreachable words than
+// block on a free stack or in a ring, and no more unreachable words than
 // the garbage account, the words now held and the in-flight bound of the
 // crashes since the last full scan explain. It returns the first
 // violation, or "". A runtime under RecoverFast never scans, so there every

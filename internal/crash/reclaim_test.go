@@ -318,8 +318,8 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 
 // TestReclaimPoolFromImage rebuilds the reclaimer's pool from the persisted
 // image alone: a storm (see reclaimStorm) of 300 crashes in which the reclaimer
-// forgets, at every crash, its rings, free lists, claimed slabs, late marks
-// and which blocks it ever handed out (pmem.Reclaimer.Forget), and every
+// forgets, at every crash, its rings, free stacks, late marks and which
+// blocks it ever handed out (pmem.Reclaimer.Forget), and every
 // recovery is fast. Each one is audited: no block the structures reach or
 // an engine register names may be in the pool, none may be in it twice, and
 // the unreachable words must be explained by the books. A rebuild that read

@@ -280,7 +280,7 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 // dummy (its untag is only volatile), and enqueues on q2 until the shared
 // reclaimer hands the dummy's block to one of them: the enqueues' retired
 // records fill Proc 1's ring until it frees, and q2 retires no node, so the
-// dummy is the first node block on the free list. The crash then
+// dummy is the first node block on its free stack. The crash then
 // finds Proc 0's record with its result set, done unset and the new node
 // still tagged. Recovering both queues (the reclaimer, the queues' tail
 // hints, then Settle on each engine, as Runtime.RecoverAll does) must finish

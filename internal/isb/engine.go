@@ -432,7 +432,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 
 // discardAttempt returns the fresh nodes an attempt that installs nothing
 // allocated — those the gather recorded in its Persist ranges — straight to
-// the free list; its Info record stays kept for the process's next attempt
+// the pool; its Info record stays kept for the process's next attempt
 // on this engine (keptRecord). Before install no shared location mentions
 // any of them — no register names the record, gathers never write into it,
 // and only the fresh nodes carry its tag — so immediate reuse is safe, on

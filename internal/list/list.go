@@ -110,8 +110,8 @@ func (l *List) Gather(kind, _ uint64) isb.Gather {
 //
 // The walk holds the allocator's epoch pin (volatile, and a no-op on the
 // arena): without it the reclaimer could free and reuse the node the walk
-// stands on — its key word a free-list link, then another node's fields —
-// and the walk would follow words that no longer belong to this list.
+// stands on — its words then another node's fields — and the walk would
+// follow words that no longer belong to this list.
 func (l *List) ReadOp(p *pmem.Proc, kind, key uint64) uint64 {
 	if kind != OpFind {
 		panic("list: ReadOp on a mutating kind")

@@ -11,8 +11,9 @@ package pmem
 //   - Reclaimer (reclaim.go): an epoch-based reclaimer whose persistent
 //     state is a slab directory and a dead bitmap per slab, from which the
 //     free pool comes back after a crash; its retired rings, epoch, pins
-//     and free-list heads are volatile Go-side state that post-crash
-//     recovery resets, and a conservative scan is its rare fallback.
+//     and per-process stacks of ready blocks are volatile Go-side state
+//     that post-crash recovery resets, and a conservative scan is its rare
+//     fallback. It never reads or writes a block's own words.
 //
 // The split of Free vs Retire mirrors visibility: Free returns a block that
 // was never published (no other process can hold a reference — e.g. the
@@ -26,7 +27,7 @@ type Allocator interface {
 	// Alloc returns a block of at least words words, even-aligned (bit 0
 	// free for tags), whose content is not promised: the arena's is zero,
 	// a reused one holds whatever its last user or a crash left (the
-	// Reclaimer clears nothing). Callers must initialize every word they
+	// Reclaimer touches none of its words). Callers must initialize every word they
 	// later read, and do: a list, queue or stack node its key or value,
 	// next and info words, a BST node all four (each package's newNode);
 	// the ISB engine an Info record's header, the set entries it uses and

@@ -26,8 +26,8 @@ type Proc struct {
 	chunk     Addr
 	chunkLeft uint64
 
-	// lineScratch is the reusable line-set backing barrier dedup (see
-	// flushLines); its capacity is retained across barriers.
+	// lineScratch holds the lines a barrier collects for flushLines; its
+	// capacity is retained across barriers.
 	lineScratch []Addr
 
 	// carry holds the lines whose write-back waits for this process's next
@@ -310,19 +310,23 @@ func (p *Proc) Carry(a Addr) {
 	}
 }
 
-// flushLines write-backs each distinct cache line of ls — lines a barrier
-// collected in lineScratch — or carried (Carry) exactly once, in ascending
-// line order, and empties the carry set. Dedup is exact for any phase size —
-// no fixed window beyond which duplicates would be re-flushed — and reuses
-// the per-proc scratch buffer, so steady-state barriers perform zero Go
-// allocations (pinned by TestBarrierZeroAllocs).
-func (p *Proc) flushLines(ls []Addr) {
+// flushLines writes back each distinct cache line of own — the lines a
+// barrier collected in lineScratch, repeats allowed — and of the carry set
+// (Carry) exactly once, and empties the carry set. The carry set is distinct
+// already, so dedup is a linear scan of the lines kept so far, exact for any
+// barrier size. The carried lines go first, then own's in their order; no
+// write-back is a crash point, so nothing observes the order. Both buffers keep their capacity, so steady-state barriers perform
+// zero Go allocations (pinned by TestBarrierZeroAllocs).
+func (p *Proc) flushLines(own []Addr) {
 	p.barriers++
-	ls = append(ls, p.carry...)
-	p.carry = p.carry[:0]
-	slices.Sort(ls)
-	ls = slices.Compact(ls)
-	p.lineScratch = ls
+	p.lineScratch = own
+	ls := p.carry
+	for _, l := range own {
+		if !slices.Contains(ls, l) {
+			ls = append(ls, l)
+		}
+	}
+	p.carry = ls[:0]
 	for _, line := range ls {
 		p.stats.LineFlushes++
 		p.pwb(line)

@@ -11,9 +11,9 @@ import (
 // slab directory and, per slab, a durable dead bitmap: one bit per block,
 // set while the block is free and clear while it may be in use. The free
 // pool survives a crash in those bits; everything else — the global epoch,
-// one pin per process, one retired ring per process, the free-list heads
-// and the pools adopted from the bitmaps — is Go-side state that no recovery
-// path reads.
+// and per process a pin, a retired ring and one stack of ready blocks per
+// size class — is Go-side state that no recovery path reads. The reclaimer
+// reads and writes bitmap and directory words only, never a block's own.
 //
 // # Normal operation
 //
@@ -21,26 +21,24 @@ import (
 // bump pointer, each serving one size class, its bitmap on its own line(s)
 // just below it), recorded durably in the slab directory before any block
 // from them is handed out: the bitmap, every block free, then the entry and
-// the count that publish it — a pwb per bitmap line and two. The directory entry
-// names the slab's blocks; the bitmap sits below them, at an offset its
-// class fixes. Alloc pops the process's free list for the block's class
-// (the link lives in block word 0), else takes the lowest free block of the
-// slab the process draws from, else adopts an unclaimed slab (below), else
-// carves a new one; every path clears the block's dead bit with one
-// read-modify-write (flip) and hands its line to the process's next barrier
-// (Proc.Carry). Retire sets the bit the same way, appends ⟨block, class,
-// epoch⟩ to the process's ring and occasionally tries to advance the global
-// epoch. A ring that fills while a pinned peer stalls the epoch grows (and
-// keeps its capacity), so a stalled peer costs memory held in rings, never a
-// lost retirement. An entry is freed (pushed on a free list: one store, the
-// link in word 0; the rest of the block keeps what it held) once the global
-// epoch is two ahead of the entry's epoch: every process pinned when the
-// block was unlinked has exited or re-entered since, so no reference
-// survives. Nothing reads a free block's other words, and every caller of
-// Alloc initializes the words it reads (Allocator), so none is cleared.
-// Epoch pins ride the ISB engine's operation entry (see isb.Engine) and are
-// Go-side atomics, so they cost no heap access. Lookups go through a table
-// indexed by address / slabWords: O(1), two probes at most.
+// the count that publish it — a pwb per bitmap line and two. The directory
+// entry names the slab's blocks; the bitmap sits below them, at an offset its
+// class fixes. Alloc pops the process's stack for the block's class; an empty
+// stack is refilled from an unclaimed slab (adopt, below), else from a new
+// one. The pop clears the block's dead bit with one read-modify-write (flip)
+// and hands its line to the process's next barrier (Proc.Carry). Retire sets
+// the bit the same way, appends ⟨block, class, epoch⟩ to the process's ring
+// and occasionally tries to advance the global epoch. A ring that fills while
+// a pinned peer stalls the epoch grows (and keeps its capacity), so a stalled
+// peer costs memory held in rings, never a lost retirement. An entry goes on
+// the stack once the global epoch is two ahead of the entry's epoch: every
+// process pinned when the block was unlinked has exited or re-entered since,
+// so no reference survives. Free pushes a never-published block at once. A
+// reused block keeps what it held: every caller of Alloc initializes the
+// words it reads (Allocator). Epoch pins ride the ISB engine's operation
+// entry (see isb.Engine) and are Go-side atomics, so they cost no heap
+// access. Lookups go through a table indexed by address / slabWords: O(1),
+// two probes at most.
 //
 // # The dead bitmap
 //
@@ -68,21 +66,19 @@ import (
 // # Crash recovery
 //
 // Recover, driven by Runtime.RecoverAll before any operation recovery runs,
-// resets the Go-side state — rings, free lists, adopted pools, pins, epoch —
-// with no heap access, no pwb and no psync, and starts a new pool
-// generation in which every slab is unclaimed. The pool is then whatever
-// the bitmaps say: the first Alloc of a class after the crash claims a slab
-// of that class and reads its bitmap (adopt), so a recovery costs nothing
-// per slab and an allocation one bitmap read per slab it adopts. Blocks
-// retired or freed after the crash in a slab whose bitmap its claimer has
-// not read in full are marked late, and adoption leaves them to the ring and
-// the free list they went to; once the claimer has read it all (the slab
-// settled), no mark is set. A block a process held unpublished at the crash
-// — the Info record an ISB engine keeps for its next attempt — comes back
-// through Return before anything allocates: its dead bit is set, or left
-// set, and adoption pools it. The Go-side slab index is kept across a crash
-// as a cache of the directory, like the heap's bump pointer; nothing the
-// pool is rebuilt from is Go-side.
+// resets the Go-side state — rings, stacks, pins, epoch — with no heap
+// access, no pwb and no psync, and starts a new pool generation in which
+// every slab is unclaimed. The pool is then whatever the bitmaps say: an
+// Alloc whose stack is empty adopts the next unclaimed slab of its class,
+// reading its whole bitmap, so a recovery costs nothing per slab and an
+// allocation one read per bitmap word of a slab it adopts. Blocks retired or
+// freed after the crash in a slab nobody has claimed yet are marked late,
+// and adoption leaves them to the ring or the stack they went to. A block a
+// process held unpublished at the crash — the Info record an ISB engine
+// keeps for its next attempt — comes back through Return before anything
+// allocates: its dead bit is set, or left set, and adoption pools it. The
+// Go-side slab index is kept across a crash as a cache of the directory,
+// like the heap's bump pointer; nothing the pool is rebuilt from is Go-side.
 //
 // What a crash can still lose is booked, in words, as garbage: dead bits a
 // process set since its last barrier (Retire, Free — its carried lines may
@@ -112,8 +108,9 @@ import (
 // Scan is also the oracle the tests hold the fast path to (Audit).
 //
 // Until Recover (or Scan) has run after a crash, the reclaimer runs in a
-// safe degraded mode: Alloc bypasses the free lists and adopts no slab, and
-// Retire drops retirements (counted in Stats.Dropped and as garbage).
+// safe degraded mode: Alloc drops what its stacks held before the crash and
+// adopts no slab, and Retire drops retirements (counted in Stats.Dropped and
+// as garbage).
 type Reclaimer struct {
 	h *Heap
 
@@ -186,12 +183,11 @@ type reclaimProc struct {
 	// from head; a full ring doubles.
 	ring    []retired
 	head, n int
-	// free holds the free-list heads, one per class; a link lives in block
-	// word 0.
-	free [maxClasses]Addr
-	// cur is, per class, the slab whose free blocks (slab.avail) the process
-	// hands out.
-	cur [maxClasses]*slab
+	// free holds, per class, the blocks the process hands out next, popped
+	// from the end. A stack filled before the heap epoch heapEpoch is stale:
+	// Alloc empties it (see Crash recovery).
+	free      [maxClasses][]Addr
+	heapEpoch uint64
 	// pend counts the words whose dead bit the process set since its
 	// barrier number pendAt (Proc.barriers): what a crash before its next
 	// barrier may lose.
@@ -200,7 +196,6 @@ type reclaimProc struct {
 	// (ReclaimStats), written by the owner only and summed by Stats; reset
 	// leaves them, so they stay monotone across Recover and Scan.
 	counts [nCounts]atomic.Uint64
-	_      [40]byte
 }
 
 // The per-process event counters.
@@ -232,16 +227,24 @@ func (ps *reclaimProc) push(e retired) {
 }
 
 // eachHeld calls f for every block the process holds: its ring entries,
-// then its free lists, whose links it reads through read.
-func (ps *reclaimProc) eachHeld(read func(Addr) uint64, f func(Addr)) {
+// then its stacks.
+func (ps *reclaimProc) eachHeld(f func(Addr)) {
 	for i := 0; i < ps.n; i++ {
 		f(ps.ring[(ps.head+i)&(len(ps.ring)-1)].block)
 	}
-	for _, a := range ps.free {
-		for ; a != Null; a = Addr(read(a)) {
+	for _, st := range ps.free {
+		for _, a := range st {
 			f(a)
 		}
 	}
+}
+
+// empty empties the stacks and stamps them with the heap epoch e.
+func (ps *reclaimProc) empty(e uint64) {
+	for c := range ps.free {
+		ps.free[c] = ps.free[c][:0]
+	}
+	ps.heapEpoch = e
 }
 
 // setDead notes that p set a dead bit of words words: lost if p crashes
@@ -258,27 +261,19 @@ type slab struct {
 	base  Addr   // the first block
 	bits  Addr   // the dead bitmap, line-aligned, below base
 	class int    // size-class index
-	size  uint64 // block words
+	size  uint64 // block words, a power of two
+	shift uint   // log2 of size
 	n     uint64 // blocks
 
 	// gen is the pool generation (Reclaimer.gen) the slab was claimed in:
-	// by the process that carved it, or by an adoption. avail then holds
-	// the blocks the claiming process may still hand out — its first loaded
-	// words, the rest still to be read from the bitmap — and only that
-	// process touches it.
-	gen    atomic.Uint64
-	avail  []uint64
-	loaded int
-	// settled is the generation in which the claiming process loaded the
-	// last bitmap word into avail (at carve time for a carved slab). From
-	// then on in that generation no take or Audit reads the bitmap, and
-	// the slab is claimed by nobody else, so kill sets no late mark.
-	settled atomic.Uint64
+	// by the process that carved it, or by the one that adopted it.
+	gen atomic.Uint64
 	// hw is the high-water mark: blocks [0, hw) were handed out at least
-	// once. Written by the claiming process; Scan and Audit read it.
-	hw uint64
+	// once. Every pop reads it; only the pop of a block never handed out,
+	// which only the slab's claimer holds, raises it.
+	hw atomic.Uint64
 	// late marks the blocks retired or freed in the current generation
-	// before the slab settled: they reach a ring or a free list, and an
+	// while the slab was unclaimed: they reach a ring or a stack, and its
 	// adoption leaves them out.
 	late []atomic.Uint64
 	// marks are the scan's mark bits.
@@ -304,9 +299,9 @@ const (
 // processes.
 type ReclaimStats struct {
 	Carved   uint64 // blocks handed out for the first time
-	Reused   uint64 // blocks handed out again: from a free list or an adopted slab
+	Reused   uint64 // blocks handed out again
 	Retired  uint64 // retirements recorded in a ring
-	Freed    uint64 // blocks moved ring → free list after grace
+	Freed    uint64 // blocks moved ring → stack after grace
 	Dropped  uint64 // retirements dropped (degraded mode, between a crash and Recover)
 	Advances uint64 // successful global epoch advances
 
@@ -344,6 +339,7 @@ func NewReclaimer(h *Heap) *Reclaimer {
 	r.table = make([]atomic.Pointer[slab], r.maxSlabs+1)
 	for id := range r.procs {
 		r.procs[id].ring = make([]retired, ringCap)
+		r.procs[id].heapEpoch = h.Epoch()
 	}
 	r.epoch.Store(firstEpoch)
 
@@ -391,8 +387,9 @@ func (r *Reclaimer) classFor(words uint64) int {
 // makes it durable before any block from it can be handed out: its bitmap,
 // every block free, then the directory entry (base<<3 | class) and the count
 // that publishes it. A crash between the pwbs loses at most this one (still
-// unused) slab to the arena.
-func (r *Reclaimer) newSlab(p *Proc, class int) *slab {
+// unused) slab to the arena. It pushes the slab's blocks on the process's
+// stack, the highest first, so they pop in ascending order.
+func (r *Reclaimer) newSlab(p *Proc, class int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := *r.slabs.Load()
@@ -407,14 +404,11 @@ func (r *Reclaimer) newSlab(p *Proc, class int) *slab {
 	// alignment, so that a slab of 4-word blocks keeps its bits on one line.
 	raw := r.h.grabChunk(below + slabWords + WordsPerLine)
 	bm := lineOf(raw + WordsPerLine - 1)
-	s := &slab{base: bm + Addr(below), bits: bm, class: class, size: size, n: n,
-		avail: make([]uint64, words), late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
+	s := &slab{base: bm + Addr(below), bits: bm, class: class, size: size, shift: uint(bits.TrailingZeros64(size)),
+		n: n, late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
 	s.gen.Store(r.gen.Load())
-	s.settled.Store(r.gen.Load())
-	s.loaded = len(s.avail)
-	for w := range s.avail {
-		s.avail[w] = ^uint64(0) >> (64 - min(64, n-uint64(w)*64))
-		p.Store(bm+Addr(w), s.avail[w])
+	for w := uint64(0); w < words; w++ {
+		p.Store(bm+Addr(w), ^uint64(0)>>(64-min(64, n-w*64)))
 	}
 	for line := bm; line < s.base; line += WordsPerLine {
 		p.PWB(line)
@@ -428,7 +422,10 @@ func (r *Reclaimer) newSlab(p *Proc, class int) *slab {
 	copy(next, idx)
 	next[len(idx)] = s
 	r.slabs.Store(&next)
-	return s
+	ps := &r.procs[p.ID()]
+	for bi := n; bi > 0; bi-- {
+		ps.free[class] = append(ps.free[class], s.base+Addr((bi-1)<<s.shift))
+	}
 }
 
 // lookup resolves a to its slab, block start and block index; ok is false
@@ -444,8 +441,8 @@ func (r *Reclaimer) lookup(a Addr) (s *slab, start Addr, bi uint64, ok bool) {
 	if s == nil || a < s.base || a >= s.base+slabWords {
 		return nil, 0, 0, false
 	}
-	bi = uint64(a-s.base) / s.size
-	return s, s.base + Addr(bi*s.size), bi, true
+	bi = uint64(a-s.base) >> s.shift
+	return s, s.base + Addr(bi<<s.shift), bi, true
 }
 
 // BlockOf resolves an interior pointer to its containing block.
@@ -475,100 +472,78 @@ func (r *Reclaimer) flip(p *Proc, s *slab, bi uint64, dead bool) bool {
 	return true
 }
 
-// Alloc serves a block of at least words words: from the calling process's
-// free list, else from its slab of the class, else from a slab it adopts,
-// else from a slab it carves. Until Recover has run after a crash it takes
-// neither the free list nor an adoption. A block popped from the free list
-// comes as its last user left it, word 0 holding the spent link: the caller
-// initializes what it reads (Allocator).
+// Alloc serves a block of at least words words from the calling process's
+// stack for its class, refilled when empty from a slab it adopts, else from
+// one it carves. Until Recover has run after a crash it adopts nothing, and
+// it empties the stacks filled before the crash. A reused block comes as its
+// last user or the crash left it: the caller initializes what it reads
+// (Allocator).
 func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 	class := r.classFor(words)
 	ps := &r.procs[p.ID()]
-	synced := r.synced()
-	if a := ps.free[class]; a != Null && synced {
-		ps.free[class] = Addr(p.Load(a)) // pop; block word 0 is the free link
-		s, _, bi, _ := r.lookup(a)
-		r.flip(p, s, bi, false)
+	if e := r.h.Epoch(); ps.heapEpoch != e {
+		ps.empty(e)
+	}
+	for len(ps.free[class]) == 0 {
+		if !r.synced() || !r.adopt(p, class) {
+			r.newSlab(p, class)
+		}
+	}
+	st := ps.free[class]
+	a := st[len(st)-1]
+	ps.free[class] = st[:len(st)-1]
+	s, _, bi, _ := r.lookup(a)
+	r.flip(p, s, bi, false)
+	if hw := s.hw.Load(); bi < hw {
 		ps.counts[cReused].Add(1)
-		return a
+	} else {
+		r.carved.Add((bi + 1 - hw) * s.size)
+		s.hw.Store(bi + 1)
+		ps.counts[cCarved].Add(1)
 	}
-	for {
-		if s := ps.cur[class]; s != nil {
-			if a := r.take(p, s); a != Null {
-				return a
-			}
-		}
-		ps.cur[class] = nil
-		if synced {
-			ps.cur[class] = r.adopt(class)
-		}
-		if ps.cur[class] == nil {
-			ps.cur[class] = r.newSlab(p, class)
-		}
-	}
+	return a
 }
 
-// take hands out s's lowest free block, its bit cleared, or returns Null
-// when s has none left; it reads the bitmap a word at a time (see adopt),
-// and marks s settled once it has read the last. A block of a carved slab is
-// zero; a reused one is handed out as its last user or the crash left it,
-// which Allocator allows: every caller initializes what it reads.
-func (r *Reclaimer) take(p *Proc, s *slab) Addr {
+// adopt refills p's stack for class from the next slab of class no process
+// has claimed in this generation: it pushes, the highest first, every block
+// whose dead bit is set but those marked late, and only then claims the
+// slab; a process that loses the claim keeps none of it. The late mark is
+// set before a Retire or Free sets the bit and read after it, so a block
+// whose bit adopt reads set on its way to a ring or a stack is left out.
+// After the claim nothing reads the bitmap again in this generation — a new
+// one starts only in Recover or Scan, with no process running — so kill
+// stops marking. It reports false when no slab of class is left unclaimed.
+func (r *Reclaimer) adopt(p *Proc, class int) bool {
 	ps := &r.procs[p.ID()]
-	for w := range s.avail {
-		if w == s.loaded {
-			s.avail[w] = p.Load(s.bits+Addr(w)) &^ s.late[w].Load()
-			if s.loaded++; s.loaded == len(s.avail) {
-				s.settled.Store(r.gen.Load())
-			}
-		}
-		v := s.avail[w]
-		if v == 0 {
-			continue
-		}
-		b := bits.TrailingZeros64(v)
-		s.avail[w] = v &^ (1 << b)
-		bi := uint64(w*64 + b)
-		a := s.base + Addr(bi*s.size)
-		r.flip(p, s, bi, false)
-		if bi < s.hw {
-			ps.counts[cReused].Add(1)
-		} else {
-			r.carved.Add((bi + 1 - s.hw) * s.size)
-			s.hw = bi + 1
-			ps.counts[cCarved].Add(1)
-		}
-		return a
-	}
-	return Null
-}
-
-// adopt claims the next slab of class no process has claimed in this
-// generation, touching no heap word: take then reads its bitmap into avail a
-// word at a time, as it needs it — every block whose bit is set, but those
-// marked late. The late mark is set before a Retire or Free sets the bit and
-// read after it, so a block whose bit take reads set on its way to a ring
-// or a free list is left out. Once take has read the last word (settled),
-// nothing reads the bitmap again in this generation — a new one starts only
-// in Recover or Scan, with no process running — so kill stops marking.
-func (r *Reclaimer) adopt(class int) *slab {
 	idx := *r.slabs.Load()
 	g := r.gen.Load()
 	for {
 		i := r.adoptAt[class].Add(1) - 1
 		if i >= int64(len(idx)) {
-			return nil
+			return false
 		}
 		s := idx[i]
-		if old := s.gen.Load(); s.class == class && old != g && s.gen.CompareAndSwap(old, g) {
-			s.loaded = 0
-			return s
+		old := s.gen.Load()
+		if s.class != class || old == g {
+			continue
+		}
+		st := ps.free[class]
+		for w := len(s.late) - 1; w >= 0; w-- {
+			for free := p.Load(s.bits+Addr(w)) &^ s.late[w].Load(); free != 0; {
+				b := 63 - bits.LeadingZeros64(free)
+				free &^= 1 << b
+				st = append(st, s.base+Addr(uint64(w*64+b)<<s.shift))
+			}
+		}
+		if s.gen.CompareAndSwap(old, g) {
+			ps.free[class] = st
+			return true
 		}
 	}
 }
 
 // Free returns a never-published block straight to the calling process's
-// free list (no grace period: no other process can hold a reference).
+// stack (no grace period: no other process can hold a reference).
 func (r *Reclaimer) Free(p *Proc, a Addr) {
 	if !r.synced() {
 		return
@@ -577,14 +552,15 @@ func (r *Reclaimer) Free(p *Proc, a Addr) {
 	if !ok || !r.kill(p, s, bi) {
 		return
 	}
-	r.pushFree(p, &r.procs[p.ID()], s.class, start)
+	ps := &r.procs[p.ID()]
+	ps.free[s.class] = append(ps.free[s.class], start)
 }
 
 // Return gives back to the pool a block a crash stranded: one a process
 // held, unpublished, when the crash came — the Info record an ISB engine
 // keeps for its next attempt. It sets the block's dead bit, carried to p's
 // next barrier and booked like Free's, and nothing else: no late mark and
-// no free list, since the slab's next adoption pools the block from its
+// no stack, since the slab's next adoption pools the block from its
 // bit. (Free would mark it late, and a block whose bit a crash had already
 // set would then drop out of the pool.) Call it after Recover and before
 // anything allocates, while no slab is claimed: Runtime.RecoverAll does.
@@ -594,11 +570,10 @@ func (r *Reclaimer) Return(p *Proc, a Addr) {
 	}
 }
 
-// kill marks block bi late, unless s has settled in this generation, and
-// sets its dead bit, reporting whether it was in use (see adopt for the
-// order).
+// kill marks block bi late while s is unclaimed in this generation, and sets
+// its dead bit, reporting whether it was in use (see adopt for the order).
 func (r *Reclaimer) kill(p *Proc, s *slab, bi uint64) bool {
-	if s.settled.Load() != r.gen.Load() {
+	if s.gen.Load() != r.gen.Load() {
 		s.late[bi/64].Or(1 << (bi % 64))
 	}
 	if !r.flip(p, s, bi, true) {
@@ -606,14 +581,6 @@ func (r *Reclaimer) kill(p *Proc, s *slab, bi uint64) bool {
 	}
 	r.procs[p.ID()].setDead(p, s.size)
 	return true
-}
-
-// pushFree links the block at start onto ps's free list for class: one
-// store, the link in block word 0, the only word of a free block anything
-// reads. A crash drops the list, and the block's dead bit brings it back.
-func (r *Reclaimer) pushFree(p *Proc, ps *reclaimProc, class int, start Addr) {
-	p.Store(start, uint64(ps.free[class]))
-	ps.free[class] = start
 }
 
 // Retire records that the block containing a has been unlinked: its dead bit
@@ -687,7 +654,7 @@ func (r *Reclaimer) advanceAndFree(p *Proc) {
 		if e.epoch+2 > epoch {
 			return // grace period not over for this (and later) entries
 		}
-		r.pushFree(p, ps, e.class, e.block)
+		ps.free[e.class] = append(ps.free[e.class], e.block)
 		ps.counts[cFreed].Add(1)
 		ps.head = (ps.head + 1) & (len(ps.ring) - 1)
 	}
@@ -725,7 +692,7 @@ func (r *Reclaimer) Stats() ReclaimStats {
 func (r *Reclaimer) LiveBlocks() uint64 {
 	var n uint64
 	for _, s := range *r.slabs.Load() {
-		for bi := uint64(0); bi < s.hw; bi++ {
+		for bi := uint64(0); bi < s.hw.Load(); bi++ {
 			if r.h.ReadVolatile(s.bits+Addr(bi/64))>>(bi%64)&1 == 0 {
 				n++
 			}
@@ -742,20 +709,18 @@ func (r *Reclaimer) LiveBlocks() uint64 {
 func (r *Reclaimer) ForceRecovery(m RecoveryMode) { r.mode = m }
 
 // Forget drops every Go-side record of which blocks are free — the rings,
-// the free lists, the slabs claimed and what they hold, the late marks —
-// and of which blocks were ever handed out, as a restarted process would
-// have none of them. Test hook, for after a crash and before
+// the stacks, the late marks — and of which blocks were ever handed out, as
+// a restarted process would have none of them. Test hook, for after a crash and before
 // Runtime.RecoverAll: the pool must then come back from the bitmaps alone.
 // The counters and the garbage account, which only price recoveries, stay.
 func (r *Reclaimer) Forget() {
 	for id := range r.procs {
 		ps := &r.procs[id]
 		ps.head, ps.n = 0, 0
-		ps.free, ps.cur = [maxClasses]Addr{}, [maxClasses]*slab{}
+		ps.free = [maxClasses][]Addr{}
 	}
 	for _, s := range *r.slabs.Load() {
-		s.hw, s.loaded = s.n, 0
-		clear(s.avail)
+		s.hw.Store(s.n)
 		clear(s.marks)
 		for w := range s.late {
 			s.late[w].Store(0)
@@ -796,14 +761,14 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 	return rep
 }
 
-// reset empties the rings, the free lists and the claimed slabs, drops the
-// late marks, releases the pins, restarts the epoch, starts a new pool
-// generation and leaves degraded mode. It touches no heap word.
+// reset empties the rings and the stacks, stamping each with the heap epoch,
+// drops the late marks, releases the pins, restarts the epoch, starts a new
+// pool generation and leaves degraded mode. It touches no heap word.
 func (r *Reclaimer) reset() {
 	for id := range r.procs {
 		ps := &r.procs[id]
 		ps.head, ps.n, ps.pend = 0, 0, 0
-		ps.free, ps.cur = [maxClasses]Addr{}, [maxClasses]*slab{}
+		ps.empty(r.h.Epoch())
 		r.pins[id].epoch.Store(0)
 	}
 	for _, s := range *r.slabs.Load() {
@@ -840,7 +805,7 @@ func (r *Reclaimer) Keep(p *Proc, a Addr) (start Addr, words uint64, kept bool) 
 // transitive closure can push exactly the newly marked blocks.
 func (r *Reclaimer) MarkBlock(a Addr) (start Addr, words uint64, fresh bool) {
 	s, start, bi, ok := r.lookup(a)
-	if !ok || bi >= s.hw || s.marks[bi/64]>>(bi%64)&1 != 0 {
+	if !ok || bi >= s.hw.Load() || s.marks[bi/64]>>(bi%64)&1 != 0 {
 		return 0, 0, false
 	}
 	s.marks[bi/64] |= 1 << (bi % 64)
@@ -856,11 +821,11 @@ func (r *Reclaimer) clearMarks() {
 
 // handedOut is the mask of word w of s's bitmap covering blocks [0, hw).
 func (s *slab) handedOut(w int) uint64 {
-	lo := uint64(w) * 64
-	if s.hw <= lo {
+	lo, hw := uint64(w)*64, s.hw.Load()
+	if hw <= lo {
 		return 0
 	}
-	return ^uint64(0) >> (64 - min(64, s.hw-lo))
+	return ^uint64(0) >> (64 - min(64, hw-lo))
 }
 
 // Scan is the full conservative scan: the slow path of Recover, and the
@@ -871,7 +836,7 @@ func (s *slab) handedOut(w int) uint64 {
 // are ignored). Scan rebuilds the pool from the marks: every handed-out
 // block it did not mark is free, every marked one in use, and the bitmaps
 // are written back with one barrier before it returns; it resets the rings,
-// free lists, pins, the epoch and the garbage account. It may itself crash
+// stacks, pins, the epoch and the garbage account. It may itself crash
 // at any point and simply be re-run. Call with no process running.
 func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	rep := ScanReport{Full: true}
@@ -882,7 +847,7 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	// Phase 1: conservative mark.
 	mark(func(a Addr) { r.MarkBlock(a) })
 
-	// Phase 2: empty the rings, pins, free lists and claims; restart the
+	// Phase 2: empty the rings, pins and stacks, drop the claims; restart the
 	// epoch. A crash in the sweep below moves the heap's epoch on, so the
 	// reclaimer is degraded again until the re-run.
 	r.reset()
@@ -942,10 +907,8 @@ func (a AuditReport) Check(inFlight uint64) string {
 
 // Audit is Scan's mark phase run as a read-only checker: it marks, counts
 // and clears the marks again, sweeping and storing nothing. The pool it
-// checks is what the next allocations can hand out: the rings, the free
-// lists (links read from the volatile image, uncounted), the free blocks of
-// every claimed slab, and the dead bits of every unclaimed one but the late
-// blocks. The crash tests run it after every fast recovery. Call with no
+// checks is what the next allocations can hand out: the rings, the stacks,
+// and the dead bits of every unclaimed slab but the late blocks. The crash tests run it after every fast recovery. Call with no
 // process running.
 func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 	r.clearMarks()
@@ -967,12 +930,12 @@ func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 			rep.MarkedHeld++
 		}
 		set[w] |= m
-		if bi < s.hw {
+		if bi < s.hw.Load() {
 			rep.Held += s.size
 		}
 	}
 	for id := range r.procs {
-		r.procs[id].eachHeld(r.h.ReadVolatile, func(a Addr) {
+		r.procs[id].eachHeld(func(a Addr) {
 			if s, _, bi, ok := r.lookup(a); ok {
 				pool(s, bi)
 			}
@@ -980,13 +943,12 @@ func (r *Reclaimer) Audit(mark func(mark func(Addr))) AuditReport {
 	}
 	g := r.gen.Load()
 	for _, s := range idx {
+		unclaimed := s.gen.Load() != g
 		for w := range s.marks {
-			free := s.avail[w]
-			if s.gen.Load() != g || w >= s.loaded {
-				free = r.h.ReadVolatile(s.bits+Addr(w)) &^ s.late[w].Load()
-			}
-			for ; free != 0; free &= free - 1 {
-				pool(s, uint64(w*64+bits.TrailingZeros64(free)))
+			if unclaimed {
+				for free := r.h.ReadVolatile(s.bits+Addr(w)) &^ s.late[w].Load(); free != 0; free &= free - 1 {
+					pool(s, uint64(w*64+bits.TrailingZeros64(free)))
+				}
 			}
 			hand := s.handedOut(w)
 			rep.Marked += uint64(bits.OnesCount64(s.marks[w]&hand)) * s.size

@@ -42,9 +42,9 @@ func TestReclaimerAllocFreeReuse(t *testing.T) {
 
 // TestReclaimerRoundTripStores pins what a block's round trip writes: a
 // 32-word block retired, freed after its grace and handed out again costs
-// one store (the free link in word 0), one load (the pop) and two
-// read-modify-writes (the dead bit set, then cleared). Nothing clears the
-// other 31 words, and no other heap word is touched.
+// two read-modify-writes (the dead bit set, then cleared) and nothing else.
+// The free stack is Go-side: no word of the block is read or written, and no
+// other heap word is touched.
 func TestReclaimerRoundTripStores(t *testing.T) {
 	h := reclaimHeap(t, 1)
 	r := NewReclaimer(h)
@@ -64,8 +64,8 @@ func TestReclaimerRoundTripStores(t *testing.T) {
 	if b := r.Alloc(p, 32); b != a {
 		t.Fatalf("the freed block did not come back: got %#x want %#x", b, a)
 	}
-	if got := h.TotalStats().Sub(before); got != (Stats{Loads: 1, Stores: 1, CASes: 2}) {
-		t.Fatalf("retire → free → Alloc cost %+v, want 1 load, 1 store and 2 CASes", got)
+	if got := h.TotalStats().Sub(before); got != (Stats{CASes: 2}) {
+		t.Fatalf("retire → free → Alloc cost %+v, want 2 CASes", got)
 	}
 	st := r.Stats()
 	if st.Retired-st0.Retired != 1 || st.Freed-st0.Freed != 1 || st.Reused-st0.Reused != 1 || st.Carved != st0.Carved {
@@ -124,28 +124,29 @@ func TestReclaimStatsSumProcs(t *testing.T) {
 	}
 }
 
-// TestReclaimerLateMarksAfterCrash pins rule (C) of the late marks: a slab
-// adopted after a crash and loaded only in part marks a block retired in a
-// word it has not loaded, so the load that follows leaves it to the ring
-// and nothing is handed out twice; once the last word is loaded the slab
-// has settled and a retirement marks nothing.
+// TestReclaimerLateMarksAfterCrash pins the late marks after a crash: a
+// block retired into a slab nobody has adopted yet is marked late, and the
+// adoption that follows leaves it to the ring; a block retired into a
+// claimed slab is not marked; and nothing is handed out twice.
 func TestReclaimerLateMarksAfterCrash(t *testing.T) {
 	h := reclaimHeap(t, 1)
 	r := NewReclaimer(h)
 	r.ForceRecovery(RecoverFast)
 	p := h.Proc(0)
 
-	const n = slabWords / 4 // one slab of 4-word blocks, eight bitmap words
-	blocks := make([]Addr, n)
+	const n = slabWords / 4 // two slabs of 4-word blocks, eight bitmap words each
+	blocks := make([]Addr, 2*n)
 	for i := range blocks {
 		blocks[i] = r.Alloc(p, 4)
 	}
-	s, _, _, _ := r.lookup(blocks[0])
-	if s.settled.Load() != r.gen.Load() {
-		t.Fatal("a carved slab is not settled")
+	sa, _, _, _ := r.lookup(blocks[0])
+	sb, _, _, _ := r.lookup(blocks[n])
+	if sa == sb || sa.gen.Load() != r.gen.Load() || sb.gen.Load() != r.gen.Load() {
+		t.Fatal("the two carved slabs are not two, claimed by their carver")
 	}
-	r.Free(p, blocks[0])   // word 0
-	r.Free(p, blocks[300]) // word 4
+	r.Free(p, blocks[0])
+	r.Free(p, blocks[300])
+	r.Free(p, blocks[n+5])
 	p.PBarrierAddrs(nil)
 
 	h.Crash()
@@ -167,30 +168,168 @@ func TestReclaimerLateMarksAfterCrash(t *testing.T) {
 		handed[a] = true
 		return a
 	}
-	if a := alloc(); a != blocks[0] || s.loaded != 1 || s.gen.Load() != r.gen.Load() {
-		t.Fatalf("post-crash Alloc: %#x with %d words loaded, want %#x from the adopted slab with 1", a, s.loaded, blocks[0])
+	if a := alloc(); a != blocks[0] || sa.gen.Load() != r.gen.Load() || sb.gen.Load() == r.gen.Load() {
+		t.Fatalf("post-crash Alloc: %#x, want %#x from the first slab, adopted alone", a, blocks[0])
 	}
 	r.Enter(p)
-	r.Retire(p, blocks[400]) // word 6: not loaded yet
-	if s.late[6].Load()>>(400%64)&1 == 0 {
-		t.Fatal("a retirement in an unloaded word took no late mark")
+	r.Retire(p, blocks[400]) // claimed slab
+	r.Retire(p, blocks[n+100])
+	for w := range sa.late {
+		if sa.late[w].Load() != 0 {
+			t.Fatal("a retirement in a claimed slab took a late mark")
+		}
 	}
-	audit("with the slab loaded in part")
+	if sb.late[100/64].Load()>>(100%64)&1 == 0 {
+		t.Fatal("a retirement in an unclaimed slab took no late mark")
+	}
+	audit("with one slab adopted")
 	if a := alloc(); a != blocks[300] {
 		t.Fatalf("Alloc: %#x, want the free block %#x", a, blocks[300])
 	}
-	if a := alloc(); a >= s.base && a < s.base+slabWords {
-		t.Fatalf("Alloc: %#x from the exhausted slab", a)
+	if a := alloc(); a != blocks[n+5] || sb.gen.Load() != r.gen.Load() {
+		t.Fatalf("Alloc: %#x, want %#x from the second slab's adoption", a, blocks[n+5])
 	}
-	if s.loaded != len(s.avail) || s.settled.Load() != r.gen.Load() {
-		t.Fatalf("slab not settled with %d of %d words loaded", s.loaded, len(s.avail))
-	}
-	r.Retire(p, blocks[100]) // word 1, after the slab settled
+	audit("with both slabs adopted")
 	r.Exit(p)
-	if s.late[1].Load() != 0 {
-		t.Fatal("a retirement in a settled slab took a late mark")
+	for i := 0; i < 3; i++ {
+		r.advanceAndFree(p)
 	}
-	audit("with the slab settled")
+	for _, want := range []Addr{blocks[n+100], blocks[400]} {
+		if a := alloc(); a != want {
+			t.Fatalf("Alloc: %#x, want the retired block %#x after its grace", a, want)
+		}
+	}
+	if a := alloc(); a >= sa.base && a < sa.base+slabWords || a >= sb.base && a < sb.base+slabWords {
+		t.Fatalf("Alloc: %#x from an exhausted slab", a)
+	}
+}
+
+// TestReclaimerAdoptionRace pins the order inside adopt: it reads a slab's
+// whole bitmap before it claims the slab. Proc 1 retires a block of the
+// slab Proc 0 is adopting at each of its bitmap loads, into the word the
+// load reads, so every retirement lands while the slab is unclaimed, takes
+// a late mark and stays out of the adoption. Nothing is handed out twice
+// and the audit passes. An adoption that claimed first would pool those
+// blocks from their bits while they wait in Proc 1's ring.
+func TestReclaimerAdoptionRace(t *testing.T) {
+	h := reclaimHeap(t, 2)
+	r := NewReclaimer(h)
+	r.ForceRecovery(RecoverFast)
+	p, q := h.Proc(0), h.Proc(1)
+
+	const n, words = slabWords / 4, slabWords / 4 / 64
+	blocks := make([]Addr, n)
+	for i := range blocks {
+		blocks[i] = r.Alloc(p, 4)
+	}
+	pooled := map[Addr]bool{}
+	for w := 0; w < words; w++ {
+		pooled[blocks[w*64]] = true
+		r.Free(p, blocks[w*64])
+	}
+	p.PBarrierAddrs(nil)
+	h.Crash()
+	h.ResetAfterCrash()
+	r.Recover(p, func(func(Addr)) {})
+
+	var retired []Addr
+	h.SetAccessHook(func(x *Proc) {
+		if x == p && len(retired) < words {
+			a := blocks[(words-1-len(retired))*64+1] // adopt reads the top word first
+			retired = append(retired, a)
+			r.Retire(q, a)
+		}
+	})
+	first := r.Alloc(p, 4)
+	h.SetAccessHook(nil)
+	if len(retired) != words || first != blocks[0] {
+		t.Fatalf("adoption: %d retirements during it, then %#x, want %d and %#x", len(retired), first, words, blocks[0])
+	}
+	for _, a := range retired {
+		pooled[a] = true
+	}
+	rep := r.Audit(func(mark func(Addr)) {
+		for _, a := range blocks {
+			if !pooled[a] || a == first {
+				mark(a)
+			}
+		}
+	})
+	if msg := rep.Check(0); msg != "" {
+		t.Fatalf("audit after the adoption: %s (%+v)", msg, rep)
+	}
+
+	for i := 0; i < 3; i++ {
+		r.advanceAndFree(q)
+	}
+	handed := map[Addr]bool{first: true}
+	for _, x := range []*Proc{p, q} {
+		for {
+			a := r.Alloc(x, 4)
+			if a < blocks[0] || a > blocks[n-1] {
+				break
+			}
+			if handed[a] || !pooled[a] {
+				t.Fatalf("Proc %d: block %#x handed out twice or never freed", x.ID(), a)
+			}
+			handed[a] = true
+		}
+	}
+	if len(handed) != len(pooled) {
+		t.Fatalf("%d blocks handed out, want the %d freed or retired", len(handed), len(pooled))
+	}
+}
+
+// TestReclaimerStampAtReset pins that Recover stamps the stacks it empties
+// with the heap epoch: a block retired after the recovery, whose grace ends
+// before its process's first Alloc, waits on a current stack and is handed
+// out by that Alloc. Were the stack left stamped before the crash, the Alloc
+// would empty it, and the block, late-marked in its unclaimed slab, would be
+// lost to the adoption as well.
+func TestReclaimerStampAtReset(t *testing.T) {
+	h := reclaimHeap(t, 1)
+	r := NewReclaimer(h)
+	r.ForceRecovery(RecoverFast)
+	p := h.Proc(0)
+
+	blocks := make([]Addr, 8)
+	for i := range blocks {
+		blocks[i] = r.Alloc(p, 4)
+	}
+	p.PBarrierAddrs(nil)
+	h.Crash()
+	h.ResetAfterCrash()
+	r.Recover(p, func(func(Addr)) {})
+
+	r.Retire(p, blocks[3])
+	for i := 0; i < 3; i++ {
+		r.advanceAndFree(p)
+	}
+	if st := r.Stats(); st.Freed != 1 {
+		t.Fatalf("stats %+v, want the retired block freed", st)
+	}
+	if a := r.Alloc(p, 4); a != blocks[3] {
+		t.Fatalf("first Alloc after the recovery: %#x, want the freed block %#x", a, blocks[3])
+	}
+}
+
+// TestReclaimerBlockOfEverySize pins lookup's shift: for every block size a
+// class can take — each divides slabWords, so each is a power of two —
+// BlockOf resolves every word of every block of a slab to that block.
+func TestReclaimerBlockOfEverySize(t *testing.T) {
+	for size := uint64(2); size <= slabWords; size *= 2 {
+		h := reclaimHeap(t, 1)
+		r := NewReclaimer(h)
+		p := h.Proc(0)
+		for i := uint64(0); i < slabWords/size; i++ {
+			a := r.Alloc(p, size)
+			for w := Addr(0); w < Addr(size); w++ {
+				if start, words, ok := r.BlockOf(a + w); !ok || start != a || words != size {
+					t.Fatalf("size %d: BlockOf(%#x) = %#x, %d, %v, want block %#x", size, a+w, start, words, ok, a)
+				}
+			}
+		}
+	}
 }
 
 // TestReclaimerRetireGrace pins the epoch grace period and the spill: a
@@ -524,7 +663,7 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 		if pin := r.pins[id].epoch.Load(); pin != 0 {
 			t.Fatalf("proc %d still pinned at %d", id, pin)
 		}
-		r.procs[id].eachHeld(h.ReadVolatile, func(a Addr) {
+		r.procs[id].eachHeld(func(a Addr) {
 			t.Errorf("proc %d still reaches block %#x (pre-crash: %v)", id, a, pre[a])
 		})
 	}

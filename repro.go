@@ -58,7 +58,7 @@
 // reclaimer, so churn-heavy workloads run in a heap sized for their working
 // set. Its persistent state is a slab directory and a dead bitmap per slab,
 // whose bits ride the barriers the operations pay anyway; its retired
-// rings, epoch, pins and free lists are volatile and cost no write-back.
+// rings, epoch, pins and free stacks are volatile and cost no write-back.
 // RecoverAll then prefixes recovery with a reset of the reclaimer that
 // costs what was in flight, not what is alive: the free pool comes back
 // from the bitmaps, what a crash may lose (bits not yet written back) is
@@ -487,8 +487,8 @@ type ProcReport struct {
 // (pmem.Reclaimer.Recover), at a cost that follows what was in flight, not
 // what is alive: structures repair their volatile hint words (the queue's
 // Tail, O(1)), then the reclaimer's volatile state is reset — the retired
-// rings, free lists and adopted pools emptied, stuck pins released, the
-// epoch restarted — with no heap access, no write-back and no psync. The
+// rings and free stacks emptied, stuck pins released, the epoch
+// restarted — with no heap access, no write-back and no psync. The
 // free pool is not lost with them: it is the reclaimer's per-slab dead
 // bitmaps, which a block's retirement sets and its allocation clears, each
 // written back by the next barrier, and which allocations read lazily, a
