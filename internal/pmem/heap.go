@@ -30,9 +30,15 @@
 //
 // # Performance model
 //
-// The simulator keeps its own costs off the measured hot paths. A tracked
-// heap maintains a per-cache-line dirty bitmap recording which lines'
-// volatile image may diverge from the persisted image: line write-backs
+// The simulator keeps its own costs off the measured hot paths. On Linux a
+// heap's images are demand-zero mappings of anonymous memory, not Go
+// allocations: NewHeap clears nothing, so building a heap is O(1) whatever
+// its capacity, and the kernel zeroes a page at a run's first touch of it. A
+// heap is resident only where it was used, and its images stay out of the
+// garbage collector's heap and pacing.
+//
+// A tracked heap maintains a per-cache-line dirty bitmap recording which
+// lines' volatile image may diverge from the persisted image: line write-backs
 // skip clean lines, a line write-back stores only the words that differ,
 // and ResetAfterCrash restores only dirty lines, reading the bitmap only as
 // far as the bump pointer — O(dirty), not O(arena) — which is what makes
@@ -50,6 +56,7 @@ package pmem
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +97,8 @@ func (m Model) String() string {
 // Config parameterises a Heap.
 type Config struct {
 	// Words is the arena capacity in 64-bit words. Zero selects a default
-	// suitable for tests (1<<20 words = 8 MiB volatile image).
+	// suitable for tests (1<<20 words: 8 MiB of address space for the
+	// volatile image, resident only as far as a run touches it).
 	Words int
 	// Procs is the number of process descriptors. Zero defaults to 1.
 	Procs int
@@ -114,6 +122,10 @@ type Config struct {
 
 // Heap is a simulated persistent memory region shared by a set of Procs.
 type Heap struct {
+	// im owns the mappings vol, per and dirty lie in; holding it keeps them
+	// mapped for as long as the heap can be reached (images).
+	im *images
+
 	vol []atomic.Uint64 // volatile image: what primitives act on
 	per []atomic.Uint64 // persisted image (tracked mode only)
 
@@ -185,16 +197,14 @@ func NewHeap(cfg Config) *Heap {
 		evictEvery: cfg.EvictEvery,
 		single:     cfg.Procs == 1,
 	}
-	if !cfg.Tracked {
-		h.vol = make([]atomic.Uint64, cfg.Words)
-	} else if im, ok := releasedImages(cfg.Words).Get().(*images); ok {
-		h.vol, h.per, h.dirty = im.vol, im.per, im.dirty
-	} else {
-		h.vol = make([]atomic.Uint64, cfg.Words)
-		h.per = make([]atomic.Uint64, cfg.Words)
-		lines := (cfg.Words + WordsPerLine - 1) / WordsPerLine
-		h.dirty = make([]atomic.Uint64, (lines+63)/64)
+	var im *images
+	if cfg.Tracked {
+		im, _ = releasedImages(cfg.Words).Get().(*images)
 	}
+	if im == nil {
+		im = newImages(cfg.Words, cfg.Tracked)
+	}
+	h.im, h.vol, h.per, h.dirty = im, im.vol, im.per, im.dirty
 	h.next.Store(reservedWords + uint64(cfg.Procs)*ProcRegionWords)
 	h.pwbSpin = spinIters(cfg.PWBLatency)
 	h.psyncSpin = spinIters(cfg.PSyncLatency)
@@ -213,9 +223,39 @@ func NewHeap(cfg Config) *Heap {
 	return h
 }
 
-// images are a tracked heap's three arrays, all zero, between one heap's
-// Release and the next NewHeap of the same size.
+// images are a heap's arrays: the volatile image and, on a tracked heap,
+// the persisted image and the dirty bitmap. Each is a mapping of anonymous
+// memory (mapWords), zero until a run touches it. The mappings lie outside
+// the Go heap, so the images struct owns them: a cleanup unmaps them once it
+// is unreachable, whether its heap was dropped unreleased or its released
+// images were dropped by the pool. Between one heap's Release and the next
+// NewHeap of the same size they are all zero.
 type images struct{ vol, per, dirty []atomic.Uint64 }
+
+// mapped counts the images whose mappings are not yet unmapped.
+var mapped atomic.Int64
+
+// newImages maps a heap's images: zero, and resident only where touched.
+func newImages(words int, tracked bool) *images {
+	im := &images{vol: mapWords(words)}
+	if tracked {
+		lines := (words + WordsPerLine - 1) / WordsPerLine
+		im.per, im.dirty = mapWords(words), mapWords((lines+63)/64)
+	}
+	mapped.Add(1)
+	runtime.AddCleanup(im, images.unmap, *im)
+	return im
+}
+
+// unmap unmaps the images, once their owner is unreachable.
+func (im images) unmap() {
+	for _, w := range [][]atomic.Uint64{im.vol, im.per, im.dirty} {
+		if w != nil {
+			unmapWords(w)
+		}
+	}
+	mapped.Add(-1)
+}
 
 // released pools images by Config.Words (a *sync.Pool each, so the garbage
 // collector still takes what nobody asks for again).
@@ -227,22 +267,23 @@ func releasedImages(words int) *sync.Pool {
 }
 
 // Release ends a tracked heap's life and recycles its images: the next
-// NewHeap of the same size gets them back instead of allocating — and
-// zeroing — a whole arena. Only the carved prefix [0, Used()) is cleared:
-// nothing above the bump pointer is ever written. The heap must not be used
-// again (its images are gone; any access panics), and no Proc may be
-// running. A harness that builds a heap per crash offset calls this; a heap
-// that is never released is unaffected.
+// NewHeap of the same size gets them back, pages already faulted in,
+// instead of mapping three fresh ones. Only the carved prefix [0, Used()) of
+// the two images is cleared: nothing above the bump pointer is ever written.
+// The heap must not be used again (its images are gone; any access panics),
+// and no Proc may be running. A harness that builds a heap per crash offset
+// calls this; a heap that is never released is unmapped once it is
+// unreachable.
 func (h *Heap) Release() {
-	if !h.tracked || h.vol == nil {
+	if !h.tracked || h.im == nil {
 		return
 	}
 	n := min(h.next.Load(), h.cap)
 	clear(h.vol[:n])
 	clear(h.per[:n])
 	clear(h.dirty)
-	releasedImages(len(h.vol)).Put(&images{h.vol, h.per, h.dirty})
-	h.vol, h.per, h.dirty = nil, nil, nil
+	releasedImages(len(h.vol)).Put(h.im)
+	h.im, h.vol, h.per, h.dirty = nil, nil, nil, nil
 }
 
 // Proc returns process descriptor id (0-based).
