@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/isb"
 	"repro/internal/pmem"
 	"repro/internal/stack"
@@ -514,57 +515,64 @@ func TestIndividualCrashClosesScope(t *testing.T) {
 		{"txn", move, []uint64{10}, []uint64{30}},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
-			crashes := 0
-			for off := uint64(1); ; off++ {
+			n := crash.SweepTest(t, func() crash.Instance {
 				rt := New(Config{Procs: 1, HeapWords: 1 << 18, CrashSim: true, Engine: EngineIsbOpt})
 				src, dst := rt.NewHashMap(2), rt.NewHashMap(2)
 				p := rt.Proc(0)
 				src.Insert(p, 10)
 				src.Insert(p, 30)
-				admit := func(ops []Op) {
+				admit := func(ops []Op) []uint64 {
 					if shape.name == "txn" {
-						rt.ApplyTxn(p, TxnLeg{S: src, Op: ops[0]}, TxnLeg{S: dst, Op: ops[1]})
-					} else {
-						rt.ApplyWindow(p, src, ops)
+						r1, r2 := rt.ApplyTxn(p, TxnLeg{S: src, Op: ops[0]}, TxnLeg{S: dst, Op: ops[1]})
+						return []uint64{r1.Raw(), r2.Raw()}
 					}
-				}
-				p.ScheduleSelfCrash(off)
-				crashed := !rt.Run(func() { admit(shape.pending) })
-				p.CancelSelfCrash()
-				if !crashed {
-					break // the admission outran the offset: every access was covered
-				}
-				crashes++
-				resolved := 0
-				for _, rep := range rt.RecoverAll() {
-					resolved = MatchReport(rep, shape.pending, func(int, Op, Resp) {})
-				}
-				if p.InSyncScope() {
-					t.Fatalf("offset %d: a sync scope is still open after RecoverAll", off)
-				}
-				for _, m := range []*HashMap{src, dst} {
-					if msg := m.CheckInvariants(); msg != "" {
-						t.Fatalf("offset %d: after RecoverAll: %s", off, msg)
+					var out []uint64
+					for _, r := range rt.ApplyWindow(p, src, ops) {
+						out = append(out, r.Raw())
 					}
+					return out
 				}
-				if resolved < len(shape.pending) {
-					admit(shape.pending[resolved:])
+				return crash.Instance{
+					Heap: rt.Heap(),
+					Run:  func() ([]uint64, error) { return admit(shape.pending), nil },
+					Resolve: func() ([]uint64, error) {
+						var got []uint64
+						for _, rep := range rt.RecoverAll() {
+							got = got[:0]
+							MatchReport(rep, shape.pending, func(_ int, _ Op, r Resp) { got = append(got, r.Raw()) })
+						}
+						if p.InSyncScope() {
+							return nil, fmt.Errorf("a sync scope is still open after RecoverAll")
+						}
+						for _, m := range []*HashMap{src, dst} {
+							if msg := m.CheckInvariants(); msg != "" {
+								return nil, fmt.Errorf("after RecoverAll: %s", msg)
+							}
+						}
+						if len(got) < len(shape.pending) {
+							got = append(got, admit(shape.pending[len(got):])...)
+						}
+						return got, nil
+					},
+					Verify: func() string {
+						if ks := src.Keys(); !slices.Equal(ks, shape.wantSrc) {
+							return fmt.Sprintf("source keys %v, want %v", ks, shape.wantSrc)
+						}
+						if ks := dst.Keys(); !slices.Equal(ks, shape.wantDst) {
+							return fmt.Sprintf("destination keys %v, want %v", ks, shape.wantDst)
+						}
+						before := rt.Heap().TotalStats().Syncs
+						src.Apply(p, Op{Kind: OpInsert, Arg: 40})
+						if got := rt.Heap().TotalStats().Syncs - before; got != 1 {
+							return fmt.Sprintf("the next update cost %d psyncs, want 1", got)
+						}
+						return ""
+					},
+					Individual: true,
 				}
-				if ks := src.Keys(); !slices.Equal(ks, shape.wantSrc) {
-					t.Fatalf("offset %d: source keys %v, want %v", off, ks, shape.wantSrc)
-				}
-				if ks := dst.Keys(); !slices.Equal(ks, shape.wantDst) {
-					t.Fatalf("offset %d: destination keys %v, want %v", off, ks, shape.wantDst)
-				}
-
-				before := rt.Heap().TotalStats().Syncs
-				src.Apply(p, Op{Kind: OpInsert, Arg: 40})
-				if got := rt.Heap().TotalStats().Syncs - before; got != 1 {
-					t.Fatalf("offset %d: the next update cost %d psyncs, want 1", off, got)
-				}
-			}
-			if crashes < 50 {
-				t.Fatalf("only %d crash points exercised; the sweep is not reaching inside the admission", crashes)
+			}, nil)
+			if n < 50 {
+				t.Fatalf("only %d crash points exercised; the sweep is not reaching inside the admission", n)
 			}
 		})
 	}

@@ -1,9 +1,12 @@
 package capsqueue
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -75,49 +78,67 @@ func TestConcurrentNoDuplicates(t *testing.T) {
 	}
 }
 
+// TestCrashSweepBothOps crashes an enqueue at every access and, after it, a
+// dequeue at every access on every state the enqueue's crashes leave
+// (crash.SweepAfter) under both variants: recovery answers what the
+// operation would have, the queue holds what is left, and the swept one then
+// dequeues it.
 func TestCrashSweepBothOps(t *testing.T) {
+	ops := []struct {
+		name      string
+		kind, arg uint64
+		want      uint64
+		left      []uint64
+	}{
+		{"enqueue", OpEnq, 2, RespTrue, []uint64{1, 2}},
+		{"dequeue", OpDeq, 0, EncodeValue(1), []uint64{2}},
+	}
 	for _, variant := range []Variant{General, Normal} {
-		for offset := uint64(1); offset <= 50; offset++ {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
-			q := New(h, variant)
-			p := h.Proc(0)
-			q.Enqueue(p, 1)
-
-			q.Begin(p) // system-side invocation step
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			crashed := !pmem.RunOp(func() { q.Enqueue(p, 2) })
-			h.DisarmCrash()
-			if crashed {
-				h.ResetAfterCrash()
-				if r := q.Recover(p, OpEnq, 2); r != RespTrue {
-					t.Fatalf("variant %d offset %d: enqueue recovery = %d", variant, offset, r)
-				}
-			}
-
-			q.Begin(p)
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			var v uint64
-			var ok bool
-			crashed = !pmem.RunOp(func() { v, ok = q.Dequeue(p) })
-			h.DisarmCrash()
-			if crashed {
-				h.ResetAfterCrash()
-				r := q.Recover(p, OpDeq, 0)
-				if r == RespEmpty {
-					t.Fatalf("variant %d offset %d: dequeue recovered empty", variant, offset)
-				}
-				v, ok = DecodeValue(r), true
-			}
-			if !ok || v != 1 {
-				t.Fatalf("variant %d offset %d: dequeue (%d,%v), want (1,true)", variant, offset, v, ok)
-			}
-			v2, ok2 := q.Dequeue(p)
-			if !ok2 || v2 != 2 {
-				t.Fatalf("variant %d offset %d: second dequeue (%d,%v)", variant, offset, v2, ok2)
-			}
-			if _, ok := q.Dequeue(p); ok {
-				t.Fatalf("variant %d offset %d: phantom element", variant, offset)
-			}
+		for i, op := range ops {
+			t.Run(fmt.Sprintf("variant=%d/%s", variant, op.name), func(t *testing.T) {
+				crash.SweepAfter(t, func() []crash.Instance {
+					h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
+					q := New(h, variant)
+					p := h.Proc(0)
+					q.Enqueue(p, 1)
+					var steps []crash.Instance
+					for k, op := range ops[:i+1] {
+						steps = append(steps, crash.Instance{
+							Heap:    h,
+							Prepare: func() { q.Begin(p) }, // system-side invocation step
+							Run: func() ([]uint64, error) {
+								if op.kind == OpEnq {
+									q.Enqueue(p, op.arg)
+									return []uint64{RespTrue}, nil
+								}
+								if v, ok := q.Dequeue(p); ok {
+									return []uint64{EncodeValue(v)}, nil
+								}
+								return []uint64{RespEmpty}, nil
+							},
+							Resolve: func() ([]uint64, error) { return []uint64{q.Recover(p, op.kind, op.arg)}, nil },
+							Verify: func() string {
+								vs := q.Values()
+								if !slices.Equal(vs, op.left) {
+									return fmt.Sprintf("queue holds %v, want %v", vs, op.left)
+								}
+								if k < i {
+									return "" // the swept operation still runs on it
+								}
+								var got []uint64
+								for v, ok := q.Dequeue(p); ok; v, ok = q.Dequeue(p) {
+									got = append(got, v)
+								}
+								if !slices.Equal(got, op.left) {
+									return fmt.Sprintf("then dequeued %v, want %v", got, op.left)
+								}
+								return ""
+							},
+						})
+					}
+					return steps
+				}, []uint64{op.want})
+			})
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package capsules
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -108,46 +111,47 @@ func TestConcurrentConservation(t *testing.T) {
 	}
 }
 
+// TestCrashSweepSingleProc crashes an insert at every access and, after it,
+// a delete at every access on every state the insert's crashes leave
+// (crash.SweepAfter) under both variants: recovery answers true, and the list
+// holds what the operations leave.
 func TestCrashSweepSingleProc(t *testing.T) {
+	ops := []struct {
+		name      string
+		kind, key uint64
+		apply     func(*List, *pmem.Proc, uint64) bool
+		want      []uint64
+	}{
+		{"insert", OpInsert, 20, (*List).Insert, []uint64{10, 20, 30}},
+		{"delete", OpDelete, 10, (*List).Delete, []uint64{20, 30}},
+	}
 	for _, variant := range []Variant{General, Normalized} {
-		for offset := uint64(1); offset <= 70; offset++ {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
-			l := New(h, variant)
-			p := h.Proc(0)
-			l.Insert(p, 10)
-			l.Insert(p, 30)
-
-			l.Begin(p)
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			crashed := !pmem.RunOp(func() { l.Insert(p, 20) })
-			h.DisarmCrash()
-			if crashed {
-				h.ResetAfterCrash()
-				if !l.Recover(p, OpInsert, 20) {
-					t.Fatalf("variant %d offset %d: insert recovery false", variant, offset)
-				}
-			}
-			if ks := l.Keys(); len(ks) != 3 {
-				t.Fatalf("variant %d offset %d: keys %v", variant, offset, ks)
-			}
-
-			l.Begin(p)
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			crashed = !pmem.RunOp(func() { l.Delete(p, 10) })
-			h.DisarmCrash()
-			if crashed {
-				h.ResetAfterCrash()
-				if !l.Recover(p, OpDelete, 10) {
-					t.Fatalf("variant %d offset %d: delete recovery false", variant, offset)
-				}
-			}
-			ks := l.Keys()
-			if len(ks) != 2 || ks[0] != 20 {
-				t.Fatalf("variant %d offset %d: keys %v after delete", variant, offset, ks)
-			}
-			if msg := l.CheckInvariants(); msg != "" {
-				t.Fatalf("variant %d offset %d: %s", variant, offset, msg)
-			}
+		for i, op := range ops {
+			t.Run(fmt.Sprintf("variant=%d/%s", variant, op.name), func(t *testing.T) {
+				crash.SweepAfter(t, func() []crash.Instance {
+					h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
+					l := New(h, variant)
+					p := h.Proc(0)
+					l.Insert(p, 10)
+					l.Insert(p, 30)
+					var steps []crash.Instance
+					for _, op := range ops[:i+1] {
+						steps = append(steps, crash.Instance{
+							Heap:    h,
+							Prepare: func() { l.Begin(p) },
+							Run:     func() ([]uint64, error) { return crash.Bool(op.apply(l, p, op.key)) },
+							Resolve: func() ([]uint64, error) { return crash.Bool(l.Recover(p, op.kind, op.key)) },
+							Verify: func() string {
+								if ks := l.Keys(); !slices.Equal(ks, op.want) {
+									return fmt.Sprintf("keys %v, want %v", ks, op.want)
+								}
+								return l.CheckInvariants()
+							},
+						})
+					}
+					return steps
+				}, []uint64{1})
+			})
 		}
 	}
 }

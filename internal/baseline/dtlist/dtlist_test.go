@@ -1,10 +1,13 @@
 package dtlist
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -108,65 +111,48 @@ func TestConcurrentConservation(t *testing.T) {
 	}
 }
 
-// TestCrashSweepSingleProc drives every operation type through crashes at
-// each access offset (single process, so direct tracking's per-process
-// detectability guarantees apply in full).
+// TestCrashSweepSingleProc crashes an insert, then a delete, then a find at
+// every access, each on every state the ones before it leave, crashed at one
+// offset or not (crash.SweepAfter), single process, so direct tracking's
+// per-process detectability guarantees apply in full: recovery answers true,
+// and the list holds what the operations leave.
 func TestCrashSweepSingleProc(t *testing.T) {
-	for offset := uint64(1); offset <= 70; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		l := New(h)
-		p := h.Proc(0)
-		l.Insert(p, 10)
-		l.Insert(p, 30)
-
-		// Insert under crash.
-		l.Begin(p)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { l.Insert(p, 20) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			if !l.Recover(p, OpInsert, 20) {
-				t.Fatalf("offset %d: insert recovery returned false", offset)
-			}
-		}
-		ks := l.Keys()
-		if len(ks) != 3 {
-			t.Fatalf("offset %d: keys %v after insert", offset, ks)
-		}
-
-		// Delete under crash.
-		l.Begin(p)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed = !pmem.RunOp(func() { l.Delete(p, 10) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			if !l.Recover(p, OpDelete, 10) {
-				t.Fatalf("offset %d: delete recovery returned false", offset)
-			}
-		}
-		ks = l.Keys()
-		if len(ks) != 2 || ks[0] != 20 || ks[1] != 30 {
-			t.Fatalf("offset %d: keys %v after delete", offset, ks)
-		}
-
-		// Find under crash.
-		l.Begin(p)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var res bool
-		crashed = !pmem.RunOp(func() { res = l.Find(p, 20) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			res = l.Recover(p, OpFind, 20)
-		}
-		if !res {
-			t.Fatalf("offset %d: Find(20) false", offset)
-		}
-		if msg := l.CheckInvariants(); msg != "" {
-			t.Fatalf("offset %d: %s", offset, msg)
-		}
+	ops := []struct {
+		name      string
+		kind, key uint64
+		apply     func(*List, *pmem.Proc, uint64) bool
+		want      []uint64
+	}{
+		{"insert", OpInsert, 20, (*List).Insert, []uint64{10, 20, 30}},
+		{"delete", OpDelete, 10, (*List).Delete, []uint64{20, 30}},
+		{"find", OpFind, 20, (*List).Find, []uint64{20, 30}},
+	}
+	for i, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			crash.SweepAfter(t, func() []crash.Instance {
+				h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
+				l := New(h)
+				p := h.Proc(0)
+				l.Insert(p, 10)
+				l.Insert(p, 30)
+				var steps []crash.Instance
+				for _, op := range ops[:i+1] {
+					steps = append(steps, crash.Instance{
+						Heap:    h,
+						Prepare: func() { l.Begin(p) },
+						Run:     func() ([]uint64, error) { return crash.Bool(op.apply(l, p, op.key)) },
+						Resolve: func() ([]uint64, error) { return crash.Bool(l.Recover(p, op.kind, op.key)) },
+						Verify: func() string {
+							if ks := l.Keys(); !slices.Equal(ks, op.want) {
+								return fmt.Sprintf("keys %v, want %v", ks, op.want)
+							}
+							return l.CheckInvariants()
+						},
+					})
+				}
+				return steps
+			}, []uint64{1})
+		})
 	}
 }
 

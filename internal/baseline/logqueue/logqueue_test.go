@@ -1,9 +1,12 @@
 package logqueue
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -76,62 +79,54 @@ func TestConcurrentNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestCrashSweepEnqueue(t *testing.T) {
-	for offset := uint64(1); offset <= 50; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		q := New(h)
-		p := h.Proc(0)
-		q.Enqueue(p, 1)
-		q.Begin(p) // system-side invocation step
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { q.Enqueue(p, 2) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			if r := q.RecoverEnqueue(p, 2); r != RespTrue {
-				t.Fatalf("offset %d: enqueue recovery = %d", offset, r)
-			}
-		}
-		v1, ok1 := q.Dequeue(p)
-		v2, ok2 := q.Dequeue(p)
-		if !ok1 || !ok2 || v1 != 1 || v2 != 2 {
-			t.Fatalf("offset %d: dequeued (%d,%v) (%d,%v)", offset, v1, ok1, v2, ok2)
-		}
-		if _, ok := q.Dequeue(p); ok {
-			t.Fatalf("offset %d: extra element (duplicated enqueue)", offset)
-		}
-	}
-}
+func TestCrashSweepEnqueue(t *testing.T) { sweepOne(t, []uint64{1}, false, RespTrue, []uint64{1, 2}) }
 
 func TestCrashSweepDequeue(t *testing.T) {
-	for offset := uint64(1); offset <= 50; offset++ {
+	sweepOne(t, []uint64{7, 8}, true, EncodeValue(7), []uint64{8})
+}
+
+// sweepOne crashes an enqueue of 2 or a dequeue, on a queue holding prefill,
+// at every access (crash.Sweep): recovery must answer want, and the queue
+// then dequeue left, no element lost or duplicated.
+func sweepOne(t *testing.T, prefill []uint64, dequeue bool, want uint64, left []uint64) {
+	crash.SweepTest(t, func() crash.Instance {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
 		q := New(h)
 		p := h.Proc(0)
-		q.Enqueue(p, 7)
-		q.Enqueue(p, 8)
-		q.Begin(p) // system-side invocation step
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var v uint64
-		var ok bool
-		crashed := !pmem.RunOp(func() { v, ok = q.Dequeue(p) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			r := q.Recover(p, OpDeq)
-			if r == RespEmpty {
-				t.Fatalf("offset %d: dequeue recovered empty", offset)
-			}
-			v, ok = DecodeValue(r), true
+		for _, v := range prefill {
+			q.Enqueue(p, v)
 		}
-		if !ok || v != 7 {
-			t.Fatalf("offset %d: dequeue (%d,%v), want (7,true)", offset, v, ok)
+		return crash.Instance{
+			Heap:    h,
+			Prepare: func() { q.Begin(p) }, // system-side invocation step
+			Run: func() ([]uint64, error) {
+				if !dequeue {
+					q.Enqueue(p, 2)
+					return []uint64{RespTrue}, nil
+				}
+				if v, ok := q.Dequeue(p); ok {
+					return []uint64{EncodeValue(v)}, nil
+				}
+				return []uint64{RespEmpty}, nil
+			},
+			Resolve: func() ([]uint64, error) {
+				if dequeue {
+					return []uint64{q.Recover(p, OpDeq)}, nil
+				}
+				return []uint64{q.RecoverEnqueue(p, 2)}, nil
+			},
+			Verify: func() string {
+				var got []uint64
+				for v, ok := q.Dequeue(p); ok; v, ok = q.Dequeue(p) {
+					got = append(got, v)
+				}
+				if !slices.Equal(got, left) {
+					return fmt.Sprintf("then dequeued %v, want %v", got, left)
+				}
+				return ""
+			},
 		}
-		v2, ok2 := q.Dequeue(p)
-		if !ok2 || v2 != 8 {
-			t.Fatalf("offset %d: second dequeue (%d,%v)", offset, v2, ok2)
-		}
-	}
+	}, []uint64{want})
 }
 
 func TestRecoverAfterCompletion(t *testing.T) {

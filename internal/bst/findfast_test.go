@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/isb"
 	"repro/internal/pmem"
 )
@@ -84,36 +85,30 @@ func TestFindFastCheaperThanFind(t *testing.T) {
 	}
 }
 
+// TestFindFastCrashSweep crashes a FindFast hit at every access and, after
+// it, a miss at every access on every state the hit's crashes leave
+// (crash.SweepAfter): recovery answers what the find would have.
 func TestFindFastCrashSweep(t *testing.T) {
-	for offset := uint64(1); offset <= 40; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
-		b := NewWithEngine(h, isb.NewEngine(h))
-		p := h.Proc(0)
-		b.ApplyOp(p, OpInsert, 10)
-
-		b.Begin(p)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var res bool
-		crashed := !pmem.RunOp(func() { res = isb.Bool(b.ApplyOp(p, OpFindFast, 10)) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			res = isb.Bool(b.RecoverLeg(p, 0, OpFindFast, 10))
-		}
-		if !res {
-			t.Fatalf("offset %d: FindFast(10) false", offset)
-		}
-		// And a miss:
-		b.Begin(p)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed = !pmem.RunOp(func() { res = isb.Bool(b.ApplyOp(p, OpFindFast, 11)) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
-			res = isb.Bool(b.RecoverLeg(p, 0, OpFindFast, 11))
-		}
-		if res {
-			t.Fatalf("offset %d: FindFast(11) true", offset)
-		}
+	finds := []struct {
+		name string
+		key  uint64
+		want uint64
+	}{
+		{"hit", 10, isb.RespTrue},
+		{"miss", 11, isb.RespFalse},
+	}
+	for i, f := range finds {
+		t.Run(f.name, func(t *testing.T) {
+			crash.SweepAfter(t, func() []crash.Instance {
+				h := pmem.NewHeap(pmem.Config{Words: 1 << 20, Procs: 1, Tracked: true})
+				b := NewWithEngine(h, isb.NewEngine(h))
+				b.ApplyOp(h.Proc(0), OpInsert, 10)
+				var steps []crash.Instance
+				for _, f := range finds[:i+1] {
+					steps = append(steps, crash.Direct(h, b, crash.Op{Kind: OpFindFast, Arg: f.key}, f.want, b.CheckInvariants))
+				}
+				return steps
+			}, []uint64{f.want})
+		})
 	}
 }

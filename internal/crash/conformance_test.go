@@ -9,7 +9,7 @@ import (
 	"repro/internal/pmem"
 )
 
-// sweepFamily sweeps one family of the matrix (matrix.go), a subtest per
+// sweepFamily sweeps one family of the matrix (matrix_test.go), a subtest per
 // path element and row, each row's leaf a SweepTest.
 func sweepFamily(t *testing.T, family string, parallel bool) {
 	var rows []row

@@ -16,12 +16,17 @@
 // structures. The storm table (storm_test.go) gives each storm test its shape:
 // the test runs Run once per engine variant and seed, as subtests
 // engine/seed=N, and checks every history with one oracle. The conformance
-// matrix (matrix.go) drives Sweep, a crash at every access offset of one
-// process's admission. Sweep is also the serve layer's one fault sweep: a
-// server's pipeline crashed at every access offset and recovered by the
-// server itself, and the wire sweep's connection cut at every byte offset.
-// Every storm and sweep failure prints the go test line that re-runs its
-// leaf (Rerun).
+// matrix (matrix_test.go) drives Sweep, a crash at every access offset of one
+// process's admission.
+//
+// Sweep is the repository's one fault sweep, and the package is a leaf for
+// it: its non-test code imports only pmem and linearize, so every package's
+// tests but those two can run their crash-offset tests on it. The matrix, the
+// serve layer's crash and wire sweeps and every structure, engine and
+// baseline package's own crash sweeps do, each over the span its run
+// measured, a sequence's later operation after every crash of the ones before
+// it (SweepAfter), and every failure prints the go test line that re-runs its
+// leaf (Rerun). Storm failures print it too.
 package crash
 
 import (

@@ -86,7 +86,7 @@ func (r interference) build() Instance {
 	for _, op := range r.interloper {
 		state, _ = m.Step(state, op.Kind, op.Arg)
 	}
-	in := direct(h, a, r.op, want, func() string { return sameState([]any{a}, final) })
+	in := Direct(h, a, Op(r.op), want, func() string { return sameState([]any{a}, final) })
 	in.Persist = true
 	in.Interfere = func() func([]uint64) error {
 		final = snapshots(subject{structs: []structure{st}}, []any{state})

@@ -3,15 +3,12 @@ package crash
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"regexp"
 	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 
-	"repro"
-	"repro/internal/isb"
-	"repro/internal/linearize"
 	"repro/internal/pmem"
 )
 
@@ -68,18 +65,24 @@ type Instance struct {
 	// replaces the comparison with want: the history of the interloper and
 	// Resolve's responses must linearize.
 	Interfere func() (check func(got []uint64) error)
+	// Individual makes the fault an individual failure of Proc 0 at that
+	// access (pmem.Proc.ScheduleSelfCrash), the paper's footnote-1 model:
+	// Proc 0 loses its locals, but the heap is not reset and its other
+	// state stands, so Resolve runs on the same heap and Epoch never moves.
+	Individual bool
 }
 
-// Sweep is the one fault-point sweep: the conformance matrix and the serve
-// layer's crash and wire sweeps all run on it. It runs an uninterrupted
-// instance to fix the span — Run's tracked heap accesses, or the bytes its
-// connection carried — then replays a fresh instance once per fault index
-// with the fault armed exactly there: a system-wide crash at that access, or
-// the connection cut at that byte. Every index is a crash point — a fault
-// that does not fire is a violation: a crash must interrupt Run, and is
-// resolved through Resolve, or the instance must recover from it itself,
-// which shows as the heap's Epoch moving; a cut must carry fewer bytes than
-// its index. At every index the responses must equal want (nil: the
+// Sweep is the one fault-point sweep: the conformance matrix, the serve
+// layer's crash and wire sweeps and every package's own crash-offset tests
+// all run on it. It runs an uninterrupted instance to fix the span — Run's
+// tracked heap accesses, or the bytes its connection carried — then replays
+// a fresh instance once per fault index with the fault armed exactly there: a
+// system-wide crash at that access, Proc 0's individual failure there
+// (Individual), or the connection cut at that byte. Every index is a crash
+// point — a fault that does not fire is a violation: a crash must interrupt
+// Run, and is resolved through Resolve, or the instance must recover from it
+// itself, which shows as the heap's Epoch moving; a cut must carry fewer
+// bytes than its index. At every index the responses must equal want (nil: the
 // uninterrupted run's), the post-state must pass Verify, and the duplicate
 // pass After must change nothing. It returns the number of crash points —
 // with Persist, every (offset, line) pair, "none" included, and every
@@ -161,9 +164,12 @@ func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []p
 	}()
 	in.prepare()
 	epoch := in.Heap.Epoch()
-	if in.Kill != nil {
+	switch {
+	case in.Kill != nil:
 		in.Kill(off)
-	} else {
+	case in.Individual:
+		in.Heap.Proc(0).ScheduleSelfCrash(off)
+	default:
 		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
 	}
 	var got []uint64
@@ -173,13 +179,15 @@ func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []p
 		if in.Resolve == nil {
 			return nil, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
 		}
-		for _, l := range persist {
-			in.Heap.Proc(0).PWB(l) // Proc 0 saw the crash: its accesses pass
+		if !in.Individual {
+			for _, l := range persist {
+				in.Heap.Proc(0).PWB(l) // Proc 0 saw the crash: its accesses pass
+			}
+			if persist == nil && in.Persist {
+				dirty = in.Heap.DivergedLines()
+			}
+			in.Heap.ResetAfterCrash()
 		}
-		if persist == nil && in.Persist {
-			dirty = in.Heap.DivergedLines()
-		}
-		in.Heap.ResetAfterCrash()
 		if in.Interfere != nil {
 			check = in.Interfere()
 		}
@@ -205,6 +213,42 @@ func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []p
 		}
 	}
 	return dirty, err
+}
+
+// step runs in as an operation before the swept one, on the heap the swept
+// one will run on: with its fault armed at access off (0: none), resolved if
+// it fired, its responses held to want (nil: none held) and its post-state to
+// Verify. It returns the responses and whether the fault fired.
+func (in Instance) step(off uint64, want []uint64) (got []uint64, fired bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	in.prepare()
+	switch {
+	case off == 0:
+	case in.Individual:
+		in.Heap.Proc(0).ScheduleSelfCrash(off)
+	default:
+		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
+	}
+	fired = !pmem.RunOp(func() { got, err = in.Run() })
+	in.Heap.DisarmCrash()
+	in.Heap.Proc(0).CancelSelfCrash()
+	if fired {
+		if !in.Individual {
+			in.Heap.ResetAfterCrash()
+		}
+		got, err = in.Resolve()
+	}
+	if want == nil {
+		want = got
+	}
+	if err == nil {
+		err = in.check(got, want)
+	}
+	return got, fired, err
 }
 
 // check holds the responses to want and the post-state to Verify.
@@ -233,139 +277,84 @@ func (in Instance) end() {
 }
 
 // SweepTest runs Sweep as test t's leaf: it logs how many crash points the
-// sweep covered, or fails t with the violation and the line that re-runs t
-// alone.
-func SweepTest(t testing.TB, build func() Instance, want []uint64) {
+// sweep covered and returns that count, or fails t with the violation and the
+// line that re-runs t alone.
+func SweepTest(t testing.TB, build func() Instance, want []uint64) int {
 	t.Helper()
 	n, err := Sweep(build, want)
 	if err != nil {
 		t.Fatalf("%v\nre-run: %s", err, Rerun(t))
 	}
 	t.Logf("%d crash points swept", n)
+	return n
 }
 
-// Rerun spells the go test line, from the module root, that runs t alone
-// (its names quote as is). A test binary's build path is its package's
-// import path plus ".test".
-func Rerun(t testing.TB) string {
-	pkg := "."
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		pkg += strings.TrimPrefix(strings.TrimSuffix(bi.Path, ".test"), bi.Main.Path) + "/"
+// SweepAfter sweeps the last of a sequence of operations on every state the
+// ones before it can leave, crashed or not. build returns the sequence, fresh
+// and identical on every call: one Instance per operation, all on one heap,
+// run in turn, each Verify checking the state after its own operation. A
+// sequence of one is SweepTest's. Otherwise subtest "prefix-crash=j", for
+// j = 1, 2, …, runs each operation before the last with its fault (the last
+// one's kind) armed at its j-th tracked access and resolved if it fired,
+// holds it to its uninterrupted responses and its Verify, and then sweeps the
+// last one. The subtests end with the first j at which no earlier fault
+// fired, whose earlier operations ran uninterrupted. This covers the loops
+// that crashed every operation of a sequence at one offset, and every offset
+// of the last one besides. It returns the crash points of all the sweeps.
+func SweepAfter(t *testing.T, build func() []Instance, want []uint64) int {
+	t.Helper()
+	steps := build()
+	last := len(steps) - 1
+	if last == 0 {
+		steps[0].end()
+		return SweepTest(t, func() Instance { return build()[0] }, want)
 	}
-	return fmt.Sprintf("go test %s -run '^%s$' -count=1", pkg, strings.ReplaceAll(t.Name(), "/", "$/^"))
-}
-
-// sameState is the one post-state oracle: each structure's snapshot — a set's
-// keys ascending, a queue's values front to back, a stack's top to bottom —
-// must equal, element for element, the slice the sequential model leaves, and
-// then its own invariant check must pass. It takes raw-package structures and
-// registered ones alike.
-func sameState(structs []any, want [][]uint64) string {
-	for i, s := range structs {
-		got, ok := snapshot(s)
-		if !ok {
-			return fmt.Sprintf("structure %d (%T) has no snapshot", i, s)
-		}
-		if !slices.Equal(got, want[i]) {
-			return fmt.Sprintf("structure %d (%T) holds %v, want %v", i, s, got, want[i])
-		}
-	}
-	for _, s := range structs {
-		if msg := s.(interface{ CheckInvariants() string }).CheckInvariants(); msg != "" {
-			return msg
+	wants := make([][]uint64, last) // the earlier operations' uninterrupted responses
+	for k, s := range steps[:last] {
+		var err error
+		if wants[k], _, err = s.step(0, nil); err != nil {
+			t.Fatalf("operation %d of %d, uninterrupted: %v\nre-run: %s", k+1, last+1, err, Rerun(t))
 		}
 	}
-	return ""
-}
-
-// snapshot reads a structure's contents the way the sequential models spell
-// them: a set's keys ascending, a queue's values front to back, a stack's top
-// to bottom. ok is false for a value that is no structure.
-func snapshot(s any) (contents []uint64, ok bool) {
-	switch s := s.(type) {
-	case interface{ Keys() []uint64 }:
-		return s.Keys(), true
-	case interface{ Values() []uint64 }:
-		return s.Values(), true
-	}
-	return nil, false
-}
-
-// model is the sequential specification of a structure kind.
-func model(kind repro.StructKind) linearize.Model {
-	switch kind {
-	case repro.KindQueue:
-		return linearize.QueueModel()
-	case repro.KindStack:
-		return linearize.StackModel()
-	}
-	return linearize.SetModel()
-}
-
-// expected is what the sequential model requires of a case: each leg's
-// encoded response, and each structure's snapshot before and after it (the
-// one before backs the check behind an atomic case's no-effect report).
-type expected struct {
-	want       []uint64
-	pre, final [][]uint64
-}
-
-// expect runs each structure's prefill and then the case's legs through the
-// structure's sequential model (internal/linearize, whose op codes are the
-// structures'). A leg whose argument derives from leg 1
-// (repro.TxnLeg.ArgFromLeg1) takes leg 1's value, or is skipped when leg 1
-// carried none.
-func expect(s subject, c sweepCase) expected {
-	models, states := make([]linearize.Model, len(s.structs)), make([]any, len(s.structs))
-	for i, st := range s.structs {
-		models[i] = model(st.kind)
-		states[i] = models[i].Init()
-		for _, op := range st.prefill {
-			states[i], _ = models[i].Step(states[i], op.Kind, op.Arg)
+	steps[last].end()
+	points := 0
+	for j := uint64(1); ; j++ {
+		fired := false
+		ok := t.Run(fmt.Sprintf("prefix-crash=%d", j), func(t *testing.T) {
+			t.Helper()
+			points += SweepTest(t, func() Instance {
+				steps := build()
+				for k, s := range steps[:last] {
+					_, f, err := s.step(j, wants[k])
+					if err != nil {
+						t.Fatalf("operation %d of %d, fault at access %d: %v\nre-run: %s", k+1, last+1, j, err, Rerun(t))
+					}
+					fired = fired || f
+				}
+				return steps[last]
+			}, want)
+		})
+		if !ok || !fired {
+			return points
 		}
 	}
-	e := expected{pre: snapshots(s, states)}
-	var resp uint64
-	for _, l := range c.legs {
-		arg := l.op.Arg
-		if l.fromLeg1 && !isb.IsValue(resp) {
-			resp = isb.RespSkipped
-		} else {
-			if l.fromLeg1 {
-				arg = isb.DecodeValue(resp)
-			}
-			states[l.s], resp = models[l.s].Step(states[l.s], l.op.Kind, arg)
-		}
-		e.want = append(e.want, resp)
-	}
-	e.final = snapshots(s, states)
-	return e
 }
 
-// snapshots spells model states the way sameState reads the structures: a
-// set's keys ascending, a queue front to back, a stack top to bottom.
-func snapshots(s subject, states []any) [][]uint64 {
-	out := make([][]uint64, len(states))
-	for i, st := range states {
-		switch st := st.(type) {
-		case map[uint64]bool:
-			out[i] = slices.Sorted(maps.Keys(st))
-		case []uint64:
-			out[i] = slices.Clone(st)
-			if s.structs[i].kind == repro.KindStack {
-				slices.Reverse(out[i])
-			}
-		}
+// Bool is a true-or-false response as Run and Resolve return it: 1 for true.
+func Bool(ok bool) ([]uint64, error) {
+	if ok {
+		return []uint64{1}, nil
 	}
-	return out
+	return []uint64{0}, nil
 }
 
-// direct is the paper's model of recovery, as the raw-package cells run it:
-// the harness itself re-supplies the interrupted operation to the structure's
-// recovery function. The duplicate pass is recovery itself, run again: a
-// completed operation's recovery re-reports its response (and a read's
-// re-executes it).
-func direct(h *pmem.Heap, a Applier, op repro.Op, want uint64, verify func() string) Instance {
+// Direct is the paper's model of recovery, as the raw-package sweeps run it:
+// op on a, Proc 0 of h, begun before the fault is armed (Applier.Begin), and
+// the harness itself re-supplying the interrupted operation to the
+// structure's recovery function. The duplicate pass is recovery itself, run
+// again: a completed operation's recovery re-reports its response want (and
+// a read's re-executes it).
+func Direct(h *pmem.Heap, a Applier, op Op, want uint64, verify func() string) Instance {
 	p := h.Proc(0)
 	resolve := func() ([]uint64, error) { return []uint64{a.RecoverLeg(p, 0, op.Kind, op.Arg)}, nil }
 	return Instance{
@@ -383,205 +372,18 @@ func direct(h *pmem.Heap, a Applier, op repro.Op, want uint64, verify func() str
 	}
 }
 
-// vector is an announced vector of legs under sweep — one leg for a single
-// operation, a window's, or a transaction's atomic two — submitted through the
-// Runtime and resolved the way a real application would: through RecoverAll's
-// report, re-submitting exactly the legs the report proves had no effect.
-type vector struct {
-	rt     *repro.Runtime
-	legs   []repro.TxnLeg
-	atomic bool
-	// pre, for an atomic vector, reports "" exactly when every structure
-	// still holds its pre-admission state: the atomicity check behind a
-	// no-effect report.
-	pre func() string
-	// audit, when non-nil, checks the reclaimer right after RecoverAll,
-	// before anything re-submitted can draw on the pool it rebuilt.
-	audit func() string
-}
-
-// submit admits legs[from:] and returns their responses.
-func (v vector) submit(from int) []uint64 {
-	p := v.rt.Proc(0)
-	if v.atomic {
-		r1, r2 := v.rt.ApplyTxn(p, v.legs[0], v.legs[1])
-		return []uint64{r1.Raw(), r2.Raw()}
+// Rerun spells the go test line, from the module root, that runs t alone:
+// each element of t's name anchored and quoted (regexp.QuoteMeta), so that a
+// subtest named "insert+find" does not read as a regexp. A test binary's
+// build path is its package's import path plus ".test".
+func Rerun(t testing.TB) string {
+	pkg := "."
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		pkg += strings.TrimPrefix(strings.TrimSuffix(bi.Path, ".test"), bi.Main.Path) + "/"
 	}
-	if len(v.legs) == 1 {
-		return []uint64{v.legs[0].S.Apply(p, v.legs[0].Op).Raw()}
+	elems := strings.Split(t.Name(), "/")
+	for i, e := range elems {
+		elems[i] = "^" + regexp.QuoteMeta(e) + "$"
 	}
-	ops := make([]repro.Op, 0, len(v.legs))
-	for _, l := range v.legs[from:] {
-		ops = append(ops, l.Op)
-	}
-	var out []uint64
-	for _, r := range v.rt.ApplyWindow(p, v.legs[0].S, ops) {
-		out = append(out, r.Raw())
-	}
-	return out
-}
-
-// instance is the vector as Sweep drives it. A single operation takes the
-// system-side invocation step first, as the storms do: Begin durably retires
-// the previous announcement, so any report is this operation's. Longer
-// vectors retire it inside the admission, under sweep.
-//
-// With crashedAt > 0 what is swept is RecoverAll itself: the admission is
-// first crashed at that access offset and the heap restarted, unswept, and a
-// crash inside the recovery that follows is resolved by running it again.
-func (v vector) instance(verify func() string, want []uint64, crashedAt uint64) Instance {
-	in := Instance{
-		Heap:    v.rt.Heap(),
-		Run:     func() ([]uint64, error) { return v.submit(0), nil },
-		Resolve: v.resolve,
-		Verify:  verify,
-		After:   func() string { return v.duplicate(want) },
-	}
-	if len(v.legs) == 1 {
-		in.Prepare = func() { v.legs[0].S.Begin(v.rt.Proc(0)) }
-	}
-	if crashedAt > 0 {
-		begin := in.Prepare
-		in.Prepare = func() {
-			if begin != nil {
-				begin()
-			}
-			in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + crashedAt)
-			if pmem.RunOp(func() { v.submit(0) }) {
-				panic(fmt.Sprintf("crash: the admission completed within %d accesses; nothing left to recover", crashedAt))
-			}
-			v.rt.Restart()
-		}
-		in.Run = v.resolve
-	}
-	return in
-}
-
-// effectFree reports whether leg i, answering resp, changed nothing: a read,
-// an update the structure found nothing to do for (an insert of a present
-// key, a delete of an absent one, a dequeue or pop on empty), or a leg elided
-// because leg 1 carried no value. Under Isb-Opt such a leg need leave no
-// durable trace, and re-submitting it is exactly-once.
-func (v vector) effectFree(i int, resp uint64) bool {
-	switch resp {
-	case isb.RespFalse, isb.RespEmpty, isb.RespSkipped:
-		return true
-	}
-	for _, k := range v.legs[i].S.(interface{ OpKinds() []repro.OpKind }).OpKinds() {
-		if k.Kind == v.legs[i].Op.Kind {
-			return k.ReadOnly
-		}
-	}
-	return false
-}
-
-// resolve turns a crashed replay into the full response vector: completed
-// and in-flight legs take their reported responses and the no-effect suffix
-// — for an atomic vector that is all of it or none — is re-submitted. No
-// report proves the vector never announced, so every leg is re-submitted; so
-// does, for a vector of several legs, a report of another shape (the
-// prefill's last single operation, idempotently re-confirmed: the crash
-// landed before this vector's record became durable). Whenever the whole of
-// an atomic vector is re-submitted, pre must hold first: neither structure
-// changed.
-//
-// It also checks the report's routing and shape: it is Proc 0's, the legs are
-// the announced ones on the announced structures, and their statuses form a
-// completed prefix, exactly one in-flight leg and a no-effect suffix, in that
-// order — except that an atomic report is either wholly no-effect or has no
-// no-effect leg at all.
-func (v vector) resolve() ([]uint64, error) {
-	reps := v.rt.RecoverAll()
-	if len(reps) > 1 || len(reps) == 1 && reps[0].Proc != 0 {
-		return nil, fmt.Errorf("single-proc sweep on proc 0 reported %+v", reps)
-	}
-	if v.audit != nil {
-		if msg := v.audit(); msg != "" {
-			return nil, errors.New(msg)
-		}
-	}
-	got := make([]uint64, len(v.legs))
-	from := 0
-	if len(reps) == 1 && len(reps[0].Legs) == len(v.legs) && reps[0].Atomic == v.atomic {
-		legs := reps[0].Legs
-		for i, leg := range legs {
-			if leg.Op != v.legs[i].Op || leg.StructID != v.legs[i].S.ID() {
-				return nil, fmt.Errorf("leg %d reported as %+v on struct %d, announced %+v on %d",
-					i, leg.Op, leg.StructID, v.legs[i].Op, v.legs[i].S.ID())
-			}
-			got[i] = leg.Resp.Raw()
-		}
-		completed := 0
-		for completed < len(legs) && legs[completed].Status == repro.OpCompleted {
-			completed++
-		}
-		if completed < len(legs) && legs[completed].Status == repro.OpInFlight {
-			from = completed + 1
-		} else if !v.atomic || completed > 0 {
-			return nil, fmt.Errorf("no in-flight leg after %d completed ones: %+v", completed, legs)
-		}
-		for i := from; i < len(legs); i++ {
-			if legs[i].Status != repro.OpNoEffect {
-				return nil, fmt.Errorf("leg %d is %v after the in-flight leg %d: %+v", i, legs[i].Status, from-1, legs)
-			}
-		}
-		if v.atomic && from != 0 && from != len(legs) {
-			return nil, fmt.Errorf("atomic report resolves %d of %d legs: %+v", from, len(legs), legs)
-		}
-	} else if len(reps) == 1 && len(v.legs) == 1 {
-		return nil, fmt.Errorf("Begin retired the previous announcement, yet RecoverAll reported %+v", reps[0])
-	}
-	if v.atomic && from == 0 {
-		if msg := v.pre(); msg != "" {
-			return nil, fmt.Errorf("no-effect transaction but pre-state check failed: %s", msg)
-		}
-	}
-	if from < len(v.legs) {
-		copy(got[from:], v.submit(from))
-	}
-	return got, nil
-}
-
-// duplicate is the exactly-once check under a duplicate recovery pass — the
-// path a rebooted application drives when it recovers twice: a second
-// RecoverAll must re-report the last announced vector (the whole admission,
-// or the suffix resolve re-submitted) with every leg resolved to the same
-// response, except an effect-free suffix (effectFree), which may have left no
-// durable trace — an admission that installs nothing stores no record — and,
-// re-submitted the way resolve does, must answer the same again.
-func (v vector) duplicate(want []uint64) string {
-	reps := v.rt.RecoverAll()
-	if len(reps) > 1 {
-		return fmt.Sprintf("reported %+v", reps)
-	}
-	from := 0 // legs [0, from) are re-reported; the rest is re-submitted
-	if len(reps) == 1 && reps[0].Atomic == v.atomic && len(reps[0].Legs) <= len(v.legs) {
-		tail := len(v.legs) - len(reps[0].Legs)
-		for i, leg := range reps[0].Legs {
-			if leg.Op != v.legs[tail+i].Op {
-				return fmt.Sprintf("leg %d of %d re-reported as %+v, want %+v", tail+i, len(v.legs), leg, v.legs[tail+i].Op)
-			}
-			if leg.Status == repro.OpNoEffect {
-				break
-			}
-			if leg.Resp.Raw() != want[tail+i] {
-				return fmt.Sprintf("leg %d of %d re-reported as %+v, want %+v → %d", tail+i, len(v.legs), leg, v.legs[tail+i].Op, want[tail+i])
-			}
-			from = tail + i + 1
-		}
-	}
-	if v.atomic && from != len(v.legs) {
-		from = 0
-	}
-	for i := from; i < len(v.legs); i++ {
-		if !v.effectFree(i, want[i]) {
-			return fmt.Sprintf("leg %d (%+v → %d) took effect, yet recovery does not re-report it: %+v", i, v.legs[i].Op, want[i], reps)
-		}
-	}
-	if from < len(v.legs) {
-		if got := v.submit(from); !slices.Equal(got, want[from:]) {
-			return fmt.Sprintf("effect-free legs %d.. re-submitted answered %v, want %v", from, got, want[from:])
-		}
-	}
-	return ""
+	return fmt.Sprintf("go test %s -run '%s' -count=1", pkg, strings.Join(elems, "/"))
 }

@@ -1,10 +1,13 @@
 package exchanger
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -134,34 +137,37 @@ func TestRecoverAfterAbort(t *testing.T) {
 	}
 }
 
+// TestCrashSweepWaiterInstall crashes a lone waiter at every access while it
+// installs and then times out (crash.Sweep); recovery (retry=false) must
+// abort cleanly and leave the slot reusable.
 func TestCrashSweepWaiterInstall(t *testing.T) {
-	// Crash at every access offset while a lone waiter installs and then
-	// times out; recovery (retry=false) must abort cleanly and leave the
-	// slot reusable.
-	for offset := uint64(1); offset <= 30; offset++ {
+	crash.SweepTest(t, func() crash.Instance {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
 		e := New(h)
 		p := h.Proc(0)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var ok bool
-		crashed := !pmem.RunOp(func() { _, ok = e.Exchange(p, 9, Symmetric, 2) })
-		if crashed {
-			h.ResetAfterCrash()
-			_, ok = e.Recover(p, 9, Symmetric, 2, false)
+		exchanged := func(_ uint64, ok bool) ([]uint64, error) {
+			if ok {
+				return nil, errors.New("lonely exchange succeeded")
+			}
+			return nil, nil
 		}
-		if ok {
-			t.Fatalf("offset %d: lonely exchange succeeded", offset)
+		return crash.Instance{
+			Heap:    h,
+			Run:     func() ([]uint64, error) { return exchanged(e.Exchange(p, 9, Symmetric, 2)) },
+			Resolve: func() ([]uint64, error) { return exchanged(e.Recover(p, 9, Symmetric, 2, false)) },
+			// The slot must be usable afterwards: another lonely exchange
+			// must install, time out and withdraw cleanly.
+			Verify: func() string {
+				if v, ok := e.Exchange(p, 11, Symmetric, 2); ok {
+					return fmt.Sprintf("second lonely exchange succeeded with %d", v)
+				}
+				if !e.SlotFree() {
+					return "slot left dirty"
+				}
+				return ""
+			},
 		}
-		// The slot must be usable afterwards: another lonely exchange must
-		// install, time out and withdraw cleanly.
-		h.DisarmCrash()
-		if v, ok := e.Exchange(p, 11, Symmetric, 2); ok {
-			t.Fatalf("offset %d: second lonely exchange succeeded with %d", offset, v)
-		}
-		if !e.SlotFree() {
-			t.Fatalf("offset %d: slot left dirty", offset)
-		}
-	}
+	}, nil)
 }
 
 func TestCrashSweepCollision(t *testing.T) {

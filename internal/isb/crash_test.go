@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/isb"
 	"repro/internal/list"
 	"repro/internal/pmem"
@@ -27,7 +28,6 @@ var listOps = []struct {
 
 // crashPoint is one crash of sweepEvicting, handed over after recovery.
 type crashPoint struct {
-	off       uint64
 	h         *pmem.Heap
 	e         *isb.Engine
 	l         *list.List
@@ -61,47 +61,48 @@ func newList(opt bool, evictEvery uint64) (*pmem.Heap, *isb.Engine, *list.List, 
 // sweepEvicting runs each of listOps, under Isb-Opt (opt) or Isb, on a fresh
 // list whose heap persists every store's line at once (EvictEvery 1: a crash
 // persists exactly the stores before it), with a system-wide crash at every
-// access offset until an offset outruns the operation. The system-side Begin
+// access (crash.Sweep), one subtest per operation. The system-side Begin
 // runs before the crash is armed, so every sweep starts from a durable CP_q
 // older than the admission number. After each crash the operation is
 // recovered, its response and the list's state checked, and visit gets the
-// crash point.
-func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
+// crash point: it returns a violation, or "".
+func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint) string) {
 	for _, op := range listOps {
-		crashes := 0
-		for off := uint64(1); ; off++ {
-			h, e, l, p := newList(opt, 1)
-			l.Begin(p)
-			h.ScheduleCrashAt(h.AccessCount() + off)
-			crashed := !pmem.RunOp(func() { l.ApplyOp(p, op.kind, op.key) })
-			h.DisarmCrash()
-			if !crashed {
-				break
-			}
-			crashes++
-			h.ResetAfterCrash() // the volatile image is now the persisted one
-			c := crashPoint{off: off, h: h, e: e, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, all: e.Durable(p)}
-			c.at = c.all.Current()
-			for _, a := range c.at.Cleanup {
-				if h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
-					c.tagged++
+		t.Run(fmt.Sprintf("opt=%v/%s", opt, op.name), func(t *testing.T) {
+			n := crash.SweepTest(t, func() crash.Instance {
+				h, e, l, p := newList(opt, 1)
+				var c *crashPoint // the crash, once recovered
+				return crash.Instance{
+					Heap:    h,
+					Prepare: func() { l.Begin(p) },
+					Run:     func() ([]uint64, error) { return []uint64{l.ApplyOp(p, op.kind, op.key)}, nil },
+					Resolve: func() ([]uint64, error) {
+						// the volatile image is now the persisted one
+						c = &crashPoint{h: h, e: e, l: l, p: p, kind: op.kind, key: op.key, inverse: op.inverse, all: e.Durable(p)}
+						c.at = c.all.Current()
+						for _, a := range c.at.Cleanup {
+							if h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
+								c.tagged++
+							}
+						}
+						c.keysAt = l.Keys()
+						return []uint64{l.RecoverLeg(p, 0, op.kind, op.key)}, nil
+					},
+					Verify: func() string {
+						if ks := l.Keys(); !slices.Equal(ks, op.want) {
+							return fmt.Sprintf("keys %v after recovery, want %v", ks, op.want)
+						}
+						if msg := l.CheckInvariants(); msg != "" || c == nil {
+							return msg
+						}
+						return visit(*c)
+					},
 				}
+			}, []uint64{isb.RespTrue})
+			if n < 20 {
+				t.Fatalf("only %d crash points; the sweep is not reaching inside the operation", n)
 			}
-			c.keysAt = l.Keys()
-			if r := l.RecoverLeg(p, 0, op.kind, op.key); !isb.Bool(r) {
-				t.Fatalf("%s offset %d: recovery answered %d, want true", op.name, off, r)
-			}
-			if ks := l.Keys(); !slices.Equal(ks, op.want) {
-				t.Fatalf("%s offset %d: keys %v after recovery, want %v", op.name, off, ks, op.want)
-			}
-			if msg := l.CheckInvariants(); msg != "" {
-				t.Fatalf("%s offset %d: %s", op.name, off, msg)
-			}
-			visit(c)
-		}
-		if crashes < 20 {
-			t.Fatalf("%s: only %d crash points; the sweep is not reaching inside the operation", op.name, crashes)
-		}
+		})
 	}
 }
 
@@ -116,26 +117,27 @@ func sweepEvicting(t *testing.T, opt bool, visit func(c crashPoint)) {
 // re-invokes, and a new record replaces it in its register.
 func TestFirstInstallRaisesCPCrash(t *testing.T) {
 	ownStale := map[uint64]int{}
-	sweepEvicting(t, true, func(c crashPoint) {
+	sweepEvicting(t, true, func(c crashPoint) string {
 		current := false
 		for _, reg := range c.all.Regs {
 			own := reg.RD != pmem.Null && reg.Kind == c.kind && reg.Key == c.key && reg.Seq == 0
 			switch {
 			case reg.CP == c.all.Adm && !own:
-				t.Fatalf("offset %d: CP_q = admission %d persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
-					c.off, c.all.Adm, reg.RD, reg.Kind, reg.Key, reg.Seq, c.kind, c.key)
+				return fmt.Sprintf("CP_q = admission %d persisted with RD_q = %d stamped (kind %d, key %d, seq %d), want (%d, %d, 0)",
+					c.all.Adm, reg.RD, reg.Kind, reg.Key, reg.Seq, c.kind, c.key)
 			case reg.CP == c.all.Adm:
 				current = true
 			case own:
 				ownStale[c.kind]++
 				if c.e.Durable(c.p).Names(reg.RD) {
-					t.Fatalf("offset %d: recovery kept RD_q = %d, which a stale CP_q names: it helped the record instead of re-invoking", c.off, reg.RD)
+					return fmt.Sprintf("recovery kept RD_q = %d, which a stale CP_q names: it helped the record instead of re-invoking", reg.RD)
 				}
 			}
 		}
 		if !current && !slices.Equal(c.keysAt, listPrefill) {
-			t.Fatalf("offset %d: stale CP_q in both registers (admission %d) persisted with keys %v, want %v", c.off, c.all.Adm, c.keysAt, listPrefill)
+			return fmt.Sprintf("stale CP_q in both registers (admission %d) persisted with keys %v, want %v", c.all.Adm, c.keysAt, listPrefill)
 		}
+		return ""
 	})
 	for _, op := range listOps {
 		if ownStale[op.kind] == 0 {
@@ -171,21 +173,21 @@ func TestFirstInstallRaisesCPCrash(t *testing.T) {
 // attempt: a tag left behind would send it to help and retry, allocating a
 // second record.
 func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
-	oneAttempt := func(t *testing.T, l *list.List, p *pmem.Proc, kind, key uint64) {
-		t.Helper()
+	oneAttempt := func(l *list.List, p *pmem.Proc, kind, key uint64) string {
 		before := p.Stats().AllocWords
 		if r := l.ApplyOp(p, kind, key); !isb.Bool(r) {
-			t.Fatalf("next operation (kind %d) on key %d answered %d, want true", kind, key, r)
+			return fmt.Sprintf("next operation (kind %d) on key %d answered %d, want true", kind, key, r)
 		}
 		if words := p.Stats().AllocWords - before; words >= 2*isb.InfoWords {
-			t.Fatalf("next operation (kind %d) on key %d allocated %d words: more than one attempt", kind, key, words)
+			return fmt.Sprintf("next operation (kind %d) on key %d allocated %d words: more than one attempt", kind, key, words)
 		}
+		return ""
 	}
 	for _, opt := range []bool{false, true} {
 		done, partial := 0, 0
-		sweepEvicting(t, opt, func(c crashPoint) {
+		sweepEvicting(t, opt, func(c crashPoint) string {
 			if c.at.CP != c.all.Adm || c.at.Done == 0 || c.at.Kind != c.kind || c.at.Key != c.key {
-				return
+				return ""
 			}
 			done++
 			if c.tagged > 0 {
@@ -193,10 +195,10 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 			}
 			for _, a := range c.at.Cleanup {
 				if c.h.ReadVolatile(a) == isb.Tagged(c.at.RD) || c.h.ReadPersisted(a) == isb.Tagged(c.at.RD) {
-					t.Fatalf("opt=%v offset %d: node field %d still tagged by the done record %d after recovery", opt, c.off, a, c.at.RD)
+					return fmt.Sprintf("node field %d still tagged by the done record %d after recovery", a, c.at.RD)
 				}
 			}
-			oneAttempt(t, c.l, c.p, c.inverse, c.key)
+			return oneAttempt(c.l, c.p, c.inverse, c.key)
 		})
 		if partial == 0 {
 			t.Fatalf("opt=%v: none of %d crashes with a durable done flag left an untag volatile", opt, done)
@@ -259,7 +261,9 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 						t.Fatalf("opt=%v %s offset %d: node field %d still tagged by the completed record %d", opt, op.name, off, a, done.RD)
 					}
 				}
-				oneAttempt(t, l, p, op.kind, op.key)
+				if msg := oneAttempt(l, p, op.kind, op.key); msg != "" {
+					t.Fatalf("opt=%v %s offset %d: %s", opt, op.name, off, msg)
+				}
 			}
 		}
 		if opt && volatile == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -131,29 +132,31 @@ func TestEngineConcurrentIncrementsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestEngineRecoverAfterEveryCrashOffset crashes an increment at every access
+// (crash.Sweep) under both placements: recovery answers 2 and the counter
+// holds 2, exactly once.
 func TestEngineRecoverAfterEveryCrashOffset(t *testing.T) {
 	for _, opt := range []bool{false, true} {
-		for offset := uint64(1); offset <= 55; offset++ {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
-			c := newCounter(h, opt)
-			p := h.Proc(0)
-			c.inc(p)                 // value 1
-			c.e.Begin(p, false, nil) // system-side invocation step (see crash.Applier)
-			h.ScheduleCrashAt(h.AccessCount() + offset)
-			var resp uint64
-			crashed := !pmem.RunOp(func() { resp = c.inc(p) })
-			h.DisarmCrash()
-			if crashed {
-				h.ResetAfterCrash()
-				resp = DecodeValue(c.RecoverLeg(p, 0, opInc, 0))
-			}
-			if resp != 2 {
-				t.Fatalf("opt=%v offset %d: response %d, want 2", opt, offset, resp)
-			}
-			if got := c.value(h); got != 2 {
-				t.Fatalf("opt=%v offset %d: value %d, want 2 (exactly-once violated)", opt, offset, got)
-			}
-		}
+		t.Run(fmt.Sprintf("opt=%v", opt), func(t *testing.T) {
+			crash.SweepTest(t, func() crash.Instance {
+				h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
+				c := newCounter(h, opt)
+				p := h.Proc(0)
+				c.inc(p) // value 1
+				return crash.Instance{
+					Heap:    h,
+					Prepare: func() { c.e.Begin(p, false, nil) }, // system-side invocation step (see crash.Applier)
+					Run:     func() ([]uint64, error) { return []uint64{c.inc(p)}, nil },
+					Resolve: func() ([]uint64, error) { return []uint64{DecodeValue(c.RecoverLeg(p, 0, opInc, 0))}, nil },
+					Verify: func() string {
+						if got := c.value(h); got != 2 {
+							return fmt.Sprintf("value %d, want 2 (exactly-once violated)", got)
+						}
+						return ""
+					},
+				}
+			}, []uint64{2})
+		})
 	}
 }
 

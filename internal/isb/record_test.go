@@ -1,10 +1,12 @@
 package isb
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -172,13 +174,14 @@ func TestAnnouncementTornSubsets(t *testing.T) {
 
 // TestAnnouncementAdmissionEveryStore is the per-store sibling of
 // TestAnnouncementTornSubsets, for the admission number the record is bound
-// to: a record written over a valid older one is crashed after each of its
-// stores, with the header line persisted at the crash. Whatever validates
-// must be the old record — its legs, flag and stamped prefix — under the old
-// admission number, or nothing; the new record, under the new number, only
-// once every store has run, and then with none of the old stamped slots in
-// its prefix. The identical cases are the ones that need the number inside the
-// checksum: their old sum also covers the new legs.
+// to: a record written over a valid older one is crashed at each of its
+// accesses (crash.Sweep), with each dirty line persisted at the crash, and
+// each complement. Whatever validates must be the old record — its legs,
+// flag and stamped prefix — under the old admission number, or nothing; the
+// new record, under the new number, only once every store has run and its
+// header line is written back, and then with none of the old stamped slots
+// in its prefix. The identical cases are the ones that need the number
+// inside the checksum: their old sum also covers the new legs.
 func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 2, Kind: 6, Arg: 7}}
 	for _, c := range []struct {
@@ -189,52 +192,58 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 		{"identical, two lines", legs, legs},
 		{"different", legs[:1], legs[:2]},
 	} {
-		stores := 0
-		for k := uint64(1); ; k++ {
-			h := newTrackedHeap(1)
-			p := h.Proc(0)
-			Announce(p, false, c.old...)
-			for i := 0; i < len(c.old)-1; i++ {
-				CloseLeg(p, i, 9)
+		t.Run(c.name, func(t *testing.T) {
+			n := crash.SweepTest(t, func() crash.Instance {
+				h := newTrackedHeap(1)
+				p := h.Proc(0)
+				Announce(p, false, c.old...)
+				for i := 0; i < len(c.old)-1; i++ {
+					CloseLeg(p, i, 9)
+				}
+				oldAdm, oldCursor := Admission(p), len(c.old)-1
+				var start, crashedAt uint64 // crashedAt: the access of the write that crashed, if one did
+				return crash.Instance{
+					Heap:    h,
+					Prepare: func() { start = h.AccessCount() },
+					Run:     func() ([]uint64, error) { writeRecord(p, false, c.new, nil); return nil, nil },
+					Resolve: func() ([]uint64, error) { crashedAt = h.AccessCount() - start; return nil, nil },
+					Verify: func() string {
+						if crashedAt == 0 {
+							p.PWB(p.Region())
+							crashAndReset(h)
+						}
+						rec, ok := ReadRecord(p)
+						adm := Admission(p)
+						isOld := ok && adm == oldAdm && !rec.Atomic && rec.Cursor == oldCursor && slices.Equal(rec.Legs, c.old)
+						isNew := ok && adm == oldAdm+1 && !rec.Atomic && rec.Cursor == 0 && slices.Equal(rec.Legs, c.new)
+						switch {
+						case crashedAt == 0 && !isNew:
+							return fmt.Sprintf("after the last store read (%+v, ok %v) under admission %d, want the new record under %d",
+								rec, ok, adm, oldAdm+1)
+						case crashedAt > 0 && ok && !isOld:
+							return fmt.Sprintf("crashed at access %d of the write, read %+v under admission %d, want the old record under %d or nothing",
+								crashedAt, rec, adm, oldAdm)
+						case crashedAt == 1 && !isOld:
+							return "crashed before the first store: the old record is gone"
+						}
+						return ""
+					},
+					Persist: true,
+				}
+			}, nil)
+			if n < 2*len(c.new)+4 {
+				t.Fatalf("only %d crash points; the sweep is not reaching every store", n)
 			}
-			oldAdm, oldCursor := Admission(p), len(c.old)-1
-			h.ScheduleCrashAt(h.AccessCount() + k)
-			done := pmem.RunOp(func() { writeRecord(p, false, c.new, nil) })
-			h.DisarmCrash()
-			p.PWB(p.Region()) // p saw the crash, if one fired: its accesses pass
-			crashAndReset(h)
-			rec, ok := ReadRecord(p)
-			adm := Admission(p)
-			isOld := ok && adm == oldAdm && !rec.Atomic && rec.Cursor == oldCursor && slices.Equal(rec.Legs, c.old)
-			isNew := ok && adm == oldAdm+1 && !rec.Atomic && rec.Cursor == 0 && slices.Equal(rec.Legs, c.new)
-			switch {
-			case done && !isNew:
-				t.Fatalf("%s: after the last store read (%+v, ok %v) under admission %d, want the new record under %d",
-					c.name, rec, ok, adm, oldAdm+1)
-			case !done && ok && !isOld:
-				t.Fatalf("%s: crashed at access %d of the write, read %+v under admission %d, want the old record under %d or nothing",
-					c.name, k, rec, adm, oldAdm)
-			case k == 1 && !isOld:
-				t.Fatalf("%s: crashed before the first store: the old record is gone", c.name)
-			}
-			if done {
-				break
-			}
-			stores++
-		}
-		if stores < 2*len(c.new)+4 {
-			t.Fatalf("%s: only %d crash points; the sweep is not reaching every store", c.name, stores)
-		}
+		})
 	}
 }
 
-// TestLegResultEveryStore crashes a slot write after each of its accesses,
-// with the slot's line persisted at the crash: the prefix must read i — slot
-// i not stamped — or i+1 with slot i holding the new response, never a slot
-// stamped for the current record beside a stale response. The slot still
-// holds a different response from the admission before the previous one,
-// which used the same slot area, so a stamp stored ahead of the response
-// would show.
+// TestLegResultEveryStore crashes a slot write at each of its accesses
+// (crash.Sweep): the prefix must read i — slot i not stamped — or i+1 with
+// slot i holding the new response, never a slot stamped for the current
+// record beside a stale response. The slot still holds a different response from
+// the admission before the previous one, which used the same slot area, so a
+// stamp stored ahead of the response would show.
 //
 // In the lazy rows the record is left pending with announceLazy and slots 0
 // to i with it (keepLegResult), and what is crashed is the first install's
@@ -243,74 +252,96 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // find the previous record under the previous number with its own responses,
 // never with a new response in a slot it reads, and a crash after it the new
 // record with the whole prefix of the new responses.
+//
+// The eager rows persist each dirty line at the crash, and each complement.
+// The lazy rows persist slot i's line alone: their header line, which holds
+// the raised admission number from the record's second access on, persisted
+// alone before the barrier leaves no valid record at all, and the previous
+// record must survive here.
 func TestLegResultEveryStore(t *testing.T) {
 	legs := []Leg{{StructID: 1, Kind: 2, Arg: 3}, {StructID: 1, Kind: 4, Arg: 5}, {StructID: 1, Kind: 6, Arg: 7}, {StructID: 1, Kind: 8, Arg: 9}}
 	for _, lazy := range []bool{false, true} {
 		for i := 0; i < len(legs)-1; i++ {
-			points := 0
-			for k := uint64(1); ; k++ {
-				h := newTrackedHeap(1)
-				p, recs := h.Proc(0), NewRecords(h)
-				for range 2 { // the second fills the slot area the new record reuses
-					Announce(p, false, legs...)
-					for j := 0; j < len(legs)-1; j++ {
-						CloseLeg(p, j, 50+uint64(j))
+			t.Run(fmt.Sprintf("lazy=%v/slot=%d", lazy, i), func(t *testing.T) {
+				n := crash.SweepTest(t, func() crash.Instance {
+					h := newTrackedHeap(1)
+					p, recs := h.Proc(0), NewRecords(h)
+					for range 2 { // the second fills the slot area the new record reuses
+						Announce(p, false, legs...)
+						for j := 0; j < len(legs)-1; j++ {
+							CloseLeg(p, j, 50+uint64(j))
+						}
 					}
-				}
-				oldAdm := Admission(p)
-				write := func() { CloseLeg(p, i, 100+uint64(i)) }
-				if lazy {
-					p.OpenSyncScope() // a lazy record lives in its admission's scope
-					recs.announceLazy(p, false, legs)
-					for j := 0; j <= i; j++ {
-						recs.keepLegResult(p, j, 100+uint64(j))
+					oldAdm := Admission(p)
+					write := func() { CloseLeg(p, i, 100+uint64(i)) }
+					if lazy {
+						p.OpenSyncScope() // a lazy record lives in its admission's scope
+						recs.announceLazy(p, false, legs)
+						for j := 0; j <= i; j++ {
+							recs.keepLegResult(p, j, 100+uint64(j))
+						}
+						write = func() {
+							recs.storeKept(p)
+							p.PBarrierAddrs(nil)
+						}
+					} else {
+						Announce(p, false, legs...)
+						for j := 0; j < i; j++ {
+							CloseLeg(p, j, 100+uint64(j))
+						}
 					}
-					write = func() {
-						recs.storeKept(p)
-						p.PBarrierAddrs(nil)
+					done := true
+					return crash.Instance{
+						Heap: h,
+						Run: func() ([]uint64, error) {
+							crashed := lazy
+							defer func() {
+								if crashed { // slot i's line reaches persistent memory at the crash
+									p.PWB(slot(p, oldAdm+1, i))
+								}
+							}()
+							write()
+							crashed = false
+							return nil, nil
+						},
+						Resolve: func() ([]uint64, error) { done = false; return nil, nil },
+						Verify: func() string {
+							if done {
+								p.PWB(slot(p, oldAdm+1, i))
+								crashAndReset(h)
+							}
+							rec, ok := ReadRecord(p)
+							old := Admission(p) == oldAdm
+							switch cursor := rec.Cursor; {
+							case !ok || len(rec.Legs) != len(legs):
+								return fmt.Sprintf("no valid record (n %d, ok %v)", len(rec.Legs), ok)
+							case old && (!lazy || done):
+								return fmt.Sprintf("write done %v: the record under the previous number survived", done)
+							case old && cursor != len(legs)-1:
+								return fmt.Sprintf("the previous record reads cursor %d, want %d", cursor, len(legs)-1)
+							case !old && lazy && (cursor > i+1 || done && cursor != i+1):
+								return fmt.Sprintf("write done %v: cursor %d", done, cursor)
+							case !old && !lazy && (cursor != i && cursor != i+1 || done && cursor != i+1):
+								return fmt.Sprintf("write done %v: cursor %d", done, cursor)
+							}
+							want := uint64(100)
+							if old {
+								want = 50
+							}
+							for j, got := range rec.Results {
+								if got != want+uint64(j) {
+									return fmt.Sprintf("slot %d is stamped but holds %d, want %d", j, got, want+uint64(j))
+								}
+							}
+							return ""
+						},
+						Persist: !lazy,
 					}
-				} else {
-					Announce(p, false, legs...)
-					for j := 0; j < i; j++ {
-						CloseLeg(p, j, 100+uint64(j))
-					}
+				}, nil)
+				if n < 3 {
+					t.Fatalf("only %d crash points; the sweep is not reaching every store", n)
 				}
-				h.ScheduleCrashAt(h.AccessCount() + k)
-				done := pmem.RunOp(write)
-				h.DisarmCrash()
-				p.PWB(slot(p, oldAdm+1, i))
-				crashAndReset(h)
-				rec, ok := ReadRecord(p)
-				old := Admission(p) == oldAdm
-				switch cursor := rec.Cursor; {
-				case !ok || len(rec.Legs) != len(legs):
-					t.Fatalf("lazy %v, slot %d, crash at access %d: no valid record (n %d, ok %v)", lazy, i, k, len(rec.Legs), ok)
-				case old && (!lazy || done):
-					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): the record under the previous number survived", lazy, i, k, done)
-				case old && cursor != len(legs)-1:
-					t.Fatalf("lazy %v, slot %d, crash at access %d: the previous record reads cursor %d, want %d", lazy, i, k, cursor, len(legs)-1)
-				case !old && lazy && (cursor > i+1 || done && cursor != i+1):
-					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
-				case !old && !lazy && (cursor != i && cursor != i+1 || done && cursor != i+1):
-					t.Fatalf("lazy %v, slot %d, crash at access %d (write done %v): cursor %d", lazy, i, k, done, cursor)
-				}
-				want := uint64(100)
-				if old {
-					want = 50
-				}
-				for j, got := range rec.Results {
-					if got != want+uint64(j) {
-						t.Fatalf("lazy %v, slot %d, crash at access %d: slot %d is stamped but holds %d, want %d", lazy, i, k, j, got, want+uint64(j))
-					}
-				}
-				if done {
-					break
-				}
-				points++
-			}
-			if points < 3 {
-				t.Fatalf("lazy %v, slot %d: only %d crash points; the sweep is not reaching every store", lazy, i, points)
-			}
+			})
 		}
 	}
 }

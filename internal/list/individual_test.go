@@ -1,58 +1,58 @@
 package list
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/isb"
 	"repro/internal/pmem"
 )
 
 // Individual process failures (the paper's footnote 1): in the private
 // cache model, a single process may crash and recover while the others keep
-// running. These tests sweep the failure point across every access offset
-// of an operation and also run concurrent survivors.
+// running. These tests sweep the failure point across every access of an
+// operation, after every failure of the one before it (crash.SweepAfter),
+// and also run concurrent survivors.
 
 func TestIndividualCrashSweepPrivateModel(t *testing.T) {
-	for offset := uint64(1); offset <= 60; offset++ {
-		h := pmem.NewHeap(pmem.Config{
-			Words: 1 << 20, Procs: 1, Tracked: true, Model: pmem.PrivateCache,
+	ops := []struct {
+		name      string
+		kind, key uint64
+		want      []uint64
+	}{
+		{"insert", OpInsert, 20, []uint64{10, 20, 30}},
+		{"delete", OpDelete, 30, []uint64{10, 20}},
+	}
+	for i, c := range ops {
+		t.Run(c.name, func(t *testing.T) {
+			crash.SweepAfter(t, func() []crash.Instance {
+				h := pmem.NewHeap(pmem.Config{
+					Words: 1 << 20, Procs: 1, Tracked: true, Model: pmem.PrivateCache,
+				})
+				l := NewWithEngine(h, isb.NewEngine(h))
+				p := h.Proc(0)
+				l.Insert(p, 10)
+				l.Insert(p, 30)
+				var steps []crash.Instance
+				for _, c := range ops[:i+1] {
+					// No heap reset: only this process's volatile state is
+					// lost; in the private cache model shared memory is
+					// persistent.
+					in := crash.Direct(h, l, crash.Op{Kind: c.kind, Arg: c.key}, isb.RespTrue, func() string {
+						if ks := l.Keys(); !slices.Equal(ks, c.want) {
+							return fmt.Sprintf("keys %v, want %v", ks, c.want)
+						}
+						return l.CheckInvariants()
+					})
+					in.Individual = true
+					steps = append(steps, in)
+				}
+				return steps
+			}, []uint64{isb.RespTrue})
 		})
-		l := NewWithEngine(h, isb.NewEngine(h))
-		p := h.Proc(0)
-		l.Insert(p, 10)
-		l.Insert(p, 30)
-
-		l.Begin(p) // system-side invocation step
-		p.ScheduleSelfCrash(offset)
-		crashed := !pmem.RunOp(func() { l.Insert(p, 20) })
-		p.CancelSelfCrash()
-		if crashed {
-			// No heap reset: only this process's volatile state is lost;
-			// in the private cache model shared memory is persistent.
-			if !isb.Bool(l.RecoverLeg(p, 0, OpInsert, 20)) {
-				t.Fatalf("offset %d: insert recovery false", offset)
-			}
-		}
-		if ks := l.Keys(); len(ks) != 3 || ks[1] != 20 {
-			t.Fatalf("offset %d: keys %v", offset, ks)
-		}
-
-		l.Begin(p)
-		p.ScheduleSelfCrash(offset)
-		crashed = !pmem.RunOp(func() { l.ApplyOp(p, OpDelete, 30) })
-		p.CancelSelfCrash()
-		if crashed {
-			if !isb.Bool(l.RecoverLeg(p, 0, OpDelete, 30)) {
-				t.Fatalf("offset %d: delete recovery false", offset)
-			}
-		}
-		if ks := l.Keys(); len(ks) != 2 || ks[0] != 10 || ks[1] != 20 {
-			t.Fatalf("offset %d: keys %v after delete", offset, ks)
-		}
-		if msg := l.CheckInvariants(); msg != "" {
-			t.Fatalf("offset %d: %s", offset, msg)
-		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package rcas
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -101,30 +103,33 @@ func TestOwnerlessCASDoesNotAnnounce(t *testing.T) {
 	}
 }
 
+// TestCrashSweepCASRecovery crashes a CAS at every access (crash.Sweep):
+// recovery must be consistent with the durable state of the location, and
+// so must it after a CAS that completed.
 func TestCrashSweepCASRecovery(t *testing.T) {
-	// Crash at every offset inside a CAS; recovery must be consistent with
-	// the durable state of the location.
-	for offset := uint64(1); offset <= 15; offset++ {
+	crash.SweepTest(t, func() crash.Instance {
 		h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 1, Tracked: true})
 		s := NewSpace(h)
 		p := h.Proc(0)
 		loc := p.Alloc(1)
 		s.InitLoc(p, loc, 1)
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		crashed := !pmem.RunOp(func() { s.CAS(p, loc, 1, 2, 3) })
-		h.DisarmCrash()
-		if crashed {
-			h.ResetAfterCrash()
+		return crash.Instance{
+			Heap:    h,
+			Run:     func() ([]uint64, error) { s.CAS(p, loc, 1, 2, 3); return nil, nil },
+			Resolve: func() ([]uint64, error) { return nil, nil },
+			Verify: func() string {
+				out := s.Recover(p, loc, 3)
+				val := s.Read(p, loc)
+				if out == Succeeded && val != 2 {
+					return fmt.Sprintf("recovery says success but value %d", val)
+				}
+				if out == Unknown && val == 2 {
+					return "value installed but recovery says unknown"
+				}
+				return ""
+			},
 		}
-		out := s.Recover(p, loc, 3)
-		val := s.Read(p, loc)
-		if out == Succeeded && val != 2 {
-			t.Fatalf("offset %d: recovery says success but value %d", offset, val)
-		}
-		if out == Unknown && val == 2 {
-			t.Fatalf("offset %d: value installed but recovery says unknown", offset)
-		}
-	}
+	}, nil)
 }
 
 func TestConcurrentCASOneWinnerPerTransition(t *testing.T) {

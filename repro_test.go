@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/isb"
 )
 
@@ -131,78 +132,79 @@ func TestPublicExchangerTimeout(t *testing.T) {
 	}
 }
 
-// TestRecoverAllRoutesAnnouncedOps drives crashes at a range of offsets
-// into a list insert while a second proc has a completed queue enqueue
+// TestRecoverAllRoutesAnnouncedOps crashes a list insert at every access
+// (crash.Sweep) while a second proc has a completed queue enqueue
 // outstanding, and checks the registry-routed report: the interrupted
 // operation is found, routed to the right structure, and resolved; the
 // completed operation is at most idempotently re-confirmed; a crash that
 // precedes the durable announcement yields no report entry and the
 // operation can simply be re-submitted. Also checks RecoverAll is
-// re-runnable (announcements persist until the next Begin). Every offset is
-// crashed until the insert outruns it: under Isb-Opt the announcement only
-// persists with the install barrier, after the list walk.
+// re-runnable (announcements persist until the next Begin). Under Isb-Opt the
+// announcement only persists with the install barrier, after the list walk.
 func TestRecoverAllRoutesAnnouncedOps(t *testing.T) {
+	insert := Op{Kind: OpInsert, Arg: 7}
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
 			routed, absent := 0, 0
-			for off := uint64(1); ; off++ {
+			crash.SweepTest(t, func() crash.Instance {
 				rt := New(Config{Procs: 2, CrashSim: true, HeapWords: 1 << 20, Engine: e.kind})
 				l := rt.NewList()
 				q := rt.NewQueue()
 				p0, p1 := rt.Proc(0), rt.Proc(1)
 				l.Apply(p0, Op{Kind: OpInsert, Arg: 5})
 				q.Apply(p1, Op{Kind: OpEnq, Arg: 9})
-				l.Begin(p0)
-				rt.ScheduleCrash(off)
-				if rt.Run(func() { l.Apply(p0, Op{Kind: OpInsert, Arg: 7}) }) {
-					rt.CancelCrash()
-					break
-				}
-				rt.Restart()
-				reps := rt.RecoverAll()
-				var mine *ProcReport
-				for i := range reps {
-					rep := reps[i]
-					switch rep.Proc {
-					case 0:
-						mine = &reps[i]
-					case 1:
-						// p1's enqueue completed before the crash; its
-						// announcement may still be set, in which case
-						// recovery idempotently re-confirms it.
-						if leg := rep.Legs[0]; len(rep.Legs) != 1 || leg.StructID != q.ID() || leg.Op != (Op{Kind: OpEnq, Arg: 9}) || !leg.Resp.Bool() {
-							t.Fatalf("off=%d: stale enqueue re-confirmed wrong: %+v", off, rep)
+				run := func() ([]uint64, error) { return []uint64{l.Apply(p0, insert).Raw()}, nil }
+				return crash.Instance{
+					Heap:    rt.Heap(),
+					Prepare: func() { l.Begin(p0) },
+					Run:     run,
+					Resolve: func() ([]uint64, error) {
+						reps := rt.RecoverAll()
+						var mine *ProcReport
+						for i := range reps {
+							rep := reps[i]
+							switch rep.Proc {
+							case 0:
+								mine = &reps[i]
+							case 1:
+								// p1's enqueue completed before the crash; its
+								// announcement may still be set, in which case
+								// recovery idempotently re-confirms it.
+								if leg := rep.Legs[0]; len(rep.Legs) != 1 || leg.StructID != q.ID() || leg.Op != (Op{Kind: OpEnq, Arg: 9}) || !leg.Resp.Bool() {
+									return nil, fmt.Errorf("stale enqueue re-confirmed wrong: %+v", rep)
+								}
+							}
 						}
-					}
-				}
-				if mine == nil {
-					// Crash preceded the durable announcement: provably no
-					// effect; re-submit.
-					absent++
-					if !rt.Run(func() { l.Apply(p0, Op{Kind: OpInsert, Arg: 7}) }) {
-						t.Fatalf("off=%d: re-submission crashed with no crash armed", off)
-					}
-				} else {
-					routed++
-					if leg := mine.Legs[0]; len(mine.Legs) != 1 || mine.Atomic || leg.Status != OpInFlight ||
-						leg.StructID != l.ID() || leg.Op != (Op{Kind: OpInsert, Arg: 7}) || !leg.Resp.Bool() {
-						t.Fatalf("off=%d: bad report %+v (list ID %d)", off, *mine, l.ID())
-					}
-					// Re-running RecoverAll must re-confirm the same outcome.
-					for _, rep := range rt.RecoverAll() {
-						if rep.Proc == 0 && !slices.Equal(rep.Legs, mine.Legs) {
-							t.Fatalf("off=%d: RecoverAll not idempotent: %+v vs %+v", off, rep, *mine)
+						if mine == nil {
+							// Crash preceded the durable announcement: provably no
+							// effect; re-submit.
+							absent++
+							return run()
 						}
-					}
+						routed++
+						if leg := mine.Legs[0]; len(mine.Legs) != 1 || mine.Atomic || leg.Status != OpInFlight ||
+							leg.StructID != l.ID() || leg.Op != insert || !leg.Resp.Bool() {
+							return nil, fmt.Errorf("bad report %+v (list ID %d)", *mine, l.ID())
+						}
+						// Re-running RecoverAll must re-confirm the same outcome.
+						for _, rep := range rt.RecoverAll() {
+							if rep.Proc == 0 && !slices.Equal(rep.Legs, mine.Legs) {
+								return nil, fmt.Errorf("RecoverAll not idempotent: %+v vs %+v", rep, *mine)
+							}
+						}
+						return []uint64{mine.Legs[0].Resp.Raw()}, nil
+					},
+					Verify: func() string {
+						if ks := l.Keys(); !slices.Equal(ks, []uint64{5, 7}) {
+							return fmt.Sprintf("keys %v", ks)
+						}
+						if vs := q.Values(); !slices.Equal(vs, []uint64{9}) {
+							return fmt.Sprintf("queue %v", vs)
+						}
+						return ""
+					},
 				}
-				ks := l.Keys()
-				if len(ks) != 2 || ks[0] != 5 || ks[1] != 7 {
-					t.Fatalf("off=%d: keys %v", off, ks)
-				}
-				if vs := q.Values(); len(vs) != 1 || vs[0] != 9 {
-					t.Fatalf("off=%d: queue %v", off, vs)
-				}
-			}
+			}, nil)
 			if routed == 0 || absent == 0 {
 				t.Fatalf("coverage hole: routed=%d absent=%d (want both nonzero)", routed, absent)
 			}
@@ -288,42 +290,44 @@ func TestRecoverAllEmptyWhenIdle(t *testing.T) {
 	}
 }
 
-// TestRecoverAllExchanger: at every crash offset that interrupts a lonely
-// exchange, RecoverAll either finds no announcement (the crash preceded
-// it; nothing to recover) or routes the announced OpExchange to the
+// TestRecoverAllExchanger: at every crash offset of a lonely exchange
+// (crash.Sweep), RecoverAll either finds no announcement (the crash preceded
+// it; the exchange is re-submitted) or routes the announced OpExchange to the
 // exchanger and resolves it to an abort — never a phantom success. Both
 // branches must be exercised.
 func TestRecoverAllExchanger(t *testing.T) {
-	routed, absent, completed := 0, 0, 0
-	for off := uint64(1); off <= 60; off++ {
+	routed, absent := 0, 0
+	exchange := Op{Kind: OpExchange, Arg: 5}
+	crash.SweepTest(t, func() crash.Instance {
 		rt := New(Config{Procs: 1, CrashSim: true, HeapWords: 1 << 20})
 		ex := rt.NewExchanger()
 		p := rt.Proc(0)
-		ex.Begin(p)
-		rt.ScheduleCrash(off)
-		if rt.Run(func() { ex.Apply(p, Op{Kind: OpExchange, Arg: 5}) }) {
-			rt.CancelCrash()
-			completed++
-			continue
+		run := func() ([]uint64, error) { return []uint64{ex.Apply(p, exchange).Raw()}, nil }
+		return crash.Instance{
+			Heap:    rt.Heap(),
+			Prepare: func() { ex.Begin(p) },
+			Run:     run,
+			Resolve: func() ([]uint64, error) {
+				reps := rt.RecoverAll()
+				if len(reps) == 0 {
+					absent++ // crash preceded the announcement
+					return run()
+				}
+				routed++
+				if len(reps) != 1 || len(reps[0].Legs) != 1 || reps[0].Legs[0].StructID != ex.ID() ||
+					reps[0].Legs[0].Op != exchange {
+					return nil, fmt.Errorf("report %+v", reps)
+				}
+				if _, ok := reps[0].Legs[0].Resp.Value(); ok {
+					return nil, fmt.Errorf("lonely exchange reported success: %v", reps[0].Legs[0].Resp)
+				}
+				return []uint64{reps[0].Legs[0].Resp.Raw()}, nil
+			},
+			Verify: func() string { return "" },
 		}
-		rt.Restart()
-		reps := rt.RecoverAll()
-		if len(reps) == 0 {
-			absent++ // crash preceded the announcement
-			continue
-		}
-		routed++
-		if len(reps) != 1 || len(reps[0].Legs) != 1 || reps[0].Legs[0].StructID != ex.ID() ||
-			reps[0].Legs[0].Op != (Op{Kind: OpExchange, Arg: 5}) {
-			t.Fatalf("off=%d: report %+v", off, reps)
-		}
-		if _, ok := reps[0].Legs[0].Resp.Value(); ok {
-			t.Fatalf("off=%d: lonely exchange reported success: %v", off, reps[0].Legs[0].Resp)
-		}
-	}
+	}, []uint64{isb.RespFalse})
 	if routed == 0 || absent == 0 {
-		t.Fatalf("coverage hole: routed=%d absent=%d completed=%d (want routed and absent nonzero)",
-			routed, absent, completed)
+		t.Fatalf("coverage hole: routed=%d absent=%d (want both nonzero)", routed, absent)
 	}
 }
 
