@@ -161,7 +161,11 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 							reps := rt.RecoverAll()
 							resolved := 0
 							switch {
-							case len(reps) == 0:
+							case len(reps) == 0: // no valid record: nothing in flight, nothing re-executed
+								if ks := v.src.Keys(); !slices.Equal(ks, keys) || len(v.dst.Keys()) != 0 {
+									t.Fatalf("off=%d line=%d: RecoverAll reported nothing, yet left keys %v and %v, want %v and none",
+										off, line, ks, v.dst.Keys(), keys)
+								}
 							case len(reps) == 1 && slices.Equal(legOps(reps[0]), pr.ops) && rt.recs.Admission(p) == adm:
 								for i, l := range reps[0].Legs {
 									if l.Status == OpCompleted && l.Resp != prevResps[i] {

@@ -1,13 +1,12 @@
 package crash
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro"
 	"repro/internal/linearize"
-	"repro/internal/pmem"
 )
 
 // effectFreeRow is one row of the effect-free invariant: on a prefilled set,
@@ -154,13 +153,13 @@ func TestTwoProcCrashEffectFree(t *testing.T) {
 
 // TestTwoProcCrashLostTags is the same invariant for an effect-free leg
 // that installed first: Proc 0 inserts 8, absent, alone or as the last leg
-// of a window after an insert of 20, and Proc 1 inserts 8 at Proc 0's k-th
-// access, for every k of the admission's span. Where Proc 1's insert lands
-// between Proc 0's install and its tags, the tags fail and the retry finds
-// 8 present, so the leg returns false with RD_q naming the attempt whose
-// tags failed, unless the retry installs too. Proc 1 then deletes 8 and the
-// system crashes before Proc 0's next admission, with each line the crash
-// left dirty persisted in turn: RecoverAll must not insert 8 again.
+// of a window after an insert of 20, and Proc 1's insert of 8 preempts it at
+// every access of Proc 0's (Instance.Preempt). Where it lands between Proc
+// 0's install and its tags, the tags fail and the retry finds 8 present, so
+// the leg returns false with RD_q naming the attempt whose tags failed,
+// unless the retry installs too. The two inserts must linearize; then
+// (After) Proc 1 deletes 8 and the system crashes before Proc 0's next
+// admission: RecoverAll must not insert 8 again.
 func TestTwoProcCrashLostTags(t *testing.T) {
 	ins := func(k uint64) repro.Op { return repro.Op{Kind: repro.OpInsert, Arg: k} }
 	shapes := []struct {
@@ -175,72 +174,72 @@ func TestTwoProcCrashLostTags(t *testing.T) {
 		for _, eng := range engineVariants {
 			for _, sh := range shapes {
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, eng.name, sh.name), func(t *testing.T) {
-					for k := 1; ; k++ {
-						dirty, fired, err := lostTags(kind, eng, sh.ops, sh.want, k, pmem.Null)
-						for i := 0; err == nil && i < len(dirty); i++ {
-							_, _, err = lostTags(kind, eng, sh.ops, sh.want, k, dirty[i])
-							if err != nil {
-								err = fmt.Errorf("line=%d: %v", dirty[i], err)
-							}
-						}
-						if err != nil {
-							t.Fatalf("Proc 1's insert at access %d: %v", k, err)
-						}
-						if !fired {
-							return
-						}
-					}
+					t.Parallel()
+					SweepTest(t, func() Instance { return lostTags(kind, eng, sh.ops, sh.want) }, nil)
 				})
 			}
 		}
 	}
 }
 
-// lostTags runs one instance of TestTwoProcCrashLostTags, with line (Null:
-// none) persisted at the crash; fired reports whether Proc 0's admission
-// reached its k-th access. A run with no line returns the dirty lines.
-func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64, k int, line pmem.Addr) (dirty []pmem.Addr, fired bool, err error) {
+// lostTags builds one instance of TestTwoProcCrashLostTags: Proc 0's
+// admission ops on setPrefill, with 8 present afterwards, and want, the set
+// once Proc 1 has deleted 8.
+func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64) Instance {
 	rt := repro.New(repro.Config{Procs: 2, CrashSim: true, HeapWords: sweepHeapWords, Seed: 42, Engine: eng.kind})
 	h := rt.Heap()
-	defer h.Release()
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
 	s := structure{kind: kind}.register(rt)
 	p0, p1 := rt.Proc(0), rt.Proc(1)
+	m := linearize.SetModel()
+	var hist []linearize.Operation
 	for _, op := range setPrefill {
-		s.Apply(p0, op)
+		resp := s.Apply(p0, op).Raw()
+		hist = append(hist, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: resp, Start: uint64(2 * len(hist)), End: uint64(2*len(hist) + 1)})
 	}
-	n := 0
-	h.SetAccessHook(func(p *pmem.Proc) {
-		if p.ID() != 0 {
-			return
-		}
-		if n++; n == k {
-			h.SetAccessHook(nil)
-			s.Apply(p1, repro.Op{Kind: repro.OpInsert, Arg: 8})
-			fired = true
-		}
-	})
-	if len(ops) == 1 {
-		s.Apply(p0, ops[0])
-	} else {
-		rt.ApplyWindow(p0, s, ops)
+	ins8 := repro.Op{Kind: repro.OpInsert, Arg: 8}
+	present := [][]uint64{slices.Sorted(slices.Values(append(slices.Clone(want), 8)))}
+	var resp1 uint64
+	deleted := false
+	return Instance{
+		Heap: h,
+		Run: func() ([]uint64, error) {
+			if len(ops) == 1 {
+				return []uint64{s.Apply(p0, ops[0]).Raw()}, nil
+			}
+			var out []uint64
+			for _, resp := range rt.ApplyWindow(p0, s, ops) {
+				out = append(out, resp.Raw())
+			}
+			return out, nil
+		},
+		Verify: func() string {
+			if deleted {
+				return sameState([]any{s}, [][]uint64{want})
+			}
+			return sameState([]any{s}, present)
+		},
+		After: func() string {
+			s.Apply(p1, repro.Op{Kind: repro.OpDelete, Arg: 8})
+			deleted = true
+			h.Crash()
+			h.ResetAfterCrash()
+			rt.RecoverAll()
+			return "" // Verify, which follows, holds the set to want
+		},
+		Preempt: &Preempt{
+			Op: func() { resp1 = s.Apply(p1, ins8).Raw() },
+			Check: func(got []uint64) error {
+				t := uint64(2 * len(hist))
+				hist := hist[:len(hist):len(hist)]
+				for i, op := range ops {
+					hist = append(hist, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: got[i], Start: t, End: t + 3, Seq: uint64(i)})
+				}
+				hist = append(hist, linearize.Operation{Proc: 1, Kind: ins8.Kind, Arg: ins8.Arg, Resp: resp1, Start: t + 1, End: t + 2})
+				if !linearize.Check(m, hist) {
+					return fmt.Errorf("history %+v is not linearizable", hist[len(setPrefill):])
+				}
+				return nil
+			},
+		},
 	}
-	h.SetAccessHook(nil)
-	s.Apply(p1, repro.Op{Kind: repro.OpDelete, Arg: 8})
-	if line != pmem.Null {
-		h.Proc(0).PWB(line)
-	} else {
-		dirty = h.DivergedLines()
-	}
-	h.Crash()
-	h.ResetAfterCrash()
-	rt.RecoverAll()
-	if msg := sameState([]any{s}, [][]uint64{want}); msg != "" {
-		return nil, fired, errors.New(msg)
-	}
-	return dirty, fired, nil
 }

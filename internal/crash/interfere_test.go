@@ -65,8 +65,10 @@ func opName(ops ...repro.Op) string {
 	return strings.Join(names, "+")
 }
 
-// build returns a fresh instance of the row on a two-Proc heap.
-func (r interference) build() Instance {
+// build returns a fresh instance of the row on a two-Proc heap. preempt
+// moves the interloper from between the reset and recovery into Proc 0's
+// operation, at each of its accesses (Instance.Preempt), with no crash.
+func (r interference) build(preempt bool) Instance {
 	h := pmem.NewHeap(pmem.Config{Words: sweepHeapWords, Procs: 2, Tracked: true, Seed: 42})
 	st := structure{kind: r.kind, prefill: setPrefill}
 	a := st.raw(h, r.eng.mk(h))
@@ -87,8 +89,9 @@ func (r interference) build() Instance {
 		state, _ = m.Step(state, op.Kind, op.Arg)
 	}
 	in := Direct(h, a, Op(r.op), want, func() string { return sameState([]any{a}, final) })
-	in.Persist = true
-	in.Interfere = func() func([]uint64) error {
+	// interfere runs the interloper on Proc 1, inside Proc 0's operation,
+	// and returns the check that the history linearizes.
+	interfere := func() func([]uint64) error {
 		final = snapshots(subject{structs: []structure{st}}, []any{state})
 		t := uint64(2 * len(hist))
 		ops := append(hist[:len(hist):len(hist)], linearize.Operation{Kind: r.op.Kind, Arg: r.op.Arg, Start: t})
@@ -107,6 +110,16 @@ func (r interference) build() Instance {
 			return nil
 		}
 	}
+	if !preempt {
+		in.Persist = true
+		in.Interfere = interfere
+		return in
+	}
+	var check func([]uint64) error
+	in.Preempt = &Preempt{
+		Op:    func() { check = interfere() },
+		Check: func(got []uint64) error { return check(got) },
+	}
 	return in
 }
 
@@ -124,7 +137,22 @@ func (r interference) build() Instance {
 func TestTwoProcCrashInterference(t *testing.T) {
 	for _, r := range interferenceRows() {
 		t.Run(fmt.Sprintf("%v/%s/%s/%s", r.kind, r.eng.name, opName(r.op), opName(r.interloper...)), func(t *testing.T) {
-			SweepTest(t, r.build, nil)
+			SweepTest(t, func() Instance { return r.build(false) }, nil)
+		})
+	}
+}
+
+// TestTwoProcPreemptInterference runs each row of TestTwoProcCrashInterference
+// with its interloper inside Proc 0's operation instead, at every access of
+// Proc 0's, and no crash (Instance.Preempt): each interleaving with one
+// preemption of Proc 0. The history must linearize and the set must equal the
+// model's with no live node tagged, and recovering Proc 0's operation again
+// must re-report its response.
+func TestTwoProcPreemptInterference(t *testing.T) {
+	for _, r := range interferenceRows() {
+		t.Run(fmt.Sprintf("%v/%s/%s/%s", r.kind, r.eng.name, opName(r.op), opName(r.interloper...)), func(t *testing.T) {
+			t.Parallel()
+			SweepTest(t, func() Instance { return r.build(true) }, nil)
 		})
 	}
 }

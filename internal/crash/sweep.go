@@ -70,6 +70,42 @@ type Instance struct {
 	// Proc 0 loses its locals, but the heap is not reset and its other
 	// state stands, so Resolve runs on the same heap and Epoch never moves.
 	Individual bool
+	// Preempt, when non-nil, makes the sweep a sweep of preemption points:
+	// Proc 1's operation run at each access of Proc 0's (see Preempt).
+	Preempt *Preempt
+}
+
+// Preempt is a second process's operation and where it runs: Proc 1's Op, run
+// to completion at Proc 0's k-th tracked access of Run — or, InResolve, of
+// Resolve — from the heap's access hook, on Proc 0's goroutine, before that
+// access. No goroutine or scheduler decides anything, so one k is one
+// interleaving, and a crash armed at an access offset lands on the same access
+// in every replay. It is the first rung of iterative context bounding
+// (Musuvathi & Qadeer, PLDI'07): every schedule of the two operations with one
+// preemption of Proc 0. It is not combined with Kill or Interfere.
+type Preempt struct {
+	// Op is Proc 1's operation; it records what it answers for Check. A crash
+	// that lands inside it ends it there, and Proc 0's access after it sees
+	// the crash.
+	Op func()
+	// Check replaces the comparison with want in every preempted replay,
+	// whether or not Op ran before a crash: Proc 0's responses and Op's must
+	// linearize, the two operations overlapping.
+	Check func(got []uint64) error
+	// InResolve places Op in Resolve: every crash offset of Run (with
+	// Individual, every access of Proc 0's), and at each of them every access
+	// of Proc 0's in the Resolve that follows, one subtest "off=j/preempt=k"
+	// each. Otherwise every access k of Proc 0's in Run is one subtest
+	// "preempt=k", with no fault.
+	InResolve bool
+	// Cross, when non-nil, selects the preemption points of Run whose replay
+	// is also crossed with the crash-offset and Persist axes: a subtest
+	// "preempt=k/off=j" for every access j of the preempted run (with
+	// Individual, every access of Proc 0's). It is called once per access of
+	// Proc 0's in the uninterrupted run, in order, with Proc 0's Stats since
+	// Run began, before that access: the k-th call selects k. The run is
+	// unpreempted, but up to access k it is the preempted run too.
+	Cross func(st pmem.Stats) bool
 }
 
 // Sweep is the one fault-point sweep: the conformance matrix, the serve
@@ -88,6 +124,15 @@ type Instance struct {
 // with Persist, every (offset, line) pair, "none" included, and every
 // complement — or the first violation, naming its index.
 //
+// With Preempt the indices are preemption points, replayed and checked the
+// same way but held to Preempt.Check instead of want: every access of Proc
+// 0's in the uninterrupted Run, each also crossed with every crash offset
+// where Preempt.Cross selects it, or, InResolve, every access of Proc 0's in
+// the Resolve after each crash offset. A preemption that never runs, because
+// the replay is shorter than its index, is a violation too. The violation
+// names its index as SweepTest names the subtest: "preempt=k",
+// "preempt=k/off=j" or "off=j/preempt=k".
+//
 // Each crashed replay must recover to the sequential model's responses and
 // post-state — this is the paper's detectability bar, checked exhaustively
 // rather than sampled, and it holds every engine variant to the same standard
@@ -97,13 +142,50 @@ type Instance struct {
 // (pmem.Heap.Release), so the next build zeroes only what this one carved
 // instead of a whole arena.
 func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
+	var walk func(path string) node
+	walk = func(path string) node {
+		return func(name string, f func(node) (int, error)) bool {
+			n, e := f(walk(path + name + "/"))
+			crashPoints += n
+			if e != nil && err == nil {
+				err = fmt.Errorf("%s%s: %v", path, name, e)
+			}
+			return err == nil
+		}
+	}
+	n, e := sweep(build, want, walk(""))
+	if e != nil {
+		return 0, e
+	}
+	if err != nil {
+		return 0, err
+	}
+	return crashPoints + n, nil
+}
+
+// A node runs one named index of a sweep, a subtest under SweepTest: f
+// replays and checks it, runs the indices under it through the node it is
+// handed, and returns its own crash points. The node reports whether the
+// index and every index under it passed.
+type node func(name string, f func(child node) (int, error)) bool
+
+// sweep is Sweep's loop. It runs the uninterrupted instance and then sweeps
+// a plain instance's fault indices itself, returning their crash points, or
+// a preempted instance's indices as nodes of run, returning 0.
+func sweep(build func() Instance, want []uint64, run node) (int, error) {
 	// Tracked heaps count accesses unconditionally. Count Run's accesses
 	// only: the replays below run Prepare before arming, so offsets past
 	// Run's span could never interrupt it and would be wasted rebuilds.
 	in := build()
 	in.prepare()
 	start, epoch := in.Heap.AccessCount(), in.Heap.Epoch()
+	var cross func(pmem.Stats) bool
+	if in.Preempt != nil {
+		cross = in.Preempt.Cross
+	}
+	pr := in.arm(0, cross)
 	got, err := in.Run()
+	pr.disarm()
 	span := in.Heap.AccessCount() - start
 	if err == nil && in.Kill != nil {
 		span = in.Carried()
@@ -123,80 +205,181 @@ func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
 	if span == 0 {
 		return 0, errors.New("uninterrupted: nothing to sweep (no tracked access, no byte carried)")
 	}
-	points := 0
-	for off := uint64(1); off <= span; off++ {
-		lines, err := build().at(off, nil, want)
-		var sets [][]pmem.Addr
-		for _, l := range lines {
-			sets = append(sets, []pmem.Addr{l})
+	if in.Preempt == nil {
+		points := 0
+		for off := uint64(1); off <= span; off++ {
+			n, err := point(build, replay{off: off}, want)
+			if err != nil {
+				return 0, fmt.Errorf("off=%d: %v", off, err)
+			}
+			points += n
 		}
-		for i := 0; len(lines) > 2 && i < len(lines); i++ {
-			sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
-		}
-		for i := 0; err == nil && i < len(sets); i++ {
-			_, err = build().at(off, sets[i], want)
-			switch {
-			case err == nil:
-			case i < len(lines):
-				err = fmt.Errorf("line=%d: %v", lines[i], err)
-			default:
-				err = fmt.Errorf("all lines but %d: %v", lines[i-len(lines)], err)
+		return points, nil
+	}
+	if in.Individual {
+		span = uint64(pr.n)
+	}
+	if in.Preempt.InResolve {
+		for j := uint64(1); j <= span; j++ {
+			if !run(fmt.Sprintf("off=%d", j), func(child node) (int, error) {
+				tr, err := build().at(replay{off: j}, want)
+				for k := 1; err == nil && k <= tr.own; k++ {
+					if !child(fmt.Sprintf("preempt=%d", k), func(node) (int, error) {
+						_, err := build().at(replay{off: j, k: k}, want)
+						return 1, err
+					}) {
+						break
+					}
+				}
+				return 0, err
+			}) {
+				break
 			}
 		}
-		if err != nil {
-			return 0, fmt.Errorf("off=%d: %v", off, err)
-		}
-		points += 1 + len(sets)
+		return 0, nil
 	}
-	return points, nil
+	for k := 1; k <= pr.n; k++ {
+		if !run(fmt.Sprintf("preempt=%d", k), func(child node) (int, error) {
+			tr, err := build().at(replay{k: k}, want)
+			if err != nil || !slices.Contains(pr.crossed, k) {
+				return 0, err
+			}
+			if in.Individual {
+				tr.span = uint64(tr.own)
+			}
+			for j := uint64(1); j <= tr.span; j++ {
+				if !child(fmt.Sprintf("off=%d", j), func(node) (int, error) {
+					return point(build, replay{off: j, k: k}, want)
+				}) {
+					break
+				}
+			}
+			return 0, nil
+		}) {
+			break
+		}
+	}
+	return 0, nil
 }
 
-// at replays the instance with its fault armed at index off and, with
-// Persist, the lines persist persisted at the crash. A replay with none
-// returns the lines the crash left dirty, which the sweep replays next.
-func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []pmem.Addr, err error) {
+// point replays the instance with its fault at r.off and, with Persist, once
+// more for each line the crash left dirty persisted at the crash and, with
+// three lines or more, each complement. It returns the crash points.
+func point(build func() Instance, r replay, want []uint64) (int, error) {
+	tr, err := build().at(r, want)
+	lines := tr.dirty
+	var sets [][]pmem.Addr
+	for _, l := range lines {
+		sets = append(sets, []pmem.Addr{l})
+	}
+	for i := 0; len(lines) > 2 && i < len(lines); i++ {
+		sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
+	}
+	for i := 0; err == nil && i < len(sets); i++ {
+		r.persist = sets[i]
+		_, err = build().at(r, want)
+		switch {
+		case err == nil:
+		case i < len(lines):
+			err = fmt.Errorf("line=%d: %v", lines[i], err)
+		default:
+			err = fmt.Errorf("all lines but %d: %v", lines[i-len(lines)], err)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return 1 + len(sets), nil
+}
+
+// replay is one replay of an instance: its fault armed at index off (0:
+// none), with Persist the lines persist persisted at the crash, and Proc 1's
+// operation (Preempt) run at Proc 0's k-th access (0: none) of Run or, with
+// InResolve, of Resolve.
+type replay struct {
+	off     uint64
+	persist []pmem.Addr
+	k       int
+}
+
+// trace is what a replay measured: with Persist and no line given, the lines
+// the crash left dirty; Run's accesses, every Proc's, when it was not
+// interrupted; and Proc 0's accesses in the phase Preempt places Op in.
+type trace struct {
+	dirty []pmem.Addr
+	span  uint64
+	own   int
+}
+
+// at runs replay r of the instance and holds it to want.
+func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 	defer in.end()
 	defer func() {
 		// Recovery's attempt bound, say: one failing index, not a dead binary.
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("panic: %v", rec)
 		}
 	}()
 	in.prepare()
 	epoch := in.Heap.Epoch()
 	switch {
+	case r.off == 0:
 	case in.Kill != nil:
-		in.Kill(off)
+		in.Kill(r.off)
 	case in.Individual:
-		in.Heap.Proc(0).ScheduleSelfCrash(off)
+		in.Heap.Proc(0).ScheduleSelfCrash(r.off)
 	default:
-		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
+		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + r.off)
+	}
+	inResolve := in.Preempt != nil && in.Preempt.InResolve
+	kRun, kResolve := r.k, 0
+	if inResolve {
+		kRun, kResolve = 0, r.k
 	}
 	var got []uint64
 	var check func([]uint64) error
+	start := in.Heap.AccessCount()
+	pr := in.arm(kRun, nil)
+	crashed := !pmem.RunOp(func() { got, err = in.Run() })
+	pr.disarm()
+	tr.span, tr.own = in.Heap.AccessCount()-start, pr.n
+	ran := pr.ran
 	switch {
-	case !pmem.RunOp(func() { got, err = in.Run() }):
+	case crashed:
 		if in.Resolve == nil {
-			return nil, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
+			return tr, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
 		}
 		if !in.Individual {
-			for _, l := range persist {
+			for _, l := range r.persist {
 				in.Heap.Proc(0).PWB(l) // Proc 0 saw the crash: its accesses pass
 			}
-			if persist == nil && in.Persist {
-				dirty = in.Heap.DivergedLines()
+			if r.persist == nil && in.Persist {
+				tr.dirty = in.Heap.DivergedLines()
 			}
 			in.Heap.ResetAfterCrash()
 		}
 		if in.Interfere != nil {
 			check = in.Interfere()
 		}
-		if !pmem.RunOp(func() { got, err = in.Resolve() }) {
-			return nil, errors.New("recovery crashed with no crash armed")
+		pr = in.arm(kResolve, nil)
+		ok := pmem.RunOp(func() { got, err = in.Resolve() })
+		pr.disarm()
+		if inResolve {
+			tr.own, ran = pr.n, pr.ran
+		}
+		if !ok {
+			return tr, errors.New("recovery crashed with no crash armed")
 		}
 	case err != nil:
-	case in.Kill != nil && in.Carried() >= off, in.Kill == nil && in.Heap.Epoch() == epoch:
-		return nil, errors.New("the fault never fired")
+	case r.off == 0:
+	case in.Kill != nil && in.Carried() >= r.off, in.Kill == nil && in.Heap.Epoch() == epoch:
+		return tr, errors.New("the fault never fired")
+	}
+	if err == nil && r.k > 0 {
+		if !ran && (inResolve || !crashed) {
+			return tr, errors.New("the preemption never ran")
+		}
+		check = in.Preempt.Check
 	}
 	if err == nil && check != nil {
 		err = check(got)
@@ -212,7 +395,48 @@ func (in Instance) at(off uint64, persist []pmem.Addr, want []uint64) (dirty []p
 			err = fmt.Errorf("after duplicate recovery: %s", msg)
 		}
 	}
-	return dirty, err
+	return tr, err
+}
+
+// preemption is Preempt.Op armed at Proc 0's k-th access (0: none) of one
+// phase of a replay, from the heap's access hook, which also counts Proc 0's
+// accesses, n, and with cross set records the ones it selects.
+type preemption struct {
+	h       *pmem.Heap
+	n       int
+	ran     bool
+	crossed []int
+}
+
+// arm installs the hook of a preempted instance for the phase about to run.
+func (in Instance) arm(k int, cross func(pmem.Stats) bool) *preemption {
+	pr := &preemption{}
+	if in.Preempt == nil {
+		return pr
+	}
+	pr.h = in.Heap
+	p0 := in.Heap.Proc(0)
+	base := p0.Stats()
+	in.Heap.SetAccessHook(func(p *pmem.Proc) {
+		if p != p0 {
+			return
+		}
+		if pr.n++; cross != nil && cross(p.Stats().Sub(base)) {
+			pr.crossed = append(pr.crossed, pr.n)
+		}
+		if pr.n == k {
+			pr.ran = true
+			pmem.RunOp(in.Preempt.Op) // a crash inside it: Proc 0's access sees it next
+		}
+	})
+	return pr
+}
+
+// disarm removes the hook arm installed.
+func (pr *preemption) disarm() {
+	if pr.h != nil {
+		pr.h.SetAccessHook(nil)
+	}
 }
 
 // step runs in as an operation before the swept one, on the heap the swept
@@ -278,15 +502,42 @@ func (in Instance) end() {
 
 // SweepTest runs Sweep as test t's leaf: it logs how many crash points the
 // sweep covered and returns that count, or fails t with the violation and the
-// line that re-runs t alone.
-func SweepTest(t testing.TB, build func() Instance, want []uint64) int {
+// line that re-runs t alone. A preempted instance's indices are t's subtests
+// instead, "preempt=k", "preempt=k/off=j" or "off=j/preempt=k", each leaf
+// logging its own crash points and failing with its own re-run line; the
+// sweep stops at the first that fails.
+func SweepTest(t *testing.T, build func() Instance, want []uint64) int {
 	t.Helper()
-	n, err := Sweep(build, want)
+	points := 0
+	n, err := sweep(build, want, subtests(t, &points))
 	if err != nil {
 		t.Fatalf("%v\nre-run: %s", err, Rerun(t))
 	}
-	t.Logf("%d crash points swept", n)
-	return n
+	if n > 0 {
+		t.Logf("%d crash points swept", n)
+	}
+	return points + n
+}
+
+// subtests is the node that runs each index as a subtest of t, adding the
+// crash points of the leaves to points.
+func subtests(t *testing.T, points *int) node {
+	return func(name string, f func(node) (int, error)) bool {
+		return t.Run(name, func(t *testing.T) {
+			t.Helper()
+			children := 0
+			n, err := f(func(name string, g func(node) (int, error)) bool {
+				children++
+				return subtests(t, points)(name, g)
+			})
+			if err != nil {
+				t.Fatalf("%v\nre-run: %s", err, Rerun(t))
+			}
+			if *points += n; children == 0 {
+				t.Logf("%d crash points swept", n)
+			}
+		})
+	}
 }
 
 // SweepAfter sweeps the last of a sequence of operations on every state the

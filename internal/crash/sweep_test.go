@@ -124,3 +124,169 @@ func TestRerunQuotesNames(t *testing.T) {
 		})
 	}
 }
+
+// twoProcToy is a two-Proc toy for the preemption axis: Proc 0's admission is
+// n stores into one word, Proc 1's operation two stores into another, and a
+// crash loses both, since nothing is written back.
+type twoProcToy struct {
+	p0, p1    *pmem.Proc
+	a, b      pmem.Addr
+	n         uint64
+	step, op  uint64 // each Proc's store in progress; op is 3 once Proc 1's returned
+	ops       int    // how many times Proc 1's operation started
+	preempted uint64 // Proc 0's store in progress when it did
+	crashed   uint64 // Proc 0's store in progress at the crash
+	landed    string // where the crash landed: "p0:s" or "p1:s"
+}
+
+// preemptToy builds a fresh toy as a preempted Instance. Resolve notes where the
+// crash landed and runs Proc 0's stores again, then, unless Op runs inside
+// it, Proc 1's.
+func preemptToy(n uint64, cross func(pmem.Stats) bool, inResolve bool) (*twoProcToy, Instance) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
+	x := &twoProcToy{p0: h.Proc(0), p1: h.Proc(1), n: n}
+	x.a, x.b = x.p0.Alloc(1), x.p0.Alloc(1)
+	run := func() ([]uint64, error) {
+		for x.step = 1; x.step <= n; x.step++ {
+			x.p0.Store(x.a, x.step)
+		}
+		return []uint64{n}, nil
+	}
+	op := func() {
+		for x.op = 1; x.op <= 2; x.op++ {
+			x.p1.Store(x.b, x.op)
+		}
+	}
+	return x, Instance{
+		Heap: h,
+		Run:  run,
+		Resolve: func() ([]uint64, error) {
+			x.crashed, x.landed = x.step, fmt.Sprintf("p0:%d", x.step)
+			if x.op == 1 || x.op == 2 {
+				x.landed = fmt.Sprintf("p1:%d", x.op)
+			}
+			got, err := run()
+			if !inResolve {
+				op()
+			}
+			return got, err
+		},
+		Verify: func() string {
+			if a, b := x.p0.Load(x.a), x.p0.Load(x.b); a != n || x.ops > 0 && b != 2 {
+				return fmt.Sprintf("words %d and %d, want %d and 2", a, b, n)
+			}
+			return ""
+		},
+		Preempt: &Preempt{
+			Op: func() {
+				x.ops++
+				x.preempted = x.step
+				op()
+			},
+			Check: func([]uint64) error {
+				if x.ops > 1 || x.ops == 0 && x.landed == "" {
+					return fmt.Errorf("Proc 1's operation ran %d times", x.ops)
+				}
+				return nil
+			},
+			InResolve: inResolve,
+			Cross:     cross,
+		},
+	}
+}
+
+// TestSweepPreemptsEveryAccessOnce pins the preemption axis on the toy: every
+// access k of Proc 0's from 1 to the span is preempted exactly once, Proc 1's
+// operation running once in each, and a replay shorter than k reports that
+// the preemption never ran. Crossed at the access after Proc 0's second
+// store, a crash at each access of the preempted run lands, in every repeat,
+// on that access: Proc 0's first two stores, Proc 1's two, then Proc 0's
+// last two. InResolve preempts every access of the Resolve after every crash
+// offset once. A violation is named as its subtest is.
+func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
+	hits := map[uint64]int{} // per preemption point, the replays preempted there
+	count := func(x *twoProcToy, in Instance) Instance {
+		op := in.Preempt.Op
+		in.Preempt.Op = func() { op(); hits[10*x.crashed+x.preempted]++ }
+		return in
+	}
+	n, err := Sweep(func() Instance { return count(preemptToy(4, nil, false)) }, nil)
+	if err != nil || n != 0 || fmt.Sprint(hits) != "map[1:1 2:1 3:1 4:1]" {
+		t.Fatalf("swept %d crash points (%v), preempted per access %v, want 0, each of 1..4 once", n, err, hits)
+	}
+	builds := 0
+	short := func() Instance { // the replays stop a store early
+		if builds++; builds == 1 {
+			_, in := preemptToy(4, nil, false)
+			return in
+		}
+		_, in := preemptToy(3, nil, false)
+		return in
+	}
+	if _, err := Sweep(short, nil); fmt.Sprint(err) != "preempt=4: the preemption never ran" {
+		t.Fatalf("a replay shorter than its preemption point: %v", err)
+	}
+
+	third := func(st pmem.Stats) bool { return st.Stores == 2 }
+	want := "[p0:1 p0:2 p1:1 p1:2 p0:3 p0:4]"
+	for i := range 3 {
+		var landed []string // per crash, in sweep order, where it landed
+		n, err := Sweep(func() Instance {
+			x, in := preemptToy(4, third, false)
+			verify := in.Verify
+			in.Verify = func() string {
+				if x.landed != "" {
+					landed = append(landed, x.landed)
+				}
+				return verify()
+			}
+			return in
+		}, nil)
+		if err != nil || n != 6 || fmt.Sprint(landed) != want {
+			t.Fatalf("repeat %d, crossed at the third access: %d crash points (%v) landing at %v, want 6 at %s", i+1, n, err, landed, want)
+		}
+	}
+	_, err = Sweep(func() Instance {
+		x, in := preemptToy(4, third, false)
+		in.Verify = func() string {
+			if x.landed == "p1:2" {
+				return "crashed at Proc 1's second store"
+			}
+			return ""
+		}
+		return in
+	}, nil)
+	if fmt.Sprint(err) != "preempt=3/off=4: crashed at Proc 1's second store" {
+		t.Fatalf("a crossed violation reads %q", err)
+	}
+
+	clear(hits)
+	n, err = Sweep(func() Instance { return count(preemptToy(4, nil, true)) }, nil)
+	if err != nil || n != 16 || len(hits) != 16 {
+		t.Fatalf("InResolve: %d crash points (%v), preempted %v, want 16, each (offset, access) once", n, err, hits)
+	}
+	for at, c := range hits {
+		if c != 1 || at/10 < 1 || at/10 > 4 || at%10 < 1 || at%10 > 4 {
+			t.Fatalf("InResolve: preempted %v, want each (offset 1..4, access 1..4) once", hits)
+		}
+	}
+	builds = 0
+	_, err = Sweep(func() Instance {
+		if builds++; builds == 1 {
+			_, in := preemptToy(4, nil, true)
+			return in
+		}
+		x, in := preemptToy(4, nil, true)
+		verify := in.Verify
+		in.Verify = func() string {
+			if x.crashed == 2 && x.preempted == 3 {
+				return "preempted at the third store after a crash at the second"
+			}
+			return verify()
+		}
+		return in
+	}, nil)
+	if fmt.Sprint(err) != "off=2/preempt=3: preempted at the third store after a crash at the second" {
+		t.Fatalf("an InResolve violation reads %q", err)
+	}
+}

@@ -3,7 +3,6 @@ package exchanger
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -155,99 +154,125 @@ func TestCrashSweepWaiterInstall(t *testing.T) {
 			Heap:    h,
 			Run:     func() ([]uint64, error) { return exchanged(e.Exchange(p, 9, Symmetric, 2)) },
 			Resolve: func() ([]uint64, error) { return exchanged(e.Recover(p, 9, Symmetric, 2, false)) },
-			// The slot must be usable afterwards: another lonely exchange
-			// must install, time out and withdraw cleanly.
-			Verify: func() string {
-				if v, ok := e.Exchange(p, 11, Symmetric, 2); ok {
-					return fmt.Sprintf("second lonely exchange succeeded with %d", v)
-				}
-				if !e.SlotFree() {
-					return "slot left dirty"
-				}
-				return ""
+			Verify:  slotUsable(e, p),
+		}
+	}, nil)
+}
+
+// collider is Proc 1's ColliderOnly exchange of 200 as a preemption of Proc
+// 0's exchange of 100 (crash.Preempt), recovered by resolve if a crash cut it
+// short, and run after Proc 0's recovery if the crash came before it. check
+// holds Proc 0's outcome, got (crash.Bool's, then the value), to Proc 1's:
+// both succeed, the values swapped, or both abort.
+type collider struct {
+	e         *Exchanger
+	p         *pmem.Proc
+	v         uint64
+	ok        bool
+	ran, done bool
+}
+
+func (c *collider) op() {
+	c.ran = true
+	c.v, c.ok = c.e.Exchange(c.p, 200, ColliderOnly, 4)
+	c.done = true
+}
+
+// resolve recovers Proc 1 before Proc 0 (recover0) and runs it after, if the
+// crash came first.
+func (c *collider) resolve(recover0 func() (uint64, bool)) ([]uint64, error) {
+	if c.ran && !c.done {
+		c.v, c.ok = c.e.Recover(c.p, 200, ColliderOnly, 4, false)
+	}
+	got, err := outcome(recover0())
+	if !c.ran {
+		c.op()
+	}
+	return got, err
+}
+
+func (c *collider) check(got []uint64) error {
+	if wok := got[0] == 1; wok != c.ok || wok && (got[1] != 200 || c.v != 100) {
+		return fmt.Errorf("waiter (%d, %v), collider (%d, %v)", got[1], wok, c.v, c.ok)
+	}
+	return nil
+}
+
+// outcome is an exchange's outcome as a response vector.
+func outcome(v uint64, ok bool) ([]uint64, error) {
+	got, err := crash.Bool(ok)
+	return append(got, v), err
+}
+
+// slotUsable is the post-state every crash sweep here holds: the slot is
+// usable, though a withdrawn record may still sit in it. Another lonely
+// exchange, by p, must install, time out and withdraw cleanly.
+func slotUsable(e *Exchanger, p *pmem.Proc) func() string {
+	return func() string {
+		if v, ok := e.Exchange(p, 11, Symmetric, 2); ok {
+			return fmt.Sprintf("a lonely exchange succeeded with %d", v)
+		}
+		if !e.SlotFree() {
+			return "slot left dirty"
+		}
+		return ""
+	}
+}
+
+// TestCrashSweepCollision runs a collider at every access of a waiter's
+// exchange (crash.Preempt) and, at each access after the waiter's install
+// (its first CAS), crashes the preempted run at every access, the
+// collider's included. After recovery both sides must agree on the outcome,
+// a collision must swap the values, and the slot must be usable.
+func TestCrashSweepCollision(t *testing.T) {
+	crash.SweepTest(t, func() crash.Instance {
+		e, h := newEx(t, 2)
+		p0 := h.Proc(0)
+		c := &collider{e: e, p: h.Proc(1)}
+		return crash.Instance{
+			Heap: h,
+			Run:  func() ([]uint64, error) { return outcome(e.Exchange(p0, 100, WaiterOnly, 4)) },
+			Resolve: func() ([]uint64, error) {
+				return c.resolve(func() (uint64, bool) { return e.Recover(p0, 100, WaiterOnly, 4, false) })
+			},
+			Verify: slotUsable(e, p0),
+			Preempt: &crash.Preempt{
+				Op:    c.op,
+				Check: c.check,
+				Cross: func(st pmem.Stats) bool { return st.CASes >= 1 },
 			},
 		}
 	}, nil)
 }
 
-func TestCrashSweepCollision(t *testing.T) {
-	// Proc 0 installs; proc 1 collides with a crash injected at every
-	// offset. After recovery both sides must agree on the outcome.
-	for offset := uint64(1); offset <= 30; offset++ {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 18, Procs: 2, Tracked: true})
-		e := New(h)
-		p0, p1 := h.Proc(0), h.Proc(1)
-
-		var w0 uint64
-		var ok0, crashed0 bool
-		done0 := make(chan struct{})
-		go func() {
-			defer close(done0)
-			crashed0 = !pmem.RunOp(func() { w0, ok0 = e.Exchange(p0, 100, WaiterOnly, 1<<24) })
-		}()
-		// Wait until p0's ExInfo occupies the slot.
-		for e.SlotFree() {
-			runtime.Gosched()
-		}
-
-		h.ScheduleCrashAt(h.AccessCount() + offset)
-		var w1 uint64
-		var ok1 bool
-		crashed1 := !pmem.RunOp(func() { w1, ok1 = e.Exchange(p1, 200, ColliderOnly, 4) })
-		<-done0 // p0 either finished or crashed (the crash flag stops its spin)
-		if crashed0 || crashed1 {
-			h.ResetAfterCrash()
-			if crashed1 {
-				w1, ok1 = e.Recover(p1, 200, ColliderOnly, 4, false)
-			}
-			if crashed0 {
-				w0, ok0 = e.Recover(p0, 100, WaiterOnly, 4, false)
-			}
-		}
-		if ok1 != ok0 {
-			t.Fatalf("offset %d: outcome disagreement waiter=%v collider=%v (crashed0=%v crashed1=%v)",
-				offset, ok0, ok1, crashed0, crashed1)
-		}
-		if ok1 && (w1 != 100 || w0 != 200) {
-			t.Fatalf("offset %d: wrong values waiter=%d collider=%d", offset, w0, w1)
-		}
-	}
-}
-
 // TestRecoverRacesCollider runs a collider at every access of a crashed
-// waiter's recovery, from the heap's access hook: the waiter crashed in its
-// wait loop, its record installed and durable, so until its withdrawal lands
-// the collider can still win it. Both sides must agree on the outcome, and a
-// collision must swap the values.
+// waiter's recovery (crash.Preempt): the waiter crashed in its wait loop, its
+// record installed and durable, so until its withdrawal lands the collider
+// can still win it. Both sides must agree on the outcome, a collision must
+// swap the values, and the slot must be usable.
 func TestRecoverRacesCollider(t *testing.T) {
-	for k := 1; ; k++ {
+	crash.SweepTest(t, func() crash.Instance {
 		e, h := newEx(t, 2)
-		p0, p1 := h.Proc(0), h.Proc(1)
-		h.ScheduleCrashAt(h.AccessCount() + 64)
-		if pmem.RunOp(func() { e.Exchange(p0, 100, WaiterOnly, 1<<10) }) {
-			t.Fatal("the waiter did not crash")
+		p0 := h.Proc(0)
+		c := &collider{e: e, p: h.Proc(1)}
+		return crash.Instance{
+			Heap: h,
+			Prepare: func() {
+				h.ScheduleCrashAt(h.AccessCount() + 64)
+				if pmem.RunOp(func() { e.Exchange(p0, 100, WaiterOnly, 1<<10) }) {
+					panic("the waiter did not crash")
+				}
+				h.ResetAfterCrash()
+				if e.SlotFree() {
+					panic("the waiter crashed before its record was durably installed")
+				}
+			},
+			Run:    func() ([]uint64, error) { return outcome(e.Recover(p0, 100, WaiterOnly, 4, false)) },
+			Verify: slotUsable(e, p0),
+			Preempt: &crash.Preempt{
+				Op:    c.op,
+				Check: c.check,
+			},
 		}
-		h.ResetAfterCrash()
-		if e.SlotFree() {
-			t.Fatal("the waiter crashed before its record was durably installed")
-		}
-		var cv uint64
-		var cok, ran bool
-		n := 0
-		h.SetAccessHook(func(*pmem.Proc) {
-			if n++; n == k {
-				h.SetAccessHook(nil)
-				cv, cok = e.Exchange(p1, 200, ColliderOnly, 4)
-				ran = true
-			}
-		})
-		wv, wok := e.Recover(p0, 100, WaiterOnly, 4, false)
-		h.SetAccessHook(nil)
-		if !ran {
-			return
-		}
-		if wok != cok || wok && (wv != 200 || cv != 100) {
-			t.Fatalf("collider at recovery access %d: waiter (%d, %v), collider (%d, %v)", k, wv, wok, cv, cok)
-		}
-	}
+	}, nil)
 }

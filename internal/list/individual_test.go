@@ -15,7 +15,8 @@ import (
 // cache model, a single process may crash and recover while the others keep
 // running. These tests sweep the failure point across every access of an
 // operation, after every failure of the one before it (crash.SweepAfter),
-// and also run concurrent survivors.
+// run a survivor's operation at every access of the failing one and of its
+// recovery (crash.Preempt), and run concurrent survivors.
 
 func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 	ops := []struct {
@@ -56,10 +57,62 @@ func TestIndividualCrashSweepPrivateModel(t *testing.T) {
 	}
 }
 
+// TestIndividualCrashSurvivorPreempts is the deterministic core of
+// TestIndividualCrashWithSurvivors: Proc 0's insert of 20 into {10, 30},
+// failed individually, and a survivor's insert of 15 next to it, which meets
+// Proc 0's tags on 10. The survivor's insert runs at every access of Proc
+// 0's insert ("insert"), and at every access of its RecoverLeg after each
+// failure of the insert ("recover") (crash.Preempt). Both inserts must
+// answer true, the list must end {10, 15, 20, 30} with no node tagged, and
+// recovery run again must re-report true.
+func TestIndividualCrashSurvivorPreempts(t *testing.T) {
+	for _, inResolve := range []bool{false, true} {
+		name := map[bool]string{false: "insert", true: "recover"}[inResolve]
+		t.Run(name, func(t *testing.T) {
+			crash.SweepTest(t, func() crash.Instance {
+				h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 2, Tracked: true, Model: pmem.PrivateCache})
+				l := NewWithEngine(h, isb.NewEngine(h))
+				p0, p1 := h.Proc(0), h.Proc(1)
+				l.Insert(p0, 10)
+				l.Insert(p0, 30)
+				var survived, ok bool
+				in := crash.Direct(h, l, crash.Op{Kind: OpInsert, Arg: 20}, isb.RespTrue, func() string {
+					want := []uint64{10, 20, 30}
+					if survived {
+						want = []uint64{10, 15, 20, 30}
+					}
+					if ks := l.Keys(); !slices.Equal(ks, want) {
+						return fmt.Sprintf("keys %v, want %v", ks, want)
+					}
+					return l.CheckInvariants()
+				})
+				in.Individual = true
+				in.Preempt = &crash.Preempt{
+					Op: func() {
+						l.Begin(p1)
+						ok = isb.Bool(l.ApplyOp(p1, OpInsert, 15))
+						survived = true
+					},
+					Check: func(got []uint64) error {
+						if got[0] != isb.RespTrue || !ok {
+							return fmt.Errorf("insert of 20 answered %d, the survivor's insert of 15 %v; want both true", got[0], ok)
+						}
+						return nil
+					},
+					InResolve: inResolve,
+				}
+				return in
+			}, nil)
+		})
+	}
+}
+
 // TestIndividualCrashWithSurvivors: one process keeps failing and
 // recovering while others operate concurrently; the failed process's tags
 // never wedge the survivors (they help and move on), and every response
-// stays consistent.
+// stays consistent. Unlike TestIndividualCrashSurvivorPreempts it fails the
+// process again inside its recovery, over and over, on 100 inserts, while
+// three survivors insert and delete on free-running goroutines.
 func TestIndividualCrashWithSurvivors(t *testing.T) {
 	const survivors = 3
 	h := pmem.NewHeap(pmem.Config{
