@@ -31,8 +31,8 @@
 // Two processes' interleavings are one more of Sweep's axes (Preempt): a
 // second process's operation runs to completion inside the first's, from the
 // heap's access hook on the first's goroutine, at every access of the
-// first's, and a test may cross the points it selects with every crash
-// offset. No goroutine or scheduler decides an interleaving, so each is a
+// first's or of its recovery after every crash, and a test may cross the
+// points it selects with every crash offset. No goroutine or scheduler decides an interleaving, so each is a
 // leaf that replays. The two-Proc tests — the lost tags and the held update,
 // the interference interlopers, the exchanger's collider and the list's
 // survivor of an individual failure — run on it; the storms' seeded

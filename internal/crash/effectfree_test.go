@@ -159,7 +159,9 @@ func TestTwoProcCrashEffectFree(t *testing.T) {
 // the leg returns false with RD_q naming the attempt whose tags failed,
 // unless the retry installs too. The two inserts must linearize; then
 // (After) Proc 1 deletes 8 and the system crashes before Proc 0's next
-// admission: RecoverAll must not insert 8 again.
+// admission: RecoverAll must not insert 8 again. The crash persists no line
+// the delete left dirty ("persist=none"), or the i-th ("persist=i"), for
+// every i below the most lines any preemption point left dirty.
 func TestTwoProcCrashLostTags(t *testing.T) {
 	ins := func(k uint64) repro.Op { return repro.Op{Kind: repro.OpInsert, Arg: k} }
 	shapes := []struct {
@@ -175,7 +177,18 @@ func TestTwoProcCrashLostTags(t *testing.T) {
 			for _, sh := range shapes {
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, eng.name, sh.name), func(t *testing.T) {
 					t.Parallel()
-					SweepTest(t, func() Instance { return lostTags(kind, eng, sh.ops, sh.want) }, nil)
+					dirty := 0 // the most lines any replay's crash found dirty
+					for line := -1; line < dirty; line++ {
+						name := fmt.Sprintf("persist=%d", line)
+						if line < 0 {
+							name = "persist=none"
+						}
+						if !t.Run(name, func(t *testing.T) {
+							SweepTest(t, func() Instance { return lostTags(kind, eng, sh.ops, sh.want, line, &dirty) }, nil)
+						}) {
+							return
+						}
+					}
 				})
 			}
 		}
@@ -184,8 +197,10 @@ func TestTwoProcCrashLostTags(t *testing.T) {
 
 // lostTags builds one instance of TestTwoProcCrashLostTags: Proc 0's
 // admission ops on setPrefill, with 8 present afterwards, and want, the set
-// once Proc 1 has deleted 8.
-func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64) Instance {
+// once Proc 1 has deleted 8. Its crash persists the line-th of the lines
+// left dirty (none if line < 0 or fewer are dirty), and raises *dirty to
+// their number.
+func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64, line int, dirty *int) Instance {
 	rt := repro.New(repro.Config{Procs: 2, CrashSim: true, HeapWords: sweepHeapWords, Seed: 42, Engine: eng.kind})
 	h := rt.Heap()
 	s := structure{kind: kind}.register(rt)
@@ -221,6 +236,10 @@ func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []u
 		After: func() string {
 			s.Apply(p1, repro.Op{Kind: repro.OpDelete, Arg: 8})
 			deleted = true
+			lines := h.DivergedLines()
+			if *dirty = max(*dirty, len(lines)); line >= 0 && line < len(lines) {
+				h.Proc(0).PWB(lines[line]) // it reaches persistent memory at the crash
+			}
 			h.Crash()
 			h.ResetAfterCrash()
 			rt.RecoverAll()

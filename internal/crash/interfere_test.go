@@ -11,10 +11,9 @@ import (
 )
 
 // interference is one two-Proc row: Proc 0's operation on a prefilled set,
-// crashed at every access with every dirty line persisted in turn
-// (Instance.Persist), and, between the reset and Proc 0's recovery, Proc 1's
-// interloper — one operation that writes Proc 0's AffectSet, or two, the
-// second of which meets what the first left (Instance.Interfere).
+// and Proc 1's interloper inside it (Instance.Preempt) — one operation that
+// writes Proc 0's AffectSet, or two, the second of which meets what the first
+// left.
 type interference struct {
 	kind       repro.StructKind
 	eng        engineVariant
@@ -65,10 +64,9 @@ func opName(ops ...repro.Op) string {
 	return strings.Join(names, "+")
 }
 
-// build returns a fresh instance of the row on a two-Proc heap. preempt
-// moves the interloper from between the reset and recovery into Proc 0's
-// operation, at each of its accesses (Instance.Preempt), with no crash.
-func (r interference) build(preempt bool) Instance {
+// build returns a fresh instance of the row on a two-Proc heap, its
+// interloper run at every access of Proc 0's operation.
+func (r interference) build() Instance {
 	h := pmem.NewHeap(pmem.Config{Words: sweepHeapWords, Procs: 2, Tracked: true, Seed: 42})
 	st := structure{kind: r.kind, prefill: setPrefill}
 	a := st.raw(h, r.eng.mk(h))
@@ -89,8 +87,8 @@ func (r interference) build(preempt bool) Instance {
 		state, _ = m.Step(state, op.Kind, op.Arg)
 	}
 	in := Direct(h, a, Op(r.op), want, func() string { return sameState([]any{a}, final) })
-	// interfere runs the interloper on Proc 1, inside Proc 0's operation,
-	// and returns the check that the history linearizes.
+	// interfere runs the interloper on Proc 1 and returns the check that
+	// the history linearizes.
 	interfere := func() func([]uint64) error {
 		final = snapshots(subject{structs: []structure{st}}, []any{state})
 		t := uint64(2 * len(hist))
@@ -110,11 +108,6 @@ func (r interference) build(preempt bool) Instance {
 			return nil
 		}
 	}
-	if !preempt {
-		in.Persist = true
-		in.Interfere = interfere
-		return in
-	}
 	var check func([]uint64) error
 	in.Preempt = &Preempt{
 		Op:    func() { check = interfere() },
@@ -130,14 +123,24 @@ func (r interference) build(preempt bool) Instance {
 // tagging fails there, and unless the backtrack also clears the elements
 // after the failure, the later one stays tagged by a record that can never
 // complete; and a helper that finds the later tag must not skip the earlier
-// element. Each row persists every dirty line in turn at every crash, runs
-// its interloper, then recovers Proc 0: the history must linearize and the
-// set must equal the model's with no live node tagged. A failure names (off,
-// line, interloper) and prints the line that re-runs its row.
+// element. Each row crashes Proc 0's operation at every access, persists
+// every dirty line in turn (Instance.Persist), and runs its interloper in
+// Proc 0's recovery at its first access (Preempt.InResolve, Preempt.Within),
+// so that Proc 0 recovers against a structure another process changed since
+// the crash: the history must linearize and the set must equal the model's
+// with no live node tagged. A failure names its leaf, "off=j/preempt=1", and
+// the dirty line, and prints the line that re-runs that leaf.
 func TestTwoProcCrashInterference(t *testing.T) {
 	for _, r := range interferenceRows() {
 		t.Run(fmt.Sprintf("%v/%s/%s/%s", r.kind, r.eng.name, opName(r.op), opName(r.interloper...)), func(t *testing.T) {
-			SweepTest(t, func() Instance { return r.build(false) }, nil)
+			t.Parallel()
+			SweepTest(t, func() Instance {
+				in := r.build()
+				in.Persist = true
+				in.Preempt.InResolve = true
+				in.Preempt.Within = 1
+				return in
+			}, nil)
 		})
 	}
 }
@@ -152,7 +155,7 @@ func TestTwoProcPreemptInterference(t *testing.T) {
 	for _, r := range interferenceRows() {
 		t.Run(fmt.Sprintf("%v/%s/%s/%s", r.kind, r.eng.name, opName(r.op), opName(r.interloper...)), func(t *testing.T) {
 			t.Parallel()
-			SweepTest(t, func() Instance { return r.build(true) }, nil)
+			SweepTest(t, r.build, nil)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"regexp"
@@ -58,13 +59,6 @@ type Instance struct {
 	// its lines, in whatever order (Px86), or evictions that beat it. The
 	// fault index becomes (offset, line) or (offset, all but line).
 	Persist bool
-	// Interfere, when non-nil, runs after the reset and before Resolve: one
-	// fixed operation on Proc 1 that writes the AffectSet of Proc 0's
-	// interrupted operation, so that Proc 0 recovers against a structure
-	// another process changed since the crash. It returns the check that
-	// replaces the comparison with want: the history of the interloper and
-	// Resolve's responses must linearize.
-	Interfere func() (check func(got []uint64) error)
 	// Individual makes the fault an individual failure of Proc 0 at that
 	// access (pmem.Proc.ScheduleSelfCrash), the paper's footnote-1 model:
 	// Proc 0 loses its locals, but the heap is not reset and its other
@@ -82,7 +76,8 @@ type Instance struct {
 // interleaving, and a crash armed at an access offset lands on the same access
 // in every replay. It is the first rung of iterative context bounding
 // (Musuvathi & Qadeer, PLDI'07): every schedule of the two operations with one
-// preemption of Proc 0. It is not combined with Kill or Interfere.
+// preemption of Proc 0. It is not combined with Kill, and InResolve is not
+// combined with Cross: Sweep reports either as a violation.
 type Preempt struct {
 	// Op is Proc 1's operation; it records what it answers for Check. A crash
 	// that lands inside it ends it there, and Proc 0's access after it sees
@@ -92,16 +87,22 @@ type Preempt struct {
 	// whether or not Op ran before a crash: Proc 0's responses and Op's must
 	// linearize, the two operations overlapping.
 	Check func(got []uint64) error
+	// Within, when positive, bounds the preemption points to Proc 0's first
+	// Within accesses of the phase Op runs in. InResolve then replays no line
+	// set unpreempted to find its points: every set's Resolve must reach them
+	// all. Zero makes every access a point.
+	Within int
 	// InResolve places Op in Resolve: every crash offset of Run (with
-	// Individual, every access of Proc 0's), and at each of them every access
-	// of Proc 0's in the Resolve that follows, one subtest "off=j/preempt=k"
-	// each. Otherwise every access k of Proc 0's in Run is one subtest
-	// "preempt=k", with no fault.
+	// Individual, every access of Proc 0's), with Persist every line set the
+	// crash gives, and for each every point of Proc 0's in the Resolve that
+	// follows, one subtest "off=j/preempt=k" for every set with a point k.
+	// Otherwise every point k of Proc 0's in Run is one subtest "preempt=k",
+	// with no fault.
 	InResolve bool
 	// Cross, when non-nil, selects the preemption points of Run whose replay
 	// is also crossed with the crash-offset and Persist axes: a subtest
 	// "preempt=k/off=j" for every access j of the preempted run (with
-	// Individual, every access of Proc 0's). It is called once per access of
+	// Individual, every access of Proc 0's). It is called once per point of
 	// Proc 0's in the uninterrupted run, in order, with Proc 0's Stats since
 	// Run began, before that access: the k-th call selects k. The run is
 	// unpreempted, but up to access k it is the preempted run too.
@@ -125,13 +126,13 @@ type Preempt struct {
 // complement — or the first violation, naming its index.
 //
 // With Preempt the indices are preemption points, replayed and checked the
-// same way but held to Preempt.Check instead of want: every access of Proc
+// same way but held to Preempt.Check instead of want: every point of Proc
 // 0's in the uninterrupted Run, each also crossed with every crash offset
-// where Preempt.Cross selects it, or, InResolve, every access of Proc 0's in
-// the Resolve after each crash offset. A preemption that never runs, because
-// the replay is shorter than its index, is a violation too. The violation
-// names its index as SweepTest names the subtest: "preempt=k",
-// "preempt=k/off=j" or "off=j/preempt=k".
+// where Preempt.Cross selects it, or, InResolve, every point of Proc 0's in
+// the Resolve after each crash offset and, with Persist, each line set. A
+// preemption that never runs, because the replay is shorter than its index,
+// is a violation too. The violation names its index as SweepTest names the
+// subtest: "preempt=k", "preempt=k/off=j" or "off=j/preempt=k".
 //
 // Each crashed replay must recover to the sequential model's responses and
 // post-state — this is the paper's detectability bar, checked exhaustively
@@ -177,6 +178,10 @@ func sweep(build func() Instance, want []uint64, run node) (int, error) {
 	// only: the replays below run Prepare before arming, so offsets past
 	// Run's span could never interrupt it and would be wasted rebuilds.
 	in := build()
+	if p := in.Preempt; p != nil && (in.Kill != nil || p.InResolve && p.Cross != nil) {
+		in.end()
+		return 0, errors.New("Preempt is not combined with Kill, nor InResolve with Cross")
+	}
 	in.prepare()
 	start, epoch := in.Heap.AccessCount(), in.Heap.Epoch()
 	var cross func(pmem.Stats) bool
@@ -222,23 +227,14 @@ func sweep(build func() Instance, want []uint64, run node) (int, error) {
 	if in.Preempt.InResolve {
 		for j := uint64(1); j <= span; j++ {
 			if !run(fmt.Sprintf("off=%d", j), func(child node) (int, error) {
-				tr, err := build().at(replay{off: j}, want)
-				for k := 1; err == nil && k <= tr.own; k++ {
-					if !child(fmt.Sprintf("preempt=%d", k), func(node) (int, error) {
-						_, err := build().at(replay{off: j, k: k}, want)
-						return 1, err
-					}) {
-						break
-					}
-				}
-				return 0, err
+				return 0, inResolve(build, j, in.Preempt.Within, want, child)
 			}) {
 				break
 			}
 		}
 		return 0, nil
 	}
-	for k := 1; k <= pr.n; k++ {
+	for k := 1; k <= in.Preempt.points(pr.n); k++ {
 		if !run(fmt.Sprintf("preempt=%d", k), func(child node) (int, error) {
 			tr, err := build().at(replay{k: k}, want)
 			if err != nil || !slices.Contains(pr.crossed, k) {
@@ -262,34 +258,93 @@ func sweep(build func() Instance, want []uint64, run node) (int, error) {
 	return 0, nil
 }
 
+// inResolve sweeps the preemption points of the Resolve after a crash at off.
+// It replays the crash unpreempted, held to want, to find the line sets it
+// gives (none, and with Persist each line and complement: persistSets) and,
+// unless Within bounds them, again in each set to count the points of its
+// Resolve. It then runs a child "preempt=k" for each point k of any set,
+// which preempts every set with that point.
+func inResolve(build func() Instance, off uint64, within int, want []uint64, child node) error {
+	type state struct {
+		persist []pmem.Addr
+		name    string
+		points  int
+	}
+	tr, err := build().at(replay{off: off}, want)
+	if err != nil {
+		return err
+	}
+	states := []state{{points: cmp.Or(within, tr.own)}}
+	sets, names := persistSets(tr.dirty)
+	for i, set := range sets {
+		s := state{set, names[i], within}
+		if within == 0 {
+			tr, err := build().at(replay{off: off, persist: set}, want)
+			if err != nil {
+				return fmt.Errorf("%s: %v", names[i], err)
+			}
+			s.points = tr.own
+		}
+		states = append(states, s)
+	}
+	most := 0
+	for _, s := range states {
+		most = max(most, s.points)
+	}
+	for k := 1; k <= most; k++ {
+		if !child(fmt.Sprintf("preempt=%d", k), func(node) (int, error) {
+			n := 0
+			for _, s := range states {
+				if k > s.points {
+					continue
+				}
+				if _, err := build().at(replay{off: off, persist: s.persist, k: k}, want); err != nil {
+					if s.name != "" {
+						err = fmt.Errorf("%s: %v", s.name, err)
+					}
+					return 0, err
+				}
+				n++
+			}
+			return n, nil
+		}) {
+			break
+		}
+	}
+	return nil
+}
+
 // point replays the instance with its fault at r.off and, with Persist, once
-// more for each line the crash left dirty persisted at the crash and, with
-// three lines or more, each complement. It returns the crash points.
+// more for each line set the crash gives (persistSets). It returns the crash
+// points.
 func point(build func() Instance, r replay, want []uint64) (int, error) {
 	tr, err := build().at(r, want)
-	lines := tr.dirty
-	var sets [][]pmem.Addr
-	for _, l := range lines {
-		sets = append(sets, []pmem.Addr{l})
-	}
-	for i := 0; len(lines) > 2 && i < len(lines); i++ {
-		sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
-	}
+	sets, names := persistSets(tr.dirty)
 	for i := 0; err == nil && i < len(sets); i++ {
 		r.persist = sets[i]
-		_, err = build().at(r, want)
-		switch {
-		case err == nil:
-		case i < len(lines):
-			err = fmt.Errorf("line=%d: %v", lines[i], err)
-		default:
-			err = fmt.Errorf("all lines but %d: %v", lines[i-len(lines)], err)
+		if _, err = build().at(r, want); err != nil {
+			err = fmt.Errorf("%s: %v", names[i], err)
 		}
 	}
 	if err != nil {
 		return 0, err
 	}
 	return 1 + len(sets), nil
+}
+
+// persistSets is what Persist widens a crash that left lines dirty into,
+// besides persisting none of them: each line persisted alone and, with three
+// lines or more, each complement. Each set comes with the name a violation
+// in it is given.
+func persistSets(lines []pmem.Addr) (sets [][]pmem.Addr, names []string) {
+	for _, l := range lines {
+		sets, names = append(sets, []pmem.Addr{l}), append(names, fmt.Sprintf("line=%d", l))
+	}
+	for i := 0; len(lines) > 2 && i < len(lines); i++ {
+		sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
+		names = append(names, fmt.Sprintf("all lines but %d", lines[i]))
+	}
+	return sets, names
 }
 
 // replay is one replay of an instance: its fault armed at index off (0:
@@ -337,7 +392,6 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 		kRun, kResolve = 0, r.k
 	}
 	var got []uint64
-	var check func([]uint64) error
 	start := in.Heap.AccessCount()
 	pr := in.arm(kRun, nil)
 	crashed := !pmem.RunOp(func() { got, err = in.Run() })
@@ -358,9 +412,6 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 			}
 			in.Heap.ResetAfterCrash()
 		}
-		if in.Interfere != nil {
-			check = in.Interfere()
-		}
 		pr = in.arm(kResolve, nil)
 		ok := pmem.RunOp(func() { got, err = in.Resolve() })
 		pr.disarm()
@@ -379,11 +430,9 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 		if !ran && (inResolve || !crashed) {
 			return tr, errors.New("the preemption never ran")
 		}
-		check = in.Preempt.Check
-	}
-	if err == nil && check != nil {
-		err = check(got)
-		want = got // the history check stands in for want
+		if err = in.Preempt.Check(got); err == nil {
+			want = got // the history check stands in for want
+		}
 	}
 	if err == nil {
 		err = in.check(got, want)
@@ -400,7 +449,7 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 
 // preemption is Preempt.Op armed at Proc 0's k-th access (0: none) of one
 // phase of a replay, from the heap's access hook, which also counts Proc 0's
-// accesses, n, and with cross set records the ones it selects.
+// accesses, n, and with cross set records the points it selects.
 type preemption struct {
 	h       *pmem.Heap
 	n       int
@@ -421,7 +470,7 @@ func (in Instance) arm(k int, cross func(pmem.Stats) bool) *preemption {
 		if p != p0 {
 			return
 		}
-		if pr.n++; cross != nil && cross(p.Stats().Sub(base)) {
+		if pr.n++; cross != nil && in.Preempt.points(pr.n) == pr.n && cross(p.Stats().Sub(base)) {
 			pr.crossed = append(pr.crossed, pr.n)
 		}
 		if pr.n == k {
@@ -430,6 +479,15 @@ func (in Instance) arm(k int, cross func(pmem.Stats) bool) *preemption {
 		}
 	})
 	return pr
+}
+
+// points is how many of a phase's n accesses of Proc 0's are preemption
+// points: the first Within, or all.
+func (p *Preempt) points(n int) int {
+	if p.Within > 0 {
+		return min(n, p.Within)
+	}
+	return n
 }
 
 // disarm removes the hook arm installed.

@@ -290,3 +290,77 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 		t.Fatalf("an InResolve violation reads %q", err)
 	}
 }
+
+// TestSweepPreemptsResolveInEveryLineSet pins InResolve under Persist and At
+// on a toy whose recovery grows with what persisted: Proc 0 stores into words
+// on two lines of their own, and Resolve loads both, stores once more for
+// each that persisted, and stores both again. A crash at the second store
+// leaves the first line dirty, so it is replayed with none and with that line
+// persisted, and the second Resolve is an access longer. Each (crash, line
+// set, access of that set's Resolve) is preempted exactly once; Within 1
+// preempts each (crash, line set) once, at Resolve's first access, and
+// Within 5 reports the Resolve that makes 4 accesses; and a Preempt with
+// Kill, or InResolve with Cross, is refused.
+func TestSweepPreemptsResolveInEveryLineSet(t *testing.T) {
+	hits := map[string]int{} // per (crash, lines persisted, access of Resolve), the replays preempted there
+	toy := func(within int) func() Instance {
+		return func() Instance {
+			h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
+			p0, p1 := h.Proc(0), h.Proc(1)
+			a := (p0.Alloc(3*pmem.WordsPerLine) + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
+			c, b := a+pmem.WordsPerLine, p0.Alloc(1)
+			var step, crashed, persisted uint64
+			var base pmem.Stats
+			run := func() ([]uint64, error) {
+				for step = 1; step <= 2; step++ {
+					p0.Store(a+pmem.Addr(step-1)*pmem.WordsPerLine, 1)
+				}
+				return []uint64{1}, nil
+			}
+			return Instance{
+				Heap: h,
+				Run:  run,
+				Resolve: func() ([]uint64, error) {
+					base, crashed, persisted = p0.Stats(), step, h.ReadPersisted(a)+h.ReadPersisted(c)
+					for range p0.Load(a) + p0.Load(c) {
+						p0.Store(b, 1)
+					}
+					return run()
+				},
+				Verify:  func() string { return "" },
+				Persist: true,
+				Preempt: &Preempt{
+					Op: func() {
+						st := p0.Stats().Sub(base)
+						hits[fmt.Sprintf("%d/%d/%d", crashed, persisted, st.Loads+st.Stores+1)]++
+						p1.Store(b, 2)
+					},
+					Check:     func([]uint64) error { return nil },
+					Within:    within,
+					InResolve: true,
+				},
+			}
+		}
+	}
+	n, err := Sweep(toy(0), nil)
+	want := "map[1/0/1:1 1/0/2:1 1/0/3:1 1/0/4:1 2/0/1:1 2/0/2:1 2/0/3:1 2/0/4:1 2/1/1:1 2/1/2:1 2/1/3:1 2/1/4:1 2/1/5:1]"
+	if err != nil || n != 13 || fmt.Sprint(hits) != want {
+		t.Fatalf("InResolve under Persist: %d crash points (%v), preempted at %v, want 13 at %s", n, err, hits, want)
+	}
+	clear(hits)
+	n, err = Sweep(toy(1), nil)
+	if want := "map[1/0/1:1 2/0/1:1 2/1/1:1]"; err != nil || n != 3 || fmt.Sprint(hits) != want {
+		t.Fatalf("InResolve within Resolve's first access: %d crash points (%v), preempted at %v, want 3 at %s", n, err, hits, want)
+	}
+	if _, err := Sweep(toy(5), nil); fmt.Sprint(err) != "off=1/preempt=5: the preemption never ran" {
+		t.Fatalf("InResolve within more accesses than a Resolve makes: %v", err)
+	}
+	for name, set := range map[string]func(*Instance){
+		"Kill":  func(in *Instance) { in.Kill, in.Carried = func(uint64) {}, func() uint64 { return 0 } },
+		"Cross": func(in *Instance) { in.Preempt.Cross = func(pmem.Stats) bool { return true } },
+	} {
+		if _, err := Sweep(func() Instance { in := toy(0)(); set(&in); return in }, nil); err == nil || !strings.Contains(err.Error(), "not combined") {
+			t.Errorf("InResolve with %s: %v, want it refused", name, err)
+		}
+	}
+}

@@ -256,8 +256,9 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // the barrier that carries the record: the header line, which holds the
 // raised admission number from the record's second access on, can persist
 // alone. Then RecoverAll, which routes only the legs ReadRecord returns,
-// reports nothing for the process and re-executes nothing, and the admission
-// number the CP registers compare against is the previous or the raised one.
+// reports nothing for the process and re-executes nothing (recoversNothing),
+// and the admission number the CP registers compare against is the previous
+// or the raised one.
 //
 // Every row persists each dirty line at the crash, and each complement.
 func TestLegResultEveryStore(t *testing.T) {
@@ -309,7 +310,7 @@ func TestLegResultEveryStore(t *testing.T) {
 								if adm := Admission(p); adm != oldAdm && adm != oldAdm+1 {
 									return fmt.Sprintf("no valid record, under admission %d; want %d or %d", adm, oldAdm, oldAdm+1)
 								}
-								return "" // recovery finds nothing of either admission
+								return recoversNothing(h, p, legs)
 							case !ok || len(rec.Legs) != len(legs):
 								return fmt.Sprintf("no valid record (n %d, ok %v)", len(rec.Legs), ok)
 							case old && (!lazy || done):
@@ -341,6 +342,36 @@ func TestLegResultEveryStore(t *testing.T) {
 			})
 		}
 	}
+}
+
+// recoversNothing runs RecoverAll's step for p on an image that holds no
+// valid record — p's sync scope torn down, then its record read — and checks
+// that it finds no leg in flight and changes nothing: p's region persists
+// the same words after it, and the next admission's record, under the next
+// number, reads no leg completed, none of the crashed admission's responses
+// among them.
+func recoversNothing(h *pmem.Heap, p *pmem.Proc, legs []Leg) string {
+	persisted := func() []uint64 {
+		var out []uint64
+		for w := p.Region(); w < p.Region()+annWords; w++ {
+			out = append(out, h.ReadPersisted(w))
+		}
+		return out
+	}
+	before, adm := persisted(), Admission(p)
+	p.ResetSyncScope()
+	if rec, ok := ReadRecord(p); ok {
+		return fmt.Sprintf("recovery finds %+v, legs %d on in flight", rec, rec.Cursor)
+	}
+	crashAndReset(h)
+	if !slices.Equal(persisted(), before) {
+		return "recovery changed p's persisted region"
+	}
+	Announce(p, false, legs...)
+	if rec, ok := ReadRecord(p); !ok || Admission(p) != adm+1 || rec.Cursor != 0 {
+		return fmt.Sprintf("the next admission reads %+v (ok %v) under %d, want no leg completed under %d", rec, ok, Admission(p), adm+1)
+	}
+	return ""
 }
 
 // TestCloseScopeDropsPendingRecord is pmem's TestSyncScopeClosesOnWriteBacks
