@@ -181,12 +181,12 @@ func TestSweepCountsFaults(t *testing.T) {
 			cut := span + 1
 			return Instance{
 				Heap: pmem.NewHeap(pmem.Config{Words: sweepHeapWords, Procs: 1}), Verify: ok, Run: one,
-				Kill: func(off uint64) {
-					if !ignoresCut {
+				Kill: func(off uint64) func() uint64 {
+					if off > 0 && !ignoresCut {
 						cut = off
 					}
+					return func() uint64 { return cut - 1 }
 				},
-				Carried: func() uint64 { return cut - 1 },
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func TestSweepCountsFaults(t *testing.T) {
 		{"no-access", stores(0, false), 0, "nothing to sweep"},
 		{"no-byte", carries(0, false), 0, "nothing to sweep"},
 	} {
-		n, err := Sweep(tc.build, []uint64{1})
+		_, n, err := Sweep(tc.build, []uint64{1})
 		if n != tc.n || (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("%s: Sweep = %d, %v; want %d crash points, error %q", tc.name, n, err, tc.n, tc.err)
 		}

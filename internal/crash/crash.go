@@ -25,15 +25,15 @@
 // serve layer's crash and wire sweeps and every structure, engine and
 // baseline package's own crash sweeps do, each over the span its run
 // measured, a sequence's later operation after every crash of the ones before
-// it (SweepAfter), and every failure prints the go test line that re-runs its
-// leaf (Rerun). Storm failures print it too.
+// it (SweepAfter). A replay is a value, a subtest in a row with Preempt and
+// otherwise only if it fails, whose go test line (Rerun) re-runs it alone.
 //
 // Two processes' interleavings are one more of Sweep's axes (Preempt): a
 // second process's operation runs to completion inside the first's, from the
 // heap's access hook on the first's goroutine, at every access of the
-// first's or of its recovery after every crash, and a test may cross the
-// points it selects with every crash offset. No goroutine or scheduler decides an interleaving, so each is a
-// leaf that replays. The two-Proc tests — the lost tags and the held update,
+// first's or of its recovery after every crash, crossed with the crash
+// points a test selects; no goroutine or scheduler decides an interleaving.
+// The two-Proc tests — the lost tags and the held update,
 // the interference interlopers, the exchanger's collider and the list's
 // survivor of an individual failure — run on it; the storms' seeded
 // schedules (Run) sample what it does not enumerate.

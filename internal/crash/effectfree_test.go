@@ -2,7 +2,6 @@ package crash
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro"
@@ -157,11 +156,11 @@ func TestTwoProcCrashEffectFree(t *testing.T) {
 // every access of Proc 0's (Instance.Preempt). Where it lands between Proc
 // 0's install and its tags, the tags fail and the retry finds 8 present, so
 // the leg returns false with RD_q naming the attempt whose tags failed,
-// unless the retry installs too. The two inserts must linearize; then
-// (After) Proc 1 deletes 8 and the system crashes before Proc 0's next
-// admission: RecoverAll must not insert 8 again. The crash persists no line
-// the delete left dirty ("persist=none"), or the i-th ("persist=i"), for
-// every i below the most lines any preemption point left dirty.
+// unless the retry installs too. Proc 1 then deletes 8, and the three
+// operations must linearize. At every preemption point the system crashes
+// after Run (Instance.CrashAfter), persisting none of the lines the delete
+// left dirty, each alone and every complement (Instance.Persist): RecoverAll
+// must not insert 8 again.
 func TestTwoProcCrashLostTags(t *testing.T) {
 	ins := func(k uint64) repro.Op { return repro.Op{Kind: repro.OpInsert, Arg: k} }
 	shapes := []struct {
@@ -177,18 +176,7 @@ func TestTwoProcCrashLostTags(t *testing.T) {
 			for _, sh := range shapes {
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, eng.name, sh.name), func(t *testing.T) {
 					t.Parallel()
-					dirty := 0 // the most lines any replay's crash found dirty
-					for line := -1; line < dirty; line++ {
-						name := fmt.Sprintf("persist=%d", line)
-						if line < 0 {
-							name = "persist=none"
-						}
-						if !t.Run(name, func(t *testing.T) {
-							SweepTest(t, func() Instance { return lostTags(kind, eng, sh.ops, sh.want, line, &dirty) }, nil)
-						}) {
-							return
-						}
-					}
+					SweepTest(t, func() Instance { return lostTags(kind, eng, sh.ops, sh.want) }, nil)
 				})
 			}
 		}
@@ -196,13 +184,11 @@ func TestTwoProcCrashLostTags(t *testing.T) {
 }
 
 // lostTags builds one instance of TestTwoProcCrashLostTags: Proc 0's
-// admission ops on setPrefill, with 8 present afterwards, and want, the set
-// once Proc 1 has deleted 8. Its crash persists the line-th of the lines
-// left dirty (none if line < 0 or fewer are dirty), and raises *dirty to
-// their number.
-func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64, line int, dirty *int) Instance {
+// admission ops on setPrefill and then Proc 1's delete of 8, with want the
+// set it leaves. Resolve recovers every process and re-reports Run's
+// responses, all of which completed before the crash.
+func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []uint64) Instance {
 	rt := repro.New(repro.Config{Procs: 2, CrashSim: true, HeapWords: sweepHeapWords, Seed: 42, Engine: eng.kind})
-	h := rt.Heap()
 	s := structure{kind: kind}.register(rt)
 	p0, p1 := rt.Proc(0), rt.Proc(1)
 	m := linearize.SetModel()
@@ -211,40 +197,30 @@ func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []u
 		resp := s.Apply(p0, op).Raw()
 		hist = append(hist, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: resp, Start: uint64(2 * len(hist)), End: uint64(2*len(hist) + 1)})
 	}
-	ins8 := repro.Op{Kind: repro.OpInsert, Arg: 8}
-	present := [][]uint64{slices.Sorted(slices.Values(append(slices.Clone(want), 8)))}
+	ins8, del8 := repro.Op{Kind: repro.OpInsert, Arg: 8}, repro.Op{Kind: repro.OpDelete, Arg: 8}
+	var got []uint64
 	var resp1 uint64
-	deleted := false
 	return Instance{
-		Heap: h,
+		Heap: rt.Heap(),
 		Run: func() ([]uint64, error) {
+			got = nil
 			if len(ops) == 1 {
-				return []uint64{s.Apply(p0, ops[0]).Raw()}, nil
+				got = []uint64{s.Apply(p0, ops[0]).Raw()}
+			} else {
+				for _, resp := range rt.ApplyWindow(p0, s, ops) {
+					got = append(got, resp.Raw())
+				}
 			}
-			var out []uint64
-			for _, resp := range rt.ApplyWindow(p0, s, ops) {
-				out = append(out, resp.Raw())
-			}
-			return out, nil
+			got = append(got, s.Apply(p1, del8).Raw())
+			return got, nil
 		},
-		Verify: func() string {
-			if deleted {
-				return sameState([]any{s}, [][]uint64{want})
-			}
-			return sameState([]any{s}, present)
-		},
-		After: func() string {
-			s.Apply(p1, repro.Op{Kind: repro.OpDelete, Arg: 8})
-			deleted = true
-			lines := h.DivergedLines()
-			if *dirty = max(*dirty, len(lines)); line >= 0 && line < len(lines) {
-				h.Proc(0).PWB(lines[line]) // it reaches persistent memory at the crash
-			}
-			h.Crash()
-			h.ResetAfterCrash()
+		Resolve: func() ([]uint64, error) {
 			rt.RecoverAll()
-			return "" // Verify, which follows, holds the set to want
+			return got, nil
 		},
+		Verify:     func() string { return sameState([]any{s}, [][]uint64{want}) },
+		Persist:    true,
+		CrashAfter: true,
 		Preempt: &Preempt{
 			Op: func() { resp1 = s.Apply(p1, ins8).Raw() },
 			Check: func(got []uint64) error {
@@ -253,7 +229,9 @@ func lostTags(kind repro.StructKind, eng engineVariant, ops []repro.Op, want []u
 				for i, op := range ops {
 					hist = append(hist, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: got[i], Start: t, End: t + 3, Seq: uint64(i)})
 				}
-				hist = append(hist, linearize.Operation{Proc: 1, Kind: ins8.Kind, Arg: ins8.Arg, Resp: resp1, Start: t + 1, End: t + 2})
+				hist = append(hist,
+					linearize.Operation{Proc: 1, Kind: ins8.Kind, Arg: ins8.Arg, Resp: resp1, Start: t + 1, End: t + 2},
+					linearize.Operation{Proc: 1, Kind: del8.Kind, Arg: del8.Arg, Resp: got[len(ops)], Start: t + 4, End: t + 5})
 				if !linearize.Check(m, hist) {
 					return fmt.Errorf("history %+v is not linearizable", hist[len(setPrefill):])
 				}

@@ -128,8 +128,8 @@ func (r interference) build() Instance {
 // Proc 0's recovery at its first access (Preempt.InResolve, Preempt.Within),
 // so that Proc 0 recovers against a structure another process changed since
 // the crash: the history must linearize and the set must equal the model's
-// with no live node tagged. A failure names its leaf, "off=j/preempt=1", and
-// the dirty line, and prints the line that re-runs that leaf.
+// with no live node tagged. A failure is named by its replay,
+// "off=j/line=L/preempt=1", and prints the line that re-runs that replay.
 func TestTwoProcCrashInterference(t *testing.T) {
 	for _, r := range interferenceRows() {
 		t.Run(fmt.Sprintf("%v/%s/%s/%s", r.kind, r.eng.name, opName(r.op), opName(r.interloper...)), func(t *testing.T) {

@@ -3,10 +3,12 @@ package crash
 import (
 	"cmp"
 	"errors"
+	"flag"
 	"fmt"
 	"regexp"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,28 +27,27 @@ type Instance struct {
 	// Run is the admission itself: it returns the responses, in order, or
 	// why it could not.
 	Run func() ([]uint64, error)
-	// Resolve runs after a crash interrupted Run and the heap was reset: it
-	// recovers, re-submits whatever recovery proves had no effect, and
-	// returns the full response vector. An instance that recovers from a
-	// crash itself, on its own goroutines, has none: a server reboots and
-	// Run still collects every reply.
+	// Resolve runs after a crash interrupted Run, or followed it (CrashAfter),
+	// and the heap was reset: it recovers, re-submits whatever recovery proves
+	// had no effect, and returns the full response vector. An instance that
+	// recovers from a crash itself, on its own goroutines, has none: a server
+	// reboots and Run still collects every reply.
 	Resolve func() ([]uint64, error)
 	// Verify checks the post-state once every response is in: final
 	// contents plus structural invariants. It returns a description of the
 	// first violation, or "".
 	Verify func() string
-	// After, when non-nil, runs at every offset once Verify passed: a
+	// After, when non-nil, runs in every replay once Verify passed: a
 	// duplicate recovery pass, which must re-report the same responses and —
 	// Verify runs again after it — change nothing.
 	After func() string
 	// Kill, when non-nil, makes the fault index a byte offset of a
-	// connection's stream instead of a heap access: Kill(off) plans the cut
-	// at byte off before Run, and Carried reports the bytes the stream
-	// carried during Run. A cut at off carries off-1 bytes, so it fired
-	// exactly when Carried() < off; the uninterrupted run's Carried is the
-	// span swept.
-	Kill    func(off uint64)
-	Carried func() uint64
+	// connection's stream instead of a heap access: before Run, Kill(off)
+	// plans the cut at byte off (0: none) and returns what reports, after
+	// Run, the bytes the stream carried. A cut at off carries off-1 bytes, so
+	// it fired exactly when fewer were carried; the uninterrupted run's count
+	// is the span swept.
+	Kill func(off uint64) (carried func() uint64)
 	// Close, when non-nil, ends the instance before its heap is recycled: a
 	// server shuts down here.
 	Close func()
@@ -56,16 +57,18 @@ type Instance struct {
 	// write-back of a shared line would have taken it there. With three dirty
 	// lines or more each line also gives its complement, every dirty line but
 	// that one persisted: a barrier the crash cut short after all but one of
-	// its lines, in whatever order (Px86), or evictions that beat it. The
-	// fault index becomes (offset, line) or (offset, all but line).
+	// its lines, in whatever order (Px86), or evictions that beat it.
 	Persist bool
-	// Individual makes the fault an individual failure of Proc 0 at that
+	// Individual makes the fault an individual failure of Proc 0 at its own
 	// access (pmem.Proc.ScheduleSelfCrash), the paper's footnote-1 model:
-	// Proc 0 loses its locals, but the heap is not reset and its other
-	// state stands, so Resolve runs on the same heap and Epoch never moves.
+	// Proc 0 loses its locals, but the heap is not reset and its other state
+	// stands, so Resolve runs on the same heap and Epoch never moves.
 	Individual bool
-	// Preempt, when non-nil, makes the sweep a sweep of preemption points:
-	// Proc 1's operation run at each access of Proc 0's (see Preempt).
+	// CrashAfter adds one crash point, "off=after": the system crashes once
+	// Run has returned, and Resolve must recover to the same responses. In a
+	// row preempted in Run every point has it.
+	CrashAfter bool
+	// Preempt, when non-nil, adds the axis of preemption points.
 	Preempt *Preempt
 }
 
@@ -76,8 +79,7 @@ type Instance struct {
 // interleaving, and a crash armed at an access offset lands on the same access
 // in every replay. It is the first rung of iterative context bounding
 // (Musuvathi & Qadeer, PLDI'07): every schedule of the two operations with one
-// preemption of Proc 0. It is not combined with Kill, and InResolve is not
-// combined with Cross: Sweep reports either as a violation.
+// preemption of Proc 0.
 type Preempt struct {
 	// Op is Proc 1's operation; it records what it answers for Check. A crash
 	// that lands inside it ends it there, and Proc 0's access after it sees
@@ -87,287 +89,265 @@ type Preempt struct {
 	// whether or not Op ran before a crash: Proc 0's responses and Op's must
 	// linearize, the two operations overlapping.
 	Check func(got []uint64) error
-	// Within, when positive, bounds the preemption points to Proc 0's first
-	// Within accesses of the phase Op runs in. InResolve then replays no line
-	// set unpreempted to find its points: every set's Resolve must reach them
-	// all. Zero makes every access a point.
+	// Within, when positive, makes the points Proc 0's first Within accesses
+	// of the phase Op runs in, which the phase must reach; InResolve then
+	// replays no line set unpreempted to count them. Zero: every access.
 	Within int
-	// InResolve places Op in Resolve: every crash offset of Run (with
-	// Individual, every access of Proc 0's), with Persist every line set the
-	// crash gives, and for each every point of Proc 0's in the Resolve that
-	// follows, one subtest "off=j/preempt=k" for every set with a point k.
-	// Otherwise every point k of Proc 0's in Run is one subtest "preempt=k",
-	// with no fault.
+	// InResolve places Op in the Resolve after each crash point; otherwise Op
+	// runs in Run and crashes cross only the points Cross selects.
 	InResolve bool
-	// Cross, when non-nil, selects the preemption points of Run whose replay
-	// is also crossed with the crash-offset and Persist axes: a subtest
-	// "preempt=k/off=j" for every access j of the preempted run (with
-	// Individual, every access of Proc 0's). It is called once per point of
-	// Proc 0's in the uninterrupted run, in order, with Proc 0's Stats since
-	// Run began, before that access: the k-th call selects k. The run is
-	// unpreempted, but up to access k it is the preempted run too.
+	// Cross, when non-nil, selects where the preemption and crash axes cross.
+	// It is called once per access of Proc 0's in the uninterrupted Run, in
+	// order, with Proc 0's Stats since Run began, before that access, and
+	// selects that preemption point, whose replay is then crashed at every
+	// access, or, InResolve, the crash there.
 	Cross func(st pmem.Stats) bool
 }
 
 // Sweep is the one fault-point sweep: the conformance matrix, the serve
 // layer's crash and wire sweeps and every package's own crash-offset tests
-// all run on it. It runs an uninterrupted instance to fix the span — Run's
-// tracked heap accesses, or the bytes its connection carried — then replays
-// a fresh instance once per fault index with the fault armed exactly there: a
-// system-wide crash at that access, Proc 0's individual failure there
-// (Individual), or the connection cut at that byte. Every index is a crash
-// point — a fault that does not fire is a violation: a crash must interrupt
+// all run on it. An uninterrupted run records what the axes are generated
+// from: the span of Run's tracked heap accesses (Proc 0's with Individual) or
+// of the bytes its connection carried, and Proc 0's accesses. Sweep then
+// replays a fresh instance once per value of the axes' product, a replay: a
+// preemption point, a crash point — a system-wide crash at an access, Proc
+// 0's individual failure there, a cut at a byte, or the crash after Run —
+// and with Persist the lines persisted at the crash. A crash must interrupt
 // Run, and is resolved through Resolve, or the instance must recover from it
 // itself, which shows as the heap's Epoch moving; a cut must carry fewer
-// bytes than its index. At every index the responses must equal want (nil: the
-// uninterrupted run's), the post-state must pass Verify, and the duplicate
-// pass After must change nothing. It returns the number of crash points —
-// with Persist, every (offset, line) pair, "none" included, and every
-// complement — or the first violation, naming its index.
-//
-// With Preempt the indices are preemption points, replayed and checked the
-// same way but held to Preempt.Check instead of want: every point of Proc
-// 0's in the uninterrupted Run, each also crossed with every crash offset
-// where Preempt.Cross selects it, or, InResolve, every point of Proc 0's in
-// the Resolve after each crash offset and, with Persist, each line set. A
-// preemption that never runs, because the replay is shorter than its index,
-// is a violation too. The violation names its index as SweepTest names the
-// subtest: "preempt=k", "preempt=k/off=j" or "off=j/preempt=k".
+// bytes than its index; a preemption point must be reached unless a crash
+// came first. In every replay the responses must equal want (nil: the
+// uninterrupted run's), or pass Preempt.Check when preempted, the post-state
+// must pass Verify, and the duplicate pass After must change nothing. Sweep
+// returns the replays that passed and how many were crash points (InResolve,
+// preempted ones only), or the first violation, named by its replay's printed
+// form: "off=j", "off=j/line=L", "off=j/all-but=L", "preempt=k",
+// "preempt=k/off=j", "off=j/preempt=k", "preempt=k/off=after" and so on.
 //
 // Each crashed replay must recover to the sequential model's responses and
-// post-state — this is the paper's detectability bar, checked exhaustively
-// rather than sampled, and it holds every engine variant to the same standard
-// (a batched phase must be recoverable whether the crash left it fully
-// persisted or fully absent). build must return a fresh, identical instance
-// on every call; a finished instance is closed and its heap images recycled
-// (pmem.Heap.Release), so the next build zeroes only what this one carved
-// instead of a whole arena.
-func Sweep(build func() Instance, want []uint64) (crashPoints int, err error) {
-	var walk func(path string) node
-	walk = func(path string) node {
-		return func(name string, f func(node) (int, error)) bool {
-			n, e := f(walk(path + name + "/"))
-			crashPoints += n
-			if e != nil && err == nil {
-				err = fmt.Errorf("%s%s: %v", path, name, e)
-			}
-			return err == nil
-		}
+// post-state, the paper's detectability bar checked exhaustively: a batched
+// phase must recover whether the crash left it fully persisted or absent.
+// build must return a fresh, identical instance on every call; a finished
+// instance is closed and its heap images recycled (pmem.Heap.Release), so the
+// next build zeroes only what this one carved instead of a whole arena.
+func Sweep(build func() Instance, want []uint64) (replays, crashPoints int, err error) {
+	s := sweep(nil, build, want, nil)
+	if s.err != nil && s.stop != (replay{}) {
+		s.err = fmt.Errorf("%v: %v", s.stop, s.err)
 	}
-	n, e := sweep(build, want, walk(""))
-	if e != nil {
-		return 0, e
-	}
-	if err != nil {
-		return 0, err
-	}
-	return crashPoints + n, nil
+	return s.replays, s.points, s.err
 }
 
-// A node runs one named index of a sweep, a subtest under SweepTest: f
-// replays and checks it, runs the indices under it through the node it is
-// handed, and returns its own crash points. The node reports whether the
-// index and every index under it passed.
-type node func(name string, f func(child node) (int, error)) bool
+// phase is where in a replay a point lies.
+type phase uint8
 
-// sweep is Sweep's loop. It runs the uninterrupted instance and then sweeps
-// a plain instance's fault indices itself, returning their crash points, or
-// a preempted instance's indices as nodes of run, returning 0.
-func sweep(build func() Instance, want []uint64, run node) (int, error) {
-	// Tracked heaps count accesses unconditionally. Count Run's accesses
-	// only: the replays below run Prepare before arming, so offsets past
-	// Run's span could never interrupt it and would be wasted rebuilds.
+const (
+	none phase = iota
+	inRun
+	inResolve
+	afterRun
+)
+
+// point is where a replay's preemption or crash lands: at index k of a
+// phase, or after Run.
+type point struct {
+	phase phase
+	k     uint64
+}
+
+// persist is the line set a replay's crash persists.
+type persist uint8
+
+const (
+	noLine  persist = iota
+	oneLine         // the line alone
+	allBut          // every dirty line but the line
+)
+
+// replay is one replay of an instance as a value: where Proc 1's operation
+// and the fault land, and the lines persisted at the crash. The zero replay
+// is the uninterrupted run. Its printed form names a failing subtest.
+type replay struct {
+	preempt, crash point
+	persist        persist
+	line           pmem.Addr
+}
+
+func (r replay) String() string {
+	var el []string
+	add := func(ok bool, format string, v any) {
+		if ok {
+			el = append(el, fmt.Sprintf(format, v))
+		}
+	}
+	add(r.preempt.phase == inRun, "preempt=%d", r.preempt.k)
+	add(r.crash.phase == inRun, "off=%d", r.crash.k)
+	add(r.crash.phase == afterRun, "off=%s", "after")
+	add(r.persist == oneLine, "line=%d", r.line)
+	add(r.persist == allBut, "all-but=%d", r.line)
+	add(r.preempt.phase == inResolve, "preempt=%d", r.preempt.k)
+	return strings.Join(el, "/")
+}
+
+// parseReplay reads a replay back from its printed form; any other string
+// is not one.
+func parseReplay(s string) (r replay, ok bool) {
+	for _, el := range strings.Split(s, "/") {
+		key, val, _ := strings.Cut(el, "=")
+		n, err := strconv.ParseUint(val, 10, 64)
+		switch {
+		case el == "off=after":
+			r.crash = point{afterRun, 0}
+		case err != nil:
+			return replay{}, false
+		case key == "off":
+			r.crash = point{inRun, n}
+		case key == "preempt" && r.crash.phase == none:
+			r.preempt = point{inRun, n}
+		case key == "preempt":
+			r.preempt = point{inResolve, n}
+		case key == "line":
+			r.persist, r.line = oneLine, pmem.Addr(n)
+		case key == "all-but":
+			r.persist, r.line = allBut, pmem.Addr(n)
+		default:
+			return replay{}, false
+		}
+	}
+	return r, r != (replay{}) && r.String() == s
+}
+
+// sweeper is one sweep's state: the instance recorded, SweepTest's row t or
+// nil, and the replays so far, stopped at a violation or the one asked for.
+type sweeper struct {
+	build           func() Instance
+	want            []uint64
+	in              Instance
+	t               *testing.T
+	replays, points int
+	stop            replay
+	err             error
+}
+
+// sweep is Sweep's loop over the product of the axes, or, only, over that
+// one replay: the recording, then a replay per preemption point of Run (or
+// none), and in each the crash points it crosses, reported under row t.
+func sweep(t *testing.T, build func() Instance, want []uint64, only *replay) *sweeper {
 	in := build()
-	if p := in.Preempt; p != nil && (in.Kill != nil || p.InResolve && p.Cross != nil) {
-		in.end()
-		return 0, errors.New("Preempt is not combined with Kill, nor InResolve with Cross")
-	}
-	in.prepare()
-	start, epoch := in.Heap.AccessCount(), in.Heap.Epoch()
-	var cross func(pmem.Stats) bool
-	if in.Preempt != nil {
-		cross = in.Preempt.Cross
-	}
-	pr := in.arm(0, cross)
-	got, err := in.Run()
-	pr.disarm()
-	span := in.Heap.AccessCount() - start
-	if err == nil && in.Kill != nil {
-		span = in.Carried()
-	} else if err == nil && in.Heap.Epoch() != epoch {
-		err = errors.New("crashed with no crash armed")
+	rec, err := in.at(replay{}, want, nil)
+	if err == nil && rec.span == 0 {
+		err = errors.New("nothing to sweep (no tracked access, no byte carried)")
 	}
 	if want == nil {
-		want = got
+		want = rec.got
 	}
-	if err == nil {
-		err = in.check(got, want)
-	}
-	in.end()
+	s := &sweeper{build: build, want: want, in: in, t: t}
 	if err != nil {
-		return 0, fmt.Errorf("uninterrupted: %v", err)
+		s.err = fmt.Errorf("uninterrupted: %v", err)
+		return s
 	}
-	if span == 0 {
-		return 0, errors.New("uninterrupted: nothing to sweep (no tracked access, no byte carried)")
+	if only != nil {
+		s.stop = *only
+		s.run(s.stop, nil)
+		return s
 	}
-	if in.Preempt == nil {
-		points := 0
-		for off := uint64(1); off <= span; off++ {
-			n, err := point(build, replay{off: off}, want)
-			if err != nil {
-				return 0, fmt.Errorf("off=%d: %v", off, err)
-			}
-			points += n
-		}
-		return points, nil
-	}
-	if in.Individual {
-		span = uint64(pr.n)
-	}
-	if in.Preempt.InResolve {
-		for j := uint64(1); j <= span; j++ {
-			if !run(fmt.Sprintf("off=%d", j), func(child node) (int, error) {
-				return 0, inResolve(build, j, in.Preempt.Within, want, child)
-			}) {
-				break
-			}
-		}
-		return 0, nil
-	}
-	for k := 1; k <= in.Preempt.points(pr.n); k++ {
-		if !run(fmt.Sprintf("preempt=%d", k), func(child node) (int, error) {
-			tr, err := build().at(replay{k: k}, want)
-			if err != nil || !slices.Contains(pr.crossed, k) {
-				return 0, err
-			}
-			if in.Individual {
-				tr.span = uint64(tr.own)
-			}
-			for j := uint64(1); j <= tr.span; j++ {
-				if !child(fmt.Sprintf("off=%d", j), func(node) (int, error) {
-					return point(build, replay{off: j, k: k}, want)
-				}) {
-					break
-				}
-			}
-			return 0, nil
-		}) {
-			break
+	p := in.Preempt
+	pre := []point{{}}
+	if p != nil && !p.InResolve {
+		pre = nil
+		for k := range cmp.Or(p.Within, rec.own) {
+			pre = append(pre, point{inRun, uint64(k + 1)})
 		}
 	}
-	return 0, nil
+	for _, pp := range pre {
+		tr := rec
+		if pp.phase == inRun {
+			tr = s.run(replay{preempt: pp}, nil)
+		}
+		for j := uint64(1); j <= tr.span; j++ { // where Cross selects, if it does
+			if p == nil || p.InResolve && (p.Cross == nil || rec.crossed[j]) || pp.phase == inRun && rec.crossed[pp.k] {
+				s.crash(replay{preempt: pp, crash: point{inRun, j}})
+			}
+		}
+		if in.CrashAfter {
+			s.crash(replay{preempt: pp, crash: point{phase: afterRun}})
+		}
+	}
+	return s
 }
 
-// inResolve sweeps the preemption points of the Resolve after a crash at off.
-// It replays the crash unpreempted, held to want, to find the line sets it
-// gives (none, and with Persist each line and complement: persistSets) and,
-// unless Within bounds them, again in each set to count the points of its
-// Resolve. It then runs a child "preempt=k" for each point k of any set,
-// which preempts every set with that point.
-func inResolve(build func() Instance, off uint64, within int, want []uint64, child node) error {
-	type state struct {
-		persist []pmem.Addr
-		name    string
-		points  int
-	}
-	tr, err := build().at(replay{off: off}, want)
-	if err != nil {
-		return err
-	}
-	states := []state{{points: cmp.Or(within, tr.own)}}
-	sets, names := persistSets(tr.dirty)
-	for i, set := range sets {
-		s := state{set, names[i], within}
-		if within == 0 {
-			tr, err := build().at(replay{off: off, persist: set}, want)
-			if err != nil {
-				return fmt.Errorf("%s: %v", names[i], err)
+// crash replays crash r, then each line set it gives: each line persisted
+// alone and, with three lines or more, every line but each. InResolve, it
+// then replays each set once per preemption point of its Resolve.
+func (s *sweeper) crash(r replay) {
+	tr := s.run(r, nil)
+	dirty, sets := tr.dirty, []replay{r}
+	for _, kind := range []persist{oneLine, allBut} {
+		for _, l := range tr.dirty {
+			if kind == oneLine || len(tr.dirty) > 2 {
+				r.persist, r.line = kind, l
+				sets = append(sets, r)
 			}
-			s.points = tr.own
-		}
-		states = append(states, s)
-	}
-	most := 0
-	for _, s := range states {
-		most = max(most, s.points)
-	}
-	for k := 1; k <= most; k++ {
-		if !child(fmt.Sprintf("preempt=%d", k), func(node) (int, error) {
-			n := 0
-			for _, s := range states {
-				if k > s.points {
-					continue
-				}
-				if _, err := build().at(replay{off: off, persist: s.persist, k: k}, want); err != nil {
-					if s.name != "" {
-						err = fmt.Errorf("%s: %v", s.name, err)
-					}
-					return 0, err
-				}
-				n++
-			}
-			return n, nil
-		}) {
-			break
 		}
 	}
-	return nil
+	p := s.in.Preempt
+	resolving := p != nil && p.InResolve
+	for i, r := range sets {
+		if i > 0 && (!resolving || p.Within == 0) {
+			tr = s.run(r, dirty)
+		}
+		for k := 0; resolving && k < cmp.Or(p.Within, tr.resolve); k++ {
+			r.preempt = point{inResolve, uint64(k + 1)}
+			s.run(r, dirty)
+		}
+	}
 }
 
-// point replays the instance with its fault at r.off and, with Persist, once
-// more for each line set the crash gives (persistSets). It returns the crash
-// points.
-func point(build func() Instance, r replay, want []uint64) (int, error) {
-	tr, err := build().at(r, want)
-	sets, names := persistSets(tr.dirty)
-	for i := 0; err == nil && i < len(sets); i++ {
-		r.persist = sets[i]
-		if _, err = build().at(r, want); err != nil {
-			err = fmt.Errorf("%s: %v", names[i], err)
+// run replays r, unless the sweep already stopped, and counts it if it
+// passed: a crash point if it crashes and, InResolve, is preempted.
+func (s *sweeper) run(r replay, dirty []pmem.Addr) (tr trace) {
+	if s.err != nil {
+		return trace{}
+	}
+	var err error
+	at := func() { tr, err = s.build().at(r, s.want, dirty) }
+	report := func(t *testing.T) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%v\nre-run: %s", err, Rerun(t))
 		}
+	}
+	if s.t != nil && (s.in.Preempt != nil || r == s.stop) { // or the one asked for
+		s.t.Run(r.String(), func(t *testing.T) { t.Helper(); at(); report(t) })
+	} else if at(); err != nil && s.t != nil {
+		s.t.Run(r.String(), report)
 	}
 	if err != nil {
-		return 0, err
+		s.stop, s.err = r, err
+		return tr
 	}
-	return 1 + len(sets), nil
+	s.replays++
+	if p := s.in.Preempt; r.crash.phase != none && (p == nil || !p.InResolve || r.preempt.phase != none) {
+		s.points++
+	}
+	return tr
 }
 
-// persistSets is what Persist widens a crash that left lines dirty into,
-// besides persisting none of them: each line persisted alone and, with three
-// lines or more, each complement. Each set comes with the name a violation
-// in it is given.
-func persistSets(lines []pmem.Addr) (sets [][]pmem.Addr, names []string) {
-	for _, l := range lines {
-		sets, names = append(sets, []pmem.Addr{l}), append(names, fmt.Sprintf("line=%d", l))
-	}
-	for i := 0; len(lines) > 2 && i < len(lines); i++ {
-		sets = append(sets, slices.Delete(slices.Clone(lines), i, i+1))
-		names = append(names, fmt.Sprintf("all lines but %d", lines[i]))
-	}
-	return sets, names
-}
-
-// replay is one replay of an instance: its fault armed at index off (0:
-// none), with Persist the lines persist persisted at the crash, and Proc 1's
-// operation (Preempt) run at Proc 0's k-th access (0: none) of Run or, with
-// InResolve, of Resolve.
-type replay struct {
-	off     uint64
-	persist []pmem.Addr
-	k       int
-}
-
-// trace is what a replay measured: with Persist and no line given, the lines
-// the crash left dirty; Run's accesses, every Proc's, when it was not
-// interrupted; and Proc 0's accesses in the phase Preempt places Op in.
+// trace is what a replay measured: its responses, the span of the crash
+// axis in an uninterrupted Run, Proc 0's accesses in Run and in Resolve, the
+// lines the crash left dirty and, recorded, where Cross crosses the axes.
 type trace struct {
-	dirty []pmem.Addr
-	span  uint64
-	own   int
+	got          []uint64
+	span         uint64
+	own, resolve int
+	dirty        []pmem.Addr
+	crossed      map[uint64]bool
 }
 
-// at runs replay r of the instance and holds it to want.
-func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
+// at runs replay r of the instance and holds it to want (nil: its own
+// responses). dirty, when known, is the lines r's crash leaves dirty, which
+// the replay that persisted none measured.
+func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr) (tr trace, err error) {
 	defer in.end()
 	defer func() {
 		// Recovery's attempt bound, say: one failing index, not a dead binary.
@@ -375,69 +355,62 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 			err = fmt.Errorf("panic: %v", rec)
 		}
 	}()
+	h, p := in.Heap, in.Preempt
 	in.prepare()
-	epoch := in.Heap.Epoch()
+	epoch, start := h.Epoch(), h.AccessCount()
+	var carried func() uint64
 	switch {
-	case r.off == 0:
 	case in.Kill != nil:
-		in.Kill(r.off)
+		carried = in.Kill(r.crash.k)
+	case r.crash.phase != inRun:
 	case in.Individual:
-		in.Heap.Proc(0).ScheduleSelfCrash(r.off)
+		h.Proc(0).ScheduleSelfCrash(r.crash.k)
 	default:
-		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + r.off)
+		h.ScheduleCrashAt(start + r.crash.k)
 	}
-	inResolve := in.Preempt != nil && in.Preempt.InResolve
-	kRun, kResolve := r.k, 0
-	if inResolve {
-		kRun, kResolve = 0, r.k
-	}
-	var got []uint64
-	start := in.Heap.AccessCount()
-	pr := in.arm(kRun, nil)
-	crashed := !pmem.RunOp(func() { got, err = in.Run() })
-	pr.disarm()
-	tr.span, tr.own = in.Heap.AccessCount()-start, pr.n
-	ran := pr.ran
+	tp := in.tap(r.preempt, inRun, r == replay{} && p != nil && p.Cross != nil)
+	crashed := !pmem.RunOp(func() { tr.got, err = in.Run() })
+	tp.off()
+	tr.span, tr.own, tr.crossed = h.AccessCount()-start, tp.n, tp.crossed
+	fired := crashed || h.Epoch() != epoch
 	switch {
-	case crashed:
-		if in.Resolve == nil {
-			return tr, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
-		}
-		if !in.Individual {
-			for _, l := range r.persist {
-				in.Heap.Proc(0).PWB(l) // Proc 0 saw the crash: its accesses pass
-			}
-			if r.persist == nil && in.Persist {
-				tr.dirty = in.Heap.DivergedLines()
-			}
-			in.Heap.ResetAfterCrash()
-		}
-		pr = in.arm(kResolve, nil)
-		ok := pmem.RunOp(func() { got, err = in.Resolve() })
-		pr.disarm()
-		if inResolve {
-			tr.own, ran = pr.n, pr.ran
-		}
-		if !ok {
-			return tr, errors.New("recovery crashed with no crash armed")
-		}
-	case err != nil:
-	case r.off == 0:
-	case in.Kill != nil && in.Carried() >= r.off, in.Kill == nil && in.Heap.Epoch() == epoch:
-		return tr, errors.New("the fault never fired")
+	case carried != nil:
+		tr.span = carried()
+		fired = tr.span < r.crash.k
+	case in.Individual:
+		tr.span = uint64(tp.n)
 	}
-	if err == nil && r.k > 0 {
-		if !ran && (inResolve || !crashed) {
+	// A crash in Run before its preemption point ends the phase: Resolve
+	// runs Op itself, if at all.
+	ran := tp.ran || crashed && r.preempt.phase == inRun
+	switch {
+	case err != nil:
+		return tr, err
+	case fired && r.crash.phase != inRun:
+		return tr, errors.New("crashed with no crash armed")
+	case !fired && r.crash.phase == inRun:
+		return tr, errors.New("the fault never fired")
+	case crashed || r.crash.phase == afterRun:
+		var ranResolve bool
+		if ranResolve, err = in.resolve(r, dirty, &tr); err != nil {
+			return tr, err
+		}
+		ran = ran || ranResolve
+	}
+	got := tr.got
+	if r.preempt.phase != none {
+		if !ran {
 			return tr, errors.New("the preemption never ran")
 		}
-		if err = in.Preempt.Check(got); err == nil {
-			want = got // the history check stands in for want
+		if err = p.Check(got); err != nil {
+			return tr, err
 		}
+		want = got // the history check stands in for want
 	}
-	if err == nil {
-		err = in.check(got, want)
+	if want == nil {
+		want = got
 	}
-	if err == nil && in.After != nil {
+	if err = in.check(got, want); err == nil && in.After != nil {
 		if msg := in.After(); msg != "" {
 			err = fmt.Errorf("duplicate recovery: %s", msg)
 		} else if msg := in.Verify(); msg != "" {
@@ -447,53 +420,89 @@ func (in Instance) at(r replay, want []uint64) (tr trace, err error) {
 	return tr, err
 }
 
-// preemption is Preempt.Op armed at Proc 0's k-th access (0: none) of one
-// phase of a replay, from the heap's access hook, which also counts Proc 0's
-// accesses, n, and with cross set records the points it selects.
-type preemption struct {
+// resolve resets the heap after r's crash, unless Individual, with r's
+// line set persisted first, and runs Resolve, preempted where r says,
+// measuring it into tr. It reports whether Op ran there.
+func (in Instance) resolve(r replay, dirty []pmem.Addr, tr *trace) (ran bool, err error) {
+	if in.Resolve == nil {
+		return false, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
+	}
+	if h := in.Heap; !in.Individual {
+		if in.Persist && dirty == nil && r.persist != oneLine {
+			dirty = h.DivergedLines()
+		}
+		if r.persist == noLine {
+			tr.dirty = dirty
+		}
+		lines := []pmem.Addr{r.line}
+		switch i := slices.Index(dirty, r.line); {
+		case r.persist == noLine:
+			lines = nil
+		case r.persist == allBut && i < 0:
+			return false, fmt.Errorf("line %d was not dirty at the crash", r.line)
+		case r.persist == allBut:
+			lines = slices.Delete(slices.Clone(dirty), i, i+1)
+		}
+		for _, l := range lines {
+			h.Proc(0).PWB(l) // Proc 0 saw the crash, or none came: its accesses pass
+		}
+		h.ResetAfterCrash()
+	}
+	tp := in.tap(r.preempt, inResolve, false)
+	ok := pmem.RunOp(func() { tr.got, err = in.Resolve() })
+	tp.off()
+	if tr.resolve = tp.n; !ok && err == nil {
+		err = errors.New("recovery crashed with no crash armed")
+	}
+	return tp.ran, err
+}
+
+// tap is one phase's access hook: it counts Proc 0's accesses, n, runs
+// Preempt.Op before the one a replay preempts in that phase, and, recording,
+// notes where Cross crosses the axes: at a preemption point, or, InResolve,
+// at the crash offset of that access. Rows with neither Preempt nor
+// Individual need none of it and install no hook.
+type tap struct {
 	h       *pmem.Heap
 	n       int
 	ran     bool
-	crossed []int
+	crossed map[uint64]bool
 }
 
-// arm installs the hook of a preempted instance for the phase about to run.
-func (in Instance) arm(k int, cross func(pmem.Stats) bool) *preemption {
-	pr := &preemption{}
-	if in.Preempt == nil {
-		return pr
+func (in Instance) tap(at point, ph phase, record bool) *tap {
+	tp := &tap{}
+	if in.Preempt == nil && !in.Individual {
+		return tp
 	}
-	pr.h = in.Heap
-	p0 := in.Heap.Proc(0)
-	base := p0.Stats()
-	in.Heap.SetAccessHook(func(p *pmem.Proc) {
+	h, p0 := in.Heap, in.Heap.Proc(0)
+	tp.h = h
+	base, start := p0.Stats(), h.AccessCount()
+	if record {
+		tp.crossed = map[uint64]bool{}
+	}
+	h.SetAccessHook(func(p *pmem.Proc) {
 		if p != p0 {
 			return
 		}
-		if pr.n++; cross != nil && in.Preempt.points(pr.n) == pr.n && cross(p.Stats().Sub(base)) {
-			pr.crossed = append(pr.crossed, pr.n)
+		if tp.n++; record && in.Preempt.Cross(p.Stats().Sub(base)) {
+			k := uint64(tp.n)
+			if in.Preempt.InResolve && !in.Individual {
+				k = h.AccessCount() - start + 1
+			}
+			tp.crossed[k] = true
 		}
-		if pr.n == k {
-			pr.ran = true
+		if at.phase == ph && at.k == uint64(tp.n) {
+			tp.ran = true
 			pmem.RunOp(in.Preempt.Op) // a crash inside it: Proc 0's access sees it next
 		}
 	})
-	return pr
+	return tp
 }
 
-// points is how many of a phase's n accesses of Proc 0's are preemption
-// points: the first Within, or all.
-func (p *Preempt) points(n int) int {
-	if p.Within > 0 {
-		return min(n, p.Within)
-	}
-	return n
-}
-
-// disarm removes the hook arm installed.
-func (pr *preemption) disarm() {
-	if pr.h != nil {
-		pr.h.SetAccessHook(nil)
+// off removes the hook tap installed.
+func (tp *tap) off() {
+	if tp.h != nil {
+		tp.h.SetAccessHook(nil)
 	}
 }
 
@@ -558,44 +567,34 @@ func (in Instance) end() {
 	in.Heap.Release()
 }
 
-// SweepTest runs Sweep as test t's leaf: it logs how many crash points the
-// sweep covered and returns that count, or fails t with the violation and the
-// line that re-runs t alone. A preempted instance's indices are t's subtests
-// instead, "preempt=k", "preempt=k/off=j" or "off=j/preempt=k", each leaf
-// logging its own crash points and failing with its own re-run line; the
-// sweep stops at the first that fails.
+// SweepTest runs Sweep as test t's row, logs how many replays and crash
+// points it covered and returns the crash points. A row with Preempt runs
+// each replay as t's subtest named by its printed form; any other row, whose
+// crash points run to the thousands, only a failing one. That fails with the
+// violation and its re-run line (Rerun); a failing uninterrupted run fails t.
+// A -run pattern whose elements below t spell a replay, as that line's do,
+// selects it: the instance is built for the uninterrupted run and it only.
 func SweepTest(t *testing.T, build func() Instance, want []uint64) int {
 	t.Helper()
-	points := 0
-	n, err := sweep(build, want, subtests(t, &points))
-	if err != nil {
-		t.Fatalf("%v\nre-run: %s", err, Rerun(t))
+	s := sweep(t, build, want, selected(flag.Lookup("test.run").Value.String(), t.Name()))
+	if s.stop == (replay{}) && s.err != nil {
+		t.Fatalf("%v\nre-run: %s", s.err, Rerun(t))
 	}
-	if n > 0 {
-		t.Logf("%d crash points swept", n)
-	}
-	return points + n
+	t.Logf("%d replays, %d crash points swept", s.replays, s.points)
+	return s.points
 }
 
-// subtests is the node that runs each index as a subtest of t, adding the
-// crash points of the leaves to points.
-func subtests(t *testing.T, points *int) node {
-	return func(name string, f func(node) (int, error)) bool {
-		return t.Run(name, func(t *testing.T) {
-			t.Helper()
-			children := 0
-			n, err := f(func(name string, g func(node) (int, error)) bool {
-				children++
-				return subtests(t, points)(name, g)
-			})
-			if err != nil {
-				t.Fatalf("%v\nre-run: %s", err, Rerun(t))
-			}
-			if *points += n; children == 0 {
-				t.Logf("%d crash points swept", n)
-			}
-		})
+// selected is the replay that the -run pattern's elements below the test
+// named name spell, anchored or not, or nil.
+func selected(pattern, name string) *replay {
+	elems, depth := strings.Split(pattern, "/"), strings.Count(name, "/")+1
+	for i := depth; i < len(elems); i++ {
+		elems[i] = strings.TrimSuffix(strings.TrimPrefix(elems[i], "^"), "$")
 	}
+	if r, ok := parseReplay(strings.Join(elems[min(depth, len(elems)):], "/")); ok {
+		return &r
+	}
+	return nil
 }
 
 // SweepAfter sweeps the last of a sequence of operations on every state the

@@ -48,9 +48,9 @@ func TestSweepCrashesEveryOffsetOnce(t *testing.T) {
 			}
 			return Instance{Heap: h, Run: run, Resolve: resolve, Verify: verify, Individual: individual}
 		}
-		n, err := Sweep(func() Instance { return toy(4) }, nil)
-		if got := fmt.Sprint(hits); err != nil || n != 4 || got != "map[1:1 2:1 3:1 4:1]" {
-			t.Fatalf("individual=%v: swept %d crash points (%v), crashed per offset %s, want 4, each once", individual, n, err, got)
+		replays, n, err := Sweep(func() Instance { return toy(4) }, nil)
+		if got := fmt.Sprint(hits); err != nil || replays != 4 || n != 4 || got != "map[1:1 2:1 3:1 4:1]" {
+			t.Fatalf("individual=%v: swept %d replays, %d crash points (%v), crashed per offset %s, want 4 and 4, each once", individual, replays, n, err, got)
 		}
 		builds := 0
 		short := func() Instance { // the replays stop a store early
@@ -59,7 +59,7 @@ func TestSweepCrashesEveryOffsetOnce(t *testing.T) {
 			}
 			return toy(3)
 		}
-		if _, err := Sweep(short, nil); fmt.Sprint(err) != "off=4: the fault never fired" {
+		if _, _, err := Sweep(short, nil); fmt.Sprint(err) != "off=4: the fault never fired" {
 			t.Fatalf("individual=%v: a replay shorter than its span: %v", individual, err)
 		}
 	}
@@ -202,7 +202,7 @@ func preemptToy(n uint64, cross func(pmem.Stats) bool, inResolve bool) (*twoProc
 // store, a crash at each access of the preempted run lands, in every repeat,
 // on that access: Proc 0's first two stores, Proc 1's two, then Proc 0's
 // last two. InResolve preempts every access of the Resolve after every crash
-// offset once. A violation is named as its subtest is.
+// offset once. A violation is named by its replay.
 func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 	hits := map[uint64]int{} // per preemption point, the replays preempted there
 	count := func(x *twoProcToy, in Instance) Instance {
@@ -210,9 +210,9 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 		in.Preempt.Op = func() { op(); hits[10*x.crashed+x.preempted]++ }
 		return in
 	}
-	n, err := Sweep(func() Instance { return count(preemptToy(4, nil, false)) }, nil)
-	if err != nil || n != 0 || fmt.Sprint(hits) != "map[1:1 2:1 3:1 4:1]" {
-		t.Fatalf("swept %d crash points (%v), preempted per access %v, want 0, each of 1..4 once", n, err, hits)
+	replays, n, err := Sweep(func() Instance { return count(preemptToy(4, nil, false)) }, nil)
+	if err != nil || replays != 4 || n != 0 || fmt.Sprint(hits) != "map[1:1 2:1 3:1 4:1]" {
+		t.Fatalf("%d replays, %d crash points (%v), preempted per access %v, want 4 and 0, each of 1..4 once", replays, n, err, hits)
 	}
 	builds := 0
 	short := func() Instance { // the replays stop a store early
@@ -223,7 +223,7 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 		_, in := preemptToy(3, nil, false)
 		return in
 	}
-	if _, err := Sweep(short, nil); fmt.Sprint(err) != "preempt=4: the preemption never ran" {
+	if _, _, err := Sweep(short, nil); fmt.Sprint(err) != "preempt=4: the preemption never ran" {
 		t.Fatalf("a replay shorter than its preemption point: %v", err)
 	}
 
@@ -231,7 +231,7 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 	want := "[p0:1 p0:2 p1:1 p1:2 p0:3 p0:4]"
 	for i := range 3 {
 		var landed []string // per crash, in sweep order, where it landed
-		n, err := Sweep(func() Instance {
+		replays, n, err := Sweep(func() Instance {
 			x, in := preemptToy(4, third, false)
 			verify := in.Verify
 			in.Verify = func() string {
@@ -242,11 +242,11 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 			}
 			return in
 		}, nil)
-		if err != nil || n != 6 || fmt.Sprint(landed) != want {
-			t.Fatalf("repeat %d, crossed at the third access: %d crash points (%v) landing at %v, want 6 at %s", i+1, n, err, landed, want)
+		if err != nil || replays != 10 || n != 6 || fmt.Sprint(landed) != want {
+			t.Fatalf("repeat %d, crossed at the third access: %d replays, %d crash points (%v) landing at %v, want 10 and 6 at %s", i+1, replays, n, err, landed, want)
 		}
 	}
-	_, err = Sweep(func() Instance {
+	_, _, err = Sweep(func() Instance {
 		x, in := preemptToy(4, third, false)
 		in.Verify = func() string {
 			if x.landed == "p1:2" {
@@ -261,9 +261,9 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 	}
 
 	clear(hits)
-	n, err = Sweep(func() Instance { return count(preemptToy(4, nil, true)) }, nil)
-	if err != nil || n != 16 || len(hits) != 16 {
-		t.Fatalf("InResolve: %d crash points (%v), preempted %v, want 16, each (offset, access) once", n, err, hits)
+	replays, n, err = Sweep(func() Instance { return count(preemptToy(4, nil, true)) }, nil)
+	if err != nil || replays != 20 || n != 16 || len(hits) != 16 {
+		t.Fatalf("InResolve: %d replays, %d crash points (%v), preempted %v, want 20 and 16, each (offset, access) once", replays, n, err, hits)
 	}
 	for at, c := range hits {
 		if c != 1 || at/10 < 1 || at/10 > 4 || at%10 < 1 || at%10 > 4 {
@@ -271,7 +271,7 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 		}
 	}
 	builds = 0
-	_, err = Sweep(func() Instance {
+	_, _, err = Sweep(func() Instance {
 		if builds++; builds == 1 {
 			_, in := preemptToy(4, nil, true)
 			return in
@@ -291,76 +291,229 @@ func TestSweepPreemptsEveryAccessOnce(t *testing.T) {
 	}
 }
 
-// TestSweepPreemptsResolveInEveryLineSet pins InResolve under Persist and At
-// on a toy whose recovery grows with what persisted: Proc 0 stores into words
-// on two lines of their own, and Resolve loads both, stores once more for
-// each that persisted, and stores both again. A crash at the second store
-// leaves the first line dirty, so it is replayed with none and with that line
-// persisted, and the second Resolve is an access longer. Each (crash, line
-// set, access of that set's Resolve) is preempted exactly once; Within 1
-// preempts each (crash, line set) once, at Resolve's first access, and
-// Within 5 reports the Resolve that makes 4 accesses; and a Preempt with
-// Kill, or InResolve with Cross, is refused.
-func TestSweepPreemptsResolveInEveryLineSet(t *testing.T) {
-	hits := map[string]int{} // per (crash, lines persisted, access of Resolve), the replays preempted there
-	toy := func(within int) func() Instance {
-		return func() Instance {
-			h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
-			p0, p1 := h.Proc(0), h.Proc(1)
-			a := (p0.Alloc(3*pmem.WordsPerLine) + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
-			c, b := a+pmem.WordsPerLine, p0.Alloc(1)
-			var step, crashed, persisted uint64
-			var base pmem.Stats
-			run := func() ([]uint64, error) {
-				for step = 1; step <= 2; step++ {
-					p0.Store(a+pmem.Addr(step-1)*pmem.WordsPerLine, 1)
+// lineSetToy returns the build of a toy whose recovery grows with what
+// persisted: Proc 0 stores into words on two lines of their own, and Resolve
+// loads both, stores once more for each that persisted, and stores both
+// again. Proc 1's operation, InResolve, notes in hits where it ran: the
+// crash, the lines persisted and the access of Resolve.
+func lineSetToy(hits map[string]int, within int) func() Instance {
+	return func() Instance {
+		h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
+		p0, p1 := h.Proc(0), h.Proc(1)
+		a := (p0.Alloc(3*pmem.WordsPerLine) + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
+		c, b := a+pmem.WordsPerLine, p0.Alloc(1)
+		var step, crashed, persisted uint64
+		var base pmem.Stats
+		run := func() ([]uint64, error) {
+			for step = 1; step <= 2; step++ {
+				p0.Store(a+pmem.Addr(step-1)*pmem.WordsPerLine, 1)
+			}
+			return []uint64{1}, nil
+		}
+		return Instance{
+			Heap: h,
+			Run:  run,
+			Resolve: func() ([]uint64, error) {
+				base, crashed, persisted = p0.Stats(), step, h.ReadPersisted(a)+h.ReadPersisted(c)
+				for range p0.Load(a) + p0.Load(c) {
+					p0.Store(b, 1)
 				}
-				return []uint64{1}, nil
-			}
-			return Instance{
-				Heap: h,
-				Run:  run,
-				Resolve: func() ([]uint64, error) {
-					base, crashed, persisted = p0.Stats(), step, h.ReadPersisted(a)+h.ReadPersisted(c)
-					for range p0.Load(a) + p0.Load(c) {
-						p0.Store(b, 1)
-					}
-					return run()
+				return run()
+			},
+			Verify:  func() string { return "" },
+			Persist: true,
+			Preempt: &Preempt{
+				Op: func() {
+					st := p0.Stats().Sub(base)
+					hits[fmt.Sprintf("%d/%d/%d", crashed, persisted, st.Loads+st.Stores+1)]++
+					p1.Store(b, 2)
 				},
-				Verify:  func() string { return "" },
-				Persist: true,
-				Preempt: &Preempt{
-					Op: func() {
-						st := p0.Stats().Sub(base)
-						hits[fmt.Sprintf("%d/%d/%d", crashed, persisted, st.Loads+st.Stores+1)]++
-						p1.Store(b, 2)
-					},
-					Check:     func([]uint64) error { return nil },
-					Within:    within,
-					InResolve: true,
-				},
-			}
+				Check:     func([]uint64) error { return nil },
+				Within:    within,
+				InResolve: true,
+			},
 		}
 	}
-	n, err := Sweep(toy(0), nil)
+}
+
+// TestSweepPreemptsResolveInEveryLineSet pins InResolve under Persist on the
+// line-set toy. A crash at the second store leaves the first line dirty, so
+// it is replayed with none and with that line persisted, and the second
+// Resolve is an access longer. Each (crash, line set, access of that set's
+// Resolve) is preempted exactly once; Within 1 preempts each (crash, line
+// set) once, at Resolve's first access, and Within 5 reports the Resolve that
+// makes 4 accesses. The axes compose: Cross selecting the access after the
+// first store crashes only there, and preempts its Resolves the same way; a
+// preempted toy whose fault is a cut (Kill) is cut at every byte of the run
+// preempted at the point Cross selects.
+func TestSweepPreemptsResolveInEveryLineSet(t *testing.T) {
+	hits := map[string]int{} // per (crash, lines persisted, access of Resolve), the replays preempted there
+	replays, n, err := Sweep(lineSetToy(hits, 0), nil)
 	want := "map[1/0/1:1 1/0/2:1 1/0/3:1 1/0/4:1 2/0/1:1 2/0/2:1 2/0/3:1 2/0/4:1 2/1/1:1 2/1/2:1 2/1/3:1 2/1/4:1 2/1/5:1]"
-	if err != nil || n != 13 || fmt.Sprint(hits) != want {
-		t.Fatalf("InResolve under Persist: %d crash points (%v), preempted at %v, want 13 at %s", n, err, hits, want)
+	if err != nil || replays != 16 || n != 13 || fmt.Sprint(hits) != want {
+		t.Fatalf("InResolve under Persist: %d replays, %d crash points (%v), preempted at %v, want 16 and 13 at %s", replays, n, err, hits, want)
 	}
 	clear(hits)
-	n, err = Sweep(toy(1), nil)
-	if want := "map[1/0/1:1 2/0/1:1 2/1/1:1]"; err != nil || n != 3 || fmt.Sprint(hits) != want {
-		t.Fatalf("InResolve within Resolve's first access: %d crash points (%v), preempted at %v, want 3 at %s", n, err, hits, want)
+	replays, n, err = Sweep(lineSetToy(hits, 1), nil)
+	if want := "map[1/0/1:1 2/0/1:1 2/1/1:1]"; err != nil || replays != 5 || n != 3 || fmt.Sprint(hits) != want {
+		t.Fatalf("InResolve within Resolve's first access: %d replays, %d crash points (%v), preempted at %v, want 5 and 3 at %s", replays, n, err, hits, want)
 	}
-	if _, err := Sweep(toy(5), nil); fmt.Sprint(err) != "off=1/preempt=5: the preemption never ran" {
+	if _, _, err := Sweep(lineSetToy(hits, 5), nil); fmt.Sprint(err) != "off=1/preempt=5: the preemption never ran" {
 		t.Fatalf("InResolve within more accesses than a Resolve makes: %v", err)
 	}
-	for name, set := range map[string]func(*Instance){
-		"Kill":  func(in *Instance) { in.Kill, in.Carried = func(uint64) {}, func() uint64 { return 0 } },
-		"Cross": func(in *Instance) { in.Preempt.Cross = func(pmem.Stats) bool { return true } },
+
+	clear(hits)
+	replays, n, err = Sweep(func() Instance {
+		in := lineSetToy(hits, 0)()
+		in.Preempt.Cross = func(st pmem.Stats) bool { return st.Stores == 1 }
+		return in
+	}, nil)
+	want = "map[2/0/1:1 2/0/2:1 2/0/3:1 2/0/4:1 2/1/1:1 2/1/2:1 2/1/3:1 2/1/4:1 2/1/5:1]"
+	if err != nil || replays != 11 || n != 9 || fmt.Sprint(hits) != want {
+		t.Fatalf("InResolve with Cross: %d replays, %d crash points (%v), preempted at %v, want 11 and 9 at %s", replays, n, err, hits, want)
+	}
+
+	var cuts []string // per cut, the store Proc 1's operation preempted and the bytes carried
+	replays, n, err = Sweep(func() Instance {
+		x, in := preemptToy(4, func(st pmem.Stats) bool { return st.Stores == 2 }, false)
+		cut := uint64(0)
+		in.Kill = func(off uint64) func() uint64 {
+			cut = off
+			return func() uint64 {
+				if cut > 0 {
+					cuts = append(cuts, fmt.Sprintf("%d:%d", x.preempted, cut-1))
+					return cut - 1
+				}
+				return x.n
+			}
+		}
+		return in
+	}, nil)
+	if want := "[3:0 3:1 3:2 3:3]"; err != nil || replays != 8 || n != 4 || fmt.Sprint(cuts) != want {
+		t.Fatalf("Preempt with Kill: %d replays, %d crash points (%v), cut at %v, want 8 and 4 at %s", replays, n, err, cuts, want)
+	}
+}
+
+// seen is what the rerun toy observed in one replay: Proc 0's store in
+// progress at the crash (5: after Run; 0: none), which of its four lines
+// persisted at it, a bit each, and where Proc 1's operation ran: before
+// which of Proc 0's stores in Run, or before which of its accesses in Resolve.
+type seen struct{ crash, persisted, preempt, resolve uint64 }
+
+// rerunToy builds a toy that fails exactly at the replay that sees fail:
+// Proc 0 stores into one word on each of four cache lines, and Resolve notes
+// which persisted and stores all four again. Proc 1's operation, a store on a
+// fifth line, runs in Run (crossed at Proc 0's second access) or in Resolve,
+// or the row has no Preempt; every row has Persist and CrashAfter. It
+// returns the first word's address: each line's is WordsPerLine further.
+func rerunToy(fail seen, preempt string) (Instance, pmem.Addr) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
+	p0, p1 := h.Proc(0), h.Proc(1)
+	a := (p0.Alloc(6*pmem.WordsPerLine) + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
+	var o seen
+	var step uint64 // Proc 0's store in progress, in Run or in Resolve
+	resolving := false
+	stores := func() ([]uint64, error) {
+		for step = 1; step <= 4; step++ {
+			p0.Store(a+pmem.Addr(step-1)*pmem.WordsPerLine, 1)
+		}
+		return nil, nil
+	}
+	in := Instance{
+		Heap: h,
+		Run:  stores,
+		Resolve: func() ([]uint64, error) {
+			o.crash = step
+			for i := range pmem.Addr(4) {
+				if h.ReadPersisted(a+i*pmem.WordsPerLine) != 0 {
+					o.persisted |= 1 << i
+				}
+			}
+			resolving = true
+			return stores()
+		},
+		Verify: func() string {
+			if o == fail {
+				return "the one failing replay"
+			}
+			return ""
+		},
+		Persist:    true,
+		CrashAfter: true,
+	}
+	if preempt != "" {
+		in.Preempt = &Preempt{
+			Op: func() {
+				if resolving {
+					o.resolve = step
+				} else {
+					o.preempt = step
+				}
+				p1.Store(a+4*pmem.WordsPerLine, 1)
+			},
+			Check:     func([]uint64) error { return nil },
+			InResolve: preempt == "resolve",
+		}
+		if preempt == "run" {
+			in.Preempt.Cross = func(st pmem.Stats) bool { return st.Stores == 1 }
+		}
+	}
+	return in, a
+}
+
+// TestSweepRerunsOneReplay fails the rerun toy at one replay of each shape.
+// Sweep names the violation by the replay's printed form, which parses back
+// to the same replay; the -run pattern Rerun prints for it selects it; and
+// that sweep builds the instance twice, for the uninterrupted run and that
+// replay, and fails there again. A pattern that ends at the row, or spells
+// no replay below it, selects none.
+func TestSweepRerunsOneReplay(t *testing.T) {
+	for _, pattern := range []string{"", "^T$/^row$", "T/row/off", "T/row/off=3/off=2", "T/row/line=5/off=3"} {
+		if r := selected(pattern, "T/row"); r != nil {
+			t.Errorf("pattern %q selects %v, want none", pattern, r)
+		}
+	}
+	_, a := rerunToy(seen{}, "")
+	line := func(i pmem.Addr) pmem.Addr { return a + i*pmem.WordsPerLine }
+	for _, c := range []struct {
+		preempt string
+		fail    seen
+		name    string
+	}{
+		{"", seen{crash: 2}, "off=2"},
+		{"", seen{crash: 2, persisted: 1}, fmt.Sprintf("off=2/line=%d", line(0))},
+		{"", seen{crash: 4, persisted: 0b101}, fmt.Sprintf("off=4/all-but=%d", line(1))},
+		{"run", seen{preempt: 3}, "preempt=3"},
+		{"run", seen{preempt: 2, crash: 3}, "preempt=2/off=4"},
+		{"resolve", seen{crash: 2, resolve: 3}, "off=2/preempt=3"},
+		{"run", seen{preempt: 1, crash: 5, persisted: 0b10}, fmt.Sprintf("preempt=1/off=after/line=%d", line(1))},
 	} {
-		if _, err := Sweep(func() Instance { in := toy(0)(); set(&in); return in }, nil); err == nil || !strings.Contains(err.Error(), "not combined") {
-			t.Errorf("InResolve with %s: %v, want it refused", name, err)
+		builds := 0
+		build := func() Instance {
+			builds++
+			in, _ := rerunToy(c.fail, c.preempt)
+			return in
+		}
+		s := sweep(nil, build, nil, nil)
+		if got := fmt.Sprint(s.stop); s.err == nil || got != c.name {
+			t.Errorf("%s: the sweep failed at %q (%v), want %q", c.name, got, s.err, c.name)
+			continue
+		}
+		if r, ok := parseReplay(c.name); !ok || r != s.stop {
+			t.Errorf("%s: parses back to %+v (%v), want %+v", c.name, r, ok, s.stop)
+		}
+		elems := strings.Split("TestSweepRerunsOneReplay/row/"+c.name, "/")
+		for i, e := range elems {
+			elems[i] = "^" + regexp.QuoteMeta(e) + "$"
+		}
+		r := selected(strings.Join(elems, "/"), "TestSweepRerunsOneReplay/row")
+		if r == nil || *r != s.stop {
+			t.Errorf("%s: the re-run pattern selects %v, want it", c.name, r)
+			continue
+		}
+		builds = 0
+		if s := sweep(nil, build, nil, r); s.err == nil || s.stop != *r || builds != 2 {
+			t.Errorf("%s re-run: %d builds, failing at %v (%v); want 2, failing there", c.name, builds, s.stop, s.err)
 		}
 	}
 }

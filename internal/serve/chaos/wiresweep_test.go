@@ -130,18 +130,13 @@ func wireInstance(eng repro.EngineKind, crashSim bool, crashAt uint64, read bool
 			}
 			return ""
 		},
-		Kill: func(off uint64) {
+		Kill: func(off uint64) func() uint64 {
 			if read {
 				plan.KillReadAt = off
-			} else {
-				plan.KillWriteAt = off
+				return func() uint64 { return first.BytesRead() }
 			}
-		},
-		Carried: func() uint64 {
-			if read {
-				return first.BytesRead()
-			}
-			return first.BytesWritten()
+			plan.KillWriteAt = off
+			return func() uint64 { return first.BytesWritten() }
 		},
 		Close: srv.Close,
 	}
