@@ -127,6 +127,11 @@ type Preempt struct {
 // Each crashed replay must recover to the sequential model's responses and
 // post-state, the paper's detectability bar checked exhaustively: a batched
 // phase must recover whether the crash left it fully persisted or absent.
+// A replay's Resolve may make at most 1 024 times (resolveBudget) the
+// uninterrupted run's span of heap accesses: a recovery that runs on past
+// that, looping say, fails its replay instead of hanging the package. A loop
+// that never touches the heap is not caught, nor is a recovery after a cut
+// byte.
 // build must return a fresh, identical instance on every call; a finished
 // instance is closed and its heap images recycled (pmem.Heap.Release), so the
 // next build zeroes only what this one carved instead of a whole arena.
@@ -224,17 +229,23 @@ type sweeper struct {
 	want            []uint64
 	in              Instance
 	t               *testing.T
+	budget          uint64 // the heap accesses a replay's Resolve may make
 	replays, points int
 	stop            replay
 	err             error
 }
+
+// resolveBudget is the multiple of the uninterrupted run's span that bounds
+// a replay's Resolve in heap accesses. The largest ratio a sweep in the
+// repository measures is 80, a recovery of 320 accesses after a run of 4.
+const resolveBudget = 1 << 10
 
 // sweep is Sweep's loop over the product of the axes, or, only, over that
 // one replay: the recording, then a replay per preemption point of Run (or
 // none), and in each the crash points it crosses, reported under row t.
 func sweep(t *testing.T, build func() Instance, want []uint64, only *replay) *sweeper {
 	in := build()
-	rec, err := in.at(replay{}, want, nil)
+	rec, err := in.at(replay{}, want, nil, 0)
 	if err == nil && rec.span == 0 {
 		err = errors.New("nothing to sweep (no tracked access, no byte carried)")
 	}
@@ -242,6 +253,9 @@ func sweep(t *testing.T, build func() Instance, want []uint64, only *replay) *sw
 		want = rec.got
 	}
 	s := &sweeper{build: build, want: want, in: in, t: t}
+	if in.Kill == nil { // a span of heap accesses, not of bytes
+		s.budget = resolveBudget * rec.span
+	}
 	if err != nil {
 		s.err = fmt.Errorf("uninterrupted: %v", err)
 		return s
@@ -310,7 +324,7 @@ func (s *sweeper) run(r replay, dirty []pmem.Addr) (tr trace) {
 		return trace{}
 	}
 	var err error
-	at := func() { tr, err = s.build().at(r, s.want, dirty) }
+	at := func() { tr, err = s.build().at(r, s.want, dirty, s.budget) }
 	report := func(t *testing.T) {
 		t.Helper()
 		if err != nil {
@@ -346,8 +360,9 @@ type trace struct {
 
 // at runs replay r of the instance and holds it to want (nil: its own
 // responses). dirty, when known, is the lines r's crash leaves dirty, which
-// the replay that persisted none measured.
-func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr) (tr trace, err error) {
+// the replay that persisted none measured; budget bounds its Resolve (0:
+// unbounded).
+func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr, budget uint64) (tr trace, err error) {
 	defer in.end()
 	defer func() {
 		// Recovery's attempt bound, say: one failing index, not a dead binary.
@@ -392,7 +407,7 @@ func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr) (tr trace, err
 		return tr, errors.New("the fault never fired")
 	case crashed || r.crash.phase == afterRun:
 		var ranResolve bool
-		if ranResolve, err = in.resolve(r, dirty, &tr); err != nil {
+		if ranResolve, err = in.resolve(r, dirty, &tr, budget); err != nil {
 			return tr, err
 		}
 		ran = ran || ranResolve
@@ -421,13 +436,15 @@ func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr) (tr trace, err
 }
 
 // resolve resets the heap after r's crash, unless Individual, with r's
-// line set persisted first, and runs Resolve, preempted where r says,
-// measuring it into tr. It reports whether Op ran there.
-func (in Instance) resolve(r replay, dirty []pmem.Addr, tr *trace) (ran bool, err error) {
+// line set persisted first, and runs Resolve, preempted where r says, within
+// budget heap accesses (0: any number), measuring it into tr. It reports
+// whether Op ran there.
+func (in Instance) resolve(r replay, dirty []pmem.Addr, tr *trace, budget uint64) (ran bool, err error) {
 	if in.Resolve == nil {
 		return false, errors.New("crashed on the sweep's goroutine, and nothing resolves it")
 	}
-	if h := in.Heap; !in.Individual {
+	h := in.Heap
+	if !in.Individual {
 		if in.Persist && dirty == nil && r.persist != oneLine {
 			dirty = h.DivergedLines()
 		}
@@ -449,9 +466,17 @@ func (in Instance) resolve(r replay, dirty []pmem.Addr, tr *trace) (ran bool, er
 		h.ResetAfterCrash()
 	}
 	tp := in.tap(r.preempt, inResolve, false)
+	start := h.AccessCount()
+	if budget > 0 {
+		h.ScheduleCrashAt(start + budget + 1) // the access past the budget crashes
+	}
 	ok := pmem.RunOp(func() { tr.got, err = in.Resolve() })
+	h.DisarmCrash()
 	tp.off()
-	if tr.resolve = tp.n; !ok && err == nil {
+	switch tr.resolve = tp.n; {
+	case !ok && budget > 0 && h.AccessCount()-start > budget:
+		err = fmt.Errorf("recovery ran past %d heap accesses, %d times the uninterrupted run's", budget, resolveBudget)
+	case !ok && err == nil:
 		err = errors.New("recovery crashed with no crash armed")
 	}
 	return tp.ran, err
@@ -509,8 +534,10 @@ func (tp *tap) off() {
 // step runs in as an operation before the swept one, on the heap the swept
 // one will run on: with its fault armed at access off (0: none), resolved if
 // it fired, its responses held to want (nil: none held) and its post-state to
-// Verify. It returns the responses and whether the fault fired.
-func (in Instance) step(off uint64, want []uint64) (got []uint64, fired bool, err error) {
+// Verify. It returns the responses and the span of its run, in the accesses
+// its fault counts (Proc 0's with Individual), which is the whole run's only
+// if the fault did not fire.
+func (in Instance) step(off uint64, want []uint64) (got []uint64, span uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -524,7 +551,12 @@ func (in Instance) step(off uint64, want []uint64) (got []uint64, fired bool, er
 	default:
 		in.Heap.ScheduleCrashAt(in.Heap.AccessCount() + off)
 	}
-	fired = !pmem.RunOp(func() { got, err = in.Run() })
+	tp, start := in.tap(point{}, inRun, false), in.Heap.AccessCount()
+	fired := !pmem.RunOp(func() { got, err = in.Run() })
+	tp.off()
+	if span = in.Heap.AccessCount() - start; in.Individual {
+		span = uint64(tp.n)
+	}
 	in.Heap.DisarmCrash()
 	in.Heap.Proc(0).CancelSelfCrash()
 	if fired {
@@ -539,7 +571,7 @@ func (in Instance) step(off uint64, want []uint64) (got []uint64, fired bool, er
 	if err == nil {
 		err = in.check(got, want)
 	}
-	return got, fired, err
+	return got, span, err
 }
 
 // check holds the responses to want and the post-state to Verify.
@@ -605,10 +637,13 @@ func selected(pattern, name string) *replay {
 // j = 1, 2, …, runs each operation before the last with its fault (the last
 // one's kind) armed at its j-th tracked access and resolved if it fired,
 // holds it to its uninterrupted responses and its Verify, and then sweeps the
-// last one. The subtests end with the first j at which no earlier fault
-// fired, whose earlier operations ran uninterrupted. This covers the loops
-// that crashed every operation of a sequence at one offset, and every offset
-// of the last one besides. It returns the crash points of all the sweeps.
+// last one. The subtests are numbered from the uninterrupted runs of the
+// earlier operations, before any of them: j goes up to their longest span,
+// and one more, at which they all run uninterrupted. So the rows are the same
+// whatever -run selects, and a re-run line selects its row alone. This covers
+// the loops that crashed every operation of a sequence at one offset, and
+// every offset of the last one besides. It returns the crash points of all
+// the sweeps.
 func SweepAfter(t *testing.T, build func() []Instance, want []uint64) int {
 	t.Helper()
 	steps := build()
@@ -618,34 +653,35 @@ func SweepAfter(t *testing.T, build func() []Instance, want []uint64) int {
 		return SweepTest(t, func() Instance { return build()[0] }, want)
 	}
 	wants := make([][]uint64, last) // the earlier operations' uninterrupted responses
+	var reach uint64                // and the longest of their spans
 	for k, s := range steps[:last] {
+		var span uint64
 		var err error
-		if wants[k], _, err = s.step(0, nil); err != nil {
+		if wants[k], span, err = s.step(0, nil); err != nil {
 			t.Fatalf("operation %d of %d, uninterrupted: %v\nre-run: %s", k+1, last+1, err, Rerun(t))
 		}
+		reach = max(reach, span)
 	}
 	steps[last].end()
 	points := 0
-	for j := uint64(1); ; j++ {
-		fired := false
+	for j := uint64(1); j <= reach+1; j++ {
 		ok := t.Run(fmt.Sprintf("prefix-crash=%d", j), func(t *testing.T) {
 			t.Helper()
 			points += SweepTest(t, func() Instance {
 				steps := build()
 				for k, s := range steps[:last] {
-					_, f, err := s.step(j, wants[k])
-					if err != nil {
+					if _, _, err := s.step(j, wants[k]); err != nil {
 						t.Fatalf("operation %d of %d, fault at access %d: %v\nre-run: %s", k+1, last+1, j, err, Rerun(t))
 					}
-					fired = fired || f
 				}
 				return steps[last]
 			}, want)
 		})
-		if !ok || !fired {
+		if !ok {
 			return points
 		}
 	}
+	return points
 }
 
 // Bool is a true-or-false response as Run and Resolve return it: 1 for true.

@@ -2,6 +2,8 @@ package crash
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
@@ -65,40 +67,115 @@ func TestSweepCrashesEveryOffsetOnce(t *testing.T) {
 	}
 }
 
-// TestSweepAfterCrashesEachPrefixOffset runs SweepAfter on two toy
-// operations on one heap, three stores into one word and then two into
-// another: it sweeps the second after the first crashed at each of its three
+// prefixToy is two toy operations on one heap, three stores into one word
+// and then two into another, for SweepAfter. crashed notes which of the
+// first operation's stores a fault hit.
+func prefixToy(crashed map[uint64]bool) (steps []Instance) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 1, Tracked: true})
+	p := h.Proc(0)
+	for _, n := range []uint64{3, 2} {
+		a := p.Alloc(1)
+		var step uint64 // the store in progress
+		run := func() ([]uint64, error) {
+			for step = 1; step <= n; step++ {
+				p.Store(a, step)
+			}
+			return []uint64{n}, nil
+		}
+		resolve := func() ([]uint64, error) {
+			crashed[step] = crashed[step] || n == 3
+			return run()
+		}
+		verify := func() string {
+			if got := p.Load(a); got != n {
+				return fmt.Sprintf("word %d, want %d", got, n)
+			}
+			return ""
+		}
+		steps = append(steps, Instance{Heap: h, Run: run, Resolve: resolve, Verify: verify})
+	}
+	return steps
+}
+
+// TestSweepAfterCrashesEachPrefixOffset runs SweepAfter on prefixToy: it
+// sweeps the second operation after the first crashed at each of its three
 // stores and after it ran uninterrupted, 4 × 2 crash points.
 func TestSweepAfterCrashesEachPrefixOffset(t *testing.T) {
-	crashed := map[uint64]bool{} // the first operation's stores a fault hit
-	build := func() (steps []Instance) {
-		h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 1, Tracked: true})
-		p := h.Proc(0)
-		for _, n := range []uint64{3, 2} {
-			a := p.Alloc(1)
-			var step uint64 // the store in progress
-			run := func() ([]uint64, error) {
-				for step = 1; step <= n; step++ {
-					p.Store(a, step)
-				}
-				return []uint64{n}, nil
-			}
-			resolve := func() ([]uint64, error) {
-				crashed[step] = crashed[step] || n == 3
-				return run()
-			}
-			verify := func() string {
-				if got := p.Load(a); got != n {
-					return fmt.Sprintf("word %d, want %d", got, n)
-				}
-				return ""
-			}
-			steps = append(steps, Instance{Heap: h, Run: run, Resolve: resolve, Verify: verify})
-		}
-		return steps
-	}
-	if n := SweepAfter(t, build, []uint64{2}); n != 8 || fmt.Sprint(crashed) != "map[1:true 2:true 3:true]" {
+	crashed := map[uint64]bool{}
+	if n := SweepAfter(t, func() []Instance { return prefixToy(crashed) }, []uint64{2}); n != 8 || fmt.Sprint(crashed) != "map[1:true 2:true 3:true]" {
 		t.Fatalf("swept %d crash points, the first operation crashed at %v; want 8, at 1, 2 and 3", n, crashed)
+	}
+}
+
+// loopToy is a one-Proc admission of four stores whose recovery loads one
+// word forever.
+func loopToy() Instance {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 1, Tracked: true})
+	p := h.Proc(0)
+	a := p.Alloc(1)
+	return Instance{
+		Heap: h,
+		Run: func() ([]uint64, error) {
+			for i := range uint64(4) {
+				p.Store(a, i+1)
+			}
+			return nil, nil
+		},
+		Resolve: func() ([]uint64, error) {
+			for p.Load(a) < 5 {
+			}
+			return nil, nil
+		},
+		Verify: func() string { return "" },
+	}
+}
+
+// TestSweepBoundsResolve pins the bound on a replay's recovery: loopToy's
+// first crash point fails, named by its replay, once its Resolve has made
+// resolveBudget times the run's 4 accesses.
+func TestSweepBoundsResolve(t *testing.T) {
+	_, _, err := Sweep(loopToy, nil)
+	want := fmt.Sprintf("off=1: recovery ran past %d heap accesses, %d times the uninterrupted run's", 4*resolveBudget, resolveBudget)
+	if fmt.Sprint(err) != want {
+		t.Fatalf("a recovery that never returns: %v, want %q", err, want)
+	}
+}
+
+// TestSweepRowsChild holds the rows TestSweepRerunLines runs in a child
+// process, under a -run pattern of its own; it runs nothing otherwise.
+func TestSweepRowsChild(t *testing.T) {
+	if os.Getenv("CRASH_SWEEP_CHILD") == "" {
+		t.Skip("run by TestSweepRerunLines")
+	}
+	t.Run("after", func(t *testing.T) {
+		SweepAfter(t, func() []Instance { return prefixToy(map[uint64]bool{}) }, []uint64{2})
+	})
+	t.Run("overrun", func(t *testing.T) { SweepTest(t, loopToy, nil) })
+}
+
+// TestSweepRerunLines runs this package's test binary again, under the -run
+// patterns of re-run lines, and pins what they select: a SweepAfter row
+// past the first, alone, and the replay a recovery overran in, failing again
+// with the same re-run line.
+func TestSweepRerunLines(t *testing.T) {
+	child := func(pattern string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run="+pattern, "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "CRASH_SWEEP_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	out, err := child("^TestSweepRowsChild$/^after$/^prefix-crash=2$")
+	if rows := strings.Count(out, "crash points swept"); err != nil || rows != 1 || !strings.Contains(out, "--- PASS: TestSweepRowsChild/after/prefix-crash=2 ") {
+		t.Fatalf("the re-run line of prefix-crash=2 ran %d rows (%v), want that one:\n%s", rows, err, out)
+	}
+	out, err = child("^TestSweepRowsChild$/^overrun$")
+	line := regexp.MustCompile(`re-run: go test \S+ -run '(\^TestSweepRowsChild\$/\^overrun\$/\^off=1\$)' -count=1`).FindStringSubmatch(out)
+	if err == nil || line == nil || !strings.Contains(out, "recovery ran past") {
+		t.Fatalf("the overrun row (%v) printed no re-run line for off=1:\n%s", err, out)
+	}
+	again, err := child(line[1])
+	if err == nil || !strings.Contains(again, "--- FAIL: TestSweepRowsChild/overrun/off=1 ") || !strings.Contains(again, line[0]) {
+		t.Fatalf("the re-run line %s (%v) did not fail off=1 again:\n%s", line[0], err, again)
 	}
 }
 

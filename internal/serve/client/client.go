@@ -8,9 +8,10 @@ package client
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,11 +108,13 @@ type sessionCall struct {
 	tick uint64 // Client.tick when the frame was last built: the deadline's clock
 }
 
-// replyChans recycles the reply channels of completed calls. A channel
-// goes back only after its one reply has been received: it is empty then,
-// and its call left pending when the reply was delivered, so nothing can
-// send on it or close it again.
-var replyChans = sync.Pool{New: func() any { return make(chan serve.Reply, 1) }}
+// calls recycles the records, reply channel included, of doReq's completed
+// calls. A record goes back only after its terminal reply has been received:
+// its channel is empty then, and the call left pending when the reply was
+// delivered, so nothing can send on the channel or close it again, and a
+// resubmission snapshot that still names its request ID finds it gone. A
+// record whose channel was closed (the client failed) is dropped.
+var calls = sync.Pool{New: func() any { return &sessionCall{ch: make(chan serve.Reply, 1)} }}
 
 // Client is the exactly-once client: a pending set, resubmission under the
 // same request ID, and a contiguous acknowledgement watermark. Built by
@@ -290,21 +293,18 @@ func (c *Client) adopt(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	c.nc, c.fw = nc, newFrameWriter(nc, &c.wc)
+	fw := newFrameWriter(nc, &c.wc)
+	c.nc, c.fw = nc, fw
 	c.gen++
 	gen := c.gen
-	// Snapshot the unsettled calls, in sequence order, for resubmission; calls
+	// Snapshot the unsettled request IDs, in order, for resubmission; calls
 	// registered after this point see c.nc != nil and write themselves.
-	calls := make([]*sessionCall, 0, len(c.pending))
-	for _, call := range c.pending {
-		calls = append(calls, call)
-	}
-	sort.Slice(calls, func(i, j int) bool { return calls[i].req.ReqID < calls[j].req.ReqID })
-	c.stats.Resubmits += uint64(len(calls))
+	ids := slices.Sorted(maps.Keys(c.pending))
+	c.stats.Resubmits += uint64(len(ids))
 	c.mu.Unlock()
-	go c.readLoop(nc, gen)
-	for _, call := range calls {
-		if !c.writeCall(nc, gen, call) {
+	go c.readLoop(nc, gen, fw)
+	for _, id := range ids {
+		if !c.writeCall(nc, gen, id) {
 			break // conn died mid-resubmit; the next connect retries
 		}
 	}
@@ -332,8 +332,11 @@ func (c *Client) dropConn(gen uint64, cause error) {
 }
 
 // readLoop dispatches reply frames for one connection generation; any
-// read error tears that generation down.
-func (c *Client) readLoop(nc net.Conn, gen uint64) {
+// read error tears that generation down. Each caller it wakes is counted on
+// the generation's writer, fw, as a request of the reply burst to come, which
+// its flusher gathers; RETRY and OVERLOAD replies are not, since their callers
+// pause before they resubmit.
+func (c *Client) readLoop(nc net.Conn, gen uint64, fw *frameWriter) {
 	fr := serve.NewFrameReader(nc)
 	for {
 		var rep serve.Reply
@@ -356,16 +359,21 @@ func (c *Client) readLoop(nc net.Conn, gen uint64) {
 			// be snapshot for resubmission, and its channel takes just this
 			// send; a duplicate reply (reconnect races) finds no call.
 			delete(c.pending, rep.ReqID)
+			if rep.Status != serve.StRetry && rep.Status != serve.StShed {
+				fw.wake()
+			}
 			call.ch <- rep
 		}
 		c.mu.Unlock()
 	}
 }
 
-// writeCall resubmits one call on nc; false means the conn died.
-func (c *Client) writeCall(nc net.Conn, gen uint64, call *sessionCall) bool {
+// writeCall resubmits the call pending under id on nc; false means the conn
+// died.
+func (c *Client) writeCall(nc net.Conn, gen uint64, id uint64) bool {
 	c.mu.Lock()
-	if c.pending[call.req.ReqID] != call {
+	call := c.pending[id]
+	if call == nil {
 		// The call settled between the resubmit snapshot and this write
 		// (its terminal reply was delivered by the dying generation's
 		// readLoop after adopt snapshotted pending). Resubmitting now
@@ -407,10 +415,10 @@ func (c *Client) writeLocked(nc net.Conn, gen uint64, call *sessionCall) bool {
 		fw = newFrameWriter(nc, &c.wc)
 	}
 	k, err := fw.add(req)
-	gather := len(c.pending) > 1 // other calls in flight: a burst may follow
+	inFlight := len(c.pending) > 1 // other calls in flight: a burst may follow
 	c.mu.Unlock()
 	if err == nil {
-		err = fw.flush(k, gather)
+		err = fw.flush(k, inFlight)
 	}
 	if err != nil {
 		c.dropConn(gen, err)
@@ -420,12 +428,11 @@ func (c *Client) writeLocked(nc net.Conn, gen uint64, call *sessionCall) bool {
 }
 
 // send is the single-shot submission under every call: one critical section
-// registers req and, if a connection is up, builds its frame — while a
-// redial is in flight the registration is enough, adopt resubmits it. The
-// first reply of any status arrives on ch and unregisters the ID; if the
-// client fails first, ch is closed.
-func (c *Client) send(req serve.Request, ch chan serve.Reply) error {
-	call := &sessionCall{req: req, ch: ch}
+// registers req as call and, if a connection is up, builds its frame — while
+// a redial is in flight the registration is enough, adopt resubmits it. The
+// first reply of any status arrives on call.ch and unregisters the ID; if the
+// client fails first, call.ch is closed.
+func (c *Client) send(req serve.Request, call *sessionCall) error {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -436,6 +443,7 @@ func (c *Client) send(req serve.Request, ch chan serve.Reply) error {
 		c.mu.Unlock()
 		return fmt.Errorf("client: request ID %d is already in flight on this client", req.ReqID)
 	}
+	call.req = req
 	c.pending[req.ReqID] = call
 	if c.nc == nil {
 		c.mu.Unlock()
@@ -451,11 +459,11 @@ func (c *Client) send(req serve.Request, ch chan serve.Reply) error {
 // channel means the client failed. On a redialing client a call pending
 // when the connection drops is resubmitted like any other.
 func (c *Client) Send(req serve.Request) (<-chan serve.Reply, error) {
-	ch := make(chan serve.Reply, 1)
-	if err := c.send(req, ch); err != nil {
+	call := &sessionCall{ch: make(chan serve.Reply, 1)}
+	if err := c.send(req, call); err != nil {
 		return nil, err
 	}
-	return ch, nil
+	return call.ch, nil
 }
 
 // watch enforces the per-request deadline of a client that can redial. It
@@ -530,32 +538,35 @@ func (c *Client) settle(reqID uint64) {
 // doReq runs one request to completion: a loop of single-shot sends that
 // rides out RETRY backpressure and OVERLOAD sheds, always under the SAME
 // request ID (connection drops and deadlines are absorbed underneath, by
-// the redial's resubmission), and settles the ID on a terminal reply.
+// the redial's resubmission), and settles the ID on a terminal reply. Its
+// call record comes from, and goes back to, the calls pool.
 func (c *Client) doReq(req serve.Request) (serve.Reply, error) {
+	call := calls.Get().(*sessionCall)
 	for {
-		ch := replyChans.Get().(chan serve.Reply)
-		if err := c.send(req, ch); err != nil {
+		if err := c.send(req, call); err != nil {
+			calls.Put(call) // never registered
 			return serve.Reply{}, err
 		}
-		rep, ok := <-ch
+		rep, ok := <-call.ch
 		if !ok {
 			return serve.Reply{}, c.terminalErr()
 		}
-		replyChans.Put(ch)
 		switch rep.Status {
 		case serve.StRetry:
 			c.pause(retryDelay, &c.stats.Retries)
+			continue
 		case serve.StShed:
 			c.pause(c.cfg.ShedDelay, &c.stats.Sheds)
-		case serve.StOK:
-			c.settle(req.ReqID)
-			return rep, nil
-		default:
-			// Terminal rejection: settled too — the server recorded
-			// nothing, and the watermark must not stall on the gap.
-			c.settle(req.ReqID)
+			continue
+		}
+		calls.Put(call)
+		// A terminal rejection settles too: the server recorded nothing,
+		// and the watermark must not stall on the gap.
+		c.settle(req.ReqID)
+		if rep.Status != serve.StOK {
 			return rep, fmt.Errorf("client: server rejected request %d (status %d)", req.ReqID, rep.Status)
 		}
+		return rep, nil
 	}
 }
 

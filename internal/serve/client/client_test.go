@@ -131,10 +131,9 @@ func echoServer(nc net.Conn) {
 
 // TestRequestPathAllocs pins the request path's weight on both
 // constructions: against an echo server that allocates nothing, one
-// request costs at most 2 allocations — the figure of the lean client the
-// merge replaced, where the reconnecting one paid 6 (a call record, a reply
-// channel and a deadline timer per request). What is left is the call
-// record; reply channels are recycled and the deadline is one ticker per
+// request allocates nothing. The reconnecting client once paid 6 (a call
+// record, a reply channel and a deadline timer per request); call records
+// are recycled with their reply channels, and the deadline is one ticker per
 // client.
 func TestRequestPathAllocs(t *testing.T) {
 	for _, k := range constructions {
@@ -153,8 +152,8 @@ func TestRequestPathAllocs(t *testing.T) {
 			}
 			got := testing.AllocsPerRun(2000, do)
 			t.Logf("%s: %.0f allocs/request", k.name, got)
-			if got > 2 {
-				t.Fatalf("%.0f allocs/request, want at most 2", got)
+			if got > 0 {
+				t.Fatalf("%.0f allocs/request, want none", got)
 			}
 		})
 	}

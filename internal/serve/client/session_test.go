@@ -230,7 +230,7 @@ func TestSessionWriteCallSkipsSettledCall(t *testing.T) {
 	// net.Pipe is unbuffered and nothing reads peer: a (buggy) write
 	// blocks forever, a (correct) skip returns immediately.
 	res := make(chan bool, 1)
-	go func() { res <- s.writeCall(cli, 1, c) }()
+	go func() { res <- s.writeCall(cli, 1, c.req.ReqID) }()
 	select {
 	case ok := <-res:
 		if !ok {
@@ -254,7 +254,7 @@ func TestSessionWriteCallSkipsSettledCall(t *testing.T) {
 		}
 		drained <- req
 	}()
-	go s.writeCall(cli, 1, c)
+	go s.writeCall(cli, 1, c.req.ReqID)
 	select {
 	case req := <-drained:
 		if req.ReqID != c.req.ReqID {
@@ -309,7 +309,7 @@ func TestResubmitFrameLeavesBeforeLaterAcks(t *testing.T) {
 	}()
 
 	c.fw.mu.Lock()
-	go c.writeCall(cli, 1, x)
+	go c.writeCall(cli, 1, x.req.ReqID)
 	for i := 0; i < 10; i++ {
 		runtime.Gosched() // the resubmission runs until it blocks on the writer's lock
 	}
@@ -319,7 +319,7 @@ func TestResubmitFrameLeavesBeforeLaterAcks(t *testing.T) {
 	delete(c.pending, x.req.ReqID)
 	c.mu.Unlock()
 	c.settle(x.req.ReqID)
-	if err := c.send(serve.Request{Op: serve.OpPut, ReqID: 2, Key: 8}, make(chan serve.Reply, 1)); err != nil {
+	if err := c.send(serve.Request{Op: serve.OpPut, ReqID: 2, Key: 8}, &sessionCall{ch: make(chan serve.Reply, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	var frames []serve.Request

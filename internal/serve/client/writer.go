@@ -29,14 +29,22 @@ type writeCounts struct {
 // callers at once, and each sends its next request. A flusher that wrote
 // immediately would hold its processor through the Write while the callers
 // woken with it had yet to run, and every one of them would then write a
-// frame of its own. So a flusher whose caller saw other calls of the
-// connection in flight (gather) first claims the batch — arrivals join it
-// instead of starting the next — yields the processor once, and only then
-// swaps the buffer out and writes what the burst's other callers appended
-// meanwhile. The wait is bounded by that one runtime.Gosched: there is no
-// timer and no sleep, and with nothing else runnable the yield returns at
-// once. A lone caller (nothing else in flight) never yields: it writes at
-// once, so depth-1 latency is a plain Write's.
+// frame of its own; one that yielded once would write its own frame alone
+// whenever the burst's other callers had not yet run, and they would follow
+// together. So the connection's reader counts the callers it wakes (wake),
+// and each frame added accounts for one of them. A flusher gathers when
+// other calls of the connection are in flight or woken callers are still to
+// send: it claims the batch — arrivals join it instead of starting the next
+// — and yields the processor (runtime.Gosched) until no woken caller is left
+// to send, then swaps the buffer out and writes the burst. A gather that
+// gatherIdleYields yields in a row bring no frame and no wake gives up, and
+// forgets the woken callers left: one that does not send again (it
+// returned, say) costs a gather those yields once, and holds no later Write.
+// A caller woken by RETRY or OVERLOAD pauses before it resubmits, so it is
+// not counted. There is no timer and no sleep, and with nothing else
+// runnable a yield returns at once. A lone caller (nothing else in flight,
+// no woken caller to come) never yields: it writes at once, so depth-1
+// latency is a plain Write's.
 //
 // A failed Write tears the byte stream, so it is terminal: it fails every
 // call whose frame was in the batch, every call queued behind it, and every
@@ -44,8 +52,8 @@ type writeCounts struct {
 type frameWriter struct {
 	w      io.Writer
 	counts *writeCounts
-	// yield is the flusher's one wait for its burst: runtime.Gosched, except
-	// in the test that plays the burst's arrivals itself.
+	// yield is the flusher's wait for its burst: runtime.Gosched, except in
+	// the tests that play the burst's arrivals themselves.
 	yield func()
 
 	mu sync.Mutex
@@ -61,6 +69,11 @@ type frameWriter struct {
 	state   fwState
 	err     error  // the first failed Write
 	failed  uint64 // the batch that Write carried
+	// wakes counts the callers the reader woke (wake, without mu), taken
+	// those a frame added since, or a gather that gave up on, accounted for:
+	// wakes-taken woken callers are still to send, the burst to come.
+	wakes atomic.Uint64
+	taken uint64
 }
 
 // fwState says what the flusher, if there is one, is doing.
@@ -68,8 +81,24 @@ type fwState uint8
 
 const (
 	fwIdle      fwState = iota // no flusher: the open batch is the next appender's
-	fwGathering                // the open batch has a flusher, which has yielded for the burst
+	fwGathering                // the open batch has a flusher, which yields for the burst
 	fwWriting                  // the flusher's batch is swapped out and in a Write
+)
+
+// A gather ends after gatherIdleYields yields in a row that brought in no
+// frame and no wake, and after maxGatherYields yields in all. A yield returns
+// at once when nothing else is runnable on its processor, so one that brings
+// nothing does not yet show that the burst is over: its callers may be queued
+// on another processor, which runs them one at a time, each taking several
+// yields' time, and many more under the race detector. With serve_pipelined's
+// server and clients (2 connections 16 deep, 2 processors, 400 000 requests),
+// the frames per server flush each pair of bounds gave, idle of all: 1 of 16
+// 12.7-13.8, 4 of 64 13.8-13.9, 6 of 64 14.5-15.1, 8 of 64 14.8-15.6, 16 of
+// 64 15.1-15.5, 16 of 128 15.3-15.6. With 8 idle yields TestReplyBurstCoalesces
+// failed 14 of 60 runs under the race detector; with 16, none of 120.
+const (
+	gatherIdleYields = 16
+	maxGatherYields  = 128
 )
 
 func newFrameWriter(w io.Writer, counts *writeCounts) *frameWriter {
@@ -90,6 +119,9 @@ func (fw *frameWriter) add(req serve.Request) (uint64, error) {
 	}
 	fw.buf = serve.AppendRequest(fw.buf, req)
 	fw.frames++
+	if fw.taken < fw.wakes.Load() {
+		fw.taken++
+	}
 	k := fw.flushed // the open batch's number
 	if fw.state == fwWriting {
 		k++
@@ -97,11 +129,15 @@ func (fw *frameWriter) add(req serve.Request) (uint64, error) {
 	return k, nil
 }
 
+// wake records that the connection's reader woke a caller: one more frame of
+// the burst to come.
+func (fw *frameWriter) wake() { fw.wakes.Add(1) }
+
 // flush returns once batch k has been written, with its Write's error,
-// writing it itself if no other caller is its flusher yet. gather reports that
-// other calls of the connection are in flight, so a reply burst may be about
-// to bring their next requests.
-func (fw *frameWriter) flush(k uint64, gather bool) error {
+// writing it itself if no other caller is its flusher yet. inFlight reports
+// that other calls of the connection are in flight, so a reply burst may be
+// about to bring their next requests; woken callers still to come say so too.
+func (fw *frameWriter) flush(k uint64, inFlight bool) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	for fw.flushed <= k && fw.state != fwIdle {
@@ -114,11 +150,23 @@ func (fw *frameWriter) flush(k uint64, gather bool) error {
 		return nil
 	}
 	// No flusher, so batch k is still the open one: flush it.
-	if gather {
+	if inFlight || fw.taken < fw.wakes.Load() {
 		fw.state = fwGathering
-		fw.mu.Unlock()
-		fw.yield()
-		fw.mu.Lock()
+		for i, idle := 0, 0; i < maxGatherYields; i++ {
+			n, w := fw.frames, fw.wakes.Load()
+			fw.mu.Unlock()
+			fw.yield()
+			fw.mu.Lock()
+			if idle++; fw.frames > n || fw.wakes.Load() > w {
+				idle = 0
+			}
+			if idle == gatherIdleYields {
+				fw.taken = fw.wakes.Load() // whoever is left is not coming now
+			}
+			if fw.taken == fw.wakes.Load() {
+				break
+			}
+		}
 	}
 	out, n := fw.buf, fw.frames
 	fw.buf, fw.frames, fw.state = fw.spare[:0], 0, fwWriting

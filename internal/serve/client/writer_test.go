@@ -306,3 +306,128 @@ func TestLoneCallerWritesAtOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestBurstGather pins the burst rule on the writer's own schedule: the
+// flusher's yields are played by the test, so each case is one
+// interleaving. The reader's wakes are wake calls, or, for RETRY, a real
+// reply burst.
+func TestBurstGather(t *testing.T) {
+	const k = 8 // callers the reply burst woke
+	// gather has caller 0 flush with the reader having woken k callers, of
+	// which the test starts one more at each of the flusher's yields until
+	// senders have sent. It returns the Writes the connection took and the
+	// yields the flusher made.
+	gather := func(t *testing.T, senders int) (fw *frameWriter, g *gateConn, yields int) {
+		t.Helper()
+		g = newGateConn(t, nil)
+		close(g.gate)
+		fw = newFrameWriter(g, &writeCounts{})
+		send := func(i int) error {
+			n, err := fw.add(serve.Request{Op: serve.OpPut, ReqID: uint64(100 + i), Key: uint64(i + 1)})
+			if err == nil {
+				err = fw.flush(n, false)
+			}
+			return err
+		}
+		for range k {
+			fw.wake()
+		}
+		errs := make(chan error, senders)
+		fw.yield = func() { // on the test's goroutine: send(0) below is the flusher
+			if yields++; yields < senders {
+				i := yields
+				go func() { errs <- send(i) }()
+				waitQueued(t, fw, i+1)
+			}
+		}
+		if err := send(0); err != nil {
+			t.Fatalf("flusher: %v", err)
+		}
+		for range min(yields, senders-1) { // the callers started
+			if err := <-errs; err != nil {
+				t.Fatalf("send: %v", err)
+			}
+		}
+		return fw, g, yields
+	}
+
+	t.Run("woken-callers-one-write", func(t *testing.T) {
+		fw, g, yields := gather(t, k)
+		if len(g.writes) != 1 || len(g.writes[0]) != k*frameBytes || yields != k-1 {
+			t.Fatalf("%d Writes, the first of %d bytes, after %d yields; want 1 Write of %d frames after %d yields",
+				len(g.writes), len(g.writes[0]), yields, k, k-1)
+		}
+		if fw.taken != fw.wakes.Load() {
+			t.Fatalf("%d woken callers left counted after all %d sent", fw.wakes.Load()-fw.taken, k)
+		}
+	})
+
+	t.Run("silent-caller-clears-count", func(t *testing.T) {
+		fw, g, yields := gather(t, k-1) // one woken caller never sends
+		if want := k - 2 + gatherIdleYields; len(g.writes) != 1 || len(g.writes[0]) != (k-1)*frameBytes || yields != want {
+			t.Fatalf("%d Writes, the first of %d bytes, after %d yields; want 1 Write of %d frames after %d yields (the last %d brought nothing)",
+				len(g.writes), len(g.writes[0]), yields, k-1, want, gatherIdleYields)
+		}
+		if fw.taken != fw.wakes.Load() {
+			t.Fatalf("a gather that stopped for want of progress left %d woken callers counted", fw.wakes.Load()-fw.taken)
+		}
+		// The count it cleared holds no later Write: a lone caller writes at once.
+		n, err := fw.add(serve.Request{Op: serve.OpPut, ReqID: 999, Key: 9})
+		if err == nil {
+			err = fw.flush(n, false)
+		}
+		if err != nil || len(g.writes) != 2 || yields != k-2+gatherIdleYields {
+			t.Fatalf("a later lone send: err %v, %d Writes, %d yields; want it written at once, with no yield", err, len(g.writes), yields)
+		}
+	})
+
+	t.Run("retry-caller-not-awaited", func(t *testing.T) {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		c := New(a, 1)
+		t.Cleanup(c.Close)
+		frames := make(chan uint64, 4)
+		go func() {
+			fr := serve.NewFrameReader(b)
+			for {
+				payload, err := fr.Next()
+				if err != nil {
+					return
+				}
+				req, _ := serve.DecodeRequest(payload)
+				frames <- req.ReqID
+			}
+		}()
+		send := func(id uint64) <-chan serve.Reply {
+			ch, err := c.Send(serve.Request{Op: serve.OpPut, ReqID: id, Key: id})
+			if err != nil {
+				t.Fatalf("send %d: %v", id, err)
+			}
+			if got := <-frames; got != id {
+				t.Fatalf("the wire carried request %d, want %d", got, id)
+			}
+			return ch
+		}
+		retried, answered := send(1), send(2)
+		// One reply burst: RETRY for call 1, whose caller pauses before it
+		// resubmits, OK for call 2, whose caller sends again at once.
+		burst := serve.AppendReply(nil, serve.Reply{Status: serve.StRetry, ReqID: 1})
+		burst = serve.AppendReply(burst, serve.Reply{Status: serve.StOK, ReqID: 2, Val: 1})
+		if _, err := b.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		<-retried
+		<-answered
+		c.mu.Lock()
+		fw := c.fw
+		c.mu.Unlock()
+		yields := 0
+		fw.yield = func() { yields++ }
+		before := c.SessionStats().Writes
+		send(3) // call 2's next request, nothing else in flight
+		if st := c.SessionStats(); yields != 0 || st.Writes != before+1 {
+			t.Fatalf("the send after the burst yielded %d times and took %d Writes; want it written at once: the RETRY caller is not to come",
+				yields, st.Writes-before)
+		}
+	})
+}

@@ -216,13 +216,14 @@ func replyBurst(t *testing.T) (writes, reads uint64) {
 }
 
 // TestReplyBurstCoalesces pins the burst-granular send path with counts
-// only: the client's flusher yields once for the burst that woke it, so the
-// 16 follow-ups of a 16-reply burst leave in at most 4 socket Writes (0.25
-// per request) where a flusher that writes at once issues about one each.
-// The gather depends on the scheduler by construction, so the pin runs on one
-// processor and on two, and holds the median of nine bursts to the bound: a
-// burst the scheduler happens to split cannot fail it, a writer that does
-// not gather cannot pass it.
+// only: the client's flusher yields while the callers the burst woke keep
+// sending, so the 16 follow-ups of a 16-reply burst leave in one socket
+// Write, where a flusher that yields once sends the first alone and one that
+// writes at once issues about one each. The gather depends on the scheduler
+// by construction, so the pin runs on one processor and on two, and holds the
+// median of nine bursts to the bound: a burst the scheduler happens to split
+// cannot fail it, a writer that does not gather the whole burst cannot pass
+// it.
 func TestReplyBurstCoalesces(t *testing.T) {
 	const bursts = 9
 	for _, procs := range []int{1, 2} {
@@ -238,9 +239,9 @@ func TestReplyBurstCoalesces(t *testing.T) {
 			t.Logf("Writes for the %d follow-ups of each burst: %v (%.3f per request); the server read them %.2f frames per read",
 				coalesceWindow, writes, float64(sumWrites)/(bursts*coalesceWindow), bursts*coalesceWindow/float64(sumReads))
 			sort.Slice(writes, func(i, j int) bool { return writes[i] < writes[j] })
-			if median := writes[bursts/2]; median > coalesceWindow/4 {
-				t.Fatalf("the %d follow-ups of a reply burst left in %d Writes (median of %d bursts), want at most %d",
-					coalesceWindow, median, bursts, coalesceWindow/4)
+			if median := writes[bursts/2]; median != 1 {
+				t.Fatalf("the %d follow-ups of a reply burst left in %d Writes (median of %d bursts), want 1",
+					coalesceWindow, median, bursts)
 			}
 		})
 	}
