@@ -109,7 +109,7 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // effect, which is what makes a recovered in-flight read safe to re-execute.
 // Under EngineIsbOpt an update leg whose gather proves it effect-free does
 // the same, wherever it sits, but for an atomic vector's leg 2 once leg 1 has
-// installed (isb.Records.elides).
+// installed (the effect-free rule of isb's transition table).
 //
 // atomic makes the vector all-or-nothing across a crash: its commit point is
 // slot 0 stamped, durable strictly before the second leg takes any effect (see

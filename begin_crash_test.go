@@ -135,7 +135,7 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 							v, prevResps := setup()
 							rt, p := v.rt, v.rt.Proc(0)
 							defer rt.Heap().Release()
-							adm, keys := rt.recs.Admission(p), v.src.Keys()
+							adm, keys := isb.Admission(p), v.src.Keys()
 							w0 := p.Stats().Barriers + p.Stats().Flushes
 							rt.ScheduleCrash(off)
 							if rt.Run(func() { c.admit(v, c.ops) }) {
@@ -144,7 +144,7 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 							}
 							wbs = int(p.Stats().Barriers + p.Stats().Flushes - w0)
 							rec, ok := isb.ReadRecord(p) // the volatile record: p saw the crash, its accesses pass
-							stamped = ok && rec.Cursor > 0 && rt.recs.Admission(p) == adm+1
+							stamped = ok && rec.Cursor > 0 && isb.Admission(p) == adm+1
 							if limit >= 0 && wbs > limit {
 								return false, wbs, stamped, nil
 							}
@@ -166,14 +166,14 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 									t.Fatalf("off=%d line=%d: RecoverAll reported nothing, yet left keys %v and %v, want %v and none",
 										off, line, ks, v.dst.Keys(), keys)
 								}
-							case len(reps) == 1 && slices.Equal(legOps(reps[0]), pr.ops) && rt.recs.Admission(p) == adm:
+							case len(reps) == 1 && slices.Equal(legOps(reps[0]), pr.ops) && isb.Admission(p) == adm:
 								for i, l := range reps[0].Legs {
 									if l.Status == OpCompleted && l.Resp != prevResps[i] {
 										t.Fatalf("off=%d line=%d: the previous admission's leg %d reported %v, want its own response %v",
 											off, line, i, l.Resp, prevResps[i])
 									}
 								}
-							case len(reps) == 1 && slices.Equal(legOps(reps[0]), c.ops) && rt.recs.Admission(p) == adm+1 && (line != pmem.Null || wbs > 0):
+							case len(reps) == 1 && slices.Equal(legOps(reps[0]), c.ops) && isb.Admission(p) == adm+1 && (line != pmem.Null || wbs > 0):
 								resolved = MatchReport(reps[0], c.ops, func(i int, _ Op, r Resp) {
 									if r != want[i] {
 										t.Fatalf("off=%d line=%d: leg %d resolved to %v, want %v", off, line, i, r, want[i])
@@ -181,7 +181,7 @@ func TestCrashBeforeFirstBarrier(t *testing.T) {
 								})
 							default:
 								t.Fatalf("off=%d line=%d: RecoverAll reported %+v under admission %d, want the previous %s under %d or nothing",
-									off, line, reps, rt.recs.Admission(p), pr.name, adm)
+									off, line, reps, isb.Admission(p), pr.name, adm)
 							}
 							c.admit(v, c.ops[resolved:])
 							if !slices.Equal(v.src.Keys(), c.wantSrc) || !slices.Equal(v.dst.Keys(), c.wantDst) || !slices.Equal(v.aux.Keys(), pr.aux) {

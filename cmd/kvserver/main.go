@@ -52,15 +52,14 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "selftest: chaos schedule seed")
 	flag.Parse()
 
-	cfg := serve.Config{
+	cfg := serverConfig(serve.Config{
 		Procs: *procs, Shards: *shards, Batch: *batch, QueueDepth: *queueDepth,
 		CrashSim: *crashEvery > 0, CrashEvery: *crashEvery,
-		Engine: repro.EngineIsbOpt, HeapWords: 1 << 22,
+		HeapWords:     1 << 22,
 		ShedWatermark: *shedWatermark, IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
-	}
+	})
 
 	if *selftest {
-		cfg.Reclaim = true
 		if cfg.CrashEvery == 0 {
 			cfg.CrashSim = true
 			cfg.CrashEvery = 1500
@@ -88,6 +87,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kvserver:", err)
 		os.Exit(1)
 	}
+}
+
+// serverConfig is the server's configuration in both modes: cfg, on the
+// Isb-Opt engine and the reclaimer. A server runs until interrupted, so its
+// heap must recycle what its updates unlink: on the leak-forever arena
+// every update costs heap words for good, and the arena runs out
+// (TestServerRecyclesItsHeap).
+func serverConfig(cfg serve.Config) serve.Config {
+	cfg.Engine, cfg.Reclaim = repro.EngineIsbOpt, true
+	return cfg
 }
 
 // runSelftest storms a fresh server over the in-memory transport —

@@ -121,18 +121,14 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 // finish runs the update and cleanup phases of Help. Both are idempotent
 // and may be re-executed by recovery or by any number of helpers.
 //
-// Under Isb-Opt inside an admitting runtime's sync scope the invoker ends
-// neither phase with a barrier of its own. Its update phase is held
-// (Records.hold): the WriteSet CASes and the result are stored, their lines
-// carried, and the tags stay set, so the update is durable once its tags are
-// — Help finishes it from the record. The process's next barrier, on any
-// engine, writes it back: normally the next leg's install, whose gather may
-// meet its tags and expects the cookies its cleanup will store there
-// (attemptLoop), or the scope's close (CloseSyncScope). Then the cleanup
-// runs, whose lines ride the barrier after that (cleanup). Until then the
-// record is the one its engine's last complete install names, so a crash
-// leaves it named and evident (its tags are durable), and Settle finishes
-// it, even where a later leg's slot persisted ahead of its update.
+// Whether the update phase ends with its barrier or is held is step's rule
+// (updated, in the transition table): a held update's lines are carried and
+// its tags stay set, so it is durable once its tags are — Help finishes it
+// from the record — and it reserves the cookies of its untags, which a later
+// gather that meets its tags expects (meet). Until the barrier that releases
+// it, the record is the one its engine's last complete install names, so a
+// crash leaves it named and evident (its tags are durable), and Settle
+// finishes it, even where a later leg's slot persisted ahead of its update.
 func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker bool) {
 	ep := e.proc(p)
 
@@ -149,10 +145,8 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 	}
 	p.Store(info+offResult, p.Load(info+offSuccess))
 	e.wrote(ep, info+offResult)
-	if invoker && e.batched && e.recs != nil && p.InSyncScope() {
+	if e.step(p, &event{kind: evUpdated, invoker: invoker, info: info, first: ep.cookies + 1, epoch: e.h.Epoch()}).ok {
 		ep.deferPhase()
-		ep.batchSyncs++
-		e.recs.hold(p, e, info, ep.cookies+1)
 		ep.cookies += uint64(cn)
 		return
 	}
@@ -165,13 +159,13 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 // untags, before the invoker retires any operand — the precondition for their
 // addresses to ever recur.
 //
-// Under Isb-Opt inside a sync scope the invoker does not end the phase: its
-// lines ride this process's next barrier, on any engine, and its
-// retired-class operands retire after this engine's next install, the record
-// one install later (see retireLast). The response does not wait for it.
-// Until that barrier the record's surviving nodes are untagged in volatile
-// memory only, so others may change and recycle them: Help re-runs the update
-// phase only while every one of them still holds the tag (Settle finishes the
+// Whether the phase ends with its barrier or rides the process's next one is
+// step's rule (cleanup, in the transition table); a deferred cleanup's
+// operands retire after this engine's next install, the record one install
+// later (done, and retireLast). The response does not wait for it. Until
+// that barrier the record's surviving nodes are untagged in volatile memory
+// only, so others may change and recycle them: Help re-runs the update phase
+// only while every one of them still holds the tag (Settle finishes the
 // cleanup after a crash).
 func (e *Engine) cleanup(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged uint64, invoker bool, first uint64) {
 	if invoker {
@@ -179,9 +173,8 @@ func (e *Engine) cleanup(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged ui
 		e.wrote(ep, info+offDone)
 	}
 	e.untag(p, ep, info, tagged, false, first)
-	if invoker && e.batched && p.InSyncScope() {
+	if e.step(p, &event{kind: evCleanup, invoker: invoker}).ok {
 		ep.deferPhase()
-		ep.batchSyncs++
 		return
 	}
 	e.endPhase(ep)
@@ -190,7 +183,7 @@ func (e *Engine) cleanup(p *pmem.Proc, ep *engineProc, info pmem.Addr, tagged ui
 // untag runs the cleanup CASes: each surviving node's tag goes to a fresh
 // cookie (never the same non-tagged value twice — see Engine.cookie), or,
 // with first nonzero, to the cookie of counter value first+i reserved for
-// CleanupSet entry i (Records.hold). Retired nodes are absent from the
+// CleanupSet entry i by a held update (finish). Retired nodes are absent from the
 // CleanupSet and stay tagged until the allocator recycles them. Every CAS is
 // reported written, or with wonOnly only those that won; untag reports
 // whether any did.
@@ -234,7 +227,7 @@ func (e *Engine) runAttempts(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	p.Store(rd, uint64(pmem.Null))
 	p.PBarrier(rd)
 	e.retireLast(p, 0, pmem.Null) // RD_q no longer names it
-	p.Store(cp, e.recs.Admission(p))
+	p.Store(cp, Admission(p))
 	p.PWB(cp)
 	e.proc(p).opSync()
 	return e.attemptLoop(p, opType, argKey, gather, bound)
@@ -262,20 +255,19 @@ const maxRecoveryAttempts = 1 << 10
 // (discardAttempt), and consecutive effect-free updates allocate nothing.
 //
 // Under Isb-Opt an attempt whose gather proves the leg effect-free returns
-// without an install wherever no durable record will name the leg in flight
-// once its admission returns (Records.elides): every leg of a lazily
-// announced window, and any leg while its admission's record is pending —
+// without an install where step's effect-free rule says so: wherever no
+// durable record will name the leg in flight once its admission returns —
 // but only while this call has installed nothing, since an earlier attempt
 // that lost its tags left a register naming this leg with no effect taken.
 //
 // Otherwise an Isb-Opt install stores everything that must be durable before
 // its first tag and writes it all back with one barrier: the Info record and
-// the NewSet; what the admission keeps Go-side (Records.storeKept) — the
-// record, if still pending, with the responses kept so far, or else the
-// responses kept since the process's last install; the register, RD_q := info
-// and CP_q := the admission number; and, carried, the update phase the
-// process holds (finish) and any cleanup still deferred. The barrier may
-// persist any subset of those lines, in any order (Px86), and recovery is
+// the NewSet; what step's install rule stores — the pending record with the
+// responses kept so far, or the responses kept since the process's last
+// install; the register, RD_q := info and CP_q := the admission number; and,
+// carried, the update phase the process holds (finish) and any cleanup still
+// deferred. The barrier may persist any subset of those lines, in any order
+// (Px86), and recovery is
 // correct for each: the register written is the one the last complete
 // install did not write, so the record the durable state may still need —
 // the previous leg's, whose update this barrier may carry, or the one whose
@@ -292,7 +284,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 	for attempt := 1; ; attempt++ {
 		if bound != 0 && attempt > bound {
 			panic(fmt.Sprintf("isb: recovery of proc %d's operation (kind %d, key %d, seq %d) did not resolve in %d attempts: registers %s, admission %d, last attempt's affect set %v",
-				p.ID(), opType, argKey, ep.seq, bound, e.registers(p), e.recs.Admission(p), spec.Affect[:spec.NAffect]))
+				p.ID(), opType, argKey, ep.seq, bound, e.registers(p), Admission(p), spec.Affect[:spec.NAffect]))
 		}
 		// (Re-)pin the process in the current reclamation epoch: every
 		// address this attempt gathers stays allocated until the pin moves.
@@ -318,17 +310,17 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// that operation first, then start a new attempt. A CleanupSet tag
 		// of the update this process holds needs no helper: that update took
 		// effect in memory already, and this attempt's install barrier writes
-		// it back and releases it before this attempt tags anything
-		// (Records.release), its untag storing the cookie reserved for the
-		// field — the value this attempt expects there (Records.heldCookie).
+		// it back and releases it before this attempt tags anything, its
+		// untag storing the cookie reserved for the field — the value this
+		// attempt expects there (step's meet).
 		helped := false
 		for i := 0; i < spec.NAffect; i++ {
 			a := &spec.Affect[i]
 			if !IsTagged(a.Expected) {
 				continue
 			}
-			if c, ok := e.recs.heldCookie(p, a.Info, InfoOf(a.Expected)); ok {
-				a.Expected = c
+			if m := e.step(p, &event{kind: evMeet, info: InfoOf(a.Expected), field: a.Info}); m.ok {
+				a.Expected = m.on.cookieAt(m.on.proc(p), m.n)
 				continue
 			}
 			e.Help(p, InfoOf(a.Expected), false)
@@ -343,14 +335,14 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// Effect-free fast path, Isb-Opt only: the gather proved the leg
 		// read-only — a find, an insert of a present key, a delete of an absent
 		// one — and no durable record will name it as in flight once its
-		// admission returns (Records.elides), so recovery never re-invokes it
-		// after its response is out: a later install stores its response in
+		// admission returns (step's effect-free rule), so recovery never
+		// re-invokes it after its response is out: a later install stores its response in
 		// its slot, or the scope's close drops it. Once an attempt of this leg
 		// installed, a register names the leg with that attempt's failed tags,
 		// and a recovery would re-invoke it: the retry must install so that a
 		// register names its response. The rest take the ROpt install below,
 		// as does every leg under Isb.
-		if spec.ReadOnly && e.batched && !installed && e.recs.elides(p) {
+		if spec.ReadOnly && e.step(p, &event{kind: evEffectFree, installed: installed}).ok {
 			e.discardAttempt(p, spec)
 			ep.readFast++
 			e.alloc.Exit(p)
@@ -362,18 +354,22 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// pbarrier per range, then RD_q := info and its pwb. From here on a
 		// register may name the record: it is no longer the process's to keep.
 		ep.dirty = ep.dirty[:0]
-		released := false
 		ep.kept = pmem.Null
-		e.install(p, info, spec)
+		a := e.step(p, &event{kind: evInstall})
+		adm := Admission(p)
+		if a.storeRecord { // the record is pending: it is stored under the next number
+			adm++
+		}
+		e.install(p, info, spec, adm)
 		e.wroteRange(ep, info, InfoWords)
 		for i := 0; i < spec.NPersist; i++ {
 			e.wroteRange(ep, spec.Persist[i].Addr, spec.Persist[i].Words)
 		}
 		if e.batched {
 			r := 1 - ep.last.reg
-			e.recs.storeKept(p)
+			e.perform(p, a)
 			p.Store(e.rd(p.ID(), r), uint64(info))
-			p.Store(e.cp(p.ID(), r), e.recs.Admission(p))
+			p.Store(e.cp(p.ID(), r), Admission(p))
 			e.wrote(ep, e.rd(p.ID(), r))
 			ep.flush()
 			// Register r durably names this attempt's record, and the record
@@ -383,7 +379,7 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 			// the barrier wrote back, if the process held one, runs its
 			// cleanup, whose operands wait for the next install.
 			e.retireLast(p, r, info)
-			released = e.recs.release(p) == e
+			e.perform(p, e.step(p, &event{kind: evBarrier, readOnly: spec.ReadOnly}))
 		} else {
 			rd := e.rd(p.ID(), 0)
 			p.Store(rd, uint64(info))
@@ -400,20 +396,18 @@ func (e *Engine) attemptLoop(p *pmem.Proc, opType, argKey uint64, gather Gather,
 		// retry after an attempt that lost its tags — which a register must
 		// name so that recovery finds its response rather than re-invoking it.
 		// The cleanup of an update on this engine that the install barrier
-		// released rides no tag barrier then: it gets a barrier of its own,
-		// or the next install here would overwrite the register naming its
-		// record, this one's being the other, while it may still be volatile.
+		// released rides no tag barrier then: step's barrier rule gives it a
+		// barrier of its own, or the next install here would overwrite the
+		// register naming its record, this one's being the other, while it
+		// may still be volatile.
 		if spec.ReadOnly {
-			if released {
-				p.PBarrierAddrs(nil)
-			}
 			e.alloc.Exit(p)
 			return spec.Response
 		}
 
 		e.Help(p, info, true)
 		if r := p.Load(info + offResult); r != RespNone {
-			e.retireAffected(p, ep, spec, info)
+			e.perform(p, e.step(p, &event{kind: evDone, info: info, spec: spec}))
 			e.alloc.Exit(p)
 			return r
 		}
@@ -468,45 +462,6 @@ func (e *Engine) Release(f func(pmem.Addr)) {
 		if ep := &e.procs[q]; ep.kept != pmem.Null {
 			f(ep.kept)
 			ep.kept = pmem.Null
-		}
-	}
-}
-
-// retireAffected retires the retired-class nodes of a completed operation:
-// the AffectSet entries absent from the CleanupSet, which the update phase
-// just unlinked (they stay tagged; traversals can no longer reach them).
-// Only the invoker calls this, exactly once per operation — result ≠ ⊥ on
-// the invoker's own current record proves this very attempt took effect.
-// While the operation's update or cleanup waits for a barrier (see finish)
-// the nodes are held instead — with the held update, or in lastOp.held — and
-// retire once the cleanup is durable (retireLast).
-func (e *Engine) retireAffected(p *pmem.Proc, ep *engineProc, spec *Spec, info pmem.Addr) {
-	if spec.ReadOnly {
-		return // nothing was unlinked
-	}
-	last, h, n := &ep.last, e.recs.holding(p, info), 0
-	if h != nil {
-		copy(h.cleanup[:], spec.Cleanup[:spec.NCleanup])
-	}
-	for i := 0; i < spec.NAffect; i++ {
-		nd := spec.Affect[i].Info
-		inCleanup := false
-		for j := 0; j < spec.NCleanup; j++ {
-			if spec.Cleanup[j] == nd {
-				inCleanup = true
-				break
-			}
-		}
-		switch {
-		case inCleanup:
-		case h != nil:
-			h.ops[n] = nd
-			n++
-		case ep.deferred:
-			last.held[last.n] = nd
-			last.n++
-		default:
-			e.alloc.Retire(p, nd)
 		}
 	}
 }
@@ -580,7 +535,7 @@ func (e *Engine) helpRecorded(p *pmem.Proc, opType, argKey, seq uint64) (r uint6
 	e.Settle(p)
 	ep := e.proc(p)
 	ep.seq = seq
-	adm := e.recs.Admission(p)
+	adm := Admission(p)
 	last := &ep.last
 	// Pin before dereferencing a record: post-crash recovery kept each
 	// register's record out of the free pool (Runtime.RecoverAll), what an
@@ -676,16 +631,16 @@ func (e *Engine) registers(p *pmem.Proc) string {
 // of the admission's scope, an eager begin's, or recovery's) accounts for
 // them. An update it finished without a CleanupSet (a dequeue) it flags
 // done, with a barrier of its own: the invoker's flag may have died with the
-// crash while the invoker's Go-side schedule (lastOp.held, settleHeld) still
+// crash while the invoker's Go-side retire schedule (lastOp.held) still
 // retires the record's operands at its next install, and nothing else would
 // stop every later Settle from re-running the update into an operand
 // recycled since — a CleanupSet stops it once its untags are durable, which
 // Settle's cleanup makes them. Under Isb every update and cleanup ends with
 // its barrier, and there is nothing to finish. First of all, at every call,
 // it ends the update the calling process may still hold from before a crash
-// (Records.settleHeld).
+// or an individual failure (step's settle rule).
 func (e *Engine) Settle(p *pmem.Proc) {
-	e.recs.settleHeld(p)
+	e.perform(p, e.step(p, &event{kind: evSettle, epoch: e.h.Epoch()}))
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
 		return
@@ -768,23 +723,18 @@ func (e *Engine) Registered(p *pmem.Proc, f func(pmem.Addr)) {
 // retireLast will still retire.
 func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	for q := 0; q < e.h.NumProcs(); q++ {
-		if kept := e.procs[q].kept; kept != pmem.Null {
-			mark(kept)
-		}
 		last := &e.procs[q].last
-		for r := range 2 {
-			if last.info[r] != pmem.Null {
-				mark(last.info[r])
-			}
+		for _, a := range [...]pmem.Addr{e.procs[q].kept, last.info[0], last.info[1]} {
+			mark(a) // mark ignores Null, as it does every word that names no block
 		}
 		for _, nd := range last.held[:last.n] {
 			mark(nd)
 		}
-		if h := e.recs.holding(e.procs[q].p, pmem.Null); h != nil && h.e == e {
-			for _, nd := range h.ops {
-				if nd != pmem.Null {
-					mark(nd)
-				}
+		// The held update's operands: what its release would schedule (step,
+		// on a copy of the state).
+		if _, a := step(e.recs.procs[q].d, event{kind: evReleased}); a.on == e {
+			for _, nd := range a.ops {
+				mark(nd)
 			}
 		}
 	}
@@ -805,9 +755,9 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // Under Isb the slot is written back at once, and inside a sync scope the
 // boundary issues the per-leg psync the deferred intra-leg sync points merged
 // into. Under Isb-Opt the boundary defers its psync to the scope's close and
-// stores nothing: the response waits Go-side (Records.keepLegResult) for the
+// stores nothing: the response waits Go-side (step's boundary rule) for the
 // process's next install, on whichever engine, whose barrier writes it back
-// before any tag (Records.storeKept). No leg takes a durable effect ahead of
+// before any tag (step's install rule). No leg takes a durable effect ahead of
 // its install barrier, and a read or effect-free leg takes none at all; the
 // reclaimer's slab directory and dead bits, which can be written back
 // sooner, record no operation's effect. So a crash before that barrier
@@ -821,7 +771,9 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 // effect-free leg after it needs no install of its own.
 func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 	if e.batched {
-		e.recs.keepLegResult(p, seq-1, prevResp)
+		e.step(p, &event{kind: evBoundary, n: seq - 1})
+		r := &e.recs.procs[p.ID()]
+		r.results = append(r.results, prevResp)
 		e.proc(p).batchSyncs++
 		return
 	}
@@ -853,7 +805,7 @@ func (e *Engine) Boundary(p *pmem.Proc, seq int, prevResp uint64) {
 // are exactly those of the unscoped execution.
 func (e *Engine) runBatchOp(p *pmem.Proc, seq int, opType, argKey uint64, gather Gather) uint64 {
 	e.proc(p).seq = uint64(seq)
-	if !e.batched && p.Load(e.cp(p.ID(), 0)) != e.recs.Admission(p) {
+	if !e.batched && p.Load(e.cp(p.ID(), 0)) != Admission(p) {
 		return e.runAttempts(p, opType, argKey, gather, 0)
 	}
 	return e.attemptLoop(p, opType, argKey, gather, 0)

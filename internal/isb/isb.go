@@ -216,7 +216,7 @@ type Gather func(p *pmem.Proc, info pmem.Addr, spec *Spec) GatherResult
 // store under Isb, one deduplicating barrier per phase under Isb-Opt; helping,
 // tagging, backtracking, the update and cleanup phases and recovery run the
 // same code under both. A register's CP_q holds the admission number
-// (Records.Admission) its RD_q's record was installed under: "CP_q = 1" reads
+// (Admission) its RD_q's record was installed under: "CP_q = 1" reads
 // CP_q equals that number, and every begin's raise of the number is CP_q := 0.
 type Engine struct {
 	h    *pmem.Heap
@@ -226,10 +226,10 @@ type Engine struct {
 	procs   []engineProc
 	// annID, when nonzero, is the runtime-registry structure ID this engine
 	// announces under: Begin's one write-back then publishes the process's new
-	// announcement record along with its admission number. recs is the table
-	// of lazily announced records the engine shares with the heap's other
-	// engines (Records). Engines built outside a Runtime have neither, and
-	// begin bare (Announce with no legs).
+	// announcement record along with its admission number. Engines built
+	// outside a Runtime have none, and begin bare (Announce with no legs).
+	// recs is the table of the processes' Isb-Opt deferral states (Records),
+	// which the engine shares with the Runtime's other engines, or its own.
 	annID uint64
 	recs  *Records
 	// alloc serves Info records and (through Alloc) structure nodes. The
@@ -249,12 +249,9 @@ type Engine struct {
 // cache lines and two never share one (TestEngineProcFillsCacheLines).
 type engineProc struct {
 	p *pmem.Proc
-	// dirty holds the Isb-Opt phase's written lines (note); deferred reports
-	// that the last phase ended with deferPhase and none of this entry's
-	// barriers has run since. Lines other code carried — the announcement, a
-	// result slot — do not count.
-	dirty    []pmem.Addr
-	deferred bool
+	// dirty holds the Isb-Opt phase's written lines (note). Lines other code
+	// carried — the announcement, a result slot — do not count.
+	dirty []pmem.Addr
 	// spec is the attempt scratch. A Spec passed to a Gather callback by
 	// address escapes analysis, so a stack-local one would cost one heap
 	// allocation per operation; attemptLoop never nests on one process.
@@ -276,15 +273,16 @@ type engineProc struct {
 	// heap epoch keptAt: the next attempt's record (attemptLoop).
 	kept   pmem.Addr
 	keptAt uint64
-	_      [8]byte
+	_      [16]byte
 }
 
 // lastOp is a process's Go-side view of its registers: the one its last
 // complete install wrote (reg), the Info record each was last written with,
-// and the retired-class operands of updates whose cleanup is not yet durable
-// (see finish): at most two updates' — one released by a barrier on another
-// engine, and the next, which a crash left held (Records.settleHeld) before
-// this engine installed again. Go-side
+// and the engine's retire schedule, the retired-class operands of updates
+// whose cleanup is not yet durable, which step's schedule actions fill (see
+// the transition table): at most two updates' — one released by a barrier on
+// another engine, and the next, which a crash left held before this engine
+// installed again. Go-side
 // on purpose: after a crash a register durably holds either the record info
 // names for it or that of an install the crash cut short, which then leaks
 // inside the crash's in-flight budget, and retiring on schedule is right in
@@ -321,7 +319,7 @@ func newEngine(h *pmem.Heap, batched bool) *Engine {
 	n := uint64(h.NumProcs())
 	raw := p0.Alloc(n*pmem.WordsPerLine + pmem.WordsPerLine)
 	base := (raw + pmem.WordsPerLine - 1) &^ (pmem.WordsPerLine - 1)
-	e := &Engine{h: h, base: base, batched: batched, procs: make([]engineProc, n), alloc: pmem.Arena{}}
+	e := &Engine{h: h, base: base, batched: batched, procs: make([]engineProc, n), recs: NewRecords(h), alloc: pmem.Arena{}}
 	for i := range e.procs {
 		e.procs[i].p = h.Proc(i)
 	}
@@ -357,7 +355,7 @@ func (e *Engine) cookie(ep *engineProc) uint64 {
 }
 
 // cookieAt is the cookie of ep's counter value c: a held update reserves its
-// untags' values ahead (Records.hold), so that the next leg can expect them.
+// untags' values ahead (finish), so that the next leg can expect them.
 func (e *Engine) cookieAt(ep *engineProc, c uint64) uint64 {
 	return cookieBit | (c*uint64(len(e.procs))+uint64(ep.p.ID()))<<1
 }
@@ -475,28 +473,27 @@ func (ep *engineProc) flush() bool {
 	}
 	ep.p.PBarrierAddrs(ep.dirty)
 	ep.dirty = ep.dirty[:0]
-	ep.deferred = false
 	return true
 }
 
 // deferPhase ends the current phase without writing it back: its lines go to
 // the process's carry set (pmem.Proc.Carry), which the next barrier on any
-// engine writes back with its own.
+// engine writes back with its own, and its sync point is deferred.
 func (ep *engineProc) deferPhase() {
 	for _, l := range ep.dirty {
 		ep.p.Carry(l)
 	}
 	ep.dirty = ep.dirty[:0]
-	ep.deferred = true
+	ep.batchSyncs++
 }
 
 // endPhase closes a persistence phase: flush, then the engine's sync point.
 // Inside a sync scope only the write-backs happen now. A barrier it issues
 // writes back the update the process holds, if any, on any engine, whose
-// cleanup then runs (Records.release).
+// cleanup then runs (step's barrier rule, performed by perform).
 func (e *Engine) endPhase(ep *engineProc) {
 	if ep.flush() {
-		e.recs.release(ep.p)
+		e.perform(ep.p, e.step(ep.p, &event{kind: evBarrier}))
 	}
 	ep.opSync()
 }
@@ -506,8 +503,69 @@ func (e *Engine) endPhase(ep *engineProc) {
 // barrier, and its untags run, so no tag outlives its admission; the untags
 // ride p's next barrier, as every cleanup does, and the closing psync follows.
 func (e *Engine) CloseSyncScope(p *pmem.Proc) {
-	e.recs.flushHeld(p)
+	e.perform(p, e.step(p, &event{kind: evClose}))
 	p.CloseSyncScope()
+}
+
+// step reports ev, on e, to p's deferral state (see step) and returns the
+// actions it asks for.
+func (e *Engine) step(p *pmem.Proc, ev *event) (a actions) {
+	ev.e, ev.scoped = e, e.batched && p.InSyncScope()
+	e.recs.procs[p.ID()].d.apply(ev, &a)
+	return a
+}
+
+// perform carries out the actions step returned, but for ok, which its
+// caller reads, in this order: store the record or the slots, each line
+// carried to the next barrier (pmem.Proc.Carry); add operands to an engine's
+// retire schedule or retire them; issue a barrier of p's own; release the
+// held update — run its cleanup on its engine, then report it released; and
+// a barrier of its own after that.
+//
+// The install's barrier may persist any subset of the stored lines, and each
+// subset is safe. A record without its prefix, or a prefix without its
+// header, fails the sum, and so does a header torn from its legs: the
+// admission, which takes effect only after the barrier, then reads as not
+// begun, and the previous record, whose slots sit in the other area, stays
+// valid unless its own header was torn. A later slot without the rest is a
+// leg closed early, whose response is durable; the rest without the slot
+// leave the previous leg at the cursor, its record still named (the install
+// writes the register its process's last complete install did not).
+func (e *Engine) perform(p *pmem.Proc, a actions) {
+	r := &e.recs.procs[p.ID()]
+	if a.storeRecord {
+		end := writeRecord(p, a.atomic, r.legs, r.results[:a.hi])
+		for line := p.Region(); line < end; line += pmem.WordsPerLine {
+			p.Carry(line)
+		}
+		for i := range a.hi {
+			p.Carry(slot(p, Admission(p), i))
+		}
+	}
+	for i := a.lo; !a.storeRecord && i < a.hi; i++ {
+		p.Carry(storeLegResult(p, i, r.results[i]))
+	}
+	for i := 0; a.ops != nil && i < MaxAffect; i++ {
+		if nd := a.ops[i]; nd == pmem.Null {
+			break
+		} else if a.schedule {
+			last := &a.on.proc(p).last
+			last.held[last.n] = nd
+			last.n++
+		} else {
+			e.alloc.Retire(p, nd)
+		}
+	}
+	if a.barrier {
+		p.PBarrierAddrs(nil)
+	}
+	if x := a.on; a.release {
+		x.cleanup(p, x.proc(p), a.info, Tagged(a.info), true, a.n)
+		x.perform(p, x.step(p, &event{kind: evReleased}))
+	}
+	if a.ownBarrier {
+		p.PBarrierAddrs(nil)
+	}
 }
 
 // opSync is the engine-side psync point: outside a sync scope it issues a
@@ -564,12 +622,12 @@ func (e *Engine) SetAnnounceID(id uint64, recs *Records) { e.annID, e.recs = id,
 // Under Isb-Opt, an announcement inside a sync scope — the admitting runtime
 // opens it ahead of the begin, and ApplyOp does unless an elimination layer
 // runs first — stores nothing, writes nothing back and issues no psync: the
-// legs wait in the engine's table (Records.announceLazy), and the begin psync
+// legs wait in the engine's table (step's begin rule), and the begin psync
 // is one more sync point deferred to the scope's close. The admission's first
 // install stores the record, its raised admission number and, as its prefix,
 // the responses of the boundaries before it, just before its barrier, which
 // writes them back with the install's own lines, RD_q and CP_q among them
-// (Records.storeKept). No tag, and so no tracked effect of the admission,
+// (step's install rule). No tag, and so no tracked effect of the admission,
 // precedes that barrier, and whatever subset of its lines a crash persists,
 // recovery finds what a crash inside an eager begin finds — the previous
 // record, or none — or the new record with no leg begun. An admission that
@@ -577,7 +635,7 @@ func (e *Engine) SetAnnounceID(id uint64, recs *Records) { e.annID, e.recs = id,
 // stores its record: the scope's close drops it, so no durable record names it
 // as in flight once it has returned; and an effect-free leg after the first
 // install installs nothing either, its window's durable cursor resting on the
-// last leg that did (Records.elides). Three begins stay eager, each for its
+// last leg that did (step's effect-free rule). Three begins stay eager, each for its
 // own reason: the bare begin, which is the paper's system-side step itself;
 // the elimination stack's, whose exchange takes effect outside any engine
 // barrier, so its effect-free outcome keeps the ROpt install; and every Isb
@@ -587,18 +645,16 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 	for _, o := range others {
 		o.reset(p)
 	}
-	switch {
-	case e.recs == nil:
+	if e.annID == 0 {
 		legs = nil // outside a Runtime: the bare begin
-	case len(legs) > 0 && e.batched && p.InSyncScope():
-		e.recs.announceLazy(p, atomic, legs)
-		e.proc(p).batchSyncs++
-		return
-	default: // an eager begin clears what a lazy one left
-		r := &e.recs.procs[p.ID()]
-		r.lazy, r.pending = false, false
 	}
-	Announce(p, atomic, legs...)
+	r := &e.recs.procs[p.ID()]
+	r.legs, r.results = append(r.legs[:0], legs...), r.results[:0]
+	if e.step(p, &event{kind: evBegin, atomic: atomic, n: len(legs)}).ok {
+		Announce(p, atomic, legs...)
+		return
+	}
+	e.proc(p).batchSyncs++
 }
 
 // reset readies the engine for an admission, writing nothing. The previous
@@ -610,9 +666,10 @@ func (e *Engine) reset(p *pmem.Proc) {
 	e.proc(p).seq = 0
 }
 
-// install writes spec into the Info record, stamped and summed (volatile
-// stores; the caller's barrier persists the record).
-func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
+// install writes spec into the Info record, stamped and summed, under
+// admission number adm (volatile stores; the caller's barrier persists the
+// record).
+func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec, adm uint64) {
 	if s.NAffect > MaxAffect || s.NWrites > MaxWrites || s.NCleanup > MaxCleanup {
 		panic(fmt.Sprintf("isb: spec out of bounds: %+v", s))
 	}
@@ -643,7 +700,7 @@ func (e *Engine) install(p *pmem.Proc, info pmem.Addr, s *Spec) {
 	// successor, and a record whose lines never persisted, over a recycled one
 	// that validates, cannot pass as this install's.
 	rec[offStamp] = e.proc(p).seq | uint64(p.ID())<<stampProcShift
-	rec[offAdm] = e.recs.Admission(p)
+	rec[offAdm] = adm
 	for i := 0; i < s.NAffect; i++ {
 		rec[offAffect+2*i], rec[offAffect+2*i+1] = uint64(s.Affect[i].Info), s.Affect[i].Expected
 	}

@@ -288,7 +288,7 @@ func TestSpecBoundsChecked(t *testing.T) {
 	spec.AddAffect(a, 0)
 	spec.AddAffect(b, 0)
 	spec.AddCleanup(b) // violates the retire-class rule
-	e.install(p, e.alloc.Alloc(p, InfoWords), &spec)
+	e.install(p, e.alloc.Alloc(p, InfoWords), &spec, 0)
 }
 
 func TestTaggingHelpers(t *testing.T) {
@@ -339,7 +339,7 @@ func TestHelpIdempotentManyHelpers(t *testing.T) {
 	if c.gatherInc(inv, info, &spec) != Proceed {
 		t.Fatal("gather failed")
 	}
-	c.e.install(inv, info, &spec)
+	c.e.install(inv, info, &spec, Admission(inv))
 	inv.PBarrierRange(info, InfoWords)
 	inv.PSync()
 
@@ -420,8 +420,8 @@ func TestRecoveryTerminatesOrFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestEngineProcFillsCacheLines and TestLazyRecordFillsCacheLines pin the
-// padding of the engine's and the record table's per-process entries: Procs
+// TestEngineProcFillsCacheLines and TestProcRecordFillsCacheLines pin the
+// padding of the engine's and the deferral table's per-process entries: Procs
 // run on different goroutines and each writes its own entries at every
 // operation, so an entry that did not fill whole cache lines would share one
 // with its neighbour and slow both down.
@@ -429,8 +429,8 @@ func TestEngineProcFillsCacheLines(t *testing.T) {
 	fillsCacheLines(t, "engineProc", unsafe.Sizeof(engineProc{}))
 }
 
-func TestLazyRecordFillsCacheLines(t *testing.T) {
-	fillsCacheLines(t, "lazyRecord", unsafe.Sizeof(lazyRecord{}))
+func TestProcRecordFillsCacheLines(t *testing.T) {
+	fillsCacheLines(t, "procRecord", unsafe.Sizeof(procRecord{}))
 }
 
 func fillsCacheLines(t *testing.T, name string, n uintptr) {

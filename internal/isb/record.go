@@ -269,267 +269,21 @@ func ReadRecord(p *pmem.Proc) (r Record, ok bool) {
 	return r, true
 }
 
-// Records holds, per process of one heap, what an admission announced lazily
-// (announceLazy) keeps Go-side: its record, until its first install stores
-// it, and the responses its boundaries give legs 0, 1, … (keepLegResult),
-// until the process's next install, on any engine, stores them (storeKept):
-// with the record, as its prefix, or in stamped slots. All of a heap's
-// engines share it (Engine.SetAnnounceID): a transaction spans two. What it
-// holds belongs to the admission's sync scope, whose close or teardown drops
-// it: nothing durable names a pending record, and a response no later leg's
-// install stored is never stored, so once the admission returns its durable
-// record's cursor sits on its last installing leg, the one its engine's
-// registers name. It also holds the process's held update (hold), which the
-// process's next barrier on any engine releases.
-type Records struct{ procs []lazyRecord }
+// Records is the table of a heap's processes' Isb-Opt deferral states
+// (deferral; step is its transition table), with the data their actions
+// name: the legs an admission announced lazily and the responses its
+// boundaries kept. All of a Runtime's engines share one (Engine.SetAnnounceID):
+// a transaction spans two; an engine outside a Runtime has its own.
+type Records struct{ procs []procRecord }
 
-type lazyRecord struct {
-	legs []Leg
-	// results are the boundaries' responses, legs 0, 1, … in order; the
-	// first stored of them are in their slots already.
+type procRecord struct {
+	d       deferral
+	legs    []Leg
 	results []uint64
-	stored  int
-	held    heldUpdate
-	atomic  bool
-	lazy    bool // the admission was announced lazily
-	pending bool // and its record is not stored yet
 	// Procs run on different goroutines and each writes its entry at every
-	// admission: the padding keeps two entries' fields off a common cache line
-	// (TestLazyRecordFillsCacheLines).
-	_ [13]byte
-}
-
-// heldUpdate is an Isb-Opt update whose update phase ran but was not written
-// back (Engine.finish): the engine and record it ran on, the retired-class
-// operands it unlinked, which retire once the untags after it are durable,
-// its CleanupSet (both Null-terminated, copied from the attempt's Spec by
-// Engine.retireAffected), the first of the cookie counter values reserved
-// for its untags, one per CleanupSet entry, and the heap epoch it ran in.
-// releasing is set while its cleanup runs (release).
-type heldUpdate struct {
-	e         *Engine
-	info      pmem.Addr
-	ops       [MaxAffect]pmem.Addr
-	cleanup   [MaxCleanup]pmem.Addr
-	first     uint64
-	epoch     uint64
-	releasing bool
-}
-
-// hold records that p's update on e, whose record is info, waits for p's next
-// barrier: its WriteSet CASes and result are in the carry set, and its tags
-// stay set until release, whose untags store the cookies of counter values
-// first, first+1, … (Engine.cookieAt).
-func (t *Records) hold(p *pmem.Proc, e *Engine, info pmem.Addr, first uint64) {
-	t.procs[p.ID()].held = heldUpdate{e: e, info: info, first: first, epoch: e.h.Epoch()}
-}
-
-// heldCookie reports the value p's release of its held update will store in
-// the info field a, if that update's record is info and a is in its
-// CleanupSet: what an attempt of p's that meets the tag may expect there, as
-// long as its install barrier, which releases the update, precedes its tags.
-func (t *Records) heldCookie(p *pmem.Proc, a, info pmem.Addr) (uint64, bool) {
-	h := t.holding(p, info)
-	if h == nil {
-		return 0, false
-	}
-	for i, c := range h.cleanup {
-		if c == a {
-			return h.e.cookieAt(h.e.proc(p), h.first+uint64(i)), true
-		}
-	}
-	return 0, false
-}
-
-// holding returns p's held update if there is one whose record is info, or
-// any with info Null; nil otherwise.
-func (t *Records) holding(p *pmem.Proc, info pmem.Addr) *heldUpdate {
-	if t == nil {
-		return nil
-	}
-	h := &t.procs[p.ID()].held
-	if h.e == nil || info != pmem.Null && h.info != info {
-		return nil
-	}
-	return h
-}
-
-// release runs the cleanup of p's held update, which a barrier of p's has
-// just written back: the done flag and the untags, carried to p's next
-// barrier inside a sync scope, and its operands go to its engine's
-// lastOp.held, which the next install's retireLast retires once that barrier
-// is done. The entry clears only once the cleanup ran, so a failure inside it
-// leaves the update held for settleHeld; releasing stops the barrier an
-// unscoped cleanup ends with from releasing it again. It returns the engine
-// of the update it released, if any.
-func (t *Records) release(p *pmem.Proc) *Engine {
-	h := t.holding(p, pmem.Null)
-	if h == nil || h.releasing {
-		return nil
-	}
-	e := h.e
-	h.releasing = true
-	e.cleanup(p, e.proc(p), h.info, Tagged(h.info), true, h.first)
-	h.retire(p)
-	return e
-}
-
-// retire hands h's operands to its engine's retire schedule (retireLast) and
-// clears h.
-func (h *heldUpdate) retire(p *pmem.Proc) {
-	last := &h.e.proc(p).last
-	for _, nd := range h.ops {
-		if nd == pmem.Null {
-			break
-		}
-		last.held[last.n] = nd
-		last.n++
-	}
-	*h = heldUpdate{}
-}
-
-// flushHeld writes p's held update back with a barrier of its own, which
-// writes back nothing but the carried lines, and releases it: at a sync
-// scope's close (Engine.CloseSyncScope), and after an individual failure
-// (settleHeld).
-func (t *Records) flushHeld(p *pmem.Proc) {
-	if t.holding(p, pmem.Null) == nil {
-		return
-	}
-	p.PBarrierAddrs(nil)
-	t.release(p)
-}
-
-// settleHeld ends, at a begin or a recovery (Engine.Settle), an update p
-// still holds after a crash. A system crash moved the heap's epoch and
-// reverted the update to its durable image, whose tags the held record's
-// engine settles before it installs again: the operands only join its retire
-// schedule. An individual failure left memory as it was: the update is
-// written back and released, its cleanup eager when recovery runs it, outside
-// a sync scope.
-func (t *Records) settleHeld(p *pmem.Proc) {
-	h := t.holding(p, pmem.Null)
-	switch {
-	case h == nil:
-	case h.epoch != p.Heap().Epoch():
-		h.retire(p)
-	default:
-		h.releasing = false
-		t.flushHeld(p)
-	}
+	// admission: the entry fills whole cache lines, so two never share one
+	// (TestProcRecordFillsCacheLines).
 }
 
 // NewRecords builds the table for h's processes.
-func NewRecords(h *pmem.Heap) *Records { return &Records{procs: make([]lazyRecord, h.NumProcs())} }
-
-// announceLazy is Announce with nothing stored yet, and no psync: the legs
-// wait in the table until the admission's first durable action — its first
-// install, which stores the record (storeKept) ahead of its barrier. A scope
-// that closes first drops it (live). Until then Admission already returns
-// the number the record will be stored under, so CP registers compare
-// against it, and a crash finds the previous record under the previous
-// number, exactly as a crash inside Announce does. An admission that installs
-// nothing — reads and effect-free updates only (Engine.attemptLoop) — leaves
-// no record at all, so no durable record can name it as in flight once it
-// has returned: recovery would re-invoke it, and a re-invoked failed insert
-// could insert a key no caller inserted.
-func (t *Records) announceLazy(p *pmem.Proc, atomic bool, legs []Leg) {
-	r := &t.procs[p.ID()]
-	r.legs = append(r.legs[:0], legs...)
-	r.results, r.stored = r.results[:0], 0
-	r.atomic, r.lazy, r.pending = atomic, true, true
-}
-
-// live returns p's entry while it describes the admission p runs: one
-// announced lazily, whose sync scope is still open. A scope's close
-// (CloseSyncScope) or teardown (ResetSyncScope, a crash's reset included)
-// drops the entry; the next begin replaces or clears it before anything
-// reads it again.
-func (t *Records) live(p *pmem.Proc) *lazyRecord {
-	if t == nil || !t.procs[p.ID()].lazy || !p.InSyncScope() {
-		return nil
-	}
-	return &t.procs[p.ID()]
-}
-
-// pending reports whether p's lazily announced record is still unstored.
-func (t *Records) pending(p *pmem.Proc) bool {
-	r := t.live(p)
-	return r != nil && r.pending
-}
-
-// elides reports whether an update leg of p's admission that its gather
-// proves effect-free may return without an install (Engine.attemptLoop):
-// no durable record will name it in flight once the admission returns. That
-// holds for every leg of a lazily announced window, since its slot is stored
-// only if a later leg installs, and for any leg while the record is pending,
-// as long as the leg itself has not installed: an attempt of it that lost
-// its tags leaves a register naming it, which attemptLoop checks. Two cases
-// install it anyway, the ROpt way, so that a register names it with its
-// response: the last update leg of an atomic vector whose record is stored,
-// because roll-forward (RecoverAll) would re-drive it otherwise; and every
-// leg of an eagerly begun admission, because the elimination stack's exchange
-// takes effect outside any install barrier.
-func (t *Records) elides(p *pmem.Proc) bool {
-	r := t.live(p)
-	return r != nil && (r.pending || !r.atomic)
-}
-
-// Admission is the number p's admission runs under: the durable one, or,
-// while its record is pending, the number it will be stored under.
-func (t *Records) Admission(p *pmem.Proc) uint64 {
-	n := Admission(p)
-	if t.pending(p) {
-		n++
-	}
-	return n
-}
-
-// storeKept stores what p's lazily announced admission keeps Go-side for its
-// next install, and hands the lines to the carry set (pmem.Proc.Carry), for
-// that install's barrier to write back with its own, before any tag: the
-// record, if still pending — raising the admission number — with every
-// response kept so far as its prefix, or else the responses kept since the
-// last install, in stamped slots. The barrier may
-// persist any subset of its lines, and each subset is safe. A record without
-// its prefix, or a prefix without its header, fails the sum, and so does a
-// header torn from its legs: the admission, which takes effect only after the
-// barrier, then reads as not begun, and the previous record, whose slots sit
-// in the other area, stays valid unless its own header was torn. A later
-// slot without the rest is a leg closed early, whose response is durable; the
-// rest without the slot leave the previous leg at the cursor, its record
-// still named (Engine.attemptLoop keeps the last complete install's register
-// intact until this barrier is done).
-func (t *Records) storeKept(p *pmem.Proc) {
-	r := t.live(p)
-	if r == nil {
-		return
-	}
-	if r.pending {
-		r.pending = false
-		end := writeRecord(p, r.atomic, r.legs, r.results)
-		for line := p.Region(); line < end; line += pmem.WordsPerLine {
-			p.Carry(line)
-		}
-		for i := range r.results {
-			p.Carry(slot(p, Admission(p), i))
-		}
-		r.stored = len(r.results)
-		return
-	}
-	for i := r.stored; i < len(r.results); i++ {
-		p.Carry(storeLegResult(p, i, r.results[i]))
-	}
-	r.stored = len(r.results)
-}
-
-// keepLegResult keeps the response of leg i, the next in order, for p's next
-// install to store (storeKept). Under Isb-Opt every vector is announced
-// lazily: the admitting runtime opens its scope ahead of the begin.
-func (t *Records) keepLegResult(p *pmem.Proc, i int, resp uint64) {
-	r := &t.procs[p.ID()]
-	if i != len(r.results) {
-		panic(fmt.Sprintf("isb: kept result for leg %d, want leg %d", i, len(r.results)))
-	}
-	r.results = append(r.results, resp)
-}
+func NewRecords(h *pmem.Heap) *Records { return &Records{procs: make([]procRecord, h.NumProcs())} }

@@ -245,14 +245,14 @@ func TestAnnouncementAdmissionEveryStore(t *testing.T) {
 // the admission before the previous one, which used the same slot area, so a
 // stamp stored ahead of the response would show.
 //
-// In the lazy rows the record is left pending with announceLazy and slots 0
-// to i with it (keepLegResult), and what is crashed is the first install's
-// sequence: the record stored with the kept responses as its prefix
-// (storeKept) and written back by its barrier. A crash before the barrier must
+// In the lazy rows the record is left pending by a lazy begin and slots 0 to
+// i with it by the boundaries, and what is crashed is the first install's
+// sequence: the record stored with the kept responses as its prefix (the
+// install's store action) and written back by its barrier. A crash before the barrier must
 // find the previous record under the previous number with its own responses,
 // never with a new response in a slot it reads, or no valid record, and a
 // crash after it the new record with the whole prefix of the new responses.
-// No valid record is what Announce and storeKept promise of a crash before
+// No valid record is what Announce and the install's store promise of a crash before
 // the barrier that carries the record: the header line, which holds the
 // raised admission number from the record's second access on, can persist
 // alone. Then RecoverAll, which routes only the legs ReadRecord returns,
@@ -268,7 +268,7 @@ func TestLegResultEveryStore(t *testing.T) {
 			t.Run(fmt.Sprintf("lazy=%v/slot=%d", lazy, i), func(t *testing.T) {
 				n := crash.SweepTest(t, func() crash.Instance {
 					h := newTrackedHeap(1)
-					p, recs := h.Proc(0), NewRecords(h)
+					p, e := h.Proc(0), lazyEngine(h)
 					for range 2 { // the second fills the slot area the new record reuses
 						Announce(p, false, legs...)
 						for j := 0; j < len(legs)-1; j++ {
@@ -279,12 +279,12 @@ func TestLegResultEveryStore(t *testing.T) {
 					write := func() { CloseLeg(p, i, 100+uint64(i)) }
 					if lazy {
 						p.OpenSyncScope() // a lazy record lives in its admission's scope
-						recs.announceLazy(p, false, legs)
+						e.Begin(p, false, legs)
 						for j := 0; j <= i; j++ {
-							recs.keepLegResult(p, j, 100+uint64(j))
+							e.Boundary(p, j+1, 100+uint64(j))
 						}
 						write = func() {
-							recs.storeKept(p)
+							e.perform(p, e.step(p, &event{kind: evInstall}))
 							p.PBarrierAddrs(nil)
 						}
 					} else {
@@ -380,26 +380,42 @@ func recoversNothing(h *pmem.Heap, p *pmem.Proc, legs []Leg) string {
 // where it was. A scope a crash tears down drops it too.
 func TestCloseScopeDropsPendingRecord(t *testing.T) {
 	h := newTrackedHeap(1)
-	p, recs := h.Proc(0), NewRecords(h)
-	adm := recs.Admission(p)
+	p, e := h.Proc(0), lazyEngine(h)
+	// runs is the number p's admission runs under: the one an install now
+	// stores the record under.
+	runs := func() uint64 {
+		if _, a := step(e.recs.procs[p.ID()].d, event{kind: evInstall, scoped: p.InSyncScope()}); a.storeRecord {
+			return Admission(p) + 1
+		}
+		return Admission(p)
+	}
+	adm := runs()
 	p.OpenSyncScope()
-	recs.announceLazy(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
-	if got := recs.Admission(p); got != adm+1 {
+	e.Begin(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
+	if got := runs(); got != adm+1 {
 		t.Fatalf("pending record runs under admission %d, want %d", got, adm+1)
 	}
 	p.CloseSyncScope()
 	if got := p.Stats().Syncs; got != 0 {
 		t.Errorf("the scope closed with %d psyncs, want 0", got)
 	}
-	if recs.Admission(p) != adm || recs.pending(p) {
-		t.Errorf("admission %d (pending %v) after the scope, want %d", recs.Admission(p), recs.pending(p), adm)
+	if runs() != adm {
+		t.Errorf("admission %d after the scope, want %d", runs(), adm)
 	}
 	p.OpenSyncScope()
-	recs.announceLazy(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
+	e.Begin(p, false, []Leg{{StructID: 1, Kind: 2, Arg: 3}})
 	crashAndReset(h)
-	if recs.Admission(p) != adm || recs.pending(p) {
-		t.Errorf("admission %d (pending %v) after a crash, want %d", recs.Admission(p), recs.pending(p), adm)
+	if runs() != adm {
+		t.Errorf("admission %d after a crash, want %d", runs(), adm)
 	}
+}
+
+// lazyEngine is an Isb-Opt engine that announces under a runtime ID, so
+// that a begin in an open scope is lazy.
+func lazyEngine(h *pmem.Heap) *Engine {
+	e := NewEngineOpt(h)
+	e.SetAnnounceID(1, NewRecords(h))
+	return e
 }
 
 // TestInfoResultTravelsWithSum pins why offResult shares its two-word pair
@@ -427,10 +443,10 @@ func TestInfoResultTravelsWithSum(t *testing.T) {
 			p, e := h.Proc(0), NewEngineOpt(h)
 			base := p.Alloc(InfoWords + 2*pmem.WordsPerLine)
 			info := (base+pmem.WordsPerLine-1)&^(pmem.WordsPerLine-1) + align
-			e.install(p, info, spec(2))
+			e.install(p, info, spec(2), 0)
 			p.Store(info+offResult, RespTrue)
 			p.PBarrierRange(info, InfoWords)
-			e.install(p, info, spec(3))
+			e.install(p, info, spec(3), 0)
 			for l, line := 0, info&^(pmem.WordsPerLine-1); line < info+InfoWords; l, line = l+1, line+pmem.WordsPerLine {
 				if l != skip {
 					p.PWB(line)

@@ -287,7 +287,7 @@ type Runtime struct {
 	regBase   pmem.Addr   // persisted registry: word0 = count, word id = kind
 	reclaimer *pmem.Reclaimer
 	engines   []*isb.Engine // every engine newEngine built (scan/recovery plumbing)
-	recs      *isb.Records  // the engines' lazily announced records (isb.Records)
+	recs      *isb.Records  // the processes' Isb-Opt deferral states, which every engine shares
 	// lastScan is the latest RecoverAll's reclaimer report, nil before the
 	// first; atomic so that LastScan may run while a recovery does.
 	lastScan atomic.Pointer[pmem.ScanReport]

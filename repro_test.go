@@ -475,7 +475,7 @@ func TestUnacceptedOpKindPanics(t *testing.T) {
 					l := rt.NewList()
 					p := rt.Proc(0)
 					l.Apply(p, Op{Kind: OpInsert, Arg: 5})
-					adm := rt.recs.Admission(p)
+					adm := isb.Admission(p)
 					bad, insert := Op{Kind: kind, Arg: 5}, Op{Kind: OpInsert, Arg: 7}
 					msg := func() (msg string) {
 						defer func() { msg, _ = recover().(string) }()
@@ -495,7 +495,7 @@ func TestUnacceptedOpKindPanics(t *testing.T) {
 					if p.InSyncScope() {
 						t.Fatal("a sync scope is still open after the refusal")
 					}
-					if got := rt.recs.Admission(p); got != adm {
+					if got := isb.Admission(p); got != adm {
 						t.Fatalf("admission number %d after the refusal, want %d", got, adm)
 					}
 					if ks := l.Keys(); !slices.Equal(ks, []uint64{5}) {
