@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/bst"
 	"repro/internal/isb"
+	"repro/internal/list"
 	"repro/internal/pmem"
 )
 
@@ -37,12 +39,14 @@ type adapter struct {
 	argMask uint64
 	// kinds holds one bit per op kind the structure accepts (kindMask).
 	kinds uint64
+	// maxKey, for a set structure, is its largest user key (userKeys).
+	maxKey uint64
 }
 
 // adopt registers s — the wrapper embedding a — under the next durable ID and
 // binds a to its core c, built on engine e.
 func (r *Runtime) adopt(s Structure, a *adapter, c core, e *isb.Engine, kind StructKind) {
-	*a = adapter{c: c, e: e, kind: kind, kinds: kindMask(kind)}
+	*a = adapter{c: c, e: e, kind: kind, kinds: kindMask(kind), maxKey: userKeys(kind)}
 	a.id = r.register(s, kind)
 	e.SetAnnounceID(a.id, r.recs)
 }
@@ -73,6 +77,7 @@ func (a *adapter) key(arg uint64) uint64 {
 // kind the structure does not accept panics.
 func (a *adapter) Apply(p *Proc, op Op) Resp {
 	acceptKind(a.kinds, a.id, a.kind, op.Kind)
+	a.acceptKey(a.key(op.Arg))
 	if a.c.ReadOnly(op.Kind) {
 		return respOf(a.c.ReadOp(p, op.Kind, a.key(op.Arg)))
 	}
@@ -125,6 +130,29 @@ func kindMask(k StructKind) (mask uint64) {
 func acceptKind(mask, id uint64, k StructKind, kind uint64) {
 	if kind >= 64 || mask>>kind&1 == 0 {
 		panic(fmt.Sprintf("repro: structure %d (%v) accepts no op kind %d", id, k, kind))
+	}
+}
+
+// userKeys is the largest user key of a set structure of kind k, whose user
+// keys are 1..userKeys(k): 0 and the keys above are its sentinels'. Other
+// kinds take any argument (0).
+func userKeys(k StructKind) uint64 {
+	switch k {
+	case KindList, KindHashMap:
+		return list.MaxKey - 1
+	case KindBST:
+		return bst.MaxUserKey
+	}
+	return 0
+}
+
+// acceptKey panics if key, an argument after the arg mask, is a set
+// structure's reserved key, which its sentinels hold: an operation on it would
+// act on a sentinel (an insert of 0 after a delete of 0 never returns). Like
+// acceptKind it runs before the begin.
+func (a *adapter) acceptKey(key uint64) {
+	if a.maxKey != 0 && (key == 0 || key > a.maxKey) {
+		panic(fmt.Sprintf("repro: structure %d (%v) reserves key %d: user keys are 1..%d", a.id, a.kind, key, a.maxKey))
 	}
 }
 

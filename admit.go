@@ -95,11 +95,9 @@ func deriveLeg2Arg(announced, flags, resp1 uint64) (arg uint64, skip bool) {
 // transaction stays unscoped, every leg psync where Algorithms 1–2 put it.
 // Under EngineIsbOpt a successful leg's update phase is held, its tags set,
 // until the process's next barrier — the next installing leg's, on whichever
-// structure — so k installing legs write back 2k+1 times: an install and a tag
-// barrier each, and the close (isb.Engine.CloseSyncScope), which writes back
-// the last update still held and runs its untags before the psync. Between
-// two legs the previous
-// response goes to its result slot, stamped with the admission number
+// structure, or, past the close, a later admission's — so k installing legs
+// write back 2k times: an install and a tag barrier each. Between two legs the
+// previous response goes to its result slot, stamped with the admission number
 // (isb.Engine.Boundary): one pwb under EngineIsb, and under EngineIsbOpt none
 // — the response waits for the process's next install, whose barrier writes
 // the slot back before anything that leg makes durable, and a slot no later
@@ -136,6 +134,8 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 				panic("repro: ArgFromLeg1 is only meaningful on leg 2")
 			}
 			rec[i].Flags = flagArgFromLeg1
+		} else {
+			ads[i].acceptKey(ads[i].key(l.Op.Arg))
 		}
 		if e := ads[i].e; e != ads[0].e && !slices.Contains(others, e) {
 			others = append(others, e)
@@ -162,7 +162,7 @@ func (r *Runtime) submit(p *Proc, atomic bool, legs []TxnLeg, out []Resp) {
 		out[i] = respOf(prev)
 	}
 	if scoped {
-		ads[0].e.CloseSyncScope(p)
+		p.CloseSyncScope()
 	}
 }
 

@@ -133,17 +133,14 @@ func runBatchAdmission(kind EngineKind, batch, opsTotal, findPct int, seed int64
 // batch=64 windows must at least halve syncs/op versus one-at-a-time
 // admission; with the simulated latencies on, the throughput gain follows
 // mechanically (benchmark workload admit_window_txn measures it). A window
-// also saves a third of the write-backs, exactly: neither a lone update's
-// begin nor a window leg's boundary writes back anything of its own — the
-// announcement and the stamped result slots ride the next install's barriers
-// (isb.Records) — an effect-free leg (a find, a failed update) writes back
-// nothing in either, and a successful update writes back its install and tag
-// barriers, its update phase riding the next one. Alone that is the scope's
-// close, so batch=1 pays 3 per update; in a window it is the next leg's
-// install, and only the window's last update pays for a close of its own —
-// one per window that installs, which is one per psync. The README's table of
-// psyncs per operation is the whole grid, three mixes by both engines by
-// batch 1, 8 and 64.
+// writes back exactly what its operations would alone: neither a lone
+// update's begin nor a window leg's boundary writes back anything of its own
+// — the announcement and the stamped result slots ride the next install's
+// barriers (isb.Records) — an effect-free leg (a find, a failed update) writes
+// back nothing in either, and a successful update writes back its install and
+// tag barriers, its update phase riding the process's next barrier, in a
+// window or past its close alike. The README's table of psyncs per operation
+// is the whole grid, three mixes by both engines by batch 1, 8 and 64.
 func TestBatchAdmissionSpeedup(t *testing.T) {
 	const opsTotal, batch, findPct, seed = 20000, 64, 10, 7
 	rows := [][]string{{"workload", "engine", "batch=1", "batch=8", "batch=64"}}
@@ -175,8 +172,8 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 		t.Fatalf("batch=64 syncs/op %.3f is not half of batch=1's %.3f (batch1: %v) (batch64: %v)",
 			st64.SyncsPerOp(), st1.SyncsPerOp(), st1, st64)
 	}
-	if w64, w1 := st64.Mem.Barriers+st64.Mem.Flushes, st1.Mem.Barriers+st1.Mem.Flushes; w1%3 != 0 || w64 != 2*w1/3+st64.Mem.Syncs {
-		t.Fatalf("batch=64 wrote back %d times, batch=1 %d with %d psyncs at batch=64: want 2/3 of batch=1 plus one close per psync", w64, w1, st64.Mem.Syncs)
+	if w64, w1 := st64.Mem.Barriers+st64.Mem.Flushes, st1.Mem.Barriers+st1.Mem.Flushes; w64 != w1 {
+		t.Fatalf("batch=64 wrote back %d times, batch=1 %d: want the same", w64, w1)
 	}
 	if st64.BatchSyncs == 0 {
 		t.Fatal("batch=64 run deferred no syncs; the batch protocol is not engaged")
@@ -192,18 +189,26 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 // keys, Proc 0 one at a time and Proc 1 in windows, interleaved on one
 // goroutine so that no operation overlaps another and the counts are
 // deterministic; each Proc's counts are what its sequence counts with the
-// other Proc idle.
+// other Proc idle. A band of keys set up between their ranges keeps either
+// from meeting the other's nodes, whose held update it would help.
 func TestEngineCountersSumProcs(t *testing.T) {
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
 			run := func(procs ...int) (batchSyncs, readFast uint64) {
 				rt := New(Config{Procs: 2, HeapWords: 1 << 20, Engine: e.kind})
 				m := rt.NewHashMap(4)
+				for k := uint64(500); k < 564; k++ {
+					m.Insert(rt.Proc(0), k)
+				}
+				// The update Proc 0 holds is below the band.
+				m.Apply(rt.Proc(0), Op{Kind: OpInsert, Arg: 1})
+				m.Apply(rt.Proc(0), Op{Kind: OpDelete, Arg: 1})
+				bsSetup, rfSetup, _ := rt.EngineCounters(m)
 				win := make([]Op, 0, 4)
 				for i := 0; i < 240; i++ {
 					for _, id := range procs {
-						// Proc 0 owns the even keys, Proc 1 the odd ones.
-						op := Op{Kind: []uint64{OpFind, OpInsert, OpDelete}[i%3], Arg: uint64(2*(i%20) + 2 - id)}
+						// Proc 0 owns keys 2-40, Proc 1 keys 1002-1040.
+						op := Op{Kind: []uint64{OpFind, OpInsert, OpDelete}[i%3], Arg: uint64(2*(i%20) + 2 + 1000*id)}
 						if id == 0 {
 							m.Apply(rt.Proc(0), op)
 							continue
@@ -215,7 +220,7 @@ func TestEngineCountersSumProcs(t *testing.T) {
 					}
 				}
 				bs, rf, _ := rt.EngineCounters(m)
-				return bs, rf
+				return bs - bsSetup, rf - rfSetup
 			}
 			bs0, rf0 := run(0)
 			bs1, rf1 := run(1)
@@ -295,23 +300,24 @@ func TestTxnAdmissionSyncCost(t *testing.T) {
 // install, one per Help phase): the reproduction's reference curve.
 //
 // The write-backs are where persists_per_op could leak. A successful Isb-Opt
-// update writes back 3 times: the install barrier (record and new nodes, the
+// update writes back twice: the install barrier (record and new nodes, the
 // admission's announcement, whose raised number resets CP_q on every engine,
 // the RD_q/CP_q register, the previous update phase and the cleanup before
-// it), the tag barrier, and the barrier its update phase rides: alone, the
-// scope's close. Its cleanup, done flag included, rides the barrier after
-// that. A failed one is read-only after its gather and stops there: no
-// install and no record, since nothing durable names it once it returns. A
-// window or transaction leg after the first pays no begin, and its boundary —
-// the previous leg's result slot — writes back nothing of its own: the slot
-// waits for the next install, whose barrier carries it, inside the record as
-// its prefix when that install stores the record. An effect-free window leg
-// installs nothing wherever it sits, and an installing leg's update phase
-// rides the next leg's install, whichever structure that is on, so every
-// Isb-Opt window writes back what its legs would alone less one close per
-// installing leg but the last: the rows with legs pin that count. Every
-// Isb-Opt shape leaves no live node tagged. Under Isb the slot costs one pwb
-// and the boundary one psync, and the install keeps its own RD_q pwb.
+// it) and the tag barrier. Its update phase stays held past the close, its
+// tags durable, and rides the process's next barrier, which releases its
+// cleanup, done flag included, to the barrier after that. A failed one is
+// read-only after its gather and stops there: no install and no record, since
+// nothing durable names it once it returns. A window or transaction leg after
+// the first pays no begin, and its boundary — the previous leg's result slot
+// — writes back nothing of its own: the slot waits for the next install,
+// whose barrier carries it, inside the record as its prefix when that install
+// stores the record. An effect-free window leg installs nothing wherever it
+// sits, and an installing leg's update phase rides the next barrier, whichever
+// structure or admission issues it, so every Isb-Opt window writes back
+// exactly what its legs would alone: the rows with legs pin that count. Every
+// Isb-Opt shape leaves no stray tag: only the update it holds keeps its tags
+// (isb.Engine.StrayTag). Under Isb the slot costs one pwb and the boundary
+// one psync, and the install keeps its own RD_q pwb.
 //
 // On one Proc an eliminating push or pop always times out on the exchanger
 // and falls through to the central stack. It pays the exchange's own psyncs
@@ -333,20 +339,20 @@ func TestAdmissionSyncPrice(t *testing.T) {
 	}{
 		{"find", price{0, 0}, price{0, 0}, nil},
 		{"bare begin", price{1, 1}, price{1, 1}, nil},
-		{ok, price{6, 15}, price{1, 3}, nil},
+		{ok, price{6, 15}, price{1, 2}, nil},
 		{failed, price{3, 5}, price{0, 0}, nil},
-		{"ApplyWindow of 1", price{2, 15}, price{1, 3}, []string{ok}},
+		{"ApplyWindow of 1", price{2, 15}, price{1, 2}, []string{ok}},
 		{"ApplyWindow of 1 find", price{1, 1}, price{0, 0}, []string{"find"}},
-		{"ApplyWindow of 16", price{17, 134}, price{1, 17}, slices.Repeat([]string{ok, failed}, 8)},
-		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 3}, []string{failed, ok}},
-		{"ApplyWindow(insert, failed insert)", price{3, 18}, price{1, 3}, []string{ok, failed}},
-		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 5}, []string{ok, ok}},
-		{"enqueue", price{6, 12}, price{1, 3}, nil},
-		{"dequeue", price{6, 9}, price{1, 3}, nil},
-		{"push", price{6, 15}, price{1, 3}, nil},
-		{"pop", price{6, 11}, price{1, 3}, nil},
-		{"eliminating push", price{10, 23}, price{6, 12}, nil},
-		{"eliminating pop", price{9, 16}, price{5, 9}, nil},
+		{"ApplyWindow of 16", price{17, 134}, price{1, 16}, slices.Repeat([]string{ok, failed}, 8)},
+		{"ApplyWindow(failed insert, insert)", price{3, 18}, price{1, 2}, []string{failed, ok}},
+		{"ApplyWindow(insert, failed insert)", price{3, 18}, price{1, 2}, []string{ok, failed}},
+		{"ApplyTxn(delete, insert)", price{10, 24}, price{1, 4}, []string{ok, ok}},
+		{"enqueue", price{6, 12}, price{1, 2}, nil},
+		{"dequeue", price{6, 9}, price{1, 2}, nil},
+		{"push", price{6, 15}, price{1, 2}, nil},
+		{"pop", price{6, 11}, price{1, 2}, nil},
+		{"eliminating push", price{10, 23}, price{6, 11}, nil},
+		{"eliminating pop", price{9, 16}, price{5, 8}, nil},
 	}
 	rows := [][]string{{"shape", "Isb psyncs", "Isb write-backs", "Isb-Opt psyncs", "Isb-Opt write-backs"}}
 	single := map[string]uint64{}
@@ -354,18 +360,12 @@ func TestAdmissionSyncPrice(t *testing.T) {
 		rows = append(rows, []string{w.shape, fmt.Sprint(w.isb.syncs), fmt.Sprint(w.isb.writeBacks),
 			fmt.Sprint(w.opt.syncs), fmt.Sprint(w.opt.writeBacks)})
 		single[w.shape] = w.opt.writeBacks
-		var sum, installing uint64
+		var sum uint64
 		for _, l := range w.legs {
 			sum += single[l]
-			if single[l] != 0 {
-				installing++
-			}
-		}
-		if installing > 1 {
-			sum -= installing - 1 // every update phase but the last rides the next install
 		}
 		if w.legs != nil && sum != w.opt.writeBacks {
-			t.Errorf("%s: Isb-Opt writes back %d times, its legs alone less one close per installing leg but the last %d", w.shape, w.opt.writeBacks, sum)
+			t.Errorf("%s: Isb-Opt writes back %d times, its legs alone %d", w.shape, w.opt.writeBacks, sum)
 		}
 	}
 	checkReadmeTable(t, "admission-price", rows...)
@@ -394,8 +394,8 @@ type price struct{ syncs, writeBacks uint64 }
 
 // admissionPrices measures every admission shape of TestAdmissionSyncPrice
 // on one Proc, by shape, and reports the first shape after which a structure
-// fails its invariants, a live node tagged among them: no tag may outlive its
-// admission. The reclaim leg pays the arena leg's prices: the reclaimer
+// fails its invariants, a stray tag among them: no tag but the held update's
+// may outlive its admission. The reclaim leg pays the arena leg's prices: the reclaimer
 // writes back only when it carves a slab (the slab directory's two
 // write-backs), which the set-up's allocations have done for every measured
 // shape. Should a shape carve one, warm up more; the equality stays.
@@ -752,7 +752,7 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// lands, so a layout or access-count change moves them. A
 			// reused block is not cleared, so a stale word of one may keep
 			// a block too.
-			want := map[EngineKind][4]uint64{EngineIsb: {2048, 1, 32776, 0}, EngineIsbOpt: {2050, 0, 32776, 0}}[e.kind]
+			want := map[EngineKind][4]uint64{EngineIsb: {2048, 1, 32776, 0}, EngineIsbOpt: {2050, 2, 32774, 2}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
 				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])

@@ -340,8 +340,9 @@ func (t *BST) Keys() []uint64 {
 }
 
 // CheckInvariants validates the external-BST shape at quiescence: key
-// routing bounds, two children per internal node, untagged live nodes, and
-// the ∞₁ sentinel as the rightmost leaf of the left subtree.
+// routing bounds, two children per internal node, no stray tag on a live node
+// (isb.Engine.StrayTag), and the ∞₁ sentinel as the rightmost leaf of the left
+// subtree.
 func (t *BST) CheckInvariants() string {
 	var err string
 	var walk func(nd pmem.Addr, lo, hi uint64, depth int) (maxLeaf uint64)
@@ -362,7 +363,7 @@ func (t *BST) CheckInvariants() string {
 			err = fmt.Sprintf("key %d outside routing bounds [%d,%d)", k, lo, hi)
 			return 0
 		}
-		if isb.IsTagged(t.h.ReadVolatile(nd + nInfo)) {
+		if t.e.StrayTag(t.h.ReadVolatile(nd + nInfo)) {
 			err = "live node tagged at quiescence"
 			return 0
 		}

@@ -150,20 +150,24 @@ func TestFirstInstallRaisesCPCrash(t *testing.T) {
 // flag and its untags — becomes durable, on both engines, in two sweeps.
 //
 // The operation itself, crashed at every access on a heap that persists
-// every store's line at once: the invoker stores done as the cleanup phase
-// starts, so eviction makes it durable while some untags are not. Every
-// crash that left the record durably done must recover with no CleanupSet
-// node tagged by the record, volatile or persisted — Help on a done record
-// re-runs the untags.
+// every store's line at once: under Isb the invoker stores done as the
+// cleanup phase starts, so eviction makes it durable while some untags are
+// not. Every crash that left the record durably done must recover with no
+// CleanupSet node tagged by the record, volatile or persisted — Help on a
+// done record re-runs the untags. An Isb-Opt operation stores no done flag:
+// it returns holding its update, whose cleanup the process's next barrier
+// runs (TestCrashPersistSubsets persists that barrier's lines in every
+// subset), so no crash inside it may find its record done.
 //
 // The deferral window: under Isb the cleanup phase ends with its barrier
-// before the response, and under Isb-Opt, inside the operation's sync scope,
-// it rides the process's next barrier, the next install's. An insert and a
-// delete each complete; then the follow-up on the same key, begin included,
-// is crashed at every access on a heap that never evicts, so persistent
-// memory holds exactly what was written back. Isb-Opt must leave some crash
-// with an untag of the completed operation still volatile, and Isb none, and
-// no crash may find one volatile once the follow-up's record is installed.
+// before the response, and under Isb-Opt the operation returns holding its
+// update phase, which the follow-up's install barrier writes back, releasing
+// its cleanup to the follow-up's tag barrier. An insert and a delete each
+// complete; then the follow-up on the same key, begin included, is crashed at
+// every access on a heap that never evicts, so persistent memory holds
+// exactly what was written back. Isb-Opt must leave some crash with an untag
+// of the completed operation still volatile, and Isb none, and no crash may
+// find one volatile once the follow-up's tags are written back.
 // Every crash must recover the follow-up to its response and the list to its
 // prefill, with no node tagged by the completed operation's record, volatile
 // or persisted: recovery — or, after a crash inside the begin, the retried
@@ -200,7 +204,10 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 			}
 			return oneAttempt(c.l, c.p, c.inverse, c.key)
 		})
-		if partial == 0 {
+		if opt && done != 0 {
+			t.Fatalf("isb-opt: %d crashes inside an operation found its record done: it must return holding its update", done)
+		}
+		if !opt && partial == 0 {
 			t.Fatalf("opt=%v: none of %d crashes with a durable done flag left an untag volatile", opt, done)
 		}
 		t.Logf("opt=%v: %d crashes left the record durably done, %d of them with an untag volatile", opt, done, partial)
@@ -228,12 +235,19 @@ func TestDoneRidesCleanupBarrierCrash(t *testing.T) {
 					break
 				}
 				crashes++
-				now := e.Durable(p) // the follow-up's install barrier ran: a register names its record
-				installed := now.Regs[0].RD != before.Regs[0].RD || now.Regs[1].RD != before.Regs[1].RD
+				// The follow-up's tag barrier ran: a register names its record, and
+				// its first CleanupSet field persisted its tag (Isb-Opt holds its
+				// update, so the tag stays).
+				tagged := false
+				for r, reg := range e.Durable(p).Regs {
+					if reg.RD != before.Regs[r].RD && len(reg.Cleanup) > 0 {
+						tagged = !opt || h.ReadPersisted(reg.Cleanup[0]) == isb.Tagged(reg.RD)
+					}
+				}
 				for _, a := range done.Cleanup {
 					if h.ReadPersisted(a) == isb.Tagged(done.RD) && h.ReadVolatile(a) != isb.Tagged(done.RD) {
-						if installed {
-							t.Fatalf("opt=%v %s offset %d: the follow-up's install barrier did not carry the untag of node field %d", opt, op.name, off, a)
+						if tagged {
+							t.Fatalf("opt=%v %s offset %d: the follow-up's tag barrier did not carry the untag of node field %d", opt, op.name, off, a)
 						}
 						volatile++
 						break
@@ -350,9 +364,10 @@ func TestDeferredCleanupRecycledSurvivor(t *testing.T) {
 }
 
 // TestSettleFlagsDone crashes an Isb-Opt dequeue whose done flag never got
-// its barrier, and then lets its operand recycle. Proc 0 dequeues: the scope
-// close writes the update back, and the done flag waits for Proc 0's next
-// barrier, which the crash preempts. Recovery settles the record, and Proc
+// its barrier, and then lets its operand recycle. Proc 0 dequeues: on an
+// engine that announces nothing, and so holds nothing, the update phase ends
+// with its own barrier, and the done flag waits for Proc 0's next barrier,
+// which the crash preempts. Recovery settles the record, and Proc
 // 0's next install retires the old dummy — the Go-side schedule outlives the
 // crash — while its other register still names the dequeue's record. After a
 // second crash Proc 1 enqueues until the reclaimer hands it that dummy's
@@ -494,5 +509,38 @@ func TestRegistersNameNoRetiredRecord(t *testing.T) {
 	}
 	if len(alloc.retired) == 0 {
 		t.Fatal("nothing retired: the run never reached a register's second overwrite")
+	}
+}
+
+// TestSettleHelpsInOrder crashes two Isb-Opt dequeues that each returned
+// holding its update, the second having read the first's: Proc 1 dequeues 1,
+// then Proc 0 dequeues 2 from the Head Proc 1's held update set, a pointer no
+// tag guards. The crash persists neither update, only their tags. Settle must
+// re-run Proc 1's update before Proc 0's: in process order Proc 0's CAS on
+// Head would fail, its record would read done with no effect, and 2 would be
+// back on the queue under a dummy tagged for good.
+func TestSettleHelpsInOrder(t *testing.T) {
+	h := pmem.NewHeap(pmem.Config{Words: 1 << 16, Procs: 2, Tracked: true})
+	e := isb.NewEngineOpt(h)
+	e.SetAnnounceID(1, isb.NewRecords(h))
+	q := queue.NewWithEngine(h, e)
+	p0, p1 := h.Proc(0), h.Proc(1)
+	for v := uint64(1); v <= 3; v++ {
+		q.ApplyOp(p0, queue.OpEnq, v)
+	}
+	for i, p := range []*pmem.Proc{p1, p0} {
+		if v := q.ApplyOp(p, queue.OpDeq, 0); v != isb.EncodeValue(uint64(i+1)) {
+			t.Fatalf("Proc %d's dequeue answered %d, want %d", p.ID(), v, isb.EncodeValue(uint64(i+1)))
+		}
+	}
+	h.Crash()
+	h.ResetAfterCrash()
+	q.RepairTail(p0)
+	e.Settle(p0)
+	if got := q.Values(); !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("the queue holds %v after recovery, want [3]", got)
+	}
+	if msg := q.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
 	}
 }

@@ -18,7 +18,10 @@ import (
 // which then reports released.
 //
 // The transition table. live is "the admission was announced lazily and its
-// scope is still open"; a rule not listed leaves the state as it is.
+// scope is still open"; a rule not listed leaves the state as it is. A scope's
+// close is no event: the update held last outlives its admission, its tags
+// durable (the tag barrier wrote them back, the close's psync orders them), and
+// rides the process's next barrier, whichever engine or admission issues it.
 //
 //	event        rule                                                          actions
 //	begin        legs in an Isb-Opt scope: lazy, the record pending;           -
@@ -40,10 +43,10 @@ import (
 //	             engine's retire schedule; otherwise they retire now           ops
 //	released     the held update's cleanup ran: its operands join its          schedule
 //	             engine's retire schedule, and nothing is held
-//	close        a held update gets a barrier of its own and releases          barrier, release
-//	settle       at a begin or a recovery: a held update a system crash        schedule
-//	             reverted (the heap's epoch moved) joins the schedule; one an
-//	             individual failure left is written back and releases          barrier, release
+//	settle       a held update a system crash reverted (the heap's epoch       schedule
+//	             moved) joins the schedule; at a recovery, one an individual
+//	             failure left is written back and releases; at a begin, it     barrier, release
+//	             stays held
 //	meet         a field the gather met tagged is the held update's, whose     ok: cookie n
 //	             release stores the cookie of counter n there
 //
@@ -51,7 +54,8 @@ import (
 // admission runs under is the raised one exactly when an install now would
 // store the record (TestCloseScopeDropsPendingRecord), and the held update's
 // operands, which the conservative scan keeps, are what a release would
-// schedule (Engine.MarkReachable).
+// schedule (Engine.MarkReachable). A third is read off it: whether a tag names
+// the update a process holds (Engine.StrayTag).
 type deferral struct {
 	// announced: the last begin announced legs; lazy: lazily, its record
 	// pending until the first install stores it; kept responses, of which the
@@ -70,8 +74,7 @@ type deferral struct {
 	ops     [MaxAffect]pmem.Addr
 	cleanup [MaxCleanup]pmem.Addr
 	// deferredOn is the engine whose phase the process deferred last, if no
-	// barrier (which writes every deferred phase back), close or settle came
-	// since.
+	// barrier (which writes every deferred phase back) or recovery came since.
 	deferredOn *Engine
 }
 
@@ -88,7 +91,6 @@ const (
 	evCleanup
 	evDone
 	evReleased
-	evClose
 	evSettle
 	evMeet
 )
@@ -98,15 +100,16 @@ const (
 // installed reports that an effect-free leg installed already, readOnly that a
 // barrier is a read-only leg's install's; invoker, info, first (the reserved
 // cookie counter) and epoch describe an update or cleanup phase; done names
-// info and spec, settle the epoch, and meet the field and its info.
+// info and spec, settle the epoch and whether a begin settles (begin), and meet
+// the field and its info.
 type event struct {
-	kind                                         evKind
-	e                                            *Engine
-	scoped, atomic, installed, readOnly, invoker bool
-	n                                            int
-	info, field                                  pmem.Addr
-	first, epoch                                 uint64
-	spec                                         *Spec
+	kind                                                evKind
+	e                                                   *Engine
+	scoped, atomic, installed, readOnly, invoker, begin bool
+	n                                                   int
+	info, field                                         pmem.Addr
+	first, epoch                                        uint64
+	spec                                                *Spec
 }
 
 // actions is what step asks of the engine. ok answers the event's question
@@ -187,10 +190,13 @@ func (s *deferral) apply(ev *event, a *actions) {
 			return
 		}
 		s.releasing = false
+		if ev.begin {
+			return
+		}
+		a.barrier = s.held != nil
 		fallthrough
-	case evBarrier, evClose:
-		s.deferredOn = nil // a barrier writes every carried phase back; close and settle end the attempt
-		a.barrier = s.held != nil && ev.kind != evBarrier
+	case evBarrier:
+		s.deferredOn = nil // a barrier writes every carried phase back; a recovery ends the attempt
 		if a.release = s.held != nil && !s.releasing; a.release {
 			s.releasing, a.on, a.info, a.n, a.ownBarrier = true, s.held, s.info, s.first, ev.readOnly && s.held == ev.e
 		}

@@ -64,10 +64,11 @@ func (s shape) String() string {
 }
 
 // shapes enumerates every sequence of one or two admissions with legs legs in
-// all. A meeting update follows an update on its engine, in its admission.
+// all. A meeting update follows an update on its engine: in its admission, or
+// leading the second where the first ended with one, whose update it holds.
 func shapes(legs int) [][]shape {
-	var adms func(n int) []shape
-	adms = func(n int) []shape {
+	var adms func(n int, meetFirst bool) []shape
+	adms = func(n int, meetFirst bool) []shape {
 		var out []shape
 		var grow func(ls []legKind)
 		grow = func(ls []legKind) {
@@ -86,7 +87,7 @@ func shapes(legs int) [][]shape {
 				return
 			}
 			for k := legUpdate; k <= legLost; k++ {
-				if k == legMeet && (len(ls) == 0 || ls[len(ls)-1] > legMeet) {
+				if k == legMeet && (len(ls) == 0 && !meetFirst || len(ls) > 0 && ls[len(ls)-1] > legMeet) {
 					continue
 				}
 				grow(append(append([]legKind(nil), ls...), k))
@@ -97,10 +98,11 @@ func shapes(legs int) [][]shape {
 	}
 	var out [][]shape
 	for n := 1; n <= legs; n++ {
-		for _, a := range adms(n) {
+		for _, a := range adms(n, false) {
 			out = append(out, []shape{a})
+			last := len(a.legs) - 1
 			for m := 1; n+m <= legs; m++ {
-				for _, b := range adms(m) {
+				for _, b := range adms(m, a.legs[last] <= legMeet && a.eng[last] == 0) {
 					out = append(out, []shape{a, b})
 				}
 			}
@@ -152,10 +154,8 @@ type model struct {
 	insts    []inst
 	adms     []adm
 	tagged   []bool // the install's tags were set
-	// wbs logs each barrier: what issued it and what it wrote back; at
-	// names what issues perform's barriers.
+	// wbs logs each barrier: what issued it and what it wrote back.
 	wbs [][2]string
-	at  string
 	// counts and the first violation
 	points, subsets int
 	fail            string
@@ -280,7 +280,7 @@ func (m *model) perform(e int, a actions) {
 		}
 	}
 	if a.barrier {
-		m.barrier(m.at)
+		m.barrier("recovery's settle's")
 	}
 	if a.release {
 		x := m.engine(a.on)
@@ -408,8 +408,8 @@ func (m *model) admit(sh shape) {
 	ad := &m.adms[len(m.adms)-1]
 	ad.slot = m.newLines(len(sh.legs))
 	m.scoped = !sh.eager
-	m.perform(0, m.step(0, event{kind: evSettle}))
-	m.perform(1, m.step(1, event{kind: evSettle}))
+	m.perform(0, m.step(0, event{kind: evSettle, begin: true}))
+	m.perform(1, m.step(1, event{kind: evSettle, begin: true}))
 	if m.step(sh.eng[0], event{kind: evBegin, atomic: sh.atomic, n: len(sh.legs)}).ok {
 		m.vol[lnRec], m.per[lnRec] = val{len(m.adms), 0}, val{len(m.adms), 0}
 		m.point()
@@ -421,9 +421,7 @@ func (m *model) admit(sh shape) {
 		}
 		m.leg(i)
 	}
-	m.at = "the scope close's"
-	m.perform(sh.eng[0], m.step(sh.eng[0], event{kind: evClose}))
-	m.at = "its own"
+	// The close is the psync alone: the update held last stays held.
 	m.scoped = false
 	m.adms[len(m.adms)-1].returned = true
 	m.point()
@@ -560,7 +558,7 @@ func (m *model) failRecover() string {
 // run runs the admissions of seq, crashing at every point, and returns the
 // first violation, with the counts.
 func runAbstract(seq []shape, individual bool) *model {
-	m := &model{engs: [2]*Engine{new(Engine), new(Engine)}, at: "its own"}
+	m := &model{engs: [2]*Engine{new(Engine), new(Engine)}}
 	m.newLines(lnReg + 2)
 	m.onPoint = func(m *model) { m.crash(individual) }
 	for _, sh := range seq {
@@ -569,12 +567,18 @@ func runAbstract(seq []shape, individual bool) *model {
 		}
 		m.admit(sh)
 		ad := m.adms[len(m.adms)-1]
-		if m.s.held != nil {
-			m.violate("%v returned holding an update", sh)
+		last := -1 // the last install that tagged: the one update that may still be held
+		for k := range m.insts {
+			if m.tagged[k] {
+				last = k
+			}
+		}
+		if m.s.held != nil && instOf(m.s.info) != last {
+			m.violate("%v returned holding install %d's update, not the last one, %d", sh, instOf(m.s.info), last)
 		}
 		for k, in := range m.insts {
-			if in.adm == len(m.adms)-1 && m.tagged[k] && m.vol[in.line+3].a == 0 {
-				m.violate("%v returned with install %d's tags set", sh, k)
+			if m.tagged[k] && m.vol[in.line+3].a == 0 && (m.s.held == nil || instOf(m.s.info) != k) {
+				m.violate("%v returned with install %d's tags set, an update it does not hold", sh, k)
 			}
 		}
 		updates := 0
@@ -583,25 +587,28 @@ func runAbstract(seq []shape, individual bool) *model {
 				updates++
 			}
 		}
-		if updates == len(sh.legs) && ad.barriers != 2*updates+1 {
-			m.violate("%v wrote back %d times, want 2k+1 = %d", sh, ad.barriers, 2*updates+1)
+		if updates == len(sh.legs) && ad.barriers != 2*updates {
+			m.violate("%v wrote back %d times, want 2k = %d", sh, ad.barriers, 2*updates)
 		}
 	}
 	return m
 }
 
 // TestDeferralAbstract enumerates every sequence of one or two admissions of
-// up to -abstract-legs legs in all (windows of updates, meeting updates,
-// effect-free legs and legs that lose their tags; transactions on one or two
-// engines; eager single operations), crashes each at every point with every
-// subset of the lines in flight persisted, and fails it individually at every
-// point, and checks recovery's abstract outcome: the durable record's
-// completed prefix in effect, the leg at its cursor resolvable from a named,
-// evident record, nothing above it in effect, every update whose tags are
-// durable finishable from a named record, no operand or record retired before
-// the cleanup that frees it is durable, a returned admission resolvable
-// without re-invoking a leg, holding nothing and no tag, and k updating legs
-// written back 2k+1 times.
+// up to -abstract-legs legs in all (windows of updates, meeting updates —
+// the second admission's first leg among them, which meets the update the
+// first returned holding — effect-free legs and legs that lose their tags;
+// transactions on one or two engines; eager single operations), crashes each
+// at every point with every subset of the lines in flight persisted, and fails
+// it individually at every point, and checks recovery's abstract outcome: the
+// durable record's completed prefix in effect, the leg at its cursor
+// resolvable from a named, evident record, nothing above it in effect, every
+// update whose tags are durable finishable from a named record, no operand or
+// record retired before the cleanup that frees it is durable, a returned
+// admission resolvable without re-invoking a leg, holding at most the last
+// update with its tags and no other tag, and k updating legs written back 2k
+// times. The update a returned admission holds outlives it: the next
+// admission's crash points and individual failures find it held.
 func TestDeferralAbstract(t *testing.T) {
 	seqs, points, subsets := 0, 0, 0
 	for _, seq := range shapes(*abstractLegs) {
@@ -616,8 +623,8 @@ func TestDeferralAbstract(t *testing.T) {
 
 // TestIsbOptWritebacksTable renders README's table of what one successful
 // Isb-Opt update writes back from the model's barriers for a lone update, each
-// issued where step's actions put it: the install's, the tagging phase's and
-// the scope close's, and what the last of them leaves carried.
+// issued where step's actions put it: the install's and the tagging phase's,
+// and what the last of them leaves carried past the close.
 func TestIsbOptWritebacksTable(t *testing.T) {
 	m := runAbstract([]shape{{legs: []legKind{legUpdate}, eng: []int{0}}}, false)
 	rows := [][]string{{"#", "barrier", "writes back"}}

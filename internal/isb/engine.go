@@ -2,6 +2,7 @@ package isb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/pmem"
@@ -125,10 +126,13 @@ func (e *Engine) Help(p *pmem.Proc, info pmem.Addr, invoker bool) {
 // (updated, in the transition table): a held update's lines are carried and
 // its tags stay set, so it is durable once its tags are — Help finishes it
 // from the record — and it reserves the cookies of its untags, which a later
-// gather that meets its tags expects (meet). Until the barrier that releases
-// it, the record is the one its engine's last complete install names, so a
-// crash leaves it named and evident (its tags are durable), and Settle
-// finishes it, even where a later leg's slot persisted ahead of its update.
+// gather that meets its tags expects (meet). It outlives its admission: the
+// process's next barrier, in a later leg or a later admission, on any engine,
+// writes it back and releases it, so a lone update writes back twice (install
+// and tags). Until that barrier the record is the one its engine's last
+// complete install names, so a crash leaves it named and evident (its tags are
+// durable), and Settle finishes it, even where a later leg's slot persisted
+// ahead of its update; a process that meets its tags meanwhile helps it.
 func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker bool) {
 	ep := e.proc(p)
 
@@ -160,9 +164,11 @@ func (e *Engine) finish(p *pmem.Proc, info pmem.Addr, tagged uint64, invoker boo
 // addresses to ever recur.
 //
 // Whether the phase ends with its barrier or rides the process's next one is
-// step's rule (cleanup, in the transition table); a deferred cleanup's
-// operands retire after this engine's next install, the record one install
-// later (done, and retireLast). The response does not wait for it. Until
+// step's rule (cleanup, in the transition table): a held update's cleanup
+// runs when the barrier that writes its update back releases it, and rides
+// the barrier after that. A deferred cleanup's operands retire after this
+// engine's next install, the record one install later (done, released, and
+// retireLast). No response waits for it. Until
 // that barrier the record's surviving nodes are untagged in volatile memory
 // only, so others may change and recycle them: Help re-runs the update phase
 // only while every one of them still holds the tag (Settle finishes the
@@ -624,8 +630,11 @@ func (e *Engine) registers(p *pmem.Proc) string {
 // retired-class operands have been retired, but its surviving nodes may have
 // been: once untagged in volatile memory any process may tag, unlink and
 // recycle them. Help therefore re-runs the update phase only while every
-// CleanupSet node still holds the tag, and otherwise just the untags. Settle
-// helps as any helper does, in a sync scope it closes without a psync of its
+// CleanupSet node still holds the tag, and otherwise just the untags. A record
+// one of whose writes still finds its old value is helped before the others:
+// an update may have read another process's held update, both volatile at
+// the crash, and re-run first its CAS would fail and its record read done
+// with no effect. Settle helps as any helper does, in a sync scope it closes without a psync of its
 // own: its write-backs are complete when it returns — PWB is clflush-class, as
 // every deferred sync point assumes — and the process's next psync (the close
 // of the admission's scope, an eager begin's, or recovery's) accounts for
@@ -639,8 +648,12 @@ func (e *Engine) registers(p *pmem.Proc) string {
 // its barrier, and there is nothing to finish. First of all, at every call,
 // it ends the update the calling process may still hold from before a crash
 // or an individual failure (step's settle rule).
-func (e *Engine) Settle(p *pmem.Proc) {
-	e.perform(p, e.step(p, &event{kind: evSettle, epoch: e.h.Epoch()}))
+func (e *Engine) Settle(p *pmem.Proc) { e.settle(p, false) }
+
+// settle is Settle, or with begin set a begin's, which leaves an update the
+// process holds from a closed admission to the admission's first barrier.
+func (e *Engine) settle(p *pmem.Proc, begin bool) {
+	e.perform(p, e.step(p, &event{kind: evSettle, epoch: e.h.Epoch(), begin: begin}))
 	epoch := e.h.Epoch()
 	if !e.batched || e.settled.Load() == epoch {
 		return
@@ -650,26 +663,40 @@ func (e *Engine) Settle(p *pmem.Proc) {
 		p.OpenSyncScope()
 	}
 	e.alloc.Enter(p) // a register's record cannot retire under us
+	var todo []pmem.Addr
 	for q := 0; q < e.h.NumProcs(); q++ {
 		for r := range 2 {
 			info := pmem.Addr(p.Load(e.rd(q, r)))
 			if info == pmem.Null {
 				continue
 			}
-			rec, ok := readInfo(p, info)
-			if !ok || rec[offStamp]>>stampProcShift != uint64(q) || rec[offAdm] != p.Load(e.cp(q, r)) || !e.evident(p, info, &rec) {
-				continue
+			if rec, ok := readInfo(p, info); ok && rec[offStamp]>>stampProcShift == uint64(q) && rec[offAdm] == p.Load(e.cp(q, r)) && e.evident(p, info, &rec) {
+				todo = append(todo, info)
 			}
-			_, wn, cn := lens(rec[offLens])
-			if rec[offResult] == RespNone || rec[offDone] == 0 && wn != 0 {
-				e.Help(p, info, false)
-				if wn != 0 && cn == 0 && p.Load(info+offResult) != RespNone {
-					p.Store(info+offDone, 1)
-					p.PBarrier(info + offDone)
-				}
-			} else if some, _ := e.cleanupTags(p, info); some {
-				e.Help(p, info, false)
+		}
+	}
+	// A record one of whose writes still applies goes first (see above): a
+	// dequeue, say, that swung Head past the node another process's held
+	// dequeue had made the dummy, a pointer no tag guards.
+	for len(todo) > 0 {
+		i := 0
+		for j, info := range todo {
+			if e.applies(p, info) {
+				i = j
+				break
 			}
+		}
+		info := todo[i]
+		todo = slices.Delete(todo, i, i+1)
+		_, wn, cn := lens(p.Load(info + offLens))
+		if p.Load(info+offResult) == RespNone || p.Load(info+offDone) == 0 && wn != 0 {
+			e.Help(p, info, false)
+			if wn != 0 && cn == 0 && p.Load(info+offResult) != RespNone {
+				p.Store(info+offDone, 1)
+				p.PBarrier(info + offDone)
+			}
+		} else if some, _ := e.cleanupTags(p, info); some {
+			e.Help(p, info, false)
 		}
 	}
 	e.alloc.Exit(p)
@@ -677,6 +704,18 @@ func (e *Engine) Settle(p *pmem.Proc) {
 		p.ResetSyncScope()
 	}
 	e.settled.Store(epoch)
+}
+
+// applies reports whether some write of info's WriteSet finds its old value:
+// its update phase has yet to take that effect.
+func (e *Engine) applies(p *pmem.Proc, info pmem.Addr) bool {
+	_, wn, _ := lens(p.Load(info + offLens))
+	for i := pmem.Addr(0); i < pmem.Addr(wn); i++ {
+		if p.Load(pmem.Addr(p.Load(info+offWrites+3*i))) == p.Load(info+offWrites+3*i+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // cleanupTags reports whether some node of info's CleanupSet still carries
@@ -744,6 +783,23 @@ func (e *Engine) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 			mark(pmem.Addr(p.Load(info+w) &^ 1))
 		}
 	})
+}
+
+// StrayTag reports whether v, an info field's value read at quiescence, is a
+// tag no process may still leave set: every tag but that of the update a
+// process holds on e past its admission (step's updated rule), whose record
+// is complete — its result set — and whose untags wait for the process's next
+// barrier. Structures' invariant checks fail a live node's stray tag.
+func (e *Engine) StrayTag(v uint64) bool {
+	if !IsTagged(v) {
+		return false
+	}
+	for q := range e.recs.procs {
+		if d := &e.recs.procs[q].d; d.held == e && d.info == InfoOf(v) {
+			return e.h.ReadVolatile(d.info+offResult) == RespNone
+		}
+	}
+	return true
 }
 
 // Boundary closes leg seq-1 of the announced vector and opens leg seq: the

@@ -59,3 +59,7 @@ func (e *Engine) Durable(p *pmem.Proc) Durable {
 	}
 	return d
 }
+
+// ForgetHold drops the update p holds without releasing it: its tags stay
+// set, and no process holds them any more.
+func (e *Engine) ForgetHold(p *pmem.Proc) { e.recs.procs[p.ID()].d.held = nil }

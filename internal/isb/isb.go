@@ -498,15 +498,6 @@ func (e *Engine) endPhase(ep *engineProc) {
 	ep.opSync()
 }
 
-// CloseSyncScope closes p's sync scope (pmem.Proc.CloseSyncScope) where an
-// admission returns: an update p still holds is written back first, with one
-// barrier, and its untags run, so no tag outlives its admission; the untags
-// ride p's next barrier, as every cleanup does, and the closing psync follows.
-func (e *Engine) CloseSyncScope(p *pmem.Proc) {
-	e.perform(p, e.step(p, &event{kind: evClose}))
-	p.CloseSyncScope()
-}
-
 // step reports ev, on e, to p's deferral state (see step) and returns the
 // actions it asks for.
 func (e *Engine) step(p *pmem.Proc, ev *event) (a actions) {
@@ -658,11 +649,12 @@ func (e *Engine) Begin(p *pmem.Proc, atomic bool, legs []Leg, others ...*Engine)
 }
 
 // reset readies the engine for an admission, writing nothing. The previous
-// operation's Info record stays: a register still names it, and its cleanup
-// may still wait for this admission's first barrier (see retireLast) — or,
-// after a crash, for Settle, which the first begin after it runs.
+// operation's Info record stays: a register still names it, and its update
+// phase, or its cleanup, may still wait for this admission's first barrier
+// (see retireLast) — or, after a crash, for Settle, which the first begin
+// after it runs.
 func (e *Engine) reset(p *pmem.Proc) {
-	e.Settle(p)
+	e.settle(p, true)
 	e.proc(p).seq = 0
 }
 

@@ -92,10 +92,10 @@ func (o *Ops) Begin(p *pmem.Proc) { o.e.Begin(p, false, nil) }
 // CP_q := 1 prologue and the RD_q pwb: RD_q and CP_q ride the install
 // barrier, with the record and everything else that must be durable before
 // the first tag (Engine.attemptLoop). A successful update thus writes back
-// three times: that barrier, the tag barrier and the scope's close, which
-// writes back the update phase the engine held (Engine.CloseSyncScope). The
-// elimination step needs the eager begin, so with one the scope opens after
-// the exchange.
+// twice: that barrier and the tag barrier. Its update phase stays held past
+// the close, its tags durable, and rides the process's next barrier, on any
+// engine (step's updated rule). The elimination step needs the eager begin, so
+// with one the scope opens after the exchange.
 func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	g := o.gather(kind, arg)
 	if g == nil {
@@ -116,7 +116,7 @@ func (o *Ops) ApplyOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	}
 	r := o.e.runAttempts(p, kind, arg, g, 0)
 	if scoped {
-		o.e.CloseSyncScope(p)
+		p.CloseSyncScope()
 	}
 	return r
 }

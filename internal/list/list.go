@@ -221,12 +221,13 @@ func (l *List) Keys() []uint64 {
 }
 
 // CheckInvariants walks the list and verifies structural invariants:
-// strictly increasing keys, tail reachability, and untagged live nodes, the
-// head sentinel included, at quiescence. It returns a description of the
-// first violation, or "".
+// strictly increasing keys, tail reachability, and no stray tag on a live
+// node, the head sentinel included, at quiescence: only the update a process
+// holds past its admission may leave tags (isb.Engine.StrayTag). It returns a
+// description of the first violation, or "".
 func (l *List) CheckInvariants() string {
 	h := l.h
-	if isb.IsTagged(h.ReadVolatile(l.head + nInfo)) {
+	if l.e.StrayTag(h.ReadVolatile(l.head + nInfo)) {
 		return "head sentinel tagged at quiescence"
 	}
 	prev := h.ReadVolatile(l.head + nKey)
@@ -240,7 +241,7 @@ func (l *List) CheckInvariants() string {
 		if k <= prev {
 			return "keys not strictly increasing"
 		}
-		if isb.IsTagged(h.ReadVolatile(curr + nInfo)) {
+		if l.e.StrayTag(h.ReadVolatile(curr + nInfo)) {
 			return "live node tagged at quiescence"
 		}
 		if k == MaxKey {

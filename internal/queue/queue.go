@@ -222,7 +222,7 @@ func (q *Queue) Values() []uint64 {
 
 // CheckInvariants verifies structural sanity at quiescence: the Head dummy
 // chain is Null-terminated, Tail points into the chain, and no live node
-// after the dummy is tagged.
+// after the dummy carries a stray tag (isb.Engine.StrayTag).
 func (q *Queue) CheckInvariants() string {
 	h := q.h
 	dummy := pmem.Addr(h.ReadVolatile(q.head))
@@ -237,7 +237,7 @@ func (q *Queue) CheckInvariants() string {
 			break
 		}
 		curr = next
-		if isb.IsTagged(h.ReadVolatile(curr + nInfo)) {
+		if q.e.StrayTag(h.ReadVolatile(curr + nInfo)) {
 			return "live queued node tagged at quiescence"
 		}
 		if steps++; steps > 1<<24 {

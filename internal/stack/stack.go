@@ -249,10 +249,11 @@ func (s *Stack) Values() []uint64 {
 	}
 }
 
-// CheckInvariants validates the chain at quiescence.
+// CheckInvariants validates the chain at quiescence: no stray tag on the
+// sentinel or a live node (isb.Engine.StrayTag).
 func (s *Stack) CheckInvariants() string {
 	h := s.h
-	if isb.IsTagged(h.ReadVolatile(s.sentinel + nInfo)) {
+	if s.e.StrayTag(h.ReadVolatile(s.sentinel + nInfo)) {
 		return "sentinel tagged at quiescence"
 	}
 	curr := pmem.Addr(h.ReadVolatile(s.sentinel + nNext))
@@ -261,7 +262,7 @@ func (s *Stack) CheckInvariants() string {
 		if curr == pmem.Null {
 			return "fell off the stack before the bottom sentinel"
 		}
-		if isb.IsTagged(h.ReadVolatile(curr + nInfo)) {
+		if s.e.StrayTag(h.ReadVolatile(curr + nInfo)) {
 			return "live stack node tagged at quiescence"
 		}
 		if h.ReadVolatile(curr+nVal) == bottomMark {

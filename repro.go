@@ -878,8 +878,12 @@ func (r *Runtime) NewHashMap(shards int) *HashMap {
 // prefill path, always takes a bare key and is unaffected.
 func (m *HashMap) SetArgMask(mask uint64) { m.argMask = mask }
 
-// Insert adds key (1 ≤ key ≤ MaxUint64-1); false if present.
-func (m *HashMap) Insert(p *Proc, key uint64) bool { return m.m.Insert(p, key) }
+// Insert adds key (1 ≤ key ≤ MaxUint64-1; any other panics); false if
+// present.
+func (m *HashMap) Insert(p *Proc, key uint64) bool {
+	m.acceptKey(key)
+	return m.m.Insert(p, key)
+}
 
 // NumShards reports the map's (power-of-two) shard count.
 func (m *HashMap) NumShards() int { return m.m.NumShards() }

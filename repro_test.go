@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bst"
 	"repro/internal/crash"
 	"repro/internal/isb"
 )
@@ -475,10 +476,8 @@ func TestUnacceptedOpKindPanics(t *testing.T) {
 					l := rt.NewList()
 					p := rt.Proc(0)
 					l.Apply(p, Op{Kind: OpInsert, Arg: 5})
-					adm := isb.Admission(p)
 					bad, insert := Op{Kind: kind, Arg: 5}, Op{Kind: OpInsert, Arg: 7}
-					msg := func() (msg string) {
-						defer func() { msg, _ = recover().(string) }()
+					refused(t, p, l.Keys, func() {
 						switch path {
 						case "Apply":
 							l.Apply(p, bad)
@@ -487,21 +486,100 @@ func TestUnacceptedOpKindPanics(t *testing.T) {
 						case "ApplyTxn":
 							rt.ApplyTxn(p, TxnLeg{S: l, Op: bad}, TxnLeg{S: l, Op: insert})
 						}
-						return ""
-					}()
-					if !strings.HasPrefix(msg, "repro: ") {
-						t.Fatalf("kind %d was not refused with a repro: panic (got %q)", kind, msg)
-					}
-					if p.InSyncScope() {
-						t.Fatal("a sync scope is still open after the refusal")
-					}
-					if got := isb.Admission(p); got != adm {
-						t.Fatalf("admission number %d after the refusal, want %d", got, adm)
-					}
-					if ks := l.Keys(); !slices.Equal(ks, []uint64{5}) {
-						t.Fatalf("keys %v after the refusal, want [5]", ks)
-					}
+					})
 				})
+			}
+		}
+	}
+}
+
+// refused runs admit, which must panic with a repro: refusal raised before
+// its begin: no sync scope left open, p's admission number where it was, and
+// keys, the structure's, still [5].
+func refused(t *testing.T, p *Proc, keys func() []uint64, admit func()) {
+	t.Helper()
+	adm := isb.Admission(p)
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		admit()
+		return ""
+	}()
+	if !strings.HasPrefix(msg, "repro: ") {
+		t.Fatalf("not refused with a repro: panic (got %q)", msg)
+	}
+	if p.InSyncScope() {
+		t.Fatal("a sync scope is still open after the refusal")
+	}
+	if got := isb.Admission(p); got != adm {
+		t.Fatalf("admission number %d after the refusal, want %d", got, adm)
+	}
+	if ks := keys(); !slices.Equal(ks, []uint64{5}) {
+		t.Fatalf("keys %v after the refusal, want [5]", ks)
+	}
+}
+
+// TestReservedKeyPanics pins that a set structure refuses a key its
+// sentinels hold — 0, and above its user range: MaxUint64 on the list and the
+// hash map, anything above bst.MaxUserKey on the BST — the way it refuses an
+// op kind it does not accept, under both engines and on every admission path,
+// HashMap.Insert included: one repro: panic, raised before the begin, with no
+// scope left open, the admission number where it was, and no other leg in
+// effect. The key is the one after the arg mask: a hash map masking to 20
+// bits refuses 1<<20 as an Op's argument. A delete of 0 followed by an insert of 0, which used to
+// leave the insert looping, panics twice.
+func TestReservedKeyPanics(t *testing.T) {
+	type set interface {
+		Structure
+		Apply(p *Proc, op Op) Resp
+		Keys() []uint64
+	}
+	for _, e := range engines() {
+		for _, kind := range []StructKind{KindList, KindHashMap, KindBST} {
+			keys := []uint64{0, 1<<64 - 1}
+			if kind == KindBST {
+				keys = []uint64{0, bst.MaxUserKey + 1}
+			}
+			if kind == KindHashMap {
+				keys = append(keys, 1<<20)
+			}
+			for _, key := range keys {
+				for _, path := range []string{"Apply", "ApplyWindow", "ApplyTxn", "Insert", "Delete+Insert"} {
+					if path == "Insert" && (kind != KindHashMap || key == 1<<20) { // Insert takes its key unmasked
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/%v/%d/%s", e.name, kind, key, path), func(t *testing.T) {
+						rt := New(Config{Procs: 1, HeapWords: 1 << 18, Engine: e.kind})
+						var s set
+						switch kind {
+						case KindList:
+							s = rt.NewList()
+						case KindBST:
+							s = rt.NewBST()
+						default:
+							m := rt.NewHashMap(4)
+							if key == 1<<20 {
+								m.SetArgMask(1<<20 - 1)
+							}
+							s = m
+						}
+						p := rt.Proc(0)
+						s.Apply(p, Op{Kind: OpInsert, Arg: 5})
+						bad, insert := Op{Kind: OpInsert, Arg: key}, Op{Kind: OpInsert, Arg: 7}
+						switch path {
+						case "Apply":
+							refused(t, p, s.Keys, func() { s.Apply(p, bad) })
+						case "ApplyWindow":
+							refused(t, p, s.Keys, func() { rt.ApplyWindow(p, s, []Op{insert, bad}) })
+						case "ApplyTxn":
+							refused(t, p, s.Keys, func() { rt.ApplyTxn(p, TxnLeg{S: s, Op: insert}, TxnLeg{S: s, Op: bad}) })
+						case "Insert":
+							refused(t, p, s.Keys, func() { s.(*HashMap).Insert(p, key) })
+						case "Delete+Insert":
+							refused(t, p, s.Keys, func() { s.Apply(p, Op{Kind: OpDelete, Arg: key}) })
+							refused(t, p, s.Keys, func() { s.Apply(p, bad) })
+						}
+					})
+				}
 			}
 		}
 	}
