@@ -663,7 +663,9 @@ func (e *Engine) settle(p *pmem.Proc, begin bool) {
 		p.OpenSyncScope()
 	}
 	e.alloc.Enter(p) // a register's record cannot retire under us
-	var todo []pmem.Addr
+	// On the stack: the scan allocates nothing for up to 8 processes.
+	var buf [16]pmem.Addr
+	todo := buf[:0]
 	for q := 0; q < e.h.NumProcs(); q++ {
 		for r := range 2 {
 			info := pmem.Addr(p.Load(e.rd(q, r)))
