@@ -11,25 +11,40 @@ import (
 	"repro/internal/pmem"
 )
 
-// heldUpdateRow is one two-Proc row: Proc 0's window inserts 8 and then 20 on
-// setPrefill, and Proc 1 inserts 5, next to 8, between leg 1's update phase
-// and leg 2's install — under Isb-Opt while leg 1's update waits for that
-// install's barrier, its tags still set. Proc 1's gather meets the tag on 3,
-// leg 1's predecessor, and helps leg 1's record to completion.
+// heldUpdateRow is one two-Proc row: Proc 0 inserts 8 and then 20 on
+// setPrefill, and Proc 1 inserts 5, next to 8, between the update phase of
+// the insert of 8 and the install of the insert of 20 — under Isb-Opt while
+// that update waits for the install's barrier, its tags still set. Proc 1's
+// gather meets the tag on 3, the predecessor of 8, and helps the insert's
+// record to completion. The two inserts are one window, or, across, two
+// admissions: the update is then held past the first one's return, and the
+// second one's install releases it.
 type heldUpdateRow struct {
-	kind repro.StructKind
-	eng  engineVariant
+	kind   repro.StructKind
+	eng    engineVariant
+	across bool
 }
 
-// lone is what Proc 1's insert writes back with nothing to help: after the
-// whole window, whose leg 1 is then released and untagged.
+// admissions is what Proc 0 admits, in turn.
+func (r heldUpdateRow) admissions() [][]repro.Op {
+	ins8, ins20 := repro.Op{Kind: repro.OpInsert, Arg: 8}, repro.Op{Kind: repro.OpInsert, Arg: 20}
+	if r.across {
+		return [][]repro.Op{{ins8}, {ins20}}
+	}
+	return [][]repro.Op{{ins8, ins20}}
+}
+
+// lone is what Proc 1's insert writes back with nothing to help: after Proc
+// 0's admissions, whose insert of 8 is then released and untagged.
 func (r heldUpdateRow) lone() uint64 {
 	rt := repro.New(repro.Config{Procs: 2, HeapWords: sweepHeapWords, Seed: 42, Engine: r.eng.kind})
 	s := structure{kind: r.kind}.register(rt)
 	for _, op := range setPrefill {
 		s.Apply(rt.Proc(0), op)
 	}
-	rt.ApplyWindow(rt.Proc(0), s, []repro.Op{{Kind: repro.OpInsert, Arg: 8}, {Kind: repro.OpInsert, Arg: 20}})
+	for _, ops := range r.admissions() {
+		rt.ApplyWindow(rt.Proc(0), s, ops)
+	}
 	w := writeBacks(rt.Proc(1))
 	s.Apply(rt.Proc(1), repro.Op{Kind: repro.OpInsert, Arg: 5})
 	return writeBacks(rt.Proc(1)) - w
@@ -39,18 +54,21 @@ func (r heldUpdateRow) lone() uint64 {
 func writeBacks(p *pmem.Proc) uint64 { return p.Stats().Barriers + p.Stats().Flushes }
 
 // build returns a fresh instance of the row on a two-Proc Runtime: Run admits
-// the window, and Proc 1's insert preempts it (Instance.Preempt) at every
-// access of Proc 0's. at, the preemption point Cross selects, is Proc 0's
-// first access after the store of leg 1's result, the first store after its
-// third CAS (leg 1's two tags and its update). There the insert must help:
-// it writes back more than lone, an insert with nothing to help, and leaves
-// no stray tag (the update Proc 0 still holds has no tag left). That
-// point is also crossed with a crash at every access of the preempted run,
-// Proc 1's included, with each dirty line persisted in turn and each
-// complement (Instance.Persist). Resolve recovers both processes through
+// Proc 0's admissions, and Proc 1's insert preempts them (Instance.Preempt)
+// at every access of Proc 0's. at, the preemption point Cross selects, is
+// Proc 0's first access after the store of the insert of 8's result, the
+// first store after its third CAS (its two tags and its install). There the
+// insert of 5 must help: it writes back more than lone, an insert with
+// nothing to help, and leaves no stray tag (the update Proc 0 still holds has
+// no tag left). That point is also crossed with a crash at every access of
+// the preempted run, Proc 1's included, and every point with a crash once Run
+// returned (Instance.CrashAfter), with each dirty line persisted in turn and
+// each complement (Instance.Persist). Resolve recovers both processes through
 // RecoverAll and re-submits what their reports do not resolve, Proc 1's insert
-// too if the crash came before it. Every history, the window's legs
-// concurrent with Proc 1's insert, must linearize under the set model.
+// too if the crash came before it; a report of an admission that returned
+// must re-report its responses, and once Run returned, the last admission
+// must be reported. Every history, each admission concurrent with Proc 1's
+// insert if it ran then, must linearize under the set model.
 func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 	rt := repro.New(repro.Config{Procs: 2, CrashSim: true, HeapWords: sweepHeapWords, Seed: 42, Engine: r.eng.kind})
 	s := structure{kind: r.kind}.register(rt)
@@ -64,11 +82,17 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 		state, resp = m.Step(state, op.Kind, op.Arg)
 		hist = append(hist, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: resp, Start: uint64(2 * len(hist)), End: uint64(2*len(hist) + 1)})
 	}
-	window := []repro.Op{{Kind: repro.OpInsert, Arg: 8}, {Kind: repro.OpInsert, Arg: 20}}
-	ins5 := repro.Op{Kind: repro.OpInsert, Arg: 5}
-	for _, op := range window {
-		state, _ = m.Step(state, op.Kind, op.Arg)
+	adms := r.admissions()
+	starts := make([]int, len(adms)) // the index of each admission's first response
+	legs := 0
+	for i, ops := range adms {
+		starts[i] = legs
+		legs += len(ops)
+		for _, op := range ops {
+			state, _ = m.Step(state, op.Kind, op.Arg)
+		}
 	}
+	ins5 := repro.Op{Kind: repro.OpInsert, Arg: 5}
 	alone := snapshots(subject{structs: []structure{{kind: r.kind}}}, []any{state})
 	state, _ = m.Step(state, ins5.Kind, ins5.Arg)
 	final := snapshots(subject{structs: []structure{{kind: r.kind}}}, []any{state})
@@ -81,38 +105,63 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 	}
 	inv := s.(interface{ CheckInvariants() string }).CheckInvariants
 
-	// fired: Proc 1's insert started; done: it returned, answering resp1;
-	// after: Resolve ran it, after the window's recovery; unhelped: at the
-	// point at, it did not help leg 1.
-	var fired, done, after, unhelped bool
+	// fired: Proc 1's insert started, while Proc 0 was in admission during,
+	// or, run by Resolve, after them all; done: it returned, answering resp1;
+	// unhelped: at the point at, it did not help the insert of 8.
+	var fired, done, unhelped bool
 	var resp1 uint64
-	var base pmem.Stats // Proc 0's when Run began
-	var mark uint64     // with Cross: Proc 0's stores at its third CAS, plus one
+	var during int
+	var n int             // the admissions that returned
+	var returned []uint64 // and their responses
+	var base pmem.Stats   // Proc 0's when Run began
+	var mark uint64       // with Cross: Proc 0's stores at its third CAS, plus one
 	return Instance{
 		Heap: rt.Heap(),
 		Run: func() ([]uint64, error) {
 			base = p0.Stats()
-			return admit(window), nil
+			for ; n < len(adms); n++ {
+				returned = append(returned, admit(adms[n])...)
+			}
+			return returned, nil
 		},
 		Resolve: func() ([]uint64, error) {
-			got := make([]uint64, len(window))
-			from := 0
+			var err error
+			var cur []uint64 // the reported responses of admission n
+			last := n == 0   // the last admission that returned is reported
 			for _, rep := range rt.RecoverAll() {
 				switch {
 				case rep.Proc == 0:
-					from = repro.MatchReport(rep, window, func(i int, _ repro.Op, resp repro.Resp) { got[i] = resp.Raw() })
+					for i, ops := range adms {
+						k := repro.MatchReport(rep, ops, func(j int, _ repro.Op, resp repro.Resp) {
+							switch {
+							case i < n && resp.Raw() != returned[starts[i]+j]:
+								err = fmt.Errorf("Proc 0's %s answered %d before the crash, and recovery reports %d", opName(ops[j]), returned[starts[i]+j], resp.Raw())
+							case i == n:
+								cur = append(cur, resp.Raw())
+							}
+						})
+						last = last || i == n-1 && k == len(ops)
+					}
 				case fired && !done:
 					done = repro.MatchReport(rep, []repro.Op{ins5}, func(_ int, _ repro.Op, resp repro.Resp) { resp1 = resp.Raw() }) == 1
 				}
 			}
-			if from < len(window) {
-				copy(got[from:], admit(window[from:]))
+			if n == len(adms) && !last {
+				err = fmt.Errorf("Proc 0's last admission answered %v before the crash, and recovery does not report it", returned[starts[n-1]:])
+			}
+			got := append(slices.Clone(returned), cur...)
+			for i := n; i < len(adms); i++ {
+				if k := len(got) - starts[i]; k < len(adms[i]) {
+					got = append(got, admit(adms[i][k:])...)
+				}
 			}
 			if !done {
-				after = !fired
+				if !fired {
+					during = len(adms)
+				}
 				resp1, fired, done = s.Apply(p1, ins5).Raw(), true, true
 			}
-			return got, nil
+			return got, err
 		},
 		Verify: func() string {
 			if !fired {
@@ -120,10 +169,11 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 			}
 			return sameState([]any{s}, final)
 		},
-		Persist: true,
+		Persist:    true,
+		CrashAfter: true,
 		Preempt: &Preempt{
 			Op: func() {
-				fired = true
+				fired, during = true, n
 				w := writeBacks(p1)
 				resp1 = s.Apply(p1, ins5).Raw()
 				done = true
@@ -131,17 +181,18 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 			},
 			Check: func(got []uint64) error {
 				if unhelped {
-					return fmt.Errorf("Proc 1's insert did not help leg 1: it wrote back no more than the %d of an insert with nothing to help, or left a stray tag", lone)
+					return fmt.Errorf("Proc 1's insert did not help the insert of 8: it wrote back no more than the %d of an insert with nothing to help, or left a stray tag", lone)
 				}
 				t := uint64(2 * len(hist))
 				ops := hist[:len(hist):len(hist)]
-				for i, op := range window {
-					ops = append(ops, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: got[i], Start: t, End: t + 3, Seq: uint64(i)})
+				for i, adm := range adms {
+					at := t + 4*uint64(i)
+					for j, op := range adm {
+						ops = append(ops, linearize.Operation{Kind: op.Kind, Arg: op.Arg, Resp: got[starts[i]+j], Start: at, End: at + 3, Seq: uint64(j)})
+					}
 				}
-				op1 := linearize.Operation{Proc: 1, Kind: ins5.Kind, Arg: ins5.Arg, Resp: resp1, Start: t + 1, End: t + 2}
-				if after {
-					op1.Start, op1.End = t+4, t+5
-				}
+				at := t + 4*uint64(during)
+				op1 := linearize.Operation{Proc: 1, Kind: ins5.Kind, Arg: ins5.Arg, Resp: resp1, Start: at + 1, End: at + 2}
 				if ops = append(ops, op1); !linearize.Check(m, ops) {
 					return fmt.Errorf("history %+v is not linearizable", ops[len(hist):])
 				}
@@ -151,7 +202,7 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 				switch {
 				case st.CASes < 3 || *at != (pmem.Stats{}):
 				case mark == 0:
-					mark = st.Stores + 1 // the next store is leg 1's result
+					mark = st.Stores + 1 // the next store is the insert of 8's result
 				case st.Stores >= mark:
 					*at = st
 					return true
@@ -163,26 +214,33 @@ func (r heldUpdateRow) build(at *pmem.Stats, lone uint64) Instance {
 }
 
 // TestTwoProcCrashHeldUpdate sweeps a held update that another process
-// helps. Under Isb-Opt leg 1's update phase, its tags still set, waits for
-// leg 2's install barrier; Proc 1's insert meets a tag on the way and helps
-// the record — its update phase re-run, written back with Proc 1's barrier,
-// and its nodes untagged with Proc 1's cookies — while Proc 0 still holds
-// it. Leg 2's install then releases an update whose untags all lose. Proc
-// 1's insert preempts the window at every access of Proc 0's, and at that
-// one the whole run, the insert included, is crashed at every access with
-// every dirty line persisted in turn, list and BST × both engines: the
-// history must linearize and the set must end as the model says, with no
-// stray tag.
+// helps. Under Isb-Opt the insert of 8's update phase, its tags still set,
+// waits for the insert of 20's install barrier — leg 2's of the window, or,
+// across, the next admission's; Proc 1's insert meets a tag on the way and
+// helps the record — its update phase re-run, written back with Proc 1's
+// barrier, and its nodes untagged with Proc 1's cookies — while Proc 0 still
+// holds it. The insert of 20's install then releases an update whose untags
+// all lose. Proc 1's insert preempts Proc 0 at every access, and at that one
+// the whole run, the insert included, is crashed at every access, and every
+// point once Run returned, with every dirty line persisted in turn, list and
+// BST × both engines × both shapes: the history must linearize and the set
+// must end as the model says, with no stray tag.
 func TestTwoProcCrashHeldUpdate(t *testing.T) {
 	for _, kind := range []repro.StructKind{repro.KindList, repro.KindBST} {
 		for _, eng := range engineVariants {
-			r := heldUpdateRow{kind, eng}
-			t.Run(fmt.Sprintf("%v/%s", kind, eng.name), func(t *testing.T) {
-				t.Parallel()
-				var at pmem.Stats // the preemption point Cross selects
-				lone := r.lone()
-				SweepTest(t, func() Instance { return r.build(&at, lone) }, nil)
-			})
+			for _, across := range []bool{false, true} {
+				r := heldUpdateRow{kind, eng, across}
+				name := fmt.Sprintf("%v/%s", kind, eng.name)
+				if across {
+					name += "/across"
+				}
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					var at pmem.Stats // the preemption point Cross selects
+					lone := r.lone()
+					SweepTest(t, func() Instance { return r.build(&at, lone) }, nil)
+				})
+			}
 		}
 	}
 }
