@@ -183,6 +183,28 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 		st64, st1.SyncsPerOp()/st64.SyncsPerOp())
 }
 
+// bucketOrder is what a HashMap's bucket orders its keys by, the splitmix64
+// finalizer of the key (internal/hashmap), whose low bits also pick the
+// shard. Tests that place keys in a bucket's order recompute it.
+func bucketOrder(k uint64) uint64 {
+	k ^= k >> 30
+	k *= 0xbf58476d1ce4e5b9
+	k ^= k >> 27
+	k *= 0x94d049bb133111eb
+	return k ^ k>>31
+}
+
+// keysWhere returns the first n keys from from on for which keep holds.
+func keysWhere(from uint64, n int, keep func(k uint64) bool) []uint64 {
+	var out []uint64
+	for k := from; len(out) < n; k++ {
+		if keep(k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // TestEngineCountersSumProcs pins the engine's counters per process:
 // EngineCounters must return the exact sum of each Proc's batch-sync and
 // read-fast counts. Two Procs of one map run finds and updates on disjoint
@@ -190,25 +212,32 @@ func TestBatchAdmissionSpeedup(t *testing.T) {
 // goroutine so that no operation overlaps another and the counts are
 // deterministic; each Proc's counts are what its sequence counts with the
 // other Proc idle. A band of keys set up between their ranges keeps either
-// from meeting the other's nodes, whose held update it would help.
+// from meeting the other's nodes, whose held update it would help: in the
+// map's order, a bucket's, Proc 0's keys take the lowest quarter of the order
+// keys, the band the middle half and Proc 1's the top quarter.
 func TestEngineCountersSumProcs(t *testing.T) {
+	quarter := func(q uint64) func(uint64) bool {
+		return func(k uint64) bool { return bucketOrder(k)>>62 == q }
+	}
+	held := keysWhere(1, 1, quarter(0))[0]
+	own := [2][]uint64{keysWhere(held+1, 20, quarter(0)), keysWhere(1002, 20, quarter(3))}
+	band := keysWhere(500, 64, func(k uint64) bool { return bucketOrder(k)>>62-1 < 2 })
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
 			run := func(procs ...int) (batchSyncs, readFast uint64) {
 				rt := New(Config{Procs: 2, HeapWords: 1 << 20, Engine: e.kind})
 				m := rt.NewHashMap(4)
-				for k := uint64(500); k < 564; k++ {
+				for _, k := range band {
 					m.Insert(rt.Proc(0), k)
 				}
 				// The update Proc 0 holds is below the band.
-				m.Apply(rt.Proc(0), Op{Kind: OpInsert, Arg: 1})
-				m.Apply(rt.Proc(0), Op{Kind: OpDelete, Arg: 1})
+				m.Apply(rt.Proc(0), Op{Kind: OpInsert, Arg: held})
+				m.Apply(rt.Proc(0), Op{Kind: OpDelete, Arg: held})
 				bsSetup, rfSetup, _ := rt.EngineCounters(m)
 				win := make([]Op, 0, 4)
 				for i := 0; i < 240; i++ {
 					for _, id := range procs {
-						// Proc 0 owns keys 2-40, Proc 1 keys 1002-1040.
-						op := Op{Kind: []uint64{OpFind, OpInsert, OpDelete}[i%3], Arg: uint64(2*(i%20) + 2 + 1000*id)}
+						op := Op{Kind: []uint64{OpFind, OpInsert, OpDelete}[i%3], Arg: own[id][i%20]}
 						if id == 0 {
 							m.Apply(rt.Proc(0), op)
 							continue
@@ -693,14 +722,31 @@ func TestReclaimWindowStoreBudget(t *testing.T) {
 // heap accesses a fast RecoverAll makes are the same on both, to within
 // the recovered operation's own list walk, and below a fixed constant: the
 // reclaimer's reset touches no heap word, so what is left is the announced
-// window's own recovery. The accesses of a full conservative scan differ by
-// more than 10×.
+// window's own recovery. The window's keys lead their buckets' order in both
+// instances, so that the walks, and with them the crash point, are alike.
+// The accesses of a full conservative scan differ by more than 10×.
 func TestRecoveryCostFollowsInFlight(t *testing.T) {
+	// leads reports whether k has the lowest order key among 1..keys in
+	// its bucket of a map of keys/2 shards.
+	leads := func(keys int) func(uint64) bool {
+		mask := uint64(keys/2 - 1)
+		low := make([]uint64, keys/2)
+		for i := range low {
+			low[i] = 1<<64 - 1
+		}
+		for k := uint64(1); k <= uint64(keys); k++ {
+			o := bucketOrder(k)
+			low[o&mask] = min(low[o&mask], o)
+		}
+		return func(k uint64) bool { o := bucketOrder(k); return low[o&mask] == o }
+	}
+	small, large := leads(1024), leads(16384)
+	keys := keysWhere(1, 8, func(k uint64) bool { return small(k) && large(k) })
 	for _, e := range engines() {
 		t.Run(e.name, func(t *testing.T) {
 			window := make([]Op, 8)
 			for i := range window {
-				window[i] = Op{Kind: OpInsert + uint64(i%2), Arg: uint64(3 * (i + 1))}
+				window[i] = Op{Kind: OpInsert + uint64(i%2), Arg: keys[i]}
 			}
 			build := func(keys int, mode pmem.RecoveryMode) (*Runtime, *HashMap, *pmem.Proc) {
 				rt := New(Config{Procs: 1, CrashSim: true, Reclaim: true, Engine: e.kind, HeapWords: 1 << 20, Seed: 42})
@@ -752,7 +798,7 @@ func TestRecoveryCostFollowsInFlight(t *testing.T) {
 			// lands, so a layout or access-count change moves them. A
 			// reused block is not cleared, so a stale word of one may keep
 			// a block too.
-			want := map[EngineKind][4]uint64{EngineIsb: {2048, 1, 32776, 0}, EngineIsbOpt: {2050, 2, 32774, 2}}[e.kind]
+			want := map[EngineKind][4]uint64{EngineIsb: {2048, 1, 32768, 1}, EngineIsbOpt: {2050, 2, 32770, 2}}[e.kind]
 			fullSmall, scan := recoverCost(1024, pmem.RecoverFull)
 			if !scan.Full || scan.Marked != want[0] || scan.Swept != want[1] {
 				t.Fatalf("full scan at 1024 keys: %+v, want %d marked and %d swept", scan, want[0], want[1])

@@ -44,12 +44,24 @@ const (
 	OpFindFast uint64 = 4
 )
 
-// Sentinel keys; user keys must satisfy 1 <= k <= MaxUserKey.
+// Sentinel keys; user keys must satisfy 1 <= k <= MaxUserKey. An operation
+// on any other key answers false and changes nothing.
 const (
 	inf2       uint64 = 1<<64 - 1
 	inf1       uint64 = 1<<64 - 2
 	MaxUserKey uint64 = 1<<64 - 3
 )
+
+// reserved reports whether key lies outside the user keys: 0, or a
+// sentinel's.
+func reserved(key uint64) bool { return key-1 >= MaxUserKey }
+
+// refuse answers an operation on a reserved key: false, with no effect.
+func refuse(spec *isb.Spec) isb.GatherResult {
+	spec.ReadOnly = true
+	spec.Response = isb.RespFalse
+	return isb.Proceed
+}
 
 // BST is a detectably recoverable set of uint64 keys. Its operation surface
 // is the embedded isb.Ops; OpFind and OpFindFast are its read-only kinds.
@@ -119,6 +131,10 @@ func (t *BST) ReadOp(p *pmem.Proc, kind, arg uint64) uint64 {
 	if kind != OpFind && kind != OpFindFast {
 		panic("bst: ReadOp on a mutating kind")
 	}
+	if reserved(arg) {
+		t.e.NoteReadFast(p)
+		return isb.RespFalse
+	}
 	a := t.e.Allocator()
 	a.Enter(p)
 	node := t.root
@@ -181,6 +197,9 @@ func childField(p *pmem.Proc, par pmem.Addr, key uint64) pmem.Addr {
 // NewSet = {newInternal, newLeaf, copy of l}. The old leaf retires.
 func (t *BST) gatherInsert(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	r := t.search(p, key)
 	leafKey := p.Load(r.leaf + nKey)
 	if leafKey == key {
@@ -218,6 +237,9 @@ func (t *BST) gatherInsert(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gat
 // sibling retire; only gp (and the copy) are cleaned up.
 func (t *BST) gatherDelete(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	r := t.search(p, key)
 	if p.Load(r.leaf+nKey) != key {
 		spec.AddAffect(r.leaf+nInfo, r.leafInfo)
@@ -270,6 +292,9 @@ func (t *BST) gatherDelete(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gat
 // gatherFind: read-only, AffectSet = {l}.
 func (t *BST) gatherFind(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	r := t.search(p, key)
 	spec.AddAffect(r.leaf+nInfo, r.leafInfo)
 	spec.AddCleanup(r.leaf + nInfo)
@@ -283,6 +308,9 @@ func (t *BST) gatherFind(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Gathe
 // routing keys and child pointers — the saving the optimization is for.
 func (t *BST) gatherFindFast(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	nd := t.root
 	for {
 		left := pmem.Addr(p.Load(nd + nLeft))

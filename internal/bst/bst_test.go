@@ -304,3 +304,36 @@ func TestRecoverWithoutCrash(t *testing.T) {
 		t.Fatalf("recover re-executed insert: %d keys", n)
 	}
 }
+
+// TestReservedKeysAnswerFalse pins the one outcome an operation on a key
+// outside 1..MaxUserKey has, under both engines: false, on the engine, the
+// tracked fast find and the zero-persist read path, with the tree
+// unchanged. Before, an insert of 0 added it, and a delete of a sentinel's
+// key acted on the sentinel.
+func TestReservedKeysAnswerFalse(t *testing.T) {
+	for _, mk := range []func(*pmem.Heap) *isb.Engine{isb.NewEngine, isb.NewEngineOpt} {
+		h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
+		b := NewWithEngine(h, mk(h))
+		p := h.Proc(0)
+		b.ApplyOp(p, OpInsert, 5)
+		for _, key := range []uint64{0, inf1, inf2} {
+			for _, kind := range []uint64{OpDelete, OpInsert, OpFind, OpFindFast, OpDelete, OpInsert} {
+				if r := b.ApplyOp(p, kind, key); r != isb.RespFalse {
+					t.Fatalf("kind %d on reserved key %d answered %d, want false", kind, key, r)
+				}
+			}
+			if r := b.ReadOp(p, OpFind, key); r != isb.RespFalse {
+				t.Fatalf("read of reserved key %d answered %d, want false", key, r)
+			}
+		}
+		if keys := b.Keys(); len(keys) != 1 || keys[0] != 5 {
+			t.Fatalf("keys %v after operations on reserved keys, want [5]", keys)
+		}
+		if msg := b.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		if !isb.Bool(b.ApplyOp(p, OpInsert, 7)) || !isb.Bool(b.ApplyOp(p, OpDelete, 5)) {
+			t.Fatal("the tree no longer works after operations on reserved keys")
+		}
+	}
+}

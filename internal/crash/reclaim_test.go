@@ -127,6 +127,20 @@ const (
 	// values), so the conservative closure retains nothing by coincidence
 	// and the audit's bound is exact; heap comparisons leave it out.
 	stormPad = 1 << 20
+	// stormShards spreads the keys 16 to a bucket, whose walks stay short;
+	// stormIndexedShards packs them 256 to a bucket, whose list keeps an
+	// index (package list), which every crash voids.
+	stormShards        = 256
+	stormIndexedShards = 16
+	// stormAttempts bounds the crashed attempts of one operation in a row:
+	// a walk that never ends is crashed and re-submitted for good otherwise.
+	// An operation longer than most gaps between crashes (an Isb-Opt insert
+	// is announced only at its install, after its walk from the head of a
+	// long bucket) waits for a long gap, one in 16.
+	stormAttempts = 512
+	// stormRecoverBudget bounds the prefill and a RecoverAll no crash
+	// interrupts, in heap accesses: a walk that never ends fails the storm.
+	stormRecoverBudget = 1 << 22
 )
 
 // reclaimStorm runs one seeded storm: two Procs (driven in turn from one
@@ -137,23 +151,32 @@ const (
 // contents must match the sequential model, and every fast recovery is
 // audited by the scan's mark phase. With forget, the reclaimer forgets
 // every Go-side record of its pool at every crash (pmem.Reclaimer.Forget),
-// before RecoverAll rebuilds it. It returns the runtime and the crashes
-// since the last full scan.
-func reclaimStorm(t *testing.T, eng engineVariant, seed int64, crashes int, mode pmem.RecoveryMode, forget bool) (rt *repro.Runtime, sinceFull uint64) {
+// before RecoverAll rebuilds it. The map has shards buckets. An operation
+// that crashes stormAttempts times in a row without recovery resolving it
+// fails the storm, and so do a prefill and a RecoverAll that run past
+// stormRecoverBudget accesses. It returns the runtime and the crashes since the last
+// full scan.
+func reclaimStorm(t *testing.T, eng engineVariant, seed int64, crashes int, mode pmem.RecoveryMode, forget bool, shards int) (rt *repro.Runtime, sinceFull uint64) {
 	rt = repro.New(repro.Config{
 		Procs: stormProcs, CrashSim: true, HeapWords: 1 << 21,
 		Seed: 42, Engine: eng.kind, Reclaim: true,
 	})
 	rt.Reclaimer().ForceRecovery(mode)
 	rt.Proc(0).Alloc(stormPad)
-	m, q := rt.NewHashMap(256), rt.NewQueue()
+	m, q := rt.NewHashMap(shards), rt.NewQueue()
 	rng := rand.New(rand.NewSource(seed))
 	present := map[uint64]bool{}
 	var fifo []uint64
-	for k := uint64(1); k <= stormKeys; k += 2 {
-		m.Insert(rt.Proc(0), k)
-		present[k] = true
+	rt.ScheduleCrash(stormRecoverBudget)
+	if !rt.Run(func() {
+		for k := uint64(1); k <= stormKeys; k += 2 {
+			m.Insert(rt.Proc(0), k)
+			present[k] = true
+		}
+	}) {
+		t.Fatalf("seed %d: the prefill ran past %d heap accesses", seed, stormRecoverBudget)
 	}
+	rt.CancelCrash()
 
 	arm := func() {
 		gap := 30 + rng.Intn(370)
@@ -176,12 +199,18 @@ func reclaimStorm(t *testing.T, eng engineVariant, seed int64, crashes int, mode
 			if forget {
 				rt.Reclaimer().Forget()
 			}
-			if rng.Intn(8) == 0 {
+			watchdog := rng.Intn(8) != 0
+			if watchdog {
+				rt.ScheduleCrash(stormRecoverBudget)
+			} else {
 				rt.ScheduleCrash(uint64(rng.Intn(300)) + 1)
 			}
 			var reps []repro.ProcReport
 			ok := rt.Run(func() { reps = rt.RecoverAll() })
 			rt.CancelCrash()
+			if !ok && watchdog {
+				t.Fatalf("seed %d, crash %d: RecoverAll ran past %d heap accesses", seed, fired, stormRecoverBudget)
+			}
 			if !ok {
 				continue
 			}
@@ -229,7 +258,10 @@ func reclaimStorm(t *testing.T, eng engineVariant, seed int64, crashes int, mode
 		}
 		var resp repro.Resp
 		ok := rt.Run(func() { resp = s.Apply(p, op) })
-		for !ok {
+		for attempts := 1; !ok; attempts++ {
+			if attempts > stormAttempts {
+				t.Fatalf("seed %d, op %d (%+v on proc %d): %d attempts in a row crashed unresolved, %d crashes in all", seed, i, op, p.ID(), stormAttempts, fired)
+			}
 			// Begin cleared p's announcement, so a report entry for p is
 			// this operation's; none means the crash preceded the
 			// announcement and the op is resubmitted.
@@ -281,39 +313,40 @@ func TestReclaimRecoveryStorm(t *testing.T) {
 	}
 	seed := stormRuns
 	stormRuns++
-	for _, eng := range engineVariants {
-		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
-			full, _ := reclaimStorm(t, eng, seed, crashes, pmem.RecoverFull, false)
-			auto, sinceFull := reclaimStorm(t, eng, seed, crashes, pmem.RecoverAuto, false)
-			st, _ := auto.ReclaimStats()
-			if recoveries := st.FastRecoveries + st.FullScans; st.FullScans*20 > recoveries {
-				t.Fatalf("seed %d: %d full scans in %d recoveries, want at most 5 %%: %+v", seed, st.FullScans, recoveries, st)
-			}
-			if st.FastRecoveries == 0 {
-				t.Fatalf("seed %d: no recovery was fast: %+v", seed, st)
-			}
-			usedFull, usedAuto := full.Heap().Used()-stormPad, auto.Heap().Used()-stormPad
-			if bound := 2*usedFull + stormProcs*stormClasses*2048; usedAuto > bound {
-				t.Fatalf("seed %d: heap %d words, scan-every-crash holds %d (bound %d)", seed, usedAuto, usedFull, bound)
-			}
-			t.Logf("seed %d: %d fast recoveries, %d full scans, %+v; heap %d words against %d scanning at every crash",
-				seed, st.FastRecoveries, st.FullScans, st, usedAuto, usedFull)
+	storm := func(t *testing.T, eng engineVariant, shards int) {
+		full, _ := reclaimStorm(t, eng, seed, crashes, pmem.RecoverFull, false, shards)
+		auto, sinceFull := reclaimStorm(t, eng, seed, crashes, pmem.RecoverAuto, false, shards)
+		st, _ := auto.ReclaimStats()
+		if recoveries := st.FastRecoveries + st.FullScans; st.FullScans*20 > recoveries {
+			t.Fatalf("seed %d: %d full scans in %d recoveries, want at most 5 %%: %+v", seed, st.FullScans, recoveries, st)
+		}
+		if st.FastRecoveries == 0 {
+			t.Fatalf("seed %d: no recovery was fast: %+v", seed, st)
+		}
+		usedFull, usedAuto := full.Heap().Used()-stormPad, auto.Heap().Used()-stormPad
+		if bound := 2*usedFull + stormProcs*stormClasses*2048; usedAuto > bound {
+			t.Fatalf("seed %d: heap %d words, scan-every-crash holds %d (bound %d)", seed, usedAuto, usedFull, bound)
+		}
+		t.Logf("seed %d: %d fast recoveries, %d full scans, %+v; heap %d words against %d scanning at every crash",
+			seed, st.FastRecoveries, st.FullScans, st, usedAuto, usedFull)
 
-			// The scan as final checker: one more crash, recovered in full,
-			// may not find more to sweep than the garbage account (which
-			// then includes what that crash drops) and the in-flight bound
-			// explain.
-			auto.Reclaimer().ForceRecovery(pmem.RecoverFull)
-			auto.Heap().Crash()
-			auto.Restart()
-			auto.RecoverAll()
-			scan, _ := auto.LastScan()
-			if budget := scan.Garbage + inFlightBound(auto, sinceFull); !scan.Full || scan.Swept > budget {
-				t.Fatalf("seed %d: final scan swept %d blocks, books explain %d (%+v)", seed, scan.Swept, budget, scan)
-			}
-		})
+		// The scan as final checker: one more crash, recovered in full,
+		// may not find more to sweep than the garbage account (which
+		// then includes what that crash drops) and the in-flight bound
+		// explain.
+		auto.Reclaimer().ForceRecovery(pmem.RecoverFull)
+		auto.Heap().Crash()
+		auto.Restart()
+		auto.RecoverAll()
+		scan, _ := auto.LastScan()
+		if budget := scan.Garbage + inFlightBound(auto, sinceFull); !scan.Full || scan.Swept > budget {
+			t.Fatalf("seed %d: final scan swept %d blocks, books explain %d (%+v)", seed, scan.Swept, budget, scan)
+		}
 	}
+	for _, eng := range engineVariants {
+		t.Run(eng.name, func(t *testing.T) { storm(t, eng, stormShards) })
+	}
+	t.Run(engineVariants[1].name+"-indexed", func(t *testing.T) { storm(t, engineVariants[1], stormIndexedShards) })
 }
 
 // TestReclaimPoolFromImage rebuilds the reclaimer's pool from the persisted
@@ -329,13 +362,14 @@ func TestReclaimPoolFromImage(t *testing.T) {
 	if testing.Short() {
 		crashes = 60
 	}
-	for _, eng := range engineVariants {
-		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
-			rt, _ := reclaimStorm(t, eng, 7, crashes, pmem.RecoverFast, true)
-			if st, _ := rt.ReclaimStats(); st.Reused == 0 || st.FullScans != 0 {
-				t.Fatalf("the pool was never drawn on, or scanned: %+v", st)
-			}
-		})
+	pool := func(t *testing.T, eng engineVariant, shards int) {
+		rt, _ := reclaimStorm(t, eng, 7, crashes, pmem.RecoverFast, true, shards)
+		if st, _ := rt.ReclaimStats(); st.Reused == 0 || st.FullScans != 0 {
+			t.Fatalf("the pool was never drawn on, or scanned: %+v", st)
+		}
 	}
+	for _, eng := range engineVariants {
+		t.Run(eng.name, func(t *testing.T) { pool(t, eng, stormShards) })
+	}
+	t.Run(engineVariants[1].name+"-indexed", func(t *testing.T) { pool(t, engineVariants[1], stormIndexedShards) })
 }

@@ -71,8 +71,8 @@ func TestSequentialAgainstModel(t *testing.T) {
 
 // TestRecoveryRoutesByKey: the key alone names its shard. A fresh operation
 // run through recovery (Begin, then Recover) lands its key in ShardOf's
-// bucket list and in no other, and recovering it again resolves the completed
-// record instead of re-running it.
+// bucket list, as its order key, and in no other, and recovering it again
+// resolves the completed record instead of re-running it.
 func TestRecoveryRoutesByKey(t *testing.T) {
 	h := newHeap(2)
 	m := NewWithEngine(h, isb.NewEngine(h), 8)
@@ -83,7 +83,7 @@ func TestRecoveryRoutesByKey(t *testing.T) {
 			t.Fatalf("Insert(%d) run by recovery returned false", k)
 		}
 		for s, l := range m.shards {
-			if got, want := slices.Contains(l.Keys(), k), s == m.ShardOf(k); got != want {
+			if got, want := slices.Contains(l.Keys(), order(k, mix(k))), s == m.ShardOf(k); got != want {
 				t.Fatalf("key %d in shard %d: %v, want %v (ShardOf = %d)", k, s, got, want, m.ShardOf(k))
 			}
 		}
@@ -181,5 +181,61 @@ func TestConcurrentContendedSmoke(t *testing.T) {
 	wg.Wait()
 	if msg := m.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestOrderIsABijection pins the bucket order: order maps 1..MaxKey-1 onto
+// itself and unorder inverts it, MaxKey's preimage under mix included, whose
+// walk goes on past MaxKey; the sentinels' keys map to themselves.
+func TestOrderIsABijection(t *testing.T) {
+	const maxKey = 1<<64 - 1
+	rng := rand.New(rand.NewSource(1))
+	keys := []uint64{1, 2, maxKey - 1, unmix(maxKey), unmix(unmix(maxKey))}
+	for i := 0; i < 10000; i++ {
+		keys = append(keys, rng.Uint64())
+	}
+	for _, k := range keys {
+		if k == 0 || k == maxKey {
+			continue
+		}
+		if unmix(mix(k)) != k {
+			t.Fatalf("unmix(mix(%#x)) = %#x", k, unmix(mix(k)))
+		}
+		o := order(k, mix(k))
+		if o == 0 || o == maxKey || unorder(o) != k {
+			t.Fatalf("order(%#x) = %#x, unorder gives %#x", k, o, unorder(o))
+		}
+	}
+	if o0, om := order(0, mix(0)), order(maxKey, mix(maxKey)); o0 != 0 || om != maxKey {
+		t.Fatalf("order(0) = %#x, order(MaxKey) = %#x: the sentinels' keys must map to themselves", o0, om)
+	}
+}
+
+// TestReservedKeysAnswerFalse pins the one outcome an operation on a
+// sentinel's key has, under both engines: false, on the engine and the
+// zero-persist read path, with the map unchanged, and the key never enters
+// order's cycle walk, which from 0 would not end.
+func TestReservedKeysAnswerFalse(t *testing.T) {
+	for _, mk := range []func(*pmem.Heap) *isb.Engine{isb.NewEngine, isb.NewEngineOpt} {
+		h := newHeap(1)
+		m := NewWithEngine(h, mk(h), 4)
+		p := h.Proc(0)
+		m.Insert(p, 5)
+		for _, key := range []uint64{0, 1<<64 - 1} {
+			for _, kind := range []uint64{OpDelete, OpInsert, OpFind, OpDelete, OpInsert} {
+				if r := m.ApplyOp(p, kind, key); r != isb.RespFalse {
+					t.Fatalf("kind %d on reserved key %d answered %d, want false", kind, key, r)
+				}
+			}
+			if r := m.ReadOp(p, OpFind, key); r != isb.RespFalse {
+				t.Fatalf("read of reserved key %d answered %d, want false", key, r)
+			}
+		}
+		if keys := m.Keys(); !slices.Equal(keys, []uint64{5}) {
+			t.Fatalf("keys %v after operations on reserved keys, want [5]", keys)
+		}
+		if msg := m.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
 	}
 }

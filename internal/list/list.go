@@ -4,16 +4,60 @@
 //
 // The list is sorted by increasing key with sentinel head (key 0, acting as
 // −∞) and tail (key MaxUint64, acting as +∞); user keys must lie strictly
-// between. Each node carries an info field tagged by in-progress operations.
+// between. An operation on a sentinel's key answers false and changes
+// nothing. Each node carries an info field tagged by in-progress operations.
 //
 // ABA freedom on next fields comes from the paper's copying rule: a
 // successful Insert replaces its successor node with a fresh copy, so a
 // next field never holds the same node address twice. Nodes removed or
 // replaced ("retired") keep their tag forever, which forces any operation
 // whose traversal ended on a retired node to help and retry.
+//
+// # The index
+//
+// A walk from the head costs a load or three per node it passes, so a list
+// whose walks grow long (longWalk nodes) keeps a volatile index: a Go-side
+// table whose slot j names a node keyed below j's share of the key space
+// (the top bits of a key pick its slot), recorded with the allocator's stamp
+// (pmem.Allocator.Stamp) of the walk that passed it. ReadOp and the gathers'
+// search start at the anchor of their key's slot, or of a slot just below,
+// instead of the head, and a walk that could not use its slot's anchor
+// records the last node it passed below that slot. The index is worth
+// something when keys spread over the whole range, as the hash map's
+// hash-ordered buckets do; in a list of small keys every key falls in slot 0,
+// which starts at the head. Nothing persistent records the index: no heap
+// word, no write-back. Neither recovery, MarkReachable nor the reclaimer's
+// scan reads it, and a crash forgets it. Three rules make an anchor safe to
+// start from:
+//
+//   - An untagged node is linked. A node is created tagged by the operation
+//     that links it and untagged only after the link; an operation that
+//     unlinks a node tags it first, and the node keeps that tag (retired).
+//     So a walk checks an anchor's info word, as its first access, the way
+//     the paper's search reads every info field: untagged, the node is in
+//     this list at that moment, and the walk continues from it as if it had
+//     come from the head. Tagged, the walk tries a lower slot, then the head.
+//   - A block seen linked under stamp s is not freed before the epoch
+//     reaches s+2, which it cannot while a process whose stamp is s or older
+//     stays pinned (pmem.Reclaimer.Stamp): a walk follows an anchor only if
+//     the anchor's stamp is no older than its own, so the info word it checks
+//     is the node's and not a reused block's.
+//   - Nothing recorded before a crash is followed after it: every stamp after
+//     a crash is newer than every stamp before it (the arena's is the heap's
+//     crash epoch, the reclaimer's epoch moves on at Recover and its stamp
+//     vouches for nothing until then), so a node a crash may have rolled back
+//     is never checked.
+//
+// A torn anchor cannot pass: a slot's stamp word carries a writer's hold
+// bit, only rises, and is read before and after the node, so a reader that
+// sees the same unheld stamp twice read the node recorded with it. A wrapped
+// stamp cannot pass either: stamps are 63 bits, and the epochs and crashes
+// that number them do not wrap in a run.
 package list
 
 import (
+	"sync/atomic"
+
 	"repro/internal/isb"
 	"repro/internal/pmem"
 )
@@ -50,7 +94,113 @@ type List struct {
 	head, tail pmem.Addr
 
 	gIns, gDel, gFind isb.Gather
+
+	// idx is the index (see the package comment), nil until a walk grows
+	// long.
+	idx atomic.Pointer[index]
 }
+
+// The index's shape. The first walk of longWalk nodes gives the list an
+// index of slots slots, each a 2^slotShift share of the key space. A walk
+// tries at most tries slots, its key's and the ones below.
+const (
+	longWalk  = 64
+	slotBits  = 7
+	slots     = 1 << slotBits
+	slotShift = 64 - slotBits
+	tries     = 4
+)
+
+// index is the anchor table: slot j names a node whose key is below
+// j<<slotShift.
+type index [slots]anchor
+
+// anchor is one slot. stamp holds the recording walk's stamp shifted left
+// by one, bit 0 set while a writer holds the slot; it only rises.
+type anchor struct {
+	stamp atomic.Uint64
+	node  atomic.Uint64
+}
+
+// load returns the slot's node if its stamp is own or newer.
+func (s *anchor) load(own uint64) (pmem.Addr, bool) {
+	st := s.stamp.Load()
+	if st&1 != 0 || st>>1 < own {
+		return pmem.Null, false
+	}
+	nd := s.node.Load()
+	return pmem.Addr(nd), s.stamp.Load() == st
+}
+
+// record names nd, seen linked under stamp own, unless another writer holds
+// the slot or it names a node stamped later.
+func (s *anchor) record(nd pmem.Addr, own uint64) {
+	st := s.stamp.Load()
+	if st&1 != 0 || st>>1 > own || !s.stamp.CompareAndSwap(st, st|1) {
+		return
+	}
+	s.node.Store(uint64(nd))
+	s.stamp.Store(own << 1)
+}
+
+// walk is where a walk toward a key starts (List.start), and what it
+// records on the way.
+type walk struct {
+	from  pmem.Addr // the head, or an anchor
+	info  uint64    // an anchor's info word, read by the anchor check
+	stamp uint64
+	miss  *anchor // the key's slot, whose anchor could not be used
+	bound uint64  // the first key of that slot, 0 if miss is nil
+}
+
+// start picks the node a walk toward key (not a sentinel's) starts at: the
+// anchor of key's slot, or of one of the tries-1 slots below it, the first
+// whose stamp is no older than the process's and whose node is untagged, or
+// else the head. Call pinned (a.Enter).
+func (l *List) start(p *pmem.Proc, a pmem.Allocator, key uint64) walk {
+	w := walk{from: l.head}
+	x := l.idx.Load()
+	if x == nil {
+		return w
+	}
+	j := key >> slotShift
+	if j == 0 {
+		return w
+	}
+	if w.stamp = a.Stamp(p); w.stamp == 0 {
+		return w
+	}
+	for i := j; i > 0 && j-i < tries; i-- {
+		nd, ok := x[i].load(w.stamp)
+		if !ok {
+			continue
+		}
+		if info := p.Load(nd + nInfo); !isb.IsTagged(info) {
+			w.from, w.info = nd, info
+			if i == j {
+				return w
+			}
+			break
+		}
+	}
+	w.miss, w.bound = &x[j], j<<slotShift
+	return w
+}
+
+// done ends a walk of steps nodes, whose last node below w.bound was last.
+// One that could not use its slot's anchor records last there, if not the
+// head; the first of longWalk or more nodes gives the list its index.
+func (l *List) done(w *walk, last pmem.Addr, steps int) {
+	if last != pmem.Null && last != l.head {
+		w.miss.record(last, w.stamp)
+	}
+	if steps >= longWalk && l.idx.Load() == nil {
+		l.idx.CompareAndSwap(nil, new(index))
+	}
+}
+
+// reserved reports whether key is a sentinel's: 0 or MaxKey.
+func reserved(key uint64) bool { return key-1 >= MaxKey-1 }
 
 // NewWithEngine builds an empty list on engine e, persisting the sentinels.
 // Several lists can share one engine — and with it one set of per-process
@@ -112,17 +262,32 @@ func (l *List) Gather(kind, _ uint64) isb.Gather {
 // arena): without it the reclaimer could free and reuse the node the walk
 // stands on — its words then another node's fields — and the walk would
 // follow words that no longer belong to this list.
+//
+// The walk starts at an anchor of the index when it can (see the package
+// comment): its key is below the walk's, and it was linked when the walk
+// read its untagged info word, so the verdict is the one a walk from the
+// head passing it then would reach. A sentinel's key is never a member.
 func (l *List) ReadOp(p *pmem.Proc, kind, key uint64) uint64 {
 	if kind != OpFind {
 		panic("list: ReadOp on a mutating kind")
 	}
+	if reserved(key) {
+		l.e.NoteReadFast(p)
+		return isb.RespFalse
+	}
 	a := l.e.Allocator()
 	a.Enter(p)
-	curr := l.head
-	for p.Load(curr+nKey) < key {
+	w := l.start(p, a, key)
+	curr, bound, last, steps := w.from, w.bound, pmem.Null, 0
+	for k := p.Load(curr + nKey); k < key; k = p.Load(curr + nKey) {
+		if k < bound {
+			last = curr
+		}
 		curr = pmem.Addr(p.Load(curr + nNext))
+		steps++
 	}
 	found := p.Load(curr+nKey) == key
+	l.done(&w, last, steps)
 	a.Exit(p)
 	l.e.NoteReadFast(p)
 	return isb.BoolResp(found)
@@ -135,21 +300,42 @@ func (l *List) Insert(p *pmem.Proc, key uint64) bool {
 
 // search returns pred/curr straddling key: the first node with
 // curr.key >= key and its predecessor, plus their gathered info fields
-// (each info field read on first access, per the paper).
+// (each info field read on first access, per the paper). It starts at an
+// anchor of the index when it can, whose info word the anchor check read
+// (see ReadOp); the gather runs pinned.
 func (l *List) search(p *pmem.Proc, key uint64) (pred, curr pmem.Addr, predInfo, currInfo uint64) {
-	curr = l.head
-	currInfo = p.Load(curr + nInfo)
-	for p.Load(curr+nKey) < key {
+	w := l.start(p, l.e.Allocator(), key)
+	curr, currInfo = w.from, w.info
+	if curr == l.head {
+		currInfo = p.Load(curr + nInfo)
+	}
+	bound, last, steps := w.bound, pmem.Null, 0
+	for k := p.Load(curr + nKey); k < key; k = p.Load(curr + nKey) {
+		if k < bound {
+			last = curr
+		}
 		pred, predInfo = curr, currInfo
 		curr = pmem.Addr(p.Load(curr + nNext))
 		currInfo = p.Load(curr + nInfo)
+		steps++
 	}
+	l.done(&w, last, steps)
 	return pred, curr, predInfo, currInfo
+}
+
+// refuse answers an operation on a sentinel's key: false, with no effect.
+func refuse(spec *isb.Spec) isb.GatherResult {
+	spec.ReadOnly = true
+	spec.Response = isb.RespFalse
+	return isb.Proceed
 }
 
 // gatherInsert builds the Insert AffectSet/WriteSet/NewSet (Algorithm 3).
 func (l *List) gatherInsert(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	pred, curr, predInfo, currInfo := l.search(p, key)
 	if p.Load(curr+nKey) == key {
 		// Key present: the operation is read-only and behaves like Find.
@@ -177,6 +363,9 @@ func (l *List) gatherInsert(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Ga
 // gatherDelete builds the Delete sets (Algorithm 5).
 func (l *List) gatherDelete(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	pred, curr, predInfo, currInfo := l.search(p, key)
 	if p.Load(curr+nKey) != key {
 		spec.AddAffect(curr+nInfo, currInfo)
@@ -197,6 +386,9 @@ func (l *List) gatherDelete(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.Ga
 // gatherFind builds the read-only Find spec (Algorithm 3, ROpt).
 func (l *List) gatherFind(p *pmem.Proc, info pmem.Addr, spec *isb.Spec) isb.GatherResult {
 	key := spec.ArgKey
+	if reserved(key) {
+		return refuse(spec)
+	}
 	_, curr, _, currInfo := l.search(p, key)
 	spec.AddAffect(curr+nInfo, currInfo)
 	spec.AddCleanup(curr + nInfo)
@@ -259,7 +451,9 @@ func (l *List) CheckInvariants() string {
 // post-crash reclamation scan. The walk uses p.Load so a crash can be
 // injected mid-scan; the scan's transitive closure follows info-field
 // records and their copies from the marked nodes. It marks and nothing
-// else: the list keeps no volatile hint word for a crash to leave stale.
+// else, and walks from the head: the index is Go-side, names only nodes the
+// walk reaches anyway, and nothing recorded before a crash is followed after
+// it, so the scan needs none of it.
 func (l *List) MarkReachable(p *pmem.Proc, mark func(pmem.Addr)) {
 	curr := l.head
 	for {

@@ -427,3 +427,71 @@ func TestStressManyKeysManyProcs(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestReservedKeysAnswerFalse pins the one outcome an operation on a
+// sentinel's key has, under both engines: false, on both the engine and the
+// zero-persist read path, with the list unchanged. Before, a delete of 0
+// unlinked the head, and an insert of 0 after it never returned.
+func TestReservedKeysAnswerFalse(t *testing.T) {
+	for _, mk := range []func(*pmem.Heap) *isb.Engine{isb.NewEngine, isb.NewEngineOpt} {
+		h := pmem.NewHeap(pmem.Config{Words: 1 << 21, Procs: 1, Tracked: true})
+		l := NewWithEngine(h, mk(h))
+		p := h.Proc(0)
+		l.Insert(p, 5)
+		for _, key := range []uint64{MinKey, MaxKey} {
+			for _, kind := range []uint64{OpDelete, OpInsert, OpFind, OpDelete, OpInsert} {
+				if r := l.ApplyOp(p, kind, key); r != isb.RespFalse {
+					t.Fatalf("kind %d on reserved key %d answered %d, want false", kind, key, r)
+				}
+			}
+			if r := l.ReadOp(p, OpFind, key); r != isb.RespFalse {
+				t.Fatalf("read of reserved key %d answered %d, want false", key, r)
+			}
+		}
+		if keys := l.Keys(); len(keys) != 1 || keys[0] != 5 {
+			t.Fatalf("keys %v after operations on reserved keys, want [5]", keys)
+		}
+		if msg := l.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		if !l.Insert(p, 7) || !isb.Bool(l.ApplyOp(p, OpDelete, 5)) {
+			t.Fatal("the list no longer works after operations on reserved keys")
+		}
+	}
+}
+
+// TestIndexTakenByLongWalks pins the index's life on a list whose keys
+// spread over the whole key range: none while walks stay short, one once a
+// walk passes longWalk nodes, and then finds that pass a few nodes from
+// their anchors, where a walk from the head would pass a thousand; every key
+// found on both paths.
+func TestIndexTakenByLongWalks(t *testing.T) {
+	l, h := newList(t, 1)
+	p := h.Proc(0)
+	const n = 1 << 11
+	key := func(i uint64) uint64 { return (2*i + 1) << 52 } // n keys, 16 a slot
+	for i := uint64(0); i < n; i++ {
+		if i == longWalk/2 && l.idx.Load() != nil {
+			t.Fatalf("an index after %d inserts in order, whose walks pass at most that many nodes", i)
+		}
+		l.Insert(p, key(i))
+	}
+	if l.idx.Load() == nil {
+		t.Fatalf("no index after %d inserts in order", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		if !isb.Bool(l.ReadOp(p, OpFind, key(i))) || !isb.Bool(l.ApplyOp(p, OpFind, key(i))) {
+			t.Fatalf("key %#x not found", key(i))
+		}
+	}
+	before := h.AccessCount()
+	for i := uint64(0); i < n; i++ {
+		l.ReadOp(p, OpFind, key(i))
+	}
+	if per := (h.AccessCount() - before) / n; per > longWalk/2 {
+		t.Fatalf("a find makes %d accesses with %d keys to a slot, want at most %d", per, n/slots, longWalk/2)
+	}
+	if msg := l.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}

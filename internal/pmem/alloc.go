@@ -57,6 +57,15 @@ type Allocator interface {
 	// un-pinned by the allocator's post-crash recovery.
 	Exit(p *Proc)
 
+	// Stamp dates what the calling process, pinned, sees linked, for a
+	// volatile index that keeps such a block to start later walks from (the
+	// list's anchors): a block seen linked under stamp s is not reused, nor
+	// its words rewritten by a crash, while a process whose stamp is s or
+	// older stays pinned. So a process may follow a block recorded under a
+	// stamp no older than its own; stamps never fall, and every stamp after
+	// a crash is newer than every stamp before it. 0 vouches for nothing.
+	Stamp(p *Proc) uint64
+
 	// BlockOf resolves an interior pointer to its containing block's start
 	// and size; ok is false if a is not inside any block this allocator
 	// manages.
@@ -83,6 +92,10 @@ func (Arena) Enter(p *Proc) {}
 
 // Exit is a no-op.
 func (Arena) Exit(p *Proc) {}
+
+// Stamp is the heap's crash epoch, plus one: the arena reuses no block, so
+// only a crash, which may roll a block's words back, voids what was seen.
+func (Arena) Stamp(p *Proc) uint64 { return p.h.Epoch() + 1 }
 
 // BlockOf reports no containment: the arena keeps no block metadata.
 func (Arena) BlockOf(a Addr) (Addr, uint64, bool) { return 0, 0, false }

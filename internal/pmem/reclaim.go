@@ -66,8 +66,8 @@ import (
 // # Crash recovery
 //
 // Recover, driven by Runtime.RecoverAll before any operation recovery runs,
-// resets the Go-side state — rings, stacks, pins, epoch — with no heap
-// access, no pwb and no psync, and starts a new pool generation in which
+// resets the Go-side state — rings, stacks, pins — and moves the epoch on,
+// with no heap access, no pwb and no psync, and starts a new pool generation in which
 // every slab is unclaimed. The pool is then whatever the bitmaps say: an
 // Alloc whose stack is empty adopts the next unclaimed slab of its class,
 // reading its whole bitmap, so a recovery costs nothing per slab and an
@@ -286,8 +286,8 @@ const (
 	slabWords  = 2048
 	ringCap    = 128 // initial retired-ring entries per process (a power of two)
 
-	// firstEpoch is the starting (and post-recovery) global epoch; nonzero
-	// so a pin of 0 unambiguously means "unpinned".
+	// firstEpoch is the starting global epoch; nonzero so a pin of 0
+	// unambiguously means "unpinned".
 	firstEpoch = 2
 
 	// ringFreeThreshold triggers an advance/free pass from Retire.
@@ -616,9 +616,33 @@ func (r *Reclaimer) drop(words uint64) {
 
 // Enter pins the calling process in the current epoch (refreshing any
 // existing pin). The pin only gates the epoch within a run; post-crash
-// recovery releases stuck pins.
+// recovery releases stuck pins. The pin is the epoch still current once it
+// is published, so the epoch moves at most one past it while it holds,
+// which Stamp relies on: a pin read before two advances that published
+// unchecked would trail the epoch by two.
 func (r *Reclaimer) Enter(p *Proc) {
-	r.pins[p.ID()].epoch.Store(r.epoch.Load())
+	pin := &r.pins[p.ID()].epoch
+	for e := r.epoch.Load(); ; {
+		pin.Store(e)
+		now := r.epoch.Load()
+		if now == e {
+			return
+		}
+		e = now
+	}
+}
+
+// Stamp is the calling process's pin (Allocator): a block seen linked by a
+// process pinned at s was unlinked, if ever, at epoch s or later, so it is
+// freed no sooner than the epoch reaches s+2, which it cannot while a
+// process pinned at s or earlier stays pinned. The epoch never restarts:
+// Recover moves it on, past every pin taken before the crash. 0, vouching
+// for nothing, from a crash until Recover, and for an unpinned process.
+func (r *Reclaimer) Stamp(p *Proc) uint64 {
+	if !r.synced() {
+		return 0
+	}
+	return r.pins[p.ID()].epoch.Load()
 }
 
 // Exit releases the calling process's pin.
@@ -762,8 +786,8 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 }
 
 // reset empties the rings and the stacks, stamping each with the heap epoch,
-// drops the late marks, releases the pins, restarts the epoch, starts a new
-// pool generation and leaves degraded mode. It touches no heap word.
+// drops the late marks, releases the pins, moves the epoch on (Stamp), starts
+// a new pool generation and leaves degraded mode. It touches no heap word.
 func (r *Reclaimer) reset() {
 	for id := range r.procs {
 		ps := &r.procs[id]
@@ -780,7 +804,7 @@ func (r *Reclaimer) reset() {
 		r.adoptAt[c].Store(0)
 	}
 	r.gen.Add(1)
-	r.epoch.Store(firstEpoch)
+	r.epoch.Add(1)
 	r.scanEpoch.Store(r.h.Epoch())
 }
 
@@ -847,8 +871,8 @@ func (r *Reclaimer) Scan(p *Proc, mark func(mark func(Addr))) ScanReport {
 	// Phase 1: conservative mark.
 	mark(func(a Addr) { r.MarkBlock(a) })
 
-	// Phase 2: empty the rings, pins and stacks, drop the claims; restart the
-	// epoch. A crash in the sweep below moves the heap's epoch on, so the
+	// Phase 2: empty the rings, pins and stacks, drop the claims; move the
+	// epoch on. A crash in the sweep below moves the heap's epoch on, so the
 	// reclaimer is degraded again until the re-run.
 	r.reset()
 

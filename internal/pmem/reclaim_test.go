@@ -608,7 +608,8 @@ func TestReclaimerRecoverFast(t *testing.T) {
 
 // TestReclaimerRecoverForgets pins what the fast recovery resets: the
 // rings (one grown past its initial capacity behind a stuck pin), the free
-// lists and the pins. After Recover no pre-crash block is reachable from
+// lists and the pins; the epoch moves on instead, so that no pin taken after
+// the crash is as old as one taken before it (Reclaimer.Stamp). After Recover no pre-crash block is reachable from
 // the Go-side state, and the reset touches no heap word; the bookkeeping
 // around an operation (Enter, Retire, Exit) touches one, the block's
 // bitmap word, and issues no persistence instruction.
@@ -644,6 +645,7 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 		t.Fatalf("a stalled epoch dropped retirements: %+v, ring %d", st, r.procs[0].n)
 	}
 	r.Enter(p) // p crashes pinned too
+	epoch := r.epoch.Load()
 
 	h.Crash()
 	h.ResetAfterCrash()
@@ -656,8 +658,8 @@ func TestReclaimerRecoverForgets(t *testing.T) {
 	if rep.Full || rep.Dropped != 4*uint64(len(pre)-1)+32 {
 		t.Fatalf("fast recovery books: %+v", rep)
 	}
-	if e := r.epoch.Load(); e != firstEpoch {
-		t.Fatalf("epoch %d after recovery, want %d", e, firstEpoch)
+	if e := r.epoch.Load(); e != epoch+1 {
+		t.Fatalf("epoch %d after recovery, want %d: it moves on past every pre-crash pin", e, epoch+1)
 	}
 	for id := range r.procs {
 		if pin := r.pins[id].epoch.Load(); pin != 0 {

@@ -584,3 +584,43 @@ func TestReservedKeyPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedReservedKeyAnswersFalse pins what a transaction's derived
+// argument does when it is a set structure's reserved key: a dequeued 0,
+// inserted (ArgFromLeg1) into a list, a BST or a hash map under both engines,
+// answers false and leaves the set as it was, and so does a delete of it and
+// the insert after that. The admission
+// checks only announced arguments (acceptKey), so the structure answers it.
+// Before, the hash map's insert of 0 returned false but a later one after a
+// delete of 0 never returned.
+func TestDerivedReservedKeyAnswersFalse(t *testing.T) {
+	for _, e := range engines() {
+		for _, mk := range []func(*Runtime) Structure{
+			func(rt *Runtime) Structure { return rt.NewList() },
+			func(rt *Runtime) Structure { return rt.NewBST() },
+			func(rt *Runtime) Structure { return rt.NewHashMap(4) },
+		} {
+			rt := New(Config{Procs: 1, HeapWords: 1 << 20, Engine: e.kind})
+			q, s := rt.NewQueue(), mk(rt)
+			p := rt.Proc(0)
+			s.Apply(p, Op{Kind: OpInsert, Arg: 5})
+			for _, kind := range []uint64{OpInsert, OpDelete, OpInsert} {
+				q.Apply(p, Op{Kind: OpEnq, Arg: 0})
+				r0, r1 := rt.ApplyTxn(p, TxnLeg{S: q, Op: Op{Kind: OpDeq}}, TxnLeg{S: s, Op: Op{Kind: kind}, ArgFromLeg1: true})
+				if v, ok := r0.Value(); !ok || v != 0 || r1.Raw() != isb.RespFalse {
+					t.Fatalf("%s/%v: dequeue then op %d on the dequeued 0 answered %v, %v; want 0, false", e.name, s.Kind(), kind, r0, r1)
+				}
+			}
+			keys := s.(interface{ Keys() []uint64 }).Keys()
+			if len(keys) != 1 || keys[0] != 5 {
+				t.Fatalf("%s/%v: keys %v, want [5]", e.name, s.Kind(), keys)
+			}
+			if msg := s.(interface{ CheckInvariants() string }).CheckInvariants(); msg != "" {
+				t.Fatalf("%s/%v: %s", e.name, s.Kind(), msg)
+			}
+			if !s.Apply(p, Op{Kind: OpDelete, Arg: 5}).Bool() {
+				t.Fatalf("%s/%v: the set no longer works", e.name, s.Kind())
+			}
+		}
+	}
+}
