@@ -12,12 +12,13 @@
 // can check. Detectability itself is asserted structurally: recovery always
 // yields a definite response.
 //
-// The package's tests run off two tables over one vocabulary of engines and
-// structures. The storm table (storm_test.go) gives each storm test its shape:
-// the test runs Run once per engine variant and seed, as subtests
+// The package's tests run off three tables over one vocabulary of engines
+// and structures. The storm table (storm_test.go) gives each storm test its
+// shape: the test runs Run once per engine variant and seed, as subtests
 // engine/seed=N, and checks every history with one oracle. The conformance
 // matrix (matrix_test.go) drives Sweep, a crash at every access offset of one
-// process's admission.
+// process's admission. The two-process table (twoproc_test.go) drives it with
+// a second process's operations around or inside the first's.
 //
 // Sweep is the repository's one fault sweep, and the package is a leaf for
 // it: its non-test code imports only pmem and linearize, so every package's
@@ -33,10 +34,12 @@
 // heap's access hook on the first's goroutine, at every access of the
 // first's or of its recovery after every crash, crossed with the crash
 // points a test selects; no goroutine or scheduler decides an interleaving.
-// The two-Proc tests — the lost tags and the held update,
-// the interference interlopers, the exchanger's collider and the list's
-// survivor of an individual failure — run on it; the storms' seeded
-// schedules (Run) sample what it does not enumerate.
+// The two-process table runs on it, each row declaring its set, Proc 0's
+// admissions and where Proc 1's operations run — before Run, between its
+// admissions, preempting it or its recovery — with one builder, one
+// RecoverAll resolve and one history check for every row; so do the
+// exchanger's collider and the list's survivor of an individual failure.
+// The storms' seeded schedules (Run) sample what it does not enumerate.
 package crash
 
 import (

@@ -89,9 +89,10 @@ type Preempt struct {
 	// whether or not Op ran before a crash: Proc 0's responses and Op's must
 	// linearize, the two operations overlapping.
 	Check func(got []uint64) error
-	// Within, when positive, makes the points Proc 0's first Within accesses
-	// of the phase Op runs in, which the phase must reach; InResolve then
-	// replays no line set unpreempted to count them. Zero: every access.
+	// Within, when positive, makes the points of an InResolve row Proc 0's
+	// first Within accesses of each Resolve, which the Resolve must reach,
+	// and replays no line set unpreempted to count them. Zero: every access.
+	// A row preempted in Run is preempted at every access of it.
 	Within int
 	// InResolve places Op in the Resolve after each crash point; otherwise Op
 	// runs in Run and crashes cross only the points Cross selects.
@@ -127,11 +128,12 @@ type Preempt struct {
 // Each crashed replay must recover to the sequential model's responses and
 // post-state, the paper's detectability bar checked exhaustively: a batched
 // phase must recover whether the crash left it fully persisted or absent.
-// A replay's Resolve may make at most 1 024 times (resolveBudget) the
-// uninterrupted run's span of heap accesses: a recovery that runs on past
-// that, looping say, fails its replay instead of hanging the package. A loop
-// that never touches the heap is not caught, nor is a recovery after a cut
-// byte.
+// A replay's Run, unless a crash is armed in it, and its Resolve may each
+// make at most 1 024 times (replayBudget) the uninterrupted run's span of
+// heap accesses: one that runs on past that, a livelocked walk of Proc 1's
+// say, fails its replay instead of hanging the package. A loop that never
+// touches the heap is not caught, nor is the uninterrupted run, which
+// measures the span, nor is a replay of a cut byte.
 // build must return a fresh, identical instance on every call; a finished
 // instance is closed and its heap images recycled (pmem.Heap.Release), so the
 // next build zeroes only what this one carved instead of a whole arena.
@@ -229,16 +231,17 @@ type sweeper struct {
 	want            []uint64
 	in              Instance
 	t               *testing.T
-	budget          uint64 // the heap accesses a replay's Resolve may make
+	budget          uint64 // the heap accesses a replay's Run or Resolve may make
 	replays, points int
 	stop            replay
 	err             error
 }
 
-// resolveBudget is the multiple of the uninterrupted run's span that bounds
-// a replay's Resolve in heap accesses. The largest ratio a sweep in the
-// repository measures is 80, a recovery of 320 accesses after a run of 4.
-const resolveBudget = 1 << 10
+// replayBudget is the multiple of the uninterrupted run's span that bounds
+// a replay's Run and its Resolve in heap accesses. The largest ratio a
+// sweep in the repository measures is 80, a recovery of 320 accesses after a
+// run of 4.
+const replayBudget = 1 << 10
 
 // sweep is Sweep's loop over the product of the axes, or, only, over that
 // one replay: the recording, then a replay per preemption point of Run (or
@@ -254,7 +257,7 @@ func sweep(t *testing.T, build func() Instance, want []uint64, only *replay) *sw
 	}
 	s := &sweeper{build: build, want: want, in: in, t: t}
 	if in.Kill == nil { // a span of heap accesses, not of bytes
-		s.budget = resolveBudget * rec.span
+		s.budget = replayBudget * rec.span
 	}
 	if err != nil {
 		s.err = fmt.Errorf("uninterrupted: %v", err)
@@ -269,7 +272,7 @@ func sweep(t *testing.T, build func() Instance, want []uint64, only *replay) *sw
 	pre := []point{{}}
 	if p != nil && !p.InResolve {
 		pre = nil
-		for k := range cmp.Or(p.Within, rec.own) {
+		for k := range rec.own {
 			pre = append(pre, point{inRun, uint64(k + 1)})
 		}
 	}
@@ -360,8 +363,8 @@ type trace struct {
 
 // at runs replay r of the instance and holds it to want (nil: its own
 // responses). dirty, when known, is the lines r's crash leaves dirty, which
-// the replay that persisted none measured; budget bounds its Resolve (0:
-// unbounded).
+// the replay that persisted none measured; budget bounds its Run, unless a
+// system-wide crash is armed there, and its Resolve (0: unbounded).
 func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr, budget uint64) (tr trace, err error) {
 	defer in.end()
 	defer func() {
@@ -383,9 +386,16 @@ func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr, budget uint64)
 	default:
 		h.ScheduleCrashAt(start + r.crash.k)
 	}
+	bounded := budget > 0 && (r.crash.phase != inRun || in.Individual)
+	if bounded {
+		h.ScheduleCrashAt(start + budget + 1) // the access past the budget crashes
+	}
 	tp := in.tap(r.preempt, inRun, r == replay{} && p != nil && p.Cross != nil)
 	crashed := !pmem.RunOp(func() { tr.got, err = in.Run() })
 	tp.off()
+	if bounded {
+		h.DisarmCrash()
+	}
 	tr.span, tr.own, tr.crossed = h.AccessCount()-start, tp.n, tp.crossed
 	fired := crashed || h.Epoch() != epoch
 	switch {
@@ -401,6 +411,8 @@ func (in Instance) at(r replay, want []uint64, dirty []pmem.Addr, budget uint64)
 	switch {
 	case err != nil:
 		return tr, err
+	case bounded && h.AccessCount()-start > budget:
+		return tr, fmt.Errorf("the run went past %d heap accesses, %d times the uninterrupted run's", budget, replayBudget)
 	case fired && r.crash.phase != inRun:
 		return tr, errors.New("crashed with no crash armed")
 	case !fired && r.crash.phase == inRun:
@@ -475,7 +487,7 @@ func (in Instance) resolve(r replay, dirty []pmem.Addr, tr *trace, budget uint64
 	tp.off()
 	switch tr.resolve = tp.n; {
 	case !ok && budget > 0 && h.AccessCount()-start > budget:
-		err = fmt.Errorf("recovery ran past %d heap accesses, %d times the uninterrupted run's", budget, resolveBudget)
+		err = fmt.Errorf("recovery ran past %d heap accesses, %d times the uninterrupted run's", budget, replayBudget)
 	case !ok && err == nil:
 		err = errors.New("recovery crashed with no crash armed")
 	}

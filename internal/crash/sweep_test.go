@@ -132,12 +132,46 @@ func loopToy() Instance {
 
 // TestSweepBoundsResolve pins the bound on a replay's recovery: loopToy's
 // first crash point fails, named by its replay, once its Resolve has made
-// resolveBudget times the run's 4 accesses.
+// replayBudget times the run's 4 accesses.
 func TestSweepBoundsResolve(t *testing.T) {
 	_, _, err := Sweep(loopToy, nil)
-	want := fmt.Sprintf("off=1: recovery ran past %d heap accesses, %d times the uninterrupted run's", 4*resolveBudget, resolveBudget)
+	want := fmt.Sprintf("off=1: recovery ran past %d heap accesses, %d times the uninterrupted run's", 4*replayBudget, replayBudget)
 	if fmt.Sprint(err) != want {
 		t.Fatalf("a recovery that never returns: %v, want %q", err, want)
+	}
+}
+
+// TestSweepBoundsRun pins the same bound on a replay's Run: Proc 1's
+// operation, preempting Proc 0's four stores, spins on a word they have not
+// written yet, and its first preemption point fails, named by its replay,
+// once the run has made replayBudget times their 4 accesses.
+func TestSweepBoundsRun(t *testing.T) {
+	spin := func() Instance {
+		h := pmem.NewHeap(pmem.Config{Words: 1 << 14, Procs: 2, Tracked: true})
+		p0, p1 := h.Proc(0), h.Proc(1)
+		a := p0.Alloc(1)
+		return Instance{
+			Heap: h,
+			Run: func() ([]uint64, error) {
+				for i := range uint64(4) {
+					p0.Store(a, i+1)
+				}
+				return nil, nil
+			},
+			Verify: func() string { return "" },
+			Preempt: &Preempt{
+				Op: func() {
+					for p1.Load(a) < 4 {
+					}
+				},
+				Check: func([]uint64) error { return nil },
+			},
+		}
+	}
+	_, _, err := Sweep(spin, nil)
+	want := fmt.Sprintf("preempt=1: the run went past %d heap accesses, %d times the uninterrupted run's", 4*replayBudget, replayBudget)
+	if fmt.Sprint(err) != want {
+		t.Fatalf("a preemption that never returns: %v, want %q", err, want)
 	}
 }
 

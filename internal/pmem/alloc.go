@@ -65,11 +65,6 @@ type Allocator interface {
 	// stamp no older than its own; stamps never fall, and every stamp after
 	// a crash is newer than every stamp before it. 0 vouches for nothing.
 	Stamp(p *Proc) uint64
-
-	// BlockOf resolves an interior pointer to its containing block's start
-	// and size; ok is false if a is not inside any block this allocator
-	// manages.
-	BlockOf(a Addr) (start Addr, words uint64, ok bool)
 }
 
 // Arena is the leak-forever allocator: a thin wrapper over the heap's bump
@@ -96,6 +91,3 @@ func (Arena) Exit(p *Proc) {}
 // Stamp is the heap's crash epoch, plus one: the arena reuses no block, so
 // only a crash, which may roll a block's words back, voids what was seen.
 func (Arena) Stamp(p *Proc) uint64 { return p.h.Epoch() + 1 }
-
-// BlockOf reports no containment: the arena keeps no block metadata.
-func (Arena) BlockOf(a Addr) (Addr, uint64, bool) { return 0, 0, false }

@@ -297,9 +297,6 @@ func (h *Heap) NumProcs() int { return len(h.procs) }
 // Model reports the heap's persistency model.
 func (h *Heap) Model() Model { return h.model }
 
-// Tracked reports whether the heap maintains a persisted image.
-func (h *Heap) Tracked() bool { return h.tracked }
-
 // Used reports how many words have been allocated.
 func (h *Heap) Used() uint64 { return h.next.Load() }
 

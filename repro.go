@@ -350,8 +350,10 @@ func (r *Runtime) Heap() *pmem.Heap { return r.h }
 // newEngine builds one ISB engine of the configured kind. With Config.
 // Reclaim the engine's allocator is swapped for the shared reclaimer
 // before any structure constructor runs (constructors allocate their
-// sentinels through the engine, and those blocks must be reclaimer-owned
-// so BlockOf can classify them during the post-crash scan).
+// sentinels through the engine, and those blocks must be reclaimer-owned:
+// the post-crash scan marks a reachable block through the slab that holds
+// it, Reclaimer.MarkBlock's lookup, and a block outside every slab is never
+// marked).
 func (r *Runtime) newEngine() *isb.Engine {
 	var e *isb.Engine
 	if r.engine == EngineIsbOpt {
