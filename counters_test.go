@@ -715,6 +715,59 @@ func TestReclaimWindowStoreBudget(t *testing.T) {
 	}
 }
 
+// TestReclaimIndexLoadBudget pins that the list index serves the reclaimer
+// as well as the arena. Two Procs, interleaved on one goroutine so the
+// counts are deterministic, feed windows of 16 updates (8 inserts, 8
+// deletes, each Proc its own half of 4 096 keys) through ApplyWindow to a
+// 16-bucket map holding half the keys: admit_window_txn's shape. Each bucket
+// holds about 128 keys, so its walks grow long and it keeps an index. An
+// anchor is checked against its block's reuse version, which moves only
+// when the reclaimer hands the block out again, not against the epoch, which
+// moves every few dozen operations: the reclaimer's Stats.Loads per
+// operation stay within 1.25x the arena's.
+func TestReclaimIndexLoadBudget(t *testing.T) {
+	const keys, warm, rounds = 4096, 64, 256
+	run := func(kind EngineKind, reclaim bool) float64 {
+		rt := New(Config{Procs: 2, HeapWords: 1 << 22, Engine: kind, Reclaim: reclaim})
+		m := rt.NewHashMap(16)
+		rng := rand.New(rand.NewSource(1))
+		for _, k := range rng.Perm(keys)[:keys/2] {
+			m.Apply(rt.Proc(0), Op{Kind: OpInsert, Arg: uint64(k + 1)})
+		}
+		ops := make([]Op, 16)
+		var n uint64
+		for i := 0; i < warm+rounds; i++ {
+			if i == warm {
+				rt.Heap().ResetAllStats()
+				n = 0
+			}
+			for id := 0; id < 2; id++ {
+				for j := range ops {
+					// Proc id owns the keys ≡ id mod 2.
+					ops[j] = Op{Kind: OpInsert + uint64(j%2), Arg: uint64(2*rng.Intn(keys/2) + 2 - id)}
+				}
+				rt.ApplyWindow(rt.Proc(id), m, ops)
+				n += uint64(len(ops))
+			}
+		}
+		if reclaim {
+			if rs, _ := rt.ReclaimStats(); rs.Reused == 0 || rs.Advances == 0 {
+				t.Fatalf("the reclaimer reused nothing or never advanced its epoch: %+v", rs)
+			}
+		}
+		return float64(rt.Heap().TotalStats().Loads) / float64(n)
+	}
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			arena, rec := run(e.kind, false), run(e.kind, true)
+			t.Logf("loads/op arena %.1f, reclaimer %.1f (%.2fx)", arena, rec, rec/arena)
+			if rec > 1.25*arena {
+				t.Fatalf("the reclaimer loads %.1f words per op, over 1.25x the arena's %.1f", rec, arena)
+			}
+		})
+	}
+}
+
 // TestRecoveryCostFollowsInFlight is the recovery claim as a count. Two
 // crash_recover-shaped instances — 1 Proc, the reclaimer on, a window of 8
 // crashed halfway through the accesses it makes on an uncrashed twin —

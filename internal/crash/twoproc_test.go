@@ -49,8 +49,8 @@ type twoProc struct {
 	// help that insert: to write back more than they do with nothing to
 	// help (lone) and to leave no stray tag.
 	helps bool
-	// walk, when positive, bounds the accesses of the last admission before
-	// Run: a find that must start at its slot's anchor.
+	// walk, when positive, bounds the accesses of the last find before Run,
+	// which must start at its slot's anchor.
 	walk uint64
 }
 
@@ -187,6 +187,34 @@ func twoProcRows() []twoProc {
 			}
 		}
 	}
+	a, k, other, fresh := reuseKeysOf()
+	prefill = []repro.Op{ins(a)}
+	for _, key := range append(shardKeys(2, 0, indexKeys), other...) {
+		if key != a {
+			prefill = append(prefill, ins(key))
+		}
+	}
+	for _, eng := range engineVariants {
+		r := twoProc{s: structure{kind: repro.KindHashMap, param: 2, prefill: prefill}, eng: eng, reclaim: true,
+			words: sweepHeapWords * 4, begin: true, walk: indexWalk}
+		r.before = []admission{alone(0, find(k)), alone(0, find(k)), alone(1, del(a))}
+		r.run = []admission{alone(0, find(k))}
+		for i, c := range other[:reuseRetire+reuseAdvance+reuseDeletes] {
+			switch {
+			case i < reuseRetire:
+				r.before = append(r.before, alone(1, del(c)))
+			case i < reuseRetire+reuseAdvance:
+				r.before = append(r.before, alone(0, del(c)))
+			default:
+				r.preempt = append(r.preempt, del(c))
+			}
+		}
+		for _, y := range fresh {
+			r.preempt = append(r.preempt, ins(y))
+		}
+		r.preempt = append(r.preempt, del(other[len(other)-1]))
+		add(r, "TestTwoProcIndexAnchor", eng.name, "reclaim", "reuse-in-other-bucket")
+	}
 	return out
 }
 
@@ -248,9 +276,12 @@ func TestTwoProcPreemptInterference(t *testing.T) { sweepTwoProc(t) }
 // node below k's slot; Proc 1, at every access of Proc 0's, retires a — it
 // deletes it, or inserts b just before it, which copies it — and then, on the
 // arena, deletes k, and on the reclaimer inserts indexChurn keys above k, so
-// that a's block is freed and reused. A walk must not start at an anchor
-// retired before its check (the untagged rule), nor at one whose block was
-// reused since it was recorded (the stamp rule).
+// that a's block is freed and reused. On a map of two buckets, Proc 1
+// deletes a before Run and, at every access of Proc 0's find of k, draws a's
+// freed block into the other bucket, where it is linked and untagged: at the
+// anchor check, between the find's two reads of a's version. A walk must
+// not start at an anchor retired before its check (the untagged rule), nor
+// at one whose block was reused since it was recorded (the version rule).
 func TestTwoProcIndexAnchor(t *testing.T) { sweepTwoProc(t) }
 
 // sweepTwoProc sweeps the table's rows of test t, each a SweepTest row.
@@ -285,7 +316,7 @@ func TestTwoProcCoverage(t *testing.T) {
 		"TestTwoProcCrashHeldAcross":     4,  // list and BST × 2 engines
 		"TestTwoProcCrashInterference":   28, // list and BST × 2 engines × 7 interlopers
 		"TestTwoProcPreemptInterference": 28, // the same rows
-		"TestTwoProcIndexAnchor":         8,  // 2 engines × arena/reclaimer × the anchor deleted or copied
+		"TestTwoProcIndexAnchor":         10, // 2 engines × (arena/reclaimer × the anchor deleted or copied, or its block reused)
 	}
 	got, seen := map[string]int{}, map[string]bool{}
 	for _, r := range twoProcRows() {
@@ -357,7 +388,7 @@ func (r twoProc) setUp() (x *twoProcRun, err error) {
 	}()
 	x.h.ScheduleCrashAt(x.h.AccessCount() + stormRecoverBudget)
 	defer x.h.DisarmCrash()
-	var walk uint64 // the accesses of the last admission before Run
+	var walk uint64 // the accesses of the last find before Run
 	if !pmem.RunOp(func() {
 		if r.raw {
 			x.a = r.s.raw(x.h, r.eng.mk(x.h))
@@ -372,7 +403,9 @@ func (r twoProc) setUp() (x *twoProcRun, err error) {
 		for _, adm := range r.before {
 			start := x.h.AccessCount()
 			resps := x.admit(adm)
-			walk = x.h.AccessCount() - start
+			if adm.ops[0].Kind == repro.OpFind {
+				walk = x.h.AccessCount() - start
+			}
 			x.record(adm.proc, adm.ops, resps)
 		}
 	}) {
@@ -647,6 +680,17 @@ const (
 	// retirement: enough to fill Proc 1's ring past its advance threshold,
 	// move the epoch on twice and draw the freed blocks back out.
 	indexChurn = 96
+	// The reuse rows' runs of deletes in bucket 1: Proc 1's reuseRetire
+	// after its delete of the anchor, whose installs retire it; Proc 0's
+	// reuseAdvance, which move the epoch on at least twice since; and Proc
+	// 1's reuseDeletes when it preempts, which fill its ring past its
+	// advance threshold, so that the anchor's block is freed, then drawn by
+	// one of its reuseFresh inserts. reuseKept keys are never deleted.
+	reuseRetire  = 3
+	reuseAdvance = 64
+	reuseDeletes = 48
+	reuseFresh   = 3
+	reuseKept    = 2*reuseFresh + 1
 )
 
 // bucketOrder is what a hash map's bucket orders its keys by, the splitmix64
@@ -659,6 +703,29 @@ func bucketOrder(k uint64) uint64 {
 	return k ^ k>>31
 }
 
+// shardKeys returns the first n keys a map of shards shards routes to
+// shard, in order-key order.
+func shardKeys(shards, shard uint64, n int) []uint64 {
+	var keys []uint64
+	for key := uint64(1); len(keys) < n; key++ {
+		if bucketOrder(key)&(shards-1) == shard {
+			keys = append(keys, key)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return bucketOrder(keys[i]) < bucketOrder(keys[j]) })
+	return keys
+}
+
+// anchorAt is the index in keys, in order-key order, of the last key of a
+// slot past the middle: the anchor of the next slot, whose first key follows.
+func anchorAt(keys []uint64) int {
+	i := len(keys) / 2
+	for bucketOrder(keys[i])>>indexShift == bucketOrder(keys[i+1])>>indexShift {
+		i++
+	}
+	return i
+}
+
 // indexKeysOf picks the index rows' keys from 1..indexKeys in order-key
 // order: a the last key of a slot past the middle of the bucket and k the
 // first of the next slot, far the first key, and b the first key above
@@ -666,15 +733,8 @@ func bucketOrder(k uint64) uint64 {
 // indexChurn keys above b ordered above k. The bucket is filled with a first,
 // so that every walk into k's slot once the index is kept records a.
 func indexKeysOf() (a, k, far, b uint64, churn []uint64) {
-	keys := make([]uint64, indexKeys)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-	sort.Slice(keys, func(i, j int) bool { return bucketOrder(keys[i]) < bucketOrder(keys[j]) })
-	i := indexKeys / 2
-	for bucketOrder(keys[i])>>indexShift == bucketOrder(keys[i+1])>>indexShift {
-		i++
-	}
+	keys := shardKeys(1, 0, indexKeys)
+	i := anchorAt(keys)
 	a, k, far = keys[i], keys[i+1], keys[0]
 	lo, hi := bucketOrder(keys[i-1]), bucketOrder(a)
 	for b = indexKeys + 1; bucketOrder(b) <= lo || bucketOrder(b) >= hi; b++ {
@@ -685,4 +745,24 @@ func indexKeysOf() (a, k, far, b uint64, churn []uint64) {
 		}
 	}
 	return a, k, far, b, churn
+}
+
+// reuseKeysOf picks the reuse rows' keys in a map of two buckets: a and k
+// as indexKeysOf picks them among bucket 0's first indexKeys keys, and
+// bucket 1's keys, other, in order-key order, the first ones deleted and the
+// last reuseKept kept; fresh are keys bucket 1 is not filled with, one in
+// each gap between two of the kept keys, so that no insert of one copies a
+// node another made.
+func reuseKeysOf() (a, k uint64, other, fresh []uint64) {
+	keys := shardKeys(2, 0, indexKeys)
+	i := anchorAt(keys)
+	other = shardKeys(2, 1, reuseRetire+reuseAdvance+reuseDeletes+reuseKept)
+	kept := other[len(other)-reuseKept:]
+	for key := uint64(1); len(fresh) < reuseFresh; key++ {
+		lo, hi := bucketOrder(kept[2*len(fresh)]), bucketOrder(kept[2*len(fresh)+1])
+		if o := bucketOrder(key); o&1 == 1 && lo < o && o < hi {
+			fresh = append(fresh, key)
+		}
+	}
+	return keys[i], keys[i+1], other, fresh
 }

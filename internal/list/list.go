@@ -18,41 +18,42 @@
 // A walk from the head costs a load or three per node it passes, so a list
 // whose walks grow long (longWalk nodes) keeps a volatile index: a Go-side
 // table whose slot j names a node keyed below j's share of the key space
-// (the top bits of a key pick its slot), recorded with the allocator's stamp
-// (pmem.Allocator.Stamp) of the walk that passed it. ReadOp and the gathers'
-// search start at the anchor of their key's slot, or of a slot just below,
-// instead of the head, and a walk that could not use its slot's anchor
-// records the last node it passed below that slot. The index is worth
-// something when keys spread over the whole range, as the hash map's
-// hash-ordered buckets do; in a list of small keys every key falls in slot 0,
-// which starts at the head. Nothing persistent records the index: no heap
-// word, no write-back. Neither recovery, MarkReachable nor the reclaimer's
-// scan reads it, and a crash forgets it. Three rules make an anchor safe to
-// start from:
+// (the top bits of a key pick its slot), recorded by the walk that passed it
+// with the node's reuse version (pmem.Allocator.Version) and the heap's
+// crash epoch. ReadOp and the gathers' search start at the anchor of their
+// key's slot, or of a slot just below, instead of the head, and a walk that
+// could not use its slot's anchor records the last node it passed below that
+// slot. The index is worth something when keys spread over the whole range,
+// as the hash map's hash-ordered buckets do; in a list of small keys every
+// key falls in slot 0, which starts at the head. Nothing persistent records
+// the index: no heap word, no write-back. Neither recovery, MarkReachable nor
+// the reclaimer's scan reads it or the versions, and a crash forgets it.
+// Three rules make an anchor safe to start from:
 //
 //   - An untagged node is linked. A node is created tagged by the operation
 //     that links it and untagged only after the link; an operation that
-//     unlinks a node tags it first, and the node keeps that tag (retired).
-//     So a walk checks an anchor's info word, as its first access, the way
-//     the paper's search reads every info field: untagged, the node is in
-//     this list at that moment, and the walk continues from it as if it had
-//     come from the head. Tagged, the walk tries a lower slot, then the head.
-//   - A block seen linked under stamp s is not freed before the epoch
-//     reaches s+2, which it cannot while a process whose stamp is s or older
-//     stays pinned (pmem.Reclaimer.Stamp): a walk follows an anchor only if
-//     the anchor's stamp is no older than its own, so the info word it checks
-//     is the node's and not a reused block's.
-//   - Nothing recorded before a crash is followed after it: every stamp after
-//     a crash is newer than every stamp before it (the arena's is the heap's
-//     crash epoch, the reclaimer's epoch moves on at Recover and its stamp
-//     vouches for nothing until then), so a node a crash may have rolled back
-//     is never checked.
+//     unlinks a node tags it first, and the node keeps that tag (retired),
+//     freed too, until its block is reused. So a walk checks an anchor's
+//     info word, as its first heap access, the way the paper's search reads
+//     every info field: untagged, the node is in this list at that moment,
+//     and the walk continues from it as if it had come from the head.
+//     Tagged, the walk tries a lower slot, then the head.
+//   - The info word checked is the recorded node's. Alloc moves a block's
+//     version before its new owner's first store, and a walk follows an
+//     anchor only if the block's version reads the recorded one both before
+//     and after the info word, so the word is not a later owner's. Seen
+//     linked, the node stays the walk's: the walk is pinned, and a block
+//     unlinked after a pin was taken is not freed while it holds.
+//   - Nothing recorded before a crash is followed after it: a walk follows
+//     only anchors recorded in its own crash epoch, so a node a crash may
+//     have rolled back is never checked, and no version need survive a
+//     crash.
 //
-// A torn anchor cannot pass: a slot's stamp word carries a writer's hold
-// bit, only rises, and is read before and after the node, so a reader that
-// sees the same unheld stamp twice read the node recorded with it. A wrapped
-// stamp cannot pass either: stamps are 63 bits, and the epochs and crashes
-// that number them do not wrap in a run.
+// A torn anchor cannot pass: a slot is a seqlock over its triple. Its
+// sequence word is odd while a writer holds the slot and moves on by two at
+// each record, so a reader that sees the same even sequence before and after
+// the triple read one writer's. Neither sequences nor versions wrap: they
+// are 64 bits, and each step is a record or an allocation.
 package list
 
 import (
@@ -115,32 +116,35 @@ const (
 // j<<slotShift.
 type index [slots]anchor
 
-// anchor is one slot. stamp holds the recording walk's stamp shifted left
-// by one, bit 0 set while a writer holds the slot; it only rises.
+// anchor is one slot, a seqlock over its triple: seq is odd while a writer
+// holds the slot and moves on by two at each record; 0, the slot names
+// nothing yet.
 type anchor struct {
-	stamp atomic.Uint64
+	seq   atomic.Uint64
 	node  atomic.Uint64
+	ver   atomic.Uint64 // the node's version
+	epoch atomic.Uint64 // the heap's crash epoch
 }
 
-// load returns the slot's node if its stamp is own or newer.
-func (s *anchor) load(own uint64) (pmem.Addr, bool) {
-	st := s.stamp.Load()
-	if st&1 != 0 || st>>1 < own {
-		return pmem.Null, false
-	}
-	nd := s.node.Load()
-	return pmem.Addr(nd), s.stamp.Load() == st
+// load returns the slot's node and its version, and whether one writer
+// recorded them in crash epoch epoch.
+func (s *anchor) load(epoch uint64) (pmem.Addr, uint64, bool) {
+	sq := s.seq.Load()
+	nd, ver, e := s.node.Load(), s.ver.Load(), s.epoch.Load()
+	return pmem.Addr(nd), ver, sq&1 == 0 && sq != 0 && e == epoch && s.seq.Load() == sq
 }
 
-// record names nd, seen linked under stamp own, unless another writer holds
-// the slot or it names a node stamped later.
-func (s *anchor) record(nd pmem.Addr, own uint64) {
-	st := s.stamp.Load()
-	if st&1 != 0 || st>>1 > own || !s.stamp.CompareAndSwap(st, st|1) {
+// record names nd, of version ver, seen in crash epoch epoch, unless another
+// writer holds the slot.
+func (s *anchor) record(nd pmem.Addr, ver, epoch uint64) {
+	sq := s.seq.Load()
+	if sq&1 != 0 || !s.seq.CompareAndSwap(sq, sq+1) {
 		return
 	}
 	s.node.Store(uint64(nd))
-	s.stamp.Store(own << 1)
+	s.ver.Store(ver)
+	s.epoch.Store(epoch)
+	s.seq.Store(sq + 2)
 }
 
 // walk is where a walk toward a key starts (List.start), and what it
@@ -148,15 +152,16 @@ func (s *anchor) record(nd pmem.Addr, own uint64) {
 type walk struct {
 	from  pmem.Addr // the head, or an anchor
 	info  uint64    // an anchor's info word, read by the anchor check
-	stamp uint64
-	miss  *anchor // the key's slot, whose anchor could not be used
-	bound uint64  // the first key of that slot, 0 if miss is nil
+	epoch uint64    // the heap's crash epoch at the start
+	miss  *anchor   // the key's slot, whose anchor could not be used
+	bound uint64    // the first key of that slot, 0 if miss is nil
 }
 
 // start picks the node a walk toward key (not a sentinel's) starts at: the
 // anchor of key's slot, or of one of the tries-1 slots below it, the first
-// whose stamp is no older than the process's and whose node is untagged, or
-// else the head. Call pinned (a.Enter).
+// recorded in this crash epoch whose block's version reads the recorded one
+// before and after its untagged info word, or else the head. Call pinned
+// (a.Enter).
 func (l *List) start(p *pmem.Proc, a pmem.Allocator, key uint64) walk {
 	w := walk{from: l.head}
 	x := l.idx.Load()
@@ -167,15 +172,13 @@ func (l *List) start(p *pmem.Proc, a pmem.Allocator, key uint64) walk {
 	if j == 0 {
 		return w
 	}
-	if w.stamp = a.Stamp(p); w.stamp == 0 {
-		return w
-	}
+	w.epoch = l.h.Epoch()
 	for i := j; i > 0 && j-i < tries; i-- {
-		nd, ok := x[i].load(w.stamp)
-		if !ok {
+		nd, ver, ok := x[i].load(w.epoch)
+		if !ok || a.Version(nd) != ver {
 			continue
 		}
-		if info := p.Load(nd + nInfo); !isb.IsTagged(info) {
+		if info := p.Load(nd + nInfo); !isb.IsTagged(info) && a.Version(nd) == ver {
 			w.from, w.info = nd, info
 			if i == j {
 				return w
@@ -189,10 +192,11 @@ func (l *List) start(p *pmem.Proc, a pmem.Allocator, key uint64) walk {
 
 // done ends a walk of steps nodes, whose last node below w.bound was last.
 // One that could not use its slot's anchor records last there, if not the
-// head; the first of longWalk or more nodes gives the list its index.
+// head, with its version; the first of longWalk or more nodes gives the list
+// its index. Call pinned, as the walk ran.
 func (l *List) done(w *walk, last pmem.Addr, steps int) {
 	if last != pmem.Null && last != l.head {
-		w.miss.record(last, w.stamp)
+		w.miss.record(last, l.e.Allocator().Version(last), w.epoch)
 	}
 	if steps >= longWalk && l.idx.Load() == nil {
 		l.idx.CompareAndSwap(nil, new(index))

@@ -57,14 +57,13 @@ type Allocator interface {
 	// un-pinned by the allocator's post-crash recovery.
 	Exit(p *Proc)
 
-	// Stamp dates what the calling process, pinned, sees linked, for a
-	// volatile index that keeps such a block to start later walks from (the
-	// list's anchors): a block seen linked under stamp s is not reused, nor
-	// its words rewritten by a crash, while a process whose stamp is s or
-	// older stays pinned. So a process may follow a block recorded under a
-	// stamp no older than its own; stamps never fall, and every stamp after
-	// a crash is newer than every stamp before it. 0 vouches for nothing.
-	Stamp(p *Proc) uint64
+	// Version is the reuse version of the block containing a: it moves each
+	// time Alloc hands the block out, before the new owner's first store,
+	// and at no other time. A volatile index (the list's anchors) that reads
+	// the version it recorded a block with before and after a word of it
+	// read the recorded block's word, not a later owner's. Versions are
+	// Go-side, read by no recovery, and vouch for nothing across a crash.
+	Version(a Addr) uint64
 }
 
 // Arena is the leak-forever allocator: a thin wrapper over the heap's bump
@@ -88,6 +87,5 @@ func (Arena) Enter(p *Proc) {}
 // Exit is a no-op.
 func (Arena) Exit(p *Proc) {}
 
-// Stamp is the heap's crash epoch, plus one: the arena reuses no block, so
-// only a crash, which may roll a block's words back, voids what was seen.
-func (Arena) Stamp(p *Proc) uint64 { return p.h.Epoch() + 1 }
+// Version never moves: the arena hands no block out twice.
+func (Arena) Version(a Addr) uint64 { return 0 }

@@ -11,9 +11,10 @@ import (
 // slab directory and, per slab, a durable dead bitmap: one bit per block,
 // set while the block is free and clear while it may be in use. The free
 // pool survives a crash in those bits; everything else — the global epoch,
-// and per process a pin, a retired ring and one stack of ready blocks per
-// size class — is Go-side state that no recovery path reads. The reclaimer
-// reads and writes bitmap and directory words only, never a block's own.
+// per process a pin, a retired ring and one stack of ready blocks per size
+// class, and per block a reuse version — is Go-side state that no recovery
+// path reads. The reclaimer reads and writes bitmap and directory words
+// only, never a block's own.
 //
 // # Normal operation
 //
@@ -268,6 +269,9 @@ type slab struct {
 	// gen is the pool generation (Reclaimer.gen) the slab was claimed in:
 	// by the process that carved it, or by the one that adopted it.
 	gen atomic.Uint64
+	// version is each block's reuse version (Reclaimer.Version): Alloc
+	// adds one at every handout, before the new owner's first store.
+	version []atomic.Uint64
 	// hw is the high-water mark: blocks [0, hw) were handed out at least
 	// once. Every pop reads it; only the pop of a block never handed out,
 	// which only the slab's claimer holds, raises it.
@@ -405,7 +409,7 @@ func (r *Reclaimer) newSlab(p *Proc, class int) {
 	raw := r.h.grabChunk(below + slabWords + WordsPerLine)
 	bm := lineOf(raw + WordsPerLine - 1)
 	s := &slab{base: bm + Addr(below), bits: bm, class: class, size: size, shift: uint(bits.TrailingZeros64(size)),
-		n: n, late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
+		n: n, version: make([]atomic.Uint64, n), late: make([]atomic.Uint64, words), marks: make([]uint64, words)}
 	s.gen.Store(r.gen.Load())
 	for w := uint64(0); w < words; w++ {
 		p.Store(bm+Addr(w), ^uint64(0)>>(64-min(64, n-w*64)))
@@ -493,6 +497,7 @@ func (r *Reclaimer) Alloc(p *Proc, words uint64) Addr {
 	a := st[len(st)-1]
 	ps.free[class] = st[:len(st)-1]
 	s, _, bi, _ := r.lookup(a)
+	s.version[bi].Add(1)
 	r.flip(p, s, bi, false)
 	if hw := s.hw.Load(); bi < hw {
 		ps.counts[cReused].Add(1)
@@ -616,33 +621,21 @@ func (r *Reclaimer) drop(words uint64) {
 
 // Enter pins the calling process in the current epoch (refreshing any
 // existing pin). The pin only gates the epoch within a run; post-crash
-// recovery releases stuck pins. The pin is the epoch still current once it
-// is published, so the epoch moves at most one past it while it holds,
-// which Stamp relies on: a pin read before two advances that published
-// unchecked would trail the epoch by two.
+// recovery releases stuck pins. A pin that trails the epoch by the time it
+// is published only holds the epoch back until the process re-enters.
 func (r *Reclaimer) Enter(p *Proc) {
-	pin := &r.pins[p.ID()].epoch
-	for e := r.epoch.Load(); ; {
-		pin.Store(e)
-		now := r.epoch.Load()
-		if now == e {
-			return
-		}
-		e = now
-	}
+	r.pins[p.ID()].epoch.Store(r.epoch.Load())
 }
 
-// Stamp is the calling process's pin (Allocator): a block seen linked by a
-// process pinned at s was unlinked, if ever, at epoch s or later, so it is
-// freed no sooner than the epoch reaches s+2, which it cannot while a
-// process pinned at s or earlier stays pinned. The epoch never restarts:
-// Recover moves it on, past every pin taken before the crash. 0, vouching
-// for nothing, from a crash until Recover, and for an unpinned process.
-func (r *Reclaimer) Stamp(p *Proc) uint64 {
-	if !r.synced() {
+// Version is the reuse version of the block containing a (Allocator): how
+// many times Alloc has handed it out. It is 0 for an address outside every
+// slab.
+func (r *Reclaimer) Version(a Addr) uint64 {
+	s, _, bi, ok := r.lookup(a)
+	if !ok {
 		return 0
 	}
-	return r.pins[p.ID()].epoch.Load()
+	return s.version[bi].Load()
 }
 
 // Exit releases the calling process's pin.
@@ -733,9 +726,10 @@ func (r *Reclaimer) LiveBlocks() uint64 {
 func (r *Reclaimer) ForceRecovery(m RecoveryMode) { r.mode = m }
 
 // Forget drops every Go-side record of which blocks are free — the rings,
-// the stacks, the late marks — and of which blocks were ever handed out, as
-// a restarted process would have none of them. Test hook, for after a crash and before
-// Runtime.RecoverAll: the pool must then come back from the bitmaps alone.
+// the stacks, the late marks — and of which blocks were ever handed out, and
+// how often (the versions), as a restarted process would have none of them.
+// Test hook, for after a crash and before Runtime.RecoverAll: the pool must
+// then come back from the bitmaps alone.
 // The counters and the garbage account, which only price recoveries, stay.
 func (r *Reclaimer) Forget() {
 	for id := range r.procs {
@@ -746,6 +740,7 @@ func (r *Reclaimer) Forget() {
 	for _, s := range *r.slabs.Load() {
 		s.hw.Store(s.n)
 		clear(s.marks)
+		clear(s.version)
 		for w := range s.late {
 			s.late[w].Store(0)
 		}
@@ -786,8 +781,9 @@ func (r *Reclaimer) Recover(p *Proc, mark func(mark func(Addr))) ScanReport {
 }
 
 // reset empties the rings and the stacks, stamping each with the heap epoch,
-// drops the late marks, releases the pins, moves the epoch on (Stamp), starts
-// a new pool generation and leaves degraded mode. It touches no heap word.
+// drops the late marks, releases the pins, moves the epoch on past every pin
+// taken before the crash, starts a new pool generation and leaves degraded
+// mode. It touches no heap word.
 func (r *Reclaimer) reset() {
 	for id := range r.procs {
 		ps := &r.procs[id]
